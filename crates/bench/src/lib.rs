@@ -1020,7 +1020,9 @@ pub fn run_observability_comparison(scale: f64) -> Vec<Measurement> {
 ///
 /// * a warm repeated scan reads **zero pages**, and its cache hits equal
 ///   exactly the leaves the cold scan decoded;
-/// * warm cached point reads beat uncached ones by at least 2x;
+/// * a point read served from the warm cache reads **zero pages** and
+///   assembles at most the one record it returns (the uncached timing is
+///   reported beside it, not asserted);
 /// * across a budget sweep the cache's resident bytes never exceed its
 ///   capacity, and the hit rate on a re-scanned hot range is monotone.
 ///
@@ -1093,16 +1095,36 @@ pub fn run_cache_comparison(scale: f64) -> Vec<Measurement> {
             }
         }
     };
+    let before = cached.io_stats();
     let ((), warm_points) = time(|| point_pass(&cached));
+    let after = cached.io_stats();
     let ((), cold_points) = time(|| point_pass(&uncached));
-    let speedup = cold_points / warm_points.max(1e-6);
-    assert!(
-        speedup >= 2.0,
-        "cached point reads must be at least 2x faster: cold {cold_points:.2}ms vs warm {warm_points:.2}ms"
+    // The contract, not the clock: a lookup served from the cache reads no
+    // page and assembles nothing but the one record it returns.
+    let lookups = (ROUNDS * probe.len()) as u64;
+    let assembled = after.records_assembled - before.records_assembled;
+    assert_eq!(
+        after.pages_read, before.pages_read,
+        "cached lookups must read zero pages"
     );
+    assert_eq!(
+        after.leaf_cache_misses, before.leaf_cache_misses,
+        "every leaf was warmed"
+    );
+    assert!(
+        assembled <= lookups,
+        "cached lookups assembled {assembled} records for {lookups} lookups"
+    );
+    let speedup = cold_points / warm_points.max(1e-6);
     out.push(Measurement::new("point reads", "uncached", cold_points, "ms"));
     out.push(Measurement::new("point reads", "warm cache", warm_points, "ms"));
     out.push(Measurement::new("point reads", "speedup", speedup, "x"));
+    out.push(Measurement::new(
+        "point reads",
+        "assembled per cached lookup",
+        assembled as f64 / lookups as f64,
+        "records",
+    ));
 
     // Budget sweep: residency must stay bounded at every capacity, and a
     // re-scan of the same hot range can only raise the hit rate.

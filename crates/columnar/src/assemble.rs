@@ -29,25 +29,88 @@
 //! the query differential suites avoid generating always-empty arrays for
 //! the same reason.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use docmodel::Value;
 use schema::node::SchemaNode;
 use schema::{ColumnId, NodeId, Schema};
 
+use crate::chunk::SEEK_INTERVAL;
 use crate::cursor::ColumnCursor;
 use crate::{ColumnarError, Result};
 
+/// Everything assembly needs to know that does not change from record to
+/// record: the schema and, for one set of projected columns, which of them
+/// lie beneath each schema node. Building it walks (and clones) the schema,
+/// so callers that assemble from the same columns repeatedly — one point
+/// lookup at a time — build it once and share it ([`Assembler::with_plan`]).
+pub struct AssemblyPlan {
+    schema: Schema,
+    columns: Vec<ColumnId>,
+    /// Per schema node: the slot (index into `columns`) of the node's own
+    /// column, for the atomic leaves that are part of the plan.
+    slot_of: Vec<Option<usize>>,
+    /// Per schema node: the slots of the planned columns in its subtree.
+    leaves_under: Vec<Vec<usize>>,
+}
+
+impl AssemblyPlan {
+    /// Plan the assembly of exactly `columns` (projection push-down: fields
+    /// without a planned column beneath them are left out of every record).
+    pub fn new(schema: &Schema, columns: &[ColumnId]) -> AssemblyPlan {
+        let mut slot_of = vec![None; schema.node_count()];
+        for (slot, &column) in columns.iter().enumerate() {
+            // A column the schema does not know has nowhere to go in a
+            // record; its cursor is carried along but never read.
+            if let Some(entry) = slot_of.get_mut(column as usize) {
+                *entry = Some(slot);
+            }
+        }
+        let mut plan = AssemblyPlan {
+            schema: schema.clone(),
+            columns: columns.to_vec(),
+            slot_of,
+            leaves_under: vec![Vec::new(); schema.node_count()],
+        };
+        plan.collect_leaves(schema.root());
+        plan
+    }
+
+    fn collect_leaves(&mut self, node: NodeId) -> Vec<usize> {
+        let children: Vec<NodeId> = match self.schema.node(node) {
+            SchemaNode::Atomic { .. } => {
+                let leaves: Vec<usize> = self.slot_of[node as usize].into_iter().collect();
+                self.leaves_under[node as usize] = leaves.clone();
+                return leaves;
+            }
+            SchemaNode::Object { fields } => fields.iter().map(|(_, c)| *c).collect(),
+            SchemaNode::Array { item } => item.iter().copied().collect(),
+            SchemaNode::Union { branches } => branches.iter().map(|(_, c)| *c).collect(),
+        };
+        let leaves: Vec<usize> = children
+            .into_iter()
+            .flat_map(|child| self.collect_leaves(child))
+            .collect();
+        self.leaves_under[node as usize] = leaves.clone();
+        leaves
+    }
+
+    fn leaves_under(&self, node: NodeId) -> &[usize] {
+        &self.leaves_under[node as usize]
+    }
+}
+
 /// Assembles records from a set of column cursors.
 ///
-/// The assembler owns a clone of the schema (schemas are cheap: a node table)
-/// so it can be stored inside long-lived streaming cursors — the lazy leaf
-/// buffers of `storage`'s component cursors — without borrowing the component.
+/// The assembler shares its [`AssemblyPlan`] (and with it a copy of the
+/// schema) behind an `Arc`, so it can be stored inside long-lived streaming
+/// cursors — the lazy leaf buffers of `storage`'s component cursors — without
+/// borrowing the component.
 pub struct Assembler {
-    schema: Schema,
-    cursors: HashMap<ColumnId, ColumnCursor>,
-    /// For every schema node, the included leaf columns in its subtree.
-    leaves_under: HashMap<NodeId, Vec<ColumnId>>,
+    plan: Arc<AssemblyPlan>,
+    /// One cursor per planned column, in plan order.
+    cursors: Vec<ColumnCursor>,
+    record_count: usize,
     records_remaining: usize,
 }
 
@@ -56,14 +119,29 @@ impl Assembler {
     /// in `cursors` are assembled (projection push-down); `record_count` is
     /// the number of records the cursors cover.
     pub fn new(schema: &Schema, cursors: Vec<ColumnCursor>, record_count: usize) -> Self {
-        let cursors: HashMap<ColumnId, ColumnCursor> =
-            cursors.into_iter().map(|c| (c.spec().id, c)).collect();
-        let mut leaves_under = HashMap::new();
-        collect_included_leaves(schema, schema.root(), &cursors, &mut leaves_under);
+        let columns: Vec<ColumnId> = cursors.iter().map(|c| c.spec().id).collect();
+        let plan = Arc::new(AssemblyPlan::new(schema, &columns));
+        Assembler::with_plan(plan, cursors, record_count)
+    }
+
+    /// Like [`Assembler::new`], reusing a plan built earlier. `cursors` must
+    /// cover exactly the columns the plan was built for, in that order.
+    pub fn with_plan(
+        plan: Arc<AssemblyPlan>,
+        cursors: Vec<ColumnCursor>,
+        record_count: usize,
+    ) -> Self {
+        assert!(
+            cursors
+                .iter()
+                .map(|c| c.spec().id)
+                .eq(plan.columns.iter().copied()),
+            "cursors do not match the assembly plan's columns"
+        );
         Assembler {
-            schema: schema.clone(),
+            plan,
             cursors,
-            leaves_under,
+            record_count,
             records_remaining: record_count,
         }
     }
@@ -81,45 +159,76 @@ impl Assembler {
             return None;
         }
         self.records_remaining -= 1;
-        Some(self.assemble_record())
+        let mut walk = RecordWalk {
+            plan: &self.plan,
+            cursors: &mut self.cursors,
+        };
+        Some(walk.record())
     }
 
     /// Skip `n` records without assembling them (batched reconciliation).
     pub fn skip_records(&mut self, n: usize) {
         let n = n.min(self.records_remaining);
-        for cursor in self.cursors.values_mut() {
+        for cursor in &mut self.cursors {
             cursor.skip_records(n);
         }
         self.records_remaining -= n;
     }
 
-    fn assemble_record(&mut self) -> Result<Value> {
-        let root = self.schema.root();
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        let root_fields: Vec<(String, NodeId)> = match self.schema.node(root) {
-            SchemaNode::Object { fields } => fields.clone(),
-            _ => unreachable!("schema root is always an object"),
+    /// Assemble the record at `ordinal` (0-based among the records the
+    /// cursors cover), wherever the assembler stood before; `None` when
+    /// there is no such record. Afterwards the assembler stands just past
+    /// that record, so a batch of ascending ordinals is one forward pass.
+    ///
+    /// A target a few records ahead is reached by skipping; anything else
+    /// seeks every cursor through its chunk's record-offset index
+    /// ([`ColumnCursor::seek_record`]), so the cost does not grow with the
+    /// distance.
+    pub fn record_at(&mut self, ordinal: usize) -> Option<Result<Value>> {
+        if ordinal >= self.record_count {
+            return None;
+        }
+        let pos = self.record_count - self.records_remaining;
+        // Skipping from `pos` is the cheaper way exactly when `pos` lies
+        // between the target's checkpoint and the target.
+        if pos <= ordinal && ordinal - pos <= ordinal % SEEK_INTERVAL {
+            self.skip_records(ordinal - pos);
+        } else {
+            for cursor in &mut self.cursors {
+                cursor.seek_record(ordinal);
+            }
+            self.records_remaining = self.record_count - ordinal;
+        }
+        self.next_record()
+    }
+}
+
+/// The assembly of one record: the plan, and the cursors it advances.
+struct RecordWalk<'a> {
+    plan: &'a AssemblyPlan,
+    cursors: &'a mut [ColumnCursor],
+}
+
+impl RecordWalk<'_> {
+    fn record(&mut self) -> Result<Value> {
+        let schema = &self.plan.schema;
+        let SchemaNode::Object { fields: root } = schema.node(schema.root()) else {
+            unreachable!("schema root is always an object")
         };
-        for (name, child) in root_fields {
-            if !self.has_included_leaves(child) {
+        let mut fields: Vec<(String, Value)> = Vec::new();
+        for (name, child) in root {
+            if !self.has_included_leaves(*child) {
                 continue;
             }
-            if let Some(value) = self.assemble_value(child, 1, 0)? {
-                fields.push((name, value));
+            if let Some(value) = self.assemble_value(*child, 1, 0)? {
+                fields.push((name.clone(), value));
             }
         }
         Ok(Value::Object(fields))
     }
 
     fn has_included_leaves(&self, node: NodeId) -> bool {
-        self.leaves_under
-            .get(&node)
-            .map(|l| !l.is_empty())
-            .unwrap_or(false)
-    }
-
-    fn representative_leaf(&self, node: NodeId) -> Option<ColumnId> {
-        self.leaves_under.get(&node).and_then(|l| l.first().copied())
+        !self.plan.leaves_under(node).is_empty()
     }
 
     /// Assemble the value at `node` for the current structural position,
@@ -131,51 +240,41 @@ impl Assembler {
         level: u16,
         array_depth: u16,
     ) -> Result<Option<Value>> {
-        match self.schema.node(node) {
+        let plan = self.plan;
+        match plan.schema.node(node) {
             SchemaNode::Atomic { .. } => {
-                let cursor = self
-                    .cursors
-                    .get_mut(&node)
-                    .expect("included leaf has a cursor");
+                let slot = plan.slot_of[node as usize].expect("included leaf has a cursor");
+                let cursor = &mut self.cursors[slot];
                 let (def, value) = cursor
                     .next_entry()
                     .ok_or_else(|| ColumnarError::new("column exhausted mid-record"))?;
-                let spec_max = cursor.spec().max_def;
-                if def == spec_max {
+                if def == cursor.spec().max_def {
                     Ok(value)
                 } else {
                     Ok(None)
                 }
             }
             SchemaNode::Object { fields } => {
-                let fields: Vec<(String, NodeId)> = fields.clone();
                 let mut out: Vec<(String, Value)> = Vec::new();
-                let mut any_present = false;
                 for (name, child) in fields {
-                    if !self.has_included_leaves(child) {
+                    if !self.has_included_leaves(*child) {
                         continue;
                     }
-                    if let Some(v) = self.assemble_value(child, level + 1, array_depth)? {
-                        any_present = true;
-                        out.push((name, v));
+                    if let Some(v) = self.assemble_value(*child, level + 1, array_depth)? {
+                        out.push((name.clone(), v));
                     }
                 }
-                if any_present {
-                    Ok(Some(Value::Object(out)))
-                } else {
-                    Ok(None)
-                }
+                Ok((!out.is_empty()).then_some(Value::Object(out)))
             }
             SchemaNode::Union { branches } => {
-                let branches: Vec<NodeId> = branches.iter().map(|(_, c)| *c).collect();
                 let mut result: Option<Value> = None;
-                for child in branches {
-                    if !self.has_included_leaves(child) {
+                for (_, child) in branches {
+                    if !self.has_included_leaves(*child) {
                         continue;
                     }
                     // Every branch consumes its entries; at most one yields a
                     // value (§3.2.2: a single alternative is present).
-                    let v = self.assemble_value(child, level, array_depth)?;
+                    let v = self.assemble_value(*child, level, array_depth)?;
                     if result.is_none() {
                         result = v;
                     }
@@ -184,12 +283,9 @@ impl Assembler {
             }
             SchemaNode::Array { item } => {
                 let Some(item) = *item else { return Ok(None) };
-                if !self.has_included_leaves(item) {
+                let Some(&repr) = plan.leaves_under(item).first() else {
                     return Ok(None);
-                }
-                let repr = self
-                    .representative_leaf(item)
-                    .expect("non-empty leaf set has a representative");
+                };
                 // Classify the array from the *maximum* next definition level
                 // across the included leaves: a single leaf is not enough when
                 // the array's items are a union, because the absent-branch
@@ -218,12 +314,10 @@ impl Assembler {
                 let mut elems = Vec::new();
                 loop {
                     let elem = self.assemble_value(item, level + 1, array_depth + 1)?;
-                    elems.push(elem.unwrap_or_else(|| absent_element_placeholder(&self.schema, item)));
-                    match self
-                        .cursors
-                        .get(&repr)
-                        .and_then(ColumnCursor::peek_def)
-                    {
+                    elems.push(
+                        elem.unwrap_or_else(|| absent_element_placeholder(&plan.schema, item)),
+                    );
+                    match self.cursors[repr].peek_def() {
                         None => break, // stream ends with the record
                         Some(v) if v < array_depth => {
                             // An enclosing array ends here; it will consume
@@ -249,12 +343,8 @@ impl Assembler {
     /// Consume exactly one entry (an absent marker, an empty-array marker or
     /// a delimiter) from every included leaf column beneath `node`.
     fn consume_one_entry_under(&mut self, node: NodeId) {
-        if let Some(leaves) = self.leaves_under.get(&node) {
-            for leaf in leaves {
-                if let Some(cursor) = self.cursors.get_mut(leaf) {
-                    cursor.skip_entry();
-                }
-            }
+        for &leaf in self.plan.leaves_under(node) {
+            self.cursors[leaf].skip_entry();
         }
     }
 
@@ -263,15 +353,12 @@ impl Assembler {
     /// beneath `node`. Only used at the outermost array depth, where the
     /// shredder guarantees the terminator exists whenever the array is present.
     fn consume_until_record_end_under(&mut self, node: NodeId) {
-        if let Some(leaves) = self.leaves_under.get(&node) {
-            for leaf in leaves {
-                if let Some(cursor) = self.cursors.get_mut(leaf) {
-                    while let Some(def) = cursor.peek_def() {
-                        cursor.skip_entry();
-                        if def == 0 {
-                            break;
-                        }
-                    }
+        for &leaf in self.plan.leaves_under(node) {
+            let cursor = &mut self.cursors[leaf];
+            while let Some(def) = cursor.peek_def() {
+                cursor.skip_entry();
+                if def == 0 {
+                    break;
                 }
             }
         }
@@ -279,18 +366,12 @@ impl Assembler {
 
     /// Maximum next definition level across the included leaves under `node`.
     fn max_peek_under(&self, node: NodeId) -> Result<u16> {
-        let leaves = self
-            .leaves_under
-            .get(&node)
-            .ok_or_else(|| ColumnarError::new("unknown schema node during assembly"))?;
         let mut max = None;
-        for leaf in leaves {
-            if let Some(cursor) = self.cursors.get(leaf) {
-                let def = cursor
-                    .peek_def()
-                    .ok_or_else(|| ColumnarError::new("column exhausted at array position"))?;
-                max = Some(max.map_or(def, |m: u16| m.max(def)));
-            }
+        for &leaf in self.plan.leaves_under(node) {
+            let def = self.cursors[leaf]
+                .peek_def()
+                .ok_or_else(|| ColumnarError::new("column exhausted at array position"))?;
+            max = Some(max.map_or(def, |m: u16| m.max(def)));
         }
         max.ok_or_else(|| ColumnarError::new("array node has no projected columns"))
     }
@@ -305,36 +386,6 @@ fn absent_element_placeholder(schema: &Schema, item: NodeId) -> Value {
         SchemaNode::Object { .. } => Value::Object(Vec::new()),
         _ => Value::Null,
     }
-}
-
-fn collect_included_leaves(
-    schema: &Schema,
-    node: NodeId,
-    cursors: &HashMap<ColumnId, ColumnCursor>,
-    out: &mut HashMap<NodeId, Vec<ColumnId>>,
-) -> Vec<ColumnId> {
-    let leaves: Vec<ColumnId> = match schema.node(node) {
-        SchemaNode::Atomic { .. } => {
-            if cursors.contains_key(&node) {
-                vec![node]
-            } else {
-                Vec::new()
-            }
-        }
-        SchemaNode::Object { fields } => fields
-            .iter()
-            .flat_map(|(_, c)| collect_included_leaves(schema, *c, cursors, out))
-            .collect(),
-        SchemaNode::Array { item } => item
-            .map(|c| collect_included_leaves(schema, c, cursors, out))
-            .unwrap_or_default(),
-        SchemaNode::Union { branches } => branches
-            .iter()
-            .flat_map(|(_, c)| collect_included_leaves(schema, *c, cursors, out))
-            .collect(),
-    };
-    out.insert(node, leaves.clone());
-    leaves
 }
 
 #[cfg(test)]

@@ -5,7 +5,10 @@
 //! values, matching the minipage layout of Figure 8 (size, value count,
 //! encoded definition levels, encoded values).
 
-use docmodel::Value;
+use std::cmp::Ordering;
+use std::sync::OnceLock;
+
+use docmodel::{total_cmp, Value};
 use encoding::{bitpack, bytesenc, delta, plain, rle, varint, DecodeError, Encoding};
 use schema::{AtomicType, ColumnSpec};
 
@@ -89,6 +92,17 @@ impl ColumnValues {
         }
     }
 
+    /// Compare the value at `index` with `other` under the document total
+    /// order, without materialising a [`Value`] when the types agree — the
+    /// comparator of the point-lookup binary search over a sorted key column.
+    pub fn cmp_at(&self, index: usize, other: &Value) -> Ordering {
+        match (self, other) {
+            (ColumnValues::Int(v), Value::Int(o)) => v[index].cmp(o),
+            (ColumnValues::String(v), Value::String(o)) => v[index].as_str().cmp(o.as_str()),
+            _ => total_cmp(&self.get(index), other),
+        }
+    }
+
     /// Rough in-memory footprint in bytes, used by the flush writers to size
     /// temporary buffers.
     pub fn approx_bytes(&self) -> usize {
@@ -129,6 +143,39 @@ impl ColumnValues {
     }
 }
 
+/// A position inside a chunk: the next definition-level entry and the next
+/// value. The two advance at different rates because only some entries
+/// carry a value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ChunkPos {
+    pub(crate) def: usize,
+    pub(crate) value: usize,
+}
+
+/// Records between two checkpoints of a chunk's record-offset index: a seek
+/// walks at most this many records from the checkpoint before its target.
+pub(crate) const SEEK_INTERVAL: usize = 64;
+
+/// The sparse record-offset index of one chunk: the [`ChunkPos`] of every
+/// [`SEEK_INTERVAL`]-th record. Built by the first seek and never at decode
+/// time, so a chunk that is only ever scanned does not pay for it. It is
+/// derived from `defs` alone, hence invisible to equality, and a clone
+/// starts without one (the clone may be edited before it is shared).
+#[derive(Debug, Default)]
+struct RecordIndex(OnceLock<Vec<ChunkPos>>);
+
+impl Clone for RecordIndex {
+    fn clone(&self) -> Self {
+        RecordIndex::default()
+    }
+}
+
+impl PartialEq for RecordIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// One column's data for a batch of records: the definition-level stream
 /// (including delimiters) and the values.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,6 +187,9 @@ pub struct ColumnChunk {
     /// Values for entries at the maximum definition level (every entry for
     /// the primary-key column).
     pub values: ColumnValues,
+    /// Lazily built seek index; chunks are immutable once shared behind an
+    /// `Arc`, which is the only way a cursor (and so a seek) reaches them.
+    record_index: RecordIndex,
 }
 
 impl ColumnChunk {
@@ -150,6 +200,7 @@ impl ColumnChunk {
             spec,
             defs: Vec::new(),
             values,
+            record_index: RecordIndex::default(),
         }
     }
 
@@ -161,6 +212,92 @@ impl ColumnChunk {
     /// Rough in-memory footprint (defs + values).
     pub fn approx_bytes(&self) -> usize {
         self.defs.len() * 2 + self.values.approx_bytes()
+    }
+
+    /// Upper bound on the heap bytes the lazily built record-offset index
+    /// occupies once a seek has built it; zero for the key column, which
+    /// never builds one (its ordinals are its positions). Callers that
+    /// budget decoded chunks (the leaf cache) charge it up front, because
+    /// the index appears after the chunk was admitted — a deliberate
+    /// over-estimate for chunks that are only ever scanned.
+    pub fn seek_index_bytes(&self) -> usize {
+        if self.spec.is_key {
+            return 0;
+        }
+        (self.defs.len() / SEEK_INTERVAL + 1) * std::mem::size_of::<ChunkPos>()
+    }
+
+    /// Advance `pos` past one entry.
+    pub(crate) fn skip_entry(&self, pos: &mut ChunkPos) {
+        if let Some(&def) = self.defs.get(pos.def) {
+            pos.def += 1;
+            if self.spec.is_key || def == self.spec.max_def {
+                pos.value += 1;
+            }
+        }
+    }
+
+    /// Advance `pos` past the entries of exactly one record, using the
+    /// column's record-boundary rules:
+    ///
+    /// * a non-repeated column contributes exactly one entry per record;
+    /// * a repeated column contributes a single entry when its outermost
+    ///   array is absent (definition level below the array's level),
+    ///   otherwise a run of entries terminated by the delimiter `0`.
+    pub(crate) fn skip_record(&self, pos: &mut ChunkPos) {
+        let Some(&first) = self.defs.get(pos.def) else {
+            return;
+        };
+        self.skip_entry(pos);
+        if !self.spec.is_repeated() || first < self.spec.array_levels[0] {
+            // One entry covers the record: a non-repeated column, or a
+            // repeated one whose outermost array is absent.
+            return;
+        }
+        // The outermost array is present (possibly empty): the shredder
+        // always terminates the record segment with delimiter 0, and no
+        // content entry mid-record can have definition level 0.
+        while let Some(&def) = self.defs.get(pos.def) {
+            self.skip_entry(pos);
+            if def == 0 {
+                break;
+            }
+        }
+    }
+
+    /// The position of the first entry of record `ordinal` (the end of the
+    /// chunk when the chunk has fewer records). The first call on a chunk
+    /// builds its record-offset index — one pass over `defs`; afterwards a
+    /// seek costs a checkpoint read plus at most [`SEEK_INTERVAL`] record
+    /// skips.
+    pub(crate) fn record_pos(&self, ordinal: usize) -> ChunkPos {
+        if self.spec.is_key {
+            // One entry and one value per record: the ordinal is the position.
+            let at = ordinal.min(self.defs.len());
+            return ChunkPos { def: at, value: at };
+        }
+        let index = self.record_index.0.get_or_init(|| {
+            let mut index = vec![ChunkPos::default()];
+            let mut pos = ChunkPos::default();
+            let mut records = 0usize;
+            while pos.def < self.defs.len() {
+                self.skip_record(&mut pos);
+                records += 1;
+                if records.is_multiple_of(SEEK_INTERVAL) {
+                    index.push(pos);
+                }
+            }
+            index
+        });
+        let slot = (ordinal / SEEK_INTERVAL).min(index.len() - 1);
+        let mut pos = index[slot];
+        for _ in slot * SEEK_INTERVAL..ordinal {
+            if pos.def >= self.defs.len() {
+                break;
+            }
+            self.skip_record(&mut pos);
+        }
+        pos
     }
 
     /// Encode the chunk into `out` using the paper's encoding set:
@@ -260,7 +397,12 @@ impl ColumnChunk {
                 values.len()
             )));
         }
-        Ok(ColumnChunk { spec, defs, values })
+        Ok(ColumnChunk {
+            spec,
+            defs,
+            values,
+            record_index: RecordIndex::default(),
+        })
     }
 
     /// Min/max of the stored values for zone-map filtering.
@@ -356,6 +498,60 @@ mod tests {
 
         let empty = ColumnChunk::new(spec(AtomicType::String, 1));
         assert!(empty.min_max().is_none());
+    }
+
+    #[test]
+    fn cmp_at_agrees_with_the_total_order() {
+        use docmodel::total_cmp;
+        let ints = ColumnValues::Int(vec![-4, 0, 9]);
+        let strings = ColumnValues::String(vec!["apple".into(), "pear".into()]);
+        let doubles = ColumnValues::Double(vec![0.5, 2.0]);
+        let probes = [
+            Value::Int(0),
+            Value::Int(10),
+            Value::Double(8.5),
+            Value::from("banana"),
+            Value::Bool(true),
+            Value::Null,
+        ];
+        for values in [&ints, &strings, &doubles] {
+            for index in 0..values.len() {
+                for probe in &probes {
+                    assert_eq!(
+                        values.cmp_at(index, probe),
+                        total_cmp(&values.get(index), probe),
+                        "{values:?}[{index}] vs {probe}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seek_index_is_lazy_and_invisible_to_equality() {
+        let mut chunk = ColumnChunk::new(spec(AtomicType::Int, 1));
+        for i in 0..1000i64 {
+            chunk.defs.push(u16::from(i % 3 != 0));
+            if i % 3 != 0 {
+                chunk.values.push(&Value::Int(i));
+            }
+        }
+        let untouched = chunk.clone();
+        assert!(
+            chunk.record_index.0.get().is_none(),
+            "decode builds no index"
+        );
+        // Record 700: 700 entries in, past the values of the non-multiples
+        // of three below it.
+        let pos = chunk.record_pos(700);
+        assert_eq!((pos.def, pos.value), (700, 700 - 234));
+        assert!(chunk.record_index.0.get().is_some());
+        assert_eq!(chunk, untouched);
+        assert!(chunk.clone().record_index.0.get().is_none());
+        assert!(chunk.seek_index_bytes() >= (1000 / SEEK_INTERVAL) * 16);
+        // The key column answers from the ordinal and is charged nothing.
+        chunk.spec.is_key = true;
+        assert_eq!(chunk.seek_index_bytes(), 0);
     }
 
     #[test]

@@ -11,14 +11,13 @@ use std::sync::Arc;
 use docmodel::Value;
 use schema::ColumnSpec;
 
-use crate::chunk::ColumnChunk;
+use crate::chunk::{ChunkPos, ColumnChunk};
 
 /// A cursor over one column chunk.
 #[derive(Debug, Clone)]
 pub struct ColumnCursor {
     chunk: Arc<ColumnChunk>,
-    def_pos: usize,
-    value_pos: usize,
+    pos: ChunkPos,
 }
 
 impl ColumnCursor {
@@ -26,8 +25,7 @@ impl ColumnCursor {
     pub fn new(chunk: Arc<ColumnChunk>) -> ColumnCursor {
         ColumnCursor {
             chunk,
-            def_pos: 0,
-            value_pos: 0,
+            pos: ChunkPos::default(),
         }
     }
 
@@ -38,17 +36,17 @@ impl ColumnCursor {
 
     /// Number of entries not yet consumed.
     pub fn remaining_entries(&self) -> usize {
-        self.chunk.defs.len() - self.def_pos
+        self.chunk.defs.len() - self.pos.def
     }
 
     /// `true` when every entry has been consumed.
     pub fn is_exhausted(&self) -> bool {
-        self.def_pos >= self.chunk.defs.len()
+        self.pos.def >= self.chunk.defs.len()
     }
 
     /// Peek at the next entry's definition level without consuming it.
     pub fn peek_def(&self) -> Option<u16> {
-        self.chunk.defs.get(self.def_pos).copied()
+        self.chunk.defs.get(self.pos.def).copied()
     }
 
     /// Consume the next entry, returning `(definition level, value)`. The
@@ -56,65 +54,24 @@ impl ColumnCursor {
     /// or always, for the primary-key column (anti-matter entries store the
     /// deleted key at definition level 0, §3.2.3).
     pub fn next_entry(&mut self) -> Option<(u16, Option<Value>)> {
-        let def = *self.chunk.defs.get(self.def_pos)?;
-        self.def_pos += 1;
-        let has_value = if self.chunk.spec.is_key {
-            true
-        } else {
-            def == self.chunk.spec.max_def
-        };
-        let value = if has_value {
-            let v = self.chunk.values.get(self.value_pos);
-            self.value_pos += 1;
-            Some(v)
-        } else {
-            None
-        };
+        let def = self.peek_def()?;
+        let value_at = self.pos.value;
+        self.chunk.skip_entry(&mut self.pos);
+        let value = (self.pos.value > value_at).then(|| self.chunk.values.get(value_at));
         Some((def, value))
     }
 
     /// Consume the next entry, discarding its value (cheaper bookkeeping for
     /// absent/delimiter consumption during assembly).
     pub fn skip_entry(&mut self) {
-        if let Some(def) = self.chunk.defs.get(self.def_pos).copied() {
-            self.def_pos += 1;
-            if self.chunk.spec.is_key || def == self.chunk.spec.max_def {
-                self.value_pos += 1;
-            }
-        }
+        self.chunk.skip_entry(&mut self.pos);
     }
 
-    /// Skip the entries of exactly one record, using the column's
-    /// record-boundary rules:
-    ///
-    /// * a non-repeated column contributes exactly one entry per record;
-    /// * a repeated column contributes a single entry when its outermost
-    ///   array is absent (definition level below the array's level),
-    ///   otherwise a run of entries terminated by the delimiter `0`.
+    /// Skip the entries of exactly one record (a single entry for a
+    /// non-repeated column or an absent outermost array, otherwise the run
+    /// up to and including the record's terminating delimiter `0`).
     pub fn skip_record(&mut self) {
-        if self.is_exhausted() {
-            return;
-        }
-        if !self.chunk.spec.is_repeated() {
-            self.skip_entry();
-            return;
-        }
-        let outer_level = self.chunk.spec.array_levels[0];
-        let first = self.chunk.defs[self.def_pos];
-        self.skip_entry();
-        if first < outer_level {
-            // The outermost array is absent: a single entry covers the record.
-            return;
-        }
-        // The outermost array is present (possibly empty): the shredder
-        // always terminates the record segment with delimiter 0, and no
-        // content entry mid-record can have definition level 0.
-        while let Some(def) = self.peek_def() {
-            self.skip_entry();
-            if def == 0 {
-                break;
-            }
-        }
+        self.chunk.skip_record(&mut self.pos);
     }
 
     /// Skip `n` records (the batched advance used by LSM reconciliation).
@@ -125,6 +82,16 @@ impl ColumnCursor {
             }
             self.skip_record();
         }
+    }
+
+    /// Position the cursor at the first entry of record `ordinal`, wherever
+    /// it stood before (exhausted when the chunk has fewer records). Backed
+    /// by the chunk's sparse record-offset index, which the first seek on a
+    /// chunk builds and every later cursor over the same chunk shares — the
+    /// §4.6 point-lookup path, where only the needed columns move and only
+    /// as far as the one record wanted.
+    pub fn seek_record(&mut self, ordinal: usize) {
+        self.pos = self.chunk.record_pos(ordinal);
     }
 }
 
@@ -252,6 +219,41 @@ mod tests {
             assert!(cur.is_exhausted(), "column {} not exhausted", cur.spec().path);
             cur.skip_records(3); // further skips are harmless
             assert!(cur.next_entry().is_none());
+        }
+    }
+
+    #[test]
+    fn seek_record_lands_on_record_boundaries_in_any_order() {
+        let cursors = gamer_cursors();
+        for path in ["id", "name.first", "games[*].title", "games[*].consoles[*]"] {
+            let mut walked = cursor_for(&cursors, path);
+            // The entries of each record, collected by walking.
+            let mut expected = Vec::new();
+            for _ in 0..4 {
+                let mut probe = walked.clone();
+                probe.skip_record();
+                let mut entries = Vec::new();
+                while walked.remaining_entries() > probe.remaining_entries() {
+                    entries.push(walked.next_entry().unwrap());
+                }
+                expected.push(entries);
+            }
+            let mut seeker = cursor_for(&cursors, path);
+            for ordinal in [2usize, 0, 3, 3, 1] {
+                seeker.seek_record(ordinal);
+                for entry in &expected[ordinal] {
+                    assert_eq!(
+                        seeker.next_entry().as_ref(),
+                        Some(entry),
+                        "{path} record {ordinal}"
+                    );
+                }
+            }
+            // Past the last record: exhausted, not a panic.
+            seeker.seek_record(4);
+            assert!(seeker.is_exhausted(), "{path}");
+            seeker.seek_record(400);
+            assert!(seeker.is_exhausted(), "{path}");
         }
     }
 

@@ -29,14 +29,16 @@
 //!   reconciliation, §4.4);
 //! * [`assemble`] — [`Assembler`]: the record-assembly automaton that stitches
 //!   columns back into documents, with projection push-down so queries only
-//!   touch (and only decode) the columns they need.
+//!   touch (and only decode) the columns they need. Point lookups assemble
+//!   the record at one ordinal ([`Assembler::record_at`]) by seeking each
+//!   projected column through a lazily built record-offset index (§4.6).
 
 pub mod assemble;
 pub mod chunk;
 pub mod cursor;
 pub mod shred;
 
-pub use assemble::Assembler;
+pub use assemble::{Assembler, AssemblyPlan};
 pub use chunk::{ColumnChunk, ColumnValues};
 pub use cursor::ColumnCursor;
 pub use shred::{ShreddedBatch, Shredder};

@@ -50,6 +50,30 @@ fn arb_record() -> impl Strategy<Value = Value> {
     )
 }
 
+/// A record over a handful of field names, so that from record to record
+/// fields go missing, are `null` (assembled as absent) and change type
+/// (union columns) — or `None`, an anti-matter entry. Values stay inside
+/// the clean fragment: deeper nulls and empty containers inside
+/// heterogeneous arrays are outside what shred→assemble supports at all.
+fn arb_entry() -> impl Strategy<Value = Option<Value>> {
+    let field = prop_oneof![
+        arb_clean_value(3),
+        arb_clean_value(3),
+        arb_clean_value(3),
+        Just(Value::Null)
+    ];
+    let record = prop::collection::vec(("[a-d]", field), 0..4).prop_map(|fields| {
+        let mut obj = vec![("id".to_string(), Value::Int(0))];
+        for (k, v) in fields {
+            if !obj.iter().any(|(ek, _)| *ek == k) {
+                obj.push((k, v));
+            }
+        }
+        Value::Object(obj)
+    });
+    (record, 0u8..8).prop_map(|(doc, dice)| (dice > 0).then_some(doc))
+}
+
 fn sort_fields(v: &Value) -> Value {
     match v {
         Value::Object(fields) => {
@@ -121,5 +145,89 @@ proptest! {
         assembler.skip_records(skip);
         let next = assembler.next_record().unwrap().unwrap();
         prop_assert_eq!(sort_fields(&next), sort_fields(&records[skip]));
+    }
+
+    // Single-record assembly: for documents with nested arrays, unions,
+    // missing fields and anti-matter, over all columns and over a
+    // projection, the record assembled at ordinal `i` is the `i`-th record
+    // of sequential assembly — from a fresh assembler, seek after seek in
+    // ascending order (skips within a checkpoint interval, index seeks
+    // beyond), and backwards.
+    #[test]
+    fn record_at_matches_sequential_assembly(
+        entries in prop::collection::vec(arb_entry(), 1..200),
+        picks in prop::collection::vec(0usize..100_000, 1..24),
+    ) {
+        let records: Vec<Option<Value>> = entries
+            .into_iter()
+            .enumerate()
+            .map(|(i, entry)| entry.map(|mut doc| {
+                doc.set_field("id", Value::Int(i as i64));
+                doc
+            }))
+            .collect();
+        let mut builder = SchemaBuilder::new(Some("id".to_string()));
+        builder.observe_all(records.iter().flatten());
+        // An all-anti-matter batch still needs its key column.
+        builder.observe(&Value::Object(vec![("id".to_string(), Value::Int(0))]));
+        let schema = builder.into_schema();
+        let mut shredder = Shredder::new(&schema);
+        for (i, record) in records.iter().enumerate() {
+            match record {
+                Some(doc) => shredder.shred(doc),
+                None => shredder.shred_antimatter(&Value::Int(i as i64)),
+            }
+        }
+        let batch = shredder.finish();
+        let n = batch.record_count;
+        // The chunks are shared, as they are in the leaf cache: every
+        // assembler below seeks through the same lazily built indexes.
+        let chunks: Vec<Arc<ColumnChunk>> = batch.columns.into_iter().map(Arc::new).collect();
+
+        // All columns, then the projection on the root fields `a` and `c`.
+        for projected in [false, true] {
+            let assembler = || {
+                let cursors = chunks
+                    .iter()
+                    .filter(|c| {
+                        !projected
+                            || c.spec.is_key
+                            || c.spec.path.to_string().starts_with(['a', 'c'])
+                    })
+                    .map(|c| ColumnCursor::new(c.clone()))
+                    .collect();
+                Assembler::new(&schema, cursors, n)
+            };
+            let mut sequential = assembler();
+            let expected: Vec<Value> = (0..n)
+                .map(|_| sequential.next_record().unwrap().unwrap())
+                .collect();
+
+            let mut ascending = assembler();
+            let mut descending = assembler();
+            for i in 0..n {
+                if i % 3 == 0 {
+                    prop_assert_eq!(&ascending.record_at(i).unwrap().unwrap(), &expected[i]);
+                }
+                let j = n - 1 - i;
+                prop_assert_eq!(&descending.record_at(j).unwrap().unwrap(), &expected[j]);
+            }
+            prop_assert!(ascending.record_at(n).is_none());
+
+            let mut sorted: Vec<usize> = picks.iter().map(|p| p % n).collect();
+            sorted.sort_unstable();
+            let mut hopping = assembler();
+            for &i in &sorted {
+                prop_assert_eq!(&assembler().record_at(i).unwrap().unwrap(), &expected[i]);
+                prop_assert_eq!(&hopping.record_at(i).unwrap().unwrap(), &expected[i]);
+            }
+            // After a seek the assembler keeps going sequentially.
+            if let Some(&last) = sorted.last() {
+                prop_assert_eq!(hopping.records_remaining(), n - last - 1);
+                if last + 1 < n {
+                    prop_assert_eq!(&hopping.next_record().unwrap().unwrap(), &expected[last + 1]);
+                }
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! Lifecycle, as in the paper:
 //!
 //! * inserts/upserts/deletes go to the memtable; the secondary index is kept
-//!   correct by fetching the old record first (a point lookup — cheap for row
-//!   layouts, linear-search-plus-decode for columnar ones, §4.6);
+//!   correct by fetching the old record's indexed values first (a point
+//!   lookup, §4.6: a binary search of the leaf's decoded keys, then — for
+//!   columnar layouts — the assembly of the indexed column alone);
 //! * when the memtable exceeds its budget it is *sealed* and flushed: the
 //!   tuple compactor observes the flushed records to grow the inferred
 //!   schema and the records are written as an on-disk component in the
@@ -26,8 +27,9 @@
 //! flushes or merges:
 //!
 //! * a small **write lock** guards the active memtable and the in-memory
-//!   indexes — held only for the duration of one insert/delete (or a brief
-//!   snapshot clone);
+//!   indexes — held only for the duration of one insert/delete, of a point
+//!   read's memtable probe (which copies the entries it returns and nothing
+//!   else), or of a snapshot's clone of the active memtable;
 //! * the rest of the tree (sealed memtables + on-disk components) is an
 //!   immutable [`TreeState`], swapped atomically behind an `RwLock<Arc<_>>`;
 //!   readers grab the `Arc` and are done;
@@ -948,30 +950,19 @@ impl LsmDataset {
 
     /// Point lookup: newest version of `key`, reconciling the memtable and
     /// every component (newest first). `None` when the key does not exist or
-    /// was deleted.
+    /// was deleted. Copies nothing but the record it returns: a memtable
+    /// hit clones that one entry under the write lock; otherwise the lock is
+    /// held just long enough to pin the published tree.
     pub fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Value>> {
         let tree = {
             let write = self.core.write.lock();
             if let Some(entry) = write.memtable.get(key) {
+                self.core.note_lookups(1, 1, 0);
                 return Ok(entry.cloned());
             }
             self.core.tree.read().clone()
         };
-        Snapshot {
-            active: Arc::new(Vec::new()),
-            tree,
-        }
-        .lookup(key, projection)
-    }
-
-    /// Batched point lookups for the (sorted) keys produced by a secondary
-    /// index probe (§4.6).
-    pub fn lookup_sorted_keys(
-        &self,
-        keys: &mut [Value],
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<Value>> {
-        self.snapshot().lookup_sorted_keys(keys, projection)
+        self.core.tree_lookup(&tree, key, projection)
     }
 
     /// Scan the dataset, reconciling duplicates and dropping anti-matter.
@@ -986,55 +977,61 @@ impl LsmDataset {
         self.snapshot().count()
     }
 
-    /// Answer a range query on the secondary index: probe the index, sort the
-    /// resulting primary keys, and perform batched point lookups.
-    pub fn secondary_range(
-        &self,
-        lo: &Value,
-        hi: &Value,
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<Value>> {
-        self.secondary_range_bounds(
-            std::ops::Bound::Included(lo),
-            std::ops::Bound::Included(hi),
-            projection,
-        )
-    }
-
-    /// Like [`LsmDataset::secondary_range`], but with arbitrary (open or
-    /// exclusive) endpoints — the probe the query planner derives from a
-    /// filter expression that implies a range on the indexed path.
-    pub fn secondary_range_bounds(
-        &self,
-        lo: std::ops::Bound<&Value>,
-        hi: std::ops::Bound<&Value>,
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<Value>> {
-        Ok(self
-            .secondary_range_entries(lo, hi, projection)?
-            .into_iter()
-            .map(|(_, doc)| doc)
-            .collect())
-    }
-
-    /// Like [`LsmDataset::secondary_range_bounds`], but keeping each record
-    /// paired with its primary key, in key order — what the query layer's
+    /// Answer a range query on the secondary index (§4.6): probe the index
+    /// for the primary keys with an indexed value between `lo` and `hi`,
+    /// then resolve them as one sorted batch. Returns the live
+    /// `(key, record)` pairs in key order — what the query layer's
     /// key-ordered projection output consumes.
+    ///
+    /// The probe is a point-in-time view of exactly the keys asked for: one
+    /// write-lock acquisition reads the index, copies those of its keys the
+    /// active memtable holds (and nothing else of it) and pins the published
+    /// tree, which answers the rest after the lock is released.
     pub fn secondary_range_entries(
         &self,
         lo: std::ops::Bound<&Value>,
         hi: std::ops::Bound<&Value>,
         projection: Option<&[Path]>,
     ) -> Result<Vec<(Value, Value)>> {
-        let mut keys = {
+        let (keys, newest, tree) = {
             let write = self.core.write.lock();
             let secondary = write
                 .secondary
                 .as_ref()
                 .ok_or_else(|| crate::LsmError::new("dataset has no secondary index"))?;
-            secondary.range_bounds(lo, hi)
+            // In primary-key order, each key once.
+            let keys = secondary.range_bounds(lo, hi);
+            let newest: Vec<Option<Option<Value>>> = keys
+                .iter()
+                .map(|key| write.memtable.get(key).map(|entry| entry.cloned()))
+                .collect();
+            (keys, newest, self.core.tree.read().clone())
         };
-        self.snapshot().lookup_sorted_entries(&mut keys, projection)
+        // The keys the memtable does not know go to the tree as one batch.
+        let unresolved: Vec<&Value> = keys
+            .iter()
+            .zip(&newest)
+            .filter(|(_, entry)| entry.is_none())
+            .map(|(key, _)| key)
+            .collect();
+        let lookup = tree.lookup_sorted(&unresolved, projection)?;
+        self.core.note_lookups(
+            keys.len() as u64,
+            (keys.len() - unresolved.len()) as u64,
+            lookup.components_probed,
+        );
+        let mut from_tree = lookup.docs.into_iter();
+        let mut entries = Vec::with_capacity(keys.len());
+        for (key, entry) in keys.into_iter().zip(newest) {
+            let doc = match entry {
+                Some(entry) => entry,
+                None => from_tree.next().expect("one result per unresolved key"),
+            };
+            if let Some(doc) = doc {
+                entries.push((key, doc));
+            }
+        }
+        Ok(entries)
     }
 }
 
@@ -1726,33 +1723,43 @@ impl DatasetCore {
         Ok(())
     }
 
-    /// Point lookup while already holding the write lock (secondary-index
-    /// maintenance on the ingest path).
-    fn lookup_locked(
+    /// Count point reads in `lsm.lookups`, `lsm.lookup_memtable_hits` and
+    /// `lsm.lookup_components_probed`.
+    fn note_lookups(&self, lookups: u64, memtable_hits: u64, components_probed: u64) {
+        if self.telemetry.enabled() {
+            self.telemetry.lookups.add(lookups);
+            self.telemetry.lookup_memtable_hits.add(memtable_hits);
+            self.telemetry
+                .lookup_components_probed
+                .add(components_probed);
+        }
+    }
+
+    /// Point lookup of a key the active memtable does not hold, against a
+    /// pinned tree.
+    fn tree_lookup(
         &self,
-        write: &WriteState,
+        tree: &TreeState,
         key: &Value,
         projection: Option<&[Path]>,
     ) -> Result<Option<Value>> {
-        if let Some(entry) = write.memtable.get(key) {
-            return Ok(entry.cloned());
-        }
-        Snapshot {
-            active: Arc::new(Vec::new()),
-            tree: self.tree.read().clone(),
-        }
-        .lookup(key, projection)
+        let mut lookup = tree.lookup_sorted(&[key], projection)?;
+        self.note_lookups(1, 0, lookup.components_probed);
+        Ok(lookup.docs.pop().flatten())
     }
 
-    /// Secondary-index maintenance: fetch the old record (if the key may
-    /// exist) to remove its stale entry, then add the new entry.
+    /// Secondary-index maintenance: fetch the old record's indexed values
+    /// (if the key may exist) to remove its stale entries, then add the new
+    /// ones. The fetch is as narrow as the index: the old version is read in
+    /// place when the memtable holds it, and a component assembles only the
+    /// indexed path (for AMAX: the key column and one mega-column).
     fn maintain_secondary_for_upsert(
         &self,
         write: &mut WriteState,
         key: &Value,
         new_record: Option<&Value>,
     ) -> Result<()> {
-        let Some(index_path) = self.config.secondary_index_on.clone() else {
+        let Some(index_path) = self.config.secondary_index_on.as_ref() else {
             return Ok(());
         };
         let may_exist = if self.config.primary_key_index {
@@ -1762,13 +1769,26 @@ impl DatasetCore {
         };
         if may_exist {
             self.stats.lock().maintenance_lookups += 1;
-            if let Some(old) = self.lookup_locked(write, key, None)? {
-                let old_values: Vec<Value> =
-                    index_path.evaluate(&old).into_iter().cloned().collect();
-                if let Some(secondary) = write.secondary.as_mut() {
-                    for v in old_values {
-                        secondary.remove(&v, key);
-                    }
+            let indexed = |doc: &Value| -> Vec<Value> {
+                index_path.evaluate(doc).into_iter().cloned().collect()
+            };
+            let old_values = match write.memtable.get(key) {
+                Some(entry) => {
+                    self.note_lookups(1, 1, 0);
+                    entry.map(indexed).unwrap_or_default()
+                }
+                None => {
+                    let tree = self.tree.read().clone();
+                    let projection = std::slice::from_ref(index_path);
+                    self.tree_lookup(&tree, key, Some(projection))?
+                        .as_ref()
+                        .map(indexed)
+                        .unwrap_or_default()
+                }
+            };
+            if let Some(secondary) = write.secondary.as_mut() {
+                for v in old_values {
+                    secondary.remove(&v, key);
                 }
             }
         }
@@ -1826,6 +1846,7 @@ impl DatasetCore {
 mod tests {
     use super::*;
     use docmodel::doc;
+    use std::ops::Bound;
 
     fn tiny_config(layout: LayoutKind) -> DatasetConfig {
         DatasetConfig::new("test", layout)
@@ -1921,7 +1942,9 @@ mod tests {
 
         let lo = Value::Int(1_000_100);
         let hi = Value::Int(1_000_149);
-        let via_index = ds.secondary_range(&lo, &hi, None).unwrap();
+        let via_index = ds
+            .secondary_range_entries(Bound::Included(&lo), Bound::Included(&hi), None)
+            .unwrap();
         assert_eq!(via_index.len(), 50);
         let via_scan: Vec<Value> = ds
             .scan(None)

@@ -17,6 +17,17 @@
 //!   (newest first) — the most recent version of each key wins and
 //!   anti-matter hides older versions.
 //!
+//! ## Point reads
+//!
+//! Lookups share one path below the active memtable,
+//! `TreeState::lookup_sorted`: a batch of ascending keys is resolved level
+//! by level, newest first — sealed memtables, then each component — and a
+//! level is only asked for the keys no newer level answered (with a record
+//! or with anti-matter). A component resolves its keys in one forward pass
+//! per leaf and assembles only the hits (`Component::lookup_sorted`). A
+//! single `lookup` is the batch of one; an index probe's primary keys
+//! (§4.6) are the batch. Nothing is copied that is not returned.
+//!
 //! ## The cursor protocol
 //!
 //! Scans are *pull-based*. [`Snapshot::cursor`] builds a k-way
@@ -73,9 +84,7 @@
 use std::sync::Arc;
 
 use docmodel::{total_cmp, Path, Value};
-use storage::component::{
-    ColumnPredicate, Component, ComponentCursor, ComponentReader, Entry, ScanFilter,
-};
+use storage::component::{ColumnPredicate, Component, ComponentCursor, Entry, ScanFilter};
 
 use crate::Result;
 
@@ -109,6 +118,61 @@ pub struct TreeState {
     pub(crate) components: Vec<Arc<Component>>,
 }
 
+/// What [`TreeState::lookup_sorted`] found.
+pub(crate) struct TreeLookup {
+    /// Per key, in input order: the live record, `None` when the key is
+    /// absent or deleted.
+    pub(crate) docs: Vec<Option<Value>>,
+    /// Component probes summed over the keys (a key resolved by the newest
+    /// component costs one, a key found nowhere costs one per component) —
+    /// the point-read amplification `lsm.lookup_components_probed` reports.
+    pub(crate) components_probed: u64,
+}
+
+impl TreeState {
+    /// The one point-read path below the active memtable: resolve
+    /// **ascending** keys against the sealed memtables, then component by
+    /// component, newest first, handing each level only the keys no newer
+    /// level answered (a record or its anti-matter both answer). Each
+    /// component sees its keys as one sorted batch
+    /// ([`Component::lookup_sorted`]), so every leaf is fetched once per
+    /// batch and only the hits are assembled, from the projected paths.
+    pub(crate) fn lookup_sorted(
+        &self,
+        keys: &[&Value],
+        projection: Option<&[Path]>,
+    ) -> Result<TreeLookup> {
+        let mut entries: Vec<Option<Option<Value>>> = vec![None; keys.len()];
+        // Indexes of the keys still unresolved, ascending like the keys.
+        let mut pending: Vec<usize> = (0..keys.len()).collect();
+        for sealed in self.sealed.iter().rev() {
+            pending.retain(|&i| {
+                entries[i] = sealed.find(keys[i]).cloned();
+                entries[i].is_none()
+            });
+        }
+        let mut components_probed = 0;
+        let mut batch: Vec<&Value> = Vec::with_capacity(pending.len());
+        for component in self.components.iter().rev() {
+            if pending.is_empty() {
+                break;
+            }
+            batch.clear();
+            batch.extend(pending.iter().map(|&i| keys[i]));
+            components_probed += batch.len() as u64;
+            let mut found = component.lookup_sorted(&batch, projection)?.into_iter();
+            pending.retain(|&i| {
+                entries[i] = found.next().expect("one result per key");
+                entries[i].is_none()
+            });
+        }
+        Ok(TreeLookup {
+            docs: entries.into_iter().map(Option::flatten).collect(),
+            components_probed,
+        })
+    }
+}
+
 /// A consistent point-in-time view of one dataset. Cloning is shallow: the
 /// active memtable copy and the tree are both behind `Arc`s.
 #[derive(Clone)]
@@ -123,20 +187,23 @@ impl Snapshot {
     /// Point lookup: newest version of `key`. `None` when the key does not
     /// exist or was deleted at snapshot time.
     pub fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Value>> {
-        if let Ok(i) = self.active.binary_search_by(|(k, _)| total_cmp(k, key)) {
-            return Ok(self.active[i].1.clone());
+        if let Some(entry) = self.active_entry(key) {
+            return Ok(entry.clone());
         }
-        for sealed in self.tree.sealed.iter().rev() {
-            if let Some(entry) = sealed.find(key) {
-                return Ok(entry.clone());
-            }
-        }
-        for component in self.tree.components.iter().rev() {
-            if let Some(entry) = component.lookup(key, projection)? {
-                return Ok(entry);
-            }
-        }
-        Ok(None)
+        Ok(self
+            .tree
+            .lookup_sorted(&[key], projection)?
+            .docs
+            .pop()
+            .flatten())
+    }
+
+    /// The frozen active memtable's entry for `key`, if it has one.
+    fn active_entry(&self, key: &Value) -> Option<&Option<Value>> {
+        self.active
+            .binary_search_by(|(k, _)| total_cmp(k, key))
+            .ok()
+            .map(|i| &self.active[i].1)
     }
 
     /// A streaming merge-reconcile cursor over the whole snapshot: live
@@ -268,38 +335,6 @@ impl Snapshot {
             n += 1;
         }
         Ok(n)
-    }
-
-    /// Batched point lookups for the (sorted) keys produced by a secondary
-    /// index probe (§4.6).
-    pub fn lookup_sorted_keys(
-        &self,
-        keys: &mut [Value],
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<Value>> {
-        Ok(self
-            .lookup_sorted_entries(keys, projection)?
-            .into_iter()
-            .map(|(_, doc)| doc)
-            .collect())
-    }
-
-    /// Like [`Snapshot::lookup_sorted_keys`], but keeping each record paired
-    /// with its primary key — what the query layer's key-ordered projection
-    /// output needs.
-    pub fn lookup_sorted_entries(
-        &self,
-        keys: &mut [Value],
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<(Value, Value)>> {
-        keys.sort_by(docmodel::total_cmp);
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys.iter() {
-            if let Some(doc) = self.lookup(key, projection)? {
-                out.push((key.clone(), doc));
-            }
-        }
-        Ok(out)
     }
 
     /// The on-disk components visible to this snapshot, oldest first.

@@ -300,20 +300,17 @@ fn secondary_index_is_rebuilt_on_recovery() {
     }
     // reopen() restores the secondary index config from the manifest.
     let ds = LsmDataset::reopen(&dir).unwrap();
-    let hits = ds
-        .secondary_range(&Value::Int(1_000_100), &Value::Int(1_000_149), None)
-        .unwrap();
-    assert_eq!(hits.len(), 50);
+    let range = |lo: i64, hi: i64| {
+        use std::ops::Bound::Included;
+        ds.secondary_range_entries(Included(&Value::Int(lo)), Included(&Value::Int(hi)), None)
+            .unwrap()
+    };
+    assert_eq!(range(1_000_100, 1_000_149).len(), 50);
     // The updated records moved out of the old timestamp range...
-    let stale = ds
-        .secondary_range(&Value::Int(1_000_000), &Value::Int(1_000_004), None)
-        .unwrap();
+    let stale = range(1_000_000, 1_000_004);
     assert!(stale.is_empty(), "moved entries must not linger, got {stale:?}");
     // ...and into the new one.
-    let moved = ds
-        .secondary_range(&Value::Int(5_000_000), &Value::Int(5_000_004), None)
-        .unwrap();
-    assert_eq!(moved.len(), 5);
+    assert_eq!(range(5_000_000, 5_000_004).len(), 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -42,6 +42,20 @@
 //! Both honour projection push-down: only the resolved columns of the
 //! projected paths are decoded (and, for AMAX, read at all).
 //!
+//! ## Point lookups
+//!
+//! A lookup copies and assembles nothing it does not return (§4.6):
+//! [`Component::lookup_sorted`] binary-searches the leaf directory, fetches
+//! the leaf in the one decoded shape its layout caches, binary-searches the
+//! decoded keys — every entry, anti-matter included, carries its key — and
+//! then either clones that one entry out of the shared row page, or reads a
+//! tombstone off definition level 0, or assembles the record at that one
+//! ordinal by seeking each projected column through its chunk's lazily built
+//! record-offset index ([`columnar::Assembler::record_at`]). A sorted batch
+//! of keys is one forward pass per leaf. [`ComponentReader::lookup`] is the
+//! batch of one. The assembly plan (schema + column tree) is shared per
+//! component and column list, so a lookup does not rebuild it.
+//!
 //! ## Filter push-down (late materialization)
 //!
 //! A cursor can additionally carry a [`ScanFilter`]: a conjunction of
@@ -85,14 +99,15 @@ use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use columnar::{Assembler, ColumnCursor, ShreddedBatch, Shredder};
+use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnCursor, ShreddedBatch, Shredder};
 use docmodel::{total_cmp, Path, Value};
 use encoding::{compress, DecodeError};
+use parking_lot::Mutex;
 use schema::{columns_of, ColumnId, ColumnSpec, Schema};
 
 use crate::amax::{self, AmaxConfig};
 use crate::apax;
-use crate::leafcache::{DecodedLeaf, LeafCacheHandle, LeafPayloadKind};
+use crate::leafcache::{DecodedLeaf, LeafCacheHandle};
 use crate::pagestore::{BufferCache, PageId};
 use crate::rowformat::RowFormat;
 use crate::rowpage;
@@ -407,7 +422,20 @@ pub struct Component {
     config: ComponentConfig,
     cache: BufferCache,
     free_on_drop: std::sync::atomic::AtomicBool,
+    /// Assembly plans by column list, shared by every assembler this
+    /// component hands out: a point lookup must not pay for a schema clone
+    /// and a tree walk to assemble one record. The column list is the one a
+    /// leaf actually holds (a reopened component carries the dataset's
+    /// latest schema, which may name columns its leaves predate).
+    plans: Mutex<HashMap<Vec<ColumnId>, Arc<AssemblyPlan>>>,
 }
+
+/// Distinct column lists a component keeps plans for before it starts over;
+/// only ad-hoc projections in the hundreds could reach it.
+const MAX_CACHED_PLANS: usize = 64;
+
+/// The decoded column chunks of one columnar leaf, as cached and shared.
+type LeafChunks = Arc<Vec<Arc<ColumnChunk>>>;
 
 impl Drop for Component {
     fn drop(&mut self) {
@@ -547,6 +575,7 @@ impl Component {
             config: config.clone(),
             cache: cache.clone(),
             free_on_drop: std::sync::atomic::AtomicBool::new(false),
+            plans: Mutex::default(),
         })
     }
 
@@ -639,6 +668,7 @@ impl Component {
             config,
             cache: cache.clone(),
             free_on_drop: std::sync::atomic::AtomicBool::new(false),
+            plans: Mutex::default(),
         }
     }
 
@@ -718,14 +748,6 @@ impl Component {
         read_page_payload(&self.cache, id)
     }
 
-    /// Locate the leaf that may contain `key`.
-    fn leaf_for_key(&self, key: &Value) -> Option<usize> {
-        self.leaves.iter().position(|leaf| {
-            total_cmp(key, &leaf.min_key) != std::cmp::Ordering::Less
-                && total_cmp(key, &leaf.max_key) != std::cmp::Ordering::Greater
-        })
-    }
-
     /// Decode the column chunks of one columnar leaf (APAX page or AMAX mega
     /// leaf), restricted to `columns` (`None` = all). The key column is
     /// always included.
@@ -733,7 +755,7 @@ impl Component {
         &self,
         leaf: &LeafRef,
         columns: Option<&[ColumnId]>,
-    ) -> Result<Vec<columnar::ColumnChunk>> {
+    ) -> Result<Vec<ColumnChunk>> {
         match self.config.layout {
             LayoutKind::Apax => {
                 let payload = self.read_payload(leaf.page)?;
@@ -801,9 +823,7 @@ impl Component {
                 .note_records_assembled(entries.len() as u64);
             return Ok(Arc::new(entries));
         };
-        if let Some(DecodedLeaf::Rows(entries)) =
-            handle.get(self.meta.id, leaf_idx, LeafPayloadKind::Entries, None)
-        {
+        if let Some(DecodedLeaf::Rows(entries)) = handle.get(self.meta.id, leaf_idx, None) {
             self.cache.store().note_leaf_cache_hit();
             return Ok(entries);
         }
@@ -816,7 +836,6 @@ impl Component {
         let evicted = handle.insert(
             self.meta.id,
             leaf_idx,
-            LeafPayloadKind::Entries,
             None,
             DecodedLeaf::Rows(entries.clone()),
         );
@@ -825,33 +844,27 @@ impl Component {
     }
 
     /// Decoded column chunks of one columnar leaf, through the decoded-leaf
-    /// cache when one is attached.
-    fn cached_chunks(
-        &self,
-        leaf_idx: usize,
-        columns: Option<&[ColumnId]>,
-    ) -> Result<Arc<Vec<Arc<columnar::ColumnChunk>>>> {
-        let Some(handle) = self.leaf_cache() else {
+    /// cache when one is attached. A projected request is served from the
+    /// leaf's resident all-columns entry when there is one, so the result
+    /// may hold more columns than `columns` names —
+    /// [`Component::assembler`] picks the wanted ones out.
+    fn cached_chunks(&self, leaf_idx: usize, columns: Option<&[ColumnId]>) -> Result<LeafChunks> {
+        let decode = || -> Result<LeafChunks> {
             let chunks = self.decode_chunks(&self.leaves[leaf_idx], columns)?;
-            return Ok(Arc::new(chunks.into_iter().map(Arc::new).collect()));
+            Ok(Arc::new(chunks.into_iter().map(Arc::new).collect()))
         };
-        if let Some(DecodedLeaf::Chunks(chunks)) =
-            handle.get(self.meta.id, leaf_idx, LeafPayloadKind::Chunks, columns)
-        {
+        let Some(handle) = self.leaf_cache() else {
+            return decode();
+        };
+        if let Some(DecodedLeaf::Chunks(chunks)) = handle.get(self.meta.id, leaf_idx, columns) {
             self.cache.store().note_leaf_cache_hit();
             return Ok(chunks);
         }
         self.cache.store().note_leaf_cache_miss();
-        let chunks: Arc<Vec<Arc<columnar::ColumnChunk>>> = Arc::new(
-            self.decode_chunks(&self.leaves[leaf_idx], columns)?
-                .into_iter()
-                .map(Arc::new)
-                .collect(),
-        );
+        let chunks = decode()?;
         let evicted = handle.insert(
             self.meta.id,
             leaf_idx,
-            LeafPayloadKind::Chunks,
             columns,
             DecodedLeaf::Chunks(chunks.clone()),
         );
@@ -859,59 +872,39 @@ impl Component {
         Ok(chunks)
     }
 
-    fn assemble_leaf(&self, leaf_idx: usize, columns: Option<&[ColumnId]>) -> Result<Vec<Entry>> {
-        match self.config.layout {
-            LayoutKind::Open | LayoutKind::Vb => {
-                let entries = self.row_entries(leaf_idx)?;
-                Ok(Arc::try_unwrap(entries).unwrap_or_else(|arc| arc.as_ref().clone()))
-            }
-            LayoutKind::Apax | LayoutKind::Amax => {
-                let count = self.leaves[leaf_idx].record_count;
-                let Some(handle) = self.leaf_cache() else {
-                    let chunks: Vec<Arc<columnar::ColumnChunk>> = self
-                        .decode_chunks(&self.leaves[leaf_idx], columns)?
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect();
-                    return self.assemble_chunks(&chunks, count);
-                };
-                if let Some(DecodedLeaf::Rows(entries)) =
-                    handle.get(self.meta.id, leaf_idx, LeafPayloadKind::Entries, columns)
-                {
-                    // Assembled hit: the lookup pays neither page reads nor
-                    // the per-record assembly.
-                    self.cache.store().note_leaf_cache_hit();
-                    return Ok(entries.as_ref().clone());
-                }
-                self.cache.store().note_leaf_cache_miss();
-                // A cursor may already have warmed this leaf's chunks; reuse
-                // them silently rather than decoding the pages again.
-                let chunks = match handle.peek(
-                    self.meta.id,
-                    leaf_idx,
-                    LeafPayloadKind::Chunks,
-                    columns,
-                ) {
-                    Some(DecodedLeaf::Chunks(chunks)) => chunks,
-                    _ => Arc::new(
-                        self.decode_chunks(&self.leaves[leaf_idx], columns)?
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect::<Vec<_>>(),
-                    ),
-                };
-                let entries = Arc::new(self.assemble_chunks(&chunks, count)?);
-                let evicted = handle.insert(
-                    self.meta.id,
-                    leaf_idx,
-                    LeafPayloadKind::Entries,
-                    columns,
-                    DecodedLeaf::Rows(entries.clone()),
-                );
-                self.cache.store().note_leaf_cache_evictions(evicted);
-                Ok(entries.as_ref().clone())
-            }
+    /// The shared assembly plan for a list of columns a leaf holds.
+    fn plan_for(&self, columns: Vec<ColumnId>) -> Arc<AssemblyPlan> {
+        let mut plans = self.plans.lock();
+        if let Some(plan) = plans.get(&columns) {
+            return plan.clone();
         }
+        if plans.len() >= MAX_CACHED_PLANS {
+            plans.clear();
+        }
+        let plan = Arc::new(AssemblyPlan::new(&self.schema, &columns));
+        plans.insert(columns, plan.clone());
+        plan
+    }
+
+    /// An [`Assembler`] over the decoded chunks of one leaf of `count`
+    /// records, positioned at its first record. `wanted` is the column list
+    /// the chunks were asked for: it restricts the assembler to those of the
+    /// chunks it names plus the key column (`None` = all of them), which is
+    /// what a decode under `wanted` would have produced. The plan is the
+    /// component's shared one for the resulting column list.
+    fn assembler(
+        &self,
+        chunks: &[Arc<ColumnChunk>],
+        wanted: Option<&[ColumnId]>,
+        count: usize,
+    ) -> Assembler {
+        let cursors: Vec<ColumnCursor> = chunks
+            .iter()
+            .filter(|c| c.spec.is_key || wanted.is_none_or(|ids| ids.contains(&c.spec.id)))
+            .map(|c| ColumnCursor::new(c.clone()))
+            .collect();
+        let plan = self.plan_for(cursors.iter().map(|c| c.spec().id).collect());
+        Assembler::with_plan(plan, cursors, count)
     }
 
     /// Load one leaf into a cursor buffer. Row layouts materialise every
@@ -945,20 +938,11 @@ impl Component {
                     // columns; the projection assembler is created on the
                     // leaf's first surviving record (see `CursorState::next`).
                     let chunks = self.cached_chunks(leaf_idx, Some(&filter.columns))?;
-                    let keys = chunks
-                        .iter()
-                        .find(|c| c.spec.is_key)
-                        .cloned()
-                        .ok_or_else(|| DecodeError::new("component page lacks the key column"))?;
-                    let cursors: Vec<ColumnCursor> = chunks
-                        .iter()
-                        .map(|c| ColumnCursor::new(c.clone()))
-                        .collect();
                     return Ok(LeafBuffer::Lazy(Box::new(LazyLeaf {
-                        keys,
+                        keys: key_chunk(&chunks)?.clone(),
                         assembler: None,
                         filter_eval: Some(FilterEval {
-                            assembler: Assembler::new(&self.schema, cursors, count),
+                            assembler: self.assembler(&chunks, Some(&filter.columns), count),
                             pos: 0,
                             last: None,
                         }),
@@ -970,18 +954,9 @@ impl Component {
                     })));
                 }
                 let chunks = self.cached_chunks(leaf_idx, columns)?;
-                let keys = chunks
-                    .iter()
-                    .find(|c| c.spec.is_key)
-                    .cloned()
-                    .ok_or_else(|| DecodeError::new("component page lacks the key column"))?;
-                let cursors: Vec<ColumnCursor> = chunks
-                    .iter()
-                    .map(|c| ColumnCursor::new(c.clone()))
-                    .collect();
                 Ok(LeafBuffer::Lazy(Box::new(LazyLeaf {
-                    keys,
-                    assembler: Some(Assembler::new(&self.schema, cursors, count)),
+                    keys: key_chunk(&chunks)?.clone(),
+                    assembler: Some(self.assembler(&chunks, columns, count)),
                     filter_eval: None,
                     filter_covers_projection: false,
                     projection: columns.map(<[ColumnId]>::to_vec),
@@ -1004,43 +979,131 @@ impl Component {
         pos: usize,
     ) -> Result<Assembler> {
         let chunks = self.cached_chunks(leaf_idx, columns)?;
-        let cursors: Vec<ColumnCursor> = chunks
-            .iter()
-            .map(|c| ColumnCursor::new(c.clone()))
-            .collect();
-        let mut assembler = Assembler::new(&self.schema, cursors, count);
+        let mut assembler = self.assembler(&chunks, columns, count);
         assembler.skip_records(pos);
         Ok(assembler)
     }
 
-    /// Turn decoded chunks into `(key, record-or-anti-matter)` entries.
-    fn assemble_chunks(
+    /// Point lookups for a batch of **ascending** keys (the document total
+    /// order; the order a secondary-index probe sorts its primary keys
+    /// into, §4.6), one result per key: `None` = the key is not in this
+    /// component, `Some(None)` = anti-matter, `Some(Some(doc))` = the record,
+    /// assembled from the projected paths only (`None` = every column).
+    ///
+    /// Nothing is assembled, decoded or copied that is not returned: the
+    /// leaf directory and each visited leaf's decoded key column are
+    /// binary-searched, every leaf is fetched once and walked forward once
+    /// however many of the keys it holds, and only the hits' records are
+    /// assembled ([`Assembler::record_at`]) — or, for row layouts, cloned out
+    /// of the shared decoded page. Leaves come through the decoded-leaf
+    /// cache, a projected request preferring a resident all-columns entry
+    /// over decoding a second, narrower copy.
+    pub fn lookup_sorted(
         &self,
-        chunks: &[Arc<columnar::ColumnChunk>],
-        count: usize,
-    ) -> Result<Vec<Entry>> {
-        let key_chunk = chunks
-            .iter()
-            .find(|c| c.spec.is_key)
-            .cloned()
-            .ok_or_else(|| DecodeError::new("component page lacks the key column"))?;
-        let cursors: Vec<ColumnCursor> = chunks
-            .iter()
-            .map(|c| ColumnCursor::new(c.clone()))
-            .collect();
-        let mut assembler = Assembler::new(&self.schema, cursors, count);
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let doc = assembler
-                .next_record()
-                .ok_or_else(|| DecodeError::new("assembler ended early"))??;
-            let key = key_chunk.values.get(i);
-            let is_antimatter = key_chunk.defs[i] == 0;
-            out.push((key, if is_antimatter { None } else { Some(doc) }));
+        keys: &[&Value],
+        projection: Option<&[Path]>,
+    ) -> Result<Vec<Option<Option<Value>>>> {
+        debug_assert!(
+            keys.windows(2)
+                .all(|w| total_cmp(w[0], w[1]) != Ordering::Greater),
+            "lookup_sorted needs ascending keys"
+        );
+        let mut out = vec![None; keys.len()];
+        // Resolved by the first leaf that may hold a key: most probes of a
+        // multi-component tree miss the component's key range altogether.
+        let mut columns: Option<Option<Vec<ColumnId>>> = None;
+        let (mut next, mut leaf_idx) = (0, 0);
+        while next < keys.len() {
+            leaf_idx += self.leaves[leaf_idx..]
+                .partition_point(|leaf| total_cmp(&leaf.max_key, keys[next]) == Ordering::Less);
+            let Some(leaf) = self.leaves.get(leaf_idx) else {
+                break;
+            };
+            // The run of keys up to this leaf's largest; those below its
+            // smallest fall in the gap before it.
+            let end = next
+                + keys[next..]
+                    .partition_point(|k| total_cmp(k, &leaf.max_key) != Ordering::Greater);
+            let start = next
+                + keys[next..end]
+                    .partition_point(|k| total_cmp(k, &leaf.min_key) == Ordering::Less);
+            if start < end {
+                let columns = columns.get_or_insert_with(|| self.projection_columns(projection));
+                self.lookup_in_leaf(
+                    leaf_idx,
+                    &keys[start..end],
+                    columns.as_deref(),
+                    &mut out[start..end],
+                )?;
+            }
+            next = end;
         }
-        self.cache.store().note_records_assembled(count as u64);
         Ok(out)
     }
+
+    /// Resolve ascending `keys`, all within one leaf's key range, against
+    /// that leaf (see [`Component::lookup_sorted`]).
+    fn lookup_in_leaf(
+        &self,
+        leaf_idx: usize,
+        keys: &[&Value],
+        columns: Option<&[ColumnId]>,
+        out: &mut [Option<Option<Value>>],
+    ) -> Result<()> {
+        // Each search starts where the previous key was found.
+        let mut from = 0;
+        if !self.config.layout.is_columnar() {
+            let entries = self.row_entries(leaf_idx)?;
+            for (key, slot) in keys.iter().zip(out) {
+                from +=
+                    entries[from..].partition_point(|(k, _)| total_cmp(k, key) == Ordering::Less);
+                if let Some((k, doc)) = entries.get(from) {
+                    if total_cmp(k, key) == Ordering::Equal {
+                        *slot = Some(doc.clone());
+                    }
+                }
+            }
+            return Ok(());
+        }
+        let chunks = self.cached_chunks(leaf_idx, columns)?;
+        // Every entry, anti-matter included, carries its key (§3.2.3).
+        let key_column = key_chunk(&chunks)?;
+        let count = key_column.defs.len();
+        let mut assembler: Option<Assembler> = None;
+        for (key, slot) in keys.iter().zip(out) {
+            let mut hi = count;
+            while from < hi {
+                let mid = from + (hi - from) / 2;
+                if key_column.values.cmp_at(mid, key) == Ordering::Less {
+                    from = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            if from == count || key_column.values.cmp_at(from, key) != Ordering::Equal {
+                continue;
+            }
+            if key_column.defs[from] == 0 {
+                *slot = Some(None); // definition level 0: a tombstone
+                continue;
+            }
+            let doc = assembler
+                .get_or_insert_with(|| self.assembler(&chunks, columns, count))
+                .record_at(from)
+                .unwrap_or_else(|| Err(DecodeError::new("leaf has fewer records than keys")))?;
+            self.cache.store().note_records_assembled(1);
+            *slot = Some(Some(doc));
+        }
+        Ok(())
+    }
+}
+
+/// The primary-key chunk among a leaf's decoded chunks.
+fn key_chunk(chunks: &[Arc<ColumnChunk>]) -> Result<&Arc<ColumnChunk>> {
+    chunks
+        .iter()
+        .find(|c| c.spec.is_key)
+        .ok_or_else(|| DecodeError::new("component page lacks the key column"))
 }
 
 impl ComponentReader for Component {
@@ -1060,19 +1123,8 @@ impl ComponentReader for Component {
     }
 
     fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Option<Value>>> {
-        let Some(leaf_idx) = self.leaf_for_key(key) else {
-            return Ok(None);
-        };
-        let columns = self.projection_columns(projection);
-        let entries = self.assemble_leaf(leaf_idx, columns.as_deref())?;
-        // Row pages are sorted, so a binary search would do; columnar pages
-        // require the linear scan over decoded keys the paper describes
-        // (§4.6). The entries are materialised either way at this point, so a
-        // linear find keeps the code paths identical.
-        Ok(entries
-            .into_iter()
-            .find(|(k, _)| total_cmp(k, key) == std::cmp::Ordering::Equal)
-            .map(|(_, doc)| doc))
+        // A batch of one: the single point-read path of every layout.
+        Ok(self.lookup_sorted(&[key], projection)?.pop().flatten())
     }
 }
 
@@ -1095,7 +1147,7 @@ struct LazyLeaf {
     /// including anti-matter (the key column stores the deleted key at
     /// definition level 0, §3.2.3). `Arc`'d so a leaf-cache hit shares the
     /// chunk instead of cloning it.
-    keys: Arc<columnar::ColumnChunk>,
+    keys: Arc<ColumnChunk>,
     /// Projection assembler. Filtered cursors leave it `None` until the
     /// leaf's first surviving record forces the projection chunks to be
     /// decoded — a leaf whose records are all rejected never reads its
@@ -2156,8 +2208,10 @@ mod tests {
         }
     }
 
+    /// The point-read contract: a lookup served from the decoded-leaf cache
+    /// reads no page and assembles at most the one record it returns.
     #[test]
-    fn warm_lookup_skips_pages_and_assembly() {
+    fn warm_lookup_reads_no_pages_and_assembles_one_record() {
         let entries = records(200);
         let schema = schema_for(&entries);
         for layout in LayoutKind::ALL {
@@ -2168,7 +2222,11 @@ mod tests {
             cache.clear();
             cache.store().reset_stats();
             let cold = comp.lookup(&Value::Int(137), None).unwrap();
-            assert!(cold.as_ref().is_some_and(|doc| doc.is_some()), "{layout:?}");
+            assert_eq!(cold, Some(entries[137].1.clone()), "{layout:?}");
+            if layout.is_columnar() {
+                // Even a cold lookup assembles one record, not its leaf.
+                assert_eq!(cache.store().stats().records_assembled, 1, "{layout:?}");
+            }
 
             cache.clear();
             cache.store().reset_stats();
@@ -2177,9 +2235,184 @@ mod tests {
             let stats = cache.store().stats();
             assert_eq!(stats.pages_read, 0, "{layout:?}");
             assert_eq!(stats.leaf_cache_misses, 0, "{layout:?}");
-            assert!(stats.leaf_cache_hits >= 1, "{layout:?}");
-            // A hit serves materialised entries: nothing is re-assembled.
-            assert_eq!(stats.records_assembled, 0, "{layout:?}");
+            assert_eq!(stats.leaf_cache_hits, 1, "{layout:?}");
+            // Row pages are cached materialised; a columnar hit assembles
+            // exactly the record it returns.
+            assert_eq!(
+                stats.records_assembled,
+                u64::from(layout.is_columnar()),
+                "{layout:?}"
+            );
+        }
+    }
+
+    /// Repeated lookups must not grow the cache: a leaf is resident once,
+    /// however often and through whichever projection it is read.
+    #[test]
+    fn lookups_keep_one_resident_copy_per_leaf() {
+        let entries = records(400);
+        let schema = schema_for(&entries);
+        let likes = [Path::parse("likes")];
+        for layout in LayoutKind::ALL {
+            let (cache, leaf_cache) = leaf_cached_cache();
+            let config = ComponentConfig::new(layout);
+            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            assert!(comp.lookup(&Value::Int(7), None).unwrap().is_some());
+            let after_one = (leaf_cache.resident_bytes(), leaf_cache.resident_leaves());
+            cache.store().reset_stats();
+            for round in 0..1000i64 {
+                let key = Value::Int(7 + (round % 5));
+                // Both stay within the first leaf, alternating projections.
+                let projection = (round % 2 == 0).then_some(&likes[..]);
+                let doc = comp.lookup(&key, projection).unwrap().unwrap().unwrap();
+                let stored = entries[key.as_int().unwrap() as usize].1.as_ref().unwrap();
+                assert_eq!(
+                    doc.get_field("likes"),
+                    stored.get_field("likes"),
+                    "{layout:?}"
+                );
+                if projection.is_some() && layout.is_columnar() {
+                    assert!(
+                        doc.get_field("text").is_none(),
+                        "{layout:?}: projection ignored"
+                    );
+                }
+            }
+            assert_eq!(
+                (leaf_cache.resident_bytes(), leaf_cache.resident_leaves()),
+                after_one,
+                "{layout:?}"
+            );
+            let stats = cache.store().stats();
+            assert_eq!(stats.pages_read, 0, "{layout:?}");
+            assert_eq!(
+                stats.leaf_cache_misses, 0,
+                "{layout:?}: projected lookups hit the full entry"
+            );
+        }
+    }
+
+    /// The other order — projected read first, all columns second — ends
+    /// with one copy too, and scans take the covering entry like lookups.
+    #[test]
+    fn all_columns_read_supersedes_the_projected_copy() {
+        let entries = records(400);
+        let schema = schema_for(&entries);
+        let likes = [Path::parse("likes")];
+        for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+            let (cache, leaf_cache) = leaf_cached_cache();
+            let config = ComponentConfig::new(layout);
+            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let narrow = comp.lookup(&Value::Int(7), Some(&likes)).unwrap().unwrap();
+            assert_eq!(leaf_cache.resident_leaves(), 1, "{layout:?}");
+            let narrow_bytes = leaf_cache.resident_bytes();
+            assert!(comp.lookup(&Value::Int(7), None).unwrap().is_some());
+            assert_eq!(leaf_cache.resident_leaves(), 1, "{layout:?}: held twice");
+            assert!(leaf_cache.resident_bytes() > narrow_bytes, "{layout:?}");
+            let resident = leaf_cache.resident_bytes();
+            cache.store().reset_stats();
+            // Projected lookups and a projected scan of that leaf now read
+            // the all-columns entry and see only their own columns.
+            assert_eq!(
+                comp.lookup(&Value::Int(7), Some(&likes)).unwrap().unwrap(),
+                narrow,
+                "{layout:?}"
+            );
+            let (_, first) = comp.scan(Some(&likes)).unwrap().next().unwrap().unwrap();
+            let first = first.unwrap();
+            assert!(first.get_field("likes").is_some(), "{layout:?}");
+            assert!(first.get_field("text").is_none(), "{layout:?}");
+            let stats = cache.store().stats();
+            assert_eq!(stats.leaf_cache_misses, 0, "{layout:?}");
+            assert_eq!(stats.pages_read, 0, "{layout:?}");
+            assert_eq!(leaf_cache.resident_bytes(), resident, "{layout:?}");
+        }
+    }
+
+    #[test]
+    fn lookup_sorted_matches_single_lookups_across_leaves_and_gaps() {
+        // Even keys only (odd probes fall between entries), anti-matter
+        // sprinkled in, several leaves, and probes below, between and above.
+        let mut entries: Vec<Entry> = records(1200)
+            .into_iter()
+            .filter(|(k, _)| k.as_int().unwrap() % 2 == 0)
+            .collect();
+        for i in (0..entries.len()).step_by(7) {
+            entries[i].1 = None;
+        }
+        let schema = schema_for(&entries);
+        let projection = [Path::parse("user.name")];
+        for layout in LayoutKind::ALL {
+            let cache = small_cache();
+            let mut config = ComponentConfig::new(layout);
+            config.amax.record_limit = 100;
+            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            assert!(comp.leaf_count() > 2, "{layout:?}");
+            let probes: Vec<Value> = (-3..1210).filter(|i| i % 3 != 1).map(Value::Int).collect();
+            let refs: Vec<&Value> = probes.iter().collect();
+            for projection in [None, Some(&projection[..])] {
+                let batch = comp.lookup_sorted(&refs, projection).unwrap();
+                assert_eq!(batch.len(), probes.len());
+                for (key, got) in probes.iter().zip(&batch) {
+                    assert_eq!(
+                        got,
+                        &comp.lookup(key, projection).unwrap(),
+                        "{layout:?} {key}"
+                    );
+                    let stored = entries
+                        .binary_search_by(|(k, _)| total_cmp(k, key))
+                        .ok()
+                        .map(|i| &entries[i].1);
+                    match (stored, got) {
+                        (None, None) | (Some(None), Some(None)) => {}
+                        (Some(Some(doc)), Some(Some(found))) => {
+                            assert_eq!(found.get_field("id"), Some(key), "{layout:?}");
+                            assert_eq!(
+                                found.get_path_str("user.name"),
+                                doc.get_path_str("user.name"),
+                                "{layout:?}"
+                            );
+                            if projection.is_none() {
+                                assert_eq!(found, doc, "{layout:?}");
+                            }
+                        }
+                        other => panic!("{layout:?} {key}: {other:?}"),
+                    }
+                }
+            }
+            // A repeated key is answered each time it is asked.
+            let twice = [&Value::Int(4), &Value::Int(4), &Value::Int(6)];
+            let got = comp.lookup_sorted(&twice, None).unwrap();
+            assert_eq!(got[0], got[1], "{layout:?}");
+            assert!(got[0].as_ref().is_some_and(Option::is_some), "{layout:?}");
+        }
+    }
+
+    /// One forward pass per leaf: a sorted batch fetches each leaf once and
+    /// assembles exactly the live records it returns.
+    #[test]
+    fn lookup_sorted_fetches_each_leaf_once() {
+        let entries = records(1000);
+        let schema = schema_for(&entries);
+        for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+            let (cache, _leaf_cache) = leaf_cached_cache();
+            let mut config = ComponentConfig::new(layout);
+            config.amax.record_limit = 250;
+            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let probes: Vec<Value> = (0..1000).step_by(10).map(Value::Int).collect();
+            let refs: Vec<&Value> = probes.iter().collect();
+            cache.store().reset_stats();
+            let found = comp.lookup_sorted(&refs, None).unwrap();
+            assert!(found
+                .iter()
+                .all(|doc| doc.as_ref().is_some_and(Option::is_some)));
+            let stats = cache.store().stats();
+            assert_eq!(stats.records_assembled, probes.len() as u64, "{layout:?}");
+            assert_eq!(
+                stats.leaf_cache_hits + stats.leaf_cache_misses,
+                comp.leaf_count() as u64,
+                "{layout:?}"
+            );
         }
     }
 

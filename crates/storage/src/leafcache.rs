@@ -7,8 +7,8 @@
 //!
 //! ## Keying
 //!
-//! Entries are keyed by `(origin, component id, leaf index, payload kind,
-//! projected columns)`:
+//! Entries are keyed by `(origin, component id, leaf index, projected
+//! columns)`:
 //!
 //! * **origin** — a small integer handed out by [`LeafCache::handle`], one
 //!   per dataset/shard attached to the cache. Component ids are only unique
@@ -19,10 +19,17 @@
 //!   future component. This is what makes the cache immune to page-id reuse:
 //!   page slots are recycled by the free list, component ids are not.
 //! * **leaf index** — position in the component's leaf directory.
-//! * **payload kind + columns** — the same leaf can be cached as decoded
-//!   column chunks (cursor path) and as fully assembled entries (lookup
-//!   path), and separately per projected column set. See
-//!   [`LeafPayloadKind`].
+//! * **columns** — a columnar leaf decoded under a projection holds only
+//!   those columns' chunks, so each projected column set caches separately;
+//!   `None` is the all-columns decode, which also answers every projected
+//!   request (see "Projections and covering entries"). Row pages ignore
+//!   projection and always cache under `None`.
+//!
+//! A leaf is resident in **one shape**, fixed by its component's layout
+//! ([`DecodedLeaf`]): decoded entries for row pages, decoded column chunks
+//! for columnar leaves. Scans and point lookups both read that shape — a
+//! lookup binary-searches the decoded key column and assembles the one
+//! record it returns — so no leaf is ever held twice for two access paths.
 //!
 //! ## Eviction, scan resistance, and budget accounting
 //!
@@ -44,21 +51,28 @@
 //!   beyond that demote the protected LRU back to probation, so the cache
 //!   never wedges itself into a state where new entries can't be admitted.
 //!
-//! ## Payload sharing (why Entries and Chunks cache separately)
+//! ## Projections and covering entries
 //!
-//! The same physical leaf may be resident as decoded [`Chunks`]
-//! (cursor path) and as assembled [`Entries`](LeafPayloadKind::Entries)
-//! (lookup path), and separately per projected column set. These are *not*
-//! shared views of one buffer — each payload owns its own decoded vectors —
-//! so the **budget** deliberately charges each payload its full footprint
-//! (`resident_leaves` / `resident_bytes` count payloads; anything else
-//! would under-report real memory). The **residency gauges** exposed for
-//! telemetry and planner discounts, however, must not double-charge a leaf
-//! for being cached in two shapes: `resident_distinct_leaves` (and the
-//! per-component `cached_leaf_count` the planner reads) deduplicate by
-//! `(origin, component, leaf)`.
+//! Payloads of one leaf under different projections are *not* shared views
+//! of one buffer — each owns its decoded vectors — so the **budget** charges
+//! each payload its full footprint (`resident_leaves` / `resident_bytes`
+//! count payloads). The **residency gauges** for telemetry and planner
+//! discounts deduplicate by `(origin, component, leaf)`
+//! (`resident_distinct_leaves`, `cached_leaf_count`).
 //!
-//! [`Chunks`]: LeafPayloadKind::Chunks
+//! A resident all-columns payload *covers* every projection of its leaf, and
+//! a covered copy is never kept beside it:
+//!
+//! * [`LeafCacheHandle::get`] serves a projected request from the exact
+//!   entry or, failing that, from the all-columns entry, before the caller
+//!   decodes a second, narrower copy. The payload may therefore hold more
+//!   columns than were asked for; the caller picks its own out.
+//! * inserting an all-columns payload drops the leaf's narrower payloads
+//!   (counted as invalidations — they were superseded, not squeezed out),
+//!   and a narrower payload is not admitted while the all-columns one is
+//!   resident (two readers racing on a cold leaf).
+//!
+//! Two *different* narrow projections of one leaf still cache side by side.
 //!
 //! ## Invalidation protocol
 //!
@@ -90,28 +104,16 @@ use schema::ColumnId;
 
 use crate::component::Entry;
 
-/// What shape of decoded payload an entry holds. Part of the cache key: the
-/// cursor path and the lookup path want different representations of the
-/// same leaf, and both may be resident at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LeafPayloadKind {
-    /// Fully materialised `(key, record)` entries — row-page decodes, and
-    /// columnar leaves that have been assembled for point lookups.
-    Entries,
-    /// Decoded column chunks with record assembly still deferred — the
-    /// columnar cursor path, which feeds chunks straight into per-column
-    /// cursors.
-    Chunks,
-}
-
-/// A cached decoded leaf. Payloads are `Arc`'d so a hit is a pointer bump,
-/// never a deep copy; column chunks are additionally `Arc`'d per chunk so
-/// they can be handed to `ColumnCursor`s without cloning the vectors.
+/// A cached decoded leaf, in the one shape its layout reads. Payloads are
+/// `Arc`'d so a hit is a pointer bump, never a deep copy; column chunks are
+/// additionally `Arc`'d per chunk so they can be handed to `ColumnCursor`s
+/// without cloning the vectors.
 #[derive(Clone)]
 pub enum DecodedLeaf {
-    /// See [`LeafPayloadKind::Entries`].
+    /// Row layouts: the page's materialised `(key, record)` entries.
     Rows(Arc<Vec<Entry>>),
-    /// See [`LeafPayloadKind::Chunks`].
+    /// Columnar layouts: decoded column chunks, record assembly deferred to
+    /// whoever reads them (per record for cursors, one record for lookups).
     Chunks(Arc<Vec<Arc<ColumnChunk>>>),
 }
 
@@ -120,7 +122,6 @@ struct LeafKey {
     origin: u64,
     component: u64,
     leaf: usize,
-    kind: LeafPayloadKind,
     /// Normalised (sorted, deduplicated) projected column set; `None` means
     /// every column. Different projections decode different chunk sets, so
     /// they cache separately.
@@ -158,18 +159,19 @@ pub struct LeafCacheStats {
     pub misses: u64,
     /// Entries removed to stay under the byte capacity.
     pub evictions: u64,
-    /// Entries removed by explicit invalidation (retirement / GC / clear).
+    /// Entries removed by explicit invalidation (retirement / GC / clear),
+    /// or superseded by their leaf's all-columns payload.
     pub invalidations: u64,
     /// Estimated decoded bytes currently resident.
     pub resident_bytes: u64,
     /// Number of cached leaf *payloads* currently resident. The same
-    /// physical leaf cached as both entries and chunks (or under two
-    /// projections) counts once per payload — this is the budget-accounting
-    /// view, since each payload holds its own decoded copy.
+    /// physical leaf cached under two projections counts once per payload —
+    /// this is the budget-accounting view, since each payload holds its own
+    /// decoded copy.
     pub resident_leaves: u64,
     /// Number of *distinct physical leaves* with at least one resident
     /// payload — the residency view for gauges and planner discounts, which
-    /// must not double-charge a leaf for being cached in two shapes.
+    /// must not double-charge a leaf for being cached under two projections.
     pub resident_distinct_leaves: u64,
     /// Configured byte capacity.
     pub capacity_bytes: u64,
@@ -340,22 +342,27 @@ impl LeafCache {
         }
     }
 
+    /// Fetch the payload cached for exactly `columns`, or the all-columns
+    /// payload of the same leaf when the exact one is absent. Counts one hit
+    /// or one miss either way.
     fn get(
         &self,
         origin: u64,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
     ) -> Option<DecodedLeaf> {
-        let key = LeafKey {
+        let mut key = LeafKey {
             origin,
             component,
             leaf,
-            kind,
             columns: normalise_columns(columns),
         };
-        let found = self.lookup(&key, true);
+        let mut found = self.lookup(&key, true);
+        if found.is_none() && key.columns.is_some() {
+            key.columns = None;
+            found = self.lookup(&key, true);
+        }
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -364,30 +371,11 @@ impl LeafCache {
         found
     }
 
-    fn peek(
-        &self,
-        origin: u64,
-        component: u64,
-        leaf: usize,
-        kind: LeafPayloadKind,
-        columns: Option<&[ColumnId]>,
-    ) -> Option<DecodedLeaf> {
-        let key = LeafKey {
-            origin,
-            component,
-            leaf,
-            kind,
-            columns: normalise_columns(columns),
-        };
-        self.lookup(&key, true)
-    }
-
     fn insert(
         &self,
         origin: u64,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
         payload: DecodedLeaf,
     ) -> u64 {
@@ -401,10 +389,24 @@ impl LeafCache {
             origin,
             component,
             leaf,
-            kind,
             columns: normalise_columns(columns),
         };
         let mut inner = self.inner.lock();
+        if key.columns.is_some() {
+            // Covered by a resident all-columns payload of the same leaf
+            // (a racing reader admitted it first): keep that one only.
+            let mut covering = key.clone();
+            covering.columns = None;
+            if inner.entries.contains_key(&covering) {
+                return 0;
+            }
+        } else if matches!(payload, DecodedLeaf::Chunks(_)) {
+            // The all-columns payload supersedes the leaf's narrower ones
+            // (row pages never have any, and skip the sweep).
+            self.remove_where(&mut inner, |k| {
+                k.columns.is_some() && (k.origin, k.component, k.leaf) == (origin, component, leaf)
+            });
+        }
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.entries.insert(
@@ -464,18 +466,27 @@ impl LeafCache {
 
     fn invalidate(&self, origin: u64, component: u64) -> u64 {
         let mut inner = self.inner.lock();
-        let before = inner.entries.len();
-        inner
-            .entries
-            .retain(|k, _| !(k.origin == origin && k.component == component));
-        let dropped = (before - inner.entries.len()) as u64;
-        inner.total_bytes = inner.entries.values().map(|e| e.bytes).sum();
-        inner.protected_bytes = inner
-            .entries
-            .values()
-            .filter(|e| e.protected)
-            .map(|e| e.bytes)
-            .sum();
+        self.remove_where(&mut inner, |k| {
+            k.origin == origin && k.component == component
+        })
+    }
+
+    /// Drop every entry whose key matches, counted as invalidations.
+    fn remove_where(&self, inner: &mut Inner, matches: impl Fn(&LeafKey) -> bool) -> u64 {
+        let (mut dropped, mut bytes, mut protected_bytes) = (0u64, 0, 0);
+        inner.entries.retain(|k, e| {
+            if !matches(k) {
+                return true;
+            }
+            dropped += 1;
+            bytes += e.bytes;
+            if e.protected {
+                protected_bytes += e.bytes;
+            }
+            false
+        });
+        inner.total_bytes -= bytes;
+        inner.protected_bytes -= protected_bytes;
         if dropped > 0 {
             self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         }
@@ -514,42 +525,32 @@ impl LeafCacheHandle {
         self.origin
     }
 
-    /// Fetch a decoded leaf, counting a cache hit or miss.
+    /// Fetch the leaf decoded for `columns` (`None` = all), counting a
+    /// cache hit or miss. A projected request that has no entry of its own
+    /// is served from the leaf's resident all-columns entry, so the payload
+    /// may hold more columns than asked for.
     pub fn get(
         &self,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
     ) -> Option<DecodedLeaf> {
-        self.cache.get(self.origin, component, leaf, kind, columns)
-    }
-
-    /// Fetch a decoded leaf without touching the hit/miss counters — used
-    /// when a miss on one payload kind can be served by transcoding another
-    /// resident kind (still refreshes recency).
-    pub fn peek(
-        &self,
-        component: u64,
-        leaf: usize,
-        kind: LeafPayloadKind,
-        columns: Option<&[ColumnId]>,
-    ) -> Option<DecodedLeaf> {
-        self.cache.peek(self.origin, component, leaf, kind, columns)
+        self.cache.get(self.origin, component, leaf, columns)
     }
 
     /// Insert a decoded leaf, evicting LRU entries as needed to stay under
-    /// the byte capacity. Returns how many entries were evicted.
+    /// the byte capacity. Returns how many entries were evicted. An
+    /// all-columns payload replaces the leaf's narrower ones; a narrower
+    /// payload is not admitted beside a resident all-columns one.
     pub fn insert(
         &self,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
         payload: DecodedLeaf,
     ) -> u64 {
         self.cache
-            .insert(self.origin, component, leaf, kind, columns, payload)
+            .insert(self.origin, component, leaf, columns, payload)
     }
 
     /// Drop every cached leaf of one component (retirement / GC). Returns
@@ -586,7 +587,11 @@ fn chunk_bytes(chunk: &ColumnChunk) -> usize {
         ColumnValues::Double(v) => v.len() * 8,
         ColumnValues::String(v) => v.iter().map(|s| 24 + s.len()).sum(),
     };
-    64 + chunk.defs.len() * 2 + values
+    // The record-offset index a point lookup's first seek builds is
+    // charged up front (it appears after the chunk was admitted), so a
+    // chunk that is only ever scanned is over-charged by it: ~2 % of an
+    // integer column.
+    64 + chunk.defs.len() * 2 + values + chunk.seek_index_bytes()
 }
 
 /// Estimated decoded size of a payload — the unit of budget accounting.
@@ -610,6 +615,31 @@ mod tests {
         DecodedLeaf::Rows(Arc::new(entries))
     }
 
+    /// A columnar payload of `columns` chunks, `n` entries each.
+    fn chunks(columns: &[ColumnId], n: usize) -> DecodedLeaf {
+        let chunk = |&id: &ColumnId| {
+            let mut chunk = ColumnChunk::new(schema::ColumnSpec {
+                id,
+                path: docmodel::Path::parse("c"),
+                ty: schema::AtomicType::Int,
+                max_def: 1,
+                array_levels: Vec::new(),
+                is_key: false,
+            });
+            chunk.defs = vec![1; n];
+            chunk.values = ColumnValues::Int(vec![7; n]);
+            Arc::new(chunk)
+        };
+        DecodedLeaf::Chunks(Arc::new(columns.iter().map(chunk).collect()))
+    }
+
+    fn chunk_count(leaf: &DecodedLeaf) -> usize {
+        match leaf {
+            DecodedLeaf::Chunks(chunks) => chunks.len(),
+            DecodedLeaf::Rows(_) => panic!("expected chunks"),
+        }
+    }
+
     fn rows_len(leaf: &DecodedLeaf) -> usize {
         match leaf {
             DecodedLeaf::Rows(entries) => entries.len(),
@@ -621,9 +651,9 @@ mod tests {
     fn hit_after_insert_and_counters() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        assert!(h.get(1, 0, LeafPayloadKind::Entries, None).is_none());
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(4, 7));
-        let hit = h.get(1, 0, LeafPayloadKind::Entries, None).expect("hit");
+        assert!(h.get(1, 0, None).is_none());
+        h.insert(1, 0, None, rows(4, 7));
+        let hit = h.get(1, 0, None).expect("hit");
         assert_eq!(rows_len(&hit), 4);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -633,20 +663,21 @@ mod tests {
     }
 
     #[test]
-    fn payload_kinds_and_projections_cache_separately() {
+    fn projections_cache_separately() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(1, 1));
-        assert!(h.peek(1, 0, LeafPayloadKind::Chunks, None).is_none());
+        h.insert(1, 0, Some(&[2]), chunks(&[2], 4));
         let cols: Vec<ColumnId> = vec![3, 1, 3];
         let sorted: Vec<ColumnId> = vec![1, 3];
-        h.insert(1, 0, LeafPayloadKind::Entries, Some(&cols), rows(2, 2));
+        h.insert(1, 0, Some(&cols), chunks(&[1, 3], 4));
         // Normalised column sets are order/dup insensitive.
         let hit = h
-            .peek(1, 0, LeafPayloadKind::Entries, Some(&sorted))
+            .get(1, 0, Some(&sorted))
             .expect("normalised projection hit");
-        assert_eq!(rows_len(&hit), 2);
-        assert!(h.peek(1, 0, LeafPayloadKind::Entries, None).is_some());
+        assert_eq!(chunk_count(&hit), 2);
+        assert_eq!(chunk_count(&h.get(1, 0, Some(&[2])).unwrap()), 1);
+        // Neither narrow payload answers the all-columns request.
+        assert!(h.get(1, 0, None).is_none());
         assert_eq!(cache.resident_leaves(), 2);
     }
 
@@ -656,14 +687,14 @@ mod tests {
         let cache = Arc::new(LeafCache::new(one_leaf * 3 + 1));
         let h = cache.handle();
         for leaf in 0..3 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
+            h.insert(1, leaf, None, rows(8, leaf as i64));
         }
         // Touch leaf 0 so leaf 1 is the LRU victim.
-        assert!(h.get(1, 0, LeafPayloadKind::Entries, None).is_some());
-        let evicted = h.insert(1, 3, LeafPayloadKind::Entries, None, rows(8, 3));
+        assert!(h.get(1, 0, None).is_some());
+        let evicted = h.insert(1, 3, None, rows(8, 3));
         assert_eq!(evicted, 1);
-        assert!(h.peek(1, 1, LeafPayloadKind::Entries, None).is_none());
-        assert!(h.peek(1, 0, LeafPayloadKind::Entries, None).is_some());
+        assert!(h.get(1, 1, None).is_none());
+        assert!(h.get(1, 0, None).is_some());
         assert!(cache.resident_bytes() <= cache.capacity_bytes());
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -672,7 +703,7 @@ mod tests {
     fn oversized_payload_is_never_cached() {
         let cache = Arc::new(LeafCache::new(64));
         let h = cache.handle();
-        let evicted = h.insert(1, 0, LeafPayloadKind::Entries, None, rows(64, 0));
+        let evicted = h.insert(1, 0, None, rows(64, 0));
         assert_eq!(evicted, 0);
         assert_eq!(cache.resident_leaves(), 0);
         assert_eq!(cache.resident_bytes(), 0);
@@ -683,15 +714,15 @@ mod tests {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
         for leaf in 0..4 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(2, 1));
-            h.insert(2, leaf, LeafPayloadKind::Entries, None, rows(2, 2));
+            h.insert(1, leaf, None, rows(2, 1));
+            h.insert(2, leaf, None, rows(2, 2));
         }
         assert_eq!(h.cached_leaf_count(1), 4);
         assert_eq!(h.invalidate_component(1), 4);
         assert_eq!(h.cached_leaf_count(1), 0);
         assert_eq!(h.cached_leaf_count(2), 4);
         assert_eq!(cache.stats().invalidations, 4);
-        assert!(h.peek(2, 0, LeafPayloadKind::Entries, None).is_some());
+        assert!(h.get(2, 0, None).is_some());
     }
 
     #[test]
@@ -700,20 +731,14 @@ mod tests {
         let shard_a = cache.handle();
         let shard_b = cache.handle();
         assert_ne!(shard_a.origin(), shard_b.origin());
-        shard_a.insert(1, 0, LeafPayloadKind::Entries, None, rows(3, 10));
-        shard_b.insert(1, 0, LeafPayloadKind::Entries, None, rows(5, 20));
-        assert_eq!(
-            rows_len(&shard_a.peek(1, 0, LeafPayloadKind::Entries, None).unwrap()),
-            3
-        );
-        assert_eq!(
-            rows_len(&shard_b.peek(1, 0, LeafPayloadKind::Entries, None).unwrap()),
-            5
-        );
+        shard_a.insert(1, 0, None, rows(3, 10));
+        shard_b.insert(1, 0, None, rows(5, 20));
+        assert_eq!(rows_len(&shard_a.get(1, 0, None).unwrap()), 3);
+        assert_eq!(rows_len(&shard_b.get(1, 0, None).unwrap()), 5);
         // Invalidating shard A's component 1 leaves shard B's untouched.
         shard_a.invalidate_component(1);
-        assert!(shard_a.peek(1, 0, LeafPayloadKind::Entries, None).is_none());
-        assert!(shard_b.peek(1, 0, LeafPayloadKind::Entries, None).is_some());
+        assert!(shard_a.get(1, 0, None).is_none());
+        assert!(shard_b.get(1, 0, None).is_some());
     }
 
     #[test]
@@ -724,19 +749,19 @@ mod tests {
         let cache = Arc::new(LeafCache::new(one_leaf * 8 + 1));
         let h = cache.handle();
         for leaf in 0..4 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
+            h.insert(1, leaf, None, rows(8, leaf as i64));
             // Promote to protected: the hot set has been re-referenced.
-            assert!(h.get(1, leaf, LeafPayloadKind::Entries, None).is_some());
+            assert!(h.get(1, leaf, None).is_some());
         }
         for leaf in 0..64 {
             // Each scan leaf is touched once — inserted, never re-hit.
-            h.insert(2, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
+            h.insert(2, leaf, None, rows(8, leaf as i64));
         }
         // The scan churned through probation only; every hot leaf is still
         // resident, so the hot-key hit rate survives the scan intact.
         for leaf in 0..4 {
             assert!(
-                h.peek(1, leaf, LeafPayloadKind::Entries, None).is_some(),
+                h.get(1, leaf, None).is_some(),
                 "hot leaf {leaf} was evicted by a one-off scan"
             );
         }
@@ -752,39 +777,90 @@ mod tests {
         let cache = Arc::new(LeafCache::new(one_leaf * 5 + 1));
         let h = cache.handle();
         for leaf in 0..5 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
-            assert!(h.get(1, leaf, LeafPayloadKind::Entries, None).is_some());
+            h.insert(1, leaf, None, rows(8, leaf as i64));
+            assert!(h.get(1, leaf, None).is_some());
         }
         assert_eq!(cache.resident_leaves(), 5);
         // A new insert still finds an evictable victim.
-        h.insert(1, 9, LeafPayloadKind::Entries, None, rows(8, 9));
-        assert!(h.peek(1, 9, LeafPayloadKind::Entries, None).is_some());
+        h.insert(1, 9, None, rows(8, 9));
+        assert!(h.get(1, 9, None).is_some());
         assert!(cache.resident_bytes() <= cache.capacity_bytes());
     }
 
     #[test]
-    fn distinct_leaf_gauge_deduplicates_payload_kinds() {
+    fn a_projection_is_served_from_the_all_columns_entry() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        // One physical leaf, two shapes + one extra projection.
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(2, 1));
-        h.insert(1, 0, LeafPayloadKind::Chunks, None, rows(2, 1));
-        h.insert(1, 0, LeafPayloadKind::Entries, Some(&[1]), rows(2, 1));
+        // Nothing resident: a miss.
+        assert!(h.get(1, 0, Some(&[2])).is_none());
+        h.insert(1, 0, None, chunks(&[1, 2, 3], 5));
+        // The all-columns entry answers the projection, as one hit.
+        let hits = cache.stats().hits;
+        let covered = h.get(1, 0, Some(&[2])).expect("covered");
+        assert_eq!(chunk_count(&covered), 3);
+        assert_eq!(cache.stats().hits, hits + 1);
+        // Another leaf's all-columns entry covers nothing here.
+        assert!(h.get(1, 1, Some(&[2])).is_none());
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn a_leaf_is_never_resident_beside_its_all_columns_payload() {
+        let cache = Arc::new(LeafCache::new(1 << 20));
+        let h = cache.handle();
+        // Projected first, all columns second: the narrow payloads go.
+        h.insert(1, 0, Some(&[2]), chunks(&[2], 5));
+        h.insert(1, 0, Some(&[3]), chunks(&[3], 5));
+        h.insert(1, 1, Some(&[2]), chunks(&[2], 5));
+        assert!(h.get(1, 0, Some(&[2])).is_some()); // protected: dropped all the same
+        let full = chunks(&[1, 2, 3], 5);
+        assert_eq!(
+            h.insert(1, 0, None, full.clone()),
+            0,
+            "superseded, not evicted"
+        );
+        assert_eq!(cache.resident_leaves(), 2);
+        assert_eq!(cache.stats().invalidations, 2);
+        assert_eq!(
+            cache.resident_bytes(),
+            payload_bytes(&full) + payload_bytes(&chunks(&[2], 5))
+        );
+        assert_eq!(chunk_count(&h.get(1, 0, Some(&[2])).unwrap()), 3);
+        // The other leaf's narrow payload is untouched.
+        assert_eq!(chunk_count(&h.get(1, 1, Some(&[2])).unwrap()), 1);
+        // All columns first, projected second (a reader that raced the
+        // all-columns decode): not admitted.
+        h.insert(1, 0, Some(&[2]), chunks(&[2], 5));
+        assert_eq!(cache.resident_leaves(), 2);
+        assert_eq!(chunk_count(&h.get(1, 0, Some(&[2])).unwrap()), 3);
+        // The dropped protected payload left the protected segment too:
+        // both survivors have been re-hit, so it holds exactly them.
+        let inner = cache.inner.lock();
+        assert_eq!(inner.protected_bytes, inner.total_bytes);
+    }
+
+    #[test]
+    fn distinct_leaf_gauge_deduplicates_projections() {
+        let cache = Arc::new(LeafCache::new(1 << 20));
+        let h = cache.handle();
+        // One physical leaf under two projections.
+        h.insert(1, 0, Some(&[1]), chunks(&[1], 2));
+        h.insert(1, 0, Some(&[2]), chunks(&[2], 2));
         // A second physical leaf.
-        h.insert(1, 1, LeafPayloadKind::Entries, None, rows(2, 2));
+        h.insert(1, 1, None, rows(2, 2));
         // Budget view counts payloads; residency view counts leaves.
-        assert_eq!(cache.resident_leaves(), 4);
+        assert_eq!(cache.resident_leaves(), 3);
         assert_eq!(cache.resident_distinct_leaves(), 2);
         assert_eq!(cache.stats().resident_distinct_leaves, 2);
-        assert_eq!(cache.stats().resident_leaves, 4);
+        assert_eq!(cache.stats().resident_leaves, 3);
     }
 
     #[test]
     fn clear_counts_invalidations_and_zeroes_residency() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(2, 0));
-        h.insert(1, 1, LeafPayloadKind::Entries, None, rows(2, 1));
+        h.insert(1, 0, None, rows(2, 0));
+        h.insert(1, 1, None, rows(2, 1));
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.resident_leaves(), 0);

@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use component::{ComponentDescriptor, ComponentReader, LayoutKind, LeafDescriptor};
-pub use leafcache::{DecodedLeaf, LeafCache, LeafCacheHandle, LeafCacheStats, LeafPayloadKind};
+pub use leafcache::{DecodedLeaf, LeafCache, LeafCacheHandle, LeafCacheStats};
 pub use stats::{ColumnStats, ComponentStats};
 pub use pagestore::{BufferCache, IoStats, PageId, PageStore, DEFAULT_CACHE_PAGES, PAGE_SIZE_DEFAULT};
 pub use rowformat::RowFormat;

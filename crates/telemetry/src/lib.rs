@@ -19,7 +19,7 @@
 //! | `backpressure.*` | counters | `backpressure.stalls`, `backpressure.stall_micros` |
 //! | `snapshot.*`   | counters   | `snapshot.count` |
 //! | `storage.*`    | sampled counters / gauges | the `IoStats` block folded in: `storage.pages_read`, `storage.bytes_written`, `storage.cache_hits`, …, plus `storage.allocated_bytes` |
-//! | `lsm.*`        | sampled gauges | `lsm.memtable_bytes`, `lsm.sealed_queue_depth`, `lsm.components`, `lsm.live_stored_bytes` |
+//! | `lsm.*`        | sampled gauges + counters | gauges `lsm.memtable_bytes`, `lsm.sealed_queue_depth`, `lsm.components`, `lsm.live_stored_bytes`; point-read counters `lsm.lookups`, `lsm.lookup_memtable_hits`, `lsm.lookup_components_probed` (probes / lookups = point-read amplification) |
 //! | `amp.*`        | derived gauges | `amp.write`, `amp.read`, `amp.space` |
 //!
 //! Three metric kinds exist:
@@ -491,6 +491,15 @@ pub struct Telemetry {
     pub stall_micros: Counter,
     /// `snapshot.count` — read snapshots taken.
     pub snapshots: Counter,
+    /// `lsm.lookups` — keys looked up by point reads (`get`, index
+    /// maintenance, index probes; a probe counts each of its keys).
+    pub lookups: Counter,
+    /// `lsm.lookup_memtable_hits` — of those, keys the active memtable
+    /// answered.
+    pub lookup_memtable_hits: Counter,
+    /// `lsm.lookup_components_probed` — components consulted, summed over
+    /// the looked-up keys.
+    pub lookup_components_probed: Counter,
     /// `flush.duration_micros` — per-flush wall time.
     pub flush_duration: Histogram,
     /// `merge.duration_micros` — per-merge wall time.
@@ -532,6 +541,9 @@ impl Telemetry {
             stalls: Counter::default(),
             stall_micros: Counter::default(),
             snapshots: Counter::default(),
+            lookups: Counter::default(),
+            lookup_memtable_hits: Counter::default(),
+            lookup_components_probed: Counter::default(),
             flush_duration: Histogram::default(),
             merge_duration: Histogram::default(),
             wal_append_latency: Histogram::default(),
@@ -579,6 +591,15 @@ impl Telemetry {
             ("backpressure.stalls".to_string(), self.stalls.get()),
             ("backpressure.stall_micros".to_string(), self.stall_micros.get()),
             ("snapshot.count".to_string(), self.snapshots.get()),
+            ("lsm.lookups".to_string(), self.lookups.get()),
+            (
+                "lsm.lookup_memtable_hits".to_string(),
+                self.lookup_memtable_hits.get(),
+            ),
+            (
+                "lsm.lookup_components_probed".to_string(),
+                self.lookup_components_probed.get(),
+            ),
         ];
         let histograms = vec![
             ("flush.duration_micros".to_string(), self.flush_duration.snapshot()),
