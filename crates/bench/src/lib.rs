@@ -1286,7 +1286,13 @@ pub fn run_pushdown_comparison(scale: f64) -> Vec<Measurement> {
 /// Per strategy × workload the sweep reports ingest wall time, merge count,
 /// and the `amp.write` / `amp.space` gauges from the metrics snapshot (the
 /// telemetry groundwork: every gauge recomputes from raw counters of the
-/// same snapshot). The update-heavy leg additionally drives the page-space
+/// same snapshot), plus how the merges moved their winners: copied column by
+/// column (§4.4) or assembled and re-shredded (inputs whose columns predate
+/// a nested field or a union promotion — frequent in `tweet_1`, whose
+/// sparse metadata groups keep growing the schema), and the peak number of
+/// records a merge held resident. Self-asserting: ingest assembles exactly
+/// the re-shredded winners — the copy lane assembles nothing.
+/// The update-heavy leg additionally drives the page-space
 /// GC: after the churn settles, `reclaim_space` must leave a **fully
 /// packed** page file — zero free slots, every page referenced by a live
 /// component — so the reported space amplification reflects live data, not
@@ -1321,6 +1327,9 @@ pub fn run_compaction_comparison(scale: f64) -> Vec<Measurement> {
                     dataset.flush().expect("flush");
                 }
             });
+            // Nothing has read the dataset yet: every record assembled so far
+            // was assembled by a merge, and only the re-shred lane does that.
+            let merge_assembled = dataset.io_stats().records_assembled;
             assert_eq!(dataset.count().expect("count"), records, "{name}/{workload}");
 
             if workload == "update-heavy" {
@@ -1337,8 +1346,35 @@ pub fn run_compaction_comparison(scale: f64) -> Vec<Measurement> {
             }
 
             let metrics = dataset.metrics();
+            let copied = metrics.counter("storage.merge_records_copied");
+            let reshredded = metrics.counter("storage.merge_records_reshredded");
+            assert_eq!(
+                merge_assembled, reshredded,
+                "{name}/{workload}: merges assemble only what they re-shred"
+            );
+            let peak_buffered = metrics
+                .histogram("merge.peak_buffered_records")
+                .map_or(0, |h| h.max);
             let row = |what: &str| format!("{workload}: {what}");
             out.push(Measurement::new(row("ingest wall"), *name, ingest_ms, "ms"));
+            out.push(Measurement::new(
+                row("merge winners copied"),
+                *name,
+                copied as f64,
+                "records",
+            ));
+            out.push(Measurement::new(
+                row("merge winners re-shredded"),
+                *name,
+                reshredded as f64,
+                "records",
+            ));
+            out.push(Measurement::new(
+                row("merge peak buffered"),
+                *name,
+                peak_buffered as f64,
+                "records",
+            ));
             out.push(Measurement::new(
                 row("merges"),
                 *name,
@@ -1556,7 +1592,7 @@ mod tests {
         assert!(!ablation_compression(0.05).is_empty());
         // 2 workloads x 3 strategies x 4 measurements (self-asserting: count
         // integrity per cell, fully-packed page file after update-heavy GC).
-        assert_eq!(run_compaction_comparison(0.05).len(), 2 * 3 * 4);
+        assert_eq!(run_compaction_comparison(0.05).len(), 2 * 3 * 7);
     }
 
     #[test]

@@ -95,8 +95,21 @@ impl AssemblyPlan {
         leaves
     }
 
-    fn leaves_under(&self, node: NodeId) -> &[usize] {
+    pub(crate) fn leaves_under(&self, node: NodeId) -> &[usize] {
         &self.leaves_under[node as usize]
+    }
+
+    /// The slot (index into the planned columns) of an atomic node's column.
+    pub(crate) fn slot(&self, node: NodeId) -> Option<usize> {
+        self.slot_of[node as usize]
+    }
+
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    pub(crate) fn columns(&self) -> &[ColumnId] {
+        &self.columns
     }
 }
 

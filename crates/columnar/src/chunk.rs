@@ -6,6 +6,7 @@
 //! encoded definition levels, encoded values).
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use docmodel::{total_cmp, Value};
@@ -92,6 +93,15 @@ impl ColumnValues {
         }
     }
 
+    /// [`Value::approx_size`] of the value at `index`, without building it.
+    pub fn approx_size_at(&self, index: usize) -> usize {
+        match self {
+            ColumnValues::Bool(_) => 1,
+            ColumnValues::Int(_) | ColumnValues::Double(_) => 8,
+            ColumnValues::String(v) => 4 + v[index].len(),
+        }
+    }
+
     /// Compare the value at `index` with `other` under the document total
     /// order, without materialising a [`Value`] when the types agree — the
     /// comparator of the point-lookup binary search over a sorted key column.
@@ -100,6 +110,23 @@ impl ColumnValues {
             (ColumnValues::Int(v), Value::Int(o)) => v[index].cmp(o),
             (ColumnValues::String(v), Value::String(o)) => v[index].as_str().cmp(o.as_str()),
             _ => total_cmp(&self.get(index), other),
+        }
+    }
+
+    /// Append `src[range]` — one slice extend, the value half of a
+    /// record-range column copy ([`ColumnChunk::extend_from`]). Both sides
+    /// must hold the same type (they are chunks of one column).
+    pub fn extend_from_range(&mut self, src: &ColumnValues, range: Range<usize>) {
+        match (self, src) {
+            (ColumnValues::Bool(v), ColumnValues::Bool(s)) => v.extend_from_slice(&s[range]),
+            (ColumnValues::Int(v), ColumnValues::Int(s)) => v.extend_from_slice(&s[range]),
+            (ColumnValues::Double(v), ColumnValues::Double(s)) => v.extend_from_slice(&s[range]),
+            (ColumnValues::String(v), ColumnValues::String(s)) => v.extend_from_slice(&s[range]),
+            (this, other) => panic!(
+                "column of type {:?} cannot take values of type {:?}",
+                this.ty(),
+                other.ty()
+            ),
         }
     }
 
@@ -145,9 +172,11 @@ impl ColumnValues {
 
 /// A position inside a chunk: the next definition-level entry and the next
 /// value. The two advance at different rates because only some entries
-/// carry a value.
+/// carry a value. Obtained from [`ColumnChunk::record_pos`] and advanced by
+/// [`ColumnChunk::skip_records`], so it always stands on a record boundary
+/// outside this crate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ChunkPos {
+pub struct ChunkPos {
     pub(crate) def: usize,
     pub(crate) value: usize,
 }
@@ -265,12 +294,57 @@ impl ColumnChunk {
         }
     }
 
+    /// Advance `pos` past `n` records (fewer when the chunk ends first). A
+    /// non-repeated column holds one entry per record, so its definition
+    /// position moves by `n` and its value position by the entries of that
+    /// span that carry a value — no per-record walk.
+    pub fn skip_records(&self, pos: &mut ChunkPos, n: usize) {
+        if self.spec.is_repeated() {
+            for _ in 0..n {
+                if pos.def >= self.defs.len() {
+                    break;
+                }
+                self.skip_record(pos);
+            }
+            return;
+        }
+        let end = (pos.def + n).min(self.defs.len());
+        pos.value += if self.spec.is_key {
+            end - pos.def
+        } else {
+            let max_def = self.spec.max_def;
+            self.defs[pos.def..end]
+                .iter()
+                .filter(|&&def| def == max_def)
+                .count()
+        };
+        pos.def = end;
+    }
+
+    /// Append the entries of `src` between two record boundaries — the
+    /// record-range column copy of a merge (§4.4): one slice extend of the
+    /// definition levels and one of the values, no record assembled. `src`
+    /// must be a chunk of the same column.
+    pub fn extend_from(&mut self, src: &ColumnChunk, from: ChunkPos, to: ChunkPos) {
+        self.defs.extend_from_slice(&src.defs[from.def..to.def]);
+        self.values.extend_from_range(&src.values, from.value..to.value);
+    }
+
+    /// Append `n` records in which the column is absent from the record root
+    /// down: one definition-level-0 entry each, whether or not the column is
+    /// repeated. What a column whose top-level field an older component
+    /// never saw holds for that component's records.
+    pub fn push_absent_records(&mut self, n: usize) {
+        debug_assert!(!self.spec.is_key, "every record has a key");
+        self.defs.resize(self.defs.len() + n, 0);
+    }
+
     /// The position of the first entry of record `ordinal` (the end of the
     /// chunk when the chunk has fewer records). The first call on a chunk
     /// builds its record-offset index — one pass over `defs`; afterwards a
-    /// seek costs a checkpoint read plus at most [`SEEK_INTERVAL`] record
+    /// seek costs a checkpoint read plus at most `SEEK_INTERVAL` (64) record
     /// skips.
-    pub(crate) fn record_pos(&self, ordinal: usize) -> ChunkPos {
+    pub fn record_pos(&self, ordinal: usize) -> ChunkPos {
         if self.spec.is_key {
             // One entry and one value per record: the ordinal is the position.
             let at = ordinal.min(self.defs.len());

@@ -76,12 +76,7 @@ impl ColumnCursor {
 
     /// Skip `n` records (the batched advance used by LSM reconciliation).
     pub fn skip_records(&mut self, n: usize) {
-        for _ in 0..n {
-            if self.is_exhausted() {
-                break;
-            }
-            self.skip_record();
-        }
+        self.chunk.skip_records(&mut self.pos, n);
     }
 
     /// Position the cursor at the first entry of record `ordinal`, wherever

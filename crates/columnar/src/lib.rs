@@ -31,16 +31,27 @@
 //!   columns back into documents, with projection push-down so queries only
 //!   touch (and only decode) the columns they need. Point lookups assemble
 //!   the record at one ordinal ([`Assembler::record_at`]) by seeking each
-//!   projected column through a lazily built record-offset index (§4.6).
+//!   projected column through a lazily built record-offset index (§4.6);
+//! * [`shape`] — [`ShapeWalker`]: the same automaton run for its side
+//!   effects only — per-path presence tallies and per-record logical sizes
+//!   read off the definition levels, which is how a component writer derives
+//!   zone maps and page boundaries from column chunks without a document.
+//!
+//! Chunks also support **record-range copy** ([`ColumnChunk::record_pos`],
+//! [`ColumnChunk::skip_records`], [`ColumnChunk::extend_from`]): the entries
+//! of a run of records move from one chunk of a column to another as two
+//! slice extends — the primitive behind §4.4's column-wise merge.
 
 pub mod assemble;
 pub mod chunk;
 pub mod cursor;
+pub mod shape;
 pub mod shred;
 
 pub use assemble::{Assembler, AssemblyPlan};
-pub use chunk::{ColumnChunk, ColumnValues};
+pub use chunk::{ChunkPos, ColumnChunk, ColumnValues};
 pub use cursor::ColumnCursor;
+pub use shape::{PathTally, ShapePath, ShapePlan, ShapeWalker};
 pub use shred::{ShreddedBatch, Shredder};
 
 /// Error type shared by the columnar readers.

@@ -21,7 +21,8 @@
 //!   the primary-key column and an "absent" entry on every other column
 //!   (§3.2.3), keeping all columns aligned record-by-record.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::ops::Range;
 
 use docmodel::Value;
 use schema::node::{BranchKind, SchemaNode};
@@ -50,6 +51,33 @@ impl ShreddedBatch {
     pub fn approx_bytes(&self) -> usize {
         self.columns.iter().map(ColumnChunk::approx_bytes).sum()
     }
+
+    /// The primary-key chunk, when the schema has one.
+    pub fn key_column(&self) -> Option<&ColumnChunk> {
+        self.columns.iter().find(|c| c.spec.is_key)
+    }
+
+    /// A copy of the records in `records`, column by column: each chunk's
+    /// two record boundaries are located once and the entries between them
+    /// are copied in one go ([`ColumnChunk::extend_from`]).
+    pub fn slice(&self, records: Range<usize>) -> ShreddedBatch {
+        let columns = self
+            .columns
+            .iter()
+            .map(|src| {
+                let mut out = ColumnChunk::new(src.spec.clone());
+                let from = src.record_pos(records.start);
+                let mut to = from;
+                src.skip_records(&mut to, records.len());
+                out.extend_from(src, from, to);
+                out
+            })
+            .collect();
+        ShreddedBatch {
+            columns,
+            record_count: records.len(),
+        }
+    }
 }
 
 /// What the walk passes down for each schema node while shredding a record.
@@ -62,15 +90,23 @@ enum Slot<'v> {
     Absent(u16),
 }
 
-/// Schema-driven shredder. Create one per flush (or per page batch), feed it
-/// records, then call [`Shredder::finish`].
+/// Schema-driven shredder. Create one per flush (or per component writer),
+/// feed it records, then call [`Shredder::finish`] — or
+/// [`Shredder::take_batch`] once per leaf and keep going.
 pub struct Shredder<'s> {
-    schema: &'s Schema,
+    schema: Cow<'s, Schema>,
+    buffers: ShredBuffers,
+}
+
+/// The shredder's mutable half, kept apart from the schema so the walk can
+/// read one while writing the other.
+struct ShredBuffers {
     columns: Vec<ColumnChunk>,
-    index_of: HashMap<ColumnId, usize>,
-    /// For every schema node, the indexes (into `columns`) of the atomic
-    /// leaves in its subtree. Used to broadcast absent entries and delimiters.
-    leaves_under: HashMap<NodeId, Vec<usize>>,
+    /// Per schema node: the index (into `columns`) of the node's own column.
+    index_of: Vec<Option<usize>>,
+    /// Per schema node: the indexes (into `columns`) of the atomic leaves in
+    /// its subtree. Used to broadcast absent entries and delimiters.
+    leaves_under: Vec<Vec<usize>>,
     /// Per column: whether the last entry appended for the current record was
     /// a delimiter (needed for the subsumption rule).
     last_was_delim: Vec<bool>,
@@ -80,52 +116,73 @@ pub struct Shredder<'s> {
 impl<'s> Shredder<'s> {
     /// Create a shredder for the given (already inferred) schema.
     pub fn new(schema: &'s Schema) -> Shredder<'s> {
-        let specs = columns_of(schema);
-        let mut index_of = HashMap::with_capacity(specs.len());
+        Shredder::over(Cow::Borrowed(schema))
+    }
+
+    /// Like [`Shredder::new`], owning its schema — for writers that outlive
+    /// the borrow they were handed the schema under.
+    pub fn owning(schema: Schema) -> Shredder<'static> {
+        Shredder::over(Cow::Owned(schema))
+    }
+
+    fn over(schema: Cow<'s, Schema>) -> Shredder<'s> {
+        let specs = columns_of(&schema);
+        let mut index_of = vec![None; schema.node_count()];
         let mut columns = Vec::with_capacity(specs.len());
         for (i, spec) in specs.into_iter().enumerate() {
-            index_of.insert(spec.id, i);
+            index_of[spec.id as usize] = Some(i);
             columns.push(ColumnChunk::new(spec));
         }
-        let mut leaves_under = HashMap::new();
-        collect_leaves(schema, schema.root(), &index_of, &mut leaves_under);
+        let mut leaves_under = vec![Vec::new(); schema.node_count()];
+        collect_leaves(&schema, schema.root(), &index_of, &mut leaves_under);
         let n = columns.len();
         Shredder {
             schema,
-            columns,
-            index_of,
-            leaves_under,
-            last_was_delim: vec![false; n],
-            record_count: 0,
+            buffers: ShredBuffers {
+                columns,
+                index_of,
+                leaves_under,
+                last_was_delim: vec![false; n],
+                record_count: 0,
+            },
         }
+    }
+
+    /// The chunks accumulated so far, in [`schema::columns_of`] order.
+    pub fn columns(&self) -> &[ColumnChunk] {
+        &self.buffers.columns
     }
 
     /// Number of records shredded so far.
     pub fn record_count(&self) -> usize {
-        self.record_count
+        self.buffers.record_count
     }
 
     /// Current in-memory footprint of the accumulated chunks.
     pub fn approx_bytes(&self) -> usize {
-        self.columns.iter().map(ColumnChunk::approx_bytes).sum()
+        self.buffers
+            .columns
+            .iter()
+            .map(ColumnChunk::approx_bytes)
+            .sum()
     }
 
     /// Shred one record. The record must be an object; its fields must be
     /// covered by the schema (which is guaranteed when the schema was
     /// inferred from the same records, as the tuple compactor does).
     pub fn shred(&mut self, record: &Value) {
-        self.record_count += 1;
-        self.last_was_delim.iter_mut().for_each(|b| *b = false);
-        self.walk(self.schema.root(), 0, 0, Slot::Present(record));
+        self.buffers.begin_record();
+        let root = self.schema.root();
+        self.buffers
+            .walk(&self.schema, root, 0, 0, Slot::Present(record));
     }
 
     /// Shred an anti-matter (delete) entry for `key`: the primary-key column
     /// records the key with definition level 0, every other column records an
     /// absent entry so that record alignment is preserved.
     pub fn shred_antimatter(&mut self, key: &Value) {
-        self.record_count += 1;
-        self.last_was_delim.iter_mut().for_each(|b| *b = false);
-        for chunk in &mut self.columns {
+        self.buffers.begin_record();
+        for chunk in &mut self.buffers.columns {
             chunk.defs.push(0);
             if chunk.spec.is_key {
                 chunk.values.push(key);
@@ -133,36 +190,57 @@ impl<'s> Shredder<'s> {
         }
     }
 
+    /// Account for `records` records whose column entries `append` writes
+    /// straight into the chunks — already-shredded records copied from
+    /// another component's chunks (a merge), not walked again. `append` must
+    /// leave every column exactly `records` records longer.
+    pub fn append_shredded(&mut self, records: usize, append: impl FnOnce(&mut [ColumnChunk])) {
+        self.buffers.record_count += records;
+        append(&mut self.buffers.columns);
+    }
+
     /// Finish shredding and return the accumulated batch.
     pub fn finish(self) -> ShreddedBatch {
         ShreddedBatch {
-            columns: self.columns,
-            record_count: self.record_count,
+            columns: self.buffers.columns,
+            record_count: self.buffers.record_count,
         }
     }
 
     /// Take the accumulated chunks, leaving the shredder empty and ready for
-    /// the next page's worth of records (APAX writers reuse their temporary
-    /// buffers this way, §4.5.1).
+    /// the next leaf's worth of records (the component writer reuses one
+    /// shredder across its leaves this way, §4.5.1).
     pub fn take_batch(&mut self) -> ShreddedBatch {
-        let specs: Vec<_> = self.columns.iter().map(|c| c.spec.clone()).collect();
-        let columns = std::mem::replace(
-            &mut self.columns,
-            specs.into_iter().map(ColumnChunk::new).collect(),
-        );
-        let record_count = self.record_count;
-        self.record_count = 0;
-        self.last_was_delim.iter_mut().for_each(|b| *b = false);
+        let buffers = &mut self.buffers;
+        let fresh = buffers
+            .columns
+            .iter()
+            .map(|c| ColumnChunk::new(c.spec.clone()))
+            .collect();
         ShreddedBatch {
-            columns,
-            record_count,
+            columns: std::mem::replace(&mut buffers.columns, fresh),
+            record_count: std::mem::take(&mut buffers.record_count),
         }
     }
+}
 
-    fn walk(&mut self, node_id: NodeId, level: u16, array_depth: u16, slot: Slot<'_>) {
-        match self.schema.node(node_id) {
+impl ShredBuffers {
+    fn begin_record(&mut self) {
+        self.record_count += 1;
+        self.last_was_delim.iter_mut().for_each(|b| *b = false);
+    }
+
+    fn walk(
+        &mut self,
+        schema: &Schema,
+        node_id: NodeId,
+        level: u16,
+        array_depth: u16,
+        slot: Slot<'_>,
+    ) {
+        match schema.node(node_id) {
             SchemaNode::Atomic { ty } => {
-                let Some(&idx) = self.index_of.get(&node_id) else {
+                let Some(idx) = self.index_of[node_id as usize] else {
                     return;
                 };
                 let chunk = &mut self.columns[idx];
@@ -191,106 +269,89 @@ impl<'s> Shredder<'s> {
                 }
                 self.last_was_delim[idx] = false;
             }
-            SchemaNode::Object { fields } => {
-                // Clone the field list (names + ids) to release the borrow on
-                // the schema; field lists are short.
-                let fields: Vec<(String, NodeId)> = fields.clone();
-                match slot {
-                    Slot::Present(Value::Object(record_fields)) => {
-                        for (name, child) in &fields {
-                            let child_value = record_fields
-                                .iter()
-                                .find(|(k, _)| k == name)
-                                .map(|(_, v)| v)
-                                .filter(|v| !v.is_null());
-                            let child_slot = match child_value {
-                                Some(v) => Slot::Present(v),
-                                None => Slot::Absent(level),
-                            };
-                            self.walk(*child, level + 1, array_depth, child_slot);
-                        }
-                    }
-                    Slot::Present(_) => {
-                        // Kind mismatch without a union (see Atomic case).
-                        for (_, child) in &fields {
-                            self.walk(
-                                *child,
-                                level + 1,
-                                array_depth,
-                                Slot::Absent(level.saturating_sub(1)),
-                            );
-                        }
-                    }
-                    Slot::Absent(def) => {
-                        for (_, child) in &fields {
-                            self.walk(*child, level + 1, array_depth, Slot::Absent(def));
-                        }
+            SchemaNode::Object { fields } => match slot {
+                Slot::Present(Value::Object(record_fields)) => {
+                    for (name, child) in fields {
+                        let child_value = record_fields
+                            .iter()
+                            .find(|(k, _)| k == name)
+                            .map(|(_, v)| v)
+                            .filter(|v| !v.is_null());
+                        let child_slot = match child_value {
+                            Some(v) => Slot::Present(v),
+                            None => Slot::Absent(level),
+                        };
+                        self.walk(schema, *child, level + 1, array_depth, child_slot);
                     }
                 }
-            }
+                // Kind mismatch without a union (see the Atomic case).
+                Slot::Present(_) => self.absent_under(node_id, level.saturating_sub(1)),
+                Slot::Absent(def) => self.absent_under(node_id, def),
+            },
             SchemaNode::Array { item } => {
                 let Some(item) = *item else { return };
                 match slot {
                     Slot::Present(Value::Array(elems)) => {
                         // Null elements carry no type information and are dropped.
-                        let elems: Vec<&Value> = elems.iter().filter(|e| !e.is_null()).collect();
-                        if elems.is_empty() {
+                        let mut any = false;
+                        for elem in elems.iter().filter(|e| !e.is_null()) {
+                            any = true;
+                            self.walk(
+                                schema,
+                                item,
+                                level + 1,
+                                array_depth + 1,
+                                Slot::Present(elem),
+                            );
+                        }
+                        if any {
+                            self.emit_delimiter(node_id, array_depth);
+                        } else {
                             // Present but empty: one entry at the array's own level.
-                            self.walk(item, level + 1, array_depth + 1, Slot::Absent(level));
+                            self.absent_under(node_id, level);
                             // The outermost array always terminates its record
                             // segment with delimiter 0 when it is present, so
                             // that a single column's record boundary is
-                            // unambiguous (see ColumnCursor::skip_record).
+                            // unambiguous (see ColumnChunk::skip_record).
                             if array_depth == 0 {
                                 self.emit_delimiter(node_id, 0);
                             }
+                        }
+                    }
+                    Slot::Present(_) => self.absent_under(node_id, level.saturating_sub(1)),
+                    Slot::Absent(def) => self.absent_under(node_id, def),
+                }
+            }
+            SchemaNode::Union { branches } => match slot {
+                Slot::Present(v) => {
+                    let value_kind = BranchKind::of(v);
+                    for (kind, child) in branches {
+                        if Some(*kind) == value_kind {
+                            self.walk(schema, *child, level, array_depth, Slot::Present(v));
                         } else {
-                            for elem in elems {
-                                self.walk(item, level + 1, array_depth + 1, Slot::Present(elem));
-                            }
-                            self.emit_delimiter(node_id, array_depth);
-                        }
-                    }
-                    Slot::Present(_) => {
-                        self.walk(
-                            item,
-                            level + 1,
-                            array_depth + 1,
-                            Slot::Absent(level.saturating_sub(1)),
-                        );
-                    }
-                    Slot::Absent(def) => {
-                        self.walk(item, level + 1, array_depth + 1, Slot::Absent(def));
-                    }
-                }
-            }
-            SchemaNode::Union { branches } => {
-                let branches: Vec<(BranchKind, NodeId)> = branches.clone();
-                match slot {
-                    Slot::Present(v) => {
-                        let value_kind = BranchKind::of(v);
-                        for (kind, child) in &branches {
-                            if Some(*kind) == value_kind {
-                                self.walk(*child, level, array_depth, Slot::Present(v));
-                            } else {
-                                // Absent branch: the level above the union,
-                                // because unions are logical guides (§3.2.2).
-                                self.walk(
-                                    *child,
-                                    level,
-                                    array_depth,
-                                    Slot::Absent(level.saturating_sub(1)),
-                                );
-                            }
-                        }
-                    }
-                    Slot::Absent(def) => {
-                        for (_, child) in &branches {
-                            self.walk(*child, level, array_depth, Slot::Absent(def));
+                            // Absent branch: the level above the union,
+                            // because unions are logical guides (§3.2.2).
+                            self.absent_under(*child, level.saturating_sub(1));
                         }
                     }
                 }
+                Slot::Absent(def) => self.absent_under(node_id, def),
+            },
+        }
+    }
+
+    /// Nothing is present at or below `node`: every leaf column beneath it
+    /// records one entry at definition level `def` (the key column, which
+    /// stores a value for every entry, only ever gets here on malformed
+    /// input and records a placeholder key).
+    fn absent_under(&mut self, node: NodeId, def: u16) {
+        for &idx in &self.leaves_under[node as usize] {
+            let chunk = &mut self.columns[idx];
+            chunk.defs.push(def);
+            if chunk.spec.is_key {
+                chunk.values.push(&Value::Int(0));
             }
+            self.last_was_delim[idx] = false;
         }
     }
 
@@ -298,10 +359,7 @@ impl<'s> Shredder<'s> {
     /// delimiter `k` to every column beneath it, replacing a deeper delimiter
     /// that was just emitted (the subsumption rule).
     fn emit_delimiter(&mut self, array_node: NodeId, k: u16) {
-        let Some(leaf_indexes) = self.leaves_under.get(&array_node) else {
-            return;
-        };
-        for &idx in leaf_indexes {
+        for &idx in &self.leaves_under[array_node as usize] {
             let chunk = &mut self.columns[idx];
             if self.last_was_delim[idx] {
                 let last = chunk
@@ -330,11 +388,11 @@ pub fn shred_records(schema: &Schema, records: &[Value]) -> ShreddedBatch {
 fn collect_leaves(
     schema: &Schema,
     node: NodeId,
-    index_of: &HashMap<ColumnId, usize>,
-    out: &mut HashMap<NodeId, Vec<usize>>,
+    index_of: &[Option<usize>],
+    out: &mut [Vec<usize>],
 ) -> Vec<usize> {
     let leaves: Vec<usize> = match schema.node(node) {
-        SchemaNode::Atomic { .. } => index_of.get(&node).copied().into_iter().collect(),
+        SchemaNode::Atomic { .. } => index_of[node as usize].into_iter().collect(),
         SchemaNode::Object { fields } => fields
             .iter()
             .flat_map(|(_, c)| collect_leaves(schema, *c, index_of, out))
@@ -347,7 +405,7 @@ fn collect_leaves(
             .flat_map(|(_, c)| collect_leaves(schema, *c, index_of, out))
             .collect(),
     };
-    out.insert(node, leaves.clone());
+    out[node as usize] = leaves.clone();
     leaves
 }
 

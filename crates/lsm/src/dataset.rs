@@ -55,6 +55,7 @@ use telemetry::{Event, EventKind, MetricsSnapshot, Telemetry};
 
 use crate::index::{PrimaryKeyIndex, SecondaryIndex};
 use crate::memtable::Memtable;
+use crate::merge::{merge_components, MergeLane, MergeReport};
 use crate::policy::CompactionSpec;
 use crate::pool::{PoolHandle, Priority, WorkerPool};
 use crate::scheduler::Scheduler;
@@ -1593,6 +1594,7 @@ impl DatasetCore {
 
         struct JobResult {
             output: Arc<Component>,
+            report: MergeReport,
             inputs: Vec<Arc<Component>>,
             input_ids: Vec<u64>,
             pages_in: u64,
@@ -1613,28 +1615,26 @@ impl DatasetCore {
             self.telemetry.emit(EventKind::MergeBegin {
                 inputs: input_ids.clone(),
             });
-            // Reconcile through the streaming k-way merge cursor: entries
-            // arrive in key order with the newest version of each key
-            // winning, holding one decoded leaf per input in memory instead
-            // of the whole inputs.
-            let mut entries: Vec<Entry> = Vec::new();
-            for entry in EntryMergeCursor::over_components(&inputs, None) {
-                let (key, doc) = entry?;
-                // Anti-matter annihilates older records; it can itself be
-                // dropped once the merge includes the oldest component.
-                if doc.is_some() || !includes_oldest {
-                    entries.push((key, doc));
-                }
-            }
-            let output = Arc::new(Component::write(
+            // Reconcile through the streaming k-way merge cursor straight
+            // into the component writer: winners arrive in key order (the
+            // newest version of each key; anti-matter is dropped once the
+            // merge includes the oldest component) and leave as sealed
+            // leaves, so one decoded leaf per input plus the writer's one
+            // open leaf is all that is ever resident — of the inputs and of
+            // the output. Columnar winners are not even assembled: their
+            // column ranges are copied (see `crate::merge`).
+            let (output, report) = merge_components(
                 &self.cache,
                 &self.component_config(),
                 schema.clone(),
-                &entries,
+                &inputs,
                 id,
-            )?);
+                includes_oldest,
+                MergeLane::Copy,
+            )?;
             Ok(JobResult {
-                output,
+                output: Arc::new(output),
+                report,
                 inputs,
                 input_ids,
                 pages_in,
@@ -1703,6 +1703,16 @@ impl DatasetCore {
                 self.telemetry.merges.incr();
                 self.telemetry.merge_pages_in.add(result.pages_in);
                 self.telemetry.merge_pages_out.add(pages_out);
+                let report = &result.report;
+                self.telemetry
+                    .merge_records_copied
+                    .add(report.records_copied);
+                self.telemetry
+                    .merge_records_reshredded
+                    .add(report.records_reshredded);
+                self.telemetry
+                    .merge_peak_buffered
+                    .record(report.peak_buffered as u64);
                 self.telemetry
                     .merge_duration
                     .record(result.elapsed.as_micros() as u64);

@@ -30,11 +30,37 @@
 //!   annihilates, at most one decoded leaf per component in memory — and
 //!   [`EntryMergeCursor`] is the same machinery with anti-matter preserved,
 //!   driving merges and index rebuilds (see the module's cursor protocol);
+//! * [`merge`] — [`merge_components`]: a merge job's data path, from the
+//!   key-only reconciliation of the inputs into the one component writer a
+//!   flush also uses (see *Column-wise reconciliation* below);
 //! * [`pool`] — the shared background [`WorkerPool`]: one priority-ordered
 //!   flush/merge worker pool serving every dataset partition that opts into
 //!   background maintenance;
 //! * `scheduler` (crate-private) — per-dataset flush/merge accounting,
 //!   draining and backpressure.
+//!
+//! ## Column-wise reconciliation (§4.4)
+//!
+//! A merge never holds its output and, for the columnar layouts, never
+//! builds a document. The k-way merge cursor reconciles on **keys alone**
+//! and, instead of yielding each winning record, says where it sits: which
+//! input, which decoded leaf, which ordinal, and whether it is anti-matter
+//! (the `next_winner` step of [`EntryMergeCursor`] — the same loop that
+//! skips shadowed versions for scans, stopped one step short of assembly).
+//! Consecutive winners from one input leaf collapse into a run; the runs go
+//! to `storage`'s `ComponentWriter`, which copies them **column by column**
+//! from the inputs' chunks into its open leaf — per column and run, one
+//! slice extend of the definition levels and one of the values — seals
+//! leaves as they fill, and derives their zone maps from the copied chunks.
+//! A leaf whose columns do not line up with the output schema (a new nested
+//! field, a type promoted to a union) sends its winners through assembly
+//! and the shredder into the same writer instead; a column whose top-level
+//! field the leaf predates is filled with absent entries and stays on the
+//! copy path. Row layouts stream entries through the same writer. Resident
+//! at any moment: one decoded leaf per input and the writer's open leaf
+//! ([`MergeReport::peak_buffered`]; `storage.merge_records_copied` /
+//! `storage.merge_records_reshredded` and `merge.peak_buffered_records` in
+//! the dataset's metrics).
 //!
 //! ## Concurrency: snapshots, sealing, and background workers
 //!
@@ -105,6 +131,7 @@
 pub mod dataset;
 pub mod index;
 pub mod memtable;
+pub mod merge;
 pub mod policy;
 pub mod pool;
 pub(crate) mod scheduler;
@@ -116,6 +143,7 @@ pub use dataset::{
 pub use pool::{PoolHandle, WorkerPool};
 pub use index::{PrimaryKeyIndex, SecondaryIndex};
 pub use memtable::Memtable;
+pub use merge::{merge_components, MergeLane, MergeReport};
 pub use persist::CrashPoint;
 pub use policy::{
     CompactionSpec, CompactionStrategy, LazyLeveledPolicy, LeveledPolicy, MergeDecision,

@@ -84,7 +84,9 @@
 use std::sync::Arc;
 
 use docmodel::{total_cmp, Path, Value};
-use storage::component::{ColumnPredicate, Component, ComponentCursor, Entry, ScanFilter};
+use storage::component::{
+    ColumnPredicate, Component, ComponentCursor, Entry, LeafChunks, LeafHead, ScanFilter,
+};
 
 use crate::Result;
 
@@ -594,44 +596,95 @@ impl EntryMergeCursor {
         Ok(())
     }
 
+    /// One reconciliation step that stops short of consuming the winner:
+    /// the index of the source whose head entry is the newest version of
+    /// the smallest pending key, every shadowed version of that key already
+    /// skipped. The caller consumes the winner — assembled
+    /// ([`EntryMergeCursor::take_winner`]) or, for a column-wise merge,
+    /// located and skipped ([`EntryMergeCursor::winner_in_leaf`],
+    /// [`EntryMergeCursor::skip_winner`]) — before the next step. `None` =
+    /// every source is exhausted.
+    pub(crate) fn next_winner(&mut self) -> Result<Option<usize>> {
+        // Fill every head key, then account the buffered high-water mark.
+        for source in &mut self.sources {
+            source.fill_key()?;
+        }
+        self.peak_buffered = self.peak_buffered.max(self.buffered());
+
+        // The smallest head key wins; among equal keys, the newest source
+        // (lowest index) provides the surviving version.
+        let mut best: Option<usize> = None;
+        for (i, source) in self.sources.iter().enumerate() {
+            let Some(key) = &source.head_key else { continue };
+            match best {
+                None => best = Some(i),
+                Some(b) => {
+                    let best_key = self.sources[b].head_key.as_ref().expect("head filled");
+                    if total_cmp(key, best_key) == std::cmp::Ordering::Less {
+                        best = Some(i);
+                    }
+                }
+            }
+        }
+        let Some(best) = best else { return Ok(None) };
+        // The shadowed versions of the winning key in older sources are
+        // skipped column-cursor-batch-wise, never decoded into documents
+        // (§4.4) — *before* the winner is evaluated or assembled, so a
+        // filter-rejected winner can never resurrect them.
+        let (newer, older) = self.sources.split_at_mut(best + 1);
+        let best_key = newer[best].head_key.as_ref().expect("head filled");
+        for source in older {
+            if let Some(key) = &source.head_key {
+                if total_cmp(key, best_key) == std::cmp::Ordering::Equal {
+                    source.skip_entry();
+                }
+            }
+        }
+        Ok(Some(best))
+    }
+
+    /// Consume and assemble the winner [`EntryMergeCursor::next_winner`]
+    /// returned.
+    pub(crate) fn take_winner(&mut self, source: usize) -> Result<Entry> {
+        self.sources[source].take_entry()
+    }
+
+    /// Consume the winner without assembling it.
+    pub(crate) fn skip_winner(&mut self, source: usize) {
+        self.sources[source].skip_entry()
+    }
+
+    /// Where the winner sits in its source's decoded columnar leaf; `None`
+    /// when the source is not a columnar component.
+    pub(crate) fn winner_in_leaf(&mut self, source: usize) -> Result<Option<LeafHead>> {
+        match &mut self.sources[source].kind {
+            SourceKind::Disk(cursor) => cursor.head_in_leaf().transpose(),
+            SourceKind::Mem { .. } => Ok(None),
+        }
+    }
+
+    /// The decoded chunks of a disk source's resident columnar leaf.
+    pub(crate) fn source_chunks(&self, source: usize) -> Option<&LeafChunks> {
+        match &self.sources[source].kind {
+            SourceKind::Disk(cursor) => cursor.leaf_chunks(),
+            SourceKind::Mem { .. } => None,
+        }
+    }
+
+    /// Entries of one source's resident leaf not yet consumed.
+    pub(crate) fn source_buffered(&self, source: usize) -> usize {
+        self.sources[source].buffered()
+    }
+
+    /// Entries decoded and resident across all disk sources right now.
+    pub(crate) fn buffered(&self) -> usize {
+        self.sources.iter().map(MergeSource::buffered).sum()
+    }
+
     fn advance(&mut self) -> Result<Option<Entry>> {
         let filter = self.filter.clone();
         loop {
-            // Fill every head key, then account the buffered high-water mark.
-            for source in &mut self.sources {
-                source.fill_key()?;
-            }
-            let buffered: usize = self.sources.iter().map(MergeSource::buffered).sum();
-            self.peak_buffered = self.peak_buffered.max(buffered);
-
-            // The smallest head key wins; among equal keys, the newest source
-            // (lowest index) provides the surviving version.
-            let mut best: Option<usize> = None;
-            for (i, source) in self.sources.iter().enumerate() {
-                let Some(key) = &source.head_key else { continue };
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let best_key = self.sources[b].head_key.as_ref().expect("head filled");
-                        if total_cmp(key, best_key) == std::cmp::Ordering::Less {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-            let Some(best) = best else { return Ok(None) };
-            // The shadowed versions of the winning key in older sources are
-            // skipped column-cursor-batch-wise, never decoded into documents
-            // (§4.4) — *before* the winner is evaluated or assembled, so a
-            // filter-rejected winner can never resurrect them.
-            let best_key = self.sources[best].head_key.clone().expect("head filled");
-            for source in &mut self.sources[best + 1..] {
-                if let Some(key) = &source.head_key {
-                    if total_cmp(key, &best_key) == std::cmp::Ordering::Equal {
-                        source.skip_entry();
-                    }
-                }
-            }
+            let Some(best) = self.next_winner()? else { return Ok(None) };
             // Pushed-down filter: only the winner is evaluated (filter
             // columns alone on columnar components); a rejection is consumed
             // without assembly and the merge moves on.

@@ -17,6 +17,45 @@
 //! nodes: point lookups and merges locate leaves through them without
 //! touching data pages.
 //!
+//! ## The writer protocol
+//!
+//! Components are written by one incremental [`ComponentWriter`], which
+//! flush and merge both drive ([`Component::write`] is the writer fed a
+//! whole slice). It keeps **one open leaf** and nothing else of the output:
+//!
+//! * **Push entries** — [`ComponentWriter::push_entry`] appends one
+//!   `(key, record-or-anti-matter)` entry: cloned into the open row page, or
+//!   shredded into the open leaf's column chunks. This is a flush, a
+//!   row-layout merge, and the re-shred lane of a columnar merge.
+//! * **Push ranges** — [`ComponentWriter::push_runs`] appends runs of
+//!   records straight out of other components' *decoded column chunks*
+//!   (§4.4): per output column, each run is located in its input chunk by
+//!   record boundaries and moved with one slice extend of the definition
+//!   levels and one of the values. Nothing is assembled and nothing is
+//!   shredded. A leaf qualifies when [`ComponentWriter::can_copy`] says so:
+//!   every chunk it holds is a column of the writer's schema with an equal
+//!   `ColumnSpec`, and every column it lacks belongs to a top-level field it
+//!   has no column of (such a column is one definition-level-0 entry per
+//!   record). A merge reads the coordinates of its winners off the input
+//!   cursors ([`ComponentCursor::head_in_leaf`],
+//!   [`ComponentCursor::leaf_chunks`]) instead of pulling records.
+//! * **Leaf sealing** — the open leaf is sealed the moment it fills: an AMAX
+//!   leaf at `record_limit` records, a row or APAX page when the summed
+//!   [`rowpage::entry_size_estimate`]s reach the page budget (for copied
+//!   ranges the estimate comes from the columns themselves, see
+//!   [`columnar::ShapeWalker`]). Sealing encodes the leaf; a leaf page that
+//!   overflows the budget is halved until each half fits; the pages are
+//!   written; and the leaf's descriptor — key bounds, record count, **zone
+//!   map** — joins the directory. Columnar zone maps are derived from the
+//!   sealed column chunks ([`crate::stats::column_derived_stats`]), row
+//!   zone maps from one pass over the page's documents; either way a
+//!   record is summarised once, and the component's statistics are the
+//!   fold of its leaves'.
+//! * **Finish** — [`ComponentWriter::finish`] seals the last leaf and hands
+//!   pages, directory and statistics to the new [`Component`].
+//! * **Drop** — a writer dropped without `finish` (an error half-way through
+//!   a merge, an injected crash point) frees every page it wrote.
+//!
 //! ## The cursor protocol
 //!
 //! Reads are *pull-based*: a cursor loads **one leaf at a time** (one row
@@ -99,7 +138,7 @@ use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnCursor, ShreddedBatch, Shredder};
+use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnCursor};
 use docmodel::{total_cmp, Path, Value};
 use encoding::{compress, DecodeError};
 use parking_lot::Mutex;
@@ -109,9 +148,9 @@ use crate::amax::{self, AmaxConfig};
 use crate::apax;
 use crate::leafcache::{DecodedLeaf, LeafCacheHandle};
 use crate::pagestore::{BufferCache, PageId};
-use crate::rowformat::RowFormat;
 use crate::rowpage;
-use crate::stats::{ComponentStats, StatsBuilder};
+use crate::stats::ComponentStats;
+use crate::writer::ComponentWriter;
 use crate::Result;
 
 /// The four storage layouts of the evaluation.
@@ -331,18 +370,18 @@ pub struct ScanFilter {
 }
 
 #[derive(Debug, Clone)]
-struct LeafRef {
+pub(crate) struct LeafRef {
     /// Page id of the leaf page (row or APAX) or of Page 0 (AMAX).
-    page: PageId,
+    pub(crate) page: PageId,
     /// Data pages of an AMAX mega leaf (empty for other layouts).
-    data_pages: Vec<PageId>,
-    min_key: Value,
-    max_key: Value,
-    record_count: usize,
+    pub(crate) data_pages: Vec<PageId>,
+    pub(crate) min_key: Value,
+    pub(crate) max_key: Value,
+    pub(crate) record_count: usize,
     /// Per-leaf zone map (same shape as the component-level stats), used to
     /// skip whole leaves under a pushed-down filter. `None` for leaves
     /// recovered from a pre-V5 manifest — such leaves are never skipped.
-    stats: Option<ComponentStats>,
+    pub(crate) stats: Option<ComponentStats>,
 }
 
 /// Summary information about a component.
@@ -435,7 +474,7 @@ pub struct Component {
 const MAX_CACHED_PLANS: usize = 64;
 
 /// The decoded column chunks of one columnar leaf, as cached and shared.
-type LeafChunks = Arc<Vec<Arc<ColumnChunk>>>;
+pub type LeafChunks = Arc<Vec<Arc<ColumnChunk>>>;
 
 impl Drop for Component {
     fn drop(&mut self) {
@@ -469,7 +508,8 @@ pub trait ComponentReader {
 }
 
 impl Component {
-    /// Write a component from sorted entries.
+    /// Write a component from sorted entries: a [`ComponentWriter`] fed every
+    /// entry and finished.
     ///
     /// `entries` must be sorted by key with unique keys (the memtable and the
     /// merge both guarantee this); `schema` is the inferred schema snapshot
@@ -481,102 +521,40 @@ impl Component {
         entries: &[Entry],
         id: u64,
     ) -> Result<Component> {
-        let page_budget = cache.store().page_size() - 64;
-        let mut leaves = Vec::new();
-        let mut pages = Vec::new();
-        let mut stored_bytes = 0u64;
-
-        match config.layout {
-            LayoutKind::Open | LayoutKind::Vb => {
-                let format = if config.layout == LayoutKind::Open {
-                    RowFormat::Open
-                } else {
-                    RowFormat::Vb
-                };
-                let mut batch: Vec<Entry> = Vec::new();
-                let mut batch_size = 0usize;
-                for entry in entries {
-                    batch_size += rowpage::entry_size_estimate(format, entry);
-                    batch.push(entry.clone());
-                    if batch_size >= page_budget {
-                        write_row_leaf(
-                            cache, config, format, &mut batch, page_budget, &mut leaves, &mut pages,
-                            &mut stored_bytes,
-                        )?;
-                        batch_size = 0;
-                    }
-                }
-                if !batch.is_empty() {
-                    write_row_leaf(
-                        cache, config, format, &mut batch, page_budget, &mut leaves, &mut pages,
-                        &mut stored_bytes,
-                    )?;
-                }
-            }
-            LayoutKind::Apax => {
-                let mut batch: Vec<Entry> = Vec::new();
-                let mut batch_size = 0usize;
-                for entry in entries {
-                    batch_size += rowpage::entry_size_estimate(RowFormat::Vb, entry);
-                    batch.push(entry.clone());
-                    if batch_size >= page_budget {
-                        write_apax_leaves(
-                            cache, config, &schema, &batch, page_budget, &mut leaves, &mut pages,
-                            &mut stored_bytes,
-                        )?;
-                        batch.clear();
-                        batch_size = 0;
-                    }
-                }
-                if !batch.is_empty() {
-                    write_apax_leaves(
-                        cache, config, &schema, &batch, page_budget, &mut leaves, &mut pages,
-                        &mut stored_bytes,
-                    )?;
-                }
-            }
-            LayoutKind::Amax => {
-                for batch in entries.chunks(config.amax.record_limit.max(1)) {
-                    write_amax_leaf(
-                        cache, config, &schema, batch, page_budget, &mut leaves, &mut pages,
-                        &mut stored_bytes,
-                    )?;
-                }
-            }
+        let mut writer = ComponentWriter::new(cache, config, schema, id);
+        for (key, doc) in entries {
+            writer.push_entry(key, doc.as_ref())?;
         }
+        writer.finish()
+    }
 
+    /// The handle over a component whose leaves are on disk: written just
+    /// now by a [`ComponentWriter`], or described by a manifest.
+    pub(crate) fn from_parts(
+        cache: &BufferCache,
+        config: &ComponentConfig,
+        schema: Schema,
+        meta: ComponentMeta,
+        leaves: Vec<LeafRef>,
+        stats: Option<ComponentStats>,
+    ) -> Component {
         let specs: HashMap<ColumnId, ColumnSpec> =
             columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
         let key_spec = specs.values().find(|s| s.is_key).cloned();
-        // Column statistics (zone maps + planner cardinalities) over the
-        // live records, collected in the same pass that seals the component.
-        let mut stats = StatsBuilder::new();
-        for (_, doc) in entries {
-            if let Some(doc) = doc {
-                stats.observe(doc);
-            }
-        }
-        let meta = ComponentMeta {
-            id,
-            layout: config.layout,
-            record_count: entries.len(),
-            min_key: entries.first().map(|(k, _)| k.clone()),
-            max_key: entries.last().map(|(k, _)| k.clone()),
-            stored_bytes,
-            pages,
-        };
-        Ok(Component {
+        let mut config = config.clone();
+        config.layout = meta.layout;
+        Component {
             meta,
             schema,
             specs,
             key_spec,
             leaves,
-            stats: Some(Arc::new(stats.finish())),
-            config: config.clone(),
+            stats: stats.map(Arc::new),
+            config,
             cache: cache.clone(),
             free_on_drop: std::sync::atomic::AtomicBool::new(false),
             plans: Mutex::default(),
-        })
+        }
     }
 
     /// The buffer cache this component reads through — its store's
@@ -631,10 +609,6 @@ impl Component {
         schema: Schema,
         desc: ComponentDescriptor,
     ) -> Component {
-        let specs: HashMap<ColumnId, ColumnSpec> =
-            columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
-        let key_spec = specs.values().find(|s| s.is_key).cloned();
-        let stats = desc.stats.map(Arc::new);
         let leaves: Vec<LeafRef> = desc
             .leaves
             .into_iter()
@@ -656,20 +630,7 @@ impl Component {
             stored_bytes: desc.stored_bytes,
             pages: desc.pages,
         };
-        let mut config = config.clone();
-        config.layout = meta.layout;
-        Component {
-            meta,
-            schema,
-            specs,
-            key_spec,
-            leaves,
-            stats,
-            config,
-            cache: cache.clone(),
-            free_on_drop: std::sync::atomic::AtomicBool::new(false),
-            plans: Mutex::default(),
-        }
+        Component::from_parts(cache, config, schema, meta, leaves, desc.stats)
     }
 
     /// Number of leaves (pages for row/APAX, mega leaf nodes for AMAX).
@@ -946,6 +907,7 @@ impl Component {
                             pos: 0,
                             last: None,
                         }),
+                        chunks,
                         filter_covers_projection: filter.covers_projection,
                         projection: columns.map(<[ColumnId]>::to_vec),
                         leaf_idx,
@@ -957,6 +919,7 @@ impl Component {
                 Ok(LeafBuffer::Lazy(Box::new(LazyLeaf {
                     keys: key_chunk(&chunks)?.clone(),
                     assembler: Some(self.assembler(&chunks, columns, count)),
+                    chunks,
                     filter_eval: None,
                     filter_covers_projection: false,
                     projection: columns.map(<[ColumnId]>::to_vec),
@@ -968,20 +931,17 @@ impl Component {
         }
     }
 
-    /// An [`Assembler`] over the projection columns of one leaf, positioned
-    /// at record `pos` — the deferred half of a filtered columnar load,
-    /// created only once some record of the leaf survives the filter.
+    /// An [`Assembler`] over the projection columns of one leaf — the
+    /// deferred half of a filtered columnar load, created only once some
+    /// record of the leaf survives the filter.
     fn projection_assembler(
         &self,
         leaf_idx: usize,
         columns: Option<&[ColumnId]>,
         count: usize,
-        pos: usize,
     ) -> Result<Assembler> {
         let chunks = self.cached_chunks(leaf_idx, columns)?;
-        let mut assembler = self.assembler(&chunks, columns, count);
-        assembler.skip_records(pos);
-        Ok(assembler)
+        Ok(self.assembler(&chunks, columns, count))
     }
 
     /// Point lookups for a batch of **ascending** keys (the document total
@@ -1148,10 +1108,15 @@ struct LazyLeaf {
     /// definition level 0, §3.2.3). `Arc`'d so a leaf-cache hit shares the
     /// chunk instead of cloning it.
     keys: Arc<ColumnChunk>,
+    /// Every chunk the load decoded (the key column among them): what a
+    /// merge copies record ranges out of instead of assembling them.
+    chunks: LeafChunks,
     /// Projection assembler. Filtered cursors leave it `None` until the
     /// leaf's first surviving record forces the projection chunks to be
     /// decoded — a leaf whose records are all rejected never reads its
-    /// non-filter-column pages.
+    /// non-filter-column pages. It trails `pos`: skipped entries move only
+    /// `pos`, and the assembler catches up in one batched skip when a record
+    /// is next assembled — a consumer that never assembles never pays.
     assembler: Option<Assembler>,
     /// A second assembler over the filter columns only, evaluating pushed
     /// predicates without touching the projection columns. Lags behind
@@ -1315,9 +1280,6 @@ impl CursorState {
                             _ => None,
                         });
                     if let Some((_, doc, _)) = cached {
-                        if let Some(assembler) = leaf.assembler.as_mut() {
-                            assembler.skip_records(1);
-                        }
                         let key = leaf.keys.values.get(leaf.pos);
                         let is_antimatter = leaf.keys.defs[leaf.pos] == 0;
                         leaf.pos += 1;
@@ -1332,16 +1294,16 @@ impl CursorState {
                         leaf.leaf_idx,
                         leaf.projection.as_deref(),
                         leaf.count,
-                        leaf.pos,
                     ) {
                         Ok(assembler) => leaf.assembler = Some(assembler),
                         Err(e) => return Some(Err(e)),
                     }
                 }
-                let doc = match leaf
-                    .assembler
-                    .as_mut()
-                    .expect("assembler created above")
+                let assembler = leaf.assembler.as_mut().expect("assembler created above");
+                // Catch up past the entries skipped since the last assembly.
+                let assembled_to = leaf.count - assembler.records_remaining();
+                assembler.skip_records(leaf.pos - assembled_to);
+                let doc = match assembler
                     .next_record()
                     .unwrap_or_else(|| Err(DecodeError::new("assembler ended early")))
                 {
@@ -1435,18 +1397,40 @@ impl CursorState {
             LeafBuffer::Rows(rows) => {
                 rows.pop_front();
             }
-            LeafBuffer::Lazy(leaf) => {
-                if let Some(assembler) = leaf.assembler.as_mut() {
-                    assembler.skip_records(1);
-                }
-                leaf.pos += 1;
-            }
+            LeafBuffer::Lazy(leaf) => leaf.pos += 1,
+        }
+    }
+
+    /// Where the next entry sits in its decoded columnar leaf; `None` for
+    /// row layouts and exhausted cursors.
+    fn head_in_leaf(&mut self, component: &Component) -> Option<Result<LeafHead>> {
+        match self.ensure_leaf(component)? {
+            Ok(LeafBuffer::Lazy(leaf)) => Some(Ok(LeafHead {
+                leaf: leaf.leaf_idx,
+                ordinal: leaf.pos,
+                anti_matter: leaf.keys.defs[leaf.pos] == 0,
+            })),
+            Ok(LeafBuffer::Rows(_)) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 
     fn buffered(&self) -> usize {
         self.leaf.as_ref().map_or(0, LeafBuffer::remaining)
     }
+}
+
+/// Where a columnar cursor's next entry sits: the coordinates a merge
+/// records, instead of the record, for a reconciliation winner it will copy
+/// column by column ([`ComponentCursor::head_in_leaf`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafHead {
+    /// Index of the leaf within its component.
+    pub leaf: usize,
+    /// Ordinal of the entry within the leaf.
+    pub ordinal: usize,
+    /// Whether the entry is anti-matter (key-column definition level 0).
+    pub anti_matter: bool,
 }
 
 /// Streaming scan over a borrowed component, loading one leaf at a time.
@@ -1495,6 +1479,27 @@ impl ComponentCursor {
     /// no value is decoded into a document). No-op when exhausted.
     pub fn skip_entry(&mut self) {
         self.state.skip_entry(&self.component)
+    }
+
+    /// Where the next entry sits in its decoded leaf — leaf, ordinal, and
+    /// whether it is anti-matter — without assembling it. `None` when the
+    /// cursor is exhausted **or the layout is row-major** (row leaves have
+    /// no columns to copy from). Together with
+    /// [`ComponentCursor::leaf_chunks`] and [`ComponentCursor::skip_entry`]
+    /// this is the read half of a column-wise merge (§4.4): the winner's
+    /// coordinates are recorded, the entry is skipped, and its columns are
+    /// copied later as part of a record range.
+    pub fn head_in_leaf(&mut self) -> Option<Result<LeafHead>> {
+        self.state.head_in_leaf(&self.component)
+    }
+
+    /// The decoded chunks of the resident columnar leaf (every column the
+    /// cursor's projection loads; all of them for an unprojected cursor).
+    pub fn leaf_chunks(&self) -> Option<&LeafChunks> {
+        match self.state.leaf.as_ref()? {
+            LeafBuffer::Lazy(leaf) => Some(&leaf.chunks),
+            LeafBuffer::Rows(_) => None,
+        }
     }
 
     /// Does the next entry pass the pushed-down filter ([`ScanFilter`])?
@@ -1605,156 +1610,6 @@ pub fn read_page_payload(cache: &BufferCache, id: PageId) -> Result<Arc<Vec<u8>>
     } else {
         Ok(Arc::new(rest.to_vec()))
     }
-}
-
-// ---------------------------------------------------------------------------
-// Layout-specific leaf writers.
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn write_row_leaf(
-    cache: &BufferCache,
-    config: &ComponentConfig,
-    format: RowFormat,
-    batch: &mut Vec<Entry>,
-    page_budget: usize,
-    leaves: &mut Vec<LeafRef>,
-    pages: &mut Vec<PageId>,
-    stored_bytes: &mut u64,
-) -> Result<()> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let mut payload = Vec::with_capacity(page_budget);
-    rowpage::encode_row_page(format, batch, &mut payload);
-    if payload.len() > page_budget && batch.len() > 1 {
-        // Page overflow: split the batch and retry each half.
-        let rest = batch.split_off(batch.len() / 2);
-        write_row_leaf(cache, config, format, batch, page_budget, leaves, pages, stored_bytes)?;
-        let mut rest = rest;
-        write_row_leaf(cache, config, format, &mut rest, page_budget, leaves, pages, stored_bytes)?;
-        batch.clear();
-        return Ok(());
-    }
-    let (page, stored) = write_page(cache, &payload, config.compress_pages);
-    pages.push(page);
-    *stored_bytes += stored as u64;
-    leaves.push(LeafRef {
-        page,
-        data_pages: Vec::new(),
-        min_key: batch.first().unwrap().0.clone(),
-        max_key: batch.last().unwrap().0.clone(),
-        record_count: batch.len(),
-        stats: Some(leaf_stats(batch)),
-    });
-    batch.clear();
-    Ok(())
-}
-
-/// Per-leaf zone map: the same statistics pass as the component level, over
-/// one leaf's live records.
-fn leaf_stats(entries: &[Entry]) -> ComponentStats {
-    let mut stats = StatsBuilder::new();
-    for (_, doc) in entries {
-        if let Some(doc) = doc {
-            stats.observe(doc);
-        }
-    }
-    stats.finish()
-}
-
-fn shred_entries(schema: &Schema, entries: &[Entry]) -> ShreddedBatch {
-    let mut shredder = Shredder::new(schema);
-    for (key, doc) in entries {
-        match doc {
-            Some(doc) => shredder.shred(doc),
-            None => shredder.shred_antimatter(key),
-        }
-    }
-    shredder.finish()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_apax_leaves(
-    cache: &BufferCache,
-    config: &ComponentConfig,
-    schema: &Schema,
-    entries: &[Entry],
-    page_budget: usize,
-    leaves: &mut Vec<LeafRef>,
-    pages: &mut Vec<PageId>,
-    stored_bytes: &mut u64,
-) -> Result<()> {
-    if entries.is_empty() {
-        return Ok(());
-    }
-    let batch = shred_entries(schema, entries);
-    let min_key = entries.first().unwrap().0.clone();
-    let max_key = entries.last().unwrap().0.clone();
-    let payload = apax::encode_apax_page(&batch, &min_key, &max_key);
-    if payload.len() > page_budget && entries.len() > 1 {
-        let mid = entries.len() / 2;
-        write_apax_leaves(cache, config, schema, &entries[..mid], page_budget, leaves, pages, stored_bytes)?;
-        write_apax_leaves(cache, config, schema, &entries[mid..], page_budget, leaves, pages, stored_bytes)?;
-        return Ok(());
-    }
-    let (page, stored) = write_page(cache, &payload, config.compress_pages);
-    pages.push(page);
-    *stored_bytes += stored as u64;
-    leaves.push(LeafRef {
-        page,
-        data_pages: Vec::new(),
-        min_key,
-        max_key,
-        record_count: entries.len(),
-        stats: Some(leaf_stats(entries)),
-    });
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_amax_leaf(
-    cache: &BufferCache,
-    config: &ComponentConfig,
-    schema: &Schema,
-    entries: &[Entry],
-    page_budget: usize,
-    leaves: &mut Vec<LeafRef>,
-    pages: &mut Vec<PageId>,
-    stored_bytes: &mut u64,
-) -> Result<()> {
-    if entries.is_empty() {
-        return Ok(());
-    }
-    let batch = shred_entries(schema, entries);
-    let (page0, data) = amax::encode_amax_leaf(&batch, page_budget, &config.amax);
-    if page0.len() > page_budget && entries.len() > 1 {
-        // Page 0 (keys + directory) must fit in one physical page; halve the
-        // batch until it does.
-        let mid = entries.len() / 2;
-        write_amax_leaf(cache, config, schema, &entries[..mid], page_budget, leaves, pages, stored_bytes)?;
-        write_amax_leaf(cache, config, schema, &entries[mid..], page_budget, leaves, pages, stored_bytes)?;
-        return Ok(());
-    }
-    let (page0_id, stored0) = write_page(cache, &page0, config.compress_pages);
-    *stored_bytes += stored0 as u64;
-    pages.push(page0_id);
-    let mut data_pages = Vec::with_capacity(data.len());
-    for payload in &data {
-        let (id, stored) = write_page(cache, payload, config.compress_pages);
-        *stored_bytes += stored as u64;
-        pages.push(id);
-        data_pages.push(id);
-    }
-    leaves.push(LeafRef {
-        page: page0_id,
-        data_pages,
-        min_key: entries.first().unwrap().0.clone(),
-        max_key: entries.last().unwrap().0.clone(),
-        record_count: entries.len(),
-        stats: Some(leaf_stats(entries)),
-    });
-    Ok(())
 }
 
 #[cfg(test)]

@@ -26,6 +26,9 @@
 //! * [`component`] — immutable sorted runs ("on-disk components") in any of
 //!   the four layouts behind one [`component::ComponentReader`] interface:
 //!   full scans with projection, ranged scans, and point lookups;
+//! * [`writer`] — the one incremental [`ComponentWriter`] flush and merge
+//!   both build components with: entries or record ranges of column chunks
+//!   in, one open leaf resident, leaves and zone maps out;
 //! * [`leafcache`] — a shared, size-bounded cache of *decoded* leaves keyed
 //!   by `(component id, leaf index)`, shared across snapshots and shards,
 //!   that lets hot reads skip both the page reads and the decode/assembly;
@@ -43,11 +46,13 @@ pub mod pagestore;
 pub mod rowformat;
 pub mod rowpage;
 pub mod stats;
+pub mod writer;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use component::{ComponentDescriptor, ComponentReader, LayoutKind, LeafDescriptor};
 pub use leafcache::{DecodedLeaf, LeafCache, LeafCacheHandle, LeafCacheStats};
 pub use stats::{ColumnStats, ComponentStats};
+pub use writer::ComponentWriter;
 pub use pagestore::{BufferCache, IoStats, PageId, PageStore, DEFAULT_CACHE_PAGES, PAGE_SIZE_DEFAULT};
 pub use rowformat::RowFormat;
 

@@ -78,19 +78,26 @@ pub fn lookup_in_page<'a>(entries: &'a [RowEntry], key: &Value) -> Option<&'a Ro
         .map(|idx| &entries[idx])
 }
 
-/// Rough serialized size of one entry, used by writers to decide when a page
-/// is full without encoding twice.
-pub fn entry_size_estimate(format: RowFormat, entry: &RowEntry) -> usize {
-    let record = match &entry.1 {
-        Some(doc) => match format {
+/// Rough serialized size of one entry (`doc == None` is anti-matter), used by
+/// writers to decide when a page is full without encoding twice.
+pub fn entry_size_estimate(format: RowFormat, key: &Value, doc: Option<&Value>) -> usize {
+    estimate_from_sizes(format, key.approx_size(), doc.map(Value::approx_size))
+}
+
+/// [`entry_size_estimate`] from the logical sizes
+/// ([`Value::approx_size`]) of the key and of the record, for writers that
+/// hold an entry as column chunks rather than as a document.
+pub fn estimate_from_sizes(format: RowFormat, key_size: usize, doc_size: Option<usize>) -> usize {
+    let record = match doc_size {
+        Some(size) => match format {
             // The Open format's offset tables and inline field names make it
             // roughly 1.3x the logical size; VB is close to the logical size.
-            RowFormat::Open => doc.approx_size() * 13 / 10 + 16,
-            RowFormat::Vb => doc.approx_size() + 8,
+            RowFormat::Open => size * 13 / 10 + 16,
+            RowFormat::Vb => size + 8,
         },
         None => 2,
     };
-    entry.0.approx_size() + 2 + record
+    key_size + 2 + record
 }
 
 #[cfg(test)]
@@ -134,9 +141,9 @@ mod tests {
 
     #[test]
     fn size_estimate_is_positive_and_tracks_format() {
-        let e = &entries()[0];
-        let open = entry_size_estimate(RowFormat::Open, e);
-        let vb = entry_size_estimate(RowFormat::Vb, e);
+        let (key, doc) = &entries()[0];
+        let open = entry_size_estimate(RowFormat::Open, key, doc.as_ref());
+        let vb = entry_size_estimate(RowFormat::Vb, key, doc.as_ref());
         assert!(open > vb);
         assert!(vb > 0);
     }

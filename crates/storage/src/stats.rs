@@ -5,9 +5,10 @@
 //! observed in its live records, how many records have the path, how many
 //! values the path addresses, and (for *single-valued* paths whose values
 //! are all atomic) the minimum and maximum value under the document total
-//! order. The structure is computed once, at flush/merge time in
-//! [`crate::component::Component::write`], persisted in the manifest, and
-//! consumed twice by the query layer:
+//! order. The structure is computed once, at flush/merge time by the
+//! [`crate::writer::ComponentWriter`] — per leaf as each leaf is sealed, the
+//! component's being the fold of its leaves' ([`ComponentStats::absorb`]) —
+//! persisted in the manifest, and consumed twice by the query layer:
 //!
 //! * **Zone-map pruning** — a filter whose
 //!   [`implied_bounds`](../../query/expr/enum.Expr.html) on some path are
@@ -19,12 +20,28 @@
 //!   records match, which drives the scan-vs-index-probe decision (the
 //!   fig. 15 crossover).
 //!
+//! ## Where the numbers come from
+//!
+//! Statistics describe **what a scan of the component produces**. A row
+//! layout stores documents, so its leaves are summarised by walking each
+//! live record's value tree once ([`StatsBuilder`]). A columnar layout
+//! stores column chunks, and its leaves are summarised from those chunks
+//! ([`column_derived_stats`]): per-path presence counts read off the
+//! definition levels ([`columnar::ShapeWalker`]) and bounds from
+//! [`ColumnChunk::min_max`] — no document is built or walked, whether the
+//! chunks were shredded at a flush or copied from other components at a
+//! merge. The two agree whenever shredding is lossless; where it is not —
+//! explicit `null`s and empty objects, which columns do not store and a scan
+//! therefore never returns — the column-derived value is the right one. A
+//! flush of `{"v": null}` into a columnar component records no `v` path,
+//! exactly as the same record would after any merge.
+//!
 //! ## What is (and is not) tracked
 //!
-//! Statistics are collected by walking every live record's value tree, so a
-//! column exists in the map exactly when **some record in the component
-//! addresses at least one value at that path** — the precondition the query
-//! layer's absence pruning relies on. Bounds follow the same existential
+//! A column exists in the map exactly when **some record a scan of the
+//! component returns addresses at least one value at that path** — the
+//! precondition the query layer's absence pruning relies on. Bounds follow
+//! the same existential
 //! semantics as filter evaluation and are deliberately conservative:
 //!
 //! * **Multi-valued paths** (any `[*]` step, e.g. `tags[*]`) keep counts
@@ -39,7 +56,8 @@
 //!   are legal under the total order, but summarising them cheaply is not
 //!   worth the soundness analysis.
 //! * Explicit `null`s **are** values under the total order (`x <= 5` can
-//!   match a `null`), so they participate in min/max like any other atomic.
+//!   match a `null`), so where they are stored (row layouts) they
+//!   participate in min/max like any other atomic.
 //!
 //! Anti-matter entries contribute nothing: stats describe the records a scan
 //! of this component alone could produce. Whether skipping a pruned
@@ -47,10 +65,14 @@
 //! shadowed version of one of its keys) is decided by the query layer using
 //! the component key ranges — see `query::physical`.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
+use columnar::{ColumnChunk, ShapePlan, ShapeWalker};
 use docmodel::{total_cmp, Value};
+
+use crate::Result;
 
 /// Statistics for one column path within one component.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +114,101 @@ impl ComponentStats {
     pub fn column(&self, path: &str) -> Option<&ColumnStats> {
         self.columns.get(path)
     }
+
+    /// Fold in the statistics of a disjoint set of records (the next leaf of
+    /// the same component): counts add up, bounds widen, and a path loses
+    /// its bounds for good once either side holds it without — the same
+    /// outcome as one statistics pass over both sets.
+    pub fn absorb(&mut self, other: &ComponentStats) {
+        self.live_records += other.live_records;
+        for (path, theirs) in &other.columns {
+            let Some(ours) = self.columns.get_mut(path) else {
+                self.columns.insert(path.clone(), theirs.clone());
+                continue;
+            };
+            ours.rows += theirs.rows;
+            ours.values += theirs.values;
+            let bounds = match (ours.min.take(), ours.max.take(), &theirs.min, &theirs.max) {
+                (Some(min), Some(max), Some(their_min), Some(their_max)) => {
+                    Some(widen((min, max), their_min, their_max))
+                }
+                _ => None,
+            };
+            (ours.min, ours.max) = bounds.unzip();
+        }
+    }
+}
+
+/// `bounds` stretched to cover `[min, max]`; on ties the earlier value stays.
+fn widen(mut bounds: (Value, Value), min: &Value, max: &Value) -> (Value, Value) {
+    if total_cmp(min, &bounds.0) == Ordering::Less {
+        bounds.0 = min.clone();
+    }
+    if total_cmp(max, &bounds.1) == Ordering::Greater {
+        bounds.1 = max.clone();
+    }
+    bounds
+}
+
+/// The zone map of one columnar leaf, derived from its column chunks: the
+/// leaf's `record_count` records are shape-walked for the per-path counts,
+/// and single-valued all-atomic paths take their bounds from the chunks'
+/// values. `chunks` are the columns `plan` was built for, in its order.
+/// Anti-matter contributes nothing (every column but the key holds it as
+/// absent, and the key column's bounds skip it).
+pub fn column_derived_stats(
+    plan: &ShapePlan,
+    chunks: &[ColumnChunk],
+    record_count: usize,
+) -> Result<ComponentStats> {
+    let mut walker = ShapeWalker::new(plan, chunks.iter().collect(), 0);
+    for _ in 0..record_count {
+        walker.next_record()?;
+    }
+    let live_records = match chunks.iter().find(|c| c.spec.is_key) {
+        Some(keys) => keys.defs.iter().filter(|&&def| def != 0).count(),
+        None => record_count,
+    };
+    let mut columns = BTreeMap::new();
+    for (path, tally) in plan.paths().iter().zip(walker.tallies()) {
+        if tally.values == 0 {
+            continue;
+        }
+        let bounds = (path.single_valued && !tally.composite)
+            .then(|| {
+                path.columns
+                    .iter()
+                    .filter_map(|&slot| live_bounds(&chunks[slot]))
+                    .reduce(|bounds, (min, max)| widen(bounds, &min, &max))
+            })
+            .flatten();
+        let (min, max) = bounds.unzip();
+        columns.insert(
+            path.path.clone(),
+            ColumnStats {
+                rows: tally.rows,
+                values: tally.values,
+                min,
+                max,
+            },
+        );
+    }
+    Ok(ComponentStats {
+        live_records: live_records as u64,
+        columns,
+    })
+}
+
+/// `[min, max]` over the values a non-repeated chunk holds for live records.
+/// Only the key column stores values for anti-matter too; its entries are in
+/// key order, so its bounds are its first and last live entries.
+fn live_bounds(chunk: &ColumnChunk) -> Option<(Value, Value)> {
+    if !chunk.spec.is_key {
+        return chunk.min_max();
+    }
+    let first = chunk.defs.iter().position(|&def| def != 0)?;
+    let last = chunk.defs.iter().rposition(|&def| def != 0)?;
+    Some((chunk.values.get(first), chunk.values.get(last)))
 }
 
 impl fmt::Display for ComponentStats {
@@ -208,10 +325,10 @@ fn observe_value(
                 match &mut col.bounds {
                     None => col.bounds = Some((value.clone(), value.clone())),
                     Some((min, max)) => {
-                        if total_cmp(value, min) == std::cmp::Ordering::Less {
+                        if total_cmp(value, min) == Ordering::Less {
                             *min = value.clone();
                         }
-                        if total_cmp(value, max) == std::cmp::Ordering::Greater {
+                        if total_cmp(value, max) == Ordering::Greater {
                             *max = value.clone();
                         }
                     }

@@ -1,0 +1,175 @@
+//! Column-derived statistics are the statistics of what a scan returns.
+//!
+//! Columnar components summarise their leaves from column chunks
+//! (`storage::stats::column_derived_stats`: definition-level tallies plus
+//! per-chunk min/max), never from documents. Property: for documents with
+//! nested arrays, unions, missing and `null` fields, and anti-matter, in both
+//! columnar layouts and over several leaves,
+//!
+//! * every leaf's zone map equals a `StatsBuilder` pass over that leaf's
+//!   live records **as a scan assembles them** — rows, values, bounds;
+//!   interior object and array paths; multi-valued paths counts-only;
+//!   anti-matter contributing nothing;
+//! * the component's statistics equal one pass over all of its live records,
+//!   and the fold of its leaves' zone maps.
+//!
+//! Bounds are compared under the document total order: two leaves can name
+//! different representatives of one equivalence class (`1` and `1.0`).
+
+use std::cmp::Ordering;
+
+use docmodel::{total_cmp, Value};
+use proptest::prelude::*;
+use schema::SchemaBuilder;
+use storage::component::{Component, ComponentConfig, ComponentReader, Entry};
+use storage::pagestore::{BufferCache, PageStore};
+use storage::stats::{ComponentStats, StatsBuilder};
+use storage::LayoutKind;
+
+/// The clean fragment of `columnar`'s proptests: no nulls or empty
+/// containers below the top level (shred → assemble does not support them
+/// inside heterogeneous arrays).
+fn arb_clean_value(depth: u32) -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        any::<bool>().prop_map(Value::Bool),
+        (-50i64..50).prop_map(Value::Int),
+        (-1e3f64..1e3f64).prop_map(Value::Double),
+        "[a-z0-9]{0,6}".prop_map(Value::String),
+    ];
+    leaf.prop_recursive(depth, 32, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 1..4).prop_map(Value::Array),
+            prop::collection::vec(("[a-c]{1,2}", inner), 1..4).prop_map(|fields| {
+                let mut out: Vec<(String, Value)> = Vec::new();
+                for (k, v) in fields {
+                    if !out.iter().any(|(ek, _)| *ek == k) {
+                        out.push((k, v));
+                    }
+                }
+                Value::Object(out)
+            }),
+        ]
+    })
+}
+
+/// A record over a handful of field names — fields go missing, are `null`,
+/// and change type from record to record — or `None`, anti-matter.
+fn arb_entry() -> impl Strategy<Value = Option<Value>> {
+    let field = prop_oneof![
+        arb_clean_value(3),
+        arb_clean_value(3),
+        arb_clean_value(3),
+        Just(Value::Null)
+    ];
+    let record = prop::collection::vec(("[a-d]", field), 0..4).prop_map(|fields| {
+        let mut obj = vec![("id".to_string(), Value::Int(0))];
+        for (k, v) in fields {
+            if !obj.iter().any(|(ek, _)| *ek == k) {
+                obj.push((k, v));
+            }
+        }
+        Value::Object(obj)
+    });
+    (record, 0u8..8).prop_map(|(doc, dice)| (dice > 0).then_some(doc))
+}
+
+fn observed<'a>(docs: impl IntoIterator<Item = &'a Value>) -> ComponentStats {
+    let mut stats = StatsBuilder::new();
+    for doc in docs {
+        stats.observe(doc);
+    }
+    stats.finish()
+}
+
+fn same_stats(derived: &ComponentStats, walked: &ComponentStats) -> Result<(), String> {
+    if derived.live_records != walked.live_records {
+        return Err(format!(
+            "live records {} vs {}",
+            derived.live_records, walked.live_records
+        ));
+    }
+    let paths = |s: &ComponentStats| s.columns.keys().cloned().collect::<Vec<_>>();
+    if paths(derived) != paths(walked) {
+        return Err(format!("paths {:?} vs {:?}", paths(derived), paths(walked)));
+    }
+    for (path, d) in &derived.columns {
+        let w = &walked.columns[path];
+        let same_bound = |a: &Option<Value>, b: &Option<Value>| match (a, b) {
+            (Some(a), Some(b)) => total_cmp(a, b) == Ordering::Equal,
+            (None, None) => true,
+            _ => false,
+        };
+        if (d.rows, d.values) != (w.rows, w.values)
+            || !same_bound(&d.min, &w.min)
+            || !same_bound(&d.max, &w.max)
+        {
+            return Err(format!("{path}: derived {d:?}, walked {w:?}"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn column_derived_stats_equal_a_walk_of_the_scanned_records(
+        entries in prop::collection::vec(arb_entry(), 1..120),
+    ) {
+        let entries: Vec<Entry> = entries
+            .into_iter()
+            .enumerate()
+            .map(|(i, entry)| {
+                let key = Value::Int(i as i64);
+                let doc = entry.map(|mut doc| {
+                    doc.set_field("id", key.clone());
+                    doc
+                });
+                (key, doc)
+            })
+            .collect();
+        let mut builder = SchemaBuilder::new(Some("id".to_string()));
+        builder.observe_all(entries.iter().filter_map(|(_, doc)| doc.as_ref()));
+        // An all-anti-matter batch still needs its key column.
+        builder.observe(&Value::Object(vec![("id".to_string(), Value::Int(0))]));
+        let schema = builder.into_schema();
+
+        for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+            let cache = BufferCache::new(PageStore::with_page_size(4096), 64);
+            let mut config = ComponentConfig::new(layout);
+            config.amax.record_limit = 16;
+            let component =
+                Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let scanned: Vec<Entry> = component
+                .scan(None)
+                .unwrap()
+                .map(|entry| entry.unwrap())
+                .collect();
+            prop_assert_eq!(scanned.len(), entries.len());
+            let desc = component.describe();
+            if layout == LayoutKind::Amax {
+                prop_assert_eq!(desc.leaves.len(), entries.len().div_ceil(16));
+            }
+
+            let mut folded = ComponentStats::default();
+            let mut next = 0;
+            for leaf in &desc.leaves {
+                let records = &scanned[next..next + leaf.record_count];
+                next += leaf.record_count;
+                let walked = observed(records.iter().filter_map(|(_, doc)| doc.as_ref()));
+                let derived = leaf.stats.as_ref().expect("written leaves carry zone maps");
+                if let Err(why) = same_stats(derived, &walked) {
+                    prop_assert!(false, "{layout:?} leaf: {why}");
+                }
+                folded.absorb(derived);
+            }
+            prop_assert_eq!(next, scanned.len());
+            let whole = observed(scanned.iter().filter_map(|(_, doc)| doc.as_ref()));
+            let stats = desc.stats.as_ref().expect("written components carry stats");
+            if let Err(why) = same_stats(stats, &whole) {
+                prop_assert!(false, "{layout:?} component: {why}");
+            }
+            prop_assert_eq!(stats, &folded, "{:?}: component stats are the fold", layout);
+        }
+    }
+}

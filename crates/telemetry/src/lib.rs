@@ -481,6 +481,13 @@ pub struct Telemetry {
     pub merge_pages_in: Counter,
     /// `merge.pages_out` — pages written by merges.
     pub merge_pages_out: Counter,
+    /// `storage.merge_records_copied` — merge winners copied column by
+    /// column from the inputs' chunks, never assembled (§4.4).
+    pub merge_records_copied: Counter,
+    /// `storage.merge_records_reshredded` — merge winners of columnar inputs
+    /// that were assembled and shredded again because their leaf's columns
+    /// did not match the output schema's.
+    pub merge_records_reshredded: Counter,
     /// `wal.appends` — WAL records appended.
     pub wal_appends: Counter,
     /// `wal.syncs` — explicit WAL fsyncs.
@@ -504,6 +511,11 @@ pub struct Telemetry {
     pub flush_duration: Histogram,
     /// `merge.duration_micros` — per-merge wall time.
     pub merge_duration: Histogram,
+    /// `merge.peak_buffered_records` — per merge, the high-water mark of
+    /// records resident at once (one decoded leaf per input plus the
+    /// writer's open leaf bound it); the histogram's max is the all-time
+    /// peak.
+    pub merge_peak_buffered: Histogram,
     /// `wal.append_micros` — per-append WAL latency.
     pub wal_append_latency: Histogram,
     /// `wal.sync_micros` — per-fsync WAL latency.
@@ -536,6 +548,8 @@ impl Telemetry {
             merges: Counter::default(),
             merge_pages_in: Counter::default(),
             merge_pages_out: Counter::default(),
+            merge_records_copied: Counter::default(),
+            merge_records_reshredded: Counter::default(),
             wal_appends: Counter::default(),
             wal_syncs: Counter::default(),
             stalls: Counter::default(),
@@ -546,6 +560,7 @@ impl Telemetry {
             lookup_components_probed: Counter::default(),
             flush_duration: Histogram::default(),
             merge_duration: Histogram::default(),
+            merge_peak_buffered: Histogram::default(),
             wal_append_latency: Histogram::default(),
             wal_sync_latency: Histogram::default(),
             events: EventRing::default(),
@@ -586,6 +601,14 @@ impl Telemetry {
             ("merge.count".to_string(), self.merges.get()),
             ("merge.pages_in".to_string(), self.merge_pages_in.get()),
             ("merge.pages_out".to_string(), self.merge_pages_out.get()),
+            (
+                "storage.merge_records_copied".to_string(),
+                self.merge_records_copied.get(),
+            ),
+            (
+                "storage.merge_records_reshredded".to_string(),
+                self.merge_records_reshredded.get(),
+            ),
             ("wal.appends".to_string(), self.wal_appends.get()),
             ("wal.syncs".to_string(), self.wal_syncs.get()),
             ("backpressure.stalls".to_string(), self.stalls.get()),
@@ -604,6 +627,10 @@ impl Telemetry {
         let histograms = vec![
             ("flush.duration_micros".to_string(), self.flush_duration.snapshot()),
             ("merge.duration_micros".to_string(), self.merge_duration.snapshot()),
+            (
+                "merge.peak_buffered_records".to_string(),
+                self.merge_peak_buffered.snapshot(),
+            ),
             ("wal.append_micros".to_string(), self.wal_append_latency.snapshot()),
             ("wal.sync_micros".to_string(), self.wal_sync_latency.snapshot()),
         ];
