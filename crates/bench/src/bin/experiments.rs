@@ -152,6 +152,12 @@ fn main() {
             Err(e) => eprintln!("\ncould not write {}: {e}", out.display()),
         }
     }
+    if wanted("vectorized") {
+        print_matrix(
+            "Column kernels vs assembled lane: Fig. 14 sensors suite x layout (compiled engine)",
+            &run_vectorized_comparison(scale),
+        );
+    }
     if wanted("streaming") {
         print_matrix(
             "Streaming execution: materialised batch vs cursor pipeline (tweet_1)",

@@ -21,7 +21,9 @@ use std::time::{Duration, Instant};
 use datagen::{generate, generate_updates, summarize, DatasetKind, DatasetSpec};
 use docmodel::Path;
 use lsm::{CompactionSpec, DatasetConfig, LsmDataset};
-use query::{AccessPathChoice, Aggregate, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
+use query::{
+    AccessPathChoice, Aggregate, ExecMode, Expr, PlannerOptions, Query, QueryEngine, ScanLane,
+};
 use storage::LayoutKind;
 
 /// Run a query on one dataset in the given mode (default planner options).
@@ -858,7 +860,7 @@ pub fn run_streaming_comparison(scale: f64) -> Vec<Measurement> {
         out.push(Measurement::new("streaming wall", layout.name(), stream_ms, "ms"));
 
         // Peak live rows: whole dataset vs the cursor's high-water mark.
-        let materialized_peak = snapshot.scan(None).expect("scan").len();
+        let materialized_peak = dataset.count().expect("count");
         let mut cursor = snapshot.cursor(None).expect("cursor");
         let mut streamed = 0usize;
         for entry in cursor.by_ref() {
@@ -1275,6 +1277,95 @@ pub fn run_pushdown_comparison(scale: f64) -> Vec<Measurement> {
             out.push(Measurement::new(row.clone(), "assembled", on.records_assembled as f64, "records"));
             out.push(Measurement::new(row.clone(), "filtered", on.records_filtered_pre_assembly as f64, "records"));
             out.push(Measurement::new(row, "skip leaves", on.leaves_skipped as f64, "leaves"));
+        }
+    }
+    out
+}
+
+/// Column kernels vs the assembled lane: the Fig. 14 `sensors` suite per
+/// layout, on a tree with shadowed versions (a third of the keys rewritten
+/// after the initial load), run by the compiled engine on its kernels
+/// ([`ScanLane::Kernels`], what every query takes) and forced onto the
+/// assembled lane ([`ScanLane::Assembled`], the reference).
+///
+/// Self-asserting: the two lanes agree on every answer (and with the
+/// interpreted engine); on the columnar layouts the kernel lane builds
+/// **zero** documents and folds every winner off the column chunks; and at
+/// full scale the unnest queries (Q2, Q3) run at least 3x faster on kernels.
+/// Row layouts have no columns, so both lanes are the same per-record loop
+/// there — reported for the contrast, not asserted.
+pub fn run_vectorized_comparison(scale: f64) -> Vec<Measurement> {
+    const ROUNDS: usize = 3;
+    let kind = DatasetKind::Sensors;
+    let records = ((20_000f64 * scale).max(400.0)) as usize;
+    let spec = DatasetSpec::new(kind, records);
+    let compiled = QueryEngine::new(ExecMode::Compiled);
+    let interpreted = QueryEngine::new(ExecMode::Interpreted);
+    let mut out = Vec::new();
+    for layout in LayoutKind::ALL {
+        let (dataset, _) = build_dataset(kind, layout, records, false);
+        for doc in generate_updates(&spec, 0.3) {
+            dataset.insert(doc).expect("update");
+        }
+        dataset.flush().expect("flush");
+        for (name, query) in queries_for(kind) {
+            // Best of `ROUNDS`, counters of the last pass.
+            let run = |lane: ScanLane| {
+                let mut wall = f64::MAX;
+                let mut rows = Vec::new();
+                let mut io = dataset.io_stats();
+                for _ in 0..ROUNDS {
+                    dataset.cache().store().reset_stats();
+                    let (r, ms) =
+                        time(|| compiled.execute_in_lane(&dataset, &query, lane).expect("query"));
+                    wall = wall.min(ms);
+                    rows = r;
+                    io = dataset.io_stats();
+                }
+                (rows, wall, io)
+            };
+            let (kernel_rows, kernel_ms, kernel_io) = run(ScanLane::Kernels);
+            let (assembled_rows, assembled_ms, assembled_io) = run(ScanLane::Assembled);
+            let cell = format!("{} {name}", layout.name());
+            assert_eq!(kernel_rows, assembled_rows, "{cell}: the lanes disagree");
+            assert_eq!(
+                kernel_rows,
+                interpreted.execute(&dataset, &query).expect("interpreted"),
+                "{cell}: compiled and interpreted disagree"
+            );
+            if layout.is_columnar() {
+                assert_eq!(kernel_io.records_assembled, 0, "{cell}: kernels built documents");
+                assert_eq!(assembled_io.scan_records_kernel, 0, "{cell}");
+                if name != "Q1" {
+                    // (Q1 is the key-only COUNT(*): no operator sees a record.)
+                    assert!(kernel_io.scan_records_kernel > 0, "{cell}: no kernel ran");
+                    assert_eq!(
+                        kernel_io.scan_records_kernel, assembled_io.scan_records_assembled,
+                        "{cell}: the lanes saw different winners"
+                    );
+                }
+                if scale >= 1.0 && matches!(name, "Q2" | "Q3") {
+                    assert!(
+                        assembled_ms >= kernel_ms * 3.0,
+                        "{cell}: kernels must be at least 3x faster ({kernel_ms:.2}ms vs {assembled_ms:.2}ms)"
+                    );
+                }
+            }
+            out.push(Measurement::new(cell.clone(), "kernels", kernel_ms, "ms"));
+            out.push(Measurement::new(cell.clone(), "assembled", assembled_ms, "ms"));
+            out.push(Measurement::new(cell.clone(), "speedup", assembled_ms / kernel_ms, "x"));
+            out.push(Measurement::new(
+                cell.clone(),
+                "kernel recs",
+                kernel_io.scan_records_kernel as f64,
+                "records",
+            ));
+            out.push(Measurement::new(
+                cell,
+                "built docs",
+                assembled_io.records_assembled as f64,
+                "records",
+            ));
         }
     }
     out

@@ -113,6 +113,18 @@ impl ColumnValues {
         }
     }
 
+    /// Compare the value at `index` with `other`'s at `other_index` under the
+    /// document total order, without materialising either — how a k-way
+    /// merge orders the heads of two decoded key columns.
+    #[inline]
+    pub fn cmp_between(&self, index: usize, other: &ColumnValues, other_index: usize) -> Ordering {
+        match (self, other) {
+            (ColumnValues::Int(a), ColumnValues::Int(b)) => a[index].cmp(&b[other_index]),
+            (ColumnValues::String(a), ColumnValues::String(b)) => a[index].cmp(&b[other_index]),
+            _ => total_cmp(&self.get(index), &other.get(other_index)),
+        }
+    }
+
     /// Append `src[range]` — one slice extend, the value half of a
     /// record-range column copy ([`ColumnChunk::extend_from`]). Both sides
     /// must hold the same type (they are chunks of one column).
@@ -179,6 +191,13 @@ impl ColumnValues {
 pub struct ChunkPos {
     pub(crate) def: usize,
     pub(crate) value: usize,
+}
+
+impl ChunkPos {
+    /// Index of the next definition-level entry.
+    pub fn def(&self) -> usize {
+        self.def
+    }
 }
 
 /// Records between two checkpoints of a chunk's record-offset index: a seek
@@ -372,6 +391,48 @@ impl ColumnChunk {
             self.skip_record(&mut pos);
         }
         pos
+    }
+
+    /// The index into `values` of the record at `pos` of a **non-repeated**
+    /// column, `None` when the record holds no value there. `pos` must stand
+    /// on a record boundary ([`ColumnChunk::record_pos`] /
+    /// [`ColumnChunk::skip_records`]) inside the chunk.
+    pub fn value_index(&self, pos: ChunkPos) -> Option<usize> {
+        debug_assert!(!self.spec.is_repeated());
+        (self.spec.is_key || self.defs[pos.def] == self.spec.max_def).then_some(pos.value)
+    }
+
+    /// Visit the array elements of the record at `pos`, in order, and leave
+    /// `pos` on the next record. For a column under **exactly one** array
+    /// with no union between the array and the column: every element of the
+    /// array then owns exactly one entry, so `visit` is called once per
+    /// element — with the index of its value, or `None` when the element
+    /// lacks the column's field. An absent or empty array visits nothing.
+    /// This is the column-at-a-time form of what assembling the array and
+    /// walking it would yield, without building either.
+    pub fn for_each_element(&self, pos: &mut ChunkPos, mut visit: impl FnMut(Option<usize>)) {
+        debug_assert_eq!(self.spec.array_levels.len(), 1);
+        let Some(&first) = self.defs.get(pos.def) else {
+            return;
+        };
+        if first <= self.spec.array_levels[0] {
+            // Array absent (one entry) or empty (its marker and delimiter).
+            self.skip_record(pos);
+            return;
+        }
+        let max_def = self.spec.max_def;
+        while let Some(&def) = self.defs.get(pos.def) {
+            pos.def += 1;
+            if def == 0 {
+                break; // the record's terminating delimiter
+            }
+            if def == max_def {
+                visit(Some(pos.value));
+                pos.value += 1;
+            } else {
+                visit(None);
+            }
+        }
     }
 
     /// Encode the chunk into `out` using the paper's encoding set:
@@ -626,6 +687,75 @@ mod tests {
         // The key column answers from the ordinal and is charged nothing.
         chunk.spec.is_key = true;
         assert_eq!(chunk.seek_index_bytes(), 0);
+    }
+
+    /// The kernel primitives agree with what assembling the records and
+    /// walking the documents would see, including across skipped records.
+    #[test]
+    fn record_and_element_walks_match_the_documents() {
+        use crate::shred::shred_records;
+        use docmodel::doc;
+        use schema::SchemaBuilder;
+
+        let records = vec![
+            doc!({"id": 0, "score": 5, "readings": [{"temp": 1.5, "seq": 0}, {"seq": 1}]}),
+            doc!({"id": 1}),
+            doc!({"id": 2, "score": 7, "readings": []}),
+            doc!({"id": 3, "readings": [{"temp": 2.5, "seq": 0}]}),
+            doc!({"id": 4, "score": 9, "readings": [{"seq": 0}, {"temp": 3.5, "seq": 1}, {"temp": 4.5}]}),
+        ];
+        let mut builder = SchemaBuilder::new(Some("id".to_string()));
+        builder.observe_all(records.iter());
+        let schema = builder.into_schema();
+        let batch = shred_records(&schema, &records);
+        let chunk = |path: &str| {
+            batch
+                .columns
+                .iter()
+                .find(|c| c.spec.path == Path::parse(path))
+                .unwrap()
+        };
+
+        // Record-level column: the value index of each record, or None.
+        let score = chunk("score");
+        for (ordinal, want) in [Some(5i64), None, Some(7), None, Some(9)].into_iter().enumerate() {
+            let mut pos = ChunkPos::default();
+            score.skip_records(&mut pos, ordinal);
+            assert_eq!(
+                score.value_index(pos).map(|i| score.values.get(i)),
+                want.map(Value::Int),
+                "record {ordinal}"
+            );
+        }
+        // The key column holds a value for every entry.
+        let id = chunk("id");
+        assert_eq!(id.value_index(id.record_pos(3)), Some(3));
+
+        // Element walk: one visit per element, None where `temp` is missing;
+        // absent and empty arrays visit nothing; every start position works.
+        let temp = chunk("readings[*].temp");
+        let want: [&[Option<f64>]; 5] = [
+            &[Some(1.5), None],
+            &[],
+            &[],
+            &[Some(2.5)],
+            &[None, Some(3.5), Some(4.5)],
+        ];
+        for first in 0..records.len() {
+            let mut pos = ChunkPos::default();
+            temp.skip_records(&mut pos, first);
+            for (ordinal, want) in want.iter().enumerate().skip(first) {
+                let mut seen = Vec::new();
+                temp.for_each_element(&mut pos, |i| {
+                    seen.push(i.map(|i| match temp.values.get(i) {
+                        Value::Double(d) => d,
+                        other => panic!("{other:?}"),
+                    }))
+                });
+                assert_eq!(&seen[..], *want, "record {ordinal} from {first}");
+            }
+            assert_eq!(pos.def(), temp.defs.len(), "the walk ends with the chunk");
+        }
     }
 
     #[test]

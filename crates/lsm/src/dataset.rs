@@ -29,7 +29,8 @@
 //! * a small **write lock** guards the active memtable and the in-memory
 //!   indexes — held only for the duration of one insert/delete, of a point
 //!   read's memtable probe (which copies the entries it returns and nothing
-//!   else), or of a snapshot's clone of the active memtable;
+//!   else), or of a snapshot's pin of the active memtable's frozen copy
+//!   (built by the first snapshot after a write, shared until the next);
 //! * the rest of the tree (sealed memtables + on-disk components) is an
 //!   immutable [`TreeState`], swapped atomically behind an `RwLock<Arc<_>>`;
 //!   readers grab the `Arc` and are done;
@@ -59,7 +60,7 @@ use crate::merge::{merge_components, MergeLane, MergeReport};
 use crate::policy::CompactionSpec;
 use crate::pool::{PoolHandle, Priority, WorkerPool};
 use crate::scheduler::Scheduler;
-use crate::snapshot::{EntryMergeCursor, SealedMemtable, Snapshot, TreeState};
+use crate::snapshot::{EntryMergeCursor, ScanSpec, SealedMemtable, Snapshot, TreeState};
 use crate::Result;
 
 /// Configuration of one dataset partition.
@@ -744,6 +745,9 @@ impl LsmDataset {
         snap.push_counter("storage.bytes_written", io.bytes_written);
         snap.push_counter("storage.cache_hits", io.cache_hits);
         snap.push_counter("storage.records_assembled", io.records_assembled);
+        snap.push_counter("scan.batches", io.scan_batches);
+        snap.push_counter("scan.records_kernel", io.scan_records_kernel);
+        snap.push_counter("scan.records_assembled", io.scan_records_assembled);
         snap.push_counter("cache.hits", io.leaf_cache_hits);
         snap.push_counter("cache.misses", io.leaf_cache_misses);
         snap.push_counter("cache.evictions", io.leaf_cache_evictions);
@@ -756,7 +760,7 @@ impl LsmDataset {
         snap.push_gauge("lsm.sealed_queue_depth", self.sealed_count() as f64);
         snap.push_gauge(
             "lsm.memtable_bytes",
-            self.core.write.lock().memtable.approx_bytes() as f64,
+            self.core.write.lock().memtable.resident_bytes() as f64,
         );
         snap.push_gauge("wal.bytes", self.wal_bytes() as f64);
         snap.push_gauge("manifest.version", self.manifest_version() as f64);
@@ -843,22 +847,27 @@ impl LsmDataset {
         self.primary_stored_bytes() + pk + sec
     }
 
-    /// Take a consistent point-in-time [`Snapshot`] for reads. The write
-    /// lock is held only long enough to clone the active memtable; flushes
-    /// and merges never invalidate a snapshot.
+    /// Take a consistent point-in-time [`Snapshot`] for reads. Flushes and
+    /// merges never invalidate a snapshot. The active memtable is shared as
+    /// a frozen copy ([`Memtable::frozen`]): the first snapshot after a
+    /// write copies it under the write lock, every later one until the next
+    /// write takes an `Arc` bump — repeated queries between writes copy
+    /// nothing and an empty memtable costs nothing.
     pub fn snapshot(&self) -> Snapshot {
         if self.core.telemetry.enabled() {
             self.core.telemetry.snapshots.incr();
         }
-        let write = self.core.write.lock();
-        let active: Vec<(Value, Option<Value>)> = write
-            .memtable
-            .iter()
-            .map(|(k, v)| (k.clone(), v.cloned()))
-            .collect();
+        let mut write = self.core.write.lock();
+        let active = write.memtable.frozen();
         let tree = self.core.tree.read().clone();
         drop(write);
-        Snapshot { active: Arc::new(active), tree }
+        Snapshot { active, tree }
+    }
+
+    /// How many times a snapshot had to copy the active memtable (the rest
+    /// shared an earlier copy). Counts across the current memtable's life.
+    pub fn memtable_freezes(&self) -> u64 {
+        self.core.write.lock().memtable.freezes()
     }
 
     /// Records (and anti-matter) currently in memory: the active memtable
@@ -969,13 +978,17 @@ impl LsmDataset {
     /// Scan the dataset, reconciling duplicates and dropping anti-matter.
     /// Only the projected paths are assembled from columnar components.
     pub fn scan(&self, projection: Option<&[Path]>) -> Result<Vec<Value>> {
-        self.snapshot().scan(projection)
+        self.snapshot()
+            .cursor(projection)?
+            .map(|entry| Ok(entry?.1))
+            .collect()
     }
 
     /// Number of live records (COUNT(*)): only primary keys are read, which
     /// for AMAX means Page 0 alone.
     pub fn count(&self) -> Result<usize> {
-        self.snapshot().count()
+        let keys_only = ScanSpec { projection: Some(&[]), ..ScanSpec::default() };
+        self.snapshot().batches(keys_only).record_count()
     }
 
     /// Answer a range query on the secondary index (§4.6): probe the index
@@ -2102,7 +2115,7 @@ mod tests {
             ds.insert(sample_record(i)).unwrap();
         }
         let snapshot = ds.snapshot();
-        assert_eq!(snapshot.count().unwrap(), 100);
+        assert_eq!(snapshot.cursor(Some(&[])).unwrap().count(), 100);
         for i in 100..200 {
             ds.insert(sample_record(i)).unwrap();
         }
@@ -2110,7 +2123,7 @@ mod tests {
         ds.compact_fully().unwrap();
         // The snapshot still sees exactly the first 100 records, even though
         // the dataset has flushed, merged and retired components since.
-        assert_eq!(snapshot.count().unwrap(), 100);
+        assert_eq!(snapshot.cursor(Some(&[])).unwrap().count(), 100);
         assert!(snapshot.lookup(&Value::Int(0), None).unwrap().is_some());
         assert!(snapshot.lookup(&Value::Int(150), None).unwrap().is_none());
         assert_eq!(ds.count().unwrap(), 199);

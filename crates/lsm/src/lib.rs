@@ -24,12 +24,15 @@
 //!   reconciled scans with projection push-down, point lookups, and
 //!   secondary-index range queries answered by sorted batched lookups (§4.6);
 //! * [`snapshot`] — [`Snapshot`]: consistent point-in-time read views, and
-//!   the streaming read path: [`Snapshot::cursor`] builds a k-way
-//!   merge-reconcile cursor ([`ScanCursor`]) over memtables and component
-//!   cursors — records in key order, newest version wins, anti-matter
+//!   the one scan path: [`Snapshot::batches`] reconciles memtables and
+//!   component cursors on keys alone — newest version wins, anti-matter
 //!   annihilates, at most one decoded leaf per component in memory — and
-//!   [`EntryMergeCursor`] is the same machinery with anti-matter preserved,
-//!   driving merges and index rebuilds (see the module's cursor protocol);
+//!   hands the winners over per columnar leaf as decoded chunks plus the
+//!   ordinals that won ([`ScanBatch`]), pushed predicates run as loops over
+//!   the filter columns; [`ScanCursor`] is the key-ordered row adapter over
+//!   the same reconciliation, and [`EntryMergeCursor`] the same machinery
+//!   with anti-matter preserved, driving merges and index rebuilds (see the
+//!   module's scan docs);
 //! * [`merge`] — [`merge_components`]: a merge job's data path, from the
 //!   key-only reconciliation of the inputs into the one component writer a
 //!   flush also uses (see *Column-wise reconciliation* below);
@@ -149,7 +152,7 @@ pub use policy::{
     CompactionSpec, CompactionStrategy, LazyLeveledPolicy, LeveledPolicy, MergeDecision,
     TieringPolicy,
 };
-pub use snapshot::{EntryMergeCursor, ScanCursor, Snapshot};
+pub use snapshot::{BatchScan, EntryMergeCursor, ScanBatch, ScanCursor, ScanSpec, Snapshot};
 
 /// Error type shared by the LSM layer.
 pub type LsmError = encoding::DecodeError;

@@ -5,17 +5,34 @@
 //! the dataset can trigger a flush when the configured in-memory budget is
 //! exceeded — the same trigger the paper's experiments use (a 2 GB budget in
 //! their setup; a few megabytes at our scale).
+//!
+//! Readers that scan get a *frozen copy* of the entries
+//! ([`Memtable::frozen`]): an `Arc`'d key-ordered run, built by the first
+//! snapshot after a write and shared by every snapshot until the next write
+//! — repeated queries between writes copy nothing. The price is memory: the
+//! copy stays alive inside the memtable after the snapshot that asked for it
+//! is gone, so an idle dataset that was queried holds its memtable twice
+//! until the next write. [`Memtable::resident_bytes`] counts it (the
+//! `lsm.memtable_bytes` gauge); the flush budget does not need to, because
+//! every write drops the copy before the budget is checked.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use docmodel::cmp::OrderedValue;
 use docmodel::Value;
+use storage::component::Entry;
 
 /// The LSM in-memory component: key-ordered records and anti-matter markers.
 #[derive(Debug, Default)]
 pub struct Memtable {
     entries: BTreeMap<OrderedValue, Option<Value>>,
     approx_bytes: usize,
+    /// The frozen copy handed to snapshots, valid until the next write.
+    frozen: Option<Arc<Vec<Entry>>>,
+    /// How many frozen copies were ever built (each is one deep copy of the
+    /// memtable's documents).
+    freezes: u64,
 }
 
 impl Memtable {
@@ -28,6 +45,7 @@ impl Memtable {
     /// if one existed (`Some(None)` = an anti-matter marker was replaced).
     pub fn insert(&mut self, key: Value, record: Value) -> Option<Option<Value>> {
         let size = key.approx_size() + record.approx_size() + 16;
+        self.frozen = None;
         let prev = self.entries.insert(OrderedValue(key), Some(record));
         self.approx_bytes += size;
         if let Some(prev) = &prev {
@@ -41,6 +59,7 @@ impl Memtable {
     /// Record a delete (anti-matter) for `key`.
     pub fn delete(&mut self, key: Value) -> Option<Option<Value>> {
         self.approx_bytes += key.approx_size() + 16;
+        self.frozen = None;
         self.entries.insert(OrderedValue(key), None)
     }
 
@@ -50,6 +69,32 @@ impl Memtable {
         self.entries
             .get(&OrderedValue(key.clone()))
             .map(|v| v.as_ref())
+    }
+
+    /// The entries as a shared key-ordered run — what a snapshot scans. The
+    /// copy is made by the first call after a write and shared until the
+    /// next one, so snapshots taken between writes cost an `Arc` bump. It is
+    /// held here until that write, whether or not a snapshot still uses it
+    /// (a `Weak` would let it die with its snapshot — and make every one of
+    /// a run of back-to-back queries copy again).
+    pub fn frozen(&mut self) -> Arc<Vec<Entry>> {
+        if let Some(frozen) = &self.frozen {
+            return frozen.clone();
+        }
+        self.freezes += 1;
+        let frozen = Arc::new(
+            self.entries
+                .iter()
+                .map(|(k, v)| (k.0.clone(), v.clone()))
+                .collect(),
+        );
+        self.frozen.insert(frozen).clone()
+    }
+
+    /// Number of frozen copies built so far — the generation counter a test
+    /// reads to see that snapshots between writes share one copy.
+    pub fn freezes(&self) -> u64 {
+        self.freezes
     }
 
     /// Number of entries (records plus anti-matter markers).
@@ -62,9 +107,20 @@ impl Memtable {
         self.entries.is_empty()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint of the entries in bytes — what the flush
+    /// budget is compared with. A frozen copy never exists at that moment
+    /// (the write that grew the memtable dropped it), so it is not in here.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
+    }
+
+    /// Approximate bytes the memtable keeps alive right now: the entries
+    /// plus, between a snapshot and the next write, their frozen copy.
+    pub fn resident_bytes(&self) -> usize {
+        match self.frozen {
+            Some(_) => 2 * self.approx_bytes,
+            None => self.approx_bytes,
+        }
     }
 
     /// Iterate entries in key order.
@@ -75,6 +131,7 @@ impl Memtable {
     /// Drain the memtable into a sorted entry list for a flush.
     pub fn drain_sorted(&mut self) -> Vec<(Value, Option<Value>)> {
         self.approx_bytes = 0;
+        self.frozen = None;
         std::mem::take(&mut self.entries)
             .into_iter()
             .map(|(k, v)| (k.0, v))
@@ -112,6 +169,26 @@ mod tests {
             m.get(&Value::Int(1)).unwrap().unwrap().get_field("v"),
             Some(&Value::Int(2))
         );
+    }
+
+    #[test]
+    fn frozen_copies_are_shared_until_the_next_write() {
+        let mut m = Memtable::new();
+        m.insert(Value::Int(1), doc!({"id": 1}));
+        let first = m.frozen();
+        assert!(Arc::ptr_eq(&first, &m.frozen()));
+        assert_eq!(m.freezes(), 1);
+        m.delete(Value::Int(1));
+        let second = m.frozen();
+        assert_eq!(m.freezes(), 2);
+        assert_eq!(first.len(), 1);
+        assert_eq!(*second, vec![(Value::Int(1), None)]);
+        // The copy is resident, and reported, until the next write.
+        assert_eq!(m.resident_bytes(), 2 * m.approx_bytes());
+        m.insert(Value::Int(2), doc!({"id": 2}));
+        assert_eq!(m.resident_bytes(), m.approx_bytes());
+        m.drain_sorted();
+        assert!(m.frozen().is_empty());
     }
 
     #[test]

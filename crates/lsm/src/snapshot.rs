@@ -28,56 +28,77 @@
 //! single `lookup` is the batch of one; an index probe's primary keys
 //! (§4.6) are the batch. Nothing is copied that is not returned.
 //!
-//! ## The cursor protocol
+//! ## Scans: batches, and a row adapter over the same reconciliation
 //!
-//! Scans are *pull-based*. [`Snapshot::cursor`] builds a k-way
-//! merge-reconcile cursor ([`ScanCursor`]) over all sources of the snapshot:
-//! every source is key-sorted (memtables by construction, components by the
-//! storage cursor protocol), so the merge yields records in global key order
-//! while holding **at most one decoded leaf per component** in memory —
-//! O(components × leaf) instead of O(dataset). Reconciliation happens on the
-//! fly and on **keys alone**: sources expose their next key without
-//! assembling the record; when several sources head the same key, the newest
-//! source's version wins and is the only one assembled — the shadowed
-//! versions are batch-skipped at the column-cursor level (§4.4), never
-//! decoded into documents. Anti-matter annihilates its key without emitting
-//! it. Dropping the cursor early (a `LIMIT`, a short-circuiting consumer)
-//! leaves every unread leaf unread; both effects show up in the `IoStats`
-//! counters (`pages_read`, `records_assembled`).
+//! Every scan of a snapshot is one k-way reconciliation over its sources
+//! ([`EntryMergeCursor`]): each source is key-sorted (memtables by
+//! construction, components by the storage cursor protocol), sources expose
+//! their next key **borrowed** — nothing is assembled and no key is copied to
+//! order them — and when several sources head the same key, the newest
+//! source's version wins while the shadowed versions are skipped without
+//! being decoded into documents (§4.4). At most **one decoded leaf per
+//! component** is resident at any time: O(components × leaf), never
+//! O(dataset). The same machinery, with anti-matter *preserved*, drives the
+//! dataset's merges and index rebuilds: a merge is exactly a newest-first
+//! reconciling union of component cursors.
 //!
-//! The same machinery, with anti-matter *preserved*, drives the dataset's
-//! merges and index rebuilds ([`EntryMergeCursor`]): a merge is exactly a
-//! newest-first reconciling union of component cursors.
+//! What a scan does with a winner is the consumer's choice, and there are
+//! two:
+//!
+//! * [`Snapshot::batches`] — the one scan constructor. The winner of a
+//!   columnar component is not assembled: its *ordinal* joins the selection
+//!   vector of the leaf it sits in, and when the reconciliation has used the
+//!   leaf up, the leaf's `Arc`-shared decoded chunks plus that ascending
+//!   vector (anti-matter dropped) are handed over as one
+//!   [`ScanBatch::Columns`]. Winners of memtables and row layouts are
+//!   documents already; they are collected into [`ScanBatch::Rows`] runs.
+//!   Batches arrive per source leaf, **not** in global key order; every live
+//!   key is in exactly one of them. Residency is one decoded leaf per source
+//!   plus a `u32` per record. The query engine's aggregate kernels fold over
+//!   the chunks of a batch directly; a `COUNT(*)` only adds up selection
+//!   lengths (key columns alone are read — Page 0 for AMAX).
+//! * [`BatchScan::rows`] (and [`Snapshot::cursor`], its shorthand for an
+//!   unfiltered scan) — the key-ordered row adapter, [`ScanCursor`]: the
+//!   same reconciliation, each winner assembled as it wins, live
+//!   `(key, record)` pairs in ascending key order. Dropping it early (a
+//!   `LIMIT`, a short-circuiting consumer) leaves every unread leaf unread.
+//!   Projection plans with `ORDER BY key LIMIT k`, the facade's `DocCursor`
+//!   and the interpreted engine use it.
+//!
+//! Both effects show up in the `IoStats` counters (`pages_read`,
+//! `records_assembled`, `scan_batches`).
 //!
 //! ## Filter push-down (late materialization)
 //!
-//! [`Snapshot::cursor_pushed`] threads a conjunction of sargable
+//! [`ScanSpec::pushed`] threads a conjunction of sargable
 //! [`ColumnPredicate`]s down into every source. The contract:
 //!
-//! * The merge evaluates **only the reconciliation winner** of each key.
-//!   Shadowed versions are batch-skipped *before* the winner is tested — a
-//!   stale value must never decide whether a live record survives, and a
-//!   rejected winner must never resurrect the versions it shadowed.
-//! * A rejected winner is consumed without assembly: columnar components
-//!   evaluate the predicates over the **filter columns alone**
-//!   ([`ComponentCursor::pushed_matches`]) and batch-skip rejections like
-//!   reconciliation losers, counted in `IoStats` as
-//!   `records_filtered_pre_assembly`. Memtable rejections cost no I/O and
-//!   are not counted.
+//! * **Only the reconciliation winner** of each key is evaluated. Shadowed
+//!   versions are skipped *before* the winner is tested — a stale value must
+//!   never decide whether a live record survives, and a rejected winner must
+//!   never resurrect the versions it shadowed.
+//! * Columnar components evaluate the predicates as **loops over the filter
+//!   columns** (`storage::batch`): the batch scan narrows a leaf's whole
+//!   selection vector in one forward pass per filter column, the row adapter
+//!   asks about one ordinal at a time. A rejected winner is never assembled
+//!   and is counted in `IoStats` as `records_filtered_pre_assembly`; a leaf
+//!   with no survivor never decodes (for AMAX: never reads) its other
+//!   columns. Memtable entries are tested in place and copied only when they
+//!   pass; their rejections cost no I/O and are not counted.
 //! * Whole leaves whose persisted zone maps prove no match are skipped
 //!   before any page read (`leaves_skipped`) — but only when the leaf's key
 //!   range is disjoint from every **older** component's key range, so
 //!   hiding it can neither resurrect a shadowed version nor drop an
 //!   anti-matter annihilation.
-//! * Anti-matter always passes the filter: it has no value to test and must
-//!   reach the merge to annihilate ([`ScanCursor`] then drops it).
+//! * Anti-matter always reaches the reconciliation: it has no value to test
+//!   and must annihilate. Scans then drop it.
 //!
 //! Predicates the planner cannot push (disjunctions, repeated paths — the
 //! existential-semantics lesson) stay in the query layer's *residual*
-//! filter, applied after assembly. Merges and index rebuilds never push
+//! filter, applied to records. Merges and index rebuilds never push
 //! filters: they must preserve every surviving version and all anti-matter.
 //!
-//! Cursors are fully owned (`Arc`s into the snapshot's sources), so they can
+//! Scans are fully owned (`Arc`s into the snapshot's sources), so they can
 //! outlive the `&Snapshot` borrow they were created from — the facade hands
 //! them out as streaming query results.
 
@@ -85,8 +106,10 @@ use std::sync::Arc;
 
 use docmodel::{total_cmp, Path, Value};
 use storage::component::{
-    ColumnPredicate, Component, ComponentCursor, Entry, LeafChunks, LeafHead, ScanFilter,
+    ColumnPredicate, Component, ComponentCursor, Entry, KeyRef, LeafChunks, LeafHead, ScanFilter,
 };
+use storage::pagestore::PageStore;
+use storage::ColumnBatch;
 
 use crate::Result;
 
@@ -208,67 +231,18 @@ impl Snapshot {
             .map(|i| &self.active[i].1)
     }
 
-    /// A streaming merge-reconcile cursor over the whole snapshot: live
-    /// records in key order, duplicates reconciled newest-first, anti-matter
-    /// dropped. Only the projected paths are assembled from columnar
-    /// components. See the module-level cursor protocol.
-    pub fn cursor(&self, projection: Option<&[Path]>) -> Result<ScanCursor> {
-        self.cursor_pruned(projection, &[])
-    }
-
-    /// Like [`Snapshot::cursor`], but skipping the components whose position
-    /// (oldest-first, matching [`Snapshot::components`]) is flagged in
-    /// `skip`. Missing trailing flags mean "do not skip".
-    ///
-    /// This is the zone-map pruning entry point: the query planner flags a
-    /// component when its column statistics prove **no record in it can
-    /// match the filter**. Skipping is nevertheless only sound when it
-    /// cannot resurrect an older, shadowed version of one of the skipped
-    /// component's keys (or drop one of its anti-matter entries): the caller
-    /// must flag a component only if, additionally, its key range is
-    /// disjoint from every *older* component's key range — see
-    /// `query::physical::prune_flags`, the single implementation of that
-    /// rule. Memtables are newer than every component and are always
-    /// scanned, so they never constrain pruning.
-    pub fn cursor_pruned(
-        &self,
-        projection: Option<&[Path]>,
-        skip: &[bool],
-    ) -> Result<ScanCursor> {
-        Ok(ScanCursor {
-            inner: self.entry_cursor(projection, skip, None),
-        })
-    }
-
-    /// Like [`Snapshot::cursor_pruned`], with a pushed-down filter: the
-    /// conjunction of `predicates` is evaluated source-side on each key's
-    /// reconciliation winner (filter columns only on columnar components —
-    /// no assembly for rejections), and component leaves whose zone maps
-    /// prove no match are skipped before any page read. See the
-    /// module-level filter push-down contract. An empty predicate list is
-    /// exactly [`Snapshot::cursor_pruned`].
-    pub fn cursor_pushed(
-        &self,
-        projection: Option<&[Path]>,
-        skip: &[bool],
-        predicates: Arc<Vec<ColumnPredicate>>,
-    ) -> Result<ScanCursor> {
-        let filter = (!predicates.is_empty()).then_some(predicates);
-        Ok(ScanCursor {
-            inner: self.entry_cursor(projection, skip, filter),
-        })
-    }
-
-    /// The underlying entry-level merge cursor (anti-matter included).
-    fn entry_cursor(
-        &self,
-        projection: Option<&[Path]>,
-        skip: &[bool],
-        filter: Option<Arc<Vec<ColumnPredicate>>>,
-    ) -> EntryMergeCursor {
+    /// The one scan constructor: reconcile the snapshot's sources on keys and
+    /// hand the winners over batch by batch — per columnar leaf its decoded
+    /// chunks plus the ordinals that won, for memtables and row layouts runs
+    /// of documents. See the module docs and [`ScanSpec`]. Nothing is read
+    /// before the first batch is pulled.
+    pub fn batches(&self, spec: ScanSpec<'_>) -> BatchScan {
+        let pushed = Arc::new(spec.pushed.to_vec());
+        let filter = (!pushed.is_empty()).then(|| pushed.clone());
         // Sources newest-first: active memtable, sealed memtables (newest
         // first), components (newest first, minus the pruned ones).
-        let mut sources = Vec::with_capacity(1 + self.tree.sealed.len() + self.tree.components.len());
+        let mut sources =
+            Vec::with_capacity(1 + self.tree.sealed.len() + self.tree.components.len());
         sources.push(MergeSource::mem(self.active.clone()));
         for sealed in self.tree.sealed.iter().rev() {
             sources.push(MergeSource::sealed(sealed.clone()));
@@ -283,60 +257,41 @@ impl Snapshot {
             Vec::new()
         };
         for (i, component) in self.tree.components.iter().enumerate().rev() {
-            if skip.get(i).copied().unwrap_or(false) {
+            if spec.prune.get(i).copied().unwrap_or(false) {
                 continue;
             }
-            match &filter {
-                Some(predicates) => {
-                    let older: Vec<(Value, Value)> =
-                        ranges[..i].iter().flatten().cloned().collect();
-                    sources.push(MergeSource::disk(component.cursor_filtered(
-                        projection,
-                        Some(ScanFilter {
-                            predicates: predicates.clone(),
-                            older_key_ranges: Arc::new(older),
-                        }),
-                    )));
-                }
-                None => sources.push(MergeSource::disk(component.cursor(projection))),
-            }
+            let filter = filter.as_ref().map(|predicates| ScanFilter {
+                predicates: predicates.clone(),
+                older_key_ranges: Arc::new(ranges[..i].iter().flatten().cloned().collect()),
+            });
+            sources.push(MergeSource::Disk(
+                component.cursor_filtered(spec.projection, filter),
+            ));
         }
-        let mut cursor = EntryMergeCursor::new(sources);
-        cursor.filter = filter;
-        cursor
+        BatchScan {
+            pending: sources.iter().map(|_| None).collect(),
+            merge: EntryMergeCursor::new(sources),
+            pushed,
+            rows: Vec::new(),
+            store: self
+                .tree
+                .components
+                .first()
+                .map(|c| c.cache().store().clone()),
+        }
     }
 
-    /// Scan the snapshot into a materialised batch, reconciling duplicates
-    /// and dropping anti-matter. A convenience over [`Snapshot::cursor`] for
-    /// callers that want the whole result anyway (tests, small datasets);
-    /// the query engines stream instead.
-    pub fn scan(&self, projection: Option<&[Path]>) -> Result<Vec<Value>> {
-        self.scan_pruned(projection, &[])
-    }
-
-    /// Materialising variant of [`Snapshot::cursor_pruned`].
-    pub fn scan_pruned(
-        &self,
-        projection: Option<&[Path]>,
-        skip: &[bool],
-    ) -> Result<Vec<Value>> {
-        let mut out = Vec::new();
-        for entry in self.cursor_pruned(projection, skip)? {
-            out.push(entry?.1);
-        }
-        Ok(out)
-    }
-
-    /// Number of live records (COUNT(*)): streams the key-only cursor, so
-    /// only primary keys are read (Page 0 alone for AMAX) and memory stays
-    /// bounded by one leaf per component.
-    pub fn count(&self) -> Result<usize> {
-        let mut n = 0;
-        for entry in self.cursor(Some(&[]))? {
-            entry?;
-            n += 1;
-        }
-        Ok(n)
+    /// The key-ordered row adapter over an unfiltered scan of the whole
+    /// snapshot — shorthand for `batches(..).rows()`: live records in key
+    /// order, duplicates reconciled newest-first, anti-matter dropped, only
+    /// the projected paths assembled from columnar components.
+    pub fn cursor(&self, projection: Option<&[Path]>) -> Result<ScanCursor> {
+        Ok(self
+            .batches(ScanSpec {
+                projection,
+                ..ScanSpec::default()
+            })
+            .rows())
     }
 
     /// The on-disk components visible to this snapshot, oldest first.
@@ -364,17 +319,41 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// The k-way merge-reconcile cursors.
+// The k-way reconciliation and its two consumers.
 // ---------------------------------------------------------------------------
+
+/// What a scan reads and how far the planner narrowed it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanSpec<'a> {
+    /// Paths whose columns a columnar leaf decodes when it is loaded, and
+    /// the row adapter assembles records from (`None` = every column,
+    /// `Some(&[])` = keys only). A batch consumer may fetch more columns of
+    /// a batch later ([`ColumnBatch::chunks`], [`ColumnBatch::into_rows`]).
+    pub projection: Option<&'a [Path]>,
+    /// Components to leave out, by position (oldest-first, matching
+    /// [`Snapshot::components`]); missing trailing flags mean "scan it".
+    ///
+    /// This is the zone-map pruning entry point: the query planner flags a
+    /// component when its column statistics prove **no record in it can
+    /// match the filter**. Skipping is nevertheless only sound when it
+    /// cannot resurrect an older, shadowed version of one of the skipped
+    /// component's keys (or drop one of its anti-matter entries): the caller
+    /// must flag a component only if, additionally, its key range is
+    /// disjoint from every *older* component's key range — see
+    /// `query::physical::prune_flags`, the single implementation of that
+    /// rule. Memtables are newer than every component and are always
+    /// scanned, so they never constrain pruning.
+    pub prune: &'a [bool],
+    /// Conjunction of pushed-down predicates every yielded record satisfies;
+    /// see the module-level filter push-down contract.
+    pub pushed: &'a [ColumnPredicate],
+}
 
 /// One input of the merge: a key-sorted run of entries, either shared
 /// in-memory slices (memtables) or a streaming component cursor.
-enum SourceKind {
+enum MergeSource {
     /// Active memtable (frozen copy) or a sealed memtable's entries.
-    Mem {
-        entries: MemEntries,
-        pos: usize,
-    },
+    Mem { entries: MemEntries, pos: usize },
     /// A streaming on-disk component cursor (one leaf resident at a time).
     Disk(ComponentCursor),
 }
@@ -394,116 +373,83 @@ impl MemEntries {
     }
 }
 
-/// One merge input together with its buffered head **key**.
-///
-/// The merge reconciles on keys alone: a source's next entry is only
-/// *assembled* ([`MergeSource::take_entry`]) when it wins its key, and
+/// The merge reconciles on keys alone, and on keys *in place*: a source's
+/// head key is borrowed from wherever it lives ([`KeyRef`]); its entry is
+/// only *assembled* ([`MergeSource::take_entry`]) when it wins its key, and
 /// *skipped* ([`MergeSource::skip_entry`]) when a newer source shadows it —
-/// for columnar components the skip advances every column cursor in one
-/// batched step without decoding a single value (§4.4).
-struct MergeSource {
-    kind: SourceKind,
-    /// The key of the source's next entry, peeked but not yet consumed.
-    head_key: Option<Value>,
-    /// Set once the source returned `None` (avoids re-polling).
-    exhausted: bool,
-}
-
+/// for columnar components a skip moves a position and decodes nothing
+/// (§4.4).
 impl MergeSource {
     fn mem(entries: Arc<Vec<Entry>>) -> MergeSource {
-        MergeSource {
-            kind: SourceKind::Mem { entries: MemEntries::Active(entries), pos: 0 },
-            head_key: None,
-            exhausted: false,
-        }
+        MergeSource::Mem { entries: MemEntries::Active(entries), pos: 0 }
     }
 
     fn sealed(sealed: Arc<SealedMemtable>) -> MergeSource {
-        MergeSource {
-            kind: SourceKind::Mem { entries: MemEntries::Sealed(sealed), pos: 0 },
-            head_key: None,
-            exhausted: false,
-        }
+        MergeSource::Mem { entries: MemEntries::Sealed(sealed), pos: 0 }
     }
 
-    fn disk(cursor: ComponentCursor) -> MergeSource {
-        MergeSource { kind: SourceKind::Disk(cursor), head_key: None, exhausted: false }
-    }
-
-    /// Ensure `head_key` holds the source's next key (or mark it exhausted).
-    /// The entry itself stays unassembled.
-    fn fill_key(&mut self) -> Result<()> {
-        if self.head_key.is_some() || self.exhausted {
-            return Ok(());
-        }
-        match &mut self.kind {
-            SourceKind::Mem { entries, pos } => match entries.get(*pos) {
-                Some((key, _)) => self.head_key = Some(key.clone()),
-                None => self.exhausted = true,
-            },
-            SourceKind::Disk(cursor) => match cursor.peek_key() {
-                Some(key) => self.head_key = Some(key?),
-                None => self.exhausted = true,
-            },
+    /// Make the source's next entry resident (a disk source may load its
+    /// next leaf). Cheap when it already is.
+    fn fill(&mut self) -> Result<()> {
+        if let MergeSource::Disk(cursor) = self {
+            cursor.fill()?;
         }
         Ok(())
     }
 
-    /// Consume and assemble the entry whose key is `head_key` (the winner of
-    /// the current merge step).
+    /// The key of the source's next entry; `None` = exhausted.
+    fn head(&self) -> Option<KeyRef<'_>> {
+        match self {
+            MergeSource::Mem { entries, pos } => entries.get(*pos).map(|(k, _)| KeyRef::Value(k)),
+            MergeSource::Disk(cursor) => cursor.head_key(),
+        }
+    }
+
+    /// The source's next entry where it is held as a document (memtables,
+    /// row pages) — to be tested in place before it is copied.
+    fn head_entry(&self) -> Option<&Entry> {
+        match self {
+            MergeSource::Mem { entries, pos } => entries.get(*pos),
+            MergeSource::Disk(cursor) => cursor.head_entry(),
+        }
+    }
+
+    /// Consume and assemble the head entry (the winner of a merge step).
     fn take_entry(&mut self) -> Result<Entry> {
-        self.head_key = None;
-        match &mut self.kind {
-            SourceKind::Mem { entries, pos } => {
-                let entry = entries.get(*pos).expect("head key was filled").clone();
+        match self {
+            MergeSource::Mem { entries, pos } => {
+                let entry = entries.get(*pos).expect("a head was resident").clone();
                 *pos += 1;
                 Ok(entry)
             }
-            SourceKind::Disk(cursor) => cursor.next().expect("head key was filled"),
+            MergeSource::Disk(cursor) => cursor.next().expect("a head was resident"),
         }
     }
 
-    /// Consume the entry whose key is `head_key` without assembling it (a
-    /// shadowed version of a key a newer source already provided).
+    /// Consume the head entry without assembling it.
     fn skip_entry(&mut self) {
-        self.head_key = None;
-        match &mut self.kind {
-            SourceKind::Mem { pos, .. } => *pos += 1,
-            SourceKind::Disk(cursor) => cursor.skip_entry(),
+        match self {
+            MergeSource::Mem { pos, .. } => *pos += 1,
+            MergeSource::Disk(cursor) => cursor.skip_entry(),
         }
     }
 
-    /// Does the source's next entry (the reconciliation winner of its key)
-    /// pass the pushed-down filter? Memtable entries are evaluated in place
-    /// (anti-matter always passes); disk sources delegate to the component
-    /// cursor, which decodes filter columns only.
-    fn head_passes_filter(&mut self, predicates: &[ColumnPredicate]) -> Result<bool> {
-        match &mut self.kind {
-            SourceKind::Mem { entries, pos } => Ok(match entries.get(*pos) {
-                Some((_, Some(doc))) => predicates.iter().all(|p| p.matches(doc)),
-                _ => true,
-            }),
-            SourceKind::Disk(cursor) => cursor.pushed_matches().unwrap_or(Ok(true)),
-        }
-    }
-
-    /// Consume the entry whose key is `head_key` as a pushed-filter
-    /// rejection. Disk sources count it as `records_filtered_pre_assembly`;
-    /// memtable rejections cost no I/O and are uncounted.
+    /// Consume the head entry as a pushed-filter rejection. Disk sources
+    /// count it as `records_filtered_pre_assembly`; memtable rejections
+    /// cost no I/O and are uncounted.
     fn skip_entry_filtered(&mut self) {
-        self.head_key = None;
-        match &mut self.kind {
-            SourceKind::Mem { pos, .. } => *pos += 1,
-            SourceKind::Disk(cursor) => cursor.skip_entry_filtered(),
+        match self {
+            MergeSource::Mem { pos, .. } => *pos += 1,
+            MergeSource::Disk(cursor) => cursor.skip_entry_filtered(),
         }
     }
 
     /// Entries currently decoded and resident for this source (disk sources
     /// only — memtable sources share the snapshot's memory).
     fn buffered(&self) -> usize {
-        match &self.kind {
-            SourceKind::Mem { .. } => 0,
-            SourceKind::Disk(cursor) => cursor.buffered(),
+        match self {
+            MergeSource::Mem { .. } => 0,
+            MergeSource::Disk(cursor) => cursor.buffered(),
         }
     }
 }
@@ -513,16 +459,12 @@ impl MergeSource {
 /// Yields one [`Entry`] per distinct key, in ascending key order: the
 /// version from the **newest** source holding the key (sources are ordered
 /// newest-first at construction). Anti-matter entries are yielded as
-/// `(key, None)` — callers that want live records only use [`ScanCursor`];
-/// the dataset's merge keeps the anti-matter to write it into the merged
-/// component.
+/// `(key, None)` — the dataset's merge keeps them to write them into the
+/// merged component; scans ([`BatchScan`], [`ScanCursor`]) drive the same
+/// steps and drop them.
 pub struct EntryMergeCursor {
     /// Sources in newest-first order; index = reconciliation priority.
     sources: Vec<MergeSource>,
-    /// Pushed-down filter: each key's reconciliation winner must pass this
-    /// conjunction or the merge consumes it unassembled (see the module-level
-    /// filter push-down contract). `None` = yield every winner.
-    filter: Option<Arc<Vec<ColumnPredicate>>>,
     /// High-water mark of entries buffered across all sources (the peak-RSS
     /// proxy reported by the streaming benchmarks).
     peak_buffered: usize,
@@ -530,7 +472,7 @@ pub struct EntryMergeCursor {
 
 impl EntryMergeCursor {
     fn new(sources: Vec<MergeSource>) -> EntryMergeCursor {
-        EntryMergeCursor { sources, filter: None, peak_buffered: 0 }
+        EntryMergeCursor { sources, peak_buffered: 0 }
     }
 
     /// A merge cursor over on-disk components only (`components` given
@@ -544,7 +486,7 @@ impl EntryMergeCursor {
             components
                 .iter()
                 .rev()
-                .map(|c| MergeSource::disk(c.cursor(projection)))
+                .map(|c| MergeSource::Disk(c.cursor(projection)))
                 .collect(),
         )
     }
@@ -559,7 +501,7 @@ impl EntryMergeCursor {
     ) -> EntryMergeCursor {
         let mut sources = vec![MergeSource::mem(Arc::new(memtable_entries))];
         for component in components.iter().rev() {
-            sources.push(MergeSource::disk(component.cursor(projection)));
+            sources.push(MergeSource::Disk(component.cursor(projection)));
         }
         EntryMergeCursor::new(sources)
     }
@@ -572,21 +514,22 @@ impl EntryMergeCursor {
     }
 
     /// Advance every source past all entries with key `<= bound` **without
-    /// assembling them**: only key columns are decoded and each shadowed
-    /// entry is batch-skipped at the column-cursor level, exactly like a
-    /// reconciliation loser (§4.4). After the call, the cursor's next entry
-    /// is the smallest key strictly greater than `bound`.
+    /// assembling them**: only key columns are decoded and each entry is
+    /// skipped exactly like a reconciliation loser (§4.4). After the call,
+    /// the cursor's next entry is the smallest key strictly greater than
+    /// `bound`.
     ///
     /// This is what lets a long-running scan be *re-pinned* on a fresh
     /// snapshot mid-stream (bounded staleness): rebuild the cursor, then
     /// `skip_to` the last key already delivered. Cost is proportional to the
     /// skipped prefix's key columns, not to record assembly.
     pub fn skip_to(&mut self, bound: &Value) -> Result<()> {
+        let bound = KeyRef::Value(bound);
         for source in &mut self.sources {
             loop {
-                source.fill_key()?;
-                match &source.head_key {
-                    Some(key) if total_cmp(key, bound) != std::cmp::Ordering::Greater => {
+                source.fill()?;
+                match source.head() {
+                    Some(key) if key.compare(&bound) != std::cmp::Ordering::Greater => {
                         source.skip_entry();
                     }
                     _ => break,
@@ -600,44 +543,39 @@ impl EntryMergeCursor {
     /// the index of the source whose head entry is the newest version of
     /// the smallest pending key, every shadowed version of that key already
     /// skipped. The caller consumes the winner — assembled
-    /// ([`EntryMergeCursor::take_winner`]) or, for a column-wise merge,
-    /// located and skipped ([`EntryMergeCursor::winner_in_leaf`],
+    /// ([`EntryMergeCursor::take_winner`]) or, for a column-wise merge or a
+    /// batch scan, located and skipped
+    /// ([`EntryMergeCursor::winner_in_leaf`],
     /// [`EntryMergeCursor::skip_winner`]) — before the next step. `None` =
     /// every source is exhausted.
     pub(crate) fn next_winner(&mut self) -> Result<Option<usize>> {
-        // Fill every head key, then account the buffered high-water mark.
         for source in &mut self.sources {
-            source.fill_key()?;
+            source.fill()?;
         }
         self.peak_buffered = self.peak_buffered.max(self.buffered());
 
         // The smallest head key wins; among equal keys, the newest source
         // (lowest index) provides the surviving version.
-        let mut best: Option<usize> = None;
+        let mut best: Option<(usize, KeyRef<'_>)> = None;
         for (i, source) in self.sources.iter().enumerate() {
-            let Some(key) = &source.head_key else { continue };
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    let best_key = self.sources[b].head_key.as_ref().expect("head filled");
-                    if total_cmp(key, best_key) == std::cmp::Ordering::Less {
-                        best = Some(i);
-                    }
-                }
+            let Some(key) = source.head() else { continue };
+            if best.is_none_or(|(_, best_key)| key.compare(&best_key) == std::cmp::Ordering::Less) {
+                best = Some((i, key));
             }
         }
-        let Some(best) = best else { return Ok(None) };
+        let Some((best, _)) = best else { return Ok(None) };
         // The shadowed versions of the winning key in older sources are
-        // skipped column-cursor-batch-wise, never decoded into documents
-        // (§4.4) — *before* the winner is evaluated or assembled, so a
-        // filter-rejected winner can never resurrect them.
+        // skipped, never decoded into documents (§4.4) — *before* the
+        // winner is evaluated or assembled, so a filter-rejected winner can
+        // never resurrect them.
         let (newer, older) = self.sources.split_at_mut(best + 1);
-        let best_key = newer[best].head_key.as_ref().expect("head filled");
+        let best_key = newer[best].head().expect("the winner has a head");
         for source in older {
-            if let Some(key) = &source.head_key {
-                if total_cmp(key, best_key) == std::cmp::Ordering::Equal {
-                    source.skip_entry();
-                }
+            if source
+                .head()
+                .is_some_and(|key| key.compare(&best_key) == std::cmp::Ordering::Equal)
+            {
+                source.skip_entry();
             }
         }
         Ok(Some(best))
@@ -657,17 +595,17 @@ impl EntryMergeCursor {
     /// Where the winner sits in its source's decoded columnar leaf; `None`
     /// when the source is not a columnar component.
     pub(crate) fn winner_in_leaf(&mut self, source: usize) -> Result<Option<LeafHead>> {
-        match &mut self.sources[source].kind {
-            SourceKind::Disk(cursor) => cursor.head_in_leaf().transpose(),
-            SourceKind::Mem { .. } => Ok(None),
+        match &mut self.sources[source] {
+            MergeSource::Disk(cursor) => cursor.head_in_leaf().transpose(),
+            MergeSource::Mem { .. } => Ok(None),
         }
     }
 
     /// The decoded chunks of a disk source's resident columnar leaf.
     pub(crate) fn source_chunks(&self, source: usize) -> Option<&LeafChunks> {
-        match &self.sources[source].kind {
-            SourceKind::Disk(cursor) => cursor.leaf_chunks(),
-            SourceKind::Mem { .. } => None,
+        match &self.sources[source] {
+            MergeSource::Disk(cursor) => cursor.leaf_chunks(),
+            MergeSource::Mem { .. } => None,
         }
     }
 
@@ -681,22 +619,42 @@ impl EntryMergeCursor {
         self.sources.iter().map(MergeSource::buffered).sum()
     }
 
-    fn advance(&mut self) -> Result<Option<Entry>> {
-        let filter = self.filter.clone();
-        loop {
-            let Some(best) = self.next_winner()? else { return Ok(None) };
-            // Pushed-down filter: only the winner is evaluated (filter
-            // columns alone on columnar components); a rejection is consumed
-            // without assembly and the merge moves on.
-            if let Some(predicates) = &filter {
-                if !self.sources[best].head_passes_filter(predicates)? {
-                    self.sources[best].skip_entry_filtered();
-                    continue;
-                }
+    /// Consume the winner as a scan does: `None` when it is anti-matter or
+    /// fails the pushed filter — then nothing is assembled or copied — else
+    /// the live `(key, record)`.
+    fn take_live(
+        &mut self,
+        source: usize,
+        pushed: &[ColumnPredicate],
+    ) -> Result<Option<(Value, Value)>> {
+        let source = &mut self.sources[source];
+        // Memtable entries and row pages hold documents: test in place.
+        if let Some((_, doc)) = source.head_entry() {
+            let Some(doc) = doc else {
+                source.skip_entry();
+                return Ok(None);
+            };
+            if !pushed.iter().all(|p| p.matches(doc)) {
+                source.skip_entry_filtered();
+                return Ok(None);
             }
-            // Only the winner is assembled.
-            return Ok(Some(self.sources[best].take_entry()?));
+        } else if let MergeSource::Disk(cursor) = source {
+            let head = cursor.head_in_leaf().transpose()?;
+            if head.is_some_and(|head| head.anti_matter) {
+                cursor.skip_entry();
+                return Ok(None);
+            }
+            if !cursor.head_passes().transpose()?.unwrap_or(true) {
+                cursor.skip_entry_filtered();
+                return Ok(None);
+            }
         }
+        let (key, doc) = source.take_entry()?;
+        let doc = doc.expect("anti-matter was dropped above");
+        Ok(match source {
+            MergeSource::Disk(cursor) if !cursor.record_passes(&doc) => None,
+            _ => Some((key, doc)),
+        })
     }
 }
 
@@ -704,30 +662,174 @@ impl Iterator for EntryMergeCursor {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.advance().transpose()
+        match self.next_winner() {
+            Ok(Some(best)) => Some(self.take_winner(best)),
+            Ok(None) => None,
+            Err(e) => Some(Err(e)),
+        }
     }
 }
 
-/// The snapshot-level streaming scan: live `(key, record)` pairs in key
-/// order, anti-matter dropped. Created by [`Snapshot::cursor`] /
-/// [`Snapshot::cursor_pruned`]; fully owned, so it may outlive the snapshot
-/// borrow it came from.
+/// One batch of a [`BatchScan`]: live reconciliation winners that passed
+/// the pushed filter.
+pub enum ScanBatch {
+    /// The winners inside one leaf of a columnar component, unassembled.
+    Columns(ColumnBatch),
+    /// Winners that were documents to begin with (memtables, row layouts),
+    /// as `(key, record)` pairs in key order.
+    Rows(Vec<(Value, Value)>),
+}
+
+impl ScanBatch {
+    /// Number of records in the batch — exact, except for a
+    /// [`ScanBatch::Columns`] whose pushed filter
+    /// [needs the records](ColumnBatch::needs_records): there it is an upper
+    /// bound, and only [`ColumnBatch::into_rows`] drops the rest.
+    pub fn len(&self) -> usize {
+        match self {
+            ScanBatch::Columns(batch) => batch.selection().len(),
+            ScanBatch::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// `true` for a batch without records (never yielded by a scan).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Documents collected before a [`ScanBatch::Rows`] is handed over.
+const ROW_BATCH: usize = 1024;
+
+/// The batch scan of a snapshot; see [`Snapshot::batches`] and the module
+/// docs. Fully owned, so it may outlive the snapshot borrow it came from.
+pub struct BatchScan {
+    merge: EntryMergeCursor,
+    pushed: Arc<Vec<ColumnPredicate>>,
+    /// Per source: the columnar leaf it is reading and the ordinals of the
+    /// winners found in it so far (anti-matter left out).
+    pending: Vec<Option<(usize, Vec<u32>)>>,
+    /// Winners of memtables and row layouts since the last `Rows` batch.
+    rows: Vec<(Value, Value)>,
+    /// Where `scan_batches` is counted (absent for memtable-only snapshots).
+    store: Option<PageStore>,
+}
+
+impl BatchScan {
+    /// The key-ordered row adapter over the same scan (before any batch was
+    /// pulled): every winner is assembled as it wins.
+    pub fn rows(self) -> ScanCursor {
+        ScanCursor { merge: self.merge, pushed: self.pushed }
+    }
+
+    /// Drain the scan counting its records: with a keys-only [`ScanSpec`]
+    /// this is `COUNT(*)` from key columns alone. Nothing is built unless a
+    /// pushed predicate can only be decided on the record.
+    pub fn record_count(self) -> Result<usize> {
+        let mut n = 0;
+        for batch in self {
+            n += match batch? {
+                ScanBatch::Columns(batch) if batch.needs_records() => {
+                    let mut passed = 0;
+                    for row in batch.into_rows(Some(&[]))? {
+                        row?;
+                        passed += 1;
+                    }
+                    passed
+                }
+                batch => batch.len(),
+            };
+        }
+        Ok(n)
+    }
+
+    /// Hand over what `source` collected in the leaf it has used up — while
+    /// the drained leaf is still resident in its cursor.
+    fn finish_leaf(&mut self, source: usize) -> Option<ScanBatch> {
+        let (_, selection) = self.pending[source].take()?;
+        if selection.is_empty() {
+            return None;
+        }
+        let MergeSource::Disk(cursor) = &self.merge.sources[source] else {
+            return None;
+        };
+        let batch = cursor.leaf_batch(selection)?;
+        (!batch.selection().is_empty()).then_some(ScanBatch::Columns(batch))
+    }
+
+    fn advance(&mut self) -> Result<Option<ScanBatch>> {
+        loop {
+            // A leaf some source has used up is about to be replaced by the
+            // source's next one: hand its batch over first, so no source
+            // ever holds two leaves.
+            for source in 0..self.pending.len() {
+                if self.pending[source].is_some() && self.merge.source_buffered(source) == 0 {
+                    if let Some(batch) = self.finish_leaf(source) {
+                        return Ok(Some(batch));
+                    }
+                }
+            }
+            if self.rows.len() >= ROW_BATCH {
+                return Ok(Some(ScanBatch::Rows(std::mem::take(&mut self.rows))));
+            }
+            let Some(source) = self.merge.next_winner()? else {
+                // Every source is exhausted, so every leaf was handed over.
+                let rows = std::mem::take(&mut self.rows);
+                return Ok((!rows.is_empty()).then_some(ScanBatch::Rows(rows)));
+            };
+            match self.merge.winner_in_leaf(source)? {
+                Some(head) => {
+                    let (leaf, selection) =
+                        self.pending[source].get_or_insert_with(|| (head.leaf, Vec::new()));
+                    debug_assert_eq!(*leaf, head.leaf, "a used-up leaf was handed over");
+                    if !head.anti_matter {
+                        selection.push(head.ordinal as u32);
+                    }
+                    self.merge.skip_winner(source);
+                }
+                None => {
+                    if let Some(row) = self.merge.take_live(source, &self.pushed)? {
+                        self.rows.push(row);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Iterator for BatchScan {
+    type Item = Result<ScanBatch>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let batch = self.advance().transpose()?;
+        if let (Ok(_), Some(store)) = (&batch, &self.store) {
+            store.note_scan_batches(1);
+        }
+        Some(batch)
+    }
+}
+
+/// The key-ordered row adapter of a snapshot scan: live `(key, record)`
+/// pairs in key order, anti-matter dropped, pushed predicates applied.
+/// Created by [`Snapshot::cursor`] / [`BatchScan::rows`]; fully owned, so it
+/// may outlive the snapshot borrow it came from.
 pub struct ScanCursor {
-    inner: EntryMergeCursor,
+    merge: EntryMergeCursor,
+    pushed: Arc<Vec<ColumnPredicate>>,
 }
 
 impl ScanCursor {
     /// High-water mark of entries decoded and buffered across all disk
     /// sources so far (see [`EntryMergeCursor::peak_buffered`]).
     pub fn peak_buffered(&self) -> usize {
-        self.inner.peak_buffered()
+        self.merge.peak_buffered()
     }
 
     /// Skip (without assembling) every entry with key `<= bound`; the next
     /// yielded record is the smallest live key strictly greater than
     /// `bound`. See [`EntryMergeCursor::skip_to`].
     pub fn skip_to(&mut self, bound: &Value) -> Result<()> {
-        self.inner.skip_to(bound)
+        self.merge.skip_to(bound)
     }
 }
 
@@ -736,9 +838,14 @@ impl Iterator for ScanCursor {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            match self.inner.next()? {
-                Ok((key, Some(doc))) => return Some(Ok((key, doc))),
-                Ok((_, None)) => continue, // anti-matter: key is deleted
+            let source = match self.merge.next_winner() {
+                Ok(Some(source)) => source,
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e)),
+            };
+            match self.merge.take_live(source, &self.pushed) {
+                Ok(Some(row)) => return Some(Ok(row)),
+                Ok(None) => continue,
                 Err(e) => return Some(Err(e)),
             }
         }

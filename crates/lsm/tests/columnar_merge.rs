@@ -136,10 +136,10 @@ fn pushed_scan(component: &Arc<Component>, predicate: &ColumnPredicate) -> Layer
     };
     let mut cursor = component.cursor_filtered(None, Some(filter));
     let mut out = Vec::new();
-    while let Some(passes) = cursor.pushed_matches() {
+    while let Some(passes) = cursor.head_passes() {
         if passes.unwrap() {
             let (key, doc) = cursor.next().unwrap().unwrap();
-            if doc.is_some() {
+            if doc.as_ref().is_some_and(|doc| cursor.record_passes(doc)) {
                 out.push((key.as_int().unwrap(), doc));
             }
         } else {

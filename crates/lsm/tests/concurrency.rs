@@ -174,8 +174,8 @@ fn snapshots_are_internally_consistent_and_stable_under_churn() {
             scope.spawn(move || {
                 for _ in 0..READER_ROUNDS {
                     let snapshot = ds.snapshot();
-                    let count = snapshot.count().unwrap();
-                    let docs = snapshot.scan(None).unwrap();
+                    let count = snapshot.cursor(Some(&[])).unwrap().count();
+                    let docs = snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>();
                     // Scan and COUNT(*) agree on the same snapshot.
                     assert_eq!(docs.len(), count);
                     // Keys are sorted and unique (reconciliation worked).
@@ -186,7 +186,7 @@ fn snapshots_are_internally_consistent_and_stable_under_churn() {
                     }
                     // Stability: the same snapshot answers the same later,
                     // despite flushes/merges retiring components meanwhile.
-                    assert_eq!(snapshot.count().unwrap(), count);
+                    assert_eq!(snapshot.cursor(Some(&[])).unwrap().count(), count);
                     std::thread::yield_now();
                 }
             });
@@ -206,7 +206,7 @@ fn a_snapshot_survives_full_compaction() {
     }
     ds.flush().unwrap();
     let snapshot = ds.snapshot();
-    let before = snapshot.scan(None).unwrap();
+    let before = snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>();
 
     // Churn: more data, deletes, then compact everything to one component.
     for i in n..2 * n {
@@ -219,8 +219,8 @@ fn a_snapshot_survives_full_compaction() {
     assert_eq!(ds.component_count(), 1);
 
     // The old snapshot still reads the retired components' pages.
-    assert_eq!(snapshot.scan(None).unwrap(), before);
-    assert_eq!(snapshot.count().unwrap(), n as usize);
+    assert_eq!(snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>(), before);
+    assert_eq!(snapshot.cursor(Some(&[])).unwrap().count(), n as usize);
     assert_eq!(ds.count().unwrap(), (2 * n - n / 4) as usize);
 }
 

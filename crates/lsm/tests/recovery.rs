@@ -713,8 +713,8 @@ fn crash_under_load(dir: &std::path::Path, layout: LayoutKind, point: CrashPoint
             scope.spawn(move || {
                 for _ in 0..10 {
                     let snapshot = ds.snapshot();
-                    let count = snapshot.count().unwrap();
-                    assert_eq!(snapshot.scan(None).unwrap().len(), count);
+                    let count = snapshot.cursor(Some(&[])).unwrap().count();
+                    assert_eq!(snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>().len(), count);
                     std::thread::yield_now();
                 }
             });

@@ -131,7 +131,7 @@ fn snapshot_held_across_gc_reads_retired_pages() {
     ds.compact_fully().unwrap();
 
     let snapshot = ds.snapshot();
-    let expected = snapshot.scan(None).unwrap();
+    let expected = snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>();
     assert_eq!(expected.len(), 200);
 
     // More churn while the snapshot is live, then GC: the snapshot's
@@ -144,7 +144,7 @@ fn snapshot_held_across_gc_reads_retired_pages() {
     ds.reclaim_space().unwrap();
 
     // The held snapshot still reads its pre-GC view, byte for byte.
-    assert_eq!(snapshot.scan(None).unwrap(), expected);
+    assert_eq!(snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>(), expected);
     // And the post-GC dataset serves the new state.
     let newest = ds.lookup(&Value::Int(5), None).unwrap().unwrap();
     assert_eq!(newest.get_field("round"), Some(&Value::Int(99)));

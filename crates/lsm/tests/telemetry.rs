@@ -297,7 +297,7 @@ fn update_heavy_scan_skips_shadowed_entries_without_assembly() {
     );
 
     ds.cache().store().reset_stats();
-    let docs = ds.snapshot().scan(None).unwrap();
+    let docs = ds.scan(None).unwrap();
     assert_eq!(docs.len(), 150);
     let assembled = ds.io_stats().records_assembled;
     assert_eq!(

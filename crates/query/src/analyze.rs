@@ -6,17 +6,24 @@
 //! produces), the query's actual rows, and one [`ShardAnalysis`] per
 //! partition with the counters the plan's *estimates* promise:
 //!
-//! * **rows pulled** — records the operator pipeline actually drew from the
-//!   access stage, counted by a thin wrapper around the streaming cursor
+//! * **rows pulled** — reconciliation winners handed to the operators,
+//!   whichever lane took them: the records of the batches the compiled
+//!   engine aggregated (folded by column kernels or assembled), or the rows
+//!   drawn through the key-ordered row adapter, counted by a thin wrapper
 //!   (`CountingIter`); with `ORDER BY key LIMIT k` this is the
 //!   early-termination point, not the dataset size;
+//! * **the lane** — per partition: batches scanned, records the column
+//!   kernels folded without building a document (`scan_records_kernel`),
+//!   documents actually built (`records_assembled`), and *why* batches fell
+//!   back to the assembled lane ("residual filter", "union at `readings`",
+//!   "row layout or memtable", …);
 //! * **pages/bytes read** — deltas of the underlying store's
-//!   [`IoStats`](storage::pagestore::IoStats) around the partition's
+//!   [`IoStats`] around the partition's
 //!   execution. Partitions run *sequentially* under analyze (unlike
 //!   [`execute`](crate::QueryEngine::execute)'s thread-per-shard fan-out)
 //!   so each shard's delta is exact even when shards share one store;
 //! * **cache hits/misses** — decoded-leaf cache traffic during execution
-//!   (same [`IoStats`](storage::pagestore::IoStats) deltas); a fully warm
+//!   (same [`IoStats`] deltas); a fully warm
 //!   hot-range re-scan shows hits equal to the leaves touched and a
 //!   pages-read delta of zero;
 //! * **components scanned vs. pruned** — how many on-disk components the
@@ -25,7 +32,7 @@
 //!   counters: reconciliation winners the pushed-down filter rejected
 //!   before record assembly, and whole leaves whose zone maps proved no
 //!   record could match (skipped before any page read). Both are exact
-//!   [`IoStats`](storage::pagestore::IoStats) deltas and appear in the
+//!   [`IoStats`] deltas and appear in the
 //!   rendering only when nonzero.
 //!
 //! A key-only `COUNT(*)` never materialises records, so it reports zero
@@ -36,6 +43,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use storage::pagestore::IoStats;
+
+use crate::compiled::LaneReport;
 use crate::plan::QueryRow;
 
 /// Pull counters shared between the executing pipeline and the probe: how
@@ -47,14 +57,15 @@ pub(crate) struct PullStats {
     exhausted: AtomicBool,
 }
 
-/// Wraps the access-stage record stream and counts what flows through it.
+/// Wraps the access-stage record stream and, when analyzing, counts what
+/// flows through it.
 pub(crate) struct CountingIter<I> {
     inner: I,
-    stats: Arc<PullStats>,
+    stats: Option<Arc<PullStats>>,
 }
 
 impl<I> CountingIter<I> {
-    pub(crate) fn new(inner: I, stats: Arc<PullStats>) -> CountingIter<I> {
+    pub(crate) fn new(inner: I, stats: Option<Arc<PullStats>>) -> CountingIter<I> {
         CountingIter { inner, stats }
     }
 }
@@ -63,16 +74,15 @@ impl<I: Iterator> Iterator for CountingIter<I> {
     type Item = I::Item;
 
     fn next(&mut self) -> Option<I::Item> {
-        match self.inner.next() {
-            Some(item) => {
-                self.stats.pulled.fetch_add(1, Ordering::Relaxed);
-                Some(item)
+        let item = self.inner.next();
+        match (&item, &self.stats) {
+            (Some(_), Some(stats)) => {
+                stats.pulled.fetch_add(1, Ordering::Relaxed);
             }
-            None => {
-                self.stats.exhausted.store(true, Ordering::Relaxed);
-                None
-            }
+            (None, Some(stats)) => stats.exhausted.store(true, Ordering::Relaxed),
+            (_, None) => {}
         }
+        item
     }
 }
 
@@ -81,6 +91,7 @@ pub(crate) struct ExecProbe {
     pub(crate) pull: Arc<PullStats>,
     components_scanned: std::cell::Cell<usize>,
     components_pruned: std::cell::Cell<usize>,
+    fallbacks: std::cell::RefCell<Vec<String>>,
 }
 
 impl ExecProbe {
@@ -89,6 +100,7 @@ impl ExecProbe {
             pull: Arc::new(PullStats::default()),
             components_scanned: std::cell::Cell::new(0),
             components_pruned: std::cell::Cell::new(0),
+            fallbacks: std::cell::RefCell::default(),
         }
     }
 
@@ -104,27 +116,34 @@ impl ExecProbe {
         self.pull.exhausted.store(true, Ordering::Relaxed);
     }
 
-    /// Freeze the counters into the partition's report.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
-        self,
-        pages_read: u64,
-        bytes_read: u64,
-        cache_hits: u64,
-        cache_misses: u64,
-        records_filtered_pre_assembly: u64,
-        leaves_skipped: u64,
-        rows_out: usize,
-    ) -> ShardAnalysis {
+    /// Record what a drained batch scan handed to the operators.
+    pub(crate) fn note_lanes(&self, lanes: LaneReport) {
+        self.pull.pulled.fetch_add(lanes.records, Ordering::Relaxed);
+        self.mark_exhausted();
+        self.fallbacks.borrow_mut().extend(lanes.fallbacks);
+    }
+
+    /// Freeze the counters into the partition's report. `io` is the store's
+    /// counters before and after the partition ran (absent for a
+    /// memtable-only snapshot, which does no page I/O).
+    pub(crate) fn finish(self, io: Option<(IoStats, IoStats)>, rows_out: usize) -> ShardAnalysis {
+        let delta = |field: fn(&IoStats) -> u64| {
+            io.as_ref()
+                .map_or(0, |(before, after)| field(after).saturating_sub(field(before)))
+        };
         ShardAnalysis {
             rows_pulled: self.pull.pulled.load(Ordering::Relaxed),
             exhausted: self.pull.exhausted.load(Ordering::Relaxed),
-            pages_read,
-            bytes_read,
-            cache_hits,
-            cache_misses,
-            records_filtered_pre_assembly,
-            leaves_skipped,
+            pages_read: delta(|io| io.pages_read),
+            bytes_read: delta(|io| io.bytes_read),
+            cache_hits: delta(|io| io.leaf_cache_hits),
+            cache_misses: delta(|io| io.leaf_cache_misses),
+            records_filtered_pre_assembly: delta(|io| io.records_filtered_pre_assembly),
+            leaves_skipped: delta(|io| io.leaves_skipped),
+            scan_batches: delta(|io| io.scan_batches),
+            records_kernel: delta(|io| io.scan_records_kernel),
+            records_assembled: delta(|io| io.records_assembled),
+            fallbacks: self.fallbacks.into_inner(),
             components_scanned: self.components_scanned.get(),
             components_pruned: self.components_pruned.get(),
             rows_out,
@@ -135,13 +154,15 @@ impl ExecProbe {
 /// Actual execution counters of one partition of an analyzed query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAnalysis {
-    /// Records the operator pipeline pulled from the access stage.
+    /// Reconciliation winners handed to the operators, whichever lane took
+    /// them (rows drawn through the row adapter or an index probe; records
+    /// of the batches the compiled engine aggregated).
     pub rows_pulled: u64,
     /// Whether the access stream was drained. `false` means the query
     /// terminated early (`ORDER BY key LIMIT k` found its k rows).
     pub exhausted: bool,
     /// Pages read from the partition's store during execution
-    /// ([`IoStats`](storage::pagestore::IoStats) delta).
+    /// ([`IoStats`] delta).
     pub pages_read: u64,
     /// Bytes read from the partition's store during execution.
     pub bytes_read: u64,
@@ -152,12 +173,26 @@ pub struct ShardAnalysis {
     /// pages and inserted into the cache).
     pub cache_misses: u64,
     /// Reconciliation winners the pushed-down filter rejected *before*
-    /// assembly ([`IoStats`](storage::pagestore::IoStats) delta): their
+    /// assembly ([`IoStats`] delta): their
     /// filter columns were decoded, nothing else.
     pub records_filtered_pre_assembly: u64,
     /// Whole leaves the pushed-down filter's zone maps skipped before any
-    /// page read ([`IoStats`](storage::pagestore::IoStats) delta).
+    /// page read ([`IoStats`] delta).
     pub leaves_skipped: u64,
+    /// Batches the snapshot's batch scan handed over
+    /// ([`IoStats`] delta).
+    pub scan_batches: u64,
+    /// Winners the compiled engine's column kernels folded without building
+    /// a document ([`IoStats`] delta).
+    pub records_kernel: u64,
+    /// Documents actually built from stored pages
+    /// ([`IoStats`] delta): the assembled lane,
+    /// the row adapter, index-probe lookups. Zero when the kernels covered
+    /// every batch.
+    pub records_assembled: u64,
+    /// Why batches took the assembled lane instead of the kernels, one
+    /// entry per distinct reason (empty when none did).
+    pub fallbacks: Vec<String>,
     /// On-disk components the access path read.
     pub components_scanned: usize,
     /// Components skipped by zone-map pruning without any page read.
@@ -232,6 +267,16 @@ impl AnalyzeReport {
         self.shards.iter().map(|s| s.leaves_skipped).sum()
     }
 
+    /// Total winners the column kernels folded, across partitions.
+    pub fn records_kernel(&self) -> u64 {
+        self.shards.iter().map(|s| s.records_kernel).sum()
+    }
+
+    /// Total documents built, across partitions.
+    pub fn records_assembled(&self) -> u64 {
+        self.shards.iter().map(|s| s.records_assembled).sum()
+    }
+
     /// Total components the access paths read.
     pub fn components_scanned(&self) -> usize {
         self.shards.iter().map(|s| s.components_scanned).sum()
@@ -296,33 +341,40 @@ impl AnalyzeReport {
             self.rows.len(),
             termination,
         ));
-        if self.shards.len() > 1 {
-            for (i, s) in self.shards.iter().enumerate() {
-                let cache = if s.cache_hits + s.cache_misses > 0 {
-                    format!(", cache hits {} / misses {}", s.cache_hits, s.cache_misses)
-                } else {
-                    String::new()
-                };
-                let pushdown = if s.records_filtered_pre_assembly + s.leaves_skipped > 0 {
-                    format!(
-                        ", filtered pre-assembly {}, leaves skipped {}",
-                        s.records_filtered_pre_assembly, s.leaves_skipped,
-                    )
-                } else {
-                    String::new()
-                };
-                out.push_str(&format!(
-                    "analyze[shard {i}]: rows pulled {}, pages read {}{}{}, components scanned {} (pruned {}), rows out {}{}\n",
-                    s.rows_pulled,
-                    s.pages_read,
-                    cache,
-                    pushdown,
-                    s.components_scanned,
-                    s.components_pruned,
-                    s.rows_out,
-                    if s.exhausted { "" } else { ", terminated early" },
-                ));
-            }
+        for (i, s) in self.shards.iter().enumerate() {
+            let cache = if s.cache_hits + s.cache_misses > 0 {
+                format!(", cache hits {} / misses {}", s.cache_hits, s.cache_misses)
+            } else {
+                String::new()
+            };
+            let pushdown = if s.records_filtered_pre_assembly + s.leaves_skipped > 0 {
+                format!(
+                    ", filtered pre-assembly {}, leaves skipped {}",
+                    s.records_filtered_pre_assembly, s.leaves_skipped,
+                )
+            } else {
+                String::new()
+            };
+            let fallbacks = if s.fallbacks.is_empty() {
+                String::new()
+            } else {
+                format!(" (fell back: {})", s.fallbacks.join("; "))
+            };
+            out.push_str(&format!(
+                "analyze[shard {i}]: rows pulled {}, pages read {}{}{}, batches {}, kernel records {}, assembled records {}{}, components scanned {} (pruned {}), rows out {}{}\n",
+                s.rows_pulled,
+                s.pages_read,
+                cache,
+                pushdown,
+                s.scan_batches,
+                s.records_kernel,
+                s.records_assembled,
+                fallbacks,
+                s.components_scanned,
+                s.components_pruned,
+                s.rows_out,
+                if s.exhausted { "" } else { ", terminated early" },
+            ));
         }
         out
     }

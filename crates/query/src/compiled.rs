@@ -1,97 +1,545 @@
-//! The compiled engine: a fused, pre-resolved, single-pass pipeline.
+//! The compiled engine: fused loops over columns, not documents.
 //!
 //! The paper generates a Truffle AST for the pipelining part of the plan
 //! (scan → assign → unnest → project), executes it interpreted a few times
-//! and lets the JVM JIT turn it into machine code. The observable property is
-//! that per-tuple work becomes straight-line specialised code: field
-//! accessors are resolved once, there is no operator dispatch and no
-//! materialisation between operators, and only the pipeline breaker
-//! (group-by) runs in the regular engine.
+//! and lets the JVM JIT turn it into machine code. The observable property
+//! (§5, Fig. 14) is that a query over a columnar component touches only the
+//! columns it names and runs straight-line code over their values; only the
+//! pipeline breaker (group-by) runs in the regular engine.
 //!
-//! In Rust we get the same effect by lowering the physical plan *once* into
-//! a fused closure pipeline: all paths are cloned out of the plan up front,
-//! and the record loop feeds the aggregation table directly. The loop
-//! **pulls** from the access stage's streaming cursor — one record in
-//! flight, one decoded leaf per component resident — so the contrast with
-//! [`crate::interp`] is purely the per-tuple execution model, exactly what
-//! §5 of the paper measures. (Projection plans have no pipeline breaker
-//! and no per-tuple interpretation contrast; both modes share one
-//! projection loop in the engine crate root.)
+//! Here the plan is lowered **once per component schema** into column
+//! kernels (`Kernel`) and the access stage is the snapshot's batch scan
+//! ([`lsm::Snapshot::batches`]): key-only reconciliation hands over, per
+//! columnar leaf, the decoded chunks plus the ordinals of the winners, and a
+//! kernel folds the aggregate inputs straight off the chunks — the
+//! definition levels say where a record's values start and end
+//! ([`columnar::ColumnChunk::skip_records`],
+//! [`columnar::ColumnChunk::for_each_element`]), the typed values feed
+//! `AggState::fold`, the group table is probed once per **record**, and no
+//! document is ever built. The contrast with [`crate::interp`] — which stays
+//! per-tuple over assembled documents — is §5's interpreted-vs-generated
+//! contrast.
+//!
+//! Batches arrive per source leaf, not in key order, so this engine folds
+//! the records in another order than the per-tuple ones — and in another
+//! order again after a merge has rearranged the leaves. No answer may depend
+//! on that: the aggregate partials are order-insensitive (exact double sums,
+//! ties between `7` and `7.0` settled by value; see `AggState` in
+//! [`crate::physical`]).
+//!
+//! ## Which lane a batch takes
+//!
+//! Decided from what the code can see, never by an option:
+//!
+//! * the plan must have no residual filter and must not group on the
+//!   unnested element;
+//! * against the batch's component schema, every plan path must resolve to a
+//!   **covered shape** ([`storage::batch::plain_node`]): field steps through
+//!   objects only, the group key and record-level inputs ending at a scalar
+//!   column (the group key not a string), the unnest path ending at an array
+//!   whose items are objects or scalars — not a union — and element-level
+//!   inputs ending at a scalar column directly under it;
+//! * every pushed predicate was decided on columns, and the leaf holds every
+//!   column the kernel reads.
+//!
+//! Anything else — and every [`ScanBatch::Rows`] batch (memtables, row
+//! layouts) — takes the **assembled lane**: the selected ordinals are
+//! assembled in one forward pass ([`storage::ColumnBatch::into_rows`]) and
+//! fed to the fused per-record loop (`FusedLoop`), which index-probe plans
+//! use too. `EXPLAIN ANALYZE` reports how many records took which lane and
+//! why a batch fell back. [`ScanLane::Assembled`] forces the assembled lane;
+//! it exists for the differential tests (`tests/vectorized.rs`), which hold
+//! the two lanes, the interpreted engine and the batch oracle to one answer.
 
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+use columnar::{ChunkPos, ColumnChunk, ColumnValues};
 use docmodel::cmp::OrderedValue;
 use docmodel::{Path, Value};
+use lsm::{BatchScan, ScanBatch};
+use schema::node::SchemaNode;
+use schema::{AtomicType, ColumnId, NodeId, Schema};
+use storage::batch::plain_node;
+use storage::component::ComponentReader;
 
-use crate::physical::{new_states, GroupPartials, PhysicalPlan};
+use crate::physical::{new_states, AggState, GroupPartials, Input, PhysicalPlan};
+use crate::plan::join_paths;
 use crate::Result;
 
-/// The fused per-record loop shared by the scan and index-probe access
-/// paths: filter, unnest and aggregate in one pass, with every path
-/// pre-resolved outside the loop. Pulls the stream record by record; no
-/// batch is ever materialised.
-pub(crate) fn aggregate_stream(
-    docs: impl Iterator<Item = Result<Value>>,
-    plan: &PhysicalPlan,
-) -> Result<GroupPartials> {
-    // "Code generation": resolve all plan parameters once, before the loop.
-    // The filter here is the residual only — sargable conjuncts were pushed
-    // into the scan (non-scan access paths keep the whole filter residual).
-    let filter = plan.residual.clone();
-    let unnest: Option<Path> = plan.unnest.clone();
-    let group_path = plan.group_by.clone();
-    let group_on_element = plan.group_on_element;
-    let agg_inputs: Vec<(bool, Option<Path>)> = plan
-        .aggregates
-        .iter()
-        .map(|s| (s.on_element, s.agg.path().cloned()))
-        .collect();
+/// Which lane the compiled engine's scans take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ScanLane {
+    /// Column kernels wherever the plan and the component's schema allow —
+    /// what every query runs with.
+    #[default]
+    Kernels,
+    /// Assemble every winner and run the fused per-record loop. The
+    /// reference the kernels are tested against, and nothing else: the
+    /// answer must be identical.
+    Assembled,
+}
 
-    let mut groups = GroupPartials::new();
-    let update = |record: &Value, element: Option<&Value>, groups: &mut GroupPartials| {
-        let resolve_one = |on_element: bool, path: &Path| -> Option<Value> {
-            let base = if on_element { element? } else { record };
-            if path.is_empty() {
-                Some(base.clone())
-            } else {
-                path.evaluate(base).first().map(|v| (*v).clone())
-            }
-        };
-        let key = match &group_path {
-            Some(p) => match resolve_one(group_on_element, p) {
-                Some(k) => Some(OrderedValue(k)),
-                None => return,
-            },
-            None => None,
-        };
-        let states = groups.entry(key).or_insert_with(|| new_states(plan));
-        for (state, (on_element, path)) in states.iter_mut().zip(&agg_inputs) {
-            let input = path.as_ref().and_then(|p| resolve_one(*on_element, p));
-            state.update(input.as_ref());
-        }
-    };
+/// What the batch lanes did, for `EXPLAIN ANALYZE`.
+#[derive(Debug, Default)]
+pub(crate) struct LaneReport {
+    /// Reconciliation winners handed to the operators, whichever lane.
+    pub(crate) records: u64,
+    /// Why batches took the assembled lane (one entry per distinct reason).
+    pub(crate) fallbacks: BTreeSet<String>,
+}
 
-    for record in docs {
-        let record = record?;
-        if let Some(f) = &filter {
-            if !f.matches(&record) {
-                continue;
+/// The fused per-record loop: residual filter, unnest and aggregate in one
+/// pass over one document, every plan parameter resolved before the first
+/// record. The assembled lane of scans and the whole of index-probe plans.
+pub(crate) struct FusedLoop<'p> {
+    plan: &'p PhysicalPlan,
+    agg_inputs: Vec<(bool, Option<&'p Path>)>,
+    groups: GroupPartials,
+}
+
+impl<'p> FusedLoop<'p> {
+    pub(crate) fn new(plan: &'p PhysicalPlan) -> FusedLoop<'p> {
+        FusedLoop {
+            plan,
+            agg_inputs: plan
+                .aggregates
+                .iter()
+                .map(|s| (s.on_element, s.agg.path()))
+                .collect(),
+            groups: GroupPartials::new(),
+        }
+    }
+
+    /// Fold one record. The filter here is the residual only — sargable
+    /// conjuncts were pushed into the scan (non-scan access paths keep the
+    /// whole filter residual).
+    pub(crate) fn push(&mut self, record: &Value) {
+        if let Some(filter) = &self.plan.residual {
+            if !filter.matches(record) {
+                return;
             }
         }
-        match &unnest {
-            None => update(&record, None, &mut groups),
+        match &self.plan.unnest {
+            None => self.update(record, None),
             Some(path) => {
-                for value in path.evaluate(&record) {
+                for value in path.evaluate(record) {
                     match value {
                         Value::Array(elems) => {
                             for element in elems {
-                                update(&record, Some(element), &mut groups);
+                                self.update(record, Some(element));
                             }
                         }
-                        other => update(&record, Some(other), &mut groups),
+                        other => self.update(record, Some(other)),
                     }
                 }
             }
         }
     }
-    Ok(groups)
+
+    fn update(&mut self, record: &Value, element: Option<&Value>) {
+        fn resolve<'v>(
+            record: &'v Value,
+            element: Option<&'v Value>,
+            on_element: bool,
+            path: &Path,
+        ) -> Option<&'v Value> {
+            let base = if on_element { element? } else { record };
+            if path.is_empty() {
+                Some(base)
+            } else {
+                path.evaluate(base).first().copied()
+            }
+        }
+        let plan = self.plan;
+        let key = match &plan.group_by {
+            Some(path) => match resolve(record, element, plan.group_on_element, path) {
+                Some(key) => Some(OrderedValue(key.clone())),
+                None => return,
+            },
+            None => None,
+        };
+        let states = self.groups.entry(key).or_insert_with(|| new_states(plan));
+        for (state, (on_element, path)) in states.iter_mut().zip(&self.agg_inputs) {
+            state.update(path.and_then(|p| resolve(record, element, *on_element, p)));
+        }
+    }
+
+    pub(crate) fn finish(self) -> GroupPartials {
+        self.groups
+    }
 }
 
+/// The fused loop over a stream of documents (index-probe plans).
+pub(crate) fn aggregate_stream(
+    docs: impl Iterator<Item = Result<Value>>,
+    plan: &PhysicalPlan,
+) -> Result<GroupPartials> {
+    let mut fused = FusedLoop::new(plan);
+    for record in docs {
+        fused.push(&record?);
+    }
+    Ok(fused.finish())
+}
+
+/// The paths a columnar leaf should decode when it is loaded for `plan`:
+/// exactly what the kernels fold over when the plan can take them at all
+/// (a batch that falls back fetches the rest of the plan's projection when
+/// it is assembled), the plan's whole projection otherwise.
+pub(crate) fn scan_projection(plan: &PhysicalPlan, lane: ScanLane) -> Option<Vec<Path>> {
+    let projection = plan.projection.as_ref()?;
+    if lane == ScanLane::Assembled || plan_level_fallback(plan).is_some() {
+        return Some(projection.clone());
+    }
+    let mut paths: Vec<Path> = Vec::new();
+    let mut add = |path: Path| {
+        if !paths.contains(&path) {
+            paths.push(path);
+        }
+    };
+    if let Some(group) = &plan.group_by {
+        add(group.clone());
+    }
+    for spec in &plan.aggregates {
+        match (spec.agg.path(), &plan.unnest) {
+            (Some(path), Some(unnest)) if spec.on_element => add(join_paths(unnest, path)),
+            (Some(path), _) => add(path.clone()),
+            (None, _) => {}
+        }
+    }
+    Some(paths)
+}
+
+/// Why no batch of this plan can take the kernels, whatever the schema.
+fn plan_level_fallback(plan: &PhysicalPlan) -> Option<&'static str> {
+    if plan.residual.is_some() {
+        Some("residual filter")
+    } else if plan.group_by.is_some() && plan.group_on_element {
+        Some("group by the unnested element")
+    } else {
+        None
+    }
+}
+
+/// Where one aggregate's input comes from.
+enum KernelInput {
+    /// `COUNT(*)`: no input, one fold per record (per element when unnested).
+    None,
+    /// A record-level scalar column (slot into [`Kernel::columns`]).
+    Record(usize),
+    /// A scalar column directly under the unnested array.
+    Element(usize),
+}
+
+/// An aggregate plan lowered against one component schema: which columns to
+/// fold over, and how. See the module docs for when lowering succeeds.
+struct Kernel {
+    /// The columns the kernel reads; the other fields index into it.
+    columns: Vec<ColumnId>,
+    /// Record-level scalar column holding the group key.
+    group: Option<usize>,
+    /// A column with exactly one entry per element of the unnested array,
+    /// when some input is folded once per element without reading one
+    /// (`COUNT(*)`, record-level inputs under `UNNEST`).
+    elements: Option<usize>,
+    /// Whether the plan unnests: a record without elements then contributes
+    /// nothing at all, not even its group.
+    unnested: bool,
+    inputs: Vec<KernelInput>,
+}
+
+impl Kernel {
+    fn lower(plan: &PhysicalPlan, schema: &Schema) -> std::result::Result<Kernel, String> {
+        if let Some(reason) = plan_level_fallback(plan) {
+            return Err(reason.to_string());
+        }
+        let mut columns: Vec<ColumnId> = Vec::new();
+        let mut slot = |column: ColumnId| {
+            columns
+                .iter()
+                .position(|c| *c == column)
+                .unwrap_or_else(|| {
+                    columns.push(column);
+                    columns.len() - 1
+                })
+        };
+        let scalar =
+            |from: NodeId, path: &Path| -> std::result::Result<(NodeId, AtomicType), String> {
+                let node = plain_node(schema, from, path)?;
+                match schema.node(node) {
+                    SchemaNode::Atomic { ty } => Ok((node, *ty)),
+                    SchemaNode::Union { .. } => Err(format!("union at `{path}`")),
+                    _ => Err(format!("`{path}` is not a scalar column")),
+                }
+            };
+        let root = schema.root();
+        let group = match &plan.group_by {
+            Some(path) => match scalar(root, path)? {
+                (_, AtomicType::String) => return Err("string group key".to_string()),
+                (node, _) => Some(slot(node)),
+            },
+            None => None,
+        };
+        let item = match &plan.unnest {
+            Some(path) => match schema.node(plain_node(schema, root, path)?) {
+                SchemaNode::Array { item: Some(item) } => match schema.node(*item) {
+                    SchemaNode::Union { .. } | SchemaNode::Array { .. } => {
+                        return Err(format!("union or array at `{path}[*]`"));
+                    }
+                    _ => Some(*item),
+                },
+                SchemaNode::Union { .. } => return Err(format!("union at `{path}`")),
+                _ => return Err(format!("`{path}` is not an array here")),
+            },
+            None => None,
+        };
+        let mut inputs = Vec::with_capacity(plan.aggregates.len());
+        for spec in &plan.aggregates {
+            inputs.push(match (spec.agg.path(), item) {
+                (None, _) => KernelInput::None,
+                (Some(path), Some(item)) if spec.on_element => {
+                    KernelInput::Element(slot(scalar(item, path)?.0))
+                }
+                (Some(path), _) => KernelInput::Record(slot(scalar(root, path)?.0)),
+            });
+        }
+        let counts_elements = item.is_some()
+            && inputs
+                .iter()
+                .any(|input| !matches!(input, KernelInput::Element(_)));
+        let elements = match item {
+            Some(item) if counts_elements => {
+                let counted = inputs.iter().find_map(|input| match input {
+                    KernelInput::Element(slot) => Some(*slot),
+                    _ => None,
+                });
+                Some(match counted {
+                    Some(slot) => slot,
+                    None => slot(first_scalar_under(schema, item).ok_or_else(|| {
+                        "no scalar column directly under the unnested array".to_string()
+                    })?),
+                })
+            }
+            _ => None,
+        };
+        Ok(Kernel {
+            columns,
+            group,
+            elements,
+            unnested: item.is_some(),
+            inputs,
+        })
+    }
+
+    /// Fold the selected records of one leaf into `groups`.
+    fn run(
+        &self,
+        chunks: &[Arc<ColumnChunk>],
+        selection: &[u32],
+        plan: &PhysicalPlan,
+        groups: &mut GroupPartials,
+    ) {
+        let mut group = self.group.map(|slot| Walk::new(&chunks[slot]));
+        let mut elements = self.elements.map(|slot| Walk::new(&chunks[slot]));
+        let mut walks: Vec<Option<Walk<'_>>> = self
+            .inputs
+            .iter()
+            .map(|input| match input {
+                KernelInput::None => None,
+                KernelInput::Record(slot) | KernelInput::Element(slot) => {
+                    Some(Walk::new(&chunks[*slot]))
+                }
+            })
+            .collect();
+        // The walk that tells whether a record has elements: an element
+        // input's own (it is about to visit them anyway), else the counter.
+        let probe = self
+            .inputs
+            .iter()
+            .position(|input| matches!(input, KernelInput::Element(_)));
+        for &ordinal in selection {
+            let ordinal = ordinal as usize;
+            let key = match &mut group {
+                Some(walk) => match walk.record_value(ordinal) {
+                    Some(i) => Some(OrderedValue(walk.chunk.values.get(i))),
+                    // No group key: the record contributes nothing.
+                    None => continue,
+                },
+                None => None,
+            };
+            if self.unnested {
+                let walk = match probe {
+                    Some(input) => walks[input].as_mut(),
+                    None => elements.as_mut(),
+                };
+                if !walk
+                    .expect("an unnesting kernel reads the array")
+                    .has_elements(ordinal)
+                {
+                    continue;
+                }
+            }
+            let states = groups.entry(key).or_insert_with(|| new_states(plan));
+            // How often an input that is not read per element is folded.
+            let times = match &mut elements {
+                Some(walk) => {
+                    let mut n = 0;
+                    walk.record_elements(ordinal, |_| n += 1);
+                    n
+                }
+                None => 1,
+            };
+            for ((state, input), walk) in states.iter_mut().zip(&self.inputs).zip(&mut walks) {
+                match (input, walk) {
+                    (KernelInput::Element(_), Some(walk)) => {
+                        let values = &walk.chunk.values;
+                        walk.record_elements(ordinal, |i| fold_at(state, values, i));
+                    }
+                    (_, walk) => {
+                        let at = walk
+                            .as_mut()
+                            .map(|walk| (walk.record_value(ordinal), walk.chunk));
+                        for _ in 0..times {
+                            match at {
+                                Some((i, chunk)) => fold_at(state, &chunk.values, i),
+                                None => state.fold(Input::Absent),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The first scalar column reachable from `node` through objects only: it
+/// holds exactly one entry per element of the array `node` is the item of.
+fn first_scalar_under(schema: &Schema, node: NodeId) -> Option<ColumnId> {
+    match schema.node(node) {
+        SchemaNode::Atomic { .. } => Some(node),
+        SchemaNode::Object { fields } => fields
+            .iter()
+            .find_map(|(_, child)| first_scalar_under(schema, *child)),
+        _ => None,
+    }
+}
+
+/// One forward pass over one column of a leaf: stands on a record boundary
+/// and is asked about ascending ordinals.
+struct Walk<'a> {
+    chunk: &'a ColumnChunk,
+    pos: ChunkPos,
+    /// The record `pos` stands on.
+    at: usize,
+}
+
+impl<'a> Walk<'a> {
+    fn new(chunk: &'a ColumnChunk) -> Walk<'a> {
+        Walk {
+            chunk,
+            pos: ChunkPos::default(),
+            at: 0,
+        }
+    }
+
+    fn seek(&mut self, ordinal: usize) {
+        self.chunk.skip_records(&mut self.pos, ordinal - self.at);
+        self.at = ordinal;
+    }
+
+    /// The value index of record `ordinal` in a record-level column.
+    fn record_value(&mut self, ordinal: usize) -> Option<usize> {
+        self.seek(ordinal);
+        self.chunk.value_index(self.pos)
+    }
+
+    /// Whether record `ordinal` holds at least one element of the unnested
+    /// array this column lies under.
+    fn has_elements(&mut self, ordinal: usize) -> bool {
+        self.seek(ordinal);
+        self.chunk.defs[self.pos.def()] > self.chunk.spec.array_levels[0]
+    }
+
+    /// Visit the elements of record `ordinal` in a column under the
+    /// unnested array.
+    fn record_elements(&mut self, ordinal: usize, visit: impl FnMut(Option<usize>)) {
+        self.seek(ordinal);
+        self.chunk.for_each_element(&mut self.pos, visit);
+        self.at += 1;
+    }
+}
+
+/// Fold entry `index` of a decoded column (`None` = the value is absent).
+fn fold_at(state: &mut AggState, values: &ColumnValues, index: Option<usize>) {
+    let Some(i) = index else {
+        return state.fold(Input::Absent);
+    };
+    match values {
+        ColumnValues::Int(v) => state.fold(Input::Int(v[i])),
+        ColumnValues::Double(v) => state.fold(Input::Double(v[i])),
+        ColumnValues::String(v) => state.fold(Input::Str(&v[i])),
+        ColumnValues::Bool(v) => state.fold(Input::Other(&Value::Bool(v[i]))),
+    }
+}
+
+/// Aggregate a snapshot's batch scan: per columnar batch the kernels when
+/// they cover it, else — and for every batch of documents — the fused
+/// per-record loop. See the module docs.
+pub(crate) fn aggregate_batches(
+    scan: BatchScan,
+    plan: &PhysicalPlan,
+    lane: ScanLane,
+    report: &mut LaneReport,
+) -> Result<GroupPartials> {
+    let mut fused = FusedLoop::new(plan);
+    // Lowered once per component schema, not per leaf.
+    let mut kernels: HashMap<u64, std::result::Result<Kernel, String>> = HashMap::new();
+    for batch in scan {
+        let mut batch = match batch? {
+            ScanBatch::Columns(batch) => batch,
+            ScanBatch::Rows(rows) => {
+                report.records += rows.len() as u64;
+                report
+                    .fallbacks
+                    .insert("row layout or memtable".to_string());
+                for (_, record) in &rows {
+                    fused.push(record);
+                }
+                continue;
+            }
+        };
+        let component = batch.component().clone();
+        let kernel = kernels
+            .entry(component.meta().id)
+            .or_insert_with(|| match lane {
+                ScanLane::Kernels => Kernel::lower(plan, component.schema()),
+                ScanLane::Assembled => Err("assembled lane forced".to_string()),
+            });
+        let fallback = match kernel {
+            Err(reason) => reason.clone(),
+            Ok(_) if batch.needs_records() => "pushed predicate needs the record".to_string(),
+            Ok(kernel) => match batch
+                .chunks(&kernel.columns)?
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
+            {
+                Some(chunks) => {
+                    kernel.run(&chunks, batch.selection(), plan, &mut fused.groups);
+                    let folded = batch.selection().len() as u64;
+                    report.records += folded;
+                    component.cache().store().note_scan_records_kernel(folded);
+                    continue;
+                }
+                None => "leaf predates a column".to_string(),
+            },
+        };
+        report.fallbacks.insert(fallback);
+        // Counted as they come out: a pushed predicate that needed the
+        // record drops its rejections in `into_rows`.
+        for row in batch.into_rows(plan.projection.as_deref())? {
+            fused.push(&row?.1);
+            report.records += 1;
+        }
+    }
+    Ok(fused.finish())
+}

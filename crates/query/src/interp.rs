@@ -1,16 +1,19 @@
 //! The interpreted engine: operator-at-a-time with per-tuple dispatch.
 //!
 //! Every operator is a boxed trait object wrapping its input stream — the
-//! classic Volcano shape. The pipeline *streams*: each operator pulls one
-//! row at a time from its input, so memory stays bounded by the storage
-//! cursor underneath (one decoded leaf per component) instead of the
-//! full-batch materialisation the seed engine paid between operators. What
-//! remains — and what the paper attributes to interpretation — is the
-//! **per-tuple** cost: dynamic dispatch through `dyn Iterator` per operator
-//! per row, repeated path resolution against schemaless values, and the
-//! per-row `$record`/`$element` re-materialisation of the unnest. These are
-//! precisely the overheads the compiled mode removes with its fused,
-//! pre-resolved loop.
+//! classic Volcano shape. The pipeline *streams*: its input is the snapshot
+//! scan's key-ordered row adapter (`lsm::ScanCursor`), which assembles each
+//! reconciliation winner into a document, and each operator pulls one row at
+//! a time, so memory stays bounded by the storage cursors underneath (one
+//! decoded leaf per component). What the paper attributes to interpretation
+//! is the **per-tuple** cost: a document built per record, dynamic dispatch
+//! through `dyn Iterator` per operator per row, repeated path resolution
+//! against schemaless values, and the per-row `$record`/`$element`
+//! re-materialisation of the unnest. These are precisely the overheads
+//! [`crate::compiled`] removes — it never builds the document: its kernels
+//! fold the same aggregates straight off the decoded column chunks. The two
+//! engines are §5's contrast: per tuple over documents vs fused loops over
+//! columns.
 //!
 //! The engine executes a [`PhysicalPlan`] over a record stream supplied by
 //! the access stage and emits mergeable per-group aggregate partials;

@@ -28,31 +28,41 @@
 //!   shard and merging per-group partial aggregates exactly.
 //!
 //! Execution **streams** end to end: the access stage is the LSM snapshot's
-//! k-way merge-reconcile cursor (one decoded leaf per component in memory,
-//! never the dataset) and every operator pulls one record at a time, so a
-//! limited query stops reading as soon as its answer is complete. Besides
+//! one scan ([`lsm::Snapshot::batches`] — key-only reconciliation, one
+//! decoded leaf per component in memory, never the dataset), so a limited
+//! query stops reading as soon as its answer is complete. Besides
 //! aggregates, the plan supports **raw-column `SELECT`**
 //! ([`Query::select_paths`]): one key-ordered row per matching record, with
 //! `ORDER BY key LIMIT k` terminating after the k-th match without
 //! scanning the tail. The seed's materialise-then-process model survives
 //! only as the differential-testing [`oracle`].
 //!
-//! Two execution modes run every plan ([`ExecMode`]):
+//! Two execution modes run every plan ([`ExecMode`]) — the paper's §5
+//! contrast, interpreted per tuple over documents vs generated loops over
+//! columns:
 //!
 //! * [`ExecMode::Interpreted`] — a classic operator pipeline
-//!   (scan → filter → unnest → project → group) where every operator is a
-//!   boxed trait object pulling rows through dynamic dispatch, re-resolving
-//!   paths per tuple;
+//!   (scan → filter → unnest → project → group) over the scan's key-ordered
+//!   row adapter: every record is assembled into a document, every operator
+//!   is a boxed trait object pulling rows through dynamic dispatch,
+//!   re-resolving paths per tuple;
 //! * [`ExecMode::Compiled`] — the "code generation" mode: the plan is
-//!   lowered once into a fused, monomorphised pipeline with pre-resolved
-//!   field accessors, and the data is processed in a single pass. Rust
-//!   closure fusion stands in for the Truffle AST + JIT of the paper (see
-//!   DESIGN.md §2); the property being measured — per-tuple interpretation
-//!   overhead vs. specialised code — is the same.
+//!   lowered once per component schema into **column kernels** that fold
+//!   aggregate inputs straight off each scan batch's decoded column chunks —
+//!   typed values, definition levels for record and array boundaries, one
+//!   group probe per record, no document built ([`compiled`]). Shapes the
+//!   kernels do not cover (residual filters, unions on a plan path, row
+//!   layouts and memtables) assemble the batch's winners and run a fused,
+//!   pre-resolved per-record loop instead; `EXPLAIN ANALYZE` says which
+//!   lane took how many records and why. Rust closure fusion and
+//!   monomorphised loops stand in for the Truffle AST + JIT of the paper
+//!   (see DESIGN.md §2); the property being measured — per-tuple
+//!   interpretation overhead vs. specialised code — is the same.
 //!
-//! Group-by (the pipeline breaker) is executed by the engine itself in both
-//! modes, exactly as in the paper where code generation stops at the first
-//! pipeline breaker.
+//! Group-by (the pipeline breaker) keeps one table of mergeable partials in
+//! both modes, exactly as in the paper where code generation stops at the
+//! first pipeline breaker. Projection plans have no pipeline breaker and no
+//! interpretation contrast; both modes share one loop over the row adapter.
 //!
 //! ```
 //! use docmodel::{doc, Path};
@@ -99,8 +109,10 @@ pub mod interp;
 pub mod oracle;
 pub mod physical;
 pub mod plan;
+mod sum;
 
 pub use analyze::{AnalyzeReport, ShardAnalysis};
+pub use compiled::ScanLane;
 pub use expr::{CmpOp, Expr};
 pub use physical::{
     AccessEstimate, AccessPath, AccessPathChoice, ComponentPlanInfo, PhysicalPlan, PlanContext,
@@ -110,14 +122,14 @@ pub use plan::{AggSpec, Aggregate, ExecMode, Query, QueryRow};
 
 use std::fmt;
 use std::ops::Bound;
-use std::sync::Arc;
 use std::time::Instant;
 
 use docmodel::Value;
-use lsm::{LsmDataset, Snapshot};
+use lsm::{LsmDataset, ScanSpec, Snapshot};
 use storage::pagestore::IoStats;
 
 use analyze::{CountingIter, ExecProbe};
+use compiled::LaneReport;
 use physical::{finalize, key_count_partials, merge_partials, GroupPartials};
 
 /// Error type of the query layer: plan validation failures are separated
@@ -229,7 +241,7 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// An engine with default planner options (all optimisations on).
     pub fn new(mode: ExecMode) -> QueryEngine {
-        QueryEngine { mode, options: PlannerOptions::default() }
+        QueryEngine::with_options(mode, PlannerOptions::default())
     }
 
     /// An engine with explicit planner options (the benchmarks flip
@@ -249,7 +261,24 @@ impl QueryEngine {
         target: impl Into<QueryTarget<'a>>,
         query: &Query,
     ) -> Result<Vec<QueryRow>> {
-        let target = target.into();
+        self.run(target.into(), query, ScanLane::Kernels)
+    }
+
+    /// [`QueryEngine::execute`] with the compiled engine's scan lane named
+    /// explicitly. [`ScanLane::Assembled`] is the reference lane of the
+    /// differential tests and the `vectorized` experiment; the answer is the
+    /// same in either lane. Not part of the query API.
+    #[doc(hidden)]
+    pub fn execute_in_lane<'a>(
+        &self,
+        target: impl Into<QueryTarget<'a>>,
+        query: &Query,
+        lane: ScanLane,
+    ) -> Result<Vec<QueryRow>> {
+        self.run(target.into(), query, lane)
+    }
+
+    fn run(&self, target: QueryTarget<'_>, query: &Query, lane: ScanLane) -> Result<Vec<QueryRow>> {
         let plan = physical::plan(query, &target.plan_context(), &self.options)?;
         // An empty shard list has no partitions to aggregate over — return
         // no rows rather than a default global aggregate.
@@ -257,16 +286,18 @@ impl QueryEngine {
             return Ok(Vec::new());
         }
         let output = match target {
-            QueryTarget::Snapshot(snapshot) => self.output_for_snapshot(snapshot, &plan, None)?,
-            QueryTarget::Dataset(dataset) => self.output_for_dataset(dataset, &plan, None)?,
+            QueryTarget::Snapshot(snapshot) => {
+                self.output_for_snapshot(snapshot, &plan, lane, None)?
+            }
+            QueryTarget::Dataset(dataset) => self.output_for_dataset(dataset, &plan, lane, None)?,
             QueryTarget::Snapshots(snapshots) => {
                 self.fan_out(snapshots, &plan, |engine, snapshot, plan| {
-                    engine.output_for_snapshot(snapshot, plan, None)
+                    engine.output_for_snapshot(snapshot, plan, lane, None)
                 })?
             }
             QueryTarget::Shards(shards) => {
                 self.fan_out(shards, &plan, |engine, dataset, plan| {
-                    engine.output_for_dataset(dataset, plan, None)
+                    engine.output_for_dataset(dataset, plan, lane, None)
                 })?
             }
         };
@@ -289,11 +320,12 @@ impl QueryEngine {
     }
 
     /// Plan the query, *execute it for real*, and return the plan annotated
-    /// with actual execution counters (`EXPLAIN ANALYZE`): rows the pipeline
-    /// pulled from the access stage, pages read (I/O-stats deltas), how many
-    /// components zone maps pruned vs. scanned, the early-termination point
-    /// of limited queries, and wall time — plus the query's result rows, so
-    /// analyzing never costs a second execution.
+    /// with actual execution counters (`EXPLAIN ANALYZE`): reconciliation
+    /// winners handed to the operators, pages read (I/O-stats deltas), per
+    /// partition which lane took them — column kernels or assembly — and why
+    /// batches fell back, how many components zone maps pruned vs. scanned,
+    /// the early-termination point of limited queries, and wall time — plus
+    /// the query's result rows, so analyzing never costs a second execution.
     ///
     /// Partitions run sequentially (not thread-per-shard) so each shard's
     /// I/O delta is exact even when shards share one page store; the merged
@@ -307,6 +339,7 @@ impl QueryEngine {
         let plan = physical::plan(query, &target.plan_context(), &self.options)?;
         let plan_text = plan.describe();
         let started = Instant::now();
+        let lane = ScanLane::Kernels;
         let mut analyses: Vec<ShardAnalysis> = Vec::new();
         let mut outputs: Vec<ExecOutput> = Vec::new();
         {
@@ -317,44 +350,32 @@ impl QueryEngine {
                 let before = io();
                 let output = exec(&probe)?;
                 let after = io();
-                let (pages, bytes, hits, misses, filtered, skipped) = match (before, after) {
-                    (Some(b), Some(a)) => (
-                        a.pages_read.saturating_sub(b.pages_read),
-                        a.bytes_read.saturating_sub(b.bytes_read),
-                        a.leaf_cache_hits.saturating_sub(b.leaf_cache_hits),
-                        a.leaf_cache_misses.saturating_sub(b.leaf_cache_misses),
-                        a.records_filtered_pre_assembly
-                            .saturating_sub(b.records_filtered_pre_assembly),
-                        a.leaves_skipped.saturating_sub(b.leaves_skipped),
-                    ),
-                    _ => (0, 0, 0, 0, 0, 0),
-                };
                 let rows_out = match &output {
                     ExecOutput::Rows(rows) => rows.len(),
                     ExecOutput::Groups(groups) => groups.len(),
                 };
-                analyses.push(probe.finish(pages, bytes, hits, misses, filtered, skipped, rows_out));
+                analyses.push(probe.finish(before.zip(after), rows_out));
                 outputs.push(output);
                 Ok(())
             };
             match &target {
                 QueryTarget::Snapshot(snapshot) => run_one(&|| snapshot_io(snapshot), &|p| {
-                    self.output_for_snapshot(snapshot, &plan, Some(p))
+                    self.output_for_snapshot(snapshot, &plan, lane, Some(p))
                 })?,
                 QueryTarget::Dataset(dataset) => run_one(&|| Some(dataset.io_stats()), &|p| {
-                    self.output_for_dataset(dataset, &plan, Some(p))
+                    self.output_for_dataset(dataset, &plan, lane, Some(p))
                 })?,
                 QueryTarget::Snapshots(snapshots) => {
                     for snapshot in *snapshots {
                         run_one(&|| snapshot_io(snapshot), &|p| {
-                            self.output_for_snapshot(snapshot, &plan, Some(p))
+                            self.output_for_snapshot(snapshot, &plan, lane, Some(p))
                         })?;
                     }
                 }
                 QueryTarget::Shards(shards) => {
                     for dataset in *shards {
                         run_one(&|| Some(dataset.io_stats()), &|p| {
-                            self.output_for_dataset(dataset, &plan, Some(p))
+                            self.output_for_dataset(dataset, &plan, lane, Some(p))
                         })?;
                     }
                 }
@@ -416,6 +437,7 @@ impl QueryEngine {
         &self,
         dataset: &LsmDataset,
         plan: &PhysicalPlan,
+        lane: ScanLane,
         probe: Option<&ExecProbe>,
     ) -> Result<ExecOutput> {
         match &plan.access {
@@ -432,28 +454,26 @@ impl QueryEngine {
                     // An index probe's point lookups may touch every
                     // component; zone maps play no part.
                     probe.set_components(dataset.component_count(), 0);
-                    let stream = CountingIter::new(entries.into_iter().map(Ok), probe.pull.clone());
-                    if plan.is_projection() {
-                        self.select_rows(stream, plan)
-                    } else {
-                        self.aggregate(stream.map(|e| e.map(|(_, doc)| doc)), plan)
-                    }
-                } else if plan.is_projection() {
-                    self.select_rows(entries.into_iter().map(Ok), plan)
+                }
+                let stream =
+                    CountingIter::new(entries.into_iter().map(Ok), probe.map(|p| p.pull.clone()));
+                if plan.is_projection() {
+                    self.select_rows(stream, plan)
                 } else {
-                    self.aggregate(entries.into_iter().map(|(_, doc)| Ok(doc)), plan)
+                    self.aggregate(stream.map(|e| e.map(|(_, doc)| doc)), plan)
                 }
             }
-            _ => self.output_for_snapshot(&dataset.snapshot(), plan, probe),
+            _ => self.output_for_snapshot(&dataset.snapshot(), plan, lane, probe),
         }
     }
 
     /// Execute a scan-shaped access path against a snapshot in the
-    /// configured mode, streaming the snapshot's merge-reconcile cursor.
+    /// configured mode, over the snapshot's batch scan or its row adapter.
     fn output_for_snapshot(
         &self,
         snapshot: &Snapshot,
         plan: &PhysicalPlan,
+        lane: ScanLane,
         probe: Option<&ExecProbe>,
     ) -> Result<ExecOutput> {
         match &plan.access {
@@ -465,14 +485,17 @@ impl QueryEngine {
                     probe.set_components(snapshot.components().len(), 0);
                     probe.mark_exhausted();
                 }
-                Ok(ExecOutput::Groups(key_count_partials(snapshot.count()?, plan)))
+                // Key-only batches: selection lengths are all it needs.
+                let keys_only = ScanSpec { projection: Some(&[]), ..ScanSpec::default() };
+                let count = snapshot.batches(keys_only).record_count()?;
+                Ok(ExecOutput::Groups(key_count_partials(count, plan)))
             }
             AccessPath::FullScan => {
                 // Zone-map pruning: skip components whose statistics prove
                 // no record can match. The flags come from the execution
                 // snapshot's own components, so planning-time staleness can
                 // never skip the wrong component.
-                let skip: Vec<bool> = match &plan.filter {
+                let prune: Vec<bool> = match &plan.filter {
                     Some(filter) if plan.zone_map_pruning => {
                         let infos: Vec<ComponentPlanInfo> = snapshot
                             .components()
@@ -483,36 +506,46 @@ impl QueryEngine {
                     }
                     _ => Vec::new(),
                 };
-                // Late materialization: sargable conjuncts travel into the
-                // scan so columnar components can reject reconciliation
-                // winners from their filter columns alone (and skip whole
-                // leaves via zone maps) before assembling a record. The
-                // engines above evaluate only `plan.residual`.
-                let cursor = snapshot.cursor_pushed(
-                    plan.projection.as_deref(),
-                    &skip,
-                    Arc::new(plan.pushed.clone()),
-                )?;
                 if let Some(probe) = probe {
                     let total = snapshot.components().len();
-                    let pruned = skip.iter().filter(|&&s| s).count();
+                    let pruned = prune.iter().filter(|&&s| s).count();
                     probe.set_components(total - pruned, pruned);
-                    let stream = CountingIter::new(cursor, probe.pull.clone());
-                    if plan.is_projection() {
-                        self.select_rows(stream.map(|e| e.map_err(Error::from)), plan)
-                    } else {
-                        self.aggregate(
-                            stream.map(|e| e.map(|(_, doc)| doc).map_err(Error::from)),
-                            plan,
-                        )
-                    }
-                } else if plan.is_projection() {
-                    self.select_rows(cursor.map(|e| e.map_err(Error::from)), plan)
+                }
+                // Late materialization: sargable conjuncts travel into the
+                // scan, which evaluates them as loops over the filter
+                // columns of each key's reconciliation winner (and skips
+                // whole leaves via zone maps) before anything is assembled.
+                // The engines above evaluate only `plan.residual`.
+                let batched = self.mode == ExecMode::Compiled && !plan.is_projection();
+                let projection = if batched {
+                    compiled::scan_projection(plan, lane)
                 } else {
-                    self.aggregate(
-                        cursor.map(|e| e.map(|(_, doc)| doc).map_err(Error::from)),
-                        plan,
-                    )
+                    plan.projection.clone()
+                };
+                let scan = snapshot.batches(ScanSpec {
+                    projection: projection.as_deref(),
+                    prune: &prune,
+                    pushed: &plan.pushed,
+                });
+                if batched {
+                    // Fused loops over the columns of each batch.
+                    let mut lanes = LaneReport::default();
+                    let partials = compiled::aggregate_batches(scan, plan, lane, &mut lanes)?;
+                    if let Some(probe) = probe {
+                        probe.note_lanes(lanes);
+                    }
+                    return Ok(ExecOutput::Groups(partials));
+                }
+                // Per tuple, in key order, over the row adapter: projection
+                // plans (so `ORDER BY key LIMIT k` stops early) and the
+                // interpreted engine.
+                let rows = scan.rows().map(|e| e.map_err(Error::from));
+                let rows = CountingIter::new(rows, probe.map(|p| p.pull.clone()));
+                if plan.is_projection() {
+                    self.select_rows(rows, plan)
+                } else {
+                    let partials = interp::run_stream(rows.map(|e| e.map(|(_, doc)| doc)), plan)?;
+                    Ok(ExecOutput::Groups(partials))
                 }
             }
             AccessPath::IndexRange { .. } => Err(Error::invalid_plan(
@@ -521,8 +554,9 @@ impl QueryEngine {
         }
     }
 
-    /// The mode-specific streaming aggregation: the fused single-pass loop
-    /// or the boxed operator pipeline, both pulling one record at a time.
+    /// The mode-specific aggregation of a stream of documents (index-probe
+    /// plans): the fused single-pass loop or the boxed operator pipeline,
+    /// both pulling one record at a time.
     fn aggregate(
         &self,
         docs: impl Iterator<Item = Result<Value>>,

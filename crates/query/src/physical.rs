@@ -49,18 +49,19 @@
 //!
 //! ## The streaming operator pipeline
 //!
-//! Execution is **pull-based** end to end. The access stage opens a cursor —
-//! the snapshot's k-way merge-reconcile cursor (`lsm::ScanCursor`, one
-//! decoded leaf per component resident at a time) for scans, or the sorted
-//! batched lookups of an index probe — and the pipelining operators
-//! (filter → unnest → project → aggregate-or-emit) consume it one record at
-//! a time. No operator materialises its input: memory is bounded by one
-//! storage leaf per component plus the aggregation table (or, for
-//! projection queries, the emitted rows). Both engines drive the same
-//! pipeline shape — [`crate::interp`] as boxed operator objects with
-//! per-tuple dynamic dispatch, [`crate::compiled`] as one fused,
-//! pre-resolved loop — which is exactly the §5 contrast, now without the
-//! O(dataset) staging batch.
+//! Execution is **pull-based** end to end. The access stage is the
+//! snapshot's one scan (`lsm::Snapshot::batches`: key-only reconciliation,
+//! one decoded leaf per component resident at a time) for scans, or the
+//! sorted batched lookups of an index probe. No operator materialises its
+//! input: memory is bounded by one storage leaf per component plus the
+//! aggregation table (or, for projection queries, the emitted rows). The
+//! two engines consume the scan differently — which is exactly the §5
+//! contrast: [`crate::interp`] pulls assembled documents through boxed
+//! operator objects (filter → unnest → project → aggregate) with per-tuple
+//! dynamic dispatch, over the scan's key-ordered row adapter;
+//! [`crate::compiled`] takes the scan batch by batch and folds aggregates
+//! over each batch's decoded columns with kernels lowered once per
+//! component schema, assembling only what the kernels do not cover.
 //!
 //! Two plan shapes exist:
 //!
@@ -80,6 +81,7 @@
 //! zone maps see through `NOT NOT` and nested boolean noise, and `EXPLAIN`
 //! shows the simplified tree.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -92,6 +94,7 @@ use storage::stats::ComponentStats;
 
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{AggSpec, Aggregate, Query, QueryRow};
+use crate::sum::ExactSum;
 use crate::{Error, Result};
 
 /// What the planner knows about one on-disk component of the target: the
@@ -280,10 +283,10 @@ pub struct PlannerOptions {
     /// differential tests).
     pub zone_map_pruning: bool,
     /// Push the filter's sargable conjuncts (comparisons over single-valued
-    /// scalar paths) into the scan: the storage cursor evaluates them on the
-    /// filter columns of each key's reconciliation winner, skips
-    /// non-matching records before assembly, and skips whole leaves whose
-    /// zone maps prove no match. Off, the whole filter runs as the residual
+    /// scalar paths) into the scan: it evaluates them as loops over the
+    /// filter columns of each key's reconciliation winner, drops
+    /// non-matching records before anything is assembled, and skips whole
+    /// leaves whose zone maps prove no match. Off, the whole filter runs as the residual
     /// (the late-materialization baseline of the differential tests).
     pub filter_pushdown: bool,
 }
@@ -430,7 +433,7 @@ pub struct PhysicalPlan {
     pub filter: Option<Expr>,
     /// Sargable conjuncts pushed into the scan ([`crate::physical`]'s
     /// late-materialization path): comparisons over single-valued scalar
-    /// paths, evaluated by the storage cursor on the filter columns alone so
+    /// paths, evaluated by the scan as loops over the filter columns so
     /// non-matching records are never assembled. Empty when filter pushdown
     /// is off or the access path is not a full scan.
     pub pushed: Vec<ColumnPredicate>,
@@ -746,8 +749,8 @@ fn stats_prove_no_match(
 fn key_ranges_disjoint(a: &ComponentPlanInfo, b: &ComponentPlanInfo) -> bool {
     match (&a.min_key, &a.max_key, &b.min_key, &b.max_key) {
         (Some(a_min), Some(a_max), Some(b_min), Some(b_max)) => {
-            total_cmp(a_max, b_min) == std::cmp::Ordering::Less
-                || total_cmp(b_max, a_min) == std::cmp::Ordering::Less
+            total_cmp(a_max, b_min) == Ordering::Less
+                || total_cmp(b_max, a_min) == Ordering::Less
         }
         _ => true,
     }
@@ -1113,6 +1116,16 @@ impl PhysicalPlan {
 /// combining the states of disjoint record sets gives exactly the state of
 /// their union, which is what makes sharded fan-out exact (AVG carries
 /// `(sum, count)`, not the finished mean).
+///
+/// They are also **order-insensitive**: the finished value depends on the
+/// set of inputs only, not on the order they were folded or merged in. The
+/// engines fold in different orders (the compiled engine per source leaf,
+/// the per-tuple engines by key, shards separately), and a merge moves
+/// records between leaves — none of that may show in an answer. Counts and
+/// integer sums are order-free by nature; double sums are exact
+/// ([`ExactSum`]); `MIN`/`MAX` break ties between equal values written
+/// differently (`7` and `7.0`) by [`spelled_first`], as the group table does
+/// for group keys.
 #[derive(Debug, Clone)]
 pub(crate) enum AggState {
     /// `COUNT(*)`.
@@ -1123,15 +1136,17 @@ pub(crate) enum AggState {
     Max(Option<Value>),
     /// `MIN(path)`.
     Min(Option<Value>),
-    /// `SUM(path)`: exact integer sum plus a double accumulator.
+    /// `SUM(path)`: the integers and the doubles, each summed exactly. An
+    /// `i128` cannot overflow on `i64` inputs, so whether the result still
+    /// fits an integer is decided once, on the final value.
     Sum {
-        int_sum: i64,
-        double_sum: f64,
+        int_sum: i128,
+        double_sum: ExactSum,
         saw_double: bool,
         any: bool,
     },
     /// `AVG(path)`: the classic mergeable pair.
-    Avg { sum: f64, count: u64 },
+    Avg { sum: ExactSum, count: u64 },
     /// `MAX(LENGTH(path))`.
     MaxLength(Option<i64>),
 }
@@ -1145,11 +1160,11 @@ impl AggState {
             Aggregate::Min(_) => AggState::Min(None),
             Aggregate::Sum(_) => AggState::Sum {
                 int_sum: 0,
-                double_sum: 0.0,
+                double_sum: ExactSum::default(),
                 saw_double: false,
                 any: false,
             },
-            Aggregate::Avg(_) => AggState::Avg { sum: 0.0, count: 0 },
+            Aggregate::Avg(_) => AggState::Avg { sum: ExactSum::default(), count: 0 },
             Aggregate::MaxLength(_) => AggState::MaxLength(None),
         }
     }
@@ -1157,55 +1172,60 @@ impl AggState {
     /// Fold one input value (the aggregate's resolved path value, `None`
     /// when the path is missing on this record/element).
     pub(crate) fn update(&mut self, input: Option<&Value>) {
+        self.fold(match input {
+            None => Input::Absent,
+            Some(Value::Int(i)) => Input::Int(*i),
+            Some(Value::Double(d)) => Input::Double(*d),
+            Some(Value::String(s)) => Input::Str(s),
+            Some(other) => Input::Other(other),
+        })
+    }
+
+    /// Fold one input — the one implementation of every aggregate's
+    /// semantics, fed documents' values by the per-record engines
+    /// ([`AggState::update`]) and typed column values by the compiled
+    /// engine's kernels, which never build a [`Value`] to get here.
+    pub(crate) fn fold(&mut self, input: Input<'_>) {
         match self {
             AggState::Count(n) => *n += 1,
             AggState::CountNonNull(n) => {
-                if input.is_some() {
+                if !matches!(input, Input::Absent) {
                     *n += 1;
                 }
             }
             AggState::Max(best) => {
-                if let Some(v) = input {
-                    if best
-                        .as_ref()
-                        .map(|b| total_cmp(v, b) == std::cmp::Ordering::Greater)
-                        .unwrap_or(true)
-                    {
-                        *best = Some(v.clone());
-                    }
+                if input.beats(best.as_ref(), Ordering::Greater) {
+                    *best = input.to_value();
                 }
             }
             AggState::Min(best) => {
-                if let Some(v) = input {
-                    if best
-                        .as_ref()
-                        .map(|b| total_cmp(v, b) == std::cmp::Ordering::Less)
-                        .unwrap_or(true)
-                    {
-                        *best = Some(v.clone());
-                    }
+                if input.beats(best.as_ref(), Ordering::Less) {
+                    *best = input.to_value();
                 }
             }
             AggState::Sum { int_sum, double_sum, saw_double, any } => match input {
-                Some(Value::Int(i)) => {
-                    sum_add_int(int_sum, double_sum, saw_double, *i);
+                Input::Int(i) => {
+                    *int_sum += i128::from(i);
                     *any = true;
                 }
-                Some(Value::Double(d)) => {
-                    *double_sum += d;
+                Input::Double(d) => {
+                    double_sum.add(d);
                     *saw_double = true;
                     *any = true;
                 }
                 _ => {}
             },
             AggState::Avg { sum, count } => {
-                if let Some(x) = input.and_then(Value::as_f64) {
-                    *sum += x;
-                    *count += 1;
-                }
+                let x = match input {
+                    Input::Int(i) => i as f64,
+                    Input::Double(d) => d,
+                    _ => return,
+                };
+                sum.add(x);
+                *count += 1;
             }
             AggState::MaxLength(best) => {
-                if let Some(Value::String(s)) = input {
+                if let Input::Str(s) = input {
                     let len = s.chars().count() as i64;
                     if best.map(|b| len > b).unwrap_or(true) {
                         *best = Some(len);
@@ -1223,20 +1243,14 @@ impl AggState {
             (AggState::CountNonNull(a), AggState::CountNonNull(b)) => *a += b,
             (AggState::Max(a), AggState::Max(b)) => {
                 if let Some(v) = b {
-                    if a.as_ref()
-                        .map(|x| total_cmp(&v, x) == std::cmp::Ordering::Greater)
-                        .unwrap_or(true)
-                    {
+                    if a.as_ref().is_none_or(|x| replaces(&v, x, Ordering::Greater)) {
                         *a = Some(v);
                     }
                 }
             }
             (AggState::Min(a), AggState::Min(b)) => {
                 if let Some(v) = b {
-                    if a.as_ref()
-                        .map(|x| total_cmp(&v, x) == std::cmp::Ordering::Less)
-                        .unwrap_or(true)
-                    {
+                    if a.as_ref().is_none_or(|x| replaces(&v, x, Ordering::Less)) {
                         *a = Some(v);
                     }
                 }
@@ -1250,13 +1264,13 @@ impl AggState {
                     any: a2,
                 },
             ) => {
-                sum_add_int(int_sum, double_sum, saw_double, i2);
-                *double_sum += d2;
+                *int_sum += i2;
+                double_sum.merge(d2);
                 *saw_double |= s2;
                 *any |= a2;
             }
             (AggState::Avg { sum, count }, AggState::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
+                sum.merge(s2);
                 *count += c2;
             }
             (AggState::MaxLength(a), AggState::MaxLength(b)) => {
@@ -1282,16 +1296,22 @@ impl AggState {
                 if !any {
                     Value::Null
                 } else if *saw_double {
-                    Value::Double(*int_sum as f64 + double_sum)
+                    let mut total = double_sum.clone();
+                    total.add_int(*int_sum);
+                    Value::Double(total.finish())
                 } else {
-                    Value::Int(*int_sum)
+                    // Integers only: widen to a double instead of wrapping
+                    // when the sum no longer fits.
+                    i64::try_from(*int_sum)
+                        .map(Value::Int)
+                        .unwrap_or(Value::Double(*int_sum as f64))
                 }
             }
             AggState::Avg { sum, count } => {
                 if *count == 0 {
                     Value::Null
                 } else {
-                    Value::Double(sum / *count as f64)
+                    Value::Double(sum.finish() / *count as f64)
                 }
             }
             AggState::MaxLength(best) => best.map(Value::Int).unwrap_or(Value::Null),
@@ -1299,23 +1319,161 @@ impl AggState {
     }
 }
 
-/// Add an integer to a `SUM` partial: exact while the running integer sum
-/// fits an `i64`, widening to the double accumulator on overflow instead of
-/// wrapping.
-fn sum_add_int(int_sum: &mut i64, double_sum: &mut f64, saw_double: &mut bool, v: i64) {
-    match int_sum.checked_add(v) {
-        Some(s) => *int_sum = s,
-        None => {
-            *double_sum += *int_sum as f64 + v as f64;
-            *int_sum = 0;
-            *saw_double = true;
+/// One aggregate input, borrowed: a scalar straight out of a decoded column
+/// chunk, or any value of a document.
+#[derive(Clone, Copy)]
+pub(crate) enum Input<'a> {
+    /// The path is missing on this record/element.
+    Absent,
+    /// An integer.
+    Int(i64),
+    /// A double.
+    Double(f64),
+    /// A string.
+    Str(&'a str),
+    /// Anything else a document can hold (booleans, nulls, composites).
+    Other(&'a Value),
+}
+
+impl Input<'_> {
+    /// Whether the input replaces `best` as a `MAX` (`side` = `Greater`) or
+    /// `MIN` (`Less`): it is present, and there is no best yet or it
+    /// compares on that side of it under the document total order (an equal
+    /// value written differently: see [`replaces`]).
+    fn beats(&self, best: Option<&Value>, side: Ordering) -> bool {
+        match (self, best) {
+            (Input::Absent, _) => false,
+            (_, None) => true,
+            // Same type: equal values are written the same.
+            (Input::Int(a), Some(Value::Int(b))) => a.cmp(b) == side,
+            (Input::Double(a), Some(Value::Double(b))) => a.total_cmp(b) == side,
+            (Input::Str(a), Some(Value::String(b))) => (*a).cmp(b.as_str()) == side,
+            (Input::Other(a), Some(b)) => replaces(a, b, side),
+            // Mixed types (a union column's branches meet here).
+            (_, Some(b)) => replaces(&self.to_value().expect("present input"), b, side),
+        }
+    }
+
+    fn to_value(self) -> Option<Value> {
+        match self {
+            Input::Absent => None,
+            Input::Int(i) => Some(Value::Int(i)),
+            Input::Double(d) => Some(Value::Double(d)),
+            Input::Str(s) => Some(Value::from(s)),
+            Input::Other(v) => Some(v.clone()),
         }
     }
 }
 
+/// Two values that compare equal under the document order can still be
+/// written differently: `7` and `7.0`, at any depth. Wherever an aggregate
+/// or the group table must keep one of them, it keeps the one this orders
+/// first (the integer), so that which record came first never shows in an
+/// answer.
+fn spelled_first(a: &Value, b: &Value) -> Ordering {
+    fn first_difference<'v>(pairs: impl Iterator<Item = (&'v Value, &'v Value)>) -> Ordering {
+        pairs
+            .map(|(a, b)| spelled_first(a, b))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+    match (a, b) {
+        (Value::Int(_), Value::Double(_)) => Ordering::Less,
+        (Value::Double(_), Value::Int(_)) => Ordering::Greater,
+        (Value::Array(a), Value::Array(b)) => first_difference(a.iter().zip(b)),
+        (Value::Object(a), Value::Object(b)) => {
+            first_difference(a.iter().zip(b.iter()).map(|((_, a), (_, b))| (a, b)))
+        }
+        _ => Ordering::Equal,
+    }
+}
+
+/// Whether `candidate` replaces `best` as a `MAX` (`side` = `Greater`) or
+/// `MIN` (`Less`): it compares on that side, or it is the same value
+/// [spelled first](spelled_first).
+fn replaces(candidate: &Value, best: &Value, side: Ordering) -> bool {
+    match total_cmp(candidate, best) {
+        Ordering::Equal => spelled_first(candidate, best) == Ordering::Less,
+        ordering => ordering == side,
+    }
+}
+
 /// Per-group partial aggregate states, keyed by group value — what one
-/// execution (one shard, one engine pass) produces.
-pub(crate) type GroupPartials = BTreeMap<Option<OrderedValue>, Vec<AggState>>;
+/// execution (one shard, one engine pass) produces. `7` and `7.0` are one
+/// group; it is reported under the key [`spelled_first`], whichever arrived
+/// first.
+#[derive(Debug, Default)]
+pub(crate) struct GroupPartials(BTreeMap<Option<OrderedValue>, Group>);
+
+#[derive(Debug)]
+struct Group {
+    /// A spelling of the group's key that goes before the map's (which is
+    /// the first one met), once one has arrived.
+    spelling: Option<Value>,
+    states: Vec<AggState>,
+}
+
+impl GroupPartials {
+    pub(crate) fn new() -> GroupPartials {
+        GroupPartials::default()
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The slot of group `key` (`None` = the one group of an ungrouped
+    /// aggregate), in the manner of a map's entry.
+    pub(crate) fn entry(&mut self, key: Option<OrderedValue>) -> GroupSlot<'_> {
+        GroupSlot { groups: &mut self.0, key }
+    }
+
+    /// The groups in key order, each under the spelling it is reported by.
+    fn into_groups(self) -> impl Iterator<Item = (Option<Value>, Vec<AggState>)> {
+        self.0
+            .into_iter()
+            .map(|(key, group)| (group.spelling.or(key.map(|k| k.0)), group.states))
+    }
+}
+
+/// One group's place in a [`GroupPartials`]; see [`GroupPartials::entry`].
+pub(crate) struct GroupSlot<'g> {
+    groups: &'g mut BTreeMap<Option<OrderedValue>, Group>,
+    key: Option<OrderedValue>,
+}
+
+impl<'g> GroupSlot<'g> {
+    /// The group's states, made by `fresh` when the group is new.
+    pub(crate) fn or_insert_with(
+        self,
+        fresh: impl FnOnce() -> Vec<AggState>,
+    ) -> &'g mut Vec<AggState> {
+        use std::collections::btree_map::Entry;
+        // A copy of the key where it could go before the spelling of a group
+        // that exists: a double never does, strings and booleans have one.
+        let spare = match &self.key {
+            Some(OrderedValue(key @ (Value::Int(_) | Value::Array(_) | Value::Object(_)))) => {
+                Some(key.clone())
+            }
+            _ => None,
+        };
+        match self.groups.entry(self.key) {
+            Entry::Vacant(slot) => &mut slot.insert(Group { spelling: None, states: fresh() }).states,
+            Entry::Occupied(slot) => {
+                let current = slot.get().spelling.as_ref().or(slot.key().as_ref().map(|k| &k.0));
+                let better = spare.filter(|new| {
+                    current.is_some_and(|old| spelled_first(new, old) == Ordering::Less)
+                });
+                let group = slot.into_mut();
+                if better.is_some() {
+                    group.spelling = better;
+                }
+                &mut group.states
+            }
+        }
+    }
+}
 
 /// Fresh per-aggregate states for a new group.
 pub(crate) fn new_states(plan: &PhysicalPlan) -> Vec<AggState> {
@@ -1325,29 +1483,25 @@ pub(crate) fn new_states(plan: &PhysicalPlan) -> Vec<AggState> {
 /// Partials for the key-only `COUNT(*)` fast path: one global group whose
 /// `Count` states all equal `n`.
 pub(crate) fn key_count_partials(n: usize, plan: &PhysicalPlan) -> GroupPartials {
-    let mut groups = GroupPartials::new();
     let states = plan
         .aggregates
         .iter()
         .map(|_| AggState::Count(n as u64))
         .collect();
-    groups.insert(None, states);
-    groups
+    GroupPartials(BTreeMap::from([(None, Group { spelling: None, states })]))
 }
 
 /// Merge the partials of one execution into the accumulator (group-wise,
 /// aggregate-wise).
 pub(crate) fn merge_partials(into: &mut GroupPartials, from: GroupPartials) {
-    for (key, states) in from {
-        match into.entry(key) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(states);
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                for (acc, s) in slot.get_mut().iter_mut().zip(states) {
-                    acc.merge(s);
-                }
-            }
+    for (key, states) in from.into_groups() {
+        let mut incoming = Some(states);
+        let acc = into
+            .entry(key.map(OrderedValue))
+            .or_insert_with(|| incoming.take().expect("asked for once"));
+        // Still here: the group existed, so fold the states into it.
+        for (acc, s) in acc.iter_mut().zip(incoming.into_iter().flatten()) {
+            acc.merge(s);
         }
     }
 }
@@ -1355,9 +1509,9 @@ pub(crate) fn merge_partials(into: &mut GroupPartials, from: GroupPartials) {
 /// Turn merged partials into ordered, limited output rows.
 pub(crate) fn finalize(groups: GroupPartials, plan: &PhysicalPlan) -> Vec<QueryRow> {
     let mut rows: Vec<QueryRow> = groups
-        .into_iter()
-        .map(|(key, states)| QueryRow {
-            group: key.map(|k| k.0),
+        .into_groups()
+        .map(|(group, states)| QueryRow {
+            group,
             aggs: states.iter().map(AggState::finish).collect(),
         })
         .collect();
@@ -1712,6 +1866,55 @@ mod tests {
     }
 
     #[test]
+    fn ties_and_group_keys_do_not_depend_on_arrival_order() {
+        // `7` and `7.0` compare equal, at any depth; the integer is kept.
+        let spellings = [
+            [Value::Int(7), Value::Double(7.0)],
+            [
+                Value::Array(vec![Value::from("k"), Value::Int(7)]),
+                Value::Array(vec![Value::from("k"), Value::Double(7.0)]),
+            ],
+        ];
+        for [int, double] in &spellings {
+            for order in [[int, double], [double, int]] {
+                for agg in [Aggregate::Max(Path::parse("x")), Aggregate::Min(Path::parse("x"))] {
+                    let mut folded = AggState::new(&agg);
+                    let mut merged = AggState::new(&agg);
+                    for value in order {
+                        folded.update(Some(value));
+                        let mut part = AggState::new(&agg);
+                        part.update(Some(value));
+                        merged.merge(part);
+                    }
+                    assert_eq!(folded.finish(), *int);
+                    assert_eq!(merged.finish(), *int);
+                }
+                // One group, reported under the integer, probed or merged.
+                let mut probed = GroupPartials::new();
+                let mut merged = GroupPartials::new();
+                for value in order {
+                    let key = || Some(OrderedValue(value.clone()));
+                    let count = |groups: &mut GroupPartials| {
+                        let states = groups.entry(key()).or_insert_with(|| vec![AggState::Count(0)]);
+                        states[0].update(None);
+                    };
+                    count(&mut probed);
+                    let mut part = GroupPartials::new();
+                    count(&mut part);
+                    merge_partials(&mut merged, part);
+                }
+                for groups in [probed, merged] {
+                    let groups: Vec<_> = groups
+                        .into_groups()
+                        .map(|(key, states)| (key, states[0].finish()))
+                        .collect();
+                    assert_eq!(groups, [(Some(int.clone()), Value::Int(2))]);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sum_overflow_widens_to_double_instead_of_wrapping() {
         let agg = Aggregate::Sum(Path::parse("x"));
         let mut a = AggState::new(&agg);
@@ -1730,6 +1933,13 @@ mod tests {
         match b.finish() {
             Value::Double(d) => assert!(d > i64::MAX as f64, "{d}"),
             other => panic!("overflowing merge must widen, got {other:?}"),
+        }
+        // Decided on the final value, not on a running one: whichever way
+        // these are ordered the sum fits again, and is exact.
+        for order in [[i64::MAX, 1, -5], [-5, i64::MAX, 1]] {
+            let mut d = AggState::new(&agg);
+            order.iter().for_each(|v| d.update(Some(&Value::Int(*v))));
+            assert_eq!(d.finish(), Value::Int(i64::MAX - 4));
         }
     }
 }

@@ -14,7 +14,8 @@
 //! * deterministic shadowing regressions for exactly those resurrection
 //!   hazards, including deletes (anti-matter must pass the pushed filter);
 //! * I/O-level proof of the point of it all: a 0.1%-selectivity AMAX scan
-//!   assembles ≈ the matching records (not the dataset), skips
+//!   hands only the matching records to the operators (and, kernel-covered,
+//!   builds no document at all where the unpushed run builds 1000), skips
 //!   provably-empty leaves without reading their non-filter-column pages,
 //!   and reports both effects exactly in `explain_analyze`;
 //! * the `explain` rendering of the pushed/residual split.
@@ -190,8 +191,8 @@ fn wide_amax(rows: i64) -> LsmDataset {
     ds
 }
 
-/// The late-materialization I/O contract at 0.1% selectivity: assembly
-/// tracks *matches*, not dataset size; leaves whose zone maps prove no
+/// The late-materialization I/O contract at 0.1% selectivity: the operators
+/// see *matches*, not the dataset; leaves whose zone maps prove no
 /// match are skipped without reading their pages; `explain_analyze`
 /// reports both counters exactly.
 #[test]
@@ -206,8 +207,12 @@ fn low_selectivity_scan_assembles_matches_and_skips_leaf_pages() {
     let pushed_stats = ds.io_stats();
     assert_eq!(report.rows[0].agg(), &Value::Int(1));
 
-    // Assembly ≈ matches: one record assembled out of 1000.
-    assert_eq!(pushed_stats.records_assembled, 1, "{}", report.describe());
+    // The one match is counted by a column kernel: no document is built at
+    // all, for the match or for anything else of the 1000.
+    assert_eq!(pushed_stats.records_assembled, 0, "{}", report.describe());
+    assert_eq!(report.records_assembled(), 0);
+    assert_eq!(report.records_kernel(), 1, "{}", report.describe());
+    assert_eq!(report.rows_pulled(), 1, "{}", report.describe());
     // Every other leaf was either skipped whole (zone maps, 15 of 16) or
     // had its records rejected from the filter column alone.
     assert_eq!(report.leaves_skipped(), 15, "{}", report.describe());
@@ -220,7 +225,7 @@ fn low_selectivity_scan_assembles_matches_and_skips_leaf_pages() {
     assert_eq!(
         report.records_filtered_pre_assembly() + 1,
         64,
-        "the one live leaf evaluates its 64 records and assembles 1"
+        "the one live leaf evaluates its 64 records and hands 1 to the kernel"
     );
     // The annotated rendering carries the counters.
     let text = report.describe();

@@ -1,0 +1,808 @@
+//! Differential fleet for the compiled engine's column kernels.
+//!
+//! Folding aggregates straight off decoded column chunks is a pure
+//! *performance* decision — it may never change an answer. This suite holds
+//! four executions of every generated query to one result:
+//!
+//! * the compiled engine taking the kernels wherever it can
+//!   ([`ScanLane::Kernels`], what every query runs with),
+//! * the compiled engine forced onto the assembled lane
+//!   ([`ScanLane::Assembled`]),
+//! * the interpreted engine (per tuple, over the row adapter), and
+//! * the materialised batch oracle ([`oracle::execute_batch`]),
+//!
+//! over schemaless inputs that **leave the clean fragment on purpose**:
+//! `temp` as an `int | double | string` union, `readings` missing, `null`,
+//! empty or not an array at all, components written before a field was ever
+//! seen, deletes and shadowed versions spread over four interleaved
+//! components plus an unflushed memtable — across VB, APAX and AMAX and a
+//! 4-way sharded target. Whatever the kernels cannot cover must fall back,
+//! visibly (`EXPLAIN ANALYZE` names the reason), to the same answer.
+//!
+//! Layouts are not compared with each other: outside the clean fragment
+//! columnar storage legitimately differs from row storage (`null`s and
+//! never-materialised empty arrays are not stored).
+//!
+//! The four executions fold in different orders — the compiled engine per
+//! source leaf, the others by key, shards separately — so the inputs are
+//! chosen to make an order show if it can: doubles are tenths (sums of them
+//! round differently in a different order), whole ones collide with the
+//! integers (`MAX`/`MIN` ties between `7` and `7.0`), and a group key comes
+//! as either. Answers must agree **bit for bit** all the same, and must not
+//! move when a merge rearranges the leaves
+//! (`answers_do_not_depend_on_the_physical_layout`).
+//!
+//! The deterministic half pins the lane and the I/O contract: a clean
+//! `sensors`-shaped tree runs on kernels alone and assembles **zero**
+//! records; an unnest-`MAX` over AMAX reads Page 0 plus the aggregate
+//! column's pages and nothing else; a 100 %-selectivity pushed filter
+//! touches every data page once.
+
+use proptest::prelude::*;
+
+use docmodel::{doc, Path, Value};
+use lsm::{DatasetConfig, LsmDataset};
+use query::{oracle, Aggregate, ExecMode, Expr, Query, QueryEngine, QueryRow, ScanLane};
+use storage::LayoutKind;
+
+/// What a generated record holds at `readings`.
+#[derive(Debug, Clone)]
+enum Readings {
+    Missing,
+    Null,
+    Empty,
+    /// Not an array at all: a scalar the per-record engines unnest as one
+    /// element and that turns the column into a union.
+    Scalar(i64),
+    Elements(Vec<Element>),
+}
+
+/// One element of `readings`: `seq` always, `temp` in one of its guises.
+#[derive(Debug, Clone)]
+struct Element {
+    seq: i64,
+    temp: Temp,
+}
+
+#[derive(Debug, Clone)]
+enum Temp {
+    Missing,
+    Null,
+    Int(i64),
+    /// A double: inexact under addition, and every tenth one equal to an int.
+    Tenths(i64),
+    Text(usize),
+}
+
+#[derive(Debug, Clone)]
+struct Body {
+    /// The group key, and whether it is written as a double (`2.0`).
+    grp: Option<(i64, bool)>,
+    score: Option<i64>,
+    name: usize,
+    readings: Readings,
+}
+
+fn arb_temp(dirty: bool) -> BoxedStrategy<Temp> {
+    if dirty {
+        prop_oneof![
+            Just(Temp::Missing),
+            Just(Temp::Null),
+            (-40i64..40).prop_map(Temp::Int),
+            (-400i64..400).prop_map(Temp::Tenths),
+            (0usize..4).prop_map(Temp::Text),
+        ]
+        .boxed()
+    } else {
+        prop_oneof![Just(Temp::Missing), (-400i64..400).prop_map(Temp::Tenths)].boxed()
+    }
+}
+
+fn arb_readings(dirty: bool) -> BoxedStrategy<Readings> {
+    let elements = prop::collection::vec(
+        ((0i64..6), arb_temp(dirty)).prop_map(|(seq, temp)| Element { seq, temp }),
+        1..5,
+    )
+    .prop_map(Readings::Elements);
+    if dirty {
+        prop_oneof![
+            Just(Readings::Missing),
+            Just(Readings::Null),
+            Just(Readings::Empty),
+            (0i64..9).prop_map(Readings::Scalar),
+            elements.clone(),
+            elements,
+        ]
+        .boxed()
+    } else {
+        prop_oneof![
+            Just(Readings::Missing),
+            Just(Readings::Empty),
+            elements.clone(),
+            elements
+        ]
+        .boxed()
+    }
+}
+
+fn arb_body(dirty: bool) -> BoxedStrategy<Body> {
+    (
+        prop_oneof![
+            Just(None),
+            (0i64..4).prop_map(|g| Some((g, false))),
+            (0i64..4, prop_oneof![Just(false), Just(dirty)]).prop_map(Some),
+        ],
+        prop_oneof![Just(None), (0i64..100).prop_map(Some)],
+        0usize..3,
+        arb_readings(dirty),
+    )
+        .prop_map(|(grp, score, name, readings)| Body {
+            grp,
+            score,
+            name,
+            readings,
+        })
+        .boxed()
+}
+
+/// Bring a body back into the clean fragment: one type per path, arrays or
+/// nothing at `readings`.
+fn sanitize(body: &mut Body) {
+    if let Some((_, as_double)) = &mut body.grp {
+        *as_double = false;
+    }
+    match &mut body.readings {
+        Readings::Null | Readings::Scalar(_) => body.readings = Readings::Missing,
+        Readings::Elements(elements) => {
+            for element in elements {
+                element.temp = match element.temp {
+                    Temp::Int(i) => Temp::Tenths(i),
+                    Temp::Text(t) => Temp::Tenths(t as i64),
+                    Temp::Null => Temp::Missing,
+                    ref clean => clean.clone(),
+                };
+            }
+        }
+        Readings::Missing | Readings::Empty => {}
+    }
+}
+
+fn build_doc(id: i64, body: &Body) -> Value {
+    let mut doc = Value::empty_object();
+    doc.set_field("id", Value::Int(id));
+    doc.set_field("name", Value::from(format!("n{}", body.name)));
+    if let Some((grp, as_double)) = body.grp {
+        let grp = if as_double {
+            Value::Double(grp as f64)
+        } else {
+            Value::Int(grp)
+        };
+        doc.set_field("grp", grp);
+    }
+    if let Some(score) = body.score {
+        doc.set_field("score", Value::Int(score));
+    }
+    let element = |e: &Element| {
+        let mut out = Value::empty_object();
+        out.set_field("seq", Value::Int(e.seq));
+        let temp = match &e.temp {
+            Temp::Missing => None,
+            Temp::Null => Some(Value::Null),
+            Temp::Int(i) => Some(Value::Int(*i)),
+            Temp::Tenths(t) => Some(Value::Double(*t as f64 / 10.0)),
+            Temp::Text(t) => Some(Value::from(format!("t{t}"))),
+        };
+        if let Some(temp) = temp {
+            out.set_field("temp", temp);
+        }
+        out
+    };
+    let readings = match &body.readings {
+        Readings::Missing => None,
+        Readings::Null => Some(Value::Null),
+        Readings::Empty => Some(Value::Array(Vec::new())),
+        Readings::Scalar(i) => Some(Value::Int(*i)),
+        Readings::Elements(elems) => Some(Value::Array(elems.iter().map(element).collect())),
+    };
+    if let Some(readings) = readings {
+        doc.set_field("readings", readings);
+    }
+    doc
+}
+
+fn arb_query() -> BoxedStrategy<Query> {
+    let element_agg = prop_oneof![
+        Just(Aggregate::Max(Path::parse("temp"))),
+        Just(Aggregate::Min(Path::parse("temp"))),
+        Just(Aggregate::Sum(Path::parse("temp"))),
+        Just(Aggregate::Avg(Path::parse("seq"))),
+        Just(Aggregate::CountNonNull(Path::parse("temp"))),
+        Just(Aggregate::MaxLength(Path::parse("temp"))),
+    ];
+    let record_agg = prop_oneof![
+        Just(Aggregate::Count),
+        Just(Aggregate::Max(Path::parse("score"))),
+        Just(Aggregate::Sum(Path::parse("score"))),
+        Just(Aggregate::CountNonNull(Path::parse("grp"))),
+        Just(Aggregate::MaxLength(Path::parse("name"))),
+        Just(Aggregate::Min(Path::parse("id"))),
+    ];
+    let filter = prop_oneof![
+        Just(None),
+        (0i64..100).prop_map(|v| Some(Expr::ge("score", v))),
+        (0i64..60, 0i64..40).prop_map(|(lo, w)| Some(Expr::between("score", lo, lo + w))),
+        (0i64..4).prop_map(|g| Some(Expr::and([Expr::le("grp", g), Expr::ge("id", 3)]))),
+        Just(None),
+        // Not sargable: stays residual, so the whole plan falls back.
+        Just(Some(Expr::exists("readings"))),
+    ];
+    // 0, 1 = global, 2, 3 = int key, 4 = string key, 5 = key on the element.
+    (
+        prop::collection::vec(element_agg, 0..3),
+        prop::collection::vec(record_agg, 0..3),
+        prop_oneof![Just(false), Just(true)],
+        0usize..6,
+        filter,
+    )
+        .prop_map(|(element_aggs, record_aggs, unnest, group, filter)| {
+            let mut query = Query::new();
+            let unnest = unnest || !element_aggs.is_empty();
+            if unnest {
+                query = query.with_unnest("readings");
+            }
+            for agg in element_aggs {
+                query = query.aggregate_element(agg);
+            }
+            for agg in record_aggs {
+                query = query.aggregate(agg);
+            }
+            if query.aggregates.is_empty() {
+                query = query.aggregate(Aggregate::Count);
+            }
+            query = match group {
+                2 | 3 => query.group_by("grp"),
+                4 => query.group_by("name"),
+                5 if unnest => query.group_by_element("seq"),
+                _ => query,
+            };
+            match filter {
+                Some(filter) => query.with_filter(filter),
+                None => query,
+            }
+        })
+        .boxed()
+}
+
+fn small_dataset(name: &str, layout: LayoutKind) -> LsmDataset {
+    // Never merge: the point is winners interleaved over many components.
+    let mut config = DatasetConfig::new(name, layout)
+        .with_memtable_budget(usize::MAX)
+        .with_compaction(lsm::CompactionSpec::tiered(f64::INFINITY, 64))
+        .with_page_size(8 * 1024);
+    config.amax.record_limit = 16;
+    LsmDataset::new(config)
+}
+
+/// The generated history of one dataset: four flushed rounds whose ids
+/// interleave and overlap (round `r` rewrites every id it shares with the
+/// rounds before it), deletes in the third, and a last round left in the
+/// memtable. `route` picks the dataset (shard) of an id.
+fn ingest<'a>(
+    rounds: &[Vec<Body>],
+    deletes: &[usize],
+    route: impl Fn(i64) -> &'a LsmDataset,
+    all: &[&'a LsmDataset],
+) {
+    let strides = [1i64, 2, 3, 1, 5];
+    for (r, bodies) in rounds.iter().enumerate() {
+        for (i, body) in bodies.iter().enumerate() {
+            let id = i as i64 * strides[r % strides.len()];
+            route(id).insert(build_doc(id, body)).unwrap();
+        }
+        if r == 2 {
+            for &id in deletes {
+                route(id as i64).delete(Value::Int(id as i64)).unwrap();
+            }
+        }
+        if r + 1 < rounds.len() {
+            for ds in all {
+                ds.flush().unwrap();
+            }
+        }
+    }
+}
+
+/// Kernels == assembled lane == interpreted, all through `target`.
+fn three_ways<'a, T: Copy + Into<query::QueryTarget<'a>>>(
+    target: T,
+    query: &Query,
+) -> Vec<QueryRow> {
+    let compiled = QueryEngine::new(ExecMode::Compiled);
+    let kernels = compiled.execute(target, query).unwrap();
+    let assembled = compiled
+        .execute_in_lane(target, query, ScanLane::Assembled)
+        .unwrap();
+    assert_eq!(
+        kernels, assembled,
+        "kernel lane != assembled lane: {query:?}"
+    );
+    let interpreted = QueryEngine::new(ExecMode::Interpreted)
+        .execute(target, query)
+        .unwrap();
+    assert_eq!(kernels, interpreted, "compiled != interpreted: {query:?}");
+    kernels
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kernels_never_change_answers(
+        // The first round is clean and lacks `readings` half the time, so
+        // the oldest component's schema predates what later ones hold. A
+        // later round stays clean half the time too: the schema only turns
+        // into unions from the first dirty round on, so the components
+        // before it take the kernels.
+        first in prop::collection::vec(arb_body(false), 8..20),
+        strip_first in prop_oneof![Just(false), Just(true)],
+        // Half the cases never leave the clean fragment: every columnar
+        // batch of theirs is kernel work, shadowing and deletes included.
+        all_clean in prop_oneof![Just(false), Just(true)],
+        later in prop::collection::vec(
+            (prop_oneof![Just(false), Just(true)], prop::collection::vec(arb_body(true), 6..16)),
+            4..5,
+        ),
+        deletes in prop::collection::vec(0usize..16, 0..5),
+        queries in prop::collection::vec(arb_query(), 3..6),
+    ) {
+        let mut rounds = vec![first];
+        if strip_first && !all_clean {
+            for body in &mut rounds[0] {
+                body.readings = Readings::Missing;
+                body.grp = None;
+            }
+        }
+        for (dirty, mut bodies) in later {
+            if !dirty || all_clean {
+                bodies.iter_mut().for_each(sanitize);
+            }
+            rounds.push(bodies);
+        }
+
+        for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
+            let ds = small_dataset("vectorized-prop", layout);
+            ingest(&rounds, &deletes, |_| &ds, &[&ds]);
+            prop_assert_eq!(ds.component_count(), 4);
+            let snapshot = ds.snapshot();
+            for query in &queries {
+                let rows = three_ways(&ds, query);
+                let reference = oracle::execute_batch(&snapshot, query).unwrap();
+                prop_assert_eq!(&rows, &reference, "{:?} disagrees with the oracle: {:?}", layout, query);
+            }
+        }
+
+        // Sharded(4): per-shard kernels merge to what per-shard assembly
+        // and the interpreted engine merge to.
+        let shards: Vec<LsmDataset> = (0..4)
+            .map(|i| small_dataset(&format!("vectorized-shard-{i}"), LayoutKind::Amax))
+            .collect();
+        let refs: Vec<&LsmDataset> = shards.iter().collect();
+        ingest(&rounds, &deletes, |id| &shards[id as usize % 4], &refs);
+        for query in &queries {
+            three_ways(&refs[..], query);
+        }
+    }
+}
+
+/// An answer is a function of the data, not of where the data lies: the
+/// engines fold the same records in different orders, and a merge moves
+/// records between leaves, so double sums must be exact and ties between
+/// `7` and `7.0` — as `MAX`/`MIN` and as group keys — must not go to
+/// whichever came first. Checked bit for bit over three components plus a
+/// memtable, and again after a full merge.
+#[test]
+fn answers_do_not_depend_on_the_physical_layout() {
+    let record = |id: i64, round: i64| {
+        // Odd rounds spell whole numbers as doubles.
+        let whole = |v: i64| match round % 2 {
+            0 => Value::Int(v),
+            _ => Value::Double(v as f64),
+        };
+        // Magnitudes from 1e-3 to 1e9, so every running sum rounds.
+        let wide = (id * 37 % 101) as f64 / 10.0 * 10f64.powi((id % 5) as i32 * 3 - 3);
+        let readings: Vec<Value> = (0..(id % 4))
+            .map(|j| doc!({"seq": j, "temp": (((id * 7 + j * 13 + round) % 997) as f64 / 10.0)}))
+            .collect();
+        doc!({
+            "id": id,
+            "grp": (whole(id % 5)),
+            "tie": (whole(7)),
+            "wide": (if id % 9 == 0 { -wide } else { wide }),
+            "mixed": (if id % 2 == 0 { whole(id) } else { Value::Double(id as f64 / 3.0) }),
+            "readings": (Value::Array(readings))
+        })
+    };
+    let queries = [
+        Query::select([
+            Aggregate::Sum(Path::parse("wide")),
+            Aggregate::Avg(Path::parse("wide")),
+            Aggregate::Sum(Path::parse("mixed")),
+            Aggregate::Max(Path::parse("tie")),
+            Aggregate::Min(Path::parse("tie")),
+        ]),
+        Query::select([Aggregate::Count, Aggregate::Avg(Path::parse("wide"))])
+            .with_unnest("readings")
+            .aggregate_element(Aggregate::Sum(Path::parse("temp")))
+            .aggregate_element(Aggregate::Avg(Path::parse("temp")))
+            .group_by("grp"),
+        Query::select([Aggregate::Sum(Path::parse("wide"))]).with_filter(Expr::le("grp", 2)),
+    ];
+    for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
+        let ds = small_dataset("vectorized-layout-free", layout);
+        for id in 0..150 {
+            ds.insert(record(id, 0)).unwrap();
+        }
+        ds.flush().unwrap();
+        for id in (0..190).step_by(3) {
+            ds.insert(record(id, 1)).unwrap();
+        }
+        ds.flush().unwrap();
+        for id in (0..190).step_by(7) {
+            ds.insert(record(id, 2)).unwrap();
+        }
+        ds.delete(Value::Int(6)).unwrap();
+        ds.flush().unwrap();
+        for id in (0..190).step_by(11) {
+            ds.insert(record(id, 3)).unwrap();
+        }
+        assert_eq!(ds.component_count(), 3);
+
+        let answers = |ds: &LsmDataset| -> Vec<Vec<QueryRow>> {
+            let snapshot = ds.snapshot();
+            queries
+                .iter()
+                .map(|query| {
+                    let rows = three_ways(ds, query);
+                    assert_eq!(
+                        rows,
+                        oracle::execute_batch(&snapshot, query).unwrap(),
+                        "{layout:?}: {query:?}"
+                    );
+                    rows
+                })
+                .collect()
+        };
+        let spread = answers(&ds);
+        // Ties go to the integer, and a group is reported under it.
+        assert_eq!(spread[0][0].aggs[3..], [Value::Int(7), Value::Int(7)]);
+        let groups: Vec<_> = spread[1].iter().map(|row| row.group.clone()).collect();
+        assert_eq!(
+            groups,
+            (0..5).map(|g| Some(Value::Int(g))).collect::<Vec<_>>()
+        );
+
+        ds.flush().unwrap();
+        ds.compact_fully().unwrap();
+        assert_eq!(ds.component_count(), 1);
+        assert_eq!(answers(&ds), spread, "{layout:?}: a merge moved an answer");
+    }
+}
+
+/// A `sensors`-shaped tree in the clean fragment: three components with
+/// shadowed versions and a delete, nothing left in the memtable.
+fn clean_sensors(layout: LayoutKind) -> LsmDataset {
+    let mut config = DatasetConfig::new("vectorized-sensors", layout)
+        .with_memtable_budget(usize::MAX)
+        .with_page_size(1024);
+    config.amax.record_limit = 256;
+    let ds = LsmDataset::new(config);
+    let record = |id: i64, version: i64| {
+        let readings: Vec<Value> = (0..(id % 5))
+            .map(|j| {
+                doc!({
+                    "seq": j,
+                    "temp": (((id * 7 + j * 13 + version) % 400) as f64 / 4.0),
+                    "humidity": ((id + j) % 100)
+                })
+            })
+            .collect();
+        doc!({
+            "id": id,
+            "sensor_id": (id % 37),
+            "report_time": (1_000_000 + id * 60),
+            "status": {"battery": ((id * 3 + version) % 100)},
+            "payload": (format!("payload {id}: {}", "x".repeat(60))),
+            "readings": (Value::Array(readings))
+        })
+    };
+    for id in 0..600 {
+        ds.insert(record(id, 0)).unwrap();
+    }
+    ds.flush().unwrap();
+    for id in (0..600).step_by(3) {
+        ds.insert(record(id, 1)).unwrap();
+    }
+    ds.flush().unwrap();
+    for id in (0..600).step_by(7) {
+        ds.insert(record(id, 2)).unwrap();
+    }
+    ds.delete(Value::Int(599)).unwrap();
+    ds.flush().unwrap();
+    assert_eq!(ds.component_count(), 3);
+    ds
+}
+
+fn max_temp() -> Query {
+    Query::new()
+        .with_unnest("readings")
+        .aggregate_element(Aggregate::Max(Path::parse("temp")))
+}
+
+/// The Fig. 14 `sensors` suite plus the benchmark's pushed range filters.
+fn sensors_suite() -> Vec<Query> {
+    vec![
+        max_temp(),
+        max_temp().group_by("sensor_id").top_k(10),
+        max_temp()
+            .with_filter(Expr::between("report_time", 1_000_000, 1_012_000))
+            .group_by("sensor_id")
+            .top_k(10),
+        Query::count_star().with_filter(Expr::between("report_time", 1_003_000, 1_003_300)),
+        Query::select([Aggregate::Max(Path::parse("status.battery"))])
+            .with_filter(Expr::ge("report_time", 1_000_000)),
+        Query::select([
+            Aggregate::Count,
+            Aggregate::Avg(Path::parse("status.battery")),
+        ])
+        .with_unnest("readings")
+        .aggregate_element(Aggregate::Avg(Path::parse("humidity")))
+        .group_by("sensor_id"),
+    ]
+}
+
+#[test]
+fn clean_plans_run_on_kernels_alone() {
+    for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+        let ds = clean_sensors(layout);
+        let snapshot = ds.snapshot();
+        let engine = QueryEngine::new(ExecMode::Compiled);
+        for query in sensors_suite() {
+            let rows = three_ways(&ds, &query);
+            assert_eq!(
+                rows,
+                oracle::execute_batch(&snapshot, &query).unwrap(),
+                "{layout:?}"
+            );
+            let report = engine.explain_analyze(&ds, &query).unwrap();
+            assert_eq!(report.rows, rows, "{layout:?}");
+            assert_eq!(
+                report.records_assembled(),
+                0,
+                "{layout:?}: {}",
+                report.describe()
+            );
+            assert_eq!(
+                report.records_kernel(),
+                report.rows_pulled(),
+                "{layout:?}: {}",
+                report.describe()
+            );
+            assert!(
+                report.rows_pulled() > 0,
+                "{layout:?}: {}",
+                report.describe()
+            );
+            assert!(
+                report.shards[0].fallbacks.is_empty(),
+                "{}",
+                report.describe()
+            );
+            assert!(report.shards[0].scan_batches > 0, "{}", report.describe());
+        }
+    }
+}
+
+#[test]
+fn uncovered_shapes_fall_back_and_say_why() {
+    let engine = QueryEngine::new(ExecMode::Compiled);
+    let fallbacks = |ds: &LsmDataset, query: &Query| {
+        let snapshot = ds.snapshot();
+        let rows = three_ways(ds, query);
+        assert_eq!(rows, oracle::execute_batch(&snapshot, query).unwrap());
+        let report = engine.explain_analyze(ds, query).unwrap();
+        assert_eq!(report.rows, rows);
+        assert_eq!(report.records_kernel(), 0, "{}", report.describe());
+        // Every winner handed over was built into a document (a row page
+        // decodes its shadowed entries too).
+        assert!(
+            report.records_assembled() >= report.rows_pulled(),
+            "{}",
+            report.describe()
+        );
+        assert!(
+            report.describe().contains("fell back: "),
+            "{}",
+            report.describe()
+        );
+        report.shards[0].fallbacks.join("; ")
+    };
+
+    // A residual filter is a property of the plan.
+    let ds = clean_sensors(LayoutKind::Amax);
+    let why = fallbacks(&ds, &max_temp().with_filter(Expr::exists("payload")));
+    assert_eq!(why, "residual filter");
+    let why = fallbacks(
+        &ds,
+        &Query::count_star()
+            .with_unnest("readings")
+            .group_by_element("seq"),
+    );
+    assert_eq!(why, "group by the unnested element");
+    let why = fallbacks(&ds, &max_temp().group_by("payload"));
+    assert_eq!(why, "string group key");
+
+    // Shapes are properties of a component's schema.
+    let ds = small_dataset("vectorized-union", LayoutKind::Amax);
+    ds.insert(doc!({"id": 1, "readings": [{"temp": 1}, {"temp": 2.5}]}))
+        .unwrap();
+    ds.insert(doc!({"id": 2, "readings": [{"temp": "hot"}]}))
+        .unwrap();
+    ds.flush().unwrap();
+    assert_eq!(fallbacks(&ds, &max_temp()), "union at `temp`");
+    let ds = small_dataset("vectorized-non-array", LayoutKind::Amax);
+    ds.insert(doc!({"id": 1, "readings": [{"temp": 1.5}]}))
+        .unwrap();
+    ds.insert(doc!({"id": 2, "readings": 7})).unwrap();
+    ds.flush().unwrap();
+    assert_eq!(fallbacks(&ds, &max_temp()), "union at `readings`");
+    let ds = small_dataset("vectorized-absent", LayoutKind::Amax);
+    ds.insert(doc!({"id": 1, "other": true})).unwrap();
+    ds.flush().unwrap();
+    assert_eq!(fallbacks(&ds, &max_temp()), "no column at `readings`");
+
+    // Row layouts and memtables hold documents.
+    let ds = clean_sensors(LayoutKind::Vb);
+    assert_eq!(fallbacks(&ds, &max_temp()), "row layout or memtable");
+}
+
+/// `rows_pulled` is what the operators were handed. A pushed predicate over
+/// a union column is only decided on the assembled record, so the batch's
+/// selection still holds the records it will reject: they are not counted.
+#[test]
+fn rows_pulled_counts_what_passed_a_predicate_that_needed_the_record() {
+    let ds = small_dataset("vectorized-union-filter", LayoutKind::Amax);
+    for id in 0..40 {
+        let score = if id % 4 == 0 {
+            Value::from("n/a")
+        } else {
+            Value::Int(id)
+        };
+        ds.insert(doc!({"id": id, "score": score})).unwrap();
+    }
+    ds.flush().unwrap();
+    let query = Query::count_star().with_filter(Expr::between("score", 20, 100));
+    let matches = (20..40).filter(|id| id % 4 != 0).count();
+    let report = QueryEngine::new(ExecMode::Compiled)
+        .explain_analyze(&ds, &query)
+        .unwrap();
+    assert_eq!(report.rows[0].aggs, [Value::Int(matches as i64)]);
+    assert_eq!(
+        report.rows,
+        oracle::execute_batch(&ds.snapshot(), &query).unwrap()
+    );
+    assert_eq!(
+        report.rows_pulled(),
+        matches as u64,
+        "{}",
+        report.describe()
+    );
+    assert_eq!(
+        report.shards[0].fallbacks,
+        ["pushed predicate needs the record"],
+        "{}",
+        report.describe()
+    );
+}
+
+/// Pages a cold run of `query` reads in `lane`, and the documents it builds.
+fn cold_io(ds: &LsmDataset, query: &Query, lane: ScanLane) -> (u64, u64) {
+    ds.cache().clear();
+    ds.cache().store().reset_stats();
+    QueryEngine::new(ExecMode::Compiled)
+        .execute_in_lane(ds, query, lane)
+        .unwrap();
+    let io = ds.io_stats();
+    (io.pages_read, io.records_assembled)
+}
+
+/// The paper's point about AMAX: a query reads Page 0 plus the megapages of
+/// the columns it names. The kernel lane names only the aggregate column.
+#[test]
+fn unnest_max_reads_only_the_aggregate_column_and_assembles_nothing() {
+    let ds = clean_sensors(LayoutKind::Amax);
+    let (count_pages, _) = cold_io(&ds, &Query::count_star(), ScanLane::Kernels);
+    let (kernel_pages, kernel_assembled) = cold_io(&ds, &max_temp(), ScanLane::Kernels);
+    let (assembled_pages, assembled) = cold_io(&ds, &max_temp(), ScanLane::Assembled);
+    let (full_pages, _) = cold_io(
+        &ds,
+        &Query::select([Aggregate::MaxLength(Path::parse("payload"))])
+            .with_unnest("readings")
+            .aggregate_element(Aggregate::Max(Path::parse("temp"))),
+        ScanLane::Assembled,
+    );
+    assert_eq!(kernel_assembled, 0);
+    assert_eq!(
+        assembled, 599,
+        "the reference lane builds every live record"
+    );
+    // Page 0 alone < + `temp` < + `seq` and `humidity` < + `payload`.
+    assert!(count_pages < kernel_pages, "{count_pages} < {kernel_pages}");
+    assert!(
+        kernel_pages < assembled_pages,
+        "{kernel_pages} < {assembled_pages}"
+    );
+    assert!(
+        assembled_pages < full_pages,
+        "{assembled_pages} < {full_pages}"
+    );
+    // Exactly the pages of one more column: asking for `seq` as well costs
+    // what `seq` occupies and nothing else.
+    let both = max_temp().aggregate_element(Aggregate::Max(Path::parse("seq")));
+    let (both_pages, both_assembled) = cold_io(&ds, &both, ScanLane::Kernels);
+    assert_eq!(both_assembled, 0);
+    assert!(kernel_pages < both_pages && both_pages <= assembled_pages);
+}
+
+/// A pushed filter at 100 % selectivity buys nothing and must cost nothing:
+/// the filter columns are decoded with the leaf and reused by whatever runs
+/// next, the rest is fetched once, so the scan reads exactly the pages the
+/// unpushed scan of the same query reads. (That a shared column's chunk is
+/// reused rather than decoded again is pinned on the chunks themselves in
+/// `storage::batch`'s tests.)
+#[test]
+fn full_selectivity_pushed_filter_reads_what_the_unpushed_scan_reads() {
+    let ds = clean_sensors(LayoutKind::Amax);
+    let all = Expr::ge("report_time", 0);
+    let unpushed = QueryEngine::with_options(
+        ExecMode::Compiled,
+        query::PlannerOptions {
+            filter_pushdown: false,
+            ..Default::default()
+        },
+    );
+    for (query, lane) in [
+        // The filter column is also the aggregate's.
+        (
+            Query::select([Aggregate::Max(Path::parse("report_time"))]),
+            ScanLane::Kernels,
+        ),
+        // Disjoint filter and aggregate columns, on kernels and assembled.
+        (
+            Query::select([Aggregate::Max(Path::parse("status.battery"))]),
+            ScanLane::Kernels,
+        ),
+        (
+            Query::select([Aggregate::Max(Path::parse("status.battery"))]),
+            ScanLane::Assembled,
+        ),
+    ] {
+        let query = query.with_filter(all.clone());
+        let (pushed_pages, pushed_assembled) = cold_io(&ds, &query, lane);
+        let pushed = ds.io_stats();
+        assert_eq!(pushed.records_filtered_pre_assembly, 0);
+        assert_eq!(
+            pushed_assembled,
+            if lane == ScanLane::Kernels { 0 } else { 599 }
+        );
+        ds.cache().clear();
+        ds.cache().store().reset_stats();
+        let rows = unpushed.execute(&ds, &query).unwrap();
+        assert_eq!(ds.io_stats().pages_read, pushed_pages, "{lane:?} {query:?}");
+        assert_eq!(
+            rows,
+            QueryEngine::new(ExecMode::Compiled)
+                .execute(&ds, &query)
+                .unwrap()
+        );
+    }
+}

@@ -56,27 +56,48 @@
 //! * **Drop** — a writer dropped without `finish` (an error half-way through
 //!   a merge, an injected crash point) frees every page it wrote.
 //!
-//! ## The cursor protocol
+//! ## The cursor protocol: keys first, batches or rows after
 //!
 //! Reads are *pull-based*: a cursor loads **one leaf at a time** (one row
-//! page, one APAX page, or one AMAX mega leaf) and hands entries out in key
-//! order. No page is read before the consumer pulls past the previous leaf,
-//! so dropping a cursor early (a `LIMIT`, a short-circuiting merge) leaves
-//! the remaining leaves untouched and unread. For **columnar** leaves,
-//! record assembly is itself lazy: loading a leaf decodes only the key
-//! column; [`ComponentCursor::peek_key`] exposes the next key without
-//! assembling anything, and [`ComponentCursor::skip_entry`] batch-advances
-//! every column cursor past a record (§4.4's skipping) so entries shadowed
-//! by newer components are never decoded into documents. Both the page reads
-//! and the per-record assembly are observable through the
-//! [`crate::pagestore::IoStats`] counters (`pages_read`,
-//! `records_assembled`). Two front ends share the implementation:
+//! page, one APAX page, or one AMAX mega leaf) and no page is read before the
+//! consumer moves past the previous leaf, so dropping a cursor early (a
+//! `LIMIT`, a short-circuiting merge) leaves the remaining leaves untouched
+//! and unread. A **columnar** leaf is loaded as little as possible: the key
+//! column plus the columns the load was told to decode (the projection — or,
+//! under a pushed filter, the filter columns alone). Everything else is
+//! decided per entry by whoever drives the cursor, on keys alone:
+//!
+//! * [`ComponentCursor::fill`] / [`ComponentCursor::head_key`] expose the
+//!   next key **borrowed** from the decoded key column ([`KeyRef`]) — a
+//!   k-way merge orders its sources without assembling a record or copying
+//!   a key;
+//! * [`ComponentCursor::skip_entry`] passes over an entry by moving a
+//!   position (§4.4's skipping): entries shadowed by newer components are
+//!   never decoded into documents;
+//! * [`ComponentCursor::head_in_leaf`] says *where* the entry sits — leaf,
+//!   ordinal, anti-matter or not — which is all a column-wise merge or a
+//!   batch scan records of a reconciliation winner;
+//! * [`Iterator::next`] assembles the entry's record from the projected
+//!   columns (the row adapter, row-layout merges, re-shredding merges). The
+//!   assembler is created by the first record asked for and catches up past
+//!   skipped entries in one batched advance.
+//!
+//! When the reconciliation has used a leaf up, [`ComponentCursor::leaf_batch`]
+//! turns the ordinals it selected into a [`ColumnBatch`]:
+//! the leaf's `Arc`-shared decoded chunks plus the ascending selection
+//! vector, from which a consumer fetches just the columns it folds over, or
+//! assembles just the selected records (see [`crate::batch`]).
+//!
+//! Page reads, assembly and the lane a scan took are observable through the
+//! [`crate::pagestore::IoStats`] counters (`pages_read`, `records_assembled`,
+//! `scan_batches`, `scan_records_kernel`, `scan_records_assembled`). Two
+//! front ends share the implementation:
 //!
 //! * [`ComponentScan`] borrows the component (`ComponentReader::scan`) —
 //!   used where the caller already holds the component;
 //! * [`ComponentCursor`] owns an `Arc<Component>` ([`Component::cursor`]) —
-//!   used by the LSM snapshot's merge-reconcile cursor and any caller that
-//!   must outlive a borrow (the facade's streaming scan API).
+//!   used by the LSM snapshot's scans and merges and any caller that must
+//!   outlive a borrow (the facade's streaming scan API).
 //!
 //! Both honour projection push-down: only the resolved columns of the
 //! projected paths are decoded (and, for AMAX, read at all).
@@ -104,18 +125,24 @@
 //! * **Only the reconciliation winner is evaluated.** The cursor never
 //!   hides keys from the k-way merge on its own — a non-matching entry can
 //!   still shadow an older version of its key, and dropping it before
-//!   reconciliation would resurrect that stale version. The merge cursor
-//!   (`lsm::snapshot`) picks the winning source per key, batch-skips the
-//!   shadowed losers unevaluated, and only then asks the winner
-//!   [`ComponentCursor::pushed_matches`]; rejected winners are consumed
-//!   with [`ComponentCursor::skip_entry_filtered`], which counts them in
-//!   `IoStats::records_filtered_pre_assembly`.
-//! * **Columnar leaves evaluate on the filter columns alone.** A filtered
-//!   lazy leaf decodes the key column plus the filter columns eagerly; the
-//!   projection columns are not decoded — for AMAX, their pages are not
-//!   even read — until some record of the leaf survives the filter. A leaf
-//!   whose records are all rejected therefore costs zero
-//!   non-filter-column page reads and zero `records_assembled`.
+//!   reconciliation would resurrect that stale version. The scan
+//!   (`lsm::snapshot`) picks the winning source per key and skips the
+//!   shadowed losers unevaluated; only then is the winner tested — one
+//!   ordinal at a time by the row adapter
+//!   ([`ComponentCursor::head_passes`]), a leaf's whole selection vector at
+//!   once by the batch scan ([`ComponentCursor::leaf_batch`]). Rejections
+//!   are counted in `IoStats::records_filtered_pre_assembly`.
+//! * **Predicates run as loops over the filter columns.** Each predicate is
+//!   lowered once per component against its schema ([`crate::batch`]): a
+//!   path through objects to a scalar column becomes a forward pass over
+//!   that column's definition levels and typed values; a path the schema
+//!   has no column of matches nothing; only a path that crosses a union or
+//!   ends at a composite has to wait for the assembled record
+//!   ([`ComponentCursor::record_passes`]). A filtered leaf decodes the key
+//!   and filter columns when it is loaded; the other columns are not
+//!   decoded — for AMAX, their pages are not even read — until some record
+//!   of the leaf survives, and a column the filter shares with the
+//!   projection is not decoded again.
 //! * **Per-leaf zone maps skip whole leaves.** Each leaf carries the same
 //!   [`ComponentStats`] shape the component carries. When a pushed
 //!   predicate proves no record of the leaf can match *and* the leaf's key
@@ -134,11 +161,10 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnCursor};
+use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnCursor, ColumnValues};
 use docmodel::{total_cmp, Path, Value};
 use encoding::{compress, DecodeError};
 use parking_lot::Mutex;
@@ -146,6 +172,7 @@ use schema::{columns_of, ColumnId, ColumnSpec, Schema};
 
 use crate::amax::{self, AmaxConfig};
 use crate::apax;
+use crate::batch::{ColumnBatch, ColumnFilter, LeafColumns, LeafFilter};
 use crate::leafcache::{DecodedLeaf, LeafCacheHandle};
 use crate::pagestore::{BufferCache, PageId};
 use crate::rowpage;
@@ -272,6 +299,22 @@ impl ColumnPredicate {
             Bound::Unbounded => true,
             Bound::Included(b) => total_cmp(v, b) != Ordering::Greater,
             Bound::Excluded(b) => total_cmp(v, b) == Ordering::Less,
+        };
+        above_lo && below_hi
+    }
+
+    /// [`ColumnPredicate::contains`] for entry `index` of a decoded column,
+    /// without building the value when the bound has the column's type.
+    pub fn contains_at(&self, values: &ColumnValues, index: usize) -> bool {
+        let above_lo = match &self.lo {
+            Bound::Unbounded => true,
+            Bound::Included(b) => values.cmp_at(index, b) != Ordering::Less,
+            Bound::Excluded(b) => values.cmp_at(index, b) == Ordering::Greater,
+        };
+        let below_hi = match &self.hi {
+            Bound::Unbounded => true,
+            Bound::Included(b) => values.cmp_at(index, b) != Ordering::Greater,
+            Bound::Excluded(b) => values.cmp_at(index, b) == Ordering::Less,
         };
         above_lo && below_hi
     }
@@ -662,24 +705,22 @@ impl Component {
     /// `Some(&[])` = keys only). Dropping the cursor early leaves the
     /// remaining leaves unread.
     pub fn cursor(self: &Arc<Self>, projection: Option<&[Path]>) -> ComponentCursor {
-        ComponentCursor {
-            state: CursorState::new(self, projection),
-            component: self.clone(),
-        }
+        self.cursor_filtered(projection, None)
     }
 
-    /// Like [`Component::cursor`], with a pushed-down filter: leaves whose
+    /// Like [`Component::cursor`], under a pushed-down filter: leaves whose
     /// zone maps prove no match (and whose key range is reconciliation-safe
-    /// to hide) are skipped before any page read, and
-    /// [`ComponentCursor::pushed_matches`] evaluates the predicates over the
-    /// filter columns alone. See the module-level filter push-down contract.
+    /// to hide) are skipped before any page read, a loaded leaf decodes the
+    /// filter columns first, and [`ComponentCursor::head_passes`] /
+    /// [`ComponentCursor::leaf_batch`] evaluate the predicates as column
+    /// loops. See the module-level filter push-down contract.
     pub fn cursor_filtered(
         self: &Arc<Self>,
         projection: Option<&[Path]>,
         filter: Option<ScanFilter>,
     ) -> ComponentCursor {
         ComponentCursor {
-            state: CursorState::new_filtered(self, projection, filter),
+            state: CursorState::new(self, projection, filter),
             component: self.clone(),
         }
     }
@@ -703,6 +744,15 @@ impl Component {
             }
         }
         Some(ids)
+    }
+
+    /// Every column the component's schema names.
+    pub(crate) fn column_ids(&self) -> impl Iterator<Item = ColumnId> + '_ {
+        self.specs.keys().copied()
+    }
+
+    pub(crate) fn is_key_column(&self, id: ColumnId) -> bool {
+        self.key_spec.as_ref().is_some_and(|key| key.id == id)
     }
 
     fn read_payload(&self, id: PageId) -> Result<Arc<Vec<u8>>> {
@@ -809,7 +859,11 @@ impl Component {
     /// leaf's resident all-columns entry when there is one, so the result
     /// may hold more columns than `columns` names —
     /// [`Component::assembler`] picks the wanted ones out.
-    fn cached_chunks(&self, leaf_idx: usize, columns: Option<&[ColumnId]>) -> Result<LeafChunks> {
+    pub(crate) fn cached_chunks(
+        &self,
+        leaf_idx: usize,
+        columns: Option<&[ColumnId]>,
+    ) -> Result<LeafChunks> {
         let decode = || -> Result<LeafChunks> {
             let chunks = self.decode_chunks(&self.leaves[leaf_idx], columns)?;
             Ok(Arc::new(chunks.into_iter().map(Arc::new).collect()))
@@ -853,7 +907,7 @@ impl Component {
     /// chunks it names plus the key column (`None` = all of them), which is
     /// what a decode under `wanted` would have produced. The plan is the
     /// component's shared one for the resulting column list.
-    fn assembler(
+    pub(crate) fn assembler(
         &self,
         chunks: &[Arc<ColumnChunk>],
         wanted: Option<&[ColumnId]>,
@@ -868,80 +922,34 @@ impl Component {
         Assembler::with_plan(plan, cursors, count)
     }
 
-    /// Load one leaf into a cursor buffer. Row layouts materialise every
-    /// entry (the page decode does that anyway); columnar layouts decode only
-    /// the key column eagerly and defer record assembly, so a reconciling
-    /// merge can batch-skip shadowed entries via
-    /// [`columnar::ColumnCursor::skip_records`] without ever assembling them
-    /// (§4.4). Under a pushed-down filter, columnar leaves go further: only
-    /// the key + filter columns are decoded now, and the projection columns
-    /// wait for the leaf's first surviving record. Both paths read through
-    /// the decoded-leaf cache when one is attached.
-    fn load_leaf(
-        &self,
-        leaf_idx: usize,
-        columns: Option<&[ColumnId]>,
-        filter: Option<&CursorFilter>,
-    ) -> Result<LeafBuffer> {
-        match self.config.layout {
-            LayoutKind::Open | LayoutKind::Vb => {
-                let entries = self.row_entries(leaf_idx)?;
-                // Uncached datasets hold the only reference, so the unwrap
-                // moves the vector instead of deep-cloning it.
-                let entries =
-                    Arc::try_unwrap(entries).unwrap_or_else(|arc| arc.as_ref().clone());
-                Ok(LeafBuffer::Rows(entries.into()))
-            }
-            LayoutKind::Apax | LayoutKind::Amax => {
-                let count = self.leaves[leaf_idx].record_count;
-                if let Some(filter) = filter {
-                    // Late materialization: decode only the key + filter
-                    // columns; the projection assembler is created on the
-                    // leaf's first surviving record (see `CursorState::next`).
-                    let chunks = self.cached_chunks(leaf_idx, Some(&filter.columns))?;
-                    return Ok(LeafBuffer::Lazy(Box::new(LazyLeaf {
-                        keys: key_chunk(&chunks)?.clone(),
-                        assembler: None,
-                        filter_eval: Some(FilterEval {
-                            assembler: self.assembler(&chunks, Some(&filter.columns), count),
-                            pos: 0,
-                            last: None,
-                        }),
-                        chunks,
-                        filter_covers_projection: filter.covers_projection,
-                        projection: columns.map(<[ColumnId]>::to_vec),
-                        leaf_idx,
-                        pos: 0,
-                        count,
-                    })));
-                }
-                let chunks = self.cached_chunks(leaf_idx, columns)?;
-                Ok(LeafBuffer::Lazy(Box::new(LazyLeaf {
-                    keys: key_chunk(&chunks)?.clone(),
-                    assembler: Some(self.assembler(&chunks, columns, count)),
-                    chunks,
-                    filter_eval: None,
-                    filter_covers_projection: false,
-                    projection: columns.map(<[ColumnId]>::to_vec),
-                    leaf_idx,
-                    pos: 0,
-                    count,
-                })))
-            }
+    /// Load one leaf into a cursor buffer. Row layouts share the decoded
+    /// page (the page decode materialises every entry anyway); columnar
+    /// layouts decode the key column plus `eager` and defer everything else —
+    /// record assembly, and the columns nobody asked for yet — so a
+    /// reconciling merge can batch-skip shadowed entries without ever
+    /// assembling them (§4.4) and a filtered leaf with no survivor never
+    /// reads its projection columns. Both paths read through the
+    /// decoded-leaf cache when one is attached.
+    fn load_leaf(&self, leaf_idx: usize, eager: Option<&[ColumnId]>) -> Result<LeafBuffer> {
+        if !self.config.layout.is_columnar() {
+            return Ok(LeafBuffer::Rows {
+                entries: self.row_entries(leaf_idx)?,
+                pos: 0,
+            });
         }
-    }
-
-    /// An [`Assembler`] over the projection columns of one leaf — the
-    /// deferred half of a filtered columnar load, created only once some
-    /// record of the leaf survives the filter.
-    fn projection_assembler(
-        &self,
-        leaf_idx: usize,
-        columns: Option<&[ColumnId]>,
-        count: usize,
-    ) -> Result<Assembler> {
-        let chunks = self.cached_chunks(leaf_idx, columns)?;
-        Ok(self.assembler(&chunks, columns, count))
+        let chunks = self.cached_chunks(leaf_idx, eager)?;
+        Ok(LeafBuffer::Columns(Box::new(ColumnLeaf {
+            keys: key_chunk(&chunks)?.clone(),
+            columns: LeafColumns {
+                chunks,
+                loaded: eager.map(<[ColumnId]>::to_vec),
+            },
+            assembler: None,
+            filter: None,
+            leaf_idx,
+            pos: 0,
+            count: self.leaves[leaf_idx].record_count,
+        })))
     }
 
     /// Point lookups for a batch of **ascending** keys (the document total
@@ -1059,7 +1067,7 @@ impl Component {
 }
 
 /// The primary-key chunk among a leaf's decoded chunks.
-fn key_chunk(chunks: &[Arc<ColumnChunk>]) -> Result<&Arc<ColumnChunk>> {
+pub(crate) fn key_chunk(chunks: &[Arc<ColumnChunk>]) -> Result<&Arc<ColumnChunk>> {
     chunks
         .iter()
         .find(|c| c.spec.is_key)
@@ -1077,7 +1085,7 @@ impl ComponentReader for Component {
 
     fn scan(&self, projection: Option<&[Path]>) -> Result<ComponentScan<'_>> {
         Ok(ComponentScan {
-            state: CursorState::new(self, projection),
+            state: CursorState::new(self, projection, None),
             component: self,
         })
     }
@@ -1088,49 +1096,72 @@ impl ComponentReader for Component {
     }
 }
 
-/// The resident leaf of a component cursor.
-///
-/// Row layouts hold the decoded entries; columnar layouts hold the decoded
-/// key column plus a positioned [`Assembler`], so the records of the leaf
-/// are assembled (or batch-skipped) one at a time as the consumer pulls.
-enum LeafBuffer {
-    /// Row layouts: the page decode materialises every entry anyway.
-    Rows(VecDeque<Entry>),
-    /// Columnar layouts: keys decoded, record assembly deferred (boxed: the
-    /// assembler plus key chunk dwarf the row variant).
-    Lazy(Box<LazyLeaf>),
+/// The key of a cursor's next entry, borrowed from wherever it lives — a
+/// decoded row page or memtable run, or a decoded key column — so a k-way
+/// merge can order its heads without cloning a key per entry (a `String`
+/// allocation each on string-keyed datasets). Only the key of an entry that
+/// is returned is ever made owned ([`KeyRef::to_value`]).
+#[derive(Clone, Copy)]
+pub enum KeyRef<'a> {
+    /// A key held as a document value.
+    Value(&'a Value),
+    /// Entry `.1` of a decoded key column.
+    Column(&'a ColumnValues, usize),
 }
 
-/// A columnar leaf whose records have not (all) been assembled yet.
-struct LazyLeaf {
+impl KeyRef<'_> {
+    /// Compare two keys under the document total order.
+    #[inline]
+    pub fn compare(&self, other: &KeyRef<'_>) -> Ordering {
+        match (self, other) {
+            (KeyRef::Value(a), KeyRef::Value(b)) => total_cmp(a, b),
+            (KeyRef::Column(a, i), KeyRef::Value(b)) => a.cmp_at(*i, b),
+            (KeyRef::Value(a), KeyRef::Column(b, j)) => b.cmp_at(*j, a).reverse(),
+            (KeyRef::Column(a, i), KeyRef::Column(b, j)) => a.cmp_between(*i, b, *j),
+        }
+    }
+
+    /// The key as an owned value.
+    pub fn to_value(&self) -> Value {
+        match self {
+            KeyRef::Value(v) => (*v).clone(),
+            KeyRef::Column(values, i) => values.get(*i),
+        }
+    }
+}
+
+/// The resident leaf of a component cursor.
+enum LeafBuffer {
+    /// Row layouts: the decoded page, shared with the leaf cache when one is
+    /// attached. An entry is copied only when it is taken.
+    Rows { entries: Arc<Vec<Entry>>, pos: usize },
+    /// Columnar layouts: keys decoded, everything else deferred (boxed: the
+    /// assembler dwarfs the row variant).
+    Columns(Box<ColumnLeaf>),
+}
+
+/// A columnar leaf under a cursor: its decoded key column, the other chunks
+/// decoded so far, and the position of the next entry.
+struct ColumnLeaf {
     /// The decoded key column: one definition level and one value per entry,
     /// including anti-matter (the key column stores the deleted key at
-    /// definition level 0, §3.2.3). `Arc`'d so a leaf-cache hit shares the
-    /// chunk instead of cloning it.
+    /// definition level 0, §3.2.3).
     keys: Arc<ColumnChunk>,
-    /// Every chunk the load decoded (the key column among them): what a
-    /// merge copies record ranges out of instead of assembling them.
-    chunks: LeafChunks,
-    /// Projection assembler. Filtered cursors leave it `None` until the
-    /// leaf's first surviving record forces the projection chunks to be
-    /// decoded — a leaf whose records are all rejected never reads its
-    /// non-filter-column pages. It trails `pos`: skipped entries move only
+    /// The chunks decoded so far: what the load asked for (the projection,
+    /// or under a pushed filter just the filter columns), grown on demand by
+    /// whoever needs more — what a merge copies record ranges out of, and
+    /// what a scan batch folds over.
+    columns: LeafColumns,
+    /// Assembler over the projection columns, created by the first record
+    /// the cursor is asked to assemble — under a pushed filter that is the
+    /// leaf's first survivor, so a leaf whose records are all rejected never
+    /// reads its other columns. It trails `pos`: skipped entries move only
     /// `pos`, and the assembler catches up in one batched skip when a record
     /// is next assembled — a consumer that never assembles never pays.
     assembler: Option<Assembler>,
-    /// A second assembler over the filter columns only, evaluating pushed
-    /// predicates without touching the projection columns. Lags behind
-    /// `pos` (filter evaluation is only forced for merge winners) and is
-    /// re-synced by batch-skipping.
-    filter_eval: Option<FilterEval>,
-    /// When the filter columns are exactly the projection columns, a
-    /// surviving record is emitted from the filter evaluator's doc and the
-    /// projection assembler is never created — see
-    /// [`CursorFilter::covers_projection`].
-    filter_covers_projection: bool,
-    /// Projected column set (`None` = all), kept for the deferred
-    /// projection-assembler creation.
-    projection: Option<Vec<ColumnId>>,
+    /// The pushed filter's column loops, bound by the first winner asked
+    /// about one at a time ([`ComponentCursor::head_passes`]).
+    filter: Option<LeafFilter>,
     /// Index of this leaf within the component.
     leaf_idx: usize,
     /// Next record position within the leaf.
@@ -1139,26 +1170,11 @@ struct LazyLeaf {
     count: usize,
 }
 
-/// The filter-column evaluator of a filtered lazy leaf.
-struct FilterEval {
-    /// Assembler over the filter columns alone.
-    assembler: Assembler,
-    /// Next record position this assembler will decode (`<= LazyLeaf::pos`).
-    pos: usize,
-    /// The most recent evaluation: `(record position, assembled
-    /// filter-column doc, passed)`. Makes evaluation idempotent (a repeat
-    /// call for the same position returns the cached verdict instead of
-    /// mis-reading the next record), and when the filter columns cover the
-    /// projection, `next` emits the cached doc instead of assembling the
-    /// record a second time.
-    last: Option<(usize, Value, bool)>,
-}
-
 impl LeafBuffer {
     fn remaining(&self) -> usize {
         match self {
-            LeafBuffer::Rows(buffer) => buffer.len(),
-            LeafBuffer::Lazy(leaf) => leaf.count - leaf.pos,
+            LeafBuffer::Rows { entries, pos } => entries.len() - pos,
+            LeafBuffer::Columns(leaf) => leaf.count - leaf.pos,
         }
     }
 }
@@ -1167,56 +1183,49 @@ impl LeafBuffer {
 /// the not-yet-consumed part of the current leaf. One leaf is resident at a
 /// time — the memory bound of the cursor protocol.
 struct CursorState {
+    /// Columns a record is assembled from (`None` = all): the projection,
+    /// widened by the paths of pushed predicates that need the record.
     columns: Option<Vec<ColumnId>>,
+    /// Columns a leaf decodes when it is loaded: the pushed filter's when
+    /// there is one, the projection's otherwise.
+    eager: Option<Vec<ColumnId>>,
     /// Pushed-down filter context; `None` for unfiltered cursors.
-    filter: Option<CursorFilter>,
+    filter: Option<PushedFilter>,
     next_leaf: usize,
     leaf: Option<LeafBuffer>,
 }
 
-/// A [`ScanFilter`] resolved against one component's schema.
-struct CursorFilter {
-    predicates: Arc<Vec<ColumnPredicate>>,
-    older_key_ranges: Arc<Vec<(Value, Value)>>,
-    /// Columns the predicates read (key column included) — what a filtered
-    /// columnar leaf decodes eagerly.
-    columns: Vec<ColumnId>,
-    /// Whether the filter columns are exactly the projected columns. When
-    /// true, the doc the filter evaluator assembles *is* the projected
-    /// record, so surviving records are emitted from it directly — no
-    /// second assembler, no double decode of shared columns.
-    covers_projection: bool,
+/// A [`ScanFilter`] and its predicates lowered against one component's
+/// schema.
+struct PushedFilter {
+    scan: ScanFilter,
+    lowered: Arc<ColumnFilter>,
 }
 
 impl CursorState {
-    fn new(component: &Component, projection: Option<&[Path]>) -> CursorState {
-        CursorState::new_filtered(component, projection, None)
-    }
-
-    fn new_filtered(
+    fn new(
         component: &Component,
         projection: Option<&[Path]>,
         filter: Option<ScanFilter>,
     ) -> CursorState {
-        let columns = component.projection_columns(projection);
-        let filter = filter
-            .filter(|f| !f.predicates.is_empty())
-            .map(|f| {
-                let paths: Vec<Path> = f.predicates.iter().map(|p| p.path.clone()).collect();
-                let filter_columns = component
-                    .projection_columns(Some(&paths))
-                    .unwrap_or_default();
-                CursorFilter {
-                    covers_projection: columns
-                        .as_deref()
-                        .is_some_and(|proj| same_column_set(proj, &filter_columns)),
-                    columns: filter_columns,
-                    predicates: f.predicates,
-                    older_key_ranges: f.older_key_ranges,
-                }
-            });
+        let mut columns = component.projection_columns(projection);
+        let filter = filter.filter(|f| !f.predicates.is_empty()).map(|scan| PushedFilter {
+            lowered: Arc::new(ColumnFilter::lower(
+                &component.schema,
+                scan.predicates.clone(),
+            )),
+            scan,
+        });
+        let mut eager = columns.clone();
+        if let Some(filter) = &filter {
+            let mut first = component.projection_columns(Some(&[])).unwrap_or_default();
+            first.extend(filter.lowered.columns());
+            eager = Some(first);
+            columns = component.assembly_columns(projection, Some(&filter.lowered));
+        }
         CursorState {
             columns,
+            eager,
             filter,
             next_leaf: 0,
             leaf: None,
@@ -1228,76 +1237,83 @@ impl CursorState {
     /// pushed-down filter, leaves whose zone maps prove no match — and
     /// whose key range is disjoint from every older component's, so hiding
     /// them is reconciliation-safe — are skipped without any page read.
-    /// `None` = the component is exhausted.
-    fn ensure_leaf(&mut self, component: &Component) -> Option<Result<&mut LeafBuffer>> {
+    /// `Ok(false)` = the component is exhausted. The drained leaf stays
+    /// resident until its successor is asked for.
+    #[inline]
+    fn ensure_leaf(&mut self, component: &Component) -> Result<bool> {
+        if self.leaf.as_ref().is_some_and(|l| l.remaining() > 0) {
+            return Ok(true);
+        }
+        self.next_leaf(component)
+    }
+
+    fn next_leaf(&mut self, component: &Component) -> Result<bool> {
         loop {
             if self.leaf.as_ref().is_some_and(|l| l.remaining() > 0) {
-                return Some(Ok(self.leaf.as_mut().expect("leaf checked above")));
+                return Ok(true);
             }
             if self.next_leaf >= component.leaves.len() {
                 self.leaf = None;
-                return None;
+                return Ok(false);
             }
             let leaf_idx = self.next_leaf;
             self.next_leaf += 1;
             if let Some(filter) = &self.filter {
                 let leaf = &component.leaves[leaf_idx];
-                let provably_empty = leaf
-                    .stats
-                    .as_ref()
-                    .is_some_and(|stats| {
-                        filter.predicates.iter().any(|p| p.prove_no_match(stats))
-                    });
-                if provably_empty && leaf_safe_to_hide(leaf, &filter.older_key_ranges) {
+                let provably_empty = leaf.stats.as_ref().is_some_and(|stats| {
+                    filter
+                        .scan
+                        .predicates
+                        .iter()
+                        .any(|p| p.prove_no_match(stats))
+                });
+                if provably_empty && leaf_safe_to_hide(leaf, &filter.scan.older_key_ranges) {
                     component.cache.store().note_leaves_skipped(1);
                     continue;
                 }
             }
-            match component.load_leaf(leaf_idx, self.columns.as_deref(), self.filter.as_ref()) {
-                Ok(buffer) => self.leaf = Some(buffer),
-                Err(e) => return Some(Err(e)),
-            }
+            self.leaf = Some(component.load_leaf(leaf_idx, self.eager.as_deref())?);
+        }
+    }
+
+    /// The resident leaf, once [`CursorState::ensure_leaf`] said there is
+    /// one; `None` = exhausted.
+    fn head_leaf(&mut self, component: &Component) -> Option<Result<&mut LeafBuffer>> {
+        match self.ensure_leaf(component) {
+            Ok(true) => Some(Ok(self.leaf.as_mut().expect("a leaf is resident"))),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 
     fn next(&mut self, component: &Component) -> Option<Result<Entry>> {
-        let buffer = match self.ensure_leaf(component)? {
-            Ok(buffer) => buffer,
+        match self.ensure_leaf(component) {
+            Ok(true) => {}
+            Ok(false) => return None,
             Err(e) => return Some(Err(e)),
-        };
-        match buffer {
-            LeafBuffer::Rows(rows) => rows.pop_front().map(Ok),
-            LeafBuffer::Lazy(leaf) => {
-                // Filter covers the projection: the doc the evaluator
-                // assembled for this position is the projected record —
-                // emit it instead of decoding the leaf a second time.
-                if leaf.filter_covers_projection {
-                    let cached = leaf
-                        .filter_eval
-                        .as_mut()
-                        .and_then(|eval| match &eval.last {
-                            Some((pos, _, _)) if *pos == leaf.pos => eval.last.take(),
-                            _ => None,
-                        });
-                    if let Some((_, doc, _)) = cached {
-                        let key = leaf.keys.values.get(leaf.pos);
-                        let is_antimatter = leaf.keys.defs[leaf.pos] == 0;
-                        leaf.pos += 1;
-                        component.cache.store().note_records_assembled(1);
-                        return Some(Ok((key, if is_antimatter { None } else { Some(doc) })));
-                    }
-                }
+        }
+        let columns = self.columns.as_deref();
+        match self.leaf.as_mut().expect("a leaf is resident") {
+            LeafBuffer::Rows { entries, pos } => {
+                // Uncached datasets hold the only reference and move the
+                // entry out; a cached page is shared and copied from.
+                let entry = match Arc::get_mut(entries) {
+                    Some(own) => std::mem::take(&mut own[*pos]),
+                    None => entries[*pos].clone(),
+                };
+                *pos += 1;
+                Some(Ok(entry))
+            }
+            LeafBuffer::Columns(leaf) => {
                 if leaf.assembler.is_none() {
-                    // First surviving record of a filtered leaf: decode the
-                    // projection chunks now and catch up to the cursor.
-                    match component.projection_assembler(
-                        leaf.leaf_idx,
-                        leaf.projection.as_deref(),
-                        leaf.count,
-                    ) {
-                        Ok(assembler) => leaf.assembler = Some(assembler),
-                        Err(e) => return Some(Err(e)),
+                    // The first record assembled from this leaf: decode
+                    // whatever of the projection the load left out.
+                    if let Err(e) = component.load_more(leaf.leaf_idx, &mut leaf.columns, columns)
+                    {
+                        return Some(Err(e));
                     }
+                    leaf.assembler =
+                        Some(component.assembler(&leaf.columns.chunks, columns, leaf.count));
                 }
                 let assembler = leaf.assembler.as_mut().expect("assembler created above");
                 // Catch up past the entries skipped since the last assembly.
@@ -1319,98 +1335,68 @@ impl CursorState {
         }
     }
 
-    /// Does the next entry pass the pushed-down filter? Anti-matter always
-    /// passes (it must reach the merge to annihilate older versions);
-    /// columnar leaves evaluate on the filter columns alone, without
-    /// assembling the record. `None` = exhausted; no filter = always `true`.
-    fn pushed_matches(&mut self, component: &Component) -> Option<Result<bool>> {
-        let predicates = match &self.filter {
-            Some(filter) => filter.predicates.clone(),
-            None => return Some(Ok(true)),
-        };
-        let buffer = match self.ensure_leaf(component)? {
-            Ok(buffer) => buffer,
-            Err(e) => return Some(Err(e)),
-        };
-        match buffer {
-            LeafBuffer::Rows(rows) => {
-                let (_, doc) = rows.front()?;
-                Some(Ok(doc
-                    .as_ref()
-                    .is_none_or(|doc| predicates.iter().all(|p| p.matches(doc)))))
-            }
-            LeafBuffer::Lazy(leaf) => {
-                if leaf.keys.defs[leaf.pos] == 0 {
-                    return Some(Ok(true)); // anti-matter
-                }
-                let Some(eval) = leaf.filter_eval.as_mut() else {
-                    return Some(Ok(true));
-                };
-                if let Some((pos, _, passed)) = &eval.last {
-                    if *pos == leaf.pos {
-                        return Some(Ok(*passed)); // already evaluated
-                    }
-                }
-                if leaf.pos > eval.pos {
-                    // Catch up past records that were reconciliation-skipped
-                    // without ever being evaluated.
-                    eval.assembler.skip_records(leaf.pos - eval.pos);
-                    eval.pos = leaf.pos;
-                }
-                let doc = match eval
-                    .assembler
-                    .next_record()
-                    .unwrap_or_else(|| Err(DecodeError::new("filter assembler ended early")))
-                {
-                    Ok(doc) => doc,
-                    Err(e) => return Some(Err(e)),
-                };
-                eval.pos += 1;
-                let passed = predicates.iter().all(|p| p.matches(&doc));
-                eval.last = Some((leaf.pos, doc, passed));
-                Some(Ok(passed))
+    /// The resident head's key; `None` when no leaf is resident or it is
+    /// drained (ask [`CursorState::ensure_leaf`] first).
+    #[inline]
+    fn head_key(&self) -> Option<KeyRef<'_>> {
+        match self.leaf.as_ref()? {
+            LeafBuffer::Rows { entries, pos } => entries.get(*pos).map(|(k, _)| KeyRef::Value(k)),
+            LeafBuffer::Columns(leaf) => {
+                (leaf.pos < leaf.count).then(|| KeyRef::Column(&leaf.keys.values, leaf.pos))
             }
         }
     }
 
-    /// The next entry's key, without assembling the record.
-    fn peek_key(&mut self, component: &Component) -> Option<Result<Value>> {
-        let buffer = match self.ensure_leaf(component)? {
-            Ok(buffer) => buffer,
-            Err(e) => return Some(Err(e)),
-        };
-        match buffer {
-            LeafBuffer::Rows(rows) => rows.front().map(|(key, _)| Ok(key.clone())),
-            LeafBuffer::Lazy(leaf) => Some(Ok(leaf.keys.values.get(leaf.pos))),
+    /// The resident head of a row leaf, in place.
+    fn head_entry(&self) -> Option<&Entry> {
+        match self.leaf.as_ref()? {
+            LeafBuffer::Rows { entries, pos } => entries.get(*pos),
+            LeafBuffer::Columns(_) => None,
         }
     }
 
-    /// Drop the next entry without assembling it: every column cursor of a
-    /// lazy leaf skips the record's entries in one batched advance
-    /// ([`columnar::ColumnCursor::skip_records`]) — values are never decoded
-    /// into a document. Row layouts just discard the already-decoded entry.
+    /// Does the next entry pass the pushed filter's column loops?
+    /// Anti-matter always passes (it must reach the merge to annihilate
+    /// older versions) and so do row-layout entries, which have no columns —
+    /// their caller tests the document in place. `None` = exhausted.
+    fn head_passes(&mut self, component: &Component) -> Option<Result<bool>> {
+        let Some(lowered) = self.filter.as_ref().map(|f| f.lowered.clone()) else {
+            return Some(Ok(true));
+        };
+        match self.head_leaf(component)? {
+            Ok(LeafBuffer::Columns(leaf)) => Some(Ok(leaf.keys.defs[leaf.pos] == 0 || {
+                let chunks = &leaf.columns.chunks;
+                leaf.filter
+                    .get_or_insert_with(|| lowered.bind(chunks))
+                    .matches(&lowered, leaf.pos)
+            })),
+            Ok(LeafBuffer::Rows { .. }) => Some(Ok(true)),
+            Err(e) => Some(Err(e)),
+        }
+    }
+
+    /// Drop the next entry without assembling it: a columnar leaf only moves
+    /// its position — the column cursors catch up in one batched advance
+    /// ([`columnar::ColumnCursor::skip_records`]) if a later record is ever
+    /// assembled, so values are never decoded into a document.
     fn skip_entry(&mut self, component: &Component) {
-        let Some(Ok(buffer)) = self.ensure_leaf(component) else {
-            return;
-        };
-        match buffer {
-            LeafBuffer::Rows(rows) => {
-                rows.pop_front();
-            }
-            LeafBuffer::Lazy(leaf) => leaf.pos += 1,
+        match self.head_leaf(component) {
+            Some(Ok(LeafBuffer::Rows { pos, .. })) => *pos += 1,
+            Some(Ok(LeafBuffer::Columns(leaf))) => leaf.pos += 1,
+            _ => {}
         }
     }
 
     /// Where the next entry sits in its decoded columnar leaf; `None` for
     /// row layouts and exhausted cursors.
     fn head_in_leaf(&mut self, component: &Component) -> Option<Result<LeafHead>> {
-        match self.ensure_leaf(component)? {
-            Ok(LeafBuffer::Lazy(leaf)) => Some(Ok(LeafHead {
+        match self.head_leaf(component)? {
+            Ok(LeafBuffer::Columns(leaf)) => Some(Ok(LeafHead {
                 leaf: leaf.leaf_idx,
                 ordinal: leaf.pos,
                 anti_matter: leaf.keys.defs[leaf.pos] == 0,
             })),
-            Ok(LeafBuffer::Rows(_)) => None,
+            Ok(LeafBuffer::Rows { .. }) => None,
             Err(e) => Some(Err(e)),
         }
     }
@@ -1420,9 +1406,9 @@ impl CursorState {
     }
 }
 
-/// Where a columnar cursor's next entry sits: the coordinates a merge
-/// records, instead of the record, for a reconciliation winner it will copy
-/// column by column ([`ComponentCursor::head_in_leaf`]).
+/// Where a columnar cursor's next entry sits: the coordinates a merge or a
+/// batch scan records, instead of the record, for a reconciliation winner
+/// ([`ComponentCursor::head_in_leaf`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafHead {
     /// Index of the leaf within its component.
@@ -1449,7 +1435,7 @@ impl Iterator for ComponentScan<'_> {
 
 /// Streaming scan over a shared component handle. Identical to
 /// [`ComponentScan`] but owning its `Arc<Component>`, so it can be stored in
-/// long-lived pipelines (the LSM snapshot cursor, the facade's streaming
+/// long-lived pipelines (the LSM snapshot's scans, the facade's streaming
 /// API) without borrowing. Created by [`Component::cursor`].
 pub struct ComponentCursor {
     component: Arc<Component>,
@@ -1463,19 +1449,30 @@ impl ComponentCursor {
         self.state.buffered()
     }
 
-    /// The next entry's key without assembling the record (or decoding any
-    /// non-key column value, for columnar layouts). `None` = exhausted.
-    ///
-    /// Repeated calls return the same key until [`Iterator::next`] or
-    /// [`ComponentCursor::skip_entry`] consumes the entry. This is the hook
-    /// the LSM merge-reconcile cursor uses to detect shadowed entries before
-    /// paying for their assembly.
-    pub fn peek_key(&mut self) -> Option<Result<Value>> {
-        self.state.peek_key(&self.component)
+    /// Make the next entry resident, loading the next leaf when the current
+    /// one is drained. `Ok(false)` = exhausted.
+    #[inline]
+    pub fn fill(&mut self) -> Result<bool> {
+        self.state.ensure_leaf(&self.component)
+    }
+
+    /// The next entry's key, borrowed — no record is assembled and no key is
+    /// copied. `None` until [`ComponentCursor::fill`] made an entry resident
+    /// (and once the cursor is exhausted). This is what the LSM
+    /// merge-reconcile cursor orders its sources by.
+    #[inline]
+    pub fn head_key(&self) -> Option<KeyRef<'_>> {
+        self.state.head_key()
+    }
+
+    /// The next entry of a **row-layout** leaf, in place (`None` for
+    /// columnar layouts, and until [`ComponentCursor::fill`] made it
+    /// resident): lets a scan test a document before copying it.
+    pub fn head_entry(&self) -> Option<&Entry> {
+        self.state.head_entry()
     }
 
     /// Consume the next entry without assembling it (§4.4's batched skip:
-    /// every column cursor of the leaf advances past the record in one go,
     /// no value is decoded into a document). No-op when exhausted.
     pub fn skip_entry(&mut self) {
         self.state.skip_entry(&self.component)
@@ -1486,9 +1483,9 @@ impl ComponentCursor {
     /// cursor is exhausted **or the layout is row-major** (row leaves have
     /// no columns to copy from). Together with
     /// [`ComponentCursor::leaf_chunks`] and [`ComponentCursor::skip_entry`]
-    /// this is the read half of a column-wise merge (§4.4): the winner's
-    /// coordinates are recorded, the entry is skipped, and its columns are
-    /// copied later as part of a record range.
+    /// this is the read half of a column-wise merge (§4.4) and of a batch
+    /// scan: the winner's coordinates are recorded, the entry is skipped,
+    /// and its columns are copied — or folded over — later.
     pub fn head_in_leaf(&mut self) -> Option<Result<LeafHead>> {
         self.state.head_in_leaf(&self.component)
     }
@@ -1497,22 +1494,34 @@ impl ComponentCursor {
     /// cursor's projection loads; all of them for an unprojected cursor).
     pub fn leaf_chunks(&self) -> Option<&LeafChunks> {
         match self.state.leaf.as_ref()? {
-            LeafBuffer::Lazy(leaf) => Some(&leaf.chunks),
-            LeafBuffer::Rows(_) => None,
+            LeafBuffer::Columns(leaf) => Some(&leaf.columns.chunks),
+            LeafBuffer::Rows { .. } => None,
         }
     }
 
-    /// Does the next entry pass the pushed-down filter ([`ScanFilter`])?
-    /// For columnar leaves only the filter columns are decoded — the record
-    /// is not assembled. Anti-matter always passes (it must reach the merge
-    /// to annihilate). Cursors without a filter always answer `true`;
+    /// Does the next entry pass the pushed filter ([`ScanFilter`]) as far
+    /// as columns can tell? The predicates run as loops over the filter
+    /// columns at the entry's ordinal — nothing is assembled. Anti-matter
+    /// always passes (it must reach the merge to annihilate), and so do
+    /// row-layout entries and cursors without a filter; a survivor must
+    /// still pass [`ComponentCursor::record_passes`] once assembled.
     /// `None` = exhausted.
     ///
-    /// The merge cursor calls this **only for the reconciliation winner** of
-    /// a key, after batch-skipping the shadowed losers — evaluating a loser
+    /// The row adapter calls this **only for the reconciliation winner** of
+    /// a key, after the shadowed losers were skipped — evaluating a loser
     /// would let a stale value filter (or admit) a live record.
-    pub fn pushed_matches(&mut self) -> Option<Result<bool>> {
-        self.state.pushed_matches(&self.component)
+    pub fn head_passes(&mut self) -> Option<Result<bool>> {
+        self.state.head_passes(&self.component)
+    }
+
+    /// Does an assembled record pass the pushed predicates that no column
+    /// loop could decide (paths through unions, composite values)? The
+    /// cursor's projection is widened to cover their paths.
+    pub fn record_passes(&self, doc: &Value) -> bool {
+        self.state
+            .filter
+            .as_ref()
+            .is_none_or(|f| f.lowered.record_passes(doc))
     }
 
     /// Consume the next entry as a pushed-filter rejection: exactly
@@ -1526,6 +1535,29 @@ impl ComponentCursor {
             .note_records_filtered_pre_assembly(1);
         self.state.skip_entry(&self.component)
     }
+
+    /// The resident columnar leaf as a [`ColumnBatch`] over `selection` —
+    /// ascending ordinals of live entries of that leaf, typically the
+    /// reconciliation winners a scan skipped past. The pushed filter's
+    /// column loops narrow the selection. `None` for row layouts and when no
+    /// leaf is resident. A drained leaf stays resident until the cursor is
+    /// next filled, which is when a scan collects its batch.
+    pub fn leaf_batch(&self, selection: Vec<u32>) -> Option<ColumnBatch> {
+        let LeafBuffer::Columns(leaf) = self.state.leaf.as_ref()? else {
+            return None;
+        };
+        Some(ColumnBatch::new(
+            self.component.clone(),
+            leaf.leaf_idx,
+            leaf.count,
+            LeafColumns {
+                chunks: leaf.columns.chunks.clone(),
+                loaded: leaf.columns.loaded.clone(),
+            },
+            selection,
+            self.state.filter.as_ref().map(|f| f.lowered.clone()),
+        ))
+    }
 }
 
 /// Is hiding `leaf` reconciliation-safe? Only when its key range is disjoint
@@ -1536,20 +1568,6 @@ fn leaf_safe_to_hide(leaf: &LeafRef, older: &[(Value, Value)]) -> bool {
         total_cmp(&leaf.max_key, lo) == Ordering::Less
             || total_cmp(&leaf.min_key, hi) == Ordering::Greater
     })
-}
-
-/// Do two (deduplicated, unordered) column lists name the same set?
-/// `projection_columns` preserves path order, so set equality is what
-/// decides whether a filter's doc can stand in for the projection's.
-fn same_column_set(a: &[ColumnId], b: &[ColumnId]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut a = a.to_vec();
-    let mut b = b.to_vec();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b
 }
 
 impl Iterator for ComponentCursor {
@@ -1962,8 +1980,8 @@ mod tests {
             let mut cursor = comp.cursor(None);
             let mut assembled = 0usize;
             let mut seen = 0usize;
-            while let Some(key) = cursor.peek_key() {
-                let key = key.unwrap();
+            while cursor.fill().unwrap() {
+                let key = cursor.head_key().unwrap().to_value();
                 // Peeking alone assembles nothing.
                 assert_eq!(key, Value::Int(seen as i64), "{layout:?}");
                 if seen.is_multiple_of(2) {

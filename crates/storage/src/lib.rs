@@ -40,6 +40,7 @@
 pub mod amax;
 pub mod apax;
 pub mod backend;
+pub mod batch;
 pub mod component;
 pub mod leafcache;
 pub mod pagestore;
@@ -49,6 +50,7 @@ pub mod stats;
 pub mod writer;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
+pub use batch::{BatchRows, ColumnBatch};
 pub use component::{ComponentDescriptor, ComponentReader, LayoutKind, LeafDescriptor};
 pub use leafcache::{DecodedLeaf, LeafCache, LeafCacheHandle, LeafCacheStats};
 pub use stats::{ColumnStats, ComponentStats};

@@ -78,6 +78,18 @@ pub struct IoStats {
     /// Whole leaves skipped by per-leaf zone maps under a pushed-down
     /// filter — no page reads, no decode, not even the key column.
     pub leaves_skipped: u64,
+    /// Batches a snapshot's batch scan handed to its consumer (one per
+    /// source leaf with surviving winners, plus the runs of memtable and
+    /// row-layout winners).
+    pub scan_batches: u64,
+    /// Reconciliation winners a query evaluated with column kernels —
+    /// straight off the decoded chunks, no document built.
+    pub scan_records_kernel: u64,
+    /// Reconciliation winners of columnar batches a scan assembled into
+    /// documents (the row adapter, and plans the kernels do not cover). A
+    /// subset of `records_assembled`, which also counts point reads and
+    /// merges.
+    pub scan_records_assembled: u64,
 }
 
 /// A store of fixed-size pages: explicit read/write calls, atomic
@@ -101,6 +113,9 @@ struct PageStoreInner {
     leaf_cache_evictions: AtomicU64,
     records_filtered_pre_assembly: AtomicU64,
     leaves_skipped: AtomicU64,
+    scan_batches: AtomicU64,
+    scan_records_kernel: AtomicU64,
+    scan_records_assembled: AtomicU64,
 }
 
 impl PageStore {
@@ -131,6 +146,9 @@ impl PageStore {
                 leaf_cache_evictions: AtomicU64::new(0),
                 records_filtered_pre_assembly: AtomicU64::new(0),
                 leaves_skipped: AtomicU64::new(0),
+                scan_batches: AtomicU64::new(0),
+                scan_records_kernel: AtomicU64::new(0),
+                scan_records_assembled: AtomicU64::new(0),
             }),
         }
     }
@@ -285,6 +303,25 @@ impl PageStore {
         }
     }
 
+    /// Account for `n` batches handed out by a batch scan.
+    pub fn note_scan_batches(&self, n: u64) {
+        self.inner.scan_batches.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Account for `n` reconciliation winners evaluated by column kernels.
+    pub fn note_scan_records_kernel(&self, n: u64) {
+        self.inner.scan_records_kernel.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Account for `n` winners of a columnar batch assembled into documents
+    /// (also counted in `records_assembled`).
+    pub fn note_scan_records_assembled(&self, n: u64) {
+        self.inner.records_assembled.fetch_add(n, Ordering::Relaxed);
+        self.inner
+            .scan_records_assembled
+            .fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Snapshot of the accounting counters.
     pub fn stats(&self) -> IoStats {
         IoStats {
@@ -302,6 +339,9 @@ impl PageStore {
                 .records_filtered_pre_assembly
                 .load(Ordering::Relaxed),
             leaves_skipped: self.inner.leaves_skipped.load(Ordering::Relaxed),
+            scan_batches: self.inner.scan_batches.load(Ordering::Relaxed),
+            scan_records_kernel: self.inner.scan_records_kernel.load(Ordering::Relaxed),
+            scan_records_assembled: self.inner.scan_records_assembled.load(Ordering::Relaxed),
         }
     }
 
@@ -320,6 +360,9 @@ impl PageStore {
             .records_filtered_pre_assembly
             .store(0, Ordering::Relaxed);
         self.inner.leaves_skipped.store(0, Ordering::Relaxed);
+        self.inner.scan_batches.store(0, Ordering::Relaxed);
+        self.inner.scan_records_kernel.store(0, Ordering::Relaxed);
+        self.inner.scan_records_assembled.store(0, Ordering::Relaxed);
     }
 }
 
