@@ -7,9 +7,9 @@
 //! ```
 //!
 //! Output is a set of aligned matrices, one per table/figure, with the same
-//! rows and columns the paper reports. See EXPERIMENTS.md for the comparison
-//! against the paper's numbers. `--smoke` caps the scale at 0.05 so CI can
-//! exercise a sweep end-to-end in seconds. The `fig15` selection
+//! rows and columns the paper reports; times are informational (see the
+//! `bench` crate docs). `--smoke` caps the scale at 0.05 so CI can exercise
+//! a sweep end-to-end in seconds. The `fig15` selection
 //! additionally runs the scan-vs-index crossover sweep (ForceIndex vs
 //! ForceScan vs the cost-based Auto) and writes it to `BENCH_fig15.json`.
 
@@ -156,24 +156,6 @@ fn main() {
         print_matrix(
             "Column kernels vs assembled lane: Fig. 14 sensors suite x layout (compiled engine)",
             &run_vectorized_comparison(scale),
-        );
-    }
-    if wanted("streaming") {
-        print_matrix(
-            "Streaming execution: materialised batch vs cursor pipeline (tweet_1)",
-            &run_streaming_comparison(scale),
-        );
-    }
-    if wanted("observability") {
-        print_matrix(
-            "Observability: telemetry on vs off, overhead and amplification gauges (tweet_1)",
-            &run_observability_comparison(scale),
-        );
-    }
-    if wanted("query_api") {
-        print_matrix(
-            "Query API: projection pushdown on vs off over the planner (tweet_1)",
-            &run_query_api_comparison(scale),
         );
     }
     if wanted("server") {

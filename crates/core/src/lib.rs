@@ -132,81 +132,58 @@ impl From<query::Error> for Error {
 /// Result alias of the facade.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Options for creating a dataset.
+/// Options for creating a dataset: one [`DatasetConfig`] template every shard
+/// is built from, plus the shard count. Fields are private so the builders'
+/// clamps (at least one shard, at least one sealed memtable) cannot be
+/// bypassed.
+///
+/// ```compile_fail
+/// let mut options = docstore::DatasetOptions::new(docstore::Layout::Amax);
+/// options.shards = 0; // private: `shards(0)` clamps to one partition
+/// ```
 #[derive(Debug, Clone)]
 pub struct DatasetOptions {
-    /// Storage layout for on-disk components.
-    pub layout: Layout,
-    /// Primary-key field name (default `"id"`).
-    pub key_field: String,
-    /// Memtable budget in bytes before a flush is triggered (per shard).
-    pub memtable_budget: usize,
-    /// Simulated disk page size.
-    pub page_size: usize,
-    /// Optional secondary index path.
-    pub secondary_index: Option<Path>,
-    /// Page-level compression.
-    pub compress_pages: bool,
-    /// Number of hash partitions (default 1).
-    pub shards: usize,
-    /// Run flushes/merges on the datastore's shared background worker pool.
-    pub background: bool,
-    /// With `background`: how many sealed memtables may queue per shard
-    /// before ingestion is backpressured.
-    pub max_sealed: usize,
-    /// Record metrics and lifecycle events per shard (default on).
-    pub telemetry: bool,
-    /// Compaction strategy and knobs (default: the paper's tiering policy).
-    pub compaction: CompactionSpec,
-    /// Process-wide memory budget for the dataset, in bytes (0 = none).
-    /// See [`DatasetOptions::memory_budget`].
-    pub memory_budget: usize,
+    /// Per-shard template. Its `memory_budget` holds the *dataset-wide*
+    /// budget until the shards are built, when each takes its slice.
+    config: DatasetConfig,
+    shards: usize,
 }
 
 impl DatasetOptions {
     /// Defaults mirroring the paper's setup, scaled down.
     pub fn new(layout: Layout) -> DatasetOptions {
         DatasetOptions {
-            layout,
-            key_field: "id".to_string(),
-            memtable_budget: 4 << 20,
-            page_size: 128 * 1024,
-            secondary_index: None,
-            compress_pages: true,
+            config: DatasetConfig::new("", layout),
             shards: 1,
-            background: false,
-            max_sealed: 2,
-            telemetry: true,
-            compaction: CompactionSpec::default(),
-            memory_budget: 0,
         }
     }
 
-    /// Set the primary-key field.
+    /// Set the primary-key field (default `"id"`).
     pub fn key(mut self, key: impl Into<String>) -> Self {
-        self.key_field = key.into();
+        self.config.key_field = key.into();
         self
     }
 
-    /// Set the memtable budget.
+    /// Set the per-shard memtable budget in bytes before a flush triggers.
     pub fn memtable_budget(mut self, bytes: usize) -> Self {
-        self.memtable_budget = bytes;
+        self.config.memtable_budget = bytes;
         self
     }
 
     /// Set the page size.
     pub fn page_size(mut self, bytes: usize) -> Self {
-        self.page_size = bytes;
+        self.config.page_size = bytes;
         self
     }
 
     /// Declare a secondary index on a path.
     pub fn secondary_index(mut self, path: impl Into<Path>) -> Self {
-        self.secondary_index = Some(path.into());
+        self.config.secondary_index_on = Some(path.into());
         self
     }
 
-    /// Hash-partition the dataset by primary key across `n` shards.
+    /// Hash-partition the dataset by primary key across `n` shards (at
+    /// least one).
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
@@ -217,90 +194,54 @@ impl DatasetOptions {
     /// (flushes beat merges; FIFO within a priority) instead of spawning a
     /// thread per shard.
     pub fn background(mut self, on: bool) -> Self {
-        self.background = on;
+        self.config.background = on;
         self
     }
 
     /// Bound the per-shard sealed-memtable queue (ingest backpressure).
     pub fn max_sealed(mut self, n: usize) -> Self {
-        self.max_sealed = n.max(1);
+        self.config = self.config.with_max_sealed(n);
         self
     }
 
     /// Enable or disable per-shard telemetry (metrics + event tracing).
     pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
+        self.config.telemetry_enabled = on;
         self
     }
 
     /// Select the compaction strategy (tiered, leveled, or lazy-leveled).
     pub fn compaction(mut self, spec: CompactionSpec) -> Self {
-        self.compaction = spec;
+        self.config.compaction = spec;
         self
     }
 
-    /// Put the dataset's memory consumers under one process-wide budget of
-    /// `bytes`: **half** funds a shared decoded-leaf cache (one
-    /// [`LeafCache`] `Arc`'d across every shard — warm leaves are served
-    /// without page reads or re-assembly), a **quarter** funds the page
-    /// buffer caches, and a **quarter** funds the memtables; the page and
-    /// memtable quarters are split evenly across shards, with small floors
-    /// so tiny budgets stay operable. Overrides
+    /// Put the dataset's memory consumers under one budget of `bytes`
+    /// (`0`, the default: no budget and no leaf cache). The budget is cut
+    /// into equal per-shard slices (`bytes / shards`), and each slice is
+    /// spent by [`DatasetConfig::budget_split`]: **half** funds the
+    /// decoded-leaf cache — the shards' halves pooled into one
+    /// [`LeafCache`] `Arc`'d across all of them, so warm leaves are served
+    /// without page reads or re-assembly — a **quarter** funds the shard's
+    /// page buffer cache and a **quarter** its memtable, with small floors
+    /// (8 pages, 64 KiB) so tiny budgets stay operable. A budget overrides
     /// [`memtable_budget`](DatasetOptions::memtable_budget) and the default
-    /// buffer-cache size; the per-shard slice (`bytes / shards`) is
-    /// persisted in durable manifests so
-    /// [`Datastore::reopen_dataset`] restores the same caching behaviour.
-    /// `0` (the default) configures no budget and no leaf cache.
+    /// buffer-cache size. Only the slice is persisted in a durable
+    /// manifest; everything else is recomputed from it, so
+    /// [`Datastore::reopen_dataset`] restores exactly the caching the
+    /// dataset was created with.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = bytes;
+        self.config.memory_budget = bytes;
         self
-    }
-
-    fn to_config(
-        &self,
-        name: &str,
-        pool: Option<&lsm::PoolHandle>,
-        leaf_cache: Option<&Arc<LeafCache>>,
-    ) -> DatasetConfig {
-        let mut config = DatasetConfig::new(name, self.layout)
-            .with_key_field(self.key_field.clone())
-            .with_memtable_budget(self.memtable_budget)
-            .with_page_size(self.page_size)
-            .with_background(self.background)
-            .with_max_sealed(self.max_sealed)
-            .with_telemetry(self.telemetry)
-            .with_compaction(self.compaction);
-        config.compress_pages = self.compress_pages;
-        if self.memory_budget > 0 {
-            // The budget split documented on `memory_budget`: half the
-            // budget went to the shared leaf cache (built once by the
-            // caller), a quarter each to page caches and memtables, divided
-            // evenly across shards with floors for tiny budgets.
-            let shards = self.shards.max(1);
-            let quarter_per_shard = self.memory_budget / 4 / shards;
-            config = config
-                .with_memory_budget(self.memory_budget / shards)
-                .with_memtable_budget(quarter_per_shard.max(64 << 10))
-                .with_cache_pages((quarter_per_shard / self.page_size.max(1)).max(8));
-        }
-        if let Some(cache) = leaf_cache {
-            config = config.with_leaf_cache(cache.clone());
-        }
-        if let Some(p) = &self.secondary_index {
-            config = config.with_secondary_index(p.clone());
-        }
-        if let Some(pool) = pool {
-            config = config.with_pool(pool.clone());
-        }
-        config
     }
 }
 
-/// The shared decoded-leaf cache a dataset's options call for: half the
-/// memory budget, one cache `Arc`'d across every shard. `None` when no
-/// budget is configured.
-fn leaf_cache_for(options: &DatasetOptions) -> Option<Arc<LeafCache>> {
-    (options.memory_budget > 0).then(|| Arc::new(LeafCache::new(options.memory_budget / 2)))
+/// One [`LeafCache`] funded by the leaf-cache half of each of `shards`
+/// equal budget slices, `config` being one shard's configuration. `None`
+/// when no budget is configured.
+fn shared_leaf_cache(config: &DatasetConfig, shards: usize) -> Option<Arc<LeafCache>> {
+    let split = config.budget_split()?;
+    Some(Arc::new(LeafCache::new(split.leaf_cache_bytes * shards)))
 }
 
 /// Stable FNV-1a hash of a primary key's canonical rendering, used to route
@@ -836,32 +777,43 @@ impl Datastore {
         })
     }
 
-    /// Create a dataset. Fails if the name is taken.
-    pub fn create_dataset(&mut self, name: &str, options: DatasetOptions) -> Result<()> {
+    /// Build every shard of a new dataset from `options` and register it:
+    /// `build` turns shard `i`'s configuration into the partition (in memory
+    /// for `create_dataset`, in a directory for `open_dataset`).
+    fn add_dataset(
+        &mut self,
+        name: &str,
+        options: DatasetOptions,
+        build: impl Fn(usize, DatasetConfig) -> lsm::Result<LsmDataset>,
+    ) -> Result<()> {
         if self.datasets.contains_key(name) {
             return Err(Error::api(format!("dataset '{name}' already exists")));
         }
-        let pool = options.background.then(|| self.shared_pool().handle());
-        let leaf_cache = leaf_cache_for(&options);
-        let shards: Vec<LsmDataset> = (0..options.shards)
+        let DatasetOptions { mut config, shards: count } = options;
+        config.memory_budget /= count;
+        config.pool = config.background.then(|| self.shared_pool().handle());
+        config.leaf_cache = shared_leaf_cache(&config, count);
+        let shards = (0..count)
             .map(|i| {
-                let shard_name = if options.shards == 1 {
+                let mut config = config.clone();
+                config.name = if count == 1 {
                     name.to_string()
                 } else {
                     format!("{name}/shard-{i:03}")
                 };
-                LsmDataset::new(options.to_config(
-                    &shard_name,
-                    pool.as_ref(),
-                    leaf_cache.as_ref(),
-                ))
+                build(i, config)
             })
-            .collect();
+            .collect::<lsm::Result<Vec<_>>>()?;
         self.datasets.insert(
             name.to_string(),
-            ShardedDataset::from_shards(options.key_field.clone(), shards, leaf_cache),
+            ShardedDataset::from_shards(config.key_field, shards, config.leaf_cache),
         );
         Ok(())
+    }
+
+    /// Create a dataset. Fails if the name is taken.
+    pub fn create_dataset(&mut self, name: &str, options: DatasetOptions) -> Result<()> {
+        self.add_dataset(name, options, |_, config| Ok(LsmDataset::new(config)))
     }
 
     /// Open a **durable** dataset rooted at `dir`, creating the directory on
@@ -874,32 +826,15 @@ impl Datastore {
         dir: impl AsRef<std::path::Path>,
         options: DatasetOptions,
     ) -> Result<()> {
-        if self.datasets.contains_key(name) {
-            return Err(Error::api(format!("dataset '{name}' already exists")));
-        }
         let dir = dir.as_ref();
-        let pool = options.background.then(|| self.shared_pool().handle());
-        let leaf_cache = leaf_cache_for(&options);
-        let mut shards = Vec::with_capacity(options.shards);
-        for i in 0..options.shards {
-            let (shard_name, shard_dir) = if options.shards == 1 {
-                (name.to_string(), dir.to_path_buf())
+        let sharded = options.shards > 1;
+        self.add_dataset(name, options, |i, config| {
+            if sharded {
+                LsmDataset::open(dir.join(format!("shard-{i:03}")), config)
             } else {
-                (
-                    format!("{name}/shard-{i:03}"),
-                    dir.join(format!("shard-{i:03}")),
-                )
-            };
-            shards.push(LsmDataset::open(
-                shard_dir,
-                options.to_config(&shard_name, pool.as_ref(), leaf_cache.as_ref()),
-            )?);
-        }
-        self.datasets.insert(
-            name.to_string(),
-            ShardedDataset::from_shards(options.key_field.clone(), shards, leaf_cache),
-        );
-        Ok(())
+                LsmDataset::open(dir, config)
+            }
+        })
     }
 
     /// Reopen a durable dataset from its directory alone, using the
@@ -945,21 +880,19 @@ impl Datastore {
         } else {
             shard_dirs
         };
-        // Rebuild the shared leaf cache before any shard opens: the sum of
-        // the persisted per-shard budget slices is the dataset budget, and
-        // half of it funds one cache attached to every shard — the same
-        // split `memory_budget` applied at creation.
-        let mut total_budget = 0usize;
-        for shard_dir in &dirs {
-            total_budget += LsmDataset::peek_persisted_config(shard_dir)?.memory_budget;
-        }
-        let leaf_cache =
-            (total_budget > 0).then(|| Arc::new(LeafCache::new(total_budget / 2)));
+        // Every shard persisted the same budget slice, so the first one
+        // opened sizes the shared leaf cache and the rest attach to it.
+        let count = dirs.len();
+        let mut leaf_cache = None;
         let shards = dirs
             .into_iter()
-            .map(|shard_dir| match &leaf_cache {
-                Some(cache) => LsmDataset::reopen_with_leaf_cache(shard_dir, cache.clone()),
-                None => LsmDataset::reopen(shard_dir),
+            .map(|shard_dir| {
+                LsmDataset::reopen(shard_dir, |persisted| {
+                    if leaf_cache.is_none() {
+                        leaf_cache = shared_leaf_cache(persisted, count);
+                    }
+                    leaf_cache.clone()
+                })
             })
             .collect::<lsm::Result<Vec<_>>>()?;
         let key_field = shards[0].config().key_field.clone();
@@ -1809,40 +1742,69 @@ mod tests {
 
     #[test]
     fn reopened_sharded_dataset_rebuilds_one_shared_cache() {
-        let dir = std::env::temp_dir()
-            .join(format!("docstore-facade-tests-{}", std::process::id()))
-            .join("durable-budget");
-        let _ = std::fs::remove_dir_all(&dir);
-        {
+        // What a budget decides: the shared cache's capacity and every
+        // shard's memtable budget and page-cache size.
+        let caching = |ds: &ShardedDataset| {
+            let cache = ds.leaf_cache().expect("a budget funds the shared cache");
+            let shards: Vec<(usize, usize)> = ds
+                .shards()
+                .iter()
+                .map(|s| (s.config().memtable_budget, s.config().cache_pages))
+                .collect();
+            (cache.capacity_bytes(), shards)
+        };
+        // The second budget divides by neither the shard count nor four.
+        for (case, budget) in [16usize << 20, (16 << 20) + 3].into_iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join(format!("docstore-facade-tests-{}", std::process::id()))
+                .join(format!("durable-budget-{case}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let created = {
+                let mut store = Datastore::new();
+                store
+                    .open_dataset(
+                        "events",
+                        &dir,
+                        DatasetOptions::new(Layout::Amax)
+                            .page_size(8 * 1024)
+                            .memory_budget(budget)
+                            .shards(4),
+                    )
+                    .unwrap();
+                let docs: Vec<Value> = (0..200i64).map(|i| doc!({"id": i, "v": i})).collect();
+                store.ingest_all("events", docs).unwrap();
+                store.flush("events").unwrap();
+                caching(store.dataset("events").unwrap())
+            };
+            // Reopened from the directory alone, the persisted per-shard
+            // slices decide exactly the same caching.
             let mut store = Datastore::new();
-            store
-                .open_dataset(
-                    "events",
-                    &dir,
-                    DatasetOptions::new(Layout::Amax)
-                        .page_size(8 * 1024)
-                        .memtable_budget(16 * 1024)
-                        .shards(2)
-                        .memory_budget(16 << 20),
-                )
-                .unwrap();
-            let docs: Vec<Value> = (0..200i64).map(|i| doc!({"id": i, "v": i})).collect();
-            store.ingest_all("events", docs).unwrap();
-            store.flush("events").unwrap();
+            store.reopen_dataset("events", &dir).unwrap();
+            let ds = store.dataset("events").unwrap();
+            assert_eq!(caching(ds), created, "budget {budget}");
+            if case == 0 {
+                assert_eq!(created.0, 8 << 20, "half the budget funds the cache");
+                assert_eq!(created.1, vec![(1 << 20, 128); 4], "a quarter each, per shard");
+            }
+            let q = Query::count_star().with_filter(Expr::ge("v", 0));
+            let cold = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
+            assert_eq!(cold.rows[0].agg(), &Value::Int(200));
+            let warm = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
+            assert_eq!(warm.pages_read(), 0, "{}", warm.describe());
+            assert_eq!(warm.cache_hits(), cold.cache_misses());
+            let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn zero_shards_clamps_to_one_partition() {
+        // Only the clamping builder sets the shard count: with zero
+        // partitions the first insert would divide by zero routing its key.
         let mut store = Datastore::new();
-        store.reopen_dataset("events", &dir).unwrap();
-        let ds = store.dataset("events").unwrap();
-        // The per-shard budget slices (8 MiB each) sum back to the dataset
-        // budget; half funds the one rebuilt shared cache.
-        let cache = ds.leaf_cache().expect("persisted budget rebuilds the cache");
-        assert_eq!(cache.capacity_bytes(), 8 << 20);
-        let q = Query::count_star().with_filter(Expr::ge("v", 0));
-        let cold = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
-        assert_eq!(cold.rows[0].agg(), &Value::Int(200));
-        let warm = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
-        assert_eq!(warm.pages_read(), 0, "{}", warm.describe());
-        assert_eq!(warm.cache_hits(), cold.cache_misses());
-        let _ = std::fs::remove_dir_all(&dir);
+        store
+            .create_dataset("clamped", DatasetOptions::new(Layout::Vb).shards(0))
+            .unwrap();
+        store.ingest("clamped", doc!({"id": 1})).unwrap();
+        assert_eq!(store.dataset("clamped").unwrap().shard_count(), 1);
     }
 }

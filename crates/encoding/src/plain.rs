@@ -74,10 +74,11 @@ pub fn write_bytes(out: &mut Vec<u8>, value: &[u8]) {
 /// Read a length-prefixed byte slice (borrowed from the input).
 pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> DecodeResult<&'a [u8]> {
     let len = varint::read_u64(buf, pos)? as usize;
-    let end = *pos + len;
-    if end > buf.len() {
-        return Err(DecodeError::new("truncated byte slice"));
-    }
+    // Checked: the length is untrusted and may be close to `usize::MAX`.
+    let end = pos
+        .checked_add(len)
+        .filter(|&end| end <= buf.len())
+        .ok_or_else(|| DecodeError::new("truncated byte slice"))?;
     let slice = &buf[*pos..end];
     *pos = end;
     Ok(slice)
@@ -206,6 +207,11 @@ mod tests {
         buf2.truncate(5);
         let mut pos = 0;
         assert!(read_bytes(&buf2, &mut pos).is_err());
+        // A length near `usize::MAX` must not overflow the end offset.
+        let mut huge = vec![0u8];
+        varint::write_u64(&mut huge, u64::MAX);
+        let mut pos = 1;
+        assert!(read_bytes(&huge, &mut pos).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`LsmDataset`] is the unit the facade crate and the benchmarks work with:
 //! it owns the in-memory component, the stack of on-disk components (in the
-//! configured layout), the cumulative inferred schema, the merge policy and
-//! the optional primary-key / secondary indexes.
+//! configured layout), the cumulative inferred schema, the merge policy, the
+//! primary-key index and the optional secondary index.
 //!
 //! Lifecycle, as in the paper:
 //!
@@ -45,7 +45,8 @@ use std::time::{Duration, Instant};
 
 use docmodel::{Path, Value};
 use parking_lot::{Mutex, RwLock};
-use persist::{CrashPoint, DurableStore, ManifestData, ManifestStore, PersistedConfig, WalRecord};
+use encoding::{plain, varint};
+use persist::{CrashPoint, DurableStore, ManifestData, ManifestStore, WalRecord};
 use schema::{Schema, SchemaBuilder};
 use storage::amax::AmaxConfig;
 use storage::component::{Component, ComponentConfig, ComponentReader, Entry};
@@ -80,8 +81,6 @@ pub struct DatasetConfig {
     pub cache_pages: usize,
     /// Compaction strategy and its knobs (persisted in the manifest).
     pub compaction: CompactionSpec,
-    /// Maintain a primary-key index to avoid point lookups for new keys.
-    pub primary_key_index: bool,
     /// Maintain a secondary index on this path (e.g. `timestamp`).
     pub secondary_index_on: Option<Path>,
     /// Apply page-level compression.
@@ -102,22 +101,19 @@ pub struct DatasetConfig {
     /// with flush-before-merge priority. Runtime-only, not persisted.
     pub pool: Option<PoolHandle>,
     /// Record metrics and lifecycle events in the dataset's [`Telemetry`]
-    /// registry. On by default; the benchmark's observability experiment
-    /// turns it off to measure the instrumentation overhead. Runtime-only,
+    /// registry. On by default; the benchmark turns it off to measure the
+    /// instrumentation overhead (`telemetry_overhead_pct`). Runtime-only,
     /// not persisted.
     pub telemetry_enabled: bool,
-    /// This dataset's slice of the process-wide memory budget, in bytes
-    /// (memtables + sealed queue + page cache + decoded-leaf cache). Persisted
-    /// in the manifest so a reopened dataset keeps its caching behaviour;
-    /// `0` = no budget configured. The facade (`docstore`) derives the
-    /// per-shard knobs from `DatasetOptions::memory_budget`; a standalone
-    /// dataset with a nonzero budget and no [`DatasetConfig::leaf_cache`]
-    /// derives a private leaf cache of half this slice on reopen.
+    /// This partition's slice of a memory budget, in bytes; `0` = none. A
+    /// nonzero slice is spent by [`DatasetConfig::budget_split`], which then
+    /// overrides `memtable_budget` and `cache_pages`; the slice is what the
+    /// manifest persists, so a reopened dataset spends it the same way.
     pub memory_budget: usize,
     /// Shared decoded-leaf cache ([`LeafCache`]) to read leaves through. One
     /// `Arc`'d cache is shared by every shard of a sharded dataset (and could
-    /// be shared by unrelated datasets). Runtime-only, not persisted — the
-    /// opener re-attaches it (or derives one from `memory_budget`).
+    /// be shared by unrelated datasets). Runtime-only, not persisted: the
+    /// opener attaches it, or a budgeted partition derives a private one.
     pub leaf_cache: Option<Arc<LeafCache>>,
 }
 
@@ -132,7 +128,6 @@ impl DatasetConfig {
             page_size: 128 * 1024,
             cache_pages: DEFAULT_CACHE_PAGES,
             compaction: CompactionSpec::default(),
-            primary_key_index: true,
             secondary_index_on: None,
             compress_pages: true,
             amax: AmaxConfig::default(),
@@ -206,8 +201,8 @@ impl DatasetConfig {
         self
     }
 
-    /// Builder-style: record this dataset's memory-budget slice in bytes
-    /// (persisted; see [`DatasetConfig::memory_budget`]).
+    /// Builder-style: put this partition under a memory-budget slice of
+    /// `bytes` (persisted; see [`DatasetConfig::memory_budget`]).
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = bytes;
         self
@@ -219,120 +214,135 @@ impl DatasetConfig {
         self
     }
 
-    /// The durable subset of this configuration, as recorded in manifests.
-    /// Background-worker knobs are runtime-only and not persisted.
-    pub fn to_persisted(&self) -> PersistedConfig {
-        // The tiered knobs and the leveled knobs occupy distinct manifest
-        // fields; the side not selected persists its defaults so the
-        // manifest stays fully populated.
-        let tiered = crate::policy::TieringPolicy::default();
-        let leveled = crate::policy::LeveledPolicy::default();
-        let (kind, size_ratio, max_components, target_size, l0_threshold, ratio) =
-            match self.compaction {
-                CompactionSpec::Tiered {
-                    size_ratio,
-                    max_components,
-                } => (
-                    0u8,
-                    size_ratio,
-                    max_components,
-                    leveled.target_size,
-                    leveled.l0_threshold,
-                    leveled.ratio,
-                ),
-                CompactionSpec::Leveled {
-                    target_size,
-                    l0_threshold,
-                    ratio,
-                } => (
-                    1u8,
-                    tiered.size_ratio,
-                    tiered.max_components,
-                    target_size,
-                    l0_threshold,
-                    ratio,
-                ),
-                CompactionSpec::LazyLeveled {
-                    target_size,
-                    l0_threshold,
-                    ratio,
-                } => (
-                    2u8,
-                    tiered.size_ratio,
-                    tiered.max_components,
-                    target_size,
-                    l0_threshold,
-                    ratio,
-                ),
-            };
-        PersistedConfig {
-            name: self.name.clone(),
-            layout: self.layout,
-            key_field: self.key_field.clone(),
-            memtable_budget: self.memtable_budget as u64,
-            page_size: self.page_size as u64,
-            cache_pages: self.cache_pages as u64,
-            primary_key_index: self.primary_key_index,
-            secondary_index_on: self.secondary_index_on.as_ref().map(|p| p.to_string()),
-            compress_pages: self.compress_pages,
-            amax_record_limit: self.amax.record_limit as u64,
-            amax_empty_page_tolerance: self.amax.empty_page_tolerance,
-            policy_size_ratio: size_ratio,
-            policy_max_components: max_components as u64,
-            compaction_kind: kind,
-            compaction_target_size: target_size,
-            compaction_l0_threshold: l0_threshold as u64,
-            compaction_ratio: ratio,
-            memory_budget: self.memory_budget as u64,
-        }
+    /// How a nonzero [`memory_budget`](DatasetConfig::memory_budget) slice
+    /// is spent — the one place the split is computed (the prose is on
+    /// `docstore::DatasetOptions::memory_budget`). `None` without a budget.
+    pub fn budget_split(&self) -> Option<BudgetSplit> {
+        (self.memory_budget > 0).then(|| {
+            let quarter = self.memory_budget / 4;
+            BudgetSplit {
+                leaf_cache_bytes: self.memory_budget / 2,
+                memtable_budget: quarter.max(64 << 10),
+                cache_pages: (quarter / self.page_size.max(1)).max(8),
+            }
+        })
     }
 
-    /// Reconstruct a configuration from a manifest (the inverse of
-    /// [`DatasetConfig::to_persisted`]).
-    pub fn from_persisted(persisted: &PersistedConfig) -> DatasetConfig {
-        DatasetConfig {
-            name: persisted.name.clone(),
-            layout: persisted.layout,
-            key_field: persisted.key_field.clone(),
-            memtable_budget: persisted.memtable_budget as usize,
-            page_size: persisted.page_size as usize,
-            cache_pages: persisted.cache_pages as usize,
-            compaction: match persisted.compaction_kind {
-                1 => CompactionSpec::Leveled {
-                    target_size: persisted.compaction_target_size,
-                    l0_threshold: persisted.compaction_l0_threshold as usize,
-                    ratio: persisted.compaction_ratio,
-                },
-                2 => CompactionSpec::LazyLeveled {
-                    target_size: persisted.compaction_target_size,
-                    l0_threshold: persisted.compaction_l0_threshold as usize,
-                    ratio: persisted.compaction_ratio,
-                },
-                // Kind 0 and anything a future format might add: tiered
-                // (every pre-v3 manifest was written under this policy).
-                _ => CompactionSpec::Tiered {
-                    size_ratio: persisted.policy_size_ratio,
-                    max_components: persisted.policy_max_components as usize,
-                },
-            },
-            primary_key_index: persisted.primary_key_index,
-            secondary_index_on: persisted
-                .secondary_index_on
-                .as_deref()
-                .map(Path::parse),
-            compress_pages: persisted.compress_pages,
-            amax: AmaxConfig {
-                record_limit: persisted.amax_record_limit as usize,
-                empty_page_tolerance: persisted.amax_empty_page_tolerance,
-            },
-            background: false,
-            max_sealed_memtables: 2,
-            pool: None,
-            telemetry_enabled: true,
-            memory_budget: persisted.memory_budget as usize,
-            leaf_cache: None,
+    /// Encode the durable half of this configuration for the manifest: what
+    /// a directory needs to describe itself. The page size travels beside it
+    /// (`persist` owns that field); the background, pool, telemetry and
+    /// leaf-cache knobs are the opener's and are not recorded, nor are the
+    /// memtable and page-cache sizes a budget slice derives. The one writer;
+    /// [`DatasetConfig::read_durable`] is the one reader.
+    pub fn write_durable(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        plain::write_str(&mut out, &self.name);
+        out.push(self.layout.tag());
+        plain::write_str(&mut out, &self.key_field);
+        match &self.secondary_index_on {
+            Some(path) => {
+                out.push(1);
+                plain::write_str(&mut out, &path.to_string());
+            }
+            None => out.push(0),
         }
+        out.push(u8::from(self.compress_pages));
+        varint::write_u64(&mut out, self.amax.record_limit as u64);
+        plain::write_f64(&mut out, self.amax.empty_page_tolerance);
+        match self.compaction {
+            CompactionSpec::Tiered { size_ratio, max_components } => {
+                out.push(0);
+                plain::write_f64(&mut out, size_ratio);
+                varint::write_u64(&mut out, max_components as u64);
+            }
+            CompactionSpec::Leveled { target_size, l0_threshold, ratio }
+            | CompactionSpec::LazyLeveled { target_size, l0_threshold, ratio } => {
+                let lazy = matches!(self.compaction, CompactionSpec::LazyLeveled { .. });
+                out.push(1 + u8::from(lazy));
+                varint::write_u64(&mut out, target_size);
+                varint::write_u64(&mut out, l0_threshold as u64);
+                plain::write_f64(&mut out, ratio);
+            }
+        }
+        varint::write_u64(&mut out, self.memory_budget as u64);
+        if self.memory_budget == 0 {
+            varint::write_u64(&mut out, self.memtable_budget as u64);
+            varint::write_u64(&mut out, self.cache_pages as u64);
+        }
+        out
     }
+
+    /// Decode what [`DatasetConfig::write_durable`] wrote (`page_size` comes
+    /// from the manifest field beside it). Runtime-only knobs take their
+    /// defaults. Bytes from disk are untrusted: anything unknown, cut short
+    /// or left over is an error.
+    pub fn read_durable(bytes: &[u8], page_size: usize) -> Result<DatasetConfig> {
+        let pos = &mut 0usize;
+        let byte = |pos: &mut usize| -> Result<u8> {
+            let b = *bytes
+                .get(*pos)
+                .ok_or_else(|| crate::LsmError::new("truncated dataset configuration"))?;
+            *pos += 1;
+            Ok(b)
+        };
+        let name = plain::read_str(bytes, pos)?.to_string();
+        let mut config = DatasetConfig::new(name, LayoutKind::from_tag(byte(pos)?)?);
+        config.page_size = page_size;
+        config.key_field = plain::read_str(bytes, pos)?.to_string();
+        if byte(pos)? != 0 {
+            config.secondary_index_on = Some(Path::parse(plain::read_str(bytes, pos)?));
+        }
+        config.compress_pages = byte(pos)? != 0;
+        config.amax = AmaxConfig {
+            record_limit: varint::read_u64(bytes, pos)? as usize,
+            empty_page_tolerance: plain::read_f64(bytes, pos)?,
+        };
+        config.compaction = match byte(pos)? {
+            0 => CompactionSpec::Tiered {
+                size_ratio: plain::read_f64(bytes, pos)?,
+                max_components: varint::read_u64(bytes, pos)? as usize,
+            },
+            tag @ (1 | 2) => {
+                let target_size = varint::read_u64(bytes, pos)?;
+                let l0_threshold = varint::read_u64(bytes, pos)? as usize;
+                let ratio = plain::read_f64(bytes, pos)?;
+                if tag == 1 {
+                    CompactionSpec::Leveled { target_size, l0_threshold, ratio }
+                } else {
+                    CompactionSpec::LazyLeveled { target_size, l0_threshold, ratio }
+                }
+            }
+            tag => {
+                return Err(crate::LsmError::new(format!(
+                    "unknown compaction strategy tag {tag} in dataset configuration"
+                )))
+            }
+        };
+        config.memory_budget = varint::read_u64(bytes, pos)? as usize;
+        if config.memory_budget == 0 {
+            config.memtable_budget = varint::read_u64(bytes, pos)? as usize;
+            config.cache_pages = varint::read_u64(bytes, pos)? as usize;
+        }
+        if *pos != bytes.len() {
+            return Err(crate::LsmError::new(format!(
+                "dataset configuration has {} trailing bytes",
+                bytes.len() - *pos
+            )));
+        }
+        Ok(config)
+    }
+}
+
+/// How one partition spends its memory-budget slice (see
+/// [`DatasetConfig::budget_split`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetSplit {
+    /// Half: the decoded-leaf cache (one cache funded by every shard's half).
+    pub leaf_cache_bytes: usize,
+    /// A quarter (floored at 64 KiB): the memtable.
+    pub memtable_budget: usize,
+    /// A quarter, in pages (floored at 8): the page buffer cache.
+    pub cache_pages: usize,
 }
 
 /// State of a dataset's flush/merge worker, as reported by
@@ -478,24 +488,28 @@ impl LsmDataset {
     /// Create an empty dataset with its own simulated disk.
     pub fn new(config: DatasetConfig) -> LsmDataset {
         let store = PageStore::with_page_size(config.page_size);
-        let cache = BufferCache::new(store, config.cache_pages);
-        LsmDataset::with_cache(config, cache)
-    }
-
-    /// Create an empty dataset on an existing store/cache (used when several
-    /// datasets share one simulated disk, as partitions share an NC's cache).
-    pub fn with_cache(config: DatasetConfig, cache: BufferCache) -> LsmDataset {
-        LsmDataset::assemble(config, cache, None)
+        LsmDataset::assemble(config, store, None)
     }
 
     fn assemble(
-        config: DatasetConfig,
-        cache: BufferCache,
+        mut config: DatasetConfig,
+        store: PageStore,
         durable: Option<Arc<DurableStore>>,
     ) -> LsmDataset {
-        // Attach the shared decoded-leaf cache: every component built over
-        // this buffer cache reads leaves through it, under an origin that
-        // namespaces this dataset's component ids.
+        // A budgeted partition spends its slice by the one split: memtable
+        // and page cache sized from it, and — unless the opener attached a
+        // shared one — a private leaf cache.
+        if let Some(split) = config.budget_split() {
+            config.memtable_budget = split.memtable_budget;
+            config.cache_pages = split.cache_pages;
+            config
+                .leaf_cache
+                .get_or_insert_with(|| Arc::new(LeafCache::new(split.leaf_cache_bytes)));
+        }
+        // Every component built over this buffer cache reads leaves through
+        // the leaf cache, under an origin that namespaces this dataset's
+        // component ids.
+        let cache = BufferCache::new(store, config.cache_pages);
         let cache = match config.leaf_cache.as_ref() {
             Some(shared) => cache.with_leaf_cache(shared.handle()),
             None => cache,
@@ -562,16 +576,17 @@ impl LsmDataset {
     /// from `config`; `config.key_field` must match the persisted dataset.
     pub fn open(dir: impl AsRef<std::path::Path>, config: DatasetConfig) -> Result<LsmDataset> {
         let (durable, recovered) = DurableStore::open(dir.as_ref(), config.page_size)?;
-        let cache = BufferCache::new(durable.page_store().clone(), config.cache_pages);
-        let dataset = LsmDataset::assemble(config, cache, Some(Arc::new(durable)));
+        let store = durable.page_store().clone();
+        let dataset = LsmDataset::assemble(config, store, Some(Arc::new(durable)));
         let core = &dataset.core;
 
         if let Some(manifest) = recovered.manifest {
-            if manifest.config.key_field != core.config.key_field {
+            let persisted = DatasetConfig::read_durable(&manifest.config, core.config.page_size)?;
+            if persisted.key_field != core.config.key_field {
                 return Err(crate::LsmError::new(format!(
                     "dataset at {} has key field '{}', config says '{}'",
                     dir.as_ref().display(),
-                    manifest.config.key_field,
+                    persisted.key_field,
                     core.config.key_field
                 )));
             }
@@ -618,12 +633,17 @@ impl LsmDataset {
         Ok(dataset)
     }
 
-    /// Read the configuration persisted in a durable dataset directory's
-    /// manifest without opening the dataset (no WAL replay, no recovery).
-    /// Lets a multi-shard opener sum the per-shard budget slices and build
-    /// one shared leaf cache before reopening any shard. Fails if the
-    /// directory has no manifest yet.
-    pub fn peek_persisted_config(dir: impl AsRef<std::path::Path>) -> Result<DatasetConfig> {
+    /// Reopen a durable dataset from its directory alone: the configuration
+    /// persisted in the manifest is used (a dataset directory is
+    /// self-describing). `leaf_cache` is shown that configuration and names
+    /// the shared [`LeafCache`] to read decoded leaves through — the facade
+    /// sizes one cache from the first shard's slice and attaches it to every
+    /// shard; `|_| None` leaves a budgeted dataset to derive a private one.
+    /// Fails if the directory has no manifest yet.
+    pub fn reopen(
+        dir: impl AsRef<std::path::Path>,
+        leaf_cache: impl FnOnce(&DatasetConfig) -> Option<Arc<LeafCache>>,
+    ) -> Result<LsmDataset> {
         let (_, manifest) = ManifestStore::open(dir.as_ref())?;
         let Some(manifest) = manifest else {
             return Err(crate::LsmError::new(format!(
@@ -631,32 +651,8 @@ impl LsmDataset {
                 dir.as_ref().display()
             )));
         };
-        Ok(DatasetConfig::from_persisted(&manifest.config))
-    }
-
-    /// Reopen a durable dataset from its directory alone: the persisted
-    /// configuration in the manifest is used (a dataset directory is
-    /// self-describing). Fails if the directory has no manifest yet.
-    pub fn reopen(dir: impl AsRef<std::path::Path>) -> Result<LsmDataset> {
-        let mut config = LsmDataset::peek_persisted_config(dir.as_ref())?;
-        // A persisted budget with no cache supplied by the caller: derive a
-        // private leaf cache of half the slice — the same split the facade
-        // applies — so the dataset keeps its caching behaviour on reopen.
-        if config.memory_budget > 0 && config.leaf_cache.is_none() {
-            config.leaf_cache = Some(Arc::new(LeafCache::new(config.memory_budget / 2)));
-        }
-        LsmDataset::open(dir, config)
-    }
-
-    /// Reopen like [`LsmDataset::reopen`], but read decoded leaves through
-    /// the given **shared** [`LeafCache`] instead of deriving a private one
-    /// from the persisted budget. The facade uses this to re-attach one
-    /// cache across every shard of a reopened sharded dataset.
-    pub fn reopen_with_leaf_cache(
-        dir: impl AsRef<std::path::Path>,
-        cache: Arc<LeafCache>,
-    ) -> Result<LsmDataset> {
-        let config = LsmDataset::peek_persisted_config(dir.as_ref())?.with_leaf_cache(cache);
+        let mut config = DatasetConfig::read_durable(&manifest.config, manifest.page_size as usize)?;
+        config.leaf_cache = leaf_cache(&config);
         LsmDataset::open(dir, config)
     }
 
@@ -833,11 +829,7 @@ impl LsmDataset {
     /// Total bytes including the (approximated) secondary structures.
     pub fn total_stored_bytes(&self) -> u64 {
         let write = self.core.write.lock();
-        let pk = if self.core.config.primary_key_index {
-            write.pk_index.approx_bytes()
-        } else {
-            0
-        };
+        let pk = write.pk_index.approx_bytes();
         let sec = write
             .secondary
             .as_ref()
@@ -1346,7 +1338,8 @@ impl DatasetCore {
     ) -> ManifestData {
         ManifestData {
             version: 0, // assigned by the manifest store at commit
-            config: self.config.to_persisted(),
+            page_size: self.config.page_size as u64,
+            config: self.config.write_durable(),
             next_component_id: maint.next_component_id,
             schema: schema.clone(),
             components: components.iter().map(|c| c.describe()).collect(),
@@ -1785,12 +1778,7 @@ impl DatasetCore {
         let Some(index_path) = self.config.secondary_index_on.as_ref() else {
             return Ok(());
         };
-        let may_exist = if self.config.primary_key_index {
-            write.pk_index.contains(key)
-        } else {
-            true
-        };
-        if may_exist {
+        if write.pk_index.contains(key) {
             self.stats.lock().maintenance_lookups += 1;
             let indexed = |doc: &Value| -> Vec<Value> {
                 index_path.evaluate(doc).into_iter().cloned().collect()
@@ -1827,9 +1815,6 @@ impl DatasetCore {
     /// secondary index) from the recovered components and memtable.
     fn rebuild_indexes(&self) -> Result<()> {
         let index_path = self.config.secondary_index_on.clone();
-        if !self.config.primary_key_index && index_path.is_none() {
-            return Ok(());
-        }
         let mut write = self.write.lock();
         // Reconcile newest-first through the streaming merge cursor so each
         // key contributes exactly its live version.
@@ -1847,11 +1832,9 @@ impl DatasetCore {
         );
         for entry in cursor {
             let (key, doc) = entry?;
-            if self.config.primary_key_index {
-                // Every key ever written may exist on disk, so the filter
-                // includes deleted keys too (it only answers "may exist").
-                write.pk_index.insert(&key);
-            }
+            // Every key ever written may exist on disk, so the filter
+            // includes deleted keys too (it only answers "may exist").
+            write.pk_index.insert(&key);
             if let (Some(path), Some(doc)) = (index_path.as_ref(), doc.as_ref()) {
                 let values: Vec<Value> = path.evaluate(doc).into_iter().cloned().collect();
                 if let Some(secondary) = write.secondary.as_mut() {
@@ -2206,15 +2189,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         let config = tiny_config(LayoutKind::Vb).with_memory_budget(8 << 20);
+        let split = config.budget_split().unwrap();
         {
             let ds = LsmDataset::open(&dir, config).unwrap();
+            assert_eq!(ds.config().memtable_budget, split.memtable_budget);
             for i in 0..100 {
                 ds.insert(sample_record(i)).unwrap();
             }
             ds.flush().unwrap();
         }
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         assert_eq!(ds.config().memory_budget, 8 << 20);
+        assert_eq!(ds.config().memtable_budget, split.memtable_budget);
+        assert_eq!(ds.config().cache_pages, split.cache_pages);
         let leaf_cache = ds.config().leaf_cache.clone().expect(
             "reopen derives a leaf cache from the persisted budget",
         );

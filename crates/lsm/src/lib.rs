@@ -141,7 +141,8 @@ pub(crate) mod scheduler;
 pub mod snapshot;
 
 pub use dataset::{
-    DatasetConfig, DatasetHealth, IngestStats, LsmDataset, ReclaimReport, WorkerState,
+    BudgetSplit, DatasetConfig, DatasetHealth, IngestStats, LsmDataset, ReclaimReport,
+    WorkerState,
 };
 pub use pool::{PoolHandle, WorkerPool};
 pub use index::{PrimaryKeyIndex, SecondaryIndex};

@@ -273,7 +273,7 @@ fn durable_concurrent_ingest_recovers_after_restart() {
         });
         ds.flush().unwrap();
     }
-    let ds = LsmDataset::reopen(&dir).unwrap();
+    let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
     let expected = oracle().scan(None).unwrap();
     assert_eq!(
         ds.scan(None).unwrap(),

@@ -158,7 +158,7 @@ fn kill_after_manifest_commit_before_wal_truncate() {
             assert_eq!(ds.manifest_version(), 1);
             assert!(ds.wal_bytes() > 0);
         }
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         assert_eq!(ds.component_count(), 1, "{layout:?}");
         // Replaying the WAL over the flushed component must reconcile, not
         // duplicate: count() deduplicates by key.
@@ -188,7 +188,7 @@ fn kill_during_merge_before_manifest_commit_keeps_inputs() {
             assert!(err.message.contains("injected crash"), "{err}");
             assert_eq!(ds.manifest_version(), version_before);
         }
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         // The manifest still lists the pre-merge components, whose pages
         // were never freed; the merged orphan pages are invisible.
         assert!(ds.component_count() >= 2, "{layout:?}");
@@ -220,7 +220,7 @@ fn flush_truncates_wal_and_restart_uses_components() {
             assert!(ds.manifest_version() >= 1);
             schema_description = ds.schema().describe();
         }
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         assert!(ds.component_count() >= 1, "{layout:?}");
         assert_eq!(
             ds.schema().describe(),
@@ -229,6 +229,144 @@ fn flush_truncates_wal_and_restart_uses_components() {
         );
         assert_workload_recovered(&ds);
     }
+}
+
+/// The durable half of a configuration, field by field (`DatasetConfig`
+/// also holds runtime handles, so it has no `==` of its own).
+fn durable_fields(c: &DatasetConfig) -> impl PartialEq + std::fmt::Debug {
+    (
+        c.name.clone(),
+        c.layout,
+        c.key_field.clone(),
+        c.page_size,
+        c.secondary_index_on.as_ref().map(|p| p.to_string()),
+        c.compress_pages,
+        c.amax.record_limit,
+        c.amax.empty_page_tolerance,
+        c.compaction,
+        c.memory_budget,
+        c.memtable_budget,
+        c.cache_pages,
+    )
+}
+
+/// A dataset directory describes itself: whatever the layout, compaction
+/// strategy, index and budget, `reopen` from the directory alone restores
+/// the durable configuration, the schema and every component descriptor
+/// (zone maps included) exactly as the last manifest commit recorded them.
+#[test]
+fn a_directory_describes_itself_across_the_durable_configuration_space() {
+    use lsm::CompactionSpec;
+
+    let compactions = [
+        CompactionSpec::tiered(1.7, 3),
+        CompactionSpec::Leveled { target_size: 48 << 10, l0_threshold: 2, ratio: 0.25 },
+        CompactionSpec::LazyLeveled { target_size: 96 << 10, l0_threshold: 3, ratio: 0.75 },
+    ];
+    for layout in LayoutKind::ALL {
+        for (c, compaction) in compactions.into_iter().enumerate() {
+            for indexed in [false, true] {
+                // The odd budget exercises the split's integer division.
+                for budget in [0usize, (3 << 20) + 1] {
+                    let context = format!("{layout:?}/{compaction:?}/{indexed}/{budget}");
+                    let dir = temp_dir(&format!(
+                        "self-describing-{}-{c}-{indexed}-{budget}",
+                        layout.name()
+                    ));
+                    let mut config = tiny_config(layout)
+                        .with_cache_pages(33)
+                        .with_compaction(compaction)
+                        .with_memory_budget(budget);
+                    config.compress_pages = !indexed;
+                    config.amax.record_limit = 48;
+                    config.amax.empty_page_tolerance = 0.35;
+                    if indexed {
+                        config = config.with_secondary_index(docmodel::Path::parse("timestamp"));
+                    }
+                    let (written, schema, components);
+                    {
+                        let mut ds = LsmDataset::open(&dir, config).unwrap();
+                        apply_workload(&mut ds);
+                        ds.flush().unwrap();
+                        written = durable_fields(ds.config());
+                        schema = ds.schema();
+                        components =
+                            ds.components().iter().map(|c| c.describe()).collect::<Vec<_>>();
+                        assert!(
+                            components.iter().all(|c| c.stats.is_some()),
+                            "{context}: components carry statistics"
+                        );
+                    }
+                    let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
+                    assert_eq!(durable_fields(ds.config()), written, "{context}");
+                    assert_eq!(ds.schema(), schema, "{context}");
+                    let reopened: Vec<_> = ds.components().iter().map(|c| c.describe()).collect();
+                    assert_eq!(reopened, components, "{context}");
+                    assert_workload_recovered(&ds);
+                }
+            }
+        }
+    }
+}
+
+/// The owner's decoder treats its bytes as untrusted: a configuration cut
+/// short, extended, or naming a compaction strategy this build does not
+/// know is an error, whatever the variant.
+#[test]
+fn damaged_durable_configuration_is_an_error() {
+    use lsm::CompactionSpec;
+
+    for compaction in [
+        CompactionSpec::default(),
+        CompactionSpec::leveled(),
+        CompactionSpec::lazy_leveled(),
+    ] {
+        for budget in [0usize, 1 << 20] {
+            let config = tiny_config(LayoutKind::Amax)
+                .with_secondary_index(docmodel::Path::parse("timestamp"))
+                .with_compaction(compaction)
+                .with_memory_budget(budget);
+            let bytes = config.write_durable();
+            let back = DatasetConfig::read_durable(&bytes, config.page_size).unwrap();
+            assert_eq!(back.write_durable(), bytes);
+            for len in 0..bytes.len() {
+                assert!(
+                    DatasetConfig::read_durable(&bytes[..len], config.page_size).is_err(),
+                    "{compaction:?}/{budget}: cut to {len} of {} bytes",
+                    bytes.len()
+                );
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(DatasetConfig::read_durable(&longer, config.page_size).is_err());
+            // Flips decode to an error or to some configuration, never a panic.
+            for i in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[i] ^= 0xff;
+                let _ = DatasetConfig::read_durable(&bad, config.page_size);
+            }
+        }
+    }
+}
+
+/// A directory whose manifest carries a magic of an earlier generation is
+/// refused — by `reopen` and by `open` alike — with an error naming it.
+#[test]
+fn a_directory_of_an_older_manifest_generation_is_refused_by_name() {
+    let dir = temp_dir("old-generation");
+    {
+        let mut ds = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).unwrap();
+        apply_workload(&mut ds);
+        ds.flush().unwrap();
+    }
+    let manifest = dir.join("MANIFEST");
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    bytes[..8].copy_from_slice(b"LSMMAN05");
+    std::fs::write(&manifest, &bytes).unwrap();
+    let reopened = LsmDataset::reopen(&dir, |_| None).err().expect("reopen must fail");
+    assert!(reopened.message.contains("LSMMAN05"), "{reopened}");
+    let opened = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).err().expect("open too");
+    assert!(opened.message.contains("LSMMAN05"), "{opened}");
 }
 
 #[test]
@@ -244,7 +382,7 @@ fn repeated_restarts_and_mixed_batches_converge() {
     }
     // Session 2: updates and deletes, left unflushed in the WAL.
     {
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         assert_eq!(ds.count().unwrap(), 60);
         for i in 0..10 {
             let mut updated = sample_record(i);
@@ -256,7 +394,7 @@ fn repeated_restarts_and_mixed_batches_converge() {
     }
     // Session 3: heterogeneous records widening the schema, then a flush.
     {
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         assert_eq!(ds.count().unwrap(), 59);
         let doc = ds.lookup(&Value::Int(4), None).unwrap().unwrap();
         assert_eq!(doc.get_field("text"), Some(&Value::from("second session")));
@@ -267,7 +405,7 @@ fn repeated_restarts_and_mixed_batches_converge() {
         ds.flush().unwrap();
     }
     // Session 4: everything visible, schema is the superset.
-    let ds = LsmDataset::reopen(&dir).unwrap();
+    let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
     assert_eq!(ds.count().unwrap(), 89);
     let wide = ds.lookup(&Value::Int(110), None).unwrap().unwrap();
     assert_eq!(
@@ -299,7 +437,7 @@ fn secondary_index_is_rebuilt_on_recovery() {
         }
     }
     // reopen() restores the secondary index config from the manifest.
-    let ds = LsmDataset::reopen(&dir).unwrap();
+    let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
     let range = |lo: i64, hi: i64| {
         use std::ops::Bound::Included;
         ds.secondary_range_entries(Included(&Value::Int(lo)), Included(&Value::Int(hi)), None)
@@ -362,7 +500,7 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
     // Reopen: statistics come back from the manifest, and the planner makes
     // the exact same decisions — same access path, same estimates, same
     // prune set, same answer.
-    let ds = LsmDataset::reopen(&dir).unwrap();
+    let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
     let snapshot = ds.snapshot();
     let stats_after: Vec<_> = snapshot
         .components()
@@ -447,13 +585,13 @@ fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_sta
 #[test]
 fn reopen_without_manifest_is_an_error_but_open_works() {
     let dir = temp_dir("no-manifest");
-    assert!(LsmDataset::reopen(&dir).is_err(), "nothing there yet");
+    assert!(LsmDataset::reopen(&dir, |_| None).is_err(), "nothing there yet");
     {
         let ds = LsmDataset::open(&dir, unflushed_config(LayoutKind::Vb)).unwrap();
         ds.insert(sample_record(1)).unwrap();
         // No flush: still no manifest, only a WAL.
     }
-    assert!(LsmDataset::reopen(&dir).is_err(), "reopen needs a manifest");
+    assert!(LsmDataset::reopen(&dir, |_| None).is_err(), "reopen needs a manifest");
     let ds = LsmDataset::open(&dir, unflushed_config(LayoutKind::Vb)).unwrap();
     assert_eq!(ds.count().unwrap(), 1);
 }
@@ -521,7 +659,7 @@ fn recovery_replay_event_matches_ground_truth() {
         ds.sync().unwrap();
     }
     {
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         assert_eq!(replay_of(&ds), (1, 5, false, 1));
     }
 
@@ -542,7 +680,7 @@ fn recovery_replay_event_matches_ground_truth() {
     };
     let bytes = std::fs::read(&wal_path).unwrap();
     std::fs::write(&wal_path, &bytes[..bytes.len() - 7]).unwrap();
-    let ds = LsmDataset::reopen(&dir).unwrap();
+    let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
     assert_eq!(replay_of(&ds), (1, 4, true, 1));
     assert_eq!(ds.count().unwrap(), 24, "only the torn record is lost");
 }
@@ -621,7 +759,7 @@ fn crash_before_merge_commit_orphans_are_swept_at_reopen() {
             // The merge output was written and synced but never committed.
             assert!(orphaned_pages(&ds) > 0, "{layout:?}: the aborted merge must orphan pages");
         }
-        let ds = LsmDataset::reopen(&dir).unwrap();
+        let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
         assert_eq!(orphaned_pages(&ds), 0, "{layout:?}: reopen must sweep every orphan");
         assert!(ds.component_count() >= 2, "{layout:?}: inputs stay live");
         assert_eq!(ds.count().unwrap(), (N - 3 + 40) as usize, "{layout:?}");
@@ -654,7 +792,7 @@ fn durable_and_in_memory_datasets_agree() {
     let dur_docs = dur.scan(None).unwrap();
     assert_eq!(mem_docs, dur_docs);
     drop(dur);
-    let dur = LsmDataset::reopen(&dir).unwrap();
+    let dur = LsmDataset::reopen(&dir, |_| None).unwrap();
     assert_eq!(dur.scan(None).unwrap(), mem_docs);
 }
 
@@ -784,7 +922,7 @@ fn background_flush_error_surfaces_on_explicit_flush() {
     assert_eq!(ds.count().unwrap(), 80);
     assert!(ds.manifest_version() > version);
     drop(ds);
-    let ds = LsmDataset::reopen(&dir).unwrap();
+    let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
     assert_eq!(ds.count().unwrap(), 80);
 }
 

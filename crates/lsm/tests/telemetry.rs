@@ -77,7 +77,14 @@ fn flush_and_merge_emit_events_and_metrics() {
         metrics.counter("storage.bytes_written") as f64 / metrics.counter("ingest.bytes") as f64;
     assert!((write_amp - expected).abs() < 1e-9, "{write_amp} vs {expected}");
     assert!(write_amp > 0.0);
-    assert!(metrics.gauge("amp.space").is_some());
+    let read_amp = metrics.gauge("amp.read").expect("read amp present");
+    let expected =
+        metrics.counter("storage.bytes_read") as f64 / metrics.counter("ingest.bytes") as f64;
+    assert!((read_amp - expected).abs() < 1e-9, "{read_amp} vs {expected}");
+    let space_amp = metrics.gauge("amp.space").expect("space amp present");
+    let expected = metrics.gauge("storage.allocated_bytes").unwrap()
+        / metrics.gauge("lsm.live_stored_bytes").unwrap();
+    assert!((space_amp - expected).abs() < 1e-9, "{space_amp} vs {expected}");
 
     // The event ring holds paired begin/end lifecycle events.
     let events = ds.recent_events(256);

@@ -82,7 +82,7 @@ use parking_lot::Mutex;
 use storage::PageStore;
 use telemetry::{EventKind, Telemetry};
 
-pub use manifest::{ManifestData, ManifestStore, PersistedConfig};
+pub use manifest::{ManifestData, ManifestStore};
 pub use wal::{Wal, WalRecord, WalReplay};
 
 /// Error type of the durability layer (shared with the storage stack so
@@ -155,10 +155,10 @@ impl DurableStore {
             .map_err(|e| PersistError::new(format!("create dataset dir {}: {e}", dir.display())))?;
         let (manifest, manifest_data) = ManifestStore::open(dir)?;
         if let Some(data) = &manifest_data {
-            if data.config.page_size != page_size as u64 {
+            if data.page_size != page_size as u64 {
                 return Err(PersistError::new(format!(
                     "dataset was created with page size {}, reopened with {page_size}",
-                    data.config.page_size
+                    data.page_size
                 )));
             }
         }
@@ -368,26 +368,8 @@ mod tests {
     fn empty_manifest(page_size: u64) -> ManifestData {
         ManifestData {
             version: 0,
-            config: PersistedConfig {
-                name: "t".to_string(),
-                layout: storage::LayoutKind::Vb,
-                key_field: "id".to_string(),
-                memtable_budget: 1024,
-                page_size,
-                cache_pages: storage::DEFAULT_CACHE_PAGES as u64,
-                primary_key_index: true,
-                secondary_index_on: None,
-                compress_pages: true,
-                amax_record_limit: 100,
-                amax_empty_page_tolerance: 0.2,
-                policy_size_ratio: 1.2,
-                policy_max_components: 5,
-                compaction_kind: 0,
-                compaction_target_size: 4 << 20,
-                compaction_l0_threshold: 4,
-                compaction_ratio: 0.5,
-                memory_budget: 0,
-            },
+            page_size,
+            config: Vec::new(),
             next_component_id: 0,
             schema: SchemaBuilder::new(Some("id".to_string())).into_schema(),
             components: Vec::new(),

@@ -20,22 +20,23 @@
 //!
 //! ## Format versioning
 //!
-//! The magic bytes carry the format generation. `LSMMAN05` (current)
-//! appends per-leaf column statistics (zone maps) to every leaf descriptor,
-//! so filter pushdown can skip whole leaves before any page is read.
-//! `LSMMAN04` added the memory-budget knob behind the shared decoded-leaf
-//! cache, so a reopened dataset keeps the caching behaviour it was created
-//! with. `LSMMAN03` added the compaction-strategy selection and its knobs;
-//! `LSMMAN02` appended the per-component column statistics
-//! ([`storage::ComponentStats`]) that the query planner's zone maps and
-//! cost model consume; `LSMMAN01` manifests predate statistics. All older
-//! formats are still read: pre-v5 leaves reopen without zone maps (those
-//! leaves simply aren't skippable until the next flush/merge rewrites
-//! them), pre-v4 configs decode with no memory budget, v1/v2 configs
-//! additionally decode with the default tiering strategy, and v1
-//! components reopen with no statistics (which disables zone-map pruning
-//! for them and makes the planner fall back to conservative estimates).
-//! Commits always write the current format.
+//! There is one manifest generation. The magic bytes name it; a file that
+//! opens with any other magic — including `LSMMAN01`–`LSMMAN05`, the
+//! generations earlier commits of this repository wrote — is rejected with
+//! an error that quotes the magic found. No deployed data predates this
+//! format, so there is no compatibility reader and no skippable section: a
+//! change to what the manifest records bumps `MAGIC` (one line) and edits
+//! the one writer and the one reader below.
+//!
+//! The dataset configuration is **opaque** here: its owner (the `lsm`
+//! crate's `DatasetConfig`) encodes and decodes it, and this module frames
+//! the bytes. The only configuration value `persist` keeps for itself is
+//! [`ManifestData::page_size`], which [`crate::DurableStore::open`] checks
+//! against the page size the page file is being opened with.
+//!
+//! Bytes from disk are untrusted: every count is checked against the bytes
+//! that remain before anything is allocated for it, and a damaged file is an
+//! `Err`, never a panic.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -51,80 +52,18 @@ use storage::{LayoutKind, PageId, RowFormat};
 
 use crate::{PersistError, Result};
 
-/// Magic bytes opening every current-format manifest file.
-const MAGIC: &[u8; 8] = b"LSMMAN05";
-/// Previous format: no per-leaf statistics. Still readable.
-const MAGIC_V4: &[u8; 8] = b"LSMMAN04";
-/// Before that: additionally, no memory-budget field. Still readable.
-const MAGIC_V3: &[u8; 8] = b"LSMMAN03";
-/// Before that: additionally, no compaction-strategy fields. Still readable.
-const MAGIC_V2: &[u8; 8] = b"LSMMAN02";
-/// Oldest format: additionally, no per-component statistics. Still readable.
-const MAGIC_V1: &[u8; 8] = b"LSMMAN01";
-
-/// Decoded manifest format generation (from the magic bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Format {
-    V1,
-    V2,
-    V3,
-    V4,
-    V5,
-}
-
-/// The durable subset of the dataset configuration. Enough to reconstruct a
-/// working `DatasetConfig` on [`reopen`](crate::DurableStore), so a dataset
-/// directory is self-describing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PersistedConfig {
-    /// Dataset name.
-    pub name: String,
-    /// Storage layout of on-disk components.
-    pub layout: LayoutKind,
-    /// Primary-key field name.
-    pub key_field: String,
-    /// Memtable budget in bytes.
-    pub memtable_budget: u64,
-    /// Page size of the page file (must match on reopen).
-    pub page_size: u64,
-    /// Buffer-cache capacity in pages.
-    pub cache_pages: u64,
-    /// Whether a primary-key index is maintained.
-    pub primary_key_index: bool,
-    /// Secondary index path (rendered with `Path`'s display syntax).
-    pub secondary_index_on: Option<String>,
-    /// Page-level compression.
-    pub compress_pages: bool,
-    /// AMAX: records per mega leaf.
-    pub amax_record_limit: u64,
-    /// AMAX: empty-page tolerance.
-    pub amax_empty_page_tolerance: f64,
-    /// Tiering policy: size ratio.
-    pub policy_size_ratio: f64,
-    /// Tiering policy: max mergeable components.
-    pub policy_max_components: u64,
-    /// Compaction strategy selector: 0 = tiered, 1 = leveled,
-    /// 2 = lazy-leveled (format v3; older manifests decode as 0).
-    pub compaction_kind: u8,
-    /// Leveled/lazy-leveled: target run size in bytes.
-    pub compaction_target_size: u64,
-    /// Leveled/lazy-leveled: L0 run-count trigger.
-    pub compaction_l0_threshold: u64,
-    /// Leveled/lazy-leveled: size ratio between adjacent runs.
-    pub compaction_ratio: f64,
-    /// Memory budget in bytes for this dataset's share of memtables, sealed
-    /// queue, page cache, and decoded-leaf cache (format v4; 0 = no budget
-    /// configured, older manifests decode as 0).
-    pub memory_budget: u64,
-}
+/// Magic bytes opening every manifest file: the one format generation.
+const MAGIC: &[u8; 8] = b"LSMMAN06";
 
 /// Everything one manifest commit records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestData {
     /// Monotonic commit version (assigned by [`ManifestStore::commit`]).
     pub version: u64,
-    /// Durable dataset configuration.
-    pub config: PersistedConfig,
+    /// Page size of the page file (must match on reopen).
+    pub page_size: u64,
+    /// The durable dataset configuration, encoded by its owner.
+    pub config: Vec<u8>,
     /// Id the next flushed/merged component will receive.
     pub next_component_id: u64,
     /// The cumulative inferred schema (column ids are positions, so every
@@ -142,55 +81,57 @@ fn read_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
     RowFormat::Vb.deserialize(buf, pos)
 }
 
+fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
+    let b = *buf
+        .get(*pos)
+        .ok_or_else(|| PersistError::new("truncated manifest"))?;
+    *pos += 1;
+    Ok(b)
+}
+
 fn write_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
 fn read_bool(buf: &[u8], pos: &mut usize) -> Result<bool> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| PersistError::new("truncated manifest"))?;
-    *pos += 1;
-    Ok(b != 0)
+    Ok(read_u8(buf, pos)? != 0)
 }
 
-/// Encode a manifest body in the given format generation. Production
-/// commits always use [`Format::V5`]; the older formats exist so the
-/// compatibility tests can produce genuine old-format bytes.
-fn encode_body(data: &ManifestData, format: Format) -> Vec<u8> {
+/// Read an element count. Every counted element occupies at least one byte,
+/// so a count larger than the bytes that remain is corruption — rejected
+/// here, before the caller sizes a `Vec` by it.
+fn read_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
+    let count = varint::read_u64(buf, pos)?;
+    let remaining = buf.len().saturating_sub(*pos);
+    if count > remaining as u64 {
+        return Err(PersistError::new(format!(
+            "manifest count {count} exceeds the {remaining} bytes that remain"
+        )));
+    }
+    Ok(count as usize)
+}
+
+fn write_pages(out: &mut Vec<u8>, pages: &[PageId]) {
+    varint::write_u64(out, pages.len() as u64);
+    for &page in pages {
+        varint::write_u64(out, page);
+    }
+}
+
+fn read_pages(buf: &[u8], pos: &mut usize) -> Result<Vec<PageId>> {
+    let count = read_count(buf, pos)?;
+    let mut pages = Vec::with_capacity(count);
+    for _ in 0..count {
+        pages.push(varint::read_u64(buf, pos)?);
+    }
+    Ok(pages)
+}
+
+fn encode_body(data: &ManifestData) -> Vec<u8> {
     let mut out = Vec::new();
     varint::write_u64(&mut out, data.version);
-
-    let c = &data.config;
-    plain::write_str(&mut out, &c.name);
-    out.push(c.layout.tag());
-    plain::write_str(&mut out, &c.key_field);
-    varint::write_u64(&mut out, c.memtable_budget);
-    varint::write_u64(&mut out, c.page_size);
-    varint::write_u64(&mut out, c.cache_pages);
-    write_bool(&mut out, c.primary_key_index);
-    match &c.secondary_index_on {
-        Some(path) => {
-            write_bool(&mut out, true);
-            plain::write_str(&mut out, path);
-        }
-        None => write_bool(&mut out, false),
-    }
-    write_bool(&mut out, c.compress_pages);
-    varint::write_u64(&mut out, c.amax_record_limit);
-    plain::write_f64(&mut out, c.amax_empty_page_tolerance);
-    plain::write_f64(&mut out, c.policy_size_ratio);
-    varint::write_u64(&mut out, c.policy_max_components);
-    if format >= Format::V3 {
-        out.push(c.compaction_kind);
-        varint::write_u64(&mut out, c.compaction_target_size);
-        varint::write_u64(&mut out, c.compaction_l0_threshold);
-        plain::write_f64(&mut out, c.compaction_ratio);
-    }
-    if format >= Format::V4 {
-        varint::write_u64(&mut out, c.memory_budget);
-    }
-
+    varint::write_u64(&mut out, data.page_size);
+    plain::write_bytes(&mut out, &data.config);
     varint::write_u64(&mut out, data.next_component_id);
     serial::write_schema(&data.schema, &mut out);
 
@@ -200,33 +141,23 @@ fn encode_body(data: &ManifestData, format: Format) -> Vec<u8> {
         out.push(comp.layout.tag());
         varint::write_u64(&mut out, comp.record_count as u64);
         varint::write_u64(&mut out, comp.stored_bytes);
-        varint::write_u64(&mut out, comp.pages.len() as u64);
-        for &page in &comp.pages {
-            varint::write_u64(&mut out, page);
-        }
+        write_pages(&mut out, &comp.pages);
         varint::write_u64(&mut out, comp.leaves.len() as u64);
         for leaf in &comp.leaves {
             varint::write_u64(&mut out, leaf.page);
-            varint::write_u64(&mut out, leaf.data_pages.len() as u64);
-            for &page in &leaf.data_pages {
-                varint::write_u64(&mut out, page);
-            }
+            write_pages(&mut out, &leaf.data_pages);
             write_value(&mut out, &leaf.min_key);
             write_value(&mut out, &leaf.max_key);
             varint::write_u64(&mut out, leaf.record_count as u64);
-            if format >= Format::V5 {
-                write_stats(&mut out, leaf.stats.as_ref());
-            }
+            write_stats(&mut out, leaf.stats.as_ref());
         }
-        if format >= Format::V2 {
-            write_stats(&mut out, comp.stats.as_ref());
-        }
+        write_stats(&mut out, comp.stats.as_ref());
     }
     out
 }
 
-/// Serialize one statistics block — per component (format v2) and, with the
-/// same encoding, per leaf (format v5 zone maps).
+/// Serialize one statistics block: per component (the planner's cost model)
+/// and, with the same encoding, per leaf (zone maps).
 fn write_stats(out: &mut Vec<u8>, stats: Option<&ComponentStats>) {
     let Some(stats) = stats else {
         write_bool(out, false);
@@ -256,7 +187,7 @@ fn read_stats(buf: &[u8], pos: &mut usize) -> Result<Option<ComponentStats>> {
         return Ok(None);
     }
     let live_records = varint::read_u64(buf, pos)?;
-    let column_count = varint::read_u64(buf, pos)? as usize;
+    let column_count = read_count(buf, pos)?;
     let mut columns = std::collections::BTreeMap::new();
     for _ in 0..column_count {
         let path = plain::read_str(buf, pos)?.to_string();
@@ -272,81 +203,31 @@ fn read_stats(buf: &[u8], pos: &mut usize) -> Result<Option<ComponentStats>> {
     Ok(Some(ComponentStats { live_records, columns }))
 }
 
-fn decode_body(buf: &[u8], format: Format) -> Result<ManifestData> {
+fn decode_body(buf: &[u8]) -> Result<ManifestData> {
     let pos = &mut 0usize;
     let version = varint::read_u64(buf, pos)?;
-
-    let name = plain::read_str(buf, pos)?.to_string();
-    let layout = LayoutKind::from_tag(read_u8(buf, pos)?)?;
-    let key_field = plain::read_str(buf, pos)?.to_string();
-    let memtable_budget = varint::read_u64(buf, pos)?;
     let page_size = varint::read_u64(buf, pos)?;
-    let cache_pages = varint::read_u64(buf, pos)?;
-    let primary_key_index = read_bool(buf, pos)?;
-    let secondary_index_on = if read_bool(buf, pos)? {
-        Some(plain::read_str(buf, pos)?.to_string())
-    } else {
-        None
-    };
-    let compress_pages = read_bool(buf, pos)?;
-    let amax_record_limit = varint::read_u64(buf, pos)?;
-    let amax_empty_page_tolerance = plain::read_f64(buf, pos)?;
-    let policy_size_ratio = plain::read_f64(buf, pos)?;
-    let policy_max_components = varint::read_u64(buf, pos)?;
-    // Compaction-strategy fields arrived in v3; older manifests were all
-    // written under the fixed tiering policy.
-    let (compaction_kind, compaction_target_size, compaction_l0_threshold, compaction_ratio) =
-        if format >= Format::V3 {
-            (
-                read_u8(buf, pos)?,
-                varint::read_u64(buf, pos)?,
-                varint::read_u64(buf, pos)?,
-                plain::read_f64(buf, pos)?,
-            )
-        } else {
-            (0, 4 << 20, 4, 0.5)
-        };
-    // The memory budget arrived in v4; older manifests ran unbudgeted.
-    let memory_budget = if format >= Format::V4 {
-        varint::read_u64(buf, pos)?
-    } else {
-        0
-    };
-
+    let config = plain::read_bytes(buf, pos)?.to_vec();
     let next_component_id = varint::read_u64(buf, pos)?;
     let schema = serial::read_schema(buf, pos)?;
 
-    let component_count = varint::read_u64(buf, pos)? as usize;
-    let mut components = Vec::with_capacity(component_count.min(1 << 16));
+    let component_count = read_count(buf, pos)?;
+    let mut components = Vec::with_capacity(component_count);
     for _ in 0..component_count {
         let id = varint::read_u64(buf, pos)?;
         let layout = LayoutKind::from_tag(read_u8(buf, pos)?)?;
         let record_count = varint::read_u64(buf, pos)? as usize;
         let stored_bytes = varint::read_u64(buf, pos)?;
-        let page_count = varint::read_u64(buf, pos)? as usize;
-        let mut pages: Vec<PageId> = Vec::with_capacity(page_count.min(1 << 20));
-        for _ in 0..page_count {
-            pages.push(varint::read_u64(buf, pos)?);
-        }
-        let leaf_count = varint::read_u64(buf, pos)? as usize;
-        let mut leaves = Vec::with_capacity(leaf_count.min(1 << 20));
+        let pages = read_pages(buf, pos)?;
+        let leaf_count = read_count(buf, pos)?;
+        let mut leaves = Vec::with_capacity(leaf_count);
         for _ in 0..leaf_count {
             let page = varint::read_u64(buf, pos)?;
-            let data_page_count = varint::read_u64(buf, pos)? as usize;
-            let mut data_pages: Vec<PageId> = Vec::with_capacity(data_page_count.min(1 << 20));
-            for _ in 0..data_page_count {
-                data_pages.push(varint::read_u64(buf, pos)?);
-            }
+            let data_pages = read_pages(buf, pos)?;
             let min_key = read_value(buf, pos)?;
             let max_key = read_value(buf, pos)?;
             let record_count = varint::read_u64(buf, pos)? as usize;
-            // Per-leaf zone maps arrived in v5; older leaves reopen without
-            // them, so they just aren't skippable until rewritten.
-            let stats = if format >= Format::V5 {
-                read_stats(buf, pos)?
-            } else {
-                None
-            };
+            let stats = read_stats(buf, pos)?;
             leaves.push(LeafDescriptor {
                 page,
                 data_pages,
@@ -356,11 +237,7 @@ fn decode_body(buf: &[u8], format: Format) -> Result<ManifestData> {
                 stats,
             });
         }
-        let stats = if format >= Format::V2 {
-            read_stats(buf, pos)?
-        } else {
-            None
-        };
+        let stats = read_stats(buf, pos)?;
         components.push(ComponentDescriptor {
             id,
             layout,
@@ -371,41 +248,21 @@ fn decode_body(buf: &[u8], format: Format) -> Result<ManifestData> {
             stats,
         });
     }
+    if *pos != buf.len() {
+        return Err(PersistError::new(format!(
+            "manifest has {} trailing bytes",
+            buf.len() - *pos
+        )));
+    }
 
     Ok(ManifestData {
         version,
-        config: PersistedConfig {
-            name,
-            layout,
-            key_field,
-            memtable_budget,
-            page_size,
-            cache_pages,
-            primary_key_index,
-            secondary_index_on,
-            compress_pages,
-            amax_record_limit,
-            amax_empty_page_tolerance,
-            policy_size_ratio,
-            policy_max_components,
-            compaction_kind,
-            compaction_target_size,
-            compaction_l0_threshold,
-            compaction_ratio,
-            memory_budget,
-        },
+        page_size,
+        config,
         next_component_id,
         schema,
         components,
     })
-}
-
-fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| PersistError::new("truncated manifest"))?;
-    *pos += 1;
-    Ok(b)
 }
 
 /// Reads and atomically commits manifests in a dataset directory.
@@ -458,23 +315,21 @@ impl ManifestStore {
         if bytes.len() < MAGIC.len() + 4 {
             return Err(PersistError::new("manifest too short"));
         }
-        let format = match &bytes[..MAGIC.len()] {
-            m if m == MAGIC => Format::V5,
-            m if m == MAGIC_V4 => Format::V4,
-            m if m == MAGIC_V3 => Format::V3,
-            m if m == MAGIC_V2 => Format::V2,
-            m if m == MAGIC_V1 => Format::V1,
-            _ => return Err(PersistError::new("manifest magic mismatch")),
-        };
-        let crc_end = MAGIC.len() + 4;
-        let expected_crc = u32::from_le_bytes(bytes[MAGIC.len()..crc_end].try_into().unwrap());
-        let body = &bytes[crc_end..];
-        if crc32(body) != expected_crc {
+        let (magic, rest) = bytes.split_at(MAGIC.len());
+        if magic != MAGIC {
+            return Err(PersistError::new(format!(
+                "manifest magic is {:?}, this build reads only {:?}",
+                String::from_utf8_lossy(magic),
+                String::from_utf8_lossy(MAGIC)
+            )));
+        }
+        let (crc, body) = rest.split_at(4);
+        if crc32(body).to_le_bytes() != crc {
             return Err(PersistError::new(
                 "manifest failed its CRC check — corrupt manifest",
             ));
         }
-        decode_body(body, format).map(Some)
+        decode_body(body).map(Some)
     }
 
     /// The version of the most recently loaded or committed manifest.
@@ -487,7 +342,7 @@ impl ManifestStore {
     /// is still intact.
     pub fn commit(&mut self, mut data: ManifestData) -> Result<u64> {
         data.version = self.version + 1;
-        let body = encode_body(&data, Format::V5);
+        let body = encode_body(&data);
         let mut bytes = Vec::with_capacity(MAGIC.len() + 4 + body.len());
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -536,26 +391,8 @@ mod tests {
         builder.observe(&doc!({"id": 2, "user": "heterogeneous"}));
         ManifestData {
             version: 0,
-            config: PersistedConfig {
-                name: "tweets".to_string(),
-                layout: LayoutKind::Amax,
-                key_field: "id".to_string(),
-                memtable_budget: 1 << 20,
-                page_size: 4096,
-                cache_pages: storage::DEFAULT_CACHE_PAGES as u64,
-                primary_key_index: true,
-                secondary_index_on: Some("timestamp".to_string()),
-                compress_pages: true,
-                amax_record_limit: 15_000,
-                amax_empty_page_tolerance: 0.2,
-                policy_size_ratio: 1.2,
-                policy_max_components: 5,
-                compaction_kind: 1,
-                compaction_target_size: 8 << 20,
-                compaction_l0_threshold: 3,
-                compaction_ratio: 0.75,
-                memory_budget: 32 << 20,
-            },
+            page_size: 4096,
+            config: b"opaque to persist: the owner's encoding".to_vec(),
             next_component_id: 7,
             schema: builder.into_schema(),
             components: vec![ComponentDescriptor {
@@ -609,6 +446,7 @@ mod tests {
         let loaded = loaded.unwrap();
         assert_eq!(store2.version(), 2);
         assert_eq!(loaded.version, 2);
+        assert_eq!(loaded.page_size, 4096);
         assert_eq!(loaded.config, data.config);
         assert_eq!(loaded.next_component_id, 7);
         assert_eq!(loaded.schema, data.schema);
@@ -627,7 +465,7 @@ mod tests {
             stored_bytes: 99,
             pages: vec![7],
             leaves: Vec::new(),
-            stats: None, // e.g. carried over from a pre-stats manifest
+            stats: None,
         });
         store.commit(data.clone()).unwrap();
         let (_, loaded) = ManifestStore::open(&dir).unwrap();
@@ -636,102 +474,12 @@ mod tests {
         assert_eq!(loaded.components[1].stats, None);
     }
 
-    /// The compaction fields an old-format (pre-v3) manifest decodes to: the
-    /// default tiering strategy (kind 0) with the leveled knobs at their
-    /// defaults — and, as for every pre-v4 format, no memory budget.
-    fn with_default_compaction(mut config: PersistedConfig) -> PersistedConfig {
-        config.compaction_kind = 0;
-        config.compaction_target_size = 4 << 20;
-        config.compaction_l0_threshold = 4;
-        config.compaction_ratio = 0.5;
-        config.memory_budget = 0;
-        config
-    }
-
-    fn write_old_format(dir: &Path, magic: &[u8; 8], data: &ManifestData, format: Format) {
-        let body = super::encode_body(data, format);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(magic);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        std::fs::write(dir.join(ManifestStore::FILE_NAME), &bytes).unwrap();
-    }
-
-    #[test]
-    fn v1_manifests_without_stats_are_still_readable() {
-        // Re-encode a manifest in the oldest format: v1 magic, no stats
-        // blocks, no compaction fields.
-        let dir = temp_dir("v1-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN01", &data, Format::V1);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.components.len(), 1);
-        assert_eq!(loaded.components[0].stats, None, "v1 has no stats");
-        assert_eq!(loaded.config, with_default_compaction(data.config));
-    }
-
-    #[test]
-    fn v2_manifests_without_compaction_fields_are_still_readable() {
-        // v2 magic: stats blocks present, no compaction-strategy fields —
-        // the config decodes with the default tiering strategy.
-        let dir = temp_dir("v2-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN02", &data, Format::V2);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()), "v2 keeps stats");
-        assert_eq!(loaded.config, with_default_compaction(data.config));
-    }
-
-    #[test]
-    fn v3_manifests_without_memory_budget_are_still_readable() {
-        // v3 magic: compaction fields present, no memory budget — the config
-        // decodes unbudgeted (0) with everything else intact.
-        let dir = temp_dir("v3-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN03", &data, Format::V3);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()), "v3 keeps stats");
-        let mut expected = data.config.clone();
-        expected.memory_budget = 0;
-        assert_eq!(loaded.config, expected, "v3 keeps compaction, loses budget");
-    }
-
-    #[test]
-    fn v4_manifests_without_leaf_stats_are_still_readable() {
-        // v4 magic: everything but the per-leaf zone maps — leaves reopen
-        // with no stats, so pushdown simply can't skip them.
-        let dir = temp_dir("v4-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN04", &data, Format::V4);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.config, data.config, "v4 keeps the whole config");
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()), "v4 keeps component stats");
-        assert_eq!(loaded.components[0].leaves[0].stats, None, "v4 has no leaf zone maps");
-    }
-
     #[test]
     fn leaf_zone_maps_roundtrip_and_absent_maps_stay_absent() {
         let dir = temp_dir("leaf-stats-roundtrip");
         let (mut store, _) = ManifestStore::open(&dir).unwrap();
         let mut data = sample_data();
-        // A second leaf without zone maps (e.g. reopened from a pre-v5
-        // manifest, then re-committed) must stay without them.
+        // A second leaf without zone maps must stay without them.
         data.components[0].leaves.push(LeafDescriptor {
             page: 9,
             data_pages: vec![10],
@@ -747,18 +495,85 @@ mod tests {
         assert_eq!(leaves[1].stats, None);
     }
 
-    #[test]
-    fn corrupt_manifest_is_rejected() {
-        let dir = temp_dir("corrupt");
-        let (mut store, _) = ManifestStore::open(&dir).unwrap();
+    /// Seal `body` under `magic` the way `commit` does, then load it.
+    fn load_sealed(dir: &Path, magic: &[u8; 8], body: &[u8]) -> Result<Option<ManifestData>> {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(&crc32(body).to_le_bytes());
+        bytes.extend_from_slice(body);
+        std::fs::write(dir.join(ManifestStore::FILE_NAME), bytes).unwrap();
+        ManifestStore::open(dir).map(|(_, data)| data)
+    }
+
+    /// The bytes of a committed [`sample_data`] manifest in `dir`.
+    fn committed(dir: &Path) -> Vec<u8> {
+        let (mut store, _) = ManifestStore::open(dir).unwrap();
         store.commit(sample_data()).unwrap();
-        let path = dir.join(ManifestStore::FILE_NAME);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x55;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ManifestStore::open(&dir).err().unwrap();
-        assert!(err.message.contains("CRC") || err.message.contains("magic"), "{err}");
+        std::fs::read(dir.join(ManifestStore::FILE_NAME)).unwrap()
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_of_the_file_is_an_error() {
+        let dir = temp_dir("hostile-file");
+        let good = committed(&dir);
+        let load = |bytes: &[u8]| {
+            std::fs::write(dir.join(ManifestStore::FILE_NAME), bytes).unwrap();
+            ManifestStore::open(&dir).map(|(_, data)| data)
+        };
+        // Caught by the length, the magic or the CRC.
+        for len in 0..good.len() {
+            assert!(load(&good[..len]).is_err(), "truncated to {len} bytes");
+        }
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0x55;
+            assert!(load(&bad).is_err(), "byte {i} flipped");
+        }
+    }
+
+    #[test]
+    fn older_generations_are_refused_by_name() {
+        // Even over a body whose CRC holds.
+        let dir = temp_dir("hostile-magic");
+        let good = committed(&dir);
+        let body = &good[MAGIC.len() + 4..];
+        for old in [b"LSMMAN01", b"LSMMAN02", b"LSMMAN03", b"LSMMAN04", b"LSMMAN05"] {
+            let err = load_sealed(&dir, old, body).err().unwrap();
+            let found = String::from_utf8_lossy(old);
+            assert!(err.message.contains(&*found), "{err}");
+        }
+        assert_eq!(load_sealed(&dir, MAGIC, body).unwrap().unwrap().version, 1);
+    }
+
+    #[test]
+    fn damage_behind_a_valid_crc_never_panics_the_decoder() {
+        // A cut body is an error; a damaged one is an error or a manifest.
+        let dir = temp_dir("hostile-body");
+        let good = committed(&dir);
+        let body = &good[MAGIC.len() + 4..];
+        for len in 0..body.len() {
+            assert!(load_sealed(&dir, MAGIC, &body[..len]).is_err(), "body cut to {len}");
+        }
+        for i in 0..body.len() {
+            for mask in [0x01, 0x55, 0x80, 0xff] {
+                let mut bad = body.to_vec();
+                bad[i] ^= mask;
+                let _ = load_sealed(&dir, MAGIC, &bad);
+            }
+        }
+    }
+
+    #[test]
+    fn counts_are_checked_against_the_remaining_bytes_before_allocating() {
+        // A body ending in "2^40 components" is refused as such, not after
+        // reserving room for them.
+        let dir = temp_dir("hostile-count");
+        let mut empty = sample_data();
+        empty.components.clear();
+        let mut bogus = encode_body(&empty);
+        assert_eq!(bogus.pop(), Some(0), "the component count comes last");
+        varint::write_u64(&mut bogus, 1 << 40);
+        let err = load_sealed(&dir, MAGIC, &bogus).err().unwrap();
+        assert!(err.message.contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! into a `Vec`, run each operator as a full-batch pass, and only then
 //! order/limit. Answers must be identical; only the memory profile (and the
 //! pages a limited scan touches) may differ. The streaming differential
-//! suite (`crates/query/tests/streaming.rs`) and the `--only streaming`
-//! bench experiment both lean on it.
+//! suite (`crates/query/tests/streaming.rs`) leans on it.
 //!
 //! The oracle ignores zone maps and never terminates early — it is the
 //! pruning-free, limit-after-the-fact upper bound the streaming paths are

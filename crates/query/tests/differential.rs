@@ -1,9 +1,10 @@
 //! Differential property test for the compositional query API.
 //!
 //! Random documents × random `Expr` filters × random multi-aggregate select
-//! lists, executed four ways — interpreted, compiled, sharded over four
-//! disjoint partitions, and against an indexed dataset where the planner may
-//! route through the secondary index — must all return identical rows. This
+//! lists, executed five ways — interpreted, compiled, with projection
+//! pushdown off, sharded over four disjoint partitions, and against an
+//! indexed dataset where the planner may route through the secondary index —
+//! must all return identical rows. This
 //! is the safety net under the planner: whatever access path it picks, the
 //! answer may not change. (Its sibling `planner_cost.rs` attacks the same
 //! invariant from the access-path side: ForceIndex vs ForceScan vs Auto and
@@ -14,7 +15,7 @@ mod support;
 use proptest::prelude::*;
 
 use lsm::LsmDataset;
-use query::{ExecMode, PlanContext, Query, QueryEngine};
+use query::{ExecMode, PlanContext, PlannerOptions, Query, QueryEngine};
 
 use support::{arb_aggregate, arb_doc_body, arb_expr, build_doc, dataset};
 
@@ -62,6 +63,16 @@ proptest! {
             .execute(&reference, &query)
             .unwrap();
         prop_assert_eq!(&compiled, &interpreted, "interpreted vs compiled: {:?}", query);
+
+        // Projection pushdown only narrows what is assembled: with it off
+        // (whole records) both engines must give the same rows.
+        let unprojected = PlannerOptions { projection_pushdown: false, ..Default::default() };
+        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
+            let whole = QueryEngine::with_options(mode, unprojected)
+                .execute(&reference, &query)
+                .unwrap();
+            prop_assert_eq!(&compiled, &whole, "pushdown off ({:?}): {:?}", mode, query);
+        }
 
         let refs: Vec<&LsmDataset> = shards.iter().collect();
         for mode in [ExecMode::Compiled, ExecMode::Interpreted] {

@@ -69,9 +69,9 @@
 //! ## Disabling
 //!
 //! A registry built with [`Telemetry::disabled`] ignores every record and
-//! emit call behind a single non-atomic bool read, so the `--only
-//! observability` bench experiment can measure the overhead of the
-//! enabled path against a true baseline.
+//! emit call behind a single non-atomic bool read, so the benchmark's
+//! `telemetry_overhead_pct` metric can measure the overhead of the enabled
+//! path against a true baseline.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

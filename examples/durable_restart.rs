@@ -64,7 +64,7 @@ fn main() {
 
     // --- Session 2: reopen from the directory alone -----------------------
     println!("session 2: recovering from {}", dir.display());
-    let ds = LsmDataset::reopen(&dir).expect("reopen from manifest + WAL");
+    let ds = LsmDataset::reopen(&dir, |_| None).expect("reopen from manifest + WAL");
     let live = ds.count().expect("count");
     println!(
         "  recovered {live} live records ({} components, manifest v{})",

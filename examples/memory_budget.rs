@@ -5,12 +5,9 @@
 //! cargo run --release --example memory_budget
 //! ```
 //!
-//! `DatasetOptions::memory_budget(bytes)` splits one budget across the
-//! dataset's memory consumers: **half** funds a decoded-leaf cache shared by
-//! every shard (leaves decoded once are served to later scans and point
-//! reads without touching a page), a **quarter** funds the page buffer
-//! caches, and a **quarter** funds the memtables. The per-shard slice is
-//! persisted in durable manifests, so a reopened dataset keeps the same
+//! `DatasetOptions::memory_budget(bytes)` puts the decoded-leaf cache shared
+//! by every shard, the page buffer caches and the memtables under one
+//! budget (its docs describe the split) and survives a reopen with the same
 //! caching behaviour. `EXPLAIN` shows the planner's cache-residency
 //! discount; `EXPLAIN ANALYZE` reports the exact hits and misses.
 
