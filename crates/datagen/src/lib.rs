@@ -11,8 +11,9 @@
 //! Clarivate's Web of Science), so this crate generates synthetic documents
 //! with the same *structural* characteristics — record shape, nesting,
 //! column counts, value-type mix, heterogeneity — which is what every
-//! experiment in the paper actually exercises (see DESIGN.md §2). Sizes are
-//! scaled to laptop scale through [`DatasetSpec::records`].
+//! experiment in the paper actually exercises; absolute sizes and value
+//! distributions are not reproduced. Sizes are scaled to laptop scale
+//! through [`DatasetSpec::records`].
 //!
 //! Generators are deterministic given a seed, so experiments are repeatable.
 

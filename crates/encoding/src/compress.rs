@@ -6,7 +6,8 @@
 //! LZ77-family byte-oriented compressor with the same role and broadly the
 //! same behaviour: cheap, byte-aligned, good at repeated substrings (field
 //! names, JSON syntax, repeated values in row pages), useless against already
-//! high-entropy data. The substitution is documented in DESIGN.md §2.
+//! high-entropy data. Absolute compression ratios therefore differ from
+//! the paper's; the layouts are compared under the same compressor.
 //!
 //! Format: `varint uncompressed_len`, then a token stream. Each token byte
 //! encodes a literal run (`0x00..=0x7F`: 1–128 literal bytes follow) or a

@@ -21,7 +21,7 @@
 //!   delta strings for textual columns;
 //! * [`plain`] — plain little-endian encodings for every scalar type;
 //! * [`compress`] — an LZ-style block compressor standing in for Snappy
-//!   page-level compression (see DESIGN.md §2 for the substitution note);
+//!   page-level compression (the module docs give the substitution note);
 //! * [`crc`] — CRC-32 checksums guarding the durable structures (WAL frames,
 //!   manifests and file-backed page headers) of the `persist` subsystem.
 //!

@@ -49,7 +49,7 @@ use encoding::{plain, varint};
 use persist::{CrashPoint, DurableStore, ManifestData, ManifestStore, WalRecord};
 use schema::{Schema, SchemaBuilder};
 use storage::amax::AmaxConfig;
-use storage::component::{Component, ComponentConfig, ComponentReader, Entry};
+use storage::component::{Component, ComponentConfig, Entry};
 use storage::leafcache::LeafCache;
 use storage::pagestore::{BufferCache, IoStats, PageId, PageStore, DEFAULT_CACHE_PAGES};
 use storage::LayoutKind;
@@ -83,8 +83,6 @@ pub struct DatasetConfig {
     pub compaction: CompactionSpec,
     /// Maintain a secondary index on this path (e.g. `timestamp`).
     pub secondary_index_on: Option<Path>,
-    /// Apply page-level compression.
-    pub compress_pages: bool,
     /// AMAX-specific knobs.
     pub amax: AmaxConfig,
     /// Run flushes and merges on a background worker thread instead of
@@ -129,7 +127,6 @@ impl DatasetConfig {
             cache_pages: DEFAULT_CACHE_PAGES,
             compaction: CompactionSpec::default(),
             secondary_index_on: None,
-            compress_pages: true,
             amax: AmaxConfig::default(),
             background: false,
             max_sealed_memtables: 2,
@@ -246,7 +243,6 @@ impl DatasetConfig {
             }
             None => out.push(0),
         }
-        out.push(u8::from(self.compress_pages));
         varint::write_u64(&mut out, self.amax.record_limit as u64);
         plain::write_f64(&mut out, self.amax.empty_page_tolerance);
         match self.compaction {
@@ -292,7 +288,6 @@ impl DatasetConfig {
         if byte(pos)? != 0 {
             config.secondary_index_on = Some(Path::parse(plain::read_str(bytes, pos)?));
         }
-        config.compress_pages = byte(pos)? != 0;
         config.amax = AmaxConfig {
             record_limit: varint::read_u64(bytes, pos)? as usize,
             empty_page_tolerance: plain::read_f64(bytes, pos)?,
@@ -1046,7 +1041,6 @@ impl DatasetCore {
         ComponentConfig {
             layout: self.config.layout,
             amax: self.config.amax,
-            compress_pages: self.config.compress_pages,
         }
     }
 

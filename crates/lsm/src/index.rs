@@ -13,9 +13,8 @@
 //! Both indexes are modelled as in-memory ordered maps standing in for the
 //! secondary LSM B+-trees of the real system; their sizes are reported by the
 //! experiments alongside the primary index (Figure 12a includes them for
-//! `tweet_2*`). This substitution is documented in DESIGN.md — index
-//! *maintenance* (the point lookups) is faithfully exercised, index storage
-//! is approximated.
+//! `tweet_2*`). Index *maintenance* (the point lookups) is faithfully
+//! exercised; index storage is approximated.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;

@@ -25,9 +25,7 @@ use docmodel::{doc, Path, Value};
 use lsm::{merge_components, CompactionSpec, DatasetConfig, LsmDataset, MergeLane};
 use proptest::prelude::*;
 use schema::{Schema, SchemaBuilder};
-use storage::component::{
-    ColumnPredicate, Component, ComponentConfig, ComponentReader, Entry, ScanFilter,
-};
+use storage::component::{ColumnPredicate, Component, ComponentConfig, Entry, ScanFilter};
 use storage::pagestore::{BufferCache, PageStore};
 use storage::LayoutKind;
 
@@ -119,8 +117,8 @@ fn normalized(entries: impl IntoIterator<Item = (i64, Option<Value>)>) -> Layer 
         .collect()
 }
 
-fn scan(component: &Component, projection: Option<&[Path]>) -> Layer {
-    normalized(component.scan(projection).unwrap().map(|entry| {
+fn scan(component: &Arc<Component>, projection: Option<&[Path]>) -> Layer {
+    normalized(component.cursor(projection).map(|entry| {
         let (key, doc) = entry.unwrap();
         (key.as_int().unwrap(), doc)
     }))
@@ -526,7 +524,7 @@ fn a_compatible_columnar_merge_assembles_no_record() {
             assert_eq!(report.records_reshredded, 0, "{layout:?}");
             let expected = oracle(&layers, includes_oldest);
             assert_eq!(report.records_copied as usize, expected.len(), "{layout:?}");
-            assert_eq!(scan(&output, None), normalized(expected), "{layout:?}");
+            assert_eq!(scan(&Arc::new(output), None), normalized(expected), "{layout:?}");
         }
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use docmodel::{doc, Value};
 use lsm::{CrashPoint, DatasetConfig, LsmDataset};
-use storage::{ComponentReader, LayoutKind};
+use storage::LayoutKind;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -240,7 +240,6 @@ fn durable_fields(c: &DatasetConfig) -> impl PartialEq + std::fmt::Debug {
         c.key_field.clone(),
         c.page_size,
         c.secondary_index_on.as_ref().map(|p| p.to_string()),
-        c.compress_pages,
         c.amax.record_limit,
         c.amax.empty_page_tolerance,
         c.compaction,
@@ -277,7 +276,6 @@ fn a_directory_describes_itself_across_the_durable_configuration_space() {
                         .with_cache_pages(33)
                         .with_compaction(compaction)
                         .with_memory_budget(budget);
-                    config.compress_pages = !indexed;
                     config.amax.record_limit = 48;
                     config.amax.empty_page_tolerance = 0.35;
                     if indexed {
@@ -361,12 +359,12 @@ fn a_directory_of_an_older_manifest_generation_is_refused_by_name() {
     }
     let manifest = dir.join("MANIFEST");
     let mut bytes = std::fs::read(&manifest).unwrap();
-    bytes[..8].copy_from_slice(b"LSMMAN05");
+    bytes[..8].copy_from_slice(b"LSMMAN06");
     std::fs::write(&manifest, &bytes).unwrap();
     let reopened = LsmDataset::reopen(&dir, |_| None).err().expect("reopen must fail");
-    assert!(reopened.message.contains("LSMMAN05"), "{reopened}");
+    assert!(reopened.message.contains("LSMMAN06"), "{reopened}");
     let opened = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).err().expect("open too");
-    assert!(opened.message.contains("LSMMAN05"), "{opened}");
+    assert!(opened.message.contains("LSMMAN06"), "{opened}");
 }
 
 #[test]

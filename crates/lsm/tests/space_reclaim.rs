@@ -9,7 +9,7 @@
 
 use docmodel::{doc, Value};
 use lsm::{CompactionSpec, DatasetConfig, LsmDataset};
-use storage::{ComponentReader, LayoutKind};
+use storage::LayoutKind;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use docmodel::{doc, Value};
 use lsm::{CompactionSpec, CrashPoint, DatasetConfig, LsmDataset, WorkerState};
-use storage::{ComponentReader, LayoutKind};
+use storage::LayoutKind;
 use telemetry::EventKind;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {

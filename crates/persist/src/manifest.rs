@@ -21,7 +21,7 @@
 //! ## Format versioning
 //!
 //! There is one manifest generation. The magic bytes name it; a file that
-//! opens with any other magic — including `LSMMAN01`–`LSMMAN05`, the
+//! opens with any other magic — including `LSMMAN01`–`LSMMAN06`, the
 //! generations earlier commits of this repository wrote — is rejected with
 //! an error that quotes the magic found. No deployed data predates this
 //! format, so there is no compatibility reader and no skippable section: a
@@ -53,7 +53,7 @@ use storage::{LayoutKind, PageId, RowFormat};
 use crate::{PersistError, Result};
 
 /// Magic bytes opening every manifest file: the one format generation.
-const MAGIC: &[u8; 8] = b"LSMMAN06";
+const MAGIC: &[u8; 8] = b"LSMMAN07";
 
 /// Everything one manifest commit records.
 #[derive(Debug, Clone, PartialEq)]
@@ -536,7 +536,7 @@ mod tests {
         let dir = temp_dir("hostile-magic");
         let good = committed(&dir);
         let body = &good[MAGIC.len() + 4..];
-        for old in [b"LSMMAN01", b"LSMMAN02", b"LSMMAN03", b"LSMMAN04", b"LSMMAN05"] {
+        for old in [b"LSMMAN01", b"LSMMAN02", b"LSMMAN03", b"LSMMAN04", b"LSMMAN05", b"LSMMAN06"] {
             let err = load_sealed(&dir, old, body).err().unwrap();
             let found = String::from_utf8_lossy(old);
             assert!(err.message.contains(&*found), "{err}");

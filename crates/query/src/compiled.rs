@@ -61,7 +61,6 @@ use lsm::{BatchScan, ScanBatch};
 use schema::node::SchemaNode;
 use schema::{AtomicType, ColumnId, NodeId, Schema};
 use storage::batch::plain_node;
-use storage::component::ComponentReader;
 
 use crate::physical::{new_states, AggState, GroupPartials, Input, PhysicalPlan};
 use crate::plan::join_paths;

@@ -55,9 +55,10 @@
 //!   layouts and memtables) assemble the batch's winners and run a fused,
 //!   pre-resolved per-record loop instead; `EXPLAIN ANALYZE` says which
 //!   lane took how many records and why. Rust closure fusion and
-//!   monomorphised loops stand in for the Truffle AST + JIT of the paper
-//!   (see DESIGN.md §2); the property being measured — per-tuple
-//!   interpretation overhead vs. specialised code — is the same.
+//!   monomorphised loops stand in for the Truffle AST + JIT of the paper,
+//!   which a Rust reproduction has no equivalent of; the property being
+//!   measured — per-tuple interpretation overhead vs. specialised code — is
+//!   the same.
 //!
 //! Group-by (the pipeline breaker) keeps one table of mergeable partials in
 //! both modes, exactly as in the paper where code generation stops at the

@@ -89,7 +89,7 @@ use std::sync::Arc;
 use docmodel::cmp::OrderedValue;
 use docmodel::{total_cmp, Path, Value};
 use lsm::{LsmDataset, Snapshot};
-use storage::component::{ColumnPredicate, Component, ComponentReader};
+use storage::component::{ColumnPredicate, Component};
 use storage::stats::ComponentStats;
 
 use crate::expr::{CmpOp, Expr};

@@ -31,10 +31,10 @@
 //! plan says nothing about *how* the query runs: the planner in
 //! [`crate::physical`] lowers it to a physical plan that picks the access
 //! path (scan, key-only scan, or secondary-index range probe), derives the
-//! pushed-down projection, and routes sharded execution. A SQL++ parser is
-//! out of scope for the reproduction (see DESIGN.md); the builder API
-//! mirrors the paper's queries one-to-one and the benchmark harness
-//! constructs plans directly.
+//! pushed-down projection, and routes sharded execution. There is no SQL++
+//! parser — the paper's claims are about storage and execution, not
+//! parsing — so the builder API mirrors the paper's queries one-to-one and
+//! the benchmark harness constructs plans directly.
 
 use docmodel::{Path, Value};
 

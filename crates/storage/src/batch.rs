@@ -384,7 +384,7 @@ mod tests {
     use std::ops::Bound;
 
     use super::*;
-    use crate::component::{ComponentConfig, ComponentReader, Entry, LayoutKind, ScanFilter};
+    use crate::component::{ComponentConfig, Entry, LayoutKind, ScanFilter};
     use crate::pagestore::{BufferCache, PageStore};
     use docmodel::doc;
     use schema::SchemaBuilder;

@@ -90,17 +90,12 @@
 //!
 //! Page reads, assembly and the lane a scan took are observable through the
 //! [`crate::pagestore::IoStats`] counters (`pages_read`, `records_assembled`,
-//! `scan_batches`, `scan_records_kernel`, `scan_records_assembled`). Two
-//! front ends share the implementation:
-//!
-//! * [`ComponentScan`] borrows the component (`ComponentReader::scan`) —
-//!   used where the caller already holds the component;
-//! * [`ComponentCursor`] owns an `Arc<Component>` ([`Component::cursor`]) —
-//!   used by the LSM snapshot's scans and merges and any caller that must
-//!   outlive a borrow (the facade's streaming scan API).
-//!
-//! Both honour projection push-down: only the resolved columns of the
-//! projected paths are decoded (and, for AMAX, read at all).
+//! `scan_batches`, `scan_records_kernel`, `scan_records_assembled`). The one
+//! scan front end is [`ComponentCursor`], which owns an `Arc<Component>`
+//! ([`Component::cursor`]) so the LSM snapshot's scans and merges and the
+//! facade's streaming scan API can hold it without a borrow. It honours
+//! projection push-down: only the resolved columns of the projected paths
+//! are decoded (and, for AMAX, read at all).
 //!
 //! ## Point lookups
 //!
@@ -112,7 +107,7 @@
 //! tombstone off definition level 0, or assembles the record at that one
 //! ordinal by seeking each projected column through its chunk's lazily built
 //! record-offset index ([`columnar::Assembler::record_at`]). A sorted batch
-//! of keys is one forward pass per leaf. [`ComponentReader::lookup`] is the
+//! of keys is one forward pass per leaf. [`Component::lookup`] is the
 //! batch of one. The assembly plan (schema + column tree) is shared per
 //! component and column list, so a lookup does not rebuild it.
 //!
@@ -246,8 +241,6 @@ pub struct ComponentConfig {
     pub layout: LayoutKind,
     /// AMAX-specific knobs.
     pub amax: AmaxConfig,
-    /// Apply page-level compression (on by default, as in the paper's setup).
-    pub compress_pages: bool,
 }
 
 impl ComponentConfig {
@@ -256,7 +249,6 @@ impl ComponentConfig {
         ComponentConfig {
             layout,
             amax: AmaxConfig::default(),
-            compress_pages: true,
         }
     }
 }
@@ -535,22 +527,25 @@ impl Drop for Component {
     }
 }
 
-/// Read-side interface shared by every layout (used by the LSM tree and the
-/// query engine).
-pub trait ComponentReader {
-    /// Component summary.
-    fn meta(&self) -> &ComponentMeta;
-    /// The schema persisted with the component.
-    fn schema(&self) -> &Schema;
-    /// Scan all entries in key order, assembling only the projected paths
-    /// (`None` = every column, `Some(&[])` = keys only).
-    fn scan(&self, projection: Option<&[Path]>) -> Result<ComponentScan<'_>>;
-    /// Point lookup. `Ok(None)` = key not in this component,
-    /// `Ok(Some(None))` = anti-matter entry, `Ok(Some(Some(doc)))` = record.
-    fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Option<Value>>>;
-}
-
 impl Component {
+    /// Component summary.
+    pub fn meta(&self) -> &ComponentMeta {
+        &self.meta
+    }
+
+    /// The schema persisted with the component.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Point lookup, the batch of one of [`Component::lookup_sorted`] — the
+    /// single point-read path of every layout. `Ok(None)` = key not in this
+    /// component, `Ok(Some(None))` = anti-matter entry,
+    /// `Ok(Some(Some(doc)))` = record.
+    pub fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Option<Value>>> {
+        Ok(self.lookup_sorted(&[key], projection)?.pop().flatten())
+    }
+
     /// Write a component from sorted entries: a [`ComponentWriter`] fed every
     /// entry and finished.
     ///
@@ -1074,28 +1069,6 @@ pub(crate) fn key_chunk(chunks: &[Arc<ColumnChunk>]) -> Result<&Arc<ColumnChunk>
         .ok_or_else(|| DecodeError::new("component page lacks the key column"))
 }
 
-impl ComponentReader for Component {
-    fn meta(&self) -> &ComponentMeta {
-        &self.meta
-    }
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn scan(&self, projection: Option<&[Path]>) -> Result<ComponentScan<'_>> {
-        Ok(ComponentScan {
-            state: CursorState::new(self, projection, None),
-            component: self,
-        })
-    }
-
-    fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Option<Value>>> {
-        // A batch of one: the single point-read path of every layout.
-        Ok(self.lookup_sorted(&[key], projection)?.pop().flatten())
-    }
-}
-
 /// The key of a cursor's next entry, borrowed from wherever it lives — a
 /// decoded row page or memtable run, or a decoded key column — so a k-way
 /// merge can order its heads without cloning a key per entry (a `String`
@@ -1419,24 +1392,10 @@ pub struct LeafHead {
     pub anti_matter: bool,
 }
 
-/// Streaming scan over a borrowed component, loading one leaf at a time.
-pub struct ComponentScan<'a> {
-    component: &'a Component,
-    state: CursorState,
-}
-
-impl Iterator for ComponentScan<'_> {
-    type Item = Result<Entry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.state.next(self.component)
-    }
-}
-
-/// Streaming scan over a shared component handle. Identical to
-/// [`ComponentScan`] but owning its `Arc<Component>`, so it can be stored in
-/// long-lived pipelines (the LSM snapshot's scans, the facade's streaming
-/// API) without borrowing. Created by [`Component::cursor`].
+/// Streaming scan over a shared component handle, loading one leaf at a
+/// time. It owns its `Arc<Component>`, so it can be stored in long-lived
+/// pipelines (the LSM snapshot's scans, the facade's streaming API) without
+/// borrowing. Created by [`Component::cursor`].
 pub struct ComponentCursor {
     component: Arc<Component>,
     state: CursorState,
@@ -1601,32 +1560,29 @@ fn is_descendant_column(schema: &Schema, ancestor: schema::NodeId, column: Colum
 // Page helpers (compression wrapper).
 // ---------------------------------------------------------------------------
 
-/// Write one page payload, applying page-level compression when configured.
-/// Returns the page id and the stored size.
-pub fn write_page(cache: &BufferCache, payload: &[u8], compress_pages: bool) -> (PageId, usize) {
-    let mut stored = Vec::with_capacity(payload.len() + 1);
-    if compress_pages {
-        let (compressed, bytes) = compress::compress_if_smaller(payload);
-        stored.push(u8::from(compressed));
-        stored.extend_from_slice(&bytes);
-    } else {
-        stored.push(0);
-        stored.extend_from_slice(payload);
-    }
+/// Write one page payload behind a one-byte flag: `1` = compressed, `0` =
+/// stored raw because compression would not have made it smaller. Returns
+/// the page id and the stored size.
+pub fn write_page(cache: &BufferCache, payload: &[u8]) -> (PageId, usize) {
+    let (compressed, bytes) = compress::compress_if_smaller(payload);
+    let mut stored = Vec::with_capacity(bytes.len() + 1);
+    stored.push(u8::from(compressed));
+    stored.extend_from_slice(&bytes);
     let len = stored.len();
     (cache.append_page(stored), len)
 }
 
-/// Read a page payload written by [`write_page`].
+/// Read a page payload written by [`write_page`]. Any flag other than `0`
+/// or `1` is damage, not an uncompressed page.
 pub fn read_page_payload(cache: &BufferCache, id: PageId) -> Result<Arc<Vec<u8>>> {
     let raw = cache.try_read_page(id)?;
     let Some((&flag, rest)) = raw.split_first() else {
         return Err(DecodeError::new("empty page"));
     };
-    if flag == 1 {
-        Ok(Arc::new(compress::decompress(rest)?))
-    } else {
-        Ok(Arc::new(rest.to_vec()))
+    match flag {
+        0 => Ok(Arc::new(rest.to_vec())),
+        1 => Ok(Arc::new(compress::decompress(rest)?)),
+        other => Err(DecodeError::new(format!("page {id} has unknown flag {other}"))),
     }
 }
 
@@ -1673,12 +1629,12 @@ mod tests {
         for layout in LayoutKind::ALL {
             let cache = small_cache();
             let config = ComponentConfig::new(layout);
-            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let comp = Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap());
             assert_eq!(comp.meta().record_count, 300, "{layout:?}");
             assert!(comp.leaf_count() > 0);
             assert!(comp.meta().stored_bytes > 0);
 
-            let scanned: Vec<Entry> = comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+            let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
             assert_eq!(scanned.len(), 300, "{layout:?}");
             for (i, (key, doc)) in scanned.iter().enumerate() {
                 assert_eq!(key, &Value::Int(i as i64), "{layout:?}");
@@ -1713,7 +1669,7 @@ mod tests {
         comp.retire();
         drop(comp);
         assert!(!cache.store().read_page(pages[0]).is_empty());
-        let scanned: Vec<Entry> = snapshot_handle.scan(None).unwrap().map(|e| e.unwrap()).collect();
+        let scanned: Vec<Entry> = snapshot_handle.cursor(None).map(|e| e.unwrap()).collect();
         assert_eq!(scanned.len(), 100);
 
         // The last handle drops: now the pages are released.
@@ -1758,24 +1714,24 @@ mod tests {
         let entries = records(2000);
         let schema = schema_for(&entries);
         let cache = small_cache();
-        let comp = Component::write(
+        let comp = Arc::new(Component::write(
             &cache,
             &ComponentConfig::new(LayoutKind::Amax),
             schema.clone(),
             &entries,
             1,
         )
-        .unwrap();
+        .unwrap());
 
         cache.clear();
         cache.store().reset_stats();
-        let keys_only: Vec<_> = comp.scan(Some(&[])).unwrap().collect();
+        let keys_only: Vec<_> = comp.cursor(Some(&[])).collect();
         assert_eq!(keys_only.len(), 2000);
         let count_reads = cache.store().stats().pages_read;
 
         cache.clear();
         cache.store().reset_stats();
-        let full: Vec<_> = comp.scan(None).unwrap().collect();
+        let full: Vec<_> = comp.cursor(None).collect();
         assert_eq!(full.len(), 2000);
         let full_reads = cache.store().stats().pages_read;
 
@@ -1790,21 +1746,21 @@ mod tests {
         let entries = records(2000);
         let schema = schema_for(&entries);
         let cache = small_cache();
-        let comp = Component::write(
+        let comp = Arc::new(Component::write(
             &cache,
             &ComponentConfig::new(LayoutKind::Apax),
             schema.clone(),
             &entries,
             1,
         )
-        .unwrap();
+        .unwrap());
         cache.clear();
         cache.store().reset_stats();
-        let keys_only: Vec<_> = comp.scan(Some(&[])).unwrap().collect();
+        let keys_only: Vec<_> = comp.cursor(Some(&[])).collect();
         let count_reads = cache.store().stats().pages_read;
         cache.clear();
         cache.store().reset_stats();
-        let full: Vec<_> = comp.scan(None).unwrap().collect();
+        let full: Vec<_> = comp.cursor(None).collect();
         let full_reads = cache.store().stats().pages_read;
         assert_eq!(keys_only.len(), full.len());
         // APAX reads every page either way: columns share the leaf pages.
@@ -1851,19 +1807,19 @@ mod tests {
         for layout in LayoutKind::ALL {
             let cache = small_cache();
             let config = ComponentConfig::new(layout);
-            let comp = Component::write(&cache, &config, schema.clone(), &entries, 3).unwrap();
+            let comp = Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 3).unwrap());
             let desc = comp.describe();
             assert_eq!(desc.layout, layout);
             assert_eq!(desc.record_count, 200);
             drop(comp);
 
             // Reopen from the descriptor (as recovery does from a manifest).
-            let reopened = Component::open(&cache, &config, schema.clone(), desc.clone());
+            let reopened = Arc::new(Component::open(&cache, &config, schema.clone(), desc.clone()));
             assert_eq!(reopened.describe(), desc, "{layout:?}");
             assert_eq!(reopened.meta().min_key, Some(Value::Int(0)));
             assert_eq!(reopened.meta().max_key, Some(Value::Int(199)));
             let scanned: Vec<Entry> =
-                reopened.scan(None).unwrap().map(|e| e.unwrap()).collect();
+                reopened.cursor(None).map(|e| e.unwrap()).collect();
             assert_eq!(scanned.len(), 200, "{layout:?}");
             assert_eq!(scanned, entries, "{layout:?}");
             assert_eq!(reopened.lookup(&Value::Int(13), None).unwrap(), Some(None));
@@ -1924,15 +1880,15 @@ mod tests {
                 Some(doc!({"id": 0, "tags": []})),
             )];
             let cache = small_cache();
-            let comp = Component::write(
+            let comp = Arc::new(Component::write(
                 &cache,
                 &ComponentConfig::new(layout),
                 schema_of(&lone),
                 &lone,
                 1,
             )
-            .unwrap();
-            let scanned: Vec<Entry> = comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+            .unwrap());
+            let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
             let doc = scanned[0].1.as_ref().unwrap();
             assert_eq!(doc.get_field("tags"), None, "{layout:?}: empty array lost");
 
@@ -1943,15 +1899,15 @@ mod tests {
                 (Value::Int(1), Some(doc!({"id": 1, "tags": ["x"]}))),
             ];
             let cache = small_cache();
-            let comp = Component::write(
+            let comp = Arc::new(Component::write(
                 &cache,
                 &ComponentConfig::new(layout),
                 schema_of(&pair),
                 &pair,
                 1,
             )
-            .unwrap();
-            let scanned: Vec<Entry> = comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+            .unwrap());
+            let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
             let doc = scanned[0].1.as_ref().unwrap();
             assert_eq!(
                 doc.get_field("tags"),
@@ -2003,6 +1959,24 @@ mod tests {
         }
     }
 
+    /// The page flag is `0` (raw) or `1` (compressed); any other value is
+    /// damage and must surface as an error, not as garbage bytes.
+    #[test]
+    fn unknown_page_flags_are_errors() {
+        let cache = small_cache();
+        for payload in [vec![7u8; 600], (0..=255u8).collect::<Vec<u8>>()] {
+            let (page, _) = write_page(&cache, &payload);
+            assert_eq!(*read_page_payload(&cache, page).unwrap(), payload);
+            let raw = cache.read_page(page);
+            for flag in 2..=255u8 {
+                let mut bad = raw.to_vec();
+                bad[0] = flag;
+                let id = cache.append_page(bad);
+                assert!(read_page_payload(&cache, id).is_err(), "flag {flag}");
+            }
+        }
+    }
+
     #[test]
     fn layout_tags_roundtrip() {
         for layout in LayoutKind::ALL {
@@ -2048,12 +2022,12 @@ mod tests {
         for layout in LayoutKind::ALL {
             let (cache, leaf_cache) = leaf_cached_cache();
             let config = ComponentConfig::new(layout);
-            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let comp = Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap());
 
             // Cold scan: every leaf misses and is decoded from pages.
             cache.clear();
             cache.store().reset_stats();
-            let cold: Vec<Entry> = comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+            let cold: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
             let cold_stats = cache.store().stats();
             assert_eq!(cold_stats.leaf_cache_hits, 0, "{layout:?}");
             assert_eq!(
@@ -2067,7 +2041,7 @@ mod tests {
             // (for row layouts) zero records assembled.
             cache.clear(); // page cache cleared: hits must come from the leaf cache
             cache.store().reset_stats();
-            let warm: Vec<Entry> = comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+            let warm: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
             assert_eq!(cold, warm, "{layout:?}");
             let warm_stats = cache.store().stats();
             assert_eq!(warm_stats.pages_read, 0, "{layout:?}");
@@ -2175,7 +2149,7 @@ mod tests {
         for layout in [LayoutKind::Apax, LayoutKind::Amax] {
             let (cache, leaf_cache) = leaf_cached_cache();
             let config = ComponentConfig::new(layout);
-            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let comp = Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap());
             let narrow = comp.lookup(&Value::Int(7), Some(&likes)).unwrap().unwrap();
             assert_eq!(leaf_cache.resident_leaves(), 1, "{layout:?}");
             let narrow_bytes = leaf_cache.resident_bytes();
@@ -2191,7 +2165,7 @@ mod tests {
                 narrow,
                 "{layout:?}"
             );
-            let (_, first) = comp.scan(Some(&likes)).unwrap().next().unwrap().unwrap();
+            let (_, first) = comp.cursor(Some(&likes)).next().unwrap().unwrap();
             let first = first.unwrap();
             assert!(first.get_field("likes").is_some(), "{layout:?}");
             assert!(first.get_field("text").is_none(), "{layout:?}");
@@ -2295,13 +2269,13 @@ mod tests {
         let schema = schema_for(&entries);
         let (cache, _leaf_cache) = leaf_cached_cache();
         let config = ComponentConfig::new(LayoutKind::Amax);
-        let comp = Component::write(&cache, &config, schema, &entries, 1).unwrap();
+        let comp = Arc::new(Component::write(&cache, &config, schema, &entries, 1).unwrap());
 
         let path = vec![Path::parse("likes")];
         let projected: Vec<Entry> =
-            comp.scan(Some(&path)).unwrap().map(|e| e.unwrap()).collect();
+            comp.cursor(Some(&path)).map(|e| e.unwrap()).collect();
         // The projected chunks must not satisfy a full scan (different key).
-        let full: Vec<Entry> = comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+        let full: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
         assert_eq!(full.len(), projected.len());
         let full_doc = full[10].1.as_ref().unwrap();
         assert!(full_doc.get_path_str("user.name").is_some());
@@ -2320,7 +2294,7 @@ mod tests {
             Component::write(&cache, &config, schema, &entries, 1).unwrap(),
         );
         let id = comp.meta().id;
-        let scanned: Vec<Entry> = comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+        let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
         assert_eq!(scanned.len(), 120);
         let handle = cache.leaf_cache().unwrap();
         assert!(handle.cached_leaf_count(id) > 0);
@@ -2363,7 +2337,7 @@ mod tests {
             // Scan twice: the second pass serves from the leaf cache.
             for _ in 0..2 {
                 let scanned: Vec<Entry> =
-                    comp.scan(None).unwrap().map(|e| e.unwrap()).collect();
+                    comp.cursor(None).map(|e| e.unwrap()).collect();
                 assert_eq!(scanned, entries, "generation {generation}");
             }
             comp.retire();

@@ -4,9 +4,8 @@
 //!
 //! * [`pagestore`] — fixed-size pages with read/write accounting (the
 //!   experiments report page I/O alongside wall time, since the paper's I/O
-//!   savings are the mechanism behind its speedups) and a
-//!   [`pagestore::BufferCache`] with the page-confiscation behaviour the
-//!   AMAX writer relies on (§4.5.2);
+//!   savings are the mechanism behind its speedups) and the LRU page cache
+//!   [`pagestore::BufferCache`] in front of them;
 //! * [`backend`] — the byte storage behind the page store: the in-memory
 //!   simulated disk, and the file-backed backend (one page file per
 //!   dataset, CRC-guarded page slots) the `persist` subsystem builds on;
@@ -24,8 +23,8 @@
 //!   column becomes a megapage spanning physical pages, written largest to
 //!   smallest under an `empty-page-tolerance`;
 //! * [`component`] — immutable sorted runs ("on-disk components") in any of
-//!   the four layouts behind one [`component::ComponentReader`] interface:
-//!   full scans with projection, ranged scans, and point lookups;
+//!   the four layouts behind one [`component::Component`] handle: cursors
+//!   with projection and pushed filters, and point lookups;
 //! * [`writer`] — the one incremental [`ComponentWriter`] flush and merge
 //!   both build components with: entries or record ranges of column chunks
 //!   in, one open leaf resident, leaves and zone maps out;
@@ -51,7 +50,7 @@ pub mod writer;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use batch::{BatchRows, ColumnBatch};
-pub use component::{ComponentDescriptor, ComponentReader, LayoutKind, LeafDescriptor};
+pub use component::{ComponentDescriptor, LayoutKind, LeafDescriptor};
 pub use leafcache::{DecodedLeaf, LeafCache, LeafCacheHandle, LeafCacheStats};
 pub use stats::{ColumnStats, ComponentStats};
 pub use writer::ComponentWriter;

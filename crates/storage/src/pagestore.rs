@@ -14,11 +14,11 @@
 //! builds on. The accounting layer is identical for both, so durable and
 //! in-memory runs report comparable I/O counters.
 //!
-//! The [`BufferCache`] models the part of AsterixDB's buffer cache that the
-//! AMAX writer interacts with: writers *confiscate* pages from the cache to
-//! use as temporary buffers for growing megapages instead of reserving a
-//! dedicated memory budget (§4.5.2), and readers cache recently used pages
-//! with an LRU policy sized by the configured memory budget.
+//! The [`BufferCache`] is an LRU cache of raw pages sized by the configured
+//! memory budget. Freshly written pages enter it, so a merge re-reading a
+//! just-flushed component is served from memory. (AsterixDB's AMAX writer
+//! also borrows buffer-cache pages as temporary megapage buffers, §4.5.2;
+//! here the writer buffers its one open leaf in its own memory.)
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -375,11 +375,7 @@ impl Default for PageStore {
 /// A shared LRU buffer cache in front of a [`PageStore`].
 ///
 /// The cache is sized in pages (memory budget ÷ page size). Reads first
-/// consult the cache; misses go to the store and are inserted. Writers can
-/// *confiscate* capacity: confiscated pages reduce the cache's usable size
-/// until they are returned, modelling how the AMAX writer borrows buffer
-/// cache pages as temporary megapage buffers instead of allocating its own
-/// budget (§4.5.2).
+/// consult the cache; misses go to the store and are inserted.
 #[derive(Clone)]
 pub struct BufferCache {
     store: PageStore,
@@ -392,7 +388,6 @@ pub struct BufferCache {
 
 struct CacheInner {
     capacity: usize,
-    confiscated: usize,
     /// Page id → (data, last-use tick).
     entries: HashMap<PageId, (Arc<Vec<u8>>, u64)>,
     tick: u64,
@@ -405,7 +400,6 @@ impl BufferCache {
             store,
             inner: Arc::new(Mutex::new(CacheInner {
                 capacity: capacity_pages.max(1),
-                confiscated: 0,
                 entries: HashMap::new(),
                 tick: 0,
             })),
@@ -471,32 +465,9 @@ impl BufferCache {
         id
     }
 
-    /// Confiscate `n` pages' worth of capacity for use as temporary write
-    /// buffers. Returns the number actually confiscated (never more than the
-    /// currently usable capacity minus one, so readers always keep a page).
-    pub fn confiscate(&self, n: usize) -> usize {
-        let mut inner = self.inner.lock();
-        let usable = inner.capacity.saturating_sub(inner.confiscated);
-        let granted = n.min(usable.saturating_sub(1));
-        inner.confiscated += granted;
-        Self::evict_if_needed(&mut inner);
-        granted
-    }
-
-    /// Return previously confiscated capacity.
-    pub fn return_confiscated(&self, n: usize) {
-        let mut inner = self.inner.lock();
-        inner.confiscated = inner.confiscated.saturating_sub(n);
-    }
-
     /// Number of pages currently cached.
     pub fn cached_pages(&self) -> usize {
         self.inner.lock().entries.len()
-    }
-
-    /// Currently confiscated capacity, in pages.
-    pub fn confiscated_pages(&self) -> usize {
-        self.inner.lock().confiscated
     }
 
     /// Free pages through the cache: evict any cached copies first, then
@@ -521,8 +492,7 @@ impl BufferCache {
     }
 
     fn evict_if_needed(inner: &mut CacheInner) {
-        let usable = inner.capacity.saturating_sub(inner.confiscated).max(1);
-        while inner.entries.len() > usable {
+        while inner.entries.len() > inner.capacity {
             // Evict the least recently used entry.
             let victim = inner
                 .entries
@@ -617,24 +587,5 @@ mod tests {
         assert_eq!(reused, id, "freed slot is reused");
         assert_eq!(cache.read_page(reused)[0], 2);
         assert_eq!(store.free_page_count(), 0);
-    }
-
-    #[test]
-    fn confiscation_shrinks_usable_capacity() {
-        let store = PageStore::with_page_size(256);
-        let cache = BufferCache::new(store.clone(), 4);
-        let granted = cache.confiscate(3);
-        assert_eq!(granted, 3);
-        assert_eq!(cache.confiscated_pages(), 3);
-        // Only one usable slot remains.
-        let ids: Vec<_> = (0..3).map(|i| store.append_page(vec![i as u8; 16])).collect();
-        for &id in &ids {
-            cache.read_page(id);
-        }
-        assert!(cache.cached_pages() <= 1);
-        cache.return_confiscated(3);
-        assert_eq!(cache.confiscated_pages(), 0);
-        // Cannot confiscate everything: at least one page stays usable.
-        assert!(cache.confiscate(100) < 100);
     }
 }

@@ -420,7 +420,7 @@ impl ComponentWriter {
     }
 
     fn write_page(&mut self, payload: &[u8]) -> PageId {
-        let (page, stored) = write_page(&self.pages.cache, payload, self.config.compress_pages);
+        let (page, stored) = write_page(&self.pages.cache, payload);
         self.pages.ids.push(page);
         self.stored_bytes += stored as u64;
         page
@@ -524,7 +524,6 @@ fn run_sizes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::ComponentReader;
     use crate::pagestore::PageStore;
     use docmodel::doc;
     use schema::SchemaBuilder;
@@ -589,14 +588,15 @@ mod tests {
                 "{layout:?}: every allocated page is free or live"
             );
             // The freed slots are reused, and the finished write is intact.
-            let rewritten = Component::write(&cache, &config, schema.clone(), &entries, 3).unwrap();
+            let rewritten =
+                Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 3).unwrap());
             assert_eq!(
                 store.page_count(),
                 store.free_page_count() + live_pages + rewritten.meta().pages.len() as u64,
                 "{layout:?}"
             );
             assert_eq!(
-                rewritten.scan(None).unwrap().count(),
+                rewritten.cursor(None).count(),
                 entries.len(),
                 "{layout:?}"
             );
@@ -644,7 +644,7 @@ mod tests {
                 ordinal_in_component += records;
             }
             assert_eq!(ordinal_in_component, entries.len());
-            let copy = writer.finish().unwrap();
+            let copy = Arc::new(writer.finish().unwrap());
 
             let mut expected = source.describe();
             let mut got = copy.describe();
@@ -659,8 +659,8 @@ mod tests {
                 }
             }
             assert_eq!(got, expected, "{layout:?}");
-            let scanned: Vec<Entry> = copy.scan(None).unwrap().map(|e| e.unwrap()).collect();
-            let original: Vec<Entry> = source.scan(None).unwrap().map(|e| e.unwrap()).collect();
+            let scanned: Vec<Entry> = copy.cursor(None).map(|e| e.unwrap()).collect();
+            let original: Vec<Entry> = source.cursor(None).map(|e| e.unwrap()).collect();
             assert_eq!(scanned, original, "{layout:?}");
         }
     }

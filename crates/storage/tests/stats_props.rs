@@ -17,11 +17,12 @@
 //! different representatives of one equivalence class (`1` and `1.0`).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use docmodel::{total_cmp, Value};
 use proptest::prelude::*;
 use schema::SchemaBuilder;
-use storage::component::{Component, ComponentConfig, ComponentReader, Entry};
+use storage::component::{Component, ComponentConfig, Entry};
 use storage::pagestore::{BufferCache, PageStore};
 use storage::stats::{ComponentStats, StatsBuilder};
 use storage::LayoutKind;
@@ -139,10 +140,9 @@ proptest! {
             let mut config = ComponentConfig::new(layout);
             config.amax.record_limit = 16;
             let component =
-                Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+                Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap());
             let scanned: Vec<Entry> = component
-                .scan(None)
-                .unwrap()
+                .cursor(None)
                 .map(|entry| entry.unwrap())
                 .collect();
             prop_assert_eq!(scanned.len(), entries.len());

@@ -5,8 +5,9 @@
 //! under `tests/` can depend on a single crate, mirroring how a downstream
 //! user would consume the project.
 //!
-//! See `README.md` for a guided tour and `DESIGN.md` for the system
-//! inventory and the per-experiment index.
+//! The paper's evaluation (§6) is regenerated by the `bench` crate's
+//! `experiments` binary, one entry per table or figure; `examples/` is the
+//! guided tour.
 
 pub use columnar;
 pub use datagen;
