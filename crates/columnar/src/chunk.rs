@@ -490,7 +490,9 @@ impl ColumnChunk {
 
     /// Decode a chunk previously produced by [`ColumnChunk::encode`]. The
     /// caller supplies the [`ColumnSpec`] (persisted in the component's
-    /// schema) so the right value decoder is used.
+    /// schema) so the right value decoder is used. The header's counts are
+    /// untrusted: the level decoder reserves only what its bytes can hold,
+    /// so a forged count is an `Err`, not an allocation.
     pub fn decode(spec: ColumnSpec, buf: &[u8], pos: &mut usize) -> Result<ColumnChunk> {
         let entry_count = varint::read_u64(buf, pos)? as usize;
         let value_count = varint::read_u64(buf, pos)? as usize;
@@ -504,8 +506,7 @@ impl ColumnChunk {
             return Err(DecodeError::new("truncated definition levels"));
         }
         let mut def_pos = *pos;
-        let defs_u64 = rle::decode(&buf[..def_end], &mut def_pos, entry_count, width)?;
-        let defs: Vec<u16> = defs_u64.iter().map(|&d| d as u16).collect();
+        let defs = rle::decode(&buf[..def_end], &mut def_pos, entry_count, width)?;
         *pos = def_end;
 
         let enc = Encoding::from_tag(*buf.get(*pos).ok_or_else(|| DecodeError::new("truncated chunk"))?)?;
@@ -771,6 +772,26 @@ mod tests {
             let mut pos = 0;
             assert!(ColumnChunk::decode(chunk.spec.clone(), &buf[..cut], &mut pos).is_err());
         }
+    }
+
+    /// The entry count leads the chunk and is untrusted: rewritten to 2^40
+    /// it once reserved 8 TiB of levels and aborted the process.
+    #[test]
+    fn forged_entry_count_is_an_error_not_an_allocation() {
+        let mut chunk = ColumnChunk::new(spec(AtomicType::Int, 1));
+        for i in 0..50 {
+            chunk.defs.push(1);
+            chunk.values.push(&Value::Int(i));
+        }
+        let mut buf = Vec::new();
+        chunk.encode(&mut buf);
+        let mut pos = 0;
+        varint::read_u64(&buf, &mut pos).unwrap();
+        let mut forged = Vec::new();
+        varint::write_u64(&mut forged, 1 << 40);
+        forged.extend_from_slice(&buf[pos..]);
+        let mut pos = 0;
+        assert!(ColumnChunk::decode(chunk.spec.clone(), &forged, &mut pos).is_err());
     }
 
     #[test]

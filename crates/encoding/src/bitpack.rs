@@ -43,14 +43,19 @@ pub fn pack(values: &[u64], width: u32, out: &mut Vec<u8>) {
 
 /// Unpack `count` values of `width` bits each from `buf`, starting at byte
 /// offset `*pos`. Advances `*pos` past the consumed bytes.
+///
+/// `count` may come from untrusted bytes: nothing is reserved before the
+/// bytes that `count` values occupy are known to be there. At width 0 the
+/// values occupy no bytes, so there the caller bounds `count` (delta blocks
+/// hold at most 128).
 pub fn unpack(buf: &[u8], pos: &mut usize, count: usize, width: u32) -> DecodeResult<Vec<u64>> {
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::new();
     unpack_into(buf, pos, count, width, &mut out)?;
     Ok(out)
 }
 
-/// Like [`unpack`] but appends into a caller-provided vector (used by readers
-/// that reuse scratch buffers across pages).
+/// Like [`unpack`] but appends into a caller-provided vector (the delta
+/// decoder reuses one across blocks).
 pub fn unpack_into(
     buf: &[u8],
     pos: &mut usize,
@@ -68,11 +73,10 @@ pub fn unpack_into(
     let total_bits = count
         .checked_mul(width as usize)
         .ok_or_else(|| DecodeError::new("bitpack length overflow"))?;
-    let nbytes = total_bits.div_ceil(8);
-    let end = *pos + nbytes;
-    if end > buf.len() {
-        return Err(DecodeError::new("truncated bit-packed run"));
-    }
+    let end = pos
+        .checked_add(total_bits.div_ceil(8))
+        .filter(|&end| end <= buf.len())
+        .ok_or_else(|| DecodeError::new("truncated bit-packed run"))?;
     let data = &buf[*pos..end];
     let mut acc: u128 = 0;
     let mut acc_bits: u32 = 0;
@@ -162,6 +166,9 @@ mod tests {
         buf.truncate(buf.len() / 2);
         let mut pos = 0;
         assert!(unpack(&buf, &mut pos, 100, 3).is_err());
+        // An untrusted count is checked against the bytes before anything
+        // is reserved for it.
+        assert!(unpack(&buf, &mut 0, 1 << 40, 3).is_err());
     }
 
     #[test]

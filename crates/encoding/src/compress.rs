@@ -13,6 +13,14 @@
 //! encodes a literal run (`0x00..=0x7F`: 1–128 literal bytes follow) or a
 //! match (`0x80..=0xFF`: length 4–131, followed by a 2-byte little-endian
 //! back-distance).
+//!
+//! The decoder is on every leaf miss of a scan, so it runs at copy speed:
+//! one output buffer allocated once, literal runs copied as slices, matches
+//! copied in 16-byte blocks (byte by byte only when the source is closer
+//! than a block). Its contract on untrusted input — every truncation and
+//! every flipped byte is an `Err` or the right bytes, never a panic, and no
+//! allocation beyond what the stream can expand to — is spelled out on
+//! [`decompress`]. The format is the one the encoder has always written.
 
 use crate::varint;
 use crate::{DecodeError, DecodeResult};
@@ -90,13 +98,40 @@ fn hash4(bytes: &[u8]) -> usize {
     ((v.wrapping_mul(2654435761)) >> (32 - HASH_BITS)) as usize
 }
 
+/// Matches whose source lies at least this far back are copied in blocks of
+/// this many bytes, closer ones byte by byte (see `copy_match`).
+const COPY_BLOCK: usize = 16;
+
+/// The most output `stream_len` bytes of tokens can expand to: a match token
+/// is three bytes for at most [`MAX_MATCH`] bytes, a literal run at most one
+/// byte per byte, so no token yields more than `MAX_MATCH / 3` per byte.
+fn max_expansion(stream_len: usize) -> usize {
+    stream_len.saturating_mul(MAX_MATCH) / 3
+}
+
 /// Decompress a buffer produced by [`compress`].
+///
+/// The input is untrusted. The declared length is checked against what the
+/// token stream can expand to (no token yields more than `131 / 3` bytes
+/// per byte) before the output buffer is allocated, so a forged length is an `Err`, never a huge allocation;
+/// the buffer is then sized once and never grows. A literal run or match
+/// that would write past the declared length, a match reaching before the
+/// start of the output, a truncated token and a short output are all
+/// errors.
 pub fn decompress(input: &[u8]) -> DecodeResult<Vec<u8>> {
     let mut pos = 0usize;
-    let expected = varint::read_u64(input, &mut pos)? as usize;
-    // The declared length is untrusted input; clamp the speculative
-    // allocation and let the final length check reject mismatches.
-    let mut out = Vec::with_capacity(expected.min(1 << 20));
+    let expected = varint::read_u64(input, &mut pos)?;
+    let expected = usize::try_from(expected)
+        .ok()
+        .filter(|&len| len <= max_expansion(input.len() - pos))
+        .ok_or_else(|| {
+            DecodeError::new(format!(
+                "declared length {expected} exceeds what {} compressed bytes can expand to",
+                input.len() - pos
+            ))
+        })?;
+    let mut out = vec![0u8; expected];
+    let mut at = 0usize;
     while pos < input.len() {
         let token = input[pos];
         pos += 1;
@@ -106,8 +141,12 @@ pub fn decompress(input: &[u8]) -> DecodeResult<Vec<u8>> {
             if end > input.len() {
                 return Err(DecodeError::new("truncated literal run"));
             }
-            out.extend_from_slice(&input[pos..end]);
+            if len > expected - at {
+                return Err(DecodeError::new("literal run overruns the declared length"));
+            }
+            out[at..at + len].copy_from_slice(&input[pos..end]);
             pos = end;
+            at += len;
         } else {
             let len = ((token & 0x7F) as usize) + MIN_MATCH;
             if pos + 2 > input.len() {
@@ -115,25 +154,48 @@ pub fn decompress(input: &[u8]) -> DecodeResult<Vec<u8>> {
             }
             let distance = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
             pos += 2;
-            if distance == 0 || distance > out.len() {
+            if distance == 0 || distance > at {
                 return Err(DecodeError::new("invalid match distance"));
             }
-            let start = out.len() - distance;
-            // Byte-by-byte copy: matches may overlap their own output
-            // (distance < len), which is how runs are expressed.
-            for k in 0..len {
-                let byte = out[start + k];
-                out.push(byte);
+            if len > expected - at {
+                return Err(DecodeError::new("match overruns the declared length"));
             }
+            copy_match(&mut out, at, distance, len);
+            at += len;
         }
     }
-    if out.len() != expected {
+    if at != expected {
         return Err(DecodeError::new(format!(
-            "decompressed length mismatch: expected {expected}, got {}",
-            out.len()
+            "decompressed length mismatch: expected {expected}, got {at}"
         )));
     }
     Ok(out)
+}
+
+/// Write `len` bytes at `out[at..]` copied from `distance` bytes back, with
+/// the meaning of a byte-by-byte copy, which lets a match overlap its own
+/// output (`distance < len` is how runs are expressed). From
+/// [`COPY_BLOCK`] bytes back a block never reads what it writes, so the
+/// match moves in fixed 16-byte blocks; the last one may run past the match
+/// into bytes later tokens overwrite (the decoder writes every byte in
+/// order and checks it reached the declared length), so it is only taken
+/// with a block of room left. Closer sources are copied byte by byte.
+fn copy_match(out: &mut [u8], at: usize, distance: usize, len: usize) {
+    let from = at - distance;
+    if distance < COPY_BLOCK {
+        for k in 0..len {
+            out[at + k] = out[from + k];
+        }
+    } else if out.len() - at >= len + COPY_BLOCK {
+        for k in (0..len).step_by(COPY_BLOCK) {
+            out.copy_within(from + k..from + k + COPY_BLOCK, at + k);
+        }
+    } else {
+        for k in (0..len).step_by(COPY_BLOCK) {
+            let step = COPY_BLOCK.min(len - k);
+            out.copy_within(from + k..from + k + step, at + k);
+        }
+    }
 }
 
 /// Compress only if it helps: returns `(compressed_flag, bytes)`. Pages whose

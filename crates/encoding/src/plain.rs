@@ -130,11 +130,10 @@ pub fn decode_f64_column(buf: &[u8], pos: &mut usize) -> DecodeResult<Vec<f64>> 
     if count.saturating_mul(8) > buf.len() - *pos {
         return Err(DecodeError::new("f64 column count exceeds buffer"));
     }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(read_f64(buf, pos)?);
-    }
-    Ok(out)
+    // One pass over whole eight-byte words, no per-value bounds check.
+    let (words, _) = buf[*pos..*pos + count * 8].as_chunks::<8>();
+    *pos += count * 8;
+    Ok(words.iter().map(|w| f64::from_le_bytes(*w)).collect())
 }
 
 /// Encode booleans as a bit vector with a count prefix.

@@ -1,16 +1,30 @@
 //! RLE / bit-packed hybrid encoding for small integers.
 //!
 //! This is the encoding Parquet (and therefore the paper) uses for definition
-//! levels and booleans. The value stream is split into runs:
+//! levels. The value stream is split into runs:
 //!
 //! * an *RLE run* `(count << 1) | 0`, followed by the repeated value packed
 //!   into `ceil(width/8)` bytes — chosen when the same value repeats;
-//! * a *bit-packed run* `(groups << 1) | 1`, followed by `groups * 8` values
-//!   packed at `width` bits — chosen for irregular stretches.
+//! * a *bit-packed run* `(groups << 1) | 1`, followed by a varint count of
+//!   the values that are real and `groups * 8` values packed at `width` bits
+//!   (zero padding after the real ones) — chosen for irregular stretches.
 //!
 //! Definition-level streams of real documents are dominated by long runs
 //! (every record has the field, or almost none do), which is exactly the case
 //! this hybrid compresses to almost nothing.
+//!
+//! [`decode`] is the one level decoder: it yields `u16` levels directly
+//! (widths above 16 bits are an `Err`), unpacks bit-packed runs through one
+//! `u64` accumulator with no scratch buffer, and treats its input as
+//! untrusted. The value count comes from a chunk header, so the decoder
+//! reserves no more than the remaining bytes can produce when bit-packed
+//! (eight values a byte) and grows the output only as runs arrive; a run
+//! that would exceed the count, a zero-length run, a truncated run and a
+//! width above 16 are errors. An RLE run is the one place the output may
+//! legitimately outgrow its bytes (that is its purpose), so a forged run as
+//! long as a forged count is still materialised: the page CRC, not this
+//! decoder, is what stands between such damage and the allocator. The
+//! format is unchanged.
 
 use crate::bitpack;
 use crate::varint;
@@ -65,179 +79,83 @@ fn write_fixed(value: u64, width: u32, out: &mut Vec<u8>) {
     out.extend_from_slice(&value.to_le_bytes()[..nbytes]);
 }
 
-fn read_fixed(buf: &[u8], pos: &mut usize, width: u32) -> DecodeResult<u64> {
+/// The repeated value of an RLE run at `width` (at most 16) bits.
+fn read_fixed(buf: &[u8], pos: &mut usize, width: u32) -> DecodeResult<u16> {
     let nbytes = (width as usize).div_ceil(8);
     if *pos + nbytes > buf.len() {
         return Err(DecodeError::new("truncated RLE literal"));
     }
-    let mut bytes = [0u8; 8];
+    let mut bytes = [0u8; 2];
     bytes[..nbytes].copy_from_slice(&buf[*pos..*pos + nbytes]);
     *pos += nbytes;
-    Ok(u64::from_le_bytes(bytes))
+    Ok(u16::from_le_bytes(bytes))
 }
 
-/// Decode exactly `count` values of the given `width` from `buf`, advancing
-/// `*pos`.
-pub fn decode(buf: &[u8], pos: &mut usize, count: usize, width: u32) -> DecodeResult<Vec<u64>> {
-    let mut out = Vec::with_capacity(count);
-    decode_into(buf, pos, count, width, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`decode`] but appends into a caller-provided buffer.
-pub fn decode_into(
-    buf: &[u8],
-    pos: &mut usize,
-    count: usize,
-    width: u32,
-    out: &mut Vec<u64>,
-) -> DecodeResult<()> {
-    let target = out.len() + count;
-    while out.len() < target {
+/// Decode exactly `count` values of the given `width` (at most 16 bits) from
+/// `buf`, advancing `*pos`. See the module docs for the contract on
+/// untrusted input.
+pub fn decode(buf: &[u8], pos: &mut usize, count: usize, width: u32) -> DecodeResult<Vec<u16>> {
+    if width > 16 {
+        return Err(DecodeError::new(format!("level width {width} exceeds 16 bits")));
+    }
+    let remaining = buf.len().saturating_sub(*pos);
+    let mut out = Vec::with_capacity(count.min(remaining.saturating_mul(8)));
+    while out.len() < count {
         let header = varint::read_u64(buf, pos)?;
+        let left = (count - out.len()) as u64;
         if header & 1 == 0 {
-            // RLE run.
-            let run = (header >> 1) as usize;
+            let run = header >> 1;
             if run == 0 {
                 return Err(DecodeError::new("zero-length RLE run"));
             }
             let value = read_fixed(buf, pos, width)?;
-            if out.len() + run > target {
+            if run > left {
                 return Err(DecodeError::new("RLE run exceeds requested count"));
             }
-            out.extend(std::iter::repeat_n(value, run));
+            out.resize(out.len() + run as usize, value);
         } else {
-            // Bit-packed run.
-            let groups = (header >> 1) as usize;
+            let groups = header >> 1;
+            let logical = varint::read_u64(buf, pos)?;
             let packed = groups
                 .checked_mul(8)
                 .ok_or_else(|| DecodeError::new("bit-packed run size overflow"))?;
-            let logical = varint::read_u64(buf, pos)? as usize;
             if logical > packed {
                 return Err(DecodeError::new("bit-packed run length inconsistent"));
             }
-            let mut scratch = Vec::new();
-            bitpack::unpack_into(buf, pos, packed, width, &mut scratch)?;
-            scratch.truncate(logical);
-            if out.len() + scratch.len() > target {
+            // `groups * 8` values at `width` bits: `groups * width` bytes.
+            let end = groups
+                .checked_mul(u64::from(width))
+                .and_then(|len| usize::try_from(len).ok())
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= buf.len())
+                .ok_or_else(|| DecodeError::new("truncated bit-packed run"))?;
+            if logical > left {
                 return Err(DecodeError::new("bit-packed run exceeds requested count"));
             }
-            out.extend_from_slice(&scratch);
+            unpack(&buf[*pos..end], logical as usize, width, &mut out);
+            *pos = end;
         }
     }
-    Ok(())
+    Ok(out)
 }
 
-/// An incremental reader over an RLE/bit-packed stream that yields values one
-/// at a time without materializing the whole column — used by column
-/// iterators that skip batches of records during LSM reconciliation.
-#[derive(Debug)]
-pub struct RleReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    width: u32,
-    remaining: usize,
-    /// Current run: either a repeated value or a buffer of unpacked literals.
-    run: Run,
-}
-
-#[derive(Debug)]
-enum Run {
-    Empty,
-    Repeat { value: u64, left: usize },
-    Literals { values: Vec<u64>, next: usize },
-}
-
-impl<'a> RleReader<'a> {
-    /// Create a reader that will yield exactly `count` values.
-    pub fn new(buf: &'a [u8], width: u32, count: usize) -> Self {
-        RleReader {
-            buf,
-            pos: 0,
-            width,
-            remaining: count,
-            run: Run::Empty,
+/// Append the first `n` values packed LSB-first at `width` (at most 16)
+/// bits in `data`, which holds at least `n * width` bits.
+fn unpack(data: &[u8], n: usize, width: u32, out: &mut Vec<u16>) {
+    let mask = (1u64 << width) - 1;
+    let mut bytes = data.iter();
+    let mut acc = 0u64;
+    let mut bits = 0u32;
+    out.extend((0..n).map(|_| {
+        while bits < width {
+            acc |= u64::from(bytes.next().copied().unwrap_or(0)) << bits;
+            bits += 8;
         }
-    }
-
-    /// Number of values not yet returned.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Byte offset just past the last consumed run (only meaningful once the
-    /// reader is exhausted).
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    fn refill(&mut self) -> DecodeResult<()> {
-        let header = varint::read_u64(self.buf, &mut self.pos)?;
-        if header & 1 == 0 {
-            let run = (header >> 1) as usize;
-            let value = read_fixed(self.buf, &mut self.pos, self.width)?;
-            self.run = Run::Repeat { value, left: run };
-        } else {
-            let groups = (header >> 1) as usize;
-            let packed = groups
-                .checked_mul(8)
-                .ok_or_else(|| DecodeError::new("bit-packed run size overflow"))?;
-            let logical = varint::read_u64(self.buf, &mut self.pos)? as usize;
-            let mut values = Vec::new();
-            bitpack::unpack_into(self.buf, &mut self.pos, packed, self.width, &mut values)?;
-            values.truncate(logical);
-            self.run = Run::Literals { values, next: 0 };
-        }
-        Ok(())
-    }
-
-    /// Next value, or an error on truncation. Returns `None` once `count`
-    /// values have been produced.
-    pub fn next_value(&mut self) -> DecodeResult<Option<u64>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        loop {
-            match &mut self.run {
-                Run::Repeat { value, left } if *left > 0 => {
-                    *left -= 1;
-                    self.remaining -= 1;
-                    return Ok(Some(*value));
-                }
-                Run::Literals { values, next } if *next < values.len() => {
-                    let v = values[*next];
-                    *next += 1;
-                    self.remaining -= 1;
-                    return Ok(Some(v));
-                }
-                _ => self.refill()?,
-            }
-        }
-    }
-
-    /// Skip `n` values without returning them (cheaper than `next_value` in a
-    /// loop because repeated runs are skipped arithmetically).
-    pub fn skip(&mut self, mut n: usize) -> DecodeResult<()> {
-        n = n.min(self.remaining);
-        while n > 0 {
-            match &mut self.run {
-                Run::Repeat { left, .. } if *left > 0 => {
-                    let take = (*left).min(n);
-                    *left -= take;
-                    self.remaining -= take;
-                    n -= take;
-                }
-                Run::Literals { values, next } if *next < values.len() => {
-                    let take = (values.len() - *next).min(n);
-                    *next += take;
-                    self.remaining -= take;
-                    n -= take;
-                }
-                _ => self.refill()?,
-            }
-        }
-        Ok(())
-    }
+        let value = (acc & mask) as u16;
+        acc >>= width;
+        bits -= width;
+        value
+    }));
 }
 
 #[cfg(test)]
@@ -249,7 +167,7 @@ mod tests {
         encode(values, width, &mut buf);
         let mut pos = 0;
         let decoded = decode(&buf, &mut pos, values.len(), width).unwrap();
-        assert_eq!(decoded, values);
+        assert!(decoded.iter().map(|&v| u64::from(v)).eq(values.iter().copied()));
         assert_eq!(pos, buf.len());
         buf.len()
     }
@@ -284,8 +202,13 @@ mod tests {
 
     #[test]
     fn wide_values() {
-        let values: Vec<u64> = (0..100).map(|i| i * 1_000_003).collect();
-        roundtrip(&values, 27);
+        let values: Vec<u64> = (0..100).map(|i| (i * 1_003) % 65_536).collect();
+        roundtrip(&values, 16);
+        roundtrip(&[u64::from(u16::MAX); 20], 16);
+        // Levels are `u16`: a wider stream is damage.
+        let mut buf = Vec::new();
+        encode(&[1 << 16], 17, &mut buf);
+        assert!(decode(&buf, &mut 0, 1, 17).is_err());
     }
 
     #[test]
@@ -298,35 +221,24 @@ mod tests {
         assert!(decode(&buf, &mut pos, 100, 2).is_err());
     }
 
+    /// A count far beyond what the bytes hold is an `Err`, not an attempt
+    /// to reserve it; so are runs that claim more than the count.
     #[test]
-    fn reader_yields_same_sequence_as_bulk_decode() {
-        let values: Vec<u64> = (0..500)
-            .map(|i| if i % 37 < 30 { 2 } else { (i % 4) as u64 })
-            .collect();
+    fn hostile_counts_are_errors() {
+        let values: Vec<u64> = (0..50).map(|i| i % 3).collect();
         let mut buf = Vec::new();
         encode(&values, 2, &mut buf);
-        let mut reader = RleReader::new(&buf, 2, values.len());
-        let mut seen = Vec::new();
-        while let Some(v) = reader.next_value().unwrap() {
-            seen.push(v);
-        }
-        assert_eq!(seen, values);
-        assert_eq!(reader.remaining(), 0);
-        assert!(reader.next_value().unwrap().is_none());
-    }
+        assert!(decode(&buf, &mut 0, 1 << 40, 2).is_err());
+        assert!(decode(&buf, &mut 0, 10, 2).is_err());
 
-    #[test]
-    fn reader_skip_is_equivalent_to_reading() {
-        let values: Vec<u64> = (0..1000).map(|i| (i / 100) % 4).collect();
-        let mut buf = Vec::new();
-        encode(&values, 2, &mut buf);
+        let mut rle = Vec::new();
+        varint::write_u64(&mut rle, 1 << 42);
+        rle.push(1);
+        assert!(decode(&rle, &mut 0, 1 << 40, 2).is_err());
 
-        let mut reader = RleReader::new(&buf, 2, values.len());
-        reader.skip(250).unwrap();
-        assert_eq!(reader.next_value().unwrap(), Some(values[250]));
-        reader.skip(500).unwrap();
-        assert_eq!(reader.next_value().unwrap(), Some(values[751]));
-        reader.skip(10_000).unwrap(); // over-skip clamps
-        assert!(reader.next_value().unwrap().is_none());
+        let mut packed = Vec::new();
+        varint::write_u64(&mut packed, (u64::MAX >> 1) | 1);
+        varint::write_u64(&mut packed, 8);
+        assert!(decode(&packed, &mut 0, 8, 16).is_err());
     }
 }

@@ -27,6 +27,22 @@
 //! ties between `7` and `7.0` settled by value; see `AggState` in
 //! [`crate::physical`]).
 //!
+//! ## The kernels' group table
+//!
+//! A kernel's group key is a record-level scalar column that is not a
+//! string, so a key is its column's type plus the value's raw 64 bits (an
+//! integer's two's complement, a double's IEEE bits, a boolean's 0/1). One
+//! std `HashMap` on that pair serves a whole scan, and a probe builds no
+//! [`Value`]. The raw bits are a sound key: within one typed column, equal
+//! bits are equal under the document order (doubles compare by
+//! `f64::total_cmp`, which tells `0.0` from `-0.0` and one NaN from
+//! another exactly as their bits do). What bits cannot see — `7` in an
+//! `Int` column and `7.0` in a `Double` column of another component being
+//! one group — is settled when the scan ends: the table is folded into
+//! `GroupPartials` once per distinct key, so the spelling rule and the
+//! order-insensitive `AggState::merge` decide every answer, as they do
+//! across shards.
+//!
 //! ## Which lane a batch takes
 //!
 //! Decided from what the code can see, never by an option:
@@ -336,7 +352,7 @@ impl Kernel {
         chunks: &[Arc<ColumnChunk>],
         selection: &[u32],
         plan: &PhysicalPlan,
-        groups: &mut GroupPartials,
+        groups: &mut GroupTable,
     ) {
         let mut group = self.group.map(|slot| Walk::new(&chunks[slot]));
         let mut elements = self.elements.map(|slot| Walk::new(&chunks[slot]));
@@ -360,7 +376,7 @@ impl Kernel {
             let ordinal = ordinal as usize;
             let key = match &mut group {
                 Some(walk) => match walk.record_value(ordinal) {
-                    Some(i) => Some(OrderedValue(walk.chunk.values.get(i))),
+                    Some(i) => Some(raw_key(&walk.chunk.values, i)),
                     // No group key: the record contributes nothing.
                     None => continue,
                 },
@@ -378,7 +394,7 @@ impl Kernel {
                     continue;
                 }
             }
-            let states = groups.entry(key).or_insert_with(|| new_states(plan));
+            let states = groups.0.entry(key).or_insert_with(|| new_states(plan));
             // How often an input that is not read per element is folded.
             let times = match &mut elements {
                 Some(walk) => {
@@ -407,6 +423,42 @@ impl Kernel {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A kernel's group key: its column's type and the value's raw bits (see
+/// the module docs for why equal bits are one group).
+type RawKey = (AtomicType, u64);
+
+fn raw_key(values: &ColumnValues, index: usize) -> RawKey {
+    match values {
+        ColumnValues::Int(v) => (AtomicType::Int, v[index] as u64),
+        ColumnValues::Double(v) => (AtomicType::Double, v[index].to_bits()),
+        ColumnValues::Bool(v) => (AtomicType::Bool, u64::from(v[index])),
+        ColumnValues::String(_) => unreachable!("string group keys take the assembled lane"),
+    }
+}
+
+/// The group table of one scan's kernels (`None` = the one group of an
+/// ungrouped aggregate). See the module docs.
+#[derive(Default)]
+struct GroupTable(HashMap<Option<RawKey>, Vec<AggState>>);
+
+impl GroupTable {
+    /// Fold the table into `groups`, once per distinct key. In key order,
+    /// so that the fold does not depend on the hash map's iteration order.
+    fn fold_into(self, groups: &mut GroupPartials) {
+        let mut entries: Vec<_> = self.0.into_iter().collect();
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        for (key, states) in entries {
+            let key = key.map(|(ty, bits)| match ty {
+                AtomicType::Int => Value::Int(bits as i64),
+                AtomicType::Double => Value::Double(f64::from_bits(bits)),
+                AtomicType::Bool => Value::Bool(bits != 0),
+                AtomicType::String => unreachable!("string group keys take the assembled lane"),
+            });
+            groups.merge_group(key, states);
         }
     }
 }
@@ -491,6 +543,7 @@ pub(crate) fn aggregate_batches(
     report: &mut LaneReport,
 ) -> Result<GroupPartials> {
     let mut fused = FusedLoop::new(plan);
+    let mut table = GroupTable::default();
     // Lowered once per component schema, not per leaf.
     let mut kernels: HashMap<u64, std::result::Result<Kernel, String>> = HashMap::new();
     for batch in scan {
@@ -523,7 +576,7 @@ pub(crate) fn aggregate_batches(
                 .collect::<Option<Vec<_>>>()
             {
                 Some(chunks) => {
-                    kernel.run(&chunks, batch.selection(), plan, &mut fused.groups);
+                    kernel.run(&chunks, batch.selection(), plan, &mut table);
                     let folded = batch.selection().len() as u64;
                     report.records += folded;
                     component.cache().store().note_scan_records_kernel(folded);
@@ -540,5 +593,6 @@ pub(crate) fn aggregate_batches(
             report.records += 1;
         }
     }
+    table.fold_into(&mut fused.groups);
     Ok(fused.finish())
 }

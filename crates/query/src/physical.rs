@@ -1429,6 +1429,19 @@ impl GroupPartials {
         GroupSlot { groups: &mut self.0, key }
     }
 
+    /// Merge one group's partial states (from a disjoint record set) into
+    /// the group `key` belongs to, creating it when it is new.
+    pub(crate) fn merge_group(&mut self, key: Option<Value>, states: Vec<AggState>) {
+        let mut incoming = Some(states);
+        let acc = self
+            .entry(key.map(OrderedValue))
+            .or_insert_with(|| incoming.take().expect("asked for once"));
+        // Still here: the group existed, so fold the states into it.
+        for (acc, s) in acc.iter_mut().zip(incoming.into_iter().flatten()) {
+            acc.merge(s);
+        }
+    }
+
     /// The groups in key order, each under the spelling it is reported by.
     fn into_groups(self) -> impl Iterator<Item = (Option<Value>, Vec<AggState>)> {
         self.0
@@ -1495,14 +1508,7 @@ pub(crate) fn key_count_partials(n: usize, plan: &PhysicalPlan) -> GroupPartials
 /// aggregate-wise).
 pub(crate) fn merge_partials(into: &mut GroupPartials, from: GroupPartials) {
     for (key, states) in from.into_groups() {
-        let mut incoming = Some(states);
-        let acc = into
-            .entry(key.map(OrderedValue))
-            .or_insert_with(|| incoming.take().expect("asked for once"));
-        // Still here: the group existed, so fold the states into it.
-        for (acc, s) in acc.iter_mut().zip(incoming.into_iter().flatten()) {
-            acc.merge(s);
-        }
+        into.merge_group(key, states);
     }
 }
 

@@ -312,6 +312,13 @@ fn ingest<'a>(
     }
 }
 
+/// Rows as compared here: bit for bit. `Value`'s `==` is IEEE `==` on
+/// doubles, under which a NaN group differs from itself and `-0.0` equals
+/// `0.0`; the debug spelling tells every double apart, and `7` from `7.0`.
+fn bits(rows: &[QueryRow]) -> String {
+    format!("{rows:?}")
+}
+
 /// Kernels == assembled lane == interpreted, all through `target`.
 fn three_ways<'a, T: Copy + Into<query::QueryTarget<'a>>>(
     target: T,
@@ -323,13 +330,14 @@ fn three_ways<'a, T: Copy + Into<query::QueryTarget<'a>>>(
         .execute_in_lane(target, query, ScanLane::Assembled)
         .unwrap();
     assert_eq!(
-        kernels, assembled,
+        bits(&kernels),
+        bits(&assembled),
         "kernel lane != assembled lane: {query:?}"
     );
     let interpreted = QueryEngine::new(ExecMode::Interpreted)
         .execute(target, query)
         .unwrap();
-    assert_eq!(kernels, interpreted, "compiled != interpreted: {query:?}");
+    assert_eq!(bits(&kernels), bits(&interpreted), "compiled != interpreted: {query:?}");
     kernels
 }
 
@@ -377,7 +385,7 @@ proptest! {
             for query in &queries {
                 let rows = three_ways(&ds, query);
                 let reference = oracle::execute_batch(&snapshot, query).unwrap();
-                prop_assert_eq!(&rows, &reference, "{:?} disagrees with the oracle: {:?}", layout, query);
+                prop_assert_eq!(bits(&rows), bits(&reference), "{:?} disagrees with the oracle: {:?}", layout, query);
             }
         }
 
@@ -400,13 +408,27 @@ proptest! {
 /// `7` and `7.0` — as `MAX`/`MIN` and as group keys — must not go to
 /// whichever came first. Checked bit for bit over three components plus a
 /// memtable, and again after a full merge.
+///
+/// The group keys also probe the kernels' raw-bits group table. The first
+/// component's `grp` column holds doubles only — `0.0`, `-0.0` and a NaN
+/// beside `2.0` — so the kernels group it by bits; later components add
+/// integers and `true`, turn the column into a union and take the
+/// assembled lane. The groups must come out as the document order has
+/// them: `0.0` and `0` one group spelled `0`, `-0.0` and the NaN groups of
+/// their own, `true` before every number.
 #[test]
 fn answers_do_not_depend_on_the_physical_layout() {
     let record = |id: i64, round: i64| {
-        // Odd rounds spell whole numbers as doubles.
+        // Even rounds spell whole numbers as doubles.
         let whole = |v: i64| match round % 2 {
-            0 => Value::Int(v),
-            _ => Value::Double(v as f64),
+            0 => Value::Double(v as f64),
+            _ => Value::Int(v),
+        };
+        let grp = match (round, id % 30) {
+            (0, 1) => Value::Double(-0.0),
+            (0, 13) => Value::Double(f64::NAN),
+            (2, _) => Value::Bool(true),
+            _ => whole(id % 5),
         };
         // Magnitudes from 1e-3 to 1e9, so every running sum rounds.
         let wide = (id * 37 % 101) as f64 / 10.0 * 10f64.powi((id % 5) as i32 * 3 - 3);
@@ -415,7 +437,7 @@ fn answers_do_not_depend_on_the_physical_layout() {
             .collect();
         doc!({
             "id": id,
-            "grp": (whole(id % 5)),
+            "grp": grp,
             "tie": (whole(7)),
             "wide": (if id % 9 == 0 { -wide } else { wide }),
             "mixed": (if id % 2 == 0 { whole(id) } else { Value::Double(id as f64 / 3.0) }),
@@ -464,8 +486,8 @@ fn answers_do_not_depend_on_the_physical_layout() {
                 .map(|query| {
                     let rows = three_ways(ds, query);
                     assert_eq!(
-                        rows,
-                        oracle::execute_batch(&snapshot, query).unwrap(),
+                        bits(&rows),
+                        bits(&oracle::execute_batch(&snapshot, query).unwrap()),
                         "{layout:?}: {query:?}"
                     );
                     rows
@@ -473,18 +495,64 @@ fn answers_do_not_depend_on_the_physical_layout() {
                 .collect()
         };
         let spread = answers(&ds);
+        if layout != LayoutKind::Vb {
+            // The all-doubles component's groups went through the kernels.
+            let report = QueryEngine::new(ExecMode::Compiled)
+                .explain_analyze(&ds, &queries[1])
+                .unwrap();
+            assert!(report.records_kernel() > 0, "{}", report.describe());
+        }
         // Ties go to the integer, and a group is reported under it.
         assert_eq!(spread[0][0].aggs[3..], [Value::Int(7), Value::Int(7)]);
         let groups: Vec<_> = spread[1].iter().map(|row| row.group.clone()).collect();
-        assert_eq!(
-            groups,
-            (0..5).map(|g| Some(Value::Int(g))).collect::<Vec<_>>()
-        );
+        let want: Vec<_> = [Value::Bool(true), Value::Double(-0.0)]
+            .into_iter()
+            .chain((0..5).map(Value::Int))
+            .chain([Value::Double(f64::NAN)])
+            .map(Some)
+            .collect();
+        assert_eq!(format!("{groups:?}"), format!("{want:?}"));
 
         ds.flush().unwrap();
         ds.compact_fully().unwrap();
         assert_eq!(ds.component_count(), 1);
-        assert_eq!(answers(&ds), spread, "{layout:?}: a merge moved an answer");
+        let merged: Vec<String> = answers(&ds).iter().map(|rows| bits(rows)).collect();
+        let before: Vec<String> = spread.iter().map(|rows| bits(rows)).collect();
+        assert_eq!(merged, before, "{layout:?}: a merge moved an answer");
+    }
+}
+
+/// A boolean group key through the kernels' raw-bits table: two components
+/// whose `grp` column holds booleans only, plus a memtable.
+#[test]
+fn boolean_group_keys_take_the_kernels() {
+    let query = Query::select([Aggregate::Count, Aggregate::Max(Path::parse("score"))])
+        .group_by("grp");
+    for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
+        let ds = small_dataset("vectorized-bool-keys", layout);
+        for round in 0..3i64 {
+            for id in (round..60).step_by(round as usize + 1) {
+                ds.insert(doc!({"id": id, "grp": (id % 3 == round), "score": (id * 7 % 23)}))
+                    .unwrap();
+            }
+            if round < 2 {
+                ds.flush().unwrap();
+            }
+        }
+        let rows = three_ways(&ds, &query);
+        assert_eq!(
+            bits(&rows),
+            bits(&oracle::execute_batch(&ds.snapshot(), &query).unwrap()),
+            "{layout:?}"
+        );
+        let groups: Vec<_> = rows.iter().map(|row| row.group.clone()).collect();
+        assert_eq!(groups, [Some(Value::Bool(false)), Some(Value::Bool(true))]);
+        if layout != LayoutKind::Vb {
+            let report = QueryEngine::new(ExecMode::Compiled)
+                .explain_analyze(&ds, &query)
+                .unwrap();
+            assert!(report.records_kernel() > 0, "{}", report.describe());
+        }
     }
 }
 

@@ -286,24 +286,33 @@ impl StorageBackend for FileBackend {
         if id >= self.page_count() {
             return Err(StorageError::new(format!("unknown page id {id}")));
         }
-        let mut slot = vec![0u8; self.page_size];
-        self.file
-            .read_exact_at(&mut slot, id * self.page_size as u64)
-            .map_err(|e| StorageError::new(format!("read page {id}: {e}")))?;
-        let len = u32::from_le_bytes(slot[0..4].try_into().unwrap()) as usize;
-        let expected_crc = u32::from_le_bytes(slot[4..8].try_into().unwrap());
+        // The header first, then exactly the payload it announces, read into
+        // the buffer that is handed on: no slot padding is read, zeroed or
+        // copied a second time.
+        let offset = id * self.page_size as u64;
+        let read = |buf: &mut [u8], at: u64| {
+            self.file
+                .read_exact_at(buf, at)
+                .map_err(|e| StorageError::new(format!("read page {id}: {e}")))
+        };
+        let mut header = [0u8; SLOT_HEADER];
+        read(&mut header, offset)?;
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let expected_crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if len > self.max_payload() {
             return Err(StorageError::new(format!(
                 "page {id} header claims {len} bytes, beyond the slot capacity — corrupt page"
             )));
         }
-        let payload = &slot[SLOT_HEADER..SLOT_HEADER + len];
-        if crc32(payload) != expected_crc {
+        let mut payload = vec![0u8; len];
+        read(&mut payload, offset + SLOT_HEADER as u64)?;
+        if crc32(&payload) != expected_crc {
             return Err(StorageError::new(format!(
                 "page {id} failed its CRC check — corrupt page"
             )));
         }
-        Ok(Arc::new(payload.to_vec()))
+        Ok(Arc::new(payload))
     }
 
     fn free_pages(&self, ids: &[PageId]) -> Result<()> {

@@ -1,0 +1,81 @@
+//! The on-disk format is pinned: a fixed, seeded `sensors` AMAX leaf written
+//! through the one component writer must produce byte-identical pages —
+//! checked as the CRC-32 of every page it writes (Page 0 and the data
+//! pages, in the order written) against constants recorded when the format
+//! last changed.
+//!
+//! Read-path work (decoders, checksums, caches) must leave this test alone.
+//! A deliberate format change updates the constants together with the
+//! manifest magic in `persist::manifest`.
+
+use docmodel::Value;
+use encoding::crc::crc32;
+use schema::SchemaBuilder;
+use storage::component::{Component, ComponentConfig};
+use storage::{BufferCache, LayoutKind, PageStore};
+
+/// A `sensors`-shaped record (the paper's IoT dataset) from a fixed
+/// xorshift stream, so the bytes depend on nothing outside this file.
+fn sensor(id: i64, state: &mut u64) -> Value {
+    let mut next = |bound: u64| {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % bound
+    };
+    let readings: Vec<Value> = (0..4 + next(8) as i64)
+        .map(|seq| {
+            Value::empty_object()
+                .with_field("seq", Value::Int(seq))
+                .with_field("temp", Value::Double((next(650) as f64 - 200.0) / 10.0))
+                .with_field("humidity", Value::Int(next(100) as i64))
+        })
+        .collect();
+    Value::empty_object()
+        .with_field("id", Value::Int(id))
+        .with_field("sensor_id", Value::Int(id % 50))
+        .with_field("report_time", Value::Int(1_556_400_000_000 + id * 60_000))
+        .with_field(
+            "status",
+            Value::empty_object()
+                .with_field("battery", Value::Int(next(100) as i64))
+                .with_field("online", Value::Bool(next(20) != 0)),
+        )
+        .with_field("readings", Value::Array(readings))
+}
+
+#[test]
+fn a_seeded_sensors_amax_leaf_writes_the_same_pages() {
+    let mut state = 0x5EED_0FA1_u64;
+    let entries: Vec<(Value, Option<Value>)> = (0..400)
+        .map(|id| (Value::Int(id), Some(sensor(id, &mut state))))
+        .collect();
+    let mut builder = SchemaBuilder::new(Some("id".to_string()));
+    builder.observe_all(entries.iter().filter_map(|(_, doc)| doc.as_ref()));
+    let cache = BufferCache::new(PageStore::with_page_size(8 * 1024), 64);
+    let component = Component::write(
+        &cache,
+        &ComponentConfig::new(LayoutKind::Amax),
+        builder.into_schema(),
+        &entries,
+        1,
+    )
+    .unwrap();
+    assert_eq!(component.leaf_count(), 1);
+
+    // A fresh store numbers pages from 0 in the order they are written.
+    let crcs: Vec<u32> = (0..cache.store().page_count())
+        .map(|id| crc32(&cache.store().read_page(id)))
+        .collect();
+    assert_eq!(crcs, GOLDEN, "page bytes changed: {crcs:#010x?}");
+}
+
+/// Recorded at the commit that introduced this test (format `LSMMAN07`).
+const GOLDEN: &[u32] = &[
+    0x92db_8dcc,
+    0x0d5d_6487,
+    0x0f13_c277,
+    0xf046_65c4,
+    0x27e5_d637,
+    0x190d_43b2,
+];
