@@ -978,7 +978,7 @@ fn vectorized(scale: f64) -> Vec<Measurement> {
                     // (Q1 is the key-only COUNT(*): no operator sees a record.)
                     assert!(kernel_io.scan_records_kernel > 0, "{cell}: no kernel ran");
                     assert_eq!(
-                        kernel_io.scan_records_kernel, assembled_io.scan_records_assembled,
+                        kernel_io.scan_records_kernel, assembled_io.records_assembled,
                         "{cell}: the lanes saw different winners"
                     );
                 }

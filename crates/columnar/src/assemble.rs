@@ -1,7 +1,8 @@
-//! The record-assembly automaton: columns back to documents.
+//! The record-assembly automaton: columns back to documents — or to the
+//! size and per-path tallies of the documents, without building them.
 //!
 //! Assembly is schema-driven, mirrors the shredder's walk, and supports
-//! *projection push-down*: the assembler only touches the cursors it was
+//! *projection push-down*: the automaton only touches the columns it was
 //! given, so a query that needs two columns never decodes (or, for AMAX,
 //! never even reads) the other hundreds of columns.
 //!
@@ -14,6 +15,12 @@
 //!   nesting depth is a delimiter: equal means "this array ends here",
 //!   smaller means an enclosing array ends at the same point (the subsumed
 //!   delimiter is consumed by that enclosing array's loop).
+//!
+//! The automaton (`RecordWalk`) is written once and is generic over what it
+//! produces at each present value, object and array (a `Sink`): the
+//! [`Assembler`] builds [`Value`]s, and [`ShapeWalker`](crate::ShapeWalker)
+//! adds up their sizes and tallies their paths. Both sinks therefore see
+//! exactly the same absent / empty / delimiter decisions.
 //!
 //! ## Caveat: empty arrays need a materialised item column
 //!
@@ -29,13 +36,14 @@
 //! the query differential suites avoid generating always-empty arrays for
 //! the same reason.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use docmodel::Value;
 use schema::node::SchemaNode;
 use schema::{ColumnId, NodeId, Schema};
 
-use crate::chunk::SEEK_INTERVAL;
+use crate::chunk::{ChunkPos, ColumnChunk, ColumnValues, SEEK_INTERVAL};
 use crate::cursor::ColumnCursor;
 use crate::{ColumnarError, Result};
 
@@ -61,7 +69,7 @@ impl AssemblyPlan {
         let mut slot_of = vec![None; schema.node_count()];
         for (slot, &column) in columns.iter().enumerate() {
             // A column the schema does not know has nowhere to go in a
-            // record; its cursor is carried along but never read.
+            // record; its chunk is carried along but never read.
             if let Some(entry) = slot_of.get_mut(column as usize) {
                 *entry = Some(slot);
             }
@@ -95,7 +103,7 @@ impl AssemblyPlan {
         leaves
     }
 
-    pub(crate) fn leaves_under(&self, node: NodeId) -> &[usize] {
+    fn leaves_under(&self, node: NodeId) -> &[usize] {
         &self.leaves_under[node as usize]
     }
 
@@ -104,25 +112,251 @@ impl AssemblyPlan {
         self.slot_of[node as usize]
     }
 
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    pub(crate) fn columns(&self) -> &[ColumnId] {
-        &self.columns
+    /// Panic unless `chunks` are exactly the planned columns, in order.
+    pub(crate) fn check_columns<C: Borrow<ColumnChunk>>(&self, chunks: &[C]) {
+        assert!(
+            chunks
+                .iter()
+                .map(|c| c.borrow().spec.id)
+                .eq(self.columns.iter().copied()),
+            "chunks do not match the plan's columns"
+        );
     }
 }
 
-/// Assembles records from a set of column cursors.
+/// What the automaton produces for each present value. Fields and elements
+/// are collected into a `Fields` / `Elements` accumulator and handed over
+/// with their node once the object or array is complete.
+pub(crate) trait Sink {
+    /// What one present value becomes.
+    type Value;
+    /// An object's fields while they are collected.
+    type Fields: Default;
+    /// An array's elements while they are collected.
+    type Elements: Default;
+
+    /// Value `index` of an atomic node's column.
+    fn atomic(&mut self, node: NodeId, values: &ColumnValues, index: usize) -> Self::Value;
+    /// The `null` standing in for an array element of a non-object `node`
+    /// whose projected subtree is absent. (The shredder never emits
+    /// elements that were `null`, so this only shows up under projections
+    /// or for elements whose only fields were null.)
+    fn null(&mut self, node: NodeId) -> Self::Value;
+    /// Add a present field to an object being collected.
+    fn field(fields: &mut Self::Fields, name: &str, value: Self::Value);
+    /// An object with at least one present field, or the record root, or
+    /// `{}` standing in for an absent array element of an object `node`.
+    fn object(&mut self, node: NodeId, fields: Self::Fields) -> Self::Value;
+    /// Add an element to an array being collected.
+    fn element(elements: &mut Self::Elements, value: Self::Value);
+    /// A present (possibly empty) array.
+    fn array(&mut self, node: NodeId, elements: Self::Elements) -> Self::Value;
+}
+
+/// The automaton over one record: the plan, the chunks of the planned
+/// columns with the positions it advances in them, and the sink it feeds.
+pub(crate) struct RecordWalk<'a, C, S> {
+    pub(crate) plan: &'a AssemblyPlan,
+    pub(crate) chunks: &'a [C],
+    pub(crate) pos: &'a mut [ChunkPos],
+    pub(crate) sink: &'a mut S,
+}
+
+impl<C: Borrow<ColumnChunk>, S: Sink> RecordWalk<'_, C, S> {
+    /// Walk the record at the positions, consuming exactly its entries. The
+    /// root is always an object, present even when none of its projected
+    /// fields is.
+    pub(crate) fn record(mut self) -> Result<S::Value> {
+        let root = self.plan.schema.root();
+        let fields = self.fields(root, 0, 0)?.unwrap_or_default();
+        Ok(self.sink.object(root, fields))
+    }
+
+    /// The present fields of the object at `node`; `None` when none is.
+    fn fields(&mut self, node: NodeId, level: u16, array_depth: u16) -> Result<Option<S::Fields>> {
+        let plan = self.plan;
+        let SchemaNode::Object { fields } = plan.schema.node(node) else {
+            unreachable!("only object nodes have fields")
+        };
+        let mut present: Option<S::Fields> = None;
+        for (name, child) in fields {
+            if plan.leaves_under(*child).is_empty() {
+                continue;
+            }
+            if let Some(value) = self.value(*child, level + 1, array_depth)? {
+                S::field(present.get_or_insert_with(Default::default), name, value);
+            }
+        }
+        Ok(present)
+    }
+
+    /// The value at `node` for the current structural position, consuming
+    /// exactly this position's entries from every planned column beneath
+    /// it; `None` when the value is absent.
+    fn value(&mut self, node: NodeId, level: u16, array_depth: u16) -> Result<Option<S::Value>> {
+        let plan = self.plan;
+        match plan.schema.node(node) {
+            SchemaNode::Atomic { .. } => {
+                let slot = plan.slot(node).expect("included leaf has a column");
+                let chunk = self.chunks[slot].borrow();
+                let pos = &mut self.pos[slot];
+                let def = chunk
+                    .peek(*pos)
+                    .ok_or_else(|| ColumnarError::new("column exhausted mid-record"))?;
+                let value_at = pos.value;
+                chunk.skip_entry(pos);
+                Ok((def == chunk.spec.max_def)
+                    .then(|| self.sink.atomic(node, &chunk.values, value_at)))
+            }
+            SchemaNode::Object { .. } => {
+                let fields = self.fields(node, level, array_depth)?;
+                Ok(fields.map(|fields| self.sink.object(node, fields)))
+            }
+            SchemaNode::Union { branches } => {
+                let mut result = None;
+                for (_, child) in branches {
+                    if plan.leaves_under(*child).is_empty() {
+                        continue;
+                    }
+                    // Every branch consumes its entries; at most one yields a
+                    // value (§3.2.2: a single alternative is present).
+                    let value = self.value(*child, level, array_depth)?;
+                    if result.is_none() {
+                        result = value;
+                    }
+                }
+                Ok(result)
+            }
+            SchemaNode::Array { item } => {
+                let Some(item) = *item else { return Ok(None) };
+                let Some(&repr) = plan.leaves_under(item).first() else {
+                    return Ok(None);
+                };
+                // Classify the array from the *maximum* next definition level
+                // across the included leaves: a single leaf is not enough when
+                // the array's items are a union, because the absent-branch
+                // marker of one branch coincides with the empty-array level.
+                let next_def = self.max_peek_under(node)?;
+                if next_def < level {
+                    // Array absent (or something above it absent).
+                    self.skip_under(node, false);
+                    return Ok(None);
+                }
+                let mut elements = S::Elements::default();
+                if next_def == level {
+                    // Array present but empty (or, under a projection that
+                    // excludes some union branches, an array none of whose
+                    // elements belong to the projected branches). The
+                    // outermost array's record segment always ends with the
+                    // delimiter 0, so consume up to and including it to keep
+                    // every column aligned.
+                    self.skip_under(node, array_depth == 0);
+                    return Ok(Some(self.sink.array(node, elements)));
+                }
+                // Non-empty: iterate elements.
+                let item_is_object = matches!(plan.schema.node(item), SchemaNode::Object { .. });
+                loop {
+                    let element = match self.value(item, level + 1, array_depth + 1)? {
+                        Some(element) => element,
+                        None if item_is_object => self.sink.object(item, Default::default()),
+                        None => self.sink.null(item),
+                    };
+                    S::element(&mut elements, element);
+                    match self.chunks[repr].borrow().peek(self.pos[repr]) {
+                        None => break, // stream ends with the record
+                        Some(v) if v < array_depth => {
+                            // An enclosing array ends here; it will consume
+                            // the (subsumed) delimiter.
+                            break;
+                        }
+                        Some(v) if v == array_depth => {
+                            // This array's end delimiter: consume it from
+                            // every leaf beneath this array.
+                            self.skip_under(node, false);
+                            break;
+                        }
+                        Some(_) => {
+                            // Next element of this array.
+                        }
+                    }
+                }
+                Ok(Some(self.sink.array(node, elements)))
+            }
+        }
+    }
+
+    /// Consume from every included leaf column beneath `node` exactly one
+    /// entry (an absent marker, an empty-array marker or a delimiter) — or,
+    /// at the outermost array depth, the rest of the record segment.
+    fn skip_under(&mut self, node: NodeId, to_record_end: bool) {
+        for &leaf in self.plan.leaves_under(node) {
+            let (chunk, pos) = (self.chunks[leaf].borrow(), &mut self.pos[leaf]);
+            if to_record_end {
+                chunk.skip_to_record_end(pos);
+            } else {
+                chunk.skip_entry(pos);
+            }
+        }
+    }
+
+    /// Maximum next definition level across the included leaves under `node`.
+    fn max_peek_under(&self, node: NodeId) -> Result<u16> {
+        let mut max = None;
+        for &leaf in self.plan.leaves_under(node) {
+            let def = self.chunks[leaf]
+                .borrow()
+                .peek(self.pos[leaf])
+                .ok_or_else(|| ColumnarError::new("column exhausted at array position"))?;
+            max = Some(max.map_or(def, |m: u16| m.max(def)));
+        }
+        max.ok_or_else(|| ColumnarError::new("array node has no projected columns"))
+    }
+}
+
+/// The value sink: builds the documents.
+struct Documents;
+
+impl Sink for Documents {
+    type Value = Value;
+    type Fields = Vec<(String, Value)>;
+    type Elements = Vec<Value>;
+
+    fn atomic(&mut self, _: NodeId, values: &ColumnValues, index: usize) -> Value {
+        values.get(index)
+    }
+
+    fn null(&mut self, _: NodeId) -> Value {
+        Value::Null
+    }
+
+    fn field(fields: &mut Self::Fields, name: &str, value: Value) {
+        fields.push((name.to_owned(), value));
+    }
+
+    fn object(&mut self, _: NodeId, fields: Self::Fields) -> Value {
+        Value::Object(fields)
+    }
+
+    fn element(elements: &mut Self::Elements, value: Value) {
+        elements.push(value);
+    }
+
+    fn array(&mut self, _: NodeId, elements: Self::Elements) -> Value {
+        Value::Array(elements)
+    }
+}
+
+/// Assembles records from a set of column chunks.
 ///
 /// The assembler shares its [`AssemblyPlan`] (and with it a copy of the
-/// schema) behind an `Arc`, so it can be stored inside long-lived streaming
-/// cursors — the lazy leaf buffers of `storage`'s component cursors — without
-/// borrowing the component.
+/// schema) and its chunks behind `Arc`s, so it can be stored inside
+/// long-lived streaming cursors — the lazy leaf buffers of `storage`'s
+/// component cursors — without borrowing the component.
 pub struct Assembler {
     plan: Arc<AssemblyPlan>,
-    /// One cursor per planned column, in plan order.
-    cursors: Vec<ColumnCursor>,
+    /// One chunk per planned column, in plan order, and where each stands.
+    chunks: Vec<Arc<ColumnChunk>>,
+    pos: Vec<ChunkPos>,
     record_count: usize,
     records_remaining: usize,
 }
@@ -132,28 +366,24 @@ impl Assembler {
     /// in `cursors` are assembled (projection push-down); `record_count` is
     /// the number of records the cursors cover.
     pub fn new(schema: &Schema, cursors: Vec<ColumnCursor>, record_count: usize) -> Self {
-        let columns: Vec<ColumnId> = cursors.iter().map(|c| c.spec().id).collect();
+        let chunks: Vec<Arc<ColumnChunk>> = cursors.into_iter().map(|c| c.0).collect();
+        let columns: Vec<ColumnId> = chunks.iter().map(|c| c.spec.id).collect();
         let plan = Arc::new(AssemblyPlan::new(schema, &columns));
-        Assembler::with_plan(plan, cursors, record_count)
+        Assembler::with_plan(plan, chunks, record_count)
     }
 
-    /// Like [`Assembler::new`], reusing a plan built earlier. `cursors` must
-    /// cover exactly the columns the plan was built for, in that order.
+    /// Like [`Assembler::new`], reusing a plan built earlier. `chunks` must
+    /// be exactly the columns the plan was built for, in that order.
     pub fn with_plan(
         plan: Arc<AssemblyPlan>,
-        cursors: Vec<ColumnCursor>,
+        chunks: Vec<Arc<ColumnChunk>>,
         record_count: usize,
     ) -> Self {
-        assert!(
-            cursors
-                .iter()
-                .map(|c| c.spec().id)
-                .eq(plan.columns.iter().copied()),
-            "cursors do not match the assembly plan's columns"
-        );
+        plan.check_columns(&chunks);
         Assembler {
             plan,
-            cursors,
+            pos: vec![ChunkPos::default(); chunks.len()],
+            chunks,
             record_count,
             records_remaining: record_count,
         }
@@ -172,9 +402,11 @@ impl Assembler {
             return None;
         }
         self.records_remaining -= 1;
-        let mut walk = RecordWalk {
+        let walk = RecordWalk {
             plan: &self.plan,
-            cursors: &mut self.cursors,
+            chunks: &self.chunks,
+            pos: &mut self.pos,
+            sink: &mut Documents,
         };
         Some(walk.record())
     }
@@ -182,20 +414,20 @@ impl Assembler {
     /// Skip `n` records without assembling them (batched reconciliation).
     pub fn skip_records(&mut self, n: usize) {
         let n = n.min(self.records_remaining);
-        for cursor in &mut self.cursors {
-            cursor.skip_records(n);
+        for (chunk, pos) in self.chunks.iter().zip(&mut self.pos) {
+            chunk.skip_records(pos, n);
         }
         self.records_remaining -= n;
     }
 
     /// Assemble the record at `ordinal` (0-based among the records the
-    /// cursors cover), wherever the assembler stood before; `None` when
+    /// chunks cover), wherever the assembler stood before; `None` when
     /// there is no such record. Afterwards the assembler stands just past
     /// that record, so a batch of ascending ordinals is one forward pass.
     ///
     /// A target a few records ahead is reached by skipping; anything else
-    /// seeks every cursor through its chunk's record-offset index
-    /// ([`ColumnCursor::seek_record`]), so the cost does not grow with the
+    /// seeks every column through its chunk's record-offset index
+    /// ([`ColumnChunk::record_pos`]), so the cost does not grow with the
     /// distance.
     pub fn record_at(&mut self, ordinal: usize) -> Option<Result<Value>> {
         if ordinal >= self.record_count {
@@ -207,197 +439,12 @@ impl Assembler {
         if pos <= ordinal && ordinal - pos <= ordinal % SEEK_INTERVAL {
             self.skip_records(ordinal - pos);
         } else {
-            for cursor in &mut self.cursors {
-                cursor.seek_record(ordinal);
+            for (chunk, pos) in self.chunks.iter().zip(&mut self.pos) {
+                *pos = chunk.record_pos(ordinal);
             }
             self.records_remaining = self.record_count - ordinal;
         }
         self.next_record()
-    }
-}
-
-/// The assembly of one record: the plan, and the cursors it advances.
-struct RecordWalk<'a> {
-    plan: &'a AssemblyPlan,
-    cursors: &'a mut [ColumnCursor],
-}
-
-impl RecordWalk<'_> {
-    fn record(&mut self) -> Result<Value> {
-        let schema = &self.plan.schema;
-        let SchemaNode::Object { fields: root } = schema.node(schema.root()) else {
-            unreachable!("schema root is always an object")
-        };
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        for (name, child) in root {
-            if !self.has_included_leaves(*child) {
-                continue;
-            }
-            if let Some(value) = self.assemble_value(*child, 1, 0)? {
-                fields.push((name.clone(), value));
-            }
-        }
-        Ok(Value::Object(fields))
-    }
-
-    fn has_included_leaves(&self, node: NodeId) -> bool {
-        !self.plan.leaves_under(node).is_empty()
-    }
-
-    /// Assemble the value at `node` for the current structural position,
-    /// consuming exactly this position's entries from every included leaf
-    /// beneath it. Returns `None` when the value is absent.
-    fn assemble_value(
-        &mut self,
-        node: NodeId,
-        level: u16,
-        array_depth: u16,
-    ) -> Result<Option<Value>> {
-        let plan = self.plan;
-        match plan.schema.node(node) {
-            SchemaNode::Atomic { .. } => {
-                let slot = plan.slot_of[node as usize].expect("included leaf has a cursor");
-                let cursor = &mut self.cursors[slot];
-                let (def, value) = cursor
-                    .next_entry()
-                    .ok_or_else(|| ColumnarError::new("column exhausted mid-record"))?;
-                if def == cursor.spec().max_def {
-                    Ok(value)
-                } else {
-                    Ok(None)
-                }
-            }
-            SchemaNode::Object { fields } => {
-                let mut out: Vec<(String, Value)> = Vec::new();
-                for (name, child) in fields {
-                    if !self.has_included_leaves(*child) {
-                        continue;
-                    }
-                    if let Some(v) = self.assemble_value(*child, level + 1, array_depth)? {
-                        out.push((name.clone(), v));
-                    }
-                }
-                Ok((!out.is_empty()).then_some(Value::Object(out)))
-            }
-            SchemaNode::Union { branches } => {
-                let mut result: Option<Value> = None;
-                for (_, child) in branches {
-                    if !self.has_included_leaves(*child) {
-                        continue;
-                    }
-                    // Every branch consumes its entries; at most one yields a
-                    // value (§3.2.2: a single alternative is present).
-                    let v = self.assemble_value(*child, level, array_depth)?;
-                    if result.is_none() {
-                        result = v;
-                    }
-                }
-                Ok(result)
-            }
-            SchemaNode::Array { item } => {
-                let Some(item) = *item else { return Ok(None) };
-                let Some(&repr) = plan.leaves_under(item).first() else {
-                    return Ok(None);
-                };
-                // Classify the array from the *maximum* next definition level
-                // across the included leaves: a single leaf is not enough when
-                // the array's items are a union, because the absent-branch
-                // marker of one branch coincides with the empty-array level.
-                let next_def = self.max_peek_under(node)?;
-                if next_def < level {
-                    // Array absent (or something above it absent).
-                    self.consume_one_entry_under(node);
-                    return Ok(None);
-                }
-                if next_def == level {
-                    // Array present but empty (or, under a projection that
-                    // excludes some union branches, an array none of whose
-                    // elements belong to the projected branches). The
-                    // outermost array's record segment always ends with the
-                    // delimiter 0, so consume up to and including it to keep
-                    // every column aligned.
-                    if array_depth == 0 {
-                        self.consume_until_record_end_under(node);
-                    } else {
-                        self.consume_one_entry_under(node);
-                    }
-                    return Ok(Some(Value::Array(Vec::new())));
-                }
-                // Non-empty: iterate elements.
-                let mut elems = Vec::new();
-                loop {
-                    let elem = self.assemble_value(item, level + 1, array_depth + 1)?;
-                    elems.push(
-                        elem.unwrap_or_else(|| absent_element_placeholder(&plan.schema, item)),
-                    );
-                    match self.cursors[repr].peek_def() {
-                        None => break, // stream ends with the record
-                        Some(v) if v < array_depth => {
-                            // An enclosing array ends here; it will consume
-                            // the (subsumed) delimiter.
-                            break;
-                        }
-                        Some(v) if v == array_depth => {
-                            // This array's end delimiter: consume it from
-                            // every leaf beneath this array.
-                            self.consume_one_entry_under(node);
-                            break;
-                        }
-                        Some(_) => {
-                            // Next element of this array.
-                        }
-                    }
-                }
-                Ok(Some(Value::Array(elems)))
-            }
-        }
-    }
-
-    /// Consume exactly one entry (an absent marker, an empty-array marker or
-    /// a delimiter) from every included leaf column beneath `node`.
-    fn consume_one_entry_under(&mut self, node: NodeId) {
-        for &leaf in self.plan.leaves_under(node) {
-            self.cursors[leaf].skip_entry();
-        }
-    }
-
-    /// Consume every remaining entry of the current record segment (up to and
-    /// including the terminating delimiter 0) from every included leaf
-    /// beneath `node`. Only used at the outermost array depth, where the
-    /// shredder guarantees the terminator exists whenever the array is present.
-    fn consume_until_record_end_under(&mut self, node: NodeId) {
-        for &leaf in self.plan.leaves_under(node) {
-            let cursor = &mut self.cursors[leaf];
-            while let Some(def) = cursor.peek_def() {
-                cursor.skip_entry();
-                if def == 0 {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Maximum next definition level across the included leaves under `node`.
-    fn max_peek_under(&self, node: NodeId) -> Result<u16> {
-        let mut max = None;
-        for &leaf in self.plan.leaves_under(node) {
-            let def = self.cursors[leaf]
-                .peek_def()
-                .ok_or_else(|| ColumnarError::new("column exhausted at array position"))?;
-            max = Some(max.map_or(def, |m: u16| m.max(def)));
-        }
-        max.ok_or_else(|| ColumnarError::new("array node has no projected columns"))
-    }
-}
-
-/// Placeholder for an array element whose projected subtree is entirely
-/// absent: an empty object when the element is an object, `null` otherwise
-/// (the shredder never emits elements that were `null`, so this only shows up
-/// under projections or for elements whose only fields were null).
-fn absent_element_placeholder(schema: &Schema, item: NodeId) -> Value {
-    match schema.node(item) {
-        SchemaNode::Object { .. } => Value::Object(Vec::new()),
-        _ => Value::Null,
     }
 }
 

@@ -153,30 +153,25 @@ impl ColumnValues {
         }
     }
 
-    /// Minimum and maximum stored value (as [`Value`]s), used for the AMAX
-    /// Page-0 zone maps. `None` when the chunk has no values.
+    /// Minimum and maximum stored value (as [`Value`]s) under the document
+    /// total order — doubles by `f64::total_cmp`, so a NaN sorts above
+    /// every number and `-0.0` below `0.0`, exactly as a pushed predicate
+    /// compares them. Used for the zone maps. `None` when the chunk has no
+    /// values.
     pub fn min_max(&self) -> Option<(Value, Value)> {
-        fn mm<T: PartialOrd + Clone>(v: &[T]) -> Option<(T, T)> {
-            let mut it = v.iter();
-            let first = it.next()?.clone();
-            let mut min = first.clone();
-            let mut max = first;
-            for x in it {
-                if *x < min {
-                    min = x.clone();
-                }
-                if *x > max {
-                    max = x.clone();
-                }
-            }
-            Some((min, max))
+        fn mm<T: Clone>(v: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> Option<(T, T)> {
+            let min = v.iter().min_by(|a, b| cmp(a, b))?;
+            let max = v.iter().max_by(|a, b| cmp(a, b))?;
+            Some((min.clone(), max.clone()))
         }
         match self {
-            ColumnValues::Bool(v) => mm(v).map(|(a, b)| (Value::Bool(a), Value::Bool(b))),
-            ColumnValues::Int(v) => mm(v).map(|(a, b)| (Value::Int(a), Value::Int(b))),
-            ColumnValues::Double(v) => mm(v).map(|(a, b)| (Value::Double(a), Value::Double(b))),
+            ColumnValues::Bool(v) => mm(v, Ord::cmp).map(|(a, b)| (Value::Bool(a), Value::Bool(b))),
+            ColumnValues::Int(v) => mm(v, Ord::cmp).map(|(a, b)| (Value::Int(a), Value::Int(b))),
+            ColumnValues::Double(v) => {
+                mm(v, f64::total_cmp).map(|(a, b)| (Value::Double(a), Value::Double(b)))
+            }
             ColumnValues::String(v) => {
-                mm(v).map(|(a, b)| (Value::String(a), Value::String(b)))
+                mm(v, Ord::cmp).map(|(a, b)| (Value::String(a), Value::String(b)))
             }
         }
     }
@@ -184,20 +179,14 @@ impl ColumnValues {
 
 /// A position inside a chunk: the next definition-level entry and the next
 /// value. The two advance at different rates because only some entries
-/// carry a value. Obtained from [`ColumnChunk::record_pos`] and advanced by
-/// [`ColumnChunk::skip_records`], so it always stands on a record boundary
-/// outside this crate.
+/// carry a value. The one position type of this crate: the assembly
+/// automaton moves one per column entry by entry, and outside the crate it
+/// is obtained from [`ColumnChunk::record_pos`] and advanced by
+/// [`ColumnChunk::skip_records`], so it always stands on a record boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkPos {
     pub(crate) def: usize,
     pub(crate) value: usize,
-}
-
-impl ChunkPos {
-    /// Index of the next definition-level entry.
-    pub fn def(&self) -> usize {
-        self.def
-    }
 }
 
 /// Records between two checkpoints of a chunk's record-offset index: a seek
@@ -275,6 +264,22 @@ impl ColumnChunk {
         (self.defs.len() / SEEK_INTERVAL + 1) * std::mem::size_of::<ChunkPos>()
     }
 
+    /// Whether the record at `ordinal` of this **primary-key** chunk is
+    /// anti-matter: the key column stores a deleted key at definition level
+    /// 0 (§3.2.3), one entry per record. The only anti-matter test there is;
+    /// nothing outside this crate reads a definition level.
+    #[inline]
+    pub fn is_antimatter(&self, ordinal: usize) -> bool {
+        debug_assert!(self.spec.is_key);
+        self.defs[ordinal] == 0
+    }
+
+    /// The definition level of the entry at `pos`; `None` past the end.
+    #[inline]
+    pub(crate) fn peek(&self, pos: ChunkPos) -> Option<u16> {
+        self.defs.get(pos.def).copied()
+    }
+
     /// Advance `pos` past one entry.
     pub(crate) fn skip_entry(&self, pos: &mut ChunkPos) {
         if let Some(&def) = self.defs.get(pos.def) {
@@ -293,19 +298,25 @@ impl ColumnChunk {
     ///   array is absent (definition level below the array's level),
     ///   otherwise a run of entries terminated by the delimiter `0`.
     pub(crate) fn skip_record(&self, pos: &mut ChunkPos) {
-        let Some(&first) = self.defs.get(pos.def) else {
+        let Some(first) = self.peek(*pos) else {
             return;
         };
-        self.skip_entry(pos);
         if !self.spec.is_repeated() || first < self.spec.array_levels[0] {
             // One entry covers the record: a non-repeated column, or a
             // repeated one whose outermost array is absent.
-            return;
+            self.skip_entry(pos);
+        } else {
+            self.skip_to_record_end(pos);
         }
-        // The outermost array is present (possibly empty): the shredder
-        // always terminates the record segment with delimiter 0, and no
-        // content entry mid-record can have definition level 0.
-        while let Some(&def) = self.defs.get(pos.def) {
+    }
+
+    /// Advance `pos` past the rest of a record whose outermost array is
+    /// present (possibly empty): up to and including the delimiter 0, which
+    /// the shredder always terminates such a record segment with, and which
+    /// no content entry mid-record can have.
+    #[inline]
+    pub(crate) fn skip_to_record_end(&self, pos: &mut ChunkPos) {
+        while let Some(def) = self.peek(*pos) {
             self.skip_entry(pos);
             if def == 0 {
                 break;
@@ -391,48 +402,6 @@ impl ColumnChunk {
             self.skip_record(&mut pos);
         }
         pos
-    }
-
-    /// The index into `values` of the record at `pos` of a **non-repeated**
-    /// column, `None` when the record holds no value there. `pos` must stand
-    /// on a record boundary ([`ColumnChunk::record_pos`] /
-    /// [`ColumnChunk::skip_records`]) inside the chunk.
-    pub fn value_index(&self, pos: ChunkPos) -> Option<usize> {
-        debug_assert!(!self.spec.is_repeated());
-        (self.spec.is_key || self.defs[pos.def] == self.spec.max_def).then_some(pos.value)
-    }
-
-    /// Visit the array elements of the record at `pos`, in order, and leave
-    /// `pos` on the next record. For a column under **exactly one** array
-    /// with no union between the array and the column: every element of the
-    /// array then owns exactly one entry, so `visit` is called once per
-    /// element — with the index of its value, or `None` when the element
-    /// lacks the column's field. An absent or empty array visits nothing.
-    /// This is the column-at-a-time form of what assembling the array and
-    /// walking it would yield, without building either.
-    pub fn for_each_element(&self, pos: &mut ChunkPos, mut visit: impl FnMut(Option<usize>)) {
-        debug_assert_eq!(self.spec.array_levels.len(), 1);
-        let Some(&first) = self.defs.get(pos.def) else {
-            return;
-        };
-        if first <= self.spec.array_levels[0] {
-            // Array absent (one entry) or empty (its marker and delimiter).
-            self.skip_record(pos);
-            return;
-        }
-        let max_def = self.spec.max_def;
-        while let Some(&def) = self.defs.get(pos.def) {
-            pos.def += 1;
-            if def == 0 {
-                break; // the record's terminating delimiter
-            }
-            if def == max_def {
-                visit(Some(pos.value));
-                pos.value += 1;
-            } else {
-                visit(None);
-            }
-        }
     }
 
     /// Encode the chunk into `out` using the paper's encoding set:
@@ -694,9 +663,11 @@ mod tests {
     /// walking the documents would see, including across skipped records.
     #[test]
     fn record_and_element_walks_match_the_documents() {
+        use crate::cursor::ColumnWalk;
         use crate::shred::shred_records;
         use docmodel::doc;
         use schema::SchemaBuilder;
+        use std::sync::Arc;
 
         let records = vec![
             doc!({"id": 0, "score": 5, "readings": [{"temp": 1.5, "seq": 0}, {"seq": 1}]}),
@@ -709,32 +680,29 @@ mod tests {
         builder.observe_all(records.iter());
         let schema = builder.into_schema();
         let batch = shred_records(&schema, &records);
-        let chunk = |path: &str| {
-            batch
+        let walk = |path: &str| {
+            let chunk = batch
                 .columns
                 .iter()
-                .find(|c| c.spec.path == Path::parse(path))
-                .unwrap()
+                .find(|c| c.spec.path == Path::parse(path));
+            ColumnWalk::new(Arc::new(chunk.unwrap().clone()))
         };
 
-        // Record-level column: the value index of each record, or None.
-        let score = chunk("score");
-        for (ordinal, want) in [Some(5i64), None, Some(7), None, Some(9)].into_iter().enumerate() {
-            let mut pos = ChunkPos::default();
-            score.skip_records(&mut pos, ordinal);
-            assert_eq!(
-                score.value_index(pos).map(|i| score.values.get(i)),
-                want.map(Value::Int),
-                "record {ordinal}"
-            );
+        // Record-level column: the value index of each record, or None,
+        // from every start position.
+        let scores = [Some(5i64), None, Some(7), None, Some(9)];
+        for first in 0..records.len() {
+            let mut score = walk("score");
+            for (ordinal, want) in scores.iter().enumerate().skip(first) {
+                let got = score.value_index(ordinal).map(|i| score.values().get(i));
+                assert_eq!(got, want.map(Value::Int), "record {ordinal} from {first}");
+            }
         }
         // The key column holds a value for every entry.
-        let id = chunk("id");
-        assert_eq!(id.value_index(id.record_pos(3)), Some(3));
+        assert_eq!(walk("id").value_index(3), Some(3));
 
         // Element walk: one visit per element, None where `temp` is missing;
         // absent and empty arrays visit nothing; every start position works.
-        let temp = chunk("readings[*].temp");
         let want: [&[Option<f64>]; 5] = [
             &[Some(1.5), None],
             &[],
@@ -743,19 +711,22 @@ mod tests {
             &[None, Some(3.5), Some(4.5)],
         ];
         for first in 0..records.len() {
-            let mut pos = ChunkPos::default();
-            temp.skip_records(&mut pos, first);
+            let mut temp = walk("readings[*].temp");
             for (ordinal, want) in want.iter().enumerate().skip(first) {
+                let has_elements = temp.has_elements(ordinal);
+                assert_eq!(has_elements, !want.is_empty(), "record {ordinal}");
                 let mut seen = Vec::new();
-                temp.for_each_element(&mut pos, |i| {
-                    seen.push(i.map(|i| match temp.values.get(i) {
+                let values = temp.values().clone();
+                temp.for_each_element(ordinal, |i| {
+                    seen.push(i.map(|i| match values.get(i) {
                         Value::Double(d) => d,
                         other => panic!("{other:?}"),
                     }))
                 });
                 assert_eq!(&seen[..], *want, "record {ordinal} from {first}");
             }
-            assert_eq!(pos.def(), temp.defs.len(), "the walk ends with the chunk");
+            let end = temp.chunk.entry_count();
+            assert_eq!(temp.pos.def, end, "the walk ends with the chunk");
         }
     }
 

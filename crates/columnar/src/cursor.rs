@@ -1,103 +1,131 @@
-//! Column cursors: entry-at-a-time iteration over a [`ColumnChunk`].
+//! Reading one column without assembling: the column walk over ascending
+//! ordinals, and the handle an [`Assembler`](crate::Assembler) is given.
 //!
-//! Cursors are what the LSM read path and the assembler work with. They
-//! support the batched skipping described in §4.4: during reconciliation,
-//! records overridden by newer components are *counted* and all affected
-//! cursors are advanced in one go, per column, instead of being decoded and
-//! discarded one value at a time.
+//! Column kernels and pushed filters ask a column about one record after
+//! another — its value, whether its array has elements, each element's
+//! value — in ascending ordinal order. [`ColumnWalk`] answers them in one
+//! forward pass over the chunk's definition levels: a gap between two
+//! ordinals is one batched [`ColumnChunk::skip_records`], never a decode.
+//! Callers see value indexes and element visits, never a definition level.
 
 use std::sync::Arc;
 
-use docmodel::Value;
-use schema::ColumnSpec;
+use crate::chunk::{ChunkPos, ColumnChunk, ColumnValues};
 
-use crate::chunk::{ChunkPos, ColumnChunk};
-
-/// A cursor over one column chunk.
+/// A column chunk handed to [`Assembler::new`](crate::Assembler::new),
+/// read from its first record on. The position lives in the assembler.
 #[derive(Debug, Clone)]
-pub struct ColumnCursor {
-    chunk: Arc<ColumnChunk>,
-    pos: ChunkPos,
-}
+pub struct ColumnCursor(pub(crate) Arc<ColumnChunk>);
 
 impl ColumnCursor {
-    /// Create a cursor positioned at the first entry.
+    /// A cursor at the first record of `chunk`.
     pub fn new(chunk: Arc<ColumnChunk>) -> ColumnCursor {
-        ColumnCursor {
+        ColumnCursor(chunk)
+    }
+}
+
+/// One forward pass over one column of a leaf: stands on a record boundary
+/// and is asked about ascending ordinals (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ColumnWalk {
+    pub(crate) chunk: Arc<ColumnChunk>,
+    pub(crate) pos: ChunkPos,
+    /// The record `pos` stands on.
+    at: usize,
+}
+
+impl ColumnWalk {
+    /// A walk standing on the first record of `chunk`.
+    pub fn new(chunk: Arc<ColumnChunk>) -> ColumnWalk {
+        ColumnWalk {
             chunk,
             pos: ChunkPos::default(),
+            at: 0,
         }
     }
 
-    /// The column's metadata.
-    pub fn spec(&self) -> &ColumnSpec {
-        &self.chunk.spec
+    /// The column's values, which the indexes this walk hands out point
+    /// into.
+    #[inline]
+    pub fn values(&self) -> &ColumnValues {
+        &self.chunk.values
     }
 
-    /// Number of entries not yet consumed.
-    pub fn remaining_entries(&self) -> usize {
-        self.chunk.defs.len() - self.pos.def
+    #[inline]
+    fn seek(&mut self, ordinal: usize) {
+        debug_assert!(ordinal >= self.at, "a column walk only goes forward");
+        self.chunk.skip_records(&mut self.pos, ordinal - self.at);
+        self.at = ordinal;
     }
 
-    /// `true` when every entry has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos.def >= self.chunk.defs.len()
+    /// The index into [`ColumnWalk::values`] of record `ordinal` of a
+    /// **non-repeated** column, `None` when the record holds no value
+    /// there. The key column holds a value for every record.
+    #[inline]
+    pub fn value_index(&mut self, ordinal: usize) -> Option<usize> {
+        self.seek(ordinal);
+        let spec = &self.chunk.spec;
+        debug_assert!(!spec.is_repeated());
+        (spec.is_key || self.chunk.defs[self.pos.def] == spec.max_def).then_some(self.pos.value)
     }
 
-    /// Peek at the next entry's definition level without consuming it.
-    pub fn peek_def(&self) -> Option<u16> {
-        self.chunk.defs.get(self.pos.def).copied()
+    /// Whether record `ordinal` holds at least one element of the array a
+    /// column under exactly one array lies under.
+    #[inline]
+    pub fn has_elements(&mut self, ordinal: usize) -> bool {
+        self.seek(ordinal);
+        self.chunk.defs[self.pos.def] > self.chunk.spec.array_levels[0]
     }
 
-    /// Consume the next entry, returning `(definition level, value)`. The
-    /// value is present when the definition level equals the column maximum —
-    /// or always, for the primary-key column (anti-matter entries store the
-    /// deleted key at definition level 0, §3.2.3).
-    pub fn next_entry(&mut self) -> Option<(u16, Option<Value>)> {
-        let def = self.peek_def()?;
-        let value_at = self.pos.value;
-        self.chunk.skip_entry(&mut self.pos);
-        let value = (self.pos.value > value_at).then(|| self.chunk.values.get(value_at));
-        Some((def, value))
-    }
-
-    /// Consume the next entry, discarding its value (cheaper bookkeeping for
-    /// absent/delimiter consumption during assembly).
-    pub fn skip_entry(&mut self) {
-        self.chunk.skip_entry(&mut self.pos);
-    }
-
-    /// Skip the entries of exactly one record (a single entry for a
-    /// non-repeated column or an absent outermost array, otherwise the run
-    /// up to and including the record's terminating delimiter `0`).
-    pub fn skip_record(&mut self) {
-        self.chunk.skip_record(&mut self.pos);
-    }
-
-    /// Skip `n` records (the batched advance used by LSM reconciliation).
-    pub fn skip_records(&mut self, n: usize) {
-        self.chunk.skip_records(&mut self.pos, n);
-    }
-
-    /// Position the cursor at the first entry of record `ordinal`, wherever
-    /// it stood before (exhausted when the chunk has fewer records). Backed
-    /// by the chunk's sparse record-offset index, which the first seek on a
-    /// chunk builds and every later cursor over the same chunk shares — the
-    /// §4.6 point-lookup path, where only the needed columns move and only
-    /// as far as the one record wanted.
-    pub fn seek_record(&mut self, ordinal: usize) {
-        self.pos = self.chunk.record_pos(ordinal);
+    /// Visit the array elements of record `ordinal`, in order, and move on
+    /// to the next record. For a column under **exactly one** array with no
+    /// union between the array and the column: every element of the array
+    /// then owns exactly one entry, so `visit` is called once per element —
+    /// with the index of its value, or `None` when the element lacks the
+    /// column's field. An absent or empty array visits nothing. This is the
+    /// column-at-a-time form of what assembling the array and walking it
+    /// would yield, without building either.
+    #[inline]
+    pub fn for_each_element(&mut self, ordinal: usize, mut visit: impl FnMut(Option<usize>)) {
+        self.seek(ordinal);
+        self.at += 1;
+        let chunk = &*self.chunk;
+        let pos = &mut self.pos;
+        debug_assert_eq!(chunk.spec.array_levels.len(), 1);
+        let Some(first) = chunk.peek(*pos) else {
+            return;
+        };
+        if first <= chunk.spec.array_levels[0] {
+            // Array absent (one entry) or empty (its marker and delimiter).
+            chunk.skip_record(pos);
+            return;
+        }
+        let max_def = chunk.spec.max_def;
+        while let Some(def) = chunk.peek(*pos) {
+            pos.def += 1;
+            if def == 0 {
+                break; // the record's terminating delimiter
+            }
+            if def == max_def {
+                visit(Some(pos.value));
+                pos.value += 1;
+            } else {
+                visit(None);
+            }
+        }
     }
 }
 
+/// [`ChunkPos`] moved over a chunk entry by entry (how the automaton
+/// reads), record by record and by seek, plus the key column's reads.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shred::shred_records;
-    use docmodel::{doc, Path};
+    use docmodel::{doc, Path, Value};
     use schema::SchemaBuilder;
 
-    fn gamer_cursors() -> Vec<ColumnCursor> {
+    fn gamer_chunks() -> Vec<ColumnChunk> {
         let records = vec![
             doc!({"id": 0, "games": [{"title": "NFL"}]}),
             doc!({
@@ -118,29 +146,36 @@ mod tests {
         let mut b = SchemaBuilder::new(Some("id".to_string()));
         b.observe_all(records.iter());
         let schema = b.into_schema();
-        let batch = shred_records(&schema, &records);
-        batch
-            .columns
-            .into_iter()
-            .map(|c| ColumnCursor::new(Arc::new(c)))
-            .collect()
+        shred_records(&schema, &records).columns
     }
 
-    fn cursor_for(cursors: &[ColumnCursor], path: &str) -> ColumnCursor {
-        cursors
+    fn chunk_for<'a>(chunks: &'a [ColumnChunk], path: &str) -> &'a ColumnChunk {
+        chunks
             .iter()
-            .find(|c| c.spec().path == Path::parse(path))
+            .find(|c| c.spec.path == Path::parse(path))
             .unwrap()
-            .clone()
+    }
+
+    /// Consume the entry at `pos`: its definition level, and its value when
+    /// it carries one.
+    fn next_entry(chunk: &ColumnChunk, pos: &mut ChunkPos) -> Option<(u16, Option<Value>)> {
+        let def = chunk.peek(*pos)?;
+        let value_at = pos.value;
+        chunk.skip_entry(pos);
+        Some((
+            def,
+            (pos.value > value_at).then(|| chunk.values.get(value_at)),
+        ))
     }
 
     #[test]
     fn next_entry_walks_defs_and_values() {
-        let cursors = gamer_cursors();
-        let mut titles = cursor_for(&cursors, "games[*].title");
+        let chunks = gamer_chunks();
+        let titles = chunk_for(&chunks, "games[*].title");
+        let mut pos = ChunkPos::default();
         let mut seen_values = Vec::new();
         let mut seen_defs = Vec::new();
-        while let Some((def, value)) = titles.next_entry() {
+        while let Some((def, value)) = next_entry(titles, &mut pos) {
             seen_defs.push(def);
             if let Some(v) = value {
                 seen_values.push(v);
@@ -156,8 +191,8 @@ mod tests {
                 Value::from("NFL")
             ]
         );
-        assert!(titles.is_exhausted());
-        assert!(titles.next_entry().is_none());
+        assert_eq!(pos.def, titles.entry_count());
+        assert!(next_entry(titles, &mut pos).is_none());
     }
 
     #[test]
@@ -171,26 +206,45 @@ mod tests {
         shredder.shred_antimatter(&Value::Int(99));
         let batch = shredder.finish();
         let key_chunk = batch.columns.into_iter().find(|c| c.spec.is_key).unwrap();
-        let mut cur = ColumnCursor::new(Arc::new(key_chunk));
-        assert_eq!(cur.next_entry(), Some((1, Some(Value::Int(10)))));
-        assert_eq!(cur.next_entry(), Some((0, Some(Value::Int(99)))));
+        let mut pos = ChunkPos::default();
+        assert_eq!(
+            next_entry(&key_chunk, &mut pos),
+            Some((1, Some(Value::Int(10))))
+        );
+        assert_eq!(
+            next_entry(&key_chunk, &mut pos),
+            Some((0, Some(Value::Int(99))))
+        );
+        // The one anti-matter query, and the key read by ordinal.
+        assert!(!key_chunk.is_antimatter(0));
+        assert!(key_chunk.is_antimatter(1));
+        let mut keys = ColumnWalk::new(Arc::new(key_chunk));
+        assert_eq!(
+            keys.value_index(1).map(|i| keys.values().get(i)),
+            Some(Value::Int(99))
+        );
     }
 
     #[test]
     fn skip_record_respects_boundaries() {
-        let cursors = gamer_cursors();
+        let chunks = gamer_chunks();
 
         // Non-repeated column: one entry per record.
-        let mut first = cursor_for(&cursors, "name.first");
-        first.skip_records(2);
-        assert_eq!(first.next_entry(), Some((2, Some(Value::from("John")))));
+        let first = chunk_for(&chunks, "name.first");
+        let mut pos = ChunkPos::default();
+        first.skip_records(&mut pos, 2);
+        assert_eq!(
+            next_entry(first, &mut pos),
+            Some((2, Some(Value::from("John"))))
+        );
 
         // Repeated column: records span variable numbers of entries.
-        let mut consoles = cursor_for(&cursors, "games[*].consoles[*]");
-        consoles.skip_records(2); // records 0 and 1
+        let consoles = chunk_for(&chunks, "games[*].consoles[*]");
+        let mut pos = ChunkPos::default();
+        consoles.skip_records(&mut pos, 2); // records 0 and 1
         let mut defs = Vec::new();
         let mut values = Vec::new();
-        while let Some((d, v)) = consoles.next_entry() {
+        while let Some((d, v)) = next_entry(consoles, &mut pos) {
             defs.push(d);
             if let Some(v) = v {
                 values.push(v);
@@ -208,58 +262,64 @@ mod tests {
 
     #[test]
     fn skip_all_records_exhausts_cursor() {
-        let cursors = gamer_cursors();
-        for mut cur in cursors {
-            cur.skip_records(4);
-            assert!(cur.is_exhausted(), "column {} not exhausted", cur.spec().path);
-            cur.skip_records(3); // further skips are harmless
-            assert!(cur.next_entry().is_none());
+        for chunk in &gamer_chunks() {
+            let mut pos = ChunkPos::default();
+            chunk.skip_records(&mut pos, 4);
+            assert_eq!(
+                pos.def,
+                chunk.entry_count(),
+                "column {} not exhausted",
+                chunk.spec.path
+            );
+            assert_eq!(pos.value, chunk.values.len(), "{}", chunk.spec.path);
+            chunk.skip_records(&mut pos, 3); // further skips are harmless
+            assert!(next_entry(chunk, &mut pos).is_none());
         }
     }
 
     #[test]
     fn seek_record_lands_on_record_boundaries_in_any_order() {
-        let cursors = gamer_cursors();
+        let chunks = gamer_chunks();
         for path in ["id", "name.first", "games[*].title", "games[*].consoles[*]"] {
-            let mut walked = cursor_for(&cursors, path);
+            let chunk = chunk_for(&chunks, path);
             // The entries of each record, collected by walking.
+            let mut walked = ChunkPos::default();
             let mut expected = Vec::new();
             for _ in 0..4 {
-                let mut probe = walked.clone();
-                probe.skip_record();
+                let mut end = walked;
+                chunk.skip_record(&mut end);
                 let mut entries = Vec::new();
-                while walked.remaining_entries() > probe.remaining_entries() {
-                    entries.push(walked.next_entry().unwrap());
+                while walked.def < end.def {
+                    entries.push(next_entry(chunk, &mut walked).unwrap());
                 }
                 expected.push(entries);
             }
-            let mut seeker = cursor_for(&cursors, path);
             for ordinal in [2usize, 0, 3, 3, 1] {
-                seeker.seek_record(ordinal);
+                let mut seeker = chunk.record_pos(ordinal);
                 for entry in &expected[ordinal] {
                     assert_eq!(
-                        seeker.next_entry().as_ref(),
+                        next_entry(chunk, &mut seeker).as_ref(),
                         Some(entry),
                         "{path} record {ordinal}"
                     );
                 }
             }
             // Past the last record: exhausted, not a panic.
-            seeker.seek_record(4);
-            assert!(seeker.is_exhausted(), "{path}");
-            seeker.seek_record(400);
-            assert!(seeker.is_exhausted(), "{path}");
+            for ordinal in [4, 400] {
+                assert_eq!(chunk.record_pos(ordinal).def, chunk.entry_count(), "{path}");
+            }
         }
     }
 
     #[test]
     fn peek_does_not_consume() {
-        let cursors = gamer_cursors();
-        let mut id = cursor_for(&cursors, "id");
-        assert_eq!(id.peek_def(), Some(1));
-        assert_eq!(id.peek_def(), Some(1));
-        assert_eq!(id.remaining_entries(), 4);
-        id.next_entry();
-        assert_eq!(id.remaining_entries(), 3);
+        let chunks = gamer_chunks();
+        let id = chunk_for(&chunks, "id");
+        let mut pos = ChunkPos::default();
+        assert_eq!(id.peek(pos), Some(1));
+        assert_eq!(id.peek(pos), Some(1));
+        assert_eq!(pos, ChunkPos::default());
+        next_entry(id, &mut pos);
+        assert_eq!(id.entry_count() - pos.def, 3);
     }
 }

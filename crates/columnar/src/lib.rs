@@ -20,22 +20,28 @@
 //!
 //! * [`chunk`] — [`ColumnChunk`]: one column's definition levels and values,
 //!   with encode/decode to the byte representation stored inside APAX
-//!   minipages and AMAX megapages, plus min/max statistics for zone maps;
+//!   minipages and AMAX megapages, min/max statistics for zone maps, the
+//!   key column's anti-matter test ([`ColumnChunk::is_antimatter`]), and
+//!   [`ChunkPos`], the one position type: record-wise skipping and seeking
+//!   through a lazily built record-offset index (§4.6);
 //! * [`shred`] — [`Shredder`]: schema-driven decomposition of records into
 //!   column chunks (the "columnize while inferring the schema" pass of the
 //!   tuple compactor);
-//! * [`cursor`] — [`ColumnCursor`]: entry-at-a-time iteration with
-//!   record-boundary awareness and batch skipping (used by LSM
-//!   reconciliation, §4.4);
-//! * [`assemble`] — [`Assembler`]: the record-assembly automaton that stitches
-//!   columns back into documents, with projection push-down so queries only
-//!   touch (and only decode) the columns they need. Point lookups assemble
-//!   the record at one ordinal ([`Assembler::record_at`]) by seeking each
-//!   projected column through a lazily built record-offset index (§4.6);
-//! * [`shape`] — [`ShapeWalker`]: the same automaton run for its side
-//!   effects only — per-path presence tallies and per-record logical sizes
-//!   read off the definition levels, which is how a component writer derives
-//!   zone maps and page boundaries from column chunks without a document.
+//! * [`assemble`] — the record-assembly automaton, written once and generic
+//!   over what it produces, with projection push-down so queries only touch
+//!   (and only decode) the columns they need. Two sinks drive it:
+//!   [`Assembler`] stitches the columns back into documents (one after the
+//!   other, or the record at one ordinal, [`Assembler::record_at`]), and
+//!   [`shape`]'s [`ShapeWalker`] adds up their sizes and per-path presence
+//!   tallies instead — how a component writer derives zone maps and page
+//!   boundaries from column chunks without a document;
+//! * [`cursor`] — [`ColumnWalk`]: one column read at a time over ascending
+//!   record ordinals (a record's value, whether its array has elements,
+//!   each element's value) — what column kernels and pushed filters run on —
+//!   and [`ColumnCursor`], a chunk handed to an [`Assembler`].
+//!
+//! The definition-level rules are read only here: nothing outside this crate
+//! compares a level.
 //!
 //! Chunks also support **record-range copy** ([`ColumnChunk::record_pos`],
 //! [`ColumnChunk::skip_records`], [`ColumnChunk::extend_from`]): the entries
@@ -50,7 +56,7 @@ pub mod shred;
 
 pub use assemble::{Assembler, AssemblyPlan};
 pub use chunk::{ChunkPos, ColumnChunk, ColumnValues};
-pub use cursor::ColumnCursor;
+pub use cursor::{ColumnCursor, ColumnWalk};
 pub use shape::{PathTally, ShapePath, ShapePlan, ShapeWalker};
 pub use shred::{ShreddedBatch, Shredder};
 

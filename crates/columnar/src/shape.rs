@@ -3,13 +3,13 @@
 //! A component writer needs two things about the records it seals into a
 //! leaf that only the records' structure can tell: per-path presence counts
 //! (the leaf's zone map) and, for the size-bounded layouts, each record's
-//! logical size. Both used to come from walking documents. [`ShapeWalker`]
-//! gets them from the definition-level streams alone: it follows the
-//! [`Assembler`](crate::Assembler)'s automaton entry for entry — the same
-//! absent / empty / delimiter decisions, the same placeholders for array
-//! elements whose subtree is absent — but where the assembler would build a
-//! value it bumps a tally and adds up [`Value::approx_size`]. No value is
-//! read except the length of a string, and no document exists at any point.
+//! logical size. [`ShapeWalker`] gets them from the definition-level streams
+//! alone: it runs the [`Assembler`](crate::Assembler)'s automaton itself —
+//! the same absent / empty / delimiter decisions, the same placeholders for
+//! array elements whose subtree is absent — with a sink that, where the
+//! assembler's sink builds a value, bumps a tally and adds up
+//! [`Value::approx_size`]. No value is read except the length of a string,
+//! and no document exists at any point.
 //!
 //! The tallies are keyed by *path*, rendered exactly like
 //! [`docmodel::Path`]'s display minus the union steps (`name<string>` and
@@ -23,9 +23,9 @@ use std::collections::HashMap;
 use schema::node::SchemaNode;
 use schema::{ColumnId, NodeId, Schema};
 
-use crate::assemble::AssemblyPlan;
-use crate::chunk::{ChunkPos, ColumnChunk};
-use crate::{ColumnarError, Result};
+use crate::assemble::{AssemblyPlan, RecordWalk, Sink};
+use crate::chunk::{ChunkPos, ColumnChunk, ColumnValues};
+use crate::Result;
 
 /// One path the records of a schema can address.
 #[derive(Debug, Clone)]
@@ -136,28 +136,23 @@ pub struct ShapeWalker<'a> {
     plan: &'a ShapePlan,
     chunks: Vec<&'a ColumnChunk>,
     pos: Vec<ChunkPos>,
-    tallies: Vec<PathTally>,
-    /// Ordinal (from 1) of the record being walked.
-    record: u64,
+    tallies: Tallies<'a>,
 }
 
 impl<'a> ShapeWalker<'a> {
     /// A walker over `chunks` — the plan's columns, in the plan's order —
     /// standing at record `first`.
     pub fn new(plan: &'a ShapePlan, chunks: Vec<&'a ColumnChunk>, first: usize) -> Self {
-        assert!(
-            chunks
-                .iter()
-                .map(|c| c.spec.id)
-                .eq(plan.assembly.columns().iter().copied()),
-            "chunks do not match the shape plan's columns"
-        );
+        plan.assembly.check_columns(&chunks);
         ShapeWalker {
             pos: chunks.iter().map(|c| c.record_pos(first)).collect(),
-            tallies: vec![PathTally::default(); plan.paths.len()],
+            tallies: Tallies {
+                path_of: &plan.path_of,
+                tallies: vec![PathTally::default(); plan.paths.len()],
+                record: 0,
+            },
             plan,
             chunks,
-            record: 0,
         }
     }
 
@@ -166,32 +161,36 @@ impl<'a> ShapeWalker<'a> {
     /// assembler would build from it (`4`, the empty object, for
     /// anti-matter, which therefore tallies nothing).
     pub fn next_record(&mut self) -> Result<usize> {
-        self.record += 1;
-        let plan = self.plan;
-        let schema = plan.assembly.schema();
-        let SchemaNode::Object { fields } = schema.node(schema.root()) else {
-            unreachable!("schema root is always an object")
-        };
-        let mut size = 4;
-        for (name, child) in fields {
-            if plan.assembly.leaves_under(*child).is_empty() {
-                continue;
-            }
-            if let Some(child_size) = self.value(*child, 1, 0)? {
-                size += 2 + name.len() + child_size;
-            }
+        self.tallies.record += 1;
+        RecordWalk {
+            plan: &self.plan.assembly,
+            chunks: &self.chunks,
+            pos: &mut self.pos,
+            sink: &mut self.tallies,
         }
-        Ok(size)
+        .record()
     }
 
     /// Per-path tallies of the records walked so far, parallel to
     /// [`ShapePlan::paths`].
     pub fn tallies(&self) -> &[PathTally] {
-        &self.tallies
+        &self.tallies.tallies
     }
+}
 
+/// The size sink: a value is its [`Value::approx_size`], and every present
+/// value bumps the tally of its path.
+struct Tallies<'a> {
+    /// Per schema node: index into the tallies (the root has none).
+    path_of: &'a [Option<usize>],
+    tallies: Vec<PathTally>,
+    /// Ordinal (from 1) of the record being walked.
+    record: u64,
+}
+
+impl Tallies<'_> {
     fn tally(&mut self, node: NodeId, composite: bool) {
-        let Some(path) = self.plan.path_of[node as usize] else {
+        let Some(path) = self.path_of[node as usize] else {
             return;
         };
         let tally = &mut self.tallies[path];
@@ -202,134 +201,38 @@ impl<'a> ShapeWalker<'a> {
             tally.rows += 1;
         }
     }
+}
 
-    /// The size of the value at `node` for the current structural position,
-    /// `None` when it is absent. Mirrors `RecordWalk::assemble_value` step
-    /// for step; see there for the array classification rules.
-    fn value(&mut self, node: NodeId, level: u16, array_depth: u16) -> Result<Option<usize>> {
-        let plan = self.plan;
-        let assembly = &plan.assembly;
-        match assembly.schema().node(node) {
-            SchemaNode::Atomic { .. } => {
-                let slot = assembly.slot(node).expect("included leaf has a chunk");
-                let chunk = self.chunks[slot];
-                let pos = &mut self.pos[slot];
-                let def = *chunk
-                    .defs
-                    .get(pos.def)
-                    .ok_or_else(|| ColumnarError::new("column exhausted mid-record"))?;
-                let value_at = pos.value;
-                chunk.skip_entry(pos);
-                if def != chunk.spec.max_def {
-                    return Ok(None);
-                }
-                self.tally(node, false);
-                Ok(Some(chunk.values.approx_size_at(value_at)))
-            }
-            SchemaNode::Object { fields } => {
-                let mut size = None;
-                for (name, child) in fields {
-                    if assembly.leaves_under(*child).is_empty() {
-                        continue;
-                    }
-                    if let Some(child_size) = self.value(*child, level + 1, array_depth)? {
-                        size = Some(size.unwrap_or(4) + 2 + name.len() + child_size);
-                    }
-                }
-                if size.is_some() {
-                    self.tally(node, true);
-                }
-                Ok(size)
-            }
-            SchemaNode::Union { branches } => {
-                let mut result = None;
-                for (_, child) in branches {
-                    if assembly.leaves_under(*child).is_empty() {
-                        continue;
-                    }
-                    let size = self.value(*child, level, array_depth)?;
-                    result = result.or(size);
-                }
-                Ok(result)
-            }
-            SchemaNode::Array { item } => {
-                let Some(item) = *item else { return Ok(None) };
-                let Some(&repr) = assembly.leaves_under(item).first() else {
-                    return Ok(None);
-                };
-                let next_def = self.max_peek_under(node)?;
-                if next_def < level {
-                    self.skip_entry_under(node);
-                    return Ok(None);
-                }
-                self.tally(node, true);
-                if next_def == level {
-                    if array_depth == 0 {
-                        self.skip_to_record_end_under(node);
-                    } else {
-                        self.skip_entry_under(node);
-                    }
-                    return Ok(Some(4));
-                }
-                let item_is_object =
-                    matches!(assembly.schema().node(item), SchemaNode::Object { .. });
-                let mut size = 4;
-                loop {
-                    size += match self.value(item, level + 1, array_depth + 1)? {
-                        Some(elem) => elem,
-                        None => {
-                            // The assembler's placeholder: `{}` or `null`.
-                            self.tally(item, item_is_object);
-                            if item_is_object {
-                                4
-                            } else {
-                                1
-                            }
-                        }
-                    };
-                    match self.chunks[repr].defs.get(self.pos[repr].def) {
-                        None => break,
-                        Some(&v) if v < array_depth => break,
-                        Some(&v) if v == array_depth => {
-                            self.skip_entry_under(node);
-                            break;
-                        }
-                        Some(_) => {}
-                    }
-                }
-                Ok(Some(size))
-            }
-        }
+impl Sink for Tallies<'_> {
+    type Value = usize;
+    type Fields = usize;
+    type Elements = usize;
+
+    fn atomic(&mut self, node: NodeId, values: &ColumnValues, index: usize) -> usize {
+        self.tally(node, false);
+        values.approx_size_at(index)
     }
 
-    fn skip_entry_under(&mut self, node: NodeId) {
-        for &leaf in self.plan.assembly.leaves_under(node) {
-            self.chunks[leaf].skip_entry(&mut self.pos[leaf]);
-        }
+    fn null(&mut self, node: NodeId) -> usize {
+        self.tally(node, false);
+        1
     }
 
-    fn skip_to_record_end_under(&mut self, node: NodeId) {
-        for &leaf in self.plan.assembly.leaves_under(node) {
-            let chunk = self.chunks[leaf];
-            let pos = &mut self.pos[leaf];
-            while let Some(&def) = chunk.defs.get(pos.def) {
-                chunk.skip_entry(pos);
-                if def == 0 {
-                    break;
-                }
-            }
-        }
+    fn field(fields: &mut usize, name: &str, size: usize) {
+        *fields += 2 + name.len() + size;
     }
 
-    fn max_peek_under(&self, node: NodeId) -> Result<u16> {
-        let mut max = None;
-        for &leaf in self.plan.assembly.leaves_under(node) {
-            let def = *self.chunks[leaf]
-                .defs
-                .get(self.pos[leaf].def)
-                .ok_or_else(|| ColumnarError::new("column exhausted at array position"))?;
-            max = Some(max.map_or(def, |m: u16| m.max(def)));
-        }
-        max.ok_or_else(|| ColumnarError::new("array node has no projected columns"))
+    fn object(&mut self, node: NodeId, fields: usize) -> usize {
+        self.tally(node, true);
+        4 + fields
+    }
+
+    fn element(elements: &mut usize, size: usize) {
+        *elements += size;
+    }
+
+    fn array(&mut self, node: NodeId, elements: usize) -> usize {
+        self.tally(node, true);
+        4 + elements
     }
 }

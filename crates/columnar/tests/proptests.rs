@@ -1,11 +1,13 @@
 //! Property-based tests: shredding then assembling arbitrary "clean"
-//! documents is the identity (up to object field order), and encoded chunks
-//! round-trip byte-exactly.
+//! documents is the identity (up to object field order), encoded chunks
+//! round-trip byte-exactly, and the assembly automaton's two sinks — the
+//! documents and the shape tallies — describe the same records.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use columnar::{Assembler, ColumnChunk, ColumnCursor, Shredder};
-use docmodel::Value;
+use columnar::{Assembler, ColumnChunk, ColumnCursor, ShapePlan, ShapeWalker, Shredder};
+use docmodel::{PathStep, Value};
 use proptest::prelude::*;
 use schema::SchemaBuilder;
 
@@ -72,6 +74,100 @@ fn arb_entry() -> impl Strategy<Value = Option<Value>> {
         Value::Object(obj)
     });
     (record, 0u8..8).prop_map(|(doc, dice)| (dice > 0).then_some(doc))
+}
+
+/// Shred `entries` (anti-matter where `None`) with `id` set to the ordinal;
+/// the schema and the chunks, shared as in the leaf cache.
+fn shred_entries(entries: Vec<Option<Value>>) -> (schema::Schema, Vec<Arc<ColumnChunk>>, usize) {
+    let records: Vec<Option<Value>> = entries
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            entry.map(|mut doc| {
+                doc.set_field("id", Value::Int(i as i64));
+                doc
+            })
+        })
+        .collect();
+    let mut builder = SchemaBuilder::new(Some("id".to_string()));
+    builder.observe_all(records.iter().flatten());
+    // An all-anti-matter batch still needs its key column.
+    builder.observe(&Value::Object(vec![("id".to_string(), Value::Int(0))]));
+    let schema = builder.into_schema();
+    let mut shredder = Shredder::new(&schema);
+    for (i, record) in records.iter().enumerate() {
+        match record {
+            Some(doc) => shredder.shred(doc),
+            None => shredder.shred_antimatter(&Value::Int(i as i64)),
+        }
+    }
+    let batch = shredder.finish();
+    let n = batch.record_count;
+    (schema, batch.columns.into_iter().map(Arc::new).collect(), n)
+}
+
+/// The projections the assembly tests run under, each the columns of some
+/// paths' whole subtrees (as a query projects), plus the key column: every
+/// column; the root fields `a` and `c`; and every field but those named `b`
+/// at any depth, which leaves array elements that only had a `b` to
+/// assemble as placeholders.
+const PROJECTIONS: [&str; 3] = ["all", "a and c", "no field b"];
+
+fn projected(chunks: &[Arc<ColumnChunk>], projection: &str) -> Vec<Arc<ColumnChunk>> {
+    chunks
+        .iter()
+        .filter(|c| {
+            c.spec.is_key
+                || match projection {
+                    "a and c" => c.spec.path.to_string().starts_with(['a', 'c']),
+                    "no field b" => !c.spec.path.steps().contains(&PathStep::Field("b".into())),
+                    _ => true,
+                }
+        })
+        .cloned()
+        .collect()
+}
+
+/// Per path of the documents (rendered as a query path): records with a
+/// value there, values there, and whether one was an object or an array.
+fn document_tallies(docs: &[Value]) -> BTreeMap<String, (u64, u64, bool)> {
+    fn visit(value: &Value, path: String, out: &mut BTreeMap<String, (u64, bool)>) {
+        if !path.is_empty() {
+            let entry = out.entry(path.clone()).or_default();
+            entry.0 += 1;
+            entry.1 |= matches!(value, Value::Object(_) | Value::Array(_));
+        }
+        match value {
+            Value::Object(fields) => {
+                for (name, child) in fields {
+                    let child_path = if path.is_empty() {
+                        name.clone()
+                    } else {
+                        format!("{path}.{name}")
+                    };
+                    visit(child, child_path, out);
+                }
+            }
+            Value::Array(elems) => {
+                for elem in elems {
+                    visit(elem, format!("{path}[*]"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut tallies = BTreeMap::new();
+    for doc in docs {
+        let mut record = BTreeMap::new();
+        visit(doc, String::new(), &mut record);
+        for (path, (values, composite)) in record {
+            let tally: &mut (u64, u64, bool) = tallies.entry(path).or_default();
+            tally.0 += 1;
+            tally.1 += values;
+            tally.2 |= composite;
+        }
+    }
+    tallies
 }
 
 fn sort_fields(v: &Value) -> Value {
@@ -158,44 +254,14 @@ proptest! {
         entries in prop::collection::vec(arb_entry(), 1..200),
         picks in prop::collection::vec(0usize..100_000, 1..24),
     ) {
-        let records: Vec<Option<Value>> = entries
-            .into_iter()
-            .enumerate()
-            .map(|(i, entry)| entry.map(|mut doc| {
-                doc.set_field("id", Value::Int(i as i64));
-                doc
-            }))
-            .collect();
-        let mut builder = SchemaBuilder::new(Some("id".to_string()));
-        builder.observe_all(records.iter().flatten());
-        // An all-anti-matter batch still needs its key column.
-        builder.observe(&Value::Object(vec![("id".to_string(), Value::Int(0))]));
-        let schema = builder.into_schema();
-        let mut shredder = Shredder::new(&schema);
-        for (i, record) in records.iter().enumerate() {
-            match record {
-                Some(doc) => shredder.shred(doc),
-                None => shredder.shred_antimatter(&Value::Int(i as i64)),
-            }
-        }
-        let batch = shredder.finish();
-        let n = batch.record_count;
         // The chunks are shared, as they are in the leaf cache: every
         // assembler below seeks through the same lazily built indexes.
-        let chunks: Vec<Arc<ColumnChunk>> = batch.columns.into_iter().map(Arc::new).collect();
+        let (schema, chunks, n) = shred_entries(entries);
 
-        // All columns, then the projection on the root fields `a` and `c`.
-        for projected in [false, true] {
+        for projection in PROJECTIONS {
+            let chunks = projected(&chunks, projection);
             let assembler = || {
-                let cursors = chunks
-                    .iter()
-                    .filter(|c| {
-                        !projected
-                            || c.spec.is_key
-                            || c.spec.path.to_string().starts_with(['a', 'c'])
-                    })
-                    .map(|c| ColumnCursor::new(c.clone()))
-                    .collect();
+                let cursors = chunks.iter().map(|c| ColumnCursor::new(c.clone())).collect();
                 Assembler::new(&schema, cursors, n)
             };
             let mut sequential = assembler();
@@ -227,6 +293,49 @@ proptest! {
                 if last + 1 < n {
                     prop_assert_eq!(&hopping.next_record().unwrap().unwrap(), &expected[last + 1]);
                 }
+            }
+        }
+    }
+
+    // The automaton's two sinks agree: over unions, nulls and anti-matter,
+    // all columns and a projection, from every start ordinal, the shape
+    // walk's size of each record is the `approx_size` of the record the
+    // assembler builds, and its per-path tallies are those of a walk of the
+    // assembled documents.
+    #[test]
+    fn shape_walk_describes_the_assembled_records(
+        entries in prop::collection::vec(arb_entry(), 1..64),
+    ) {
+        let (schema, chunks, n) = shred_entries(entries);
+        for projection in PROJECTIONS {
+            let chunks = projected(&chunks, projection);
+            let ids: Vec<_> = chunks.iter().map(|c| c.spec.id).collect();
+            let plan = ShapePlan::new(&schema, &ids);
+            let cursors = chunks.iter().map(|c| ColumnCursor::new(c.clone())).collect();
+            let mut assembler = Assembler::new(&schema, cursors, n);
+            let docs: Vec<Value> = (0..n)
+                .map(|_| assembler.next_record().unwrap().unwrap())
+                .collect();
+            for first in 0..n {
+                let chunks = chunks.iter().map(|c| &**c).collect();
+                let mut walker = ShapeWalker::new(&plan, chunks, first);
+                for (i, doc) in docs.iter().enumerate().skip(first) {
+                    prop_assert_eq!(
+                        walker.next_record().unwrap(), doc.approx_size(),
+                        "{}: record {} from {}", projection, i, first
+                    );
+                }
+                let walked: BTreeMap<String, (u64, u64, bool)> = plan
+                    .paths()
+                    .iter()
+                    .zip(walker.tallies())
+                    .filter(|(_, tally)| tally.values > 0)
+                    .map(|(path, t)| (path.path.clone(), (t.rows, t.values, t.composite)))
+                    .collect();
+                prop_assert_eq!(
+                    &walked, &document_tallies(&docs[first..]),
+                    "{}: from {}", projection, first
+                );
             }
         }
     }

@@ -602,7 +602,6 @@ impl ShardedDataset {
             total.records_assembled += s.records_assembled;
             total.scan_batches += s.scan_batches;
             total.scan_records_kernel += s.scan_records_kernel;
-            total.scan_records_assembled += s.scan_records_assembled;
             total.leaf_cache_hits += s.leaf_cache_hits;
             total.leaf_cache_misses += s.leaf_cache_misses;
             total.leaf_cache_evictions += s.leaf_cache_evictions;

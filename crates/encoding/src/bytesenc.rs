@@ -78,8 +78,8 @@ pub mod delta_strings {
 
     /// Decode the values encoded by [`encode`].
     pub fn decode(buf: &[u8], pos: &mut usize) -> DecodeResult<Vec<Vec<u8>>> {
-        let count = varint::read_u64(buf, pos)? as usize;
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(count.min(1 << 16));
+        let count = crate::read_count(buf, pos)?;
+        let mut out: Vec<Vec<u8>> = Vec::with_capacity(count);
         let mut prev: Vec<u8> = Vec::new();
         for _ in 0..count {
             let prefix = varint::read_u64(buf, pos)? as usize;

@@ -67,6 +67,29 @@ impl std::error::Error for DecodeError {}
 /// Result alias for decoders.
 pub type DecodeResult<T> = Result<T, DecodeError>;
 
+/// Read an element count (a varint) from untrusted bytes. Every counted
+/// element occupies at least one encoded byte, so a count larger than the
+/// bytes that remain is corruption — rejected here, before the caller sizes
+/// a `Vec` by it. The way a decoder reads a count, wherever its elements
+/// take a byte or more; not for run-length or bit-packed streams, whose
+/// elements can take less.
+pub fn read_count(buf: &[u8], pos: &mut usize) -> DecodeResult<usize> {
+    let count = varint::read_u64(buf, pos)?;
+    check_count(count, buf, *pos)
+}
+
+/// [`read_count`]'s check, for a count stored as a fixed-width integer:
+/// `count` elements must fit in what remains of `buf` after `pos`.
+pub fn check_count(count: u64, buf: &[u8], pos: usize) -> DecodeResult<usize> {
+    let remaining = buf.len().saturating_sub(pos);
+    if count > remaining as u64 {
+        return Err(DecodeError::new(format!(
+            "count {count} exceeds the {remaining} bytes that remain"
+        )));
+    }
+    Ok(count as usize)
+}
+
 /// Identifies the encoding used for a column chunk. Persisted in page headers
 /// so readers can pick the right decoder; mirrors Parquet's encoding enum
 /// restricted to what the paper uses.
@@ -125,6 +148,23 @@ mod tests {
             assert_eq!(Encoding::from_tag(enc.tag()).unwrap(), enc);
         }
         assert!(Encoding::from_tag(200).is_err());
+    }
+
+    #[test]
+    fn a_count_beyond_the_remaining_bytes_is_an_error() {
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, 1 << 40);
+        buf.extend_from_slice(&[0; 64]);
+        assert!(read_count(&buf, &mut 0).is_err());
+        assert!(check_count(1 << 40, &buf, 0).is_err());
+        // A delta-string column claiming 2^40 values is refused up front.
+        assert!(bytesenc::delta_strings::decode(&buf, &mut 0).is_err());
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, 3);
+        buf.extend_from_slice(&[7; 3]);
+        assert_eq!(read_count(&buf, &mut 0), Ok(3));
+        assert_eq!(check_count(4, &buf, 0), Ok(4));
+        assert!(check_count(5, &buf, 0).is_err());
     }
 
     #[test]

@@ -738,7 +738,6 @@ impl LsmDataset {
         snap.push_counter("storage.records_assembled", io.records_assembled);
         snap.push_counter("scan.batches", io.scan_batches);
         snap.push_counter("scan.records_kernel", io.scan_records_kernel);
-        snap.push_counter("scan.records_assembled", io.scan_records_assembled);
         snap.push_counter("cache.hits", io.leaf_cache_hits);
         snap.push_counter("cache.misses", io.leaf_cache_misses);
         snap.push_counter("cache.evictions", io.leaf_cache_evictions);

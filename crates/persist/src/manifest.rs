@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 
 use docmodel::Value;
 use encoding::crc::crc32;
-use encoding::{plain, varint};
+use encoding::{plain, read_count, varint};
 use schema::{serial, Schema};
 use storage::component::{ComponentDescriptor, LeafDescriptor};
 use storage::stats::{ColumnStats, ComponentStats};
@@ -95,20 +95,6 @@ fn write_bool(out: &mut Vec<u8>, v: bool) {
 
 fn read_bool(buf: &[u8], pos: &mut usize) -> Result<bool> {
     Ok(read_u8(buf, pos)? != 0)
-}
-
-/// Read an element count. Every counted element occupies at least one byte,
-/// so a count larger than the bytes that remain is corruption — rejected
-/// here, before the caller sizes a `Vec` by it.
-fn read_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
-    let count = varint::read_u64(buf, pos)?;
-    let remaining = buf.len().saturating_sub(*pos);
-    if count > remaining as u64 {
-        return Err(PersistError::new(format!(
-            "manifest count {count} exceeds the {remaining} bytes that remain"
-        )));
-    }
-    Ok(count as usize)
 }
 
 fn write_pages(out: &mut Vec<u8>, pages: &[PageId]) {

@@ -11,12 +11,11 @@
 //! kernels (`Kernel`) and the access stage is the snapshot's batch scan
 //! ([`lsm::Snapshot::batches`]): key-only reconciliation hands over, per
 //! columnar leaf, the decoded chunks plus the ordinals of the winners, and a
-//! kernel folds the aggregate inputs straight off the chunks — the
-//! definition levels say where a record's values start and end
-//! ([`columnar::ColumnChunk::skip_records`],
-//! [`columnar::ColumnChunk::for_each_element`]), the typed values feed
-//! `AggState::fold`, the group table is probed once per **record**, and no
-//! document is ever built. The contrast with [`crate::interp`] — which stays
+//! kernel folds the aggregate inputs straight off the chunks — one
+//! [`columnar::ColumnWalk`] per column says where each record's values are
+//! (its value, whether its array has elements, each element's), the typed
+//! values feed `AggState::fold`, the group table is probed once per
+//! **record**, and no document is ever built. The contrast with [`crate::interp`] — which stays
 //! per-tuple over assembled documents — is §5's interpreted-vs-generated
 //! contrast.
 //!
@@ -70,7 +69,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use columnar::{ChunkPos, ColumnChunk, ColumnValues};
+use columnar::{ColumnChunk, ColumnValues, ColumnWalk};
 use docmodel::cmp::OrderedValue;
 use docmodel::{Path, Value};
 use lsm::{BatchScan, ScanBatch};
@@ -354,16 +353,15 @@ impl Kernel {
         plan: &PhysicalPlan,
         groups: &mut GroupTable,
     ) {
-        let mut group = self.group.map(|slot| Walk::new(&chunks[slot]));
-        let mut elements = self.elements.map(|slot| Walk::new(&chunks[slot]));
-        let mut walks: Vec<Option<Walk<'_>>> = self
+        let walk = |slot: usize| ColumnWalk::new(chunks[slot].clone());
+        let mut group = self.group.map(walk);
+        let mut elements = self.elements.map(walk);
+        let mut walks: Vec<Option<ColumnWalk>> = self
             .inputs
             .iter()
             .map(|input| match input {
                 KernelInput::None => None,
-                KernelInput::Record(slot) | KernelInput::Element(slot) => {
-                    Some(Walk::new(&chunks[*slot]))
-                }
+                KernelInput::Record(slot) | KernelInput::Element(slot) => Some(walk(*slot)),
             })
             .collect();
         // The walk that tells whether a record has elements: an element
@@ -375,8 +373,8 @@ impl Kernel {
         for &ordinal in selection {
             let ordinal = ordinal as usize;
             let key = match &mut group {
-                Some(walk) => match walk.record_value(ordinal) {
-                    Some(i) => Some(raw_key(&walk.chunk.values, i)),
+                Some(walk) => match walk.value_index(ordinal) {
+                    Some(i) => Some(raw_key(walk.values(), i)),
                     // No group key: the record contributes nothing.
                     None => continue,
                 },
@@ -399,24 +397,24 @@ impl Kernel {
             let times = match &mut elements {
                 Some(walk) => {
                     let mut n = 0;
-                    walk.record_elements(ordinal, |_| n += 1);
+                    walk.for_each_element(ordinal, |_| n += 1);
                     n
                 }
                 None => 1,
             };
             for ((state, input), walk) in states.iter_mut().zip(&self.inputs).zip(&mut walks) {
                 match (input, walk) {
-                    (KernelInput::Element(_), Some(walk)) => {
-                        let values = &walk.chunk.values;
-                        walk.record_elements(ordinal, |i| fold_at(state, values, i));
+                    (KernelInput::Element(slot), Some(walk)) => {
+                        let values = &chunks[*slot].values;
+                        walk.for_each_element(ordinal, |i| fold_at(state, values, i));
                     }
                     (_, walk) => {
                         let at = walk
                             .as_mut()
-                            .map(|walk| (walk.record_value(ordinal), walk.chunk));
+                            .map(|walk| (walk.value_index(ordinal), walk.values()));
                         for _ in 0..times {
                             match at {
-                                Some((i, chunk)) => fold_at(state, &chunk.values, i),
+                                Some((i, values)) => fold_at(state, values, i),
                                 None => state.fold(Input::Absent),
                             }
                         }
@@ -472,51 +470,6 @@ fn first_scalar_under(schema: &Schema, node: NodeId) -> Option<ColumnId> {
             .iter()
             .find_map(|(_, child)| first_scalar_under(schema, *child)),
         _ => None,
-    }
-}
-
-/// One forward pass over one column of a leaf: stands on a record boundary
-/// and is asked about ascending ordinals.
-struct Walk<'a> {
-    chunk: &'a ColumnChunk,
-    pos: ChunkPos,
-    /// The record `pos` stands on.
-    at: usize,
-}
-
-impl<'a> Walk<'a> {
-    fn new(chunk: &'a ColumnChunk) -> Walk<'a> {
-        Walk {
-            chunk,
-            pos: ChunkPos::default(),
-            at: 0,
-        }
-    }
-
-    fn seek(&mut self, ordinal: usize) {
-        self.chunk.skip_records(&mut self.pos, ordinal - self.at);
-        self.at = ordinal;
-    }
-
-    /// The value index of record `ordinal` in a record-level column.
-    fn record_value(&mut self, ordinal: usize) -> Option<usize> {
-        self.seek(ordinal);
-        self.chunk.value_index(self.pos)
-    }
-
-    /// Whether record `ordinal` holds at least one element of the unnested
-    /// array this column lies under.
-    fn has_elements(&mut self, ordinal: usize) -> bool {
-        self.seek(ordinal);
-        self.chunk.defs[self.pos.def()] > self.chunk.spec.array_levels[0]
-    }
-
-    /// Visit the elements of record `ordinal` in a column under the
-    /// unnested array.
-    fn record_elements(&mut self, ordinal: usize, visit: impl FnMut(Option<usize>)) {
-        self.seek(ordinal);
-        self.chunk.for_each_element(&mut self.pos, visit);
-        self.at += 1;
     }
 }
 

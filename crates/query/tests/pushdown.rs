@@ -18,6 +18,8 @@
 //!   builds no document at all where the unpushed run builds 1000), skips
 //!   provably-empty leaves without reading their non-filter-column pages,
 //!   and reports both effects exactly in `explain_analyze`;
+//! * zone maps that order doubles as the filter does (a leading NaN, `0.0`
+//!   before `-0.0`), in every layout;
 //! * the `explain` rendering of the pushed/residual split.
 
 mod support;
@@ -27,7 +29,7 @@ use proptest::prelude::*;
 use docmodel::{doc, Value};
 use lsm::{DatasetConfig, LsmDataset};
 use query::{
-    oracle, AccessPathChoice, ExecMode, Expr, PlannerOptions, Query, QueryEngine,
+    oracle, AccessPathChoice, Aggregate, ExecMode, Expr, PlannerOptions, Query, QueryEngine,
 };
 use storage::LayoutKind;
 
@@ -169,6 +171,38 @@ fn shadowed_versions_are_never_filter_evaluated() {
             // shadowed and id 3 is deleted outright.
             assert_eq!(rows.len(), 1, "{layout:?}/pushdown={pushdown}: {rows:?}");
             assert_eq!(rows[0].group, Some(Value::Int(2)), "{layout:?}/pushdown={pushdown}");
+        }
+    }
+}
+
+/// Zone maps order doubles as the pushed filter does, by `f64::total_cmp`:
+/// a leaf whose `grp` column starts with a NaN (which sorts above every
+/// number), or whose `x` column holds `0.0` before `-0.0` (which sorts
+/// below `0.0`), still holds matches for `grp <= 2` and `x < 0.0`, so it is
+/// neither skipped nor pruned — in every layout, both engines, pushdown on
+/// and off, all equal to the oracle.
+#[test]
+fn zone_maps_order_doubles_like_the_filter() {
+    for layout in LayoutKind::ALL {
+        let ds = layout_dataset("pushdown-total-order", layout);
+        for i in 0..40i64 {
+            let grp = if i == 0 { f64::NAN } else { 1.0 };
+            ds.insert(doc!({"id": i, "grp": (grp)})).unwrap();
+        }
+        ds.insert(doc!({"id": 40, "x": 0.0})).unwrap();
+        ds.insert(doc!({"id": 41, "x": (-0.0)})).unwrap();
+        ds.flush().unwrap();
+        for (filter, matches) in [(Expr::le("grp", 2), 39), (Expr::lt("x", 0.0), 1)] {
+            let query = Query::select([Aggregate::Count]).with_filter(filter);
+            let reference = oracle::execute_batch(&ds.snapshot(), &query).unwrap();
+            let want = [Value::Int(matches)];
+            assert_eq!(reference[0].aggs, want, "{layout:?} {query:?}");
+            for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
+                for pushdown in [true, false] {
+                    let rows = engine(mode, pushdown).execute(&ds, &query).unwrap();
+                    assert_eq!(rows, reference, "{layout:?}/{mode:?}/pushdown={pushdown}");
+                }
+            }
         }
     }
 }

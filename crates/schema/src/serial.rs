@@ -9,7 +9,7 @@
 
 use crate::node::{BranchKind, NodeId, Schema, SchemaNode};
 use crate::types::AtomicType;
-use encoding::{plain, varint, DecodeError, DecodeResult};
+use encoding::{plain, read_count, varint, DecodeError, DecodeResult};
 
 const TAG_OBJECT: u8 = 0;
 const TAG_ARRAY: u8 = 1;
@@ -73,7 +73,7 @@ pub fn read_schema(buf: &[u8], pos: &mut usize) -> DecodeResult<Schema> {
     } else {
         None
     };
-    let node_count = varint::read_u64(buf, pos)? as usize;
+    let node_count = read_count(buf, pos)?;
     let mut schema = Schema::new(key_field);
     for i in 0..node_count {
         let node = read_node(buf, pos)?;
@@ -100,8 +100,8 @@ fn read_node(buf: &[u8], pos: &mut usize) -> DecodeResult<SchemaNode> {
     let tag = read_u8(buf, pos)?;
     Ok(match tag {
         TAG_OBJECT => {
-            let n = varint::read_u64(buf, pos)? as usize;
-            let mut fields = Vec::with_capacity(n.min(1 << 12));
+            let n = read_count(buf, pos)?;
+            let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = plain::read_str(buf, pos)?.to_string();
                 let child = varint::read_u64(buf, pos)? as NodeId;
@@ -119,8 +119,8 @@ fn read_node(buf: &[u8], pos: &mut usize) -> DecodeResult<SchemaNode> {
             SchemaNode::Array { item }
         }
         TAG_UNION => {
-            let n = varint::read_u64(buf, pos)? as usize;
-            let mut branches = Vec::with_capacity(n.min(16));
+            let n = read_count(buf, pos)?;
+            let mut branches = Vec::with_capacity(n);
             for _ in 0..n {
                 let kind = read_branch_tag(read_u8(buf, pos)?)?;
                 let child = varint::read_u64(buf, pos)? as NodeId;
@@ -268,6 +268,24 @@ mod tests {
         varint::write_u64(&mut buf, 7);
         let mut pos = 0;
         assert!(read_schema(&buf, &mut pos).is_err());
+    }
+
+    /// A forged node, field or branch count of 2^40 is an `Err` before
+    /// anything is reserved for it.
+    #[test]
+    fn forged_counts_are_errors_not_allocations() {
+        let forged = |body: &[u8]| {
+            let mut buf = vec![0]; // no key field
+            buf.extend_from_slice(body);
+            varint::write_u64(&mut buf, 1 << 40);
+            buf.extend_from_slice(&[0; 32]);
+            let mut pos = 0;
+            read_schema(&buf, &mut pos).unwrap_err().message
+        };
+        assert!(forged(&[]).contains("exceeds"), "node count");
+        assert!(forged(&[1, TAG_OBJECT]).contains("exceeds"), "field count");
+        let branches = forged(&[2, TAG_OBJECT, 1, 1, b'u', 1, TAG_UNION]);
+        assert!(branches.contains("exceeds"), "branch count");
     }
 
     #[test]

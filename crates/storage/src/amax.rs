@@ -211,8 +211,8 @@ fn read_opt_value(buf: &[u8], pos: &mut usize) -> Result<Option<Value>> {
 pub fn decode_amax_header(page0: &[u8]) -> Result<AmaxLeafHeader> {
     let mut pos = 0usize;
     let record_count = varint::read_u64(page0, &mut pos)? as usize;
-    let column_count = varint::read_u64(page0, &mut pos)? as usize;
-    let mut columns = Vec::with_capacity(column_count.min(1 << 16));
+    let column_count = encoding::read_count(page0, &mut pos)?;
+    let mut columns = Vec::with_capacity(column_count);
     for _ in 0..column_count {
         let column_id = varint::read_u64(page0, &mut pos)? as ColumnId;
         let start_page = varint::read_u64(page0, &mut pos)? as usize;

@@ -91,10 +91,11 @@ pub fn decode_apax_columns(
 ) -> Result<(ApaxHeader, Vec<ColumnChunk>)> {
     let mut pos = 0usize;
     let record_count = varint::read_u64(buf, &mut pos)? as usize;
-    let column_count = varint::read_u64(buf, &mut pos)? as usize;
+    let column_count = varint::read_u64(buf, &mut pos)?;
     let min_key = RowFormat::Vb.deserialize(buf, &mut pos)?;
     let max_key = RowFormat::Vb.deserialize(buf, &mut pos)?;
-    let mut directory = Vec::with_capacity(column_count.min(1 << 16));
+    let column_count = encoding::check_count(column_count, buf, pos)?;
+    let mut directory = Vec::with_capacity(column_count);
     for _ in 0..column_count {
         let id = varint::read_u64(buf, &mut pos)? as ColumnId;
         let offset = varint::read_u64(buf, &mut pos)? as usize;

@@ -25,9 +25,9 @@
 //! component's schema (`ColumnFilter`):
 //!
 //! * its path runs through objects only and ends at an atomic column — the
-//!   predicate becomes a loop over that column's definition levels and typed
-//!   values that narrows the selection (`LeafFilter`; the row adapter asks
-//!   it one ascending ordinal at a time, the batch scan the whole vector);
+//!   predicate becomes a [`ColumnWalk`] over that column that narrows the
+//!   selection (`LeafFilter`; the row adapter asks it one ascending ordinal
+//!   at a time, the batch scan the whole vector);
 //! * its path addresses nothing in the schema — no record of the component
 //!   can match;
 //! * anything else (the path crosses a union, or ends at an object or an
@@ -36,7 +36,7 @@
 
 use std::sync::Arc;
 
-use columnar::{Assembler, ChunkPos, ColumnChunk};
+use columnar::{Assembler, ColumnChunk, ColumnWalk};
 use docmodel::{Path, PathStep, Value};
 use encoding::DecodeError;
 use schema::node::SchemaNode;
@@ -127,52 +127,37 @@ impl ColumnFilter {
     /// Bind the column loops to one leaf's decoded chunks.
     pub(crate) fn bind(&self, chunks: &[Arc<ColumnChunk>]) -> LeafFilter {
         LeafFilter {
-            tests: self
+            walks: self
                 .kernels
                 .iter()
-                .map(|(column, predicate)| LeafTest {
-                    chunk: chunks.iter().find(|c| c.spec.id == *column).cloned(),
-                    predicate: *predicate,
-                    pos: ChunkPos::default(),
-                    at: 0,
+                .map(|(column, predicate)| {
+                    let chunk = chunks.iter().find(|c| c.spec.id == *column);
+                    (chunk.cloned().map(ColumnWalk::new), *predicate)
                 })
                 .collect(),
         }
     }
 }
 
-/// A [`ColumnFilter`]'s column loops over one leaf. Each loop keeps its
-/// position, so ordinals must be asked in ascending order and a whole
-/// selection costs one forward pass per filter column.
+/// A [`ColumnFilter`]'s column loops over one leaf: one walk per filter
+/// column (`None` when the leaf predates the column, so no record has a
+/// value) and its predicate. Ordinals must be asked in ascending order, and
+/// a whole selection costs one forward pass per filter column.
 pub(crate) struct LeafFilter {
-    tests: Vec<LeafTest>,
-}
-
-struct LeafTest {
-    /// `None` when the leaf predates the column: no record has a value.
-    chunk: Option<Arc<ColumnChunk>>,
-    predicate: usize,
-    pos: ChunkPos,
-    /// The record `pos` stands on.
-    at: usize,
+    walks: Vec<(Option<ColumnWalk>, usize)>,
 }
 
 impl LeafFilter {
     /// Does the (live) record at `ordinal` pass every column loop?
     pub(crate) fn matches(&mut self, filter: &ColumnFilter, ordinal: usize) -> bool {
-        if filter.never {
-            return false;
-        }
-        self.tests.iter_mut().all(|test| {
-            let Some(chunk) = &test.chunk else {
-                return false;
-            };
-            chunk.skip_records(&mut test.pos, ordinal - test.at);
-            test.at = ordinal;
-            chunk
-                .value_index(test.pos)
-                .is_some_and(|i| filter.predicates[test.predicate].contains_at(&chunk.values, i))
-        })
+        !filter.never
+            && self.walks.iter_mut().all(|(walk, predicate)| {
+                walk.as_mut().is_some_and(|walk| {
+                    walk.value_index(ordinal).is_some_and(|i| {
+                        filter.predicates[*predicate].contains_at(walk.values(), i)
+                    })
+                })
+            })
     }
 }
 
@@ -368,10 +353,7 @@ impl Iterator for BatchRows {
                 Ok(doc) => doc,
                 Err(e) => return Some(Err(e)),
             };
-            self.component
-                .cache()
-                .store()
-                .note_scan_records_assembled(1);
+            self.component.cache().store().note_records_assembled(1);
             if self.filter.as_ref().is_none_or(|f| f.record_passes(&doc)) {
                 return Some(Ok((self.keys.values.get(ordinal), doc)));
             }
@@ -502,8 +484,7 @@ mod tests {
                 if io.leaves_skipped == 0 {
                     assert_eq!(io.records_filtered_pre_assembly as usize, live - selected);
                 }
-                assert_eq!(io.scan_records_assembled as usize, selected);
-                assert_eq!(io.records_assembled, io.scan_records_assembled);
+                assert_eq!(io.records_assembled as usize, selected);
             }
         }
     }

@@ -90,7 +90,7 @@
 //!
 //! Page reads, assembly and the lane a scan took are observable through the
 //! [`crate::pagestore::IoStats`] counters (`pages_read`, `records_assembled`,
-//! `scan_batches`, `scan_records_kernel`, `scan_records_assembled`). The one
+//! `scan_batches`, `scan_records_kernel`). The one
 //! scan front end is [`ComponentCursor`], which owns an `Arc<Component>`
 //! ([`Component::cursor`]) so the LSM snapshot's scans and merges and the
 //! facade's streaming scan API can hold it without a borrow. It honours
@@ -159,7 +159,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnCursor, ColumnValues};
+use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnValues};
 use docmodel::{total_cmp, Path, Value};
 use encoding::{compress, DecodeError};
 use parking_lot::Mutex;
@@ -908,13 +908,13 @@ impl Component {
         wanted: Option<&[ColumnId]>,
         count: usize,
     ) -> Assembler {
-        let cursors: Vec<ColumnCursor> = chunks
+        let chunks: Vec<Arc<ColumnChunk>> = chunks
             .iter()
             .filter(|c| c.spec.is_key || wanted.is_none_or(|ids| ids.contains(&c.spec.id)))
-            .map(|c| ColumnCursor::new(c.clone()))
+            .cloned()
             .collect();
-        let plan = self.plan_for(cursors.iter().map(|c| c.spec().id).collect());
-        Assembler::with_plan(plan, cursors, count)
+        let plan = self.plan_for(chunks.iter().map(|c| c.spec.id).collect());
+        Assembler::with_plan(plan, chunks, count)
     }
 
     /// Load one leaf into a cursor buffer. Row layouts share the decoded
@@ -1031,7 +1031,7 @@ impl Component {
         let chunks = self.cached_chunks(leaf_idx, columns)?;
         // Every entry, anti-matter included, carries its key (§3.2.3).
         let key_column = key_chunk(&chunks)?;
-        let count = key_column.defs.len();
+        let count = key_column.entry_count();
         let mut assembler: Option<Assembler> = None;
         for (key, slot) in keys.iter().zip(out) {
             let mut hi = count;
@@ -1046,8 +1046,8 @@ impl Component {
             if from == count || key_column.values.cmp_at(from, key) != Ordering::Equal {
                 continue;
             }
-            if key_column.defs[from] == 0 {
-                *slot = Some(None); // definition level 0: a tombstone
+            if key_column.is_antimatter(from) {
+                *slot = Some(None);
                 continue;
             }
             let doc = assembler
@@ -1300,7 +1300,7 @@ impl CursorState {
                     Err(e) => return Some(Err(e)),
                 };
                 let key = leaf.keys.values.get(leaf.pos);
-                let is_antimatter = leaf.keys.defs[leaf.pos] == 0;
+                let is_antimatter = leaf.keys.is_antimatter(leaf.pos);
                 leaf.pos += 1;
                 component.cache.store().note_records_assembled(1);
                 Some(Ok((key, if is_antimatter { None } else { Some(doc) })))
@@ -1337,7 +1337,7 @@ impl CursorState {
             return Some(Ok(true));
         };
         match self.head_leaf(component)? {
-            Ok(LeafBuffer::Columns(leaf)) => Some(Ok(leaf.keys.defs[leaf.pos] == 0 || {
+            Ok(LeafBuffer::Columns(leaf)) => Some(Ok(leaf.keys.is_antimatter(leaf.pos) || {
                 let chunks = &leaf.columns.chunks;
                 leaf.filter
                     .get_or_insert_with(|| lowered.bind(chunks))
@@ -1350,7 +1350,7 @@ impl CursorState {
 
     /// Drop the next entry without assembling it: a columnar leaf only moves
     /// its position — the column cursors catch up in one batched advance
-    /// ([`columnar::ColumnCursor::skip_records`]) if a later record is ever
+    /// ([`columnar::Assembler::skip_records`]) if a later record is ever
     /// assembled, so values are never decoded into a document.
     fn skip_entry(&mut self, component: &Component) {
         match self.head_leaf(component) {
@@ -1367,7 +1367,7 @@ impl CursorState {
             Ok(LeafBuffer::Columns(leaf)) => Some(Ok(LeafHead {
                 leaf: leaf.leaf_idx,
                 ordinal: leaf.pos,
-                anti_matter: leaf.keys.defs[leaf.pos] == 0,
+                anti_matter: leaf.keys.is_antimatter(leaf.pos),
             })),
             Ok(LeafBuffer::Rows { .. }) => None,
             Err(e) => Some(Err(e)),
@@ -1388,7 +1388,7 @@ pub struct LeafHead {
     pub leaf: usize,
     /// Ordinal of the entry within the leaf.
     pub ordinal: usize,
-    /// Whether the entry is anti-matter (key-column definition level 0).
+    /// Whether the entry is anti-matter ([`ColumnChunk::is_antimatter`]).
     pub anti_matter: bool,
 }
 

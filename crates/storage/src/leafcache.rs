@@ -106,8 +106,8 @@ use crate::component::Entry;
 
 /// A cached decoded leaf, in the one shape its layout reads. Payloads are
 /// `Arc`'d so a hit is a pointer bump, never a deep copy; column chunks are
-/// additionally `Arc`'d per chunk so they can be handed to `ColumnCursor`s
-/// without cloning the vectors.
+/// additionally `Arc`'d per chunk so they can be handed to assemblers and
+/// column walks without cloning the vectors.
 #[derive(Clone)]
 pub enum DecodedLeaf {
     /// Row layouts: the page's materialised `(key, record)` entries.

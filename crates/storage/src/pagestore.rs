@@ -85,11 +85,6 @@ pub struct IoStats {
     /// Reconciliation winners a query evaluated with column kernels —
     /// straight off the decoded chunks, no document built.
     pub scan_records_kernel: u64,
-    /// Reconciliation winners of columnar batches a scan assembled into
-    /// documents (the row adapter, and plans the kernels do not cover). A
-    /// subset of `records_assembled`, which also counts point reads and
-    /// merges.
-    pub scan_records_assembled: u64,
 }
 
 /// A store of fixed-size pages: explicit read/write calls, atomic
@@ -115,7 +110,6 @@ struct PageStoreInner {
     leaves_skipped: AtomicU64,
     scan_batches: AtomicU64,
     scan_records_kernel: AtomicU64,
-    scan_records_assembled: AtomicU64,
 }
 
 impl PageStore {
@@ -148,7 +142,6 @@ impl PageStore {
                 leaves_skipped: AtomicU64::new(0),
                 scan_batches: AtomicU64::new(0),
                 scan_records_kernel: AtomicU64::new(0),
-                scan_records_assembled: AtomicU64::new(0),
             }),
         }
     }
@@ -313,15 +306,6 @@ impl PageStore {
         self.inner.scan_records_kernel.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Account for `n` winners of a columnar batch assembled into documents
-    /// (also counted in `records_assembled`).
-    pub fn note_scan_records_assembled(&self, n: u64) {
-        self.inner.records_assembled.fetch_add(n, Ordering::Relaxed);
-        self.inner
-            .scan_records_assembled
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Snapshot of the accounting counters.
     pub fn stats(&self) -> IoStats {
         IoStats {
@@ -341,7 +325,6 @@ impl PageStore {
             leaves_skipped: self.inner.leaves_skipped.load(Ordering::Relaxed),
             scan_batches: self.inner.scan_batches.load(Ordering::Relaxed),
             scan_records_kernel: self.inner.scan_records_kernel.load(Ordering::Relaxed),
-            scan_records_assembled: self.inner.scan_records_assembled.load(Ordering::Relaxed),
         }
     }
 
@@ -362,7 +345,6 @@ impl PageStore {
         self.inner.leaves_skipped.store(0, Ordering::Relaxed);
         self.inner.scan_batches.store(0, Ordering::Relaxed);
         self.inner.scan_records_kernel.store(0, Ordering::Relaxed);
-        self.inner.scan_records_assembled.store(0, Ordering::Relaxed);
     }
 }
 

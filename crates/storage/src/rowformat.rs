@@ -16,7 +16,7 @@
 //! components and the row-major memtable use them directly.
 
 use docmodel::Value;
-use encoding::{plain, varint, DecodeError};
+use encoding::{check_count, plain, read_count, varint, DecodeError};
 
 use crate::Result;
 
@@ -172,21 +172,21 @@ fn read_open(buf: &[u8], pos: &mut usize) -> Result<Value> {
             Value::String(s)
         }
         TAG_ARRAY => {
-            let count = plain::read_u32(buf, pos)? as usize;
+            let count = check_count(plain::read_u32(buf, pos)?.into(), buf, *pos)?;
             // Skip the offset table; children are stored in order.
             *pos += 4 * count;
             if *pos > buf.len() {
                 return Err(DecodeError::new("truncated open array offsets"));
             }
-            let mut elems = Vec::with_capacity(count.min(1 << 16));
+            let mut elems = Vec::with_capacity(count);
             for _ in 0..count {
                 elems.push(read_open(buf, pos)?);
             }
             Value::Array(elems)
         }
         TAG_OBJECT => {
-            let count = plain::read_u32(buf, pos)? as usize;
-            let mut names = Vec::with_capacity(count.min(1 << 16));
+            let count = check_count(plain::read_u32(buf, pos)?.into(), buf, *pos)?;
+            let mut names = Vec::with_capacity(count);
             for _ in 0..count {
                 let len = plain::read_u32(buf, pos)? as usize;
                 let end = *pos + len;
@@ -200,7 +200,7 @@ fn read_open(buf: &[u8], pos: &mut usize) -> Result<Value> {
                 let _offset = plain::read_u32(buf, pos)?;
                 names.push(name);
             }
-            let mut fields = Vec::with_capacity(count.min(1 << 16));
+            let mut fields = Vec::with_capacity(count);
             for name in names {
                 let v = read_open(buf, pos)?;
                 fields.push((name, v));
@@ -278,16 +278,16 @@ fn read_vb(buf: &[u8], pos: &mut usize) -> Result<Value> {
             Value::String(s)
         }
         TAG_ARRAY => {
-            let count = varint::read_u64(buf, pos)? as usize;
-            let mut elems = Vec::with_capacity(count.min(1 << 16));
+            let count = read_count(buf, pos)?;
+            let mut elems = Vec::with_capacity(count);
             for _ in 0..count {
                 elems.push(read_vb(buf, pos)?);
             }
             Value::Array(elems)
         }
         TAG_OBJECT => {
-            let count = varint::read_u64(buf, pos)? as usize;
-            let mut fields = Vec::with_capacity(count.min(1 << 16));
+            let count = read_count(buf, pos)?;
+            let mut fields = Vec::with_capacity(count);
             for _ in 0..count {
                 let len = varint::read_u64(buf, pos)? as usize;
                 let end = pos
@@ -383,6 +383,51 @@ mod tests {
             let mut pos = 0;
             assert!(fmt.deserialize(&garbage, &mut pos).is_err());
         }
+    }
+
+    /// Every count a row or column page leads with is checked against the
+    /// bytes that remain before anything is reserved: a forged 2^40 (or,
+    /// where the count is a `u32`, `u32::MAX`) is an `Err`.
+    #[test]
+    fn forged_counts_are_errors_not_allocations() {
+        let huge = |lead: &[u8]| {
+            let mut buf = lead.to_vec();
+            varint::write_u64(&mut buf, 1 << 40);
+            buf.extend_from_slice(&[0; 32]);
+            buf
+        };
+        let huge_u32 = |lead: &[u8]| {
+            let mut buf = lead.to_vec();
+            plain::write_u32(&mut buf, u32::MAX);
+            buf.extend_from_slice(&[0; 32]);
+            buf
+        };
+        fn refused<T>(result: Result<T>) {
+            match result {
+                Err(e) => assert!(e.message.contains("exceeds"), "{e}"),
+                Ok(_) => panic!("a forged count decoded"),
+            }
+        }
+        for buf in [huge(&[TAG_ARRAY]), huge(&[TAG_OBJECT])] {
+            refused(RowFormat::Vb.deserialize(&buf, &mut 0));
+        }
+        for buf in [huge_u32(&[TAG_ARRAY]), huge_u32(&[TAG_OBJECT])] {
+            refused(RowFormat::Open.deserialize(&buf, &mut 0));
+        }
+        refused(crate::rowpage::decode_row_page(&huge_u32(&[
+            RowFormat::Vb.tag()
+        ])));
+        // AMAX Page 0: record count, then the column count.
+        refused(crate::amax::decode_amax_header(&huge(&[1])));
+        // APAX page: record count, column count, the key bounds, then the
+        // directory the column count sizes.
+        let mut apax = vec![1];
+        varint::write_u64(&mut apax, 1 << 40);
+        RowFormat::Vb.serialize(&Value::Int(0), &mut apax);
+        RowFormat::Vb.serialize(&Value::Int(9), &mut apax);
+        apax.extend_from_slice(&[0; 32]);
+        let specs = std::collections::HashMap::new();
+        refused(crate::apax::decode_apax_columns(&apax, &specs, None));
     }
 
     #[test]

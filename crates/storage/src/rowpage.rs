@@ -42,8 +42,8 @@ pub fn decode_row_page(buf: &[u8]) -> Result<Vec<RowEntry>> {
             .ok_or_else(|| DecodeError::new("empty row page"))?,
     )?;
     pos += 1;
-    let count = plain::read_u32(buf, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 16));
+    let count = encoding::check_count(plain::read_u32(buf, &mut pos)?.into(), buf, pos)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let key = RowFormat::Vb.deserialize(buf, &mut pos)?;
         let flag = *buf

@@ -26,15 +26,20 @@
 //! layout stores documents, so its leaves are summarised by walking each
 //! live record's value tree once ([`StatsBuilder`]). A columnar layout
 //! stores column chunks, and its leaves are summarised from those chunks
-//! ([`column_derived_stats`]): per-path presence counts read off the
-//! definition levels ([`columnar::ShapeWalker`]) and bounds from
-//! [`ColumnChunk::min_max`] — no document is built or walked, whether the
-//! chunks were shredded at a flush or copied from other components at a
-//! merge. The two agree whenever shredding is lossless; where it is not —
-//! explicit `null`s and empty objects, which columns do not store and a scan
-//! therefore never returns — the column-derived value is the right one. A
-//! flush of `{"v": null}` into a columnar component records no `v` path,
-//! exactly as the same record would after any merge.
+//! ([`column_derived_stats`]): per-path presence counts from
+//! [`columnar::ShapeWalker`] — the record-assembly automaton itself, run
+//! with a sink that tallies each value's path where the assembler would
+//! build the value, so the counts are those of the records a scan
+//! assembles by construction — and bounds from [`ColumnChunk::min_max`],
+//! under the same total order the statistics pass and the pushed
+//! predicates use. No document is built or walked, whether the chunks were
+//! shredded at a flush or copied from other components at a merge, and no
+//! definition level is read here. The two agree whenever shredding is
+//! lossless; where it is not — explicit `null`s and empty objects, which
+//! columns do not store and a scan therefore never returns — the
+//! column-derived value is the right one. A flush of `{"v": null}` into a
+//! columnar component records no `v` path, exactly as the same record would
+//! after any merge.
 //!
 //! ## What is (and is not) tracked
 //!
@@ -166,7 +171,9 @@ pub fn column_derived_stats(
         walker.next_record()?;
     }
     let live_records = match chunks.iter().find(|c| c.spec.is_key) {
-        Some(keys) => keys.defs.iter().filter(|&&def| def != 0).count(),
+        Some(keys) => (0..keys.entry_count())
+            .filter(|&i| !keys.is_antimatter(i))
+            .count(),
         None => record_count,
     };
     let mut columns = BTreeMap::new();
@@ -206,8 +213,9 @@ fn live_bounds(chunk: &ColumnChunk) -> Option<(Value, Value)> {
     if !chunk.spec.is_key {
         return chunk.min_max();
     }
-    let first = chunk.defs.iter().position(|&def| def != 0)?;
-    let last = chunk.defs.iter().rposition(|&def| def != 0)?;
+    let mut live = (0..chunk.entry_count()).filter(|&i| !chunk.is_antimatter(i));
+    let first = live.next()?;
+    let last = live.next_back().unwrap_or(first);
     Some((chunk.values.get(first), chunk.values.get(last)))
 }
 

@@ -511,7 +511,7 @@ fn run_sizes(
         .map(|ordinal| {
             let doc_size = walker.next_record()?;
             let key_size = keys.values.approx_size_at(ordinal);
-            let live = keys.defs[ordinal] != 0;
+            let live = !keys.is_antimatter(ordinal);
             Ok(rowpage::estimate_from_sizes(
                 RowFormat::Vb,
                 key_size,

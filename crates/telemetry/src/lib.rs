@@ -19,7 +19,7 @@
 //! | `backpressure.*` | counters | `backpressure.stalls`, `backpressure.stall_micros` |
 //! | `snapshot.*`   | counters   | `snapshot.count` |
 //! | `storage.*`    | sampled counters / gauges | the `IoStats` block folded in: `storage.pages_read`, `storage.bytes_written`, `storage.cache_hits`, …, plus `storage.allocated_bytes` |
-//! | `scan.*`       | sampled counters | which lane scans took, from the same block: `scan.batches` (batches a snapshot scan handed over), `scan.records_kernel` (winners the compiled engine folded straight off column chunks), `scan.records_assembled` (winners of those batches it had to assemble) |
+//! | `scan.*`       | sampled counters | which lane scans took, from the same block: `scan.batches` (batches a snapshot scan handed over), `scan.records_kernel` (winners the compiled engine folded straight off column chunks); documents built, whichever the lane, are `storage.records_assembled` |
 //! | `lsm.*`        | sampled gauges + counters | gauges `lsm.memtable_bytes`, `lsm.sealed_queue_depth`, `lsm.components`, `lsm.live_stored_bytes`; point-read counters `lsm.lookups`, `lsm.lookup_memtable_hits`, `lsm.lookup_components_probed` (probes / lookups = point-read amplification) |
 //! | `amp.*`        | derived gauges | `amp.write`, `amp.read`, `amp.space` |
 //!
