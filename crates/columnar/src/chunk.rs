@@ -298,43 +298,74 @@ impl ColumnChunk {
     ///   array is absent (definition level below the array's level),
     ///   otherwise a run of entries terminated by the delimiter `0`.
     pub(crate) fn skip_record(&self, pos: &mut ChunkPos) {
-        let Some(first) = self.peek(*pos) else {
-            return;
-        };
-        if !self.spec.is_repeated() || first < self.spec.array_levels[0] {
-            // One entry covers the record: a non-repeated column, or a
-            // repeated one whose outermost array is absent.
-            self.skip_entry(pos);
+        if self.spec.is_repeated() {
+            *pos = self.record_end(*pos).0;
         } else {
-            self.skip_to_record_end(pos);
+            self.skip_entry(pos);
         }
     }
 
-    /// Advance `pos` past the rest of a record whose outermost array is
-    /// present (possibly empty): up to and including the delimiter 0, which
-    /// the shredder always terminates such a record segment with, and which
-    /// no content entry mid-record can have.
+    /// Where the record of a **repeated** column that starts at `pos` ends,
+    /// and how many entries it holds besides its delimiter and the marker of
+    /// an empty outermost array — its elements, for a column under exactly
+    /// one array. The one statement of where such a record ends: a single
+    /// entry when its outermost array is absent (definition level below the
+    /// array's), else a run through the delimiter `0`. At the end of the
+    /// chunk, `pos` and no entries.
     #[inline]
-    pub(crate) fn skip_to_record_end(&self, pos: &mut ChunkPos) {
-        while let Some(def) = self.peek(*pos) {
-            self.skip_entry(pos);
+    pub(crate) fn record_end(&self, pos: ChunkPos) -> (ChunkPos, usize) {
+        match self.defs.get(pos.def) {
+            None => (pos, 0),
+            Some(&first) if first < self.spec.array_levels[0] => {
+                (ChunkPos { def: pos.def + 1, ..pos }, 0)
+            }
+            Some(&first) => {
+                let (end, entries) = self.rest_of_record(pos);
+                (end, entries - usize::from(first == self.spec.array_levels[0]))
+            }
+        }
+    }
+
+    /// The rest of a record whose outermost array is present (possibly
+    /// empty), from entry `pos` on: where it ends — just past the delimiter
+    /// 0, which the shredder always terminates such a record segment with,
+    /// and which no content entry mid-record can have — and the entries
+    /// before the delimiter.
+    #[inline]
+    fn rest_of_record(&self, mut pos: ChunkPos) -> (ChunkPos, usize) {
+        let max_def = self.spec.max_def;
+        let mut entries = 0;
+        for &def in &self.defs[pos.def..] {
+            pos.def += 1;
             if def == 0 {
                 break;
             }
+            entries += 1;
+            pos.value += usize::from(def == max_def);
         }
+        (pos, entries)
+    }
+
+    /// Advance `pos` past the rest of a record whose outermost array is
+    /// present ([`ColumnChunk::rest_of_record`]).
+    #[inline]
+    pub(crate) fn skip_to_record_end(&self, pos: &mut ChunkPos) {
+        *pos = self.rest_of_record(*pos).0;
     }
 
     /// Advance `pos` past `n` records (fewer when the chunk ends first). A
     /// non-repeated column holds one entry per record, so its definition
     /// position moves by `n` and its value position by the entries of that
-    /// span that carry a value — no per-record walk.
+    /// span that carry a value — no per-record walk. A repeated column's
+    /// records are stepped over one at a time (`record_end`), a tight loop
+    /// over the levels.
     pub fn skip_records(&self, pos: &mut ChunkPos, n: usize) {
         if self.spec.is_repeated() {
             for _ in 0..n {
-                if pos.def >= self.defs.len() {
+                if pos.def == self.defs.len() {
                     break;
                 }
-                self.skip_record(pos);
+                *pos = self.record_end(*pos).0;
             }
             return;
         }
@@ -701,32 +732,34 @@ mod tests {
         // The key column holds a value for every entry.
         assert_eq!(walk("id").value_index(3), Some(3));
 
-        // Element walk: one visit per element, None where `temp` is missing;
-        // absent and empty arrays visit nothing; every start position works.
-        let want: [&[Option<f64>]; 5] = [
-            &[Some(1.5), None],
-            &[],
-            &[],
-            &[Some(2.5)],
-            &[None, Some(3.5), Some(4.5)],
+        // Element walk: the values of the elements holding `temp`, and how
+        // many elements there are; absent and empty arrays have none; every
+        // start position, and every gap between the records asked, works.
+        let want: [(&[f64], usize); 5] = [
+            (&[1.5], 2),
+            (&[], 0),
+            (&[], 0),
+            (&[2.5], 1),
+            (&[3.5, 4.5], 3),
         ];
         for first in 0..records.len() {
-            let mut temp = walk("readings[*].temp");
-            for (ordinal, want) in want.iter().enumerate().skip(first) {
-                let has_elements = temp.has_elements(ordinal);
-                assert_eq!(has_elements, !want.is_empty(), "record {ordinal}");
-                let mut seen = Vec::new();
-                let values = temp.values().clone();
-                temp.for_each_element(ordinal, |i| {
-                    seen.push(i.map(|i| match values.get(i) {
-                        Value::Double(d) => d,
-                        other => panic!("{other:?}"),
-                    }))
-                });
-                assert_eq!(&seen[..], *want, "record {ordinal} from {first}");
+            for stride in 1..3 {
+                let mut temp = walk("readings[*].temp");
+                for (ordinal, (values, count)) in
+                    want.iter().enumerate().skip(first).step_by(stride)
+                {
+                    let elements = temp.elements(ordinal);
+                    assert_eq!(elements.count, *count, "record {ordinal}");
+                    assert_eq!(elements.lacking(), count - values.len());
+                    let seen: Vec<Value> = elements.values.map(|i| temp.values().get(i)).collect();
+                    let want: Vec<Value> = values.iter().map(|&d| Value::Double(d)).collect();
+                    assert_eq!(seen, want, "record {ordinal} from {first}");
+                }
+                if stride == 1 {
+                    let end = temp.chunk.entry_count();
+                    assert_eq!(temp.pos.def, end, "the walk ends with the chunk");
+                }
             }
-            let end = temp.chunk.entry_count();
-            assert_eq!(temp.pos.def, end, "the walk ends with the chunk");
         }
     }
 

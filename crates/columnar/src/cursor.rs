@@ -2,12 +2,14 @@
 //! ordinals, and the handle an [`Assembler`](crate::Assembler) is given.
 //!
 //! Column kernels and pushed filters ask a column about one record after
-//! another — its value, whether its array has elements, each element's
-//! value — in ascending ordinal order. [`ColumnWalk`] answers them in one
-//! forward pass over the chunk's definition levels: a gap between two
-//! ordinals is one batched [`ColumnChunk::skip_records`], never a decode.
-//! Callers see value indexes and element visits, never a definition level.
+//! another — its value, or its array's elements — in ascending ordinal
+//! order. [`ColumnWalk`] answers them in one forward pass over the chunk's
+//! definition levels: a gap between two ordinals is one batched
+//! [`ColumnChunk::skip_records`] (a tight loop over the levels), never a
+//! decode. Callers see value indexes and value ranges, never a definition
+//! level.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::chunk::{ChunkPos, ColumnChunk, ColumnValues};
@@ -69,50 +71,48 @@ impl ColumnWalk {
         (spec.is_key || self.chunk.defs[self.pos.def] == spec.max_def).then_some(self.pos.value)
     }
 
-    /// Whether record `ordinal` holds at least one element of the array a
-    /// column under exactly one array lies under.
+    /// The array elements of record `ordinal`, and move on to the next
+    /// record. For a column under **exactly one** array with no union
+    /// between the array and the column, every element of the array owns
+    /// exactly one entry, and the values of the elements that hold the
+    /// column's field are consecutive: the answer is that range of
+    /// [`ColumnWalk::values`] plus the number of elements, those without
+    /// the field included. An absent or empty array has no elements. This
+    /// is the column-at-a-time form of what assembling the array and
+    /// walking it would yield, without building either — and what an
+    /// aggregate folds as one slice.
     #[inline]
-    pub fn has_elements(&mut self, ordinal: usize) -> bool {
-        self.seek(ordinal);
-        self.chunk.defs[self.pos.def] > self.chunk.spec.array_levels[0]
-    }
-
-    /// Visit the array elements of record `ordinal`, in order, and move on
-    /// to the next record. For a column under **exactly one** array with no
-    /// union between the array and the column: every element of the array
-    /// then owns exactly one entry, so `visit` is called once per element —
-    /// with the index of its value, or `None` when the element lacks the
-    /// column's field. An absent or empty array visits nothing. This is the
-    /// column-at-a-time form of what assembling the array and walking it
-    /// would yield, without building either.
-    #[inline]
-    pub fn for_each_element(&mut self, ordinal: usize, mut visit: impl FnMut(Option<usize>)) {
+    pub fn elements(&mut self, ordinal: usize) -> Elements {
         self.seek(ordinal);
         self.at += 1;
-        let chunk = &*self.chunk;
-        let pos = &mut self.pos;
-        debug_assert_eq!(chunk.spec.array_levels.len(), 1);
-        let Some(first) = chunk.peek(*pos) else {
-            return;
-        };
-        if first <= chunk.spec.array_levels[0] {
-            // Array absent (one entry) or empty (its marker and delimiter).
-            chunk.skip_record(pos);
-            return;
+        debug_assert_eq!(self.chunk.spec.array_levels.len(), 1);
+        let start = self.pos.value;
+        let (end, count) = self.chunk.record_end(self.pos);
+        self.pos = end;
+        Elements {
+            values: start..end.value,
+            count,
         }
-        let max_def = chunk.spec.max_def;
-        while let Some(def) = chunk.peek(*pos) {
-            pos.def += 1;
-            if def == 0 {
-                break; // the record's terminating delimiter
-            }
-            if def == max_def {
-                visit(Some(pos.value));
-                pos.value += 1;
-            } else {
-                visit(None);
-            }
-        }
+    }
+}
+
+/// One record's elements in a column under exactly one array
+/// ([`ColumnWalk::elements`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Elements {
+    /// Indexes into the column's values of the elements that hold one, in
+    /// element order.
+    pub values: Range<usize>,
+    /// The array's elements, with or without a value; 0 for an absent or
+    /// empty array.
+    pub count: usize,
+}
+
+impl Elements {
+    /// Elements that lack the column's field.
+    #[inline]
+    pub fn lacking(&self) -> usize {
+        self.count - self.values.len()
     }
 }
 

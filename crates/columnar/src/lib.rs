@@ -56,7 +56,7 @@ pub mod shred;
 
 pub use assemble::{Assembler, AssemblyPlan};
 pub use chunk::{ChunkPos, ColumnChunk, ColumnValues};
-pub use cursor::{ColumnCursor, ColumnWalk};
+pub use cursor::{ColumnCursor, ColumnWalk, Elements};
 pub use shape::{PathTally, ShapePath, ShapePlan, ShapeWalker};
 pub use shred::{ShreddedBatch, Shredder};
 

@@ -48,8 +48,9 @@
 //! builds a document. The k-way merge cursor reconciles on **keys alone**
 //! and, instead of yielding each winning record, says where it sits: which
 //! input, which decoded leaf, which ordinal, and whether it is anti-matter
-//! (the `next_winner` step of [`EntryMergeCursor`] — the same loop that
-//! skips shadowed versions for scans, stopped one step short of assembly).
+//! (the reconciliation step of [`EntryMergeCursor`] — the same pass
+//! that consumes shadowed versions for scans, handing over where each winner
+//! sits instead of the record).
 //! Consecutive winners from one input leaf collapse into a run; the runs go
 //! to `storage`'s `ComponentWriter`, which copies them **column by column**
 //! from the inputs' chunks into its open leaf — per column and run, one
@@ -153,7 +154,9 @@ pub use policy::{
     CompactionSpec, CompactionStrategy, LazyLeveledPolicy, LeveledPolicy, MergeDecision,
     TieringPolicy,
 };
-pub use snapshot::{BatchScan, EntryMergeCursor, ScanBatch, ScanCursor, ScanSpec, Snapshot};
+pub use snapshot::{
+    BatchScan, EntryMergeCursor, RowOrigin, ScanBatch, ScanCursor, ScanSpec, Snapshot, Winner,
+};
 
 /// Error type shared by the LSM layer.
 pub type LsmError = encoding::DecodeError;

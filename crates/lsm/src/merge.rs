@@ -38,7 +38,7 @@ use storage::component::{Component, ComponentConfig, LeafChunks};
 use storage::pagestore::BufferCache;
 use storage::ComponentWriter;
 
-use crate::snapshot::EntryMergeCursor;
+use crate::snapshot::{EntryMergeCursor, ROW_BATCH};
 use crate::Result;
 
 /// How a merge moves the winners of copy-compatible columnar leaves.
@@ -127,6 +127,7 @@ pub fn merge_components(
         records: 0,
     };
     let columnar = config.layout.is_columnar();
+    let mut winners = Vec::new();
     loop {
         // A leaf some source has used up is about to be replaced by the
         // source's next one: feed the writer the runs that point into it and
@@ -137,40 +138,45 @@ pub fn merge_components(
                 pending.leaves[source] = None;
             }
         }
-        let Some(source) = cursor.next_winner()? else {
+        cursor.step(ROW_BATCH, &mut winners)?;
+        if winners.is_empty() {
             break;
-        };
-        let resident = cursor.buffered() + pending.records + writer.open_records();
-        report.peak_buffered = report.peak_buffered.max(resident);
-        let head = match lane {
-            MergeLane::Copy => cursor.winner_in_leaf(source)?,
-            MergeLane::Reshred => None,
-        };
-        if let Some(head) = head {
-            if pending.leaves[source].as_ref().map(|(leaf, ..)| *leaf) != Some(head.leaf) {
-                // The source's first winner in this leaf (runs into its
-                // previous leaf were handed over when that one ran out).
-                let chunks = cursor
-                    .source_chunks(source)
-                    .expect("a located winner has a resident leaf");
-                let copyable = writer.can_copy(chunks).then(|| chunks.clone());
-                pending.leaves[source] = Some((head.leaf, copyable));
-            }
-            if matches!(pending.leaves[source], Some((_, Some(_)))) {
-                cursor.skip_winner(source);
-                if !(head.anti_matter && includes_oldest) {
-                    pending.add(source, head.ordinal);
-                    report.records_copied += 1;
-                }
-                continue;
-            }
         }
-        // The entry lane: rows, forced re-shreds, copy-incompatible leaves.
-        let (key, doc) = cursor.take_winner(source)?;
-        if doc.is_some() || !includes_oldest {
-            pending.flush(&mut writer)?;
-            writer.push_entry(&key, doc.as_ref())?;
-            report.records_reshredded += u64::from(columnar);
+        // Everything the step reconciled was resident when it began.
+        let resident = cursor.resident() + pending.records + writer.open_records();
+        report.peak_buffered = report.peak_buffered.max(resident);
+        for &winner in &winners {
+            let source = winner.source;
+            let leaf = match lane {
+                MergeLane::Copy => cursor.resident_leaf(source),
+                MergeLane::Reshred => None,
+            };
+            if let Some(leaf) = leaf {
+                if pending.leaves[source].as_ref().map(|(at, ..)| *at) != Some(leaf) {
+                    // The source's first winner in this leaf (runs into its
+                    // previous leaf were handed over when that one ran out).
+                    let chunks = cursor
+                        .source_chunks(source)
+                        .expect("a located winner has a resident leaf");
+                    let copyable = writer.can_copy(chunks).then(|| chunks.clone());
+                    pending.leaves[source] = Some((leaf, copyable));
+                }
+                if matches!(pending.leaves[source], Some((_, Some(_)))) {
+                    if !(winner.anti_matter && includes_oldest) {
+                        pending.add(source, winner.ordinal);
+                        report.records_copied += 1;
+                    }
+                    continue;
+                }
+            }
+            // The entry lane: rows, forced re-shreds, copy-incompatible
+            // leaves.
+            let (key, doc) = cursor.take_winner(winner)?;
+            if doc.is_some() || !includes_oldest {
+                pending.flush(&mut writer)?;
+                writer.push_entry(&key, doc.as_ref())?;
+                report.records_reshredded += u64::from(columnar);
+            }
         }
     }
     pending.flush(&mut writer)?;

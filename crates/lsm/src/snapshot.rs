@@ -33,10 +33,12 @@
 //! Every scan of a snapshot is one k-way reconciliation over its sources
 //! ([`EntryMergeCursor`]): each source is key-sorted (memtables by
 //! construction, components by the storage cursor protocol), sources expose
-//! their next key **borrowed** — nothing is assembled and no key is copied to
-//! order them — and when several sources head the same key, the newest
-//! source's version wins while the shadowed versions are skipped without
-//! being decoded into documents (§4.4). At most **one decoded leaf per
+//! their resident keys **borrowed**, in place — nothing is assembled
+//! and no key is copied to order them — and one step reconciles them all up
+//! to the smallest of their last resident keys: when several sources hold
+//! the same key, the newest source's version wins while the shadowed
+//! versions are consumed without being decoded into documents (§4.4). At
+//! most **one decoded leaf per
 //! component** is resident at any time: O(components × leaf), never
 //! O(dataset). The same machinery, with anti-matter *preserved*, drives the
 //! dataset's merges and index rebuilds: a merge is exactly a newest-first
@@ -102,11 +104,12 @@
 //! outlive the `&Snapshot` borrow they were created from — the facade hands
 //! them out as streaming query results.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use docmodel::{total_cmp, Path, Value};
 use storage::component::{
-    ColumnPredicate, Component, ComponentCursor, Entry, KeyRef, LeafChunks, LeafHead, ScanFilter,
+    ColumnPredicate, Component, ComponentCursor, Entry, KeyRun, LeafChunks, ScanFilter,
 };
 use storage::pagestore::PageStore;
 use storage::ColumnBatch;
@@ -273,6 +276,8 @@ impl Snapshot {
             merge: EntryMergeCursor::new(sources),
             pushed,
             rows: Vec::new(),
+            rows_from: None,
+            winners: Vec::new(),
             store: self
                 .tree
                 .components
@@ -365,20 +370,19 @@ enum MemEntries {
 }
 
 impl MemEntries {
-    fn get(&self, pos: usize) -> Option<&Entry> {
+    fn all(&self) -> &[Entry] {
         match self {
-            MemEntries::Active(entries) => entries.get(pos),
-            MemEntries::Sealed(sealed) => sealed.entries.get(pos),
+            MemEntries::Active(entries) => entries,
+            MemEntries::Sealed(sealed) => &sealed.entries,
         }
     }
 }
 
-/// The merge reconciles on keys alone, and on keys *in place*: a source's
-/// head key is borrowed from wherever it lives ([`KeyRef`]); its entry is
-/// only *assembled* ([`MergeSource::take_entry`]) when it wins its key, and
-/// *skipped* ([`MergeSource::skip_entry`]) when a newer source shadows it —
-/// for columnar components a skip moves a position and decodes nothing
-/// (§4.4).
+/// The merge reconciles on keys alone, and on keys *in place*: a source
+/// shows its resident, unconsumed keys as one run ([`KeyRun`]); an
+/// entry is only *taken* ([`MergeSource::take`]) when it wins its key, and a
+/// shadowed version is consumed unread by the step that found its winner —
+/// for columnar components that moves a position and decodes nothing (§4.4).
 impl MergeSource {
     fn mem(entries: Arc<Vec<Entry>>) -> MergeSource {
         MergeSource::Mem { entries: MemEntries::Active(entries), pos: 0 }
@@ -397,50 +401,50 @@ impl MergeSource {
         Ok(())
     }
 
-    /// The key of the source's next entry; `None` = exhausted.
-    fn head(&self) -> Option<KeyRef<'_>> {
-        match self {
-            MergeSource::Mem { entries, pos } => entries.get(*pos).map(|(k, _)| KeyRef::Value(k)),
-            MergeSource::Disk(cursor) => cursor.head_key(),
-        }
-    }
-
-    /// The source's next entry where it is held as a document (memtables,
-    /// row pages) — to be tested in place before it is copied.
-    fn head_entry(&self) -> Option<&Entry> {
-        match self {
-            MergeSource::Mem { entries, pos } => entries.get(*pos),
-            MergeSource::Disk(cursor) => cursor.head_entry(),
-        }
-    }
-
-    /// Consume and assemble the head entry (the winner of a merge step).
-    fn take_entry(&mut self) -> Result<Entry> {
+    /// The keys of the source's resident, unconsumed entries; `None` =
+    /// exhausted (once filled).
+    #[inline]
+    fn keys(&self) -> Option<KeyRun<'_>> {
         match self {
             MergeSource::Mem { entries, pos } => {
-                let entry = entries.get(*pos).expect("a head was resident").clone();
-                *pos += 1;
-                Ok(entry)
+                let all = entries.all();
+                (*pos < all.len()).then_some(KeyRun::Entries(all, *pos))
             }
-            MergeSource::Disk(cursor) => cursor.next().expect("a head was resident"),
+            MergeSource::Disk(cursor) => cursor.resident_keys(),
         }
     }
 
-    /// Consume the head entry without assembling it.
-    fn skip_entry(&mut self) {
+    /// Consume `n` resident entries without reading them.
+    fn consume(&mut self, n: usize) {
         match self {
-            MergeSource::Mem { pos, .. } => *pos += 1,
-            MergeSource::Disk(cursor) => cursor.skip_entry(),
+            MergeSource::Mem { pos, .. } => *pos += n,
+            MergeSource::Disk(cursor) => cursor.consume(n),
         }
     }
 
-    /// Consume the head entry as a pushed-filter rejection. Disk sources
-    /// count it as `records_filtered_pre_assembly`; memtable rejections
-    /// cost no I/O and are uncounted.
-    fn skip_entry_filtered(&mut self) {
+    /// The entry at `ordinal`, assembled or copied (a winner).
+    fn take(&mut self, ordinal: usize) -> Result<Entry> {
         match self {
-            MergeSource::Mem { pos, .. } => *pos += 1,
-            MergeSource::Disk(cursor) => cursor.skip_entry_filtered(),
+            MergeSource::Mem { entries, .. } => Ok(entries.all()[ordinal].clone()),
+            MergeSource::Disk(cursor) => cursor.take_entry(ordinal),
+        }
+    }
+
+    /// The entry at `ordinal` where it is held as a document (memtables, row
+    /// pages) — to be tested in place before it is copied.
+    fn entry(&self, ordinal: usize) -> Option<&Entry> {
+        match self {
+            MergeSource::Mem { entries, .. } => entries.all().get(ordinal),
+            MergeSource::Disk(cursor) => cursor.entry(ordinal),
+        }
+    }
+
+    /// Count a consumed winner as a pushed-filter rejection. Disk sources
+    /// count it as `records_filtered_pre_assembly`; memtable rejections cost
+    /// no I/O and are uncounted.
+    fn note_filtered(&self) {
+        if let MergeSource::Disk(cursor) = self {
+            cursor.note_filtered();
         }
     }
 
@@ -454,17 +458,54 @@ impl MergeSource {
     }
 }
 
+/// One key's reconciliation winner: where the newest version of the key
+/// sits. The step that found it has consumed it and every version it
+/// shadows; [`EntryMergeCursor::take_winner`] still reads it until the source's
+/// next leaf is loaded, which no step does before the consumer has seen the
+/// step's winners.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Winner {
+    /// The source holding it, by reconciliation priority (0 = newest).
+    pub source: usize,
+    /// Its ordinal in the source: the position in a memtable, or in the
+    /// source's resident leaf.
+    pub ordinal: usize,
+    /// Whether the newest version is anti-matter.
+    pub anti_matter: bool,
+}
+
 /// A k-way, newest-first merge-reconcile cursor over key-sorted entry runs.
 ///
-/// Yields one [`Entry`] per distinct key, in ascending key order: the
-/// version from the **newest** source holding the key (sources are ordered
-/// newest-first at construction). Anti-matter entries are yielded as
-/// `(key, None)` — the dataset's merge keeps them to write them into the
-/// merged component; scans ([`BatchScan`], [`ScanCursor`]) drive the same
-/// steps and drop them.
+/// The unit of work is one **step** ([`EntryMergeCursor::step`]): every
+/// source fills (a disk source whose leaf is used up loads its next one),
+/// and the sources' resident keys are reconciled in place — as `i64` slices
+/// when every run is an integer key column (the type is matched once per
+/// step), else pair by pair under the document order — up to the smallest
+/// of the sources' last resident keys, beyond which some source may hold
+/// keys it has not loaded yet. The step emits one
+/// [`Winner`] per distinct key, in ascending key order: the version from
+/// the **newest** source holding it (sources are ordered newest-first at
+/// construction). Shadowed versions are consumed in the same pass, unread.
+/// A winner that is anti-matter is emitted as such — the dataset's merge
+/// keeps it; scans ([`BatchScan`], [`ScanCursor`]) drop it.
+///
+/// A step ends when a source's resident run is used up, or after `limit`
+/// winners. Batch scans and merges consume whole steps; the per-entry path
+/// ([`EntryMergeCursor::next_winner`]: the row adapter, the [`Iterator`])
+/// hands out a buffered step's winners one at a time — so the newest-wins,
+/// shadow-skip and anti-matter rule exists once.
 pub struct EntryMergeCursor {
     /// Sources in newest-first order; index = reconciliation priority.
     sources: Vec<MergeSource>,
+    /// Per source, the entries the current step consumed.
+    taken: Vec<usize>,
+    /// The step [`EntryMergeCursor::next_winner`] hands out, and how many of
+    /// its winners it has handed out.
+    ready: Vec<Winner>,
+    ready_at: usize,
+    /// Entries decoded and resident across all sources when the last step
+    /// began.
+    resident: usize,
     /// High-water mark of entries buffered across all sources (the peak-RSS
     /// proxy reported by the streaming benchmarks).
     peak_buffered: usize,
@@ -472,7 +513,14 @@ pub struct EntryMergeCursor {
 
 impl EntryMergeCursor {
     fn new(sources: Vec<MergeSource>) -> EntryMergeCursor {
-        EntryMergeCursor { sources, peak_buffered: 0 }
+        EntryMergeCursor {
+            taken: vec![0; sources.len()],
+            sources,
+            ready: Vec::new(),
+            ready_at: 0,
+            resident: 0,
+            peak_buffered: 0,
+        }
     }
 
     /// A merge cursor over on-disk components only (`components` given
@@ -514,91 +562,107 @@ impl EntryMergeCursor {
     }
 
     /// Advance every source past all entries with key `<= bound` **without
-    /// assembling them**: only key columns are decoded and each entry is
-    /// skipped exactly like a reconciliation loser (§4.4). After the call,
+    /// assembling them**: only key columns are decoded and the entries are
+    /// consumed exactly like reconciliation losers (§4.4). After the call,
     /// the cursor's next entry is the smallest key strictly greater than
     /// `bound`.
     ///
     /// This is what lets a long-running scan be *re-pinned* on a fresh
     /// snapshot mid-stream (bounded staleness): rebuild the cursor, then
     /// `skip_to` the last key already delivered. Cost is proportional to the
-    /// skipped prefix's key columns, not to record assembly.
+    /// skipped prefix's key columns, not to record assembly. It is asked of
+    /// a cursor with no winner handed out yet, as a re-pin builds.
     pub fn skip_to(&mut self, bound: &Value) -> Result<()> {
-        let bound = KeyRef::Value(bound);
+        assert!(self.ready.is_empty(), "skip_to before the first winner");
         for source in &mut self.sources {
             loop {
                 source.fill()?;
-                match source.head() {
-                    Some(key) if key.compare(&bound) != std::cmp::Ordering::Greater => {
-                        source.skip_entry();
-                    }
-                    _ => break,
+                let Some(run) = source.keys() else { break };
+                let (skipped, resident) = (run.count_up_to(bound), run.len());
+                source.consume(skipped);
+                if skipped < resident {
+                    break;
                 }
             }
         }
         Ok(())
     }
 
-    /// One reconciliation step that stops short of consuming the winner:
-    /// the index of the source whose head entry is the newest version of
-    /// the smallest pending key, every shadowed version of that key already
-    /// skipped. The caller consumes the winner — assembled
-    /// ([`EntryMergeCursor::take_winner`]) or, for a column-wise merge or a
-    /// batch scan, located and skipped
-    /// ([`EntryMergeCursor::winner_in_leaf`],
-    /// [`EntryMergeCursor::skip_winner`]) — before the next step. `None` =
-    /// every source is exhausted.
-    pub(crate) fn next_winner(&mut self) -> Result<Option<usize>> {
+    /// One reconciliation step (see the type docs): `winners` is cleared
+    /// and receives the step's winners in ascending key order, at most
+    /// `limit` of them. It stays empty only when every source is exhausted.
+    pub fn step(&mut self, limit: usize, winners: &mut Vec<Winner>) -> Result<()> {
+        winners.clear();
         for source in &mut self.sources {
             source.fill()?;
         }
-        self.peak_buffered = self.peak_buffered.max(self.buffered());
-
-        // The smallest head key wins; among equal keys, the newest source
-        // (lowest index) provides the surviving version.
-        let mut best: Option<(usize, KeyRef<'_>)> = None;
-        for (i, source) in self.sources.iter().enumerate() {
-            let Some(key) = source.head() else { continue };
-            if best.is_none_or(|(_, best_key)| key.compare(&best_key) == std::cmp::Ordering::Less) {
-                best = Some((i, key));
-            }
+        self.resident = self.buffered();
+        self.peak_buffered = self.peak_buffered.max(self.resident);
+        let EntryMergeCursor { sources, taken, .. } = self;
+        taken.clear();
+        taken.resize(sources.len(), 0);
+        let runs: Vec<Option<KeyRun<'_>>> = sources.iter().map(MergeSource::keys).collect();
+        let mut emit = |source: usize, i: usize| {
+            let run = runs[source].expect("a winner's source has keys");
+            let ordinal = run.first() + i;
+            winners.push(Winner {
+                source,
+                ordinal,
+                anti_matter: run.is_antimatter(ordinal),
+            });
+        };
+        // Integer key columns compare as `i64` slices; a step over any other
+        // run compares its keys pair by pair.
+        let ints: Option<Vec<&[i64]>> = runs
+            .iter()
+            .map(|run| run.map_or(Some(&[][..]), |run| run.ints()))
+            .collect();
+        match ints {
+            Some(keys) => reconcile(&Ints(&keys), taken, limit, &mut emit),
+            None => reconcile(&Mixed(&runs), taken, limit, &mut emit),
         }
-        let Some((best, _)) = best else { return Ok(None) };
-        // The shadowed versions of the winning key in older sources are
-        // skipped, never decoded into documents (§4.4) — *before* the
-        // winner is evaluated or assembled, so a filter-rejected winner can
-        // never resurrect them.
-        let (newer, older) = self.sources.split_at_mut(best + 1);
-        let best_key = newer[best].head().expect("the winner has a head");
-        for source in older {
-            if source
-                .head()
-                .is_some_and(|key| key.compare(&best_key) == std::cmp::Ordering::Equal)
-            {
-                source.skip_entry();
-            }
+        for (source, &n) in sources.iter_mut().zip(taken.iter()) {
+            source.consume(n);
         }
-        Ok(Some(best))
+        Ok(())
     }
 
-    /// Consume and assemble the winner [`EntryMergeCursor::next_winner`]
-    /// returned.
-    pub(crate) fn take_winner(&mut self, source: usize) -> Result<Entry> {
-        self.sources[source].take_entry()
-    }
-
-    /// Consume the winner without assembling it.
-    pub(crate) fn skip_winner(&mut self, source: usize) {
-        self.sources[source].skip_entry()
-    }
-
-    /// Where the winner sits in its source's decoded columnar leaf; `None`
-    /// when the source is not a columnar component.
-    pub(crate) fn winner_in_leaf(&mut self, source: usize) -> Result<Option<LeafHead>> {
-        match &mut self.sources[source] {
-            MergeSource::Disk(cursor) => cursor.head_in_leaf().transpose(),
-            MergeSource::Mem { .. } => Ok(None),
+    /// The next key's winner, `None` = every source is exhausted: the
+    /// per-entry path (the row adapter, the [`Iterator`]), which hands out
+    /// the winners of one buffered step of up to `ROW_BATCH` before it
+    /// takes the next. Each is to be taken before the next call. Not to be
+    /// interleaved with [`EntryMergeCursor::step`].
+    pub fn next_winner(&mut self) -> Result<Option<Winner>> {
+        if self.ready_at == self.ready.len() {
+            let mut ready = std::mem::take(&mut self.ready);
+            self.step(ROW_BATCH, &mut ready)?;
+            self.ready = ready;
+            self.ready_at = 0;
         }
+        let next = self.ready.get(self.ready_at).copied();
+        self.ready_at += usize::from(next.is_some());
+        Ok(next)
+    }
+
+    /// The entry of a winner, assembled or copied — before the step after
+    /// the one that found it.
+    pub fn take_winner(&mut self, winner: Winner) -> Result<Entry> {
+        self.sources[winner.source].take(winner.ordinal)
+    }
+
+    /// The index of a source's resident leaf when it is columnar (where its
+    /// winners sit); `None` for memtables and row layouts.
+    pub(crate) fn resident_leaf(&self, source: usize) -> Option<usize> {
+        match &self.sources[source] {
+            MergeSource::Disk(cursor) => cursor.resident_leaf(),
+            MergeSource::Mem { .. } => None,
+        }
+    }
+
+    /// Whether a source holds documents (a memtable) rather than a
+    /// component.
+    pub(crate) fn is_memtable(&self, source: usize) -> bool {
+        matches!(self.sources[source], MergeSource::Mem { .. })
     }
 
     /// The decoded chunks of a disk source's resident columnar leaf.
@@ -619,38 +683,39 @@ impl EntryMergeCursor {
         self.sources.iter().map(MergeSource::buffered).sum()
     }
 
-    /// Consume the winner as a scan does: `None` when it is anti-matter or
-    /// fails the pushed filter — then nothing is assembled or copied — else
-    /// the live `(key, record)`.
+    /// Entries decoded and resident across all disk sources when the last
+    /// step began — every winner of that step among them.
+    pub(crate) fn resident(&self) -> usize {
+        self.resident
+    }
+
+    /// Take a winner as a scan does: `None` when it is anti-matter or fails
+    /// the pushed filter — then nothing is assembled or copied — else the
+    /// live `(key, record)`.
     fn take_live(
         &mut self,
-        source: usize,
+        winner: Winner,
         pushed: &[ColumnPredicate],
     ) -> Result<Option<(Value, Value)>> {
-        let source = &mut self.sources[source];
+        if winner.anti_matter {
+            return Ok(None);
+        }
+        let source = &mut self.sources[winner.source];
         // Memtable entries and row pages hold documents: test in place.
-        if let Some((_, doc)) = source.head_entry() {
-            let Some(doc) = doc else {
-                source.skip_entry();
-                return Ok(None);
-            };
+        if let Some((_, doc)) = source.entry(winner.ordinal) {
+            let doc = doc.as_ref().expect("a live winner has a record");
             if !pushed.iter().all(|p| p.matches(doc)) {
-                source.skip_entry_filtered();
+                source.note_filtered();
                 return Ok(None);
             }
         } else if let MergeSource::Disk(cursor) = source {
-            let head = cursor.head_in_leaf().transpose()?;
-            if head.is_some_and(|head| head.anti_matter) {
-                cursor.skip_entry();
-                return Ok(None);
-            }
-            if !cursor.head_passes().transpose()?.unwrap_or(true) {
-                cursor.skip_entry_filtered();
+            if !cursor.passes(winner.ordinal) {
+                cursor.note_filtered();
                 return Ok(None);
             }
         }
-        let (key, doc) = source.take_entry()?;
-        let doc = doc.expect("anti-matter was dropped above");
+        let (key, doc) = source.take(winner.ordinal)?;
+        let doc = doc.expect("a live winner has a record");
         Ok(match source {
             MergeSource::Disk(cursor) if !cursor.record_passes(&doc) => None,
             _ => Some((key, doc)),
@@ -663,9 +728,153 @@ impl Iterator for EntryMergeCursor {
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.next_winner() {
-            Ok(Some(best)) => Some(self.take_winner(best)),
+            Ok(Some(winner)) => Some(self.take_winner(winner)),
             Ok(None) => None,
             Err(e) => Some(Err(e)),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The reconciliation rule, over key runs.
+// ---------------------------------------------------------------------------
+
+/// The key slices of one step, per source (an exhausted source's is empty).
+trait StepKeys {
+    /// Keys of `source`'s run.
+    fn len(&self, source: usize) -> usize;
+    /// Key `i` of source `a` against key `j` of source `b`, under the
+    /// document total order.
+    fn cmp(&self, a: usize, i: usize, b: usize, j: usize) -> Ordering;
+}
+
+/// Runs that are all integer key columns.
+struct Ints<'r, 'a>(&'r [&'a [i64]]);
+
+impl StepKeys for Ints<'_, '_> {
+    #[inline]
+    fn len(&self, source: usize) -> usize {
+        self.0[source].len()
+    }
+
+    #[inline]
+    fn cmp(&self, a: usize, i: usize, b: usize, j: usize) -> Ordering {
+        self.0[a][i].cmp(&self.0[b][j])
+    }
+}
+
+/// Any other runs (memtables, row leaves, double or string key columns, an
+/// integer key column beside a double one): keys compare one pair at a time
+/// under the document total order, where `7` and `7.0` are one key.
+struct Mixed<'r, 'a>(&'r [Option<KeyRun<'a>>]);
+
+impl StepKeys for Mixed<'_, '_> {
+    #[inline]
+    fn len(&self, source: usize) -> usize {
+        self.0[source].map_or(0, |run| run.len())
+    }
+
+    #[inline]
+    fn cmp(&self, a: usize, i: usize, b: usize, j: usize) -> Ordering {
+        let key = |source: usize, i: usize| {
+            let run = self.0[source].expect("a compared source has keys");
+            run.key(run.first() + i)
+        };
+        key(a, i).compare(&key(b, j))
+    }
+}
+
+/// The one reconciliation rule. Over the runs `keys` (newest source first),
+/// `taken[s]` of which are consumed so far: the smallest head key wins, the
+/// newest source among equal heads provides the surviving version
+/// (`emit(source, index in its run)`), and every older source heading the
+/// same key consumes its shadowed version unread. A source whose head is
+/// below every other head emits a run of winners, each compared with the
+/// smallest other head only.
+///
+/// The pass ends after `limit` winners, or when a source's run is used up:
+/// past its last key, that source may hold keys it has not loaded.
+fn reconcile(
+    keys: &impl StepKeys,
+    taken: &mut [usize],
+    limit: usize,
+    emit: &mut impl FnMut(usize, usize),
+) {
+    const NONE: usize = usize::MAX;
+    let mut emitted = 0;
+    while emitted < limit {
+        // The winner `best` (the lowest index among equal heads) and the
+        // smallest head among the other sources, `next`.
+        let (mut best, mut next) = (NONE, NONE);
+        for s in 0..taken.len() {
+            if taken[s] == keys.len(s) {
+                continue;
+            }
+            if best == NONE {
+                best = s;
+            } else if keys.cmp(s, taken[s], best, taken[best]) == Ordering::Less {
+                next = best;
+                best = s;
+            } else if next == NONE || keys.cmp(s, taken[s], next, taken[next]) == Ordering::Less {
+                next = s;
+            }
+        }
+        if best == NONE {
+            return;
+        }
+        let at = taken[best];
+        if next != NONE && keys.cmp(next, taken[next], best, at) == Ordering::Equal {
+            // Shadowed versions of the key are consumed before the winner
+            // is evaluated or taken, so a filter-rejected winner can never
+            // resurrect them.
+            emit(best, at);
+            emitted += 1;
+            taken[best] += 1;
+            let mut used_up = taken[best] == keys.len(best);
+            for (s, consumed) in taken.iter_mut().enumerate().skip(best + 1) {
+                if *consumed < keys.len(s) && keys.cmp(s, *consumed, best, at) == Ordering::Equal {
+                    *consumed += 1;
+                    used_up |= *consumed == keys.len(s);
+                }
+            }
+            if used_up {
+                return;
+            }
+            continue;
+        }
+        // Every key of `best` below the other heads wins outright.
+        loop {
+            emit(best, taken[best]);
+            emitted += 1;
+            taken[best] += 1;
+            if taken[best] == keys.len(best) || emitted == limit {
+                return;
+            }
+            if next != NONE && keys.cmp(best, taken[best], next, taken[next]) != Ordering::Less {
+                break;
+            }
+        }
+    }
+}
+
+/// Where the documents of a [`ScanBatch::Rows`] come from — the reason they
+/// were never columns, which `EXPLAIN ANALYZE` reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowOrigin {
+    /// The active or a sealed memtable.
+    Memtable,
+    /// Components in a row layout (Open, VB).
+    RowLayout,
+    /// Some of each.
+    Both,
+}
+
+impl RowOrigin {
+    fn and(self, other: RowOrigin) -> RowOrigin {
+        if self == other {
+            self
+        } else {
+            RowOrigin::Both
         }
     }
 }
@@ -675,9 +884,14 @@ impl Iterator for EntryMergeCursor {
 pub enum ScanBatch {
     /// The winners inside one leaf of a columnar component, unassembled.
     Columns(ColumnBatch),
-    /// Winners that were documents to begin with (memtables, row layouts),
-    /// as `(key, record)` pairs in key order.
-    Rows(Vec<(Value, Value)>),
+    /// Winners that were documents to begin with, as `(key, record)` pairs
+    /// in key order.
+    Rows {
+        /// The winners.
+        rows: Vec<(Value, Value)>,
+        /// Which sources held them.
+        from: RowOrigin,
+    },
 }
 
 impl ScanBatch {
@@ -688,7 +902,7 @@ impl ScanBatch {
     pub fn len(&self) -> usize {
         match self {
             ScanBatch::Columns(batch) => batch.selection().len(),
-            ScanBatch::Rows(rows) => rows.len(),
+            ScanBatch::Rows { rows, .. } => rows.len(),
         }
     }
 
@@ -698,8 +912,10 @@ impl ScanBatch {
     }
 }
 
-/// Documents collected before a [`ScanBatch::Rows`] is handed over.
-const ROW_BATCH: usize = 1024;
+/// Documents collected before a [`ScanBatch::Rows`] is handed over, and the
+/// most winners a batch scan, a merge or the per-entry path takes from one
+/// step.
+pub(crate) const ROW_BATCH: usize = 1024;
 
 /// The batch scan of a snapshot; see [`Snapshot::batches`] and the module
 /// docs. Fully owned, so it may outlive the snapshot borrow it came from.
@@ -709,8 +925,12 @@ pub struct BatchScan {
     /// Per source: the columnar leaf it is reading and the ordinals of the
     /// winners found in it so far (anti-matter left out).
     pending: Vec<Option<(usize, Vec<u32>)>>,
-    /// Winners of memtables and row layouts since the last `Rows` batch.
+    /// Winners of memtables and row layouts since the last `Rows` batch, and
+    /// which of the two held them.
     rows: Vec<(Value, Value)>,
+    rows_from: Option<RowOrigin>,
+    /// The winners of the current step.
+    winners: Vec<Winner>,
     /// Where `scan_batches` is counted (absent for memtable-only snapshots).
     store: Option<PageStore>,
 }
@@ -757,6 +977,15 @@ impl BatchScan {
         (!batch.selection().is_empty()).then_some(ScanBatch::Columns(batch))
     }
 
+    /// The documents collected so far as one batch.
+    fn rows_batch(&mut self) -> Option<ScanBatch> {
+        let from = self.rows_from.take()?;
+        Some(ScanBatch::Rows {
+            rows: std::mem::take(&mut self.rows),
+            from,
+        })
+    }
+
     fn advance(&mut self) -> Result<Option<ScanBatch>> {
         loop {
             // A leaf some source has used up is about to be replaced by the
@@ -770,29 +999,33 @@ impl BatchScan {
                 }
             }
             if self.rows.len() >= ROW_BATCH {
-                return Ok(Some(ScanBatch::Rows(std::mem::take(&mut self.rows))));
+                return Ok(self.rows_batch());
             }
-            let Some(source) = self.merge.next_winner()? else {
+            self.merge.step(ROW_BATCH, &mut self.winners)?;
+            if self.winners.is_empty() {
                 // Every source is exhausted, so every leaf was handed over.
-                let rows = std::mem::take(&mut self.rows);
-                return Ok((!rows.is_empty()).then_some(ScanBatch::Rows(rows)));
-            };
-            match self.merge.winner_in_leaf(source)? {
-                Some(head) => {
-                    let (leaf, selection) =
-                        self.pending[source].get_or_insert_with(|| (head.leaf, Vec::new()));
-                    debug_assert_eq!(*leaf, head.leaf, "a used-up leaf was handed over");
-                    if !head.anti_matter {
-                        selection.push(head.ordinal as u32);
+                return Ok(self.rows_batch());
+            }
+            let winners = std::mem::take(&mut self.winners);
+            for &winner in &winners {
+                if let Some(leaf) = self.merge.resident_leaf(winner.source) {
+                    let (at, selection) =
+                        self.pending[winner.source].get_or_insert_with(|| (leaf, Vec::new()));
+                    debug_assert_eq!(*at, leaf, "a used-up leaf was handed over");
+                    if !winner.anti_matter {
+                        selection.push(winner.ordinal as u32);
                     }
-                    self.merge.skip_winner(source);
-                }
-                None => {
-                    if let Some(row) = self.merge.take_live(source, &self.pushed)? {
-                        self.rows.push(row);
-                    }
+                } else if let Some(row) = self.merge.take_live(winner, &self.pushed)? {
+                    let from = if self.merge.is_memtable(winner.source) {
+                        RowOrigin::Memtable
+                    } else {
+                        RowOrigin::RowLayout
+                    };
+                    self.rows_from = Some(self.rows_from.map_or(from, |was| was.and(from)));
+                    self.rows.push(row);
                 }
             }
+            self.winners = winners;
         }
     }
 }
@@ -827,7 +1060,8 @@ impl ScanCursor {
 
     /// Skip (without assembling) every entry with key `<= bound`; the next
     /// yielded record is the smallest live key strictly greater than
-    /// `bound`. See [`EntryMergeCursor::skip_to`].
+    /// `bound`. Asked before the first record is pulled; see
+    /// [`EntryMergeCursor::skip_to`].
     pub fn skip_to(&mut self, bound: &Value) -> Result<()> {
         self.merge.skip_to(bound)
     }
@@ -838,12 +1072,12 @@ impl Iterator for ScanCursor {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let source = match self.merge.next_winner() {
-                Ok(Some(source)) => source,
+            let winner = match self.merge.next_winner() {
+                Ok(Some(winner)) => winner,
                 Ok(None) => return None,
                 Err(e) => return Some(Err(e)),
             };
-            match self.merge.take_live(source, &self.pushed) {
+            match self.merge.take_live(winner, &self.pushed) {
                 Ok(Some(row)) => return Some(Ok(row)),
                 Ok(None) => continue,
                 Err(e) => return Some(Err(e)),

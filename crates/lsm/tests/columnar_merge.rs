@@ -126,7 +126,7 @@ fn scan(component: &Arc<Component>, projection: Option<&[Path]>) -> Layer {
 
 /// The live records a pushed-filter scan of the one component lets through,
 /// driving the cursor the way the snapshot's merge cursor does: test the
-/// head, then either pull it or skip it as a rejection.
+/// next entry, then either pull it or consume it as a rejection.
 fn pushed_scan(component: &Arc<Component>, predicate: &ColumnPredicate) -> Layer {
     let filter = ScanFilter {
         predicates: Arc::new(vec![predicate.clone()]),
@@ -134,14 +134,16 @@ fn pushed_scan(component: &Arc<Component>, predicate: &ColumnPredicate) -> Layer
     };
     let mut cursor = component.cursor_filtered(None, Some(filter));
     let mut out = Vec::new();
-    while let Some(passes) = cursor.head_passes() {
-        if passes.unwrap() {
+    while cursor.fill().unwrap() {
+        let ordinal = cursor.resident_keys().unwrap().first();
+        if cursor.passes(ordinal) {
             let (key, doc) = cursor.next().unwrap().unwrap();
             if doc.as_ref().is_some_and(|doc| cursor.record_passes(doc)) {
                 out.push((key.as_int().unwrap(), doc));
             }
         } else {
-            cursor.skip_entry_filtered();
+            cursor.note_filtered();
+            cursor.consume(1);
         }
     }
     normalized(out)

@@ -16,7 +16,7 @@
 //!   kernels folded without building a document (`scan_records_kernel`),
 //!   documents actually built (`records_assembled`), and *why* batches fell
 //!   back to the assembled lane ("residual filter", "union at `readings`",
-//!   "row layout or memtable", …);
+//!   "memtable", "row layout", …);
 //! * **pages/bytes read** — deltas of the underlying store's
 //!   [`IoStats`] around the partition's
 //!   execution. Partitions run *sequentially* under analyze (unlike

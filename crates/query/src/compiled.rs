@@ -11,13 +11,16 @@
 //! kernels (`Kernel`) and the access stage is the snapshot's batch scan
 //! ([`lsm::Snapshot::batches`]): key-only reconciliation hands over, per
 //! columnar leaf, the decoded chunks plus the ordinals of the winners, and a
-//! kernel folds the aggregate inputs straight off the chunks — one
-//! [`columnar::ColumnWalk`] per column says where each record's values are
-//! (its value, whether its array has elements, each element's), the typed
-//! values feed `AggState::fold`, the group table is probed once per
-//! **record**, and no document is ever built. The contrast with [`crate::interp`] — which stays
-//! per-tuple over assembled documents — is §5's interpreted-vs-generated
-//! contrast.
+//! kernel folds the aggregate inputs straight off the chunks, no document
+//! ever built. One [`columnar::ColumnWalk`] per column answers, per selected
+//! ordinal, where the record's values are: the index of its value, or —
+//! under `UNNEST` — its array's **value range** and element count
+//! ([`columnar::Elements`]), the gap between two selected ordinals skipped
+//! in one tight loop over the definition levels. Each aggregate folds the
+//! record's range in one typed pass (`AggState::fold_slice`: a slice
+//! extreme, a run of exact adds), and the group table is probed once per
+//! **record**. The contrast with [`crate::interp`] — which stays per-tuple
+//! over assembled documents — is §5's interpreted-vs-generated contrast.
 //!
 //! Batches arrive per source leaf, not in key order, so this engine folds
 //! the records in another order than the per-tuple ones — and in another
@@ -30,17 +33,21 @@
 //!
 //! A kernel's group key is a record-level scalar column that is not a
 //! string, so a key is its column's type plus the value's raw 64 bits (an
-//! integer's two's complement, a double's IEEE bits, a boolean's 0/1). One
-//! std `HashMap` on that pair serves a whole scan, and a probe builds no
-//! [`Value`]. The raw bits are a sound key: within one typed column, equal
-//! bits are equal under the document order (doubles compare by
-//! `f64::total_cmp`, which tells `0.0` from `-0.0` and one NaN from
-//! another exactly as their bits do). What bits cannot see — `7` in an
-//! `Int` column and `7.0` in a `Double` column of another component being
-//! one group — is settled when the scan ends: the table is folded into
-//! `GroupPartials` once per distinct key, so the spelling rule and the
-//! order-insensitive `AggState::merge` decide every answer, as they do
-//! across shards.
+//! integer's two's complement, a double's IEEE bits, a boolean's 0/1), and
+//! a probe builds no [`Value`]. One table serves a whole scan: the groups'
+//! states side by side in one vector, in the order the groups were met, and
+//! a hash map from key to place that hashes with one folded multiply per key
+//! (a 64×64→128-bit product whose halves are XORed, from a seed drawn per
+//! scan) instead of SipHash — a collision costs a probe, never an answer.
+//! An ungrouped aggregate's one group is never hashed. The raw bits are a
+//! sound key: within one typed column, equal bits are equal under the
+//! document order (doubles compare by `f64::total_cmp`, which tells `0.0`
+//! from `-0.0` and one NaN from another exactly as their bits do). What
+//! bits cannot see — `7` in an `Int` column and `7.0` in a `Double` column
+//! of another component being one group — is settled when the scan ends:
+//! the table is folded into `GroupPartials` once per distinct key, in key
+//! order, so the spelling rule and the order-insensitive `AggState::merge`
+//! decide every answer, as they do across shards.
 //!
 //! ## Which lane a batch takes
 //!
@@ -66,18 +73,20 @@
 //! it exists for the differential tests (`tests/vectorized.rs`), which hold
 //! the two lanes, the interpreted engine and the batch oracle to one answer.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
-use columnar::{ColumnChunk, ColumnValues, ColumnWalk};
+use columnar::{ColumnChunk, ColumnValues, ColumnWalk, Elements};
 use docmodel::cmp::OrderedValue;
 use docmodel::{Path, Value};
-use lsm::{BatchScan, ScanBatch};
+use lsm::{BatchScan, RowOrigin, ScanBatch};
 use schema::node::SchemaNode;
 use schema::{AtomicType, ColumnId, NodeId, Schema};
 use storage::batch::plain_node;
 
-use crate::physical::{new_states, AggState, GroupPartials, Input, PhysicalPlan};
+use crate::physical::{new_states, AggState, GroupPartials, PhysicalPlan};
 use crate::plan::join_paths;
 use crate::Result;
 
@@ -252,15 +261,18 @@ struct Kernel {
     columns: Vec<ColumnId>,
     /// Record-level scalar column holding the group key.
     group: Option<usize>,
-    /// A column with exactly one entry per element of the unnested array,
-    /// when some input is folded once per element without reading one
-    /// (`COUNT(*)`, record-level inputs under `UNNEST`).
-    elements: Option<usize>,
-    /// Whether the plan unnests: a record without elements then contributes
-    /// nothing at all, not even its group.
-    unnested: bool,
+    /// Under `UNNEST`, the columns with exactly one entry per element of the
+    /// unnested array (slots, each once): every element input's, or else
+    /// the first scalar under the array. The first one counts the elements,
+    /// which a record-level input or `COUNT(*)` is folded once per; a record
+    /// without elements contributes nothing, not even its group. Empty
+    /// without `UNNEST`.
+    elements: Vec<usize>,
     inputs: Vec<KernelInput>,
 }
+
+/// The inputs of `COUNT(*)` and of records without a value: no column.
+static NO_VALUES: ColumnValues = ColumnValues::Int(Vec::new());
 
 impl Kernel {
     fn lower(plan: &PhysicalPlan, schema: &Schema) -> std::result::Result<Kernel, String> {
@@ -317,30 +329,23 @@ impl Kernel {
                 (Some(path), _) => KernelInput::Record(slot(scalar(root, path)?.0)),
             });
         }
-        let counts_elements = item.is_some()
-            && inputs
-                .iter()
-                .any(|input| !matches!(input, KernelInput::Element(_)));
-        let elements = match item {
-            Some(item) if counts_elements => {
-                let counted = inputs.iter().find_map(|input| match input {
-                    KernelInput::Element(slot) => Some(*slot),
-                    _ => None,
-                });
-                Some(match counted {
-                    Some(slot) => slot,
-                    None => slot(first_scalar_under(schema, item).ok_or_else(|| {
-                        "no scalar column directly under the unnested array".to_string()
-                    })?),
-                })
+        let mut elements: Vec<usize> = Vec::new();
+        for input in &inputs {
+            if let KernelInput::Element(at) = input {
+                if !elements.contains(at) {
+                    elements.push(*at);
+                }
             }
-            _ => None,
-        };
+        }
+        if let (Some(item), true) = (item, elements.is_empty()) {
+            elements.push(slot(first_scalar_under(schema, item).ok_or_else(|| {
+                "no scalar column directly under the unnested array".to_string()
+            })?));
+        }
         Ok(Kernel {
             columns,
             group,
             elements,
-            unnested: item.is_some(),
             inputs,
         })
     }
@@ -353,72 +358,47 @@ impl Kernel {
         plan: &PhysicalPlan,
         groups: &mut GroupTable,
     ) {
-        let walk = |slot: usize| ColumnWalk::new(chunks[slot].clone());
-        let mut group = self.group.map(walk);
-        let mut elements = self.elements.map(walk);
-        let mut walks: Vec<Option<ColumnWalk>> = self
-            .inputs
-            .iter()
-            .map(|input| match input {
-                KernelInput::None => None,
-                KernelInput::Record(slot) | KernelInput::Element(slot) => Some(walk(*slot)),
-            })
-            .collect();
-        // The walk that tells whether a record has elements: an element
-        // input's own (it is about to visit them anyway), else the counter.
-        let probe = self
-            .inputs
-            .iter()
-            .position(|input| matches!(input, KernelInput::Element(_)));
+        let mut walks: Vec<ColumnWalk> = chunks.iter().cloned().map(ColumnWalk::new).collect();
+        // Per column slot, the current record's elements (element columns
+        // only).
+        let mut spans = vec![Elements::default(); chunks.len()];
         for &ordinal in selection {
             let ordinal = ordinal as usize;
-            let key = match &mut group {
-                Some(walk) => match walk.value_index(ordinal) {
-                    Some(i) => Some(raw_key(walk.values(), i)),
+            let key = match self.group {
+                Some(slot) => match walks[slot].value_index(ordinal) {
+                    Some(i) => Some(RawKey::of(walks[slot].values(), i)),
                     // No group key: the record contributes nothing.
                     None => continue,
                 },
                 None => None,
             };
-            if self.unnested {
-                let walk = match probe {
-                    Some(input) => walks[input].as_mut(),
-                    None => elements.as_mut(),
-                };
-                if !walk
-                    .expect("an unnesting kernel reads the array")
-                    .has_elements(ordinal)
-                {
+            // How often an input that is not read per element is folded.
+            let mut times = 1;
+            if let Some(&counter) = self.elements.first() {
+                for &slot in &self.elements {
+                    spans[slot] = walks[slot].elements(ordinal);
+                }
+                times = spans[counter].count;
+                if times == 0 {
                     continue;
                 }
             }
-            let states = groups.0.entry(key).or_insert_with(|| new_states(plan));
-            // How often an input that is not read per element is folded.
-            let times = match &mut elements {
-                Some(walk) => {
-                    let mut n = 0;
-                    walk.for_each_element(ordinal, |_| n += 1);
-                    n
-                }
-                None => 1,
-            };
-            for ((state, input), walk) in states.iter_mut().zip(&self.inputs).zip(&mut walks) {
-                match (input, walk) {
-                    (KernelInput::Element(slot), Some(walk)) => {
-                        let values = &chunks[*slot].values;
-                        walk.for_each_element(ordinal, |i| fold_at(state, values, i));
+            let states = groups.states(key, plan);
+            for (state, input) in states.iter_mut().zip(&self.inputs) {
+                match *input {
+                    KernelInput::None => state.fold_slice(&NO_VALUES, 0..0, times),
+                    KernelInput::Element(slot) => {
+                        let span = &spans[slot];
+                        state.fold_slice(&chunks[slot].values, span.values.clone(), span.lacking());
                     }
-                    (_, walk) => {
-                        let at = walk
-                            .as_mut()
-                            .map(|walk| (walk.value_index(ordinal), walk.values()));
-                        for _ in 0..times {
-                            match at {
-                                Some((i, values)) => fold_at(state, values, i),
-                                None => state.fold(Input::Absent),
+                    KernelInput::Record(slot) => match walks[slot].value_index(ordinal) {
+                        Some(i) => {
+                            for _ in 0..times {
+                                state.fold_slice(&chunks[slot].values, i..i + 1, 0);
                             }
                         }
-                    }
+                        None => state.fold_slice(&NO_VALUES, 0..0, times),
+                    },
                 }
             }
         }
@@ -427,36 +407,131 @@ impl Kernel {
 
 /// A kernel's group key: its column's type and the value's raw bits (see
 /// the module docs for why equal bits are one group).
-type RawKey = (AtomicType, u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RawKey {
+    ty: AtomicType,
+    bits: u64,
+}
 
-fn raw_key(values: &ColumnValues, index: usize) -> RawKey {
-    match values {
-        ColumnValues::Int(v) => (AtomicType::Int, v[index] as u64),
-        ColumnValues::Double(v) => (AtomicType::Double, v[index].to_bits()),
-        ColumnValues::Bool(v) => (AtomicType::Bool, u64::from(v[index])),
-        ColumnValues::String(_) => unreachable!("string group keys take the assembled lane"),
+impl RawKey {
+    #[inline]
+    fn of(values: &ColumnValues, index: usize) -> RawKey {
+        let (ty, bits) = match values {
+            ColumnValues::Int(v) => (AtomicType::Int, v[index] as u64),
+            ColumnValues::Double(v) => (AtomicType::Double, v[index].to_bits()),
+            ColumnValues::Bool(v) => (AtomicType::Bool, u64::from(v[index])),
+            ColumnValues::String(_) => unreachable!("string group keys take the assembled lane"),
+        };
+        RawKey { ty, bits }
+    }
+
+    fn to_value(self) -> Value {
+        match self.ty {
+            AtomicType::Int => Value::Int(self.bits as i64),
+            AtomicType::Double => Value::Double(f64::from_bits(self.bits)),
+            AtomicType::Bool => Value::Bool(self.bits != 0),
+            AtomicType::String => unreachable!("string group keys take the assembled lane"),
+        }
     }
 }
 
-/// The group table of one scan's kernels (`None` = the one group of an
-/// ungrouped aggregate). See the module docs.
+impl Hash for RawKey {
+    /// One word: the type goes into the top bits, where keys of two types
+    /// that collide cost a probe, not an answer (equality tells them apart).
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.bits ^ ((self.ty as u64) << 62));
+    }
+}
+
+/// The group table's hasher: per word, one folded multiply — the 128-bit
+/// product of the word (mixed into the state) and an odd constant, its two
+/// halves XORed, so every bit of the key reaches both the bucket index (the
+/// low bits) and the tag (the high bits). The state starts from a seed drawn
+/// per table, so group keys in the data cannot be chosen to collide.
+/// A fresh one (`Default`) is the table's seed, and builds the hashers.
+#[derive(Clone)]
+struct MultiplyShift(u64);
+
+impl Default for MultiplyShift {
+    fn default() -> Self {
+        MultiplyShift(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for MultiplyShift {
+    type Hasher = MultiplyShift;
+
+    fn build_hasher(&self) -> MultiplyShift {
+        self.clone()
+    }
+}
+
+impl Hasher for MultiplyShift {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The group table of one scan's kernels: every group's states side by
+/// side in one vector, in the order the groups were met, and the map from a
+/// key to its group's place. See the module docs.
 #[derive(Default)]
-struct GroupTable(HashMap<Option<RawKey>, Vec<AggState>>);
+struct GroupTable {
+    states: Vec<AggState>,
+    /// Where each key's states start in `states`.
+    groups: HashMap<RawKey, usize, MultiplyShift>,
+    /// The ungrouped aggregate's start, never hashed.
+    global: Option<usize>,
+}
 
 impl GroupTable {
+    /// The states of group `key` (`None` = the one group of an ungrouped
+    /// aggregate), made fresh when the group is new.
+    #[inline]
+    fn states(&mut self, key: Option<RawKey>, plan: &PhysicalPlan) -> &mut [AggState] {
+        let fresh = self.states.len();
+        let at = match key {
+            None => *self.global.get_or_insert(fresh),
+            Some(key) => *self.groups.entry(key).or_insert(fresh),
+        };
+        if at == fresh {
+            self.states.extend(new_states(plan));
+        }
+        let width = plan.aggregates.len();
+        &mut self.states[at..at + width]
+    }
+
     /// Fold the table into `groups`, once per distinct key. In key order,
     /// so that the fold does not depend on the hash map's iteration order.
-    fn fold_into(self, groups: &mut GroupPartials) {
-        let mut entries: Vec<_> = self.0.into_iter().collect();
-        entries.sort_unstable_by_key(|(key, _)| *key);
-        for (key, states) in entries {
-            let key = key.map(|(ty, bits)| match ty {
-                AtomicType::Int => Value::Int(bits as i64),
-                AtomicType::Double => Value::Double(f64::from_bits(bits)),
-                AtomicType::Bool => Value::Bool(bits != 0),
-                AtomicType::String => unreachable!("string group keys take the assembled lane"),
-            });
-            groups.merge_group(key, states);
+    fn fold_into(self, groups: &mut GroupPartials, width: usize) {
+        let mut places: Vec<(Option<RawKey>, usize)> = self
+            .groups
+            .into_iter()
+            .map(|(key, at)| (Some(key), at))
+            .collect();
+        places.extend(self.global.map(|at| (None, at)));
+        places.sort_unstable_by_key(|(key, _)| *key);
+        let mut states: Vec<Option<AggState>> = self.states.into_iter().map(Some).collect();
+        for (key, at) in places {
+            let group = states[at..at + width]
+                .iter_mut()
+                .map(|state| state.take().expect("each group's states are taken once"))
+                .collect();
+            groups.merge_group(key.map(RawKey::to_value), group);
         }
     }
 }
@@ -470,19 +545,6 @@ fn first_scalar_under(schema: &Schema, node: NodeId) -> Option<ColumnId> {
             .iter()
             .find_map(|(_, child)| first_scalar_under(schema, *child)),
         _ => None,
-    }
-}
-
-/// Fold entry `index` of a decoded column (`None` = the value is absent).
-fn fold_at(state: &mut AggState, values: &ColumnValues, index: Option<usize>) {
-    let Some(i) = index else {
-        return state.fold(Input::Absent);
-    };
-    match values {
-        ColumnValues::Int(v) => state.fold(Input::Int(v[i])),
-        ColumnValues::Double(v) => state.fold(Input::Double(v[i])),
-        ColumnValues::String(v) => state.fold(Input::Str(&v[i])),
-        ColumnValues::Bool(v) => state.fold(Input::Other(&Value::Bool(v[i]))),
     }
 }
 
@@ -502,11 +564,14 @@ pub(crate) fn aggregate_batches(
     for batch in scan {
         let mut batch = match batch? {
             ScanBatch::Columns(batch) => batch,
-            ScanBatch::Rows(rows) => {
+            ScanBatch::Rows { rows, from } => {
                 report.records += rows.len() as u64;
-                report
-                    .fallbacks
-                    .insert("row layout or memtable".to_string());
+                if matches!(from, RowOrigin::Memtable | RowOrigin::Both) {
+                    report.fallbacks.insert("memtable".to_string());
+                }
+                if matches!(from, RowOrigin::RowLayout | RowOrigin::Both) {
+                    report.fallbacks.insert("row layout".to_string());
+                }
                 for (_, record) in &rows {
                     fused.push(record);
                 }
@@ -546,6 +611,6 @@ pub(crate) fn aggregate_batches(
             report.records += 1;
         }
     }
-    table.fold_into(&mut fused.groups);
+    table.fold_into(&mut fused.groups, plan.aggregates.len());
     Ok(fused.finish())
 }

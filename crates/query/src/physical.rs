@@ -83,9 +83,10 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
+use columnar::ColumnValues;
 use docmodel::cmp::OrderedValue;
 use docmodel::{total_cmp, Path, Value};
 use lsm::{LsmDataset, Snapshot};
@@ -1235,6 +1236,83 @@ impl AggState {
         }
     }
 
+    /// Fold a run of inputs straight out of a decoded column: the values
+    /// `values[range]`, then `absent` inputs that lack the path — one
+    /// record's array elements, or one record-level value. The same
+    /// semantics as folding each input ([`AggState::fold`]), reached through
+    /// one typed pass over the slice: `MAX`/`MIN` fold the slice's extreme
+    /// under `f64::total_cmp` (so `-0.0` and `0.0`, and every NaN, stay
+    /// apart), `SUM`/`AVG` add every value exactly, and ties with a partial
+    /// of another type still go by the `7` vs `7.0` rule.
+    pub(crate) fn fold_slice(&mut self, values: &ColumnValues, range: Range<usize>, absent: usize) {
+        let present = range.len() as u64;
+        match self {
+            AggState::Count(n) => *n += present + absent as u64,
+            AggState::CountNonNull(n) => *n += present,
+            AggState::Max(_) | AggState::Min(_) => {
+                let side = match self {
+                    AggState::Max(_) => Ordering::Greater,
+                    _ => Ordering::Less,
+                };
+                match values {
+                    ColumnValues::Int(v) => {
+                        let top = if side == Ordering::Greater {
+                            v[range].iter().max()
+                        } else {
+                            v[range].iter().min()
+                        };
+                        if let Some(&top) = top {
+                            self.fold(Input::Int(top));
+                        }
+                    }
+                    ColumnValues::Double(v) => {
+                        // `f64::total_cmp` as an integer order, so the
+                        // extreme is a plain `i64` max or min.
+                        let keys = v[range].iter().map(|&d| total_order_key(d));
+                        let top = if side == Ordering::Greater {
+                            keys.max()
+                        } else {
+                            keys.min()
+                        };
+                        if let Some(top) = top {
+                            self.fold(Input::Double(from_total_order_key(top)));
+                        }
+                    }
+                    ColumnValues::String(v) => {
+                        let top = if side == Ordering::Greater {
+                            v[range].iter().max()
+                        } else {
+                            v[range].iter().min()
+                        };
+                        if let Some(top) = top {
+                            self.fold(Input::Str(top));
+                        }
+                    }
+                    ColumnValues::Bool(v) => {
+                        for &b in &v[range] {
+                            self.fold(Input::Other(&Value::Bool(b)));
+                        }
+                    }
+                }
+            }
+            AggState::Sum { .. } | AggState::Avg { .. } => match values {
+                ColumnValues::Int(v) => v[range].iter().for_each(|&i| self.fold(Input::Int(i))),
+                ColumnValues::Double(v) => {
+                    v[range].iter().for_each(|&d| self.fold(Input::Double(d)))
+                }
+                // Strings and booleans are not summed.
+                ColumnValues::String(_) | ColumnValues::Bool(_) => {}
+            },
+            AggState::MaxLength(_) => {
+                if let ColumnValues::String(v) = values {
+                    if let Some(longest) = v[range].iter().max_by_key(|s| s.chars().count()) {
+                        self.fold(Input::Str(longest));
+                    }
+                }
+            }
+        }
+    }
+
     /// Merge another partial of the same aggregate (from a disjoint record
     /// set, e.g. another shard) into this one.
     pub(crate) fn merge(&mut self, other: AggState) {
@@ -1363,6 +1441,21 @@ impl Input<'_> {
             Input::Other(v) => Some(v.clone()),
         }
     }
+}
+
+/// A double's place in `f64::total_cmp` as an `i64`: the negative doubles'
+/// magnitude bits flipped, exactly the order `total_cmp` compares.
+#[inline]
+fn total_order_key(d: f64) -> i64 {
+    let bits = d.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The double whose [`total_order_key`] is `key` (the mapping is its own
+/// inverse).
+#[inline]
+fn from_total_order_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 
 /// Two values that compare equal under the document order can still be

@@ -50,6 +50,20 @@ pub enum ExecMode {
 }
 
 /// The aggregate computed per group (or over the whole input).
+///
+/// An answer does not depend on the order records are folded in — the
+/// engines, the leaves of a scan and the shards of a dataset each fold in
+/// their own — which fixes two edge rules:
+///
+/// * `SUM` and `AVG` over doubles are exact: the correctly rounded sum of
+///   the inputs, whatever their order. A running total beyond the `f64`
+///   range saturates to an infinity (to NaN once both infinities were
+///   met), as IEEE addition does.
+/// * `MIN` and `MAX` compare under the document total order — doubles by
+///   `f64::total_cmp`, so `-0.0` sorts below `0.0` and a NaN above every
+///   number — and a tie between one value written as an integer and as a
+///   double (`7` and `7.0`) goes to the integer. Group keys follow the same
+///   rule: `7` and `7.0` are one group, reported as `7`.
 #[derive(Debug, Clone)]
 pub enum Aggregate {
     /// `COUNT(*)`.

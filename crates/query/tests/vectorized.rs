@@ -36,7 +36,13 @@
 //! `sensors`-shaped tree runs on kernels alone and assembles **zero**
 //! records; an unnest-`MAX` over AMAX reads Page 0 plus the aggregate
 //! column's pages and nothing else; a 100 %-selectivity pushed filter
-//! touches every data page once.
+//! touches every data page once. The kernels fold each record's value range
+//! as one slice, so the slice folds are pinned at their edges too: elements
+//! lacking the field mid-array, empty and absent arrays, shadowed records
+//! inside a selection run, `NaN`/`-0.0`/`0.0` in one `MAX`/`MIN` slice, a
+//! double `SUM` exact only when summed exactly, `COUNT(*)` under `UNNEST`
+//! over elements without the field, and `7`/`7.0` as group keys in two
+//! components.
 
 use proptest::prelude::*;
 
@@ -728,9 +734,26 @@ fn uncovered_shapes_fall_back_and_say_why() {
     ds.flush().unwrap();
     assert_eq!(fallbacks(&ds, &max_temp()), "no column at `readings`");
 
-    // Row layouts and memtables hold documents.
+    // Row layouts and memtables hold documents, and the reason says which.
     let ds = clean_sensors(LayoutKind::Vb);
-    assert_eq!(fallbacks(&ds, &max_temp()), "row layout or memtable");
+    assert_eq!(fallbacks(&ds, &max_temp()), "row layout");
+    ds.insert(doc!({"id": 1000, "readings": [{"temp": 150.5}]}))
+        .unwrap();
+    assert_eq!(fallbacks(&ds, &max_temp()), "memtable; row layout");
+    let ds = clean_sensors(LayoutKind::Amax);
+    ds.insert(doc!({"id": 1000, "readings": [{"temp": 150.5}]}))
+        .unwrap();
+    let rows = three_ways(&ds, &max_temp());
+    let report = engine.explain_analyze(&ds, &max_temp()).unwrap();
+    assert_eq!(report.rows, rows);
+    assert_eq!(rows[0].aggs, [Value::Double(150.5)]);
+    assert_eq!(
+        report.shards[0].fallbacks,
+        ["memtable"],
+        "{}",
+        report.describe()
+    );
+    assert!(report.records_kernel() > 0, "{}", report.describe());
 }
 
 /// `rows_pulled` is what the operators were handed. A pushed predicate over
@@ -873,4 +896,213 @@ fn full_selectivity_pushed_filter_reads_what_the_unpushed_scan_reads() {
                 .unwrap()
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The slice folds at their edges.
+// ---------------------------------------------------------------------------
+
+/// Kernels == assembled lane == interpreted == the batch oracle, with the
+/// kernels folding at least some of the records.
+fn on_kernels(ds: &LsmDataset, query: &Query) -> Vec<QueryRow> {
+    let rows = three_ways(ds, query);
+    assert_eq!(
+        bits(&rows),
+        bits(&oracle::execute_batch(&ds.snapshot(), query).unwrap()),
+        "{query:?}"
+    );
+    let report = QueryEngine::new(ExecMode::Compiled)
+        .explain_analyze(ds, query)
+        .unwrap();
+    assert!(report.records_kernel() > 0, "{}", report.describe());
+    rows
+}
+
+/// One dataset per columnar layout, one flushed component per round: its
+/// records, then the ids it deletes.
+fn components(name: &str, rounds: &[(Vec<Value>, Vec<i64>)]) -> Vec<LsmDataset> {
+    [LayoutKind::Apax, LayoutKind::Amax]
+        .into_iter()
+        .map(|layout| {
+            let ds = small_dataset(name, layout);
+            for (records, deletes) in rounds {
+                for record in records {
+                    ds.insert(record.clone()).unwrap();
+                }
+                for &id in deletes {
+                    ds.delete(Value::Int(id)).unwrap();
+                }
+                ds.flush().unwrap();
+            }
+            ds
+        })
+        .collect()
+}
+
+/// An element of `readings`, with or without `temp`.
+fn reading(seq: i64, temp: Option<f64>) -> Value {
+    let mut element = doc!({"seq": seq});
+    if let Some(temp) = temp {
+        element.set_field("temp", Value::Double(temp));
+    }
+    element
+}
+
+/// A record with `readings` (absent for `None`).
+fn sensor(id: i64, readings: Option<Vec<Value>>) -> Value {
+    let mut record = doc!({"id": id, "grp": (id % 3)});
+    if let Some(readings) = readings {
+        record.set_field("readings", Value::Array(readings));
+    }
+    record
+}
+
+fn temp_query(agg: fn(Path) -> Aggregate) -> Query {
+    Query::new()
+        .with_unnest("readings")
+        .aggregate_element(agg(Path::parse("temp")))
+}
+
+/// Elements that lack the field mid-array, empty and absent arrays, arrays
+/// none of whose elements has the field, and records shadowed or deleted
+/// inside a selection run: every slice fold, and `COUNT(*)` under `UNNEST`
+/// counting the elements without the field too.
+#[test]
+fn slice_folds_over_sparse_elements_and_shadowed_runs() {
+    let record = |id: i64, version: i64| {
+        let t = (id * 7 + version) as f64 / 4.0;
+        let readings = match id % 5 {
+            0 => Some(vec![
+                reading(0, Some(t)),
+                reading(1, None),
+                reading(2, Some(-t)),
+                reading(3, None),
+            ]),
+            1 => Some(Vec::new()),
+            2 => Some(vec![reading(0, None), reading(1, None)]),
+            3 => None,
+            _ => Some(vec![reading(0, Some(t + 0.5))]),
+        };
+        sensor(id, readings)
+    };
+    // The second round rewrites a run of the first and deletes inside it,
+    // so the first component's selections have gaps.
+    let deleted = [25, 26, 33];
+    let rounds = [
+        ((0..80).map(|id| record(id, 0)).collect(), Vec::new()),
+        ((20..40).map(|id| record(id, 1)).collect(), deleted.to_vec()),
+    ];
+    let live = || (0..80i64).filter(|id| !deleted.contains(id));
+    let elements: i64 = live().map(|id| [4, 0, 2, 0, 1][(id % 5) as usize]).sum();
+    let with_temp: i64 = live().map(|id| [2, 0, 0, 0, 1][(id % 5) as usize]).sum();
+    let counted = Query::count_star()
+        .with_unnest("readings")
+        .aggregate_element(Aggregate::CountNonNull(Path::parse("temp")));
+    let grouped = Query::select([Aggregate::Count])
+        .with_unnest("readings")
+        .aggregate_element(Aggregate::Min(Path::parse("temp")))
+        .aggregate_element(Aggregate::Sum(Path::parse("temp")))
+        .aggregate_element(Aggregate::Avg(Path::parse("temp")))
+        .aggregate_element(Aggregate::CountNonNull(Path::parse("seq")))
+        .group_by("grp");
+    for ds in components("vectorized-sparse", &rounds) {
+        let rows = on_kernels(&ds, &Query::count_star().with_unnest("readings"));
+        assert_eq!(rows[0].aggs, [Value::Int(elements)]);
+        let rows = on_kernels(&ds, &counted);
+        assert_eq!(rows[0].aggs, [Value::Int(elements), Value::Int(with_temp)]);
+        on_kernels(&ds, &max_temp());
+        on_kernels(&ds, &grouped);
+    }
+}
+
+/// `NaN`, `-0.0` and `0.0` in one `MAX`/`MIN` slice keep their places in
+/// `f64::total_cmp`, and a double `SUM` whose slice is exact only when
+/// summed exactly (`1e16 + 1 - 1e16`) comes out exact.
+#[test]
+fn slice_folds_keep_signed_zeros_nans_and_exact_sums() {
+    let zeros = vec![
+        sensor(
+            0,
+            Some(vec![
+                reading(0, Some(0.0)),
+                reading(1, Some(-0.0)),
+                reading(2, Some(f64::NAN)),
+            ]),
+        ),
+        sensor(1, Some(vec![reading(0, Some(0.0))])),
+        sensor(
+            2,
+            Some(vec![
+                reading(0, Some(-0.0)),
+                reading(1, None),
+                reading(2, Some(2.5)),
+            ]),
+        ),
+    ];
+    for ds in components("vectorized-zeros", &[(zeros, Vec::new())]) {
+        let max = on_kernels(&ds, &temp_query(Aggregate::Max));
+        assert!(
+            matches!(max[0].aggs[0], Value::Double(d) if d.is_nan()),
+            "{max:?}"
+        );
+        let min = on_kernels(&ds, &temp_query(Aggregate::Min));
+        assert_eq!(
+            bits(&min),
+            bits(&[QueryRow {
+                group: None,
+                aggs: vec![Value::Double(-0.0)]
+            }])
+        );
+    }
+    let cancelling = vec![sensor(
+        0,
+        Some(vec![
+            reading(0, Some(1e16)),
+            reading(1, Some(1.0)),
+            reading(2, Some(-1e16)),
+        ]),
+    )];
+    for ds in components("vectorized-exact", &[(cancelling, Vec::new())]) {
+        let sum = on_kernels(&ds, &temp_query(Aggregate::Sum));
+        assert_eq!(sum[0].aggs, [Value::Double(1.0)]);
+    }
+}
+
+/// `7` and `7.0` as group keys in two components: one group, reported as
+/// `7`, whichever lane each component's records take — and the same across
+/// two shards whose kernels each see one spelling.
+#[test]
+fn int_and_double_group_keys_are_one_group() {
+    let record = |id: i64, grp: Value| doc!({"id": id, "grp": grp, "score": (id * 3 % 17)});
+    let doubles: Vec<Value> = (0..30)
+        .map(|id| record(id, Value::Double(if id % 2 == 0 { 7.0 } else { 3.0 })))
+        .collect();
+    let ints: Vec<Value> = (30..60)
+        .map(|id| record(id, Value::Int(if id % 2 == 0 { 7 } else { 3 })))
+        .collect();
+    let query =
+        Query::select([Aggregate::Count, Aggregate::Max(Path::parse("score"))]).group_by("grp");
+    let rounds = [(doubles.clone(), Vec::new()), (ints.clone(), Vec::new())];
+    let mut answers = Vec::new();
+    for ds in components("vectorized-tie-keys", &rounds) {
+        let rows = on_kernels(&ds, &query);
+        let groups: Vec<_> = rows.iter().map(|row| row.group.clone()).collect();
+        let want = [Some(Value::Int(3)), Some(Value::Int(7))];
+        assert_eq!(format!("{groups:?}"), format!("{want:?}"));
+        answers.push(bits(&rows));
+    }
+    let shards: Vec<LsmDataset> = [doubles, ints]
+        .into_iter()
+        .enumerate()
+        .map(|(i, records)| {
+            let ds = small_dataset(&format!("vectorized-tie-shard-{i}"), LayoutKind::Amax);
+            for record in records {
+                ds.insert(record).unwrap();
+            }
+            ds.flush().unwrap();
+            ds
+        })
+        .collect();
+    let refs: Vec<&LsmDataset> = shards.iter().collect();
+    assert_eq!(bits(&three_ways(&refs[..], &query)), answers[0]);
 }

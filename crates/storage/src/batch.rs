@@ -430,11 +430,11 @@ mod tests {
         let mut cursor = component.cursor_filtered(projection, Some(filter));
         let (mut out, mut selection) = (Vec::new(), Vec::new());
         while cursor.fill().unwrap() {
-            let head = cursor.head_in_leaf().unwrap().unwrap();
-            if !head.anti_matter {
-                selection.push(head.ordinal as u32);
+            let run = cursor.resident_keys().unwrap();
+            if !run.is_antimatter(run.first()) {
+                selection.push(run.first() as u32);
             }
-            cursor.skip_entry();
+            cursor.consume(1);
             if cursor.buffered() == 0 {
                 out.push(cursor.leaf_batch(std::mem::take(&mut selection)).unwrap());
             }

@@ -37,7 +37,7 @@
 //!   `ColumnSpec`, and every column it lacks belongs to a top-level field it
 //!   has no column of (such a column is one definition-level-0 entry per
 //!   record). A merge reads the coordinates of its winners off the input
-//!   cursors ([`ComponentCursor::head_in_leaf`],
+//!   cursors ([`ComponentCursor::resident_leaf`],
 //!   [`ComponentCursor::leaf_chunks`]) instead of pulling records.
 //! * **Leaf sealing** — the open leaf is sealed the moment it fills: an AMAX
 //!   leaf at `record_limit` records, a row or APAX page when the summed
@@ -65,22 +65,24 @@
 //! and unread. A **columnar** leaf is loaded as little as possible: the key
 //! column plus the columns the load was told to decode (the projection — or,
 //! under a pushed filter, the filter columns alone). Everything else is
-//! decided per entry by whoever drives the cursor, on keys alone:
+//! decided by whoever drives the cursor, on keys alone:
 //!
-//! * [`ComponentCursor::fill`] / [`ComponentCursor::head_key`] expose the
-//!   next key **borrowed** from the decoded key column ([`KeyRef`]) — a
-//!   k-way merge orders its sources without assembling a record or copying
-//!   a key;
-//! * [`ComponentCursor::skip_entry`] passes over an entry by moving a
-//!   position (§4.4's skipping): entries shadowed by newer components are
-//!   never decoded into documents;
-//! * [`ComponentCursor::head_in_leaf`] says *where* the entry sits — leaf,
-//!   ordinal, anti-matter or not — which is all a column-wise merge or a
-//!   batch scan records of a reconciliation winner;
-//! * [`Iterator::next`] assembles the entry's record from the projected
-//!   columns (the row adapter, row-layout merges, re-shredding merges). The
-//!   assembler is created by the first record asked for and catches up past
-//!   skipped entries in one batched advance.
+//! * [`ComponentCursor::fill`] / [`ComponentCursor::resident_keys`] expose
+//!   the resident leaf's unconsumed keys **borrowed**
+//!   ([`KeyRun`]: a decoded key column, or a decoded row page, from an
+//!   ordinal on) — a k-way merge reconciles a run of them at a time without
+//!   assembling a record or copying a key;
+//! * [`ComponentCursor::consume`] passes over entries by moving a position
+//!   (§4.4's skipping): entries shadowed by newer components are never
+//!   decoded into documents;
+//! * [`ComponentCursor::resident_leaf`] and an entry's ordinal say *where*
+//!   the entry sits, which is all a column-wise merge or a batch scan
+//!   records of a reconciliation winner;
+//! * [`ComponentCursor::take_entry`] assembles the entry at an ordinal from
+//!   the projected columns (the row adapter, row-layout merges,
+//!   re-shredding merges); a consumed entry can be taken until the next
+//!   leaf is loaded. The assembler is created by the first record asked for
+//!   and catches up past skipped entries in one batched advance.
 //!
 //! When the reconciliation has used a leaf up, [`ComponentCursor::leaf_batch`]
 //! turns the ordinals it selected into a [`ColumnBatch`]:
@@ -124,7 +126,7 @@
 //!   (`lsm::snapshot`) picks the winning source per key and skips the
 //!   shadowed losers unevaluated; only then is the winner tested — one
 //!   ordinal at a time by the row adapter
-//!   ([`ComponentCursor::head_passes`]), a leaf's whole selection vector at
+//!   ([`ComponentCursor::passes`]), a leaf's whole selection vector at
 //!   once by the batch scan ([`ComponentCursor::leaf_batch`]). Rejections
 //!   are counted in `IoStats::records_filtered_pre_assembly`.
 //! * **Predicates run as loops over the filter columns.** Each predicate is
@@ -706,7 +708,7 @@ impl Component {
     /// Like [`Component::cursor`], under a pushed-down filter: leaves whose
     /// zone maps prove no match (and whose key range is reconciliation-safe
     /// to hide) are skipped before any page read, a loaded leaf decodes the
-    /// filter columns first, and [`ComponentCursor::head_passes`] /
+    /// filter columns first, and [`ComponentCursor::passes`] /
     /// [`ComponentCursor::leaf_batch`] evaluate the predicates as column
     /// loops. See the module-level filter push-down contract.
     pub fn cursor_filtered(
@@ -756,7 +758,8 @@ impl Component {
 
     /// Decode the column chunks of one columnar leaf (APAX page or AMAX mega
     /// leaf), restricted to `columns` (`None` = all). The key column is
-    /// always included.
+    /// decoded only when `columns` names it, so a second-stage fetch of the
+    /// columns a leaf lacks decodes nothing it already holds.
     fn decode_chunks(
         &self,
         leaf: &LeafRef,
@@ -775,15 +778,14 @@ impl Component {
                     .key_spec
                     .as_ref()
                     .ok_or_else(|| DecodeError::new("AMAX component lacks a key column"))?;
-                let key_chunk = amax::decode_amax_keys(&page0, &header, key_spec)?;
+                let wanted = |id: ColumnId| columns.is_none_or(|ids| ids.contains(&id));
+                let mut chunks = Vec::new();
+                if wanted(key_spec.id) {
+                    chunks.push(amax::decode_amax_keys(&page0, &header, key_spec)?);
+                }
                 let page_budget = self.cache.store().page_size() - 64;
-                let mut chunks = vec![key_chunk];
                 for loc in &header.columns {
-                    let wanted = match columns {
-                        Some(ids) => ids.contains(&loc.column_id),
-                        None => true,
-                    };
-                    if !wanted {
+                    if !wanted(loc.column_id) {
                         continue;
                     }
                     let Some(spec) = self.specs.get(&loc.column_id) else {
@@ -933,8 +935,16 @@ impl Component {
             });
         }
         let chunks = self.cached_chunks(leaf_idx, eager)?;
+        let keys = key_chunk(&chunks)?.clone();
+        let count = self.leaves[leaf_idx].record_count;
+        if keys.values.len() != count || keys.entry_count() != count {
+            return Err(DecodeError::new(format!(
+                "leaf {leaf_idx} holds {} keys for {count} records",
+                keys.values.len()
+            )));
+        }
         Ok(LeafBuffer::Columns(Box::new(ColumnLeaf {
-            keys: key_chunk(&chunks)?.clone(),
+            keys,
             columns: LeafColumns {
                 chunks,
                 loaded: eager.map(<[ColumnId]>::to_vec),
@@ -943,7 +953,7 @@ impl Component {
             filter: None,
             leaf_idx,
             pos: 0,
-            count: self.leaves[leaf_idx].record_count,
+            count,
         })))
     }
 
@@ -1069,11 +1079,11 @@ pub(crate) fn key_chunk(chunks: &[Arc<ColumnChunk>]) -> Result<&Arc<ColumnChunk>
         .ok_or_else(|| DecodeError::new("component page lacks the key column"))
 }
 
-/// The key of a cursor's next entry, borrowed from wherever it lives — a
-/// decoded row page or memtable run, or a decoded key column — so a k-way
-/// merge can order its heads without cloning a key per entry (a `String`
-/// allocation each on string-keyed datasets). Only the key of an entry that
-/// is returned is ever made owned ([`KeyRef::to_value`]).
+/// One key, borrowed from wherever it lives — a decoded row page or memtable
+/// run, or a decoded key column — so keys of different sources compare
+/// without cloning one (a `String` allocation each on string-keyed
+/// datasets). Only the key of an entry that is returned is ever made owned
+/// ([`KeyRef::to_value`]).
 #[derive(Clone, Copy)]
 pub enum KeyRef<'a> {
     /// A key held as a document value.
@@ -1100,6 +1110,99 @@ impl KeyRef<'_> {
             KeyRef::Value(v) => (*v).clone(),
             KeyRef::Column(values, i) => values.get(*i),
         }
+    }
+}
+
+/// The keys of a source's resident entries that are not consumed yet,
+/// borrowed where they live: ordinals `first()..end()` of a decoded key
+/// column, or of a run of documents (a decoded row page, a memtable). This
+/// is what a k-way reconciliation reads — a run, not one key at a time (an
+/// integer key column as one `i64` slice, [`KeyRun::ints`]) — and an
+/// ordinal is how it names an entry back to its source.
+#[derive(Clone, Copy)]
+pub enum KeyRun<'a> {
+    /// A decoded key column, from this ordinal on.
+    Column(&'a ColumnChunk, usize),
+    /// Entries held as documents, from this ordinal on.
+    Entries(&'a [Entry], usize),
+}
+
+impl<'a> KeyRun<'a> {
+    /// Ordinal of the first key of the run.
+    #[inline]
+    pub fn first(&self) -> usize {
+        match self {
+            KeyRun::Column(_, first) | KeyRun::Entries(_, first) => *first,
+        }
+    }
+
+    /// One past the ordinal of the last key of the run.
+    #[inline]
+    pub fn end(&self) -> usize {
+        match self {
+            KeyRun::Column(keys, _) => keys.values.len(),
+            KeyRun::Entries(entries, _) => entries.len(),
+        }
+    }
+
+    /// Number of keys in the run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.end() - self.first()
+    }
+
+    /// `true` for a run without keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The key at `ordinal`.
+    #[inline]
+    pub fn key(&self, ordinal: usize) -> KeyRef<'a> {
+        match self {
+            KeyRun::Column(keys, _) => KeyRef::Column(&keys.values, ordinal),
+            KeyRun::Entries(entries, _) => KeyRef::Value(&entries[ordinal].0),
+        }
+    }
+
+    /// Whether the entry at `ordinal` is anti-matter.
+    #[inline]
+    pub fn is_antimatter(&self, ordinal: usize) -> bool {
+        match self {
+            KeyRun::Column(keys, _) => keys.is_antimatter(ordinal),
+            KeyRun::Entries(entries, _) => entries[ordinal].1.is_none(),
+        }
+    }
+
+    /// The unconsumed keys as an `i64` slice when the run is an integer key
+    /// column; `None` for every other run.
+    #[inline]
+    pub fn ints(&self) -> Option<&'a [i64]> {
+        match *self {
+            KeyRun::Column(keys, first) => match &keys.values {
+                ColumnValues::Int(v) => Some(&v[first..]),
+                _ => None,
+            },
+            KeyRun::Entries(..) => None,
+        }
+    }
+
+    /// How many keys of the run are `<= bound`.
+    pub fn count_up_to(&self, bound: &Value) -> usize {
+        let after = |ordinal: usize| match self {
+            KeyRun::Column(keys, _) => keys.values.cmp_at(ordinal, bound) == Ordering::Greater,
+            KeyRun::Entries(entries, _) => total_cmp(&entries[ordinal].0, bound) == Ordering::Greater,
+        };
+        let (mut lo, mut hi) = (self.first(), self.end());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if after(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo - self.first()
     }
 }
 
@@ -1133,7 +1236,7 @@ struct ColumnLeaf {
     /// is next assembled — a consumer that never assembles never pays.
     assembler: Option<Assembler>,
     /// The pushed filter's column loops, bound by the first winner asked
-    /// about one at a time ([`ComponentCursor::head_passes`]).
+    /// about one at a time ([`ComponentCursor::passes`]).
     filter: Option<LeafFilter>,
     /// Index of this leaf within the component.
     leaf_idx: usize,
@@ -1249,147 +1352,122 @@ impl CursorState {
         }
     }
 
-    /// The resident leaf, once [`CursorState::ensure_leaf`] said there is
-    /// one; `None` = exhausted.
-    fn head_leaf(&mut self, component: &Component) -> Option<Result<&mut LeafBuffer>> {
-        match self.ensure_leaf(component) {
-            Ok(true) => Some(Ok(self.leaf.as_mut().expect("a leaf is resident"))),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        }
-    }
-
     fn next(&mut self, component: &Component) -> Option<Result<Entry>> {
         match self.ensure_leaf(component) {
             Ok(true) => {}
             Ok(false) => return None,
             Err(e) => return Some(Err(e)),
         }
+        let ordinal = self.resident_keys()?.first();
+        let entry = self.take(component, ordinal);
+        self.consume(1);
+        Some(entry)
+    }
+
+    /// The keys of the resident leaf's unconsumed entries; `None` when no
+    /// leaf is resident or it is drained (ask [`CursorState::ensure_leaf`]
+    /// first).
+    #[inline]
+    fn resident_keys(&self) -> Option<KeyRun<'_>> {
+        let run = match self.leaf.as_ref()? {
+            LeafBuffer::Rows { entries, pos } => KeyRun::Entries(entries, *pos),
+            LeafBuffer::Columns(leaf) => KeyRun::Column(&leaf.keys, leaf.pos),
+        };
+        (!run.is_empty()).then_some(run)
+    }
+
+    /// Consume `n` resident entries without assembling them: a columnar
+    /// leaf only moves its position — the column cursors catch up in one
+    /// batched advance ([`columnar::Assembler::skip_records`]) if a later
+    /// record is ever assembled, so values are never decoded into a
+    /// document.
+    #[inline]
+    fn consume(&mut self, n: usize) {
+        match self.leaf.as_mut() {
+            Some(LeafBuffer::Rows { pos, .. }) => *pos += n,
+            Some(LeafBuffer::Columns(leaf)) => leaf.pos += n,
+            None => debug_assert_eq!(n, 0, "nothing is resident"),
+        }
+    }
+
+    /// The entry at `ordinal` of the resident leaf, assembled (columnar) or
+    /// copied out of the shared page (rows). A leaf's entries are taken in
+    /// ascending ordinal order, each at most once.
+    fn take(&mut self, component: &Component, ordinal: usize) -> Result<Entry> {
         let columns = self.columns.as_deref();
         match self.leaf.as_mut().expect("a leaf is resident") {
-            LeafBuffer::Rows { entries, pos } => {
+            LeafBuffer::Rows { entries, .. } => {
                 // Uncached datasets hold the only reference and move the
                 // entry out; a cached page is shared and copied from.
-                let entry = match Arc::get_mut(entries) {
-                    Some(own) => std::mem::take(&mut own[*pos]),
-                    None => entries[*pos].clone(),
-                };
-                *pos += 1;
-                Some(Ok(entry))
+                Ok(match Arc::get_mut(entries) {
+                    Some(own) => std::mem::take(&mut own[ordinal]),
+                    None => entries[ordinal].clone(),
+                })
             }
             LeafBuffer::Columns(leaf) => {
                 if leaf.assembler.is_none() {
                     // The first record assembled from this leaf: decode
                     // whatever of the projection the load left out.
-                    if let Err(e) = component.load_more(leaf.leaf_idx, &mut leaf.columns, columns)
-                    {
-                        return Some(Err(e));
-                    }
+                    component.load_more(leaf.leaf_idx, &mut leaf.columns, columns)?;
                     leaf.assembler =
                         Some(component.assembler(&leaf.columns.chunks, columns, leaf.count));
                 }
                 let assembler = leaf.assembler.as_mut().expect("assembler created above");
                 // Catch up past the entries skipped since the last assembly.
                 let assembled_to = leaf.count - assembler.records_remaining();
-                assembler.skip_records(leaf.pos - assembled_to);
-                let doc = match assembler
+                debug_assert!(ordinal >= assembled_to, "entries are taken in order");
+                assembler.skip_records(ordinal - assembled_to);
+                let doc = assembler
                     .next_record()
-                    .unwrap_or_else(|| Err(DecodeError::new("assembler ended early")))
-                {
-                    Ok(doc) => doc,
-                    Err(e) => return Some(Err(e)),
-                };
-                let key = leaf.keys.values.get(leaf.pos);
-                let is_antimatter = leaf.keys.is_antimatter(leaf.pos);
-                leaf.pos += 1;
+                    .unwrap_or_else(|| Err(DecodeError::new("assembler ended early")))?;
                 component.cache.store().note_records_assembled(1);
-                Some(Ok((key, if is_antimatter { None } else { Some(doc) })))
+                let key = leaf.keys.values.get(ordinal);
+                Ok((key, (!leaf.keys.is_antimatter(ordinal)).then_some(doc)))
             }
         }
     }
 
-    /// The resident head's key; `None` when no leaf is resident or it is
-    /// drained (ask [`CursorState::ensure_leaf`] first).
-    #[inline]
-    fn head_key(&self) -> Option<KeyRef<'_>> {
+    /// The entry at `ordinal` of a resident row leaf, in place.
+    fn entry(&self, ordinal: usize) -> Option<&Entry> {
         match self.leaf.as_ref()? {
-            LeafBuffer::Rows { entries, pos } => entries.get(*pos).map(|(k, _)| KeyRef::Value(k)),
-            LeafBuffer::Columns(leaf) => {
-                (leaf.pos < leaf.count).then(|| KeyRef::Column(&leaf.keys.values, leaf.pos))
-            }
-        }
-    }
-
-    /// The resident head of a row leaf, in place.
-    fn head_entry(&self) -> Option<&Entry> {
-        match self.leaf.as_ref()? {
-            LeafBuffer::Rows { entries, pos } => entries.get(*pos),
+            LeafBuffer::Rows { entries, .. } => entries.get(ordinal),
             LeafBuffer::Columns(_) => None,
         }
     }
 
-    /// Does the next entry pass the pushed filter's column loops?
-    /// Anti-matter always passes (it must reach the merge to annihilate
-    /// older versions) and so do row-layout entries, which have no columns —
-    /// their caller tests the document in place. `None` = exhausted.
-    fn head_passes(&mut self, component: &Component) -> Option<Result<bool>> {
-        let Some(lowered) = self.filter.as_ref().map(|f| f.lowered.clone()) else {
-            return Some(Ok(true));
+    /// Does the entry at `ordinal` of the resident leaf pass the pushed
+    /// filter's column loops? Anti-matter always passes (it must reach the
+    /// merge to annihilate older versions) and so do row-layout entries,
+    /// which have no columns — their caller tests the document in place.
+    /// Asked in ascending ordinal order.
+    fn passes(&mut self, ordinal: usize) -> bool {
+        let Some(lowered) = self.filter.as_ref().map(|f| &f.lowered) else {
+            return true;
         };
-        match self.head_leaf(component)? {
-            Ok(LeafBuffer::Columns(leaf)) => Some(Ok(leaf.keys.is_antimatter(leaf.pos) || {
-                let chunks = &leaf.columns.chunks;
-                leaf.filter
-                    .get_or_insert_with(|| lowered.bind(chunks))
-                    .matches(&lowered, leaf.pos)
-            })),
-            Ok(LeafBuffer::Rows { .. }) => Some(Ok(true)),
-            Err(e) => Some(Err(e)),
+        match self.leaf.as_mut() {
+            Some(LeafBuffer::Columns(leaf)) => {
+                leaf.keys.is_antimatter(ordinal) || {
+                    let chunks = &leaf.columns.chunks;
+                    leaf.filter
+                        .get_or_insert_with(|| lowered.bind(chunks))
+                        .matches(lowered, ordinal)
+                }
+            }
+            _ => true,
         }
     }
 
-    /// Drop the next entry without assembling it: a columnar leaf only moves
-    /// its position — the column cursors catch up in one batched advance
-    /// ([`columnar::Assembler::skip_records`]) if a later record is ever
-    /// assembled, so values are never decoded into a document.
-    fn skip_entry(&mut self, component: &Component) {
-        match self.head_leaf(component) {
-            Some(Ok(LeafBuffer::Rows { pos, .. })) => *pos += 1,
-            Some(Ok(LeafBuffer::Columns(leaf))) => leaf.pos += 1,
-            _ => {}
-        }
-    }
-
-    /// Where the next entry sits in its decoded columnar leaf; `None` for
-    /// row layouts and exhausted cursors.
-    fn head_in_leaf(&mut self, component: &Component) -> Option<Result<LeafHead>> {
-        match self.head_leaf(component)? {
-            Ok(LeafBuffer::Columns(leaf)) => Some(Ok(LeafHead {
-                leaf: leaf.leaf_idx,
-                ordinal: leaf.pos,
-                anti_matter: leaf.keys.is_antimatter(leaf.pos),
-            })),
-            Ok(LeafBuffer::Rows { .. }) => None,
-            Err(e) => Some(Err(e)),
+    /// Index of the resident leaf when it is columnar.
+    fn resident_leaf(&self) -> Option<usize> {
+        match self.leaf.as_ref()? {
+            LeafBuffer::Columns(leaf) => Some(leaf.leaf_idx),
+            LeafBuffer::Rows { .. } => None,
         }
     }
 
     fn buffered(&self) -> usize {
         self.leaf.as_ref().map_or(0, LeafBuffer::remaining)
     }
-}
-
-/// Where a columnar cursor's next entry sits: the coordinates a merge or a
-/// batch scan records, instead of the record, for a reconciliation winner
-/// ([`ComponentCursor::head_in_leaf`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeafHead {
-    /// Index of the leaf within its component.
-    pub leaf: usize,
-    /// Ordinal of the entry within the leaf.
-    pub ordinal: usize,
-    /// Whether the entry is anti-matter ([`ColumnChunk::is_antimatter`]).
-    pub anti_matter: bool,
 }
 
 /// Streaming scan over a shared component handle, loading one leaf at a
@@ -1415,38 +1493,46 @@ impl ComponentCursor {
         self.state.ensure_leaf(&self.component)
     }
 
-    /// The next entry's key, borrowed — no record is assembled and no key is
-    /// copied. `None` until [`ComponentCursor::fill`] made an entry resident
-    /// (and once the cursor is exhausted). This is what the LSM
-    /// merge-reconcile cursor orders its sources by.
+    /// The keys of the resident leaf's unconsumed entries, borrowed — no
+    /// record is assembled and no key is copied. `None` until
+    /// [`ComponentCursor::fill`] made an entry resident (and once the cursor
+    /// is exhausted). This is what the LSM merge-reconcile cursor
+    /// reconciles, a run at a time.
     #[inline]
-    pub fn head_key(&self) -> Option<KeyRef<'_>> {
-        self.state.head_key()
+    pub fn resident_keys(&self) -> Option<KeyRun<'_>> {
+        self.state.resident_keys()
     }
 
-    /// The next entry of a **row-layout** leaf, in place (`None` for
-    /// columnar layouts, and until [`ComponentCursor::fill`] made it
-    /// resident): lets a scan test a document before copying it.
-    pub fn head_entry(&self) -> Option<&Entry> {
-        self.state.head_entry()
+    /// Consume the next `n` resident entries without assembling them
+    /// (§4.4's batched skip: no value is decoded into a document). They are
+    /// still there to be taken ([`ComponentCursor::take_entry`]) until the next
+    /// leaf is loaded.
+    #[inline]
+    pub fn consume(&mut self, n: usize) {
+        self.state.consume(n)
     }
 
-    /// Consume the next entry without assembling it (§4.4's batched skip:
-    /// no value is decoded into a document). No-op when exhausted.
-    pub fn skip_entry(&mut self) {
-        self.state.skip_entry(&self.component)
+    /// The entry at `ordinal` of the resident leaf — consumed or not, taken
+    /// in ascending ordinal order and each at most once — assembled from the
+    /// projected columns, or copied out of the shared row page.
+    pub fn take_entry(&mut self, ordinal: usize) -> Result<Entry> {
+        self.state.take(&self.component, ordinal)
     }
 
-    /// Where the next entry sits in its decoded leaf — leaf, ordinal, and
-    /// whether it is anti-matter — without assembling it. `None` when the
-    /// cursor is exhausted **or the layout is row-major** (row leaves have
-    /// no columns to copy from). Together with
-    /// [`ComponentCursor::leaf_chunks`] and [`ComponentCursor::skip_entry`]
-    /// this is the read half of a column-wise merge (§4.4) and of a batch
-    /// scan: the winner's coordinates are recorded, the entry is skipped,
-    /// and its columns are copied — or folded over — later.
-    pub fn head_in_leaf(&mut self) -> Option<Result<LeafHead>> {
-        self.state.head_in_leaf(&self.component)
+    /// The entry at `ordinal` of a resident **row-layout** leaf, in place
+    /// (`None` for columnar layouts): lets a scan test a document before
+    /// copying it.
+    pub fn entry(&self, ordinal: usize) -> Option<&Entry> {
+        self.state.entry(ordinal)
+    }
+
+    /// Index of the resident leaf when it is columnar; `None` for row
+    /// layouts and when no leaf is resident. Together with
+    /// [`ComponentCursor::leaf_chunks`] this is the read half of a
+    /// column-wise merge (§4.4) and of a batch scan: a winner's ordinal is
+    /// recorded, and its columns are copied — or folded over — later.
+    pub fn resident_leaf(&self) -> Option<usize> {
+        self.state.resident_leaf()
     }
 
     /// The decoded chunks of the resident columnar leaf (every column the
@@ -1458,19 +1544,19 @@ impl ComponentCursor {
         }
     }
 
-    /// Does the next entry pass the pushed filter ([`ScanFilter`]) as far
-    /// as columns can tell? The predicates run as loops over the filter
+    /// Does the entry at `ordinal` of the resident leaf pass the pushed
+    /// filter ([`ScanFilter`]) as far as columns can tell? Asked in
+    /// ascending ordinal order. The predicates run as loops over the filter
     /// columns at the entry's ordinal — nothing is assembled. Anti-matter
     /// always passes (it must reach the merge to annihilate), and so do
     /// row-layout entries and cursors without a filter; a survivor must
     /// still pass [`ComponentCursor::record_passes`] once assembled.
-    /// `None` = exhausted.
     ///
-    /// The row adapter calls this **only for the reconciliation winner** of
-    /// a key, after the shadowed losers were skipped — evaluating a loser
+    /// The row adapter asks this **only for the reconciliation winner** of
+    /// a key, after the shadowed losers were consumed — evaluating a loser
     /// would let a stale value filter (or admit) a live record.
-    pub fn head_passes(&mut self) -> Option<Result<bool>> {
-        self.state.head_passes(&self.component)
+    pub fn passes(&mut self, ordinal: usize) -> bool {
+        self.state.passes(ordinal)
     }
 
     /// Does an assembled record pass the pushed predicates that no column
@@ -1483,16 +1569,13 @@ impl ComponentCursor {
             .is_none_or(|f| f.lowered.record_passes(doc))
     }
 
-    /// Consume the next entry as a pushed-filter rejection: exactly
-    /// [`ComponentCursor::skip_entry`], plus the
-    /// `records_filtered_pre_assembly` accounting in
-    /// [`crate::pagestore::IoStats`].
-    pub fn skip_entry_filtered(&mut self) {
+    /// Count one consumed entry as a pushed-filter rejection
+    /// (`records_filtered_pre_assembly` in [`crate::pagestore::IoStats`]).
+    pub fn note_filtered(&self) {
         self.component
             .cache
             .store()
             .note_records_filtered_pre_assembly(1);
-        self.state.skip_entry(&self.component)
     }
 
     /// The resident columnar leaf as a [`ColumnBatch`] over `selection` —
@@ -1937,7 +2020,8 @@ mod tests {
             let mut assembled = 0usize;
             let mut seen = 0usize;
             while cursor.fill().unwrap() {
-                let key = cursor.head_key().unwrap().to_value();
+                let run = cursor.resident_keys().unwrap();
+                let key = run.key(run.first()).to_value();
                 // Peeking alone assembles nothing.
                 assert_eq!(key, Value::Int(seen as i64), "{layout:?}");
                 if seen.is_multiple_of(2) {
@@ -1946,7 +2030,7 @@ mod tests {
                     assert!(doc.is_some(), "{layout:?}");
                     assembled += 1;
                 } else {
-                    cursor.skip_entry();
+                    cursor.consume(1);
                 }
                 seen += 1;
             }

@@ -620,21 +620,19 @@ mod tests {
             let mut writer = ComponentWriter::new(&cache, &config, schema.clone(), 2);
             let mut cursor = source.cursor(None);
             let mut ordinal_in_component = 0;
-            while let Some(head) = cursor.head_in_leaf() {
-                let head = head.unwrap();
+            while cursor.fill().unwrap() {
+                let leaf = cursor.resident_leaf().unwrap();
                 let chunks = cursor.leaf_chunks().unwrap().clone();
                 assert!(writer.can_copy(&chunks), "{layout:?}");
                 let records = chunks[0].defs.len();
-                assert_eq!(head.ordinal, 0);
+                assert_eq!(cursor.resident_keys().unwrap().first(), 0);
                 // Alternate lanes leaf by leaf; split copied leaves in two runs.
-                if head.leaf % 2 == 0 {
+                if leaf % 2 == 0 {
                     let mid = records / 3;
                     writer
                         .push_runs(&[&chunks[..]], &[(0, 0..mid), (0, mid..records)])
                         .unwrap();
-                    for _ in 0..records {
-                        cursor.skip_entry();
-                    }
+                    cursor.consume(records);
                 } else {
                     for _ in 0..records {
                         let (key, doc) = cursor.next().unwrap().unwrap();
@@ -681,7 +679,7 @@ mod tests {
             .unwrap(),
         );
         let mut cursor = columnar.cursor(None);
-        cursor.head_in_leaf().unwrap().unwrap();
+        assert!(cursor.fill().unwrap());
         let chunks = cursor.leaf_chunks().unwrap().clone();
 
         let mut rows = ComponentWriter::new(&cache, &config(LayoutKind::Vb), schema.clone(), 2);
