@@ -528,8 +528,8 @@ fn timestamp_range(span: i64) -> Expr {
 }
 
 /// Figure 15: the same range-`COUNT` query at five selectivities, executed
-/// three ways — forced through the secondary index, forced to a
-/// (zone-map-pruned) scan, and with the cost-based `Auto` policy — per
+/// three ways — forced through the secondary index, forced to a scan
+/// (zone maps hiding what they can), and with the cost-based `Auto` policy — per
 /// layout. Every cell is also a differential check: the three policies must
 /// return identical counts. `Auto`'s choice per selectivity is recorded as
 /// `auto picks index` rows (1 = probe, 0 = scan), so the crossover is

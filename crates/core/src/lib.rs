@@ -440,7 +440,7 @@ impl ShardedDataset {
 
     /// Like [`ShardedDataset::query`], with explicit planner options (e.g.
     /// [`query::AccessPathChoice::ForceScan`] to bypass the cost model, or
-    /// zone-map pruning disabled for differential testing).
+    /// filter push-down disabled for differential testing).
     pub fn query_with_options(
         &self,
         query: &Query,
@@ -469,7 +469,7 @@ impl ShardedDataset {
 
     /// Plan and *execute* a query, returning the plan annotated with actual
     /// execution counters (`EXPLAIN ANALYZE`): rows pulled, pages read per
-    /// shard, components pruned vs. scanned, the early-termination point,
+    /// shard, leaves the zone maps hid, the early-termination point,
     /// and wall time — plus the result rows, identical to
     /// [`ShardedDataset::query`]'s. Shards run sequentially so each
     /// shard's I/O delta is exact.
@@ -512,8 +512,8 @@ impl ShardedDataset {
         if let Some(cache) = &self.leaf_cache {
             let stats = cache.stats();
             merged.push_gauge("cache.resident_bytes", stats.resident_bytes as f64);
-            // Residency counts *distinct physical leaves*: a leaf cached as
-            // both entries and chunks must not gauge as two leaves.
+            // Residency counts *distinct physical leaves*: a leaf cached
+            // under two projections must not gauge as two leaves.
             merged.push_gauge(
                 "cache.resident_leaves",
                 stats.resident_distinct_leaves as f64,
@@ -593,18 +593,7 @@ impl ShardedDataset {
     pub fn io_stats(&self) -> IoStats {
         let mut total = IoStats::default();
         for shard in &self.shards {
-            let s = shard.io_stats();
-            total.pages_read += s.pages_read;
-            total.pages_written += s.pages_written;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.cache_hits += s.cache_hits;
-            total.records_assembled += s.records_assembled;
-            total.scan_batches += s.scan_batches;
-            total.scan_records_kernel += s.scan_records_kernel;
-            total.leaf_cache_hits += s.leaf_cache_hits;
-            total.leaf_cache_misses += s.leaf_cache_misses;
-            total.leaf_cache_evictions += s.leaf_cache_evictions;
+            total.merge(&shard.io_stats());
         }
         total
     }
@@ -1128,6 +1117,40 @@ mod tests {
         assert!(store.stored_bytes("tweets").unwrap() > 0);
         assert!(store.describe_schema("tweets").unwrap().contains("user"));
         assert_eq!(store.dataset_names(), vec!["tweets".to_string()]);
+    }
+
+    /// The facade's I/O counters are the shards' summed — all of them,
+    /// including the push-down counters.
+    #[test]
+    fn sharded_io_stats_sum_every_counter_over_the_shards() {
+        let mut store = Datastore::new();
+        store
+            .create_dataset(
+                "zoned",
+                DatasetOptions::new(Layout::Amax)
+                    .memtable_budget(1 << 20)
+                    .page_size(8 * 1024)
+                    .shards(4),
+            )
+            .unwrap();
+        // Two flushes per shard with disjoint keys and scores: a filter on
+        // the second band lets the first component's zone map hide it.
+        for band in [0..200i64, 200..400] {
+            let docs: Vec<Value> = band.map(|i| doc!({"id": i, "score": i})).collect();
+            store.ingest_all("zoned", docs).unwrap();
+            store.flush("zoned").unwrap();
+        }
+        let q = Query::count_star().with_filter(Expr::ge("score", 300));
+        let rows = store.query("zoned", &q, ExecMode::Compiled).unwrap();
+        assert_eq!(rows[0].agg(), &Value::Int(100));
+        let mut summed = IoStats::default();
+        for shard in store.dataset("zoned").unwrap().shards() {
+            summed.merge(&shard.io_stats());
+        }
+        let facade = store.io_stats("zoned").unwrap();
+        assert_eq!(facade, summed);
+        assert!(facade.leaves_skipped > 0, "{facade:?}");
+        assert!(facade.records_filtered_pre_assembly > 0, "{facade:?}");
     }
 
     #[test]

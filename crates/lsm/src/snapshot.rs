@@ -87,11 +87,13 @@
 //!   with no survivor never decodes (for AMAX: never reads) its other
 //!   columns. Memtable entries are tested in place and copied only when they
 //!   pass; their rejections cost no I/O and are not counted.
-//! * Whole leaves whose persisted zone maps prove no match are skipped
-//!   before any page read (`leaves_skipped`) — but only when the leaf's key
-//!   range is disjoint from every **older** component's key range, so
-//!   hiding it can neither resurrect a shadowed version nor drop an
-//!   anti-matter annihilation.
+//! * Zone maps hide whole components and whole leaves before any page read
+//!   (`leaves_skipped`), by one rule (`storage::component::zone_map_hides`):
+//!   a pushed predicate is disproved by the stats, and the key range is
+//!   disjoint from every **older** component's key range, so hiding can
+//!   neither resurrect a shadowed version nor drop an anti-matter
+//!   annihilation. Each component cursor asks it about its own stats once,
+//!   then about each leaf; nothing above the storage cursor decides it.
 //! * Anti-matter always reaches the reconciliation: it has no value to test
 //!   and must annihilate. Scans then drop it.
 //!
@@ -243,26 +245,22 @@ impl Snapshot {
         let pushed = Arc::new(spec.pushed.to_vec());
         let filter = (!pushed.is_empty()).then(|| pushed.clone());
         // Sources newest-first: active memtable, sealed memtables (newest
-        // first), components (newest first, minus the pruned ones).
+        // first), components (newest first).
         let mut sources =
             Vec::with_capacity(1 + self.tree.sealed.len() + self.tree.components.len());
         sources.push(MergeSource::mem(self.active.clone()));
         for sealed in self.tree.sealed.iter().rev() {
             sources.push(MergeSource::sealed(sealed.clone()));
         }
-        // Every component's key range, oldest first. Pruned components are
-        // included: a component the *scan* skips entirely still has versions
-        // a newer component's leaf could shadow, so it still constrains which
-        // leaves may be hidden.
+        // Every component's key range, oldest first. A component the scan
+        // hides entirely still has versions a newer component could shadow,
+        // so it still constrains what the newer ones may hide.
         let ranges: Vec<Option<(Value, Value)>> = if filter.is_some() {
             self.tree.components.iter().map(|c| c.key_range()).collect()
         } else {
             Vec::new()
         };
         for (i, component) in self.tree.components.iter().enumerate().rev() {
-            if spec.prune.get(i).copied().unwrap_or(false) {
-                continue;
-            }
             let filter = filter.as_ref().map(|predicates| ScanFilter {
                 predicates: predicates.clone(),
                 older_key_ranges: Arc::new(ranges[..i].iter().flatten().cloned().collect()),
@@ -335,22 +333,9 @@ pub struct ScanSpec<'a> {
     /// `Some(&[])` = keys only). A batch consumer may fetch more columns of
     /// a batch later ([`ColumnBatch::chunks`], [`ColumnBatch::into_rows`]).
     pub projection: Option<&'a [Path]>,
-    /// Components to leave out, by position (oldest-first, matching
-    /// [`Snapshot::components`]); missing trailing flags mean "scan it".
-    ///
-    /// This is the zone-map pruning entry point: the query planner flags a
-    /// component when its column statistics prove **no record in it can
-    /// match the filter**. Skipping is nevertheless only sound when it
-    /// cannot resurrect an older, shadowed version of one of the skipped
-    /// component's keys (or drop one of its anti-matter entries): the caller
-    /// must flag a component only if, additionally, its key range is
-    /// disjoint from every *older* component's key range — see
-    /// `query::physical::prune_flags`, the single implementation of that
-    /// rule. Memtables are newer than every component and are always
-    /// scanned, so they never constrain pruning.
-    pub prune: &'a [bool],
     /// Conjunction of pushed-down predicates every yielded record satisfies;
-    /// see the module-level filter push-down contract.
+    /// see the module-level filter push-down contract. They are also what
+    /// the zone maps hide components and leaves by.
     pub pushed: &'a [ColumnPredicate],
 }
 

@@ -15,7 +15,7 @@
 //!   documents selects, whichever way a component has to decide them (a
 //!   column loop, the assembled record for a union column, never for a path
 //!   it has no column of);
-//! * pruned components are left out; a key-only scan assembles nothing;
+//! * a key-only scan assembles nothing;
 //! * snapshots between writes share one frozen copy of the memtable;
 //! * one reconciliation step == many steps: the bulk step's winners, and
 //!   the per-entry path's (`next_winner`), are the limit-one step's, in
@@ -222,11 +222,7 @@ fn pushed_predicates_select_what_the_documents_say() {
                     .filter(|(_, doc)| pushed.iter().all(|p| p.matches(doc)))
                     .map(|(key, _)| key.0.clone())
                     .collect();
-                let spec = ScanSpec {
-                    projection: Some(&projection),
-                    pushed: &pushed,
-                    ..ScanSpec::default()
-                };
+                let spec = ScanSpec { projection: Some(&projection), pushed: &pushed };
                 let from_batches: Vec<Value> =
                     collect(&ds, spec).into_keys().map(|key| key.0).collect();
                 assert_eq!(from_batches, expected, "{layout:?} {pushed:?}");
@@ -244,21 +240,6 @@ fn pushed_predicates_select_what_the_documents_say() {
             }
         }
     }
-}
-
-#[test]
-fn pruned_components_are_left_out() {
-    let (ds, model) = build(LayoutKind::Amax, false);
-    // Without the oldest component the keys only it holds are gone (and the
-    // versions it shadowed nowhere: it is the oldest).
-    let spec = ScanSpec {
-        prune: &[true],
-        ..ScanSpec::default()
-    };
-    let seen = collect(&ds, spec);
-    assert!(seen.len() < model.len());
-    assert!(seen.keys().all(|key| model.contains_key(key)));
-    assert!(!seen.contains_key(&OrderedValue(Value::Int(1))));
 }
 
 /// The carried-forward edge from PR 13: `snapshot()` deep-copied the active

@@ -458,17 +458,26 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
     use query::{AccessPathChoice, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
 
     let dir = temp_dir("stats-roundtrip");
+    // Small mega leaves, so the leaves' zone maps have something to hide.
     let config = || {
-        tiny_config(LayoutKind::Amax)
-            .with_secondary_index(docmodel::Path::parse("timestamp"))
+        let mut config = tiny_config(LayoutKind::Amax)
+            .with_secondary_index(docmodel::Path::parse("timestamp"));
+        config.amax.record_limit = 16;
+        config
     };
     // A range that hits a strict subset of the workload's timestamps, so
-    // both pruning and the estimate have something to decide.
+    // both the zone maps and the estimate have something to decide.
     let filter = Expr::between("timestamp", 1_000_030i64, 1_000_059i64);
     let query = Query::count_star().with_filter(filter.clone());
     let engine = QueryEngine::new(ExecMode::Compiled);
+    let scan = QueryEngine::with_options(
+        ExecMode::Compiled,
+        PlannerOptions::with_access_path(AccessPathChoice::ForceScan),
+    );
+    let leaves_skipped =
+        |ds: &LsmDataset| scan.explain_analyze(ds, &query).unwrap().leaves_skipped();
 
-    let (stats_before, pruned_before, explain_before, rows_before);
+    let (stats_before, skipped_before, explain_before, rows_before);
     {
         let mut ds = LsmDataset::open(&dir, config()).unwrap();
         apply_workload(&mut ds);
@@ -490,14 +499,15 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
             assert!(stats.column("timestamp").is_some(), "component {id}");
             assert!(stats.live_records > 0, "component {id}");
         }
-        pruned_before = query::physical::prunable_component_ids(&snapshot, &filter);
         explain_before = engine.explain(&ds, &query).unwrap();
         rows_before = engine.execute(&ds, &query).unwrap();
+        skipped_before = leaves_skipped(&ds);
+        assert!(skipped_before > 0, "the zone maps must hide something");
     }
 
     // Reopen: statistics come back from the manifest, and the planner makes
     // the exact same decisions — same access path, same estimates, same
-    // prune set, same answer.
+    // leaves hidden by the pushed scan, same answer.
     let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
     let snapshot = ds.snapshot();
     let stats_after: Vec<_> = snapshot
@@ -510,14 +520,14 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
         .collect();
     assert_eq!(stats_before, stats_after, "per-component stats changed across restart");
     assert_eq!(
-        query::physical::prunable_component_ids(&snapshot, &filter),
-        pruned_before,
-        "the zone maps must prune the same components after the restart"
-    );
-    assert_eq!(
         engine.explain(&ds, &query).unwrap(),
         explain_before,
         "the planner must make the same access-path choice (and estimates)"
+    );
+    assert_eq!(
+        leaves_skipped(&ds),
+        skipped_before,
+        "the zone maps must hide the same leaves after the restart"
     );
     assert_eq!(engine.execute(&ds, &query).unwrap(), rows_before);
     // And every forced path still agrees on the recovered dataset.
@@ -532,7 +542,7 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
 
 #[test]
 fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_stats() {
-    use query::{ExecMode, Expr, Query, QueryEngine};
+    use query::{AccessPathChoice, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
 
     let dir = temp_dir("stats-stale");
     {
@@ -551,10 +561,14 @@ fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_sta
     let snapshot = ds.snapshot();
     assert!(snapshot.components().is_empty());
     let filter = Expr::between("timestamp", 1_000_000i64, 1_000_010i64);
-    assert!(
-        query::physical::prunable_component_ids(&snapshot, &filter).is_empty(),
-        "nothing to prune on a component-less dataset"
+    let scan = QueryEngine::with_options(
+        ExecMode::Compiled,
+        PlannerOptions::with_access_path(AccessPathChoice::ForceScan),
     );
+    let report = scan
+        .explain_analyze(&ds, &Query::count_star().with_filter(filter.clone()))
+        .unwrap();
+    assert_eq!(report.leaves_skipped(), 0, "nothing to hide on a component-less dataset");
     // The WAL-recovered records answer the query exactly.
     let engine = QueryEngine::new(ExecMode::Compiled);
     let rows = engine

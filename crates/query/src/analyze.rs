@@ -26,14 +26,12 @@
 //!   (same [`IoStats`] deltas); a fully warm
 //!   hot-range re-scan shows hits equal to the leaves touched and a
 //!   pages-read delta of zero;
-//! * **components scanned vs. pruned** — how many on-disk components the
-//!   zone maps eliminated without reading a page;
 //! * **filtered pre-assembly / leaves skipped** — late-materialization
 //!   counters: reconciliation winners the pushed-down filter rejected
-//!   before record assembly, and whole leaves whose zone maps proved no
-//!   record could match (skipped before any page read). Both are exact
-//!   [`IoStats`] deltas and appear in the
-//!   rendering only when nonzero.
+//!   before record assembly, and leaves the zone maps hid before any page
+//!   read — one at a time, or every leaf of a component its own zone map
+//!   hid. `leaves_skipped` is the one zone-map counter. Both are exact
+//!   [`IoStats`] deltas and appear in the rendering only when nonzero.
 //!
 //! A key-only `COUNT(*)` never materialises records, so it reports zero
 //! rows pulled and a complete (`exhausted`) stream; its cost shows up in
@@ -89,8 +87,6 @@ impl<I: Iterator> Iterator for CountingIter<I> {
 /// Collection point for one partition's counters while it executes.
 pub(crate) struct ExecProbe {
     pub(crate) pull: Arc<PullStats>,
-    components_scanned: std::cell::Cell<usize>,
-    components_pruned: std::cell::Cell<usize>,
     fallbacks: std::cell::RefCell<Vec<String>>,
 }
 
@@ -98,16 +94,8 @@ impl ExecProbe {
     pub(crate) fn new() -> ExecProbe {
         ExecProbe {
             pull: Arc::new(PullStats::default()),
-            components_scanned: std::cell::Cell::new(0),
-            components_pruned: std::cell::Cell::new(0),
             fallbacks: std::cell::RefCell::default(),
         }
-    }
-
-    /// Record the access path's component accounting.
-    pub(crate) fn set_components(&self, scanned: usize, pruned: usize) {
-        self.components_scanned.set(scanned);
-        self.components_pruned.set(pruned);
     }
 
     /// Mark the stream complete for access paths that never route records
@@ -144,8 +132,6 @@ impl ExecProbe {
             records_kernel: delta(|io| io.scan_records_kernel),
             records_assembled: delta(|io| io.records_assembled),
             fallbacks: self.fallbacks.into_inner(),
-            components_scanned: self.components_scanned.get(),
-            components_pruned: self.components_pruned.get(),
             rows_out,
         }
     }
@@ -176,8 +162,8 @@ pub struct ShardAnalysis {
     /// assembly ([`IoStats`] delta): their
     /// filter columns were decoded, nothing else.
     pub records_filtered_pre_assembly: u64,
-    /// Whole leaves the pushed-down filter's zone maps skipped before any
-    /// page read ([`IoStats`] delta).
+    /// Leaves the zone maps hid before any page read, including every leaf
+    /// of a component its own zone map hid ([`IoStats`] delta).
     pub leaves_skipped: u64,
     /// Batches the snapshot's batch scan handed over
     /// ([`IoStats`] delta).
@@ -193,10 +179,6 @@ pub struct ShardAnalysis {
     /// Why batches took the assembled lane instead of the kernels, one
     /// entry per distinct reason (empty when none did).
     pub fallbacks: Vec<String>,
-    /// On-disk components the access path read.
-    pub components_scanned: usize,
-    /// Components skipped by zone-map pruning without any page read.
-    pub components_pruned: usize,
     /// Rows (projection) or groups (aggregation) this partition produced
     /// before the cross-shard merge.
     pub rows_out: usize,
@@ -261,8 +243,8 @@ impl AnalyzeReport {
             .sum()
     }
 
-    /// Total leaves the pushed-down filter's zone maps skipped before any
-    /// page read, across partitions.
+    /// Total leaves the zone maps hid before any page read, across
+    /// partitions.
     pub fn leaves_skipped(&self) -> u64 {
         self.shards.iter().map(|s| s.leaves_skipped).sum()
     }
@@ -275,16 +257,6 @@ impl AnalyzeReport {
     /// Total documents built, across partitions.
     pub fn records_assembled(&self) -> u64 {
         self.shards.iter().map(|s| s.records_assembled).sum()
-    }
-
-    /// Total components the access paths read.
-    pub fn components_scanned(&self) -> usize {
-        self.shards.iter().map(|s| s.components_scanned).sum()
-    }
-
-    /// Total components zone-map pruning eliminated.
-    pub fn components_pruned(&self) -> usize {
-        self.shards.iter().map(|s| s.components_pruned).sum()
     }
 
     /// The early-termination point across the whole run: total rows pulled,
@@ -330,14 +302,12 @@ impl AnalyzeReport {
             String::new()
         };
         out.push_str(&format!(
-            "analyze: wall {:?}, rows pulled {}, pages read {}{}{}, components scanned {} (pruned {}), output rows {}, {}\n",
+            "analyze: wall {:?}, rows pulled {}, pages read {}{}{}, output rows {}, {}\n",
             self.wall,
             self.rows_pulled(),
             self.pages_read(),
             cache,
             pushdown,
-            self.components_scanned(),
-            self.components_pruned(),
             self.rows.len(),
             termination,
         ));
@@ -361,7 +331,7 @@ impl AnalyzeReport {
                 format!(" (fell back: {})", s.fallbacks.join("; "))
             };
             out.push_str(&format!(
-                "analyze[shard {i}]: rows pulled {}, pages read {}{}{}, batches {}, kernel records {}, assembled records {}{}, components scanned {} (pruned {}), rows out {}{}\n",
+                "analyze[shard {i}]: rows pulled {}, pages read {}{}{}, batches {}, kernel records {}, assembled records {}{}, rows out {}{}\n",
                 s.rows_pulled,
                 s.pages_read,
                 cache,
@@ -370,8 +340,6 @@ impl AnalyzeReport {
                 s.records_kernel,
                 s.records_assembled,
                 fallbacks,
-                s.components_scanned,
-                s.components_pruned,
                 s.rows_out,
                 if s.exhausted { "" } else { ", terminated early" },
             ));

@@ -114,7 +114,8 @@ pub(crate) struct LaneReport {
 
 /// The fused per-record loop: residual filter, unnest and aggregate in one
 /// pass over one document, every plan parameter resolved before the first
-/// record. The assembled lane of scans and the whole of index-probe plans.
+/// record. The assembled lane of scans and the whole of index-probe plans;
+/// its fold ([`FusedLoop::update`]) is the interpreted engine's too.
 pub(crate) struct FusedLoop<'p> {
     plan: &'p PhysicalPlan,
     agg_inputs: Vec<(bool, Option<&'p Path>)>,
@@ -146,21 +147,16 @@ impl<'p> FusedLoop<'p> {
         match &self.plan.unnest {
             None => self.update(record, None),
             Some(path) => {
-                for value in path.evaluate(record) {
-                    match value {
-                        Value::Array(elems) => {
-                            for element in elems {
-                                self.update(record, Some(element));
-                            }
-                        }
-                        other => self.update(record, Some(other)),
-                    }
+                for element in unnest(path, record) {
+                    self.update(record, Some(element));
                 }
             }
         }
     }
 
-    fn update(&mut self, record: &Value, element: Option<&Value>) {
+    /// Fold one record, or one `(record, element)` pair under `UNNEST`, into
+    /// its group: a record without the group key contributes nothing.
+    pub(crate) fn update(&mut self, record: &Value, element: Option<&Value>) {
         fn resolve<'v>(
             record: &'v Value,
             element: Option<&'v Value>,
@@ -191,6 +187,15 @@ impl<'p> FusedLoop<'p> {
     pub(crate) fn finish(self) -> GroupPartials {
         self.groups
     }
+}
+
+/// The elements `UNNEST path` yields for `record`: every item of each array
+/// the path addresses, and any other value it addresses as itself.
+pub(crate) fn unnest<'v>(path: &Path, record: &'v Value) -> impl Iterator<Item = &'v Value> {
+    path.evaluate(record).into_iter().flat_map(|value| match value {
+        Value::Array(items) => items.iter(),
+        other => std::slice::from_ref(other).iter(),
+    })
 }
 
 /// The fused loop over a stream of documents (index-probe plans).

@@ -7,9 +7,11 @@
 //! a time, so memory stays bounded by the storage cursors underneath (one
 //! decoded leaf per component). What the paper attributes to interpretation
 //! is the **per-tuple** cost: a document built per record, dynamic dispatch
-//! through `dyn Iterator` per operator per row, repeated path resolution
-//! against schemaless values, and the per-row `$record`/`$element`
-//! re-materialisation of the unnest. These are precisely the overheads
+//! through `dyn Iterator` per operator per row, and the unnest's copy of the
+//! record into every `(record, element)` row. The rows then fold into the
+//! same group table, through the same per-record fold, as the compiled
+//! engine's fused loop (`compiled::FusedLoop`), which resolves each path
+//! against the schemaless values. These are precisely the overheads
 //! [`crate::compiled`] removes — it never builds the document: its kernels
 //! fold the same aggregates straight off the decoded column chunks. The two
 //! engines are §5's contrast: per tuple over documents vs fused loops over
@@ -24,13 +26,18 @@
 
 use docmodel::{Path, Value};
 
-use crate::physical::{new_states, GroupPartials, PhysicalPlan};
+use crate::compiled::{unnest, FusedLoop};
+use crate::physical::{GroupPartials, PhysicalPlan};
 use crate::Result;
+
+/// One row of the pipeline: a record and, below an unnest, one element of
+/// it.
+type Tuple = (Value, Option<Value>);
 
 /// A boxed, streaming row source: what every operator consumes and
 /// produces. The `Box<dyn ...>` is the interpretation overhead under
 /// measurement — one virtual call per row per operator.
-type RowStream<'a> = Box<dyn Iterator<Item = Result<Value>> + 'a>;
+type RowStream<'a> = Box<dyn Iterator<Item = Result<Tuple>> + 'a>;
 
 /// A streaming operator: wraps an input stream into an output stream.
 trait Operator {
@@ -38,7 +45,8 @@ trait Operator {
     fn open<'a>(&'a self, input: RowStream<'a>) -> RowStream<'a>;
 }
 
-/// Filter operator: keeps rows matching the predicate expression.
+/// Filter operator: keeps rows whose record matches the predicate
+/// expression.
 struct FilterOp {
     predicate: crate::expr::Expr,
 }
@@ -46,98 +54,37 @@ struct FilterOp {
 impl Operator for FilterOp {
     fn open<'a>(&'a self, input: RowStream<'a>) -> RowStream<'a> {
         Box::new(input.filter(|row| match row {
-            Ok(row) => self.predicate.matches(row),
+            Ok((record, _)) => self.predicate.matches(record),
             Err(_) => true, // errors pass through to the consumer
         }))
     }
 }
 
-/// Unnest operator: produces one row per array element, carrying both the
-/// original record (under `$record`) and the element (under `$element`) —
-/// the per-row re-materialisation the interpreted engine pays for.
+/// Unnest operator: produces one `(record, element)` row per element, the
+/// record copied into every one of them — the per-row re-materialisation
+/// the interpreted engine pays for.
 struct UnnestOp {
     path: Path,
 }
 
 impl Operator for UnnestOp {
     fn open<'a>(&'a self, input: RowStream<'a>) -> RowStream<'a> {
-        Box::new(input.flat_map(move |row| -> Vec<Result<Value>> {
-            let row = match row {
-                Ok(row) => row,
-                Err(e) => return vec![Err(e)],
-            };
-            let elements: Vec<Value> = self
-                .path
-                .evaluate(&row)
-                .into_iter()
-                .flat_map(|v| match v {
-                    Value::Array(elems) => elems.clone(),
-                    other => vec![other.clone()],
-                })
-                .collect();
-            elements
-                .into_iter()
-                .map(|element| {
-                    Ok(Value::Object(vec![
-                        ("$record".to_string(), row.clone()),
-                        ("$element".to_string(), element),
-                    ]))
-                })
-                .collect()
-        }))
-    }
-}
-
-/// Identity projection: rebuilds each row keeping only the referenced paths
-/// (simulating the PROJECT operator's copy).
-struct ProjectOp {
-    paths: Vec<Path>,
-}
-
-impl Operator for ProjectOp {
-    fn open<'a>(&'a self, input: RowStream<'a>) -> RowStream<'a> {
-        Box::new(input.map(move |row| {
-            let row = row?;
-            let mut projected = Value::empty_object();
-            for (i, path) in self.paths.iter().enumerate() {
-                if let Some(v) = path.evaluate(&row).first() {
-                    projected.set_field(format!("${i}"), (*v).clone());
-                }
+        Box::new(input.flat_map(move |row| -> Vec<Result<Tuple>> {
+            match row {
+                Ok((record, _)) => unnest(&self.path, &record)
+                    .map(|element| Ok((record.clone(), Some(element.clone()))))
+                    .collect(),
+                Err(e) => vec![Err(e)],
             }
-            // Keep the original row alongside the projection so the
-            // aggregation stage can still resolve arbitrary paths.
-            projected.set_field("$row", row);
-            Ok(projected)
         }))
-    }
-}
-
-fn resolve<'a>(row: &'a Value, on_element: bool, path: &Path, unnested: bool) -> Vec<&'a Value> {
-    if !unnested {
-        return path.evaluate(row);
-    }
-    let root = if on_element { "$element" } else { "$record" };
-    match row
-        .get_field("$row")
-        .and_then(|r| r.get_field(root))
-        .or_else(|| row.get_field(root))
-    {
-        Some(base) => {
-            if path.is_empty() {
-                vec![base]
-            } else {
-                path.evaluate(base)
-            }
-        }
-        None => Vec::new(),
     }
 }
 
 /// Execute the pipelining part of an aggregate plan over a streaming record
 /// source, producing per-group aggregate partials. Rows flow through the
-/// boxed operator chain one at a time; the per-tuple work — operator
-/// dispatch, path re-resolution, the unnest's row rebuilding — is the
-/// interpretation overhead the paper measures.
+/// boxed operator chain one at a time — operator dispatch and the unnest's
+/// record copies are the interpretation overhead the paper measures — into
+/// the fold the compiled engine's fused loop uses (the pipeline breaker).
 pub(crate) fn run_stream<'a>(
     input: impl Iterator<Item = Result<Value>> + 'a,
     plan: &PhysicalPlan,
@@ -150,54 +97,17 @@ pub(crate) fn run_stream<'a>(
     if let Some(p) = &plan.residual {
         pipeline.push(Box::new(FilterOp { predicate: p.clone() }));
     }
-    let unnested = plan.unnest.is_some();
     if let Some(u) = &plan.unnest {
         pipeline.push(Box::new(UnnestOp { path: u.clone() }));
     }
-    if unnested {
-        pipeline.push(Box::new(ProjectOp {
-            paths: vec![Path::parse("$record"), Path::parse("$element")],
-        }));
-    }
-    let mut stream: RowStream<'_> = Box::new(input);
+    let mut stream: RowStream<'_> = Box::new(input.map(|doc| doc.map(|doc| (doc, None))));
     for op in &pipeline {
         stream = op.open(stream);
     }
-
-    // GROUP BY / aggregate (the pipeline breaker, shared with compiled mode
-    // in spirit, but here it re-resolves paths per tuple).
-    let group_key = plan
-        .group_by
-        .as_ref()
-        .map(|p| (plan.group_on_element, p.clone()));
-    let agg_inputs: Vec<(bool, Option<Path>)> = plan
-        .aggregates
-        .iter()
-        .map(|s| (s.on_element, s.agg.path().cloned()))
-        .collect();
-
-    let mut groups = GroupPartials::new();
+    let mut fold = FusedLoop::new(plan);
     for row in stream {
-        let row = row?;
-        let key = group_key.as_ref().and_then(|(on_element, path)| {
-            resolve(&row, *on_element, path, unnested)
-                .first()
-                .map(|v| docmodel::cmp::OrderedValue((*v).clone()))
-        });
-        if group_key.is_some() && key.is_none() {
-            continue; // grouping key absent: the record contributes no group
-        }
-        let states = groups.entry(key).or_insert_with(|| new_states(plan));
-        for (state, (on_element, path)) in states.iter_mut().zip(&agg_inputs) {
-            let input = path.as_ref().and_then(|p| {
-                resolve(&row, *on_element, p, unnested)
-                    .first()
-                    .copied()
-                    .cloned()
-            });
-            state.update(input.as_ref());
-        }
+        let (record, element) = row?;
+        fold.update(&record, element.as_ref());
     }
-    Ok(groups)
+    Ok(fold.finish())
 }
-

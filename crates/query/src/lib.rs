@@ -17,9 +17,10 @@
 //!   `COUNT(*)`, or a secondary-index range probe — by estimating matching
 //!   records from each component's column statistics (the fig. 15
 //!   scan-vs-probe crossover; [`AccessPathChoice`] forces either path).
-//!   Scans additionally **zone-map-prune**: a component whose statistics
-//!   prove no record can match the filter is skipped without reading a
-//!   single page. [`Query::explain`] renders the chosen
+//!   Scans additionally push the filter's sargable conjuncts down, and the
+//!   scan's zone maps hide whole components and leaves no record of which
+//!   can match, without reading a single page. [`Query::explain`] renders
+//!   the chosen
 //!   [`physical::PhysicalPlan`] including the estimate;
 //! * [`QueryEngine`] — the single execution entry point:
 //!   [`QueryEngine::execute`] accepts any [`QueryTarget`] (a snapshot, a
@@ -219,13 +220,45 @@ impl<'a> From<&'a [&'a LsmDataset]> for QueryTarget<'a> {
     }
 }
 
-impl QueryTarget<'_> {
+impl<'a> QueryTarget<'a> {
     fn plan_context(&self) -> PlanContext {
         match self {
             QueryTarget::Snapshot(s) => PlanContext::for_snapshot(s),
             QueryTarget::Snapshots(s) => PlanContext::for_snapshots(s),
             QueryTarget::Dataset(d) => PlanContext::for_dataset(d),
             QueryTarget::Shards(shards) => PlanContext::for_shards(shards),
+        }
+    }
+
+    /// The partitions a plan runs over, in target order.
+    fn partitions(&self) -> Vec<Partition<'a>> {
+        match *self {
+            QueryTarget::Snapshot(s) => vec![Partition::Snapshot(s)],
+            QueryTarget::Dataset(d) => vec![Partition::Dataset(d)],
+            QueryTarget::Snapshots(s) => s.iter().map(Partition::Snapshot).collect(),
+            QueryTarget::Shards(s) => s.iter().map(|d| Partition::Dataset(d)).collect(),
+        }
+    }
+}
+
+/// One partition of a [`QueryTarget`]: a snapshot, or a dataset (which can
+/// also serve index probes).
+#[derive(Clone, Copy)]
+enum Partition<'a> {
+    Snapshot(&'a Snapshot),
+    Dataset(&'a LsmDataset),
+}
+
+impl Partition<'_> {
+    /// The I/O counters of the store the partition reads from; `None` for a
+    /// snapshot without an on-disk component (it does no page I/O).
+    fn io_stats(self) -> Option<IoStats> {
+        match self {
+            Partition::Snapshot(snapshot) => snapshot
+                .components()
+                .first()
+                .map(|c| c.cache().store().stats()),
+            Partition::Dataset(dataset) => Some(dataset.io_stats()),
         }
     }
 }
@@ -283,25 +316,11 @@ impl QueryEngine {
         let plan = physical::plan(query, &target.plan_context(), &self.options)?;
         // An empty shard list has no partitions to aggregate over — return
         // no rows rather than a default global aggregate.
-        if matches!(&target, QueryTarget::Snapshots([]) | QueryTarget::Shards([])) {
+        let parts = target.partitions();
+        if parts.is_empty() {
             return Ok(Vec::new());
         }
-        let output = match target {
-            QueryTarget::Snapshot(snapshot) => {
-                self.output_for_snapshot(snapshot, &plan, lane, None)?
-            }
-            QueryTarget::Dataset(dataset) => self.output_for_dataset(dataset, &plan, lane, None)?,
-            QueryTarget::Snapshots(snapshots) => {
-                self.fan_out(snapshots, &plan, |engine, snapshot, plan| {
-                    engine.output_for_snapshot(snapshot, plan, lane, None)
-                })?
-            }
-            QueryTarget::Shards(shards) => {
-                self.fan_out(shards, &plan, |engine, dataset, plan| {
-                    engine.output_for_dataset(dataset, plan, lane, None)
-                })?
-            }
-        };
+        let output = self.fan_out(&parts, &plan, lane)?;
         Ok(match output {
             ExecOutput::Groups(partials) => finalize(partials, &plan),
             ExecOutput::Rows(rows) => rows,
@@ -324,8 +343,8 @@ impl QueryEngine {
     /// with actual execution counters (`EXPLAIN ANALYZE`): reconciliation
     /// winners handed to the operators, pages read (I/O-stats deltas), per
     /// partition which lane took them — column kernels or assembly — and why
-    /// batches fell back, how many components zone maps pruned vs. scanned,
-    /// the early-termination point of limited queries, and wall time — plus
+    /// batches fell back, how many leaves the zone maps hid, the
+    /// early-termination point of limited queries, and wall time — plus
     /// the query's result rows, so analyzing never costs a second execution.
     ///
     /// Partitions run sequentially (not thread-per-shard) so each shard's
@@ -340,47 +359,18 @@ impl QueryEngine {
         let plan = physical::plan(query, &target.plan_context(), &self.options)?;
         let plan_text = plan.describe();
         let started = Instant::now();
-        let lane = ScanLane::Kernels;
         let mut analyses: Vec<ShardAnalysis> = Vec::new();
         let mut outputs: Vec<ExecOutput> = Vec::new();
-        {
-            let mut run_one = |io: &dyn Fn() -> Option<IoStats>,
-                               exec: &dyn Fn(&ExecProbe) -> Result<ExecOutput>|
-             -> Result<()> {
-                let probe = ExecProbe::new();
-                let before = io();
-                let output = exec(&probe)?;
-                let after = io();
-                let rows_out = match &output {
-                    ExecOutput::Rows(rows) => rows.len(),
-                    ExecOutput::Groups(groups) => groups.len(),
-                };
-                analyses.push(probe.finish(before.zip(after), rows_out));
-                outputs.push(output);
-                Ok(())
+        for part in target.partitions() {
+            let probe = ExecProbe::new();
+            let before = part.io_stats();
+            let output = self.output(part, &plan, ScanLane::Kernels, Some(&probe))?;
+            let rows_out = match &output {
+                ExecOutput::Rows(rows) => rows.len(),
+                ExecOutput::Groups(groups) => groups.len(),
             };
-            match &target {
-                QueryTarget::Snapshot(snapshot) => run_one(&|| snapshot_io(snapshot), &|p| {
-                    self.output_for_snapshot(snapshot, &plan, lane, Some(p))
-                })?,
-                QueryTarget::Dataset(dataset) => run_one(&|| Some(dataset.io_stats()), &|p| {
-                    self.output_for_dataset(dataset, &plan, lane, Some(p))
-                })?,
-                QueryTarget::Snapshots(snapshots) => {
-                    for snapshot in *snapshots {
-                        run_one(&|| snapshot_io(snapshot), &|p| {
-                            self.output_for_snapshot(snapshot, &plan, lane, Some(p))
-                        })?;
-                    }
-                }
-                QueryTarget::Shards(shards) => {
-                    for dataset in *shards {
-                        run_one(&|| Some(dataset.io_stats()), &|p| {
-                            self.output_for_dataset(dataset, &plan, lane, Some(p))
-                        })?;
-                    }
-                }
-            }
+            analyses.push(probe.finish(before.zip(part.io_stats()), rows_out));
+            outputs.push(output);
         }
         // An empty shard list has no partitions — no rows, like execute().
         let rows = if outputs.is_empty() {
@@ -404,23 +394,19 @@ impl QueryEngine {
     /// projection plans k-way-merge the per-shard key-ordered row streams
     /// (each already capped at the plan's limit) instead of concatenating
     /// batches.
-    fn fan_out<T: Sync>(
+    fn fan_out(
         &self,
-        parts: &[T],
+        parts: &[Partition<'_>],
         plan: &PhysicalPlan,
-        run: impl Fn(&QueryEngine, &T, &PhysicalPlan) -> Result<ExecOutput> + Send + Sync,
+        lane: ScanLane,
     ) -> Result<ExecOutput> {
-        if parts.is_empty() {
-            return Ok(ExecOutput::empty(plan));
-        }
-        if parts.len() == 1 {
-            return run(self, &parts[0], plan);
+        if let [part] = parts {
+            return self.output(*part, plan, lane, None);
         }
         let results: Vec<Result<ExecOutput>> = std::thread::scope(|scope| {
-            let run = &run;
             let handles: Vec<_> = parts
                 .iter()
-                .map(|part| scope.spawn(move || run(self, part, plan)))
+                .map(|&part| scope.spawn(move || self.output(part, plan, lane, None)))
                 .collect();
             handles
                 .into_iter()
@@ -431,18 +417,19 @@ impl QueryEngine {
         Ok(merge_exec_outputs(outputs, plan))
     }
 
-    /// Execute the plan's access path against a dataset (index probes
-    /// included) in the configured mode. When a `probe` is supplied
+    /// Execute the plan's access path against one partition in the
+    /// configured mode: an index probe against a dataset, a scan over a
+    /// snapshot's batches or its row adapter. When a `probe` is supplied
     /// (EXPLAIN ANALYZE) the record stream is wrapped to count actual pulls.
-    fn output_for_dataset(
+    fn output(
         &self,
-        dataset: &LsmDataset,
+        part: Partition<'_>,
         plan: &PhysicalPlan,
         lane: ScanLane,
         probe: Option<&ExecProbe>,
     ) -> Result<ExecOutput> {
-        match &plan.access {
-            AccessPath::IndexRange { lo, hi, .. } => {
+        let snapshot = match (part, &plan.access) {
+            (Partition::Dataset(dataset), AccessPath::IndexRange { lo, hi, .. }) => {
                 // The probe's sorted batched lookups yield key-ordered
                 // (key, record) pairs — only the estimated matches are ever
                 // materialised, never the component.
@@ -451,107 +438,68 @@ impl QueryEngine {
                     as_bound_ref(hi),
                     plan.projection.as_deref(),
                 )?;
-                if let Some(probe) = probe {
-                    // An index probe's point lookups may touch every
-                    // component; zone maps play no part.
-                    probe.set_components(dataset.component_count(), 0);
-                }
                 let stream =
                     CountingIter::new(entries.into_iter().map(Ok), probe.map(|p| p.pull.clone()));
-                if plan.is_projection() {
+                return if plan.is_projection() {
                     self.select_rows(stream, plan)
                 } else {
                     self.aggregate(stream.map(|e| e.map(|(_, doc)| doc)), plan)
-                }
+                };
             }
-            _ => self.output_for_snapshot(&dataset.snapshot(), plan, lane, probe),
+            (Partition::Snapshot(_), AccessPath::IndexRange { .. }) => {
+                return Err(Error::invalid_plan(
+                    "an index-probe plan needs a dataset target, not a bare snapshot",
+                ))
+            }
+            (Partition::Dataset(dataset), _) => dataset.snapshot(),
+            (Partition::Snapshot(snapshot), _) => snapshot.clone(),
+        };
+        if matches!(plan.access, AccessPath::KeyOnlyScan) {
+            // A key-only count reads key columns from every component but
+            // never materialises a record: its cost is all in the page
+            // counters.
+            if let Some(probe) = probe {
+                probe.mark_exhausted();
+            }
+            // Key-only batches: selection lengths are all it needs.
+            let keys_only = ScanSpec { projection: Some(&[]), ..ScanSpec::default() };
+            let count = snapshot.batches(keys_only).record_count()?;
+            return Ok(ExecOutput::Groups(key_count_partials(count, plan)));
         }
-    }
-
-    /// Execute a scan-shaped access path against a snapshot in the
-    /// configured mode, over the snapshot's batch scan or its row adapter.
-    fn output_for_snapshot(
-        &self,
-        snapshot: &Snapshot,
-        plan: &PhysicalPlan,
-        lane: ScanLane,
-        probe: Option<&ExecProbe>,
-    ) -> Result<ExecOutput> {
-        match &plan.access {
-            AccessPath::KeyOnlyScan => {
-                if let Some(probe) = probe {
-                    // A key-only count reads key columns from every
-                    // component but never materialises a record: its cost
-                    // is all in the page counters.
-                    probe.set_components(snapshot.components().len(), 0);
-                    probe.mark_exhausted();
-                }
-                // Key-only batches: selection lengths are all it needs.
-                let keys_only = ScanSpec { projection: Some(&[]), ..ScanSpec::default() };
-                let count = snapshot.batches(keys_only).record_count()?;
-                Ok(ExecOutput::Groups(key_count_partials(count, plan)))
+        // Late materialization: sargable conjuncts travel into the scan,
+        // which evaluates them as loops over the filter columns of each
+        // key's reconciliation winner (and lets the zone maps hide whole
+        // components and leaves) before anything is assembled. The engines
+        // above evaluate only `plan.residual`.
+        let batched = self.mode == ExecMode::Compiled && !plan.is_projection();
+        let projection = if batched {
+            compiled::scan_projection(plan, lane)
+        } else {
+            plan.projection.clone()
+        };
+        let scan = snapshot.batches(ScanSpec {
+            projection: projection.as_deref(),
+            pushed: &plan.pushed,
+        });
+        if batched {
+            // Fused loops over the columns of each batch.
+            let mut lanes = LaneReport::default();
+            let partials = compiled::aggregate_batches(scan, plan, lane, &mut lanes)?;
+            if let Some(probe) = probe {
+                probe.note_lanes(lanes);
             }
-            AccessPath::FullScan => {
-                // Zone-map pruning: skip components whose statistics prove
-                // no record can match. The flags come from the execution
-                // snapshot's own components, so planning-time staleness can
-                // never skip the wrong component.
-                let prune: Vec<bool> = match &plan.filter {
-                    Some(filter) if plan.zone_map_pruning => {
-                        let infos: Vec<ComponentPlanInfo> = snapshot
-                            .components()
-                            .iter()
-                            .map(|c| ComponentPlanInfo::of(c))
-                            .collect();
-                        physical::prune_flags(&infos, filter)
-                    }
-                    _ => Vec::new(),
-                };
-                if let Some(probe) = probe {
-                    let total = snapshot.components().len();
-                    let pruned = prune.iter().filter(|&&s| s).count();
-                    probe.set_components(total - pruned, pruned);
-                }
-                // Late materialization: sargable conjuncts travel into the
-                // scan, which evaluates them as loops over the filter
-                // columns of each key's reconciliation winner (and skips
-                // whole leaves via zone maps) before anything is assembled.
-                // The engines above evaluate only `plan.residual`.
-                let batched = self.mode == ExecMode::Compiled && !plan.is_projection();
-                let projection = if batched {
-                    compiled::scan_projection(plan, lane)
-                } else {
-                    plan.projection.clone()
-                };
-                let scan = snapshot.batches(ScanSpec {
-                    projection: projection.as_deref(),
-                    prune: &prune,
-                    pushed: &plan.pushed,
-                });
-                if batched {
-                    // Fused loops over the columns of each batch.
-                    let mut lanes = LaneReport::default();
-                    let partials = compiled::aggregate_batches(scan, plan, lane, &mut lanes)?;
-                    if let Some(probe) = probe {
-                        probe.note_lanes(lanes);
-                    }
-                    return Ok(ExecOutput::Groups(partials));
-                }
-                // Per tuple, in key order, over the row adapter: projection
-                // plans (so `ORDER BY key LIMIT k` stops early) and the
-                // interpreted engine.
-                let rows = scan.rows().map(|e| e.map_err(Error::from));
-                let rows = CountingIter::new(rows, probe.map(|p| p.pull.clone()));
-                if plan.is_projection() {
-                    self.select_rows(rows, plan)
-                } else {
-                    let partials = interp::run_stream(rows.map(|e| e.map(|(_, doc)| doc)), plan)?;
-                    Ok(ExecOutput::Groups(partials))
-                }
-            }
-            AccessPath::IndexRange { .. } => Err(Error::invalid_plan(
-                "an index-probe plan needs a dataset target, not a bare snapshot",
-            )),
+            return Ok(ExecOutput::Groups(partials));
+        }
+        // Per tuple, in key order, over the row adapter: projection plans
+        // (so `ORDER BY key LIMIT k` stops early) and the interpreted
+        // engine.
+        let rows = scan.rows().map(|e| e.map_err(Error::from));
+        let rows = CountingIter::new(rows, probe.map(|p| p.pull.clone()));
+        if plan.is_projection() {
+            self.select_rows(rows, plan)
+        } else {
+            let partials = interp::run_stream(rows.map(|e| e.map(|(_, doc)| doc)), plan)?;
+            Ok(ExecOutput::Groups(partials))
         }
     }
 
@@ -626,16 +574,6 @@ enum ExecOutput {
     Rows(Vec<QueryRow>),
 }
 
-impl ExecOutput {
-    fn empty(plan: &PhysicalPlan) -> ExecOutput {
-        if plan.is_projection() {
-            ExecOutput::Rows(Vec::new())
-        } else {
-            ExecOutput::Groups(GroupPartials::new())
-        }
-    }
-}
-
 /// Merge per-partition execution outputs exactly as the sharded fan-out
 /// does: group partials merge group-wise, projection plans k-way-merge
 /// their key-ordered row streams under the plan's limit.
@@ -662,15 +600,6 @@ fn merge_exec_outputs(outputs: Vec<ExecOutput>, plan: &PhysicalPlan) -> ExecOutp
         }
         ExecOutput::Groups(merged)
     }
-}
-
-/// I/O counters of the store a bare snapshot reads from, when it has any
-/// on-disk component at all (a memtable-only snapshot does no page I/O).
-fn snapshot_io(snapshot: &Snapshot) -> Option<IoStats> {
-    snapshot
-        .components()
-        .first()
-        .map(|c| c.cache().store().stats())
 }
 
 /// K-way merge of per-shard key-ordered row streams into one key-ordered

@@ -17,20 +17,22 @@
 //!   *estimates* whether probing the index beats scanning (see the cost
 //!   model below) and picks accordingly; [`AccessPathChoice::ForceIndex`] /
 //!   [`AccessPathChoice::ForceScan`] override the estimate;
-//! * **zone-map pruning** — components whose per-column statistics
-//!   ([`storage::stats::ComponentStats`], collected at flush/merge time and
-//!   persisted in the manifest) prove that *no record in the component can
-//!   match the filter* are skipped entirely: the scan never reads one of
-//!   their pages. See [`prune_flags`] for the statistics test and the
-//!   reconciliation-safety rule.
+//! * **filter push-down** — the filter's sargable conjuncts travel into the
+//!   scan ([`PhysicalPlan::pushed`]), which evaluates them on column loops
+//!   and lets the zone maps ([`storage::stats::ComponentStats`], collected
+//!   at flush/merge time and persisted in the manifest) hide whole
+//!   components and leaves no record of which can match. The scan alone
+//!   decides what it hides ([`storage::component::zone_map_hides`]); the
+//!   planner only *estimates* it, by asking the same rule about each
+//!   component for the cost model.
 //!
 //! ## The cost model
 //!
 //! Both alternatives are priced in **pages touched**, the currency of the
 //! paper's evaluation (its speedups are I/O reductions):
 //!
-//! * a scan costs the pages of every component the zone maps could not
-//!   prune (projection narrows what is decoded, but relative ranking is
+//! * a scan costs the pages of every component the zone maps will not
+//!   hide (projection narrows what is decoded, but relative ranking is
 //!   unaffected);
 //! * an index probe costs `estimated matching records × pages per lookup`,
 //!   where a lookup may touch one leaf in every component (`Σ ceil(pages /
@@ -90,7 +92,7 @@ use columnar::ColumnValues;
 use docmodel::cmp::OrderedValue;
 use docmodel::{total_cmp, Path, Value};
 use lsm::{LsmDataset, Snapshot};
-use storage::component::{ColumnPredicate, Component};
+use storage::component::{zone_map_hides, ColumnPredicate, Component};
 use storage::stats::ComponentStats;
 
 use crate::expr::{CmpOp, Expr};
@@ -102,8 +104,6 @@ use crate::{Error, Result};
 /// cardinalities and statistics the cost model and the zone maps consume.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentPlanInfo {
-    /// Component id (for reporting which components were pruned).
-    pub id: u64,
     /// Entries in the component (records plus anti-matter).
     pub records: u64,
     /// Physical pages the component occupies.
@@ -129,7 +129,6 @@ impl ComponentPlanInfo {
     pub fn of(component: &Component) -> ComponentPlanInfo {
         let meta = component.meta();
         ComponentPlanInfo {
-            id: meta.id,
             records: meta.record_count as u64,
             pages: meta.pages.len() as u64,
             leaves: component.leaf_count() as u64,
@@ -255,7 +254,7 @@ pub enum AccessPathChoice {
     /// Always probe the secondary index when the target has one and the
     /// filter implies a range on the indexed path (PR 3's fixed routing).
     ForceIndex,
-    /// Never probe; range filters execute as (zone-map-pruned) scans.
+    /// Never probe; range filters execute as scans.
     ForceScan,
 }
 
@@ -279,16 +278,13 @@ pub struct PlannerOptions {
     pub projection_pushdown: bool,
     /// Scan-vs-index-probe policy (cost-based by default).
     pub access_path: AccessPathChoice,
-    /// Skip components whose statistics prove no record can match the
-    /// filter. Off, every component is scanned (the pruning oracle of the
-    /// differential tests).
-    pub zone_map_pruning: bool,
     /// Push the filter's sargable conjuncts (comparisons over single-valued
     /// scalar paths) into the scan: it evaluates them as loops over the
     /// filter columns of each key's reconciliation winner, drops
-    /// non-matching records before anything is assembled, and skips whole
-    /// leaves whose zone maps prove no match. Off, the whole filter runs as the residual
-    /// (the late-materialization baseline of the differential tests).
+    /// non-matching records before anything is assembled, and hides whole
+    /// components and leaves whose zone maps prove no match. Off, the whole
+    /// filter runs as the residual and every page is read (the
+    /// read-everything reference of the differential tests).
     pub filter_pushdown: bool,
 }
 
@@ -297,7 +293,6 @@ impl Default for PlannerOptions {
         PlannerOptions {
             projection_pushdown: true,
             access_path: AccessPathChoice::Auto,
-            zone_map_pruning: true,
             filter_pushdown: true,
         }
     }
@@ -341,7 +336,7 @@ pub struct AccessEstimate {
     pub disk_records: u64,
     /// `est_matching_records / disk_records` (0 when the target is empty).
     pub est_selectivity: f64,
-    /// Pages a scan would touch after zone-map pruning.
+    /// Pages a scan would touch, net of what the zone maps will hide.
     pub scan_pages: u64,
     /// Pages an index probe would touch (`None` when probing is impossible:
     /// no index, or no implied range on the indexed path).
@@ -355,8 +350,9 @@ pub struct AccessEstimate {
     /// Total probe cost in page-equivalents: `probe_pages` plus the CPU
     /// term for the estimated in-memory matches.
     pub probe_cost: Option<f64>,
-    /// Components the zone maps expect to prune (planning-time estimate).
-    pub pruned_components: usize,
+    /// Components the scan's zone maps will hide whole (planning-time
+    /// estimate).
+    pub hidden_components: usize,
     /// Total components across the target.
     pub total_components: usize,
     /// Decoded leaves resident in the shared leaf cache across the target's
@@ -399,12 +395,12 @@ impl AccessEstimate {
             String::new()
         };
         format!(
-            "selectivity ~{:.2}% (~{:.0} of {} records), scan ~{} pages ({}/{} components zone-map pruned){}, {}{} [{}]",
+            "selectivity ~{:.2}% (~{:.0} of {} records), scan ~{} pages ({}/{} components hidden by zone maps){}, {}{} [{}]",
             self.est_selectivity * 100.0,
             self.est_matching_records,
             self.disk_records,
             self.scan_pages,
-            self.pruned_components,
+            self.hidden_components,
             self.total_components,
             cache,
             probe,
@@ -423,12 +419,10 @@ pub struct PhysicalPlan {
     /// The cost estimate behind the access choice (`None` for filterless
     /// plans, where there is nothing to estimate).
     pub estimate: Option<AccessEstimate>,
-    /// Whether execution may zone-map-prune components ([`prune_flags`]).
-    pub zone_map_pruning: bool,
     /// Pushed-down projection; `None` assembles full records (pushdown off).
     pub projection: Option<Vec<Path>>,
-    /// The full (simplified) filter — what the query means. Zone-map
-    /// pruning, the cost estimate and the batch oracle all evaluate this;
+    /// The full (simplified) filter — what the query means. The cost
+    /// estimate and the batch oracle evaluate this;
     /// execution applies it as `pushed` (in the scan) plus `residual`
     /// (after assembly), a filter that folded to `TRUE` is dropped entirely.
     pub filter: Option<Expr>,
@@ -546,14 +540,20 @@ pub fn plan(query: &Query, ctx: &PlanContext, options: &PlannerOptions) -> Resul
             .iter()
             .all(|s| matches!(s.agg, Aggregate::Count));
 
+    // What a full scan would push into storage (and the zone maps would
+    // hide by) and what it would leave residual.
+    let (scan_pushed, scan_residual) = if options.filter_pushdown {
+        split_pushdown(filter.as_ref())
+    } else {
+        (Vec::new(), filter.clone())
+    };
     let probe = probe_candidate(filter.as_ref(), ctx);
     let projected_columns = options
         .projection_pushdown
         .then(|| query.projection_paths().len());
-    let estimate = filter
-        .as_ref()
-        .filter(|_| !count_only)
-        .map(|filter| estimate_access(filter, ctx, probe.as_ref(), options, projected_columns));
+    let estimate = filter.as_ref().filter(|_| !count_only).map(|filter| {
+        estimate_access(filter, &scan_pushed, ctx, probe.as_ref(), options, projected_columns)
+    });
 
     let access = if count_only {
         AccessPath::KeyOnlyScan
@@ -578,17 +578,15 @@ pub fn plan(query: &Query, ctx: &PlanContext, options: &PlannerOptions) -> Resul
     // The pushed/residual split applies only to full scans: a key-only scan
     // has no filter, and an index probe must re-check the *whole* filter on
     // every looked-up record (the probe range is an over-approximation).
-    let (pushed, residual) =
-        if options.filter_pushdown && matches!(access, AccessPath::FullScan) {
-            split_pushdown(filter.as_ref())
-        } else {
-            (Vec::new(), filter.clone())
-        };
+    let (pushed, residual) = if matches!(access, AccessPath::FullScan) {
+        (scan_pushed, scan_residual)
+    } else {
+        (Vec::new(), filter.clone())
+    };
 
     Ok(PhysicalPlan {
         access,
         estimate,
-        zone_map_pruning: options.zone_map_pruning,
         projection,
         filter,
         pushed,
@@ -668,8 +666,8 @@ fn probe_candidate(
 }
 
 /// The cost-based decision: probe when its total estimate (pages plus the
-/// memtable CPU term) undercuts the (zone-map-pruned) scan's. A fully
-/// pruned scan over an empty memtable costs zero and always wins — it
+/// memtable CPU term) undercuts the scan's. A scan whose every component
+/// the zone maps hide, over an empty memtable, costs zero and always wins — it
 /// touches nothing at all; ties also go to the scan.
 fn auto_prefers_probe(estimate: Option<&AccessEstimate>) -> bool {
     match estimate {
@@ -684,164 +682,46 @@ fn auto_prefers_probe(estimate: Option<&AccessEstimate>) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Zone-map pruning and the cost model.
+// The cost model.
 // ---------------------------------------------------------------------------
 
-/// Every path on which `filter` implies a value range — the zone-map test
-/// set. Each entry `(p, lo, hi)` satisfies: a record matching `filter` has
-/// *some* value at `p` inside `(lo, hi)` (see [`Expr::implied_bounds`]).
-fn implied_ranges(filter: &Expr) -> Vec<(Path, Bound<Value>, Bound<Value>)> {
+/// The first path on which `filter` implies a value range, as a predicate
+/// (a record matching `filter` has *some* value at the path inside the
+/// range — see [`Expr::implied_bounds`]). It drives the selectivity estimate
+/// when there is no probe.
+fn first_implied_range(filter: &Expr) -> Option<ColumnPredicate> {
     let mut paths = Vec::new();
     filter.collect_paths(&mut paths);
-    paths
-        .into_iter()
-        .filter_map(|p| {
-            filter
-                .implied_bounds(&p)
-                .map(|(lo, hi)| (p, lo, hi))
-        })
-        .collect()
-}
-
-/// `true` when `[min, max]` cannot intersect the range `(lo, hi)`.
-fn bounds_disjoint(
-    min: &Value,
-    max: &Value,
-    lo: &Bound<Value>,
-    hi: &Bound<Value>,
-) -> bool {
-    use std::cmp::Ordering::{Greater, Less};
-    let above = match hi {
-        Bound::Included(h) => total_cmp(h, min) == Less,
-        Bound::Excluded(h) => total_cmp(h, min) != Greater,
-        Bound::Unbounded => false,
-    };
-    let below = match lo {
-        Bound::Included(l) => total_cmp(l, max) == Greater,
-        Bound::Excluded(l) => total_cmp(l, max) != Less,
-        Bound::Unbounded => false,
-    };
-    above || below
-}
-
-/// `true` when the component's statistics prove that no record in it can
-/// match a filter with the given implied ranges: some range's path is
-/// either absent from the component altogether (no record addresses any
-/// value there — the existential filter cannot hold) or carries bounds
-/// disjoint from the range.
-fn stats_prove_no_match(
-    stats: &ComponentStats,
-    ranges: &[(Path, Bound<Value>, Bound<Value>)],
-) -> bool {
-    ranges.iter().any(|(path, lo, hi)| {
-        match stats.column(&path.to_string()) {
-            None => true,
-            Some(col) if col.values == 0 => true,
-            Some(col) => match (&col.min, &col.max) {
-                (Some(min), Some(max)) => bounds_disjoint(min, max, lo, hi),
-                _ => false,
-            },
-        }
+    paths.into_iter().find_map(|path| {
+        let (lo, hi) = filter.implied_bounds(&path)?;
+        Some(ColumnPredicate { path, lo, hi })
     })
 }
 
-/// `true` when the two components cannot share a key (one of them is empty,
-/// or their key ranges are disjoint).
-fn key_ranges_disjoint(a: &ComponentPlanInfo, b: &ComponentPlanInfo) -> bool {
-    match (&a.min_key, &a.max_key, &b.min_key, &b.max_key) {
-        (Some(a_min), Some(a_max), Some(b_min), Some(b_max)) => {
-            total_cmp(a_max, b_min) == Ordering::Less
-                || total_cmp(b_max, a_min) == Ordering::Less
-        }
-        _ => true,
-    }
-}
-
-/// Zone-map pruning decision for each component (aligned with `infos`,
-/// oldest first): `true` = the scan may skip it.
-///
-/// Two conditions must hold:
-///
-/// 1. **No match** — the component's statistics prove no record in it can
-///    satisfy the filter: some implied range's path is absent from the
-///    component, or carries `[min, max]` bounds disjoint from the range
-///    (components without statistics are never pruned).
-/// 2. **Reconciliation safety** — the component's key range is disjoint
-///    from every *older* component's. Scans reconcile newest-first, so
-///    skipping a component whose keys also live in an older component would
-///    resurrect the older (shadowed) versions — or drop the skipped
-///    component's anti-matter — and change the answer. Memtables are newer
-///    than every component and always scanned, so they never constrain
-///    this rule.
-pub fn prune_flags(
-    infos: &[ComponentPlanInfo],
-    filter: &Expr,
-) -> Vec<bool> {
-    let ranges = implied_ranges(filter);
-    let mut flags = vec![false; infos.len()];
-    if ranges.is_empty() {
-        return flags;
-    }
-    for i in 0..infos.len() {
-        let Some(stats) = infos[i].stats.as_deref() else {
-            continue;
-        };
-        if !stats_prove_no_match(stats, &ranges) {
-            continue;
-        }
-        flags[i] = infos[..i]
-            .iter()
-            .all(|older| key_ranges_disjoint(older, &infos[i]));
-    }
-    flags
-}
-
-/// The components of `snapshot` that a filtered scan would zone-map-prune,
-/// by component id. Exposed so tests (and `EXPLAIN`-style tooling) can
-/// observe pruning decisions directly — e.g. that they are identical before
-/// and after a restart.
-pub fn prunable_component_ids(snapshot: &Snapshot, filter: &Expr) -> Vec<u64> {
-    let infos: Vec<ComponentPlanInfo> = snapshot
-        .components()
-        .iter()
-        .map(|c| ComponentPlanInfo::of(c))
-        .collect();
-    prune_flags(&infos, filter)
-        .into_iter()
-        .zip(&infos)
-        .filter_map(|(skip, info)| skip.then_some(info.id))
-        .collect()
-}
-
-/// Estimated records of one component matching `(lo, hi)` on `path`:
-/// 0 when provably disjoint or absent, a uniform interpolation against the
+/// Estimated records of one component matching `range`: 0 when the stats
+/// disprove it (disjoint or absent), a uniform interpolation against the
 /// component's `[min, max]` for numeric bounds, and the conservative "every
 /// row with the path" otherwise.
-fn estimate_component_matches(
-    stats: &ComponentStats,
-    path: &Path,
-    lo: &Bound<Value>,
-    hi: &Bound<Value>,
-) -> f64 {
-    let Some(col) = stats.column(&path.to_string()) else {
+fn estimate_component_matches(stats: &ComponentStats, range: &ColumnPredicate) -> f64 {
+    if range.prove_no_match(stats) {
+        return 0.0;
+    }
+    let Some(col) = stats.column(&range.path.to_string()) else {
         return 0.0;
     };
     let rows = col.rows as f64;
-    let (Some(min), Some(max)) = (&col.min, &col.max) else {
+    let (Some(min_f), Some(max_f)) = (
+        col.min.as_ref().and_then(numeric),
+        col.max.as_ref().and_then(numeric),
+    ) else {
         return rows;
     };
-    if bounds_disjoint(min, max, lo, hi) {
-        return 0.0;
-    }
-    let (Some(min_f), Some(max_f)) = (numeric(min), numeric(max)) else {
-        return rows;
-    };
-    let lo_f = match lo {
+    let lo_f = match &range.lo {
         Bound::Included(v) | Bound::Excluded(v) => numeric(v).unwrap_or(min_f),
         Bound::Unbounded => min_f,
     }
     .max(min_f);
-    let hi_f = match hi {
+    let hi_f = match &range.hi {
         Bound::Included(v) | Bound::Excluded(v) => numeric(v).unwrap_or(max_f),
         Bound::Unbounded => max_f,
     }
@@ -864,25 +744,39 @@ fn numeric(v: &Value) -> Option<f64> {
     }
 }
 
-/// Build the access estimate for a filtered plan: zone-map-pruned scan
-/// pages vs. probe pages, plus the selectivity display numbers. Estimation
-/// uses the probe path when one exists, otherwise the filter's first
-/// implied range. `projected_columns` is the pushed-down projection width
+/// Build the access estimate for a filtered plan: the scan's pages net of
+/// the components its zone maps will hide vs. probe pages, plus the
+/// selectivity display numbers. Estimation uses the probe path when one
+/// exists, otherwise the filter's first implied range. `projected_columns` is the pushed-down projection width
 /// (`None` = every column is assembled), which scales the per-lookup cost:
 /// a point lookup decodes one leaf's *projected* columns, so for a mega
 /// leaf (AMAX) it touches roughly `leaf pages × projected / total columns`.
 fn estimate_access(
     filter: &Expr,
+    pushed: &[ColumnPredicate],
     ctx: &PlanContext,
     probe: Option<&(Path, Bound<Value>, Bound<Value>)>,
     options: &PlannerOptions,
     projected_columns: Option<usize>,
 ) -> AccessEstimate {
-    let flags = if options.zone_map_pruning {
-        prune_flags(&ctx.components, filter)
-    } else {
-        vec![false; ctx.components.len()]
-    };
+    // What the scan will hide: the storage rule itself, asked about each
+    // component with the conjuncts a scan is `pushed` and the key ranges of
+    // the components listed before it. Across partitions (whose components
+    // are listed one partition after another) that is conservative: it can
+    // only hide less than the scans will.
+    let mut older: Vec<(Value, Value)> = Vec::new();
+    let hidden: Vec<bool> = ctx
+        .components
+        .iter()
+        .map(|c| {
+            let (Some(min), Some(max)) = (&c.min_key, &c.max_key) else {
+                return false;
+            };
+            let hidden = zone_map_hides(pushed, c.stats.as_deref(), (min, max), &older);
+            older.push((min.clone(), max.clone()));
+            hidden
+        })
+        .collect();
     // The fraction of a component's data pages the projection touches —
     // applied identically to both sides of the comparison.
     let column_fraction = |c: &ComponentPlanInfo| match (projected_columns, c.stats.as_deref()) {
@@ -899,10 +793,7 @@ fn estimate_access(
     };
     let mut raw_scan_pages = 0.0_f64;
     let mut discounted_scan_pages = 0.0_f64;
-    for (c, skip) in ctx.components.iter().zip(&flags) {
-        if *skip {
-            continue;
-        }
+    for c in ctx.components.iter().zip(&hidden).filter_map(|(c, h)| (!h).then_some(c)) {
         // At least one page per leaf is always read (keys / page 0).
         let floor = c.leaves.min(c.pages) as f64;
         let base = (c.pages as f64 * column_fraction(c)).max(floor).round();
@@ -913,7 +804,7 @@ fn estimate_access(
     let cache_discount_pages =
         (raw_scan_pages - discounted_scan_pages).round() as u64;
     let cached_leaves: u64 = ctx.components.iter().map(|c| c.cached_leaves).sum();
-    let pruned = flags.iter().filter(|f| **f).count();
+    let hidden_components = hidden.iter().filter(|h| **h).count();
     let disk_records: u64 = ctx
         .components
         .iter()
@@ -922,20 +813,20 @@ fn estimate_access(
 
     // The range driving the record estimate: the probe's, else the filter's
     // first implied range (for display), else "everything matches".
-    let ranges;
     let est_range = match probe {
-        Some(r) => Some(r),
-        None => {
-            ranges = implied_ranges(filter);
-            ranges.first()
-        }
+        Some((path, lo, hi)) => Some(ColumnPredicate {
+            path: path.clone(),
+            lo: lo.clone(),
+            hi: hi.clone(),
+        }),
+        None => first_implied_range(filter),
     };
-    let est_matching: f64 = match est_range {
-        Some((path, lo, hi)) => ctx
+    let est_matching: f64 = match &est_range {
+        Some(range) => ctx
             .components
             .iter()
             .map(|c| match c.stats.as_deref() {
-                Some(stats) => estimate_component_matches(stats, path, lo, hi),
+                Some(stats) => estimate_component_matches(stats, range),
                 // No statistics: price as "every record matches", which
                 // safely biases the decision toward the scan.
                 None => c.records as f64,
@@ -985,7 +876,7 @@ fn estimate_access(
         in_memory_records: ctx.in_memory_records,
         scan_cost,
         probe_cost,
-        pruned_components: pruned,
+        hidden_components,
         total_components: ctx.components.len(),
         cached_leaves,
         cache_discount_pages,
@@ -1689,7 +1580,7 @@ mod tests {
     fn planner_simplifies_filters_before_access_selection() {
         // NOT NOT BETWEEN is opaque unsimplified; the planner must see
         // through it and route the probe (ROADMAP PR 3 leftover).
-        let ctx = indexed_ctx(vec![comp(0, 1_000, 100, 10, (0, 999), (0, 999))]);
+        let ctx = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
         let q = Query::count_star()
             .with_filter(Expr::not(Expr::not(Expr::between("score", 50, 52))));
         let p = plan(&q, &ctx, &PlannerOptions::default()).unwrap();
@@ -1711,11 +1602,11 @@ mod tests {
         // large memtable the scan would have to chew through flips the
         // decision to the probe, whose CPU term only covers the matches.
         let q = Query::count_star().with_filter(Expr::between("score", 50, 61));
-        let flushed = indexed_ctx(vec![comp(0, 1_000, 100, 10, (0, 999), (0, 999))]);
+        let flushed = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
         let p = plan(&q, &flushed, &PlannerOptions::default()).unwrap();
         assert!(matches!(p.access, AccessPath::FullScan), "{:?}", p.access);
 
-        let mut with_memtable = indexed_ctx(vec![comp(0, 1_000, 100, 10, (0, 999), (0, 999))]);
+        let mut with_memtable = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
         with_memtable.in_memory_records = 4_000;
         let p = plan(&q, &with_memtable, &PlannerOptions::default()).unwrap();
         assert!(matches!(p.access, AccessPath::IndexRange { .. }), "{:?}", p.access);
@@ -1727,7 +1618,7 @@ mod tests {
 
         // An empty memtable leaves the page-only decision intact, and a
         // fully-pruned scan over an empty memtable still beats any probe.
-        let pruned = indexed_ctx(vec![comp(0, 500, 50, 5, (0, 499), (0, 99))]);
+        let pruned = indexed_ctx(vec![comp(500, 50, 5, (0, 499), (0, 99))]);
         let q_far = Query::count_star().with_filter(Expr::between("score", 5_000, 5_010));
         let p = plan(&q_far, &pruned, &PlannerOptions::default()).unwrap();
         assert!(matches!(p.access, AccessPath::FullScan));
@@ -1750,7 +1641,6 @@ mod tests {
     /// A synthetic component: keys `key_range`, one `score` column uniform
     /// over `score_range`.
     fn comp(
-        id: u64,
         records: u64,
         pages: u64,
         leaves: u64,
@@ -1768,7 +1658,6 @@ mod tests {
             },
         );
         ComponentPlanInfo {
-            id,
             records,
             pages,
             leaves,
@@ -1793,7 +1682,7 @@ mod tests {
 
     #[test]
     fn range_filters_route_through_a_covering_index() {
-        let ctx = indexed_ctx(vec![comp(0, 1_000, 100, 10, (0, 999), (0, 999))]);
+        let ctx = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
         // A tight range: the cost model must pick the probe on its own.
         let q = Query::count_star()
             .with_filter(Expr::and([Expr::between("score", 50, 52), Expr::exists("tags")]));
@@ -1824,7 +1713,7 @@ mod tests {
 
     #[test]
     fn auto_crosses_over_from_probe_to_scan_with_selectivity() {
-        let ctx = indexed_ctx(vec![comp(0, 1_000, 100, 10, (0, 999), (0, 999))]);
+        let ctx = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
         // ~3 of 1000 records → ~30 probe pages < 100 scan pages → probe.
         let tight = Query::count_star().with_filter(Expr::between("score", 10, 12));
         let p = plan(&tight, &ctx, &PlannerOptions::default()).unwrap();
@@ -1847,24 +1736,24 @@ mod tests {
 
     #[test]
     fn fully_pruned_scans_beat_any_probe() {
-        // Every component is disjoint from the filter: the zone maps prune
+        // Every component is disjoint from the filter: the zone maps hide
         // them all, the scan costs zero pages, and Auto must scan.
         let ctx = indexed_ctx(vec![
-            comp(0, 500, 50, 5, (0, 499), (0, 99)),
-            comp(1, 500, 50, 5, (500, 999), (100, 199)),
+            comp(500, 50, 5, (0, 499), (0, 99)),
+            comp(500, 50, 5, (500, 999), (100, 199)),
         ]);
         let q = Query::count_star().with_filter(Expr::between("score", 5_000, 5_010));
         let p = plan(&q, &ctx, &PlannerOptions::default()).unwrap();
         assert!(matches!(p.access, AccessPath::FullScan), "{:?}", p.access);
         let est = p.estimate.as_ref().unwrap();
         assert_eq!(est.scan_pages, 0);
-        assert_eq!(est.pruned_components, 2);
-        assert!(p.describe().contains("2/2 components zone-map pruned"));
+        assert_eq!(est.hidden_components, 2);
+        assert!(p.describe().contains("2/2 components hidden by zone maps"));
     }
 
     #[test]
     fn cache_residency_discounts_scan_pages_and_shows_in_explain() {
-        let cold = comp(0, 1_000, 100, 10, (0, 999), (0, 999));
+        let cold = comp(1_000, 100, 10, (0, 999), (0, 999));
         let mut warm = cold.clone();
         warm.cached_leaves = 5; // half the leaves decoded and resident
         let q = Query::count_star().with_filter(Expr::ge("score", 0));
@@ -1891,28 +1780,28 @@ mod tests {
     }
 
     #[test]
-    fn prune_flags_respect_stats_and_older_key_overlap() {
-        let filter = Expr::between("score", 0, 99);
+    fn the_estimate_hides_what_the_scan_will_hide() {
         // Component 1 is score-disjoint and key-disjoint from the older
-        // component 0 → prunable. Component 2 is score-disjoint but shares
-        // keys with component 0 (it may shadow older versions) → kept.
-        let infos = vec![
-            comp(0, 100, 10, 2, (0, 99), (0, 99)),
-            comp(1, 100, 10, 2, (100, 199), (500, 599)),
-            comp(2, 100, 10, 2, (50, 149), (500, 599)),
-        ];
-        assert_eq!(prune_flags(&infos, &filter), vec![false, true, false]);
-        // A missing column prunes outright (no record addresses the path);
-        // the key-overlap rule still protects component 2.
-        let absent = Expr::ge("nonexistent", 1);
-        assert_eq!(prune_flags(&infos, &absent), vec![true, true, false]);
-        // No implied range (pure EXISTS) → nothing prunable.
-        let exists = Expr::exists("score");
-        assert_eq!(prune_flags(&infos, &exists), vec![false, false, false]);
-        // Components without stats are never pruned.
-        let mut bare = comp(3, 10, 1, 1, (1_000, 1_010), (500, 599));
-        bare.stats = None;
-        assert_eq!(prune_flags(&[bare], &filter), vec![false]);
+        // component 0 → hidden. Component 2 is score-disjoint but shares
+        // keys with component 0 (it may shadow older versions) → scanned.
+        let ctx = indexed_ctx(vec![
+            comp(100, 10, 2, (0, 99), (0, 99)),
+            comp(100, 10, 2, (100, 199), (500, 599)),
+            comp(100, 10, 2, (50, 149), (500, 599)),
+        ]);
+        let scan = PlannerOptions::with_access_path(AccessPathChoice::ForceScan);
+        let hidden = |filter: Expr, options: &PlannerOptions| {
+            let q = Query::count_star().with_filter(filter);
+            let est = plan(&q, &ctx, options).unwrap().estimate.unwrap();
+            (est.hidden_components, est.scan_pages)
+        };
+        assert_eq!(hidden(Expr::between("score", 0, 99), &scan), (1, 20));
+        // Nothing sargable (a disjunction): nothing is pushed, nothing hidden.
+        let hull = Expr::or([Expr::lt("score", 0), Expr::between("score", 1_000, 1_100)]);
+        assert_eq!(hidden(hull, &scan), (0, 30));
+        // Without push-down the scan reads every page.
+        let off = PlannerOptions { filter_pushdown: false, ..scan };
+        assert_eq!(hidden(Expr::between("score", 0, 99), &off), (0, 30));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! * pages read in the report == the I/O-stats delta the test measures
 //!   around the call, to the page — across engines × layouts × single and
 //!   sharded targets;
-//! * a query whose zone maps prune every component reads **zero** pages;
+//! * a query whose zone maps hide every component reads **zero** pages, and
+//!   counts every leaf of a hidden component as skipped;
 //! * `ORDER BY key LIMIT k` reports its early-termination point (the exact
 //!   number of records pulled before the pipeline stopped);
 //! * the report's result rows are identical to `execute`'s, so analyzing
@@ -108,7 +109,10 @@ fn fully_pruned_queries_read_zero_pages() {
         let ds = two_band_dataset(layout);
         let engine = QueryEngine::new(ExecMode::Compiled);
 
-        // Disjoint from both bands: every component is pruned, zero I/O.
+        let leaves: Vec<u64> = ds.components().iter().map(|c| c.leaf_count() as u64).collect();
+        assert!(leaves.iter().all(|&n| n > 1), "{layout:?}: {leaves:?}");
+
+        // Disjoint from both bands: every component is hidden, zero I/O.
         let nowhere = Query::select_paths(["score"])
             .with_filter(Expr::between("score", 5_000i64, 6_000i64))
             .order_by_key();
@@ -116,24 +120,22 @@ fn fully_pruned_queries_read_zero_pages() {
         ds.cache().store().reset_stats();
         let report = engine.explain_analyze(&ds, &nowhere).unwrap();
         assert!(report.rows.is_empty());
-        assert_eq!(report.components_pruned(), 2, "{layout:?}");
-        assert_eq!(report.components_scanned(), 0, "{layout:?}");
+        assert_eq!(report.leaves_skipped(), leaves[0] + leaves[1], "{layout:?}");
         assert_eq!(
             report.pages_read(),
             0,
-            "{layout:?}: pruned components must cost zero pages"
+            "{layout:?}: hidden components must cost zero pages"
         );
         assert_eq!(ds.io_stats().pages_read, 0, "{layout:?}: nothing read at all");
 
-        // Matching only the second band prunes exactly the first component,
+        // Matching only the second band hides exactly the first component,
         // and the analyze counters stay exact.
         let second_band = Query::select_paths(["score"])
             .with_filter(Expr::between("score", 1_000i64, 1_099i64))
             .order_by_key();
         let report = engine.explain_analyze(&ds, &second_band).unwrap();
         assert_eq!(report.rows.len(), 300, "{layout:?}");
-        assert_eq!(report.components_pruned(), 1, "{layout:?}");
-        assert_eq!(report.components_scanned(), 1, "{layout:?}");
+        assert_eq!(report.leaves_skipped(), leaves[0], "{layout:?}");
         assert!(report.pages_read() > 0, "{layout:?}");
         assert_exact(&ds, &engine, &second_band, &format!("{layout:?}/second-band"));
     }

@@ -1,13 +1,14 @@
 //! Differential test fleet for statistics-driven planning.
 //!
-//! The cost-based access-path choice and zone-map pruning are pure
+//! The cost-based access-path choice and what the zone maps hide are pure
 //! *performance* decisions — they may never change an answer. This suite
 //! locks that in from three directions:
 //!
 //! * a property test running random documents × range-heavy filters ×
-//!   aggregate lists through every `AccessPathChoice` with pruning on and
-//!   off, against a pruning-disabled ForceScan oracle — before and after a
-//!   merge reshuffles the components;
+//!   aggregate lists through every `AccessPathChoice` with push-down (and so
+//!   the zone maps) on and off, against a push-down-disabled ForceScan
+//!   oracle that reads everything — before and after a merge reshuffles the
+//!   components, whose updates overlap older key ranges;
 //! * the multi-valued probe regression folded in from PR 3's one-off
 //!   `dup_probe_test.rs` (a record with two indexed values inside the probe
 //!   range must be counted once);
@@ -31,23 +32,21 @@ use support::{
     arb_aggregate, arb_doc_body, build_doc, dataset, dataset_indexed_on, range_heavy_expr,
 };
 
-/// Engines for every (access-path, pruning) combination under test. The
-/// `pruning: false` oracle must *read everything for real*, so it also
-/// turns filter pushdown off — otherwise per-leaf zone maps would let it
-/// skip the same pages component pruning would have.
-fn engine(mode: ExecMode, choice: AccessPathChoice, pruning: bool) -> QueryEngine {
+/// Engines for every (access-path, push-down) combination under test. With
+/// `pushdown: false` nothing reaches the zone maps, so the scan reads
+/// everything for real — the oracle.
+fn engine(mode: ExecMode, choice: AccessPathChoice, pushdown: bool) -> QueryEngine {
     QueryEngine::with_options(
         mode,
         PlannerOptions {
             access_path: choice,
-            zone_map_pruning: pruning,
-            filter_pushdown: pruning,
+            filter_pushdown: pushdown,
             ..Default::default()
         },
     )
 }
 
-// ForceIndex == ForceScan == Auto, pruned == unpruned — over random
+// ForceIndex == ForceScan == Auto, hidden == read — over random
 // documents, range filters and aggregate lists, with updates spread over
 // several flushes (overlapping components) and again after a full merge
 // reshuffles them.
@@ -70,8 +69,8 @@ proptest! {
         }
         ds.flush().unwrap();
         // Updates to existing keys: the next component's key range overlaps
-        // the first one's, which must disable pruning where skipping could
-        // resurrect the old versions.
+        // the first one's, which must keep the zone maps from hiding what
+        // would resurrect the old versions.
         for (i, body) in update_bodies.iter().enumerate() {
             ds.insert(build_doc((i % half.max(1)) as i64, body)).unwrap();
         }
@@ -95,15 +94,15 @@ proptest! {
                 AccessPathChoice::ForceIndex,
                 AccessPathChoice::ForceScan,
             ] {
-                for pruning in [true, false] {
+                for pushdown in [true, false] {
                     for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-                        let rows = engine(mode, choice, pruning)
+                        let rows = engine(mode, choice, pushdown)
                             .execute(&ds, &query)
                             .unwrap();
                         prop_assert_eq!(
                             &oracle, &rows,
-                            "{}: {:?}/pruning={}/{:?} diverged on {:?}",
-                            label, choice, pruning, mode, query
+                            "{}: {:?}/pushdown={}/{:?} diverged on {:?}",
+                            label, choice, pushdown, mode, query
                         );
                     }
                 }
@@ -142,10 +141,10 @@ fn multi_valued_probe_does_not_double_count() {
     assert_eq!(via_index[0].agg(), &Value::Int(1), "one record, one count");
 }
 
-/// A component whose statistics are disjoint from the filter's implied
-/// range is never read: zero pages when every component is disjoint, and
-/// only the matching component's pages otherwise. The pruning-disabled
-/// oracle returns the same rows while reading strictly more.
+/// A component whose statistics disprove a pushed conjunct is never read:
+/// zero pages when every component is disjoint, and only the matching
+/// component's pages otherwise. The push-down-disabled oracle returns the
+/// same rows while reading strictly more.
 #[test]
 fn zone_map_pruning_reads_zero_pages_for_disjoint_components() {
     let ds = LsmDataset::new(
@@ -166,8 +165,8 @@ fn zone_map_pruning_reads_zero_pages_for_disjoint_components() {
     ds.flush().unwrap();
     assert_eq!(ds.component_count(), 2);
 
-    let pruned = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, true);
-    let unpruned = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, false);
+    let hiding = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, true);
+    let reading = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, false);
     let pages_read = |engine: &QueryEngine, q: &Query| {
         ds.cache().clear();
         ds.cache().store().reset_stats();
@@ -177,29 +176,29 @@ fn zone_map_pruning_reads_zero_pages_for_disjoint_components() {
 
     // Disjoint from *every* component: the filtered scan reads nothing.
     let nothing = Query::count_star().with_filter(Expr::between("score", 5_000, 6_000));
-    let (rows, pages) = pages_read(&pruned, &nothing);
+    let (rows, pages) = pages_read(&hiding, &nothing);
     assert_eq!(rows[0].agg(), &Value::Int(0));
-    assert_eq!(pages, 0, "a fully-pruned scan must not read any page");
-    let (oracle_rows, oracle_pages) = pages_read(&unpruned, &nothing);
-    assert_eq!(rows, oracle_rows, "pruning changed an answer");
+    assert_eq!(pages, 0, "a scan the zone maps hide whole must not read any page");
+    let (oracle_rows, oracle_pages) = pages_read(&reading, &nothing);
+    assert_eq!(rows, oracle_rows, "the zone maps changed an answer");
     assert!(oracle_pages > 0, "the oracle scans for real");
 
     // Disjoint from one component: only the other one is read.
     let second_only = Query::count_star().with_filter(Expr::ge("score", 1_000));
-    let (rows, pages) = pages_read(&pruned, &second_only);
+    let (rows, pages) = pages_read(&hiding, &second_only);
     assert_eq!(rows[0].agg(), &Value::Int(100));
-    let (oracle_rows, oracle_pages) = pages_read(&unpruned, &second_only);
+    let (oracle_rows, oracle_pages) = pages_read(&reading, &second_only);
     assert_eq!(rows, oracle_rows);
     assert!(
         pages < oracle_pages,
-        "pruned scan ({pages} pages) must read less than the oracle ({oracle_pages})"
+        "hiding scan ({pages} pages) must read less than the oracle ({oracle_pages})"
     );
 
     // A path no record has: statistics prove absence, zero pages again.
     let absent = Query::count_star().with_filter(Expr::ge("no_such_field", 1));
-    let (rows, pages) = pages_read(&pruned, &absent);
+    let (rows, pages) = pages_read(&hiding, &absent);
     assert_eq!(rows[0].agg(), &Value::Int(0));
-    assert_eq!(pages, 0, "absence pruning must not read any page");
+    assert_eq!(pages, 0, "hiding by absence must not read any page");
 }
 
 /// The memtable-aware CPU term (ROADMAP PR 4 open edge): in-memory records

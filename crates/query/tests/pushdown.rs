@@ -179,7 +179,7 @@ fn shadowed_versions_are_never_filter_evaluated() {
 /// a leaf whose `grp` column starts with a NaN (which sorts above every
 /// number), or whose `x` column holds `0.0` before `-0.0` (which sorts
 /// below `0.0`), still holds matches for `grp <= 2` and `x < 0.0`, so it is
-/// neither skipped nor pruned — in every layout, both engines, pushdown on
+/// never hidden — in every layout, both engines, pushdown on
 /// and off, all equal to the oracle.
 #[test]
 fn zone_maps_order_doubles_like_the_filter() {
@@ -288,15 +288,11 @@ fn low_selectivity_scan_assembles_matches_and_skips_leaf_pages() {
 #[test]
 fn fully_skipped_scan_reads_zero_pages() {
     let ds = wide_amax(1000);
-    // Zone-map pruning at the component level is what normally catches a
-    // fully-disjoint filter; force the scan to rely on *leaf*-level skips.
+    // The component's own zone map hides it, and every one of its leaves
+    // counts as skipped.
     let eng = QueryEngine::with_options(
         ExecMode::Compiled,
-        PlannerOptions {
-            zone_map_pruning: false,
-            access_path: AccessPathChoice::ForceScan,
-            ..Default::default()
-        },
+        PlannerOptions::with_access_path(AccessPathChoice::ForceScan),
     );
     let q = Query::count_star().with_filter(Expr::ge("ts", 5_000));
     ds.cache().clear();

@@ -7,7 +7,8 @@
 //!
 //! * a property test running random documents × filters × select lists
 //!   (aggregate **and** raw-column projection forms) × LIMIT values through
-//!   both engines, sharded and unsharded, with zone-map pruning on and off,
+//!   both engines, sharded and unsharded, with filter push-down (and so the
+//!   zone maps) on and off,
 //!   against the materialised batch oracle ([`query::oracle`]) — the seed's
 //!   execution model kept alive verbatim for exactly this comparison;
 //! * I/O-level assertions that `ORDER BY key LIMIT k` terminates early:
@@ -29,10 +30,10 @@ use storage::LayoutKind;
 
 use support::{arb_aggregate, arb_doc_body, arb_expr, build_doc, dataset};
 
-fn engine(mode: ExecMode, pruning: bool) -> QueryEngine {
+fn engine(mode: ExecMode, pushdown: bool) -> QueryEngine {
     QueryEngine::with_options(
         mode,
-        PlannerOptions { zone_map_pruning: pruning, ..Default::default() },
+        PlannerOptions { filter_pushdown: pushdown, ..Default::default() },
     )
 }
 
@@ -40,7 +41,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     // Streaming execution == the materialised batch oracle, across engines ×
-    // shards × pruning × LIMIT × both select forms. Documents arrive in two
+    // shards × pushdown × LIMIT × both select forms. Documents arrive in two
     // flushes with interleaved updates, so the merge cursor reconciles
     // shadowed versions and anti-matter across real component overlap.
     #[test]
@@ -107,19 +108,19 @@ proptest! {
 
         let refs: Vec<&LsmDataset> = shards.iter().collect();
         for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            for pruning in [true, false] {
-                let engine = engine(mode, pruning);
+            for pushdown in [true, false] {
+                let engine = engine(mode, pushdown);
                 let single = engine.execute(&reference, &query).unwrap();
                 prop_assert_eq!(
                     &expected, &single,
-                    "streaming vs batch oracle ({:?}, pruning={}) on {:?}",
-                    mode, pruning, query
+                    "streaming vs batch oracle ({:?}, pushdown={}) on {:?}",
+                    mode, pushdown, query
                 );
                 let sharded = engine.execute(&refs[..], &query).unwrap();
                 prop_assert_eq!(
                     &expected, &sharded,
-                    "sharded(4) streaming vs batch oracle ({:?}, pruning={}) on {:?}",
-                    mode, pruning, query
+                    "sharded(4) streaming vs batch oracle ({:?}, pushdown={}) on {:?}",
+                    mode, pushdown, query
                 );
             }
         }

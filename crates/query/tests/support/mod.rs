@@ -60,7 +60,8 @@ pub fn arb_expr() -> BoxedStrategy<Expr> {
 
 /// Filters biased toward implying a range on `score` — the shapes that make
 /// the planner's access-path choice and the zone maps actually fire. Plain
-/// `arb_expr` noise is mixed in so unprunable filters stay covered.
+/// `arb_expr` noise is mixed in so filters the zone maps cannot act on stay
+/// covered.
 pub fn range_heavy_expr() -> BoxedStrategy<Expr> {
     let range = (0i64..100, 0i64..100).prop_map(|(a, b)| {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
@@ -71,7 +72,7 @@ pub fn range_heavy_expr() -> BoxedStrategy<Expr> {
         path: Path::parse("score"),
         value: Value::Int(v),
     });
-    // Far-out ranges that zone maps prune whole components (or datasets) on.
+    // Far-out ranges the zone maps hide whole components (or datasets) on.
     let disjoint = (1_000i64..2_000).prop_map(|lo| Expr::between("score", lo, lo + 50));
     prop_oneof![
         range,

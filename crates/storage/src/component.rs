@@ -140,13 +140,16 @@
 //!   decoded — for AMAX, their pages are not even read — until some record
 //!   of the leaf survives, and a column the filter shares with the
 //!   projection is not decoded again.
-//! * **Per-leaf zone maps skip whole leaves.** Each leaf carries the same
-//!   [`ComponentStats`] shape the component carries. When a pushed
-//!   predicate proves no record of the leaf can match *and* the leaf's key
-//!   range is disjoint from every older component's key range (so hiding
-//!   it can neither resurrect a shadowed version nor lose an anti-matter
-//!   entry that still annihilates something), the leaf is skipped before
-//!   any page read and counted in `IoStats::leaves_skipped`.
+//! * **Zone maps hide whole components and leaves, by one rule.** Each
+//!   leaf carries the same [`ComponentStats`] shape the component carries.
+//!   [`zone_map_hides`] decides for both: a pushed predicate proves no
+//!   record can match *and* the key range is disjoint from every older
+//!   component's key range (so hiding can neither resurrect a shadowed
+//!   version nor lose an anti-matter entry that still annihilates
+//!   something). The cursor asks it once about the component's own stats —
+//!   a hidden component skips every leaf — and otherwise about each leaf,
+//!   before any page read. Every hidden leaf counts in
+//!   `IoStats::leaves_skipped`.
 //! * **Anti-matter always passes the filter** — it must reach the merge to
 //!   annihilate older versions of its key; the snapshot scan drops it
 //!   after reconciliation.
@@ -346,6 +349,32 @@ impl ColumnPredicate {
     }
 }
 
+/// The one zone-map skip rule, for a whole component and for each of its
+/// leaves alike (and for the planner's estimate of what a scan will hide):
+/// may a scan under the pushed `predicates` hide the entries that `stats`
+/// describe and whose keys span `keys`? Two conditions must hold:
+///
+/// 1. **No match** — some predicate is disproved by the stats
+///    ([`ColumnPredicate::prove_no_match`]). Entries without stats (written
+///    before zone maps existed) are never hidden.
+/// 2. **Reconciliation safety** — `keys` is disjoint from every range in
+///    `older`, the key ranges of the components older than the one scanned.
+///    Scans reconcile newest-first, so hiding an entry whose key an older
+///    component also holds would resurrect the older, shadowed version —
+///    or drop an anti-matter entry that still annihilates it. Memtables are
+///    newer than every component, so they never constrain the rule.
+pub fn zone_map_hides(
+    predicates: &[ColumnPredicate],
+    stats: Option<&ComponentStats>,
+    (min_key, max_key): (&Value, &Value),
+    older: &[(Value, Value)],
+) -> bool {
+    stats.is_some_and(|stats| predicates.iter().any(|p| p.prove_no_match(stats)))
+        && older.iter().all(|(lo, hi)| {
+            total_cmp(max_key, lo) == Ordering::Less || total_cmp(min_key, hi) == Ordering::Greater
+        })
+}
+
 impl std::fmt::Display for ColumnPredicate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if let (Bound::Included(a), Bound::Included(b)) = (&self.lo, &self.hi) {
@@ -399,10 +428,9 @@ pub struct ScanFilter {
     /// snapshot scan).
     pub predicates: Arc<Vec<ColumnPredicate>>,
     /// `(min_key, max_key)` of every component **older** than the one being
-    /// scanned — pruned or not. A leaf may only be zone-map-skipped when its
-    /// key range is disjoint from all of them: hiding a leaf whose keys
-    /// overlap an older component could resurrect a shadowed version or
-    /// drop an anti-matter entry that still annihilates something.
+    /// scanned — hidden or not. The component or a leaf of it may only be
+    /// hidden when its key range is disjoint from all of them
+    /// ([`zone_map_hides`]).
     pub older_key_ranges: Arc<Vec<(Value, Value)>>,
 }
 
@@ -690,8 +718,8 @@ impl Component {
 
     /// Per-column statistics collected when the component was written (zone
     /// maps + planner cardinalities). `None` only for components recovered
-    /// from a pre-stats manifest — such components are never zone-map pruned
-    /// and the planner falls back to conservative estimates.
+    /// from a pre-stats manifest — such components are never hidden as a
+    /// whole and the planner falls back to conservative estimates.
     pub fn stats(&self) -> Option<&Arc<ComponentStats>> {
         self.stats.as_ref()
     }
@@ -705,9 +733,9 @@ impl Component {
         self.cursor_filtered(projection, None)
     }
 
-    /// Like [`Component::cursor`], under a pushed-down filter: leaves whose
-    /// zone maps prove no match (and whose key range is reconciliation-safe
-    /// to hide) are skipped before any page read, a loaded leaf decodes the
+    /// Like [`Component::cursor`], under a pushed-down filter: the component,
+    /// or each leaf, that [`zone_map_hides`] hides is skipped before any
+    /// page read, a loaded leaf decodes the
     /// filter columns first, and [`ComponentCursor::passes`] /
     /// [`ComponentCursor::leaf_batch`] evaluate the predicates as column
     /// loops. See the module-level filter push-down contract.
@@ -1310,9 +1338,8 @@ impl CursorState {
 
     /// Make the current leaf buffer hold at least one unconsumed entry,
     /// loading the next leaf when the current one is drained. Under a
-    /// pushed-down filter, leaves whose zone maps prove no match — and
-    /// whose key range is disjoint from every older component's, so hiding
-    /// them is reconciliation-safe — are skipped without any page read.
+    /// pushed-down filter, what [`zone_map_hides`] hides — the whole
+    /// component, or one leaf at a time — is skipped without any page read.
     /// `Ok(false)` = the component is exhausted. The drained leaf stays
     /// resident until its successor is asked for.
     #[inline]
@@ -1335,15 +1362,22 @@ impl CursorState {
             let leaf_idx = self.next_leaf;
             self.next_leaf += 1;
             if let Some(filter) = &self.filter {
-                let leaf = &component.leaves[leaf_idx];
-                let provably_empty = leaf.stats.as_ref().is_some_and(|stats| {
-                    filter
-                        .scan
-                        .predicates
-                        .iter()
-                        .any(|p| p.prove_no_match(stats))
-                });
-                if provably_empty && leaf_safe_to_hide(leaf, &filter.scan.older_key_ranges) {
+                let (predicates, older) = (&filter.scan.predicates, &filter.scan.older_key_ranges);
+                let leaves = &component.leaves;
+                // The component's own zone map first: when it hides the
+                // component, every one of its leaves counts as skipped.
+                let component_hidden = leaf_idx == 0 && {
+                    let keys = (&leaves[0].min_key, &leaves[leaves.len() - 1].max_key);
+                    zone_map_hides(predicates, component.stats.as_deref(), keys, older)
+                };
+                if component_hidden {
+                    self.next_leaf = leaves.len();
+                    component.cache.store().note_leaves_skipped(leaves.len() as u64);
+                    continue;
+                }
+                let leaf = &leaves[leaf_idx];
+                let keys = (&leaf.min_key, &leaf.max_key);
+                if zone_map_hides(predicates, leaf.stats.as_ref(), keys, older) {
                     component.cache.store().note_leaves_skipped(1);
                     continue;
                 }
@@ -1600,16 +1634,6 @@ impl ComponentCursor {
             self.state.filter.as_ref().map(|f| f.lowered.clone()),
         ))
     }
-}
-
-/// Is hiding `leaf` reconciliation-safe? Only when its key range is disjoint
-/// from every older component's key range: otherwise a skipped entry could
-/// shadow (or annihilate) something an older component still yields.
-fn leaf_safe_to_hide(leaf: &LeafRef, older: &[(Value, Value)]) -> bool {
-    older.iter().all(|(lo, hi)| {
-        total_cmp(&leaf.max_key, lo) == Ordering::Less
-            || total_cmp(&leaf.min_key, hi) == Ordering::Greater
-    })
 }
 
 impl Iterator for ComponentCursor {
@@ -2429,5 +2453,70 @@ mod tests {
         // Every generation was retired, so nothing may remain resident.
         assert_eq!(leaf_cache.resident_leaves(), 0);
         assert!(leaf_cache.stats().invalidations > 0);
+    }
+
+    /// The one zone-map rule: hidden exactly when some predicate is
+    /// disproved by the stats (under the document total order) and the keys
+    /// are disjoint from every older component's.
+    #[test]
+    fn zone_map_hides_only_disproved_and_reconciliation_safe_data() {
+        use crate::stats::StatsBuilder;
+        use Bound::{Excluded, Included, Unbounded};
+        let mut builder = StatsBuilder::new();
+        for doc in [
+            doc!({"score": 10, "x": (-0.0)}),
+            doc!({"score": 20, "x": (f64::NAN)}),
+        ] {
+            builder.observe(&doc);
+        }
+        let stats = builder.finish();
+        let pred = |path: &str, lo: Bound<Value>, hi: Bound<Value>| ColumnPredicate {
+            path: Path::parse(path),
+            lo,
+            hi,
+        };
+        let (int, dbl) = (|v: i64| Value::Int(v), |v: f64| Value::Double(v));
+        let keys = (&Value::Int(100), &Value::Int(200));
+        let hides = |p: &ColumnPredicate, older: &[(Value, Value)]| {
+            zone_map_hides(std::slice::from_ref(p), Some(&stats), keys, older)
+        };
+        // Disproved: a path the stats lack, and `score` in [10, 20] against
+        // bounds disjoint below and above, `Included` and `Excluded`.
+        for disproved in [
+            pred("nope", Included(int(0)), Unbounded),
+            pred("score", Unbounded, Excluded(int(10))),
+            pred("score", Unbounded, Included(int(9))),
+            pred("score", Excluded(int(20)), Unbounded),
+            pred("score", Included(int(21)), Unbounded),
+            // `x` spans [-0.0, NaN]: nothing lies below -0.0 or above NaN.
+            pred("x", Unbounded, Excluded(dbl(-0.0))),
+            pred("x", Excluded(dbl(f64::NAN)), Unbounded),
+        ] {
+            assert!(hides(&disproved, &[]), "{disproved}");
+        }
+        // Touching bounds may match: never hidden.
+        for possible in [
+            pred("score", Unbounded, Included(int(10))),
+            pred("score", Included(int(20)), Unbounded),
+            pred("x", Unbounded, Included(dbl(-0.0))),
+            pred("x", Unbounded, Excluded(dbl(0.0))),
+            pred("x", Excluded(dbl(1e300)), Unbounded),
+            pred("x", Included(dbl(f64::NAN)), Unbounded),
+        ] {
+            assert!(!hides(&possible, &[]), "{possible}");
+        }
+        // One disproved conjunct suffices.
+        let both = [pred("score", Included(int(0)), Unbounded), pred("nope", Unbounded, Unbounded)];
+        assert!(zone_map_hides(&both, Some(&stats), keys, &[]));
+        // Reconciliation safety: keys [100, 200] must miss every older range;
+        // touching one at a single key already forbids hiding.
+        let absent = pred("nope", Unbounded, Unbounded);
+        assert!(hides(&absent, &[(int(0), int(99)), (int(201), int(300))]));
+        assert!(!hides(&absent, &[(int(0), int(99)), (int(0), int(100))]));
+        assert!(!hides(&absent, &[(int(200), int(300))]));
+        assert!(!hides(&absent, &[(int(120), int(130))]));
+        // Without stats (a leaf or component from before zone maps) nothing
+        // is ever hidden, whatever the predicate.
+        assert!(!zone_map_hides(std::slice::from_ref(&absent), None, keys, &[]));
     }
 }

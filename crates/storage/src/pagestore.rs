@@ -87,6 +87,42 @@ pub struct IoStats {
     pub scan_records_kernel: u64,
 }
 
+impl IoStats {
+    /// Add `other`'s counters to these — every field (the destructuring
+    /// makes a new counter a compile error here until it is added), so
+    /// combined counters such as a sharded dataset's never drop one.
+    pub fn merge(&mut self, other: &IoStats) {
+        let IoStats {
+            pages_read,
+            pages_written,
+            bytes_read,
+            bytes_written,
+            cache_hits,
+            records_assembled,
+            leaf_cache_hits,
+            leaf_cache_misses,
+            leaf_cache_evictions,
+            records_filtered_pre_assembly,
+            leaves_skipped,
+            scan_batches,
+            scan_records_kernel,
+        } = *other;
+        self.pages_read += pages_read;
+        self.pages_written += pages_written;
+        self.bytes_read += bytes_read;
+        self.bytes_written += bytes_written;
+        self.cache_hits += cache_hits;
+        self.records_assembled += records_assembled;
+        self.leaf_cache_hits += leaf_cache_hits;
+        self.leaf_cache_misses += leaf_cache_misses;
+        self.leaf_cache_evictions += leaf_cache_evictions;
+        self.records_filtered_pre_assembly += records_filtered_pre_assembly;
+        self.leaves_skipped += leaves_skipped;
+        self.scan_batches += scan_batches;
+        self.scan_records_kernel += scan_records_kernel;
+    }
+}
+
 /// A store of fixed-size pages: explicit read/write calls, atomic
 /// accounting, bytes held by a [`StorageBackend`]. Cloning shares the
 /// underlying storage.

@@ -8,13 +8,13 @@
 //! order. The structure is computed once, at flush/merge time by the
 //! [`crate::writer::ComponentWriter`] — per leaf as each leaf is sealed, the
 //! component's being the fold of its leaves' ([`ComponentStats::absorb`]) —
-//! persisted in the manifest, and consumed twice by the query layer:
+//! persisted in the manifest, and consumed twice:
 //!
-//! * **Zone-map pruning** — a filter whose
-//!   [`implied_bounds`](../../query/expr/enum.Expr.html) on some path are
-//!   disjoint from the component's `[min, max]` for that path (or whose path
-//!   the component never materialised at all) cannot match any record in the
-//!   component, so the scan skips it without reading a single page;
+//! * **Zone maps** — a pushed predicate whose range is disjoint from a
+//!   component's or a leaf's `[min, max]` for its path (or whose path the
+//!   component or leaf never materialised at all) cannot match any record
+//!   there, so the scan hides it without reading a single page
+//!   ([`crate::component::zone_map_hides`]);
 //! * **Selectivity estimation** — the planner interpolates a range filter
 //!   against the per-component bounds and value counts to estimate how many
 //!   records match, which drives the scan-vs-index-probe decision (the
@@ -45,7 +45,7 @@
 //!
 //! A column exists in the map exactly when **some record a scan of the
 //! component returns addresses at least one value at that path** — the
-//! precondition the query layer's absence pruning relies on. Bounds follow
+//! precondition absence hiding relies on. Bounds follow
 //! the same existential
 //! semantics as filter evaluation and are deliberately conservative:
 //!
@@ -65,10 +65,10 @@
 //!   participate in min/max like any other atomic.
 //!
 //! Anti-matter entries contribute nothing: stats describe the records a scan
-//! of this component alone could produce. Whether skipping a pruned
-//! component is *reconciliation-safe* (an older component might hold a
-//! shadowed version of one of its keys) is decided by the query layer using
-//! the component key ranges — see `query::physical`.
+//! of this component alone could produce. Whether hiding a component or a
+//! leaf the stats disprove is *reconciliation-safe* (an older component
+//! might hold a shadowed version of one of its keys) is decided from the key
+//! ranges, by the same rule ([`crate::component::zone_map_hides`]).
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

@@ -87,8 +87,8 @@ fn main() {
 
     // -- EXPLAIN ANALYZE ----------------------------------------------------
     // Runs the query for real and annotates the plan with actual counters:
-    // rows pulled, pages read (I/O deltas), components pruned vs scanned,
-    // and the early-termination point of limited queries.
+    // rows pulled, pages read (I/O deltas), the lane that took them, leaves
+    // the zone maps hid, and the early-termination point of limited queries.
     let q = Query::select_paths(["kind", "size"])
         .with_filter(Expr::ge("size", 10))
         .order_by_key()
