@@ -326,6 +326,48 @@ impl ColumnChunk {
         }
     }
 
+    /// Where the `n` records of a column under **exactly one** array that
+    /// start at `pos` end, and how many elements they hold — `record_end`
+    /// over each of them, summed (fewer records when the chunk ends first).
+    /// Its rule says more here: no entry inside such a record is below the
+    /// array's level (elements are above it, the empty array's marker is at
+    /// it), so a record ends exactly at its one entry below that level — a
+    /// delimiter `0` or an absent array's marker — and an element is an
+    /// entry above it. So whole blocks of levels that cannot hold the `n`-th
+    /// end are counted in one pass with no step per record, and only the
+    /// last few records are stepped over one at a time.
+    pub(crate) fn records_end(&self, mut pos: ChunkPos, n: usize) -> (ChunkPos, usize) {
+        const BLOCK: usize = 32;
+        debug_assert_eq!(self.spec.array_levels.len(), 1);
+        let array = self.spec.array_levels[0];
+        let max_def = self.spec.max_def;
+        let mut ended = 0;
+        let mut elements = 0;
+        // A block holds at most `BLOCK` ends, so while more than that are
+        // still to come it is taken whole. Its counts fit `u16` lanes.
+        let mut blocks = self.defs[pos.def..].chunks_exact(BLOCK);
+        while n - ended > BLOCK {
+            let Some(block) = blocks.next() else { break };
+            let (mut ends, mut inside, mut values) = (0u16, 0u16, 0u16);
+            for &def in block {
+                ends += u16::from(def < array);
+                inside += u16::from(def > array);
+                values += u16::from(def == max_def);
+            }
+            ended += usize::from(ends);
+            elements += usize::from(inside);
+            pos.def += BLOCK;
+            pos.value += usize::from(values);
+        }
+        while ended < n && pos.def < self.defs.len() {
+            let (end, count) = self.record_end(pos);
+            pos = end;
+            elements += count;
+            ended += 1;
+        }
+        (pos, elements)
+    }
+
     /// The rest of a record whose outermost array is present (possibly
     /// empty), from entry `pos` on: where it ends — just past the delimiter
     /// 0, which the shredder always terminates such a record segment with,
@@ -492,7 +534,11 @@ impl ColumnChunk {
     /// caller supplies the [`ColumnSpec`] (persisted in the component's
     /// schema) so the right value decoder is used. The header's counts are
     /// untrusted: the level decoder reserves only what its bytes can hold,
-    /// so a forged count is an `Err`, not an allocation.
+    /// so a forged count is an `Err`, not an allocation. So are levels above
+    /// the column's maximum, and values that differ in number from the ones
+    /// the levels announce (an entry at the maximum level, or every entry of
+    /// the key column) — the walks and the assembler index the values by the
+    /// levels.
     pub fn decode(spec: ColumnSpec, buf: &[u8], pos: &mut usize) -> Result<ColumnChunk> {
         let entry_count = varint::read_u64(buf, pos)? as usize;
         let value_count = varint::read_u64(buf, pos)? as usize;
@@ -506,8 +552,26 @@ impl ColumnChunk {
             return Err(DecodeError::new("truncated definition levels"));
         }
         let mut def_pos = *pos;
-        let defs = rle::decode(&buf[..def_end], &mut def_pos, entry_count, width)?;
+        let levels = rle::decode(
+            &buf[..def_end],
+            &mut def_pos,
+            entry_count,
+            width,
+            spec.max_def,
+        )?;
         *pos = def_end;
+        // Every value the levels announce must be stored, and nothing else:
+        // a kernel or the assembler indexes the values by the levels.
+        let announced = if spec.is_key {
+            levels.levels.len()
+        } else {
+            levels.at_max
+        };
+        if announced != value_count {
+            return Err(DecodeError::new(format!(
+                "value count mismatch: levels announce {announced}, header {value_count}"
+            )));
+        }
 
         let enc = Encoding::from_tag(*buf.get(*pos).ok_or_else(|| DecodeError::new("truncated chunk"))?)?;
         *pos += 1;
@@ -535,7 +599,7 @@ impl ColumnChunk {
         }
         Ok(ColumnChunk {
             spec,
-            defs,
+            defs: levels.levels,
             values,
             record_index: RecordIndex::default(),
         })
@@ -759,6 +823,39 @@ mod tests {
                     let end = temp.chunk.entry_count();
                     assert_eq!(temp.pos.def, end, "the walk ends with the chunk");
                 }
+            }
+        }
+
+        // A run of records as one span: its records' elements joined, and
+        // for a record-level column its records' values; after a gap, too.
+        for first in 0..records.len() {
+            for last in first..=records.len() {
+                let mut temp = walk("readings[*].temp");
+                let mut score = walk("score");
+                if first > 0 {
+                    temp.span(0..first - 1);
+                    score.span(0..first - 1);
+                }
+                let elements = temp.span(first..last);
+                let joined: Vec<f64> = want[first..last]
+                    .iter()
+                    .flat_map(|w| w.0)
+                    .copied()
+                    .collect();
+                let seen: Vec<Value> = elements.values.map(|i| temp.values().get(i)).collect();
+                let joined: Vec<Value> = joined.into_iter().map(Value::Double).collect();
+                assert_eq!(seen, joined, "records {first}..{last}");
+                let count: usize = want[first..last].iter().map(|w| w.1).sum();
+                assert_eq!(elements.count, count, "records {first}..{last}");
+                let present = score.span(first..last);
+                assert_eq!(present.count, last - first);
+                let seen: Vec<Value> = present.values.map(|i| score.values().get(i)).collect();
+                let joined: Vec<Value> = scores[first..last]
+                    .iter()
+                    .flatten()
+                    .map(|&s| Value::Int(s))
+                    .collect();
+                assert_eq!(seen, joined, "records {first}..{last}");
             }
         }
     }

@@ -1,13 +1,14 @@
 //! Reading one column without assembling: the column walk over ascending
 //! ordinals, and the handle an [`Assembler`](crate::Assembler) is given.
 //!
-//! Column kernels and pushed filters ask a column about one record after
-//! another — its value, or its array's elements — in ascending ordinal
-//! order. [`ColumnWalk`] answers them in one forward pass over the chunk's
+//! Column kernels and pushed filters ask a column about records in
+//! ascending ordinal order — a record's value, its array's elements, or
+//! the inputs of a run of consecutive records as one value range.
+//! [`ColumnWalk`] answers them in one forward pass over the chunk's
 //! definition levels: a gap between two ordinals is one batched
-//! [`ColumnChunk::skip_records`] (a tight loop over the levels), never a
-//! decode. Callers see value indexes and value ranges, never a definition
-//! level.
+//! [`ColumnChunk::skip_records`], never a decode, and a run under one array
+//! is counted in blocks of levels, not record by record. Callers see value
+//! indexes and value ranges, never a definition level.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -94,22 +95,49 @@ impl ColumnWalk {
             count,
         }
     }
+
+    /// The inputs of the consecutive records `ordinals` as one slice, and
+    /// move on past them. For a column under exactly one array: their
+    /// [`ColumnWalk::elements`] joined — the values of consecutive records
+    /// are consecutive — counted without a step per record
+    /// (`ColumnChunk::records_end`). For a non-repeated column, every record
+    /// is one input: the values of the records that hold one, and the number
+    /// of records.
+    #[inline]
+    pub fn span(&mut self, ordinals: Range<usize>) -> Elements {
+        self.seek(ordinals.start);
+        self.at = ordinals.end;
+        let start = self.pos.value;
+        let count = if self.chunk.spec.is_repeated() {
+            let (end, count) = self.chunk.records_end(self.pos, ordinals.len());
+            self.pos = end;
+            count
+        } else {
+            self.chunk.skip_records(&mut self.pos, ordinals.len());
+            ordinals.len()
+        };
+        Elements {
+            values: start..self.pos.value,
+            count,
+        }
+    }
 }
 
 /// One record's elements in a column under exactly one array
-/// ([`ColumnWalk::elements`]).
+/// ([`ColumnWalk::elements`]), or the inputs of a run of records
+/// ([`ColumnWalk::span`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Elements {
-    /// Indexes into the column's values of the elements that hold one, in
-    /// element order.
+    /// Indexes into the column's values of the inputs that hold one, in
+    /// order.
     pub values: Range<usize>,
-    /// The array's elements, with or without a value; 0 for an absent or
-    /// empty array.
+    /// The inputs, with or without a value: the array's elements (0 for an
+    /// absent or empty array), or the records of a non-repeated column.
     pub count: usize,
 }
 
 impl Elements {
-    /// Elements that lack the column's field.
+    /// Inputs that lack the column's field.
     #[inline]
     pub fn lacking(&self) -> usize {
         self.count - self.values.len()

@@ -36,9 +36,10 @@
 //!   tallies instead — how a component writer derives zone maps and page
 //!   boundaries from column chunks without a document;
 //! * [`cursor`] — [`ColumnWalk`]: one column read at a time over ascending
-//!   record ordinals (a record's value, whether its array has elements,
-//!   each element's value) — what column kernels and pushed filters run on —
-//!   and [`ColumnCursor`], a chunk handed to an [`Assembler`].
+//!   record ordinals (a record's value, its array's elements, the value
+//!   range and input count of a run of records) — what column kernels and
+//!   pushed filters run on — and [`ColumnCursor`], a chunk handed to an
+//!   [`Assembler`].
 //!
 //! The definition-level rules are read only here: nothing outside this crate
 //! compares a level.

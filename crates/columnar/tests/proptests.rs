@@ -1,15 +1,19 @@
 //! Property-based tests: shredding then assembling arbitrary "clean"
 //! documents is the identity (up to object field order), encoded chunks
-//! round-trip byte-exactly, and the assembly automaton's two sinks — the
-//! documents and the shape tallies — describe the same records.
+//! round-trip byte-exactly, the assembly automaton's two sinks — the
+//! documents and the shape tallies — describe the same records, a column
+//! walk's span over a run of records is its records' inputs joined, and a
+//! chunk whose levels disagree with its values is refused.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use columnar::{Assembler, ColumnChunk, ColumnCursor, ShapePlan, ShapeWalker, Shredder};
+use columnar::{
+    Assembler, ColumnChunk, ColumnCursor, ColumnWalk, ShapePlan, ShapeWalker, Shredder,
+};
 use docmodel::{PathStep, Value};
 use proptest::prelude::*;
-use schema::SchemaBuilder;
+use schema::{AtomicType, ColumnSpec, SchemaBuilder};
 
 /// Arbitrary documents with no nulls, no empty containers and consistent
 /// key field: exactly the fragment for which shred→assemble is lossless
@@ -74,6 +78,73 @@ fn arb_entry() -> impl Strategy<Value = Option<Value>> {
         Value::Object(obj)
     });
     (record, 0u8..8).prop_map(|(doc, dice)| (dice > 0).then_some(doc))
+}
+
+/// Levels are untrusted too: a chunk whose levels announce more values
+/// than it stores once decoded `Ok`, and a kernel's walk then indexed past
+/// the values and panicked. Fewer announced values, a level above the
+/// column's maximum, and a key column whose entries outnumber its keys are
+/// refused the same way; well-formed chunks, anti-matter included, still
+/// decode.
+#[test]
+fn levels_that_disagree_with_the_values_are_an_error() {
+    let spec = |is_key: bool| ColumnSpec {
+        id: 7,
+        path: docmodel::Path::parse("x"),
+        ty: AtomicType::Double,
+        max_def: if is_key { 1 } else { 2 },
+        array_levels: Vec::new(),
+        is_key,
+    };
+    let forge = |is_key: bool, defs: &[u16], values: usize| {
+        let mut chunk = ColumnChunk::new(spec(is_key));
+        chunk.defs.extend_from_slice(defs);
+        for i in 0..values {
+            chunk.values.push(&Value::Double(i as f64));
+        }
+        let mut buf = Vec::new();
+        chunk.encode(&mut buf);
+        ColumnChunk::decode(chunk.spec.clone(), &buf, &mut 0)
+    };
+    assert!(forge(false, &[2; 64], 32).is_err());
+    assert!(forge(false, &[2; 32], 64).is_err());
+    let mut above = vec![2u16; 32];
+    above[7] = 3;
+    assert!(forge(false, &above, 31).is_err());
+    assert!(forge(false, &above, 32).is_err());
+    assert!(forge(true, &[1, 0, 1, 1], 3).is_err());
+    // The key column stores a value for every entry, anti-matter too.
+    assert!(forge(true, &[1, 0, 1, 1], 4).is_ok());
+    let mixed: Vec<u16> = (0..64).map(|i| i % 3).collect();
+    assert_eq!(forge(false, &mixed, 21).unwrap().defs, mixed);
+}
+
+/// A record with an optional record-level `s` and an array `r` that is
+/// absent, empty or of up to 40 objects, each with or without `x` — or
+/// `None`, an anti-matter entry. Long runs of such records are what a
+/// kernel folds as one span.
+fn arb_run_record() -> impl Strategy<Value = Option<Value>> {
+    let element = (any::<bool>(), any::<i64>()).prop_map(|(has, x)| match has {
+        true => Value::Object(vec![("x".to_string(), Value::Int(x))]),
+        false => Value::Object(vec![("y".to_string(), Value::Bool(true))]),
+    });
+    let array = prop_oneof![
+        Just(None),
+        Just(Some(Vec::new())),
+        prop::collection::vec(element, 1..40).prop_map(Some),
+    ];
+    (any::<bool>(), any::<i64>(), array, 0u8..8).prop_map(|(has_s, s, r, dice)| {
+        (dice > 0).then(|| {
+            let mut doc = Value::Object(vec![("id".to_string(), Value::Int(0))]);
+            if has_s {
+                doc.set_field("s", Value::Int(s));
+            }
+            if let Some(r) = r {
+                doc.set_field("r", Value::Array(r));
+            }
+            doc
+        })
+    })
 }
 
 /// Shred `entries` (anti-matter where `None`) with `id` set to the ordinal;
@@ -336,6 +407,72 @@ proptest! {
                     &walked, &document_tallies(&docs[first..]),
                     "{}: from {}", projection, first
                 );
+            }
+        }
+    }
+
+    // A span over a run of records is what asking each record would give
+    // (its elements by the record-end rule, or its value), joined: over
+    // absent, empty and long arrays, elements without the
+    // field, anti-matter, gaps between runs, runs cut anywhere and runs
+    // longer than the block the span counts at once (the whole leaf, when
+    // every ordinal is picked).
+    #[test]
+    fn spans_join_the_inputs_of_their_records(
+        entries in prop::collection::vec(arb_run_record(), 1..300),
+        picks in prop::collection::vec(0u8..16, 1..64),
+        cuts in prop::collection::vec(0u8..64, 1..64),
+        thin in any::<bool>(),
+    ) {
+        // Thin records (mostly no array, else one of at most one element)
+        // put up to a record end per level into a block of levels.
+        let entries = entries.into_iter().enumerate().map(|(i, entry)| {
+            entry.map(|doc| match (thin, doc) {
+                (true, Value::Object(fields)) => Value::Object(
+                    fields
+                        .into_iter()
+                        .filter(|(name, _)| name != "r" || i % 4 == 0)
+                        .map(|(name, value)| match value {
+                            Value::Array(items) => {
+                                (name, Value::Array(items.into_iter().take(1).collect()))
+                            }
+                            other => (name, other),
+                        })
+                        .collect(),
+                ),
+                (_, doc) => doc,
+            })
+        });
+        let (_, chunks, n) = shred_entries(entries.collect());
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+        for ordinal in (0..n).filter(|&i| picks[i % picks.len()] > 0) {
+            match runs.last_mut() {
+                Some(run) if run.end == ordinal && cuts[ordinal % cuts.len()] > 0 => run.end += 1,
+                _ => runs.push(ordinal..ordinal + 1),
+            }
+        }
+        for chunk in chunks.iter().filter(|c| c.spec.array_levels.len() <= 1) {
+            let path = chunk.spec.path.to_string();
+            let mut by_span = ColumnWalk::new(chunk.clone());
+            let mut by_record = ColumnWalk::new(chunk.clone());
+            for run in &runs {
+                let span = by_span.span(run.clone());
+                let spanned: Vec<Value> = span.values.map(|i| by_span.values().get(i)).collect();
+                let mut joined = Vec::new();
+                let mut count = 0;
+                for ordinal in run.clone() {
+                    if chunk.spec.is_repeated() {
+                        let elements = by_record.elements(ordinal);
+                        count += elements.count;
+                        joined.extend(elements.values.map(|i| by_record.values().get(i)));
+                    } else {
+                        count += 1;
+                        let value = by_record.value_index(ordinal);
+                        joined.extend(value.map(|i| by_record.values().get(i)));
+                    }
+                }
+                prop_assert_eq!(span.count, count, "{} {:?}", path, run);
+                prop_assert_eq!(spanned, joined, "{} {:?}", path, run);
             }
         }
     }

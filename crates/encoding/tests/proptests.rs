@@ -1,6 +1,8 @@
 //! Property-based round-trip tests for every encoder in the crate, and the
 //! decoders' differential fleet: the LZ decoder against a byte-at-a-time
-//! reference on hand-built token streams and on damaged ones.
+//! reference on hand-built token streams and on damaged ones, and the level
+//! decoder against a run-by-run, value-by-value reference on hand-built
+//! run streams and on damaged ones.
 
 use encoding::{bitpack, bytesenc, compress, delta, plain, rle, varint};
 use proptest::prelude::*;
@@ -44,8 +46,10 @@ proptest! {
         let mut buf = Vec::new();
         rle::encode(&masked, width, &mut buf);
         let mut pos = 0;
-        let decoded = rle::decode(&buf, &mut pos, masked.len(), width).unwrap();
-        prop_assert!(decoded.iter().map(|&v| u64::from(v)).eq(masked.iter().copied()));
+        let max = (1u16 << width) - 1;
+        let decoded = rle::decode(&buf, &mut pos, masked.len(), width, max).unwrap();
+        prop_assert!(decoded.levels.iter().map(|&v| u64::from(v)).eq(masked.iter().copied()));
+        prop_assert_eq!(decoded.at_max, masked.iter().filter(|&&v| v == u64::from(max)).count());
         prop_assert_eq!(pos, buf.len());
     }
 
@@ -120,7 +124,7 @@ proptest! {
         let mut pos = 0;
         let _ = delta::decode(&data, &mut pos);
         let mut pos = 0;
-        let _ = rle::decode(&data, &mut pos, 64, 3);
+        let _ = rle::decode(&data, &mut pos, 64, 3, 5);
         let mut pos = 0;
         let _ = bytesenc::delta_strings::decode(&data, &mut pos);
         let mut pos = 0;
@@ -309,4 +313,195 @@ fn lz_forged_declared_length_is_an_error_not_an_allocation() {
     // then nothing but longest matches.
     let run = vec![7u8; 1 + 131 * 200];
     assert_eq!(compress::decompress(&compress::compress(&run)).unwrap(), run);
+}
+
+// ---------------------------------------------------------------------------
+// The level decoder against a reference.
+// ---------------------------------------------------------------------------
+
+/// The level decoder as it was before it expanded a run at a time: one
+/// varint per header, one `resize` per RLE run, one value per step of a
+/// bit-packed run. Levels above the maximum are the caller's to refuse.
+fn reference_levels(buf: &[u8], pos: &mut usize, count: usize, width: u32) -> Option<Vec<u16>> {
+    if width > 16 {
+        return None;
+    }
+    let mut out = Vec::new();
+    while out.len() < count {
+        let header = varint::read_u64(buf, pos).ok()?;
+        let left = (count - out.len()) as u64;
+        if header & 1 == 0 {
+            let run = header >> 1;
+            let nbytes = (width as usize).div_ceil(8);
+            if run == 0 || run > left || *pos + nbytes > buf.len() {
+                return None;
+            }
+            let mut bytes = [0u8; 2];
+            bytes[..nbytes].copy_from_slice(&buf[*pos..*pos + nbytes]);
+            *pos += nbytes;
+            out.resize(out.len() + run as usize, u16::from_le_bytes(bytes));
+        } else {
+            let groups = header >> 1;
+            let logical = varint::read_u64(buf, pos).ok()?;
+            if logical > groups.checked_mul(8)? || logical > left {
+                return None;
+            }
+            let end =
+                pos.checked_add(usize::try_from(groups.checked_mul(u64::from(width))?).ok()?)?;
+            if end > buf.len() {
+                return None;
+            }
+            let mut bit = *pos * 8;
+            for _ in 0..logical {
+                let mut value = 0u16;
+                for b in 0..width as usize {
+                    let set = buf[bit / 8] >> (bit % 8) & 1;
+                    value |= u16::from(set) << b;
+                    bit += 1;
+                }
+                out.push(value);
+            }
+            *pos = end;
+        }
+    }
+    Some(out)
+}
+
+/// What the decoder must make of `buf`: the reference's levels when none is
+/// above `max`, with the count of those at `max`, else an `Err` (`None`).
+fn expected_levels(
+    buf: &[u8],
+    count: usize,
+    width: u32,
+    max: u16,
+) -> Option<(Vec<u16>, usize, usize)> {
+    let mut pos = 0;
+    let levels = reference_levels(buf, &mut pos, count, width)?;
+    if levels.iter().any(|&level| level > max) {
+        return None;
+    }
+    let at_max = levels.iter().filter(|&&level| level == max).count();
+    Some((levels, at_max, pos))
+}
+
+fn decoded_levels(
+    buf: &[u8],
+    count: usize,
+    width: u32,
+    max: u16,
+) -> Option<(Vec<u16>, usize, usize)> {
+    let mut pos = 0;
+    let decoded = rle::decode(buf, &mut pos, count, width, max).ok()?;
+    Some((decoded.levels, decoded.at_max, pos))
+}
+
+/// One run of a hand-built level stream: RLE or bit-packed, its length, and
+/// a seed for its values (and a bit-packed run's padding).
+#[derive(Debug, Clone)]
+struct LevelRun {
+    packed: bool,
+    len: usize,
+    seed: u64,
+}
+
+/// Encode `runs` at `width` bits. Bit-packed runs pad their last group with
+/// noise, which the decoder must ignore. Returns the stream and the levels.
+fn build_levels(runs: &[LevelRun], width: u32) -> (Vec<u8>, Vec<u16>) {
+    let mask = (1u64 << width) - 1;
+    let mut stream = Vec::new();
+    let mut levels = Vec::new();
+    for run in runs {
+        let mut state = run.seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state & mask
+        };
+        if run.packed {
+            let groups = run.len.div_ceil(8);
+            varint::write_u64(&mut stream, ((groups as u64) << 1) | 1);
+            varint::write_u64(&mut stream, run.len as u64);
+            let values: Vec<u64> = (0..groups * 8).map(|_| next()).collect();
+            levels.extend(values[..run.len].iter().map(|&v| v as u16));
+            bitpack::pack(&values, width, &mut stream);
+        } else {
+            let value = next();
+            varint::write_u64(&mut stream, (run.len as u64) << 1);
+            stream.extend_from_slice(&value.to_le_bytes()[..(width as usize).div_ceil(8)]);
+            levels.extend(std::iter::repeat_n(value as u16, run.len));
+        }
+    }
+    (stream, levels)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Interleaved RLE and bit-packed runs of 1–300 levels at widths 1–16,
+    // bit-packed ones ending mid-group: the decoder equals the reference,
+    // counts the levels at the maximum, and refuses a level above it.
+    #[test]
+    fn levels_decode_like_the_reference(
+        width in 1u32..=16,
+        runs in prop::collection::vec(
+            (any::<bool>(), 1usize..=300, any::<u64>())
+                .prop_map(|(packed, len, seed)| LevelRun { packed, len, seed }),
+            0..24,
+        ),
+        max_seed in any::<u16>(),
+        cut_seed in any::<usize>(),
+    ) {
+        let (stream, levels) = build_levels(&runs, width);
+        let widest = ((1u32 << width) - 1) as u16;
+        let top = levels.iter().copied().max().unwrap_or(0);
+        // The stream's own maximum, the widest level, or one that some
+        // level exceeds (when there is one).
+        for max in [top, widest, max_seed % (widest.max(1))] {
+            let want = expected_levels(&stream, levels.len(), width, max);
+            prop_assert_eq!(decoded_levels(&stream, levels.len(), width, max), want.clone());
+            if max >= top {
+                let (decoded, _, pos) = want.unwrap();
+                prop_assert_eq!(&decoded, &levels);
+                prop_assert_eq!(pos, stream.len());
+            }
+        }
+        // A count that ends inside a run is an error; one that ends on a
+        // run boundary leaves the rest of the stream unread.
+        let count = cut_seed % (levels.len() + 1);
+        prop_assert_eq!(
+            decoded_levels(&stream, count, width, widest),
+            expected_levels(&stream, count, width, widest)
+        );
+    }
+
+    // Untrusted input: every truncation is an `Err` and every byte flip
+    // decodes as the reference does (an `Err`, or the levels it means).
+    #[test]
+    fn damaged_levels_decode_like_the_reference(
+        width in 1u32..=16,
+        runs in prop::collection::vec(
+            (any::<bool>(), 1usize..=20, any::<u64>())
+                .prop_map(|(packed, len, seed)| LevelRun { packed, len, seed }),
+            1..6,
+        ),
+    ) {
+        let (stream, levels) = build_levels(&runs, width);
+        let widest = ((1u32 << width) - 1) as u16;
+        for cut in 0..stream.len() {
+            prop_assert_eq!(decoded_levels(&stream[..cut], levels.len(), width, widest), None);
+        }
+        let mut damaged = stream.clone();
+        for at in 0..stream.len() {
+            for flip in [0x01u8, 0x10, 0x80, 0xFF] {
+                damaged[at] ^= flip;
+                prop_assert_eq!(
+                    decoded_levels(&damaged, levels.len(), width, widest),
+                    expected_levels(&damaged, levels.len(), width, widest),
+                    "byte {} ^ {:#x}", at, flip
+                );
+                damaged[at] ^= flip;
+            }
+        }
+    }
 }

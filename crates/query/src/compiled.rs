@@ -12,15 +12,20 @@
 //! ([`lsm::Snapshot::batches`]): key-only reconciliation hands over, per
 //! columnar leaf, the decoded chunks plus the ordinals of the winners, and a
 //! kernel folds the aggregate inputs straight off the chunks, no document
-//! ever built. One [`columnar::ColumnWalk`] per column answers, per selected
-//! ordinal, where the record's values are: the index of its value, or —
-//! under `UNNEST` — its array's **value range** and element count
-//! ([`columnar::Elements`]), the gap between two selected ordinals skipped
-//! in one tight loop over the definition levels. Each aggregate folds the
-//! record's range in one typed pass (`AggState::fold_slice`: a slice
-//! extreme, a run of exact adds), and the group table is probed once per
-//! **record**. The contrast with [`crate::interp`] — which stays per-tuple
-//! over assembled documents — is §5's interpreted-vs-generated contrast.
+//! ever built. One [`columnar::ColumnWalk`] per column answers where the
+//! selected records' values are — a **value range** and an input count
+//! ([`columnar::Elements`]) — the gap between two selected ordinals skipped
+//! over the definition levels. Without a group key the kernels fold **runs
+//! of records**: the selection is cut into maximal runs of consecutive
+//! ordinals, and each aggregate folds a run's range — its records' array
+//! elements under `UNNEST`, else its records' values — in one typed pass
+//! (`AggState::fold_slice`: a slice extreme, a run of exact adds). With a
+//! group key the table is probed once per **record**, which folds its own
+//! value or its array's value range ([`columnar::ColumnWalk::elements`]);
+//! so is a record-level input under `UNNEST`, which is folded once per
+//! element of its record. The contrast with [`crate::interp`] — which stays
+//! per-tuple over assembled documents — is §5's interpreted-vs-generated
+//! contrast.
 //!
 //! Batches arrive per source leaf, not in key order, so this engine folds
 //! the records in another order than the per-tuple ones — and in another
@@ -45,9 +50,11 @@
 //! from `-0.0` and one NaN from another exactly as their bits do). What
 //! bits cannot see — `7` in an `Int` column and `7.0` in a `Double` column
 //! of another component being one group — is settled when the scan ends:
-//! the table is folded into `GroupPartials` once per distinct key, in key
-//! order, so the spelling rule and the order-insensitive `AggState::merge`
-//! decide every answer, as they do across shards.
+//! such a double's states are merged into the integer's, and the table is
+//! handed to `GroupPartials` whole — its states as they lie, its keys as
+//! values, in no order — so the spelling rule and the order-insensitive
+//! `AggState::merge` decide every answer, as they do across shards. Only
+//! `finalize` orders groups, and only those it keeps.
 //!
 //! ## Which lane a batch takes
 //!
@@ -274,6 +281,11 @@ struct Kernel {
     /// without `UNNEST`.
     elements: Vec<usize>,
     inputs: Vec<KernelInput>,
+    /// The record-level input columns (slots, each once).
+    records: Vec<usize>,
+    /// Whether records are folded one at a time: with a group key, or with
+    /// a record-level input under `UNNEST`; else a run of them is one fold.
+    per_record: bool,
 }
 
 /// The inputs of `COUNT(*)` and of records without a value: no column.
@@ -347,15 +359,31 @@ impl Kernel {
                 "no scalar column directly under the unnested array".to_string()
             })?));
         }
+        let mut records: Vec<usize> = Vec::new();
+        for input in &inputs {
+            if let KernelInput::Record(at) = input {
+                if !records.contains(at) {
+                    records.push(*at);
+                }
+            }
+        }
+        let per_record = group.is_some() || (item.is_some() && !records.is_empty());
         Ok(Kernel {
             columns,
             group,
             elements,
             inputs,
+            records,
+            per_record,
         })
     }
 
-    /// Fold the selected records of one leaf into `groups`.
+    /// Fold the selected records of one leaf into `groups`. Without a group
+    /// key (and without a record-level input under `UNNEST`, which is
+    /// folded once per element of its record) a maximal run of consecutive
+    /// ordinals is one fold: every column's inputs over the run are one
+    /// slice ([`ColumnWalk::span`]). Otherwise each record is probed in the
+    /// group table and folds its own inputs.
     fn run(
         &self,
         chunks: &[Arc<ColumnChunk>],
@@ -364,9 +392,23 @@ impl Kernel {
         groups: &mut GroupTable,
     ) {
         let mut walks: Vec<ColumnWalk> = chunks.iter().cloned().map(ColumnWalk::new).collect();
-        // Per column slot, the current record's elements (element columns
-        // only).
+        // Per column slot, the inputs of the run or of the record at hand.
         let mut spans = vec![Elements::default(); chunks.len()];
+        if !self.per_record {
+            for run in runs(selection) {
+                for (span, walk) in spans.iter_mut().zip(&mut walks) {
+                    *span = walk.span(run.clone());
+                }
+                let times = match self.elements.first() {
+                    Some(&counter) => spans[counter].count,
+                    None => run.len(),
+                };
+                if times > 0 {
+                    self.fold(groups.states(None, plan), chunks, &spans, times);
+                }
+            }
+            return;
+        }
         for &ordinal in selection {
             let ordinal = ordinal as usize;
             let key = match self.group {
@@ -388,31 +430,66 @@ impl Kernel {
                     continue;
                 }
             }
-            let states = groups.states(key, plan);
-            for (state, input) in states.iter_mut().zip(&self.inputs) {
-                match *input {
-                    KernelInput::None => state.fold_slice(&NO_VALUES, 0..0, times),
-                    KernelInput::Element(slot) => {
-                        let span = &spans[slot];
+            for &slot in &self.records {
+                let values = match walks[slot].value_index(ordinal) {
+                    Some(i) => i..i + 1,
+                    None => 0..0,
+                };
+                spans[slot] = Elements { values, count: 1 };
+            }
+            self.fold(groups.states(key, plan), chunks, &spans, times);
+        }
+    }
+
+    /// Fold one record's or one run's inputs: `spans` per column slot, and
+    /// `times` elements (records, without `UNNEST`) for `COUNT(*)`. A
+    /// record-level input under `UNNEST` is one record's value or its
+    /// absence, folded once per element of the record.
+    #[inline]
+    fn fold(
+        &self,
+        states: &mut [AggState],
+        chunks: &[Arc<ColumnChunk>],
+        spans: &[Elements],
+        times: usize,
+    ) {
+        for (state, input) in states.iter_mut().zip(&self.inputs) {
+            match *input {
+                KernelInput::None => state.fold_slice(&NO_VALUES, 0..0, times),
+                KernelInput::Element(slot) => {
+                    let span = &spans[slot];
+                    state.fold_slice(&chunks[slot].values, span.values.clone(), span.lacking());
+                }
+                KernelInput::Record(slot) => {
+                    let span = &spans[slot];
+                    let repeat = if self.elements.is_empty() { 1 } else { times };
+                    for _ in 0..repeat {
                         state.fold_slice(&chunks[slot].values, span.values.clone(), span.lacking());
                     }
-                    KernelInput::Record(slot) => match walks[slot].value_index(ordinal) {
-                        Some(i) => {
-                            for _ in 0..times {
-                                state.fold_slice(&chunks[slot].values, i..i + 1, 0);
-                            }
-                        }
-                        None => state.fold_slice(&NO_VALUES, 0..0, times),
-                    },
                 }
             }
         }
     }
 }
 
+/// The maximal runs of consecutive ordinals in an ascending selection.
+fn runs(selection: &[u32]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut rest = selection;
+    std::iter::from_fn(move || {
+        let first = *rest.first()? as usize;
+        let len = rest
+            .iter()
+            .zip(first..)
+            .take_while(|&(&ordinal, expected)| ordinal as usize == expected)
+            .count();
+        rest = &rest[len..];
+        Some(first..first + len)
+    })
+}
+
 /// A kernel's group key: its column's type and the value's raw bits (see
 /// the module docs for why equal bits are one group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RawKey {
     ty: AtomicType,
     bits: u64,
@@ -520,23 +597,47 @@ impl GroupTable {
         &mut self.states[at..at + width]
     }
 
-    /// Fold the table into `groups`, once per distinct key. In key order,
-    /// so that the fold does not depend on the hash map's iteration order.
-    fn fold_into(self, groups: &mut GroupPartials, width: usize) {
-        let mut places: Vec<(Option<RawKey>, usize)> = self
-            .groups
-            .into_iter()
-            .map(|(key, at)| (Some(key), at))
-            .collect();
-        places.extend(self.global.map(|at| (None, at)));
-        places.sort_unstable_by_key(|(key, _)| *key);
-        let mut states: Vec<Option<AggState>> = self.states.into_iter().map(Some).collect();
-        for (key, at) in places {
-            let group = states[at..at + width]
-                .iter_mut()
-                .map(|state| state.take().expect("each group's states are taken once"))
+    /// Fold the table into `groups`: its states move over whole, with its
+    /// keys as values. Two raw keys are one group only when a double equals
+    /// an integer (`7.0` and `7`); such a double's states join the
+    /// integer's first, so the keys handed over are distinct
+    /// ([`GroupPartials::absorb`]).
+    fn fold_into(mut self, groups: &mut GroupPartials, width: usize) {
+        if self.groups.keys().any(|key| key.ty == AtomicType::Int) {
+            let equal: Vec<(RawKey, usize, usize)> = self
+                .groups
+                .iter()
+                .filter(|(key, _)| key.ty == AtomicType::Double)
+                .filter_map(|(&key, &from)| {
+                    let double = f64::from_bits(key.bits);
+                    let int = double as i64;
+                    if (int as f64).total_cmp(&double).is_ne() {
+                        return None;
+                    }
+                    let into = self.groups.get(&RawKey {
+                        ty: AtomicType::Int,
+                        bits: int as u64,
+                    })?;
+                    Some((key, from, *into))
+                })
                 .collect();
-            groups.merge_group(key.map(RawKey::to_value), group);
+            for (key, from, into) in equal {
+                for i in 0..width {
+                    let state = std::mem::replace(&mut self.states[from + i], AggState::Count(0));
+                    self.states[into + i].merge(state);
+                }
+                self.groups.remove(&key);
+            }
+        }
+        let mut keys: Vec<(Option<Value>, usize)> = Vec::with_capacity(self.groups.len() + 1);
+        keys.extend(self.global.map(|at| (None, at)));
+        keys.extend(
+            self.groups
+                .into_iter()
+                .map(|(key, at)| (Some(key.to_value()), at)),
+        );
+        if !keys.is_empty() {
+            groups.absorb(keys, self.states, width);
         }
     }
 }
@@ -618,4 +719,91 @@ pub(crate) fn aggregate_batches(
     }
     table.fold_into(&mut fused.groups, plan.aggregates.len());
     Ok(fused.finish())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::physical::{finalize, merge_partials, plan, PlanContext, PlannerOptions};
+    use crate::{Aggregate, Query, QueryRow};
+
+    /// One scan's table can hold `7` from an integer column and `7.0` from
+    /// a double column of another component: handed over, they are one
+    /// group, reported as `7` — into no groups (taken over whole) and into
+    /// groups that exist — while `-0.0` stays apart from `0`, and a double
+    /// beyond every integer joins none.
+    #[test]
+    fn equal_int_and_double_keys_fold_into_one_group() {
+        let query =
+            Query::select([Aggregate::Max(Path::parse("s")), Aggregate::Count]).group_by("g");
+        let plan = plan(
+            &query,
+            &PlanContext::scan_only(),
+            &PlannerOptions::default(),
+        )
+        .unwrap();
+        let int = |v: i64| RawKey {
+            ty: AtomicType::Int,
+            bits: v as u64,
+        };
+        let double = |v: f64| RawKey {
+            ty: AtomicType::Double,
+            bits: v.to_bits(),
+        };
+        let inputs = [
+            (double(7.0), 9),
+            (int(7), 4),
+            (int(0), 1),
+            (double(-0.0), 2),
+            (double(1e300), 3),
+            (int(-7), 5),
+            (double(7.0), 2),
+        ];
+        let table = || {
+            let mut table = GroupTable::default();
+            for (key, score) in inputs {
+                let states = table.states(Some(key), &plan);
+                states[0].update(Some(&Value::Int(score)));
+                states[1].update(None);
+            }
+            table
+        };
+        let row = |group: Value, max: i64, count: i64| QueryRow {
+            group: Some(group),
+            aggs: vec![Value::Int(max), Value::Int(count)],
+        };
+        let want = vec![
+            row(Value::Int(-7), 5, 1),
+            row(Value::Double(-0.0), 2, 1),
+            row(Value::Int(0), 1, 1),
+            row(Value::Int(7), 9, 3),
+            row(Value::Double(1e300), 3, 1),
+        ];
+        let mut alone = GroupPartials::new();
+        table().fold_into(&mut alone, 2);
+        assert_eq!(format!("{:?}", finalize(alone, &plan)), format!("{want:?}"));
+        // Into groups that exist: another execution's 7.0 and -7.
+        let mut existing = GroupPartials::new();
+        for (key, score) in [(Value::Double(7.0), 1), (Value::Int(-7), 6)] {
+            let states = existing
+                .entry(Some(OrderedValue(key)))
+                .or_insert_with(|| new_states(&plan));
+            states[0].update(Some(&Value::Int(score)));
+            states[1].update(None);
+        }
+        table().fold_into(&mut existing, 2);
+        let mut want = want;
+        want[0] = row(Value::Int(-7), 6, 2);
+        want[3] = row(Value::Int(7), 9, 4);
+        assert_eq!(
+            format!("{:?}", finalize(existing, &plan)),
+            format!("{want:?}")
+        );
+        // And once more through a merge of whole partials.
+        let mut merged = GroupPartials::new();
+        let mut part = GroupPartials::new();
+        table().fold_into(&mut part, 2);
+        merge_partials(&mut merged, part);
+        assert_eq!(finalize(merged, &plan).len(), 5);
+    }
 }

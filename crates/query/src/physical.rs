@@ -70,7 +70,13 @@
 //! * **aggregate plans** produce mergeable per-group partials (the
 //!   crate-private `AggState`), merged across shards before finalisation —
 //!   `AVG` carries `(sum, count)`, so the merged result is exactly the
-//!   single-dataset result;
+//!   single-dataset result. The groups' states lie side by side in one
+//!   vector (`GroupPartials`), in arrival order: a kernel's group table or
+//!   another shard's partials are taken over whole, with no allocation per
+//!   group, and a key → group index is built only when a group is looked
+//!   up by key. Finalisation orders only what it keeps: `ORDER BY` an
+//!   aggregate `DESC LIMIT k` selects its `k` groups by the aggregate (ties
+//!   in group-key order) before it sorts them and builds their rows;
 //! * **projection plans** ([`crate::Query::select_paths`]) emit one
 //!   key-ordered row per matching record. `LIMIT` is pushed *into* the
 //!   pipeline: the cursor stops after the k-th match (`ORDER BY key LIMIT
@@ -1386,15 +1392,27 @@ fn replaces(candidate: &Value, best: &Value, side: Ordering) -> bool {
 /// execution (one shard, one engine pass) produces. `7` and `7.0` are one
 /// group; it is reported under the key [`spelled_first`], whichever arrived
 /// first.
+///
+/// The groups are kept in the order they arrived, their states side by
+/// side in one vector, so neither a new group nor a whole table taken over
+/// at once ([`GroupPartials::absorb`], how the kernels' table and other
+/// shards' partials arrive) allocates per group; ordering is left to
+/// [`finalize`], which orders only what it keeps. The key → group index is
+/// built when a group is first looked up by key, not when a table is taken
+/// over whole.
 #[derive(Debug, Default)]
-pub(crate) struct GroupPartials(BTreeMap<Option<OrderedValue>, Group>);
-
-#[derive(Debug)]
-struct Group {
-    /// A spelling of the group's key that goes before the map's (which is
-    /// the first one met), once one has arrived.
-    spelling: Option<Value>,
+pub(crate) struct GroupPartials {
+    /// Each group's key, spelled as it is reported, and where its `width`
+    /// states start in `states`. No two keys are equal.
+    groups: Vec<(Option<Value>, usize)>,
+    /// Every group's states; what no group points at is a merged-away
+    /// leftover.
     states: Vec<AggState>,
+    /// States per group (the plan's aggregates), set by the first group.
+    width: usize,
+    /// Key → place in `groups`, for a prefix of `groups` (see
+    /// [`GroupPartials::extend_index`]).
+    index: BTreeMap<Option<OrderedValue>, usize>,
 }
 
 impl GroupPartials {
@@ -1404,39 +1422,98 @@ impl GroupPartials {
 
     /// Number of groups.
     pub(crate) fn len(&self) -> usize {
-        self.0.len()
+        self.groups.len()
     }
 
     /// The slot of group `key` (`None` = the one group of an ungrouped
     /// aggregate), in the manner of a map's entry.
     pub(crate) fn entry(&mut self, key: Option<OrderedValue>) -> GroupSlot<'_> {
-        GroupSlot { groups: &mut self.0, key }
-    }
-
-    /// Merge one group's partial states (from a disjoint record set) into
-    /// the group `key` belongs to, creating it when it is new.
-    pub(crate) fn merge_group(&mut self, key: Option<Value>, states: Vec<AggState>) {
-        let mut incoming = Some(states);
-        let acc = self
-            .entry(key.map(OrderedValue))
-            .or_insert_with(|| incoming.take().expect("asked for once"));
-        // Still here: the group existed, so fold the states into it.
-        for (acc, s) in acc.iter_mut().zip(incoming.into_iter().flatten()) {
-            acc.merge(s);
+        GroupSlot {
+            partials: self,
+            key,
         }
     }
 
-    /// The groups in key order, each under the spelling it is reported by.
-    fn into_groups(self) -> impl Iterator<Item = (Option<Value>, Vec<AggState>)> {
-        self.0
-            .into_iter()
-            .map(|(key, group)| (group.spelling.or(key.map(|k| k.0)), group.states))
+    /// Extend the key → group index to the groups taken over since it was
+    /// last used (they were appended, so they are the tail).
+    fn extend_index(&mut self) {
+        for place in self.index.len()..self.groups.len() {
+            let key = self.groups[place].0.clone().map(OrderedValue);
+            self.index.insert(key, place);
+        }
+    }
+
+    /// Where the states of the group `key` belongs to start, and whether
+    /// the group is new — then it is given the states at `fresh`. A key
+    /// spelled before the group's becomes the group's spelling.
+    fn place(&mut self, key: Option<OrderedValue>, fresh: usize) -> (usize, bool) {
+        use std::collections::btree_map::Entry;
+        // A copy of the key where it could go before the spelling of a group
+        // that exists: a double never does, strings and booleans have one.
+        let spare = match &key {
+            Some(OrderedValue(key @ (Value::Int(_) | Value::Array(_) | Value::Object(_)))) => {
+                Some(key.clone())
+            }
+            _ => None,
+        };
+        self.extend_index();
+        let place = self.groups.len();
+        let key = match self.index.entry(key) {
+            Entry::Occupied(slot) => {
+                let (reported, at) = &mut self.groups[*slot.get()];
+                if let (Some(new), Some(old)) = (spare, reported.as_ref()) {
+                    if spelled_first(&new, old) == Ordering::Less {
+                        *reported = Some(new);
+                    }
+                }
+                return (*at, false);
+            }
+            Entry::Vacant(slot) => {
+                let key = slot.key().clone().map(|k| k.0);
+                slot.insert(place);
+                key
+            }
+        };
+        self.groups.push((key, fresh));
+        (fresh, true)
+    }
+
+    /// Merge the groups of a disjoint record set into these: each key with
+    /// where its `width` states start in `states`, no two keys equal. Into
+    /// no groups they are taken over whole — nothing indexed, nothing
+    /// allocated per group; otherwise each joins the group its key belongs
+    /// to, or is a new one.
+    pub(crate) fn absorb(
+        &mut self,
+        incoming: Vec<(Option<Value>, usize)>,
+        states: Vec<AggState>,
+        width: usize,
+    ) {
+        self.width = width;
+        if self.groups.is_empty() {
+            self.groups = incoming;
+            self.states = states;
+            self.index.clear();
+            return;
+        }
+        let base = self.states.len();
+        self.states.extend(states);
+        for (key, from) in incoming {
+            let (at, new) = self.place(key.map(OrderedValue), base + from);
+            if !new {
+                for i in 0..width {
+                    let state =
+                        std::mem::replace(&mut self.states[base + from + i], AggState::Count(0));
+                    self.states[at + i].merge(state);
+                }
+            }
+        }
     }
 }
 
 /// One group's place in a [`GroupPartials`]; see [`GroupPartials::entry`].
 pub(crate) struct GroupSlot<'g> {
-    groups: &'g mut BTreeMap<Option<OrderedValue>, Group>,
+    partials: &'g mut GroupPartials,
     key: Option<OrderedValue>,
 }
 
@@ -1445,30 +1522,15 @@ impl<'g> GroupSlot<'g> {
     pub(crate) fn or_insert_with(
         self,
         fresh: impl FnOnce() -> Vec<AggState>,
-    ) -> &'g mut Vec<AggState> {
-        use std::collections::btree_map::Entry;
-        // A copy of the key where it could go before the spelling of a group
-        // that exists: a double never does, strings and booleans have one.
-        let spare = match &self.key {
-            Some(OrderedValue(key @ (Value::Int(_) | Value::Array(_) | Value::Object(_)))) => {
-                Some(key.clone())
-            }
-            _ => None,
-        };
-        match self.groups.entry(self.key) {
-            Entry::Vacant(slot) => &mut slot.insert(Group { spelling: None, states: fresh() }).states,
-            Entry::Occupied(slot) => {
-                let current = slot.get().spelling.as_ref().or(slot.key().as_ref().map(|k| &k.0));
-                let better = spare.filter(|new| {
-                    current.is_some_and(|old| spelled_first(new, old) == Ordering::Less)
-                });
-                let group = slot.into_mut();
-                if better.is_some() {
-                    group.spelling = better;
-                }
-                &mut group.states
-            }
+    ) -> &'g mut [AggState] {
+        let partials = self.partials;
+        let (at, new) = partials.place(self.key, partials.states.len());
+        if new {
+            let fresh = fresh();
+            partials.width = fresh.len();
+            partials.states.extend(fresh);
         }
+        &mut partials.states[at..at + partials.width]
     }
 }
 
@@ -1480,44 +1542,89 @@ pub(crate) fn new_states(plan: &PhysicalPlan) -> Vec<AggState> {
 /// Partials for the key-only `COUNT(*)` fast path: one global group whose
 /// `Count` states all equal `n`.
 pub(crate) fn key_count_partials(n: usize, plan: &PhysicalPlan) -> GroupPartials {
-    let states = plan
-        .aggregates
-        .iter()
-        .map(|_| AggState::Count(n as u64))
-        .collect();
-    GroupPartials(BTreeMap::from([(None, Group { spelling: None, states })]))
+    let width = plan.aggregates.len();
+    let mut partials = GroupPartials::new();
+    partials.absorb(
+        vec![(None, 0)],
+        vec![AggState::Count(n as u64); width],
+        width,
+    );
+    partials
 }
 
 /// Merge the partials of one execution into the accumulator (group-wise,
 /// aggregate-wise).
 pub(crate) fn merge_partials(into: &mut GroupPartials, from: GroupPartials) {
-    for (key, states) in from.into_groups() {
-        into.merge_group(key, states);
+    if !from.groups.is_empty() {
+        into.absorb(from.groups, from.states, from.width);
     }
 }
 
-/// Turn merged partials into ordered, limited output rows.
+/// The order groups are reported in: by key, the ungrouped one first.
+fn key_order(a: &Option<Value>, b: &Option<Value>) -> Ordering {
+    match (a, b) {
+        (Some(a), Some(b)) => total_cmp(a, b),
+        _ => a.is_some().cmp(&b.is_some()),
+    }
+}
+
+/// Turn merged partials into ordered, limited output rows. Rows are built
+/// for the groups kept only: `ORDER BY` an aggregate `DESC LIMIT k` selects
+/// its `k` groups by that aggregate's finished value, ties in key order —
+/// exactly the order a stable sort of the key-ordered rows by the aggregate
+/// gives — and sorts those `k`; without an aggregate order the groups are
+/// put in key order, `LIMIT k` selecting the first `k` before sorting them.
 pub(crate) fn finalize(groups: GroupPartials, plan: &PhysicalPlan) -> Vec<QueryRow> {
-    let mut rows: Vec<QueryRow> = groups
-        .into_groups()
-        .map(|(group, states)| QueryRow {
-            group,
-            aggs: states.iter().map(AggState::finish).collect(),
-        })
-        .collect();
-    if plan.group_by.is_none() && rows.is_empty() {
-        rows.push(QueryRow {
+    let GroupPartials {
+        mut groups,
+        states,
+        width,
+        ..
+    } = groups;
+    let row = |(group, at): (Option<Value>, usize)| QueryRow {
+        group,
+        aggs: states[at..at + width]
+            .iter()
+            .map(AggState::finish)
+            .collect(),
+    };
+    let limit = plan.limit.unwrap_or(usize::MAX);
+    if plan.group_by.is_none() && groups.is_empty() {
+        let fresh = QueryRow {
             group: None,
             aggs: new_states(plan).iter().map(AggState::finish).collect(),
-        });
+        };
+        return std::iter::once(fresh).take(limit).collect();
     }
-    if let Some(i) = plan.order_desc_by_agg {
-        rows.sort_by(|a, b| total_cmp(&b.aggs[i], &a.aggs[i]));
+    let Some(i) = plan.order_desc_by_agg else {
+        keep_first(&mut groups, limit, |a, b| key_order(&a.0, &b.0));
+        return groups.into_iter().map(row).collect();
+    };
+    // Each group's value of the ordering aggregate, and the group.
+    let mut ranked: Vec<(Value, usize)> = groups
+        .iter()
+        .enumerate()
+        .map(|(place, (_, at))| (states[at + i].finish(), place))
+        .collect();
+    keep_first(&mut ranked, limit, |a, b| {
+        total_cmp(&b.0, &a.0).then_with(|| key_order(&groups[a.1].0, &groups[b.1].0))
+    });
+    ranked
+        .into_iter()
+        .map(|(_, place)| row((groups[place].0.take(), groups[place].1)))
+        .collect()
+}
+
+/// Keep the first `limit` of `items` under `order`, sorted: a selection
+/// before the sort when it drops any.
+fn keep_first<T>(items: &mut Vec<T>, limit: usize, order: impl Fn(&T, &T) -> Ordering) {
+    if limit < items.len() {
+        if limit > 0 {
+            items.select_nth_unstable_by(limit - 1, &order);
+        }
+        items.truncate(limit);
     }
-    if let Some(k) = plan.limit {
-        rows.truncate(k);
-    }
-    rows
+    items.sort_unstable_by(order);
 }
 
 #[cfg(test)]
@@ -1892,11 +1999,114 @@ mod tests {
                     merge_partials(&mut merged, part);
                 }
                 for groups in [probed, merged] {
+                    let GroupPartials { groups, states, .. } = groups;
                     let groups: Vec<_> = groups
-                        .into_groups()
-                        .map(|(key, states)| (key, states[0].finish()))
+                        .into_iter()
+                        .map(|(key, at)| (key, states[at].finish()))
                         .collect();
                     assert_eq!(groups, [(Some(int.clone()), Value::Int(2))]);
+                }
+            }
+        }
+    }
+
+    /// `finalize` selects and orders only the rows it keeps; the answer is
+    /// still what building every row in key order, a stable sort by the
+    /// ordering aggregate and a truncation give — over ties, negative and
+    /// positive integers, `7` / `7.0` (one group, reported as `7`), signed
+    /// zeros and keys of other types, for groups made one record at a time
+    /// and groups merged in from another execution, at every `LIMIT`.
+    #[test]
+    fn finalize_keeps_what_sort_then_truncate_keeps() {
+        let keys = [
+            Value::Int(-3),
+            Value::Int(7),
+            Value::Double(7.0),
+            Value::Int(12),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(2.5),
+            Value::Int(-40),
+            Value::from("a"),
+            Value::Bool(true),
+            Value::Null,
+        ];
+        let mut state = 17u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // (key, score) inputs; scores collide so the aggregates tie.
+        let inputs: Vec<(Value, i64)> = (0..60)
+            .map(|_| {
+                (
+                    keys[next() as usize % keys.len()].clone(),
+                    (next() % 6) as i64,
+                )
+            })
+            .collect();
+        let ctx = PlanContext::scan_only();
+        let opts = PlannerOptions::default();
+        let aggs = || [Aggregate::Max(Path::parse("s")), Aggregate::Count];
+        for limit in [None, Some(0), Some(1), Some(3), Some(5), Some(9), Some(50)] {
+            for order in [None, Some(0), Some(1)] {
+                let mut query = Query::select(aggs()).group_by("g");
+                query.order_desc_by_agg = order;
+                query.limit = limit;
+                let plan = plan(&query, &ctx, &opts).unwrap();
+                let fold = |groups: &mut GroupPartials, inputs: &[(Value, i64)]| {
+                    for (key, score) in inputs {
+                        let states = groups
+                            .entry(Some(OrderedValue(key.clone())))
+                            .or_insert_with(|| new_states(&plan));
+                        states[0].update(Some(&Value::Int(*score)));
+                        states[1].update(None);
+                    }
+                };
+                let mut probed = GroupPartials::new();
+                fold(&mut probed, &inputs);
+                let mut merged = GroupPartials::new();
+                let (left, right) = inputs.split_at(25);
+                fold(&mut merged, left);
+                let mut part = GroupPartials::new();
+                fold(&mut part, right);
+                merge_partials(&mut merged, part);
+
+                // The reference: every group's row, in key order (spelled
+                // first among equal keys), stably sorted, truncated.
+                let mut model: Vec<(Value, Vec<AggState>)> = Vec::new();
+                for (key, score) in &inputs {
+                    let at = match model.iter().position(|(k, _)| total_cmp(k, key).is_eq()) {
+                        Some(at) => at,
+                        None => {
+                            model.push((key.clone(), new_states(&plan)));
+                            model.len() - 1
+                        }
+                    };
+                    if spelled_first(key, &model[at].0) == Ordering::Less {
+                        model[at].0 = key.clone();
+                    }
+                    model[at].1[0].update(Some(&Value::Int(*score)));
+                    model[at].1[1].update(None);
+                }
+                model.sort_by(|a, b| total_cmp(&a.0, &b.0));
+                let mut rows: Vec<QueryRow> = model
+                    .iter()
+                    .map(|(key, states)| QueryRow {
+                        group: Some(key.clone()),
+                        aggs: states.iter().map(AggState::finish).collect(),
+                    })
+                    .collect();
+                if let Some(i) = order {
+                    rows.sort_by(|a, b| total_cmp(&b.aggs[i], &a.aggs[i]));
+                }
+                rows.truncate(limit.unwrap_or(usize::MAX));
+                let want = format!("{rows:?}");
+                for groups in [probed, merged] {
+                    let got = finalize(groups, &plan);
+                    assert_eq!(format!("{got:?}"), want, "order {order:?} limit {limit:?}");
                 }
             }
         }

@@ -1106,3 +1106,155 @@ fn int_and_double_group_keys_are_one_group() {
     let refs: Vec<&LsmDataset> = shards.iter().collect();
     assert_eq!(bits(&three_ways(&refs[..], &query)), answers[0]);
 }
+
+// ---------------------------------------------------------------------------
+// Runs of records and the top-k at their edges.
+// ---------------------------------------------------------------------------
+
+/// A record with a record-level `score` and `n` readings, every third
+/// without `temp`.
+fn scored(id: i64, version: i64, n: i64) -> Value {
+    let readings: Vec<Value> = (0..n)
+        .map(|j| {
+            reading(
+                j,
+                (j % 3 != 2).then(|| ((id * 5 + j * 3 + version) % 50) as f64 / 2.0),
+            )
+        })
+        .collect();
+    doc!({
+        "id": id,
+        "grp": (id % 4),
+        "score": (id - 40 + version),
+        "readings": (Value::Array(readings))
+    })
+}
+
+/// Selection runs broken at the edges of 16-record leaves: the first
+/// component's leaves lose their first or last record to a newer version,
+/// a newer leaf starts and ends with anti-matter, one leaf is selected
+/// whole, and one record's array is empty. Folding a run as one slice, or
+/// each record of it, gives what folding record by record gives — and, for
+/// a record-level input under `UNNEST`, each record's value once per
+/// element (`SUM`, `AVG`, `COUNT`).
+#[test]
+fn runs_broken_at_leaf_edges_fold_like_records() {
+    let elements = |id: i64| if id == 70 { 0 } else { 1 + id % 4 };
+    let first: Vec<Value> = (0..96).map(|id| scored(id, 0, elements(id))).collect();
+    // Leaf edges of the first component (16 records a leaf under AMAX),
+    // rewritten; 0 and 95 deleted, so the newer leaf starts and ends with
+    // anti-matter.
+    let edges = [15, 16, 31, 32, 47, 63, 64, 79];
+    let second: Vec<Value> = edges
+        .iter()
+        .map(|&id| scored(id, 1, elements(id)))
+        .collect();
+    let deleted = [0, 95];
+    let live: Vec<(i64, i64)> = (0..96)
+        .filter(|id| !deleted.contains(id))
+        .map(|id| (id, i64::from(edges.contains(&id))))
+        .collect();
+    let unnested: i64 = live.iter().map(|&(id, _)| elements(id)).sum();
+    let score_sum: i64 = live
+        .iter()
+        .map(|&(id, v)| (id - 40 + v) * elements(id))
+        .sum();
+    let record_inputs = Query::select([
+        Aggregate::Sum(Path::parse("score")),
+        Aggregate::Avg(Path::parse("score")),
+        Aggregate::CountNonNull(Path::parse("score")),
+        Aggregate::Count,
+    ])
+    .with_unnest("readings")
+    .aggregate_element(Aggregate::Max(Path::parse("temp")));
+    let plain = Query::select([
+        Aggregate::Sum(Path::parse("score")),
+        Aggregate::Min(Path::parse("score")),
+        Aggregate::Count,
+    ]);
+    let rounds = [(first, Vec::new()), (second, deleted.to_vec())];
+    for ds in components("vectorized-leaf-edges", &rounds) {
+        let rows = on_kernels(&ds, &record_inputs);
+        assert_eq!(rows[0].aggs[0], Value::Int(score_sum));
+        assert_eq!(rows[0].aggs[2], Value::Int(unnested));
+        assert_eq!(rows[0].aggs[3], Value::Int(unnested));
+        let rows = on_kernels(&ds, &plain);
+        let live_scores: i64 = live.iter().map(|&(id, v)| id - 40 + v).sum();
+        assert_eq!(
+            rows[0].aggs,
+            [Value::Int(live_scores), Value::Int(-39), Value::Int(94)]
+        );
+        on_kernels(&ds, &record_inputs.clone().group_by("grp"));
+        on_kernels(&ds, &plain.clone().group_by("grp"));
+        on_kernels(&ds, &max_temp());
+        on_kernels(&ds, &max_temp().group_by("grp"));
+        let rows = on_kernels(&ds, &Query::count_star().with_unnest("readings"));
+        assert_eq!(rows[0].aggs, [Value::Int(unnested)]);
+    }
+}
+
+/// `MAX` ties across the top-k boundary, between negative and positive
+/// integer keys (whose raw bits sort the negatives last) and `7` / `7.0`
+/// written by two components: the groups kept are the aggregate's top,
+/// ties in key order, whatever `k` — none for `top_k(0)`, every group,
+/// still ordered, for `k` at or beyond their number.
+#[test]
+fn top_k_ties_keep_key_order_across_negative_keys_and_spellings() {
+    // Group key → its records' scores; 7 comes as 7.0 in the first
+    // component and as 7 in the second.
+    let groups: [(f64, &[i64]); 7] = [
+        (-9.0, &[3, 12]),
+        (-2.0, &[12]),
+        (0.0, &[5]),
+        (4.0, &[12, 1]),
+        (7.0, &[9, 12]),
+        (11.0, &[9]),
+        (-5.0, &[5, 2]),
+    ];
+    let mut first = Vec::new();
+    let mut second = Vec::new();
+    let mut id = 0;
+    for &(key, scores) in &groups {
+        for &score in scores {
+            let grp = match key == 7.0 && id % 2 == 0 {
+                true => Value::Double(7.0),
+                false => Value::Int(key as i64),
+            };
+            let record = doc!({"id": id, "grp": grp, "score": score});
+            match key == 7.0 && id % 2 == 0 {
+                true => first.push(record),
+                false => second.push(record),
+            }
+            id += 1;
+        }
+    }
+    // The whole ranking: MAX(score) descending, ties by key.
+    let ranking: [(i64, i64); 7] = [
+        (-9, 12),
+        (-2, 12),
+        (4, 12),
+        (7, 12),
+        (11, 9),
+        (-5, 5),
+        (0, 5),
+    ];
+    let rounds = [(first, Vec::new()), (second, Vec::new())];
+    for ds in components("vectorized-topk-ties", &rounds) {
+        for k in [0, 1, 2, 3, 4, 5, 7, 8, 100] {
+            let query = Query::select([Aggregate::Max(Path::parse("score")), Aggregate::Count])
+                .group_by("grp")
+                .top_k(k);
+            let rows = on_kernels(&ds, &query);
+            let kept: Vec<(Option<Value>, Value)> = rows
+                .iter()
+                .map(|row| (row.group.clone(), row.aggs[0].clone()))
+                .collect();
+            let want: Vec<(Option<Value>, Value)> = ranking
+                .iter()
+                .take(k)
+                .map(|&(key, max)| (Some(Value::Int(key)), Value::Int(max)))
+                .collect();
+            assert_eq!(format!("{kept:?}"), format!("{want:?}"), "top {k}");
+        }
+    }
+}
