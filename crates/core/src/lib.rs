@@ -904,13 +904,6 @@ impl Datastore {
             .ok_or_else(|| Error::api(format!("unknown dataset '{name}'")))
     }
 
-    /// Mutably borrow a dataset.
-    pub fn dataset_mut(&mut self, name: &str) -> Result<&mut ShardedDataset> {
-        self.datasets
-            .get_mut(name)
-            .ok_or_else(|| Error::api(format!("unknown dataset '{name}'")))
-    }
-
     /// Names of all datasets.
     pub fn dataset_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.datasets.keys().cloned().collect();
@@ -1041,11 +1034,6 @@ impl Datastore {
     /// Parse a single JSON document into a [`Value`] (re-export convenience).
     pub fn parse(json: &str) -> Result<Value> {
         parse_json(json).map_err(|e| Error::api(format!("invalid JSON: {e}")))
-    }
-
-    /// Ingestion statistics of a dataset (summed over shards).
-    pub fn ingest_stats(&self, dataset: &str) -> Result<IngestStats> {
-        Ok(self.dataset(dataset)?.stats())
     }
 
     /// I/O statistics of a dataset's simulated disk(s).

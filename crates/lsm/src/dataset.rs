@@ -588,16 +588,11 @@ impl LsmDataset {
             let mut maint = core.maint.lock();
             maint.schema_builder = SchemaBuilder::from_schema(manifest.schema.clone());
             maint.next_component_id = manifest.next_component_id;
-            let component_config = core.component_config();
-            let mut components = Vec::new();
-            for desc in manifest.components {
-                components.push(Arc::new(Component::open(
-                    &core.cache,
-                    &component_config,
-                    manifest.schema.clone(),
-                    desc,
-                )));
-            }
+            let components = manifest
+                .components
+                .into_iter()
+                .map(|desc| Arc::new(Component::open(&core.cache, manifest.schema.clone(), desc)))
+                .collect();
             *core.tree.write() = Arc::new(TreeState {
                 sealed: Vec::new(),
                 components,
@@ -649,11 +644,6 @@ impl LsmDataset {
         let mut config = DatasetConfig::read_durable(&manifest.config, manifest.page_size as usize)?;
         config.leaf_cache = leaf_cache(&config);
         LsmDataset::open(dir, config)
-    }
-
-    /// `true` when the dataset is backed by a directory (WAL + manifest).
-    pub fn is_durable(&self) -> bool {
-        self.core.durable.is_some()
     }
 
     /// Force acknowledged WAL records to the device (group commit). No-op
@@ -816,7 +806,7 @@ impl LsmDataset {
             .read()
             .components
             .iter()
-            .map(|c| c.meta().stored_bytes)
+            .map(|c| c.stored_bytes())
             .sum()
     }
 
@@ -1136,12 +1126,10 @@ impl DatasetCore {
             Some(durable) => Some(durable.rotate_wal()?),
             None => None,
         };
-        let bytes = write.memtable.approx_bytes();
         let entries = write.memtable.drain_sorted();
         let sealed = Arc::new(SealedMemtable {
             entries,
             wal_segment,
-            bytes,
         });
         {
             let mut tree = self.tree.write();
@@ -1277,7 +1265,7 @@ impl DatasetCore {
             maint.next_component_id,
         )?);
         maint.next_component_id += 1;
-        let pages_out = component.meta().pages.len() as u64;
+        let pages_out = component.pages().len() as u64;
         // Durable flush: sync pages, commit the manifest recording the new
         // component (and the schema snapshot), then drop the WAL segments
         // covering the sealed records.
@@ -1354,7 +1342,7 @@ impl DatasetCore {
         }
         let referenced: std::collections::HashSet<PageId> = components
             .iter()
-            .flat_map(|c| c.meta().pages.iter().copied())
+            .flat_map(|c| c.pages().iter().copied())
             .collect();
         let orphans: Vec<PageId> = (0..page_count)
             .filter(|id| !referenced.contains(id))
@@ -1433,64 +1421,50 @@ impl DatasetCore {
         let components = self.tree.read().components.clone();
         let live: u64 = components
             .iter()
-            .map(|c| c.meta().pages.len() as u64)
+            .map(|c| c.pages().len() as u64)
             .sum();
         let schema = maint.schema_builder.schema().clone();
-        let component_config = self.component_config();
         let mut new_components = components.clone();
         let mut rewritten: Vec<usize> = Vec::new();
         let mut pages_moved = 0u64;
         for (i, component) in components.iter().enumerate() {
-            if !component.meta().pages.iter().any(|&p| p >= live) {
+            if !component.pages().iter().any(|&p| p >= live) {
                 continue;
             }
             // Copy each high page byte-identically (below the component
             // layer, so compression flags and encodings ride along
             // untouched) into the lowest free slot. Keep the original
-            // whenever the copy would not actually move the page down.
+            // whenever the copy would not actually move the page down. The
+            // leaves name every page of the component, so remapping them
+            // remaps the component.
             let mut desc = component.describe();
-            let mut remap = std::collections::HashMap::new();
             let mut sources = Vec::new();
-            for page in &mut desc.pages {
-                if *page < live {
-                    continue;
+            for leaf in &mut desc.leaves {
+                for page in std::iter::once(&mut leaf.page).chain(&mut leaf.data_pages) {
+                    if *page < live {
+                        continue;
+                    }
+                    let raw = self.cache.try_read_page(*page)?;
+                    let moved = self.cache.append_page(raw.as_ref().clone());
+                    if moved >= *page {
+                        self.cache.free_pages(&[moved]);
+                        continue;
+                    }
+                    sources.push(*page);
+                    *page = moved;
+                    pages_moved += 1;
                 }
-                let raw = self.cache.try_read_page(*page)?;
-                let moved = self.cache.append_page(raw.as_ref().clone());
-                if moved >= *page {
-                    self.cache.free_pages(&[moved]);
-                    continue;
-                }
-                remap.insert(*page, moved);
-                sources.push(*page);
-                *page = moved;
-                pages_moved += 1;
             }
-            if remap.is_empty() {
+            if sources.is_empty() {
                 continue;
             }
-            for leaf in &mut desc.leaves {
-                if let Some(&moved) = remap.get(&leaf.page) {
-                    leaf.page = moved;
-                }
-                for data_page in &mut leaf.data_pages {
-                    if let Some(&moved) = remap.get(data_page) {
-                        *data_page = moved;
-                    }
-                }
-            }
-            new_components[i] = Arc::new(Component::open(
-                &self.cache,
-                &component_config,
-                schema.clone(),
-                desc,
-            ));
+            new_components[i] = Arc::new(Component::open(&self.cache, schema.clone(), desc));
             // The rewritten component keeps its id but relocated its pages.
             // Its decoded leaves are byte-identical, but the cached state
             // must not outlive a physical relocation — invalidate eagerly
             // rather than reasoning about which entries would stay valid.
             if let Some(handle) = self.cache.leaf_cache() {
-                handle.invalidate_component(component.meta().id);
+                handle.invalidate_component(component.id());
             }
             // The replacement shares the unmoved slots with the original, so
             // the original must not free on drop; only the superseded source
@@ -1542,7 +1516,7 @@ impl DatasetCore {
             tree.components
                 .iter()
                 .rev()
-                .map(|c| c.meta().stored_bytes)
+                .map(|c| c.stored_bytes())
                 .collect()
         };
         let jobs = self.config.compaction.strategy().decide_jobs(&sizes);
@@ -1609,8 +1583,8 @@ impl DatasetCore {
             let inputs: Vec<Arc<Component>> =
                 positions.iter().map(|&p| components[p].clone()).collect();
             let includes_oldest = positions.first() == Some(&0);
-            let input_ids: Vec<u64> = inputs.iter().map(|c| c.meta().id).collect();
-            let pages_in: u64 = inputs.iter().map(|c| c.meta().pages.len() as u64).sum();
+            let input_ids: Vec<u64> = inputs.iter().map(|c| c.id()).collect();
+            let pages_in: u64 = inputs.iter().map(|c| c.pages().len() as u64).sum();
             self.telemetry.emit(EventKind::MergeBegin {
                 inputs: input_ids.clone(),
             });
@@ -1696,7 +1670,7 @@ impl DatasetCore {
         }
         let mut round_time = Duration::ZERO;
         for result in &done {
-            let pages_out = result.output.meta().pages.len() as u64;
+            let pages_out = result.output.pages().len() as u64;
             round_time = round_time.max(result.elapsed);
             if self.telemetry.enabled() {
                 self.telemetry.merges.incr();
@@ -2162,7 +2136,7 @@ mod tests {
         assert!(leaf_cache.stats().invalidations > 0);
         // Whatever remains resident belongs to the merged survivor only.
         let snapshot = ds.snapshot();
-        let live: Vec<u64> = snapshot.components().iter().map(|c| c.meta().id).collect();
+        let live: Vec<u64> = snapshot.components().iter().map(|c| c.id()).collect();
         let cached: usize = live
             .iter()
             .map(|&id| snapshot.components()[0].cache().leaf_cache().unwrap().cached_leaf_count(id))

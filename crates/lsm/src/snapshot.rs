@@ -125,8 +125,6 @@ pub struct SealedMemtable {
     pub(crate) entries: Vec<(Value, Option<Value>)>,
     /// Newest WAL segment covering these entries (durable datasets only).
     pub(crate) wal_segment: Option<u64>,
-    /// Approximate heap footprint, for accounting.
-    pub(crate) bytes: usize,
 }
 
 impl SealedMemtable {
@@ -300,12 +298,6 @@ impl Snapshot {
     /// The on-disk components visible to this snapshot, oldest first.
     pub fn components(&self) -> &[Arc<Component>] {
         &self.tree.components
-    }
-
-    /// Approximate heap bytes held by sealed memtables at snapshot time
-    /// (what backpressure bounds).
-    pub fn sealed_bytes(&self) -> usize {
-        self.tree.sealed.iter().map(|s| s.bytes).sum()
     }
 
     /// Records (and anti-matter) still in memory at snapshot time: the

@@ -187,7 +187,7 @@ fn check_merge(
     let context = format!("{layout:?} evolving={evolving} includes_oldest={includes_oldest}");
 
     // Same component: descriptor (leaf boundaries, key bounds, zone maps,
-    // stats, stored bytes, page ids) and the bytes of every page.
+    // stored bytes, page ids) and the bytes of every page.
     let desc = copied.describe();
     if desc != reshredded.describe() {
         return Err(format!(
@@ -195,16 +195,16 @@ fn check_merge(
             reshredded.describe()
         ));
     }
-    for &page in &desc.pages {
+    for &page in copied.pages() {
         if copy_cache.store().read_page(page) != reshred_cache.store().read_page(page) {
             return Err(format!("{context}: page {page} differs"));
         }
     }
     let written = (report.records_copied + report.records_reshredded) as usize;
-    if written != expected.len() || desc.record_count != expected.len() {
+    if written != expected.len() || copied.record_count() != expected.len() {
         return Err(format!(
             "{context}: {written} winners written, {} recorded, {} expected",
-            desc.record_count,
+            copied.record_count(),
             expected.len()
         ));
     }
@@ -561,7 +561,7 @@ fn a_merge_holds_one_leaf_per_input_and_one_open_output_leaf() {
                 report.peak_buffered
             );
             assert!(
-                output.leaf_count() >= 8 && bound * 3 < output.meta().record_count,
+                output.leaf_count() >= 8 && bound * 3 < output.record_count(),
                 "{layout:?}: the bound must be a small part of the output"
             );
         }

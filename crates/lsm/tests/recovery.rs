@@ -290,10 +290,6 @@ fn a_directory_describes_itself_across_the_durable_configuration_space() {
                         schema = ds.schema();
                         components =
                             ds.components().iter().map(|c| c.describe()).collect::<Vec<_>>();
-                        assert!(
-                            components.iter().all(|c| c.stats.is_some()),
-                            "{context}: components carry statistics"
-                        );
                     }
                     let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
                     assert_eq!(durable_fields(ds.config()), written, "{context}");
@@ -359,12 +355,12 @@ fn a_directory_of_an_older_manifest_generation_is_refused_by_name() {
     }
     let manifest = dir.join("MANIFEST");
     let mut bytes = std::fs::read(&manifest).unwrap();
-    bytes[..8].copy_from_slice(b"LSMMAN06");
+    bytes[..8].copy_from_slice(b"LSMMAN07");
     std::fs::write(&manifest, &bytes).unwrap();
     let reopened = LsmDataset::reopen(&dir, |_| None).err().expect("reopen must fail");
-    assert!(reopened.message.contains("LSMMAN06"), "{reopened}");
+    assert!(reopened.message.contains("LSMMAN07"), "{reopened}");
     let opened = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).err().expect("open too");
-    assert!(opened.message.contains("LSMMAN06"), "{opened}");
+    assert!(opened.message.contains("LSMMAN07"), "{opened}");
 }
 
 #[test]
@@ -489,10 +485,7 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
         stats_before = snapshot
             .components()
             .iter()
-            .map(|c| {
-                let stats = c.stats().expect("freshly written components carry stats");
-                (c.meta().id, (**stats).clone())
-            })
+            .map(|c| (c.id(), (**c.stats()).clone()))
             .collect::<Vec<_>>();
         // Every component's stats must actually see the indexed column.
         for (id, stats) in &stats_before {
@@ -513,10 +506,7 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
     let stats_after: Vec<_> = snapshot
         .components()
         .iter()
-        .map(|c| {
-            let stats = c.stats().expect("stats must survive the manifest round-trip");
-            (c.meta().id, (**stats).clone())
-        })
+        .map(|c| (c.id(), (**c.stats()).clone()))
         .collect();
     assert_eq!(stats_before, stats_after, "per-component stats changed across restart");
     assert_eq!(
@@ -582,7 +572,7 @@ fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_sta
     assert!(ds.component_count() >= 1);
     let snapshot = ds.snapshot();
     for c in snapshot.components() {
-        assert!(c.stats().is_some(), "a committed flush publishes stats");
+        assert!(c.stats().column("timestamp").is_some(), "a committed flush publishes stats");
     }
     assert_eq!(
         engine
@@ -708,7 +698,7 @@ fn orphaned_pages(ds: &LsmDataset) -> u64 {
     let live: u64 = ds
         .components()
         .iter()
-        .map(|c| c.meta().pages.len() as u64)
+        .map(|c| c.pages().len() as u64)
         .sum();
     store.page_count() - store.free_page_count() - live
 }

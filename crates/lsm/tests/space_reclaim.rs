@@ -39,9 +39,13 @@ fn strategies() -> Vec<(&'static str, CompactionSpec)> {
 /// Ingest, then repeatedly overwrite and delete the same key space. With
 /// merges retiring inputs and GC packing + truncating the file, allocated
 /// space must stay within a small factor of live data instead of growing
-/// with the number of rounds.
+/// with the number of rounds. Reopening the packed dataset then finds the
+/// relocated components as GC left them: a component's page list, key range
+/// and statistics are folded from its leaves, so the remapped leaves must
+/// name every page and the orphan sweep must find nothing to free.
 #[test]
 fn update_heavy_lifecycle_keeps_space_bounded() {
+    use query::{ExecMode, Expr, Query, QueryEngine};
     const KEYS: i64 = 300;
     const ROUNDS: i64 = 6;
     for (name, spec) in strategies() {
@@ -50,7 +54,7 @@ fn update_heavy_lifecycle_keeps_space_bounded() {
             .with_memtable_budget(8 * 1024)
             .with_page_size(4 * 1024)
             .with_compaction(spec);
-        let ds = LsmDataset::open(&dir, config).unwrap();
+        let ds = LsmDataset::open(&dir, config.clone()).unwrap();
 
         let mut peak_after_gc = 0u64;
         let mut amp_per_round: Vec<f64> = Vec::new();
@@ -84,7 +88,7 @@ fn update_heavy_lifecycle_keeps_space_bounded() {
         let live_pages: u64 = ds
             .components()
             .iter()
-            .map(|c| c.meta().pages.len() as u64)
+            .map(|c| c.pages().len() as u64)
             .sum();
         assert_eq!(ds.cache().store().page_count(), live_pages, "{name}: fully packed");
         assert_eq!(ds.cache().store().free_page_count(), 0, "{name}");
@@ -106,6 +110,24 @@ fn update_heavy_lifecycle_keeps_space_bounded() {
             Some(&Value::Int(ROUNDS - 1)),
             "{name}: the newest version wins"
         );
+
+        // Reopen after GC: the same components, the same plan, the same
+        // answer, and no page the remapped leaves fail to name.
+        let engine = QueryEngine::new(ExecMode::Compiled);
+        let query = Query::count_star().with_filter(Expr::between("score", 100i64, 300i64));
+        let view = |ds: &LsmDataset| {
+            let components = ds.components();
+            let described: Vec<_> = components.iter().map(|c| c.describe()).collect();
+            let stats: Vec<_> = components.iter().map(|c| (**c.stats()).clone()).collect();
+            (described, stats, engine.explain(ds, &query).unwrap(), ds.count().unwrap())
+        };
+        let before = view(&ds);
+        let page_count = ds.cache().store().page_count();
+        drop(ds);
+        let ds = LsmDataset::open(&dir, config).unwrap();
+        assert_eq!(view(&ds), before, "{name}: reopen after GC");
+        assert_eq!(ds.cache().store().page_count(), page_count, "{name}: nothing swept");
+        assert_eq!(ds.cache().store().free_page_count(), 0, "{name}");
     }
 }
 
@@ -162,7 +184,7 @@ fn snapshot_held_across_gc_reads_retired_pages() {
     let live_pages: u64 = ds
         .components()
         .iter()
-        .map(|c| c.meta().pages.len() as u64)
+        .map(|c| c.pages().len() as u64)
         .sum();
     assert_eq!(after, live_pages, "no dead slots survive GC");
     assert_eq!(ds.cache().store().free_page_count(), 0);

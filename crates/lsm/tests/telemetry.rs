@@ -296,7 +296,7 @@ fn update_heavy_scan_skips_shadowed_entries_without_assembly() {
     let total_entries: usize = ds
         .components()
         .iter()
-        .map(|c| c.meta().record_count)
+        .map(|c| c.record_count())
         .sum();
     assert!(
         total_entries > 150,

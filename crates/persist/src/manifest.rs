@@ -1,9 +1,8 @@
 //! The versioned manifest.
 //!
 //! The manifest is the dataset's durable root: one small file describing the
-//! dataset configuration, the latest inferred [`Schema`], the lineage of
-//! on-disk components (ids, layouts, page extents, per-leaf key ranges) and
-//! the next component id. A dataset directory is *defined* by its manifest:
+//! dataset configuration, the latest inferred [`Schema`], the live on-disk
+//! components (one [`ComponentDescriptor`] each) and the next component id. A dataset directory is *defined* by its manifest:
 //! recovery reads it, reopens every listed component against the page file,
 //! and replays the WAL on top.
 //!
@@ -21,12 +20,22 @@
 //! ## Format versioning
 //!
 //! There is one manifest generation. The magic bytes name it; a file that
-//! opens with any other magic — including `LSMMAN01`–`LSMMAN06`, the
+//! opens with any other magic — including `LSMMAN01`–`LSMMAN07`, the
 //! generations earlier commits of this repository wrote — is rejected with
 //! an error that quotes the magic found. No deployed data predates this
 //! format, so there is no compatibility reader and no skippable section: a
 //! change to what the manifest records bumps `MAGIC` (one line) and edits
 //! the one writer and the one reader below.
+//!
+//! ## What a component record holds
+//!
+//! Exactly its [`ComponentDescriptor`], in field order: the id, the layout
+//! tag, the stored bytes and the leaf directory. Each leaf is its page, its
+//! data pages, its smallest and largest key, its entry count and its zone
+//! map (live records, then per column path its row and value counts and,
+//! when the path has them, its bounds). Nothing is optional and nothing is
+//! said twice: the component's record count, key range, page list and
+//! statistics are folded from its leaves when it is opened.
 //!
 //! The dataset configuration is **opaque** here: its owner (the `lsm`
 //! crate's `DatasetConfig`) encodes and decodes it, and this module frames
@@ -53,7 +62,7 @@ use storage::{LayoutKind, PageId, RowFormat};
 use crate::{PersistError, Result};
 
 /// Magic bytes opening every manifest file: the one format generation.
-const MAGIC: &[u8; 8] = b"LSMMAN07";
+const MAGIC: &[u8; 8] = b"LSMMAN08";
 
 /// Everything one manifest commit records.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,9 +134,7 @@ fn encode_body(data: &ManifestData) -> Vec<u8> {
     for comp in &data.components {
         varint::write_u64(&mut out, comp.id);
         out.push(comp.layout.tag());
-        varint::write_u64(&mut out, comp.record_count as u64);
         varint::write_u64(&mut out, comp.stored_bytes);
-        write_pages(&mut out, &comp.pages);
         varint::write_u64(&mut out, comp.leaves.len() as u64);
         for leaf in &comp.leaves {
             varint::write_u64(&mut out, leaf.page);
@@ -135,21 +142,14 @@ fn encode_body(data: &ManifestData) -> Vec<u8> {
             write_value(&mut out, &leaf.min_key);
             write_value(&mut out, &leaf.max_key);
             varint::write_u64(&mut out, leaf.record_count as u64);
-            write_stats(&mut out, leaf.stats.as_ref());
+            write_stats(&mut out, &leaf.stats);
         }
-        write_stats(&mut out, comp.stats.as_ref());
     }
     out
 }
 
-/// Serialize one statistics block: per component (the planner's cost model)
-/// and, with the same encoding, per leaf (zone maps).
-fn write_stats(out: &mut Vec<u8>, stats: Option<&ComponentStats>) {
-    let Some(stats) = stats else {
-        write_bool(out, false);
-        return;
-    };
-    write_bool(out, true);
+/// Serialize one leaf's zone map.
+fn write_stats(out: &mut Vec<u8>, stats: &ComponentStats) {
     varint::write_u64(out, stats.live_records);
     varint::write_u64(out, stats.columns.len() as u64);
     for (path, col) in &stats.columns {
@@ -167,11 +167,8 @@ fn write_stats(out: &mut Vec<u8>, stats: Option<&ComponentStats>) {
     }
 }
 
-/// Deserialize one statistics block (per component or per leaf).
-fn read_stats(buf: &[u8], pos: &mut usize) -> Result<Option<ComponentStats>> {
-    if !read_bool(buf, pos)? {
-        return Ok(None);
-    }
+/// Deserialize one leaf's zone map.
+fn read_stats(buf: &[u8], pos: &mut usize) -> Result<ComponentStats> {
     let live_records = varint::read_u64(buf, pos)?;
     let column_count = read_count(buf, pos)?;
     let mut columns = std::collections::BTreeMap::new();
@@ -186,7 +183,7 @@ fn read_stats(buf: &[u8], pos: &mut usize) -> Result<Option<ComponentStats>> {
         };
         columns.insert(path, ColumnStats { rows, values, min, max });
     }
-    Ok(Some(ComponentStats { live_records, columns }))
+    Ok(ComponentStats { live_records, columns })
 }
 
 fn decode_body(buf: &[u8]) -> Result<ManifestData> {
@@ -202,9 +199,7 @@ fn decode_body(buf: &[u8]) -> Result<ManifestData> {
     for _ in 0..component_count {
         let id = varint::read_u64(buf, pos)?;
         let layout = LayoutKind::from_tag(read_u8(buf, pos)?)?;
-        let record_count = varint::read_u64(buf, pos)? as usize;
         let stored_bytes = varint::read_u64(buf, pos)?;
-        let pages = read_pages(buf, pos)?;
         let leaf_count = read_count(buf, pos)?;
         let mut leaves = Vec::with_capacity(leaf_count);
         for _ in 0..leaf_count {
@@ -223,15 +218,11 @@ fn decode_body(buf: &[u8]) -> Result<ManifestData> {
                 stats,
             });
         }
-        let stats = read_stats(buf, pos)?;
         components.push(ComponentDescriptor {
             id,
             layout,
-            record_count,
             stored_bytes,
-            pages,
             leaves,
-            stats,
         });
     }
     if *pos != buf.len() {
@@ -384,18 +375,15 @@ mod tests {
             components: vec![ComponentDescriptor {
                 id: 3,
                 layout: LayoutKind::Amax,
-                record_count: 123,
                 stored_bytes: 4567,
-                pages: vec![0, 1, 2, 5],
                 leaves: vec![LeafDescriptor {
                     page: 0,
                     data_pages: vec![1, 2, 5],
                     min_key: Value::Int(0),
                     max_key: Value::Int(122),
                     record_count: 123,
-                    stats: Some(sample_stats()),
+                    stats: sample_stats(),
                 }],
-                stats: Some(sample_stats()),
             }],
         }
     }
@@ -440,45 +428,51 @@ mod tests {
     }
 
     #[test]
-    fn stats_roundtrip_and_absent_stats_stay_absent() {
+    fn stats_roundtrip() {
         let dir = temp_dir("stats-roundtrip");
         let (mut store, _) = ManifestStore::open(&dir).unwrap();
         let mut data = sample_data();
+        // A second component, with an empty zone map and no leaf bounds.
         data.components.push(ComponentDescriptor {
             id: 4,
             layout: LayoutKind::Vb,
-            record_count: 10,
             stored_bytes: 99,
-            pages: vec![7],
-            leaves: Vec::new(),
-            stats: None,
+            leaves: vec![LeafDescriptor {
+                page: 7,
+                data_pages: Vec::new(),
+                min_key: Value::Int(5),
+                max_key: Value::Int(5),
+                record_count: 1,
+                stats: ComponentStats::default(),
+            }],
         });
         store.commit(data.clone()).unwrap();
         let (_, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()));
-        assert_eq!(loaded.components[1].stats, None);
+        assert_eq!(loaded.unwrap().components, data.components);
     }
 
     #[test]
-    fn leaf_zone_maps_roundtrip_and_absent_maps_stay_absent() {
+    fn leaf_zone_maps_roundtrip() {
         let dir = temp_dir("leaf-stats-roundtrip");
         let (mut store, _) = ManifestStore::open(&dir).unwrap();
         let mut data = sample_data();
-        // A second leaf without zone maps must stay without them.
+        // Each leaf keeps its own zone map.
+        let mut second = sample_stats();
+        second.live_records = 78;
+        second.columns.remove("tags[*]");
         data.components[0].leaves.push(LeafDescriptor {
             page: 9,
             data_pages: vec![10],
             min_key: Value::Int(123),
             max_key: Value::Int(200),
             record_count: 78,
-            stats: None,
+            stats: second.clone(),
         });
         store.commit(data.clone()).unwrap();
         let (_, loaded) = ManifestStore::open(&dir).unwrap();
         let leaves = &loaded.unwrap().components[0].leaves;
-        assert_eq!(leaves[0].stats, Some(sample_stats()));
-        assert_eq!(leaves[1].stats, None);
+        assert_eq!(leaves[0].stats, sample_stats());
+        assert_eq!(leaves[1].stats, second);
     }
 
     /// Seal `body` under `magic` the way `commit` does, then load it.
@@ -522,7 +516,10 @@ mod tests {
         let dir = temp_dir("hostile-magic");
         let good = committed(&dir);
         let body = &good[MAGIC.len() + 4..];
-        for old in [b"LSMMAN01", b"LSMMAN02", b"LSMMAN03", b"LSMMAN04", b"LSMMAN05", b"LSMMAN06"] {
+        for old in [
+            b"LSMMAN01", b"LSMMAN02", b"LSMMAN03", b"LSMMAN04", b"LSMMAN05", b"LSMMAN06",
+            b"LSMMAN07",
+        ] {
             let err = load_sealed(&dir, old, body).err().unwrap();
             let found = String::from_utf8_lossy(old);
             assert!(err.message.contains(&*found), "{err}");

@@ -686,7 +686,7 @@ pub(crate) fn aggregate_batches(
         };
         let component = batch.component().clone();
         let kernel = kernels
-            .entry(component.meta().id)
+            .entry(component.id())
             .or_insert_with(|| match lane {
                 ScanLane::Kernels => Kernel::lower(plan, component.schema()),
                 ScanLane::Assembled => Err("assembled lane forced".to_string()),

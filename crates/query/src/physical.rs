@@ -20,8 +20,9 @@
 //! * **filter push-down** — the filter's sargable conjuncts travel into the
 //!   scan ([`PhysicalPlan::pushed`]), which evaluates them on column loops
 //!   and lets the zone maps ([`storage::stats::ComponentStats`], collected
-//!   at flush/merge time and persisted in the manifest) hide whole
-//!   components and leaves no record of which can match. The scan alone
+//!   per leaf at flush/merge time and persisted with the leaf directory; a
+//!   component's are its leaves' folded) hide whole components and leaves
+//!   no record of which can match. The scan alone
 //!   decides what it hides ([`storage::component::zone_map_hides`]); the
 //!   planner only *estimates* it, by asking the same rule about each
 //!   component for the cost model.
@@ -39,14 +40,14 @@
 //!   leaves)`). Matching records are estimated per component by
 //!   interpolating the probe range against the component's `[min, max]` and
 //!   row counts — uniform within bounds, exact zero when disjoint,
-//!   conservative (every row) when a column has no usable bounds.
+//!   conservative (every row) when a column has no usable bounds. A
+//!   component's statistics are its leaves' zone maps folded into one, so
+//!   every component has them.
 //!
 //! The crossover this reproduces is Figure 15: probes win at low
 //! selectivity, scans win past roughly "one match per leaf". In-memory
 //! records (active + sealed memtables) cost no pages on either path and are
-//! excluded; components without statistics (recovered from a pre-stats
-//! manifest) price as "every record matches", which safely biases toward
-//! the scan. The chosen path and the estimate behind it are rendered by
+//! excluded. The chosen path and the estimate behind it are rendered by
 //! [`PhysicalPlan::describe`] (`EXPLAIN`).
 //!
 //! ## The streaming operator pipeline
@@ -110,19 +111,14 @@ use crate::{Error, Result};
 /// cardinalities and statistics the cost model and the zone maps consume.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentPlanInfo {
-    /// Entries in the component (records plus anti-matter).
-    pub records: u64,
     /// Physical pages the component occupies.
     pub pages: u64,
     /// Leaves (row/APAX pages, AMAX mega leaf nodes).
     pub leaves: u64,
-    /// Smallest key (absent for an empty component).
-    pub min_key: Option<Value>,
-    /// Largest key (absent for an empty component).
-    pub max_key: Option<Value>,
-    /// Column statistics collected when the component was written. `None`
-    /// for components recovered from a pre-stats manifest.
-    pub stats: Option<Arc<ComponentStats>>,
+    /// Smallest and largest key (absent for an empty component).
+    pub key_range: Option<(Value, Value)>,
+    /// Column statistics: the component's leaves' zone maps, folded.
+    pub stats: Arc<ComponentStats>,
     /// Decoded leaves of this component resident in the shared leaf cache
     /// at planning time (0 when no cache is configured). A cached leaf is
     /// served without touching any page, so the cost model discounts its
@@ -133,14 +129,11 @@ pub struct ComponentPlanInfo {
 impl ComponentPlanInfo {
     /// Extract the planning view of one component.
     pub fn of(component: &Component) -> ComponentPlanInfo {
-        let meta = component.meta();
         ComponentPlanInfo {
-            records: meta.record_count as u64,
-            pages: meta.pages.len() as u64,
+            pages: component.pages().len() as u64,
             leaves: component.leaf_count() as u64,
-            min_key: meta.min_key.clone(),
-            max_key: meta.max_key.clone(),
-            stats: component.stats().cloned(),
+            key_range: component.key_range(),
+            stats: component.stats().clone(),
             cached_leaves: component.cached_leaf_count() as u64,
         }
     }
@@ -775,21 +768,19 @@ fn estimate_access(
         .components
         .iter()
         .map(|c| {
-            let (Some(min), Some(max)) = (&c.min_key, &c.max_key) else {
+            let Some((min, max)) = &c.key_range else {
                 return false;
             };
-            let hidden = zone_map_hides(pushed, c.stats.as_deref(), (min, max), &older);
+            let hidden = zone_map_hides(pushed, &c.stats, (min, max), &older);
             older.push((min.clone(), max.clone()));
             hidden
         })
         .collect();
     // The fraction of a component's data pages the projection touches —
     // applied identically to both sides of the comparison.
-    let column_fraction = |c: &ComponentPlanInfo| match (projected_columns, c.stats.as_deref()) {
-        (Some(projected), Some(stats)) => {
-            (projected as f64 / stats.columns.len().max(1) as f64).min(1.0)
-        }
-        _ => 1.0,
+    let column_fraction = |c: &ComponentPlanInfo| match projected_columns {
+        Some(projected) => (projected as f64 / c.stats.columns.len().max(1) as f64).min(1.0),
+        None => 1.0,
     };
     // The fraction of a component's leaves already resident in the shared
     // decoded-leaf cache: those leaves are served without a page read, so
@@ -814,7 +805,7 @@ fn estimate_access(
     let disk_records: u64 = ctx
         .components
         .iter()
-        .map(|c| c.stats.as_deref().map(|s| s.live_records).unwrap_or(c.records))
+        .map(|c| c.stats.live_records)
         .sum();
 
     // The range driving the record estimate: the probe's, else the filter's
@@ -831,12 +822,7 @@ fn estimate_access(
         Some(range) => ctx
             .components
             .iter()
-            .map(|c| match c.stats.as_deref() {
-                Some(stats) => estimate_component_matches(stats, range),
-                // No statistics: price as "every record matches", which
-                // safely biases the decision toward the scan.
-                None => c.records as f64,
-            })
+            .map(|c| estimate_component_matches(&c.stats, range))
             .sum(),
         None => disk_records as f64,
     };
@@ -1765,15 +1751,13 @@ mod tests {
             },
         );
         ComponentPlanInfo {
-            records,
             pages,
             leaves,
-            min_key: Some(Value::Int(key_range.0)),
-            max_key: Some(Value::Int(key_range.1)),
-            stats: Some(Arc::new(ComponentStats {
+            key_range: Some((Value::Int(key_range.0), Value::Int(key_range.1))),
+            stats: Arc::new(ComponentStats {
                 live_records: records,
                 columns,
-            })),
+            }),
             cached_leaves: 0,
         }
     }

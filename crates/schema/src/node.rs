@@ -161,20 +161,6 @@ impl Schema {
         }
     }
 
-    /// Look up the branch of a union node by kind, or return the node itself
-    /// if it is not a union but already has that kind. Convenience used by
-    /// readers resolving paths through possibly-union nodes.
-    pub fn resolve_branch(&self, id: NodeId, kind: BranchKind) -> Option<NodeId> {
-        match self.node(id) {
-            SchemaNode::Union { branches } => branches
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, id)| *id),
-            node if node.branch_kind() == kind => Some(id),
-            _ => None,
-        }
-    }
-
     /// Resolve a (field/array) [`Path`] to the node it addresses, looking
     /// *through* union nodes: at each step, if the current node is a union,
     /// every branch that can continue the path is considered and the first

@@ -26,12 +26,6 @@ impl RespClient {
         Ok(RespClient { stream, limits: Limits::default(), buf: Vec::new(), pos: 0 })
     }
 
-    /// Replace the decoder limits (e.g. to accept larger scan chunks).
-    pub fn with_limits(mut self, limits: Limits) -> RespClient {
-        self.limits = limits;
-        self
-    }
-
     /// Bound how long reads may block before erroring out.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(timeout)

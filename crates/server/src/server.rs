@@ -226,12 +226,6 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::Release);
     }
 
-    /// `true` once a shutdown has been requested (via this handle or a
-    /// wire `SHUTDOWN`).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
-    }
-
     /// Block until the accept thread (and with it every connection thread)
     /// has exited and the store is synced. Call [`ServerHandle::shutdown`]
     /// first, or wait for a wire `SHUTDOWN`.

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use columnar::{ColumnChunk, ShreddedBatch};
 use docmodel::Value;
-use encoding::{plain, varint, DecodeError};
+use encoding::{varint, DecodeError};
 use schema::{ColumnId, ColumnSpec};
 
 use crate::rowformat::RowFormat;
@@ -158,13 +158,6 @@ pub fn key_bounds(batch: &ShreddedBatch) -> Option<(Value, Value)> {
         key_chunk.values.get(0),
         key_chunk.values.get(key_chunk.values.len() - 1),
     ))
-}
-
-/// Convenience for tests: encode plain `u32` (unused in the layout itself but
-/// kept for header compatibility experiments).
-#[allow(dead_code)]
-fn _unused_u32(out: &mut Vec<u8>, v: u32) {
-    plain::write_u32(out, v);
 }
 
 #[cfg(test)]

@@ -45,16 +45,29 @@
 //!   ranges the estimate comes from the columns themselves, see
 //!   [`columnar::ShapeWalker`]). Sealing encodes the leaf; a leaf page that
 //!   overflows the budget is halved until each half fits; the pages are
-//!   written; and the leaf's descriptor — key bounds, record count, **zone
-//!   map** — joins the directory. Columnar zone maps are derived from the
-//!   sealed column chunks ([`crate::stats::column_derived_stats`]), row
-//!   zone maps from one pass over the page's documents; either way a
-//!   record is summarised once, and the component's statistics are the
-//!   fold of its leaves'.
+//!   written; and the leaf's [`LeafDescriptor`] — pages, key bounds, record
+//!   count, **zone map** — joins the directory. Columnar zone maps are
+//!   derived from the sealed column chunks
+//!   ([`crate::stats::column_derived_stats`]), row zone maps from one pass
+//!   over the page's documents; either way a record is summarised once.
 //! * **Finish** — [`ComponentWriter::finish`] seals the last leaf and hands
-//!   pages, directory and statistics to the new [`Component`].
+//!   the [`ComponentDescriptor`] (id, layout, stored bytes, leaf directory)
+//!   to [`Component::open`], the constructor a manifest's reopen uses too.
 //! * **Drop** — a writer dropped without `finish` (an error half-way through
 //!   a merge, an injected crash point) frees every page it wrote.
+//!
+//! ## One description, folded from the leaves
+//!
+//! The leaf directory is the component's only description, from the writer
+//! through the manifest to the reader — as in the paper, where a B+-tree
+//! leaf describes itself (an APAX page header its tuple count and key
+//! bounds, §4.2; an AMAX mega leaf's Page 0 its keys and column directory,
+//! §4.3). A [`Component`] derives everything else once, when it is built:
+//! the record count is the sum over the leaves, the key range runs from the
+//! first leaf's smallest key to the last leaf's largest, the page list is
+//! each leaf's page followed by its data pages (the order the writer wrote
+//! them in), and the statistics are the leaves' zone maps folded with
+//! [`ComponentStats::absorb`]. A field a leaf gains is added in one place.
 //!
 //! ## The cursor protocol: keys first, batches or rows after
 //!
@@ -355,8 +368,7 @@ impl ColumnPredicate {
 /// describe and whose keys span `keys`? Two conditions must hold:
 ///
 /// 1. **No match** — some predicate is disproved by the stats
-///    ([`ColumnPredicate::prove_no_match`]). Entries without stats (written
-///    before zone maps existed) are never hidden.
+///    ([`ColumnPredicate::prove_no_match`]).
 /// 2. **Reconciliation safety** — `keys` is disjoint from every range in
 ///    `older`, the key ranges of the components older than the one scanned.
 ///    Scans reconcile newest-first, so hiding an entry whose key an older
@@ -365,11 +377,11 @@ impl ColumnPredicate {
 ///    newer than every component, so they never constrain the rule.
 pub fn zone_map_hides(
     predicates: &[ColumnPredicate],
-    stats: Option<&ComponentStats>,
+    stats: &ComponentStats,
     (min_key, max_key): (&Value, &Value),
     older: &[(Value, Value)],
 ) -> bool {
-    stats.is_some_and(|stats| predicates.iter().any(|p| p.prove_no_match(stats)))
+    predicates.iter().any(|p| p.prove_no_match(stats))
         && older.iter().all(|(lo, hi)| {
             total_cmp(max_key, lo) == Ordering::Less || total_cmp(min_key, hi) == Ordering::Greater
         })
@@ -434,41 +446,10 @@ pub struct ScanFilter {
     pub older_key_ranges: Arc<Vec<(Value, Value)>>,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct LeafRef {
-    /// Page id of the leaf page (row or APAX) or of Page 0 (AMAX).
-    pub(crate) page: PageId,
-    /// Data pages of an AMAX mega leaf (empty for other layouts).
-    pub(crate) data_pages: Vec<PageId>,
-    pub(crate) min_key: Value,
-    pub(crate) max_key: Value,
-    pub(crate) record_count: usize,
-    /// Per-leaf zone map (same shape as the component-level stats), used to
-    /// skip whole leaves under a pushed-down filter. `None` for leaves
-    /// recovered from a pre-V5 manifest — such leaves are never skipped.
-    pub(crate) stats: Option<ComponentStats>,
-}
-
-/// Summary information about a component.
-#[derive(Debug, Clone)]
-pub struct ComponentMeta {
-    /// Monotonic component identifier (newer components have larger ids).
-    pub id: u64,
-    /// Storage layout of this component.
-    pub layout: LayoutKind,
-    /// Number of entries (records plus anti-matter).
-    pub record_count: usize,
-    /// Smallest key in the component.
-    pub min_key: Option<Value>,
-    /// Largest key in the component.
-    pub max_key: Option<Value>,
-    /// Bytes stored on the simulated disk (after page compression).
-    pub stored_bytes: u64,
-    /// Every page belonging to the component (for freeing after a merge).
-    pub pages: Vec<PageId>,
-}
-
-/// Description of one leaf, sufficient to reopen it from a manifest.
+/// One leaf of a component, as the leaf directory (and the manifest) holds
+/// it: where the leaf is, the keys it spans, how many entries it holds and
+/// its zone map. This is the component's one description; everything the
+/// component says about itself as a whole is folded from its leaves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafDescriptor {
     /// Page id of the leaf page (row or APAX) or of Page 0 (AMAX).
@@ -479,34 +460,28 @@ pub struct LeafDescriptor {
     pub min_key: Value,
     /// Largest key in the leaf.
     pub max_key: Value,
-    /// Number of entries in the leaf.
+    /// Number of entries in the leaf (records plus anti-matter).
     pub record_count: usize,
-    /// Per-leaf zone map over the leaf's live records. `None` for leaves
-    /// recovered from a pre-V5 manifest (they simply are not skippable
-    /// until the next merge rewrites them with stats).
-    pub stats: Option<ComponentStats>,
+    /// Zone map over the leaf's live records, used to skip the leaf under a
+    /// pushed-down filter.
+    pub stats: ComponentStats,
 }
 
-/// Serializable description of a whole component: everything a manifest must
-/// record so [`Component::open`] can rebuild the in-memory handle after a
-/// restart (the schema is persisted separately, once per manifest).
+/// The one description of a component: what [`ComponentWriter::finish`]
+/// produces, what a manifest records, and what [`Component::open`] rebuilds
+/// the handle from (the schema is persisted separately, once per manifest).
+/// The record count, key range, page list and statistics are not stored:
+/// [`Component`] derives them from the leaves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentDescriptor {
-    /// Monotonic component identifier.
+    /// Monotonic component identifier (newer components have larger ids).
     pub id: u64,
     /// Storage layout of the component.
     pub layout: LayoutKind,
-    /// Number of entries (records plus anti-matter).
-    pub record_count: usize,
     /// Bytes stored on disk (after page compression).
     pub stored_bytes: u64,
-    /// Every page belonging to the component.
-    pub pages: Vec<PageId>,
     /// The component's leaves, in key order.
     pub leaves: Vec<LeafDescriptor>,
-    /// Per-column statistics collected when the component was written.
-    /// `None` only for components recovered from a pre-stats manifest.
-    pub stats: Option<ComponentStats>,
 }
 
 /// An immutable on-disk component.
@@ -517,13 +492,17 @@ pub struct ComponentDescriptor {
 /// handle drops, so a snapshot taken before the merge can keep reading the
 /// old component safely.
 pub struct Component {
-    meta: ComponentMeta,
+    desc: ComponentDescriptor,
+    /// Entries over every leaf (derived).
+    record_count: usize,
+    /// Each leaf's page, then its data pages: the order they were written
+    /// in (derived).
+    pages: Vec<PageId>,
+    /// The leaves' zone maps folded into one (derived).
+    stats: Arc<ComponentStats>,
     schema: Schema,
     specs: HashMap<ColumnId, ColumnSpec>,
     key_spec: Option<ColumnSpec>,
-    leaves: Vec<LeafRef>,
-    stats: Option<Arc<ComponentStats>>,
-    config: ComponentConfig,
     cache: BufferCache,
     free_on_drop: std::sync::atomic::AtomicBool,
     /// Assembly plans by column list, shared by every assembler this
@@ -546,21 +525,42 @@ impl Drop for Component {
         if *self.free_on_drop.get_mut() {
             // Free through the cache so cached copies of these ids are
             // evicted before the store recycles the slots for new pages.
-            self.cache.free_pages(&self.meta.pages);
+            self.cache.free_pages(&self.pages);
             // The component id is dead for good (ids are never reused), so
             // its decoded leaves can never be read again — drop them now
             // rather than letting them squat on the leaf-cache budget.
             if let Some(handle) = self.cache.leaf_cache() {
-                handle.invalidate_component(self.meta.id);
+                handle.invalidate_component(self.desc.id);
             }
         }
     }
 }
 
 impl Component {
-    /// Component summary.
-    pub fn meta(&self) -> &ComponentMeta {
-        &self.meta
+    /// Monotonic component identifier (newer components have larger ids).
+    pub fn id(&self) -> u64 {
+        self.desc.id
+    }
+
+    /// Storage layout of the component.
+    pub fn layout(&self) -> LayoutKind {
+        self.desc.layout
+    }
+
+    /// Number of entries (records plus anti-matter): the sum over the leaves.
+    pub fn record_count(&self) -> usize {
+        self.record_count
+    }
+
+    /// Bytes stored on disk (after page compression).
+    pub fn stored_bytes(&self) -> u64 {
+        self.desc.stored_bytes
+    }
+
+    /// Every page of the component, leaf by leaf (the leaf page, then its
+    /// data pages) — what a retired component frees.
+    pub fn pages(&self) -> &[PageId] {
+        &self.pages
     }
 
     /// The schema persisted with the component.
@@ -596,35 +596,6 @@ impl Component {
         writer.finish()
     }
 
-    /// The handle over a component whose leaves are on disk: written just
-    /// now by a [`ComponentWriter`], or described by a manifest.
-    pub(crate) fn from_parts(
-        cache: &BufferCache,
-        config: &ComponentConfig,
-        schema: Schema,
-        meta: ComponentMeta,
-        leaves: Vec<LeafRef>,
-        stats: Option<ComponentStats>,
-    ) -> Component {
-        let specs: HashMap<ColumnId, ColumnSpec> =
-            columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
-        let key_spec = specs.values().find(|s| s.is_key).cloned();
-        let mut config = config.clone();
-        config.layout = meta.layout;
-        Component {
-            meta,
-            schema,
-            specs,
-            key_spec,
-            leaves,
-            stats: stats.map(Arc::new),
-            config,
-            cache: cache.clone(),
-            free_on_drop: std::sync::atomic::AtomicBool::new(false),
-            plans: Mutex::default(),
-        }
-    }
-
     /// The buffer cache this component reads through — its store's
     /// [`IoStats`](crate::pagestore::IoStats) account for every page the
     /// component touches (EXPLAIN ANALYZE reads deltas from here when it
@@ -646,64 +617,42 @@ impl Component {
 
     /// Describe the component for persistence in a manifest.
     pub fn describe(&self) -> ComponentDescriptor {
-        ComponentDescriptor {
-            id: self.meta.id,
-            layout: self.meta.layout,
-            record_count: self.meta.record_count,
-            stored_bytes: self.meta.stored_bytes,
-            pages: self.meta.pages.clone(),
-            stats: self.stats.as_deref().cloned(),
-            leaves: self
-                .leaves
-                .iter()
-                .map(|leaf| LeafDescriptor {
-                    page: leaf.page,
-                    data_pages: leaf.data_pages.clone(),
-                    min_key: leaf.min_key.clone(),
-                    max_key: leaf.max_key.clone(),
-                    record_count: leaf.record_count,
-                    stats: leaf.stats.clone(),
-                })
-                .collect(),
-        }
+        self.desc.clone()
     }
 
-    /// Reopen a component from its manifest description. The pages referenced
-    /// by the descriptor must exist in `cache`'s store (a file-backed store
-    /// reopened from the same dataset directory).
-    pub fn open(
-        cache: &BufferCache,
-        config: &ComponentConfig,
-        schema: Schema,
-        desc: ComponentDescriptor,
-    ) -> Component {
-        let leaves: Vec<LeafRef> = desc
-            .leaves
-            .into_iter()
-            .map(|leaf| LeafRef {
-                page: leaf.page,
-                data_pages: leaf.data_pages,
-                min_key: leaf.min_key,
-                max_key: leaf.max_key,
-                record_count: leaf.record_count,
-                stats: leaf.stats,
-            })
-            .collect();
-        let meta = ComponentMeta {
-            id: desc.id,
-            layout: desc.layout,
-            record_count: desc.record_count,
-            min_key: leaves.first().map(|l| l.min_key.clone()),
-            max_key: leaves.last().map(|l| l.max_key.clone()),
-            stored_bytes: desc.stored_bytes,
-            pages: desc.pages,
-        };
-        Component::from_parts(cache, config, schema, meta, leaves, desc.stats)
+    /// The handle over a component whose leaves are on disk: written just
+    /// now by a [`ComponentWriter`], or described by a manifest. The pages
+    /// the descriptor names must exist in `cache`'s store. The record count,
+    /// page list and statistics are derived here, once.
+    pub fn open(cache: &BufferCache, schema: Schema, desc: ComponentDescriptor) -> Component {
+        let record_count = desc.leaves.iter().map(|leaf| leaf.record_count).sum();
+        let mut pages = Vec::new();
+        let mut stats = ComponentStats::default();
+        for leaf in &desc.leaves {
+            pages.push(leaf.page);
+            pages.extend_from_slice(&leaf.data_pages);
+            stats.absorb(&leaf.stats);
+        }
+        let specs: HashMap<ColumnId, ColumnSpec> =
+            columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
+        let key_spec = specs.values().find(|s| s.is_key).cloned();
+        Component {
+            desc,
+            record_count,
+            pages,
+            stats: Arc::new(stats),
+            schema,
+            specs,
+            key_spec,
+            cache: cache.clone(),
+            free_on_drop: std::sync::atomic::AtomicBool::new(false),
+            plans: Mutex::default(),
+        }
     }
 
     /// Number of leaves (pages for row/APAX, mega leaf nodes for AMAX).
     pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
+        self.desc.leaves.len()
     }
 
     /// The component's primary-key range `(min, max)`, from its key-ordered
@@ -711,17 +660,16 @@ impl Component {
     /// side of leaf skipping: a newer component may hide a leaf only when the
     /// leaf's key range is disjoint from every older component's range.
     pub fn key_range(&self) -> Option<(Value, Value)> {
-        let first = self.leaves.first()?;
-        let last = self.leaves.last()?;
+        let first = self.desc.leaves.first()?;
+        let last = self.desc.leaves.last()?;
         Some((first.min_key.clone(), last.max_key.clone()))
     }
 
-    /// Per-column statistics collected when the component was written (zone
-    /// maps + planner cardinalities). `None` only for components recovered
-    /// from a pre-stats manifest — such components are never hidden as a
-    /// whole and the planner falls back to conservative estimates.
-    pub fn stats(&self) -> Option<&Arc<ComponentStats>> {
-        self.stats.as_ref()
+    /// Per-column statistics of the component (zone map + planner
+    /// cardinalities): its leaves' zone maps folded with
+    /// [`ComponentStats::absorb`].
+    pub fn stats(&self) -> &Arc<ComponentStats> {
+        &self.stats
     }
 
     /// An owning streaming cursor over the component (see the module-level
@@ -744,10 +692,7 @@ impl Component {
         projection: Option<&[Path]>,
         filter: Option<ScanFilter>,
     ) -> ComponentCursor {
-        ComponentCursor {
-            state: CursorState::new(self, projection, filter),
-            component: self.clone(),
-        }
+        ComponentCursor::new(self.clone(), projection, filter)
     }
 
     /// Resolve a projection (list of paths) into the set of column ids to
@@ -790,10 +735,10 @@ impl Component {
     /// columns a leaf lacks decodes nothing it already holds.
     fn decode_chunks(
         &self,
-        leaf: &LeafRef,
+        leaf: &LeafDescriptor,
         columns: Option<&[ColumnId]>,
     ) -> Result<Vec<ColumnChunk>> {
-        match self.config.layout {
+        match self.desc.layout {
             LayoutKind::Apax => {
                 let payload = self.read_payload(leaf.page)?;
                 let (_, chunks) = apax::decode_apax_columns(&payload, &self.specs, columns)?;
@@ -843,7 +788,7 @@ impl Component {
     /// cache-residency discount: a resident leaf costs no page reads.
     pub fn cached_leaf_count(&self) -> usize {
         self.leaf_cache()
-            .map_or(0, |handle| handle.cached_leaf_count(self.meta.id))
+            .map_or(0, |handle| handle.cached_leaf_count(self.desc.id))
     }
 
     /// Decoded entries of one row-layout leaf, through the decoded-leaf
@@ -852,25 +797,25 @@ impl Component {
     /// and no `records_assembled`.
     fn row_entries(&self, leaf_idx: usize) -> Result<Arc<Vec<Entry>>> {
         let Some(handle) = self.leaf_cache() else {
-            let payload = self.read_payload(self.leaves[leaf_idx].page)?;
+            let payload = self.read_payload(self.desc.leaves[leaf_idx].page)?;
             let entries = rowpage::decode_row_page(&payload)?;
             self.cache
                 .store()
                 .note_records_assembled(entries.len() as u64);
             return Ok(Arc::new(entries));
         };
-        if let Some(DecodedLeaf::Rows(entries)) = handle.get(self.meta.id, leaf_idx, None) {
+        if let Some(DecodedLeaf::Rows(entries)) = handle.get(self.desc.id, leaf_idx, None) {
             self.cache.store().note_leaf_cache_hit();
             return Ok(entries);
         }
         self.cache.store().note_leaf_cache_miss();
-        let payload = self.read_payload(self.leaves[leaf_idx].page)?;
+        let payload = self.read_payload(self.desc.leaves[leaf_idx].page)?;
         let entries = Arc::new(rowpage::decode_row_page(&payload)?);
         self.cache
             .store()
             .note_records_assembled(entries.len() as u64);
         let evicted = handle.insert(
-            self.meta.id,
+            self.desc.id,
             leaf_idx,
             None,
             DecodedLeaf::Rows(entries.clone()),
@@ -890,20 +835,20 @@ impl Component {
         columns: Option<&[ColumnId]>,
     ) -> Result<LeafChunks> {
         let decode = || -> Result<LeafChunks> {
-            let chunks = self.decode_chunks(&self.leaves[leaf_idx], columns)?;
+            let chunks = self.decode_chunks(&self.desc.leaves[leaf_idx], columns)?;
             Ok(Arc::new(chunks.into_iter().map(Arc::new).collect()))
         };
         let Some(handle) = self.leaf_cache() else {
             return decode();
         };
-        if let Some(DecodedLeaf::Chunks(chunks)) = handle.get(self.meta.id, leaf_idx, columns) {
+        if let Some(DecodedLeaf::Chunks(chunks)) = handle.get(self.desc.id, leaf_idx, columns) {
             self.cache.store().note_leaf_cache_hit();
             return Ok(chunks);
         }
         self.cache.store().note_leaf_cache_miss();
         let chunks = decode()?;
         let evicted = handle.insert(
-            self.meta.id,
+            self.desc.id,
             leaf_idx,
             columns,
             DecodedLeaf::Chunks(chunks.clone()),
@@ -956,7 +901,7 @@ impl Component {
     /// reads its projection columns. Both paths read through the
     /// decoded-leaf cache when one is attached.
     fn load_leaf(&self, leaf_idx: usize, eager: Option<&[ColumnId]>) -> Result<LeafBuffer> {
-        if !self.config.layout.is_columnar() {
+        if !self.desc.layout.is_columnar() {
             return Ok(LeafBuffer::Rows {
                 entries: self.row_entries(leaf_idx)?,
                 pos: 0,
@@ -964,7 +909,7 @@ impl Component {
         }
         let chunks = self.cached_chunks(leaf_idx, eager)?;
         let keys = key_chunk(&chunks)?.clone();
-        let count = self.leaves[leaf_idx].record_count;
+        let count = self.desc.leaves[leaf_idx].record_count;
         if keys.values.len() != count || keys.entry_count() != count {
             return Err(DecodeError::new(format!(
                 "leaf {leaf_idx} holds {} keys for {count} records",
@@ -1015,9 +960,9 @@ impl Component {
         let mut columns: Option<Option<Vec<ColumnId>>> = None;
         let (mut next, mut leaf_idx) = (0, 0);
         while next < keys.len() {
-            leaf_idx += self.leaves[leaf_idx..]
+            leaf_idx += self.desc.leaves[leaf_idx..]
                 .partition_point(|leaf| total_cmp(&leaf.max_key, keys[next]) == Ordering::Less);
-            let Some(leaf) = self.leaves.get(leaf_idx) else {
+            let Some(leaf) = self.desc.leaves.get(leaf_idx) else {
                 break;
             };
             // The run of keys up to this leaf's largest; those below its
@@ -1053,7 +998,7 @@ impl Component {
     ) -> Result<()> {
         // Each search starts where the previous key was found.
         let mut from = 0;
-        if !self.config.layout.is_columnar() {
+        if !self.desc.layout.is_columnar() {
             let entries = self.row_entries(leaf_idx)?;
             for (key, slot) in keys.iter().zip(out) {
                 from +=
@@ -1283,10 +1228,21 @@ impl LeafBuffer {
     }
 }
 
-/// The shared position of a component cursor: the next leaf to decode and
-/// the not-yet-consumed part of the current leaf. One leaf is resident at a
-/// time — the memory bound of the cursor protocol.
-struct CursorState {
+/// A [`ScanFilter`] and its predicates lowered against one component's
+/// schema.
+struct PushedFilter {
+    scan: ScanFilter,
+    lowered: Arc<ColumnFilter>,
+}
+
+/// Streaming scan over a shared component handle: the next leaf to decode
+/// and the not-yet-consumed part of the current one. One leaf is resident at
+/// a time — the memory bound of the cursor protocol. It owns its
+/// `Arc<Component>`, so it can be stored in long-lived pipelines (the LSM
+/// snapshot's scans, the facade's streaming API) without borrowing. Created
+/// by [`Component::cursor`].
+pub struct ComponentCursor {
+    component: Arc<Component>,
     /// Columns a record is assembled from (`None` = all): the projection,
     /// widened by the paths of pushed predicates that need the record.
     columns: Option<Vec<ColumnId>>,
@@ -1299,19 +1255,12 @@ struct CursorState {
     leaf: Option<LeafBuffer>,
 }
 
-/// A [`ScanFilter`] and its predicates lowered against one component's
-/// schema.
-struct PushedFilter {
-    scan: ScanFilter,
-    lowered: Arc<ColumnFilter>,
-}
-
-impl CursorState {
+impl ComponentCursor {
     fn new(
-        component: &Component,
+        component: Arc<Component>,
         projection: Option<&[Path]>,
         filter: Option<ScanFilter>,
-    ) -> CursorState {
+    ) -> ComponentCursor {
         let mut columns = component.projection_columns(projection);
         let filter = filter.filter(|f| !f.predicates.is_empty()).map(|scan| PushedFilter {
             lowered: Arc::new(ColumnFilter::lower(
@@ -1327,7 +1276,8 @@ impl CursorState {
             eager = Some(first);
             columns = component.assembly_columns(projection, Some(&filter.lowered));
         }
-        CursorState {
+        ComponentCursor {
+            component,
             columns,
             eager,
             filter,
@@ -1336,26 +1286,33 @@ impl CursorState {
         }
     }
 
-    /// Make the current leaf buffer hold at least one unconsumed entry,
-    /// loading the next leaf when the current one is drained. Under a
-    /// pushed-down filter, what [`zone_map_hides`] hides — the whole
-    /// component, or one leaf at a time — is skipped without any page read.
-    /// `Ok(false)` = the component is exhausted. The drained leaf stays
+    /// Entries resident from the current leaf but not yet consumed — the
+    /// cursor's live memory footprint, in records. At most one leaf's worth.
+    pub fn buffered(&self) -> usize {
+        self.leaf.as_ref().map_or(0, LeafBuffer::remaining)
+    }
+
+    /// Make the next entry resident, loading the next leaf when the current
+    /// one is drained. Under a pushed-down filter, what [`zone_map_hides`]
+    /// hides — the whole component, or one leaf at a time — is skipped
+    /// without any page read. `Ok(false)` = exhausted. The drained leaf stays
     /// resident until its successor is asked for.
     #[inline]
-    fn ensure_leaf(&mut self, component: &Component) -> Result<bool> {
+    pub fn fill(&mut self) -> Result<bool> {
         if self.leaf.as_ref().is_some_and(|l| l.remaining() > 0) {
             return Ok(true);
         }
-        self.next_leaf(component)
+        self.load_next_leaf()
     }
 
-    fn next_leaf(&mut self, component: &Component) -> Result<bool> {
+    fn load_next_leaf(&mut self) -> Result<bool> {
+        let component = &self.component;
+        let leaves = &component.desc.leaves;
         loop {
             if self.leaf.as_ref().is_some_and(|l| l.remaining() > 0) {
                 return Ok(true);
             }
-            if self.next_leaf >= component.leaves.len() {
+            if self.next_leaf >= leaves.len() {
                 self.leaf = None;
                 return Ok(false);
             }
@@ -1363,12 +1320,11 @@ impl CursorState {
             self.next_leaf += 1;
             if let Some(filter) = &self.filter {
                 let (predicates, older) = (&filter.scan.predicates, &filter.scan.older_key_ranges);
-                let leaves = &component.leaves;
                 // The component's own zone map first: when it hides the
                 // component, every one of its leaves counts as skipped.
                 let component_hidden = leaf_idx == 0 && {
                     let keys = (&leaves[0].min_key, &leaves[leaves.len() - 1].max_key);
-                    zone_map_hides(predicates, component.stats.as_deref(), keys, older)
+                    zone_map_hides(predicates, &component.stats, keys, older)
                 };
                 if component_hidden {
                     self.next_leaf = leaves.len();
@@ -1377,7 +1333,7 @@ impl CursorState {
                 }
                 let leaf = &leaves[leaf_idx];
                 let keys = (&leaf.min_key, &leaf.max_key);
-                if zone_map_hides(predicates, leaf.stats.as_ref(), keys, older) {
+                if zone_map_hides(predicates, &leaf.stats, keys, older) {
                     component.cache.store().note_leaves_skipped(1);
                     continue;
                 }
@@ -1386,23 +1342,13 @@ impl CursorState {
         }
     }
 
-    fn next(&mut self, component: &Component) -> Option<Result<Entry>> {
-        match self.ensure_leaf(component) {
-            Ok(true) => {}
-            Ok(false) => return None,
-            Err(e) => return Some(Err(e)),
-        }
-        let ordinal = self.resident_keys()?.first();
-        let entry = self.take(component, ordinal);
-        self.consume(1);
-        Some(entry)
-    }
-
-    /// The keys of the resident leaf's unconsumed entries; `None` when no
-    /// leaf is resident or it is drained (ask [`CursorState::ensure_leaf`]
-    /// first).
+    /// The keys of the resident leaf's unconsumed entries, borrowed — no
+    /// record is assembled and no key is copied. `None` until
+    /// [`ComponentCursor::fill`] made an entry resident (and once the cursor
+    /// is exhausted). This is what the LSM merge-reconcile cursor
+    /// reconciles, a run at a time.
     #[inline]
-    fn resident_keys(&self) -> Option<KeyRun<'_>> {
+    pub fn resident_keys(&self) -> Option<KeyRun<'_>> {
         let run = match self.leaf.as_ref()? {
             LeafBuffer::Rows { entries, pos } => KeyRun::Entries(entries, *pos),
             LeafBuffer::Columns(leaf) => KeyRun::Column(&leaf.keys, leaf.pos),
@@ -1410,13 +1356,14 @@ impl CursorState {
         (!run.is_empty()).then_some(run)
     }
 
-    /// Consume `n` resident entries without assembling them: a columnar
-    /// leaf only moves its position — the column cursors catch up in one
-    /// batched advance ([`columnar::Assembler::skip_records`]) if a later
-    /// record is ever assembled, so values are never decoded into a
-    /// document.
+    /// Consume the next `n` resident entries without assembling them
+    /// (§4.4's batched skip: a columnar leaf only moves its position, and
+    /// the column cursors catch up in one batched advance
+    /// ([`columnar::Assembler::skip_records`]) if a later record is ever
+    /// assembled). They are still there to be taken
+    /// ([`ComponentCursor::take_entry`]) until the next leaf is loaded.
     #[inline]
-    fn consume(&mut self, n: usize) {
+    pub fn consume(&mut self, n: usize) {
         match self.leaf.as_mut() {
             Some(LeafBuffer::Rows { pos, .. }) => *pos += n,
             Some(LeafBuffer::Columns(leaf)) => leaf.pos += n,
@@ -1424,11 +1371,12 @@ impl CursorState {
         }
     }
 
-    /// The entry at `ordinal` of the resident leaf, assembled (columnar) or
-    /// copied out of the shared page (rows). A leaf's entries are taken in
-    /// ascending ordinal order, each at most once.
-    fn take(&mut self, component: &Component, ordinal: usize) -> Result<Entry> {
+    /// The entry at `ordinal` of the resident leaf — consumed or not, taken
+    /// in ascending ordinal order and each at most once — assembled from the
+    /// projected columns, or copied out of the shared row page.
+    pub fn take_entry(&mut self, ordinal: usize) -> Result<Entry> {
         let columns = self.columns.as_deref();
+        let component = &self.component;
         match self.leaf.as_mut().expect("a leaf is resident") {
             LeafBuffer::Rows { entries, .. } => {
                 // Uncached datasets hold the only reference and move the
@@ -1461,103 +1409,14 @@ impl CursorState {
         }
     }
 
-    /// The entry at `ordinal` of a resident row leaf, in place.
-    fn entry(&self, ordinal: usize) -> Option<&Entry> {
-        match self.leaf.as_ref()? {
-            LeafBuffer::Rows { entries, .. } => entries.get(ordinal),
-            LeafBuffer::Columns(_) => None,
-        }
-    }
-
-    /// Does the entry at `ordinal` of the resident leaf pass the pushed
-    /// filter's column loops? Anti-matter always passes (it must reach the
-    /// merge to annihilate older versions) and so do row-layout entries,
-    /// which have no columns — their caller tests the document in place.
-    /// Asked in ascending ordinal order.
-    fn passes(&mut self, ordinal: usize) -> bool {
-        let Some(lowered) = self.filter.as_ref().map(|f| &f.lowered) else {
-            return true;
-        };
-        match self.leaf.as_mut() {
-            Some(LeafBuffer::Columns(leaf)) => {
-                leaf.keys.is_antimatter(ordinal) || {
-                    let chunks = &leaf.columns.chunks;
-                    leaf.filter
-                        .get_or_insert_with(|| lowered.bind(chunks))
-                        .matches(lowered, ordinal)
-                }
-            }
-            _ => true,
-        }
-    }
-
-    /// Index of the resident leaf when it is columnar.
-    fn resident_leaf(&self) -> Option<usize> {
-        match self.leaf.as_ref()? {
-            LeafBuffer::Columns(leaf) => Some(leaf.leaf_idx),
-            LeafBuffer::Rows { .. } => None,
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        self.leaf.as_ref().map_or(0, LeafBuffer::remaining)
-    }
-}
-
-/// Streaming scan over a shared component handle, loading one leaf at a
-/// time. It owns its `Arc<Component>`, so it can be stored in long-lived
-/// pipelines (the LSM snapshot's scans, the facade's streaming API) without
-/// borrowing. Created by [`Component::cursor`].
-pub struct ComponentCursor {
-    component: Arc<Component>,
-    state: CursorState,
-}
-
-impl ComponentCursor {
-    /// Entries resident from the current leaf but not yet consumed — the
-    /// cursor's live memory footprint, in records. At most one leaf's worth.
-    pub fn buffered(&self) -> usize {
-        self.state.buffered()
-    }
-
-    /// Make the next entry resident, loading the next leaf when the current
-    /// one is drained. `Ok(false)` = exhausted.
-    #[inline]
-    pub fn fill(&mut self) -> Result<bool> {
-        self.state.ensure_leaf(&self.component)
-    }
-
-    /// The keys of the resident leaf's unconsumed entries, borrowed — no
-    /// record is assembled and no key is copied. `None` until
-    /// [`ComponentCursor::fill`] made an entry resident (and once the cursor
-    /// is exhausted). This is what the LSM merge-reconcile cursor
-    /// reconciles, a run at a time.
-    #[inline]
-    pub fn resident_keys(&self) -> Option<KeyRun<'_>> {
-        self.state.resident_keys()
-    }
-
-    /// Consume the next `n` resident entries without assembling them
-    /// (§4.4's batched skip: no value is decoded into a document). They are
-    /// still there to be taken ([`ComponentCursor::take_entry`]) until the next
-    /// leaf is loaded.
-    #[inline]
-    pub fn consume(&mut self, n: usize) {
-        self.state.consume(n)
-    }
-
-    /// The entry at `ordinal` of the resident leaf — consumed or not, taken
-    /// in ascending ordinal order and each at most once — assembled from the
-    /// projected columns, or copied out of the shared row page.
-    pub fn take_entry(&mut self, ordinal: usize) -> Result<Entry> {
-        self.state.take(&self.component, ordinal)
-    }
-
     /// The entry at `ordinal` of a resident **row-layout** leaf, in place
     /// (`None` for columnar layouts): lets a scan test a document before
     /// copying it.
     pub fn entry(&self, ordinal: usize) -> Option<&Entry> {
-        self.state.entry(ordinal)
+        match self.leaf.as_ref()? {
+            LeafBuffer::Rows { entries, .. } => entries.get(ordinal),
+            LeafBuffer::Columns(_) => None,
+        }
     }
 
     /// Index of the resident leaf when it is columnar; `None` for row
@@ -1566,13 +1425,16 @@ impl ComponentCursor {
     /// column-wise merge (§4.4) and of a batch scan: a winner's ordinal is
     /// recorded, and its columns are copied — or folded over — later.
     pub fn resident_leaf(&self) -> Option<usize> {
-        self.state.resident_leaf()
+        match self.leaf.as_ref()? {
+            LeafBuffer::Columns(leaf) => Some(leaf.leaf_idx),
+            LeafBuffer::Rows { .. } => None,
+        }
     }
 
     /// The decoded chunks of the resident columnar leaf (every column the
     /// cursor's projection loads; all of them for an unprojected cursor).
     pub fn leaf_chunks(&self) -> Option<&LeafChunks> {
-        match self.state.leaf.as_ref()? {
+        match self.leaf.as_ref()? {
             LeafBuffer::Columns(leaf) => Some(&leaf.columns.chunks),
             LeafBuffer::Rows { .. } => None,
         }
@@ -1590,15 +1452,27 @@ impl ComponentCursor {
     /// a key, after the shadowed losers were consumed — evaluating a loser
     /// would let a stale value filter (or admit) a live record.
     pub fn passes(&mut self, ordinal: usize) -> bool {
-        self.state.passes(ordinal)
+        let Some(lowered) = self.filter.as_ref().map(|f| &f.lowered) else {
+            return true;
+        };
+        match self.leaf.as_mut() {
+            Some(LeafBuffer::Columns(leaf)) => {
+                leaf.keys.is_antimatter(ordinal) || {
+                    let chunks = &leaf.columns.chunks;
+                    leaf.filter
+                        .get_or_insert_with(|| lowered.bind(chunks))
+                        .matches(lowered, ordinal)
+                }
+            }
+            _ => true,
+        }
     }
 
     /// Does an assembled record pass the pushed predicates that no column
     /// loop could decide (paths through unions, composite values)? The
     /// cursor's projection is widened to cover their paths.
     pub fn record_passes(&self, doc: &Value) -> bool {
-        self.state
-            .filter
+        self.filter
             .as_ref()
             .is_none_or(|f| f.lowered.record_passes(doc))
     }
@@ -1619,7 +1493,7 @@ impl ComponentCursor {
     /// leaf is resident. A drained leaf stays resident until the cursor is
     /// next filled, which is when a scan collects its batch.
     pub fn leaf_batch(&self, selection: Vec<u32>) -> Option<ColumnBatch> {
-        let LeafBuffer::Columns(leaf) = self.state.leaf.as_ref()? else {
+        let LeafBuffer::Columns(leaf) = self.leaf.as_ref()? else {
             return None;
         };
         Some(ColumnBatch::new(
@@ -1631,7 +1505,7 @@ impl ComponentCursor {
                 loaded: leaf.columns.loaded.clone(),
             },
             selection,
-            self.state.filter.as_ref().map(|f| f.lowered.clone()),
+            self.filter.as_ref().map(|f| f.lowered.clone()),
         ))
     }
 }
@@ -1640,7 +1514,15 @@ impl Iterator for ComponentCursor {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.state.next(&self.component)
+        match self.fill() {
+            Ok(true) => {}
+            Ok(false) => return None,
+            Err(e) => return Some(Err(e)),
+        }
+        let ordinal = self.resident_keys()?.first();
+        let entry = self.take_entry(ordinal);
+        self.consume(1);
+        Some(entry)
     }
 }
 
@@ -1737,9 +1619,9 @@ mod tests {
             let cache = small_cache();
             let config = ComponentConfig::new(layout);
             let comp = Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap());
-            assert_eq!(comp.meta().record_count, 300, "{layout:?}");
+            assert_eq!(comp.record_count(), 300, "{layout:?}");
             assert!(comp.leaf_count() > 0);
-            assert!(comp.meta().stored_bytes > 0);
+            assert!(comp.stored_bytes() > 0);
 
             let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
             assert_eq!(scanned.len(), 300, "{layout:?}");
@@ -1768,7 +1650,7 @@ mod tests {
         let comp = std::sync::Arc::new(
             Component::write(&cache, &config, schema, &entries, 1).unwrap(),
         );
-        let pages = comp.meta().pages.clone();
+        let pages = comp.pages().to_vec();
         let snapshot_handle = comp.clone();
 
         // Retire + drop the tree's handle: a concurrent snapshot still holds
@@ -1793,7 +1675,7 @@ mod tests {
         let cache = small_cache();
         let config = ComponentConfig::new(LayoutKind::Vb);
         let comp = Component::write(&cache, &config, schema, &entries, 1).unwrap();
-        let pages = comp.meta().pages.clone();
+        let pages = comp.pages().to_vec();
         drop(comp);
         assert!(!cache.store().read_page(pages[0]).is_empty());
     }
@@ -1899,7 +1781,7 @@ mod tests {
             let comp =
                 Component::write(&cache, &ComponentConfig::new(layout), schema.clone(), &entries, 1)
                     .unwrap();
-            sizes.insert(layout, comp.meta().stored_bytes);
+            sizes.insert(layout, comp.stored_bytes());
         }
         assert!(sizes[&LayoutKind::Amax] < sizes[&LayoutKind::Vb]);
         assert!(sizes[&LayoutKind::Apax] < sizes[&LayoutKind::Open]);
@@ -1917,14 +1799,17 @@ mod tests {
             let comp = Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 3).unwrap());
             let desc = comp.describe();
             assert_eq!(desc.layout, layout);
-            assert_eq!(desc.record_count, 200);
+            let (pages, stats) = (comp.pages().to_vec(), comp.stats().clone());
             drop(comp);
 
-            // Reopen from the descriptor (as recovery does from a manifest).
-            let reopened = Arc::new(Component::open(&cache, &config, schema.clone(), desc.clone()));
+            // Reopen from the descriptor (as recovery does from a manifest):
+            // what the component derives from its leaves is what was written.
+            let reopened = Arc::new(Component::open(&cache, schema.clone(), desc.clone()));
             assert_eq!(reopened.describe(), desc, "{layout:?}");
-            assert_eq!(reopened.meta().min_key, Some(Value::Int(0)));
-            assert_eq!(reopened.meta().max_key, Some(Value::Int(199)));
+            assert_eq!(reopened.record_count(), 200, "{layout:?}");
+            assert_eq!(reopened.pages(), pages, "{layout:?}");
+            assert_eq!(reopened.stats(), &stats, "{layout:?}");
+            assert_eq!(reopened.key_range(), Some((Value::Int(0), Value::Int(199))));
             let scanned: Vec<Entry> =
                 reopened.cursor(None).map(|e| e.unwrap()).collect();
             assert_eq!(scanned.len(), 200, "{layout:?}");
@@ -2401,7 +2286,7 @@ mod tests {
         let comp = std::sync::Arc::new(
             Component::write(&cache, &config, schema, &entries, 1).unwrap(),
         );
-        let id = comp.meta().id;
+        let id = comp.id();
         let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
         assert_eq!(scanned.len(), 120);
         let handle = cache.leaf_cache().unwrap();
@@ -2478,7 +2363,7 @@ mod tests {
         let (int, dbl) = (|v: i64| Value::Int(v), |v: f64| Value::Double(v));
         let keys = (&Value::Int(100), &Value::Int(200));
         let hides = |p: &ColumnPredicate, older: &[(Value, Value)]| {
-            zone_map_hides(std::slice::from_ref(p), Some(&stats), keys, older)
+            zone_map_hides(std::slice::from_ref(p), &stats, keys, older)
         };
         // Disproved: a path the stats lack, and `score` in [10, 20] against
         // bounds disjoint below and above, `Included` and `Excluded`.
@@ -2507,7 +2392,7 @@ mod tests {
         }
         // One disproved conjunct suffices.
         let both = [pred("score", Included(int(0)), Unbounded), pred("nope", Unbounded, Unbounded)];
-        assert!(zone_map_hides(&both, Some(&stats), keys, &[]));
+        assert!(zone_map_hides(&both, &stats, keys, &[]));
         // Reconciliation safety: keys [100, 200] must miss every older range;
         // touching one at a single key already forbids hiding.
         let absent = pred("nope", Unbounded, Unbounded);
@@ -2515,8 +2400,5 @@ mod tests {
         assert!(!hides(&absent, &[(int(0), int(99)), (int(0), int(100))]));
         assert!(!hides(&absent, &[(int(200), int(300))]));
         assert!(!hides(&absent, &[(int(120), int(130))]));
-        // Without stats (a leaf or component from before zone maps) nothing
-        // is ever hidden, whatever the predicate.
-        assert!(!zone_map_hides(std::slice::from_ref(&absent), None, keys, &[]));
     }
 }

@@ -5,10 +5,11 @@
 //! observed in its live records, how many records have the path, how many
 //! values the path addresses, and (for *single-valued* paths whose values
 //! are all atomic) the minimum and maximum value under the document total
-//! order. The structure is computed once, at flush/merge time by the
-//! [`crate::writer::ComponentWriter`] — per leaf as each leaf is sealed, the
-//! component's being the fold of its leaves' ([`ComponentStats::absorb`]) —
-//! persisted in the manifest, and consumed twice:
+//! order. The structure is computed once per leaf, at flush/merge time by
+//! the [`crate::writer::ComponentWriter`] as each leaf is sealed, and
+//! persisted with the leaf in the manifest; the component's is the fold of
+//! its leaves' ([`ComponentStats::absorb`]), taken when the component handle
+//! is built. It is consumed twice:
 //!
 //! * **Zone maps** — a pushed predicate whose range is disjoint from a
 //!   component's or a leaf's `[min, max]` for its path (or whose path the

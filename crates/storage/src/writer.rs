@@ -21,12 +21,13 @@ use schema::{ColumnId, ColumnSpec, Schema};
 use crate::amax;
 use crate::apax;
 use crate::component::{
-    write_page, Component, ComponentConfig, ComponentMeta, Entry, LayoutKind, LeafRef,
+    write_page, Component, ComponentConfig, ComponentDescriptor, Entry, LayoutKind,
+    LeafDescriptor,
 };
 use crate::pagestore::{BufferCache, PageId};
 use crate::rowformat::RowFormat;
 use crate::rowpage;
-use crate::stats::{column_derived_stats, ComponentStats, StatsBuilder};
+use crate::stats::{column_derived_stats, StatsBuilder};
 use crate::Result;
 
 /// A run of consecutive records of one decoded columnar leaf, as handed to
@@ -48,15 +49,14 @@ pub struct ComponentWriter {
     /// Row and APAX leaves fill by size: the summed
     /// [`rowpage::entry_size_estimate`]s of the open leaf's records.
     open_bytes: usize,
-    leaves: Vec<LeafRef>,
+    leaves: Vec<LeafDescriptor>,
     pages: WrittenPages,
     stored_bytes: u64,
-    record_count: usize,
-    stats: ComponentStats,
 }
 
 /// The pages written so far. Until [`ComponentWriter::finish`] hands them to
-/// a [`Component`] they belong to nobody else, so dropping them frees them.
+/// a [`Component`] they belong to nobody else, so dropping them frees them —
+/// which is why the writer lists them apart from the leaves.
 struct WrittenPages {
     cache: BufferCache,
     ids: Vec<PageId>,
@@ -185,8 +185,6 @@ impl ComponentWriter {
                 ids: Vec::new(),
             },
             stored_bytes: 0,
-            record_count: 0,
-            stats: ComponentStats::default(),
         }
     }
 
@@ -406,15 +404,13 @@ impl ComponentWriter {
             .iter()
             .map(|payload| self.write_page(payload))
             .collect();
-        self.record_count += records;
-        self.stats.absorb(&stats);
-        self.leaves.push(LeafRef {
+        self.leaves.push(LeafDescriptor {
             page,
             data_pages,
             min_key,
             max_key,
             record_count: records,
-            stats: Some(stats),
+            stats,
         });
         Ok(())
     }
@@ -430,23 +426,16 @@ impl ComponentWriter {
     /// [`Component`]. A writer dropped without finishing frees them instead.
     pub fn finish(mut self) -> Result<Component> {
         self.seal_open()?;
-        let meta = ComponentMeta {
+        let desc = ComponentDescriptor {
             id: self.id,
             layout: self.config.layout,
-            record_count: self.record_count,
-            min_key: self.leaves.first().map(|l| l.min_key.clone()),
-            max_key: self.leaves.last().map(|l| l.max_key.clone()),
             stored_bytes: self.stored_bytes,
-            pages: std::mem::take(&mut self.pages.ids),
+            leaves: self.leaves,
         };
-        Ok(Component::from_parts(
-            &self.pages.cache,
-            &self.config,
-            self.schema,
-            meta,
-            self.leaves,
-            Some(self.stats),
-        ))
+        let component = Component::open(&self.pages.cache, self.schema, desc);
+        debug_assert_eq!(component.pages(), self.pages.ids, "pages derive from the leaves");
+        self.pages.ids.clear();
+        Ok(component)
     }
 }
 
@@ -565,7 +554,7 @@ mod tests {
             let config = config(layout);
             let live =
                 Component::write(&cache, &config, schema.clone(), &entries[..100], 1).unwrap();
-            let live_pages = live.meta().pages.len() as u64;
+            let live_pages = live.pages().len() as u64;
             let store = cache.store();
             assert_eq!(store.page_count(), live_pages, "{layout:?}");
 
@@ -592,7 +581,7 @@ mod tests {
                 Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 3).unwrap());
             assert_eq!(
                 store.page_count(),
-                store.free_page_count() + live_pages + rewritten.meta().pages.len() as u64,
+                store.free_page_count() + live_pages + rewritten.pages().len() as u64,
                 "{layout:?}"
             );
             assert_eq!(
@@ -647,10 +636,9 @@ mod tests {
             let mut expected = source.describe();
             let mut got = copy.describe();
             // Same leaves but for where they were written.
-            assert_eq!(got.pages.len(), expected.pages.len(), "{layout:?}");
+            assert_eq!(copy.pages().len(), source.pages().len(), "{layout:?}");
             for desc in [&mut expected, &mut got] {
                 desc.id = 0;
-                desc.pages.clear();
                 for leaf in &mut desc.leaves {
                     leaf.page = 0;
                     leaf.data_pages.clear();

@@ -71,6 +71,8 @@ fn a_seeded_sensors_amax_leaf_writes_the_same_pages() {
 }
 
 /// Recorded at the commit that introduced this test (format `LSMMAN07`).
+/// Unchanged under `LSMMAN08`: that generation changed what the manifest
+/// records about a component, not a byte of any page.
 const GOLDEN: &[u32] = &[
     0x92db_8dcc,
     0x0d5d_6487,

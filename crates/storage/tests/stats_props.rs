@@ -157,19 +157,18 @@ proptest! {
                 let records = &scanned[next..next + leaf.record_count];
                 next += leaf.record_count;
                 let walked = observed(records.iter().filter_map(|(_, doc)| doc.as_ref()));
-                let derived = leaf.stats.as_ref().expect("written leaves carry zone maps");
-                if let Err(why) = same_stats(derived, &walked) {
+                if let Err(why) = same_stats(&leaf.stats, &walked) {
                     prop_assert!(false, "{layout:?} leaf: {why}");
                 }
-                folded.absorb(derived);
+                folded.absorb(&leaf.stats);
             }
             prop_assert_eq!(next, scanned.len());
             let whole = observed(scanned.iter().filter_map(|(_, doc)| doc.as_ref()));
-            let stats = desc.stats.as_ref().expect("written components carry stats");
+            let stats = component.stats();
             if let Err(why) = same_stats(stats, &whole) {
                 prop_assert!(false, "{layout:?} component: {why}");
             }
-            prop_assert_eq!(stats, &folded, "{:?}: component stats are the fold", layout);
+            prop_assert_eq!(&**stats, &folded, "{:?}: component stats are the fold", layout);
         }
     }
 }
