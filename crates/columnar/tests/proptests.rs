@@ -14,70 +14,16 @@ use columnar::{
 use docmodel::{PathStep, Value};
 use proptest::prelude::*;
 use schema::{AtomicType, ColumnSpec, SchemaBuilder};
-
-/// Arbitrary documents with no nulls, no empty containers and consistent
-/// key field: exactly the fragment for which shred→assemble is lossless
-/// (nulls and empty objects intentionally assemble as absent — see the
-/// targeted unit tests for those semantics).
-fn arb_clean_value(depth: u32) -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        any::<bool>().prop_map(Value::Bool),
-        any::<i64>().prop_map(Value::Int),
-        (-1e9f64..1e9f64).prop_map(Value::Double),
-        "[a-z0-9]{0,12}".prop_map(Value::String),
-    ];
-    leaf.prop_recursive(depth, 48, 6, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..4).prop_map(Value::Array),
-            prop::collection::vec(("[a-e]{1,3}", inner), 1..4).prop_map(|fields| {
-                let mut out: Vec<(String, Value)> = Vec::new();
-                for (k, v) in fields {
-                    if !out.iter().any(|(ek, _)| *ek == k) {
-                        out.push((k, v));
-                    }
-                }
-                Value::Object(out)
-            }),
-        ]
-    })
-}
+use testkit::{arb_clean_value, arb_entry, object};
 
 fn arb_record() -> impl Strategy<Value = Value> {
-    (1i64..1_000_000, prop::collection::vec(("[a-e]{1,3}", arb_clean_value(3)), 0..5)).prop_map(
-        |(id, fields)| {
-            let mut obj = vec![("id".to_string(), Value::Int(id))];
-            for (k, v) in fields {
-                if k != "id" && !obj.iter().any(|(ek, _)| *ek == k) {
-                    obj.push((k, v));
-                }
-            }
-            Value::Object(obj)
-        },
+    (
+        1i64..1_000_000,
+        prop::collection::vec(("[a-e]{1,3}", arb_clean_value(3)), 0..5),
     )
-}
-
-/// A record over a handful of field names, so that from record to record
-/// fields go missing, are `null` (assembled as absent) and change type
-/// (union columns) — or `None`, an anti-matter entry. Values stay inside
-/// the clean fragment: deeper nulls and empty containers inside
-/// heterogeneous arrays are outside what shred→assemble supports at all.
-fn arb_entry() -> impl Strategy<Value = Option<Value>> {
-    let field = prop_oneof![
-        arb_clean_value(3),
-        arb_clean_value(3),
-        arb_clean_value(3),
-        Just(Value::Null)
-    ];
-    let record = prop::collection::vec(("[a-d]", field), 0..4).prop_map(|fields| {
-        let mut obj = vec![("id".to_string(), Value::Int(0))];
-        for (k, v) in fields {
-            if !obj.iter().any(|(ek, _)| *ek == k) {
-                obj.push((k, v));
-            }
-        }
-        Value::Object(obj)
-    });
-    (record, 0u8..8).prop_map(|(doc, dice)| (dice > 0).then_some(doc))
+        .prop_map(|(id, fields)| {
+            object(std::iter::once(("id".to_string(), Value::Int(id))).chain(fields))
+        })
 }
 
 /// Levels are untrusted too: a chunk whose levels announce more values

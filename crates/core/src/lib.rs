@@ -276,7 +276,11 @@ impl ShardedDataset {
         leaf_cache: Option<Arc<LeafCache>>,
     ) -> ShardedDataset {
         assert!(!shards.is_empty(), "a dataset needs at least one shard");
-        ShardedDataset { key_field, shards, leaf_cache }
+        ShardedDataset {
+            key_field,
+            shards,
+            leaf_cache,
+        }
     }
 
     /// The shared decoded-leaf cache, when a memory budget is configured
@@ -324,8 +328,7 @@ impl ShardedDataset {
 
     /// Partition a batch of documents by owning shard.
     fn partition(&self, docs: Vec<Value>) -> Result<Vec<Vec<Value>>> {
-        let mut partitions: Vec<Vec<Value>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut partitions: Vec<Vec<Value>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for doc in docs {
             let key = self.extract_key(&doc)?;
             partitions[self.shard_index_for(&key)].push(doc);
@@ -353,11 +356,7 @@ impl ShardedDataset {
     /// client batches without hand-rolling per-K-records `sync()` loops;
     /// for in-memory datasets the syncs are no-ops.
     pub fn ingest_batch(&self, docs: Vec<Value>, sync_every: usize) -> Result<usize> {
-        fn ingest_one(
-            shard: &LsmDataset,
-            batch: Vec<Value>,
-            sync_every: usize,
-        ) -> lsm::Result<()> {
+        fn ingest_one(shard: &LsmDataset, batch: Vec<Value>, sync_every: usize) -> lsm::Result<()> {
             for (i, doc) in batch.into_iter().enumerate() {
                 shard.insert(doc)?;
                 if sync_every > 0 && (i + 1) % sync_every == 0 {
@@ -647,7 +646,10 @@ impl DocCursor {
     /// High-water mark of entries decoded and buffered across every shard's
     /// cursor so far — the streaming scan's peak memory, in records.
     pub fn peak_buffered(&self) -> usize {
-        self.cursors.iter().map(lsm::ScanCursor::peak_buffered).sum()
+        self.cursors
+            .iter()
+            .map(lsm::ScanCursor::peak_buffered)
+            .sum()
     }
 
     /// Re-pin the cursor on **fresh** per-shard snapshots of `dataset` and
@@ -777,7 +779,10 @@ impl Datastore {
         if self.datasets.contains_key(name) {
             return Err(Error::api(format!("dataset '{name}' already exists")));
         }
-        let DatasetOptions { mut config, shards: count } = options;
+        let DatasetOptions {
+            mut config,
+            shards: count,
+        } = options;
         config.memory_budget /= count;
         config.pool = config.background.then(|| self.shared_pool().handle());
         config.leaf_cache = shared_leaf_cache(&config, count);
@@ -828,11 +833,7 @@ impl Datastore {
     /// Reopen a durable dataset from its directory alone, using the
     /// configuration persisted in its manifests. Detects the sharded layout
     /// (`shard-NNN` subdirectories) automatically.
-    pub fn reopen_dataset(
-        &mut self,
-        name: &str,
-        dir: impl AsRef<std::path::Path>,
-    ) -> Result<()> {
+    pub fn reopen_dataset(&mut self, name: &str, dir: impl AsRef<std::path::Path>) -> Result<()> {
         if self.datasets.contains_key(name) {
             return Err(Error::api(format!("dataset '{name}' already exists")));
         }
@@ -929,7 +930,11 @@ impl Datastore {
     }
 
     /// Insert many documents.
-    pub fn ingest_all(&self, dataset: &str, docs: impl IntoIterator<Item = Value>) -> Result<usize> {
+    pub fn ingest_all(
+        &self,
+        dataset: &str,
+        docs: impl IntoIterator<Item = Value>,
+    ) -> Result<usize> {
         let ds = self.dataset(dataset)?;
         let mut n = 0;
         for doc in docs {
@@ -1023,11 +1028,7 @@ impl Datastore {
     /// [`ShardedDataset::cursor`]): bounded memory, early drop reads no
     /// further pages. The cursor owns consistent snapshots, so concurrent
     /// ingestion never disturbs an in-flight iteration.
-    pub fn scan_cursor(
-        &self,
-        dataset: &str,
-        projection: Option<&[Path]>,
-    ) -> Result<DocCursor> {
+    pub fn scan_cursor(&self, dataset: &str, projection: Option<&[Path]>) -> Result<DocCursor> {
         self.dataset(dataset)?.cursor(projection)
     }
 
@@ -1068,7 +1069,9 @@ mod tests {
                     .page_size(8 * 1024),
             )
             .unwrap();
-        assert!(store.create_dataset("tweets", DatasetOptions::new(Layout::Vb)).is_err());
+        assert!(store
+            .create_dataset("tweets", DatasetOptions::new(Layout::Vb))
+            .is_err());
 
         for i in 0..200i64 {
             store
@@ -1212,9 +1215,10 @@ mod tests {
 
     #[test]
     fn durable_dataset_survives_reopen_through_facade() {
-        let dir = std::env::temp_dir()
-            .join(format!("docstore-facade-tests-{}", std::process::id()))
-            .join("durable");
+        let dir = std::env::temp_dir().join(format!(
+            "docstore-facade-tests-{}-durable",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut store = Datastore::new();
@@ -1226,7 +1230,10 @@ mod tests {
                 )
                 .unwrap();
             store
-                .ingest_json("events", "{\"id\": 1, \"kind\": \"created\"}\n{\"id\": 2, \"kind\": \"deleted\"}")
+                .ingest_json(
+                    "events",
+                    "{\"id\": 1, \"kind\": \"created\"}\n{\"id\": 2, \"kind\": \"deleted\"}",
+                )
                 .unwrap();
             store.delete("events", Value::Int(2)).unwrap();
             store.flush("events").unwrap();
@@ -1238,7 +1245,9 @@ mod tests {
         }
         let mut store = Datastore::new();
         store.reopen_dataset("events", &dir).unwrap();
-        assert!(store.create_dataset("events", DatasetOptions::new(Layout::Vb)).is_err());
+        assert!(store
+            .create_dataset("events", DatasetOptions::new(Layout::Vb))
+            .is_err());
         let count = store
             .query("events", &Query::count_star(), ExecMode::Compiled)
             .unwrap();
@@ -1246,13 +1255,15 @@ mod tests {
         assert!(store.get("events", &Value::Int(2)).unwrap().is_none());
         let recovered = store.get("events", &Value::Int(3)).unwrap().unwrap();
         assert_eq!(recovered.get_field("kind"), Some(&Value::from("unflushed")));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn durable_sharded_dataset_reopens_every_shard() {
-        let dir = std::env::temp_dir()
-            .join(format!("docstore-facade-tests-{}", std::process::id()))
-            .join("durable-sharded");
+        let dir = std::env::temp_dir().join(format!(
+            "docstore-facade-tests-{}-durable-sharded",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut store = Datastore::new();
@@ -1281,6 +1292,7 @@ mod tests {
         assert_eq!(count[0].agg(), &Value::Int(300));
         let rec = store.get("events", &Value::Int(217)).unwrap().unwrap();
         assert_eq!(rec.get_field("v"), Some(&Value::Int(434)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1326,7 +1338,10 @@ mod tests {
             .unwrap()
             .explain_with_options(&q, force_index)
             .unwrap();
-        assert!(plan.contains("secondary-index range probe on `ts`"), "{plan}");
+        assert!(
+            plan.contains("secondary-index range probe on `ts`"),
+            "{plan}"
+        );
         assert!(plan.contains("shards     : 4"), "{plan}");
         let plan = store.explain("sharded", &q).unwrap();
         assert!(plan.contains("selectivity"), "{plan}");
@@ -1348,7 +1363,13 @@ mod tests {
                 assert_eq!(sharded, single, "{mode:?} {choice:?}");
             }
             let sharded = store.query("sharded", &q, mode).unwrap();
-            assert_eq!(sharded.iter().map(|r| r.aggs[0].as_int().unwrap()).sum::<i64>(), 200);
+            assert_eq!(
+                sharded
+                    .iter()
+                    .map(|r| r.aggs[0].as_int().unwrap())
+                    .sum::<i64>(),
+                200
+            );
         }
     }
 
@@ -1378,7 +1399,10 @@ mod tests {
             .with_limit(5);
         let rows = store.query("events", &q, ExecMode::Compiled).unwrap();
         assert_eq!(rows.len(), 5);
-        let keys: Vec<i64> = rows.iter().map(|r| r.group.as_ref().unwrap().as_int().unwrap()).collect();
+        let keys: Vec<i64> = rows
+            .iter()
+            .map(|r| r.group.as_ref().unwrap().as_int().unwrap())
+            .collect();
         assert_eq!(keys, vec![10, 11, 12, 13, 14]);
         assert_eq!(rows[0].aggs.len(), 2);
         let plan = store.explain("events", &q).unwrap();
@@ -1450,12 +1474,14 @@ mod tests {
         let rest: Vec<(i64, i64)> = cursor
             .map(|e| {
                 let (k, d) = e.unwrap();
-                (k.as_int().unwrap(), d.get_field("v").unwrap().as_int().unwrap())
+                (
+                    k.as_int().unwrap(),
+                    d.get_field("v").unwrap().as_int().unwrap(),
+                )
             })
             .collect();
         let keys: Vec<i64> = rest.iter().map(|(k, _)| *k).collect();
-        let expected: Vec<i64> =
-            (100..=300).filter(|k| *k != 200).collect();
+        let expected: Vec<i64> = (100..=300).filter(|k| *k != 200).collect();
         assert_eq!(keys, expected);
         let updated = rest.iter().find(|(k, _)| *k == 150).unwrap();
         assert_eq!(updated.1, -1, "refresh must surface the post-pause update");
@@ -1468,10 +1494,17 @@ mod tests {
             .create_dataset("d", DatasetOptions::new(Layout::Amax).page_size(8 * 1024))
             .unwrap();
         // Plan validation error.
-        let err = store.query("d", &Query::new(), ExecMode::Compiled).unwrap_err();
-        assert!(matches!(err, Error::Query(query::Error::InvalidPlan(_))), "{err:?}");
+        let err = store
+            .query("d", &Query::new(), ExecMode::Compiled)
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Query(query::Error::InvalidPlan(_))),
+            "{err:?}"
+        );
         // Facade-level error.
-        let err = store.query("nope", &Query::count_star(), ExecMode::Compiled).unwrap_err();
+        let err = store
+            .query("nope", &Query::count_star(), ExecMode::Compiled)
+            .unwrap_err();
         assert!(matches!(err, Error::Api(_)), "{err:?}");
         assert!(err.to_string().contains("unknown dataset"));
     }
@@ -1491,7 +1524,9 @@ mod tests {
         store.compact("d").unwrap();
         assert!(store.get("d", &Value::Int(1)).unwrap().is_none());
         assert!(store.get("d", &Value::Int(2)).unwrap().is_some());
-        assert!(store.query("nope", &Query::count_star(), ExecMode::Compiled).is_err());
+        assert!(store
+            .query("nope", &Query::count_star(), ExecMode::Compiled)
+            .is_err());
     }
 
     #[test]
@@ -1522,7 +1557,10 @@ mod tests {
         let write_amp = metrics.gauge("amp.write").unwrap();
         let expected = metrics.counter("storage.bytes_written") as f64
             / metrics.counter("ingest.bytes") as f64;
-        assert!((write_amp - expected).abs() < 1e-9, "{write_amp} vs {expected}");
+        assert!(
+            (write_amp - expected).abs() < 1e-9,
+            "{write_amp} vs {expected}"
+        );
         assert!(metrics.to_json().contains("\"shards\": 3"));
 
         // Health: one entry per shard, all idle-inline and error-free.
@@ -1539,26 +1577,36 @@ mod tests {
         // Events: merged across shards, tagged with their shard index.
         let events = store.dataset("obs").unwrap().recent_events(64);
         assert!(events.iter().any(|(_, e)| e.kind.label() == "flush_end"));
-        let shard_ids: std::collections::BTreeSet<usize> =
-            events.iter().map(|(i, _)| *i).collect();
+        let shard_ids: std::collections::BTreeSet<usize> = events.iter().map(|(i, _)| *i).collect();
         assert_eq!(shard_ids.len(), 3, "every shard contributed events");
 
         // EXPLAIN ANALYZE through the facade: same rows as query(), exact
         // early-termination point for a limited key-ordered select.
         let q = Query::select_paths(["score"]).order_by_key().with_limit(7);
         let expected = store.query("obs", &q, ExecMode::Compiled).unwrap();
-        let report = store.explain_analyze("obs", &q, ExecMode::Compiled).unwrap();
+        let report = store
+            .explain_analyze("obs", &q, ExecMode::Compiled)
+            .unwrap();
         assert_eq!(report.rows, expected);
         assert_eq!(report.shards.len(), 3);
         assert_eq!(report.early_termination(), Some(report.rows_pulled()));
-        assert!(report.rows_pulled() < 300, "LIMIT 7 must not drain 300 records");
-        assert!(report.describe().contains("analyze[shard 1]"), "{}", report.describe());
+        assert!(
+            report.rows_pulled() < 300,
+            "LIMIT 7 must not drain 300 records"
+        );
+        assert!(
+            report.describe().contains("analyze[shard 1]"),
+            "{}",
+            report.describe()
+        );
 
         // Telemetry off: the dataset still answers, the registry stays dark.
         store
             .create_dataset(
                 "dark",
-                DatasetOptions::new(Layout::Vb).page_size(8 * 1024).telemetry(false),
+                DatasetOptions::new(Layout::Vb)
+                    .page_size(8 * 1024)
+                    .telemetry(false),
             )
             .unwrap();
         store.ingest("dark", doc!({"id": 1, "v": 2})).unwrap();
@@ -1566,7 +1614,14 @@ mod tests {
         let metrics = store.metrics("dark").unwrap();
         assert_eq!(metrics.counter("ingest.records"), 0);
         assert!(store.dataset("dark").unwrap().recent_events(16).is_empty());
-        assert_eq!(store.get("dark", &Value::Int(1)).unwrap().unwrap().get_field("v"), Some(&Value::Int(2)));
+        assert_eq!(
+            store
+                .get("dark", &Value::Int(1))
+                .unwrap()
+                .unwrap()
+                .get_field("v"),
+            Some(&Value::Int(2))
+        );
     }
 
     #[test]
@@ -1590,23 +1645,35 @@ mod tests {
 
         let ds = store.dataset("warm").unwrap();
         let cache = ds.leaf_cache().expect("budget configures a shared cache");
-        assert_eq!(cache.capacity_bytes(), 8 << 20, "half the budget funds the cache");
+        assert_eq!(
+            cache.capacity_bytes(),
+            8 << 20,
+            "half the budget funds the cache"
+        );
 
         // Cold run: every leaf is a miss and pages are read.
         let q = Query::count_star().with_filter(Expr::ge("score", 0));
-        let cold = store.explain_analyze("warm", &q, ExecMode::Compiled).unwrap();
+        let cold = store
+            .explain_analyze("warm", &q, ExecMode::Compiled)
+            .unwrap();
         assert_eq!(cold.rows[0].agg(), &Value::Int(400));
         assert!(cold.cache_misses() > 0, "{cold:?}");
         assert_eq!(cold.cache_hits(), 0);
 
         // Warm re-run: cache hits == leaves touched (the cold misses),
         // zero misses, zero pages read — the acceptance criterion.
-        let warm = store.explain_analyze("warm", &q, ExecMode::Compiled).unwrap();
+        let warm = store
+            .explain_analyze("warm", &q, ExecMode::Compiled)
+            .unwrap();
         assert_eq!(warm.rows, cold.rows);
         assert_eq!(warm.cache_hits(), cold.cache_misses());
         assert_eq!(warm.cache_misses(), 0);
         assert_eq!(warm.pages_read(), 0, "{}", warm.describe());
-        assert!(warm.describe().contains("cache hits"), "{}", warm.describe());
+        assert!(
+            warm.describe().contains("cache hits"),
+            "{}",
+            warm.describe()
+        );
 
         // The planner now sees the resident leaves and discounts the scan.
         let plan = store.explain("warm", &q).unwrap();
@@ -1747,7 +1814,10 @@ mod tests {
         let first = rate(cache.stats());
         ds.query(&q, ExecMode::Compiled).unwrap();
         let second = rate(cache.stats());
-        assert!(second >= first, "hit rate must be monotone: {first} -> {second}");
+        assert!(
+            second >= first,
+            "hit rate must be monotone: {first} -> {second}"
+        );
     }
 
     #[test]
@@ -1765,9 +1835,10 @@ mod tests {
         };
         // The second budget divides by neither the shard count nor four.
         for (case, budget) in [16usize << 20, (16 << 20) + 3].into_iter().enumerate() {
-            let dir = std::env::temp_dir()
-                .join(format!("docstore-facade-tests-{}", std::process::id()))
-                .join(format!("durable-budget-{case}"));
+            let dir = std::env::temp_dir().join(format!(
+                "docstore-facade-tests-{}-durable-budget-{case}",
+                std::process::id()
+            ));
             let _ = std::fs::remove_dir_all(&dir);
             let created = {
                 let mut store = Datastore::new();
@@ -1794,7 +1865,11 @@ mod tests {
             assert_eq!(caching(ds), created, "budget {budget}");
             if case == 0 {
                 assert_eq!(created.0, 8 << 20, "half the budget funds the cache");
-                assert_eq!(created.1, vec![(1 << 20, 128); 4], "a quarter each, per shard");
+                assert_eq!(
+                    created.1,
+                    vec![(1 << 20, 128); 4],
+                    "a quarter each, per shard"
+                );
             }
             let q = Query::count_star().with_filter(Expr::ge("v", 0));
             let cold = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();

@@ -44,8 +44,8 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use docmodel::{Path, Value};
-use parking_lot::{Mutex, RwLock};
 use encoding::{plain, varint};
+use parking_lot::{Mutex, RwLock};
 use persist::{CrashPoint, DurableStore, ManifestData, ManifestStore, WalRecord};
 use schema::{Schema, SchemaBuilder};
 use storage::amax::AmaxConfig;
@@ -246,13 +246,24 @@ impl DatasetConfig {
         varint::write_u64(&mut out, self.amax.record_limit as u64);
         plain::write_f64(&mut out, self.amax.empty_page_tolerance);
         match self.compaction {
-            CompactionSpec::Tiered { size_ratio, max_components } => {
+            CompactionSpec::Tiered {
+                size_ratio,
+                max_components,
+            } => {
                 out.push(0);
                 plain::write_f64(&mut out, size_ratio);
                 varint::write_u64(&mut out, max_components as u64);
             }
-            CompactionSpec::Leveled { target_size, l0_threshold, ratio }
-            | CompactionSpec::LazyLeveled { target_size, l0_threshold, ratio } => {
+            CompactionSpec::Leveled {
+                target_size,
+                l0_threshold,
+                ratio,
+            }
+            | CompactionSpec::LazyLeveled {
+                target_size,
+                l0_threshold,
+                ratio,
+            } => {
                 let lazy = matches!(self.compaction, CompactionSpec::LazyLeveled { .. });
                 out.push(1 + u8::from(lazy));
                 varint::write_u64(&mut out, target_size);
@@ -302,9 +313,17 @@ impl DatasetConfig {
                 let l0_threshold = varint::read_u64(bytes, pos)? as usize;
                 let ratio = plain::read_f64(bytes, pos)?;
                 if tag == 1 {
-                    CompactionSpec::Leveled { target_size, l0_threshold, ratio }
+                    CompactionSpec::Leveled {
+                        target_size,
+                        l0_threshold,
+                        ratio,
+                    }
                 } else {
-                    CompactionSpec::LazyLeveled { target_size, l0_threshold, ratio }
+                    CompactionSpec::LazyLeveled {
+                        target_size,
+                        l0_threshold,
+                        ratio,
+                    }
                 }
             }
             tag => {
@@ -451,12 +470,6 @@ struct DatasetCore {
     pool: Option<PoolHandle>,
     /// Weak self-reference captured by submitted pool tasks.
     self_ref: Weak<DatasetCore>,
-    /// Source pages relocated by a GC pass, waiting for the pre-move
-    /// component (possibly pinned by a snapshot) to drop before they can be
-    /// freed. The moved and unmoved slots of a rewritten component are
-    /// *shared* with its replacement, so the old component must not free on
-    /// drop — this registry frees exactly the superseded source slots.
-    deferred_frees: Mutex<Vec<(Weak<Component>, Vec<PageId>)>>,
 }
 
 /// One LSM dataset partition. All operations take `&self`; share it across
@@ -509,7 +522,10 @@ impl LsmDataset {
             Some(shared) => cache.with_leaf_cache(shared.handle()),
             None => cache,
         };
-        let secondary = config.secondary_index_on.as_ref().map(|_| SecondaryIndex::new());
+        let secondary = config
+            .secondary_index_on
+            .as_ref()
+            .map(|_| SecondaryIndex::new());
         let schema_builder = SchemaBuilder::new(Some(config.key_field.clone()));
         let telemetry = Arc::new(if config.telemetry_enabled {
             Telemetry::new()
@@ -552,7 +568,6 @@ impl LsmDataset {
             telemetry,
             pool,
             self_ref: self_ref.clone(),
-            deferred_frees: Mutex::new(Vec::new()),
         });
         LsmDataset {
             core,
@@ -641,7 +656,8 @@ impl LsmDataset {
                 dir.as_ref().display()
             )));
         };
-        let mut config = DatasetConfig::read_durable(&manifest.config, manifest.page_size as usize)?;
+        let mut config =
+            DatasetConfig::read_durable(&manifest.config, manifest.page_size as usize)?;
         config.leaf_cache = leaf_cache(&config);
         LsmDataset::open(dir, config)
     }
@@ -923,10 +939,10 @@ impl LsmDataset {
     /// (byte-identical copies; the manifest is re-committed to the new
     /// locations) until the dead space forms a contiguous tail, which is
     /// then truncated. Runs under the maintenance lock, so it serialises
-    /// with flushes and merges but never blocks readers: snapshots taken
-    /// before (or during) a pass keep reading the retired pre-move
-    /// components, whose pages are only freed when the last snapshot drops —
-    /// such held pages are simply not reclaimed this call.
+    /// with flushes and merges; readers wait only while a pass that moved
+    /// pages commits its manifest. A component a snapshot (or a caller of
+    /// [`LsmDataset::components`]) holds is not moved: its pages stay where
+    /// they are, and a call after the snapshot drops can pack them.
     ///
     /// Repeats passes until the file stops shrinking. Emits a
     /// `space_reclaimed` lifecycle event when anything moved.
@@ -963,7 +979,10 @@ impl LsmDataset {
     /// Number of live records (COUNT(*)): only primary keys are read, which
     /// for AMAX means Page 0 alone.
     pub fn count(&self) -> Result<usize> {
-        let keys_only = ScanSpec { projection: Some(&[]), ..ScanSpec::default() };
+        let keys_only = ScanSpec {
+            projection: Some(&[]),
+            ..ScanSpec::default()
+        };
         self.snapshot().batches(keys_only).record_count()
     }
 
@@ -1251,10 +1270,16 @@ impl DatasetCore {
             entries: sealed.entries.len(),
         });
         // Tuple compactor: infer the schema from the flushed records (§2.2).
-        for (_, record) in &sealed.entries {
-            if let Some(record) = record {
-                maint.schema_builder.observe(record);
-            }
+        let mut observed = false;
+        for record in sealed.entries.iter().filter_map(|(_, r)| r.as_ref()) {
+            maint.schema_builder.observe(record);
+            observed = true;
+        }
+        // Anti-matter holds only its key, which every columnar leaf stores:
+        // a memtable of deletes alone still gives the key a column.
+        if let (false, Some((key, _))) = (observed, sealed.entries.first()) {
+            let key = (self.config.key_field.clone(), key.clone());
+            maint.schema_builder.observe(&Value::Object(vec![key]));
         }
         let schema = maint.schema_builder.schema().clone();
         let component = Arc::new(Component::write(
@@ -1294,9 +1319,13 @@ impl DatasetCore {
         let elapsed = started.elapsed();
         if self.telemetry.enabled() {
             self.telemetry.flushes.incr();
-            self.telemetry.flush_entries.add(sealed.entries.len() as u64);
+            self.telemetry
+                .flush_entries
+                .add(sealed.entries.len() as u64);
             self.telemetry.flush_pages_out.add(pages_out);
-            self.telemetry.flush_duration.record(elapsed.as_micros() as u64);
+            self.telemetry
+                .flush_duration
+                .record(elapsed.as_micros() as u64);
             self.telemetry.emit(EventKind::FlushEnd {
                 entries: sealed.entries.len(),
                 pages_out,
@@ -1371,8 +1400,8 @@ impl DatasetCore {
             total.pages_moved += pass.pages_moved;
             total.pages_reclaimed += pass.pages_reclaimed;
             // Keep going only while the file is actually shrinking (a pass
-            // can relocate pages without net progress when snapshots pin
-            // the originals).
+            // that leaves pinned components where they are can free nothing
+            // at the tail).
             if pass.pages_reclaimed == 0 || self.cache.store().page_count() >= before {
                 break;
             }
@@ -1387,28 +1416,6 @@ impl DatasetCore {
         Ok(total)
     }
 
-    /// Free the relocated source pages of rewritten components whose
-    /// pre-move handle has since dropped (the snapshot that pinned them is
-    /// gone). Called on every GC pass; a dataset dropped with entries still
-    /// pending leaks nothing durable — the next open's orphan sweep reclaims
-    /// the unreferenced slots.
-    fn sweep_deferred_frees(&self) {
-        let mut pending = self.deferred_frees.lock();
-        let mut freeable: Vec<PageId> = Vec::new();
-        pending.retain(|(component, pages)| {
-            if component.strong_count() == 0 {
-                freeable.extend_from_slice(pages);
-                false
-            } else {
-                true
-            }
-        });
-        drop(pending);
-        if !freeable.is_empty() {
-            self.cache.free_pages(&freeable);
-        }
-    }
-
     /// One GC pass: relocate live pages sitting above the live watermark
     /// (total live pages — where the file would end if it were perfectly
     /// packed) into lower free slots, commit the remapped manifest, and
@@ -1417,18 +1424,27 @@ impl DatasetCore {
     /// the sum of live page ids and the loop terminates packed.
     fn reclaim_pass(&self) -> Result<ReclaimReport> {
         let maint = self.maint.lock();
-        self.sweep_deferred_frees();
-        let components = self.tree.read().components.clone();
-        let live: u64 = components
-            .iter()
-            .map(|c| c.pages().len() as u64)
-            .sum();
+        // A component a snapshot reads stays where it is: its copy would
+        // share the unmoved pages and free them under the reader once the
+        // copy is itself moved or merged away. Holding the whole tree pins
+        // every component; `components` below holds one more reference.
+        let pinned = |tree: &Arc<TreeState>, c: &Arc<Component>| {
+            Arc::strong_count(tree) > 1 || Arc::strong_count(c) > 2
+        };
+        let (components, skip) = {
+            let tree = self.tree.read();
+            let components = tree.components.clone();
+            let skip: Vec<bool> = components.iter().map(|c| pinned(&tree, c)).collect();
+            (components, skip)
+        };
+        let live: u64 = components.iter().map(|c| c.pages().len() as u64).sum();
         let schema = maint.schema_builder.schema().clone();
         let mut new_components = components.clone();
-        let mut rewritten: Vec<usize> = Vec::new();
-        let mut pages_moved = 0u64;
+        // Per rewritten component: its position, the slots it left and the
+        // copies that replace them.
+        let mut rewrites: Vec<(usize, Vec<PageId>, Vec<PageId>)> = Vec::new();
         for (i, component) in components.iter().enumerate() {
-            if !component.pages().iter().any(|&p| p >= live) {
+            if skip[i] || !component.pages().iter().any(|&p| p >= live) {
                 continue;
             }
             // Copy each high page byte-identically (below the component
@@ -1438,7 +1454,7 @@ impl DatasetCore {
             // leaves name every page of the component, so remapping them
             // remaps the component.
             let mut desc = component.describe();
-            let mut sources = Vec::new();
+            let (mut sources, mut copies) = (Vec::new(), Vec::new());
             for leaf in &mut desc.leaves {
                 for page in std::iter::once(&mut leaf.page).chain(&mut leaf.data_pages) {
                     if *page < live {
@@ -1451,32 +1467,34 @@ impl DatasetCore {
                         continue;
                     }
                     sources.push(*page);
+                    copies.push(moved);
                     *page = moved;
-                    pages_moved += 1;
                 }
             }
             if sources.is_empty() {
                 continue;
             }
             new_components[i] = Arc::new(Component::open(&self.cache, schema.clone(), desc));
-            // The rewritten component keeps its id but relocated its pages.
-            // Its decoded leaves are byte-identical, but the cached state
-            // must not outlive a physical relocation — invalidate eagerly
-            // rather than reasoning about which entries would stay valid.
-            if let Some(handle) = self.cache.leaf_cache() {
-                handle.invalidate_component(component.id());
-            }
-            // The replacement shares the unmoved slots with the original, so
-            // the original must not free on drop; only the superseded source
-            // slots die, and only once nothing references the original.
-            self.deferred_frees
-                .lock()
-                .push((Arc::downgrade(component), sources));
-            rewritten.push(i);
+            rewrites.push((i, sources, copies));
         }
-        if rewritten.is_empty() {
+        // Publish under the tree's write lock, so no snapshot can pin a
+        // component between the check and the swap: a rewrite whose original
+        // got pinned while its pages were copied is dropped with its copies
+        // (the unretired replacement frees nothing). Readers wait for the
+        // manifest commit of a pass that moved something.
+        let mut tree = self.tree.write();
+        rewrites.retain(|(i, _, copies)| {
+            let keep = !pinned(&tree, &components[*i]);
+            if !keep {
+                new_components[*i] = components[*i].clone();
+                self.cache.free_pages(copies);
+            }
+            keep
+        });
+        if rewrites.is_empty() {
             // Already packed below the watermark: everything above it is
             // free-listed, so the tail shrink is the whole pass.
+            drop(tree);
             drop(maint);
             let pages_reclaimed = self.cache.store().shrink_free_tail()?;
             return Ok(ReclaimReport {
@@ -1492,19 +1510,32 @@ impl DatasetCore {
             let data = self.manifest_data(&maint, &schema, &new_components);
             durable.commit_merge(data)?;
         }
-        {
-            let mut tree = self.tree.write();
-            let mut next = (**tree).clone();
-            next.components = new_components;
-            *tree = Arc::new(next);
+        let mut next = (**tree).clone();
+        next.components = new_components;
+        *tree = Arc::new(next);
+        drop(tree);
+        // The originals were unpinned under the lock and are gone from the
+        // tree, so `components` holds the last reference: the slots they
+        // left are free. Each replacement shares its unmoved slots with its
+        // original, which is not retired and frees nothing on drop.
+        let mut sources = Vec::new();
+        for (i, moved, _) in &rewrites {
+            // The rewritten component keeps its id but relocated its pages.
+            // Its decoded leaves are byte-identical, but the cached state
+            // must not outlive a physical relocation — invalidate eagerly
+            // rather than reasoning about which entries would stay valid.
+            if let Some(handle) = self.cache.leaf_cache() {
+                handle.invalidate_component(components[*i].id());
+            }
+            sources.extend_from_slice(moved);
         }
         drop(components);
         drop(maint);
-        self.sweep_deferred_frees();
+        self.cache.free_pages(&sources);
         let pages_reclaimed = self.cache.store().shrink_free_tail()?;
         Ok(ReclaimReport {
-            components_rewritten: rewritten.len(),
-            pages_moved,
+            components_rewritten: rewrites.len(),
+            pages_moved: sources.len() as u64,
             pages_reclaimed,
         })
     }
@@ -1845,7 +1876,10 @@ mod tests {
                 ds.insert(sample_record(i)).unwrap();
             }
             ds.flush().unwrap();
-            assert!(ds.stats().flushes > 1, "{layout:?} should have flushed repeatedly");
+            assert!(
+                ds.stats().flushes > 1,
+                "{layout:?} should have flushed repeatedly"
+            );
             assert!(ds.component_count() >= 1);
 
             let docs = ds.scan(None).unwrap();
@@ -1940,7 +1974,8 @@ mod tests {
         ds.flush().unwrap();
         let cols_before = schema::columns_of(&ds.schema()).len();
         for i in 50..100 {
-            ds.insert(doc!({"id": i, "a": "heterogeneous now", "b": {"c": 2.5}})).unwrap();
+            ds.insert(doc!({"id": i, "a": "heterogeneous now", "b": {"c": 2.5}}))
+                .unwrap();
         }
         ds.flush().unwrap();
         let cols_after = schema::columns_of(&ds.schema()).len();
@@ -1984,7 +2019,11 @@ mod tests {
                 }
                 ds.flush().unwrap();
             }
-            assert_eq!(sync_ds.scan(None).unwrap(), bg_ds.scan(None).unwrap(), "{layout:?}");
+            assert_eq!(
+                sync_ds.scan(None).unwrap(),
+                bg_ds.scan(None).unwrap(),
+                "{layout:?}"
+            );
             assert!(bg_ds.stats().flushes > 1, "{layout:?}");
         }
     }
@@ -2106,8 +2145,7 @@ mod tests {
             let warm_io = ds.io_stats();
             assert_eq!(warm_io.pages_read, 0, "{layout:?}");
             assert_eq!(
-                warm_io.leaf_cache_hits,
-                cold_io.leaf_cache_misses,
+                warm_io.leaf_cache_hits, cold_io.leaf_cache_misses,
                 "{layout:?}: every leaf that missed cold must hit warm"
             );
             assert_eq!(warm_io.leaf_cache_misses, 0, "{layout:?}");
@@ -2118,9 +2156,7 @@ mod tests {
     #[test]
     fn merge_retirement_invalidates_decoded_leaves() {
         let leaf_cache = Arc::new(LeafCache::new(16 << 20));
-        let ds = LsmDataset::new(
-            tiny_config(LayoutKind::Apax).with_leaf_cache(leaf_cache.clone()),
-        );
+        let ds = LsmDataset::new(tiny_config(LayoutKind::Apax).with_leaf_cache(leaf_cache.clone()));
         for i in 0..200 {
             ds.insert(sample_record(i)).unwrap();
         }
@@ -2139,7 +2175,13 @@ mod tests {
         let live: Vec<u64> = snapshot.components().iter().map(|c| c.id()).collect();
         let cached: usize = live
             .iter()
-            .map(|&id| snapshot.components()[0].cache().leaf_cache().unwrap().cached_leaf_count(id))
+            .map(|&id| {
+                snapshot.components()[0]
+                    .cache()
+                    .leaf_cache()
+                    .unwrap()
+                    .cached_leaf_count(id)
+            })
             .sum();
         assert_eq!(leaf_cache.resident_leaves(), cached);
         // And the merged output still reads correctly through the cache.
@@ -2149,9 +2191,10 @@ mod tests {
 
     #[test]
     fn memory_budget_round_trips_and_reopen_derives_a_leaf_cache() {
-        let dir = std::env::temp_dir()
-            .join(format!("lsm-leafcache-tests-{}", std::process::id()))
-            .join("budget-roundtrip");
+        let dir = std::env::temp_dir().join(format!(
+            "lsm-leafcache-tests-{}-budget-roundtrip",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -2169,9 +2212,11 @@ mod tests {
         assert_eq!(ds.config().memory_budget, 8 << 20);
         assert_eq!(ds.config().memtable_budget, split.memtable_budget);
         assert_eq!(ds.config().cache_pages, split.cache_pages);
-        let leaf_cache = ds.config().leaf_cache.clone().expect(
-            "reopen derives a leaf cache from the persisted budget",
-        );
+        let leaf_cache = ds
+            .config()
+            .leaf_cache
+            .clone()
+            .expect("reopen derives a leaf cache from the persisted budget");
         assert_eq!(leaf_cache.capacity_bytes(), 4 << 20);
         // And it is actually wired through: a re-scan hits.
         let _ = ds.scan(None).unwrap();

@@ -37,6 +37,7 @@ use schema::SchemaBuilder;
 use storage::component::{ColumnPredicate, Component, ComponentConfig, Entry};
 use storage::pagestore::{BufferCache, PageStore};
 use storage::LayoutKind;
+use testkit::normalize;
 
 type Model = BTreeMap<OrderedValue, Value>;
 
@@ -97,22 +98,6 @@ fn build(layout: LayoutKind, strings: bool) -> (LsmDataset, Model) {
     }
     assert_eq!(ds.component_count(), 3, "the layers must stay unmerged");
     (ds, model)
-}
-
-/// Field order differs between a stored and a reassembled document.
-fn normalize(v: &Value) -> Value {
-    match v {
-        Value::Object(fields) => {
-            let mut fields: Vec<(String, Value)> = fields
-                .iter()
-                .map(|(k, v)| (k.clone(), normalize(v)))
-                .collect();
-            fields.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(fields)
-        }
-        Value::Array(elems) => Value::Array(elems.iter().map(normalize).collect()),
-        other => other.clone(),
-    }
 }
 
 /// Every record of a batch scan, keyed — asserting no key shows up twice.
@@ -222,7 +207,10 @@ fn pushed_predicates_select_what_the_documents_say() {
                     .filter(|(_, doc)| pushed.iter().all(|p| p.matches(doc)))
                     .map(|(key, _)| key.0.clone())
                     .collect();
-                let spec = ScanSpec { projection: Some(&projection), pushed: &pushed };
+                let spec = ScanSpec {
+                    projection: Some(&projection),
+                    pushed: &pushed,
+                };
                 let from_batches: Vec<Value> =
                     collect(&ds, spec).into_keys().map(|key| key.0).collect();
                 assert_eq!(from_batches, expected, "{layout:?} {pushed:?}");
@@ -381,11 +369,7 @@ fn check_steps(sources: &[Source], record_limit: usize, strings: bool, limits: &
         .collect();
     assert_eq!(got, want, "limit-one steps against the model");
     for limit in limits.iter().map(|&limit| Some(limit)).chain([None]) {
-        assert_eq!(
-            winners(cursor(), limit),
-            one_by_one,
-            "steps of {limit:?}"
-        );
+        assert_eq!(winners(cursor(), limit), one_by_one, "steps of {limit:?}");
     }
 }
 

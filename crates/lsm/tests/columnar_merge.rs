@@ -28,6 +28,7 @@ use schema::{Schema, SchemaBuilder};
 use storage::component::{ColumnPredicate, Component, ComponentConfig, Entry, ScanFilter};
 use storage::pagestore::{BufferCache, PageStore};
 use storage::LayoutKind;
+use testkit::{arb_clean_value, normalize};
 
 /// One input component's entries by key (`None` = anti-matter).
 type Layer = BTreeMap<i64, Option<Value>>;
@@ -90,24 +91,6 @@ fn oracle(layers: &[Layer], includes_oldest: bool) -> Layer {
         merged.retain(|_, doc| doc.is_some());
     }
     merged
-}
-
-/// A document as a columnar scan returns it, up to field order: `null`
-/// fields are not stored.
-fn normalize(v: &Value) -> Value {
-    match v {
-        Value::Object(fields) => {
-            let mut fields: Vec<(String, Value)> = fields
-                .iter()
-                .filter(|(_, v)| !v.is_null())
-                .map(|(k, v)| (k.clone(), normalize(v)))
-                .collect();
-            fields.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(fields)
-        }
-        Value::Array(elems) => Value::Array(elems.iter().map(normalize).collect()),
-        other => other.clone(),
-    }
 }
 
 fn normalized(entries: impl IntoIterator<Item = (i64, Option<Value>)>) -> Layer {
@@ -268,31 +251,6 @@ fn check_merge(
 // ---------------------------------------------------------------------------
 // Generators.
 // ---------------------------------------------------------------------------
-
-/// The clean fragment the columnar proptests use: no nulls or empty
-/// containers below the top level.
-fn arb_clean_value(depth: u32) -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        any::<bool>().prop_map(Value::Bool),
-        (-50i64..50).prop_map(Value::Int),
-        (-1e3f64..1e3f64).prop_map(Value::Double),
-        "[a-z0-9]{0,6}".prop_map(Value::String),
-    ];
-    leaf.prop_recursive(depth, 24, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..4).prop_map(Value::Array),
-            prop::collection::vec(("[a-c]", inner), 1..3).prop_map(|fields| {
-                let mut out: Vec<(String, Value)> = Vec::new();
-                for (k, v) in fields {
-                    if !out.iter().any(|(ek, _)| *ek == k) {
-                        out.push((k, v));
-                    }
-                }
-                Value::Object(out)
-            }),
-        ]
-    })
-}
 
 /// One write: a key, and a record (fields missing, `null`, or changing type
 /// from version to version; `n` always an integer) or a delete.
@@ -526,7 +484,11 @@ fn a_compatible_columnar_merge_assembles_no_record() {
             assert_eq!(report.records_reshredded, 0, "{layout:?}");
             let expected = oracle(&layers, includes_oldest);
             assert_eq!(report.records_copied as usize, expected.len(), "{layout:?}");
-            assert_eq!(scan(&Arc::new(output), None), normalized(expected), "{layout:?}");
+            assert_eq!(
+                scan(&Arc::new(output), None),
+                normalized(expected),
+                "{layout:?}"
+            );
         }
     }
 }

@@ -19,6 +19,7 @@ use std::sync::Mutex;
 use docmodel::{doc, total_cmp, Value};
 use lsm::{DatasetConfig, LsmDataset};
 use storage::LayoutKind;
+use testkit::{bg_config, TempDir};
 
 const WRITERS: usize = 4;
 /// Unoptimized builds run a reduced workload so the tier-1 `cargo test`
@@ -33,14 +34,6 @@ const READER_ROUNDS: usize = 5;
 const READER_ROUNDS: usize = 20;
 /// Writers use disjoint key ranges: writer `w` owns `w*STRIDE ..`.
 const STRIDE: i64 = 1_000_000;
-
-fn bg_config(layout: LayoutKind) -> DatasetConfig {
-    DatasetConfig::new("concurrency", layout)
-        .with_memtable_budget(8 * 1024)
-        .with_page_size(4 * 1024)
-        .with_background(true)
-        .with_max_sealed(2)
-}
 
 fn record(key: i64, body: &str) -> Value {
     doc!({
@@ -99,7 +92,7 @@ fn oracle() -> LsmDataset {
 #[test]
 fn concurrent_writers_converge_to_the_oracle_state() {
     for layout in [LayoutKind::Vb, LayoutKind::Amax] {
-        let ds = LsmDataset::new(bg_config(layout));
+        let ds = LsmDataset::new(bg_config("concurrency", layout));
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
                 let ds = &ds;
@@ -111,7 +104,10 @@ fn concurrent_writers_converge_to_the_oracle_state() {
         let expected = oracle().scan(None).unwrap();
         let got = ds.scan(None).unwrap();
         assert_eq!(got.len(), expected.len(), "{layout:?}");
-        assert_eq!(got, expected, "{layout:?}: concurrent run must equal the oracle");
+        assert_eq!(
+            got, expected,
+            "{layout:?}: concurrent run must equal the oracle"
+        );
         assert!(
             ds.stats().flushes > 1,
             "{layout:?}: background flushes must have happened"
@@ -121,7 +117,7 @@ fn concurrent_writers_converge_to_the_oracle_state() {
 
 #[test]
 fn acknowledged_records_are_visible_to_readers() {
-    let ds = LsmDataset::new(bg_config(LayoutKind::Amax));
+    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax));
     // Keys are pushed here *after* their insert was acknowledged.
     let acked: Mutex<Vec<i64>> = Mutex::new(Vec::new());
 
@@ -163,7 +159,7 @@ fn acknowledged_records_are_visible_to_readers() {
 
 #[test]
 fn snapshots_are_internally_consistent_and_stable_under_churn() {
-    let ds = LsmDataset::new(bg_config(LayoutKind::Amax));
+    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax));
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             let ds = &ds;
@@ -175,7 +171,11 @@ fn snapshots_are_internally_consistent_and_stable_under_churn() {
                 for _ in 0..READER_ROUNDS {
                     let snapshot = ds.snapshot();
                     let count = snapshot.cursor(Some(&[])).unwrap().count();
-                    let docs = snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>();
+                    let docs = snapshot
+                        .cursor(None)
+                        .unwrap()
+                        .map(|e| e.unwrap().1)
+                        .collect::<Vec<_>>();
                     // Scan and COUNT(*) agree on the same snapshot.
                     assert_eq!(docs.len(), count);
                     // Keys are sorted and unique (reconciliation worked).
@@ -200,13 +200,17 @@ fn snapshots_are_internally_consistent_and_stable_under_churn() {
 #[test]
 fn a_snapshot_survives_full_compaction() {
     let n = RECORDS_PER_WRITER; // scale with the profile
-    let ds = LsmDataset::new(bg_config(LayoutKind::Amax));
+    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax));
     for i in 0..n {
         ds.insert(record(i, "before")).unwrap();
     }
     ds.flush().unwrap();
     let snapshot = ds.snapshot();
-    let before = snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>();
+    let before = snapshot
+        .cursor(None)
+        .unwrap()
+        .map(|e| e.unwrap().1)
+        .collect::<Vec<_>>();
 
     // Churn: more data, deletes, then compact everything to one component.
     for i in n..2 * n {
@@ -219,7 +223,14 @@ fn a_snapshot_survives_full_compaction() {
     assert_eq!(ds.component_count(), 1);
 
     // The old snapshot still reads the retired components' pages.
-    assert_eq!(snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>(), before);
+    assert_eq!(
+        snapshot
+            .cursor(None)
+            .unwrap()
+            .map(|e| e.unwrap().1)
+            .collect::<Vec<_>>(),
+        before
+    );
     assert_eq!(snapshot.cursor(Some(&[])).unwrap().count(), n as usize);
     assert_eq!(ds.count().unwrap(), (2 * n - n / 4) as usize);
 }
@@ -227,9 +238,7 @@ fn a_snapshot_survives_full_compaction() {
 #[test]
 fn backpressure_bounds_the_sealed_queue() {
     let max_sealed = 2;
-    let ds = LsmDataset::new(
-        bg_config(LayoutKind::Vb).with_max_sealed(max_sealed),
-    );
+    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Vb).with_max_sealed(max_sealed));
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             let ds = &ds;
@@ -259,12 +268,9 @@ fn backpressure_bounds_the_sealed_queue() {
 
 #[test]
 fn durable_concurrent_ingest_recovers_after_restart() {
-    let dir = std::env::temp_dir()
-        .join(format!("lsm-concurrency-tests-{}", std::process::id()))
-        .join("durable-restart");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("lsm-concurrency-tests", "durable-restart");
     {
-        let ds = LsmDataset::open(&dir, bg_config(LayoutKind::Amax)).unwrap();
+        let ds = LsmDataset::open(&dir, bg_config("concurrency", LayoutKind::Amax)).unwrap();
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
                 let ds = &ds;

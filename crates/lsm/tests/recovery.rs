@@ -15,20 +15,10 @@ use std::sync::Mutex;
 use docmodel::{doc, Value};
 use lsm::{CrashPoint, DatasetConfig, LsmDataset};
 use storage::LayoutKind;
+use testkit::{bg_config, sample_record, tiny_config, TempDir};
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("lsm-recovery-tests-{}", std::process::id()))
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Small budgets so flushes and merges happen with little data.
-fn tiny_config(layout: LayoutKind) -> DatasetConfig {
-    DatasetConfig::new("recovery", layout)
-        .with_memtable_budget(8 * 1024)
-        .with_page_size(4 * 1024)
+fn temp_dir(name: &str) -> TempDir {
+    TempDir::new("lsm-recovery-tests", name)
 }
 
 /// A big budget so nothing flushes until we say so.
@@ -36,16 +26,6 @@ fn unflushed_config(layout: LayoutKind) -> DatasetConfig {
     DatasetConfig::new("recovery", layout)
         .with_memtable_budget(usize::MAX)
         .with_page_size(4 * 1024)
-}
-
-fn sample_record(i: i64) -> Value {
-    doc!({
-        "id": i,
-        "user": {"name": (format!("user{}", i % 13)), "followers": (i % 997)},
-        "text": (format!("record {i} body text with characters")),
-        "timestamp": (1_000_000 + i),
-        "tags": [(format!("tag{}", i % 5))]
-    })
 }
 
 /// The state every test drives the dataset into: keys 0..N inserted, the
@@ -73,7 +53,10 @@ fn assert_workload_recovered(ds: &LsmDataset) {
     assert_eq!(docs.len(), (N - 3) as usize);
     // Deletes stay deleted.
     for i in [3i64, 7, 11] {
-        assert!(ds.lookup(&Value::Int(i), None).unwrap().is_none(), "key {i}");
+        assert!(
+            ds.lookup(&Value::Int(i), None).unwrap().is_none(),
+            "key {i}"
+        );
     }
     // Updates stay updated; originals stay original.
     let updated = ds.lookup(&Value::Int(2), None).unwrap().unwrap();
@@ -212,10 +195,13 @@ fn flush_truncates_wal_and_restart_uses_components() {
         let dir = temp_dir(&format!("flushed-{}", layout.name()));
         let schema_description;
         {
-            let mut ds = LsmDataset::open(&dir, tiny_config(layout)).unwrap();
+            let mut ds = LsmDataset::open(&dir, tiny_config("recovery", layout)).unwrap();
             apply_workload(&mut ds);
             ds.flush().unwrap();
-            assert!(ds.stats().flushes > 1, "{layout:?}: tiny budget must flush repeatedly");
+            assert!(
+                ds.stats().flushes > 1,
+                "{layout:?}: tiny budget must flush repeatedly"
+            );
             assert_eq!(ds.wal_bytes(), 0, "{layout:?}: flush truncates the WAL");
             assert!(ds.manifest_version() >= 1);
             schema_description = ds.schema().describe();
@@ -259,8 +245,16 @@ fn a_directory_describes_itself_across_the_durable_configuration_space() {
 
     let compactions = [
         CompactionSpec::tiered(1.7, 3),
-        CompactionSpec::Leveled { target_size: 48 << 10, l0_threshold: 2, ratio: 0.25 },
-        CompactionSpec::LazyLeveled { target_size: 96 << 10, l0_threshold: 3, ratio: 0.75 },
+        CompactionSpec::Leveled {
+            target_size: 48 << 10,
+            l0_threshold: 2,
+            ratio: 0.25,
+        },
+        CompactionSpec::LazyLeveled {
+            target_size: 96 << 10,
+            l0_threshold: 3,
+            ratio: 0.75,
+        },
     ];
     for layout in LayoutKind::ALL {
         for (c, compaction) in compactions.into_iter().enumerate() {
@@ -272,7 +266,7 @@ fn a_directory_describes_itself_across_the_durable_configuration_space() {
                         "self-describing-{}-{c}-{indexed}-{budget}",
                         layout.name()
                     ));
-                    let mut config = tiny_config(layout)
+                    let mut config = tiny_config("recovery", layout)
                         .with_cache_pages(33)
                         .with_compaction(compaction)
                         .with_memory_budget(budget);
@@ -288,8 +282,11 @@ fn a_directory_describes_itself_across_the_durable_configuration_space() {
                         ds.flush().unwrap();
                         written = durable_fields(ds.config());
                         schema = ds.schema();
-                        components =
-                            ds.components().iter().map(|c| c.describe()).collect::<Vec<_>>();
+                        components = ds
+                            .components()
+                            .iter()
+                            .map(|c| c.describe())
+                            .collect::<Vec<_>>();
                     }
                     let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
                     assert_eq!(durable_fields(ds.config()), written, "{context}");
@@ -316,7 +313,7 @@ fn damaged_durable_configuration_is_an_error() {
         CompactionSpec::lazy_leveled(),
     ] {
         for budget in [0usize, 1 << 20] {
-            let config = tiny_config(LayoutKind::Amax)
+            let config = tiny_config("recovery", LayoutKind::Amax)
                 .with_secondary_index(docmodel::Path::parse("timestamp"))
                 .with_compaction(compaction)
                 .with_memory_budget(budget);
@@ -349,7 +346,7 @@ fn damaged_durable_configuration_is_an_error() {
 fn a_directory_of_an_older_manifest_generation_is_refused_by_name() {
     let dir = temp_dir("old-generation");
     {
-        let mut ds = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).unwrap();
+        let mut ds = LsmDataset::open(&dir, tiny_config("recovery", LayoutKind::Amax)).unwrap();
         apply_workload(&mut ds);
         ds.flush().unwrap();
     }
@@ -357,9 +354,13 @@ fn a_directory_of_an_older_manifest_generation_is_refused_by_name() {
     let mut bytes = std::fs::read(&manifest).unwrap();
     bytes[..8].copy_from_slice(b"LSMMAN07");
     std::fs::write(&manifest, &bytes).unwrap();
-    let reopened = LsmDataset::reopen(&dir, |_| None).err().expect("reopen must fail");
+    let reopened = LsmDataset::reopen(&dir, |_| None)
+        .err()
+        .expect("reopen must fail");
     assert!(reopened.message.contains("LSMMAN07"), "{reopened}");
-    let opened = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).err().expect("open too");
+    let opened = LsmDataset::open(&dir, tiny_config("recovery", LayoutKind::Amax))
+        .err()
+        .expect("open too");
     assert!(opened.message.contains("LSMMAN07"), "{opened}");
 }
 
@@ -368,7 +369,7 @@ fn repeated_restarts_and_mixed_batches_converge() {
     let dir = temp_dir("repeated-restarts");
     // Session 1: a first batch, flushed.
     {
-        let ds = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).unwrap();
+        let ds = LsmDataset::open(&dir, tiny_config("recovery", LayoutKind::Amax)).unwrap();
         for i in 0..60 {
             ds.insert(sample_record(i)).unwrap();
         }
@@ -414,7 +415,7 @@ fn repeated_restarts_and_mixed_batches_converge() {
 fn secondary_index_is_rebuilt_on_recovery() {
     let dir = temp_dir("secondary-rebuild");
     let config = || {
-        tiny_config(LayoutKind::Apax)
+        tiny_config("recovery", LayoutKind::Apax)
             .with_secondary_index(docmodel::Path::parse("timestamp"))
     };
     {
@@ -440,7 +441,10 @@ fn secondary_index_is_rebuilt_on_recovery() {
     assert_eq!(range(1_000_100, 1_000_149).len(), 50);
     // The updated records moved out of the old timestamp range...
     let stale = range(1_000_000, 1_000_004);
-    assert!(stale.is_empty(), "moved entries must not linger, got {stale:?}");
+    assert!(
+        stale.is_empty(),
+        "moved entries must not linger, got {stale:?}"
+    );
     // ...and into the new one.
     assert_eq!(range(5_000_000, 5_000_004).len(), 5);
 }
@@ -456,7 +460,7 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
     let dir = temp_dir("stats-roundtrip");
     // Small mega leaves, so the leaves' zone maps have something to hide.
     let config = || {
-        let mut config = tiny_config(LayoutKind::Amax)
+        let mut config = tiny_config("recovery", LayoutKind::Amax)
             .with_secondary_index(docmodel::Path::parse("timestamp"));
         config.amax.record_limit = 16;
         config
@@ -478,7 +482,10 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
         let mut ds = LsmDataset::open(&dir, config()).unwrap();
         apply_workload(&mut ds);
         ds.flush().unwrap();
-        assert!(ds.stats().flushes > 1, "the tiny budget must flush repeatedly");
+        assert!(
+            ds.stats().flushes > 1,
+            "the tiny budget must flush repeatedly"
+        );
         assert!(ds.component_count() >= 1);
 
         let snapshot = ds.snapshot();
@@ -508,7 +515,10 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
         .iter()
         .map(|c| (c.id(), (**c.stats()).clone()))
         .collect();
-    assert_eq!(stats_before, stats_after, "per-component stats changed across restart");
+    assert_eq!(
+        stats_before, stats_after,
+        "per-component stats changed across restart"
+    );
     assert_eq!(
         engine.explain(&ds, &query).unwrap(),
         explain_before,
@@ -522,11 +532,13 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
     assert_eq!(engine.execute(&ds, &query).unwrap(), rows_before);
     // And every forced path still agrees on the recovered dataset.
     for choice in [AccessPathChoice::ForceIndex, AccessPathChoice::ForceScan] {
-        let forced = QueryEngine::with_options(
-            ExecMode::Compiled,
-            PlannerOptions::with_access_path(choice),
+        let forced =
+            QueryEngine::with_options(ExecMode::Compiled, PlannerOptions::with_access_path(choice));
+        assert_eq!(
+            forced.execute(&ds, &query).unwrap(),
+            rows_before,
+            "{choice:?}"
         );
-        assert_eq!(forced.execute(&ds, &query).unwrap(), rows_before, "{choice:?}");
     }
 }
 
@@ -558,13 +570,19 @@ fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_sta
     let report = scan
         .explain_analyze(&ds, &Query::count_star().with_filter(filter.clone()))
         .unwrap();
-    assert_eq!(report.leaves_skipped(), 0, "nothing to hide on a component-less dataset");
+    assert_eq!(
+        report.leaves_skipped(),
+        0,
+        "nothing to hide on a component-less dataset"
+    );
     // The WAL-recovered records answer the query exactly.
     let engine = QueryEngine::new(ExecMode::Compiled);
     let rows = engine
         .execute(&ds, &Query::count_star().with_filter(filter.clone()))
         .unwrap();
-    let expected = (0..N).filter(|i| (0..=10).contains(i) && ![3, 7].contains(i)).count() as i64;
+    let expected = (0..N)
+        .filter(|i| (0..=10).contains(i) && ![3, 7].contains(i))
+        .count() as i64;
     assert_eq!(rows[0].agg(), &docmodel::Value::Int(expected));
 
     // A real flush then publishes fresh statistics and changes nothing.
@@ -572,7 +590,10 @@ fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_sta
     assert!(ds.component_count() >= 1);
     let snapshot = ds.snapshot();
     for c in snapshot.components() {
-        assert!(c.stats().column("timestamp").is_some(), "a committed flush publishes stats");
+        assert!(
+            c.stats().column("timestamp").is_some(),
+            "a committed flush publishes stats"
+        );
     }
     assert_eq!(
         engine
@@ -587,13 +608,19 @@ fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_sta
 #[test]
 fn reopen_without_manifest_is_an_error_but_open_works() {
     let dir = temp_dir("no-manifest");
-    assert!(LsmDataset::reopen(&dir, |_| None).is_err(), "nothing there yet");
+    assert!(
+        LsmDataset::reopen(&dir, |_| None).is_err(),
+        "nothing there yet"
+    );
     {
         let ds = LsmDataset::open(&dir, unflushed_config(LayoutKind::Vb)).unwrap();
         ds.insert(sample_record(1)).unwrap();
         // No flush: still no manifest, only a WAL.
     }
-    assert!(LsmDataset::reopen(&dir, |_| None).is_err(), "reopen needs a manifest");
+    assert!(
+        LsmDataset::reopen(&dir, |_| None).is_err(),
+        "reopen needs a manifest"
+    );
     let ds = LsmDataset::open(&dir, unflushed_config(LayoutKind::Vb)).unwrap();
     assert_eq!(ds.count().unwrap(), 1);
 }
@@ -632,9 +659,12 @@ fn recovery_replay_event_matches_ground_truth() {
         ds.recent_events(256)
             .into_iter()
             .find_map(|e| match e.kind {
-                EventKind::RecoveryReplay { segments, records, torn_tail_healed, components } => {
-                    Some((segments, records, torn_tail_healed, components))
-                }
+                EventKind::RecoveryReplay {
+                    segments,
+                    records,
+                    torn_tail_healed,
+                    components,
+                } => Some((segments, records, torn_tail_healed, components)),
                 _ => None,
             })
             .expect("every durable open emits a recovery summary")
@@ -695,21 +725,21 @@ fn recovery_replay_event_matches_ground_truth() {
 /// the leak the recovery sweep exists to close.
 fn orphaned_pages(ds: &LsmDataset) -> u64 {
     let store = ds.cache().store();
-    let live: u64 = ds
-        .components()
-        .iter()
-        .map(|c| c.pages().len() as u64)
-        .sum();
+    let live: u64 = ds.components().iter().map(|c| c.pages().len() as u64).sum();
     store.page_count() - store.free_page_count() - live
 }
 
 fn orphan_sweep_of(ds: &LsmDataset) -> Option<(u64, u64, u64)> {
-    ds.recent_events(256).into_iter().find_map(|e| match e.kind {
-        telemetry::EventKind::OrphanSweep { scanned, freed, truncated } => {
-            Some((scanned, freed, truncated))
-        }
-        _ => None,
-    })
+    ds.recent_events(256)
+        .into_iter()
+        .find_map(|e| match e.kind {
+            telemetry::EventKind::OrphanSweep {
+                scanned,
+                freed,
+                truncated,
+            } => Some((scanned, freed, truncated)),
+            _ => None,
+        })
 }
 
 #[test]
@@ -724,10 +754,17 @@ fn crash_after_component_write_orphans_are_swept_at_reopen() {
             assert!(err.message.contains("injected crash"), "{err}");
             // The aborted component's pages are in the file, referenced by
             // no manifest: orphans.
-            assert!(orphaned_pages(&ds) > 0, "{layout:?}: the crash must orphan pages");
+            assert!(
+                orphaned_pages(&ds) > 0,
+                "{layout:?}: the crash must orphan pages"
+            );
         }
         let ds = LsmDataset::open(&dir, unflushed_config(layout)).unwrap();
-        assert_eq!(orphaned_pages(&ds), 0, "{layout:?}: reopen must sweep every orphan");
+        assert_eq!(
+            orphaned_pages(&ds),
+            0,
+            "{layout:?}: reopen must sweep every orphan"
+        );
         let (scanned, freed, _) = orphan_sweep_of(&ds).expect("sweep event emitted");
         assert!(freed > 0 && scanned >= freed, "{layout:?}");
         // With no live components at all, the sweep truncates the entire
@@ -759,10 +796,17 @@ fn crash_before_merge_commit_orphans_are_swept_at_reopen() {
             let err = ds.compact_fully().expect_err("injected crash must surface");
             assert!(err.message.contains("injected crash"), "{err}");
             // The merge output was written and synced but never committed.
-            assert!(orphaned_pages(&ds) > 0, "{layout:?}: the aborted merge must orphan pages");
+            assert!(
+                orphaned_pages(&ds) > 0,
+                "{layout:?}: the aborted merge must orphan pages"
+            );
         }
         let ds = LsmDataset::reopen(&dir, |_| None).unwrap();
-        assert_eq!(orphaned_pages(&ds), 0, "{layout:?}: reopen must sweep every orphan");
+        assert_eq!(
+            orphaned_pages(&ds),
+            0,
+            "{layout:?}: reopen must sweep every orphan"
+        );
         assert!(ds.component_count() >= 2, "{layout:?}: inputs stay live");
         assert_eq!(ds.count().unwrap(), (N - 3 + 40) as usize, "{layout:?}");
 
@@ -784,8 +828,8 @@ fn crash_before_merge_commit_orphans_are_swept_at_reopen() {
 #[test]
 fn durable_and_in_memory_datasets_agree() {
     let dir = temp_dir("parity");
-    let mut mem = LsmDataset::new(tiny_config(LayoutKind::Amax));
-    let mut dur = LsmDataset::open(&dir, tiny_config(LayoutKind::Amax)).unwrap();
+    let mut mem = LsmDataset::new(tiny_config("recovery", LayoutKind::Amax));
+    let mut dur = LsmDataset::open(&dir, tiny_config("recovery", LayoutKind::Amax)).unwrap();
     for ds in [&mut mem, &mut dur] {
         apply_workload(ds);
         ds.flush().unwrap();
@@ -809,21 +853,13 @@ const LOAD: i64 = 400;
 #[cfg(not(debug_assertions))]
 const LOAD: i64 = 2_000;
 
-/// Background config with a tiny budget so flushes and merges fire while the
-/// writer is still running.
-fn bg_config(layout: LayoutKind) -> DatasetConfig {
-    tiny_config(layout)
-        .with_background(true)
-        .with_max_sealed(2)
-}
-
 /// Drive a writer thread (recording every acknowledged insert) and a reader
 /// thread against a dataset whose durability layer has `point` armed. The
 /// injected failure fires on the background worker; the writer observes it
 /// through the scheduler on a later insert and stops. Returns the
 /// acknowledged keys.
 fn crash_under_load(dir: &std::path::Path, layout: LayoutKind, point: CrashPoint) -> Vec<i64> {
-    let ds = LsmDataset::open(dir, bg_config(layout)).unwrap();
+    let ds = LsmDataset::open(dir, bg_config("recovery", layout)).unwrap();
     ds.set_crash_point(point);
     let acked: Mutex<Vec<i64>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
@@ -854,7 +890,15 @@ fn crash_under_load(dir: &std::path::Path, layout: LayoutKind, point: CrashPoint
                 for _ in 0..10 {
                     let snapshot = ds.snapshot();
                     let count = snapshot.cursor(Some(&[])).unwrap().count();
-                    assert_eq!(snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>().len(), count);
+                    assert_eq!(
+                        snapshot
+                            .cursor(None)
+                            .unwrap()
+                            .map(|e| e.unwrap().1)
+                            .collect::<Vec<_>>()
+                            .len(),
+                        count
+                    );
                     std::thread::yield_now();
                 }
             });
@@ -877,9 +921,12 @@ fn crash_under_load_preserves_the_acknowledged_prefix() {
         for layout in [LayoutKind::Vb, LayoutKind::Amax] {
             let dir = temp_dir(&format!("under-load-{name}-{}", layout.name()));
             let acked = crash_under_load(&dir, layout, point);
-            assert!(!acked.is_empty(), "{name}/{layout:?}: some inserts must be acknowledged");
+            assert!(
+                !acked.is_empty(),
+                "{name}/{layout:?}: some inserts must be acknowledged"
+            );
 
-            let ds = LsmDataset::open(&dir, tiny_config(layout)).unwrap();
+            let ds = LsmDataset::open(&dir, tiny_config("recovery", layout)).unwrap();
             // Exactly the acknowledged prefix survives: every acknowledged
             // insert is visible, and nothing beyond it.
             assert_eq!(
@@ -904,7 +951,7 @@ fn crash_under_load_preserves_the_acknowledged_prefix() {
 #[test]
 fn background_flush_error_surfaces_on_explicit_flush() {
     let dir = temp_dir("bg-error-on-flush");
-    let ds = LsmDataset::open(&dir, bg_config(LayoutKind::Amax)).unwrap();
+    let ds = LsmDataset::open(&dir, bg_config("recovery", LayoutKind::Amax)).unwrap();
     for i in 0..40 {
         ds.insert(sample_record(i)).unwrap();
     }
@@ -915,9 +962,15 @@ fn background_flush_error_surfaces_on_explicit_flush() {
     for i in 40..80 {
         ds.insert(sample_record(i)).unwrap();
     }
-    let err = ds.flush().expect_err("the injected worker crash must surface");
+    let err = ds
+        .flush()
+        .expect_err("the injected worker crash must surface");
     assert!(err.message.contains("injected crash"), "{err}");
-    assert_eq!(ds.manifest_version(), version, "aborted flush must not commit");
+    assert_eq!(
+        ds.manifest_version(),
+        version,
+        "aborted flush must not commit"
+    );
 
     // The crash point is consumed: a retry drains cleanly and nothing is lost.
     ds.flush().unwrap();
@@ -933,7 +986,7 @@ fn crash_under_load_with_deletes_keeps_them_deleted() {
     let dir = temp_dir("under-load-deletes");
     let acked_deletes: Mutex<Vec<i64>> = Mutex::new(Vec::new());
     {
-        let ds = LsmDataset::open(&dir, bg_config(LayoutKind::Vb)).unwrap();
+        let ds = LsmDataset::open(&dir, bg_config("recovery", LayoutKind::Vb)).unwrap();
         for i in 0..LOAD / 2 {
             ds.insert(sample_record(i)).unwrap();
         }
@@ -959,7 +1012,7 @@ fn crash_under_load_with_deletes_keeps_them_deleted() {
         });
         let _ = ds.flush();
     }
-    let ds = LsmDataset::open(&dir, tiny_config(LayoutKind::Vb)).unwrap();
+    let ds = LsmDataset::open(&dir, tiny_config("recovery", LayoutKind::Vb)).unwrap();
     for i in acked_deletes.into_inner().unwrap() {
         assert!(
             ds.lookup(&Value::Int(i), None).unwrap().is_none(),

@@ -10,13 +10,10 @@
 use docmodel::{doc, Value};
 use lsm::{CompactionSpec, DatasetConfig, LsmDataset};
 use storage::LayoutKind;
+use testkit::TempDir;
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("lsm-space-reclaim-tests-{}", std::process::id()))
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(name: &str) -> TempDir {
+    TempDir::new("lsm-space-reclaim-tests", name)
 }
 
 fn record(i: i64, round: i64) -> Value {
@@ -69,8 +66,7 @@ fn update_heavy_lifecycle_keeps_space_bounded() {
             ds.flush().unwrap();
             ds.reclaim_space().unwrap();
             peak_after_gc = peak_after_gc.max(ds.cache().store().allocated_bytes());
-            amp_per_round
-                .push(ds.metrics().gauge("amp.space").expect("amp.space gauge"));
+            amp_per_round.push(ds.metrics().gauge("amp.space").expect("amp.space gauge"));
         }
 
         // Every round rewrites the same keys, so live data is constant and
@@ -85,12 +81,12 @@ fn update_heavy_lifecycle_keeps_space_bounded() {
         // remaining slot belongs to a live component, so space amplification
         // is at its floor (page-granularity fragmentation only, not leaked
         // dead pages) and stays flat across rounds instead of climbing.
-        let live_pages: u64 = ds
-            .components()
-            .iter()
-            .map(|c| c.pages().len() as u64)
-            .sum();
-        assert_eq!(ds.cache().store().page_count(), live_pages, "{name}: fully packed");
+        let live_pages: u64 = ds.components().iter().map(|c| c.pages().len() as u64).sum();
+        assert_eq!(
+            ds.cache().store().page_count(),
+            live_pages,
+            "{name}: fully packed"
+        );
         assert_eq!(ds.cache().store().free_page_count(), 0, "{name}");
         let first = amp_per_round[0];
         let last = *amp_per_round.last().unwrap();
@@ -119,14 +115,23 @@ fn update_heavy_lifecycle_keeps_space_bounded() {
             let components = ds.components();
             let described: Vec<_> = components.iter().map(|c| c.describe()).collect();
             let stats: Vec<_> = components.iter().map(|c| (**c.stats()).clone()).collect();
-            (described, stats, engine.explain(ds, &query).unwrap(), ds.count().unwrap())
+            (
+                described,
+                stats,
+                engine.explain(ds, &query).unwrap(),
+                ds.count().unwrap(),
+            )
         };
         let before = view(&ds);
         let page_count = ds.cache().store().page_count();
         drop(ds);
         let ds = LsmDataset::open(&dir, config).unwrap();
         assert_eq!(view(&ds), before, "{name}: reopen after GC");
-        assert_eq!(ds.cache().store().page_count(), page_count, "{name}: nothing swept");
+        assert_eq!(
+            ds.cache().store().page_count(),
+            page_count,
+            "{name}: nothing swept"
+        );
         assert_eq!(ds.cache().store().free_page_count(), 0, "{name}");
     }
 }
@@ -153,7 +158,11 @@ fn snapshot_held_across_gc_reads_retired_pages() {
     ds.compact_fully().unwrap();
 
     let snapshot = ds.snapshot();
-    let expected = snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>();
+    let expected = snapshot
+        .cursor(None)
+        .unwrap()
+        .map(|e| e.unwrap().1)
+        .collect::<Vec<_>>();
     assert_eq!(expected.len(), 200);
 
     // More churn while the snapshot is live, then GC: the snapshot's
@@ -166,7 +175,14 @@ fn snapshot_held_across_gc_reads_retired_pages() {
     ds.reclaim_space().unwrap();
 
     // The held snapshot still reads its pre-GC view, byte for byte.
-    assert_eq!(snapshot.cursor(None).unwrap().map(|e| e.unwrap().1).collect::<Vec<_>>(), expected);
+    assert_eq!(
+        snapshot
+            .cursor(None)
+            .unwrap()
+            .map(|e| e.unwrap().1)
+            .collect::<Vec<_>>(),
+        expected
+    );
     // And the post-GC dataset serves the new state.
     let newest = ds.lookup(&Value::Int(5), None).unwrap().unwrap();
     assert_eq!(newest.get_field("round"), Some(&Value::Int(99)));
@@ -181,11 +197,7 @@ fn snapshot_held_across_gc_reads_retired_pages() {
         "dropping the snapshot must let GC reclaim its pages ({pinned} -> {after})"
     );
     // Fully packed: every remaining slot is referenced by a live component.
-    let live_pages: u64 = ds
-        .components()
-        .iter()
-        .map(|c| c.pages().len() as u64)
-        .sum();
+    let live_pages: u64 = ds.components().iter().map(|c| c.pages().len() as u64).sum();
     assert_eq!(after, live_pages, "no dead slots survive GC");
     assert_eq!(ds.cache().store().free_page_count(), 0);
 }

@@ -4,37 +4,19 @@
 
 use std::time::Duration;
 
-use docmodel::{doc, Value};
+use docmodel::Value;
 use lsm::{CompactionSpec, CrashPoint, DatasetConfig, LsmDataset, WorkerState};
 use storage::LayoutKind;
 use telemetry::EventKind;
+use testkit::{sample_record, tiny_config, TempDir};
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("lsm-telemetry-tests-{}", std::process::id()))
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn sample_record(i: i64) -> Value {
-    doc!({
-        "id": i,
-        "user": {"name": (format!("user{}", i % 13)), "followers": (i % 997)},
-        "text": (format!("record {i} body text with characters")),
-        "timestamp": (1_000_000 + i)
-    })
-}
-
-fn tiny_config(name: &str) -> DatasetConfig {
-    DatasetConfig::new(name, LayoutKind::Amax)
-        .with_memtable_budget(8 * 1024)
-        .with_page_size(4 * 1024)
+fn temp_dir(name: &str) -> TempDir {
+    TempDir::new("lsm-telemetry-tests", name)
 }
 
 #[test]
 fn flush_and_merge_emit_events_and_metrics() {
-    let ds = LsmDataset::new(tiny_config("events"));
+    let ds = LsmDataset::new(tiny_config("events", LayoutKind::Amax));
     for i in 0..120 {
         ds.insert(sample_record(i)).unwrap();
     }
@@ -53,7 +35,11 @@ fn flush_and_merge_emit_events_and_metrics() {
     assert!(metrics.counter("ingest.bytes") > 0);
     assert!(metrics.counter("flush.count") >= 2);
     assert!(metrics.counter("flush.pages_out") > 0);
-    assert_eq!(metrics.counter("flush.entries_in"), 123, "120 upserts + 3 anti-matter");
+    assert_eq!(
+        metrics.counter("flush.entries_in"),
+        123,
+        "120 upserts + 3 anti-matter"
+    );
     assert!(metrics.counter("merge.count") >= 1);
     assert!(metrics.counter("merge.pages_in") > 0);
     assert!(metrics.counter("merge.pages_out") > 0);
@@ -75,22 +61,29 @@ fn flush_and_merge_emit_events_and_metrics() {
     let write_amp = metrics.gauge("amp.write").expect("write amp present");
     let expected =
         metrics.counter("storage.bytes_written") as f64 / metrics.counter("ingest.bytes") as f64;
-    assert!((write_amp - expected).abs() < 1e-9, "{write_amp} vs {expected}");
+    assert!(
+        (write_amp - expected).abs() < 1e-9,
+        "{write_amp} vs {expected}"
+    );
     assert!(write_amp > 0.0);
     let read_amp = metrics.gauge("amp.read").expect("read amp present");
     let expected =
         metrics.counter("storage.bytes_read") as f64 / metrics.counter("ingest.bytes") as f64;
-    assert!((read_amp - expected).abs() < 1e-9, "{read_amp} vs {expected}");
+    assert!(
+        (read_amp - expected).abs() < 1e-9,
+        "{read_amp} vs {expected}"
+    );
     let space_amp = metrics.gauge("amp.space").expect("space amp present");
     let expected = metrics.gauge("storage.allocated_bytes").unwrap()
         / metrics.gauge("lsm.live_stored_bytes").unwrap();
-    assert!((space_amp - expected).abs() < 1e-9, "{space_amp} vs {expected}");
+    assert!(
+        (space_amp - expected).abs() < 1e-9,
+        "{space_amp} vs {expected}"
+    );
 
     // The event ring holds paired begin/end lifecycle events.
     let events = ds.recent_events(256);
-    let count_of = |label: &str| {
-        events.iter().filter(|e| e.kind.label() == label).count()
-    };
+    let count_of = |label: &str| events.iter().filter(|e| e.kind.label() == label).count();
     assert_eq!(count_of("flush_begin"), count_of("flush_end"));
     assert_eq!(count_of("flush_end") as u64, metrics.counter("flush.count"));
     assert_eq!(count_of("merge_begin"), count_of("merge_end"));
@@ -104,9 +97,12 @@ fn flush_and_merge_emit_events_and_metrics() {
         .iter()
         .rev()
         .find_map(|e| match &e.kind {
-            EventKind::MergeEnd { inputs, pages_in, pages_out, .. } => {
-                Some((inputs.clone(), *pages_in, *pages_out))
-            }
+            EventKind::MergeEnd {
+                inputs,
+                pages_in,
+                pages_out,
+                ..
+            } => Some((inputs.clone(), *pages_in, *pages_out)),
             _ => None,
         })
         .expect("a merge_end event");
@@ -127,7 +123,7 @@ fn flush_and_merge_emit_events_and_metrics() {
 
 #[test]
 fn disabled_telemetry_records_nothing_but_dataset_works() {
-    let ds = LsmDataset::new(tiny_config("disabled").with_telemetry(false));
+    let ds = LsmDataset::new(tiny_config("disabled", LayoutKind::Amax).with_telemetry(false));
     for i in 0..120 {
         ds.insert(sample_record(i)).unwrap();
     }
@@ -175,7 +171,10 @@ fn backpressure_stalls_are_counted() {
     );
     let health = ds.health();
     assert_eq!(health.stalls, metrics.counter("backpressure.stalls"));
-    assert_eq!(health.stall_micros, metrics.counter("backpressure.stall_micros"));
+    assert_eq!(
+        health.stall_micros,
+        metrics.counter("backpressure.stall_micros")
+    );
     assert_eq!(ds.count().unwrap(), i as usize);
 }
 
@@ -185,7 +184,7 @@ fn backpressure_stalls_are_counted() {
 #[test]
 fn worker_error_shows_in_health_before_writes_observe_it() {
     let dir = temp_dir("worker-health");
-    let config = tiny_config("health")
+    let config = tiny_config("health", LayoutKind::Amax)
         .with_background(true)
         .with_max_sealed(4);
     let ds = LsmDataset::open(&dir, config).unwrap();
@@ -226,7 +225,9 @@ fn worker_error_shows_in_health_before_writes_observe_it() {
         .any(|e| matches!(&e.kind, EventKind::WorkerError { message } if message.contains("injected crash"))));
 
     // Only now does a write observe (without consuming) the parked error...
-    let err = ds.insert(sample_record(1_000)).expect_err("write must fail");
+    let err = ds
+        .insert(sample_record(1_000))
+        .expect_err("write must fail");
     assert!(err.message.contains("injected crash"), "{err}");
     assert_eq!(ds.health().worker, WorkerState::Failed, "still parked");
     // ...and an explicit flush consumes it for retry; health recovers.
@@ -243,7 +244,7 @@ fn worker_error_shows_in_health_before_writes_observe_it() {
 /// Inline (non-background) datasets report their worker as such.
 #[test]
 fn inline_dataset_health_is_inline() {
-    let ds = LsmDataset::new(tiny_config("inline"));
+    let ds = LsmDataset::new(tiny_config("inline", LayoutKind::Amax));
     let health = ds.health();
     assert_eq!(health.worker, WorkerState::Inline);
     assert!(health.last_error.is_none());
@@ -255,7 +256,7 @@ fn inline_dataset_health_is_inline() {
 #[test]
 fn durable_datasets_emit_wal_and_manifest_events() {
     let dir = temp_dir("wal-events");
-    let ds = LsmDataset::open(&dir, tiny_config("wal")).unwrap();
+    let ds = LsmDataset::open(&dir, tiny_config("wal", LayoutKind::Amax)).unwrap();
     for i in 0..120 {
         ds.insert(sample_record(i)).unwrap();
     }
@@ -283,7 +284,8 @@ fn update_heavy_scan_skips_shadowed_entries_without_assembly() {
     // A compaction spec that never merges: every round's components survive,
     // so older versions of each key stay on disk and must be skipped.
     let ds = LsmDataset::new(
-        tiny_config("lazy-skip").with_compaction(CompactionSpec::tiered(100.0, 100)),
+        tiny_config("lazy-skip", LayoutKind::Amax)
+            .with_compaction(CompactionSpec::tiered(100.0, 100)),
     );
     for round in 0..3i64 {
         for i in 0..150 {
@@ -293,11 +295,7 @@ fn update_heavy_scan_skips_shadowed_entries_without_assembly() {
         }
         ds.flush().unwrap();
     }
-    let total_entries: usize = ds
-        .components()
-        .iter()
-        .map(|c| c.record_count())
-        .sum();
+    let total_entries: usize = ds.components().iter().map(|c| c.record_count()).sum();
     assert!(
         total_entries > 150,
         "older rounds must survive as shadowed entries ({total_entries})"

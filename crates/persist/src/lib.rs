@@ -240,7 +240,8 @@ impl DurableStore {
     fn note_append(&self, started: Option<Instant>) {
         if let (Some(t), Some(started)) = (self.sink(), started) {
             t.wal_appends.incr();
-            t.wal_append_latency.record(started.elapsed().as_micros() as u64);
+            t.wal_append_latency
+                .record(started.elapsed().as_micros() as u64);
         }
     }
 
@@ -294,7 +295,8 @@ impl DurableStore {
             drop(state);
             if let (Some(t), Some(started)) = (self.sink(), started) {
                 t.wal_syncs.incr();
-                t.wal_sync_latency.record(started.elapsed().as_micros() as u64);
+                t.wal_sync_latency
+                    .record(started.elapsed().as_micros() as u64);
             }
         }
         Ok(())
@@ -331,7 +333,9 @@ impl DurableStore {
         self.trip(CrashPoint::AfterFlushManifestCommit)?;
         self.wal.lock().wal.remove_through(through_segment)?;
         if let Some(t) = self.sink() {
-            t.emit(EventKind::WalSegmentsRemoved { through: through_segment });
+            t.emit(EventKind::WalSegmentsRemoved {
+                through: through_segment,
+            });
         }
         Ok(version)
     }
@@ -358,9 +362,8 @@ mod tests {
     use schema::SchemaBuilder;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("persist-store-tests-{}", std::process::id()))
-            .join(name);
+        let dir =
+            std::env::temp_dir().join(format!("persist-store-tests-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -394,6 +397,7 @@ mod tests {
         let (ds, recovered) = DurableStore::open(&dir, 4096).unwrap();
         assert_eq!(recovered.wal_records.len(), 2);
         assert!(ds.wal_bytes() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -422,8 +426,12 @@ mod tests {
         assert_eq!(recovered.wal_records.len(), 1);
         assert!(matches!(
             &recovered.wal_records[0],
-            WalRecord::Insert { key: Value::Int(2), .. }
+            WalRecord::Insert {
+                key: Value::Int(2),
+                ..
+            }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -436,6 +444,7 @@ mod tests {
         }
         let err = DurableStore::open(&dir, 8192).err().unwrap();
         assert!(err.message.contains("page size"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -470,6 +479,7 @@ mod tests {
         assert!(ds.commit_merge(empty_manifest(4096)).is_err());
         assert_eq!(ds.manifest_version(), 2);
         assert_eq!(ds.commit_merge(empty_manifest(4096)).unwrap(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -501,5 +511,6 @@ mod tests {
         for r in &recovered.wal_records {
             assert!(matches!(r, WalRecord::Insert { .. }));
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

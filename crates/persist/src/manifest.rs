@@ -181,9 +181,20 @@ fn read_stats(buf: &[u8], pos: &mut usize) -> Result<ComponentStats> {
         } else {
             (None, None)
         };
-        columns.insert(path, ColumnStats { rows, values, min, max });
+        columns.insert(
+            path,
+            ColumnStats {
+                rows,
+                values,
+                min,
+                max,
+            },
+        );
     }
-    Ok(ComponentStats { live_records, columns })
+    Ok(ComponentStats {
+        live_records,
+        columns,
+    })
 }
 
 fn decode_body(buf: &[u8]) -> Result<ManifestData> {
@@ -354,9 +365,10 @@ mod tests {
     use schema::SchemaBuilder;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("persist-manifest-tests-{}", std::process::id()))
-            .join(name);
+        let dir = std::env::temp_dir().join(format!(
+            "persist-manifest-tests-{}-{name}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -401,9 +413,17 @@ mod tests {
         );
         columns.insert(
             "tags[*]".to_string(),
-            ColumnStats { rows: 17, values: 40, min: None, max: None },
+            ColumnStats {
+                rows: 17,
+                values: 40,
+                min: None,
+                max: None,
+            },
         );
-        ComponentStats { live_records: 123, columns }
+        ComponentStats {
+            live_records: 123,
+            columns,
+        }
     }
 
     #[test]
@@ -425,6 +445,7 @@ mod tests {
         assert_eq!(loaded.next_component_id, 7);
         assert_eq!(loaded.schema, data.schema);
         assert_eq!(loaded.components, data.components);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -449,6 +470,7 @@ mod tests {
         store.commit(data.clone()).unwrap();
         let (_, loaded) = ManifestStore::open(&dir).unwrap();
         assert_eq!(loaded.unwrap().components, data.components);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -473,6 +495,7 @@ mod tests {
         let leaves = &loaded.unwrap().components[0].leaves;
         assert_eq!(leaves[0].stats, sample_stats());
         assert_eq!(leaves[1].stats, second);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Seal `body` under `magic` the way `commit` does, then load it.
@@ -508,6 +531,7 @@ mod tests {
             bad[i] ^= 0x55;
             assert!(load(&bad).is_err(), "byte {i} flipped");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -517,7 +541,12 @@ mod tests {
         let good = committed(&dir);
         let body = &good[MAGIC.len() + 4..];
         for old in [
-            b"LSMMAN01", b"LSMMAN02", b"LSMMAN03", b"LSMMAN04", b"LSMMAN05", b"LSMMAN06",
+            b"LSMMAN01",
+            b"LSMMAN02",
+            b"LSMMAN03",
+            b"LSMMAN04",
+            b"LSMMAN05",
+            b"LSMMAN06",
             b"LSMMAN07",
         ] {
             let err = load_sealed(&dir, old, body).err().unwrap();
@@ -525,6 +554,7 @@ mod tests {
             assert!(err.message.contains(&*found), "{err}");
         }
         assert_eq!(load_sealed(&dir, MAGIC, body).unwrap().unwrap().version, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -534,7 +564,10 @@ mod tests {
         let good = committed(&dir);
         let body = &good[MAGIC.len() + 4..];
         for len in 0..body.len() {
-            assert!(load_sealed(&dir, MAGIC, &body[..len]).is_err(), "body cut to {len}");
+            assert!(
+                load_sealed(&dir, MAGIC, &body[..len]).is_err(),
+                "body cut to {len}"
+            );
         }
         for i in 0..body.len() {
             for mask in [0x01, 0x55, 0x80, 0xff] {
@@ -543,6 +576,7 @@ mod tests {
                 let _ = load_sealed(&dir, MAGIC, &bad);
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -557,6 +591,7 @@ mod tests {
         varint::write_u64(&mut bogus, 1 << 40);
         let err = load_sealed(&dir, MAGIC, &bogus).err().unwrap();
         assert!(err.message.contains("exceeds"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -569,5 +604,6 @@ mod tests {
         let (_, loaded) = ManifestStore::open(&dir).unwrap();
         assert!(loaded.is_some(), "temp file must not shadow the manifest");
         assert!(!dir.join("MANIFEST.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

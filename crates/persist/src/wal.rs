@@ -200,8 +200,7 @@ impl Wal {
         let entries = std::fs::read_dir(dir)
             .map_err(|e| PersistError::new(format!("list WAL dir {}: {e}", dir.display())))?;
         for entry in entries {
-            let entry =
-                entry.map_err(|e| PersistError::new(format!("list WAL dir: {e}")))?;
+            let entry = entry.map_err(|e| PersistError::new(format!("list WAL dir: {e}")))?;
             if let Some(id) = entry.file_name().to_str().and_then(parse_segment_id) {
                 ids.push(id);
             }
@@ -246,9 +245,7 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(&active_path)
-            .map_err(|e| {
-                PersistError::new(format!("open WAL {}: {e}", active_path.display()))
-            })?;
+            .map_err(|e| PersistError::new(format!("open WAL {}: {e}", active_path.display())))?;
         let active_len = heal.as_ref().map(|(_, len)| *len).unwrap_or(0);
         // Drop any torn tail so appends continue from a clean boundary.
         active_file
@@ -299,10 +296,7 @@ impl Wal {
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         self.active_file.write_all(&frame).map_err(|e| {
-            PersistError::new(format!(
-                "append to WAL {}: {e}",
-                self.active_path.display()
-            ))
+            PersistError::new(format!("append to WAL {}: {e}", self.active_path.display()))
         })?;
         self.active_len += frame.len() as u64;
         Ok(())
@@ -311,9 +305,9 @@ impl Wal {
     /// Force appended records to the device (sealed segments were synced when
     /// they were rotated out).
     pub fn sync(&self) -> Result<()> {
-        self.active_file.sync_data().map_err(|e| {
-            PersistError::new(format!("sync WAL {}: {e}", self.active_path.display()))
-        })
+        self.active_file
+            .sync_data()
+            .map_err(|e| PersistError::new(format!("sync WAL {}: {e}", self.active_path.display())))
     }
 
     /// Seal the active segment and open a fresh one. Returns the sealed
@@ -351,10 +345,7 @@ impl Wal {
         for seg in self.sealed.drain(..) {
             if seg.id <= through {
                 std::fs::remove_file(&seg.path).map_err(|e| {
-                    PersistError::new(format!(
-                        "remove WAL segment {}: {e}",
-                        seg.path.display()
-                    ))
+                    PersistError::new(format!("remove WAL segment {}: {e}", seg.path.display()))
                 })?;
             } else {
                 keep.push(seg);
@@ -408,9 +399,8 @@ mod tests {
     use docmodel::doc;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("persist-wal-tests-{}", std::process::id()))
-            .join(name);
+        let dir =
+            std::env::temp_dir().join(format!("persist-wal-tests-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -445,6 +435,7 @@ mod tests {
         let (wal, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records);
         assert!(!wal.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -459,6 +450,7 @@ mod tests {
         drop(wal);
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert!(replayed.records.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -477,13 +469,21 @@ mod tests {
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
 
         let (mut wal, replayed) = Wal::open(&dir).unwrap();
-        assert_eq!(replayed.records, records[..2].to_vec(), "torn frame must be dropped");
-        assert!(replayed.torn_tail_healed, "the chopped frame is a torn tail");
+        assert_eq!(
+            replayed.records,
+            records[..2].to_vec(),
+            "torn frame must be dropped"
+        );
+        assert!(
+            replayed.torn_tail_healed,
+            "the chopped frame is a torn tail"
+        );
         // The file healed: appending after the torn tail yields a clean log.
         wal.append(&records[2]).unwrap();
         drop(wal);
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -505,6 +505,7 @@ mod tests {
 
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records[..1].to_vec());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -514,6 +515,7 @@ mod tests {
         let (wal, replayed) = Wal::open(&dir).unwrap();
         assert!(replayed.records.is_empty());
         assert!(wal.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -537,6 +539,7 @@ mod tests {
         drop(wal);
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records[1..].to_vec());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -558,6 +561,7 @@ mod tests {
         drop(wal);
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records[2..].to_vec());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -576,5 +580,6 @@ mod tests {
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records[..2].to_vec());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

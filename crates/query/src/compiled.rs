@@ -77,7 +77,7 @@
 //! fed to the fused per-record loop (`FusedLoop`), which index-probe plans
 //! use too. `EXPLAIN ANALYZE` reports how many records took which lane and
 //! why a batch fell back. [`ScanLane::Assembled`] forces the assembled lane;
-//! it exists for the differential tests (`tests/vectorized.rs`), which hold
+//! it exists for the differential tests (`tests/lifecycle.rs`), which hold
 //! the two lanes, the interpreted engine and the batch oracle to one answer.
 
 use std::collections::hash_map::RandomState;
@@ -199,10 +199,12 @@ impl<'p> FusedLoop<'p> {
 /// The elements `UNNEST path` yields for `record`: every item of each array
 /// the path addresses, and any other value it addresses as itself.
 pub(crate) fn unnest<'v>(path: &Path, record: &'v Value) -> impl Iterator<Item = &'v Value> {
-    path.evaluate(record).into_iter().flat_map(|value| match value {
-        Value::Array(items) => items.iter(),
-        other => std::slice::from_ref(other).iter(),
-    })
+    path.evaluate(record)
+        .into_iter()
+        .flat_map(|value| match value {
+            Value::Array(items) => items.iter(),
+            other => std::slice::from_ref(other).iter(),
+        })
 }
 
 /// The fused loop over a stream of documents (index-probe plans).
@@ -685,12 +687,10 @@ pub(crate) fn aggregate_batches(
             }
         };
         let component = batch.component().clone();
-        let kernel = kernels
-            .entry(component.id())
-            .or_insert_with(|| match lane {
-                ScanLane::Kernels => Kernel::lower(plan, component.schema()),
-                ScanLane::Assembled => Err("assembled lane forced".to_string()),
-            });
+        let kernel = kernels.entry(component.id()).or_insert_with(|| match lane {
+            ScanLane::Kernels => Kernel::lower(plan, component.schema()),
+            ScanLane::Assembled => Err("assembled lane forced".to_string()),
+        });
         let fallback = match kernel {
             Err(reason) => reason.clone(),
             Ok(_) if batch.needs_records() => "pushed predicate needs the record".to_string(),

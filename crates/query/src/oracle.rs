@@ -6,8 +6,8 @@
 //! docs). This module keeps the *old* model alive: scan the whole snapshot
 //! into a `Vec`, run each operator as a full-batch pass, and only then
 //! order/limit. Answers must be identical; only the memory profile (and the
-//! pages a limited scan touches) may differ. The streaming differential
-//! suite (`crates/query/tests/streaming.rs`) leans on it.
+//! pages a limited scan touches) may differ. The lifecycle differential
+//! (`crates/query/tests/lifecycle.rs`) leans on it.
 //!
 //! The oracle ignores zone maps and never terminates early — it is the
 //! pruning-free, limit-after-the-fact upper bound the streaming paths are
@@ -102,12 +102,10 @@ pub fn execute_batch(snapshot: &Snapshot, query: &Query) -> Result<Vec<QueryRow>
     let mut groups = GroupPartials::new();
     for (record, element) in &unnested {
         let key = match &plan.group_by {
-            Some(p) => {
-                match resolve(record, element.as_ref(), plan.group_on_element, p) {
-                    Some(k) => Some(docmodel::cmp::OrderedValue(k)),
-                    None => continue,
-                }
-            }
+            Some(p) => match resolve(record, element.as_ref(), plan.group_on_element, p) {
+                Some(k) => Some(docmodel::cmp::OrderedValue(k)),
+                None => continue,
+            },
             None => None,
         };
         let states = groups.entry(key).or_insert_with(|| new_states(&plan));

@@ -11,23 +11,16 @@
 //! * the report's result rows are identical to `execute`'s, so analyzing
 //!   never changes an answer.
 
-mod support;
-
 use docmodel::{doc, Value};
 use lsm::{DatasetConfig, LsmDataset};
 use query::{ExecMode, Expr, Query, QueryEngine};
 use storage::LayoutKind;
-
-use support::{build_doc, dataset};
+use testkit::leafy_config;
 
 /// Two flushed components with disjoint `score` ranges (0..100 and
 /// 1000..1100), multi-leaf pages, empty memtable.
 fn two_band_dataset(layout: LayoutKind) -> LsmDataset {
-    let mut config = DatasetConfig::new("analyze", layout)
-        .with_memtable_budget(usize::MAX)
-        .with_page_size(4 * 1024);
-    config.amax.record_limit = 64;
-    let ds = LsmDataset::new(config);
+    let ds = LsmDataset::new(leafy_config("analyze", layout, 4 * 1024, 64));
     for i in 0..300i64 {
         ds.insert(doc!({
             "id": i,
@@ -109,7 +102,11 @@ fn fully_pruned_queries_read_zero_pages() {
         let ds = two_band_dataset(layout);
         let engine = QueryEngine::new(ExecMode::Compiled);
 
-        let leaves: Vec<u64> = ds.components().iter().map(|c| c.leaf_count() as u64).collect();
+        let leaves: Vec<u64> = ds
+            .components()
+            .iter()
+            .map(|c| c.leaf_count() as u64)
+            .collect();
         assert!(leaves.iter().all(|&n| n > 1), "{layout:?}: {leaves:?}");
 
         // Disjoint from both bands: every component is hidden, zero I/O.
@@ -126,7 +123,11 @@ fn fully_pruned_queries_read_zero_pages() {
             0,
             "{layout:?}: hidden components must cost zero pages"
         );
-        assert_eq!(ds.io_stats().pages_read, 0, "{layout:?}: nothing read at all");
+        assert_eq!(
+            ds.io_stats().pages_read,
+            0,
+            "{layout:?}: nothing read at all"
+        );
 
         // Matching only the second band hides exactly the first component,
         // and the analyze counters stay exact.
@@ -137,7 +138,12 @@ fn fully_pruned_queries_read_zero_pages() {
         assert_eq!(report.rows.len(), 300, "{layout:?}");
         assert_eq!(report.leaves_skipped(), leaves[0], "{layout:?}");
         assert!(report.pages_read() > 0, "{layout:?}");
-        assert_exact(&ds, &engine, &second_band, &format!("{layout:?}/second-band"));
+        assert_exact(
+            &ds,
+            &engine,
+            &second_band,
+            &format!("{layout:?}/second-band"),
+        );
     }
 }
 
@@ -180,14 +186,13 @@ fn order_by_key_limit_reports_the_early_termination_point() {
 
 #[test]
 fn sharded_analyze_reports_exact_per_shard_deltas() {
-    let shards: Vec<LsmDataset> = (0..4)
-        .map(|i| dataset(&format!("analyze-shard-{i}"), false))
-        .collect();
-    let bodies: Vec<support::DocBody> = (0..80)
-        .map(|i| (Some(i % 100), (i as usize) % 5, None))
-        .collect();
-    for (i, body) in bodies.iter().enumerate() {
-        shards[i % 4].insert(build_doc(i as i64, body)).unwrap();
+    let config = DatasetConfig::new("analyze-shard", LayoutKind::Amax)
+        .with_memtable_budget(64 * 1024)
+        .with_page_size(8 * 1024);
+    let shards: Vec<LsmDataset> = (0..4).map(|_| LsmDataset::new(config.clone())).collect();
+    for i in 0..80i64 {
+        let doc = doc!({"id": i, "grp": (format!("g{}", i % 5)), "score": (i % 100)});
+        shards[i as usize % 4].insert(doc).unwrap();
     }
     for shard in &shards {
         shard.flush().unwrap();
@@ -201,8 +206,7 @@ fn sharded_analyze_reports_exact_per_shard_deltas() {
                 .with_filter(Expr::ge("score", 20))
                 .order_by_key(),
             Query::count_star(),
-            Query::select([query::Aggregate::Max(docmodel::Path::parse("score"))])
-                .group_by("grp"),
+            Query::select([query::Aggregate::Max(docmodel::Path::parse("score"))]).group_by("grp"),
         ] {
             let expected = engine.execute(&refs[..], &query).unwrap();
             for shard in &shards {

@@ -1,14 +1,12 @@
-//! Differential test fleet for statistics-driven planning.
+//! Statistics-driven planning. The cost-based access-path choice and what
+//! the zone maps hide never change an answer:
 //!
-//! The cost-based access-path choice and what the zone maps hide are pure
-//! *performance* decisions — they may never change an answer. This suite
-//! locks that in from three directions:
-//!
-//! * a property test running random documents × range-heavy filters ×
-//!   aggregate lists through every `AccessPathChoice` with push-down (and so
-//!   the zone maps) on and off, against a push-down-disabled ForceScan
-//!   oracle that reads everything — before and after a merge reshuffles the
-//!   components, whose updates overlap older key ranges;
+//! * a property test running generated documents and queries through every
+//!   `AccessPathChoice` with push-down (and so the zone maps) on and off,
+//!   against a push-down-disabled ForceScan oracle that reads everything —
+//!   before and after a merge reshuffles the components, whose updates
+//!   overlap older key ranges (the lifecycle differential, `lifecycle.rs`,
+//!   rotates the same choices over whole histories);
 //! * the multi-valued probe regression folded in from PR 3's one-off
 //!   `dup_probe_test.rs` (a record with two indexed values inside the probe
 //!   range must be counted once);
@@ -17,108 +15,96 @@
 //!   that the cost model's `EXPLAIN` output picks the right path at both
 //!   selectivity extremes (the fig. 15 crossover).
 
-mod support;
-
-use proptest::prelude::*;
-
 use docmodel::{doc, Path, Value};
 use lsm::{DatasetConfig, LsmDataset};
-use query::{
-    AccessPathChoice, ExecMode, Expr, PlannerOptions, Query, QueryEngine,
-};
+use proptest::prelude::*;
+use query::{AccessPathChoice, CmpOp, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
 use storage::LayoutKind;
+use testkit::exec::{every_execution_agrees, write, ROTATIONS};
+use testkit::gen::{document, inserts, query, Op, Setup, Shape};
+use testkit::{engine, leafy_config};
 
-use support::{
-    arb_aggregate, arb_doc_body, build_doc, dataset, dataset_indexed_on, range_heavy_expr,
-};
-
-/// Engines for every (access-path, push-down) combination under test. With
-/// `pushdown: false` nothing reaches the zone maps, so the scan reads
-/// everything for real — the oracle.
-fn engine(mode: ExecMode, choice: AccessPathChoice, pushdown: bool) -> QueryEngine {
-    QueryEngine::with_options(
-        mode,
-        PlannerOptions {
-            access_path: choice,
-            filter_pushdown: pushdown,
-            ..Default::default()
-        },
-    )
-}
-
-// ForceIndex == ForceScan == Auto, hidden == read — over random
-// documents, range filters and aggregate lists, with updates spread over
-// several flushes (overlapping components) and again after a full merge
+// ForceIndex == ForceScan == Auto, hidden == read — with updates spread over
+// two flushes (overlapping components) and again after a full merge
 // reshuffles them.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    #[test]
-    fn access_paths_and_pruning_never_change_answers(
-        bodies in prop::collection::vec(arb_doc_body(), 24..56),
-        update_bodies in prop::collection::vec(arb_doc_body(), 0..12),
-        filter in range_heavy_expr(),
-        aggs in prop::collection::vec(arb_aggregate(), 1..3),
-        group in prop_oneof![Just(false), Just(true)],
-    ) {
-        let ds = dataset("planner-cost", true);
-        // First batch, sealed into its own component.
-        let half = bodies.len() / 2;
-        for (i, body) in bodies[..half].iter().enumerate() {
-            ds.insert(build_doc(i as i64, body)).unwrap();
-        }
-        ds.flush().unwrap();
-        // Updates to existing keys: the next component's key range overlaps
-        // the first one's, which must keep the zone maps from hiding what
-        // would resurrect the old versions.
-        for (i, body) in update_bodies.iter().enumerate() {
-            ds.insert(build_doc((i % half.max(1)) as i64, body)).unwrap();
-        }
-        // Second batch on top.
-        for (i, body) in bodies[half..].iter().enumerate() {
-            ds.insert(build_doc((half + i) as i64, body)).unwrap();
-        }
-        ds.flush().unwrap();
-
-        let mut query = Query::select(aggs).with_filter(filter);
-        if group {
-            query = query.group_by("grp");
-        }
-
-        let check = |label: &str| {
-            let oracle = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, false)
-                .execute(&ds, &query)
-                .unwrap();
-            for choice in [
-                AccessPathChoice::Auto,
-                AccessPathChoice::ForceIndex,
-                AccessPathChoice::ForceScan,
-            ] {
-                for pushdown in [true, false] {
-                    for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-                        let rows = engine(mode, choice, pushdown)
-                            .execute(&ds, &query)
-                            .unwrap();
-                        prop_assert_eq!(
-                            &oracle, &rows,
-                            "{}: {:?}/pushdown={}/{:?} diverged on {:?}",
-                            label, choice, pushdown, mode, query
-                        );
-                    }
-                }
-            }
-            // Planning stays total and the estimate is always rendered.
-            let text = engine(ExecMode::Compiled, AccessPathChoice::Auto, true)
-                .explain(&ds, &query)
-                .unwrap();
-            prop_assert!(text.contains("estimate"), "{}", text);
+#[test]
+fn access_paths_and_pruning_never_change_answers() {
+    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("planner_cost"));
+    for _ in 0..20 {
+        let setup = Setup {
+            clean: true,
+            grp_strings: rng.below(2) == 0,
+            compaction: 0,
         };
+        let n = rng.usize_inclusive(24, 55) as i64;
+        let half = n / 2;
+        let updates = rng.below(12) as i64;
+        // A first component; then updates to its keys — the second
+        // component's key range overlaps the first one's, which must keep
+        // the zone maps from hiding what would resurrect the old versions —
+        // and a second batch on top.
+        let mut ops = inserts(&mut rng, 0..half, Shape::Clean);
+        ops.push(Op::Flush);
+        ops.extend(inserts(
+            &mut rng,
+            (0..updates).map(|i| i % half),
+            Shape::Clean,
+        ));
+        ops.extend(inserts(&mut rng, half..n, Shape::Clean));
+        ops.push(Op::Flush);
+        let ds = LsmDataset::new(
+            leafy_config("planner-cost", LayoutKind::Amax, 8 * 1024, 64)
+                .with_secondary_index(Path::parse("score")),
+        );
+        write(&[&ds], &ops, &setup);
 
-        check("multi-component");
+        let mut queries: Vec<Query> = (0..6).map(|_| query(rng.next_u64())).collect();
+        // One-sided ranges at a score a document holds, so each comparison's
+        // edge is tested, not only its inside.
+        let held = ops.iter().find_map(|op| match *op {
+            Op::Insert(id, seed, shape) => document(id, seed, shape, &setup)
+                .get_field("score")
+                .cloned(),
+            _ => None,
+        });
+        let held = held.unwrap_or(Value::Int(50));
+        queries.extend(
+            [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq].map(|op| {
+                let path = Path::parse("score");
+                let edge = Expr::Cmp {
+                    op,
+                    path,
+                    value: held.clone(),
+                };
+                Query::count_star().with_filter(edge)
+            }),
+        );
+        let check = |label: &str, query: &Query| {
+            // With push-down off nothing reaches the zone maps: the scan
+            // reads everything for real.
+            let oracle = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, false)
+                .execute(&ds, query)
+                .unwrap();
+            // Rotations 0-2 run every access path, with filter pushdown on
+            // and off, on both engines.
+            for rotation in 0..3 {
+                every_execution_agrees(&ds, query, Some(&oracle), rotation);
+            }
+            // Planning stays total, and a filter's estimate is rendered.
+            let text = engine(ExecMode::Compiled, AccessPathChoice::Auto, true)
+                .explain(&ds, query)
+                .unwrap();
+            assert!(text.contains("access"), "{label}: {text}");
+            assert!(
+                query.filter.is_none() || text.contains("estimate"),
+                "{label}: {text}"
+            );
+        };
+        queries.iter().for_each(|q| check("multi-component", q));
         // A merge rewrites the components (and their statistics) — nothing
         // may change.
         ds.compact_fully().unwrap();
-        check("post-merge");
+        queries.iter().for_each(|q| check("post-merge", q));
     }
 }
 
@@ -127,7 +113,9 @@ proptest! {
 /// once. (The fix deduplicates keys in `SecondaryIndex::range_bounds`.)
 #[test]
 fn multi_valued_probe_does_not_double_count() {
-    let ds = dataset_indexed_on("multi", "ts[*]");
+    let ds = LsmDataset::new(
+        DatasetConfig::new("multi", LayoutKind::Amax).with_secondary_index(Path::parse("ts[*]")),
+    );
     ds.insert(doc!({"id": 1, "ts": [150, 160]})).unwrap();
     ds.flush().unwrap();
     let q = Query::count_star().with_filter(Expr::ge("ts[*]", 120));
@@ -178,7 +166,10 @@ fn zone_map_pruning_reads_zero_pages_for_disjoint_components() {
     let nothing = Query::count_star().with_filter(Expr::between("score", 5_000, 6_000));
     let (rows, pages) = pages_read(&hiding, &nothing);
     assert_eq!(rows[0].agg(), &Value::Int(0));
-    assert_eq!(pages, 0, "a scan the zone maps hide whole must not read any page");
+    assert_eq!(
+        pages, 0,
+        "a scan the zone maps hide whole must not read any page"
+    );
     let (oracle_rows, oracle_pages) = pages_read(&reading, &nothing);
     assert_eq!(rows, oracle_rows, "the zone maps changed an answer");
     assert!(oracle_pages > 0, "the oracle scans for real");
@@ -201,6 +192,21 @@ fn zone_map_pruning_reads_zero_pages_for_disjoint_components() {
     assert_eq!(pages, 0, "hiding by absence must not read any page");
 }
 
+/// 600 records with `score` = id, indexed on `score` and merged into one
+/// component of 64-record AMAX leaves: many leaves, so a point lookup is
+/// genuinely cheaper than a scan.
+fn indexed_scores(name: &str) -> LsmDataset {
+    let config = leafy_config(name, LayoutKind::Amax, 4 * 1024, 64);
+    let ds = LsmDataset::new(config.with_secondary_index(Path::parse("score")));
+    for i in 0..600i64 {
+        ds.insert(doc!({"id": i, "score": i, "grp": (format!("g{}", i % 7))}))
+            .unwrap();
+    }
+    ds.flush().unwrap();
+    ds.compact_fully().unwrap();
+    ds
+}
+
 /// The memtable-aware CPU term (ROADMAP PR 4 open edge): in-memory records
 /// cost no pages, but a scan must filter every one of them while a probe
 /// touches only the matches. The estimate must surface them, charge the
@@ -211,18 +217,7 @@ fn zone_map_pruning_reads_zero_pages_for_disjoint_components() {
 fn memtable_records_sharpen_the_auto_choice() {
     use query::physical::{self, PlanContext};
 
-    let mut config = DatasetConfig::new("memtable-cost", LayoutKind::Amax)
-        .with_memtable_budget(usize::MAX)
-        .with_page_size(4 * 1024)
-        .with_secondary_index(Path::parse("score"));
-    config.amax.record_limit = 64;
-    let ds = LsmDataset::new(config);
-    for i in 0..600i64 {
-        ds.insert(doc!({"id": i, "score": i, "grp": (format!("g{}", i % 7))}))
-            .unwrap();
-    }
-    ds.flush().unwrap();
-    ds.compact_fully().unwrap();
+    let ds = indexed_scores("memtable-cost");
 
     // Flushed state: no memtable term in the estimate.
     let q = Query::count_star().with_filter(Expr::between("score", 100, 140));
@@ -231,7 +226,11 @@ fn memtable_records_sharpen_the_auto_choice() {
     let opts = PlannerOptions::default();
     let flushed = physical::plan(&q, &flushed_ctx, &opts).unwrap();
     let flushed_est = flushed.estimate.clone().unwrap();
-    assert!(!flushed.describe().contains("memtable"), "{}", flushed.describe());
+    assert!(
+        !flushed.describe().contains("memtable"),
+        "{}",
+        flushed.describe()
+    );
 
     // Unflushed records appear in the context and the explain text, and the
     // CPU term charges the scan more than the probe (the probe only pays
@@ -244,7 +243,11 @@ fn memtable_records_sharpen_the_auto_choice() {
     assert_eq!(mem_ctx.in_memory_records, 800);
     let with_mem = physical::plan(&q, &mem_ctx, &opts).unwrap();
     let mem_est = with_mem.estimate.clone().unwrap();
-    assert!(with_mem.describe().contains("memtable 800 rec"), "{}", with_mem.describe());
+    assert!(
+        with_mem.describe().contains("memtable 800 rec"),
+        "{}",
+        with_mem.describe()
+    );
     let scan_growth = mem_est.scan_cost - flushed_est.scan_cost;
     let probe_growth = mem_est.probe_cost.unwrap() - flushed_est.probe_cost.unwrap();
     assert!(
@@ -263,7 +266,9 @@ fn memtable_records_sharpen_the_auto_choice() {
             continue; // pages already favour the probe; wider, please
         }
         let est = p.estimate.unwrap();
-        let Some(probe_cost) = est.probe_cost else { continue };
+        let Some(probe_cost) = est.probe_cost else {
+            continue;
+        };
         // Memtable records needed to flip, from the cost model's own
         // terms: the scan pays the CPU charge for every in-memory record,
         // the probe only for the matching fraction, so the gap closes at
@@ -281,21 +286,17 @@ fn memtable_records_sharpen_the_auto_choice() {
             break;
         }
     }
-    assert!(flipped, "a large memtable must flip some near-crossover scan to a probe");
+    assert!(
+        flipped,
+        "a large memtable must flip some near-crossover scan to a probe"
+    );
 
     // And the answers agree across every policy with the memtable in play.
     let expected = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, false)
         .execute(&ds, &q)
         .unwrap();
-    for choice in [
-        AccessPathChoice::Auto,
-        AccessPathChoice::ForceIndex,
-        AccessPathChoice::ForceScan,
-    ] {
-        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            let rows = engine(mode, choice, true).execute(&ds, &q).unwrap();
-            assert_eq!(expected, rows, "{choice:?}/{mode:?} diverged with a memtable");
-        }
+    for rotation in 0..ROTATIONS {
+        every_execution_agrees(&ds, &q, Some(&expected), rotation);
     }
 }
 
@@ -304,20 +305,7 @@ fn memtable_records_sharpen_the_auto_choice() {
 /// `EXPLAIN` shows the estimate it decided on.
 #[test]
 fn auto_picks_probe_and_scan_at_the_selectivity_extremes() {
-    // Many leaves per component (small AMAX mega leaves) so a point lookup
-    // is genuinely cheaper than a scan.
-    let mut config = DatasetConfig::new("crossover", LayoutKind::Amax)
-        .with_memtable_budget(usize::MAX)
-        .with_page_size(4 * 1024)
-        .with_secondary_index(Path::parse("score"));
-    config.amax.record_limit = 64;
-    let ds = LsmDataset::new(config);
-    for i in 0..600i64 {
-        ds.insert(doc!({"id": i, "score": i, "grp": (format!("g{}", i % 7))}))
-            .unwrap();
-    }
-    ds.flush().unwrap();
-    ds.compact_fully().unwrap();
+    let ds = indexed_scores("crossover");
 
     let auto = engine(ExecMode::Compiled, AccessPathChoice::Auto, true);
     let tight = Query::count_star().with_filter(Expr::between("score", 300, 302));

@@ -1,18 +1,15 @@
-//! Differential fleet for filter pushdown (late materialization).
+//! Filter pushdown (late materialization). Pushing sargable conjuncts into
+//! the columnar scan is a pure *performance* decision — it may never change
+//! an answer. Pinned here:
 //!
-//! Pushing sargable conjuncts into the columnar scan is a pure
-//! *performance* decision — it may never change an answer. This suite
-//! locks that in:
-//!
-//! * a property test running random documents × range-heavy filters ×
-//!   aggregates through both engines with pushdown on and off, across every
-//!   layout (VB/APAX/AMAX) and a 4-way sharded target, against the
-//!   materialised batch oracle — over *update-heavy* datasets, because the
-//!   pushdown contract says only the reconciliation winner may be
-//!   filter-evaluated (a shadowed old version that matches a filter the
-//!   live version fails must stay invisible, and vice versa);
-//! * deterministic shadowing regressions for exactly those resurrection
-//!   hazards, including deletes (anti-matter must pass the pushed filter);
+//! * a property test running generated documents and queries through both
+//!   engines with pushdown on and off, across every layout (VB/APAX/AMAX)
+//!   and a 4-way sharded target, against the materialised batch oracle —
+//!   over *update-heavy* datasets, because only the reconciliation winner
+//!   may be filter-evaluated (the lifecycle differential, `lifecycle.rs`,
+//!   runs the same check over whole histories);
+//! * the resurrection hazards: the pushed filter is evaluated on the
+//!   reconciliation winner only, and anti-matter passes it;
 //! * I/O-level proof of the point of it all: a 0.1%-selectivity AMAX scan
 //!   hands only the matching records to the operators (and, kernel-covered,
 //!   builds no document at all where the unpushed run builds 1000), skips
@@ -22,124 +19,64 @@
 //!   before `-0.0`), in every layout;
 //! * the `explain` rendering of the pushed/residual split.
 
-mod support;
-
-use proptest::prelude::*;
-
 use docmodel::{doc, Value};
-use lsm::{DatasetConfig, LsmDataset};
-use query::{
-    oracle, AccessPathChoice, Aggregate, ExecMode, Expr, PlannerOptions, Query, QueryEngine,
-};
+use lsm::LsmDataset;
+use proptest::prelude::*;
+use query::{oracle, AccessPathChoice, Aggregate, ExecMode, Expr, Query, QueryEngine, QueryRow};
 use storage::LayoutKind;
-
-use support::{arb_aggregate, arb_doc_body, build_doc, range_heavy_expr};
-
-/// An engine with pushdown forced on or off; everything else default.
-fn engine(mode: ExecMode, pushdown: bool) -> QueryEngine {
-    QueryEngine::with_options(
-        mode,
-        PlannerOptions {
-            filter_pushdown: pushdown,
-            ..Default::default()
-        },
-    )
-}
+use testkit::engine;
+use testkit::exec::{bits, every_execution_agrees, write, ROTATIONS};
+use testkit::gen::{inserts, query, Op, Setup, Shape};
+use testkit::leafy_config;
 
 fn layout_dataset(name: &str, layout: LayoutKind) -> LsmDataset {
-    let mut config = DatasetConfig::new(name, layout)
-        .with_memtable_budget(usize::MAX)
-        .with_page_size(8 * 1024);
-    config.amax.record_limit = 64;
-    LsmDataset::new(config)
+    LsmDataset::new(leafy_config(name, layout, 8 * 1024, 64))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+// Pushdown on == pushdown off == batch oracle, on datasets where many
+// records exist in several versions spread across components (the update
+// pass rewrites every second id with a different body, the delete pass drops
+// a few) — the reconciliation × pushdown interaction under maximum pressure.
+#[test]
+fn pushdown_never_changes_answers() {
+    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("pushdown"));
+    for _ in 0..16 {
+        let setup = Setup {
+            clean: true,
+            grp_strings: rng.below(2) == 0,
+            compaction: 0,
+        };
+        let n = rng.usize_inclusive(24, 55) as i64;
+        let updates = rng.usize_inclusive(8, 15) as i64;
+        let mut ops = inserts(&mut rng, 0..n, Shape::Clean);
+        ops.push(Op::Flush);
+        ops.extend(inserts(&mut rng, (0..updates).map(|i| i * 2), Shape::Clean));
+        ops.push(Op::Flush);
+        ops.extend((0..rng.below(6)).map(|_| Op::Delete(rng.below(24) as i64)));
+        ops.push(Op::Flush);
+        let query = query(rng.next_u64());
 
-    // Pushdown on == pushdown off == batch oracle, on datasets where many
-    // records exist in several versions spread across components (the
-    // update pass rewrites half the ids with different bodies, the delete
-    // pass drops a few) — the reconciliation × pushdown interaction under
-    // maximum pressure.
-    #[test]
-    fn pushdown_never_changes_answers(
-        bodies in prop::collection::vec(arb_doc_body(), 24..56),
-        update_bodies in prop::collection::vec(arb_doc_body(), 8..16),
-        deletes in prop::collection::vec(0usize..24, 0..6),
-        filter in range_heavy_expr(),
-        aggs in prop::collection::vec(arb_aggregate(), 1..3),
-        group in prop_oneof![Just(false), Just(true)],
-    ) {
-        let mut query = Query::select(aggs).with_filter(filter);
-        if group {
-            query = query.group_by("grp");
-        }
-
-        let mut single_answer: Option<Vec<query::QueryRow>> = None;
+        let mut single_answer: Option<Vec<QueryRow>> = None;
         for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
             let ds = layout_dataset("pushdown-prop", layout);
-            for (i, body) in bodies.iter().enumerate() {
-                ds.insert(build_doc(i as i64, body)).unwrap();
-            }
-            ds.flush().unwrap();
-            // Update-heavy: shadow half the ids with fresh bodies in a
-            // second component, then delete a few in a third.
-            for (i, body) in update_bodies.iter().enumerate() {
-                ds.insert(build_doc((i * 2) as i64, body)).unwrap();
-            }
-            ds.flush().unwrap();
-            for &id in &deletes {
-                ds.delete(Value::Int(id as i64)).unwrap();
-            }
-            ds.flush().unwrap();
-
+            write(&[&ds], &ops, &setup);
             let reference = oracle::execute_batch(&ds.snapshot(), &query).unwrap();
-            for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-                for pushdown in [true, false] {
-                    let rows = engine(mode, pushdown).execute(&ds, &query).unwrap();
-                    prop_assert_eq!(
-                        &rows, &reference,
-                        "{:?}/{:?}/pushdown={} disagrees with the oracle: {:?}",
-                        layout, mode, pushdown, query
-                    );
-                }
-            }
-            // All layouts must agree with each other too.
+            every_execution_agrees(&ds, &query, Some(&reference), 0);
+            // The documents are clean, so all layouts agree with each other.
             match &single_answer {
-                Some(previous) => prop_assert_eq!(previous, &reference, "{:?}", layout),
+                Some(previous) => assert_eq!(bits(previous), bits(&reference), "{layout:?}"),
                 None => single_answer = Some(reference),
             }
         }
 
         // Sharded(4): the per-shard pushed scans merge to the same rows.
         let shards: Vec<LsmDataset> = (0..4)
-            .map(|i| layout_dataset(&format!("pushdown-shard-{i}"), LayoutKind::Amax))
+            .map(|_| layout_dataset("pushdown-shard", LayoutKind::Amax))
             .collect();
-        for (i, body) in bodies.iter().enumerate() {
-            shards[i % 4].insert(build_doc(i as i64, body)).unwrap();
-        }
-        for (i, body) in update_bodies.iter().enumerate() {
-            let id = (i * 2) as i64;
-            shards[(id as usize) % 4].insert(build_doc(id, body)).unwrap();
-        }
-        for &id in &deletes {
-            shards[id % 4].delete(Value::Int(id as i64)).unwrap();
-        }
-        for shard in &shards {
-            shard.flush().unwrap();
-        }
-        let refs: Vec<&LsmDataset> = shards.iter().collect();
+        let shards: Vec<&LsmDataset> = shards.iter().collect();
+        write(&shards, &ops, &setup);
         let expected = single_answer.expect("three layouts ran");
-        for pushdown in [true, false] {
-            let rows = engine(ExecMode::Compiled, pushdown)
-                .execute(&refs[..], &query)
-                .unwrap();
-            prop_assert_eq!(
-                &rows, &expected,
-                "sharded(4)/pushdown={} disagrees: {:?}", pushdown, query
-            );
-        }
+        every_execution_agrees(&shards[..], &query, Some(&expected), 0);
     }
 }
 
@@ -165,12 +102,12 @@ fn shadowed_versions_are_never_filter_evaluated() {
         let q = Query::select_paths(["score"])
             .with_filter(Expr::le("score", 20))
             .order_by_key();
-        for pushdown in [true, false] {
-            let rows = engine(ExecMode::Compiled, pushdown).execute(&ds, &q).unwrap();
-            // Only id 2's live version matches; id 1's old match is
-            // shadowed and id 3 is deleted outright.
-            assert_eq!(rows.len(), 1, "{layout:?}/pushdown={pushdown}: {rows:?}");
-            assert_eq!(rows[0].group, Some(Value::Int(2)), "{layout:?}/pushdown={pushdown}");
+        for rotation in 0..ROTATIONS {
+            let rows = every_execution_agrees(&ds, &q, None, rotation);
+            // Only id 2's live version matches; id 1's old match is shadowed
+            // and id 3 is deleted outright.
+            assert_eq!(rows.len(), 1, "{layout:?}: {rows:?}");
+            assert_eq!(rows[0].group, Some(Value::Int(2)), "{layout:?}");
         }
     }
 }
@@ -179,8 +116,7 @@ fn shadowed_versions_are_never_filter_evaluated() {
 /// a leaf whose `grp` column starts with a NaN (which sorts above every
 /// number), or whose `x` column holds `0.0` before `-0.0` (which sorts
 /// below `0.0`), still holds matches for `grp <= 2` and `x < 0.0`, so it is
-/// never hidden — in every layout, both engines, pushdown on
-/// and off, all equal to the oracle.
+/// never hidden — in every layout, every execution equal to the oracle.
 #[test]
 fn zone_maps_order_doubles_like_the_filter() {
     for layout in LayoutKind::ALL {
@@ -197,11 +133,8 @@ fn zone_maps_order_doubles_like_the_filter() {
             let reference = oracle::execute_batch(&ds.snapshot(), &query).unwrap();
             let want = [Value::Int(matches)];
             assert_eq!(reference[0].aggs, want, "{layout:?} {query:?}");
-            for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-                for pushdown in [true, false] {
-                    let rows = engine(mode, pushdown).execute(&ds, &query).unwrap();
-                    assert_eq!(rows, reference, "{layout:?}/{mode:?}/pushdown={pushdown}");
-                }
+            for rotation in 0..ROTATIONS {
+                every_execution_agrees(&ds, &query, Some(&reference), rotation);
             }
         }
     }
@@ -237,7 +170,9 @@ fn low_selectivity_scan_assembles_matches_and_skips_leaf_pages() {
 
     ds.cache().clear();
     ds.cache().store().reset_stats();
-    let report = engine(ExecMode::Compiled, true).explain_analyze(&ds, &q).unwrap();
+    let report = engine(ExecMode::Compiled, AccessPathChoice::Auto, true)
+        .explain_analyze(&ds, &q)
+        .unwrap();
     let pushed_stats = ds.io_stats();
     assert_eq!(report.rows[0].agg(), &Value::Int(1));
 
@@ -270,7 +205,9 @@ fn low_selectivity_scan_assembles_matches_and_skips_leaf_pages() {
     // payload column of every leaf).
     ds.cache().clear();
     ds.cache().store().reset_stats();
-    let unpushed = engine(ExecMode::Compiled, false).explain_analyze(&ds, &q).unwrap();
+    let unpushed = engine(ExecMode::Compiled, AccessPathChoice::Auto, false)
+        .explain_analyze(&ds, &q)
+        .unwrap();
     let unpushed_stats = ds.io_stats();
     assert_eq!(unpushed.rows, report.rows);
     assert_eq!(unpushed_stats.records_assembled, 1000);
@@ -290,10 +227,7 @@ fn fully_skipped_scan_reads_zero_pages() {
     let ds = wide_amax(1000);
     // The component's own zone map hides it, and every one of its leaves
     // counts as skipped.
-    let eng = QueryEngine::with_options(
-        ExecMode::Compiled,
-        PlannerOptions::with_access_path(AccessPathChoice::ForceScan),
-    );
+    let eng = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, true);
     let q = Query::count_star().with_filter(Expr::ge("ts", 5_000));
     ds.cache().clear();
     ds.cache().store().reset_stats();
@@ -317,8 +251,8 @@ fn explain_shows_the_pushed_residual_split() {
     let eng = QueryEngine::new(ExecMode::Compiled);
 
     // Sargable + non-sargable conjunct: both halves rendered.
-    let mixed = Query::count_star()
-        .with_filter(Expr::and([Expr::ge("ts", 10), Expr::exists("payload")]));
+    let mixed =
+        Query::count_star().with_filter(Expr::and([Expr::ge("ts", 10), Expr::exists("payload")]));
     let plan = eng.explain(&ds, &mixed).unwrap();
     assert!(plan.contains("pushed     : ts >= 10"), "{plan}");
     assert!(plan.contains("residual   : EXISTS(payload)"), "{plan}");
@@ -335,13 +269,7 @@ fn explain_shows_the_pushed_residual_split() {
     assert!(plan.contains("pushed     : - (nothing sargable)"), "{plan}");
 
     // Pushdown disabled: the split is not rendered at all.
-    let off = QueryEngine::with_options(
-        ExecMode::Compiled,
-        PlannerOptions {
-            filter_pushdown: false,
-            ..Default::default()
-        },
-    );
+    let off = engine(ExecMode::Compiled, AccessPathChoice::Auto, false);
     let plan = off.explain(&ds, &sargable).unwrap();
     assert!(plan.contains("pushed     : - (nothing sargable)"), "{plan}");
 }

@@ -1,128 +1,69 @@
-//! Differential fleet for the streaming execution refactor.
+//! The streaming pipeline: a pull-based pipeline over the snapshot's k-way
+//! merge-reconcile cursor, which may never change an answer. Pinned here:
 //!
-//! The refactor replaced "materialise the scanned batch, then process" with
-//! a pull-based pipeline over the snapshot's k-way merge-reconcile cursor.
-//! That is a pure *execution-model* change — it may never change an answer.
-//! This suite locks that in:
-//!
-//! * a property test running random documents × filters × select lists
-//!   (aggregate **and** raw-column projection forms) × LIMIT values through
-//!   both engines, sharded and unsharded, with filter push-down (and so the
-//!   zone maps) on and off,
-//!   against the materialised batch oracle ([`query::oracle`]) — the seed's
-//!   execution model kept alive verbatim for exactly this comparison;
-//! * I/O-level assertions that `ORDER BY key LIMIT k` terminates early:
-//!   the limited scan reads **strictly fewer pages** than the full scan,
-//!   across layouts and engines, and the streaming scan's peak resident
-//!   batch stays at one leaf per component while the oracle materialises
-//!   everything.
-
-mod support;
-
-use proptest::prelude::*;
+//! * a property test running generated documents and queries (aggregates
+//!   **and** key-ordered projections, with and without LIMIT) through both
+//!   engines, sharded and unsharded, with filter push-down (and so the zone
+//!   maps) on and off, against the materialised batch oracle
+//!   ([`query::oracle`]) — the lifecycle differential, `lifecycle.rs`, runs
+//!   the same check over whole histories;
+//! * I/O-level assertions that `ORDER BY key LIMIT k` terminates early: the
+//!   limited scan reads **strictly fewer pages** than the full scan, across
+//!   layouts and engines, and the streaming scan's peak resident batch stays
+//!   at one leaf per component while the oracle materialises everything.
 
 use docmodel::{doc, Value};
-use lsm::{DatasetConfig, LsmDataset};
-use query::{
-    oracle, ExecMode, Expr, PlannerOptions, Query, QueryEngine, QueryRow,
-};
+use lsm::LsmDataset;
+use proptest::prelude::*;
+use query::{oracle, ExecMode, Expr, Query, QueryEngine, QueryRow};
 use storage::LayoutKind;
+use testkit::exec::{every_execution_agrees, write};
+use testkit::gen::{inserts, query, Op, Setup, Shape};
+use testkit::leafy_config;
 
-use support::{arb_aggregate, arb_doc_body, arb_expr, build_doc, dataset};
-
-fn engine(mode: ExecMode, pushdown: bool) -> QueryEngine {
-    QueryEngine::with_options(
-        mode,
-        PlannerOptions { filter_pushdown: pushdown, ..Default::default() },
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    // Streaming execution == the materialised batch oracle, across engines ×
-    // shards × pushdown × LIMIT × both select forms. Documents arrive in two
-    // flushes with interleaved updates, so the merge cursor reconciles
-    // shadowed versions and anti-matter across real component overlap.
-    #[test]
-    fn streaming_matches_the_batch_oracle(
-        bodies in prop::collection::vec(arb_doc_body(), 20..60),
-        update_bodies in prop::collection::vec(arb_doc_body(), 0..10),
-        deletes in prop::collection::vec(0usize..20, 0..4),
-        filter in arb_expr(),
-        aggs in prop::collection::vec(arb_aggregate(), 1..4),
-        select_form in prop_oneof![Just(false), Just(true)],
-        group in prop_oneof![Just(false), Just(true)],
-        limit in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
-    ) {
-        let reference = dataset("stream-reference", false);
-        let shards: Vec<LsmDataset> =
-            (0..4).map(|i| dataset(&format!("stream-shard-{i}"), false)).collect();
-        let insert = |doc: Value, i: usize| {
-            reference.insert(doc.clone()).unwrap();
-            shards[i % 4].insert(doc).unwrap();
+// Streaming execution == the materialised batch oracle, across engines ×
+// shards × pushdown × LIMIT × both select forms. Documents arrive in two
+// flushes with interleaved updates and deletes, so the merge cursor
+// reconciles shadowed versions and anti-matter across real component
+// overlap.
+#[test]
+fn streaming_matches_the_batch_oracle() {
+    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("streaming"));
+    let config = || leafy_config("streaming", LayoutKind::Amax, 8 * 1024, 64);
+    for _ in 0..20 {
+        let setup = Setup {
+            clean: true,
+            grp_strings: rng.below(2) == 0,
+            compaction: 0,
         };
-        let half = bodies.len() / 2;
-        for (i, body) in bodies[..half].iter().enumerate() {
-            insert(build_doc(i as i64, body), i);
-        }
-        reference.flush().unwrap();
-        for shard in &shards {
-            shard.flush().unwrap();
-        }
-        // Updates + deletes overlap the first component's key range.
-        for (i, body) in update_bodies.iter().enumerate() {
-            let key = (i % half.max(1)) as i64;
-            insert(build_doc(key, body), key as usize);
-        }
-        for &key in &deletes {
-            let key = (key % half.max(1)) as i64;
-            reference.delete(Value::Int(key)).unwrap();
-            shards[(key as usize) % 4].delete(Value::Int(key)).unwrap();
-        }
-        for (i, body) in bodies[half..].iter().enumerate() {
-            insert(build_doc((half + i) as i64, body), half + i);
-        }
-        reference.flush().unwrap();
-        for shard in &shards {
-            shard.flush().unwrap();
-        }
+        let n = rng.usize_inclusive(20, 59) as i64;
+        let half = n / 2;
+        let updates = rng.below(10) as i64;
+        let mut ops = inserts(&mut rng, 0..half, Shape::Clean);
+        ops.push(Op::Flush);
+        // Updates and deletes overlap the first component's key range.
+        ops.extend(inserts(
+            &mut rng,
+            (0..updates).map(|i| i % half),
+            Shape::Clean,
+        ));
+        ops.extend((0..rng.below(4)).map(|_| Op::Delete(rng.below(half as u64) as i64)));
+        ops.extend(inserts(&mut rng, half..n, Shape::Clean));
+        ops.push(Op::Flush);
 
-        let mut query = if select_form {
-            Query::select_paths(["score", "grp", "tags"])
-                .with_filter(filter)
-                .order_by_key()
-        } else {
-            let mut q = Query::select(aggs).with_filter(filter);
-            if group {
-                q = q.group_by("grp");
-            }
-            q
-        };
-        if let Some(k) = limit {
-            query = if select_form { query.with_limit(k) } else { query.top_k(k) };
-        }
+        let reference = LsmDataset::new(config());
+        let shards: Vec<LsmDataset> = (0..4).map(|_| LsmDataset::new(config())).collect();
+        let shards: Vec<&LsmDataset> = shards.iter().collect();
+        write(&[&reference], &ops, &setup);
+        write(&shards, &ops, &setup);
 
-        // The oracle: the seed's materialise-then-process model.
-        let expected = oracle::execute_batch(&reference.snapshot(), &query).unwrap();
-
-        let refs: Vec<&LsmDataset> = shards.iter().collect();
-        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            for pushdown in [true, false] {
-                let engine = engine(mode, pushdown);
-                let single = engine.execute(&reference, &query).unwrap();
-                prop_assert_eq!(
-                    &expected, &single,
-                    "streaming vs batch oracle ({:?}, pushdown={}) on {:?}",
-                    mode, pushdown, query
-                );
-                let sharded = engine.execute(&refs[..], &query).unwrap();
-                prop_assert_eq!(
-                    &expected, &sharded,
-                    "sharded(4) streaming vs batch oracle ({:?}, pushdown={}) on {:?}",
-                    mode, pushdown, query
-                );
-            }
+        for _ in 0..4 {
+            let query = query(rng.next_u64());
+            // The oracle: the seed's materialise-then-process model.
+            let expected = oracle::execute_batch(&reference.snapshot(), &query).unwrap();
+            // Both engines, pushdown on and off, single and sharded(4).
+            every_execution_agrees(&reference, &query, Some(&expected), 0);
+            every_execution_agrees(&shards[..], &query, Some(&expected), 0);
         }
     }
 }
@@ -130,11 +71,7 @@ proptest! {
 /// Build a multi-leaf, multi-component AMAX dataset so `LIMIT` has a tail
 /// to skip.
 fn leafy_dataset(layout: LayoutKind) -> LsmDataset {
-    let mut config = DatasetConfig::new("limit-io", layout)
-        .with_memtable_budget(usize::MAX)
-        .with_page_size(4 * 1024);
-    config.amax.record_limit = 64;
-    let ds = LsmDataset::new(config);
+    let ds = LsmDataset::new(leafy_config("limit-io", layout, 4 * 1024, 64));
     for i in 0..600i64 {
         ds.insert(doc!({
             "id": i,
@@ -195,7 +132,9 @@ fn limit_never_pulls_past_the_kth_match() {
     let pages_for = |q: &Query| {
         ds.cache().clear();
         ds.cache().store().reset_stats();
-        let rows = QueryEngine::new(ExecMode::Compiled).execute(&ds, q).unwrap();
+        let rows = QueryEngine::new(ExecMode::Compiled)
+            .execute(&ds, q)
+            .unwrap();
         (rows, ds.io_stats().pages_read)
     };
     let select = Query::select_paths(["score"]).order_by_key();

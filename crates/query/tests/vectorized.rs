@@ -1,409 +1,114 @@
-//! Differential fleet for the compiled engine's column kernels.
+//! The compiled engine's column kernels. Folding aggregates straight off
+//! decoded column chunks is a pure *performance* decision — it may never
+//! change an answer. Pinned here, each through every execution
+//! ([`every_execution_agrees`]: kernels, the forced-assembled lane and the
+//! interpreted engine, bit for bit):
 //!
-//! Folding aggregates straight off decoded column chunks is a pure
-//! *performance* decision — it may never change an answer. This suite holds
-//! four executions of every generated query to one result:
-//!
-//! * the compiled engine taking the kernels wherever it can
-//!   ([`ScanLane::Kernels`], what every query runs with),
-//! * the compiled engine forced onto the assembled lane
-//!   ([`ScanLane::Assembled`]),
-//! * the interpreted engine (per tuple, over the row adapter), and
-//! * the materialised batch oracle ([`oracle::execute_batch`]),
-//!
-//! over schemaless inputs that **leave the clean fragment on purpose**:
-//! `temp` as an `int | double | string` union, `readings` missing, `null`,
-//! empty or not an array at all, components written before a field was ever
-//! seen, deletes and shadowed versions spread over four interleaved
-//! components plus an unflushed memtable — across VB, APAX and AMAX and a
-//! 4-way sharded target. Whatever the kernels cannot cover must fall back,
-//! visibly (`EXPLAIN ANALYZE` names the reason), to the same answer.
+//! * a property test holding those executions to the batch oracle over
+//!   generated inputs that **leave the clean fragment on purpose** — `temp`
+//!   as an `int | double | string` union, `readings` missing, `null`, empty
+//!   or a scalar, components written before a field was ever seen, deletes
+//!   and shadowed versions over four interleaved components plus an
+//!   unflushed memtable — across VB, APAX and AMAX and a 4-way sharded
+//!   target (the lifecycle differential, `lifecycle.rs`, runs the same check
+//!   over whole histories);
+//! * answers that must not depend on where the data lies: the engines fold
+//!   in different orders and a merge moves records between leaves, so double
+//!   sums are exact and `7` / `7.0` ties go to the integer
+//!   (`answers_do_not_depend_on_the_physical_layout`);
+//! * the lane and the I/O contract: a clean `sensors`-shaped tree runs on
+//!   kernels alone and assembles **zero** records; an unnest-`MAX` over AMAX
+//!   reads Page 0 plus the aggregate column's pages and nothing else; a
+//!   100 %-selectivity pushed filter touches every data page once; whatever
+//!   the kernels cannot cover falls back and `EXPLAIN ANALYZE` names why;
+//! * the slice folds at their edges: elements lacking the field mid-array,
+//!   empty and absent arrays, shadowed records inside a selection run,
+//!   `NaN`/`-0.0`/`0.0` in one `MAX`/`MIN` slice, a double `SUM` exact only
+//!   when summed exactly, `COUNT(*)` under `UNNEST` over elements without the
+//!   field, and `7`/`7.0` as group keys in two components.
 //!
 //! Layouts are not compared with each other: outside the clean fragment
 //! columnar storage legitimately differs from row storage (`null`s and
 //! never-materialised empty arrays are not stored).
-//!
-//! The four executions fold in different orders — the compiled engine per
-//! source leaf, the others by key, shards separately — so the inputs are
-//! chosen to make an order show if it can: doubles are tenths (sums of them
-//! round differently in a different order), whole ones collide with the
-//! integers (`MAX`/`MIN` ties between `7` and `7.0`), and a group key comes
-//! as either. Answers must agree **bit for bit** all the same, and must not
-//! move when a merge rearranges the leaves
-//! (`answers_do_not_depend_on_the_physical_layout`).
-//!
-//! The deterministic half pins the lane and the I/O contract: a clean
-//! `sensors`-shaped tree runs on kernels alone and assembles **zero**
-//! records; an unnest-`MAX` over AMAX reads Page 0 plus the aggregate
-//! column's pages and nothing else; a 100 %-selectivity pushed filter
-//! touches every data page once. The kernels fold each record's value range
-//! as one slice, so the slice folds are pinned at their edges too: elements
-//! lacking the field mid-array, empty and absent arrays, shadowed records
-//! inside a selection run, `NaN`/`-0.0`/`0.0` in one `MAX`/`MIN` slice, a
-//! double `SUM` exact only when summed exactly, `COUNT(*)` under `UNNEST`
-//! over elements without the field, and `7`/`7.0` as group keys in two
-//! components.
-
-use proptest::prelude::*;
 
 use docmodel::{doc, Path, Value};
-use lsm::{DatasetConfig, LsmDataset};
+use lsm::LsmDataset;
+use proptest::prelude::*;
 use query::{oracle, Aggregate, ExecMode, Expr, Query, QueryEngine, QueryRow, ScanLane};
 use storage::LayoutKind;
-
-/// What a generated record holds at `readings`.
-#[derive(Debug, Clone)]
-enum Readings {
-    Missing,
-    Null,
-    Empty,
-    /// Not an array at all: a scalar the per-record engines unnest as one
-    /// element and that turns the column into a union.
-    Scalar(i64),
-    Elements(Vec<Element>),
-}
-
-/// One element of `readings`: `seq` always, `temp` in one of its guises.
-#[derive(Debug, Clone)]
-struct Element {
-    seq: i64,
-    temp: Temp,
-}
-
-#[derive(Debug, Clone)]
-enum Temp {
-    Missing,
-    Null,
-    Int(i64),
-    /// A double: inexact under addition, and every tenth one equal to an int.
-    Tenths(i64),
-    Text(usize),
-}
-
-#[derive(Debug, Clone)]
-struct Body {
-    /// The group key, and whether it is written as a double (`2.0`).
-    grp: Option<(i64, bool)>,
-    score: Option<i64>,
-    name: usize,
-    readings: Readings,
-}
-
-fn arb_temp(dirty: bool) -> BoxedStrategy<Temp> {
-    if dirty {
-        prop_oneof![
-            Just(Temp::Missing),
-            Just(Temp::Null),
-            (-40i64..40).prop_map(Temp::Int),
-            (-400i64..400).prop_map(Temp::Tenths),
-            (0usize..4).prop_map(Temp::Text),
-        ]
-        .boxed()
-    } else {
-        prop_oneof![Just(Temp::Missing), (-400i64..400).prop_map(Temp::Tenths)].boxed()
-    }
-}
-
-fn arb_readings(dirty: bool) -> BoxedStrategy<Readings> {
-    let elements = prop::collection::vec(
-        ((0i64..6), arb_temp(dirty)).prop_map(|(seq, temp)| Element { seq, temp }),
-        1..5,
-    )
-    .prop_map(Readings::Elements);
-    if dirty {
-        prop_oneof![
-            Just(Readings::Missing),
-            Just(Readings::Null),
-            Just(Readings::Empty),
-            (0i64..9).prop_map(Readings::Scalar),
-            elements.clone(),
-            elements,
-        ]
-        .boxed()
-    } else {
-        prop_oneof![
-            Just(Readings::Missing),
-            Just(Readings::Empty),
-            elements.clone(),
-            elements
-        ]
-        .boxed()
-    }
-}
-
-fn arb_body(dirty: bool) -> BoxedStrategy<Body> {
-    (
-        prop_oneof![
-            Just(None),
-            (0i64..4).prop_map(|g| Some((g, false))),
-            (0i64..4, prop_oneof![Just(false), Just(dirty)]).prop_map(Some),
-        ],
-        prop_oneof![Just(None), (0i64..100).prop_map(Some)],
-        0usize..3,
-        arb_readings(dirty),
-    )
-        .prop_map(|(grp, score, name, readings)| Body {
-            grp,
-            score,
-            name,
-            readings,
-        })
-        .boxed()
-}
-
-/// Bring a body back into the clean fragment: one type per path, arrays or
-/// nothing at `readings`.
-fn sanitize(body: &mut Body) {
-    if let Some((_, as_double)) = &mut body.grp {
-        *as_double = false;
-    }
-    match &mut body.readings {
-        Readings::Null | Readings::Scalar(_) => body.readings = Readings::Missing,
-        Readings::Elements(elements) => {
-            for element in elements {
-                element.temp = match element.temp {
-                    Temp::Int(i) => Temp::Tenths(i),
-                    Temp::Text(t) => Temp::Tenths(t as i64),
-                    Temp::Null => Temp::Missing,
-                    ref clean => clean.clone(),
-                };
-            }
-        }
-        Readings::Missing | Readings::Empty => {}
-    }
-}
-
-fn build_doc(id: i64, body: &Body) -> Value {
-    let mut doc = Value::empty_object();
-    doc.set_field("id", Value::Int(id));
-    doc.set_field("name", Value::from(format!("n{}", body.name)));
-    if let Some((grp, as_double)) = body.grp {
-        let grp = if as_double {
-            Value::Double(grp as f64)
-        } else {
-            Value::Int(grp)
-        };
-        doc.set_field("grp", grp);
-    }
-    if let Some(score) = body.score {
-        doc.set_field("score", Value::Int(score));
-    }
-    let element = |e: &Element| {
-        let mut out = Value::empty_object();
-        out.set_field("seq", Value::Int(e.seq));
-        let temp = match &e.temp {
-            Temp::Missing => None,
-            Temp::Null => Some(Value::Null),
-            Temp::Int(i) => Some(Value::Int(*i)),
-            Temp::Tenths(t) => Some(Value::Double(*t as f64 / 10.0)),
-            Temp::Text(t) => Some(Value::from(format!("t{t}"))),
-        };
-        if let Some(temp) = temp {
-            out.set_field("temp", temp);
-        }
-        out
-    };
-    let readings = match &body.readings {
-        Readings::Missing => None,
-        Readings::Null => Some(Value::Null),
-        Readings::Empty => Some(Value::Array(Vec::new())),
-        Readings::Scalar(i) => Some(Value::Int(*i)),
-        Readings::Elements(elems) => Some(Value::Array(elems.iter().map(element).collect())),
-    };
-    if let Some(readings) = readings {
-        doc.set_field("readings", readings);
-    }
-    doc
-}
-
-fn arb_query() -> BoxedStrategy<Query> {
-    let element_agg = prop_oneof![
-        Just(Aggregate::Max(Path::parse("temp"))),
-        Just(Aggregate::Min(Path::parse("temp"))),
-        Just(Aggregate::Sum(Path::parse("temp"))),
-        Just(Aggregate::Avg(Path::parse("seq"))),
-        Just(Aggregate::CountNonNull(Path::parse("temp"))),
-        Just(Aggregate::MaxLength(Path::parse("temp"))),
-    ];
-    let record_agg = prop_oneof![
-        Just(Aggregate::Count),
-        Just(Aggregate::Max(Path::parse("score"))),
-        Just(Aggregate::Sum(Path::parse("score"))),
-        Just(Aggregate::CountNonNull(Path::parse("grp"))),
-        Just(Aggregate::MaxLength(Path::parse("name"))),
-        Just(Aggregate::Min(Path::parse("id"))),
-    ];
-    let filter = prop_oneof![
-        Just(None),
-        (0i64..100).prop_map(|v| Some(Expr::ge("score", v))),
-        (0i64..60, 0i64..40).prop_map(|(lo, w)| Some(Expr::between("score", lo, lo + w))),
-        (0i64..4).prop_map(|g| Some(Expr::and([Expr::le("grp", g), Expr::ge("id", 3)]))),
-        Just(None),
-        // Not sargable: stays residual, so the whole plan falls back.
-        Just(Some(Expr::exists("readings"))),
-    ];
-    // 0, 1 = global, 2, 3 = int key, 4 = string key, 5 = key on the element.
-    (
-        prop::collection::vec(element_agg, 0..3),
-        prop::collection::vec(record_agg, 0..3),
-        prop_oneof![Just(false), Just(true)],
-        0usize..6,
-        filter,
-    )
-        .prop_map(|(element_aggs, record_aggs, unnest, group, filter)| {
-            let mut query = Query::new();
-            let unnest = unnest || !element_aggs.is_empty();
-            if unnest {
-                query = query.with_unnest("readings");
-            }
-            for agg in element_aggs {
-                query = query.aggregate_element(agg);
-            }
-            for agg in record_aggs {
-                query = query.aggregate(agg);
-            }
-            if query.aggregates.is_empty() {
-                query = query.aggregate(Aggregate::Count);
-            }
-            query = match group {
-                2 | 3 => query.group_by("grp"),
-                4 => query.group_by("name"),
-                5 if unnest => query.group_by_element("seq"),
-                _ => query,
-            };
-            match filter {
-                Some(filter) => query.with_filter(filter),
-                None => query,
-            }
-        })
-        .boxed()
-}
+use testkit::exec::{bits, every_execution_agrees, write};
+use testkit::gen::{inserts, query, Op, Setup, Shape};
+use testkit::leafy_config;
 
 fn small_dataset(name: &str, layout: LayoutKind) -> LsmDataset {
     // Never merge: the point is winners interleaved over many components.
-    let mut config = DatasetConfig::new(name, layout)
-        .with_memtable_budget(usize::MAX)
-        .with_compaction(lsm::CompactionSpec::tiered(f64::INFINITY, 64))
-        .with_page_size(8 * 1024);
-    config.amax.record_limit = 16;
-    LsmDataset::new(config)
+    let config = leafy_config(name, layout, 8 * 1024, 16);
+    LsmDataset::new(config.with_compaction(lsm::CompactionSpec::tiered(f64::INFINITY, 64)))
 }
 
-/// The generated history of one dataset: four flushed rounds whose ids
-/// interleave and overlap (round `r` rewrites every id it shares with the
-/// rounds before it), deletes in the third, and a last round left in the
-/// memtable. `route` picks the dataset (shard) of an id.
-fn ingest<'a>(
-    rounds: &[Vec<Body>],
-    deletes: &[usize],
-    route: impl Fn(i64) -> &'a LsmDataset,
-    all: &[&'a LsmDataset],
-) {
-    let strides = [1i64, 2, 3, 1, 5];
-    for (r, bodies) in rounds.iter().enumerate() {
-        for (i, body) in bodies.iter().enumerate() {
-            let id = i as i64 * strides[r % strides.len()];
-            route(id).insert(build_doc(id, body)).unwrap();
-        }
-        if r == 2 {
-            for &id in deletes {
-                route(id as i64).delete(Value::Int(id as i64)).unwrap();
-            }
-        }
-        if r + 1 < rounds.len() {
-            for ds in all {
-                ds.flush().unwrap();
-            }
-        }
-    }
-}
-
-/// Rows as compared here: bit for bit. `Value`'s `==` is IEEE `==` on
-/// doubles, under which a NaN group differs from itself and `-0.0` equals
-/// `0.0`; the debug spelling tells every double apart, and `7` from `7.0`.
-fn bits(rows: &[QueryRow]) -> String {
-    format!("{rows:?}")
-}
-
-/// Kernels == assembled lane == interpreted, all through `target`.
-fn three_ways<'a, T: Copy + Into<query::QueryTarget<'a>>>(
-    target: T,
-    query: &Query,
-) -> Vec<QueryRow> {
-    let compiled = QueryEngine::new(ExecMode::Compiled);
-    let kernels = compiled.execute(target, query).unwrap();
-    let assembled = compiled
-        .execute_in_lane(target, query, ScanLane::Assembled)
-        .unwrap();
-    assert_eq!(
-        bits(&kernels),
-        bits(&assembled),
-        "kernel lane != assembled lane: {query:?}"
-    );
-    let interpreted = QueryEngine::new(ExecMode::Interpreted)
-        .execute(target, query)
-        .unwrap();
-    assert_eq!(bits(&kernels), bits(&interpreted), "compiled != interpreted: {query:?}");
-    kernels
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn kernels_never_change_answers(
-        // The first round is clean and lacks `readings` half the time, so
-        // the oldest component's schema predates what later ones hold. A
-        // later round stays clean half the time too: the schema only turns
-        // into unions from the first dirty round on, so the components
-        // before it take the kernels.
-        first in prop::collection::vec(arb_body(false), 8..20),
-        strip_first in prop_oneof![Just(false), Just(true)],
+#[test]
+fn kernels_never_change_answers() {
+    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("vectorized"));
+    for _ in 0..24 {
         // Half the cases never leave the clean fragment: every columnar
         // batch of theirs is kernel work, shadowing and deletes included.
-        all_clean in prop_oneof![Just(false), Just(true)],
-        later in prop::collection::vec(
-            (prop_oneof![Just(false), Just(true)], prop::collection::vec(arb_body(true), 6..16)),
-            4..5,
-        ),
-        deletes in prop::collection::vec(0usize..16, 0..5),
-        queries in prop::collection::vec(arb_query(), 3..6),
-    ) {
-        let mut rounds = vec![first];
-        if strip_first && !all_clean {
-            for body in &mut rounds[0] {
-                body.readings = Readings::Missing;
-                body.grp = None;
+        let all_clean = rng.below(2) == 0;
+        let setup = Setup {
+            clean: all_clean,
+            grp_strings: false,
+            compaction: 0,
+        };
+        // Five rounds whose ids interleave and overlap (round `r` rewrites
+        // every id it shares with the rounds before it), deletes in the
+        // third, the last left in the memtable. The first round is clean and
+        // half the time bare, so the oldest component's schema predates what
+        // later ones hold; a later round stays clean half the time, so the
+        // components before the first dirty one take the kernels.
+        let mut ops = Vec::new();
+        for (r, stride) in [1i64, 2, 3, 1, 5].into_iter().enumerate() {
+            let shape = match r {
+                0 if !all_clean && rng.below(2) == 0 => Shape::Bare,
+                0 => Shape::Clean,
+                _ if all_clean || rng.below(2) == 0 => Shape::Clean,
+                _ => Shape::Dirty,
+            };
+            let n = if r == 0 {
+                rng.usize_inclusive(8, 19)
+            } else {
+                rng.usize_inclusive(6, 15)
+            };
+            ops.extend(inserts(&mut rng, (0..n as i64).map(|i| i * stride), shape));
+            if r == 2 {
+                ops.extend((0..rng.below(5)).map(|_| Op::Delete(rng.below(16) as i64)));
+            }
+            if r < 4 {
+                ops.push(Op::Flush);
             }
         }
-        for (dirty, mut bodies) in later {
-            if !dirty || all_clean {
-                bodies.iter_mut().for_each(sanitize);
-            }
-            rounds.push(bodies);
-        }
+        let queries: Vec<Query> = (0..rng.usize_inclusive(3, 5))
+            .map(|_| query(rng.next_u64()))
+            .collect();
 
         for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
             let ds = small_dataset("vectorized-prop", layout);
-            ingest(&rounds, &deletes, |_| &ds, &[&ds]);
-            prop_assert_eq!(ds.component_count(), 4);
+            write(&[&ds], &ops, &setup);
+            assert_eq!(ds.component_count(), 4);
             let snapshot = ds.snapshot();
             for query in &queries {
-                let rows = three_ways(&ds, query);
                 let reference = oracle::execute_batch(&snapshot, query).unwrap();
-                prop_assert_eq!(bits(&rows), bits(&reference), "{:?} disagrees with the oracle: {:?}", layout, query);
+                every_execution_agrees(&ds, query, Some(&reference), 0);
             }
         }
 
         // Sharded(4): per-shard kernels merge to what per-shard assembly
         // and the interpreted engine merge to.
         let shards: Vec<LsmDataset> = (0..4)
-            .map(|i| small_dataset(&format!("vectorized-shard-{i}"), LayoutKind::Amax))
+            .map(|_| small_dataset("vectorized-shard", LayoutKind::Amax))
             .collect();
-        let refs: Vec<&LsmDataset> = shards.iter().collect();
-        ingest(&rounds, &deletes, |id| &shards[id as usize % 4], &refs);
+        let shards: Vec<&LsmDataset> = shards.iter().collect();
+        write(&shards, &ops, &setup);
         for query in &queries {
-            three_ways(&refs[..], query);
+            every_execution_agrees(&shards[..], query, None, 0);
         }
     }
 }
@@ -490,7 +195,7 @@ fn answers_do_not_depend_on_the_physical_layout() {
             queries
                 .iter()
                 .map(|query| {
-                    let rows = three_ways(ds, query);
+                    let rows = every_execution_agrees(ds, query, None, 0);
                     assert_eq!(
                         bits(&rows),
                         bits(&oracle::execute_batch(&snapshot, query).unwrap()),
@@ -532,8 +237,8 @@ fn answers_do_not_depend_on_the_physical_layout() {
 /// whose `grp` column holds booleans only, plus a memtable.
 #[test]
 fn boolean_group_keys_take_the_kernels() {
-    let query = Query::select([Aggregate::Count, Aggregate::Max(Path::parse("score"))])
-        .group_by("grp");
+    let query =
+        Query::select([Aggregate::Count, Aggregate::Max(Path::parse("score"))]).group_by("grp");
     for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
         let ds = small_dataset("vectorized-bool-keys", layout);
         for round in 0..3i64 {
@@ -545,7 +250,7 @@ fn boolean_group_keys_take_the_kernels() {
                 ds.flush().unwrap();
             }
         }
-        let rows = three_ways(&ds, &query);
+        let rows = every_execution_agrees(&ds, &query, None, 0);
         assert_eq!(
             bits(&rows),
             bits(&oracle::execute_batch(&ds.snapshot(), &query).unwrap()),
@@ -565,11 +270,7 @@ fn boolean_group_keys_take_the_kernels() {
 /// A `sensors`-shaped tree in the clean fragment: three components with
 /// shadowed versions and a delete, nothing left in the memtable.
 fn clean_sensors(layout: LayoutKind) -> LsmDataset {
-    let mut config = DatasetConfig::new("vectorized-sensors", layout)
-        .with_memtable_budget(usize::MAX)
-        .with_page_size(1024);
-    config.amax.record_limit = 256;
-    let ds = LsmDataset::new(config);
+    let ds = LsmDataset::new(leafy_config("vectorized-sensors", layout, 1024, 256));
     let record = |id: i64, version: i64| {
         let readings: Vec<Value> = (0..(id % 5))
             .map(|j| {
@@ -641,7 +342,7 @@ fn clean_plans_run_on_kernels_alone() {
         let snapshot = ds.snapshot();
         let engine = QueryEngine::new(ExecMode::Compiled);
         for query in sensors_suite() {
-            let rows = three_ways(&ds, &query);
+            let rows = every_execution_agrees(&ds, &query, None, 0);
             assert_eq!(
                 rows,
                 oracle::execute_batch(&snapshot, &query).unwrap(),
@@ -681,7 +382,7 @@ fn uncovered_shapes_fall_back_and_say_why() {
     let engine = QueryEngine::new(ExecMode::Compiled);
     let fallbacks = |ds: &LsmDataset, query: &Query| {
         let snapshot = ds.snapshot();
-        let rows = three_ways(ds, query);
+        let rows = every_execution_agrees(ds, query, None, 0);
         assert_eq!(rows, oracle::execute_batch(&snapshot, query).unwrap());
         let report = engine.explain_analyze(ds, query).unwrap();
         assert_eq!(report.rows, rows);
@@ -743,7 +444,7 @@ fn uncovered_shapes_fall_back_and_say_why() {
     let ds = clean_sensors(LayoutKind::Amax);
     ds.insert(doc!({"id": 1000, "readings": [{"temp": 150.5}]}))
         .unwrap();
-    let rows = three_ways(&ds, &max_temp());
+    let rows = every_execution_agrees(&ds, &max_temp(), None, 0);
     let report = engine.explain_analyze(&ds, &max_temp()).unwrap();
     assert_eq!(report.rows, rows);
     assert_eq!(rows[0].aggs, [Value::Double(150.5)]);
@@ -905,7 +606,7 @@ fn full_selectivity_pushed_filter_reads_what_the_unpushed_scan_reads() {
 /// Kernels == assembled lane == interpreted == the batch oracle, with the
 /// kernels folding at least some of the records.
 fn on_kernels(ds: &LsmDataset, query: &Query) -> Vec<QueryRow> {
-    let rows = three_ways(ds, query);
+    let rows = every_execution_agrees(ds, query, None, 0);
     assert_eq!(
         bits(&rows),
         bits(&oracle::execute_batch(&ds.snapshot(), query).unwrap()),
@@ -1104,7 +805,10 @@ fn int_and_double_group_keys_are_one_group() {
         })
         .collect();
     let refs: Vec<&LsmDataset> = shards.iter().collect();
-    assert_eq!(bits(&three_ways(&refs[..], &query)), answers[0]);
+    assert_eq!(
+        bits(&every_execution_agrees(&refs[..], &query, None, 0)),
+        answers[0]
+    );
 }
 
 // ---------------------------------------------------------------------------

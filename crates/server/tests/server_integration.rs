@@ -46,7 +46,10 @@ fn doc_json(key: i64, version: u32) -> String {
 }
 
 fn test_config() -> ServerConfig {
-    ServerConfig { shards: 3, ..ServerConfig::default() }
+    ServerConfig {
+        shards: 3,
+        ..ServerConfig::default()
+    }
 }
 
 /// Apply one connection's deterministic script to the oracle: insert every
@@ -87,8 +90,8 @@ fn check_reply(reply: &Frame, expect: &Expect, context: &str) {
         Expect::Int(n) => assert_eq!(*reply, Frame::Integer(*n), "{context}"),
         Expect::Null => assert_eq!(*reply, Frame::Null, "{context}"),
         Expect::DocVersion(v) => {
-            let doc = parse_json(reply.as_text().unwrap_or_else(|| panic!("{context}: miss")))
-                .unwrap();
+            let doc =
+                parse_json(reply.as_text().unwrap_or_else(|| panic!("{context}: miss"))).unwrap();
             assert_eq!(doc.get_field("v"), Some(&Value::Int(*v)), "{context}");
         }
     }
@@ -112,9 +115,9 @@ fn run_wire_script(client: &mut RespClient, conn: usize) {
         batch.clear();
     }
     let push = |client: &mut RespClient,
-                    batch: &mut Vec<(Vec<String>, Expect)>,
-                    req: Vec<String>,
-                    expect: Expect| {
+                batch: &mut Vec<(Vec<String>, Expect)>,
+                req: Vec<String>,
+                expect: Expect| {
         batch.push((req, expect));
         if batch.len() >= PIPELINE {
             flush(client, batch);
@@ -150,7 +153,12 @@ fn run_wire_script(client: &mut RespClient, conn: usize) {
     }
     for i in (0..KEYS_PER_CONNECTION).step_by(10) {
         let key = base + i;
-        push(client, &mut batch, vec!["DEL".into(), key.to_string()], Expect::Int(1));
+        push(
+            client,
+            &mut batch,
+            vec!["DEL".into(), key.to_string()],
+            Expect::Int(1),
+        );
     }
     // Post-script point checks: an updated key, a deleted key.
     push(
@@ -159,7 +167,12 @@ fn run_wire_script(client: &mut RespClient, conn: usize) {
         vec!["GET".into(), (base + 3).to_string()],
         Expect::DocVersion(2),
     );
-    push(client, &mut batch, vec!["GET".into(), base.to_string()], Expect::Null);
+    push(
+        client,
+        &mut batch,
+        vec!["GET".into(), base.to_string()],
+        Expect::Null,
+    );
     flush(client, &mut batch);
 }
 
@@ -201,7 +214,11 @@ fn concurrent_mixed_workload_matches_oracle() {
         let (key, doc) = entry.unwrap();
         oracle_entries.push((key, doc));
     }
-    assert_eq!(wire_entries.len(), oracle_entries.len(), "live record counts diverge");
+    assert_eq!(
+        wire_entries.len(),
+        oracle_entries.len(),
+        "live record counts diverge"
+    );
     for ((wire_key, wire_doc), (oracle_key, oracle_doc)) in
         wire_entries.iter().zip(oracle_entries.iter())
     {
@@ -222,7 +239,9 @@ fn concurrent_mixed_workload_matches_oracle() {
         .group_by("nested.tag")
         .order_desc_by(0)
         .with_limit(5);
-    let oracle_rows = oracle.query("oracle", &oracle_query, ExecMode::Compiled).unwrap();
+    let oracle_rows = oracle
+        .query("oracle", &oracle_query, ExecMode::Compiled)
+        .unwrap();
     assert_eq!(wire_rows.len(), oracle_rows.len());
     for (wire_row, oracle_row) in wire_rows.iter().zip(oracle_rows.iter()) {
         let parsed = parse_json(wire_row.as_text().expect("row is bulk JSON")).unwrap();
@@ -251,20 +270,22 @@ fn concurrent_mixed_workload_matches_oracle() {
             Expr::ge("num", Value::Int(100)),
             Expr::exists("nested.tag"),
         ]));
-    let oracle_rows = oracle.query("oracle", &oracle_query, ExecMode::Interpreted).unwrap();
+    let oracle_rows = oracle
+        .query("oracle", &oracle_query, ExecMode::Interpreted)
+        .unwrap();
     let parsed = parse_json(wire_rows[0].as_text().unwrap()).unwrap();
-    assert_eq!(parsed.get_field("aggs"), Some(&Value::Array(oracle_rows[0].aggs.clone())));
+    assert_eq!(
+        parsed.get_field("aggs"),
+        Some(&Value::Array(oracle_rows[0].aggs.clone()))
+    );
 }
 
 #[test]
 fn shutdown_drains_acknowledged_writes_to_durable_storage() {
-    let dir = std::env::temp_dir()
-        .join(format!("server-tests-{}", std::process::id()))
-        .join("shutdown-drain");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = testkit::TempDir::new("server-tests", "shutdown-drain");
 
     let config = ServerConfig {
-        durability_dir: Some(dir.clone()),
+        durability_dir: Some(dir.to_path_buf()),
         shards: 2,
         sync_every: 8,
         ..ServerConfig::default()
@@ -274,8 +295,7 @@ fn shutdown_drains_acknowledged_writes_to_durable_storage() {
 
     // Every key any client acknowledged (MSET replied) and every key issued.
     let acked = Mutex::new(Vec::<i64>::new());
-    let issued_watermark: Vec<AtomicI64> =
-        (0..CONNECTIONS).map(|_| AtomicI64::new(-1)).collect();
+    let issued_watermark: Vec<AtomicI64> = (0..CONNECTIONS).map(|_| AtomicI64::new(-1)).collect();
 
     std::thread::scope(|scope| {
         for (conn, watermark) in issued_watermark.iter().enumerate() {
@@ -293,8 +313,10 @@ fn shutdown_drains_acknowledged_writes_to_durable_storage() {
                     let pairs: Vec<(String, String)> = (lo..lo + 4)
                         .map(|k| (k.to_string(), doc_json(k, 1)))
                         .collect();
-                    let borrowed: Vec<(&str, &str)> =
-                        pairs.iter().map(|(k, d)| (k.as_str(), d.as_str())).collect();
+                    let borrowed: Vec<(&str, &str)> = pairs
+                        .iter()
+                        .map(|(k, d)| (k.as_str(), d.as_str()))
+                        .collect();
                     match client.mset(&borrowed) {
                         Ok(Frame::Integer(4)) => {
                             acked.lock().unwrap().extend(lo..lo + 4);
@@ -394,7 +416,10 @@ fn wire_metrics_match_client_side_counts_exactly() {
     assert_eq!(counter("server.errors"), 1);
     // The METRICS request itself is counted before it renders the snapshot.
     assert_eq!(counter("server.requests.metrics"), 1);
-    assert_eq!(counter("server.requests"), SETS + GETS + DELS + PINGS + 1 + 1 + 1);
+    assert_eq!(
+        counter("server.requests"),
+        SETS + GETS + DELS + PINGS + 1 + 1 + 1
+    );
 
     // The server-side registry agrees with the wire.
     assert_eq!(handle.metrics().requests_for(CommandKind::Set), SETS as u64);
@@ -413,11 +438,12 @@ fn scan_streams_in_key_order_with_bounded_staleness() {
     let handle = Server::start(test_config()).unwrap();
     let mut writer = RespClient::connect(handle.addr()).unwrap();
     let n: i64 = if cfg!(debug_assertions) { 120 } else { 600 };
-    let pairs: Vec<(String, String)> =
-        (0..n).map(|k| (k.to_string(), doc_json(k, 1))).collect();
+    let pairs: Vec<(String, String)> = (0..n).map(|k| (k.to_string(), doc_json(k, 1))).collect();
     for chunk in pairs.chunks(50) {
-        let borrowed: Vec<(&str, &str)> =
-            chunk.iter().map(|(k, d)| (k.as_str(), d.as_str())).collect();
+        let borrowed: Vec<(&str, &str)> = chunk
+            .iter()
+            .map(|(k, d)| (k.as_str(), d.as_str()))
+            .collect();
         writer.mset(&borrowed).unwrap();
     }
 
@@ -433,7 +459,9 @@ fn scan_streams_in_key_order_with_bounded_staleness() {
     // A delete behind the scan position, an update and an insert ahead of it.
     writer.del(&["3"]).unwrap();
     writer.set("500000", &doc_json(500_000, 7)).unwrap();
-    writer.set(&(n - 1).to_string(), &doc_json(n - 1, 7)).unwrap();
+    writer
+        .set(&(n - 1).to_string(), &doc_json(n - 1, 7))
+        .unwrap();
 
     let mut updated_seen = false;
     let mut inserted_seen = false;
@@ -458,9 +486,18 @@ fn scan_streams_in_key_order_with_bounded_staleness() {
             }
         }
     }
-    assert!(seen.windows(2).all(|w| w[0] < w[1]), "keys must be strictly ascending");
-    assert!(inserted_seen, "insert ahead of the scan position must appear");
-    assert!(updated_seen, "update ahead of the scan position must be visible");
+    assert!(
+        seen.windows(2).all(|w| w[0] < w[1]),
+        "keys must be strictly ascending"
+    );
+    assert!(
+        inserted_seen,
+        "insert ahead of the scan position must appear"
+    );
+    assert!(
+        updated_seen,
+        "update ahead of the scan position must be visible"
+    );
 
     // Projection scans always carry the requested paths. (Projection is
     // physical I/O pruning: flushed columnar components read only the
@@ -483,7 +520,10 @@ fn scan_streams_in_key_order_with_bounded_staleness() {
 
 #[test]
 fn connections_over_the_cap_are_refused_until_a_slot_frees() {
-    let config = ServerConfig { max_connections: 2, ..test_config() };
+    let config = ServerConfig {
+        max_connections: 2,
+        ..test_config()
+    };
     let handle = Server::start(config).unwrap();
     let addr = handle.addr();
 

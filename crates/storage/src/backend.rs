@@ -371,12 +371,10 @@ mod tests {
     use super::*;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "storage-backend-tests-{}",
+        std::env::temp_dir().join(format!(
+            "storage-backend-tests-{}-{name}",
             std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        ))
     }
 
     #[test]
@@ -530,7 +528,10 @@ mod tests {
             let backend = FileBackend::open(&path, 128).unwrap();
             backend.append_page(vec![1u8; 16]).unwrap();
         }
-        assert!(FileBackend::open(&path, 96).is_err(), "mismatched page size");
+        assert!(
+            FileBackend::open(&path, 96).is_err(),
+            "mismatched page size"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -540,6 +541,8 @@ mod tests {
         let path = temp_path("oversize.pages");
         let _ = std::fs::remove_file(&path);
         let backend = FileBackend::open(&path, 128).unwrap();
+        // Unlinked before the expected panic; the open file takes the write.
+        let _ = std::fs::remove_file(&path);
         let _ = backend.append_page(vec![0u8; 128]);
     }
 }

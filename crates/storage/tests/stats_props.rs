@@ -26,53 +26,7 @@ use storage::component::{Component, ComponentConfig, Entry};
 use storage::pagestore::{BufferCache, PageStore};
 use storage::stats::{ComponentStats, StatsBuilder};
 use storage::LayoutKind;
-
-/// The clean fragment of `columnar`'s proptests: no nulls or empty
-/// containers below the top level (shred → assemble does not support them
-/// inside heterogeneous arrays).
-fn arb_clean_value(depth: u32) -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        any::<bool>().prop_map(Value::Bool),
-        (-50i64..50).prop_map(Value::Int),
-        (-1e3f64..1e3f64).prop_map(Value::Double),
-        "[a-z0-9]{0,6}".prop_map(Value::String),
-    ];
-    leaf.prop_recursive(depth, 32, 4, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..4).prop_map(Value::Array),
-            prop::collection::vec(("[a-c]{1,2}", inner), 1..4).prop_map(|fields| {
-                let mut out: Vec<(String, Value)> = Vec::new();
-                for (k, v) in fields {
-                    if !out.iter().any(|(ek, _)| *ek == k) {
-                        out.push((k, v));
-                    }
-                }
-                Value::Object(out)
-            }),
-        ]
-    })
-}
-
-/// A record over a handful of field names — fields go missing, are `null`,
-/// and change type from record to record — or `None`, anti-matter.
-fn arb_entry() -> impl Strategy<Value = Option<Value>> {
-    let field = prop_oneof![
-        arb_clean_value(3),
-        arb_clean_value(3),
-        arb_clean_value(3),
-        Just(Value::Null)
-    ];
-    let record = prop::collection::vec(("[a-d]", field), 0..4).prop_map(|fields| {
-        let mut obj = vec![("id".to_string(), Value::Int(0))];
-        for (k, v) in fields {
-            if !obj.iter().any(|(ek, _)| *ek == k) {
-                obj.push((k, v));
-            }
-        }
-        Value::Object(obj)
-    });
-    (record, 0u8..8).prop_map(|(doc, dice)| (dice > 0).then_some(doc))
-}
+use testkit::arb_entry;
 
 fn observed<'a>(docs: impl IntoIterator<Item = &'a Value>) -> ComponentStats {
     let mut stats = StatsBuilder::new();

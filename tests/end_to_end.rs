@@ -3,7 +3,7 @@
 //! engines, checked for mutual consistency.
 
 use lsm_columnar::datagen::{generate, generate_updates, DatasetKind, DatasetSpec};
-use lsm_columnar::docstore::{Datastore, DatasetOptions, Layout};
+use lsm_columnar::docstore::{DatasetOptions, Datastore, Layout};
 use lsm_columnar::lsm::{DatasetConfig, LsmDataset};
 use lsm_columnar::query::{Aggregate, ExecMode, Expr, Query, QueryEngine};
 use lsm_columnar::storage::LayoutKind;
@@ -43,11 +43,15 @@ fn all_layouts_agree_on_every_paper_query() {
         for (name, query) in bench::queries_for(kind) {
             let expected = run(&reference, &query, ExecMode::Compiled);
             let interpreted = run(&reference, &query, ExecMode::Interpreted);
-            assert_eq!(expected, interpreted, "{kind:?} {name} interpreted vs compiled");
+            assert_eq!(
+                expected, interpreted,
+                "{kind:?} {name} interpreted vs compiled"
+            );
             for other in &others {
                 let got = run(other, &query, ExecMode::Compiled);
                 assert_eq!(
-                    expected, got,
+                    expected,
+                    got,
                     "{kind:?} {name}: {:?} disagrees with Open",
                     other.config().layout
                 );
@@ -79,8 +83,7 @@ fn update_intensive_workload_stays_consistent() {
         // the same logical query is planner-routed through the index and
         // force-scanned with index routing disabled.
         let base_ts = 1_450_000_000_000i64;
-        let q = Query::count_star()
-            .with_filter(Expr::between("timestamp", base_ts, base_ts + 200));
+        let q = Query::count_star().with_filter(Expr::between("timestamp", base_ts, base_ts + 200));
         let probe = QueryEngine::with_options(
             ExecMode::Compiled,
             lsm_columnar::query::PlannerOptions::with_access_path(
@@ -101,7 +104,9 @@ fn update_intensive_workload_stays_consistent() {
         let via_scan = scan.execute(&dataset, &q).unwrap();
         assert_eq!(via_index[0].agg(), via_scan[0].agg(), "{layout:?}");
         // The cost-based default picks one of the two and must agree.
-        let auto = QueryEngine::new(ExecMode::Compiled).execute(&dataset, &q).unwrap();
+        let auto = QueryEngine::new(ExecMode::Compiled)
+            .execute(&dataset, &q)
+            .unwrap();
         assert_eq!(auto[0].agg(), via_scan[0].agg(), "{layout:?}");
     }
 }
@@ -196,10 +201,7 @@ fn facade_end_to_end_with_json_feed() {
 fn sharded_end_to_end_with_reopen() {
     // Ingest across shards with background workers, answer a fan-out query,
     // reopen the whole sharded dataset from disk, and re-verify.
-    let dir = std::env::temp_dir()
-        .join(format!("e2e-sharded-{}", std::process::id()))
-        .join("store");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = testkit::TempDir::new("e2e-sharded", "store");
     let records = 600usize;
     let docs = generate(&DatasetSpec::new(DatasetKind::Cell, records));
 
@@ -285,8 +287,10 @@ fn sharded_end_to_end_with_reopen() {
             ExecMode::Compiled,
         )
         .unwrap();
-    assert_eq!(groups, expected_groups, "reopened shards must answer identically");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        groups, expected_groups,
+        "reopened shards must answer identically"
+    );
 }
 
 #[test]
