@@ -12,6 +12,7 @@ use std::sync::OnceLock;
 use docmodel::{total_cmp, Value};
 use encoding::{bitpack, bytesenc, delta, plain, rle, varint, DecodeError, Encoding};
 use schema::{AtomicType, ColumnSpec};
+use telemetry::stage::Stage;
 
 use crate::Result;
 
@@ -490,6 +491,7 @@ impl ColumnChunk {
     /// u8     value encoding tag  | values bytes
     /// ```
     pub fn encode(&self, out: &mut Vec<u8>) {
+        let _stage = Stage::ChunkEncode.enter();
         varint::write_u64(out, self.defs.len() as u64);
         varint::write_u64(out, self.values.len() as u64);
         let width = bitpack::bit_width(u64::from(self.spec.max_def.max(1)));
@@ -552,6 +554,7 @@ impl ColumnChunk {
             return Err(DecodeError::new("truncated definition levels"));
         }
         let mut def_pos = *pos;
+        let levels_stage = Stage::DecodeLevels.enter();
         let levels = rle::decode(
             &buf[..def_end],
             &mut def_pos,
@@ -559,6 +562,7 @@ impl ColumnChunk {
             width,
             spec.max_def,
         )?;
+        drop(levels_stage);
         *pos = def_end;
         // Every value the levels announce must be stored, and nothing else:
         // a kernel or the assembler indexes the values by the levels.
@@ -575,6 +579,7 @@ impl ColumnChunk {
 
         let enc = Encoding::from_tag(*buf.get(*pos).ok_or_else(|| DecodeError::new("truncated chunk"))?)?;
         *pos += 1;
+        let _values_stage = Stage::DecodeValues.enter();
         let values = match spec.ty {
             AtomicType::Bool => ColumnValues::Bool(plain::decode_bool_column(buf, pos)?),
             AtomicType::Int => ColumnValues::Int(delta::decode(buf, pos)?),

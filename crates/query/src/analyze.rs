@@ -33,6 +33,12 @@
 //!   hid. `leaves_skipped` is the one zone-map counter. Both are exact
 //!   [`IoStats`] deltas and appear in the rendering only when nonzero.
 //!
+//! * **stages** — where the partition's wall time went, from the stage
+//!   clock ([`telemetry::stage`]) run around it: page reads (cache, backend
+//!   and CRC), decompression, level and value decoding, kernel folds and the
+//!   assembled lane, each exclusive of the stages nested in it. The time
+//!   outside every stage is reconciliation, planning and finalisation.
+//!
 //! A key-only `COUNT(*)` never materialises records, so it reports zero
 //! rows pulled and a complete (`exhausted`) stream; its cost shows up in
 //! the page counters.
@@ -42,6 +48,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use storage::pagestore::IoStats;
+use telemetry::stage::StageTimes;
 
 use crate::compiled::LaneReport;
 use crate::plan::QueryRow;
@@ -114,7 +121,12 @@ impl ExecProbe {
     /// Freeze the counters into the partition's report. `io` is the store's
     /// counters before and after the partition ran (absent for a
     /// memtable-only snapshot, which does no page I/O).
-    pub(crate) fn finish(self, io: Option<(IoStats, IoStats)>, rows_out: usize) -> ShardAnalysis {
+    pub(crate) fn finish(
+        self,
+        io: Option<(IoStats, IoStats)>,
+        stages: StageTimes,
+        rows_out: usize,
+    ) -> ShardAnalysis {
         let delta = |field: fn(&IoStats) -> u64| {
             io.as_ref()
                 .map_or(0, |(before, after)| field(after).saturating_sub(field(before)))
@@ -132,6 +144,7 @@ impl ExecProbe {
             records_kernel: delta(|io| io.scan_records_kernel),
             records_assembled: delta(|io| io.records_assembled),
             fallbacks: self.fallbacks.into_inner(),
+            stages,
             rows_out,
         }
     }
@@ -179,6 +192,8 @@ pub struct ShardAnalysis {
     /// Why batches took the assembled lane instead of the kernels, one
     /// entry per distinct reason (empty when none did).
     pub fallbacks: Vec<String>,
+    /// Wall time by stage while the partition ran (the stage clock's split).
+    pub stages: StageTimes,
     /// Rows (projection) or groups (aggregation) this partition produced
     /// before the cross-shard merge.
     pub rows_out: usize,
@@ -257,6 +272,15 @@ impl AnalyzeReport {
     /// Total documents built, across partitions.
     pub fn records_assembled(&self) -> u64 {
         self.shards.iter().map(|s| s.records_assembled).sum()
+    }
+
+    /// Wall time by stage, summed over partitions.
+    pub fn stages(&self) -> StageTimes {
+        let mut total = StageTimes::default();
+        for shard in &self.shards {
+            total.absorb(&shard.stages);
+        }
+        total
     }
 
     /// The early-termination point across the whole run: total rows pulled,
@@ -343,6 +367,7 @@ impl AnalyzeReport {
                 s.rows_out,
                 if s.exhausted { "" } else { ", terminated early" },
             ));
+            out.push_str(&format!("analyze[shard {i}] stages: {}\n", s.stages));
         }
         out
     }

@@ -92,6 +92,7 @@ use lsm::{BatchScan, RowOrigin, ScanBatch};
 use schema::node::SchemaNode;
 use schema::{AtomicType, ColumnId, NodeId, Schema};
 use storage::batch::plain_node;
+use telemetry::stage::Stage;
 
 use crate::physical::{new_states, AggState, GroupPartials, PhysicalPlan};
 use crate::plan::join_paths;
@@ -680,6 +681,7 @@ pub(crate) fn aggregate_batches(
                 if matches!(from, RowOrigin::RowLayout | RowOrigin::Both) {
                     report.fallbacks.insert("row layout".to_string());
                 }
+                let _stage = Stage::Assemble.enter();
                 for (_, record) in &rows {
                     fused.push(record);
                 }
@@ -700,7 +702,9 @@ pub(crate) fn aggregate_batches(
                 .collect::<Option<Vec<_>>>()
             {
                 Some(chunks) => {
+                    let stage = Stage::KernelFold.enter();
                     kernel.run(&chunks, batch.selection(), plan, &mut table);
+                    drop(stage);
                     let folded = batch.selection().len() as u64;
                     report.records += folded;
                     component.cache().store().note_scan_records_kernel(folded);
@@ -710,6 +714,7 @@ pub(crate) fn aggregate_batches(
             },
         };
         report.fallbacks.insert(fallback);
+        let _stage = Stage::Assemble.enter();
         // Counted as they come out: a pushed predicate that needed the
         // record drops its rejections in `into_rows`.
         for row in batch.into_rows(plan.projection.as_deref())? {

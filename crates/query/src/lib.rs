@@ -129,6 +129,7 @@ use std::time::Instant;
 use docmodel::Value;
 use lsm::{LsmDataset, ScanSpec, Snapshot};
 use storage::pagestore::IoStats;
+use telemetry::stage::{Stage, StageClock};
 
 use analyze::{CountingIter, ExecProbe};
 use compiled::LaneReport;
@@ -364,12 +365,14 @@ impl QueryEngine {
         for part in target.partitions() {
             let probe = ExecProbe::new();
             let before = part.io_stats();
+            let clock = StageClock::start();
             let output = self.output(part, &plan, ScanLane::Kernels, Some(&probe))?;
+            let stages = clock.stop();
             let rows_out = match &output {
                 ExecOutput::Rows(rows) => rows.len(),
                 ExecOutput::Groups(groups) => groups.len(),
             };
-            analyses.push(probe.finish(before.zip(part.io_stats()), rows_out));
+            analyses.push(probe.finish(before.zip(part.io_stats()), stages, rows_out));
             outputs.push(output);
         }
         // An empty shard list has no partitions — no rows, like execute().
@@ -493,6 +496,7 @@ impl QueryEngine {
         // Per tuple, in key order, over the row adapter: projection plans
         // (so `ORDER BY key LIMIT k` stops early) and the interpreted
         // engine.
+        let _stage = Stage::Assemble.enter();
         let rows = scan.rows().map(|e| e.map_err(Error::from));
         let rows = CountingIter::new(rows, probe.map(|p| p.pull.clone()));
         if plan.is_projection() {

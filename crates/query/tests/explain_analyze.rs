@@ -251,3 +251,26 @@ fn snapshot_targets_account_pages_too() {
     assert_eq!(report.pages_read(), after.pages_read - before.pages_read);
     assert!(report.pages_read() > 0, "a cold full scan reads pages");
 }
+
+/// The stage clock runs around each partition: a cold aggregate over a
+/// columnar dataset reads pages, decodes levels and values and folds them
+/// in a kernel, and its stages add up to no more than the wall time.
+#[test]
+fn analyze_splits_the_wall_time_by_stage() {
+    use telemetry::stage::Stage;
+    let engine = QueryEngine::new(ExecMode::Compiled);
+    let query = Query::select([query::Aggregate::Max(docmodel::Path::parse("score"))]);
+    for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+        let ds = two_band_dataset(layout);
+        ds.cache().clear();
+        let cold = engine.explain_analyze(&ds, &query).unwrap();
+        let stages = cold.stages();
+        assert!(stages.count(Stage::PageRead) > 0, "{layout:?}: {stages}");
+        assert!(stages.count(Stage::DecodeLevels) > 0, "{layout:?}: {stages}");
+        assert!(stages.count(Stage::DecodeValues) > 0, "{layout:?}: {stages}");
+        assert!(stages.count(Stage::KernelFold) > 0, "{layout:?}: {stages}");
+        assert_eq!(stages.count(Stage::Assemble), 0, "{layout:?}: {stages}");
+        assert!(stages.total() <= cold.wall, "{layout:?}: {stages} in {:?}", cold.wall);
+        assert!(cold.describe().contains("analyze[shard 0] stages: page read"));
+    }
+}

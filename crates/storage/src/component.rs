@@ -182,6 +182,7 @@ use docmodel::{total_cmp, Path, Value};
 use encoding::{compress, DecodeError};
 use parking_lot::Mutex;
 use schema::{columns_of, ColumnId, ColumnSpec, Schema};
+use telemetry::stage::Stage;
 
 use crate::amax::{self, AmaxConfig};
 use crate::apax;
@@ -1558,19 +1559,26 @@ pub fn write_page(cache: &BufferCache, payload: &[u8]) -> (PageId, usize) {
     stored.push(u8::from(compressed));
     stored.extend_from_slice(&bytes);
     let len = stored.len();
+    let _stage = Stage::PageWrite.enter();
     (cache.append_page(stored), len)
 }
 
 /// Read a page payload written by [`write_page`]. Any flag other than `0`
 /// or `1` is damage, not an uncompressed page.
 pub fn read_page_payload(cache: &BufferCache, id: PageId) -> Result<Arc<Vec<u8>>> {
-    let raw = cache.try_read_page(id)?;
+    let raw = {
+        let _stage = Stage::PageRead.enter();
+        cache.try_read_page(id)?
+    };
     let Some((&flag, rest)) = raw.split_first() else {
         return Err(DecodeError::new("empty page"));
     };
     match flag {
         0 => Ok(Arc::new(rest.to_vec())),
-        1 => Ok(Arc::new(compress::decompress(rest)?)),
+        1 => {
+            let _stage = Stage::Decompress.enter();
+            Ok(Arc::new(compress::decompress(rest)?))
+        }
         other => Err(DecodeError::new(format!("page {id} has unknown flag {other}"))),
     }
 }

@@ -78,6 +78,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+pub mod stage;
+
 /// Wall-clock "now" in microseconds since the unix epoch (event timestamps).
 pub fn unix_micros() -> u64 {
     SystemTime::now()
