@@ -10,7 +10,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use docmodel::{total_cmp, Value};
-use encoding::{bitpack, bytesenc, delta, plain, rle, varint, DecodeError, Encoding};
+use encoding::{bitpack, bytesenc, compress, decimal, delta, plain, rle, varint, DecodeError, Encoding};
 use schema::{AtomicType, ColumnSpec};
 use telemetry::stage::Stage;
 
@@ -176,6 +176,20 @@ impl ColumnValues {
             }
         }
     }
+}
+
+/// High bit of a chunk's value tag: the string bytes that follow are
+/// LZ-compressed ([`ColumnChunk::encode`]).
+pub const LZ_FLAG: u8 = 0x80;
+
+/// Decoded byte arrays as the strings they must be.
+fn strings(raw: Vec<Vec<u8>>) -> Result<ColumnValues> {
+    let strings = raw
+        .into_iter()
+        .map(String::from_utf8)
+        .collect::<std::result::Result<Vec<_>, _>>()
+        .map_err(|_| DecodeError::new("invalid utf-8 in string column"))?;
+    Ok(ColumnValues::String(strings))
 }
 
 /// A position inside a chunk: the next definition-level entry and the next
@@ -478,9 +492,13 @@ impl ColumnChunk {
         pos
     }
 
-    /// Encode the chunk into `out` using the paper's encoding set:
-    /// RLE/bit-packed definition levels, delta-packed integers, adaptive
-    /// delta strings, plain doubles and bit-vector booleans.
+    /// Encode the chunk into `out`, choosing the values' codec for this
+    /// chunk: RLE/bit-packed definition levels, delta-packed integers,
+    /// decimal doubles when every value round-trips bit for bit
+    /// ([`decimal::choose`]) and plain ones otherwise, bit-vector booleans,
+    /// and adaptive delta strings, LZ-compressed when that saves at least
+    /// an eighth of their bytes. The chunk is the unit of compression of
+    /// the columnar layouts: their pages are stored as written.
     ///
     /// Layout:
     /// ```text
@@ -488,8 +506,11 @@ impl ColumnChunk {
     /// varint value_count
     /// u8     def bit width
     /// varint encoded-defs length | defs bytes
-    /// u8     value encoding tag  | values bytes
+    /// u8     value tag            | values bytes
     /// ```
+    /// The value tag is an [`Encoding`] tag; on a string chunk its high bit
+    /// ([`LZ_FLAG`]) says the values bytes are `varint length | LZ stream`,
+    /// which expands to the strings' encoding.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let _stage = Stage::ChunkEncode.enter();
         varint::write_u64(out, self.defs.len() as u64);
@@ -512,24 +533,30 @@ impl ColumnChunk {
                 out.push(Encoding::DeltaBinaryPacked.tag());
                 delta::encode(v, out);
             }
-            ColumnValues::Double(v) => {
-                out.push(Encoding::Plain.tag());
-                plain::encode_f64_column(v, out);
-            }
+            ColumnValues::Double(v) => match decimal::choose(v) {
+                Some(exponent) => {
+                    out.push(Encoding::Decimal.tag());
+                    decimal::encode(v, exponent, out);
+                }
+                None => {
+                    out.push(Encoding::Plain.tag());
+                    plain::encode_f64_column(v, out);
+                }
+            },
             ColumnValues::String(v) => {
                 let (enc, bytes) = bytesenc::encode_adaptive(v);
-                out.push(enc.tag());
-                out.extend_from_slice(&bytes);
+                let packed = compress::compress(&bytes);
+                let packed_len = varint::encoded_len_u64(packed.len() as u64) + packed.len();
+                if packed_len <= bytes.len() - bytes.len() / 8 {
+                    out.push(enc.tag() | LZ_FLAG);
+                    varint::write_u64(out, packed.len() as u64);
+                    out.extend_from_slice(&packed);
+                } else {
+                    out.push(enc.tag());
+                    out.extend_from_slice(&bytes);
+                }
             }
         }
-    }
-
-    /// Encoded size without keeping the buffer (used by page writers to
-    /// decide when a page is full).
-    pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
     }
 
     /// Decode a chunk previously produced by [`ColumnChunk::encode`]. The
@@ -577,23 +604,46 @@ impl ColumnChunk {
             )));
         }
 
-        let enc = Encoding::from_tag(*buf.get(*pos).ok_or_else(|| DecodeError::new("truncated chunk"))?)?;
+        let tag = *buf.get(*pos).ok_or_else(|| DecodeError::new("truncated chunk"))?;
         *pos += 1;
+        let enc = Encoding::from_tag(tag & !LZ_FLAG)?;
         let _values_stage = Stage::DecodeValues.enter();
-        let values = match spec.ty {
-            AtomicType::Bool => ColumnValues::Bool(plain::decode_bool_column(buf, pos)?),
-            AtomicType::Int => ColumnValues::Int(delta::decode(buf, pos)?),
-            AtomicType::Double => ColumnValues::Double(plain::decode_f64_column(buf, pos)?),
-            AtomicType::String => {
-                let raw = bytesenc::decode_adaptive(enc, buf, pos)?;
-                let mut strings = Vec::with_capacity(raw.len());
-                for b in raw {
-                    strings.push(
-                        String::from_utf8(b)
-                            .map_err(|_| DecodeError::new("invalid utf-8 in string column"))?,
-                    );
+        let values = match (spec.ty, enc, tag & LZ_FLAG != 0) {
+            (AtomicType::Bool, Encoding::Plain, false) => {
+                ColumnValues::Bool(plain::decode_bool_column(buf, pos)?)
+            }
+            (AtomicType::Int, Encoding::DeltaBinaryPacked, false) => {
+                ColumnValues::Int(delta::decode(buf, pos)?)
+            }
+            (AtomicType::Double, Encoding::Plain, false) => {
+                ColumnValues::Double(plain::decode_f64_column(buf, pos)?)
+            }
+            (AtomicType::Double, Encoding::Decimal, false) => {
+                ColumnValues::Double(decimal::decode(buf, pos)?)
+            }
+            (AtomicType::String, _, false) => {
+                strings(bytesenc::decode_adaptive(enc, buf, pos)?)?
+            }
+            (AtomicType::String, _, true) => {
+                let len = encoding::read_count(buf, pos)?;
+                let packed = &buf[*pos..*pos + len];
+                *pos += len;
+                let bytes = {
+                    let _stage = Stage::Decompress.enter();
+                    compress::decompress(packed)?
+                };
+                let mut inner = 0;
+                let raw = bytesenc::decode_adaptive(enc, &bytes, &mut inner)?;
+                if inner != bytes.len() {
+                    return Err(DecodeError::new("trailing bytes in a compressed string chunk"));
                 }
-                ColumnValues::String(strings)
+                strings(raw)?
+            }
+            (ty, enc, lz) => {
+                return Err(DecodeError::new(format!(
+                    "a {ty:?} chunk cannot be stored as {enc:?}{}",
+                    if lz { " under LZ" } else { "" }
+                )))
             }
         };
         if values.len() != value_count {
@@ -650,7 +700,6 @@ mod tests {
         let back = ColumnChunk::decode(chunk.spec.clone(), &buf, &mut pos).unwrap();
         assert_eq!(back, chunk);
         assert_eq!(pos, buf.len());
-        assert_eq!(chunk.encoded_len(), buf.len());
     }
 
     #[test]

@@ -423,3 +423,151 @@ proptest! {
         }
     }
 }
+
+/// A chunk of present doubles (`max_def` 1, no arrays).
+fn double_chunk(values: &[f64]) -> ColumnChunk {
+    let mut chunk = ColumnChunk::new(ColumnSpec {
+        id: 3,
+        path: docmodel::Path::parse("temp"),
+        ty: AtomicType::Double,
+        max_def: 1,
+        array_levels: Vec::new(),
+        is_key: false,
+    });
+    for &v in values {
+        chunk.defs.push(1);
+        chunk.values.push(&Value::Double(v));
+    }
+    chunk
+}
+
+/// A chunk of present strings.
+fn string_chunk(values: &[String]) -> ColumnChunk {
+    let mut chunk = ColumnChunk::new(ColumnSpec {
+        id: 4,
+        path: docmodel::Path::parse("text"),
+        ty: AtomicType::String,
+        max_def: 1,
+        array_levels: Vec::new(),
+        is_key: false,
+    });
+    for v in values {
+        chunk.defs.push(1);
+        chunk.values.push(&Value::from(v.as_str()));
+    }
+    chunk
+}
+
+/// The encoded chunk and the offset of its value tag (past the counts and
+/// the levels).
+fn encoded(chunk: &ColumnChunk) -> (Vec<u8>, usize) {
+    let mut buf = Vec::new();
+    chunk.encode(&mut buf);
+    let mut pos = 0;
+    encoding::varint::read_u64(&buf, &mut pos).unwrap();
+    encoding::varint::read_u64(&buf, &mut pos).unwrap();
+    pos += 1;
+    let defs = encoding::varint::read_u64(&buf, &mut pos).unwrap() as usize;
+    (buf, pos + defs)
+}
+
+/// The chunk's doubles decode to the same bits, whatever codec it chose.
+fn assert_doubles_roundtrip(values: &[f64]) -> u8 {
+    let chunk = double_chunk(values);
+    let (buf, tag_at) = encoded(&chunk);
+    let back = ColumnChunk::decode(chunk.spec.clone(), &buf, &mut 0).unwrap();
+    let columnar::ColumnValues::Double(back) = back.values else {
+        panic!("a double chunk decoded to another type");
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&back), bits(values));
+    buf[tag_at]
+}
+
+/// Every truncation and every byte flip of an encoded chunk decodes to an
+/// error or to some chunk, never a panic.
+fn assert_damage_is_survived(chunk: &ColumnChunk) {
+    let (buf, _) = encoded(chunk);
+    for cut in 0..buf.len() {
+        assert!(ColumnChunk::decode(chunk.spec.clone(), &buf[..cut], &mut 0).is_err(), "cut at {cut}");
+    }
+    for at in 0..buf.len() {
+        for flip in [0x01u8, 0x10, 0x80, 0xFF] {
+            let mut damaged = buf.clone();
+            damaged[at] ^= flip;
+            let _ = ColumnChunk::decode(chunk.spec.clone(), &damaged, &mut 0);
+        }
+    }
+}
+
+/// Bit patterns the decimal check must refuse or keep exactly: zeros of
+/// both signs, NaN payloads, infinities, subnormals, the integers around
+/// 2^53, and short decimals.
+fn arb_double_bits() -> impl Strategy<Value = u64> {
+    let sign = any::<bool>().prop_map(|negative| u64::from(negative) << 63);
+    prop_oneof![
+        any::<u64>(),
+        (sign.clone(), prop_oneof![Just(0u64), Just(0x7FF0_0000_0000_0000)])
+            .prop_map(|(s, b)| s | b),
+        (sign.clone(), 0x7FF0_0000_0000_0001u64..=0x7FFF_FFFF_FFFF_FFFF).prop_map(|(s, b)| s | b),
+        (sign.clone(), 1u64..(1 << 52)).prop_map(|(s, b)| s | b),
+        (sign, -2i64..=2).prop_map(|(s, d)| s | (((1u64 << 53) as i64 + d) as u64 as f64).to_bits()),
+        (-100_000i64..100_000, 0u32..4).prop_map(|(k, e)| (k as f64 / 10f64.powi(e as i32)).to_bits()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Arbitrary bit patterns survive the codec chooser bit for bit, and so
+    // do decimal chunks with one value the decimal check refuses.
+    #[test]
+    fn doubles_roundtrip_bit_for_bit_through_the_chooser(
+        bits in prop::collection::vec(arb_double_bits(), 0..200),
+        decimals in prop::collection::vec(-1_000_000i64..1_000_000, 1..200),
+        exponent in 0i32..4,
+        odd in prop_oneof![Just(-0.0f64), Just(f64::NAN), Just(f64::INFINITY), Just(5e-324), Just(std::f64::consts::PI)],
+        at in any::<usize>(),
+    ) {
+        let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        assert_doubles_roundtrip(&values);
+        let mut values: Vec<f64> = decimals.iter().map(|&k| k as f64 / 10f64.powi(exponent)).collect();
+        prop_assert_eq!(assert_doubles_roundtrip(&values), encoding::Encoding::Decimal.tag());
+        values.insert(at % (values.len() + 1), odd);
+        prop_assert_eq!(assert_doubles_roundtrip(&values), encoding::Encoding::Plain.tag());
+    }
+}
+
+/// `sensors`' temperatures (`k / 10`) are stored decimal; a decimal and an
+/// LZ'd string chunk survive every truncation and byte flip; an exponent
+/// beyond the table and a 2^40 value count are errors, nothing reserved.
+#[test]
+fn decimal_and_lz_string_chunks_refuse_damage() {
+    let temps: Vec<f64> = (0..600).map(|k| (k % 650 - 200) as f64 / 10.0).collect();
+    let decimal = double_chunk(&temps);
+    assert_eq!(assert_doubles_roundtrip(&temps), encoding::Encoding::Decimal.tag());
+    assert_damage_is_survived(&decimal);
+
+    let (buf, tag_at) = encoded(&decimal);
+    let mut beyond = buf.clone();
+    beyond[tag_at + 1] = encoding::decimal::MAX_EXPONENT + 1;
+    assert!(ColumnChunk::decode(decimal.spec.clone(), &beyond, &mut 0).is_err());
+    let mut huge = buf[..=tag_at + 1].to_vec();
+    encoding::varint::write_u64(&mut huge, 1 << 40);
+    huge.extend_from_slice(&[0; 64]);
+    assert!(ColumnChunk::decode(decimal.spec.clone(), &huge, &mut 0).is_err());
+
+    let text: Vec<String> = (0..300)
+        .map(|i| format!("tweet {i} about #jobs and the weather in town {}", i % 7))
+        .collect();
+    let strings = string_chunk(&text);
+    let (buf, tag_at) = encoded(&strings);
+    assert_ne!(buf[tag_at] & columnar::chunk::LZ_FLAG, 0, "repetitive text is LZ'd");
+    let back = ColumnChunk::decode(strings.spec.clone(), &buf, &mut 0).unwrap();
+    assert_eq!(back, strings);
+    assert_damage_is_survived(&strings);
+    // Short, distinct strings do not pay for LZ and stay as they are.
+    let distinct: Vec<String> = (0..40).map(|i| format!("{:x}", i * 7919)).collect();
+    let (buf, tag_at) = encoded(&string_chunk(&distinct));
+    assert_eq!(buf[tag_at] & columnar::chunk::LZ_FLAG, 0);
+}

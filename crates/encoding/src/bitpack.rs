@@ -50,24 +50,32 @@ pub fn pack(values: &[u64], width: u32, out: &mut Vec<u8>) {
 /// hold at most 128).
 pub fn unpack(buf: &[u8], pos: &mut usize, count: usize, width: u32) -> DecodeResult<Vec<u64>> {
     let mut out = Vec::new();
-    unpack_into(buf, pos, count, width, &mut out)?;
+    unpack_each(buf, pos, count, width, |v| out.push(v))?;
     Ok(out)
 }
 
-/// Like [`unpack`] but appends into a caller-provided vector (the delta
-/// decoder reuses one across blocks).
-pub fn unpack_into(
+/// Like [`unpack`] but hands each value to `emit` instead of collecting
+/// them, so a decoder builds its own output without a scratch vector (the
+/// delta decoder turns each into an integer as it goes). `emit` is called
+/// only once every byte the values occupy is known to be there.
+///
+/// Widths up to 56 read each value with one little-endian 8-byte load from
+/// its first byte (a value and its bit offset within that byte never span
+/// more than 64 bits); wider values go through a 128-bit accumulator.
+pub fn unpack_each(
     buf: &[u8],
     pos: &mut usize,
     count: usize,
     width: u32,
-    out: &mut Vec<u64>,
+    mut emit: impl FnMut(u64),
 ) -> DecodeResult<()> {
     if width > 64 {
         return Err(DecodeError::new("bit width out of range"));
     }
     if width == 0 {
-        out.extend(std::iter::repeat_n(0u64, count));
+        for _ in 0..count {
+            emit(0);
+        }
         return Ok(());
     }
     let total_bits = count
@@ -78,20 +86,44 @@ pub fn unpack_into(
         .filter(|&end| end <= buf.len())
         .ok_or_else(|| DecodeError::new("truncated bit-packed run"))?;
     let data = &buf[*pos..end];
-    let mut acc: u128 = 0;
-    let mut acc_bits: u32 = 0;
-    let mut byte_idx = 0usize;
-    out.reserve(count);
-    for _ in 0..count {
-        while acc_bits < width {
-            let byte = u128::from(data[byte_idx]);
-            byte_idx += 1;
-            acc |= byte << acc_bits;
-            acc_bits += 8;
+    let mask = mask(width);
+    if width <= 56 {
+        let width = width as usize;
+        // Values whose 8-byte load stays inside `data`, then the tail.
+        let whole = if data.len() >= 8 {
+            ((data.len() - 8) * 8 / width + 1).min(count)
+        } else {
+            0
+        };
+        let mut bit = 0usize;
+        for _ in 0..whole {
+            let at = bit >> 3;
+            let word = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+            emit((word >> (bit & 7)) & mask);
+            bit += width;
         }
-        out.push((acc & u128::from(mask(width))) as u64);
-        acc >>= width;
-        acc_bits -= width;
+        for _ in whole..count {
+            let at = bit >> 3;
+            let mut tail = [0u8; 8];
+            let available = (data.len() - at).min(8);
+            tail[..available].copy_from_slice(&data[at..at + available]);
+            emit((u64::from_le_bytes(tail) >> (bit & 7)) & mask);
+            bit += width;
+        }
+    } else {
+        let mut acc: u128 = 0;
+        let mut acc_bits: u32 = 0;
+        let mut byte_idx = 0usize;
+        for _ in 0..count {
+            while acc_bits < width {
+                acc |= u128::from(data[byte_idx]) << acc_bits;
+                byte_idx += 1;
+                acc_bits += 8;
+            }
+            emit((acc as u64) & mask);
+            acc >>= width;
+            acc_bits -= width;
+        }
     }
     *pos = end;
     Ok(())
@@ -144,6 +176,31 @@ mod tests {
         roundtrip(&[u32::MAX as u64, 0, 17], 32);
         roundtrip(&[(1u64 << 57) - 1, 3, 1 << 40], 57);
         roundtrip(&[u64::MAX, 0, 42, u64::MAX - 1], 64);
+    }
+
+    /// Every width from 0 to 64, at counts that end on and off a byte and
+    /// an 8-byte word, with values at both ends of the width's range.
+    #[test]
+    fn every_width_roundtrips() {
+        for width in 0..=64u32 {
+            let max = mask(width);
+            for count in [0usize, 1, 7, 8, 9, 63, 64, 65, 129] {
+                let values: Vec<u64> = (0..count as u64)
+                    .map(|i| match i % 4 {
+                        0 => max,
+                        1 => 0,
+                        2 => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & max,
+                        _ => max >> 1,
+                    })
+                    .collect();
+                let mut buf = vec![0xAA];
+                pack(&values, width, &mut buf);
+                buf.push(0x55);
+                let mut pos = 1;
+                assert_eq!(unpack(&buf, &mut pos, count, width).unwrap(), values, "width {width}");
+                assert_eq!(pos, buf.len() - 1, "width {width}, count {count}");
+            }
+        }
     }
 
     #[test]

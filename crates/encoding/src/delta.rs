@@ -59,17 +59,33 @@ pub fn encode(values: &[i64], out: &mut Vec<u8>) {
 
 /// Decode a delta-packed column from `buf` starting at `*pos`.
 pub fn decode(buf: &[u8], pos: &mut usize) -> DecodeResult<Vec<i64>> {
-    let count = varint::read_u64(buf, pos)? as usize;
-    // Clamp the speculative allocation: `count` comes from the (possibly
-    // corrupt) byte stream, and truncation errors surface while decoding.
-    let mut out = Vec::with_capacity(count.min(1 << 16));
+    decode_map(buf, pos, |v| v)
+}
+
+/// Decode a delta-packed column, turning each integer into a `T` as it is
+/// unpacked (the decimal codec divides by its scale here), so no integer
+/// vector is built on the way.
+///
+/// The count is untrusted. The first value takes a byte and every block of
+/// up to [`BLOCK_SIZE`] deltas at least two (its minimum delta and its
+/// width), so a count the remaining bytes cannot hold is an error before
+/// anything is reserved; a count that passes is reserved exactly.
+pub fn decode_map<T>(buf: &[u8], pos: &mut usize, mut map: impl FnMut(i64) -> T) -> DecodeResult<Vec<T>> {
+    let count = varint::read_u64(buf, pos)?;
+    let blocks = count.saturating_sub(1).div_ceil(BLOCK_SIZE as u64);
+    let least_bytes = u64::from(count > 0).saturating_add(blocks.saturating_mul(2));
+    if least_bytes > buf.len().saturating_sub(*pos) as u64 {
+        return Err(DecodeError::new(format!(
+            "delta column of {count} values cannot fit in the bytes that remain"
+        )));
+    }
+    let count = count as usize;
+    let mut out = Vec::with_capacity(count);
     if count == 0 {
         return Ok(out);
     }
-    let first = varint::read_i64(buf, pos)?;
-    out.push(first);
-    let mut prev = first;
-    let mut scratch: Vec<u64> = Vec::with_capacity(BLOCK_SIZE);
+    let mut prev = varint::read_i64(buf, pos)?;
+    out.push(map(prev));
     while out.len() < count {
         let block_len = BLOCK_SIZE.min(count - out.len());
         let min_delta = varint::read_i64(buf, pos)?;
@@ -77,22 +93,12 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> DecodeResult<Vec<i64>> {
             .get(*pos)
             .ok_or_else(|| DecodeError::new("truncated delta block header"))? as u32;
         *pos += 1;
-        scratch.clear();
-        bitpack::unpack_into(buf, pos, block_len, width, &mut scratch)?;
-        for &rebased in &scratch {
-            let delta = (rebased as i64).wrapping_add(min_delta);
-            prev = prev.wrapping_add(delta);
-            out.push(prev);
-        }
+        bitpack::unpack_each(buf, pos, block_len, width, |rebased| {
+            prev = prev.wrapping_add((rebased as i64).wrapping_add(min_delta));
+            out.push(map(prev));
+        })?;
     }
     Ok(out)
-}
-
-/// Convenience: encoded length of `values` without keeping the buffer.
-pub fn encoded_len(values: &[i64]) -> usize {
-    let mut buf = Vec::new();
-    encode(values, &mut buf);
-    buf.len()
 }
 
 #[cfg(test)]
@@ -161,11 +167,16 @@ mod tests {
         assert!(decode(&buf, &mut pos).is_err());
     }
 
+    /// A forged count the bytes cannot hold is refused before anything is
+    /// reserved for it, even where every block would be width 0.
     #[test]
-    fn encoded_len_matches_encode() {
-        let values: Vec<i64> = (0..321).map(|i| i * i).collect();
+    fn a_count_beyond_the_bytes_is_an_error() {
         let mut buf = Vec::new();
-        encode(&values, &mut buf);
-        assert_eq!(encoded_len(&values), buf.len());
+        varint::write_u64(&mut buf, 1 << 40);
+        buf.extend_from_slice(&[0; 64]);
+        assert!(decode(&buf, &mut 0).is_err());
+        let mut buf = Vec::new();
+        encode(&[5; 300], &mut buf);
+        assert_eq!(decode(&buf, &mut 0).unwrap(), vec![5; 300]);
     }
 }

@@ -4,7 +4,10 @@
 //! levels and its values) before writing it into APAX minipages or AMAX
 //! megapages. The paper adopts Apache Parquet's encoding toolbox — except
 //! dictionary encoding, which it explicitly leaves for future work — and
-//! additionally applies page-level compression (Snappy in the paper).
+//! applies page-level compression (Snappy in the paper) to every page. Here
+//! only the row layouts' pages are compressed whole; a columnar chunk picks
+//! its own codec when its leaf is sealed (decimal doubles, LZ over strings
+//! only where it pays), so a columnar read runs no page-level LZ pass.
 //!
 //! This crate provides that toolbox:
 //!
@@ -17,11 +20,14 @@
 //!   missing) collapse to a few bytes;
 //! * [`delta`] — delta binary packing for integer columns (timestamps,
 //!   counters, monotone keys);
+//! * [`decimal`] — doubles that are short decimals, stored as delta-packed
+//!   integers and a power of ten when that round-trips bit for bit;
 //! * [`bytesenc`] — delta-length byte arrays and incremental (prefix-sharing)
 //!   delta strings for textual columns;
 //! * [`plain`] — plain little-endian encodings for every scalar type;
-//! * [`compress`] — an LZ-style block compressor standing in for Snappy
-//!   page-level compression (the module docs give the substitution note);
+//! * [`compress`] — an LZ-style block compressor standing in for Snappy:
+//!   row pages whole, string chunks where it saves an eighth (the module
+//!   docs give the substitution note);
 //! * [`crc`] — CRC-32 checksums guarding the durable structures (WAL frames,
 //!   manifests and file-backed page headers) of the `persist` subsystem.
 //!
@@ -33,6 +39,7 @@ pub mod bitpack;
 pub mod bytesenc;
 pub mod compress;
 pub mod crc;
+pub mod decimal;
 pub mod delta;
 pub mod plain;
 pub mod rle;
@@ -90,9 +97,10 @@ pub fn check_count(count: u64, buf: &[u8], pos: usize) -> DecodeResult<usize> {
     Ok(count as usize)
 }
 
-/// Identifies the encoding used for a column chunk. Persisted in page headers
-/// so readers can pick the right decoder; mirrors Parquet's encoding enum
-/// restricted to what the paper uses.
+/// Identifies the encoding of a column chunk's values. Persisted as one tag
+/// byte in front of the values, so a reader picks the decoder the writer
+/// chose for that chunk; mirrors Parquet's encoding enum restricted to what
+/// the paper uses, plus [`Encoding::Decimal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoding {
     /// Fixed-width little-endian values, or length-prefixed byte arrays.
@@ -105,6 +113,9 @@ pub enum Encoding {
     DeltaLengthByteArray,
     /// Incremental ("delta strings"): shared-prefix length + suffix.
     DeltaByteArray,
+    /// Doubles stored as delta-packed integers and a power of ten
+    /// ([`decimal`]).
+    Decimal,
 }
 
 impl Encoding {
@@ -116,6 +127,7 @@ impl Encoding {
             Encoding::DeltaBinaryPacked => 2,
             Encoding::DeltaLengthByteArray => 3,
             Encoding::DeltaByteArray => 4,
+            Encoding::Decimal => 5,
         }
     }
 
@@ -127,6 +139,7 @@ impl Encoding {
             2 => Encoding::DeltaBinaryPacked,
             3 => Encoding::DeltaLengthByteArray,
             4 => Encoding::DeltaByteArray,
+            5 => Encoding::Decimal,
             other => return Err(DecodeError::new(format!("unknown encoding tag {other}"))),
         })
     }
@@ -144,6 +157,7 @@ mod tests {
             Encoding::DeltaBinaryPacked,
             Encoding::DeltaLengthByteArray,
             Encoding::DeltaByteArray,
+            Encoding::Decimal,
         ] {
             assert_eq!(Encoding::from_tag(enc.tag()).unwrap(), enc);
         }

@@ -95,27 +95,6 @@ pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> DecodeResult<&'a str> {
     std::str::from_utf8(bytes).map_err(|_| DecodeError::new("invalid utf-8 string"))
 }
 
-/// Encode a slice of i64 plainly (8 bytes each) with a count prefix.
-pub fn encode_i64_column(values: &[i64], out: &mut Vec<u8>) {
-    varint::write_u64(out, values.len() as u64);
-    for &v in values {
-        write_i64(out, v);
-    }
-}
-
-/// Decode a plain i64 column.
-pub fn decode_i64_column(buf: &[u8], pos: &mut usize) -> DecodeResult<Vec<i64>> {
-    let count = varint::read_u64(buf, pos)? as usize;
-    if count.saturating_mul(8) > buf.len() - *pos {
-        return Err(DecodeError::new("i64 column count exceeds buffer"));
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(read_i64(buf, pos)?);
-    }
-    Ok(out)
-}
-
 /// Encode a slice of f64 plainly with a count prefix.
 pub fn encode_f64_column(values: &[f64], out: &mut Vec<u8>) {
     varint::write_u64(out, values.len() as u64);
@@ -223,11 +202,14 @@ mod tests {
 
     #[test]
     fn i64_and_f64_columns_roundtrip() {
-        let ints: Vec<i64> = (-50..50).map(|i| i * 7).collect();
         let mut buf = Vec::new();
-        encode_i64_column(&ints, &mut buf);
+        for i in (-50..50).map(|i| i * 7) {
+            write_i64(&mut buf, i);
+        }
         let mut pos = 0;
-        assert_eq!(decode_i64_column(&buf, &mut pos).unwrap(), ints);
+        for i in (-50..50).map(|i| i * 7) {
+            assert_eq!(read_i64(&buf, &mut pos).unwrap(), i);
+        }
 
         let doubles: Vec<f64> = (0..100).map(|i| i as f64 * 0.25 - 7.5).collect();
         let mut buf = Vec::new();

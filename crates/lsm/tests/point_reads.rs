@@ -243,7 +243,8 @@ fn cold_maintenance_lookup_decodes_only_the_indexed_column() {
     let wide = |key: i64| {
         let mut doc = record(key, 3);
         for field in 0..12 {
-            doc.set_field(format!("pad{field}"), Value::from("x".repeat(600)));
+            let pad = testkit::incompressible((key << 4) as u64 + field, 600);
+            doc.set_field(format!("pad{field}"), Value::from(pad));
         }
         doc
     };

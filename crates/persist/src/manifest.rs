@@ -20,12 +20,15 @@
 //! ## Format versioning
 //!
 //! There is one manifest generation. The magic bytes name it; a file that
-//! opens with any other magic — including `LSMMAN01`–`LSMMAN07`, the
+//! opens with any other magic — including `LSMMAN01`–`LSMMAN08`, the
 //! generations earlier commits of this repository wrote — is rejected with
 //! an error that quotes the magic found. No deployed data predates this
 //! format, so there is no compatibility reader and no skippable section: a
 //! change to what the manifest records bumps `MAGIC` (one line) and edits
-//! the one writer and the one reader below.
+//! the one writer and the one reader below. So does a change to the bytes
+//! of the pages it points at: `LSMMAN09` records what `LSMMAN08` did, but
+//! its columnar pages are stored raw with a codec per column chunk, which
+//! an `LSMMAN08` reader would misread as compressed pages.
 //!
 //! ## What a component record holds
 //!
@@ -62,7 +65,7 @@ use storage::{LayoutKind, PageId, RowFormat};
 use crate::{PersistError, Result};
 
 /// Magic bytes opening every manifest file: the one format generation.
-const MAGIC: &[u8; 8] = b"LSMMAN08";
+const MAGIC: &[u8; 8] = b"LSMMAN09";
 
 /// Everything one manifest commit records.
 #[derive(Debug, Clone, PartialEq)]
@@ -548,6 +551,7 @@ mod tests {
             b"LSMMAN05",
             b"LSMMAN06",
             b"LSMMAN07",
+            b"LSMMAN08",
         ] {
             let err = load_sealed(&dir, old, body).err().unwrap();
             let found = String::from_utf8_lossy(old);

@@ -286,7 +286,8 @@ fn clean_sensors(layout: LayoutKind) -> LsmDataset {
             "sensor_id": (id % 37),
             "report_time": (1_000_000 + id * 60),
             "status": {"battery": ((id * 3 + version) % 100)},
-            "payload": (format!("payload {id}: {}", "x".repeat(60))),
+            // Wide on disk whatever the codecs: the widest column.
+            "payload": (format!("payload {id}: {}", testkit::incompressible(id as u64, 60))),
             "readings": (Value::Array(readings))
         })
     };

@@ -4,9 +4,11 @@
 //! (15,000 by default, §4.5.2) and consists of:
 //!
 //! * **Page 0** — the header (tuple count, column count), a per-column
-//!   directory with the column's location and its min/max values (the zone
-//!   map used to skip leaves that cannot satisfy a predicate), and the
-//!   encoded primary keys;
+//!   directory with each column's location, and the encoded primary keys.
+//!   The paper's Page 0 also repeats each column's min/max; here the leaf's
+//!   zone map is kept once, in its [`crate::component::LeafDescriptor`],
+//!   which is what every reader consults. Stored raw, the bounds of long
+//!   strings would otherwise have to fit in Page 0 next to the keys;
 //! * **megapages** — one per column, spanning as many physical data pages as
 //!   the column needs. Megapages are written from the largest column to the
 //!   smallest so small columns can share the last partially-filled page of a
@@ -17,14 +19,24 @@
 //!
 //! The payoff is that a query touching `k` columns reads Page 0 plus only the
 //! physical pages spanned by those `k` megapages — `COUNT(*)` reads Page 0
-//! alone, which is the paper's headline order-of-magnitude result.
+//! alone, which is the paper's headline order-of-magnitude result. Each
+//! megapage carries its own codec ([`ColumnChunk::encode`]) and the pages are
+//! stored as written, so a query pays for its `k` columns and nothing else:
+//! no page-level decompression of the neighbours a small column shares its
+//! page with, and a megapage that lies inside one page is decoded straight
+//! out of the page the buffer cache holds.
+//!
+//! Page 0's directory is untrusted: damage can be re-sealed behind a valid
+//! page CRC. Every entry is checked against the leaf's data pages and the
+//! page budget ([`AmaxColumnLocation::pages_spanned`]) before a page is read
+//! or a byte reserved.
+
+use std::ops::Range;
 
 use columnar::{ColumnChunk, ShreddedBatch};
-use docmodel::Value;
 use encoding::{varint, DecodeError};
 use schema::{ColumnId, ColumnSpec};
 
-use crate::rowformat::RowFormat;
 use crate::Result;
 
 /// Tuning knobs of the AMAX writer.
@@ -58,27 +70,27 @@ pub struct AmaxColumnLocation {
     pub start_offset: usize,
     /// Total encoded length in bytes.
     pub len: usize,
-    /// Minimum value stored in the column (zone map), if any value exists.
-    pub min: Option<Value>,
-    /// Maximum value stored in the column (zone map), if any value exists.
-    pub max: Option<Value>,
 }
 
 impl AmaxColumnLocation {
-    /// Indexes of the data pages this megapage spans.
-    pub fn pages_spanned(&self, page_budget: usize) -> std::ops::Range<usize> {
-        if self.len == 0 {
-            return self.start_page..self.start_page;
+    /// Indexes of the data pages this megapage spans, in a leaf of
+    /// `data_pages` pages of `page_budget` bytes each — or an error when
+    /// the entry does not fit in them (a forged directory).
+    pub fn pages_spanned(&self, page_budget: usize, data_pages: usize) -> Result<Range<usize>> {
+        let forged = || DecodeError::new(format!("AMAX directory entry {self:?} lies outside the leaf"));
+        let room = page_budget.checked_sub(self.start_offset).ok_or_else(forged)?;
+        let end = if self.len == 0 {
+            self.start_page
+        } else {
+            let more = self.len.saturating_sub(room).div_ceil(page_budget.max(1));
+            self.start_page
+                .checked_add(1 + more)
+                .ok_or_else(forged)?
+        };
+        if self.start_page > data_pages || end > data_pages {
+            return Err(forged());
         }
-        let mut end_page = self.start_page;
-        let mut remaining = self.len;
-        let mut available = page_budget - self.start_offset;
-        while remaining > available {
-            remaining -= available;
-            end_page += 1;
-            available = page_budget;
-        }
-        self.start_page..end_page + 1
+        Ok(self.start_page..end)
     }
 }
 
@@ -154,14 +166,11 @@ pub fn encode_amax_leaf(
             current.extend_from_slice(&bytes[written..written + take]);
             written += take;
         }
-        let (min, max) = chunk.min_max().map(|(a, b)| (Some(a), Some(b))).unwrap_or((None, None));
         locations.push(AmaxColumnLocation {
             column_id: chunk.spec.id,
             start_page,
             start_offset,
             len: bytes.len(),
-            min,
-            max,
         });
     }
     if data_pages.last().is_some_and(Vec::is_empty) && data_pages.len() > 1 {
@@ -169,41 +178,23 @@ pub fn encode_amax_leaf(
     }
 
     // Page 0: header, directory, encoded keys.
-    let mut page0 = Vec::with_capacity(key_bytes.len() + 256);
-    varint::write_u64(&mut page0, batch.record_count as u64);
-    varint::write_u64(&mut page0, locations.len() as u64);
     debug_assert!(batch.record_count <= config.record_limit);
-    for loc in &locations {
-        varint::write_u64(&mut page0, u64::from(loc.column_id));
-        varint::write_u64(&mut page0, loc.start_page as u64);
-        varint::write_u64(&mut page0, loc.start_offset as u64);
-        varint::write_u64(&mut page0, loc.len as u64);
-        write_opt_value(&mut page0, &loc.min);
-        write_opt_value(&mut page0, &loc.max);
-    }
+    let mut page0 = Vec::with_capacity(key_bytes.len() + 256);
+    encode_amax_header(batch.record_count, &locations, &mut page0);
     page0.extend_from_slice(&key_bytes);
     (page0, data_pages)
 }
 
-fn write_opt_value(out: &mut Vec<u8>, value: &Option<Value>) {
-    match value {
-        Some(v) => {
-            out.push(1);
-            RowFormat::Vb.serialize(v, out);
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_opt_value(buf: &[u8], pos: &mut usize) -> Result<Option<Value>> {
-    let flag = *buf
-        .get(*pos)
-        .ok_or_else(|| DecodeError::new("truncated AMAX zone map"))?;
-    *pos += 1;
-    if flag == 1 {
-        Ok(Some(RowFormat::Vb.deserialize(buf, pos)?))
-    } else {
-        Ok(None)
+/// Append the header and directory of a Page 0 (what
+/// [`decode_amax_header`] reads); the encoded keys follow it.
+pub fn encode_amax_header(record_count: usize, locations: &[AmaxColumnLocation], page0: &mut Vec<u8>) {
+    varint::write_u64(page0, record_count as u64);
+    varint::write_u64(page0, locations.len() as u64);
+    for loc in locations {
+        varint::write_u64(page0, u64::from(loc.column_id));
+        varint::write_u64(page0, loc.start_page as u64);
+        varint::write_u64(page0, loc.start_offset as u64);
+        varint::write_u64(page0, loc.len as u64);
     }
 }
 
@@ -218,15 +209,11 @@ pub fn decode_amax_header(page0: &[u8]) -> Result<AmaxLeafHeader> {
         let start_page = varint::read_u64(page0, &mut pos)? as usize;
         let start_offset = varint::read_u64(page0, &mut pos)? as usize;
         let len = varint::read_u64(page0, &mut pos)? as usize;
-        let min = read_opt_value(page0, &mut pos)?;
-        let max = read_opt_value(page0, &mut pos)?;
         columns.push(AmaxColumnLocation {
             column_id,
             start_page,
             start_offset,
             len,
-            min,
-            max,
         });
     }
     Ok(AmaxLeafHeader {
@@ -242,34 +229,46 @@ pub fn decode_amax_keys(page0: &[u8], header: &AmaxLeafHeader, key_spec: &Column
     ColumnChunk::decode(key_spec.clone(), page0, &mut pos)
 }
 
-/// Reassemble one column's megapage bytes from the leaf's data pages and
-/// decode it. `read_page(i)` returns the payload of the `i`-th data page of
-/// the leaf; only the pages actually spanned by the column are requested.
-pub fn read_amax_column(
+/// Decode one column's megapage out of the leaf's `data_pages` data pages.
+/// `read_page(i)` returns the payload of the `i`-th data page of the leaf;
+/// only the pages the column spans are requested, and only after its
+/// directory entry is known to lie inside the leaf. A megapage inside one
+/// page is decoded from that page in place; one that spans pages is
+/// joined first.
+pub fn read_amax_column<P: AsRef<[u8]>>(
     location: &AmaxColumnLocation,
     page_budget: usize,
+    data_pages: usize,
     spec: &ColumnSpec,
-    mut read_page: impl FnMut(usize) -> Result<std::sync::Arc<Vec<u8>>>,
+    mut read_page: impl FnMut(usize) -> Result<P>,
 ) -> Result<ColumnChunk> {
+    let pages = location.pages_spanned(page_budget, data_pages)?;
+    let short = || DecodeError::new("AMAX megapage shorter than its directory entry");
+    if pages.len() == 1 {
+        let page = read_page(pages.start)?;
+        let start = location.start_offset;
+        let bytes = page.as_ref().get(start..start + location.len).ok_or_else(short)?;
+        return ColumnChunk::decode(spec.clone(), bytes, &mut 0);
+    }
     let mut bytes = Vec::with_capacity(location.len);
-    let mut remaining = location.len;
     let mut offset = location.start_offset;
-    for page_idx in location.pages_spanned(page_budget) {
+    for page_idx in pages {
         let page = read_page(page_idx)?;
-        let available = page.len().saturating_sub(offset);
-        let take = available.min(remaining);
-        if take == 0 && remaining > 0 {
-            return Err(DecodeError::new("AMAX megapage shorter than directory entry"));
+        let page = page.as_ref();
+        let take = page
+            .len()
+            .saturating_sub(offset)
+            .min(location.len - bytes.len());
+        if take == 0 {
+            return Err(short());
         }
         bytes.extend_from_slice(&page[offset..offset + take]);
-        remaining -= take;
         offset = 0;
     }
-    if remaining > 0 {
-        return Err(DecodeError::new("truncated AMAX megapage"));
+    if bytes.len() < location.len {
+        return Err(short());
     }
-    let mut pos = 0usize;
-    ColumnChunk::decode(spec.clone(), &bytes, &mut pos)
+    ColumnChunk::decode(spec.clone(), &bytes, &mut 0)
 }
 
 #[cfg(test)]
@@ -279,7 +278,6 @@ mod tests {
     use docmodel::doc;
     use schema::{columns_of, SchemaBuilder};
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     fn sample_batch(n: usize) -> (schema::Schema, ShreddedBatch) {
         let records: Vec<_> = (0..n as i64)
@@ -308,7 +306,7 @@ mod tests {
     #[test]
     fn leaf_roundtrip_and_column_reads() {
         let (schema, batch) = sample_batch(200);
-        let page_budget = 1024;
+        let page_budget = 256;
         let (page0, data_pages) = encode_amax_leaf(&batch, page_budget, &AmaxConfig::default());
         assert!(data_pages.len() > 1, "text column should span multiple pages");
         for p in &data_pages {
@@ -326,8 +324,8 @@ mod tests {
         // Every non-key column decodes back to its original chunk.
         for loc in &header.columns {
             let spec = &specs[&loc.column_id];
-            let chunk = read_amax_column(loc, page_budget, spec, |i| {
-                Ok(Arc::new(data_pages[i].clone()))
+            let chunk = read_amax_column(loc, page_budget, data_pages.len(), spec, |i| {
+                Ok(data_pages[i].as_slice())
             })
             .unwrap();
             let original = batch.column(loc.column_id).unwrap();
@@ -363,22 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_maps_capture_min_and_max() {
-        let (schema, batch) = sample_batch(50);
-        let (page0, _) = encode_amax_leaf(&batch, 4096, &AmaxConfig::default());
-        let header = decode_amax_header(&page0).unwrap();
-        let specs: HashMap<ColumnId, ColumnSpec> =
-            columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
-        let likes = header
-            .columns
-            .iter()
-            .find(|c| specs[&c.column_id].path.to_string() == "likes")
-            .unwrap();
-        assert_eq!(likes.min, Some(Value::Int(0)));
-        assert!(matches!(likes.max, Some(Value::Int(m)) if m <= 99));
-    }
-
-    #[test]
     fn empty_page_tolerance_controls_sharing() {
         let (_, batch) = sample_batch(200);
         let page_budget = 1024;
@@ -402,5 +384,53 @@ mod tests {
         let (_, batch) = sample_batch(20);
         let (page0, _) = encode_amax_leaf(&batch, 2048, &AmaxConfig::default());
         assert!(decode_amax_header(&page0[..3]).is_err());
+    }
+
+    /// A Page 0 directory re-sealed behind a valid CRC: an offset past the
+    /// page budget (once an underflow), a start page past the leaf's data
+    /// pages (once an out-of-bounds index) and a length of 2^45 (once a
+    /// reservation that aborted) are errors, and no page is read or byte
+    /// reserved for them.
+    #[test]
+    fn forged_directory_entries_are_errors() {
+        let (schema, batch) = sample_batch(200);
+        let page_budget = 1024;
+        let (page0, data_pages) = encode_amax_leaf(&batch, page_budget, &AmaxConfig::default());
+        let header = decode_amax_header(&page0).unwrap();
+        let specs: HashMap<ColumnId, ColumnSpec> =
+            columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
+        let good = header.columns[0].clone();
+        let spec = &specs[&good.column_id];
+        let forgeries = [
+            AmaxColumnLocation { start_offset: page_budget + 1, ..good.clone() },
+            AmaxColumnLocation { start_offset: usize::MAX, ..good.clone() },
+            AmaxColumnLocation { start_page: data_pages.len(), ..good.clone() },
+            AmaxColumnLocation { start_page: usize::MAX, ..good.clone() },
+            AmaxColumnLocation { len: 1 << 45, ..good.clone() },
+            AmaxColumnLocation { len: usize::MAX, ..good.clone() },
+        ];
+        for forged in &forgeries {
+            assert!(forged.pages_spanned(page_budget, data_pages.len()).is_err(), "{forged:?}");
+            let mut reads = 0;
+            let read = read_amax_column(forged, page_budget, data_pages.len(), spec, |i| {
+                reads += 1;
+                Ok(data_pages[i].as_slice())
+            });
+            assert!(read.is_err(), "{forged:?}");
+            assert_eq!(reads, 0, "{forged:?}");
+        }
+        // An entry inside the leaf whose bytes the pages do not hold.
+        let last = data_pages.len() - 1;
+        let past_the_end = AmaxColumnLocation {
+            start_page: last,
+            start_offset: data_pages[last].len(),
+            len: 1,
+            ..good.clone()
+        };
+        let read = read_amax_column(&past_the_end, page_budget, data_pages.len(), spec, |i| {
+            Ok(data_pages[i].as_slice())
+        });
+        assert!(read.is_err());
+        assert!(good.pages_spanned(page_budget, data_pages.len()).is_ok());
     }
 }

@@ -10,9 +10,14 @@
 //! * `Apax` — one APAX page per batch of records ([`crate::apax`]);
 //! * `Amax` — mega leaf nodes ([`crate::amax`]).
 //!
-//! All layouts apply page-level compression (the stand-in for Snappy) and are
-//! read through the shared [`BufferCache`], so the experiments can compare
-//! page I/O across layouts directly. The per-page (or per-leaf) minimum and
+//! The row layouts compress each page whole (the stand-in for the paper's
+//! Snappy page compression); the columnar layouts store their pages as
+//! written, because each column chunk already carries the codec its leaf
+//! chose for it at seal ([`ColumnChunk::encode`]), so a columnar read decodes
+//! straight out of the cached page and runs no decompression pass
+//! ([`write_page`], [`read_page_payload`], [`PagePayload`]). Every layout is read through the
+//! shared [`BufferCache`], so the experiments can compare page I/O across
+//! layouts directly. The per-page (or per-leaf) minimum and
 //! maximum keys kept in [`Component`] play the role of the B+-tree interior
 //! nodes: point lookups and merges locate leaves through them without
 //! touching data pages.
@@ -479,7 +484,7 @@ pub struct ComponentDescriptor {
     pub id: u64,
     /// Storage layout of the component.
     pub layout: LayoutKind,
-    /// Bytes stored on disk (after page compression).
+    /// Bytes stored on disk: the pages as written (row pages compressed).
     pub stored_bytes: u64,
     /// The component's leaves, in key order.
     pub leaves: Vec<LeafDescriptor>,
@@ -553,7 +558,7 @@ impl Component {
         self.record_count
     }
 
-    /// Bytes stored on disk (after page compression).
+    /// Bytes stored on disk: the pages as written (row pages compressed).
     pub fn stored_bytes(&self) -> u64 {
         self.desc.stored_bytes
     }
@@ -726,7 +731,7 @@ impl Component {
         self.key_spec.as_ref().is_some_and(|key| key.id == id)
     }
 
-    fn read_payload(&self, id: PageId) -> Result<Arc<Vec<u8>>> {
+    fn read_payload(&self, id: PageId) -> Result<PagePayload> {
         read_page_payload(&self.cache, id)
     }
 
@@ -758,6 +763,7 @@ impl Component {
                     chunks.push(amax::decode_amax_keys(&page0, &header, key_spec)?);
                 }
                 let page_budget = self.cache.store().page_size() - 64;
+                let data_pages = leaf.data_pages.len();
                 for loc in &header.columns {
                     if !wanted(loc.column_id) {
                         continue;
@@ -765,7 +771,7 @@ impl Component {
                     let Some(spec) = self.specs.get(&loc.column_id) else {
                         continue;
                     };
-                    let chunk = amax::read_amax_column(loc, page_budget, spec, |i| {
+                    let chunk = amax::read_amax_column(loc, page_budget, data_pages, spec, |i| {
                         self.read_payload(leaf.data_pages[i])
                     })?;
                     chunks.push(chunk);
@@ -1547,39 +1553,71 @@ fn is_descendant_column(schema: &Schema, ancestor: schema::NodeId, column: Colum
 }
 
 // ---------------------------------------------------------------------------
-// Page helpers (compression wrapper).
+// Page helpers.
 // ---------------------------------------------------------------------------
 
-/// Write one page payload behind a one-byte flag: `1` = compressed, `0` =
-/// stored raw because compression would not have made it smaller. Returns
-/// the page id and the stored size.
-pub fn write_page(cache: &BufferCache, payload: &[u8]) -> (PageId, usize) {
-    let (compressed, bytes) = compress::compress_if_smaller(payload);
-    let mut stored = Vec::with_capacity(bytes.len() + 1);
-    stored.push(u8::from(compressed));
-    stored.extend_from_slice(&bytes);
-    let len = stored.len();
+/// Write one page payload behind a one-byte flag: `0` = stored as written,
+/// `1` = LZ-compressed whole. Returns the page id and the stored size.
+///
+/// `compress` is the layout's rule, applied by the writer: a row page is
+/// compressed (and kept raw only when compression would not make it
+/// smaller); a columnar page is stored as written, because its chunks carry
+/// their own codecs — unless a leaf of one record does not fit the page
+/// budget raw, the one case where LZ over the page still has to make room.
+pub fn write_page(cache: &BufferCache, payload: Vec<u8>, compress: bool) -> (PageId, usize) {
+    let (compressed, bytes) = if compress {
+        compress::compress_if_smaller(&payload)
+    } else {
+        (false, payload)
+    };
+    let mut page = Vec::with_capacity(bytes.len() + 1);
+    page.push(u8::from(compressed));
+    page.extend_from_slice(&bytes);
+    let len = page.len();
     let _stage = Stage::PageWrite.enter();
-    (cache.append_page(stored), len)
+    (cache.append_page(page), len)
+}
+
+/// A page's payload as [`read_page_payload`] returns it: for a page stored
+/// as written, the cached page itself past its flag byte — shared, not
+/// copied, so chunks decode straight out of the buffer cache; for an LZ'd
+/// page, the decompressed bytes.
+#[derive(Debug, Clone)]
+pub struct PagePayload {
+    page: Arc<Vec<u8>>,
+    start: usize,
+}
+
+impl std::ops::Deref for PagePayload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.page[self.start..]
+    }
+}
+
+impl AsRef<[u8]> for PagePayload {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
 }
 
 /// Read a page payload written by [`write_page`]. Any flag other than `0`
 /// or `1` is damage, not an uncompressed page.
-pub fn read_page_payload(cache: &BufferCache, id: PageId) -> Result<Arc<Vec<u8>>> {
-    let raw = {
+pub fn read_page_payload(cache: &BufferCache, id: PageId) -> Result<PagePayload> {
+    let page = {
         let _stage = Stage::PageRead.enter();
         cache.try_read_page(id)?
     };
-    let Some((&flag, rest)) = raw.split_first() else {
-        return Err(DecodeError::new("empty page"));
-    };
-    match flag {
-        0 => Ok(Arc::new(rest.to_vec())),
-        1 => {
+    match page.first() {
+        None => Err(DecodeError::new("empty page")),
+        Some(0) => Ok(PagePayload { page, start: 1 }),
+        Some(1) => {
             let _stage = Stage::Decompress.enter();
-            Ok(Arc::new(compress::decompress(rest)?))
+            let bytes = compress::decompress(&page[1..])?;
+            Ok(PagePayload { page: Arc::new(bytes), start: 0 })
         }
-        other => Err(DecodeError::new(format!("page {id} has unknown flag {other}"))),
+        Some(other) => Err(DecodeError::new(format!("page {id} has unknown flag {other}"))),
     }
 }
 
@@ -1961,20 +1999,67 @@ mod tests {
     }
 
     /// The page flag is `0` (raw) or `1` (compressed); any other value is
-    /// damage and must surface as an error, not as garbage bytes.
+    /// damage and must surface as an error, not as garbage bytes. A raw
+    /// page's payload is the cached page itself.
     #[test]
     fn unknown_page_flags_are_errors() {
         let cache = small_cache();
         for payload in [vec![7u8; 600], (0..=255u8).collect::<Vec<u8>>()] {
-            let (page, _) = write_page(&cache, &payload);
-            assert_eq!(*read_page_payload(&cache, page).unwrap(), payload);
-            let raw = cache.read_page(page);
-            for flag in 2..=255u8 {
-                let mut bad = raw.to_vec();
-                bad[0] = flag;
-                let id = cache.append_page(bad);
-                assert!(read_page_payload(&cache, id).is_err(), "flag {flag}");
+            for compress in [true, false] {
+                let (page, stored) = write_page(&cache, payload.clone(), compress);
+                let read = read_page_payload(&cache, page).unwrap();
+                assert_eq!(*read, payload[..]);
+                let raw = cache.read_page(page);
+                assert_eq!(raw.len(), stored);
+                if raw[0] == 0 {
+                    assert!(std::ptr::eq(&raw[1..], &*read), "a raw page is not copied");
+                }
+                for flag in 2..=255u8 {
+                    let mut bad = raw.to_vec();
+                    bad[0] = flag;
+                    let id = cache.append_page(bad);
+                    assert!(read_page_payload(&cache, id).is_err(), "flag {flag}");
+                }
             }
+            assert_eq!(write_page(&cache, payload.clone(), false).1, payload.len() + 1);
+        }
+    }
+
+    /// Page 0's directory is damage that can be re-sealed behind a valid
+    /// page CRC. An entry whose offset passes the page budget (once an
+    /// underflow), whose start page passes the leaf's data pages (once an
+    /// out-of-bounds index) or whose length is 2^45 (once a reservation
+    /// that aborted) fails a scan and a lookup with an error.
+    #[test]
+    fn forged_amax_directories_are_errors_not_panics() {
+        let entries = records(200);
+        let schema = schema_for(&entries);
+        let cache = small_cache();
+        let config = ComponentConfig::new(LayoutKind::Amax);
+        let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+        let desc = comp.describe();
+        let leaf = &desc.leaves[0];
+        let page0 = read_page_payload(&cache, leaf.page).unwrap();
+        let header = amax::decode_amax_header(&page0).unwrap();
+        let (budget, data_pages) = (cache.store().page_size() - 64, leaf.data_pages.len());
+        let forgeries: [fn(&mut amax::AmaxColumnLocation, usize, usize); 3] = [
+            |loc, budget, _| loc.start_offset = budget + 1,
+            |loc, _, data_pages| loc.start_page = data_pages,
+            |loc, _, _| loc.len = 1 << 45,
+        ];
+        for forge in forgeries {
+            let mut columns = header.columns.clone();
+            for loc in &mut columns {
+                forge(loc, budget, data_pages);
+            }
+            let mut forged = Vec::new();
+            amax::encode_amax_header(header.record_count, &columns, &mut forged);
+            forged.extend_from_slice(&page0[header.key_chunk_offset..]);
+            let mut desc = desc.clone();
+            desc.leaves[0].page = write_page(&cache, forged, false).0;
+            let forged = Arc::new(Component::open(&cache, schema.clone(), desc));
+            assert!(forged.cursor(None).any(|entry| entry.is_err()));
+            assert!(forged.lookup(&Value::Int(5), None).is_err());
         }
     }
 

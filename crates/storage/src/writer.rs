@@ -399,9 +399,9 @@ impl ComponentWriter {
                 column_derived_stats(&open.plan, &columns.columns, records)?
             }
         };
-        let page = self.write_page(&leaf_page);
+        let page = self.write_page(leaf_page);
         let data_pages = data
-            .iter()
+            .into_iter()
             .map(|payload| self.write_page(payload))
             .collect();
         self.leaves.push(LeafDescriptor {
@@ -415,8 +415,12 @@ impl ComponentWriter {
         Ok(())
     }
 
-    fn write_page(&mut self, payload: &[u8]) -> PageId {
-        let (page, stored) = write_page(&self.pages.cache, payload);
+    /// Write one page of the leaf being sealed: row pages LZ'd whole,
+    /// columnar pages as written unless a one-record leaf page overflows
+    /// the budget ([`write_page`]).
+    fn write_page(&mut self, payload: Vec<u8>) -> PageId {
+        let compress = !self.config.layout.is_columnar() || payload.len() > self.page_budget;
+        let (page, stored) = write_page(&self.pages.cache, payload, compress);
         self.pages.ids.push(page);
         self.stored_bytes += stored as u64;
         page

@@ -70,14 +70,11 @@ fn a_seeded_sensors_amax_leaf_writes_the_same_pages() {
     assert_eq!(crcs, GOLDEN, "page bytes changed: {crcs:#010x?}");
 }
 
-/// Recorded at the commit that introduced this test (format `LSMMAN07`).
-/// Unchanged under `LSMMAN08`: that generation changed what the manifest
-/// records about a component, not a byte of any page.
-const GOLDEN: &[u32] = &[
-    0x92db_8dcc,
-    0x0d5d_6487,
-    0x0f13_c277,
-    0xf046_65c4,
-    0x27e5_d637,
-    0x190d_43b2,
-];
+/// Re-recorded under `LSMMAN09`, when the columnar pages stopped being
+/// LZ-compressed whole and each column chunk took its own codec: `temp`
+/// became decimal (tenths, delta-packed), Page 0 stopped repeating the zone
+/// map the leaf descriptor holds, and the leaf shrank from Page 0 plus five
+/// data pages to Page 0 plus two. The CRCs recorded under
+/// `LSMMAN07` (and unchanged under `LSMMAN08`, which changed only what the
+/// manifest records) pinned the whole-page LZ format.
+const GOLDEN: &[u32] = &[0xa184_32e4, 0xbe34_64f7, 0xc881_e236];

@@ -162,7 +162,13 @@ impl fmt::Display for StageTimes {
                 f.write_str(", ")?;
             }
             first = false;
-            write!(f, "{} {:?} ({})", stage.name(), self.time(stage), self.count(stage))?;
+            write!(
+                f,
+                "{} {:?} ({})",
+                stage.name(),
+                self.time(stage),
+                self.count(stage)
+            )?;
         }
         if first {
             f.write_str("none")?;
@@ -303,7 +309,10 @@ mod tests {
         assert!(read >= Duration::from_millis(4), "{read:?}");
         assert!(kernel >= Duration::from_millis(4), "{kernel:?}");
         // The read is not also charged to the kernel around it.
-        assert!(kernel < Duration::from_millis(4) + read, "{kernel:?} vs {read:?}");
+        assert!(
+            kernel < Duration::from_millis(4) + read,
+            "{kernel:?} vs {read:?}"
+        );
         assert_eq!(times.total(), kernel + read);
         assert!(times.to_string().starts_with("page read "));
     }

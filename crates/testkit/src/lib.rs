@@ -117,6 +117,20 @@ pub fn object(fields: impl IntoIterator<Item = (String, Value)>) -> Value {
     Value::Object(out)
 }
 
+/// `len` hex digits drawn from `seed`: text the chunk codecs' LZ cannot
+/// shrink, for fixtures that need a column to stay wide on disk.
+pub fn incompressible(seed: u64, len: usize) -> String {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            char::from_digit((state % 16) as u32, 16).expect("a hex digit")
+        })
+        .collect()
+}
+
 /// A `tweets`-like record: a nested user, text, a timestamp and one tag.
 pub fn sample_record(i: i64) -> Value {
     doc!({
