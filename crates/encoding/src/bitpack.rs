@@ -49,84 +49,86 @@ pub fn pack(values: &[u64], width: u32, out: &mut Vec<u8>) {
 /// values occupy no bytes, so there the caller bounds `count` (delta blocks
 /// hold at most 128).
 pub fn unpack(buf: &[u8], pos: &mut usize, count: usize, width: u32) -> DecodeResult<Vec<u64>> {
-    let mut out = Vec::new();
-    unpack_each(buf, pos, count, width, |v| out.push(v))?;
+    let data = packed_run(buf, *pos, count, width)?;
+    let mut out = vec![0; count];
+    unpack_run(data, width, &mut out);
+    *pos += data.len();
     Ok(out)
 }
 
-/// Like [`unpack`] but hands each value to `emit` instead of collecting
-/// them, so a decoder builds its own output without a scratch vector (the
-/// delta decoder turns each into an integer as it goes). `emit` is called
-/// only once every byte the values occupy is known to be there.
-///
-/// Widths up to 56 read each value with one little-endian 8-byte load from
-/// its first byte (a value and its bit offset within that byte never span
-/// more than 64 bits); wider values go through a 128-bit accumulator.
-pub fn unpack_each(
-    buf: &[u8],
-    pos: &mut usize,
-    count: usize,
-    width: u32,
-    mut emit: impl FnMut(u64),
-) -> DecodeResult<()> {
+/// Like [`unpack`] but fills `out` — one value per slot — so a decoder
+/// unpacks into a buffer of its own (the delta decoder, a block at a time
+/// on its stack) instead of a fresh vector.
+pub fn unpack_into(buf: &[u8], pos: &mut usize, width: u32, out: &mut [u64]) -> DecodeResult<()> {
+    let data = packed_run(buf, *pos, out.len(), width)?;
+    unpack_run(data, width, out);
+    *pos += data.len();
+    Ok(())
+}
+
+/// The bytes `count` values of `width` bits occupy from `pos`, or an error
+/// when the width is out of range or the bytes are not all there.
+fn packed_run(buf: &[u8], pos: usize, count: usize, width: u32) -> DecodeResult<&[u8]> {
     if width > 64 {
         return Err(DecodeError::new("bit width out of range"));
-    }
-    if width == 0 {
-        for _ in 0..count {
-            emit(0);
-        }
-        return Ok(());
     }
     let total_bits = count
         .checked_mul(width as usize)
         .ok_or_else(|| DecodeError::new("bitpack length overflow"))?;
-    let end = pos
-        .checked_add(total_bits.div_ceil(8))
-        .filter(|&end| end <= buf.len())
-        .ok_or_else(|| DecodeError::new("truncated bit-packed run"))?;
-    let data = &buf[*pos..end];
+    pos.checked_add(total_bits.div_ceil(8))
+        .and_then(|end| buf.get(pos..end))
+        .ok_or_else(|| DecodeError::new("truncated bit-packed run"))
+}
+
+/// Unpack `out.len()` values from `data`, which holds exactly their bytes.
+/// Widths up to 56 read each value with one little-endian 8-byte load from
+/// its first byte (a value and its bit offset within that byte never span
+/// more than 64 bits); wider values go through a 128-bit accumulator.
+fn unpack_run(data: &[u8], width: u32, out: &mut [u64]) {
+    if width == 0 {
+        out.fill(0);
+        return;
+    }
     let mask = mask(width);
     if width <= 56 {
         let width = width as usize;
         // Values whose 8-byte load stays inside `data`, then the tail.
         let whole = if data.len() >= 8 {
-            ((data.len() - 8) * 8 / width + 1).min(count)
+            ((data.len() - 8) * 8 / width + 1).min(out.len())
         } else {
             0
         };
+        let (head, tail) = out.split_at_mut(whole);
         let mut bit = 0usize;
-        for _ in 0..whole {
+        for slot in head {
             let at = bit >> 3;
             let word = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-            emit((word >> (bit & 7)) & mask);
+            *slot = (word >> (bit & 7)) & mask;
             bit += width;
         }
-        for _ in whole..count {
+        for slot in tail {
             let at = bit >> 3;
-            let mut tail = [0u8; 8];
+            let mut word = [0u8; 8];
             let available = (data.len() - at).min(8);
-            tail[..available].copy_from_slice(&data[at..at + available]);
-            emit((u64::from_le_bytes(tail) >> (bit & 7)) & mask);
+            word[..available].copy_from_slice(&data[at..at + available]);
+            *slot = (u64::from_le_bytes(word) >> (bit & 7)) & mask;
             bit += width;
         }
     } else {
         let mut acc: u128 = 0;
         let mut acc_bits: u32 = 0;
         let mut byte_idx = 0usize;
-        for _ in 0..count {
+        for slot in out {
             while acc_bits < width {
                 acc |= u128::from(data[byte_idx]) << acc_bits;
                 byte_idx += 1;
                 acc_bits += 8;
             }
-            emit((acc as u64) & mask);
+            *slot = (acc as u64) & mask;
             acc >>= width;
             acc_bits -= width;
         }
     }
-    *pos = end;
-    Ok(())
 }
 
 fn mask(bits: u32) -> u64 {

@@ -63,8 +63,9 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> DecodeResult<Vec<i64>> {
 }
 
 /// Decode a delta-packed column, turning each integer into a `T` as it is
-/// unpacked (the decimal codec divides by its scale here), so no integer
-/// vector is built on the way.
+/// rebuilt (the decimal codec divides by its scale here): each block is
+/// unpacked into an array on the stack and its running sums go straight
+/// into the output, so no vector but the output is allocated.
 ///
 /// The count is untrusted. The first value takes a byte and every block of
 /// up to [`BLOCK_SIZE`] deltas at least two (its minimum delta and its
@@ -86,17 +87,19 @@ pub fn decode_map<T>(buf: &[u8], pos: &mut usize, mut map: impl FnMut(i64) -> T)
     }
     let mut prev = varint::read_i64(buf, pos)?;
     out.push(map(prev));
+    let mut block = [0u64; BLOCK_SIZE];
     while out.len() < count {
-        let block_len = BLOCK_SIZE.min(count - out.len());
+        let block = &mut block[..BLOCK_SIZE.min(count - out.len())];
         let min_delta = varint::read_i64(buf, pos)?;
         let width = *buf
             .get(*pos)
             .ok_or_else(|| DecodeError::new("truncated delta block header"))? as u32;
         *pos += 1;
-        bitpack::unpack_each(buf, pos, block_len, width, |rebased| {
+        bitpack::unpack_into(buf, pos, width, block)?;
+        out.extend(block.iter().map(|&rebased| {
             prev = prev.wrapping_add((rebased as i64).wrapping_add(min_delta));
-            out.push(map(prev));
-        })?;
+            map(prev)
+        }));
     }
     Ok(out)
 }

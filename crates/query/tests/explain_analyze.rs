@@ -255,6 +255,7 @@ fn snapshot_targets_account_pages_too() {
 /// The stage clock runs around each partition: a cold aggregate over a
 /// columnar dataset reads pages, decodes levels and values and folds them
 /// in a kernel, and its stages add up to no more than the wall time.
+/// Columnar pages are stored raw, so nothing is decompressed.
 #[test]
 fn analyze_splits_the_wall_time_by_stage() {
     use telemetry::stage::Stage;
@@ -270,6 +271,7 @@ fn analyze_splits_the_wall_time_by_stage() {
         assert!(stages.count(Stage::DecodeValues) > 0, "{layout:?}: {stages}");
         assert!(stages.count(Stage::KernelFold) > 0, "{layout:?}: {stages}");
         assert_eq!(stages.count(Stage::Assemble), 0, "{layout:?}: {stages}");
+        assert_eq!(stages.count(Stage::Decompress), 0, "{layout:?}: {stages}");
         assert!(stages.total() <= cold.wall, "{layout:?}: {stages} in {:?}", cold.wall);
         assert!(cold.describe().contains("analyze[shard 0] stages: page read"));
     }

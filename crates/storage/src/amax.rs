@@ -83,9 +83,7 @@ impl AmaxColumnLocation {
             self.start_page
         } else {
             let more = self.len.saturating_sub(room).div_ceil(page_budget.max(1));
-            self.start_page
-                .checked_add(1 + more)
-                .ok_or_else(forged)?
+            self.start_page.checked_add(1 + more).ok_or_else(forged)?
         };
         if self.start_page > data_pages || end > data_pages {
             return Err(forged());

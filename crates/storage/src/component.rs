@@ -13,11 +13,11 @@
 //! The row layouts compress each page whole (the stand-in for the paper's
 //! Snappy page compression); the columnar layouts store their pages as
 //! written, because each column chunk already carries the codec its leaf
-//! chose for it at seal ([`ColumnChunk::encode`]), so a columnar read decodes
-//! straight out of the cached page and runs no decompression pass
-//! ([`write_page`], [`read_page_payload`], [`PagePayload`]). Every layout is read through the
-//! shared [`BufferCache`], so the experiments can compare page I/O across
-//! layouts directly. The per-page (or per-leaf) minimum and
+//! chose for it at seal ([`ColumnChunk::encode`]), so a columnar read
+//! decodes straight out of the cached page and runs no decompression pass
+//! ([`write_page`], [`read_page_payload`], [`PagePayload`]). Every layout is
+//! read through the shared [`BufferCache`], so the experiments can compare
+//! page I/O across layouts directly. The per-page (or per-leaf) minimum and
 //! maximum keys kept in [`Component`] play the role of the B+-tree interior
 //! nodes: point lookups and merges locate leaves through them without
 //! touching data pages.

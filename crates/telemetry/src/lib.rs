@@ -66,6 +66,15 @@
 //! [`EventKind::WorkerError`], which is how worker health surfaces a parked
 //! background failure without consuming it.
 //!
+//! ## Stage clock
+//!
+//! [`stage`] answers where one thread's time went, by stage of the read and
+//! write paths (page read, decompress, level and value decoding, kernel
+//! folds, assembly, chunk encoding, page write). Its scopes sit in the
+//! engine at page and chunk granularity and cost one thread-local read
+//! unless a [`stage::StageClock`] runs on the thread; EXPLAIN ANALYZE runs
+//! one per partition.
+//!
 //! ## Disabling
 //!
 //! A registry built with [`Telemetry::disabled`] ignores every record and
