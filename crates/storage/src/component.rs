@@ -1582,7 +1582,7 @@ pub fn write_page(cache: &BufferCache, payload: Vec<u8>, compress: bool) -> (Pag
 /// as written, the cached page itself past its flag byte — shared, not
 /// copied, so chunks decode straight out of the buffer cache; for an LZ'd
 /// page, the decompressed bytes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PagePayload {
     page: Arc<Vec<u8>>,
     start: usize,
