@@ -10,7 +10,9 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use docmodel::{total_cmp, Value};
-use encoding::{bitpack, bytesenc, compress, decimal, delta, plain, rle, varint, DecodeError, Encoding};
+use encoding::{
+    bitpack, bytesenc, compress, decimal, delta, plain, rle, varint, DecodeError, Encoding,
+};
 use schema::{AtomicType, ColumnSpec};
 use telemetry::stage::Stage;
 

@@ -489,7 +489,10 @@ fn assert_doubles_roundtrip(values: &[f64]) -> u8 {
 fn assert_damage_is_survived(chunk: &ColumnChunk) {
     let (buf, _) = encoded(chunk);
     for cut in 0..buf.len() {
-        assert!(ColumnChunk::decode(chunk.spec.clone(), &buf[..cut], &mut 0).is_err(), "cut at {cut}");
+        assert!(
+            ColumnChunk::decode(chunk.spec.clone(), &buf[..cut], &mut 0).is_err(),
+            "cut at {cut}"
+        );
     }
     for at in 0..buf.len() {
         for flip in [0x01u8, 0x10, 0x80, 0xFF] {
@@ -507,12 +510,21 @@ fn arb_double_bits() -> impl Strategy<Value = u64> {
     let sign = any::<bool>().prop_map(|negative| u64::from(negative) << 63);
     prop_oneof![
         any::<u64>(),
-        (sign.clone(), prop_oneof![Just(0u64), Just(0x7FF0_0000_0000_0000)])
+        (
+            sign.clone(),
+            prop_oneof![Just(0u64), Just(0x7FF0_0000_0000_0000)]
+        )
             .prop_map(|(s, b)| s | b),
-        (sign.clone(), 0x7FF0_0000_0000_0001u64..=0x7FFF_FFFF_FFFF_FFFF).prop_map(|(s, b)| s | b),
+        (
+            sign.clone(),
+            0x7FF0_0000_0000_0001u64..=0x7FFF_FFFF_FFFF_FFFF
+        )
+            .prop_map(|(s, b)| s | b),
         (sign.clone(), 1u64..(1 << 52)).prop_map(|(s, b)| s | b),
-        (sign, -2i64..=2).prop_map(|(s, d)| s | (((1u64 << 53) as i64 + d) as u64 as f64).to_bits()),
-        (-100_000i64..100_000, 0u32..4).prop_map(|(k, e)| (k as f64 / 10f64.powi(e as i32)).to_bits()),
+        (sign, -2i64..=2)
+            .prop_map(|(s, d)| s | (((1u64 << 53) as i64 + d) as u64 as f64).to_bits()),
+        (-100_000i64..100_000, 0u32..4)
+            .prop_map(|(k, e)| (k as f64 / 10f64.powi(e as i32)).to_bits()),
     ]
 }
 
@@ -526,12 +538,19 @@ proptest! {
         bits in prop::collection::vec(arb_double_bits(), 0..200),
         decimals in prop::collection::vec(-1_000_000i64..1_000_000, 1..200),
         exponent in 0i32..4,
-        odd in prop_oneof![Just(-0.0f64), Just(f64::NAN), Just(f64::INFINITY), Just(5e-324), Just(std::f64::consts::PI)],
+        odd in prop_oneof![
+            Just(-0.0f64),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(5e-324),
+            Just(std::f64::consts::PI),
+        ],
         at in any::<usize>(),
     ) {
         let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
         assert_doubles_roundtrip(&values);
-        let mut values: Vec<f64> = decimals.iter().map(|&k| k as f64 / 10f64.powi(exponent)).collect();
+        let mut values: Vec<f64> =
+            decimals.iter().map(|&k| k as f64 / 10f64.powi(exponent)).collect();
         prop_assert_eq!(assert_doubles_roundtrip(&values), encoding::Encoding::Decimal.tag());
         values.insert(at % (values.len() + 1), odd);
         prop_assert_eq!(assert_doubles_roundtrip(&values), encoding::Encoding::Plain.tag());
@@ -545,7 +564,10 @@ proptest! {
 fn decimal_and_lz_string_chunks_refuse_damage() {
     let temps: Vec<f64> = (0..600).map(|k| (k % 650 - 200) as f64 / 10.0).collect();
     let decimal = double_chunk(&temps);
-    assert_eq!(assert_doubles_roundtrip(&temps), encoding::Encoding::Decimal.tag());
+    assert_eq!(
+        assert_doubles_roundtrip(&temps),
+        encoding::Encoding::Decimal.tag()
+    );
     assert_damage_is_survived(&decimal);
 
     let (buf, tag_at) = encoded(&decimal);
@@ -562,7 +584,11 @@ fn decimal_and_lz_string_chunks_refuse_damage() {
         .collect();
     let strings = string_chunk(&text);
     let (buf, tag_at) = encoded(&strings);
-    assert_ne!(buf[tag_at] & columnar::chunk::LZ_FLAG, 0, "repetitive text is LZ'd");
+    assert_ne!(
+        buf[tag_at] & columnar::chunk::LZ_FLAG,
+        0,
+        "repetitive text is LZ'd"
+    );
     let back = ColumnChunk::decode(strings.spec.clone(), &buf, &mut 0).unwrap();
     assert_eq!(back, strings);
     assert_damage_is_survived(&strings);

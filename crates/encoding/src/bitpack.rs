@@ -199,7 +199,8 @@ mod tests {
                 pack(&values, width, &mut buf);
                 buf.push(0x55);
                 let mut pos = 1;
-                assert_eq!(unpack(&buf, &mut pos, count, width).unwrap(), values, "width {width}");
+                let unpacked = unpack(&buf, &mut pos, count, width).unwrap();
+                assert_eq!(unpacked, values, "width {width}");
                 assert_eq!(pos, buf.len() - 1, "width {width}, count {count}");
             }
         }

@@ -71,7 +71,11 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> DecodeResult<Vec<i64>> {
 /// up to [`BLOCK_SIZE`] deltas at least two (its minimum delta and its
 /// width), so a count the remaining bytes cannot hold is an error before
 /// anything is reserved; a count that passes is reserved exactly.
-pub fn decode_map<T>(buf: &[u8], pos: &mut usize, mut map: impl FnMut(i64) -> T) -> DecodeResult<Vec<T>> {
+pub fn decode_map<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    mut map: impl FnMut(i64) -> T,
+) -> DecodeResult<Vec<T>> {
     let count = varint::read_u64(buf, pos)?;
     let blocks = count.saturating_sub(1).div_ceil(BLOCK_SIZE as u64);
     let least_bytes = u64::from(count > 0).saturating_add(blocks.saturating_mul(2));

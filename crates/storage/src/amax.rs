@@ -77,7 +77,11 @@ impl AmaxColumnLocation {
     /// `data_pages` pages of `page_budget` bytes each — or an error when
     /// the entry does not fit in them (a forged directory).
     pub fn pages_spanned(&self, page_budget: usize, data_pages: usize) -> Result<Range<usize>> {
-        let forged = || DecodeError::new(format!("AMAX directory entry {self:?} lies outside the leaf"));
+        let forged = || {
+            DecodeError::new(format!(
+                "AMAX directory entry {self:?} lies outside the leaf"
+            ))
+        };
         let room = page_budget.checked_sub(self.start_offset).ok_or_else(forged)?;
         let end = if self.len == 0 {
             self.start_page
@@ -185,7 +189,11 @@ pub fn encode_amax_leaf(
 
 /// Append the header and directory of a Page 0 (what
 /// [`decode_amax_header`] reads); the encoded keys follow it.
-pub fn encode_amax_header(record_count: usize, locations: &[AmaxColumnLocation], page0: &mut Vec<u8>) {
+pub fn encode_amax_header(
+    record_count: usize,
+    locations: &[AmaxColumnLocation],
+    page0: &mut Vec<u8>,
+) {
     varint::write_u64(page0, record_count as u64);
     varint::write_u64(page0, locations.len() as u64);
     for loc in locations {
