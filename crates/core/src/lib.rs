@@ -9,10 +9,11 @@
 //! Every dataset is a [`ShardedDataset`]: one or more [`LsmDataset`]
 //! partitions, hash-partitioned by primary key. With `shards(1)` (the
 //! default) it behaves exactly like a single LSM dataset; with more shards,
-//! ingestion can run in parallel across partitions
-//! ([`Datastore::ingest_parallel`], or [`Datastore::ingest_batch`] for
-//! group-committed durable ingest) and queries fan out over the shards with
-//! exact partial-aggregate merging. Query execution goes through
+//! each partition has its own write lock, WAL and flush stream,
+//! [`Datastore::ingest_batch`] partitions a batch by shard (group-committed
+//! for durable ingest, with the shards' fsyncs overlapped on a thread per
+//! shard) and queries fan out over the shards with exact partial-aggregate
+//! merging. Query execution goes through
 //! [`query::QueryEngine`]: the planner picks the access path — full scan,
 //! key-only scan, or a secondary-index range probe when the filter implies a
 //! range on the indexed path — and [`Datastore::explain`] shows the chosen
@@ -342,19 +343,21 @@ impl ShardedDataset {
         Ok(self.shard_for(&key).insert(record)?)
     }
 
-    /// Insert a batch, partitioning it by shard and ingesting every
-    /// partition on its own thread. With background workers enabled this is
-    /// the fully parallel ingest path: N writer threads, N flush workers.
-    pub fn ingest_parallel(&self, docs: Vec<Value>) -> Result<usize> {
-        self.ingest_batch(docs, 0)
-    }
-
     /// Group-committed batch ingest: partition the batch by shard, ingest
-    /// every partition on its own thread, and — when `sync_every > 0` —
-    /// fsync the shard's WAL after every `sync_every` records, plus once at
-    /// the end of the batch. This is how a durable service acknowledges
-    /// client batches without hand-rolling per-K-records `sync()` loops;
-    /// for in-memory datasets the syncs are no-ops.
+    /// every non-empty partition and — when `sync_every > 0` — fsync the
+    /// shard's WAL after every `sync_every` records, plus once at the end of
+    /// the batch. This is how a durable service acknowledges client batches
+    /// without hand-rolling per-K-records `sync()` loops; for in-memory
+    /// datasets the syncs are no-ops.
+    ///
+    /// The partitions are ingested one after another on the caller's
+    /// thread, unless there are fsyncs to overlap: a durable dataset,
+    /// `sync_every > 0` and at least two non-empty partitions get one
+    /// scoped thread per partition, so the shards' WAL syncs wait in
+    /// parallel. Spawning a thread costs more than inserting a small batch;
+    /// flushes and merges still run on the background workers when enabled.
+    /// Either way every non-empty partition is attempted, the first error
+    /// in shard order is returned, and `Ok(n)` counts the documents.
     pub fn ingest_batch(&self, docs: Vec<Value>, sync_every: usize) -> Result<usize> {
         fn ingest_one(shard: &LsmDataset, batch: Vec<Value>, sync_every: usize) -> lsm::Result<()> {
             for (i, doc) in batch.into_iter().enumerate() {
@@ -376,17 +379,28 @@ impl ShardedDataset {
         }
         let partitions = self.partition(docs)?;
         let n = partitions.iter().map(Vec::len).sum();
-        let results: Vec<lsm::Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .zip(self.shards.iter())
-                .map(|(batch, shard)| scope.spawn(move || ingest_one(shard, batch, sync_every)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard ingest thread panicked"))
+        let work: Vec<(Vec<Value>, &LsmDataset)> = partitions
+            .into_iter()
+            .zip(&self.shards)
+            .filter(|(batch, _)| !batch.is_empty())
+            .collect();
+        let overlap_fsyncs = sync_every > 0 && work.len() > 1 && self.shards[0].is_durable();
+        let results: Vec<lsm::Result<()>> = if overlap_fsyncs {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = work
+                    .into_iter()
+                    .map(|(batch, shard)| scope.spawn(move || ingest_one(shard, batch, sync_every)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard ingest thread panicked"))
+                    .collect()
+            })
+        } else {
+            work.into_iter()
+                .map(|(batch, shard)| ingest_one(shard, batch, sync_every))
                 .collect()
-        });
+        };
         for result in results {
             result?;
         }
@@ -944,14 +958,11 @@ impl Datastore {
         Ok(n)
     }
 
-    /// Insert a batch through the parallel, per-shard ingest path.
-    pub fn ingest_parallel(&self, dataset: &str, docs: Vec<Value>) -> Result<usize> {
-        self.dataset(dataset)?.ingest_parallel(docs)
-    }
-
-    /// Group-committed batch ingest: one writer thread per shard, WAL fsync
-    /// every `sync_every` records (and once at the end). See
-    /// [`ShardedDataset::ingest_batch`].
+    /// Group-committed batch ingest: the batch is partitioned by shard and
+    /// each shard's WAL is fsynced every `sync_every` records (and once at
+    /// the end). The partitions run on the caller's thread, except that a
+    /// durable, synced batch spanning two or more shards gets a thread per
+    /// shard to overlap the fsyncs. See [`ShardedDataset::ingest_batch`].
     pub fn ingest_batch(
         &self,
         dataset: &str,
@@ -1169,7 +1180,7 @@ mod tests {
         let docs: Vec<Value> = (0..500i64)
             .map(|i| doc!({"id": i, "grp": (format!("g{}", i % 9)), "score": (i % 100)}))
             .collect();
-        store.ingest_parallel("sharded", docs.clone()).unwrap();
+        store.ingest_batch("sharded", docs.clone(), 0).unwrap();
         store.ingest_all("single", docs).unwrap();
         store.flush("sharded").unwrap();
         store.flush("single").unwrap();
@@ -1316,7 +1327,7 @@ mod tests {
         let docs: Vec<Value> = (0..400i64)
             .map(|i| doc!({"id": i, "ts": (1000 + i), "grp": (format!("g{}", i % 5)), "score": (i % 100)}))
             .collect();
-        store.ingest_parallel("sharded", docs.clone()).unwrap();
+        store.ingest_batch("sharded", docs.clone(), 0).unwrap();
         store.ingest_all("single", docs).unwrap();
         store.flush("sharded").unwrap();
         store.flush("single").unwrap();
@@ -1388,7 +1399,7 @@ mod tests {
         let docs: Vec<Value> = (0..200i64)
             .map(|i| doc!({"id": i, "kind": (format!("k{}", i % 4)), "size": (i % 50)}))
             .collect();
-        store.ingest_parallel("events", docs).unwrap();
+        store.ingest_batch("events", docs, 0).unwrap();
         store.flush("events").unwrap();
 
         // Raw-column SELECT with ORDER BY key LIMIT: rows come back in
@@ -1447,7 +1458,7 @@ mod tests {
             )
             .unwrap();
         let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": i})).collect();
-        store.ingest_parallel("stream", docs).unwrap();
+        store.ingest_batch("stream", docs, 0).unwrap();
         store.flush("stream").unwrap();
 
         let ds = store.dataset("stream").unwrap();
@@ -1879,6 +1890,92 @@ mod tests {
             assert_eq!(warm.cache_hits(), cold.cache_misses());
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Four shards, synchronous flushes and a memtable small enough that
+    /// [`batch_docs`] seals every shard's memtable at least once, so the
+    /// flush runs on whichever thread inserts.
+    fn four_small_shards() -> DatasetOptions {
+        DatasetOptions::new(Layout::Amax)
+            .memtable_budget(4 * 1024)
+            .page_size(4 * 1024)
+            .shards(4)
+            .background(false)
+    }
+
+    fn batch_docs() -> Vec<Value> {
+        (0..800i64)
+            .map(|i| doc!({"id": i, "v": (i * 3), "s": (format!("s{}", i % 17))}))
+            .collect()
+    }
+
+    /// The stage scopes that ran on this thread while `ingest` did.
+    fn stages_on_this_thread(ingest: impl FnOnce()) -> telemetry::stage::StageTimes {
+        let clock = telemetry::stage::StageClock::start();
+        ingest();
+        clock.stop()
+    }
+
+    #[test]
+    fn in_memory_batches_ingest_on_the_callers_thread() {
+        let mut store = Datastore::new();
+        store.create_dataset("mem", four_small_shards()).unwrap();
+        let stages = stages_on_this_thread(|| {
+            assert_eq!(store.ingest_batch("mem", batch_docs(), 16).unwrap(), 800);
+        });
+        // The flushes ran here: no partition went to a thread of its own.
+        assert!(stages.count(telemetry::stage::Stage::ChunkEncode) > 0, "{stages}");
+        assert!(stages.count(telemetry::stage::Stage::PageWrite) > 0, "{stages}");
+        for shard in store.dataset("mem").unwrap().shards() {
+            assert!(shard.stats().flushes > 0);
+        }
+    }
+
+    #[test]
+    fn durable_synced_batches_keep_a_thread_per_shard() {
+        let dir = std::env::temp_dir().join(format!(
+            "docstore-facade-tests-{}-durable-threads",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut store = Datastore::new();
+            store.open_dataset("disk", &dir, four_small_shards()).unwrap();
+            let stages = stages_on_this_thread(|| {
+                assert_eq!(store.ingest_batch("disk", batch_docs(), 16).unwrap(), 800);
+            });
+            // Every shard flushed, each on its partition's own thread.
+            for shard in store.dataset("disk").unwrap().shards() {
+                assert!(shard.stats().flushes > 0);
+            }
+            assert_eq!(stages.count(telemetry::stage::Stage::ChunkEncode), 0, "{stages}");
+            assert_eq!(stages.count(telemetry::stage::Stage::PageWrite), 0, "{stages}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_ingest_paths_leave_the_same_records_in_every_shard() {
+        let dir = std::env::temp_dir().join(format!(
+            "docstore-facade-tests-{}-same-records",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut store = Datastore::new();
+            store.create_dataset("mem", four_small_shards()).unwrap();
+            store.open_dataset("disk", &dir, four_small_shards()).unwrap();
+            store.ingest_batch("mem", batch_docs(), 16).unwrap();
+            store.ingest_batch("disk", batch_docs(), 16).unwrap();
+            let mem = store.dataset("mem").unwrap().shards();
+            let disk = store.dataset("disk").unwrap().shards();
+            for (mem, disk) in mem.iter().zip(disk) {
+                let records = mem.scan(None).unwrap();
+                assert!(!records.is_empty());
+                assert_eq!(records, disk.scan(None).unwrap());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -662,6 +662,12 @@ impl LsmDataset {
         LsmDataset::open(dir, config)
     }
 
+    /// `true` for a dataset opened on a directory (it has a WAL and a page
+    /// file, so [`LsmDataset::sync`] fsyncs); `false` for an in-memory one.
+    pub fn is_durable(&self) -> bool {
+        self.core.durable.is_some()
+    }
+
     /// Force acknowledged WAL records to the device (group commit). No-op
     /// for in-memory datasets.
     pub fn sync(&self) -> Result<()> {
@@ -1093,12 +1099,12 @@ impl DatasetCore {
                         durable.log_insert(&key, &record)?;
                     }
                     write.pk_index.insert(&key);
-                    let bytes_before = write.memtable.approx_bytes();
+                    let written_before = write.memtable.written_bytes();
                     write.memtable.insert(key, record);
                     if self.telemetry.enabled() {
                         self.telemetry.records_ingested.incr();
-                        let grew = write.memtable.approx_bytes().saturating_sub(bytes_before);
-                        self.telemetry.bytes_ingested.add(grew as u64);
+                        let written = write.memtable.written_bytes() - written_before;
+                        self.telemetry.bytes_ingested.add(written);
                     }
                     self.stats.lock().records_ingested += 1;
                 }
@@ -1889,6 +1895,25 @@ mod tests {
             assert_eq!(docs[7].get_field("id"), Some(&Value::Int(7)));
             assert!(docs[7].get_path_str("user.name").is_some());
         }
+    }
+
+    /// The memtable holds a fixed key set however often it is rewritten, so
+    /// its byte count must stay there and the budget must never seal it.
+    #[test]
+    fn budgeted_upserts_over_a_fixed_key_set_never_seal() {
+        let ds = LsmDataset::new(tiny_config(LayoutKind::Amax));
+        for round in 0..100i64 {
+            for i in 0..20i64 {
+                if (round + i) % 5 == 0 {
+                    ds.delete(Value::Int(i)).unwrap();
+                } else {
+                    ds.insert(doc!({"id": i, "v": round})).unwrap();
+                }
+            }
+        }
+        assert_eq!(ds.stats().flushes, 0);
+        assert_eq!(ds.component_count(), 0);
+        assert!(ds.count().unwrap() > 0);
     }
 
     #[test]

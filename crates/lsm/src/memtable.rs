@@ -28,6 +28,9 @@ use storage::component::Entry;
 pub struct Memtable {
     entries: BTreeMap<OrderedValue, Option<Value>>,
     approx_bytes: usize,
+    /// Accounting bytes of every entry ever written; replacing an entry
+    /// does not reduce it.
+    written_bytes: u64,
     /// The frozen copy handed to snapshots, valid until the next write.
     frozen: Option<Arc<Vec<Entry>>>,
     /// How many frozen copies were ever built (each is one deep copy of the
@@ -44,23 +47,29 @@ impl Memtable {
     /// Insert (or replace) a record under `key`. Returns the previous entry
     /// if one existed (`Some(None)` = an anti-matter marker was replaced).
     pub fn insert(&mut self, key: Value, record: Value) -> Option<Option<Value>> {
-        let size = key.approx_size() + record.approx_size() + 16;
-        self.frozen = None;
-        let prev = self.entries.insert(OrderedValue(key), Some(record));
-        self.approx_bytes += size;
-        if let Some(prev) = &prev {
-            self.approx_bytes = self
-                .approx_bytes
-                .saturating_sub(prev.as_ref().map(Value::approx_size).unwrap_or(1) + 16);
-        }
-        prev
+        self.put(key, Some(record))
     }
 
     /// Record a delete (anti-matter) for `key`.
     pub fn delete(&mut self, key: Value) -> Option<Option<Value>> {
-        self.approx_bytes += key.approx_size() + 16;
+        self.put(key, None)
+    }
+
+    /// Write `entry` under `key`. The byte count has one rule: an entry
+    /// costs [`entry_bytes`], added when it is written and subtracted when
+    /// a later write replaces it — so upserting a key leaves one entry's
+    /// size behind, whatever the number of writes.
+    fn put(&mut self, key: Value, entry: Option<Value>) -> Option<Option<Value>> {
         self.frozen = None;
-        self.entries.insert(OrderedValue(key), None)
+        let key_bytes = key.approx_size();
+        let bytes = entry_bytes(key_bytes, entry.as_ref());
+        self.approx_bytes += bytes;
+        self.written_bytes += bytes as u64;
+        let prev = self.entries.insert(OrderedValue(key), entry);
+        if let Some(prev) = &prev {
+            self.approx_bytes -= entry_bytes(key_bytes, prev.as_ref());
+        }
+        prev
     }
 
     /// Look up the newest in-memory entry for `key`:
@@ -114,6 +123,13 @@ impl Memtable {
         self.approx_bytes
     }
 
+    /// Accounting bytes of every entry written so far, replaced ones
+    /// included: its growth over an insert is what the insert ingested
+    /// (`ingest.bytes`), whatever it replaced.
+    pub fn written_bytes(&self) -> u64 {
+        self.written_bytes
+    }
+
     /// Approximate bytes the memtable keeps alive right now: the entries
     /// plus, between a snapshot and the next write, their frozen copy.
     pub fn resident_bytes(&self) -> usize {
@@ -137,6 +153,12 @@ impl Memtable {
             .map(|(k, v)| (k.0, v))
             .collect()
     }
+}
+
+/// What one memtable entry costs the flush budget: its key, its record
+/// (1 byte for an anti-matter marker) and 16 bytes of bookkeeping.
+fn entry_bytes(key_bytes: usize, record: Option<&Value>) -> usize {
+    key_bytes + record.map_or(1, Value::approx_size) + 16
 }
 
 #[cfg(test)]
@@ -169,6 +191,35 @@ mod tests {
             m.get(&Value::Int(1)).unwrap().unwrap().get_field("v"),
             Some(&Value::Int(2))
         );
+    }
+
+    #[test]
+    fn writing_one_key_n_times_leaves_one_entrys_size() {
+        let mut m = Memtable::new();
+        let record = doc!({"id": 1, "v": "payload"});
+        m.insert(Value::Int(1), record.clone());
+        let one = m.approx_bytes();
+        for _ in 0..100 {
+            m.insert(Value::Int(1), record.clone());
+        }
+        assert_eq!(m.approx_bytes(), one);
+        assert_eq!(one, entry_bytes(Value::Int(1).approx_size(), Some(&record)));
+        // What was ingested still counts every write.
+        assert_eq!(m.written_bytes(), 101 * one as u64);
+    }
+
+    #[test]
+    fn deleting_a_record_swaps_its_size_for_the_markers() {
+        let mut m = Memtable::new();
+        let record = doc!({"id": 1, "v": "payload"});
+        let key_bytes = Value::Int(1).approx_size();
+        m.insert(Value::Int(1), record.clone());
+        m.delete(Value::Int(1));
+        assert_eq!(m.approx_bytes(), entry_bytes(key_bytes, None));
+        m.delete(Value::Int(1));
+        assert_eq!(m.approx_bytes(), entry_bytes(key_bytes, None));
+        m.insert(Value::Int(1), record.clone());
+        assert_eq!(m.approx_bytes(), entry_bytes(key_bytes, Some(&record)));
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! engine's shards do their own internal locking) and one
 //! [`ServerMetrics`] registry.
 //!
+//! Every command runs on its connection thread. An `MSET` batch is
+//! partitioned by shard and the partitions are ingested one after another
+//! there; only a durable store with a group-commit interval
+//! ([`ServerConfig::sync_every`] > 0) gives a batch that spans two or more
+//! shards a scoped thread per shard, so the shards' WAL fsyncs overlap
+//! (see [`docstore::ShardedDataset::ingest_batch`]).
+//!
 //! ## Pipelining and backpressure
 //!
 //! A connection thread reads into a growable buffer and services **every**
@@ -506,8 +513,9 @@ fn cmd_mset(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         }
     }
     let n = docs.len() as i64;
-    // Group commit: one writer per shard, fsync every sync_every records
-    // and once at the end — the reply acknowledges a durable batch.
+    // Group commit: per shard, fsync every sync_every records and once at
+    // the end, so the reply acknowledges a durable batch. The shards are
+    // written on this thread unless their fsyncs can overlap.
     match shared.store.ingest_batch(&shared.dataset, docs, shared.sync_every) {
         Ok(_) => Frame::Integer(n),
         Err(e) => Frame::error(e),

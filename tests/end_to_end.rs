@@ -243,8 +243,9 @@ fn sharded_end_to_end_with_reopen() {
                     .background(true),
             )
             .unwrap();
-        // Parallel ingest: partitioned by primary key, one thread per shard.
-        assert_eq!(store.ingest_parallel("calls", docs).unwrap(), records);
+        // Batch ingest, partitioned by primary key; unsynced, so every
+        // partition is ingested on this thread.
+        assert_eq!(store.ingest_batch("calls", docs, 0).unwrap(), records);
         store.flush("calls").unwrap();
 
         let sharded = store.dataset("calls").unwrap();
