@@ -651,8 +651,9 @@ const CONCURRENCY_GROUP_COMMIT: usize = 64;
 ///   manifest fsyncs) run inside `insert()` on the writer thread;
 /// * **background**: one writer thread, flushes/merges on the dataset's
 ///   background worker, overlapping the writer's group-commit waits;
-/// * **sharded xN**: N hash partitions, one writer thread and one background
-///   worker per shard — N independent WAL/flush streams.
+/// * **sharded xN**: N hash partitions written one after another by the one
+///   writer thread, one background worker per shard — N independent
+///   WAL/flush streams.
 ///
 /// Reported as wall time and throughput; every mode must count every record.
 fn concurrency(scale: f64) -> Vec<Measurement> {

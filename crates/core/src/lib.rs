@@ -10,9 +10,9 @@
 //! partitions, hash-partitioned by primary key. With `shards(1)` (the
 //! default) it behaves exactly like a single LSM dataset; with more shards,
 //! each partition has its own write lock, WAL and flush stream,
-//! [`Datastore::ingest_batch`] partitions a batch by shard (group-committed
-//! for durable ingest, with the shards' fsyncs overlapped on a thread per
-//! shard) and queries fan out over the shards with exact partial-aggregate
+//! [`Datastore::ingest_batch`] partitions a batch by shard and writes the
+//! partitions on the caller's thread (group-committed for durable ingest),
+//! and queries fan out over the shards with exact partial-aggregate
 //! merging. Query execution goes through
 //! [`query::QueryEngine`]: the planner picks the access path — full scan,
 //! key-only scan, or a secondary-index range probe when the filter implies a
@@ -351,13 +351,10 @@ impl ShardedDataset {
     /// datasets the syncs are no-ops.
     ///
     /// The partitions are ingested one after another on the caller's
-    /// thread, unless there are fsyncs to overlap: a durable dataset,
-    /// `sync_every > 0` and at least two non-empty partitions get one
-    /// scoped thread per partition, so the shards' WAL syncs wait in
-    /// parallel. Spawning a thread costs more than inserting a small batch;
-    /// flushes and merges still run on the background workers when enabled.
-    /// Either way every non-empty partition is attempted, the first error
-    /// in shard order is returned, and `Ok(n)` counts the documents.
+    /// thread: spawning a thread costs more than inserting a small batch,
+    /// and flushes and merges still run on the background workers when
+    /// enabled. Every non-empty partition is attempted, the first error in
+    /// shard order is returned, and `Ok(n)` counts the documents.
     pub fn ingest_batch(&self, docs: Vec<Value>, sync_every: usize) -> Result<usize> {
         fn ingest_one(shard: &LsmDataset, batch: Vec<Value>, sync_every: usize) -> lsm::Result<()> {
             for (i, doc) in batch.into_iter().enumerate() {
@@ -379,28 +376,12 @@ impl ShardedDataset {
         }
         let partitions = self.partition(docs)?;
         let n = partitions.iter().map(Vec::len).sum();
-        let work: Vec<(Vec<Value>, &LsmDataset)> = partitions
+        let results: Vec<lsm::Result<()>> = partitions
             .into_iter()
             .zip(&self.shards)
             .filter(|(batch, _)| !batch.is_empty())
+            .map(|(batch, shard)| ingest_one(shard, batch, sync_every))
             .collect();
-        let overlap_fsyncs = sync_every > 0 && work.len() > 1 && self.shards[0].is_durable();
-        let results: Vec<lsm::Result<()>> = if overlap_fsyncs {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .into_iter()
-                    .map(|(batch, shard)| scope.spawn(move || ingest_one(shard, batch, sync_every)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard ingest thread panicked"))
-                    .collect()
-            })
-        } else {
-            work.into_iter()
-                .map(|(batch, shard)| ingest_one(shard, batch, sync_every))
-                .collect()
-        };
         for result in results {
             result?;
         }
@@ -960,9 +941,8 @@ impl Datastore {
 
     /// Group-committed batch ingest: the batch is partitioned by shard and
     /// each shard's WAL is fsynced every `sync_every` records (and once at
-    /// the end). The partitions run on the caller's thread, except that a
-    /// durable, synced batch spanning two or more shards gets a thread per
-    /// shard to overlap the fsyncs. See [`ShardedDataset::ingest_batch`].
+    /// the end). The partitions run one after another on the caller's
+    /// thread. See [`ShardedDataset::ingest_batch`].
     pub fn ingest_batch(
         &self,
         dataset: &str,
@@ -1917,45 +1897,35 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_batches_ingest_on_the_callers_thread() {
-        let mut store = Datastore::new();
-        store.create_dataset("mem", four_small_shards()).unwrap();
-        let stages = stages_on_this_thread(|| {
-            assert_eq!(store.ingest_batch("mem", batch_docs(), 16).unwrap(), 800);
-        });
-        // The flushes ran here: no partition went to a thread of its own.
-        assert!(stages.count(telemetry::stage::Stage::ChunkEncode) > 0, "{stages}");
-        assert!(stages.count(telemetry::stage::Stage::PageWrite) > 0, "{stages}");
-        for shard in store.dataset("mem").unwrap().shards() {
-            assert!(shard.stats().flushes > 0);
-        }
-    }
-
-    #[test]
-    fn durable_synced_batches_keep_a_thread_per_shard() {
+    fn batches_ingest_on_the_callers_thread() {
         let dir = std::env::temp_dir().join(format!(
-            "docstore-facade-tests-{}-durable-threads",
+            "docstore-facade-tests-{}-callers-thread",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut store = Datastore::new();
+            store.create_dataset("mem", four_small_shards()).unwrap();
             store.open_dataset("disk", &dir, four_small_shards()).unwrap();
-            let stages = stages_on_this_thread(|| {
-                assert_eq!(store.ingest_batch("disk", batch_docs(), 16).unwrap(), 800);
-            });
-            // Every shard flushed, each on its partition's own thread.
-            for shard in store.dataset("disk").unwrap().shards() {
-                assert!(shard.stats().flushes > 0);
+            for name in ["mem", "disk"] {
+                let stages = stages_on_this_thread(|| {
+                    assert_eq!(store.ingest_batch(name, batch_docs(), 16).unwrap(), 800);
+                });
+                // The flushes ran here, durable and synced or not: no
+                // partition went to a thread of its own.
+                let encoded = stages.count(telemetry::stage::Stage::ChunkEncode);
+                let written = stages.count(telemetry::stage::Stage::PageWrite);
+                assert!(encoded > 0 && written > 0, "{name}: {stages}");
+                for shard in store.dataset(name).unwrap().shards() {
+                    assert!(shard.stats().flushes > 0);
+                }
             }
-            assert_eq!(stages.count(telemetry::stage::Stage::ChunkEncode), 0, "{stages}");
-            assert_eq!(stages.count(telemetry::stage::Stage::PageWrite), 0, "{stages}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn both_ingest_paths_leave_the_same_records_in_every_shard() {
+    fn durable_and_in_memory_batches_leave_the_same_records_in_every_shard() {
         let dir = std::env::temp_dir().join(format!(
             "docstore-facade-tests-{}-same-records",
             std::process::id()

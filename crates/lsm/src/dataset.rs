@@ -662,12 +662,6 @@ impl LsmDataset {
         LsmDataset::open(dir, config)
     }
 
-    /// `true` for a dataset opened on a directory (it has a WAL and a page
-    /// file, so [`LsmDataset::sync`] fsyncs); `false` for an in-memory one.
-    pub fn is_durable(&self) -> bool {
-        self.core.durable.is_some()
-    }
-
     /// Force acknowledged WAL records to the device (group commit). No-op
     /// for in-memory datasets.
     pub fn sync(&self) -> Result<()> {

@@ -15,9 +15,7 @@
 //!
 //! Every command runs on its connection thread. An `MSET` batch is
 //! partitioned by shard and the partitions are ingested one after another
-//! there; only a durable store with a group-commit interval
-//! ([`ServerConfig::sync_every`] > 0) gives a batch that spans two or more
-//! shards a scoped thread per shard, so the shards' WAL fsyncs overlap
+//! there, each fsynced per [`ServerConfig::sync_every`] on a durable store
 //! (see [`docstore::ShardedDataset::ingest_batch`]).
 //!
 //! ## Pipelining and backpressure
@@ -515,7 +513,7 @@ fn cmd_mset(shared: &Shared, args: &[Vec<u8>]) -> Frame {
     let n = docs.len() as i64;
     // Group commit: per shard, fsync every sync_every records and once at
     // the end, so the reply acknowledges a durable batch. The shards are
-    // written on this thread unless their fsyncs can overlap.
+    // written one after another on this thread.
     match shared.store.ingest_batch(&shared.dataset, docs, shared.sync_every) {
         Ok(_) => Frame::Integer(n),
         Err(e) => Frame::error(e),
