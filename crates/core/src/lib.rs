@@ -344,34 +344,30 @@ impl ShardedDataset {
     }
 
     /// Group-committed batch ingest: partition the batch by shard, ingest
-    /// every non-empty partition and — when `sync_every > 0` — fsync the
-    /// shard's WAL after every `sync_every` records, plus once at the end of
-    /// the batch. This is how a durable service acknowledges client batches
-    /// without hand-rolling per-K-records `sync()` loops; for in-memory
-    /// datasets the syncs are no-ops.
+    /// every non-empty partition with [`LsmDataset::ingest_batch`] and —
+    /// when `sync_every > 0` — fsync the shard's WAL after every
+    /// `sync_every` records, plus once at the end of the batch. This is how
+    /// a durable service acknowledges client batches without hand-rolling
+    /// per-K-records `sync()` loops; for in-memory datasets the syncs are
+    /// no-ops.
+    ///
+    /// A partition's WAL frames reach the OS in one `write` per commit
+    /// group (each sync, each memtable seal, the end of the partition)
+    /// before this call returns, so `Ok(n)` acknowledges all `n` documents.
+    /// An `Err` acknowledges nothing: a record without a key fails the
+    /// whole batch before any shard is written when the dataset has several
+    /// shards, and otherwise the records before the failing one stay
+    /// applied and logged.
     ///
     /// The partitions are ingested one after another on the caller's
     /// thread: spawning a thread costs more than inserting a small batch,
     /// and flushes and merges still run on the background workers when
-    /// enabled. Every non-empty partition is attempted, the first error in
-    /// shard order is returned, and `Ok(n)` counts the documents.
+    /// enabled. Every non-empty partition is attempted and the first error
+    /// in shard order is returned.
     pub fn ingest_batch(&self, docs: Vec<Value>, sync_every: usize) -> Result<usize> {
-        fn ingest_one(shard: &LsmDataset, batch: Vec<Value>, sync_every: usize) -> lsm::Result<()> {
-            for (i, doc) in batch.into_iter().enumerate() {
-                shard.insert(doc)?;
-                if sync_every > 0 && (i + 1) % sync_every == 0 {
-                    shard.sync()?;
-                }
-            }
-            if sync_every > 0 {
-                shard.sync()?;
-            }
-            Ok(())
-        }
-
         if self.shards.len() == 1 {
             let n = docs.len();
-            ingest_one(&self.shards[0], docs, sync_every)?;
+            self.shards[0].ingest_batch(docs, sync_every)?;
             return Ok(n);
         }
         let partitions = self.partition(docs)?;
@@ -380,7 +376,7 @@ impl ShardedDataset {
             .into_iter()
             .zip(&self.shards)
             .filter(|(batch, _)| !batch.is_empty())
-            .map(|(batch, shard)| ingest_one(shard, batch, sync_every))
+            .map(|(batch, shard)| shard.ingest_batch(batch, sync_every))
             .collect();
         for result in results {
             result?;
@@ -942,7 +938,9 @@ impl Datastore {
     /// Group-committed batch ingest: the batch is partitioned by shard and
     /// each shard's WAL is fsynced every `sync_every` records (and once at
     /// the end). The partitions run one after another on the caller's
-    /// thread. See [`ShardedDataset::ingest_batch`].
+    /// thread, and each writes its WAL frames to the OS in one `write` per
+    /// commit group before the call returns; an `Err` acknowledges nothing.
+    /// See [`ShardedDataset::ingest_batch`].
     pub fn ingest_batch(
         &self,
         dataset: &str,
@@ -1920,6 +1918,43 @@ mod tests {
                     assert!(shard.stats().flushes > 0);
                 }
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_durable_batch_writes_its_wal_once_per_commit_group() {
+        use telemetry::stage::Stage;
+        let dir = std::env::temp_dir().join(format!(
+            "docstore-facade-tests-{}-wal-groups",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut store = Datastore::new();
+            let options = DatasetOptions::new(Layout::Amax).background(false);
+            store.open_dataset("disk", &dir, options).unwrap();
+            let docs = |from: i64| -> Vec<Value> {
+                (from..from + 100)
+                    .map(|i| doc!({"id": i, "v": (i * 3)}))
+                    .collect()
+            };
+            // No sync: the 100 frames reach the OS in one write at the end.
+            let stages = stages_on_this_thread(|| {
+                store.ingest_batch("disk", docs(0), 0).unwrap();
+            });
+            assert_eq!(stages.count(Stage::WalWrite), 1, "{stages}");
+            assert_eq!(stages.count(Stage::WalSync), 0, "{stages}");
+            // A sync every 25 records: four groups, each one write and one
+            // fsync, and nothing left for the end of the batch.
+            let stages = stages_on_this_thread(|| {
+                store.ingest_batch("disk", docs(100), 25).unwrap();
+            });
+            assert_eq!(stages.count(Stage::WalWrite), 4, "{stages}");
+            assert_eq!(stages.count(Stage::WalSync), 4, "{stages}");
+            let shard = &store.dataset("disk").unwrap().shards()[0];
+            assert_eq!(shard.stats().flushes, 0, "no seal may split a group");
+            assert_eq!(shard.count().unwrap(), 200);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

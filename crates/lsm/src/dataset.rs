@@ -2,8 +2,9 @@
 //!
 //! [`LsmDataset`] is the unit the facade crate and the benchmarks work with:
 //! it owns the in-memory component, the stack of on-disk components (in the
-//! configured layout), the cumulative inferred schema, the merge policy, the
-//! primary-key index and the optional secondary index.
+//! configured layout), the cumulative inferred schema, the merge policy and
+//! the optional secondary index (with the primary-key filter its
+//! maintenance consults).
 //!
 //! Lifecycle, as in the paper:
 //!
@@ -442,8 +443,25 @@ pub struct ReclaimReport {
 /// indexes maintained on the ingest path.
 struct WriteState {
     memtable: Memtable,
-    pk_index: PrimaryKeyIndex,
-    secondary: Option<SecondaryIndex>,
+    /// `None` unless [`DatasetConfig::secondary_index_on`] names a path.
+    indexes: Option<Indexes>,
+}
+
+/// The secondary index and the primary-key filter that spares its
+/// maintenance the old-record lookup of brand-new keys (§4.6). Nothing else
+/// reads the filter, so a dataset without a secondary index keeps neither.
+#[derive(Default)]
+struct Indexes {
+    pk: PrimaryKeyIndex,
+    secondary: SecondaryIndex,
+}
+
+/// One mutation of the ingest path.
+enum Mutation {
+    /// Insert or upsert this record under its key.
+    Insert(Value),
+    /// Delete this key (an anti-matter entry).
+    Delete(Value),
 }
 
 /// State guarded by the maintenance lock: everything a flush or merge
@@ -522,10 +540,10 @@ impl LsmDataset {
             Some(shared) => cache.with_leaf_cache(shared.handle()),
             None => cache,
         };
-        let secondary = config
+        let indexes = config
             .secondary_index_on
             .as_ref()
-            .map(|_| SecondaryIndex::new());
+            .map(|_| Indexes::default());
         let schema_builder = SchemaBuilder::new(Some(config.key_field.clone()));
         let telemetry = Arc::new(if config.telemetry_enabled {
             Telemetry::new()
@@ -555,8 +573,7 @@ impl LsmDataset {
             durable,
             write: Mutex::new(WriteState {
                 memtable: Memtable::new(),
-                pk_index: PrimaryKeyIndex::new(),
-                secondary,
+                indexes,
             }),
             tree: RwLock::new(Arc::new(TreeState::default())),
             maint: Mutex::new(MaintState {
@@ -665,10 +682,7 @@ impl LsmDataset {
     /// Force acknowledged WAL records to the device (group commit). No-op
     /// for in-memory datasets.
     pub fn sync(&self) -> Result<()> {
-        match self.core.durable.as_ref() {
-            Some(durable) => durable.sync_wal(),
-            None => Ok(()),
-        }
+        self.core.sync_wal()
     }
 
     /// Bytes currently in the WAL (0 for in-memory datasets).
@@ -826,17 +840,17 @@ impl LsmDataset {
             .sum()
     }
 
-    /// Total bytes including the (approximated) secondary structures.
+    /// Total bytes including the (approximated) secondary structures: the
+    /// secondary index and its primary-key filter, when the dataset has one.
     pub fn total_stored_bytes(&self) -> u64 {
-        let write = self.core.write.lock();
-        let pk = write.pk_index.approx_bytes();
-        let sec = write
-            .secondary
+        let indexes = self
+            .core
+            .write
+            .lock()
+            .indexes
             .as_ref()
-            .map(SecondaryIndex::approx_bytes)
-            .unwrap_or(0);
-        drop(write);
-        self.primary_stored_bytes() + pk + sec
+            .map_or(0, |ix| ix.pk.approx_bytes() + ix.secondary.approx_bytes());
+        self.primary_stored_bytes() + indexes
     }
 
     /// Take a consistent point-in-time [`Snapshot`] for reads. Flushes and
@@ -878,25 +892,44 @@ impl LsmDataset {
                 .sum::<usize>()
     }
 
-    /// Insert (or upsert) a record. For durable datasets the record is
-    /// appended to the WAL before it is applied, so once `insert` returns it
-    /// survives a process crash. The WAL is flushed to the OS immediately
-    /// but fsynced lazily — call [`LsmDataset::sync`] where device-level
-    /// durability (power loss) is required.
+    /// Insert (or upsert) a record. For durable datasets the record's WAL
+    /// frame is written to the OS before the record is applied, so once
+    /// `insert` returns it survives a process crash. The WAL is fsynced
+    /// lazily — call [`LsmDataset::sync`] where device-level durability
+    /// (power loss) is required. A batch of records is cheaper through
+    /// [`LsmDataset::ingest_batch`], which writes the WAL once.
     ///
     /// With [`DatasetConfig::background`], a full memtable is sealed and
     /// handed to the worker; this call blocks only when
     /// `max_sealed_memtables` seals are already queued (backpressure), and
     /// surfaces any error a previous background flush/merge hit.
     pub fn insert(&self, record: Value) -> Result<()> {
-        self.core.apply(Some(record), None)
+        self.core.apply(Mutation::Insert(record), true)
     }
 
     /// Delete the record with the given key (an anti-matter entry is added).
     /// Logged to the WAL like [`LsmDataset::insert`], with the same
     /// crash-durability caveats.
     pub fn delete(&self, key: Value) -> Result<()> {
-        self.core.apply(None, Some(key))
+        self.core.apply(Mutation::Delete(key), true)
+    }
+
+    /// Group-committed batch ingest: insert (or upsert) `records` in order,
+    /// each applied as [`LsmDataset::insert`] applies it (an upsert's
+    /// secondary-index maintenance sees every earlier record of the batch),
+    /// and — when `sync_every > 0` — fsync the WAL after every `sync_every`
+    /// records and once at the end.
+    ///
+    /// For durable datasets the batch's WAL frames are staged in memory and
+    /// reach the OS in one `write` per commit group: at each sync, at each
+    /// memtable seal, and at the end of the batch, before the call returns.
+    /// `Ok` acknowledges every record (device-durable when `sync_every >
+    /// 0`). An `Err` acknowledges nothing: the records before the failing
+    /// one are applied and their frames written, the rest are not applied,
+    /// so the memtable and the log agree. Seals, flushes and merges happen
+    /// at the same records as with one `insert` per record.
+    pub fn ingest_batch(&self, records: Vec<Value>, sync_every: usize) -> Result<()> {
+        self.core.ingest_batch(records, sync_every)
     }
 
     /// Flush everything in memory to disk: seals the active memtable and
@@ -1005,8 +1038,9 @@ impl LsmDataset {
         let (keys, newest, tree) = {
             let write = self.core.write.lock();
             let secondary = write
-                .secondary
+                .indexes
                 .as_ref()
+                .map(|ix| &ix.secondary)
                 .ok_or_else(|| crate::LsmError::new("dataset has no secondary index"))?;
             // In primary-key order, each key once.
             let keys = secondary.range_bounds(lo, hi);
@@ -1065,9 +1099,12 @@ impl DatasetCore {
             })
     }
 
-    /// One insert (`record = Some`) or delete (`key = Some`) through the
-    /// write lock, with sealing and (synchronous-mode) inline flushing.
-    fn apply(&self, record: Option<Value>, delete_key: Option<Value>) -> Result<()> {
+    /// One mutation through the write lock, with sealing and
+    /// (synchronous-mode) inline flushing. Its WAL frame is staged; with
+    /// `write_now` it is written before the memtable changes (a single
+    /// insert or delete), otherwise it waits for the caller's next write,
+    /// sync or seal (a batch).
+    fn apply(&self, mutation: Mutation, write_now: bool) -> Result<()> {
         if self.config.background && self.pool_is_open() {
             // Backpressure gate — taken *before* the write lock so stalled
             // writers never block readers or the workers.
@@ -1081,8 +1118,8 @@ impl DatasetCore {
         }
         {
             let mut write = self.write.lock();
-            match (record, delete_key) {
-                (Some(record), _) => {
+            match mutation {
+                Mutation::Insert(record) => {
                     let key = self.extract_key(&record)?;
                     // Fallible work (index-maintenance lookups can hit I/O
                     // errors) happens before the WAL append: a failed insert
@@ -1090,9 +1127,11 @@ impl DatasetCore {
                     // resurrect.
                     self.maintain_secondary_for_upsert(&mut write, &key, Some(&record))?;
                     if let Some(durable) = self.durable.as_ref() {
-                        durable.log_insert(&key, &record)?;
+                        durable.stage_insert(&key, &record)?;
+                        if write_now {
+                            durable.write_wal()?;
+                        }
                     }
-                    write.pk_index.insert(&key);
                     let written_before = write.memtable.written_bytes();
                     write.memtable.insert(key, record);
                     if self.telemetry.enabled() {
@@ -1102,10 +1141,13 @@ impl DatasetCore {
                     }
                     self.stats.lock().records_ingested += 1;
                 }
-                (None, Some(key)) => {
+                Mutation::Delete(key) => {
                     self.maintain_secondary_for_upsert(&mut write, &key, None)?;
                     if let Some(durable) = self.durable.as_ref() {
-                        durable.log_delete(&key)?;
+                        durable.stage_delete(&key)?;
+                        if write_now {
+                            durable.write_wal()?;
+                        }
                     }
                     write.memtable.delete(key);
                     if self.telemetry.enabled() {
@@ -1113,7 +1155,6 @@ impl DatasetCore {
                     }
                     self.stats.lock().deletes += 1;
                 }
-                (None, None) => unreachable!("apply needs a record or a key"),
             }
             if write.memtable.approx_bytes() >= self.config.memtable_budget {
                 self.seal_locked(&mut write)?;
@@ -1127,6 +1168,33 @@ impl DatasetCore {
             self.process_pending()?;
         }
         Ok(())
+    }
+
+    /// See [`LsmDataset::ingest_batch`]. Whatever happens, the frames of
+    /// the records applied are written before it returns.
+    fn ingest_batch(&self, records: Vec<Value>, sync_every: usize) -> Result<()> {
+        let applied = records.into_iter().enumerate().try_for_each(|(i, record)| {
+            self.apply(Mutation::Insert(record), false)?;
+            if sync_every > 0 && (i + 1) % sync_every == 0 {
+                self.sync_wal()?;
+            }
+            Ok(())
+        });
+        let committed = match self.durable.as_ref() {
+            Some(durable) if sync_every > 0 && applied.is_ok() => durable.sync_wal(),
+            Some(durable) => durable.write_wal(),
+            None => Ok(()),
+        };
+        applied.and(committed)
+    }
+
+    /// Write the staged WAL frames and fsync them. No-op for in-memory
+    /// datasets.
+    fn sync_wal(&self) -> Result<()> {
+        match self.durable.as_ref() {
+            Some(durable) => durable.sync_wal(),
+            None => Ok(()),
+        }
     }
 
     /// Whether background rounds can still be queued on the pool.
@@ -1763,10 +1831,11 @@ impl DatasetCore {
     }
 
     /// Secondary-index maintenance: fetch the old record's indexed values
-    /// (if the key may exist) to remove its stale entries, then add the new
-    /// ones. The fetch is as narrow as the index: the old version is read in
-    /// place when the memtable holds it, and a component assembles only the
-    /// indexed path (for AMAX: the key column and one mega-column).
+    /// (if the primary-key filter says the key may exist) to remove its
+    /// stale entries, then add the new ones. The fetch is as narrow as the
+    /// index: the old version is read in place when the memtable holds it,
+    /// and a component assembles only the indexed path (for AMAX: the key
+    /// column and one mega-column). No-op without a secondary index.
     fn maintain_secondary_for_upsert(
         &self,
         write: &mut WriteState,
@@ -1776,12 +1845,12 @@ impl DatasetCore {
         let Some(index_path) = self.config.secondary_index_on.as_ref() else {
             return Ok(());
         };
-        if write.pk_index.contains(key) {
+        let indexed =
+            |doc: &Value| -> Vec<Value> { index_path.evaluate(doc).into_iter().cloned().collect() };
+        let may_exist = write.indexes.as_ref().is_some_and(|ix| ix.pk.contains(key));
+        let old_values = if may_exist {
             self.stats.lock().maintenance_lookups += 1;
-            let indexed = |doc: &Value| -> Vec<Value> {
-                index_path.evaluate(doc).into_iter().cloned().collect()
-            };
-            let old_values = match write.memtable.get(key) {
+            match write.memtable.get(key) {
                 Some(entry) => {
                     self.note_lookups(1, 1, 0);
                     entry.map(indexed).unwrap_or_default()
@@ -1794,25 +1863,31 @@ impl DatasetCore {
                         .map(indexed)
                         .unwrap_or_default()
                 }
-            };
-            if let Some(secondary) = write.secondary.as_mut() {
-                for v in old_values {
-                    secondary.remove(&v, key);
-                }
             }
-        }
-        if let (Some(secondary), Some(record)) = (write.secondary.as_mut(), new_record) {
-            for v in index_path.evaluate(record) {
-                secondary.insert(v, key);
+        } else {
+            Vec::new()
+        };
+        if let Some(ix) = write.indexes.as_mut() {
+            for v in old_values {
+                ix.secondary.remove(&v, key);
+            }
+            if let Some(record) = new_record {
+                for v in index_path.evaluate(record) {
+                    ix.secondary.insert(v, key);
+                }
+                ix.pk.insert(key);
             }
         }
         Ok(())
     }
 
-    /// Rebuild the in-memory indexes (primary-key filter and the optional
-    /// secondary index) from the recovered components and memtable.
+    /// Rebuild the secondary index and its primary-key filter from the
+    /// recovered components and memtable. Without a secondary index there
+    /// is nothing to rebuild and no component is read.
     fn rebuild_indexes(&self) -> Result<()> {
-        let index_path = self.config.secondary_index_on.clone();
+        let Some(index_path) = self.config.secondary_index_on.clone() else {
+            return Ok(());
+        };
         let mut write = self.write.lock();
         // Reconcile newest-first through the streaming merge cursor so each
         // key contributes exactly its live version.
@@ -1821,24 +1896,22 @@ impl DatasetCore {
             .iter()
             .map(|(k, v)| (k.clone(), v.cloned()))
             .collect();
-        let projection: Vec<Path> = index_path.iter().cloned().collect();
+        let projection = [index_path.clone()];
         let tree = self.tree.read().clone();
         let cursor = EntryMergeCursor::over_memtable_and_components(
             memtable_entries,
             &tree.components,
             Some(&projection),
         );
+        let ix = write.indexes.get_or_insert_with(Indexes::default);
         for entry in cursor {
             let (key, doc) = entry?;
             // Every key ever written may exist on disk, so the filter
             // includes deleted keys too (it only answers "may exist").
-            write.pk_index.insert(&key);
-            if let (Some(path), Some(doc)) = (index_path.as_ref(), doc.as_ref()) {
-                let values: Vec<Value> = path.evaluate(doc).into_iter().cloned().collect();
-                if let Some(secondary) = write.secondary.as_mut() {
-                    for value in values {
-                        secondary.insert(&value, &key);
-                    }
+            ix.pk.insert(&key);
+            if let Some(doc) = doc.as_ref() {
+                for value in index_path.evaluate(doc) {
+                    ix.secondary.insert(value, &key);
                 }
             }
         }

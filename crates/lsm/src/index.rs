@@ -3,7 +3,8 @@
 //! * The **primary-key index** stores only keys. During update-intensive
 //!   ingestion it answers "does this key already exist?" so that the
 //!   expensive point lookup against the (columnar) primary index is skipped
-//!   for brand-new keys (§4.6).
+//!   for brand-new keys (§4.6). Only secondary-index maintenance makes that
+//!   lookup, so a dataset keeps this index only beside a secondary one.
 //! * The **secondary index** maps a field's value (e.g. the tweet timestamp)
 //!   to the primary keys of the records holding it. Maintaining it on an
 //!   upsert requires fetching the *old* record to remove its stale entry —

@@ -16,9 +16,9 @@
 //!   with tiered (the paper's policy, ratio 1.2, max 5 components, §6.3),
 //!   leveled, and lazy-leveled implementations, selected per dataset by a
 //!   manifest-persisted [`CompactionSpec`];
-//! * [`index`] — the primary-key index used to cheapen point lookups during
-//!   update-intensive ingestion, and the secondary (e.g. timestamp) index
-//!   whose maintenance cost §6.3.2 measures;
+//! * [`index`] — the secondary (e.g. timestamp) index whose maintenance
+//!   cost §6.3.2 measures, and the primary-key index kept beside it to
+//!   spare that maintenance the old-record lookup of brand-new keys;
 //! * [`dataset`] — [`LsmDataset`]: one dataset partition tying everything
 //!   together: insert/upsert/delete, flush with schema inference, merges,
 //!   reconciled scans with projection push-down, point lookups, and

@@ -1020,3 +1020,141 @@ fn crash_under_load_with_deletes_keeps_them_deleted() {
         );
     }
 }
+
+/// `records` as the dataset must hold them: the last version of each key.
+fn model_of(records: &[Value]) -> std::collections::BTreeMap<i64, Value> {
+    records
+        .iter()
+        .map(|r| (r.get_field("id").unwrap().as_int().unwrap(), r.clone()))
+        .collect()
+}
+
+/// Every live record of `ds` by key.
+fn contents(ds: &LsmDataset) -> std::collections::BTreeMap<i64, Value> {
+    model_of(&ds.scan(None).unwrap())
+}
+
+/// A batch's frames are staged in memory and written once, at the end of
+/// the call: an acknowledged batch must be on disk when `ingest_batch`
+/// returns, even without a sync (the drop is the crash).
+#[test]
+fn an_acknowledged_batch_recovers_every_record() {
+    for layout in [LayoutKind::Vb, LayoutKind::Amax] {
+        let dir = temp_dir(&format!("batch-acked-{}", layout.name()));
+        let mut batch: Vec<Value> = (0..N).map(sample_record).collect();
+        // Upserts inside the batch: the later version must win on replay.
+        for i in (0..N).step_by(9) {
+            let mut updated = sample_record(i);
+            updated.set_field("text", Value::from("upserted in the batch"));
+            batch.push(updated);
+        }
+        {
+            let ds = LsmDataset::open(&dir, unflushed_config(layout)).unwrap();
+            ds.ingest_batch(batch.clone(), 0).unwrap();
+            assert_eq!(ds.component_count(), 0, "nothing may have flushed");
+        }
+        let ds = LsmDataset::open(&dir, unflushed_config(layout)).unwrap();
+        assert_eq!(contents(&ds), model_of(&batch), "{layout:?}");
+    }
+}
+
+/// A batch whose memtable seals midway: the seal writes and syncs the
+/// frames staged so far into the sealed WAL segment. A crash on either
+/// side of the flush's manifest commit recovers exactly the records the
+/// dataset applied — an earlier batch whole, and the failing batch up to
+/// the record whose seal triggered the flush.
+#[test]
+fn a_batch_that_seals_midway_recovers_exactly() {
+    for point in [
+        CrashPoint::AfterFlushComponentWrite,
+        CrashPoint::AfterFlushManifestCommit,
+    ] {
+        let dir = temp_dir(&format!("batch-seal-{point:?}"));
+        let config = || tiny_config("recovery", LayoutKind::Amax);
+        let first: Vec<Value> = (0..N).map(sample_record).collect();
+        let second: Vec<Value> = (N / 2..2 * N)
+            .map(|i| {
+                let mut r = sample_record(i);
+                r.set_field("text", Value::from("second batch"));
+                r
+            })
+            .collect();
+        let mut applied = first.clone();
+        {
+            let ds = LsmDataset::open(&dir, config()).unwrap();
+            ds.ingest_batch(first.clone(), 0).unwrap();
+            let flushes = ds.stats().flushes;
+            assert!(flushes > 0, "the first batch must seal and flush");
+            ds.set_crash_point(point);
+            let before = ds.stats().records_ingested;
+            let err = ds
+                .ingest_batch(second.clone(), 0)
+                .expect_err("the injected crash fails the batch");
+            assert!(err.message.contains("injected crash"), "{err}");
+            let taken = (ds.stats().records_ingested - before) as usize;
+            assert!(
+                taken > 0 && taken < second.len(),
+                "{point:?}: the seal must fall inside the batch ({taken})"
+            );
+            applied.extend_from_slice(&second[..taken]);
+            assert_eq!(
+                contents(&ds),
+                model_of(&applied),
+                "{point:?}: before the crash"
+            );
+        }
+        let ds = LsmDataset::open(&dir, config()).unwrap();
+        assert_eq!(contents(&ds), model_of(&applied), "{point:?}");
+    }
+}
+
+/// A record without a key fails the batch at that record: the records
+/// before it are applied and logged, the records after it are not.
+#[test]
+fn a_keyless_record_ends_the_batch_where_it_stands() {
+    let dir = temp_dir("batch-keyless");
+    let mut batch: Vec<Value> = (0..N).map(sample_record).collect();
+    batch[(N / 2) as usize] = doc!({"text": "no key"});
+    {
+        let ds = LsmDataset::open(&dir, unflushed_config(LayoutKind::Vb)).unwrap();
+        let err = ds.ingest_batch(batch.clone(), 0).unwrap_err();
+        assert!(err.message.contains("primary key"), "{err}");
+    }
+    let ds = LsmDataset::open(&dir, unflushed_config(LayoutKind::Vb)).unwrap();
+    assert_eq!(contents(&ds), model_of(&batch[..(N / 2) as usize]));
+    assert!(ds.lookup(&Value::Int(N / 2 + 1), None).unwrap().is_none());
+}
+
+/// The primary-key filter exists for secondary-index maintenance alone: a
+/// dataset without a secondary index keeps none, so reopening it reads no
+/// component page (the indexed one rebuilds its index from the components).
+#[test]
+fn reopening_without_a_secondary_index_reads_no_component_page() {
+    for indexed in [false, true] {
+        let dir = temp_dir(&format!("reopen-pages-{indexed}"));
+        let mut config = tiny_config("recovery", LayoutKind::Amax);
+        if indexed {
+            config = config.with_secondary_index(docmodel::Path::parse("timestamp"));
+        }
+        {
+            let ds = LsmDataset::open(&dir, config.clone()).unwrap();
+            ds.ingest_batch((0..N).map(sample_record).collect(), 0)
+                .unwrap();
+            ds.flush().unwrap();
+            assert!(ds.component_count() > 0);
+            let unindexed = ds.total_stored_bytes() == ds.primary_stored_bytes();
+            assert_eq!(
+                unindexed, !indexed,
+                "only an index is counted beside the components"
+            );
+        }
+        let ds = LsmDataset::open(&dir, config).unwrap();
+        let pages_read = ds.io_stats().pages_read;
+        if indexed {
+            assert!(pages_read > 0, "the index rebuild reads the components");
+        } else {
+            assert_eq!(pages_read, 0, "a reopen without an index reads no page");
+        }
+        assert_eq!(ds.count().unwrap(), N as usize);
+    }
+}

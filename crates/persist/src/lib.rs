@@ -18,13 +18,19 @@
 //! flush and merge events (§2.2, §4.5); durability piggy-backs on exactly the
 //! same events:
 //!
-//! * **Ingest** — every insert/upsert/delete is appended to the WAL *before*
-//!   it is applied to the memtable. The memtable is the only volatile state;
-//!   the WAL is its durable twin.
+//! * **Ingest** — every insert/upsert/delete is staged in the WAL as it is
+//!   applied to the memtable, and the staged frames reach the OS in one
+//!   `write` before the call that applied them returns: a single insert
+//!   writes its frame before it touches the memtable, a batch writes once
+//!   at its end and at every group commit (and every seal, below). The
+//!   memtable is the only volatile state; the WAL is its durable twin.
+//!   Staged frames are not written when the store drops — they are lost as
+//!   in a crash, which is what the drop-as-crash recovery tests rely on.
 //! * **Seal** — when the memtable fills it is sealed for flushing and the WAL
-//!   is *rotated* ([`DurableStore::rotate_wal`]): the sealed memtable's
-//!   records are confined to segments up to the rotated id while new inserts
-//!   append to a fresh segment. Sealing is what lets the flush run on a
+//!   is *rotated* ([`DurableStore::rotate_wal`], which first writes and syncs
+//!   the staged frames): the sealed memtable's records are confined to
+//!   segments up to the rotated id while new inserts append to a fresh
+//!   segment. Sealing is what lets the flush run on a
 //!   background worker while ingestion continues.
 //! * **Flush** — the sealed memtable is written as a new component into the
 //!   page file, the page file is synced, and a new manifest version is
@@ -123,6 +129,13 @@ struct WalState {
 /// plus the commit protocol tying them together. All methods take `&self`;
 /// the struct is designed to be shared via `Arc` between the writer and
 /// background flush/merge workers.
+///
+/// WAL frames are staged ([`DurableStore::stage_insert`],
+/// [`DurableStore::stage_delete`]) and reach the OS in one `write` at
+/// [`DurableStore::write_wal`], [`DurableStore::sync_wal`] or
+/// [`DurableStore::rotate_wal`]; [`DurableStore::log`] stages and writes at
+/// once. A store dropped with frames staged loses them, as a crash would,
+/// so a writer writes before it acknowledges.
 pub struct DurableStore {
     dir: PathBuf,
     store: PageStore,
@@ -250,8 +263,9 @@ impl DurableStore {
         self.sink().map(|_| Instant::now())
     }
 
-    /// Log one acknowledged mutation. The record reaches the OS immediately;
-    /// call [`DurableStore::sync_wal`] to force it to the device.
+    /// Log one mutation: stage its frame and write it, with every frame
+    /// staged before it, to the OS at once. Call
+    /// [`DurableStore::sync_wal`] to force it to the device.
     pub fn log(&self, record: &WalRecord) -> Result<()> {
         let started = self.timer();
         let mut state = self.wal.lock();
@@ -262,8 +276,10 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Log an insert without materialising a [`WalRecord`].
-    pub fn log_insert(&self, key: &docmodel::Value, record: &docmodel::Value) -> Result<()> {
+    /// Stage an insert frame without materialising a [`WalRecord`]. It is
+    /// not written until [`DurableStore::write_wal`], `sync_wal` or
+    /// `rotate_wal`; a store dropped before then loses it, as a crash would.
+    pub fn stage_insert(&self, key: &docmodel::Value, record: &docmodel::Value) -> Result<()> {
         let started = self.timer();
         let mut state = self.wal.lock();
         state.wal.append_insert(key, record)?;
@@ -273,8 +289,8 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Log a delete without materialising a [`WalRecord`].
-    pub fn log_delete(&self, key: &docmodel::Value) -> Result<()> {
+    /// Stage a delete frame, like [`DurableStore::stage_insert`].
+    pub fn stage_delete(&self, key: &docmodel::Value) -> Result<()> {
         let started = self.timer();
         let mut state = self.wal.lock();
         state.wal.append_delete(key)?;
@@ -284,8 +300,14 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Fsync the WAL (group-commit point for callers that need device-level
-    /// durability of every acknowledged record).
+    /// Write every staged frame to the OS in one `write` (not fsynced).
+    pub fn write_wal(&self) -> Result<()> {
+        self.wal.lock().wal.write_pending()
+    }
+
+    /// Write the staged frames and fsync the WAL (group-commit point for
+    /// callers that need device-level durability of every acknowledged
+    /// record).
     pub fn sync_wal(&self) -> Result<()> {
         let started = self.timer();
         let mut state = self.wal.lock();
@@ -302,8 +324,8 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Seal the active WAL segment (called while the memtable it covers is
-    /// sealed for flushing). Returns the sealed segment id to later pass to
+    /// Write and sync the staged frames and seal the active WAL segment
+    /// (called while the memtable it covers is sealed for flushing). Returns the sealed segment id to later pass to
     /// [`DurableStore::commit_flush`].
     pub fn rotate_wal(&self) -> Result<u64> {
         let mut state = self.wal.lock();

@@ -33,6 +33,21 @@
 //! value serialisation components use, so the WAL round-trips every document
 //! the engine accepts.
 //!
+//! ## Staged frames
+//!
+//! Appending a frame does not write it: [`Wal::append_insert`] and
+//! [`Wal::append_delete`] encode it in place at the end of the log's one
+//! reusable buffer, and [`Wal::write_pending`] hands every staged frame to
+//! the operating system with a single `write`. [`Wal::sync`] and
+//! [`Wal::rotate`] write the staged frames first, so an fsync covers every
+//! frame appended before it and a sealed segment holds every frame appended
+//! before the seal. [`Wal::append`] stages and writes at once. A batch of
+//! records therefore costs one `write` however many frames it holds.
+//!
+//! Dropping a `Wal` does **not** write its staged frames: they are lost
+//! exactly as a process crash (`kill -9`) would lose them. Callers write
+//! (or sync) before they acknowledge anything.
+//!
 //! ## Torn writes
 //!
 //! A crash can leave a partial frame at the tail of a segment. Replay stops
@@ -48,6 +63,7 @@ use std::path::{Path, PathBuf};
 use docmodel::Value;
 use encoding::crc::crc32;
 use storage::RowFormat;
+use telemetry::stage::Stage;
 
 use crate::{PersistError, Result};
 
@@ -72,13 +88,6 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            WalRecord::Insert { key, record } => encode_insert(key, record),
-            WalRecord::Delete { key } => encode_delete(key),
-        }
-    }
-
     fn decode(payload: &[u8]) -> Result<WalRecord> {
         let (&tag, rest) = payload
             .split_first()
@@ -97,21 +106,6 @@ impl WalRecord {
             other => Err(PersistError::new(format!("unknown WAL record tag {other}"))),
         }
     }
-}
-
-fn encode_insert(key: &Value, record: &Value) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.push(TAG_INSERT);
-    RowFormat::Vb.serialize(key, &mut payload);
-    RowFormat::Vb.serialize(record, &mut payload);
-    payload
-}
-
-fn encode_delete(key: &Value) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.push(TAG_DELETE);
-    RowFormat::Vb.serialize(key, &mut payload);
-    payload
 }
 
 /// File name of segment `id` within the dataset directory. Segment 0 keeps
@@ -157,6 +151,10 @@ pub struct WalReplay {
 }
 
 /// The segmented write-ahead log of one dataset directory.
+///
+/// Appends stage frames in memory; [`Wal::write_pending`], [`Wal::sync`]
+/// and [`Wal::rotate`] write them (see the module docs). A `Wal` dropped
+/// with frames staged loses them, as a crash would.
 pub struct Wal {
     dir: PathBuf,
     /// Sealed segments, oldest first.
@@ -164,7 +162,11 @@ pub struct Wal {
     active_id: u64,
     active_path: PathBuf,
     active_file: File,
+    /// Bytes of the active segment's frames, staged ones included.
     active_len: u64,
+    /// Frames appended to the active segment but not yet written, back to
+    /// back; cleared (capacity kept) by every write.
+    pending: Vec<u8>,
 }
 
 /// Parse the valid frame prefix of one segment's bytes. Returns the decoded
@@ -264,6 +266,7 @@ impl Wal {
                 active_path,
                 active_file,
                 active_len,
+                pending: Vec::new(),
             },
             WalReplay {
                 records,
@@ -273,47 +276,86 @@ impl Wal {
         ))
     }
 
-    /// Append one record (buffered in the OS; call [`Wal::sync`] to force it
-    /// to the device).
+    /// Append one record and write it to the OS at once, with every frame
+    /// staged before it (call [`Wal::sync`] to force it to the device).
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        self.append_payload(record.encode())
+        match record {
+            WalRecord::Insert { key, record } => self.stage(TAG_INSERT, key, Some(record)),
+            WalRecord::Delete { key } => self.stage(TAG_DELETE, key, None),
+        }
+        self.write_pending()
     }
 
-    /// Append an insert frame without materialising a [`WalRecord`] (the
-    /// ingest hot path logs borrowed values).
+    /// Stage an insert frame without materialising a [`WalRecord`] (the
+    /// ingest hot path logs borrowed values). Nothing is written until
+    /// [`Wal::write_pending`], [`Wal::sync`] or [`Wal::rotate`]; staging
+    /// itself cannot fail.
     pub fn append_insert(&mut self, key: &Value, record: &Value) -> Result<()> {
-        self.append_payload(encode_insert(key, record))
-    }
-
-    /// Append a delete frame without materialising a [`WalRecord`].
-    pub fn append_delete(&mut self, key: &Value) -> Result<()> {
-        self.append_payload(encode_delete(key))
-    }
-
-    fn append_payload(&mut self, payload: Vec<u8>) -> Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.active_file.write_all(&frame).map_err(|e| {
-            PersistError::new(format!("append to WAL {}: {e}", self.active_path.display()))
-        })?;
-        self.active_len += frame.len() as u64;
+        self.stage(TAG_INSERT, key, Some(record));
         Ok(())
     }
 
-    /// Force appended records to the device (sealed segments were synced when
-    /// they were rotated out).
-    pub fn sync(&self) -> Result<()> {
+    /// Stage a delete frame, like [`Wal::append_insert`].
+    pub fn append_delete(&mut self, key: &Value) -> Result<()> {
+        self.stage(TAG_DELETE, key, None);
+        Ok(())
+    }
+
+    /// Encode one frame in place at the end of the staging buffer: a header
+    /// placeholder, the payload, then the header patched with the payload's
+    /// length and CRC.
+    fn stage(&mut self, tag: u8, key: &Value, record: Option<&Value>) {
+        let start = self.pending.len();
+        self.pending.extend_from_slice(&[0; 8]);
+        self.pending.push(tag);
+        RowFormat::Vb.serialize(key, &mut self.pending);
+        if let Some(record) = record {
+            RowFormat::Vb.serialize(record, &mut self.pending);
+        }
+        let payload = &self.pending[start + 8..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
+        self.pending[start..start + 4].copy_from_slice(&len);
+        self.pending[start + 4..start + 8].copy_from_slice(&crc);
+        self.active_len += (self.pending.len() - start) as u64;
+    }
+
+    /// Write every staged frame to the active segment with one `write_all`
+    /// (buffered in the OS; [`Wal::sync`] forces it to the device). On an
+    /// error the staged frames are dropped and the segment is cut back to
+    /// its last whole frame, so later appends continue from a clean
+    /// boundary.
+    pub fn write_pending(&mut self) -> Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let _stage = Stage::WalWrite.enter();
+        let staged = self.pending.len() as u64;
+        let written = self.active_file.write_all(&self.pending);
+        self.pending.clear();
+        written.map_err(|e| {
+            self.active_len -= staged;
+            let _ = self.active_file.set_len(self.active_len);
+            let _ = self.active_file.seek(SeekFrom::Start(self.active_len));
+            PersistError::new(format!("append to WAL {}: {e}", self.active_path.display()))
+        })
+    }
+
+    /// Write the staged frames, then force the active segment to the device
+    /// (sealed segments were synced when they were rotated out).
+    pub fn sync(&mut self) -> Result<()> {
+        self.write_pending()?;
+        let _stage = Stage::WalSync.enter();
         self.active_file
             .sync_data()
             .map_err(|e| PersistError::new(format!("sync WAL {}: {e}", self.active_path.display())))
     }
 
-    /// Seal the active segment and open a fresh one. Returns the sealed
-    /// segment's id: every record appended so far lives in segments with ids
-    /// `<=` the returned id, so the caller may [`Wal::remove_through`] that
-    /// id once the records are covered by a committed manifest.
+    /// Write and sync the staged frames, seal the active segment and open a
+    /// fresh one. Returns the sealed segment's id: every record appended so
+    /// far lives in segments with ids `<=` the returned id, so the caller
+    /// may [`Wal::remove_through`] that id once the records are covered by a
+    /// committed manifest.
     pub fn rotate(&mut self) -> Result<u64> {
         self.sync()?;
         let new_id = self.active_id + 1;
@@ -355,13 +397,14 @@ impl Wal {
         Ok(())
     }
 
-    /// Drop every record: all sealed segments are deleted and the active
-    /// segment is truncated. The flush commit path uses [`Wal::rotate`] +
-    /// [`Wal::remove_through`] (in both synchronous and background modes);
-    /// this is the blunt instrument for tools and tests that reset a log
-    /// wholesale.
+    /// Drop every record: all sealed segments are deleted, the staged frames
+    /// are discarded and the active segment is truncated. The flush commit
+    /// path uses [`Wal::rotate`] + [`Wal::remove_through`] (in both
+    /// synchronous and background modes); this is the blunt instrument for
+    /// tools and tests that reset a log wholesale.
     pub fn truncate(&mut self) -> Result<()> {
         self.remove_through(u64::MAX)?;
+        self.pending.clear();
         self.active_file
             .set_len(0)
             .map_err(|e| PersistError::new(format!("truncate WAL: {e}")))?;
@@ -372,7 +415,7 @@ impl Wal {
         self.sync()
     }
 
-    /// Bytes of valid frames across every segment.
+    /// Bytes of valid frames across every segment, staged frames included.
     pub fn len_bytes(&self) -> u64 {
         self.active_len + self.sealed.iter().map(|s| s.len).sum::<u64>()
     }
@@ -580,6 +623,108 @@ mod tests {
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records[..2].to_vec());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn staged_frames_reach_the_file_in_one_write() {
+        let dir = temp_dir("staged");
+        let records = sample_records();
+        let path = dir.join(segment_file_name(0));
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        wal.append_insert(&Value::Int(1), &doc!({"id": 1})).unwrap();
+        wal.append_delete(&Value::Int(1)).unwrap();
+        let staged = wal.len_bytes();
+        assert!(staged > 0, "len_bytes counts staged frames");
+        assert_eq!(
+            std::fs::read(&path).unwrap().len(),
+            0,
+            "staging writes nothing"
+        );
+        let clock = telemetry::stage::StageClock::start();
+        wal.write_pending().unwrap();
+        wal.write_pending().unwrap();
+        let stages = clock.stop();
+        assert_eq!(stages.count(Stage::WalWrite), 1, "{stages}");
+        assert_eq!(std::fs::read(&path).unwrap().len() as u64, staged);
+        assert_eq!(wal.len_bytes(), staged);
+
+        // Frames staged in place are the frames `append` writes.
+        let other = temp_dir("staged-append");
+        let (mut appended, _) = Wal::open(&other).unwrap();
+        appended
+            .append(&WalRecord::Insert {
+                key: Value::Int(1),
+                record: doc!({"id": 1}),
+            })
+            .unwrap();
+        appended
+            .append(&WalRecord::Delete { key: Value::Int(1) })
+            .unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(other.join(segment_file_name(0))).unwrap()
+        );
+        drop(wal);
+        let (_, replayed) = Wal::open(&dir).unwrap();
+        assert_eq!(replayed.records.len(), 2);
+        assert_eq!(replayed.records[1], records[2]);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&other);
+    }
+
+    #[test]
+    fn a_dropped_log_loses_its_staged_frames_like_a_crash() {
+        let dir = temp_dir("drop-staged");
+        {
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            wal.append(&sample_records()[0]).unwrap();
+            wal.append_insert(&Value::Int(2), &doc!({"id": 2})).unwrap();
+        }
+        let (wal, replayed) = Wal::open(&dir).unwrap();
+        assert_eq!(replayed.records, sample_records()[..1].to_vec());
+        assert!(
+            !replayed.torn_tail_healed,
+            "a staged frame leaves no torn tail"
+        );
+        assert_eq!(
+            wal.len_bytes(),
+            std::fs::metadata(dir.join(segment_file_name(0)))
+                .unwrap()
+                .len()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_rotate_and_truncate_settle_staged_frames() {
+        let dir = temp_dir("settle");
+        let records = sample_records();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        let clock = telemetry::stage::StageClock::start();
+        wal.append_insert(&Value::Int(1), &doc!({"id": 1})).unwrap();
+        wal.sync().unwrap();
+        // A seal confines every frame appended before it to the sealed
+        // segment, staged ones included.
+        wal.append_insert(&Value::Int(2), &doc!({"id": 2})).unwrap();
+        let sealed = wal.rotate().unwrap();
+        let stages = clock.stop();
+        assert_eq!(stages.count(Stage::WalWrite), 2, "{stages}");
+        assert_eq!(stages.count(Stage::WalSync), 2, "{stages}");
+        wal.append(&records[2]).unwrap();
+        wal.remove_through(sealed).unwrap();
+        drop(wal);
+        let (mut wal, replayed) = Wal::open(&dir).unwrap();
+        assert_eq!(replayed.records, records[2..].to_vec());
+
+        // Truncation discards staged frames with the written ones.
+        wal.append_insert(&Value::Int(3), &doc!({"id": 3})).unwrap();
+        wal.truncate().unwrap();
+        assert!(wal.is_empty());
+        wal.write_pending().unwrap();
+        drop(wal);
+        let (_, replayed) = Wal::open(&dir).unwrap();
+        assert!(replayed.records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -511,9 +511,11 @@ fn cmd_mset(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         }
     }
     let n = docs.len() as i64;
-    // Group commit: per shard, fsync every sync_every records and once at
-    // the end, so the reply acknowledges a durable batch. The shards are
-    // written one after another on this thread.
+    // Group commit: per shard, the batch's WAL frames go to the OS in one
+    // write per commit group, fsynced every sync_every records and once at
+    // the end, so the reply acknowledges a durable batch (an error
+    // acknowledges none of it). The shards are written one after another
+    // on this thread.
     match shared.store.ingest_batch(&shared.dataset, docs, shared.sync_every) {
         Ok(_) => Frame::Integer(n),
         Err(e) => Frame::error(e),

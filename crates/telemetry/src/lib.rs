@@ -528,9 +528,12 @@ pub struct Telemetry {
     /// writer's open leaf bound it); the histogram's max is the all-time
     /// peak.
     pub merge_peak_buffered: Histogram,
-    /// `wal.append_micros` — per-append WAL latency.
+    /// `wal.append_micros` — per-append WAL latency: staging the frame
+    /// (and writing it, for `DurableStore::log`). Writes of staged frames
+    /// are timed by the stage clock's `WalWrite`.
     pub wal_append_latency: Histogram,
-    /// `wal.sync_micros` — per-fsync WAL latency.
+    /// `wal.sync_micros` — per-fsync WAL latency, the write of the staged
+    /// frames included.
     pub wal_sync_latency: Histogram,
     /// The lifecycle event ring.
     pub events: EventRing,

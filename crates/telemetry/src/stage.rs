@@ -6,7 +6,8 @@
 //! that thread; otherwise entering a stage is one thread-local read and
 //! nothing else, so the scopes stay in the engine whether or not anyone
 //! measures. Scopes sit at page and chunk granularity (a page read, a chunk
-//! decode, a kernel over a batch), never around one record.
+//! decode, a kernel over a batch, a WAL write of a commit group), never
+//! around one record.
 //!
 //! Scopes nest, and a stage's time is **exclusive**: entering a stage
 //! inside another pauses the outer one until the inner scope ends. A page
@@ -54,11 +55,16 @@ pub enum Stage {
     ChunkEncode,
     /// Writing a page to the store.
     PageWrite,
+    /// Writing a dataset's staged WAL frames to the operating system (one
+    /// `write` per commit group).
+    WalWrite,
+    /// Forcing the WAL to the device (`fsync`).
+    WalSync,
 }
 
 impl Stage {
     /// Every stage, in the order reports list them.
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 10] = [
         Stage::PageRead,
         Stage::Decompress,
         Stage::DecodeLevels,
@@ -67,6 +73,8 @@ impl Stage {
         Stage::Assemble,
         Stage::ChunkEncode,
         Stage::PageWrite,
+        Stage::WalWrite,
+        Stage::WalSync,
     ];
 
     /// The stage's name in reports.
@@ -80,6 +88,8 @@ impl Stage {
             Stage::Assemble => "assemble",
             Stage::ChunkEncode => "encode",
             Stage::PageWrite => "page write",
+            Stage::WalWrite => "wal write",
+            Stage::WalSync => "wal sync",
         }
     }
 
