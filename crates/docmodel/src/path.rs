@@ -168,6 +168,28 @@ impl Path {
         }
         current
     }
+
+    /// `true` when some value [`Path::evaluate`] would collect satisfies
+    /// `pred` (existential semantics), found by a walk that collects
+    /// nothing and stops at the first match.
+    pub fn any(&self, doc: &Value, mut pred: impl FnMut(&Value) -> bool) -> bool {
+        any_along(&self.steps, doc, &mut pred)
+    }
+}
+
+fn any_along(steps: &[PathStep], v: &Value, pred: &mut impl FnMut(&Value) -> bool) -> bool {
+    let Some((step, rest)) = steps.split_first() else {
+        return pred(v);
+    };
+    match step {
+        PathStep::Field(name) => v
+            .get_field(name)
+            .is_some_and(|child| any_along(rest, child, pred)),
+        PathStep::AllElements => v
+            .as_array()
+            .is_some_and(|elems| elems.iter().any(|child| any_along(rest, child, pred))),
+        PathStep::Union(type_name) => v.kind().name() == *type_name && any_along(rest, v, pred),
+    }
 }
 
 impl fmt::Display for Path {
@@ -253,6 +275,12 @@ mod tests {
         let consoles = Path::parse("games[*].consoles[*]").evaluate(&rec);
         assert_eq!(consoles.len(), 3);
         assert!(Path::parse("missing.path").evaluate(&rec).is_empty());
+        // `any` visits the same values, collecting nothing.
+        let console = |name: &'static str| move |v: &Value| v.as_str() == Some(name);
+        assert!(Path::parse("games[*].consoles[*]").any(&rec, console("XBOX")));
+        assert!(!Path::parse("games[*].title").any(&rec, console("PC")));
+        assert!(Path::root().any(&rec, |v| v.get_field("id") == Some(&Value::Int(2))));
+        assert!(!Path::parse("missing.path").any(&rec, |_| true));
     }
 
     #[test]
@@ -262,6 +290,7 @@ mod tests {
         let p = Path::parse("name").union_branch("string");
         assert_eq!(p.evaluate(&rec).len(), 1);
         assert_eq!(p.evaluate(&rec2).len(), 0);
+        assert!(p.any(&rec, |_| true) && !p.any(&rec2, |_| true));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use crate::path::{Path, PathStep};
+
 /// The kind (dynamic type tag) of a [`Value`].
 ///
 /// `ValueKind` is what the schema crate records in inferred schema leaves and
@@ -173,6 +175,33 @@ impl Value {
         match self {
             Value::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// A copy of this record holding what `projection` reads: with
+    /// `Some(paths)`, only the top-level fields the paths start at — every
+    /// field when a path is the root or starts with an array or union step,
+    /// or when the value is not an object; with `None`, everything. What a
+    /// point read copies out of a memtable for a projected query.
+    pub fn clone_projected(&self, projection: Option<&[Path]>) -> Value {
+        let first_fields: Option<Vec<&str>> = projection.and_then(|paths| {
+            paths
+                .iter()
+                .map(|path| match path.steps().first() {
+                    Some(PathStep::Field(name)) => Some(name.as_str()),
+                    _ => None,
+                })
+                .collect()
+        });
+        match (first_fields, self) {
+            (Some(read), Value::Object(fields)) => Value::Object(
+                fields
+                    .iter()
+                    .filter(|(name, _)| read.contains(&name.as_str()))
+                    .cloned()
+                    .collect(),
+            ),
+            _ => self.clone(),
         }
     }
 
@@ -423,5 +452,21 @@ mod tests {
             Value::from(vec![1i64, 2]),
             Value::Array(vec![Value::Int(1), Value::Int(2)])
         );
+    }
+
+    #[test]
+    fn projected_clones_keep_the_top_level_fields_the_paths_start_at() {
+        let rec = gamer_record();
+        let paths = ["name.first", "id", "absent"].map(Path::parse);
+        // In the record's own field order, `games` left out.
+        let narrow = crate::doc!({"id": 2, "name": {"first": "John", "last": "Smith"}});
+        assert_eq!(rec.clone_projected(Some(&paths)), narrow);
+        assert_eq!(rec.clone_projected(Some(&[])), Value::empty_object());
+        assert_eq!(rec.clone_projected(None), rec);
+        let root = Path::root();
+        for whole in [root.clone(), root.elements(), root.union_branch("object")] {
+            assert_eq!(rec.clone_projected(Some(&[Path::parse("id"), whole])), rec);
+        }
+        assert_eq!(Value::Int(3).clone_projected(Some(&paths)), Value::Int(3));
     }
 }

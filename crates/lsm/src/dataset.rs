@@ -54,6 +54,7 @@ use storage::component::{Component, ComponentConfig, Entry};
 use storage::leafcache::LeafCache;
 use storage::pagestore::{BufferCache, IoStats, PageId, PageStore, DEFAULT_CACHE_PAGES};
 use storage::LayoutKind;
+use telemetry::stage::Stage;
 use telemetry::{Event, EventKind, MetricsSnapshot, Telemetry};
 
 use crate::index::{PrimaryKeyIndex, SecondaryIndex};
@@ -988,12 +989,17 @@ impl LsmDataset {
     /// was deleted. Copies nothing but the record it returns: a memtable
     /// hit clones that one entry under the write lock; otherwise the lock is
     /// held just long enough to pin the published tree.
+    ///
+    /// With `Some(projection)` the record holds at least the projected
+    /// paths: a columnar component assembles just those, a row page returns
+    /// the whole record, a memtable hit the top-level fields the paths
+    /// start at ([`Value::clone_projected`]). Read it through the paths.
     pub fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Value>> {
         let tree = {
             let write = self.core.write.lock();
             if let Some(entry) = write.memtable.get(key) {
                 self.core.note_lookups(1, 1, 0);
-                return Ok(entry.cloned());
+                return Ok(entry.map(|doc| doc.clone_projected(projection)));
             }
             self.core.tree.read().clone()
         };
@@ -1026,9 +1032,12 @@ impl LsmDataset {
     /// key-ordered projection output consumes.
     ///
     /// The probe is a point-in-time view of exactly the keys asked for: one
-    /// write-lock acquisition reads the index, copies those of its keys the
-    /// active memtable holds (and nothing else of it) and pins the published
-    /// tree, which answers the rest after the lock is released.
+    /// write-lock acquisition walks the index, resolves its keys against the
+    /// active memtable in one ordered walk, copies the hits (and nothing
+    /// else of it) and pins the published tree, which answers the rest
+    /// after the lock is released. Records follow [`LsmDataset::lookup`]'s
+    /// projection rule: at least the projected paths, memtable hits cut to
+    /// the top-level fields the paths start at.
     pub fn secondary_range_entries(
         &self,
         lo: std::ops::Bound<&Value>,
@@ -1036,6 +1045,7 @@ impl LsmDataset {
         projection: Option<&[Path]>,
     ) -> Result<Vec<(Value, Value)>> {
         let (keys, newest, tree) = {
+            let _stage = Stage::IndexProbe.enter();
             let write = self.core.write.lock();
             let secondary = write
                 .indexes
@@ -1044,9 +1054,11 @@ impl LsmDataset {
                 .ok_or_else(|| crate::LsmError::new("dataset has no secondary index"))?;
             // In primary-key order, each key once.
             let keys = secondary.range_bounds(lo, hi);
-            let newest: Vec<Option<Option<Value>>> = keys
-                .iter()
-                .map(|key| write.memtable.get(key).map(|entry| entry.cloned()))
+            let newest: Vec<Option<Option<Value>>> = write
+                .memtable
+                .get_sorted(&keys)
+                .into_iter()
+                .map(|entry| entry.map(|doc| doc.map(|doc| doc.clone_projected(projection))))
                 .collect();
             (keys, newest, self.core.tree.read().clone())
         };

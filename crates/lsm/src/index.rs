@@ -5,23 +5,25 @@
 //!   expensive point lookup against the (columnar) primary index is skipped
 //!   for brand-new keys (§4.6). Only secondary-index maintenance makes that
 //!   lookup, so a dataset keeps this index only beside a secondary one.
-//! * The **secondary index** maps a field's value (e.g. the tweet timestamp)
-//!   to the primary keys of the records holding it. Maintaining it on an
+//! * The **secondary index** is one ordered set of `(value, key)` pairs: a
+//!   field's value (e.g. the tweet timestamp) beside the primary key of a
+//!   record holding it, the composite entries of a secondary LSM B+-tree. A
+//!   range probe is one walk over the pairs in range. Maintaining it on an
 //!   upsert requires fetching the *old* record to remove its stale entry —
 //!   that fetch is what makes update-intensive ingestion slower for columnar
 //!   layouts (Figure 13a, `tweet_2*`).
 //!
-//! Both indexes are modelled as in-memory ordered maps standing in for the
+//! Both indexes are modelled as in-memory ordered sets standing in for the
 //! secondary LSM B+-trees of the real system; their sizes are reported by the
 //! experiments alongside the primary index (Figure 12a includes them for
 //! `tweet_2*`). Index *maintenance* (the point lookups) is faithfully
 //! exercised; index storage is approximated.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Bound;
 
 use docmodel::cmp::OrderedValue;
-use docmodel::Value;
+use docmodel::{total_cmp, Value};
 
 /// An index over primary keys only.
 #[derive(Debug, Default)]
@@ -66,12 +68,18 @@ impl PrimaryKeyIndex {
     }
 }
 
-/// A secondary index: indexed value → set of primary keys.
+/// A secondary index: one ordered set of `(indexed value, primary key)`
+/// pairs — the composite-key B+-tree a secondary LSM index is, kept in
+/// memory.
 #[derive(Debug, Default)]
 pub struct SecondaryIndex {
-    entries: BTreeMap<OrderedValue, BTreeSet<OrderedValue>>,
-    entry_count: usize,
+    entries: BTreeSet<(OrderedValue, OrderedValue)>,
 }
+
+/// Below every primary key: keys are atomic and never null.
+const BEFORE_EVERY_KEY: Value = Value::Null;
+/// Above every primary key: objects order after every atomic value.
+const AFTER_EVERY_KEY: Value = Value::Object(Vec::new());
 
 impl SecondaryIndex {
     /// Create an empty index.
@@ -81,91 +89,87 @@ impl SecondaryIndex {
 
     /// Add an entry mapping `value` to `key`.
     pub fn insert(&mut self, value: &Value, key: &Value) {
-        let added = self
-            .entries
-            .entry(OrderedValue(value.clone()))
-            .or_default()
-            .insert(OrderedValue(key.clone()));
-        if added {
-            self.entry_count += 1;
-        }
+        self.entries
+            .insert((OrderedValue(value.clone()), OrderedValue(key.clone())));
     }
 
     /// Remove the entry mapping `value` to `key` (anti-matter for the old
     /// value of an updated record).
     pub fn remove(&mut self, value: &Value, key: &Value) {
-        if let Some(keys) = self.entries.get_mut(&OrderedValue(value.clone())) {
-            if keys.remove(&OrderedValue(key.clone())) {
-                self.entry_count -= 1;
-            }
-            if keys.is_empty() {
-                self.entries.remove(&OrderedValue(value.clone()));
-            }
-        }
+        self.entries
+            .remove(&(OrderedValue(value.clone()), OrderedValue(key.clone())));
     }
 
-    /// All primary keys with *some* indexed value in `[lo, hi]`, each key
-    /// once, in primary-key order, ready for batched point lookups (§4.6).
-    pub fn range(&self, lo: &Value, hi: &Value) -> Vec<Value> {
-        self.range_bounds(Bound::Included(lo), Bound::Included(hi))
-    }
-
-    /// Like [`SecondaryIndex::range`], but with arbitrary (possibly open or
-    /// exclusive) endpoints — what the query planner's index-probe path
-    /// derives from a filter expression (`score > 50`, `score < 10`, ...).
-    /// An empty range (lower bound above the upper bound) yields no keys.
+    /// All primary keys with *some* indexed value between `lo` and `hi`,
+    /// each key once, in primary-key order, ready for batched point lookups
+    /// (§4.6). The bounds may be open or exclusive — what the query
+    /// planner's index-probe path derives from a filter expression
+    /// (`score > 50`, `score < 10`, ...); an empty range (lower bound above
+    /// the upper bound) yields no keys.
     ///
-    /// Keys are **deduplicated**: a multi-valued indexed path (`ts[*]`) maps
+    /// One walk over the pairs in range. Keys come out ascending when the
+    /// indexed values grow with the keys; otherwise they are sorted. Keys
+    /// are **deduplicated**: a multi-valued indexed path (`ts[*]`) maps
     /// several values to the same primary key, and a record with two values
     /// inside the probe range must still be returned (and counted) once.
     pub fn range_bounds(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<Value> {
-        // BTreeMap::range panics on inverted ranges; an empty probe is the
-        // correct answer for a filter that can never match.
-        if let (
-            Bound::Included(l) | Bound::Excluded(l),
-            Bound::Included(h) | Bound::Excluded(h),
-        ) = (&lo, &hi)
-        {
-            match docmodel::total_cmp(l, h) {
-                std::cmp::Ordering::Greater => return Vec::new(),
-                std::cmp::Ordering::Equal
-                    if matches!(lo, Bound::Excluded(_)) || matches!(hi, Bound::Excluded(_)) =>
-                {
-                    return Vec::new()
-                }
-                _ => {}
-            }
-        }
-        let as_key = |b: Bound<&Value>| match b {
+        // The lower bound becomes a pair bound below or above all its keys.
+        let pair = |v: &Value, key| (OrderedValue(v.clone()), OrderedValue(key));
+        let lo = match lo {
             Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(v) => Bound::Included(OrderedValue(v.clone())),
-            Bound::Excluded(v) => Bound::Excluded(OrderedValue(v.clone())),
+            Bound::Included(v) => Bound::Included(pair(v, BEFORE_EVERY_KEY)),
+            Bound::Excluded(v) => Bound::Excluded(pair(v, AFTER_EVERY_KEY)),
         };
-        let mut out: BTreeSet<&OrderedValue> = BTreeSet::new();
-        for (_, keys) in self.entries.range((as_key(lo), as_key(hi))) {
-            out.extend(keys.iter());
+        // One descent, to the lower end; the walk stops past `hi`, so an
+        // inverted or empty range yields nothing.
+        let within_hi = |value: &OrderedValue| match hi {
+            Bound::Unbounded => true,
+            Bound::Included(h) => total_cmp(&value.0, h).is_le(),
+            Bound::Excluded(h) => total_cmp(&value.0, h).is_lt(),
+        };
+        let mut keys: Vec<Value> = Vec::new();
+        let mut ascending = true;
+        for (_, key) in self
+            .entries
+            .range((lo, Bound::Unbounded))
+            .take_while(|(value, _)| within_hi(value))
+        {
+            ascending &= keys
+                .last()
+                .is_none_or(|last| total_cmp(last, &key.0).is_lt());
+            keys.push(key.0.clone());
         }
-        out.into_iter().map(|k| k.0.clone()).collect()
+        if !ascending {
+            // Stable, so an aliased key (`1` / `1.0`) keeps its first spelling.
+            keys.sort_by(total_cmp);
+            keys.dedup_by(|later, earlier| total_cmp(later, earlier).is_eq());
+        }
+        keys
     }
 
     /// Number of (value, key) entries.
     pub fn len(&self) -> usize {
-        self.entry_count
+        self.entries.len()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.entry_count == 0
+        self.entries.is_empty()
     }
 
-    /// Approximate size in bytes (for the storage-size experiments).
+    /// Approximate size in bytes (for the storage-size experiments): each
+    /// distinct value once, each key plus an 8-byte pointer.
     pub fn approx_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|(v, keys)| {
-                v.0.approx_size() as u64 + keys.iter().map(|k| k.0.approx_size() as u64 + 8).sum::<u64>()
-            })
-            .sum()
+        let mut bytes = 0;
+        let mut previous: Option<&OrderedValue> = None;
+        for (value, key) in &self.entries {
+            if previous != Some(value) {
+                bytes += value.0.approx_size() as u64;
+                previous = Some(value);
+            }
+            bytes += key.0.approx_size() as u64 + 8;
+        }
+        bytes
     }
 }
 
@@ -194,14 +198,15 @@ mod tests {
             idx.insert(&Value::Int(1_000 + i), &Value::Int(i));
         }
         assert_eq!(idx.len(), 100);
-        let keys = idx.range(&Value::Int(1_010), &Value::Int(1_019));
+        let (lo, hi) = (Value::Int(1_010), Value::Int(1_019));
+        let keys = idx.range_bounds(Bound::Included(&lo), Bound::Included(&hi));
         assert_eq!(keys.len(), 10);
         assert_eq!(keys[0], Value::Int(10));
 
         // Update record 10's timestamp: remove the old entry, add the new one.
         idx.remove(&Value::Int(1_010), &Value::Int(10));
         idx.insert(&Value::Int(2_000), &Value::Int(10));
-        let keys = idx.range(&Value::Int(1_010), &Value::Int(1_019));
+        let keys = idx.range_bounds(Bound::Included(&lo), Bound::Included(&hi));
         assert_eq!(keys.len(), 9);
         assert_eq!(idx.len(), 100);
         assert!(idx.approx_bytes() > 0);

@@ -16,11 +16,12 @@
 //! `lsm.memtable_bytes` gauge); the flush budget does not need to, because
 //! every write drops the copy before the budget is checked.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use docmodel::cmp::OrderedValue;
-use docmodel::Value;
+use docmodel::{total_cmp, Value};
 use storage::component::Entry;
 
 /// The LSM in-memory component: key-ordered records and anti-matter markers.
@@ -78,6 +79,36 @@ impl Memtable {
         self.entries
             .get(&OrderedValue(key.clone()))
             .map(|v| v.as_ref())
+    }
+
+    /// [`Memtable::get`] for each of `keys`, which must ascend, in one
+    /// ordered walk. A key more than ~log2(len) entries past the walk's
+    /// position is found by a fresh descent instead, so a sparse batch over
+    /// a dense memtable costs O(k log n), like k separate lookups, and a
+    /// dense one O(k + n).
+    pub fn get_sorted(&self, keys: &[Value]) -> Vec<Option<Option<&Value>>> {
+        debug_assert!(keys.windows(2).all(|w| total_cmp(&w[0], &w[1]).is_lt()));
+        let max_steps = usize::BITS - self.entries.len().leading_zeros();
+        let mut walk = self.entries.range::<OrderedValue, _>(..).peekable();
+        let resolve = |key: &Value| {
+            let mut steps = 0;
+            loop {
+                let (at, entry) = walk.peek()?;
+                match total_cmp(&at.0, key) {
+                    Ordering::Less if steps == max_steps => {
+                        walk = self.entries.range(OrderedValue(key.clone())..).peekable();
+                        steps = 0;
+                    }
+                    Ordering::Less => {
+                        walk.next();
+                        steps += 1;
+                    }
+                    Ordering::Equal => return Some(entry.as_ref()),
+                    Ordering::Greater => return None,
+                }
+            }
+        };
+        keys.iter().map(resolve).collect()
     }
 
     /// The entries as a shared key-ordered run — what a snapshot scans. The

@@ -115,6 +115,7 @@ use storage::component::{
 };
 use storage::pagestore::PageStore;
 use storage::ColumnBatch;
+use telemetry::stage::Stage;
 
 use crate::Result;
 
@@ -164,18 +165,23 @@ impl TreeState {
     /// level answered (a record or its anti-matter both answer). Each
     /// component sees its keys as one sorted batch
     /// ([`Component::lookup_sorted`]), so every leaf is fetched once per
-    /// batch and only the hits are assembled, from the projected paths.
+    /// batch and only the hits are assembled, from the projected paths. A
+    /// sealed memtable's hit is cloned as the top-level fields the projected
+    /// paths start at ([`Value::clone_projected`]).
     pub(crate) fn lookup_sorted(
         &self,
         keys: &[&Value],
         projection: Option<&[Path]>,
     ) -> Result<TreeLookup> {
+        let _stage = Stage::PointLookup.enter();
         let mut entries: Vec<Option<Option<Value>>> = vec![None; keys.len()];
         // Indexes of the keys still unresolved, ascending like the keys.
         let mut pending: Vec<usize> = (0..keys.len()).collect();
         for sealed in self.sealed.iter().rev() {
             pending.retain(|&i| {
-                entries[i] = sealed.find(keys[i]).cloned();
+                entries[i] = sealed
+                    .find(keys[i])
+                    .map(|entry| entry.as_ref().map(|doc| doc.clone_projected(projection)));
                 entries[i].is_none()
             });
         }
@@ -213,10 +219,12 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Point lookup: newest version of `key`. `None` when the key does not
-    /// exist or was deleted at snapshot time.
+    /// exist or was deleted at snapshot time. The projection rule is
+    /// [`crate::LsmDataset::lookup`]'s: the record holds at least the
+    /// projected paths, a memtable hit the top-level fields they start at.
     pub fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Value>> {
         if let Some(entry) = self.active_entry(key) {
-            return Ok(entry.clone());
+            return Ok(entry.as_ref().map(|doc| doc.clone_projected(projection)));
         }
         Ok(self
             .tree

@@ -6,7 +6,10 @@
 //!   tombstones and resurrected keys, a lookup returns exactly the record
 //!   the reconciling scan yields for that key, and a sorted batch (an
 //!   index probe covering every key) returns exactly what per-key lookups
-//!   return.
+//!   return. Unprojected reads are compared document for document;
+//!   projected ones through their paths, which is all a consumer reads (a
+//!   memtable hit is cut to the projected top-level fields, a scan row of
+//!   the memtable is not).
 //! * **Contracts**: a read served from the decoded-leaf cache reads no page
 //!   and assembles at most the one record it returns; reading does not grow
 //!   the cache; the index-maintenance lookup is as narrow as the index.
@@ -86,6 +89,19 @@ fn build_layers(ds: &LsmDataset) {
     }
 }
 
+/// What a consumer of a read with `projection` sees of `doc`: the whole
+/// document without a projection, each projected path's values with one.
+fn as_read(doc: Option<&Value>, projection: Option<&[Path]>) -> Option<Vec<Vec<Value>>> {
+    let doc = doc?;
+    Some(match projection {
+        None => vec![vec![doc.clone()]],
+        Some(paths) => paths
+            .iter()
+            .map(|path| path.evaluate(doc).into_iter().cloned().collect())
+            .collect(),
+    })
+}
+
 #[test]
 fn lookups_match_the_reconciling_scan_in_every_layout() {
     let projections: [Option<Vec<Path>>; 3] = [
@@ -117,23 +133,58 @@ fn lookups_match_the_reconciling_scan_in_every_layout() {
                     "{layout:?}: the scan sees the live keys"
                 );
                 for key in -5..430 {
-                    let expected = scanned.get(&key);
+                    let expected = as_read(scanned.get(&key), projection);
                     let context = format!("{layout:?} cached={cached} key {key} {projection:?}");
                     let got = ds.lookup(&Value::Int(key), projection).unwrap();
-                    assert_eq!(got.as_ref(), expected, "dataset lookup, {context}");
+                    let got = as_read(got.as_ref(), projection);
+                    assert_eq!(got, expected, "dataset lookup, {context}");
                     let got = snapshot.lookup(&Value::Int(key), projection).unwrap();
-                    assert_eq!(got.as_ref(), expected, "snapshot lookup, {context}");
+                    let got = as_read(got.as_ref(), projection);
+                    assert_eq!(got, expected, "snapshot lookup, {context}");
                 }
                 // One sorted batch: what per-key lookups find.
-                let batch = ds
+                let batch: Vec<(Value, _)> = ds
                     .secondary_range_entries(Unbounded, Unbounded, projection)
-                    .unwrap();
-                let expected: Vec<(Value, Value)> = scanned
+                    .unwrap()
+                    .into_iter()
+                    .map(|(key, doc)| (key, as_read(Some(&doc), projection)))
+                    .collect();
+                let expected: Vec<(Value, _)> = scanned
                     .iter()
-                    .map(|(key, doc)| (Value::Int(*key), doc.clone()))
+                    .map(|(key, doc)| (Value::Int(*key), as_read(Some(doc), projection)))
                     .collect();
                 assert_eq!(batch, expected, "{layout:?} cached={cached} {projection:?}");
             }
+        }
+    }
+}
+
+#[test]
+fn projected_memtable_hits_hold_the_projected_top_level_fields() {
+    for layout in LayoutKind::ALL {
+        let ds = LsmDataset::new(layered_config(layout).with_secondary_index(Path::parse("num")));
+        build_layers(&ds);
+        // Key 17 is written last in the memtable (version 5), over key 17's
+        // older versions on disk.
+        let whole = record(17, 5);
+        let num = Value::Int(17 * 10 + 5);
+        let nested = [Path::parse("nested.tag"), Path::parse("num")];
+        let narrow = doc!({"num": (17 * 10 + 5), "nested": {"tag": "t9", "version": 5}});
+        let snapshot = ds.snapshot();
+        for (projection, expected) in [
+            (Some(&nested[..]), &narrow),
+            (Some(&[Path::root()][..]), &whole),
+            (None, &whole),
+        ] {
+            let context = format!("{layout:?} {projection:?}");
+            let got = ds.lookup(&Value::Int(17), projection).unwrap();
+            assert_eq!(got.as_ref(), Some(expected), "dataset lookup, {context}");
+            let got = snapshot.lookup(&Value::Int(17), projection).unwrap();
+            assert_eq!(got.as_ref(), Some(expected), "snapshot lookup, {context}");
+            let got = ds
+                .secondary_range_entries(Included(&num), Included(&num), projection)
+                .unwrap();
+            assert_eq!(got, vec![(Value::Int(17), expected.clone())], "probe, {context}");
         }
     }
 }

@@ -190,11 +190,8 @@ impl Expr {
             Expr::And(children) => children.iter().all(|c| c.matches(doc)),
             Expr::Or(children) => children.iter().any(|c| c.matches(doc)),
             Expr::Not(inner) => !inner.matches(doc),
-            Expr::Cmp { op, path, value } => path
-                .evaluate(doc)
-                .iter()
-                .any(|v| op.matches(total_cmp(v, value))),
-            Expr::Exists(path) => !path.evaluate(doc).is_empty(),
+            Expr::Cmp { op, path, value } => path.any(doc, |v| op.matches(total_cmp(v, value))),
+            Expr::Exists(path) => path.any(doc, |_| true),
             Expr::Contains { path, value } => path.evaluate(doc).iter().any(|v| match v {
                 Value::Array(elems) => elems
                     .iter()

@@ -993,12 +993,20 @@ mod tests {
                 .with_page_size(8 * 1024)
                 .with_secondary_index(Path::parse("timestamp")),
         );
+        let tweet = |i: i64, likes: i64| {
+            doc!({"id": i, "timestamp": (1000 + i), "likes": likes,
+                  "user": {"name": (format!("u{i}")), "bio": "x"}, "text": "long"})
+        };
         for i in 0..300i64 {
-            ds.insert(doc!({"id": i, "timestamp": (1000 + i), "likes": (i % 50)}))
-                .unwrap();
+            ds.insert(tweet(i, i % 50)).unwrap();
         }
         ds.flush().unwrap();
-        let q = Query::select_paths(["likes"])
+        // Memtable-resident upserts inside the range: the probe answers them
+        // from the memtable, the scan from its frozen copy.
+        for i in [101i64, 104, 105] {
+            ds.insert(tweet(i, 1000 + i)).unwrap();
+        }
+        let q = Query::select_paths(["likes", "user.name"])
             .with_filter(Expr::between("timestamp", 1100, 1159))
             .order_by_key()
             .with_limit(10);
@@ -1016,6 +1024,11 @@ mod tests {
         assert_eq!(via_probe, via_scan);
         assert_eq!(via_probe.len(), 10);
         assert_eq!(via_probe[0].group, Some(Value::Int(100)));
+        assert_eq!(
+            via_probe[1].aggs,
+            vec![Value::Int(1101), Value::from("u101")],
+            "a memtable hit: {via_probe:?}"
+        );
     }
 
     #[test]

@@ -276,3 +276,36 @@ fn analyze_splits_the_wall_time_by_stage() {
         assert!(cold.describe().contains("analyze[shard 0] stages: page read"));
     }
 }
+
+#[test]
+fn analyze_splits_an_index_probe_from_its_point_lookups() {
+    use query::{AccessPathChoice, PlannerOptions};
+    use telemetry::stage::Stage;
+    let ds = LsmDataset::new(
+        leafy_config("analyze-probe", LayoutKind::Amax, 4 * 1024, 64)
+            .with_secondary_index(docmodel::Path::parse("score")),
+    );
+    for i in 0..300i64 {
+        ds.insert(doc!({"id": i, "score": (i % 100), "text": "padding"})).unwrap();
+    }
+    ds.flush().unwrap();
+    // A few in-range records answered by the memtable, the rest by the
+    // component.
+    for i in [10i64, 20, 30] {
+        ds.insert(doc!({"id": i, "score": 15, "text": "moved"})).unwrap();
+    }
+    let engine = QueryEngine::with_options(
+        ExecMode::Compiled,
+        PlannerOptions::with_access_path(AccessPathChoice::ForceIndex),
+    );
+    let query = Query::count_star().with_filter(Expr::between("score", 10, 19));
+    let report = engine.explain_analyze(&ds, &query).unwrap();
+    // 30 records score 10..=19; ids 20 and 30 move in, id 10 stays.
+    assert_eq!(report.rows[0].agg(), &Value::Int(32));
+    let stages = report.stages();
+    for stage in [Stage::IndexProbe, Stage::PointLookup] {
+        assert_eq!(stages.count(stage), 1, "{stage:?}: {stages}");
+        assert!(!stages.time(stage).is_zero(), "{stage:?}: {stages}");
+    }
+    assert!(stages.total() <= report.wall, "{stages} in {:?}", report.wall);
+}

@@ -6,8 +6,8 @@
 //! that thread; otherwise entering a stage is one thread-local read and
 //! nothing else, so the scopes stay in the engine whether or not anyone
 //! measures. Scopes sit at page and chunk granularity (a page read, a chunk
-//! decode, a kernel over a batch, a WAL write of a commit group), never
-//! around one record.
+//! decode, a kernel over a batch, a WAL write of a commit group, an index
+//! probe), never around one record of a scan.
 //!
 //! Scopes nest, and a stage's time is **exclusive**: entering a stage
 //! inside another pauses the outer one until the inner scope ends. A page
@@ -60,11 +60,17 @@ pub enum Stage {
     WalWrite,
     /// Forcing the WAL to the device (`fsync`).
     WalSync,
+    /// A secondary-index range probe under the dataset's write lock: the
+    /// index walk and the active memtable's answers for its keys.
+    IndexProbe,
+    /// Resolving point lookups below the active memtable, a batch of
+    /// ascending keys level by level (sealed memtables, then components).
+    PointLookup,
 }
 
 impl Stage {
     /// Every stage, in the order reports list them.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 12] = [
         Stage::PageRead,
         Stage::Decompress,
         Stage::DecodeLevels,
@@ -75,6 +81,8 @@ impl Stage {
         Stage::PageWrite,
         Stage::WalWrite,
         Stage::WalSync,
+        Stage::IndexProbe,
+        Stage::PointLookup,
     ];
 
     /// The stage's name in reports.
@@ -90,6 +98,8 @@ impl Stage {
             Stage::PageWrite => "page write",
             Stage::WalWrite => "wal write",
             Stage::WalSync => "wal sync",
+            Stage::IndexProbe => "index probe",
+            Stage::PointLookup => "point lookup",
         }
     }
 
