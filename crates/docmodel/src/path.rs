@@ -142,42 +142,28 @@ impl Path {
     /// out over all elements; union steps match values whose dynamic type
     /// equals the branch name. Missing fields simply contribute nothing.
     pub fn evaluate<'a>(&self, doc: &'a Value) -> Vec<&'a Value> {
-        let mut current: Vec<&'a Value> = vec![doc];
-        for step in &self.steps {
-            let mut next = Vec::with_capacity(current.len());
-            for v in current {
-                match step {
-                    PathStep::Field(name) => {
-                        if let Some(child) = v.get_field(name) {
-                            next.push(child);
-                        }
-                    }
-                    PathStep::AllElements => {
-                        if let Some(elems) = v.as_array() {
-                            next.extend(elems.iter());
-                        }
-                    }
-                    PathStep::Union(type_name) => {
-                        if v.kind().name() == *type_name {
-                            next.push(v);
-                        }
-                    }
-                }
-            }
-            current = next;
-        }
-        current
+        let mut out = Vec::new();
+        self.any(doc, |v| {
+            out.push(v);
+            false
+        });
+        out
     }
 
     /// `true` when some value [`Path::evaluate`] would collect satisfies
     /// `pred` (existential semantics), found by a walk that collects
-    /// nothing and stops at the first match.
-    pub fn any(&self, doc: &Value, mut pred: impl FnMut(&Value) -> bool) -> bool {
+    /// nothing and stops at the first match. Values are offered in
+    /// [`Path::evaluate`]'s order.
+    pub fn any<'a>(&self, doc: &'a Value, mut pred: impl FnMut(&'a Value) -> bool) -> bool {
         any_along(&self.steps, doc, &mut pred)
     }
 }
 
-fn any_along(steps: &[PathStep], v: &Value, pred: &mut impl FnMut(&Value) -> bool) -> bool {
+fn any_along<'a>(
+    steps: &[PathStep],
+    v: &'a Value,
+    pred: &mut impl FnMut(&'a Value) -> bool,
+) -> bool {
     let Some((step, rest)) = steps.split_first() else {
         return pred(v);
     };
@@ -273,9 +259,10 @@ mod tests {
         assert_eq!(titles.len(), 2);
         assert_eq!(titles[0].as_str(), Some("NBA"));
         let consoles = Path::parse("games[*].consoles[*]").evaluate(&rec);
-        assert_eq!(consoles.len(), 3);
+        let names: Vec<_> = consoles.iter().map(|v| v.as_str()).collect();
+        assert_eq!(names, [Some("PS4"), Some("PC"), Some("XBOX")]);
         assert!(Path::parse("missing.path").evaluate(&rec).is_empty());
-        // `any` visits the same values, collecting nothing.
+        // `any` offers the same values, collecting nothing.
         let console = |name: &'static str| move |v: &Value| v.as_str() == Some(name);
         assert!(Path::parse("games[*].consoles[*]").any(&rec, console("XBOX")));
         assert!(!Path::parse("games[*].title").any(&rec, console("PC")));

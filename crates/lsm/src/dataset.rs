@@ -1045,8 +1045,8 @@ impl LsmDataset {
         projection: Option<&[Path]>,
     ) -> Result<Vec<(Value, Value)>> {
         let (keys, newest, tree) = {
-            let _stage = Stage::IndexProbe.enter();
             let write = self.core.write.lock();
+            let _stage = Stage::IndexProbe.enter();
             let secondary = write
                 .indexes
                 .as_ref()
@@ -1069,7 +1069,10 @@ impl LsmDataset {
             .filter(|(_, entry)| entry.is_none())
             .map(|(key, _)| key)
             .collect();
-        let lookup = tree.lookup_sorted(&unresolved, projection)?;
+        let lookup = {
+            let _stage = Stage::PointLookup.enter();
+            tree.lookup_sorted(&unresolved, projection)?
+        };
         self.core.note_lookups(
             keys.len() as u64,
             (keys.len() - unresolved.len()) as u64,

@@ -89,7 +89,10 @@ impl Memtable {
     pub fn get_sorted(&self, keys: &[Value]) -> Vec<Option<Option<&Value>>> {
         debug_assert!(keys.windows(2).all(|w| total_cmp(&w[0], &w[1]).is_lt()));
         let max_steps = usize::BITS - self.entries.len().leading_zeros();
-        let mut walk = self.entries.range::<OrderedValue, _>(..).peekable();
+        let Some(first) = keys.first() else {
+            return Vec::new();
+        };
+        let mut walk = self.entries.range(OrderedValue(first.clone())..).peekable();
         let resolve = |key: &Value| {
             let mut steps = 0;
             loop {

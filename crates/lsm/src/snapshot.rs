@@ -115,7 +115,6 @@ use storage::component::{
 };
 use storage::pagestore::PageStore;
 use storage::ColumnBatch;
-use telemetry::stage::Stage;
 
 use crate::Result;
 
@@ -173,7 +172,6 @@ impl TreeState {
         keys: &[&Value],
         projection: Option<&[Path]>,
     ) -> Result<TreeLookup> {
-        let _stage = Stage::PointLookup.enter();
         let mut entries: Vec<Option<Option<Value>>> = vec![None; keys.len()];
         // Indexes of the keys still unresolved, ascending like the keys.
         let mut pending: Vec<usize> = (0..keys.len()).collect();

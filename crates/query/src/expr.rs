@@ -192,13 +192,11 @@ impl Expr {
             Expr::Not(inner) => !inner.matches(doc),
             Expr::Cmp { op, path, value } => path.any(doc, |v| op.matches(total_cmp(v, value))),
             Expr::Exists(path) => path.any(doc, |_| true),
-            Expr::Contains { path, value } => path.evaluate(doc).iter().any(|v| match v {
-                Value::Array(elems) => elems
-                    .iter()
-                    .any(|e| total_cmp(e, value) == Ordering::Equal),
+            Expr::Contains { path, value } => path.any(doc, |v| match v {
+                Value::Array(elems) => elems.iter().any(|e| total_cmp(e, value) == Ordering::Equal),
                 other => total_cmp(other, value) == Ordering::Equal,
             }),
-            Expr::Length { path, op, len } => path.evaluate(doc).iter().any(|v| {
+            Expr::Length { path, op, len } => path.any(doc, |v| {
                 value_length(v).is_some_and(|l| op.matches(l.cmp(len)))
             }),
         }

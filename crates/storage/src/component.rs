@@ -301,7 +301,7 @@ pub struct ColumnPredicate {
 impl ColumnPredicate {
     /// Does `doc` hold a value at the path inside the range?
     pub fn matches(&self, doc: &Value) -> bool {
-        self.path.evaluate(doc).iter().any(|v| self.contains(v))
+        self.path.any(doc, |v| self.contains(v))
     }
 
     /// Is `v` inside `[lo, hi]` under the document total order?

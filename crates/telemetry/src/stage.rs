@@ -7,7 +7,7 @@
 //! nothing else, so the scopes stay in the engine whether or not anyone
 //! measures. Scopes sit at page and chunk granularity (a page read, a chunk
 //! decode, a kernel over a batch, a WAL write of a commit group, an index
-//! probe), never around one record of a scan.
+//! probe), never around one record.
 //!
 //! Scopes nest, and a stage's time is **exclusive**: entering a stage
 //! inside another pauses the outer one until the inner scope ends. A page
@@ -60,11 +60,12 @@ pub enum Stage {
     WalWrite,
     /// Forcing the WAL to the device (`fsync`).
     WalSync,
-    /// A secondary-index range probe under the dataset's write lock: the
-    /// index walk and the active memtable's answers for its keys.
+    /// A secondary-index range probe under the dataset's write lock (once
+    /// it is held): the index walk and the active memtable's answers for
+    /// its keys.
     IndexProbe,
-    /// Resolving point lookups below the active memtable, a batch of
-    /// ascending keys level by level (sealed memtables, then components).
+    /// Resolving a range probe's keys below the active memtable, one batch
+    /// of ascending keys level by level (sealed memtables, then components).
     PointLookup,
 }
 
