@@ -122,12 +122,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         artifact: Some("BENCH_server.json"),
         run: server,
     },
-    Experiment {
-        name: "ablations",
-        title: "Ablation: AMAX empty-page tolerance (tweet_2)",
-        artifact: None,
-        run: ablation_empty_page_tolerance,
-    },
 ];
 
 impl Experiment {
@@ -620,19 +614,6 @@ fn fig16(scale: f64) -> Vec<Measurement> {
     out
 }
 
-/// Ablation: AMAX storage size as a function of the empty-page tolerance.
-fn ablation_empty_page_tolerance(scale: f64) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for tolerance in [0.0, 0.1, 0.2, 0.5, 1.0] {
-        let mut builder = DatasetBuilder::scaled(DatasetKind::Tweet2, LayoutKind::Amax, scale, 200);
-        builder.config.amax.empty_page_tolerance = tolerance;
-        let (dataset, _) = builder.build();
-        let kib = dataset.primary_stored_bytes() as f64 / 1024.0;
-        out.row(format!("tolerance {tolerance}"), "AMAX", kib, "KiB");
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Self-asserting experiments.
 // ---------------------------------------------------------------------------
@@ -719,8 +700,8 @@ fn compaction(scale: f64) -> Vec<Measurement> {
     for (workload, rounds) in [("append-only", 1), ("update-heavy", UPDATE_ROUNDS)] {
         for (name, spec) in [
             ("tiered", CompactionSpec::tiered(1.2, 5)),
-            ("leveled", CompactionSpec::leveled()),
-            ("lazy-leveled", CompactionSpec::lazy_leveled()),
+            ("leveled", CompactionSpec::Leveled),
+            ("lazy-leveled", CompactionSpec::LazyLeveled),
         ] {
             let (dataset, mut ingest_ms) =
                 ingest(builder.config.clone().with_compaction(spec), docs.clone());

@@ -70,9 +70,7 @@ use storage::pagestore::IoStats;
 use telemetry::{Event, MetricsSnapshot};
 
 pub use docmodel::{doc, Path, Value};
-pub use lsm::{
-    CompactionSpec, DatasetHealth, ReclaimReport, TieringPolicy, WorkerPool, WorkerState,
-};
+pub use lsm::{CompactionSpec, DatasetHealth, ReclaimReport, WorkerPool, WorkerState};
 pub use query::{Aggregate, AnalyzeReport, Expr};
 pub use storage::LayoutKind as Layout;
 pub use storage::{LeafCache, LeafCacheStats};
@@ -211,7 +209,10 @@ impl DatasetOptions {
         self
     }
 
-    /// Select the compaction strategy (tiered, leveled, or lazy-leveled).
+    /// Select the compaction strategy: tiered (the default, size ratio 1.2
+    /// and at most five components; both settable), leveled or
+    /// lazy-leveled (no knobs: they run at the `lsm::policy` constants).
+    /// The choice is persisted, so a reopened dataset keeps it.
     pub fn compaction(mut self, spec: CompactionSpec) -> Self {
         self.config.compaction = spec;
         self

@@ -66,19 +66,6 @@ pub fn total_cmp(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-/// Extension trait exposing the total order as a method and providing a
-/// totally-ordered wrapper for use as `BTreeMap` keys.
-pub trait TotalOrd {
-    /// Compare under the document-store total order.
-    fn doc_cmp(&self, other: &Self) -> Ordering;
-}
-
-impl TotalOrd for Value {
-    fn doc_cmp(&self, other: &Self) -> Ordering {
-        total_cmp(self, other)
-    }
-}
-
 /// A wrapper making [`Value`] usable as an ordered map key (e.g. memtable
 /// keys, secondary index keys). Equality follows the same total order, so
 /// `Int(1)` and `Double(1.0)` are treated as equal keys — the convention used

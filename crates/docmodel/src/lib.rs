@@ -24,7 +24,7 @@ pub mod path;
 pub mod print;
 pub mod value;
 
-pub use cmp::{total_cmp, TotalOrd};
+pub use cmp::total_cmp;
 pub use parse::{parse_json, parse_json_stream, ParseError};
 pub use path::{Path, PathStep};
 pub use print::{to_json, to_json_pretty};

@@ -41,6 +41,7 @@
 //! * the crate-private `Scheduler` coordinates the optional background
 //!   worker and applies ingest backpressure when sealed memtables pile up.
 
+use std::ops::Range;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -81,7 +82,7 @@ pub struct DatasetConfig {
     pub page_size: usize,
     /// Buffer-cache capacity in pages.
     pub cache_pages: usize,
-    /// Compaction strategy and its knobs (persisted in the manifest).
+    /// Compaction strategy (persisted in the manifest).
     pub compaction: CompactionSpec,
     /// Maintain a secondary index on this path (e.g. `timestamp`).
     pub secondary_index_on: Option<Path>,
@@ -246,7 +247,6 @@ impl DatasetConfig {
             None => out.push(0),
         }
         varint::write_u64(&mut out, self.amax.record_limit as u64);
-        plain::write_f64(&mut out, self.amax.empty_page_tolerance);
         match self.compaction {
             CompactionSpec::Tiered {
                 size_ratio,
@@ -256,22 +256,8 @@ impl DatasetConfig {
                 plain::write_f64(&mut out, size_ratio);
                 varint::write_u64(&mut out, max_components as u64);
             }
-            CompactionSpec::Leveled {
-                target_size,
-                l0_threshold,
-                ratio,
-            }
-            | CompactionSpec::LazyLeveled {
-                target_size,
-                l0_threshold,
-                ratio,
-            } => {
-                let lazy = matches!(self.compaction, CompactionSpec::LazyLeveled { .. });
-                out.push(1 + u8::from(lazy));
-                varint::write_u64(&mut out, target_size);
-                varint::write_u64(&mut out, l0_threshold as u64);
-                plain::write_f64(&mut out, ratio);
-            }
+            CompactionSpec::Leveled => out.push(1),
+            CompactionSpec::LazyLeveled => out.push(2),
         }
         varint::write_u64(&mut out, self.memory_budget as u64);
         if self.memory_budget == 0 {
@@ -303,31 +289,14 @@ impl DatasetConfig {
         }
         config.amax = AmaxConfig {
             record_limit: varint::read_u64(bytes, pos)? as usize,
-            empty_page_tolerance: plain::read_f64(bytes, pos)?,
         };
         config.compaction = match byte(pos)? {
             0 => CompactionSpec::Tiered {
                 size_ratio: plain::read_f64(bytes, pos)?,
                 max_components: varint::read_u64(bytes, pos)? as usize,
             },
-            tag @ (1 | 2) => {
-                let target_size = varint::read_u64(bytes, pos)?;
-                let l0_threshold = varint::read_u64(bytes, pos)? as usize;
-                let ratio = plain::read_f64(bytes, pos)?;
-                if tag == 1 {
-                    CompactionSpec::Leveled {
-                        target_size,
-                        l0_threshold,
-                        ratio,
-                    }
-                } else {
-                    CompactionSpec::LazyLeveled {
-                        target_size,
-                        l0_threshold,
-                        ratio,
-                    }
-                }
-            }
+            1 => CompactionSpec::Leveled,
+            2 => CompactionSpec::LazyLeveled,
             tag => {
                 return Err(crate::LsmError::new(format!(
                     "unknown compaction strategy tag {tag} in dataset configuration"
@@ -963,8 +932,9 @@ impl LsmDataset {
             if n <= 1 {
                 return Ok(());
             }
-            let positions: Vec<usize> = (0..n).collect();
-            self.core.merge_components_locked(&mut maint, &positions)?;
+            let all = 0..n;
+            self.core
+                .merge_jobs_locked(&mut maint, std::slice::from_ref(&all))?;
         }
     }
 
@@ -1218,8 +1188,9 @@ impl DatasetCore {
     }
 
     /// Seal the active memtable: rotate the WAL so the sealed records are
-    /// confined to closed segments, publish the sealed memtable in the tree,
-    /// and signal the scheduler. No-op when the memtable is empty.
+    /// confined to closed segments, publish the sealed memtable in the tree
+    /// and, under the same lock, the tree's sealed count in the scheduler;
+    /// then queue a flush round. No-op when the memtable is empty.
     fn seal_locked(&self, write: &mut WriteState) -> Result<()> {
         if write.memtable.is_empty() {
             return Ok(());
@@ -1237,9 +1208,9 @@ impl DatasetCore {
             let mut tree = self.tree.write();
             let mut next = (**tree).clone();
             next.sealed.push(sealed);
+            self.sched.set_sealed(next.sealed.len());
             *tree = Arc::new(next);
         }
-        self.sched.note_sealed();
         if self.config.background {
             self.enqueue_background(Priority::Flush);
         }
@@ -1396,9 +1367,9 @@ impl DatasetCore {
                 .expect("sealed memtable vanished while flushing");
             next.sealed.remove(pos);
             next.components.push(component);
+            self.sched.set_sealed(next.sealed.len());
             *tree = Arc::new(next);
         }
-        self.sched.note_flushed();
         let elapsed = started.elapsed();
         if self.telemetry.enabled() {
             self.telemetry.flushes.incr();
@@ -1633,70 +1604,41 @@ impl DatasetCore {
                 .map(|c| c.stored_bytes())
                 .collect()
         };
-        let jobs = self.config.compaction.strategy().decide_jobs(&sizes);
+        let jobs = self.config.compaction.merge_jobs(&sizes);
         if jobs.is_empty() {
             return Ok(());
         }
-        // Translate each job's newest-first indexes into positions in the
-        // oldest-first component list.
+        // Newest-first ranges to oldest-first positions, still ascending.
         let n = sizes.len();
-        let mut position_jobs: Vec<Vec<usize>> = jobs
+        let positions: Vec<Range<usize>> = jobs
             .iter()
-            .map(|job| {
-                let mut positions: Vec<usize> = job.iter().map(|&i| n - 1 - i).collect();
-                positions.sort_unstable();
-                positions
-            })
+            .rev()
+            .map(|job| n - job.end..n - job.start)
             .collect();
-        position_jobs.sort_by_key(|p| p[0]);
-        self.merge_jobs_locked(maint, &position_jobs)
+        self.merge_jobs_locked(maint, &positions)
     }
 
-    /// Merge the components at the given (oldest-first) positions.
-    fn merge_components_locked(&self, maint: &mut MaintState, positions: &[usize]) -> Result<()> {
-        self.merge_jobs_locked(maint, std::slice::from_ref(&positions.to_vec()))
-    }
-
-    /// Run a round of merge jobs. Each job names a contiguous, oldest-first
-    /// range of positions in the component list; jobs are disjoint and
-    /// sorted by first position. Multiple jobs (a leveled strategy's
-    /// independent level-to-level cascades) reconcile and write their output
-    /// components **concurrently** — they touch disjoint inputs and append
-    /// to the page store independently — then a single manifest commit and
-    /// tree swap publishes the whole round atomically.
-    fn merge_jobs_locked(&self, maint: &mut MaintState, jobs: &[Vec<usize>]) -> Result<()> {
-        let jobs: Vec<&[usize]> = jobs
-            .iter()
-            .map(Vec::as_slice)
-            .filter(|j| j.len() >= 2)
-            .collect();
-        if jobs.is_empty() {
-            return Ok(());
-        }
+    /// Run one merge round. Each job is a disjoint range of oldest-first
+    /// positions in the component list, ascending, of at least two
+    /// components. The jobs (a leveled strategy's independent
+    /// level-to-level cascades) run one after another; a single manifest
+    /// commit and tree swap then publishes the whole round atomically.
+    fn merge_jobs_locked(&self, maint: &mut MaintState, jobs: &[Range<usize>]) -> Result<()> {
         let components = self.tree.read().components.clone();
         let schema = maint.schema_builder.schema().clone();
-        // Pre-assign output ids so concurrent jobs never race the counter.
-        let first_id = maint.next_component_id;
-        maint.next_component_id += jobs.len() as u64;
 
         struct JobResult {
             output: Arc<Component>,
             report: MergeReport,
-            inputs: Vec<Arc<Component>>,
             input_ids: Vec<u64>,
             pages_in: u64,
             elapsed: Duration,
         }
 
-        let run_job = |positions: &[usize], id: u64| -> Result<JobResult> {
-            debug_assert!(
-                positions.windows(2).all(|w| w[1] == w[0] + 1),
-                "merge jobs must cover contiguous positions (age order)"
-            );
+        let mut done = Vec::with_capacity(jobs.len());
+        for positions in jobs {
             let job_started = Instant::now();
-            let inputs: Vec<Arc<Component>> =
-                positions.iter().map(|&p| components[p].clone()).collect();
-            let includes_oldest = positions.first() == Some(&0);
+            let inputs = &components[positions.clone()];
             let input_ids: Vec<u64> = inputs.iter().map(|c| c.id()).collect();
             let pages_in: u64 = inputs.iter().map(|c| c.pages().len() as u64).sum();
             self.telemetry.emit(EventKind::MergeBegin {
@@ -1714,42 +1656,19 @@ impl DatasetCore {
                 &self.cache,
                 &self.component_config(),
                 schema.clone(),
-                &inputs,
-                id,
-                includes_oldest,
+                inputs,
+                maint.next_component_id,
+                positions.start == 0,
                 MergeLane::Copy,
             )?;
-            Ok(JobResult {
+            maint.next_component_id += 1;
+            done.push(JobResult {
                 output: Arc::new(output),
                 report,
-                inputs,
                 input_ids,
                 pages_in,
                 elapsed: job_started.elapsed(),
-            })
-        };
-
-        let results: Vec<Result<JobResult>> = if jobs.len() == 1 {
-            vec![run_job(jobs[0], first_id)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, job)| {
-                        let run_job = &run_job;
-                        scope.spawn(move || run_job(job, first_id + i as u64))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge job panicked"))
-                    .collect()
-            })
-        };
-        let mut done = Vec::with_capacity(results.len());
-        for result in results {
-            done.push(result?);
+            });
         }
 
         // Build the post-merge component list: per job (back to front so
@@ -1757,10 +1676,7 @@ impl DatasetCore {
         // merged position.
         let mut new_components = components.clone();
         for (positions, result) in jobs.iter().zip(&done).rev() {
-            for &pos in positions.iter().rev() {
-                new_components.remove(pos);
-            }
-            new_components.insert(positions[0], result.output.clone());
+            new_components.splice(positions.clone(), [result.output.clone()]);
         }
         // Durable merge: one manifest swap makes every output visible; the
         // inputs' pages are freed only after the swap commits, so a crash
@@ -1777,15 +1693,13 @@ impl DatasetCore {
         }
         // Retire the inputs: their pages are freed when the last snapshot
         // holding them drops (Component::retire), never under a live reader.
-        for result in &done {
-            for input in &result.inputs {
+        for positions in jobs {
+            for input in &components[positions.clone()] {
                 input.retire();
             }
         }
-        let mut round_time = Duration::ZERO;
         for result in &done {
             let pages_out = result.output.pages().len() as u64;
-            round_time = round_time.max(result.elapsed);
             if self.telemetry.enabled() {
                 self.telemetry.merges.incr();
                 self.telemetry.merge_pages_in.add(result.pages_in);
@@ -1814,8 +1728,7 @@ impl DatasetCore {
         {
             let mut stats = self.stats.lock();
             stats.merges += done.len() as u64;
-            // Concurrent jobs overlap; charge the round's wall clock once.
-            stats.merge_time += round_time;
+            stats.merge_time += done.iter().map(|result| result.elapsed).sum::<Duration>();
         }
         Ok(())
     }

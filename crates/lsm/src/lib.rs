@@ -12,10 +12,9 @@
 //!
 //! * [`memtable`] — the in-memory component (rows, in the VB format's logical
 //!   form), with delete support via anti-matter markers;
-//! * [`policy`] — pluggable compaction: the [`CompactionStrategy`] trait
-//!   with tiered (the paper's policy, ratio 1.2, max 5 components, §6.3),
-//!   leveled, and lazy-leveled implementations, selected per dataset by a
-//!   manifest-persisted [`CompactionSpec`];
+//! * [`policy`] — compaction: a manifest-persisted [`CompactionSpec`]
+//!   (tiered — the paper's policy, ratio 1.2, max 5 components, §6.3 —
+//!   leveled, or lazy-leveled) whose one method picks each merge round;
 //! * [`index`] — the secondary (e.g. timestamp) index whose maintenance
 //!   cost §6.3.2 measures, and the primary-key index kept beside it to
 //!   spare that maintenance the old-record lookup of brand-new keys;
@@ -96,8 +95,8 @@
 //!   behaviour). The pool runs queued flushes before queued merges — a
 //!   flush releases ingest backpressure — and FIFO within a priority, the
 //!   fair FCFS scheduling of the paper's setup (§6.3). Within one dataset,
-//!   a leveled strategy's disjoint merge jobs run concurrently on scoped
-//!   threads and publish as one atomic manifest commit. Backpressure bounds
+//!   a leveled strategy's disjoint merge jobs run one after another in one
+//!   round and publish as one atomic manifest commit. Backpressure bounds
 //!   the sealed queue ([`DatasetConfig::max_sealed_memtables`]); `flush()`
 //!   drains the dataset's queued rounds; worker errors are parked and
 //!   surfaced on the next insert or flush. Without `background`, sealing is
@@ -150,10 +149,7 @@ pub use index::{PrimaryKeyIndex, SecondaryIndex};
 pub use memtable::Memtable;
 pub use merge::{merge_components, MergeLane, MergeReport};
 pub use persist::CrashPoint;
-pub use policy::{
-    CompactionSpec, CompactionStrategy, LazyLeveledPolicy, LeveledPolicy, MergeDecision,
-    TieringPolicy,
-};
+pub use policy::CompactionSpec;
 pub use snapshot::{
     BatchScan, EntryMergeCursor, RowOrigin, ScanBatch, ScanCursor, ScanSpec, Snapshot, Winner,
 };

@@ -1,277 +1,69 @@
-//! Merge policies: pluggable compaction strategies.
+//! Compaction: which on-disk components merge.
 //!
 //! The paper's experiments use AsterixDB's *tiering* merge policy (size
 //! ratio 1.2) with a fair, first-come-first-served scheduler and a maximum
-//! of five mergeable components (§6.3). That policy survives here as
-//! [`TieringPolicy`], but compaction is now a pluggable subsystem: the
-//! [`CompactionStrategy`] trait decides which on-disk runs merge, and the
-//! serialisable [`CompactionSpec`] selects a strategy per dataset (it
-//! round-trips through the manifest, so a reopened dataset keeps its
-//! strategy).
+//! of five mergeable components (§6.3). Leveling and lazy leveling are two
+//! more ways to set the same rule (arXiv 1812.07527 §2.3), so all three are
+//! one serialisable [`CompactionSpec`] with one method,
+//! [`CompactionSpec::merge_jobs`]. The spec round-trips through the
+//! manifest, so a reopened dataset keeps compacting the way it was created.
 //!
-//! Three strategies ship:
+//! * **tiered** — write-optimised. Runs accumulate and a prefix of the
+//!   newest runs merges when their cumulative size exceeds `size_ratio` ×
+//!   the next older run, or when the run count exceeds `max_components`.
+//! * **leveled** — read/space-optimised. Runs smaller than [`TARGET_SIZE`]
+//!   count as L0; once [`L0_THRESHOLD`] of them pile up they merge into the
+//!   next older run. Grown runs ("levels") merge into their older neighbour
+//!   whenever they exceed [`LEVEL_RATIO`] × its size, which keeps the run
+//!   count logarithmic and shadowed versions short-lived. Independent
+//!   level-to-level cascades are separate, disjoint jobs of one round.
+//! * **lazy-leveled** — a tiering/leveling hybrid ("How to Grow an
+//!   LSM-tree?", `PAPERS.md`): young runs tier up cheaply and merge into the
+//!   single oldest run (the "level") only when their total crosses
+//!   [`LEVEL_RATIO`] × its size (and at least [`TARGET_SIZE`]), bounding
+//!   both write amplification (few rewrites of the big run) and read
+//!   amplification (few small runs).
 //!
-//! * **tiered** ([`TieringPolicy`]) — write-optimised. Runs accumulate and
-//!   a prefix of the newest runs merges when their cumulative size exceeds
-//!   `size_ratio` × the next older run, or when the run count exceeds
-//!   `max_components`.
-//! * **leveled** ([`LeveledPolicy`]) — read/space-optimised. Runs smaller
-//!   than `target_size` count as L0; once `l0_threshold` of them pile up
-//!   they merge into the next older run. Grown runs ("levels") merge into
-//!   their older neighbour whenever they exceed `ratio` × its size, which
-//!   keeps the run count logarithmic and shadowed versions short-lived.
-//!   Independent level-to-level merges are emitted as *disjoint jobs*
-//!   ([`CompactionStrategy::decide_jobs`]) so they can run concurrently.
-//! * **lazy-leveled** ([`LazyLeveledPolicy`]) — a tiering/leveling hybrid
-//!   ("How to Grow an LSM-tree?", `PAPERS.md`): young runs tier up cheaply
-//!   and merge into the single oldest run (the "level") only when their
-//!   total crosses a fraction of its size, bounding both write amplification
-//!   (few rewrites of the big run) and read amplification (few small runs).
-//!
-//! All strategies see component sizes **newest first** and must return
-//! decisions over *contiguous* index ranges — components are age-ordered,
-//! and merging non-adjacent runs would let an old version of a key leapfrog
-//! a newer one during reconciliation.
+//! Every job is a [`Range`] of newest-first indexes: components are
+//! age-ordered, and merging non-adjacent runs would let an old version of a
+//! key leapfrog a newer one during reconciliation.
 
-use std::sync::Arc;
+use std::ops::Range;
 
-/// What the policy decided.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeDecision {
-    /// Nothing to do.
-    None,
-    /// Merge the components at the given indexes (newest-first ordering of
-    /// the input slice). Indexes must be contiguous.
-    Merge(Vec<usize>),
-}
+/// Leveled: runs below this size count as L0 (fresh flush output).
+/// Lazy-leveled: the least combined tier size worth folding into the level.
+pub const TARGET_SIZE: u64 = 4 << 20;
 
-/// A compaction strategy: given the on-disk run sizes (newest first),
-/// decide what merges to schedule.
-pub trait CompactionStrategy: Send + Sync {
-    /// Decide whether to merge. `sizes` lists component sizes in bytes,
-    /// newest first. A returned [`MergeDecision::Merge`] holds contiguous
-    /// newest-first indexes.
-    fn decide(&self, sizes: &[u64]) -> MergeDecision;
+/// Leveled: L0 runs that trigger a merge into the next older run.
+/// Lazy-leveled: runs beyond which the tiers merge among themselves.
+pub const L0_THRESHOLD: usize = 4;
 
-    /// Decide a *set* of merge jobs over disjoint contiguous index ranges
-    /// (newest-first indexes). Jobs touch disjoint components, so the
-    /// dataset may run them concurrently within one merge round. The
-    /// default wraps [`CompactionStrategy::decide`] into at most one job.
-    fn decide_jobs(&self, sizes: &[u64]) -> Vec<Vec<usize>> {
-        match self.decide(sizes) {
-            MergeDecision::None => Vec::new(),
-            MergeDecision::Merge(indexes) => vec![indexes],
-        }
-    }
-}
+/// Leveled: a grown run merges into its older neighbour when it exceeds this
+/// fraction of the neighbour's size. Lazy-leveled: the tiers fold into the
+/// level when their total exceeds this fraction of it.
+pub const LEVEL_RATIO: f64 = 0.5;
 
-/// Tiering merge policy with a size ratio and a component-count trigger.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TieringPolicy {
-    /// A merge is scheduled when the cumulative size of younger components
-    /// exceeds `size_ratio` × the size of the oldest component considered.
-    pub size_ratio: f64,
-    /// Maximum tolerated number of on-disk components before a merge is
-    /// forced.
-    pub max_components: usize,
-}
-
-impl Default for TieringPolicy {
-    fn default() -> Self {
-        TieringPolicy {
-            size_ratio: 1.2,
-            max_components: 5,
-        }
-    }
-}
-
-impl CompactionStrategy for TieringPolicy {
-    fn decide(&self, sizes: &[u64]) -> MergeDecision {
-        if sizes.len() < 2 {
-            return MergeDecision::None;
-        }
-        // Size-ratio rule: find the longest prefix (newest components) whose
-        // cumulative size exceeds ratio × the next (older) component.
-        let mut younger_total = 0u64;
-        for (i, &size) in sizes.iter().enumerate() {
-            if i + 1 < sizes.len() {
-                younger_total += size;
-                let older = sizes[i + 1];
-                if younger_total as f64 > self.size_ratio * older as f64 {
-                    return MergeDecision::Merge((0..=i + 1).collect());
-                }
-            }
-        }
-        // Component-count rule.
-        if sizes.len() > self.max_components {
-            return MergeDecision::Merge((0..sizes.len()).collect());
-        }
-        MergeDecision::None
-    }
-}
-
-/// Leveled merge policy: fresh flushes ("L0" runs, smaller than
-/// `target_size`) batch-merge into the adjacent older run once
-/// `l0_threshold` accumulate; grown runs cascade into their older neighbour
-/// whenever they exceed `ratio` × its size. (Knob surface follows the
-/// common embedded-LSM convention: `target_size`, `l0_threshold`, `ratio`.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeveledPolicy {
-    /// Runs below this size count as L0 (fresh flush output).
-    pub target_size: u64,
-    /// Number of L0 runs that triggers a merge into the next older run.
-    pub l0_threshold: usize,
-    /// A grown run merges into its older neighbour when it exceeds
-    /// `ratio` × the neighbour's size.
-    pub ratio: f64,
-}
-
-impl Default for LeveledPolicy {
-    fn default() -> Self {
-        LeveledPolicy {
-            target_size: 4 << 20,
-            l0_threshold: 4,
-            ratio: 0.5,
-        }
-    }
-}
-
-impl CompactionStrategy for LeveledPolicy {
-    fn decide(&self, sizes: &[u64]) -> MergeDecision {
-        if sizes.len() < 2 {
-            return MergeDecision::None;
-        }
-        // Count the leading (newest) runs still below target size: L0.
-        let l0 = sizes.iter().take_while(|&&s| s < self.target_size).count();
-        if l0 >= self.l0_threshold {
-            // Merge every L0 run plus the adjacent older run (or all runs
-            // when everything is still L0-sized).
-            let upto = l0.min(sizes.len() - 1);
-            return MergeDecision::Merge((0..=upto).collect());
-        }
-        // Cascade rule: a grown run that exceeds ratio × its older
-        // neighbour merges into it (newest such pair first).
-        for i in 0..sizes.len() - 1 {
-            if sizes[i] >= self.target_size && sizes[i] as f64 > self.ratio * sizes[i + 1] as f64 {
-                return MergeDecision::Merge(vec![i, i + 1]);
-            }
-        }
-        MergeDecision::None
-    }
-
-    fn decide_jobs(&self, sizes: &[u64]) -> Vec<Vec<usize>> {
-        if sizes.len() < 2 {
-            return Vec::new();
-        }
-        let l0 = sizes.iter().take_while(|&&s| s < self.target_size).count();
-        if l0 >= self.l0_threshold {
-            let upto = l0.min(sizes.len() - 1);
-            return vec![(0..=upto).collect()];
-        }
-        // Emit every non-overlapping cascade pair as its own job: the pairs
-        // touch disjoint components, so the dataset can merge them
-        // concurrently.
-        let mut jobs = Vec::new();
-        let mut i = 0;
-        while i + 1 < sizes.len() {
-            if sizes[i] >= self.target_size && sizes[i] as f64 > self.ratio * sizes[i + 1] as f64 {
-                jobs.push(vec![i, i + 1]);
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-        jobs
-    }
-}
-
-/// Lazy-leveled merge policy: the oldest run is *the level*; every younger
-/// run is a tier. Tiers merge among themselves once `l0_threshold`
-/// accumulate, and fold into the level only when their combined size
-/// crosses `ratio` × the level (and at least `target_size`), so the big run
-/// is rewritten rarely.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LazyLeveledPolicy {
-    /// Minimum combined tier size before folding into the level.
-    pub target_size: u64,
-    /// Number of tier runs that triggers a tier-only merge.
-    pub l0_threshold: usize,
-    /// Tiers fold into the level when their total exceeds `ratio` × the
-    /// level's size.
-    pub ratio: f64,
-}
-
-impl Default for LazyLeveledPolicy {
-    fn default() -> Self {
-        LazyLeveledPolicy {
-            target_size: 4 << 20,
-            l0_threshold: 4,
-            ratio: 0.5,
-        }
-    }
-}
-
-impl CompactionStrategy for LazyLeveledPolicy {
-    fn decide(&self, sizes: &[u64]) -> MergeDecision {
-        let n = sizes.len();
-        if n < 2 {
-            return MergeDecision::None;
-        }
-        let level = sizes[n - 1];
-        let tier_total: u64 = sizes[..n - 1].iter().sum();
-        // Fold the tiers into the level once they are a meaningful fraction
-        // of it (and big enough that the rewrite is worth it).
-        if tier_total as f64 > self.ratio * level as f64 && tier_total >= self.target_size {
-            return MergeDecision::Merge((0..n).collect());
-        }
-        // Otherwise tier-merge the young runs among themselves, leaving the
-        // level untouched (the "lazy" part).
-        if n > self.l0_threshold && n > 2 {
-            return MergeDecision::Merge((0..n - 1).collect());
-        }
-        MergeDecision::None
-    }
-}
-
-/// Serialisable selection of a compaction strategy plus its knobs. This is
-/// what [`crate::DatasetConfig`] carries and what the manifest persists, so
-/// a reopened dataset keeps compacting the way it was created.
+/// Which compaction strategy a dataset runs. This is what
+/// [`crate::DatasetConfig`] carries and what the manifest persists.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CompactionSpec {
     /// Write-optimised tiering (the paper's policy; the default).
     Tiered {
-        /// See [`TieringPolicy::size_ratio`].
+        /// A prefix of the newest runs merges when its cumulative size
+        /// exceeds `size_ratio` × the next older run.
         size_ratio: f64,
-        /// See [`TieringPolicy::max_components`].
+        /// More runs than this force a merge of all of them.
         max_components: usize,
     },
     /// Read/space-optimised leveling.
-    Leveled {
-        /// See [`LeveledPolicy::target_size`].
-        target_size: u64,
-        /// See [`LeveledPolicy::l0_threshold`].
-        l0_threshold: usize,
-        /// See [`LeveledPolicy::ratio`].
-        ratio: f64,
-    },
+    Leveled,
     /// Tiering/leveling hybrid.
-    LazyLeveled {
-        /// See [`LazyLeveledPolicy::target_size`].
-        target_size: u64,
-        /// See [`LazyLeveledPolicy::l0_threshold`].
-        l0_threshold: usize,
-        /// See [`LazyLeveledPolicy::ratio`].
-        ratio: f64,
-    },
+    LazyLeveled,
 }
 
 impl Default for CompactionSpec {
     fn default() -> Self {
-        let p = TieringPolicy::default();
-        CompactionSpec::Tiered {
-            size_ratio: p.size_ratio,
-            max_components: p.max_components,
-        }
+        CompactionSpec::tiered(1.2, 5)
     }
 }
 
@@ -284,74 +76,80 @@ impl CompactionSpec {
         }
     }
 
-    /// The leveled spec with default knobs.
-    pub fn leveled() -> CompactionSpec {
-        let p = LeveledPolicy::default();
-        CompactionSpec::Leveled {
-            target_size: p.target_size,
-            l0_threshold: p.l0_threshold,
-            ratio: p.ratio,
+    /// One merge round over run sizes in bytes, newest first: disjoint
+    /// ranges of at least two runs each, in ascending order. Tiered and
+    /// lazy-leveled return at most one range; leveled returns one per
+    /// independent cascade.
+    pub fn merge_jobs(&self, sizes: &[u64]) -> Vec<Range<usize>> {
+        if sizes.len() < 2 {
+            return Vec::new();
         }
-    }
-
-    /// The lazy-leveled spec with default knobs.
-    pub fn lazy_leveled() -> CompactionSpec {
-        let p = LazyLeveledPolicy::default();
-        CompactionSpec::LazyLeveled {
-            target_size: p.target_size,
-            l0_threshold: p.l0_threshold,
-            ratio: p.ratio,
-        }
-    }
-
-    /// Parse a strategy by name with default knobs (bench/CLI surface).
-    pub fn from_name(name: &str) -> Option<CompactionSpec> {
-        match name {
-            "tiered" => Some(CompactionSpec::default()),
-            "leveled" => Some(CompactionSpec::leveled()),
-            "lazy-leveled" => Some(CompactionSpec::lazy_leveled()),
-            _ => None,
-        }
-    }
-
-    /// Stable strategy name (metrics labels, bench output, manifests).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CompactionSpec::Tiered { .. } => "tiered",
-            CompactionSpec::Leveled { .. } => "leveled",
-            CompactionSpec::LazyLeveled { .. } => "lazy-leveled",
-        }
-    }
-
-    /// Instantiate the strategy this spec describes.
-    pub fn strategy(&self) -> Arc<dyn CompactionStrategy> {
         match *self {
             CompactionSpec::Tiered {
                 size_ratio,
                 max_components,
-            } => Arc::new(TieringPolicy {
-                size_ratio,
-                max_components,
-            }),
-            CompactionSpec::Leveled {
-                target_size,
-                l0_threshold,
-                ratio,
-            } => Arc::new(LeveledPolicy {
-                target_size,
-                l0_threshold,
-                ratio,
-            }),
-            CompactionSpec::LazyLeveled {
-                target_size,
-                l0_threshold,
-                ratio,
-            } => Arc::new(LazyLeveledPolicy {
-                target_size,
-                l0_threshold,
-                ratio,
-            }),
+            } => tiered(sizes, size_ratio, max_components)
+                .into_iter()
+                .collect(),
+            CompactionSpec::Leveled => leveled(sizes),
+            CompactionSpec::LazyLeveled => lazy_leveled(sizes).into_iter().collect(),
         }
+    }
+}
+
+/// Tiering over at least two runs.
+fn tiered(sizes: &[u64], size_ratio: f64, max_components: usize) -> Option<Range<usize>> {
+    // Size-ratio rule: the shortest prefix (newest runs) whose cumulative
+    // size exceeds ratio × the next older run.
+    let mut younger_total = 0u64;
+    for i in 1..sizes.len() {
+        younger_total += sizes[i - 1];
+        if younger_total as f64 > size_ratio * sizes[i] as f64 {
+            return Some(0..i + 1);
+        }
+    }
+    // Component-count rule.
+    (sizes.len() > max_components).then_some(0..sizes.len())
+}
+
+/// Leveling over at least two runs.
+fn leveled(sizes: &[u64]) -> Vec<Range<usize>> {
+    let n = sizes.len();
+    let mut jobs = Vec::new();
+    // Merge every L0 run plus the adjacent older run (or all runs when
+    // everything is still L0-sized).
+    let l0 = sizes.iter().take_while(|&&s| s < TARGET_SIZE).count();
+    if l0 >= L0_THRESHOLD {
+        jobs.push(0..l0.min(n - 1) + 1);
+        return jobs;
+    }
+    // Cascade rule: every grown run that exceeds the ratio × its older
+    // neighbour merges into it, newest pair first; a run taken by one pair
+    // is not offered to the next.
+    let mut i = 0;
+    while i + 1 < n {
+        if sizes[i] >= TARGET_SIZE && sizes[i] as f64 > LEVEL_RATIO * sizes[i + 1] as f64 {
+            jobs.push(i..i + 2);
+            i += 2;
+        } else {
+            i += 1;
+        }
+    }
+    jobs
+}
+
+/// Lazy leveling over at least two runs.
+fn lazy_leveled(sizes: &[u64]) -> Option<Range<usize>> {
+    let n = sizes.len();
+    let tier_total: u64 = sizes[..n - 1].iter().sum();
+    // Fold the tiers into the level once they are a meaningful fraction of
+    // it (and big enough that the rewrite is worth it); otherwise tier-merge
+    // the young runs among themselves, leaving the level untouched (the
+    // "lazy" part).
+    if tier_total as f64 > LEVEL_RATIO * sizes[n - 1] as f64 && tier_total >= TARGET_SIZE {
+        Some(0..n)
+    } else {
+        (n > L0_THRESHOLD).then_some(0..n - 1)
     }
 }
 
@@ -359,130 +157,92 @@ impl CompactionSpec {
 mod tests {
     use super::*;
 
+    const MIB: u64 = 1 << 20;
+
+    /// A round as `(start, end)` pairs.
+    fn jobs(spec: CompactionSpec, sizes: &[u64]) -> Vec<(usize, usize)> {
+        spec.merge_jobs(sizes)
+            .into_iter()
+            .map(|job| (job.start, job.end))
+            .collect()
+    }
+
     #[test]
     fn no_merge_for_single_component() {
-        let p = TieringPolicy::default();
-        assert_eq!(p.decide(&[]), MergeDecision::None);
-        assert_eq!(p.decide(&[100]), MergeDecision::None);
+        for spec in [
+            CompactionSpec::default(),
+            CompactionSpec::Leveled,
+            CompactionSpec::LazyLeveled,
+        ] {
+            assert!(jobs(spec, &[]).is_empty());
+            assert!(jobs(spec, &[100 * MIB]).is_empty());
+        }
     }
 
     #[test]
     fn size_ratio_triggers_merge_of_prefix() {
-        let p = TieringPolicy {
-            size_ratio: 1.2,
-            max_components: 10,
-        };
+        let p = CompactionSpec::tiered(1.2, 10);
         // Newest 100 vs older 50: 100 > 1.2 * 50 -> merge the two.
-        assert_eq!(p.decide(&[100, 50]), MergeDecision::Merge(vec![0, 1]));
+        assert_eq!(jobs(p, &[100, 50]), [(0, 2)]);
         // Balanced tier: 10 vs 100 then 110 vs 1000 — no merge.
-        assert_eq!(p.decide(&[10, 100, 1000]), MergeDecision::None);
+        assert!(jobs(p, &[10, 100, 1000]).is_empty());
         // Cumulative young size eventually exceeds an older component.
-        assert_eq!(
-            p.decide(&[60, 60, 90, 1000]),
-            MergeDecision::Merge(vec![0, 1, 2])
-        );
+        assert_eq!(jobs(p, &[60, 60, 90, 1000]), [(0, 3)]);
     }
 
     #[test]
     fn component_count_forces_merge() {
-        let p = TieringPolicy {
-            size_ratio: 100.0,
-            max_components: 3,
-        };
-        assert_eq!(p.decide(&[1, 10, 100]), MergeDecision::None);
-        assert_eq!(
-            p.decide(&[1, 10, 100, 1000]),
-            MergeDecision::Merge(vec![0, 1, 2, 3])
-        );
+        let p = CompactionSpec::tiered(100.0, 3);
+        assert!(jobs(p, &[1, 10, 100]).is_empty());
+        assert_eq!(jobs(p, &[1, 10, 100, 1000]), [(0, 4)]);
     }
 
     #[test]
     fn leveled_l0_threshold_merges_fresh_runs_into_next_level() {
-        let p = LeveledPolicy {
-            target_size: 100,
-            l0_threshold: 3,
-            ratio: 0.5,
-        };
-        // Two small runs: below threshold, and the big run is in balance.
-        assert_eq!(p.decide(&[10, 10, 1000]), MergeDecision::None);
-        // Three small runs merge together with the adjacent older run.
-        assert_eq!(
-            p.decide(&[10, 10, 10, 1000]),
-            MergeDecision::Merge(vec![0, 1, 2, 3])
-        );
+        let p = CompactionSpec::Leveled;
+        let (l0, big) = (MIB, 1000 * MIB);
+        // Three small runs: below threshold, and the big run is in balance.
+        assert!(jobs(p, &[l0, l0, l0, big]).is_empty());
+        // Four small runs merge together with the adjacent older run.
+        assert_eq!(jobs(p, &[l0, l0, l0, l0, big]), [(0, 5)]);
         // All runs still L0-sized: merge everything.
-        assert_eq!(p.decide(&[10, 10, 10]), MergeDecision::Merge(vec![0, 1, 2]));
+        assert_eq!(jobs(p, &[l0, l0, l0, l0]), [(0, 4)]);
     }
 
     #[test]
     fn leveled_cascade_merges_oversized_level_into_neighbour() {
-        let p = LeveledPolicy {
-            target_size: 100,
-            l0_threshold: 4,
-            ratio: 0.5,
-        };
+        let p = CompactionSpec::Leveled;
         // 600 > 0.5 × 1000: the grown run folds into its older neighbour.
-        assert_eq!(p.decide(&[600, 1000]), MergeDecision::Merge(vec![0, 1]));
+        assert_eq!(jobs(p, &[600 * MIB, 1000 * MIB]), [(0, 2)]);
         // 400 ≤ 0.5 × 1000: in balance.
-        assert_eq!(p.decide(&[400, 1000]), MergeDecision::None);
+        assert!(jobs(p, &[400 * MIB, 1000 * MIB]).is_empty());
         // The pair must be adjacent (contiguous) even with runs before it.
-        assert_eq!(
-            p.decide(&[10, 600, 1000]),
-            MergeDecision::Merge(vec![1, 2])
-        );
+        assert_eq!(jobs(p, &[MIB, 600 * MIB, 1000 * MIB]), [(1, 3)]);
     }
 
     #[test]
-    fn leveled_decide_jobs_emits_disjoint_cascades() {
-        let p = LeveledPolicy {
-            target_size: 100,
-            l0_threshold: 4,
-            ratio: 0.5,
-        };
-        // Two independent oversized pairs: [0,1] and [2,3].
+    fn leveled_merge_jobs_emit_disjoint_cascades() {
+        let p = CompactionSpec::Leveled;
+        // Two independent oversized pairs: 0..2 and 2..4.
         assert_eq!(
-            p.decide_jobs(&[600, 1000, 6000, 10_000]),
-            vec![vec![0, 1], vec![2, 3]]
+            jobs(p, &[600 * MIB, 1000 * MIB, 6000 * MIB, 10_000 * MIB]),
+            [(0, 2), (2, 4)]
         );
-        // Overlap is not allowed: after taking [0,1], index 1 is consumed.
-        assert_eq!(
-            p.decide_jobs(&[900, 1000, 10_000]),
-            vec![vec![0, 1]]
-        );
+        // Overlap is not allowed: after taking 0..2, run 1 is consumed.
+        assert_eq!(jobs(p, &[900 * MIB, 1000 * MIB, 10_000 * MIB]), [(0, 2)]);
     }
 
     #[test]
     fn lazy_leveled_tiers_young_runs_then_folds_into_level() {
-        let p = LazyLeveledPolicy {
-            target_size: 50,
-            l0_threshold: 3,
-            ratio: 0.5,
-        };
-        // Two tiers over a big level: below both triggers.
-        assert_eq!(p.decide(&[10, 10, 1000]), MergeDecision::None);
-        // Three tiers: tier-only merge, the level is untouched.
-        assert_eq!(
-            p.decide(&[10, 10, 10, 1000]),
-            MergeDecision::Merge(vec![0, 1, 2])
-        );
-        // Tier total crosses ratio × level (and target_size): fold it all.
-        assert_eq!(
-            p.decide(&[300, 300, 1000]),
-            MergeDecision::Merge(vec![0, 1, 2])
-        );
-    }
-
-    #[test]
-    fn spec_roundtrips_names_and_builds_strategies() {
-        for spec in [
-            CompactionSpec::default(),
-            CompactionSpec::leveled(),
-            CompactionSpec::lazy_leveled(),
-        ] {
-            assert_eq!(CompactionSpec::from_name(spec.name()), Some(spec));
-            // The built strategy is callable.
-            let _ = spec.strategy().decide(&[100, 50]);
-        }
-        assert_eq!(CompactionSpec::from_name("nope"), None);
+        let p = CompactionSpec::LazyLeveled;
+        let level = 1000 * MIB;
+        // Three tiers over a big level: below both triggers.
+        assert!(jobs(p, &[MIB, MIB, MIB, level]).is_empty());
+        // Four tiers: tier-only merge, the level is untouched.
+        assert_eq!(jobs(p, &[MIB, MIB, MIB, MIB, level]), [(0, 4)]);
+        // Tier total crosses ratio × level (and the target): fold it all.
+        assert_eq!(jobs(p, &[300 * MIB, 300 * MIB, level]), [(0, 3)]);
+        // Past the ratio but under the target: no fold.
+        assert!(jobs(p, &[MIB, MIB]).is_empty());
     }
 }

@@ -6,8 +6,9 @@
 //! coordinates *who* advances that tree:
 //!
 //! * the **writer** seals the active memtable when it exceeds its budget,
-//!   accounts for it ([`Scheduler::note_sealed`]) and queues a flush round
-//!   on the worker pool (see [`pool`](crate::pool));
+//!   publishes the tree's sealed count ([`Scheduler::set_sealed`], which a
+//!   flush calls too) and queues a flush round on the worker pool (see
+//!   [`pool`](crate::pool));
 //! * the **pool workers** execute the dataset's queued flush/merge rounds;
 //!   the scheduler counts how many rounds are queued and running
 //!   ([`Scheduler::task_enqueued`] / [`Scheduler::begin_work`] /
@@ -93,16 +94,13 @@ impl Scheduler {
         }
     }
 
-    /// A memtable was sealed: account for it (the caller queues the flush
-    /// round on the pool separately).
-    pub(crate) fn note_sealed(&self) {
-        self.ctrl.lock().unwrap().sealed_count += 1;
-    }
-
-    /// A sealed memtable was flushed: release backpressure waiters.
-    pub(crate) fn note_flushed(&self) {
-        let mut ctrl = self.ctrl.lock().unwrap();
-        ctrl.sealed_count = ctrl.sealed_count.saturating_sub(1);
+    /// Publish how many sealed memtables the tree holds, and wake
+    /// backpressure waiters and drainers. Called under the tree's write
+    /// lock by whoever changes that number (seal and flush), so the count
+    /// is the tree's and no seal can be counted after its flush. Lock order
+    /// is tree, then scheduler; the scheduler never takes the tree lock.
+    pub(crate) fn set_sealed(&self, sealed: usize) {
+        self.ctrl.lock().unwrap().sealed_count = sealed;
         self.done_cv.notify_all();
     }
 
@@ -205,15 +203,14 @@ mod tests {
     #[test]
     fn admit_blocks_until_flush_and_surfaces_failures() {
         let sched = Arc::new(Scheduler::new());
-        sched.note_sealed();
-        sched.note_sealed();
+        sched.set_sealed(2);
         let t = {
             let sched = sched.clone();
             std::thread::spawn(move || sched.admit(2))
         };
         // Unblock the writer by "flushing" one sealed memtable.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        sched.note_flushed();
+        sched.set_sealed(1);
         let stalled = t.join().unwrap().unwrap();
         assert!(stalled.is_some(), "the blocked admit must report its stall");
 
@@ -228,7 +225,7 @@ mod tests {
         assert!(sched.drain().is_err(), "drain consumes the failure");
         assert!(sched.status().failed.is_none());
         // After drain consumed it, admit passes again (one slot free).
-        sched.note_flushed();
+        sched.set_sealed(1);
         let stalled = sched.admit(2).unwrap();
         assert!(stalled.is_none(), "an unblocked admit reports no stall");
     }
@@ -236,7 +233,7 @@ mod tests {
     #[test]
     fn drain_waits_for_queued_and_running_rounds() {
         let sched = Arc::new(Scheduler::new());
-        sched.note_sealed();
+        sched.set_sealed(1);
         sched.task_enqueued();
         assert!(sched.status().pending);
         // A simulated pool worker: picks up the round, "flushes", reports.
@@ -246,7 +243,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 assert!(sched.begin_work());
                 std::thread::sleep(std::time::Duration::from_millis(5));
-                sched.note_flushed();
+                sched.set_sealed(0);
                 sched.work_done(Ok(()));
             })
         };

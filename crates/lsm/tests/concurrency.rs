@@ -14,7 +14,8 @@
 //! * backpressure bounds the sealed-memtable queue instead of letting
 //!   ingestion outrun the flush workers.
 
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use docmodel::{doc, total_cmp, Value};
 use lsm::{DatasetConfig, LsmDataset};
@@ -264,6 +265,50 @@ fn backpressure_bounds_the_sealed_queue() {
     ds.flush().unwrap();
     assert_eq!(ds.count().unwrap(), WRITERS * RECORDS_PER_WRITER as usize);
     assert!(ds.stats().flushes > 1);
+}
+
+/// Writers seal memtables while background flush rounds retire them and a
+/// flusher drains: the scheduler's sealed count is published with the tree
+/// that holds the memtables, so no flush can retire a seal before it is
+/// counted, every `flush()` returns and nothing is left pending. (A count
+/// kept beside the tree could end one too high for good; writers then
+/// waited at the backpressure gate and `flush()` for a memtable that no
+/// longer existed.) The race runs on its own thread, joined once it reports
+/// back, so a hang fails the test after a minute instead of stalling the
+/// suite. It races; it does not force the interleaving, so it does not fail
+/// every time the count is kept wrong.
+#[test]
+fn racing_seals_leave_no_phantom_pending_maintenance() {
+    let ds = Arc::new(LsmDataset::new(
+        bg_config("concurrency", LayoutKind::Vb).with_max_sealed(1),
+    ));
+    let (done, settled) = mpsc::channel();
+    let race = Arc::clone(&ds);
+    let racer = std::thread::spawn(move || {
+        let ds = &*race;
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                scope.spawn(move || {
+                    let base = w as i64 * STRIDE;
+                    for i in 0..RECORDS_PER_WRITER {
+                        ds.insert(record(base + i, "racing seals")).unwrap();
+                    }
+                });
+            }
+            scope.spawn(move || {
+                for _ in 0..READER_ROUNDS {
+                    ds.flush().unwrap();
+                }
+            });
+        });
+        ds.flush().unwrap();
+        done.send(()).unwrap();
+    });
+    let raced = settled.recv_timeout(Duration::from_secs(60));
+    raced.expect("the race never settled: a writer or flush() is waiting for good");
+    racer.join().expect("the race thread panicked");
+    assert_eq!(ds.health().pending_maintenance, 0);
+    assert_eq!(ds.count().unwrap(), WRITERS * RECORDS_PER_WRITER as usize);
 }
 
 #[test]

@@ -1,60 +1,82 @@
 //! Property tests for the compaction strategies.
 //!
-//! For arbitrary component-size sequences (newest first) every strategy
-//! must:
+//! For arbitrary component-size sequences (newest first) every
+//! [`CompactionSpec::merge_jobs`] round must:
 //!
-//! * only ever schedule merges of **contiguous** index ranges of at least
-//!   two components (that is what the flush/merge pipeline and the manifest
-//!   swap assume — components are age-ordered);
-//! * emit `decide_jobs` rounds whose jobs are pairwise **disjoint** (the
-//!   dataset runs them concurrently);
-//! * **converge** under repeated application (merge the chosen range into
-//!   one component, ask again): the tree settles in a bounded number of
-//!   steps — no livelock where a merge output immediately re-triggers
-//!   forever.
+//! * hold ranges of at least two components each (a range is contiguous by
+//!   construction — that is what the flush/merge pipeline and the manifest
+//!   swap assume, components being age-ordered);
+//! * hold pairwise **disjoint** jobs, in ascending order;
+//! * **converge** under repeated application (merge every range of the
+//!   round into one component, ask again): the tree settles within one
+//!   merge per initial component — no livelock where a merge output
+//!   immediately re-triggers forever.
 //!
 //! The tiering policy additionally promises newest-first *prefix* merges
 //! and the `max_components` cap.
 
-use lsm::{
-    CompactionStrategy, LazyLeveledPolicy, LeveledPolicy, MergeDecision, TieringPolicy,
-};
+use std::ops::Range;
+
+use lsm::policy::{L0_THRESHOLD, TARGET_SIZE};
+use lsm::CompactionSpec;
 use proptest::prelude::*;
 
-/// Apply one merge decision to a newest-first size list: the merged
-/// (contiguous) range is replaced by a single component holding the sum
-/// (exactly what `merge_jobs` produces, modulo reconciliation shrinking it).
-fn apply(sizes: &[u64], indexes: &[usize]) -> Vec<u64> {
+/// Component sizes reaching past the leveled strategies' target size, so
+/// both their L0 and their grown-run rules fire.
+fn level_sizes() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(0u64..4 * TARGET_SIZE, 0..12)
+}
+
+/// Check one round's shape: disjoint, ascending ranges of at least two
+/// components, all inside the tree.
+fn check_round(sizes: &[u64], jobs: &[Range<usize>]) {
+    let mut end = 0;
+    for job in jobs {
+        assert!(job.len() >= 2, "a merge needs at least two inputs: {job:?}");
+        assert!(
+            job.start >= end,
+            "jobs must be disjoint and ascending: {jobs:?}"
+        );
+        end = job.end;
+    }
     assert!(
-        indexes.windows(2).all(|w| w[1] == w[0] + 1),
-        "merge ranges must be contiguous"
+        end <= sizes.len(),
+        "{jobs:?} outside {} components",
+        sizes.len()
     );
-    let merged: u64 = indexes.iter().map(|&i| sizes[i]).sum();
-    let mut next = sizes[..indexes[0]].to_vec();
-    next.push(merged);
-    next.extend_from_slice(&sizes[indexes[0] + indexes.len()..]);
+}
+
+/// Apply one round to a newest-first size list: each merged range is
+/// replaced by a single component holding the sum (exactly what a merge
+/// produces, modulo reconciliation shrinking it).
+fn apply(sizes: &[u64], jobs: &[Range<usize>]) -> Vec<u64> {
+    let mut next = sizes.to_vec();
+    for job in jobs.iter().rev() {
+        let merged = next[job.clone()].iter().sum();
+        next.splice(job.clone(), [merged]);
+    }
     next
 }
 
-/// Drive a strategy to quiescence, asserting progress at every step.
-fn converge(policy: &dyn CompactionStrategy, sizes: Vec<u64>) -> Vec<u64> {
+/// Drive a strategy to quiescence round by round, checking every round's
+/// shape and that the whole run takes at most one merge per initial
+/// component.
+fn converge(spec: &CompactionSpec, sizes: Vec<u64>) -> Vec<u64> {
     let mut current = sizes.clone();
-    let mut steps = 0usize;
-    while let MergeDecision::Merge(indexes) = policy.decide(&current) {
-        assert!(indexes.len() >= 2, "a merge needs at least two inputs");
-        let next = apply(&current, &indexes);
+    let mut merges = 0usize;
+    loop {
+        let jobs = spec.merge_jobs(&current);
+        if jobs.is_empty() {
+            return current;
+        }
+        check_round(&current, &jobs);
+        current = apply(&current, &jobs);
+        merges += jobs.len();
         assert!(
-            next.len() < current.len(),
-            "every merge must shrink the tree (no livelock)"
-        );
-        current = next;
-        steps += 1;
-        assert!(
-            steps <= sizes.len(),
+            merges <= sizes.len(),
             "convergence must take at most one merge per initial component"
         );
     }
-    current
 }
 
 proptest! {
@@ -66,18 +88,11 @@ proptest! {
         ratio in 1.05f64..4.0,
         max in 2usize..8,
     ) {
-        let policy = TieringPolicy { size_ratio: ratio, max_components: max };
-        match policy.decide(&sizes) {
-            MergeDecision::None => {}
-            MergeDecision::Merge(indexes) => {
-                prop_assert!(indexes.len() >= 2, "a merge needs at least two inputs");
-                prop_assert!(indexes.len() <= sizes.len());
-                let expected: Vec<usize> = (0..indexes.len()).collect();
-                prop_assert_eq!(
-                    indexes, expected,
-                    "tiering must pick a contiguous newest-first prefix"
-                );
-            }
+        let jobs = CompactionSpec::tiered(ratio, max).merge_jobs(&sizes);
+        check_round(&sizes, &jobs);
+        prop_assert!(jobs.len() <= 1, "tiering schedules one merge at a time");
+        if let Some(job) = jobs.first() {
+            prop_assert_eq!(job.start, 0, "tiering must pick a newest-first prefix");
         }
     }
 
@@ -87,12 +102,12 @@ proptest! {
         max in 2usize..6,
     ) {
         // A huge ratio disables the size rule, isolating the count rule.
-        let policy = TieringPolicy { size_ratio: 1e12, max_components: max };
-        let decision = policy.decide(&sizes);
+        let jobs = CompactionSpec::tiered(1e12, max).merge_jobs(&sizes);
         if sizes.len() > max {
-            prop_assert_ne!(decision, MergeDecision::None, "cap exceeded but no merge");
+            prop_assert_eq!(jobs.len(), 1, "cap exceeded but no merge");
+            prop_assert_eq!(jobs[0].clone(), 0..sizes.len(), "the cap merges everything");
         } else {
-            prop_assert_eq!(decision, MergeDecision::None);
+            prop_assert!(jobs.is_empty());
         }
     }
 
@@ -102,34 +117,13 @@ proptest! {
         ratio in 1.05f64..4.0,
         max in 2usize..8,
     ) {
-        let policy = TieringPolicy { size_ratio: ratio, max_components: max };
-        let mut current = sizes.clone();
-        let mut steps = 0usize;
-        loop {
-            match policy.decide(&current) {
-                MergeDecision::None => break,
-                MergeDecision::Merge(indexes) => {
-                    let next = apply(&current, &indexes);
-                    prop_assert!(
-                        next.len() < current.len(),
-                        "every merge must shrink the tree (no livelock)"
-                    );
-                    current = next;
-                    steps += 1;
-                    prop_assert!(
-                        steps <= sizes.len(),
-                        "convergence must take at most one merge per initial component"
-                    );
-                }
-            }
-        }
+        let spec = CompactionSpec::tiered(ratio, max);
+        let settled = converge(&spec, sizes);
         prop_assert!(
-            current.len() <= max,
+            settled.len() <= max,
             "a settled tree respects max_components ({} > {max})",
-            current.len()
+            settled.len()
         );
-        // Convergence is stable: asking again schedules nothing.
-        prop_assert_eq!(policy.decide(&current), MergeDecision::None);
     }
 
     #[test]
@@ -142,87 +136,57 @@ proptest! {
         // component, then the policy is applied to quiescence — exactly what
         // the scheduler does after every flush. The tree must never grow
         // beyond max_components + 1 at decision time.
-        let policy = TieringPolicy { size_ratio: ratio, max_components: max };
+        let spec = CompactionSpec::tiered(ratio, max);
         let mut current: Vec<u64> = Vec::new();
         for flushed in flushes {
             current.insert(0, flushed);
             prop_assert!(current.len() <= max + 1, "tree grew unboundedly");
-            while let MergeDecision::Merge(indexes) = policy.decide(&current) {
-                current = apply(&current, &indexes);
-            }
+            current = converge(&spec, current);
         }
     }
 
     #[test]
-    fn leveled_merges_are_contiguous_and_converge(
-        sizes in prop::collection::vec(0u64..4_000_000, 0..12),
-        target in 1_000u64..1_000_000,
-        l0 in 2usize..6,
-        ratio in 0.3f64..0.9,
-    ) {
-        let policy = LeveledPolicy { target_size: target, l0_threshold: l0, ratio };
-        if let MergeDecision::Merge(indexes) = policy.decide(&sizes) {
-            prop_assert!(indexes.len() >= 2);
-            prop_assert!(*indexes.last().unwrap() < sizes.len());
-            prop_assert!(indexes.windows(2).all(|w| w[1] == w[0] + 1), "contiguous");
-        }
-        converge(&policy, sizes);
+    fn leveled_merges_are_contiguous_and_converge(sizes in level_sizes()) {
+        converge(&CompactionSpec::Leveled, sizes);
     }
 
     #[test]
-    fn leveled_jobs_are_disjoint_contiguous_ranges(
-        sizes in prop::collection::vec(0u64..4_000_000, 0..12),
-        target in 1_000u64..1_000_000,
-        l0 in 2usize..6,
-        ratio in 0.3f64..0.9,
-    ) {
-        let policy = LeveledPolicy { target_size: target, l0_threshold: l0, ratio };
-        let jobs = policy.decide_jobs(&sizes);
-        let mut seen = std::collections::HashSet::new();
-        for job in &jobs {
-            prop_assert!(job.len() >= 2);
-            prop_assert!(job.windows(2).all(|w| w[1] == w[0] + 1), "contiguous");
-            prop_assert!(*job.last().unwrap() < sizes.len());
-            for &i in job {
-                prop_assert!(seen.insert(i), "jobs must be disjoint (index {i} repeated)");
-            }
+    fn leveled_jobs_are_disjoint_contiguous_ranges(sizes in level_sizes()) {
+        let jobs = CompactionSpec::Leveled.merge_jobs(&sizes);
+        check_round(&sizes, &jobs);
+        // A cascade is a pair; only the L0 rule merges more, and alone.
+        if jobs.len() > 1 {
+            prop_assert!(jobs.iter().all(|job| job.len() == 2), "{:?}", jobs);
         }
     }
 
     #[test]
-    fn lazy_leveled_merges_are_contiguous_and_converge(
-        sizes in prop::collection::vec(0u64..4_000_000, 0..12),
-        target in 1_000u64..1_000_000,
-        l0 in 2usize..6,
-        ratio in 0.3f64..0.9,
-    ) {
-        let policy = LazyLeveledPolicy { target_size: target, l0_threshold: l0, ratio };
-        if let MergeDecision::Merge(indexes) = policy.decide(&sizes) {
-            prop_assert!(indexes.len() >= 2);
-            prop_assert!(*indexes.last().unwrap() < sizes.len());
-            prop_assert!(indexes.windows(2).all(|w| w[1] == w[0] + 1), "contiguous");
-        }
-        let settled = converge(&policy, sizes);
-        // A settled tree has fewer tiers than the threshold (the tier rule
-        // would otherwise still fire), so at most `l0` components total.
-        prop_assert!(settled.len() <= l0, "{} tiers settled over threshold {l0}", settled.len());
+    fn lazy_leveled_merges_are_contiguous_and_converge(sizes in level_sizes()) {
+        let spec = CompactionSpec::LazyLeveled;
+        prop_assert!(spec.merge_jobs(&sizes).len() <= 1);
+        let settled = converge(&spec, sizes);
+        // A settled tree has no more runs than the tier threshold (the tier
+        // rule would otherwise still fire).
+        prop_assert!(
+            settled.len() <= L0_THRESHOLD,
+            "{} runs settled over threshold {L0_THRESHOLD}",
+            settled.len()
+        );
     }
 
     #[test]
     fn lazy_leveled_flush_cycle_stays_bounded(
-        flushes in prop::collection::vec(1u64..200_000, 1..40),
-        l0 in 2usize..6,
+        flushes in prop::collection::vec(1u64..TARGET_SIZE / 2, 1..40),
     ) {
-        // Small target so the fold rule is reachable; the tree must stay
-        // bounded by the tier threshold plus the level.
-        let policy = LazyLeveledPolicy { target_size: 1, l0_threshold: l0, ratio: 0.5 };
+        // Flushes below the target, so both the tier rule and the fold
+        // rule are reachable; the tree must stay bounded by the tier
+        // threshold plus the level.
+        let spec = CompactionSpec::LazyLeveled;
         let mut current: Vec<u64> = Vec::new();
         for flushed in flushes {
             current.insert(0, flushed);
-            prop_assert!(current.len() <= l0 + 2, "tree grew unboundedly");
-            while let MergeDecision::Merge(indexes) = policy.decide(&current) {
-                current = apply(&current, &indexes);
-            }
+            prop_assert!(current.len() <= L0_THRESHOLD + 2, "tree grew unboundedly");
+            current = converge(&spec, current);
         }
     }
 }

@@ -227,7 +227,6 @@ fn durable_fields(c: &DatasetConfig) -> impl PartialEq + std::fmt::Debug {
         c.page_size,
         c.secondary_index_on.as_ref().map(|p| p.to_string()),
         c.amax.record_limit,
-        c.amax.empty_page_tolerance,
         c.compaction,
         c.memory_budget,
         c.memtable_budget,
@@ -245,16 +244,8 @@ fn a_directory_describes_itself_across_the_durable_configuration_space() {
 
     let compactions = [
         CompactionSpec::tiered(1.7, 3),
-        CompactionSpec::Leveled {
-            target_size: 48 << 10,
-            l0_threshold: 2,
-            ratio: 0.25,
-        },
-        CompactionSpec::LazyLeveled {
-            target_size: 96 << 10,
-            l0_threshold: 3,
-            ratio: 0.75,
-        },
+        CompactionSpec::Leveled,
+        CompactionSpec::LazyLeveled,
     ];
     for layout in LayoutKind::ALL {
         for (c, compaction) in compactions.into_iter().enumerate() {
@@ -271,7 +262,6 @@ fn a_directory_describes_itself_across_the_durable_configuration_space() {
                         .with_compaction(compaction)
                         .with_memory_budget(budget);
                     config.amax.record_limit = 48;
-                    config.amax.empty_page_tolerance = 0.35;
                     if indexed {
                         config = config.with_secondary_index(docmodel::Path::parse("timestamp"));
                     }
@@ -309,8 +299,8 @@ fn damaged_durable_configuration_is_an_error() {
 
     for compaction in [
         CompactionSpec::default(),
-        CompactionSpec::leveled(),
-        CompactionSpec::lazy_leveled(),
+        CompactionSpec::Leveled,
+        CompactionSpec::LazyLeveled,
     ] {
         for budget in [0usize, 1 << 20] {
             let config = tiny_config("recovery", LayoutKind::Amax)

@@ -28,8 +28,8 @@ fn record(i: i64, round: i64) -> Value {
 fn strategies() -> Vec<(&'static str, CompactionSpec)> {
     vec![
         ("tiered", CompactionSpec::tiered(1.2, 3)),
-        ("leveled", CompactionSpec::leveled()),
-        ("lazy-leveled", CompactionSpec::lazy_leveled()),
+        ("leveled", CompactionSpec::Leveled),
+        ("lazy-leveled", CompactionSpec::LazyLeveled),
     ]
 }
 

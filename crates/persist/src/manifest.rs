@@ -20,7 +20,7 @@
 //! ## Format versioning
 //!
 //! There is one manifest generation. The magic bytes name it; a file that
-//! opens with any other magic — including `LSMMAN01`–`LSMMAN08`, the
+//! opens with any other magic — including `LSMMAN01`–`LSMMAN09`, the
 //! generations earlier commits of this repository wrote — is rejected with
 //! an error that quotes the magic found. No deployed data predates this
 //! format, so there is no compatibility reader and no skippable section: a
@@ -28,7 +28,13 @@
 //! the one writer and the one reader below. So does a change to the bytes
 //! of the pages it points at: `LSMMAN09` records what `LSMMAN08` did, but
 //! its columnar pages are stored raw with a codec per column chunk, which
-//! an `LSMMAN08` reader would misread as compressed pages.
+//! an `LSMMAN08` reader would misread as compressed pages. `LSMMAN10`
+//! points at the same pages as `LSMMAN09`, but its dataset configuration
+//! no longer records the AMAX empty-page tolerance or the leveled and
+//! lazy-leveled strategies' size, threshold and ratio (they became
+//! constants). A `LSMMAN10` reader would misread an `LSMMAN09`
+//! configuration — the tolerance's eight bytes sit where the strategy tag
+//! now does — so it refuses that generation by name like the others.
 //!
 //! ## What a component record holds
 //!
@@ -65,7 +71,7 @@ use storage::{LayoutKind, PageId, RowFormat};
 use crate::{PersistError, Result};
 
 /// Magic bytes opening every manifest file: the one format generation.
-const MAGIC: &[u8; 8] = b"LSMMAN09";
+const MAGIC: &[u8; 8] = b"LSMMAN10";
 
 /// Everything one manifest commit records.
 #[derive(Debug, Clone, PartialEq)]
@@ -552,6 +558,7 @@ mod tests {
             b"LSMMAN06",
             b"LSMMAN07",
             b"LSMMAN08",
+            b"LSMMAN09",
         ] {
             let err = load_sealed(&dir, old, body).err().unwrap();
             let found = String::from_utf8_lossy(old);

@@ -168,16 +168,7 @@ impl PlanContext {
     /// The context of one consistent snapshot: no secondary index (a bare
     /// snapshot cannot probe), but full component statistics.
     pub fn for_snapshot(snapshot: &Snapshot) -> PlanContext {
-        PlanContext {
-            secondary_index_on: None,
-            shards: 1,
-            components: snapshot
-                .components()
-                .iter()
-                .map(|c| ComponentPlanInfo::of(c))
-                .collect(),
-            in_memory_records: snapshot.in_memory_entries() as u64,
-        }
+        PlanContext::for_snapshots(std::slice::from_ref(snapshot))
     }
 
     /// The context of several per-shard snapshots (scan-only fan-out).
@@ -198,16 +189,7 @@ impl PlanContext {
     /// The context of one dataset: its configured secondary index, one
     /// partition, and the current components' statistics.
     pub fn for_dataset(dataset: &LsmDataset) -> PlanContext {
-        PlanContext {
-            secondary_index_on: dataset.config().secondary_index_on.clone(),
-            shards: 1,
-            components: dataset
-                .components()
-                .iter()
-                .map(|c| ComponentPlanInfo::of(c))
-                .collect(),
-            in_memory_records: dataset.in_memory_entries() as u64,
-        }
+        PlanContext::for_shards(&[dataset])
     }
 
     /// The context of a sharded dataset. The index is usable only when every

@@ -39,21 +39,21 @@ use schema::{ColumnId, ColumnSpec};
 
 use crate::Result;
 
+/// Fraction of a physical page the AMAX writer may leave empty rather than
+/// splitting the next column across a page boundary.
+pub const EMPTY_PAGE_TOLERANCE: f64 = 0.2;
+
 /// Tuning knobs of the AMAX writer.
 #[derive(Debug, Clone, Copy)]
 pub struct AmaxConfig {
     /// Maximum number of records per mega leaf (Page 0 must hold all keys).
     pub record_limit: usize,
-    /// Fraction of a physical page the writer may leave empty rather than
-    /// splitting the next column across a page boundary.
-    pub empty_page_tolerance: f64,
 }
 
 impl Default for AmaxConfig {
     fn default() -> Self {
         AmaxConfig {
             record_limit: 15_000,
-            empty_page_tolerance: 0.2,
         }
     }
 }
@@ -144,7 +144,7 @@ pub fn encode_amax_leaf(
             let current = data_pages.last().unwrap();
             let remaining = page_budget - current.len();
             let fits = bytes.len() <= remaining;
-            let tolerate_empty = (remaining as f64) <= config.empty_page_tolerance * page_budget as f64;
+            let tolerate_empty = (remaining as f64) <= EMPTY_PAGE_TOLERANCE * page_budget as f64;
             if !current.is_empty() && !fits && tolerate_empty {
                 // Close the page partially empty and start a fresh one.
                 data_pages.push(Vec::with_capacity(page_budget));
@@ -366,23 +366,43 @@ mod tests {
         assert_eq!(smallest_two[0].start_page, smallest_two[1].start_page);
     }
 
+    /// A column that does not fit the rest of its page starts a fresh page
+    /// only when that rest is at most [`EMPTY_PAGE_TOLERANCE`] of the page;
+    /// otherwise it spills over the boundary, sharing the page. Every other
+    /// column starts where the previous one ended.
     #[test]
-    fn empty_page_tolerance_controls_sharing() {
+    fn tolerated_empty_tail_starts_a_fresh_page() {
         let (_, batch) = sample_batch(200);
-        let page_budget = 1024;
-        // Tolerance 1.0: never share a page that cannot hold the whole next
-        // column — more, emptier pages.
-        let strict = AmaxConfig {
-            record_limit: 15_000,
-            empty_page_tolerance: 1.0,
-        };
-        let relaxed = AmaxConfig {
-            record_limit: 15_000,
-            empty_page_tolerance: 0.0,
-        };
-        let (_, strict_pages) = encode_amax_leaf(&batch, page_budget, &strict);
-        let (_, relaxed_pages) = encode_amax_leaf(&batch, page_budget, &relaxed);
-        assert!(strict_pages.len() >= relaxed_pages.len());
+        let (mut fresh, mut spilled) = (0, 0);
+        for page_budget in (64..=1024).step_by(16) {
+            let (page0, _) = encode_amax_leaf(&batch, page_budget, &AmaxConfig::default());
+            let header = decode_amax_header(&page0).unwrap();
+            // Where the previous column ended: (page, bytes used in it).
+            let mut end = (0, 0);
+            for column in &header.columns {
+                let remaining = page_budget - end.1;
+                let spills = end.1 > 0 && column.len > remaining;
+                let tolerated = remaining as f64 <= EMPTY_PAGE_TOLERANCE * page_budget as f64;
+                let start = if spills && tolerated {
+                    (end.0 + 1, 0)
+                } else {
+                    end
+                };
+                assert_eq!(
+                    (column.start_page, column.start_offset),
+                    start,
+                    "{page_budget}"
+                );
+                fresh += usize::from(spills && tolerated);
+                spilled += usize::from(spills && !tolerated);
+                let at = column.start_page * page_budget + column.start_offset + column.len;
+                end = (at / page_budget, at % page_budget);
+            }
+        }
+        assert!(
+            fresh > 0 && spilled > 0,
+            "{fresh} fresh pages, {spilled} spills"
+        );
     }
 
     #[test]

@@ -252,25 +252,18 @@ impl LeafCache {
     /// Number of distinct physical leaves with at least one resident
     /// payload — the deduplicated residency gauge.
     pub fn resident_distinct_leaves(&self) -> usize {
-        let inner = self.inner.lock();
-        let distinct: HashSet<(u64, u64, usize)> = inner
-            .entries
-            .keys()
-            .map(|k| (k.origin, k.component, k.leaf))
-            .collect();
-        distinct.len()
+        distinct_leaves(&self.inner.lock(), |_| true)
     }
 
     /// Snapshot of counters and residency.
     pub fn stats(&self) -> LeafCacheStats {
         let (total_bytes, len, distinct) = {
             let inner = self.inner.lock();
-            let distinct: HashSet<(u64, u64, usize)> = inner
-                .entries
-                .keys()
-                .map(|k| (k.origin, k.component, k.leaf))
-                .collect();
-            (inner.total_bytes, inner.entries.len(), distinct.len())
+            (
+                inner.total_bytes,
+                inner.entries.len(),
+                distinct_leaves(&inner, |_| true),
+            )
         };
         LeafCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -494,15 +487,22 @@ impl LeafCache {
     }
 
     fn cached_leaf_count(&self, origin: u64, component: u64) -> usize {
-        let inner = self.inner.lock();
-        let mut leaves = HashSet::new();
-        for k in inner.entries.keys() {
-            if k.origin == origin && k.component == component {
-                leaves.insert(k.leaf);
-            }
-        }
-        leaves.len()
+        distinct_leaves(&self.inner.lock(), |k| {
+            k.origin == origin && k.component == component
+        })
     }
+}
+
+/// Distinct physical leaves among the resident entries `matches` keeps: a
+/// leaf cached under several projections counts once.
+fn distinct_leaves(inner: &Inner, matches: impl Fn(&LeafKey) -> bool) -> usize {
+    let leaves: HashSet<(u64, u64, usize)> = inner
+        .entries
+        .keys()
+        .filter(|k| matches(k))
+        .map(|k| (k.origin, k.component, k.leaf))
+        .collect();
+    leaves.len()
 }
 
 /// One dataset's view of a shared [`LeafCache`]: the cache plus the origin

@@ -19,11 +19,11 @@ pub const COMPACTIONS: usize = 4;
 /// tiering, leveled, lazy-leveled.
 pub fn compaction(i: usize) -> CompactionSpec {
     let never = CompactionSpec::tiered(f64::INFINITY, 64);
-    let specs = [never, CompactionSpec::default(), CompactionSpec::leveled()];
+    let specs = [never, CompactionSpec::default(), CompactionSpec::Leveled];
     specs
         .into_iter()
         .nth(i)
-        .unwrap_or_else(CompactionSpec::lazy_leveled)
+        .unwrap_or(CompactionSpec::LazyLeveled)
 }
 
 /// One layout at one shard count (routed by id): the datasets a history
