@@ -35,7 +35,7 @@ use lsm::{CompactionSpec, DatasetConfig, LsmDataset};
 use query::{
     AccessPathChoice, Aggregate, ExecMode, Expr, PlannerOptions, Query, QueryEngine, ScanLane,
 };
-use storage::{LayoutKind, LeafCache};
+use storage::{IoStats, LayoutKind, LeafCache};
 
 /// The scale `--smoke` caps a run at: every entry end to end in seconds.
 pub const SMOKE_SCALE: f64 = 0.05;
@@ -827,18 +827,20 @@ fn cache(scale: f64) -> Vec<Measurement> {
 
     // Budget sweep: residency must stay bounded at every capacity, and a
     // re-scan of the same hot range can only raise the hit rate.
-    let rate = |s: storage::LeafCacheStats| s.hits as f64 / (s.hits + s.misses).max(1) as f64;
+    let rate = |io: IoStats| {
+        io.leaf_cache_hits as f64 / (io.leaf_cache_hits + io.leaf_cache_misses).max(1) as f64
+    };
     for budget in [32usize << 10, 256 << 10, 4 << 20] {
         let (dataset, cache) = with_cache(budget);
         engine.execute(&dataset, &scan).expect("sweep scan");
-        let first = rate(cache.stats());
+        let first = rate(dataset.io_stats());
         engine.execute(&dataset, &scan).expect("sweep re-scan");
         let stats = cache.stats();
         assert!(
             stats.resident_bytes <= stats.capacity_bytes,
             "resident bytes must honour the budget: {stats:?}"
         );
-        let second = rate(stats);
+        let second = rate(dataset.io_stats());
         assert!(second >= first, "hit rate must be monotone: {first} -> {second}");
         let label = format!("budget {} KiB", budget >> 10);
         let resident_kib = (stats.resident_bytes >> 10) as f64;

@@ -287,7 +287,8 @@ impl ShardedDataset {
 
     /// The shared decoded-leaf cache, when a memory budget is configured
     /// (see [`DatasetOptions::memory_budget`]). One cache serves every
-    /// shard; [`LeafCache::stats`] reports its residency and traffic.
+    /// shard; [`LeafCache::stats`] reports its residency, and
+    /// [`ShardedDataset::io_stats`] its hits, misses and evictions.
     pub fn leaf_cache(&self) -> Option<&Arc<LeafCache>> {
         self.leaf_cache.as_ref()
     }
@@ -503,12 +504,7 @@ impl ShardedDataset {
         if let Some(cache) = &self.leaf_cache {
             let stats = cache.stats();
             merged.push_gauge("cache.resident_bytes", stats.resident_bytes as f64);
-            // Residency counts *distinct physical leaves*: a leaf cached
-            // under two projections must not gauge as two leaves.
-            merged.push_gauge(
-                "cache.resident_leaves",
-                stats.resident_distinct_leaves as f64,
-            );
+            merged.push_gauge("cache.resident_leaves", stats.resident_leaves as f64);
             merged.push_gauge("cache.budget_bytes", stats.capacity_bytes as f64);
         }
         merged.with_derived_gauges()
@@ -1643,6 +1639,8 @@ mod tests {
 
         // Cold run: every leaf is a miss and pages are read.
         let q = Query::count_star().with_filter(Expr::ge("score", 0));
+        cache.clear();
+        let cold_plan = store.explain("warm", &q).unwrap();
         let cold = store
             .explain_analyze("warm", &q, ExecMode::Compiled)
             .unwrap();
@@ -1665,15 +1663,21 @@ mod tests {
             warm.describe()
         );
 
-        // The planner now sees the resident leaves and discounts the scan.
-        let plan = store.explain("warm", &q).unwrap();
-        assert!(plan.contains("cache discount"), "{plan}");
+        // Planning reads no cache: a warm cache plans as a cold one.
+        assert_eq!(store.explain("warm", &q).unwrap(), cold_plan);
 
         // Telemetry: per-shard counters summed, residency gauges pushed
         // once for the one shared cache.
         let metrics = ds.metrics();
-        assert_eq!(metrics.counter("cache.hits"), cache.stats().hits);
-        assert_eq!(metrics.counter("cache.misses"), cache.stats().misses);
+        let io = ds.io_stats();
+        assert_eq!(metrics.counter("cache.hits"), io.leaf_cache_hits);
+        assert_eq!(metrics.counter("cache.misses"), io.leaf_cache_misses);
+        assert_eq!(io.leaf_cache_hits, warm.cache_hits());
+        assert_eq!(io.leaf_cache_misses, cold.cache_misses());
+        assert_eq!(
+            metrics.gauge("cache.resident_leaves"),
+            Some(cache.resident_leaves() as f64)
+        );
         assert_eq!(metrics.gauge("cache.budget_bytes"), Some((8 << 20) as f64));
         let resident = metrics.gauge("cache.resident_bytes").unwrap();
         assert!(resident > 0.0 && resident <= (8 << 20) as f64, "{resident}");
@@ -1794,16 +1798,21 @@ mod tests {
         // good as a peak: no moment could exceed it).
         let stats = cache.stats();
         assert!(stats.resident_bytes <= stats.capacity_bytes, "{stats:?}");
-        assert!(stats.hits > 0, "concurrent readers must share warm leaves");
+        assert!(
+            ds.io_stats().leaf_cache_hits > 0,
+            "concurrent readers must share warm leaves"
+        );
 
         // Monotone hit rate on a re-scanned hot range: a second identical
         // scan can only raise the hit fraction.
-        let rate = |s: LeafCacheStats| s.hits as f64 / (s.hits + s.misses).max(1) as f64;
+        let rate = |io: IoStats| {
+            io.leaf_cache_hits as f64 / (io.leaf_cache_hits + io.leaf_cache_misses).max(1) as f64
+        };
         let q = Query::count_star().with_filter(Expr::between("id", 0, 99));
         ds.query(&q, ExecMode::Compiled).unwrap();
-        let first = rate(cache.stats());
+        let first = rate(ds.io_stats());
         ds.query(&q, ExecMode::Compiled).unwrap();
-        let second = rate(cache.stats());
+        let second = rate(ds.io_stats());
         assert!(
             second >= first,
             "hit rate must be monotone: {first} -> {second}"

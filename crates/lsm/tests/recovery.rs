@@ -626,7 +626,7 @@ fn torn_wal_tail_loses_only_the_unacknowledged_record() {
         ds.sync().unwrap();
     }
     // Tear the last frame in half, as a crash mid-write would.
-    let wal_path = dir.join("wal.log");
+    let wal_path = dir.join(persist::wal::segment_file_name(0));
     let bytes = std::fs::read(&wal_path).unwrap();
     std::fs::write(&wal_path, &bytes[..bytes.len() - 7]).unwrap();
 

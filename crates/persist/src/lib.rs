@@ -7,8 +7,8 @@
 //! ```text
 //! <dataset>/
 //!   pages.dat        one file of page-aligned slots (storage::FileBackend)
-//!   wal.log          CRC-framed insert/delete records (segment 0)
-//!   wal-NNNNNN.log   later WAL segments (created by rotation, see below)
+//!   wal-NNNNNN.log   WAL segments of CRC-framed insert/delete records
+//!                    (segment 0 first, later ones created by rotation)
 //!   MANIFEST         versioned, CRC-guarded root: config + schema + components
 //! ```
 //!
@@ -99,8 +99,6 @@ pub type Result<T> = std::result::Result<T, PersistError>;
 
 /// File name of the page file within a dataset directory.
 pub const PAGE_FILE_NAME: &str = "pages.dat";
-/// File name of the first write-ahead log segment within a dataset directory.
-pub const WAL_FILE_NAME: &str = "wal.log";
 
 /// Injected failure points for recovery tests. Each fires once (the
 /// injection is consumed) and makes the surrounding operation return an

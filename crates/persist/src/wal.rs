@@ -17,8 +17,7 @@
 //! what makes "the WAL is truncated only after the flush manifest commits"
 //! compatible with flushes running on background worker threads.
 //!
-//! Segment 0 is named `wal.log` (the pre-segmentation file name, so existing
-//! dataset directories keep working); later segments are `wal-NNNNNN.log`.
+//! Segment `N` is the file `wal-NNNNNN.log`.
 //!
 //! ## Frame format
 //!
@@ -108,20 +107,12 @@ impl WalRecord {
     }
 }
 
-/// File name of segment `id` within the dataset directory. Segment 0 keeps
-/// the historical single-file name so pre-segmentation directories recover.
+/// File name of segment `id` within the dataset directory.
 pub fn segment_file_name(id: u64) -> String {
-    if id == 0 {
-        "wal.log".to_string()
-    } else {
-        format!("wal-{id:06}.log")
-    }
+    format!("wal-{id:06}.log")
 }
 
 fn parse_segment_id(name: &str) -> Option<u64> {
-    if name == "wal.log" {
-        return Some(0);
-    }
     name.strip_prefix("wal-")?
         .strip_suffix(".log")?
         .parse()

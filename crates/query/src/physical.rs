@@ -119,11 +119,6 @@ pub struct ComponentPlanInfo {
     pub key_range: Option<(Value, Value)>,
     /// Column statistics: the component's leaves' zone maps, folded.
     pub stats: Arc<ComponentStats>,
-    /// Decoded leaves of this component resident in the shared leaf cache
-    /// at planning time (0 when no cache is configured). A cached leaf is
-    /// served without touching any page, so the cost model discounts its
-    /// share of the component's scan pages.
-    pub cached_leaves: u64,
 }
 
 impl ComponentPlanInfo {
@@ -134,7 +129,6 @@ impl ComponentPlanInfo {
             leaves: component.leaf_count() as u64,
             key_range: component.key_range(),
             stats: component.stats().clone(),
-            cached_leaves: component.cached_leaf_count() as u64,
         }
     }
 }
@@ -336,13 +330,6 @@ pub struct AccessEstimate {
     pub hidden_components: usize,
     /// Total components across the target.
     pub total_components: usize,
-    /// Decoded leaves resident in the shared leaf cache across the target's
-    /// components at planning time (0 when no cache is configured).
-    pub cached_leaves: u64,
-    /// Scan pages the cost model discounted for cache residency — a cached
-    /// leaf is served from the decoded-leaf cache and reads no pages.
-    /// `scan_pages` is the already-discounted figure.
-    pub cache_discount_pages: u64,
     /// The access-path policy that produced the decision.
     pub choice: AccessPathChoice,
 }
@@ -367,23 +354,14 @@ impl AccessEstimate {
         } else {
             String::new()
         };
-        let cache = if self.cached_leaves > 0 {
-            format!(
-                ", cache discount ~{} pages ({} leaves resident)",
-                self.cache_discount_pages, self.cached_leaves,
-            )
-        } else {
-            String::new()
-        };
         format!(
-            "selectivity ~{:.2}% (~{:.0} of {} records), scan ~{} pages ({}/{} components hidden by zone maps){}, {}{} [{}]",
+            "selectivity ~{:.2}% (~{:.0} of {} records), scan ~{} pages ({}/{} components hidden by zone maps), {}{} [{}]",
             self.est_selectivity * 100.0,
             self.est_matching_records,
             self.disk_records,
             self.scan_pages,
             self.hidden_components,
             self.total_components,
-            cache,
             probe,
             memtable,
             self.choice.label(),
@@ -764,25 +742,17 @@ fn estimate_access(
         Some(projected) => (projected as f64 / c.stats.columns.len().max(1) as f64).min(1.0),
         None => 1.0,
     };
-    // The fraction of a component's leaves already resident in the shared
-    // decoded-leaf cache: those leaves are served without a page read, so
-    // their share of the component's pages is discounted from the scan.
-    let residency = |c: &ComponentPlanInfo| {
-        (c.cached_leaves as f64 / c.leaves.max(1) as f64).min(1.0)
-    };
-    let mut raw_scan_pages = 0.0_f64;
-    let mut discounted_scan_pages = 0.0_f64;
-    for c in ctx.components.iter().zip(&hidden).filter_map(|(c, h)| (!h).then_some(c)) {
-        // At least one page per leaf is always read (keys / page 0).
-        let floor = c.leaves.min(c.pages) as f64;
-        let base = (c.pages as f64 * column_fraction(c)).max(floor).round();
-        raw_scan_pages += base;
-        discounted_scan_pages += base * (1.0 - residency(c));
-    }
-    let scan_pages = discounted_scan_pages.round() as u64;
-    let cache_discount_pages =
-        (raw_scan_pages - discounted_scan_pages).round() as u64;
-    let cached_leaves: u64 = ctx.components.iter().map(|c| c.cached_leaves).sum();
+    let scan_pages: u64 = ctx
+        .components
+        .iter()
+        .zip(&hidden)
+        .filter_map(|(c, h)| (!h).then_some(c))
+        .map(|c| {
+            // At least one page per leaf is always read (keys / page 0).
+            let floor = c.leaves.min(c.pages) as f64;
+            (c.pages as f64 * column_fraction(c)).max(floor).round() as u64
+        })
+        .sum();
     let hidden_components = hidden.iter().filter(|h| **h).count();
     let disk_records: u64 = ctx
         .components
@@ -811,14 +781,12 @@ fn estimate_access(
 
     // One index lookup may touch one leaf in every component, decoding only
     // the projected columns of that leaf (at least one page: the key page).
-    // A lookup that lands on a cached leaf reads nothing, so each
-    // component's term carries the same residency discount as the scan.
     let pages_per_lookup: f64 = ctx
         .components
         .iter()
         .map(|c| {
             let leaf_pages = c.pages as f64 / c.leaves.max(1) as f64;
-            (leaf_pages * column_fraction(c)).max(1.0) * (1.0 - residency(c))
+            (leaf_pages * column_fraction(c)).max(1.0)
         })
         .sum();
     let probe_pages = probe.map(|_| est_matching * pages_per_lookup);
@@ -852,8 +820,6 @@ fn estimate_access(
         probe_cost,
         hidden_components,
         total_components: ctx.components.len(),
-        cached_leaves,
-        cache_discount_pages,
         choice: options.access_path,
     }
 }
@@ -1740,7 +1706,6 @@ mod tests {
                 live_records: records,
                 columns,
             }),
-            cached_leaves: 0,
         }
     }
 
@@ -1822,34 +1787,6 @@ mod tests {
         assert_eq!(est.scan_pages, 0);
         assert_eq!(est.hidden_components, 2);
         assert!(p.describe().contains("2/2 components hidden by zone maps"));
-    }
-
-    #[test]
-    fn cache_residency_discounts_scan_pages_and_shows_in_explain() {
-        let cold = comp(1_000, 100, 10, (0, 999), (0, 999));
-        let mut warm = cold.clone();
-        warm.cached_leaves = 5; // half the leaves decoded and resident
-        let q = Query::count_star().with_filter(Expr::ge("score", 0));
-
-        let p = plan(&q, &indexed_ctx(vec![cold]), &PlannerOptions::default()).unwrap();
-        let cold_est = p.estimate.as_ref().unwrap();
-        assert_eq!(cold_est.scan_pages, 100);
-        assert_eq!(cold_est.cache_discount_pages, 0);
-        assert!(!p.describe().contains("cache discount"));
-
-        let p = plan(&q, &indexed_ctx(vec![warm.clone()]), &PlannerOptions::default())
-            .unwrap();
-        let warm_est = p.estimate.as_ref().unwrap();
-        assert_eq!(warm_est.scan_pages, 50);
-        assert_eq!(warm_est.cache_discount_pages, 50);
-        assert_eq!(warm_est.cached_leaves, 5);
-        let text = p.describe();
-        assert!(text.contains("cache discount ~50 pages (5 leaves resident)"), "{text}");
-
-        // A fully resident component scans for ~free.
-        warm.cached_leaves = 10;
-        let p = plan(&q, &indexed_ctx(vec![warm]), &PlannerOptions::default()).unwrap();
-        assert_eq!(p.estimate.unwrap().scan_pages, 0);
     }
 
     #[test]

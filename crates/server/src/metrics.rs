@@ -23,9 +23,10 @@
 //!
 //! The merged snapshot also carries the storage side's families — among
 //! them the decoded-leaf cache's `cache.hits` / `cache.misses` /
-//! `cache.evictions` counters and the `cache.resident_bytes` /
-//! `cache.budget_bytes` / `cache.resident_leaves` gauges, present when the
-//! served dataset was configured with a memory budget.
+//! `cache.evictions` counters, which the readers count in the shards'
+//! `IoStats`, and the `cache.resident_bytes` / `cache.budget_bytes` /
+//! `cache.resident_leaves` gauges of the shared cache (an entry is a leaf),
+//! present when the served dataset was configured with a memory budget.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -190,8 +190,10 @@ impl Component {
         Some(columns)
     }
 
-    /// Make `columns` cover `wanted` (`None` = every column), decoding —
-    /// through the leaf cache — only the columns not already resident.
+    /// Make `columns` cover `wanted` (`None` = every column), fetching only
+    /// the columns not already resident through
+    /// [`Component::cached_chunks`], which widens the leaf's one cache
+    /// entry by what it lacks.
     pub(crate) fn load_more(
         &self,
         leaf_idx: usize,

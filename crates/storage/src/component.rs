@@ -192,7 +192,7 @@ use telemetry::stage::Stage;
 use crate::amax::{self, AmaxConfig};
 use crate::apax;
 use crate::batch::{ColumnBatch, ColumnFilter, LeafColumns, LeafFilter};
-use crate::leafcache::{DecodedLeaf, LeafCacheHandle};
+use crate::leafcache::{Cached, DecodedLeaf, LeafCacheHandle};
 use crate::pagestore::{BufferCache, PageId};
 use crate::rowpage;
 use crate::stats::ComponentStats;
@@ -790,77 +790,94 @@ impl Component {
         self.cache.leaf_cache()
     }
 
-    /// Number of this component's leaves with a decoded copy resident in the
-    /// shared leaf cache (0 when none is attached). Feeds the planner's
-    /// cache-residency discount: a resident leaf costs no page reads.
-    pub fn cached_leaf_count(&self) -> usize {
-        self.leaf_cache()
-            .map_or(0, |handle| handle.cached_leaf_count(self.desc.id))
-    }
-
     /// Decoded entries of one row-layout leaf, through the decoded-leaf
-    /// cache when one is attached. Row pages ignore projection, so the cache
-    /// key never carries a column set. A hit decodes nothing: no page reads
+    /// cache when one is attached. Row pages ignore projection, so their
+    /// entry always holds every column. A hit decodes nothing: no page reads
     /// and no `records_assembled`.
     fn row_entries(&self, leaf_idx: usize) -> Result<Arc<Vec<Entry>>> {
-        let Some(handle) = self.leaf_cache() else {
+        let decode = || -> Result<Arc<Vec<Entry>>> {
             let payload = self.read_payload(self.desc.leaves[leaf_idx].page)?;
             let entries = rowpage::decode_row_page(&payload)?;
             self.cache
                 .store()
                 .note_records_assembled(entries.len() as u64);
-            return Ok(Arc::new(entries));
+            Ok(Arc::new(entries))
         };
-        if let Some(DecodedLeaf::Rows(entries)) = handle.get(self.desc.id, leaf_idx, None) {
-            self.cache.store().note_leaf_cache_hit();
+        let Some(handle) = self.leaf_cache() else {
+            return decode();
+        };
+        let store = self.cache.store();
+        if let Cached::Hit(DecodedLeaf::Rows(entries)) = handle.get(self.desc.id, leaf_idx, None) {
+            store.note_leaf_cache_hit();
             return Ok(entries);
         }
-        self.cache.store().note_leaf_cache_miss();
-        let payload = self.read_payload(self.desc.leaves[leaf_idx].page)?;
-        let entries = Arc::new(rowpage::decode_row_page(&payload)?);
-        self.cache
-            .store()
-            .note_records_assembled(entries.len() as u64);
+        store.note_leaf_cache_miss();
+        let entries = decode()?;
         let evicted = handle.insert(
             self.desc.id,
             leaf_idx,
             None,
             DecodedLeaf::Rows(entries.clone()),
         );
-        self.cache.store().note_leaf_cache_evictions(evicted);
+        store.note_leaf_cache_evictions(evicted);
         Ok(entries)
     }
 
     /// Decoded column chunks of one columnar leaf, through the decoded-leaf
-    /// cache when one is attached. A projected request is served from the
-    /// leaf's resident all-columns entry when there is one, so the result
-    /// may hold more columns than `columns` names —
-    /// [`Component::assembler`] picks the wanted ones out.
+    /// cache when one is attached: the one place a columnar leaf is served.
+    /// The leaf's entry answers when it covers `columns` (`None` = all), so
+    /// the result may hold more columns than asked for —
+    /// [`Component::assembler`] picks the wanted ones out. Otherwise only
+    /// the columns the entry lacks are decoded and the union replaces the
+    /// entry, counted as a miss.
     pub(crate) fn cached_chunks(
         &self,
         leaf_idx: usize,
         columns: Option<&[ColumnId]>,
     ) -> Result<LeafChunks> {
-        let decode = || -> Result<LeafChunks> {
-            let chunks = self.decode_chunks(&self.desc.leaves[leaf_idx], columns)?;
-            Ok(Arc::new(chunks.into_iter().map(Arc::new).collect()))
-        };
+        let leaf = &self.desc.leaves[leaf_idx];
         let Some(handle) = self.leaf_cache() else {
-            return decode();
+            let chunks = self.decode_chunks(leaf, columns)?;
+            return Ok(Arc::new(chunks.into_iter().map(Arc::new).collect()));
         };
-        if let Some(DecodedLeaf::Chunks(chunks)) = handle.get(self.desc.id, leaf_idx, columns) {
-            self.cache.store().note_leaf_cache_hit();
-            return Ok(chunks);
-        }
-        self.cache.store().note_leaf_cache_miss();
-        let chunks = decode()?;
+        let store = self.cache.store();
+        let (mut chunks, mut held) = match handle.get(self.desc.id, leaf_idx, columns) {
+            Cached::Hit(DecodedLeaf::Chunks(chunks)) => {
+                store.note_leaf_cache_hit();
+                return Ok(chunks);
+            }
+            Cached::Partial(chunks, held) => (chunks.to_vec(), held),
+            Cached::Hit(DecodedLeaf::Rows(_)) | Cached::Miss => (Vec::new(), Vec::new()),
+        };
+        store.note_leaf_cache_miss();
+        // Only what the entry lacks: on a miss, all that was asked for.
+        let lacking: Option<Vec<ColumnId>> = match columns {
+            Some(ids) => Some(
+                ids.iter()
+                    .copied()
+                    .filter(|id| !held.contains(id))
+                    .collect(),
+            ),
+            None if held.is_empty() => None,
+            None => Some(self.column_ids().filter(|id| !held.contains(id)).collect()),
+        };
+        chunks.extend(
+            self.decode_chunks(leaf, lacking.as_deref())?
+                .into_iter()
+                .map(Arc::new),
+        );
+        let chunks = Arc::new(chunks);
+        let union = columns.map(|_| {
+            held.extend(lacking.unwrap_or_default());
+            held
+        });
         let evicted = handle.insert(
             self.desc.id,
             leaf_idx,
-            columns,
+            union,
             DecodedLeaf::Chunks(chunks.clone()),
         );
-        self.cache.store().note_leaf_cache_evictions(evicted);
+        store.note_leaf_cache_evictions(evicted);
         Ok(chunks)
     }
 
@@ -949,8 +966,7 @@ impl Component {
     /// however many of the keys it holds, and only the hits' records are
     /// assembled ([`Assembler::record_at`]) — or, for row layouts, cloned out
     /// of the shared decoded page. Leaves come through the decoded-leaf
-    /// cache, a projected request preferring a resident all-columns entry
-    /// over decoding a second, narrower copy.
+    /// cache, one entry per leaf.
     pub fn lookup_sorted(
         &self,
         keys: &[&Value],
@@ -2225,8 +2241,24 @@ mod tests {
         }
     }
 
+    /// Pages `read` takes on a cold page cache, and whether it hit the
+    /// decoded-leaf cache (`None`: it decoded from pages).
+    fn pages_of(cache: &BufferCache, read: impl FnOnce()) -> (u64, Option<bool>) {
+        cache.clear();
+        cache.store().reset_stats();
+        read();
+        let stats = cache.store().stats();
+        let hit = match (stats.leaf_cache_hits, stats.leaf_cache_misses) {
+            (1, 0) => Some(true),
+            (0, 1) => None,
+            other => panic!("one leaf fetch expected, saw {other:?}"),
+        };
+        (stats.pages_read, hit)
+    }
+
     /// The other order — projected read first, all columns second — ends
-    /// with one copy too, and scans take the covering entry like lookups.
+    /// with one entry too: the all-columns read decodes only what the
+    /// projected one left out, and scans take the entry like lookups.
     #[test]
     fn all_columns_read_supersedes_the_projected_copy() {
         let entries = records(400);
@@ -2235,22 +2267,30 @@ mod tests {
         for layout in [LayoutKind::Apax, LayoutKind::Amax] {
             let (cache, leaf_cache) = leaf_cached_cache();
             let config = ComponentConfig::new(layout);
-            let comp = Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap());
-            let narrow = comp.lookup(&Value::Int(7), Some(&likes)).unwrap().unwrap();
+            let comp =
+                Arc::new(Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap());
+            let lookup =
+                |projection: Option<&[Path]>| comp.lookup(&Value::Int(7), projection).unwrap();
+            // What decoding only the columns a `likes` lookup leaves out
+            // reads: Page 0 (the APAX page) and their megapages.
+            let key = comp.key_spec.as_ref().unwrap().id;
+            let held = comp.projection_columns(Some(&likes)).unwrap();
+            let rest: Vec<ColumnId> = comp.column_ids().filter(|id| !held.contains(id)).collect();
+            let (rest_pages, _) = pages_of(&cache, || drop(comp.cached_chunks(0, Some(&rest))));
+            assert!(!rest.contains(&key) && held.contains(&key));
+            leaf_cache.clear();
+            let narrow = lookup(Some(&likes)).unwrap();
             assert_eq!(leaf_cache.resident_leaves(), 1, "{layout:?}");
             let narrow_bytes = leaf_cache.resident_bytes();
-            assert!(comp.lookup(&Value::Int(7), None).unwrap().is_some());
+            let (pages, hit) = pages_of(&cache, || assert!(lookup(None).is_some()));
+            assert_eq!((pages, hit), (rest_pages, None), "{layout:?}");
             assert_eq!(leaf_cache.resident_leaves(), 1, "{layout:?}: held twice");
             assert!(leaf_cache.resident_bytes() > narrow_bytes, "{layout:?}");
             let resident = leaf_cache.resident_bytes();
             cache.store().reset_stats();
             // Projected lookups and a projected scan of that leaf now read
             // the all-columns entry and see only their own columns.
-            assert_eq!(
-                comp.lookup(&Value::Int(7), Some(&likes)).unwrap().unwrap(),
-                narrow,
-                "{layout:?}"
-            );
+            assert_eq!(lookup(Some(&likes)).unwrap(), narrow, "{layout:?}");
             let (_, first) = comp.cursor(Some(&likes)).next().unwrap().unwrap();
             let first = first.unwrap();
             assert!(first.get_field("likes").is_some(), "{layout:?}");
@@ -2259,6 +2299,77 @@ mod tests {
             assert_eq!(stats.leaf_cache_misses, 0, "{layout:?}");
             assert_eq!(stats.pages_read, 0, "{layout:?}");
             assert_eq!(leaf_cache.resident_bytes(), resident, "{layout:?}");
+        }
+    }
+
+    /// A leaf has one entry: a second projection decodes only the columns
+    /// the entry lacks (for AMAX, Page 0 and that column's megapage) and
+    /// the union then answers both projections without a page read.
+    #[test]
+    fn a_second_projection_decodes_only_the_columns_the_entry_lacks() {
+        let entries = records(2000);
+        let schema = schema_for(&entries);
+        let likes = [Path::parse("likes")];
+        let text = [Path::parse("text")];
+        let both = [Path::parse("likes"), Path::parse("text")];
+        for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+            let (cache, leaf_cache) = leaf_cached_cache();
+            let config = ComponentConfig::new(layout);
+            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let lookup =
+                |projection: &[Path]| comp.lookup(&Value::Int(7), Some(projection)).unwrap();
+            let (text_pages, _) = pages_of(&cache, || drop(lookup(&text)));
+            leaf_cache.clear();
+            let (full_pages, _) = pages_of(&cache, || drop(comp.lookup(&Value::Int(7), None)));
+            leaf_cache.clear();
+            drop(lookup(&both));
+            let union_bytes = leaf_cache.resident_bytes();
+            leaf_cache.clear();
+
+            let narrow = lookup(&likes).unwrap();
+            let (pages, hit) = pages_of(&cache, || assert!(lookup(&text).is_some()));
+            assert_eq!((pages, hit), (text_pages, None), "{layout:?}");
+            if layout == LayoutKind::Amax {
+                assert!(pages < full_pages, "{layout:?}: {pages} of {full_pages}");
+            }
+            assert_eq!(leaf_cache.resident_leaves(), 1, "{layout:?}");
+            assert_eq!(leaf_cache.resident_bytes(), union_bytes, "{layout:?}");
+
+            // Both projections are covered now: hits that read nothing.
+            let stored = entries[7].1.as_ref().unwrap();
+            for (projection, field) in [(&likes[..], "likes"), (&text[..], "text")] {
+                let (pages, hit) = pages_of(&cache, || {
+                    let doc = lookup(projection).unwrap().unwrap();
+                    assert_eq!(doc.get_field(field), stored.get_field(field), "{layout:?}");
+                });
+                assert_eq!((pages, hit), (0, Some(true)), "{layout:?} {field}");
+            }
+            assert_eq!(lookup(&likes).unwrap(), narrow, "{layout:?}");
+            assert_eq!(leaf_cache.resident_leaves(), 1, "{layout:?}");
+        }
+    }
+
+    /// A column id the leaf holds no chunk for is recorded as asked for:
+    /// the second request for it is a hit.
+    #[test]
+    fn a_column_the_leaf_predates_is_decoded_once() {
+        let entries = records(200);
+        let schema = schema_for(&entries);
+        for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+            let (cache, _leaf_cache) = leaf_cached_cache();
+            let config = ComponentConfig::new(layout);
+            let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+            let key = comp.key_spec.as_ref().unwrap().id;
+            let later = comp.column_ids().max().unwrap() + 1;
+            let (pages, hit) = pages_of(&cache, || {
+                let chunks = comp.cached_chunks(0, Some(&[key, later])).unwrap();
+                assert!(chunks.iter().all(|c| c.spec.id != later), "{layout:?}");
+            });
+            assert!(pages > 0 && hit.is_none(), "{layout:?}");
+            let (pages, hit) = pages_of(&cache, || {
+                drop(comp.cached_chunks(0, Some(&[later])).unwrap());
+            });
+            assert_eq!((pages, hit), (0, Some(true)), "{layout:?}");
         }
     }
 
@@ -2350,18 +2461,19 @@ mod tests {
     }
 
     #[test]
-    fn projected_and_full_scans_cache_separately_but_stay_correct() {
+    fn projected_and_full_scans_share_one_entry_and_stay_correct() {
         let entries = records(150);
         let schema = schema_for(&entries);
-        let (cache, _leaf_cache) = leaf_cached_cache();
+        let (cache, leaf_cache) = leaf_cached_cache();
         let config = ComponentConfig::new(LayoutKind::Amax);
         let comp = Arc::new(Component::write(&cache, &config, schema, &entries, 1).unwrap());
 
         let path = vec![Path::parse("likes")];
         let projected: Vec<Entry> =
             comp.cursor(Some(&path)).map(|e| e.unwrap()).collect();
-        // The projected chunks must not satisfy a full scan (different key).
+        // The projected entry does not cover a full scan: it is widened.
         let full: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
+        assert_eq!(leaf_cache.resident_leaves(), comp.leaf_count());
         assert_eq!(full.len(), projected.len());
         let full_doc = full[10].1.as_ref().unwrap();
         assert!(full_doc.get_path_str("user.name").is_some());
@@ -2379,15 +2491,13 @@ mod tests {
         let comp = std::sync::Arc::new(
             Component::write(&cache, &config, schema, &entries, 1).unwrap(),
         );
-        let id = comp.id();
         let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
         assert_eq!(scanned.len(), 120);
-        let handle = cache.leaf_cache().unwrap();
-        assert!(handle.cached_leaf_count(id) > 0);
+        assert_eq!(leaf_cache.resident_leaves(), comp.leaf_count());
 
         comp.retire();
         drop(comp);
-        assert_eq!(handle.cached_leaf_count(id), 0);
+        assert_eq!(leaf_cache.resident_leaves(), 0);
         assert!(leaf_cache.stats().invalidations > 0);
         assert_eq!(leaf_cache.resident_bytes(), 0);
     }

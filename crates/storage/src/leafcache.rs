@@ -7,8 +7,8 @@
 //!
 //! ## Keying
 //!
-//! Entries are keyed by `(origin, component id, leaf index, projected
-//! columns)`:
+//! A leaf has at most **one entry**, keyed by `(origin, component id, leaf
+//! index)`:
 //!
 //! * **origin** — a small integer handed out by [`LeafCache::handle`], one
 //!   per dataset/shard attached to the cache. Component ids are only unique
@@ -19,16 +19,11 @@
 //!   future component. This is what makes the cache immune to page-id reuse:
 //!   page slots are recycled by the free list, component ids are not.
 //! * **leaf index** — position in the component's leaf directory.
-//! * **columns** — a columnar leaf decoded under a projection holds only
-//!   those columns' chunks, so each projected column set caches separately;
-//!   `None` is the all-columns decode, which also answers every projected
-//!   request (see "Projections and covering entries"). Row pages ignore
-//!   projection and always cache under `None`.
 //!
-//! A leaf is resident in **one shape**, fixed by its component's layout
-//! ([`DecodedLeaf`]): decoded entries for row pages, decoded column chunks
-//! for columnar leaves. Scans and point lookups both read that shape — a
-//! lookup binary-searches the decoded key column and assembles the one
+//! The entry holds the leaf in **one shape**, fixed by its component's
+//! layout ([`DecodedLeaf`]): decoded entries for row pages, decoded column
+//! chunks for columnar leaves. Scans and point lookups both read that shape
+//! — a lookup binary-searches the decoded key column and assembles the one
 //! record it returns — so no leaf is ever held twice for two access paths.
 //!
 //! ## Eviction, scan resistance, and budget accounting
@@ -51,28 +46,21 @@
 //!   beyond that demote the protected LRU back to probation, so the cache
 //!   never wedges itself into a state where new entries can't be admitted.
 //!
-//! ## Projections and covering entries
+//! ## Projections: one entry grows to the union
 //!
-//! Payloads of one leaf under different projections are *not* shared views
-//! of one buffer — each owns its decoded vectors — so the **budget** charges
-//! each payload its full footprint (`resident_leaves` / `resident_bytes`
-//! count payloads). The **residency gauges** for telemetry and planner
-//! discounts deduplicate by `(origin, component, leaf)`
-//! (`resident_distinct_leaves`, `cached_leaf_count`).
-//!
-//! A resident all-columns payload *covers* every projection of its leaf, and
-//! a covered copy is never kept beside it:
-//!
-//! * [`LeafCacheHandle::get`] serves a projected request from the exact
-//!   entry or, failing that, from the all-columns entry, before the caller
-//!   decodes a second, narrower copy. The payload may therefore hold more
-//!   columns than were asked for; the caller picks its own out.
-//! * inserting an all-columns payload drops the leaf's narrower payloads
-//!   (counted as invalidations — they were superseded, not squeezed out),
-//!   and a narrower payload is not admitted while the all-columns one is
-//!   resident (two readers racing on a cold leaf).
-//!
-//! Two *different* narrow projections of one leaf still cache side by side.
+//! A columnar entry also records the column ids it was decoded for (`None`
+//! = every column; row pages always). [`LeafCacheHandle::get`] answers a
+//! request with [`Cached::Hit`] when the entry covers it (the payload may
+//! then hold more columns than were asked for; the caller picks its own
+//! out), and with [`Cached::Partial`] when it lacks some of the requested
+//! columns. The caller then decodes only those and inserts the union, which
+//! replaces the entry; that request counts as a miss in the caller's
+//! [`IoStats`](crate::pagestore::IoStats), which is also where hits and
+//! evictions are counted. A column id the leaf holds no chunk for is still
+//! recorded as asked for, so a column the leaf predates is looked for once.
+//! The union lands in probation like any insert; one larger than the whole
+//! capacity is refused and the old entry stays. Two readers widening one leaf at once each insert their own union; the
+//! later one stands, which wastes a decode but never serves a wrong column.
 //!
 //! ## Invalidation protocol
 //!
@@ -92,7 +80,7 @@
 //! Because ids are never reused, a stale entry can at worst waste budget,
 //! never serve wrong data; the invalidation protocol bounds the waste.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,7 +90,7 @@ use columnar::{ColumnChunk, ColumnValues};
 use docmodel::Value;
 use schema::ColumnId;
 
-use crate::component::Entry;
+use crate::component::{Entry, LeafChunks};
 
 /// A cached decoded leaf, in the one shape its layout reads. Payloads are
 /// `Arc`'d so a hit is a pointer bump, never a deep copy; column chunks are
@@ -114,22 +102,32 @@ pub enum DecodedLeaf {
     Rows(Arc<Vec<Entry>>),
     /// Columnar layouts: decoded column chunks, record assembly deferred to
     /// whoever reads them (per record for cursors, one record for lookups).
-    Chunks(Arc<Vec<Arc<ColumnChunk>>>),
+    Chunks(LeafChunks),
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// What a leaf's entry answers a request with ([`LeafCacheHandle::get`]).
+pub enum Cached {
+    /// The entry covers the request; it counts as a re-reference.
+    Hit(DecodedLeaf),
+    /// The entry's chunks, decoded for the listed columns, which lack some
+    /// of the requested ones.
+    Partial(LeafChunks, Vec<ColumnId>),
+    /// The leaf has no entry.
+    Miss,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct LeafKey {
     origin: u64,
     component: u64,
     leaf: usize,
-    /// Normalised (sorted, deduplicated) projected column set; `None` means
-    /// every column. Different projections decode different chunk sets, so
-    /// they cache separately.
-    columns: Option<Vec<ColumnId>>,
 }
 
 struct CachedLeaf {
     payload: DecodedLeaf,
+    /// The column ids the payload was decoded for; `None` means every
+    /// column (always, for row pages).
+    columns: Option<Vec<ColumnId>>,
     bytes: usize,
     last_used: u64,
     /// Segment membership: `false` = probation (inserted, never re-hit),
@@ -148,31 +146,19 @@ struct Inner {
     /// Bytes held by protected-segment entries (`<= total_bytes`).
     protected_bytes: usize,
     tick: u64,
+    invalidations: u64,
 }
 
-/// Point-in-time counters and residency of a [`LeafCache`].
+/// Point-in-time residency of a [`LeafCache`]. Hits, misses and evictions
+/// are counted by the readers, in [`IoStats`](crate::pagestore::IoStats).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LeafCacheStats {
-    /// Leaf loads served from the cache (no page reads, no decode).
-    pub hits: u64,
-    /// Leaf loads that had to decode from the page store.
-    pub misses: u64,
-    /// Entries removed to stay under the byte capacity.
-    pub evictions: u64,
-    /// Entries removed by explicit invalidation (retirement / GC / clear),
-    /// or superseded by their leaf's all-columns payload.
+    /// Entries removed by explicit invalidation (retirement / GC / clear).
     pub invalidations: u64,
     /// Estimated decoded bytes currently resident.
     pub resident_bytes: u64,
-    /// Number of cached leaf *payloads* currently resident. The same
-    /// physical leaf cached under two projections counts once per payload —
-    /// this is the budget-accounting view, since each payload holds its own
-    /// decoded copy.
+    /// Entries currently resident, which is leaves: a leaf has one entry.
     pub resident_leaves: u64,
-    /// Number of *distinct physical leaves* with at least one resident
-    /// payload — the residency view for gauges and planner discounts, which
-    /// must not double-charge a leaf for being cached under two projections.
-    pub resident_distinct_leaves: u64,
     /// Configured byte capacity.
     pub capacity_bytes: u64,
 }
@@ -187,10 +173,6 @@ pub struct LeafCache {
     capacity: usize,
     inner: Mutex<Inner>,
     next_origin: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl std::fmt::Debug for LeafCache {
@@ -215,12 +197,9 @@ impl LeafCache {
                 total_bytes: 0,
                 protected_bytes: 0,
                 tick: 0,
+                invalidations: 0,
             }),
             next_origin: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -243,72 +222,29 @@ impl LeafCache {
         self.inner.lock().total_bytes
     }
 
-    /// Number of cached leaf payloads currently resident (one physical leaf
-    /// may account for several — see [`LeafCacheStats::resident_leaves`]).
+    /// Number of leaves currently resident (one entry each).
     pub fn resident_leaves(&self) -> usize {
         self.inner.lock().entries.len()
     }
 
-    /// Number of distinct physical leaves with at least one resident
-    /// payload — the deduplicated residency gauge.
-    pub fn resident_distinct_leaves(&self) -> usize {
-        distinct_leaves(&self.inner.lock(), |_| true)
-    }
-
-    /// Snapshot of counters and residency.
+    /// Snapshot of residency and invalidations.
     pub fn stats(&self) -> LeafCacheStats {
-        let (total_bytes, len, distinct) = {
-            let inner = self.inner.lock();
-            (
-                inner.total_bytes,
-                inner.entries.len(),
-                distinct_leaves(&inner, |_| true),
-            )
-        };
+        let inner = self.inner.lock();
         LeafCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            resident_bytes: total_bytes as u64,
-            resident_leaves: len as u64,
-            resident_distinct_leaves: distinct as u64,
+            invalidations: inner.invalidations,
+            resident_bytes: inner.total_bytes as u64,
+            resident_leaves: inner.entries.len() as u64,
             capacity_bytes: self.capacity as u64,
         }
     }
 
-    /// Drop every entry (counted as invalidations). Counters survive.
+    /// Drop every entry (counted as invalidations).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        let dropped = inner.entries.len() as u64;
+        inner.invalidations += inner.entries.len() as u64;
         inner.entries.clear();
         inner.total_bytes = 0;
         inner.protected_bytes = 0;
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    fn lookup(
-        &self,
-        key: &LeafKey,
-        refresh: bool,
-    ) -> Option<DecodedLeaf> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.entries.get_mut(key)?;
-        let payload = entry.payload.clone();
-        if refresh {
-            entry.last_used = tick;
-            // A re-reference promotes the entry out of probation: it has
-            // proven it is part of a working set, not a one-off scan.
-            if !entry.protected {
-                entry.protected = true;
-                let bytes = entry.bytes;
-                inner.protected_bytes += bytes;
-                self.demote_over_share(&mut inner);
-            }
-        }
-        Some(payload)
     }
 
     /// Demote protected-LRU entries back to probation until the protected
@@ -322,7 +258,7 @@ impl LeafCache {
                 .iter()
                 .filter(|(_, e)| e.protected)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
+                .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
                     if let Some(e) = inner.entries.get_mut(&k) {
@@ -335,71 +271,39 @@ impl LeafCache {
         }
     }
 
-    /// Fetch the payload cached for exactly `columns`, or the all-columns
-    /// payload of the same leaf when the exact one is absent. Counts one hit
-    /// or one miss either way.
-    fn get(
-        &self,
-        origin: u64,
-        component: u64,
-        leaf: usize,
-        columns: Option<&[ColumnId]>,
-    ) -> Option<DecodedLeaf> {
-        let mut key = LeafKey {
-            origin,
-            component,
-            leaf,
-            columns: normalise_columns(columns),
+    fn get(&self, key: LeafKey, columns: Option<&[ColumnId]>) -> Cached {
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let Some(entry) = inner.entries.get_mut(&key) else {
+            return Cached::Miss;
         };
-        let mut found = self.lookup(&key, true);
-        if found.is_none() && key.columns.is_some() {
-            key.columns = None;
-            found = self.lookup(&key, true);
+        if let (Some(held), DecodedLeaf::Chunks(chunks)) = (&entry.columns, &entry.payload) {
+            if !columns.is_some_and(|ids| ids.iter().all(|id| held.contains(id))) {
+                return Cached::Partial(chunks.clone(), held.clone());
+            }
         }
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        let payload = entry.payload.clone();
+        entry.last_used = tick;
+        // A re-reference promotes the entry out of probation: it has proven
+        // it is part of a working set, not a one-off scan.
+        if !entry.protected {
+            entry.protected = true;
+            let bytes = entry.bytes;
+            inner.protected_bytes += bytes;
+            self.demote_over_share(&mut inner);
         }
-        found
+        Cached::Hit(payload)
     }
 
-    fn insert(
-        &self,
-        origin: u64,
-        component: u64,
-        leaf: usize,
-        columns: Option<&[ColumnId]>,
-        payload: DecodedLeaf,
-    ) -> u64 {
+    fn insert(&self, key: LeafKey, columns: Option<Vec<ColumnId>>, payload: DecodedLeaf) -> u64 {
         let bytes = payload_bytes(&payload);
         if bytes > self.capacity {
             // An oversized payload would evict everything and still not
             // fit; refusing it keeps resident bytes ≤ capacity invariant.
             return 0;
         }
-        let key = LeafKey {
-            origin,
-            component,
-            leaf,
-            columns: normalise_columns(columns),
-        };
         let mut inner = self.inner.lock();
-        if key.columns.is_some() {
-            // Covered by a resident all-columns payload of the same leaf
-            // (a racing reader admitted it first): keep that one only.
-            let mut covering = key.clone();
-            covering.columns = None;
-            if inner.entries.contains_key(&covering) {
-                return 0;
-            }
-        } else if matches!(payload, DecodedLeaf::Chunks(_)) {
-            // The all-columns payload supersedes the leaf's narrower ones
-            // (row pages never have any, and skip the sweep).
-            self.remove_where(&mut inner, |k| {
-                k.columns.is_some() && (k.origin, k.component, k.leaf) == (origin, component, leaf)
-            });
-        }
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.entries.insert(
@@ -408,6 +312,7 @@ impl LeafCache {
             // before it may displace the protected working set.
             CachedLeaf {
                 payload,
+                columns,
                 bytes,
                 last_used: tick,
                 protected: false,
@@ -430,14 +335,8 @@ impl LeafCache {
                 .iter()
                 .filter(|(_, e)| !e.protected)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .or_else(|| {
-                    inner
-                        .entries
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                });
+                .or_else(|| inner.entries.iter().min_by_key(|(_, e)| e.last_used))
+                .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
                     if let Some(e) = inner.entries.remove(&k) {
@@ -451,24 +350,15 @@ impl LeafCache {
                 None => break,
             }
         }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
         evicted
     }
 
+    /// Drop every entry of one component, counted as invalidations.
     fn invalidate(&self, origin: u64, component: u64) -> u64 {
         let mut inner = self.inner.lock();
-        self.remove_where(&mut inner, |k| {
-            k.origin == origin && k.component == component
-        })
-    }
-
-    /// Drop every entry whose key matches, counted as invalidations.
-    fn remove_where(&self, inner: &mut Inner, matches: impl Fn(&LeafKey) -> bool) -> u64 {
         let (mut dropped, mut bytes, mut protected_bytes) = (0u64, 0, 0);
         inner.entries.retain(|k, e| {
-            if !matches(k) {
+            if (k.origin, k.component) != (origin, component) {
                 return true;
             }
             dropped += 1;
@@ -480,29 +370,9 @@ impl LeafCache {
         });
         inner.total_bytes -= bytes;
         inner.protected_bytes -= protected_bytes;
-        if dropped > 0 {
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-        }
+        inner.invalidations += dropped;
         dropped
     }
-
-    fn cached_leaf_count(&self, origin: u64, component: u64) -> usize {
-        distinct_leaves(&self.inner.lock(), |k| {
-            k.origin == origin && k.component == component
-        })
-    }
-}
-
-/// Distinct physical leaves among the resident entries `matches` keeps: a
-/// leaf cached under several projections counts once.
-fn distinct_leaves(inner: &Inner, matches: impl Fn(&LeafKey) -> bool) -> usize {
-    let leaves: HashSet<(u64, u64, usize)> = inner
-        .entries
-        .keys()
-        .filter(|k| matches(k))
-        .map(|k| (k.origin, k.component, k.leaf))
-        .collect();
-    leaves.len()
 }
 
 /// One dataset's view of a shared [`LeafCache`]: the cache plus the origin
@@ -525,32 +395,32 @@ impl LeafCacheHandle {
         self.origin
     }
 
-    /// Fetch the leaf decoded for `columns` (`None` = all), counting a
-    /// cache hit or miss. A projected request that has no entry of its own
-    /// is served from the leaf's resident all-columns entry, so the payload
-    /// may hold more columns than asked for.
-    pub fn get(
-        &self,
-        component: u64,
-        leaf: usize,
-        columns: Option<&[ColumnId]>,
-    ) -> Option<DecodedLeaf> {
-        self.cache.get(self.origin, component, leaf, columns)
+    fn key(&self, component: u64, leaf: usize) -> LeafKey {
+        LeafKey {
+            origin: self.origin,
+            component,
+            leaf,
+        }
     }
 
-    /// Insert a decoded leaf, evicting LRU entries as needed to stay under
-    /// the byte capacity. Returns how many entries were evicted. An
-    /// all-columns payload replaces the leaf's narrower ones; a narrower
-    /// payload is not admitted beside a resident all-columns one.
+    /// The leaf's entry as a request for `columns` (`None` = all) sees it:
+    /// a hit when the entry covers them, else what it holds, or nothing.
+    pub fn get(&self, component: u64, leaf: usize, columns: Option<&[ColumnId]>) -> Cached {
+        self.cache.get(self.key(component, leaf), columns)
+    }
+
+    /// Make `payload`, decoded for `columns` (`None` = all), the leaf's
+    /// entry, replacing any it had, and evict LRU entries as needed to stay
+    /// under the byte capacity. Returns how many entries were evicted.
     pub fn insert(
         &self,
         component: u64,
         leaf: usize,
-        columns: Option<&[ColumnId]>,
+        columns: Option<Vec<ColumnId>>,
         payload: DecodedLeaf,
     ) -> u64 {
         self.cache
-            .insert(self.origin, component, leaf, columns, payload)
+            .insert(self.key(component, leaf), columns, payload)
     }
 
     /// Drop every cached leaf of one component (retirement / GC). Returns
@@ -558,21 +428,6 @@ impl LeafCacheHandle {
     pub fn invalidate_component(&self, component: u64) -> u64 {
         self.cache.invalidate(self.origin, component)
     }
-
-    /// Distinct leaf indices of `component` with at least one resident
-    /// payload — the planner's residency-discount input.
-    pub fn cached_leaf_count(&self, component: u64) -> usize {
-        self.cache.cached_leaf_count(self.origin, component)
-    }
-}
-
-fn normalise_columns(columns: Option<&[ColumnId]>) -> Option<Vec<ColumnId>> {
-    columns.map(|cols| {
-        let mut v = cols.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v
-    })
 }
 
 fn entry_bytes(entry: &Entry) -> usize {
@@ -633,9 +488,16 @@ mod tests {
         DecodedLeaf::Chunks(Arc::new(columns.iter().map(chunk).collect()))
     }
 
-    fn chunk_count(leaf: &DecodedLeaf) -> usize {
+    fn hit(cached: Cached) -> Option<DecodedLeaf> {
+        match cached {
+            Cached::Hit(leaf) => Some(leaf),
+            Cached::Partial(..) | Cached::Miss => None,
+        }
+    }
+
+    fn chunk_ids(leaf: &DecodedLeaf) -> Vec<ColumnId> {
         match leaf {
-            DecodedLeaf::Chunks(chunks) => chunks.len(),
+            DecodedLeaf::Chunks(chunks) => chunks.iter().map(|c| c.spec.id).collect(),
             DecodedLeaf::Rows(_) => panic!("expected chunks"),
         }
     }
@@ -651,34 +513,45 @@ mod tests {
     fn hit_after_insert_and_counters() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        assert!(h.get(1, 0, None).is_none());
+        assert!(matches!(h.get(1, 0, None), Cached::Miss));
         h.insert(1, 0, None, rows(4, 7));
-        let hit = h.get(1, 0, None).expect("hit");
+        let hit = hit(h.get(1, 0, None)).expect("hit");
         assert_eq!(rows_len(&hit), 4);
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
         assert_eq!(stats.resident_leaves, 1);
+        assert_eq!(stats.invalidations, 0);
         assert!(stats.resident_bytes > 0);
     }
 
     #[test]
-    fn projections_cache_separately() {
+    fn a_request_the_entry_does_not_cover_sees_what_it_holds() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        h.insert(1, 0, Some(&[2]), chunks(&[2], 4));
-        let cols: Vec<ColumnId> = vec![3, 1, 3];
-        let sorted: Vec<ColumnId> = vec![1, 3];
-        h.insert(1, 0, Some(&cols), chunks(&[1, 3], 4));
-        // Normalised column sets are order/dup insensitive.
-        let hit = h
-            .get(1, 0, Some(&sorted))
-            .expect("normalised projection hit");
-        assert_eq!(chunk_count(&hit), 2);
-        assert_eq!(chunk_count(&h.get(1, 0, Some(&[2])).unwrap()), 1);
-        // Neither narrow payload answers the all-columns request.
-        assert!(h.get(1, 0, None).is_none());
-        assert_eq!(cache.resident_leaves(), 2);
+        h.insert(1, 0, Some(vec![2, 4]), chunks(&[2, 4], 4));
+        // Covered in any order, duplicates included.
+        assert_eq!(
+            chunk_ids(&hit(h.get(1, 0, Some(&[4, 2, 4]))).unwrap()),
+            [2, 4]
+        );
+        // One column more, or every column: the entry as it stands.
+        for request in [Some(&[2, 3][..]), None] {
+            match h.get(1, 0, request) {
+                Cached::Partial(chunks, held) => {
+                    assert_eq!(chunks.len(), 2);
+                    assert_eq!(held, [2, 4]);
+                }
+                _ => panic!("{request:?}: expected a partial entry"),
+            }
+        }
+        // The union replaces the entry: still one leaf, now covering both.
+        h.insert(1, 0, Some(vec![2, 4, 3]), chunks(&[2, 4, 3], 4));
+        assert_eq!(cache.resident_leaves(), 1);
+        assert_eq!(
+            cache.resident_bytes(),
+            payload_bytes(&chunks(&[2, 3, 4], 4))
+        );
+        assert!(hit(h.get(1, 0, Some(&[3]))).is_some());
+        assert!(hit(h.get(1, 0, Some(&[2, 3, 4]))).is_some());
     }
 
     #[test]
@@ -690,13 +563,12 @@ mod tests {
             h.insert(1, leaf, None, rows(8, leaf as i64));
         }
         // Touch leaf 0 so leaf 1 is the LRU victim.
-        assert!(h.get(1, 0, None).is_some());
+        assert!(hit(h.get(1, 0, None)).is_some());
         let evicted = h.insert(1, 3, None, rows(8, 3));
         assert_eq!(evicted, 1);
-        assert!(h.get(1, 1, None).is_none());
-        assert!(h.get(1, 0, None).is_some());
+        assert!(matches!(h.get(1, 1, None), Cached::Miss));
+        assert!(hit(h.get(1, 0, None)).is_some());
         assert!(cache.resident_bytes() <= cache.capacity_bytes());
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -717,12 +589,12 @@ mod tests {
             h.insert(1, leaf, None, rows(2, 1));
             h.insert(2, leaf, None, rows(2, 2));
         }
-        assert_eq!(h.cached_leaf_count(1), 4);
+        assert_eq!(cache.resident_leaves(), 8);
         assert_eq!(h.invalidate_component(1), 4);
-        assert_eq!(h.cached_leaf_count(1), 0);
-        assert_eq!(h.cached_leaf_count(2), 4);
+        assert_eq!(cache.resident_leaves(), 4);
+        assert!((0..4).all(|leaf| matches!(h.get(1, leaf, None), Cached::Miss)));
+        assert!((0..4).all(|leaf| hit(h.get(2, leaf, None)).is_some()));
         assert_eq!(cache.stats().invalidations, 4);
-        assert!(h.get(2, 0, None).is_some());
     }
 
     #[test]
@@ -733,12 +605,12 @@ mod tests {
         assert_ne!(shard_a.origin(), shard_b.origin());
         shard_a.insert(1, 0, None, rows(3, 10));
         shard_b.insert(1, 0, None, rows(5, 20));
-        assert_eq!(rows_len(&shard_a.get(1, 0, None).unwrap()), 3);
-        assert_eq!(rows_len(&shard_b.get(1, 0, None).unwrap()), 5);
+        assert_eq!(rows_len(&hit(shard_a.get(1, 0, None)).unwrap()), 3);
+        assert_eq!(rows_len(&hit(shard_b.get(1, 0, None)).unwrap()), 5);
         // Invalidating shard A's component 1 leaves shard B's untouched.
         shard_a.invalidate_component(1);
-        assert!(shard_a.get(1, 0, None).is_none());
-        assert!(shard_b.get(1, 0, None).is_some());
+        assert!(matches!(shard_a.get(1, 0, None), Cached::Miss));
+        assert!(hit(shard_b.get(1, 0, None)).is_some());
     }
 
     #[test]
@@ -751,7 +623,7 @@ mod tests {
         for leaf in 0..4 {
             h.insert(1, leaf, None, rows(8, leaf as i64));
             // Promote to protected: the hot set has been re-referenced.
-            assert!(h.get(1, leaf, None).is_some());
+            assert!(hit(h.get(1, leaf, None)).is_some());
         }
         for leaf in 0..64 {
             // Each scan leaf is touched once — inserted, never re-hit.
@@ -761,7 +633,7 @@ mod tests {
         // resident, so the hot-key hit rate survives the scan intact.
         for leaf in 0..4 {
             assert!(
-                h.get(1, leaf, None).is_some(),
+                hit(h.get(1, leaf, None)).is_some(),
                 "hot leaf {leaf} was evicted by a one-off scan"
             );
         }
@@ -778,12 +650,12 @@ mod tests {
         let h = cache.handle();
         for leaf in 0..5 {
             h.insert(1, leaf, None, rows(8, leaf as i64));
-            assert!(h.get(1, leaf, None).is_some());
+            assert!(hit(h.get(1, leaf, None)).is_some());
         }
         assert_eq!(cache.resident_leaves(), 5);
         // A new insert still finds an evictable victim.
         h.insert(1, 9, None, rows(8, 9));
-        assert!(h.get(1, 9, None).is_some());
+        assert!(hit(h.get(1, 9, None)).is_some());
         assert!(cache.resident_bytes() <= cache.capacity_bytes());
     }
 
@@ -792,67 +664,41 @@ mod tests {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
         // Nothing resident: a miss.
-        assert!(h.get(1, 0, Some(&[2])).is_none());
+        assert!(matches!(h.get(1, 0, Some(&[2])), Cached::Miss));
         h.insert(1, 0, None, chunks(&[1, 2, 3], 5));
-        // The all-columns entry answers the projection, as one hit.
-        let hits = cache.stats().hits;
-        let covered = h.get(1, 0, Some(&[2])).expect("covered");
-        assert_eq!(chunk_count(&covered), 3);
-        assert_eq!(cache.stats().hits, hits + 1);
-        // Another leaf's all-columns entry covers nothing here.
-        assert!(h.get(1, 1, Some(&[2])).is_none());
-        assert_eq!(cache.stats().misses, 2);
+        // The all-columns entry answers the projection with every chunk.
+        let covered = hit(h.get(1, 0, Some(&[2]))).expect("covered");
+        assert_eq!(chunk_ids(&covered), [1, 2, 3]);
+        // Another leaf's entry covers nothing here.
+        assert!(matches!(h.get(1, 1, Some(&[2])), Cached::Miss));
     }
 
     #[test]
     fn a_leaf_is_never_resident_beside_its_all_columns_payload() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        // Projected first, all columns second: the narrow payloads go.
-        h.insert(1, 0, Some(&[2]), chunks(&[2], 5));
-        h.insert(1, 0, Some(&[3]), chunks(&[3], 5));
-        h.insert(1, 1, Some(&[2]), chunks(&[2], 5));
-        assert!(h.get(1, 0, Some(&[2])).is_some()); // protected: dropped all the same
+        h.insert(1, 0, Some(vec![2]), chunks(&[2], 5));
+        h.insert(1, 1, Some(vec![2]), chunks(&[2], 5));
+        assert!(hit(h.get(1, 0, Some(&[2]))).is_some()); // protected: replaced all the same
         let full = chunks(&[1, 2, 3], 5);
         assert_eq!(
             h.insert(1, 0, None, full.clone()),
             0,
-            "superseded, not evicted"
+            "replaced, not evicted"
         );
         assert_eq!(cache.resident_leaves(), 2);
-        assert_eq!(cache.stats().invalidations, 2);
+        assert_eq!(cache.stats().invalidations, 0);
         assert_eq!(
             cache.resident_bytes(),
             payload_bytes(&full) + payload_bytes(&chunks(&[2], 5))
         );
-        assert_eq!(chunk_count(&h.get(1, 0, Some(&[2])).unwrap()), 3);
-        // The other leaf's narrow payload is untouched.
-        assert_eq!(chunk_count(&h.get(1, 1, Some(&[2])).unwrap()), 1);
-        // All columns first, projected second (a reader that raced the
-        // all-columns decode): not admitted.
-        h.insert(1, 0, Some(&[2]), chunks(&[2], 5));
-        assert_eq!(cache.resident_leaves(), 2);
-        assert_eq!(chunk_count(&h.get(1, 0, Some(&[2])).unwrap()), 3);
-        // The dropped protected payload left the protected segment too:
-        // both survivors have been re-hit, so it holds exactly them.
+        assert_eq!(chunk_ids(&hit(h.get(1, 0, None)).unwrap()), [1, 2, 3]);
+        // The other leaf's narrow entry is untouched.
+        assert_eq!(chunk_ids(&hit(h.get(1, 1, Some(&[2]))).unwrap()), [2]);
+        // The replaced protected entry left the protected segment too: both
+        // survivors have been re-hit, so it holds exactly them.
         let inner = cache.inner.lock();
         assert_eq!(inner.protected_bytes, inner.total_bytes);
-    }
-
-    #[test]
-    fn distinct_leaf_gauge_deduplicates_projections() {
-        let cache = Arc::new(LeafCache::new(1 << 20));
-        let h = cache.handle();
-        // One physical leaf under two projections.
-        h.insert(1, 0, Some(&[1]), chunks(&[1], 2));
-        h.insert(1, 0, Some(&[2]), chunks(&[2], 2));
-        // A second physical leaf.
-        h.insert(1, 1, None, rows(2, 2));
-        // Budget view counts payloads; residency view counts leaves.
-        assert_eq!(cache.resident_leaves(), 3);
-        assert_eq!(cache.resident_distinct_leaves(), 2);
-        assert_eq!(cache.stats().resident_distinct_leaves, 2);
-        assert_eq!(cache.stats().resident_leaves, 3);
     }
 
     #[test]

@@ -28,13 +28,14 @@
 //! * [`writer`] — the one incremental [`ComponentWriter`] flush and merge
 //!   both build components with: entries or record ranges of column chunks
 //!   in, one open leaf resident, leaves and zone maps out;
-//! * [`leafcache`] — a shared, size-bounded cache of *decoded* leaves keyed
-//!   by `(component id, leaf index)`, shared across snapshots and shards,
-//!   that lets hot reads skip both the page reads and the decode/assembly;
+//! * [`leafcache`] — a shared, size-bounded cache of *decoded* leaves, one
+//!   entry per `(component id, leaf index)` holding the columns decoded so
+//!   far, shared across snapshots and shards, that lets hot reads skip both
+//!   the page reads and the decode/assembly;
 //! * [`stats`] — per-component column statistics (value counts and min/max
 //!   zone maps) collected at flush/merge time, persisted in the manifest,
 //!   and consumed by the query planner for zone-map pruning and the
-//!   cost-based scan-vs-index-probe decision.
+//!   cost-based scan-vs-index-probe decision (planning reads no cache).
 
 pub mod amax;
 pub mod apax;

@@ -65,7 +65,8 @@ pub struct IoStats {
     /// Leaf loads served by the shared decoded-leaf cache
     /// ([`crate::leafcache::LeafCache`]) — no page reads, no decode.
     pub leaf_cache_hits: u64,
-    /// Leaf loads that missed the decoded-leaf cache and decoded from pages.
+    /// Leaf loads that decoded from pages: the leaf had no entry, or its
+    /// entry lacked some of the requested columns (only those decoded).
     pub leaf_cache_misses: u64,
     /// Decoded leaves evicted from the leaf cache to stay under its byte
     /// budget, attributed to the store whose insert forced them out.

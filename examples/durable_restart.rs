@@ -5,9 +5,9 @@
 //! cargo run --release --example durable_restart
 //! ```
 //!
-//! The dataset directory holds three files managed by the `persist` crate:
-//! `pages.dat` (file-backed component pages), `wal.log` (CRC-framed
-//! write-ahead log) and `MANIFEST` (versioned component lineage + the
+//! The dataset directory holds files managed by the `persist` crate:
+//! `pages.dat` (file-backed component pages), `wal-NNNNNN.log` (segments of
+//! the CRC-framed write-ahead log) and `MANIFEST` (versioned component lineage + the
 //! inferred schema). Acknowledged writes survive a restart whether or not
 //! they were flushed: flushed records come back from components listed in
 //! the manifest, unflushed ones from WAL replay.

@@ -8,8 +8,8 @@
 //! `DatasetOptions::memory_budget(bytes)` puts the decoded-leaf cache shared
 //! by every shard, the page buffer caches and the memtables under one
 //! budget (its docs describe the split) and survives a reopen with the same
-//! caching behaviour. `EXPLAIN` shows the planner's cache-residency
-//! discount; `EXPLAIN ANALYZE` reports the exact hits and misses.
+//! caching behaviour. `EXPLAIN ANALYZE` reports the exact hits and misses
+//! of a run, and `io_stats()` the dataset's running totals.
 
 use lsm_columnar::docstore::{Datastore, DatasetOptions, Layout};
 use lsm_columnar::query::{ExecMode, Expr, Query};
@@ -64,20 +64,18 @@ fn main() {
     assert_eq!(warm.pages_read(), 0);
     assert_eq!(warm.cache_hits(), cold.cache_misses());
 
-    // The planner sees the resident leaves and discounts the scan cost.
-    let plan = ds.explain(&q).expect("explain");
-    println!("\n{plan}");
-
-    // The cache's residency and traffic also surface in the metrics
-    // snapshot: per-shard cache.* counters plus one set of global gauges.
+    // The cache's residency, and the traffic the readers counted in the
+    // I/O stats; both also surface in the metrics snapshot (per-shard
+    // cache.* counters plus one set of global gauges).
     let stats = cache.stats();
+    let io = ds.io_stats();
     println!(
-        "cache stats: {} leaves / {} KiB resident (budget {} KiB), {} hits, {} misses, {} evictions",
+        "\ncache: {} leaves / {} KiB resident (budget {} KiB), {} hits, {} misses, {} evictions",
         stats.resident_leaves,
         stats.resident_bytes >> 10,
         stats.capacity_bytes >> 10,
-        stats.hits,
-        stats.misses,
-        stats.evictions,
+        io.leaf_cache_hits,
+        io.leaf_cache_misses,
+        io.leaf_cache_evictions,
     );
 }
