@@ -56,7 +56,7 @@ use storage::leafcache::LeafCache;
 use storage::pagestore::{BufferCache, IoStats, PageId, PageStore, DEFAULT_CACHE_PAGES};
 use storage::LayoutKind;
 use telemetry::stage::Stage;
-use telemetry::{Event, EventKind, MetricsSnapshot, Telemetry};
+use telemetry::{Event, EventKind, Histogram, MetricsSnapshot, Telemetry};
 
 use crate::index::{PrimaryKeyIndex, SecondaryIndex};
 use crate::memtable::Memtable;
@@ -195,7 +195,8 @@ impl DatasetConfig {
         self
     }
 
-    /// Builder-style: enable or disable the telemetry registry.
+    /// Builder-style: enable or disable the telemetry registry. With it
+    /// off, [`LsmDataset::stats`] reads zero.
     pub fn with_telemetry(mut self, enabled: bool) -> Self {
         self.telemetry_enabled = enabled;
         self
@@ -363,7 +364,9 @@ pub struct DatasetHealth {
     pub stall_micros: u64,
 }
 
-/// Counters describing ingestion activity.
+/// Counters describing ingestion activity, read off the dataset's
+/// telemetry registry ([`LsmDataset::stats`]): with telemetry off
+/// ([`DatasetConfig::with_telemetry`]) every field reads zero.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IngestStats {
     /// Records inserted or upserted.
@@ -449,7 +452,6 @@ struct DatasetCore {
     write: Mutex<WriteState>,
     tree: RwLock<Arc<TreeState>>,
     maint: Mutex<MaintState>,
-    stats: Mutex<IngestStats>,
     sched: Scheduler,
     telemetry: Arc<Telemetry>,
     /// Where background rounds run (`None` in synchronous mode). Holds no
@@ -550,7 +552,6 @@ impl LsmDataset {
                 schema_builder,
                 next_component_id: 0,
             }),
-            stats: Mutex::new(IngestStats::default()),
             sched: Scheduler::new(),
             telemetry,
             pool,
@@ -697,9 +698,20 @@ impl LsmDataset {
         self.core.maint.lock().schema_builder.schema().clone()
     }
 
-    /// Ingestion counters.
+    /// Ingestion counters, from the telemetry registry (zero when it is
+    /// off).
     pub fn stats(&self) -> IngestStats {
-        *self.core.stats.lock()
+        let t = &self.core.telemetry;
+        let total = |h: &Histogram| Duration::from_micros(h.snapshot().sum);
+        IngestStats {
+            records_ingested: t.records_ingested.get(),
+            deletes: t.deletes.get(),
+            flushes: t.flushes.get(),
+            merges: t.merges.get(),
+            maintenance_lookups: t.maintenance_lookups.get(),
+            flush_time: total(&t.flush_duration),
+            merge_time: total(&t.merge_duration),
+        }
     }
 
     /// The dataset's telemetry registry (counters, histograms, event ring).
@@ -1124,7 +1136,6 @@ impl DatasetCore {
                         let written = write.memtable.written_bytes() - written_before;
                         self.telemetry.bytes_ingested.add(written);
                     }
-                    self.stats.lock().records_ingested += 1;
                 }
                 Mutation::Delete(key) => {
                     self.maintain_secondary_for_upsert(&mut write, &key, None)?;
@@ -1138,7 +1149,6 @@ impl DatasetCore {
                     if self.telemetry.enabled() {
                         self.telemetry.deletes.incr();
                     }
-                    self.stats.lock().deletes += 1;
                 }
             }
             if write.memtable.approx_bytes() >= self.config.memtable_budget {
@@ -1386,11 +1396,6 @@ impl DatasetCore {
                 micros: elapsed.as_micros() as u64,
             });
         }
-        {
-            let mut stats = self.stats.lock();
-            stats.flushes += 1;
-            stats.flush_time += elapsed;
-        }
         Ok(())
     }
 
@@ -1514,8 +1519,16 @@ impl DatasetCore {
                     if *page < live {
                         continue;
                     }
-                    let raw = self.cache.try_read_page(*page)?;
-                    let moved = self.cache.append_page(raw.as_ref().clone());
+                    let copy = self.cache.read_page(*page);
+                    let moved = match copy.and_then(|raw| self.cache.append_page(raw.to_vec())) {
+                        Ok(moved) => moved,
+                        Err(err) => {
+                            // No component names this pass's copies yet.
+                            let made = rewrites.iter().map(|(_, _, copies)| copies);
+                            made.chain([&copies]).for_each(|c| self.cache.free_pages(c));
+                            return Err(err);
+                        }
+                    };
                     if moved >= *page {
                         self.cache.free_pages(&[moved]);
                         continue;
@@ -1725,11 +1738,6 @@ impl DatasetCore {
                 });
             }
         }
-        {
-            let mut stats = self.stats.lock();
-            stats.merges += done.len() as u64;
-            stats.merge_time += done.iter().map(|result| result.elapsed).sum::<Duration>();
-        }
         Ok(())
     }
 
@@ -1777,7 +1785,9 @@ impl DatasetCore {
             |doc: &Value| -> Vec<Value> { index_path.evaluate(doc).into_iter().cloned().collect() };
         let may_exist = write.indexes.as_ref().is_some_and(|ix| ix.pk.contains(key));
         let old_values = if may_exist {
-            self.stats.lock().maintenance_lookups += 1;
+            if self.telemetry.enabled() {
+                self.telemetry.maintenance_lookups.incr();
+            }
             match write.memtable.get(key) {
                 Some(entry) => {
                     self.note_lookups(1, 1, 0);

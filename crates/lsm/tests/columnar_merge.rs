@@ -179,7 +179,9 @@ fn check_merge(
         ));
     }
     for &page in copied.pages() {
-        if copy_cache.store().read_page(page) != reshred_cache.store().read_page(page) {
+        if copy_cache.store().read_page(page).unwrap()
+            != reshred_cache.store().read_page(page).unwrap()
+        {
             return Err(format!("{context}: page {page} differs"));
         }
     }

@@ -131,9 +131,8 @@ struct WalState {
 /// WAL frames are staged ([`DurableStore::stage_insert`],
 /// [`DurableStore::stage_delete`]) and reach the OS in one `write` at
 /// [`DurableStore::write_wal`], [`DurableStore::sync_wal`] or
-/// [`DurableStore::rotate_wal`]; [`DurableStore::log`] stages and writes at
-/// once. A store dropped with frames staged loses them, as a crash would,
-/// so a writer writes before it acknowledges.
+/// [`DurableStore::rotate_wal`]. A store dropped with frames staged loses
+/// them, as a crash would, so a writer writes before it acknowledges.
 pub struct DurableStore {
     dir: PathBuf,
     store: PageStore,
@@ -259,19 +258,6 @@ impl DurableStore {
     /// `Instant::now()` only when someone will consume the measurement.
     fn timer(&self) -> Option<Instant> {
         self.sink().map(|_| Instant::now())
-    }
-
-    /// Log one mutation: stage its frame and write it, with every frame
-    /// staged before it, to the OS at once. Call
-    /// [`DurableStore::sync_wal`] to force it to the device.
-    pub fn log(&self, record: &WalRecord) -> Result<()> {
-        let started = self.timer();
-        let mut state = self.wal.lock();
-        state.wal.append(record)?;
-        state.appends_since_sync += 1;
-        drop(state);
-        self.note_append(started);
-        Ok(())
     }
 
     /// Stage an insert frame without materialising a [`WalRecord`]. It is
@@ -406,12 +392,8 @@ mod tests {
             let (ds, recovered) = DurableStore::open(&dir, 4096).unwrap();
             assert!(recovered.manifest.is_none());
             assert!(recovered.wal_records.is_empty());
-            ds.log(&WalRecord::Insert {
-                key: Value::Int(1),
-                record: doc!({"id": 1}),
-            })
-            .unwrap();
-            ds.log(&WalRecord::Delete { key: Value::Int(1) }).unwrap();
+            ds.stage_insert(&Value::Int(1), &doc!({"id": 1})).unwrap();
+            ds.stage_delete(&Value::Int(1)).unwrap();
             ds.sync_wal().unwrap();
         }
         let (ds, recovered) = DurableStore::open(&dir, 4096).unwrap();
@@ -424,19 +406,13 @@ mod tests {
     fn commit_flush_removes_covered_segments_and_bumps_version() {
         let dir = temp_dir("flush");
         let (ds, _) = DurableStore::open(&dir, 4096).unwrap();
-        ds.log(&WalRecord::Insert {
-            key: Value::Int(1),
-            record: doc!({"id": 1}),
-        })
-        .unwrap();
+        ds.stage_insert(&Value::Int(1), &doc!({"id": 1})).unwrap();
+        ds.write_wal().unwrap();
         let seg = ds.rotate_wal().unwrap();
         // A record appended after the rotation lives in the next segment and
         // must survive the flush commit.
-        ds.log(&WalRecord::Insert {
-            key: Value::Int(2),
-            record: doc!({"id": 2}),
-        })
-        .unwrap();
+        ds.stage_insert(&Value::Int(2), &doc!({"id": 2})).unwrap();
+        ds.write_wal().unwrap();
         let v = ds.commit_flush(empty_manifest(4096), seg).unwrap();
         assert_eq!(v, 1);
         assert!(ds.wal_bytes() > 0, "the post-rotation record remains");
@@ -471,11 +447,8 @@ mod tests {
     fn crash_points_fire_once_at_their_boundary() {
         let dir = temp_dir("crashpoints");
         let (ds, _) = DurableStore::open(&dir, 4096).unwrap();
-        ds.log(&WalRecord::Insert {
-            key: Value::Int(1),
-            record: doc!({"id": 1}),
-        })
-        .unwrap();
+        ds.stage_insert(&Value::Int(1), &doc!({"id": 1})).unwrap();
+        ds.write_wal().unwrap();
         let seg = ds.rotate_wal().unwrap();
 
         // Before the manifest commit: version unchanged, WAL intact.
@@ -511,11 +484,8 @@ mod tests {
             let ds = ds.clone();
             std::thread::spawn(move || {
                 for i in 0..200i64 {
-                    ds.log(&WalRecord::Insert {
-                        key: Value::Int(i),
-                        record: doc!({"id": i}),
-                    })
-                    .unwrap();
+                    ds.stage_insert(&Value::Int(i), &doc!({"id": i})).unwrap();
+                    ds.write_wal().unwrap();
                 }
             })
         };

@@ -40,8 +40,7 @@
 //! the operating system with a single `write`. [`Wal::sync`] and
 //! [`Wal::rotate`] write the staged frames first, so an fsync covers every
 //! frame appended before it and a sealed segment holds every frame appended
-//! before the seal. [`Wal::append`] stages and writes at once. A batch of
-//! records therefore costs one `write` however many frames it holds.
+//! before the seal. A batch of records therefore costs one `write` however many frames it holds.
 //!
 //! Dropping a `Wal` does **not** write its staged frames: they are lost
 //! exactly as a process crash (`kill -9`) would lose them. Callers write
@@ -267,16 +266,6 @@ impl Wal {
         ))
     }
 
-    /// Append one record and write it to the OS at once, with every frame
-    /// staged before it (call [`Wal::sync`] to force it to the device).
-    pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        match record {
-            WalRecord::Insert { key, record } => self.stage(TAG_INSERT, key, Some(record)),
-            WalRecord::Delete { key } => self.stage(TAG_DELETE, key, None),
-        }
-        self.write_pending()
-    }
-
     /// Stage an insert frame without materialising a [`WalRecord`] (the
     /// ingest hot path logs borrowed values). Nothing is written until
     /// [`Wal::write_pending`], [`Wal::sync`] or [`Wal::rotate`]; staging
@@ -454,6 +443,15 @@ mod tests {
         ]
     }
 
+    /// Stage `record` and write it, with every frame staged before it.
+    fn log(wal: &mut Wal, record: &WalRecord) {
+        match record {
+            WalRecord::Insert { key, record } => wal.append_insert(key, record).unwrap(),
+            WalRecord::Delete { key } => wal.append_delete(key).unwrap(),
+        }
+        wal.write_pending().unwrap();
+    }
+
     #[test]
     fn append_replay_roundtrip() {
         let dir = temp_dir("roundtrip");
@@ -462,7 +460,7 @@ mod tests {
             let (mut wal, replayed) = Wal::open(&dir).unwrap();
             assert!(replayed.records.is_empty());
             for r in &records {
-                wal.append(r).unwrap();
+                log(&mut wal, r);
             }
             wal.sync().unwrap();
         }
@@ -477,7 +475,7 @@ mod tests {
         let dir = temp_dir("truncate");
         let (mut wal, _) = Wal::open(&dir).unwrap();
         for r in &sample_records() {
-            wal.append(r).unwrap();
+            log(&mut wal, r);
         }
         wal.truncate().unwrap();
         assert!(wal.is_empty());
@@ -494,7 +492,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             for r in &records {
-                wal.append(r).unwrap();
+                log(&mut wal, r);
             }
         }
         // Simulate a crash mid-write: chop the last frame in half.
@@ -513,7 +511,7 @@ mod tests {
             "the chopped frame is a torn tail"
         );
         // The file healed: appending after the torn tail yields a clean log.
-        wal.append(&records[2]).unwrap();
+        log(&mut wal, &records[2]);
         drop(wal);
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records, records);
@@ -527,7 +525,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             for r in &records {
-                wal.append(r).unwrap();
+                log(&mut wal, r);
             }
         }
         // Flip a byte inside the second frame's payload.
@@ -557,13 +555,13 @@ mod tests {
         let dir = temp_dir("rotate");
         let records = sample_records();
         let (mut wal, _) = Wal::open(&dir).unwrap();
-        wal.append(&records[0]).unwrap();
+        log(&mut wal, &records[0]);
         let seg0 = wal.rotate().unwrap();
         assert_eq!(seg0, 0);
-        wal.append(&records[1]).unwrap();
+        log(&mut wal, &records[1]);
         let seg1 = wal.rotate().unwrap();
         assert_eq!(seg1, 1);
-        wal.append(&records[2]).unwrap();
+        log(&mut wal, &records[2]);
         assert_eq!(wal.sealed_segment_count(), 2);
         assert_eq!(wal.active_segment(), 2);
 
@@ -583,7 +581,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             for r in &records {
-                wal.append(r).unwrap();
+                log(&mut wal, r);
                 wal.rotate().unwrap();
             }
         }
@@ -604,10 +602,10 @@ mod tests {
         let records = sample_records();
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
-            wal.append(&records[0]).unwrap();
+            log(&mut wal, &records[0]);
             wal.rotate().unwrap();
-            wal.append(&records[1]).unwrap();
-            wal.append(&records[2]).unwrap();
+            log(&mut wal, &records[1]);
+            log(&mut wal, &records[2]);
         }
         let path = dir.join(segment_file_name(1));
         let full = std::fs::read(&path).unwrap();
@@ -639,29 +637,11 @@ mod tests {
         assert_eq!(stages.count(Stage::WalWrite), 1, "{stages}");
         assert_eq!(std::fs::read(&path).unwrap().len() as u64, staged);
         assert_eq!(wal.len_bytes(), staged);
-
-        // Frames staged in place are the frames `append` writes.
-        let other = temp_dir("staged-append");
-        let (mut appended, _) = Wal::open(&other).unwrap();
-        appended
-            .append(&WalRecord::Insert {
-                key: Value::Int(1),
-                record: doc!({"id": 1}),
-            })
-            .unwrap();
-        appended
-            .append(&WalRecord::Delete { key: Value::Int(1) })
-            .unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(other.join(segment_file_name(0))).unwrap()
-        );
         drop(wal);
         let (_, replayed) = Wal::open(&dir).unwrap();
         assert_eq!(replayed.records.len(), 2);
         assert_eq!(replayed.records[1], records[2]);
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&other);
     }
 
     #[test]
@@ -669,7 +649,7 @@ mod tests {
         let dir = temp_dir("drop-staged");
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
-            wal.append(&sample_records()[0]).unwrap();
+            log(&mut wal, &sample_records()[0]);
             wal.append_insert(&Value::Int(2), &doc!({"id": 2})).unwrap();
         }
         let (wal, replayed) = Wal::open(&dir).unwrap();
@@ -702,7 +682,7 @@ mod tests {
         let stages = clock.stop();
         assert_eq!(stages.count(Stage::WalWrite), 2, "{stages}");
         assert_eq!(stages.count(Stage::WalSync), 2, "{stages}");
-        wal.append(&records[2]).unwrap();
+        log(&mut wal, &records[2]);
         wal.remove_through(sealed).unwrap();
         drop(wal);
         let (mut wal, replayed) = Wal::open(&dir).unwrap();

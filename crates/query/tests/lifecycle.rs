@@ -1,8 +1,10 @@
-//! The lifecycle differential. Generated histories of inserts, upserts,
+//! The lifecycle differential: the one test that runs generated queries
+//! through every execution path. Generated histories of inserts, upserts,
 //! deletes, flushes, merges, reclaims, held snapshots, queries, point reads
-//! and crash-reopens run on every target of `testkit::exec::matrix`, checked
-//! against a model — a `BTreeMap` of the live documents, whose query answers
-//! are the batch oracle's over an unflushed VB dataset holding them:
+//! and crash-reopens run on every target of `testkit::exec::matrix` (VB,
+//! APAX and AMAX at one and four shards, an indexed AMAX, a durable AMAX),
+//! checked against a model — a `BTreeMap` of the live documents, whose query
+//! answers are the batch oracle's over an unflushed VB dataset holding them:
 //!
 //! * every query agrees, on every engine and lane with filter pushdown on
 //!   and off and over a rotation of the other planner options
@@ -15,7 +17,9 @@
 //!   it, and a crash-reopen leaves the model unchanged.
 //!
 //! A failing history is shrunk to a 1-minimal op list and printed as a
-//! `#[test]` to paste below.
+//! `#[test]` to paste below. The planner, pushdown, streaming and kernel
+//! suites beside this file pin only what a differential cannot see: pages
+//! read, records assembled, plans chosen and their rendering.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -226,7 +230,10 @@ fn counts_match(targets: &[Target], model: &Model) {
 }
 
 // Printed by the minimiser: a flush of deletes alone gave a columnar leaf no
-// key column, and a reclaim moved pages a held snapshot still read.
+// key column, and a reclaim moved pages a held snapshot still read. The third
+// kills the register's `planner-pushed-gt-reads-as-ge` (a pushed `>` on a
+// decoded column accepting its bound), which the debug run's few histories
+// miss.
 
 #[test]
 fn a_flush_of_deletes_alone() {
@@ -281,4 +288,22 @@ fn a_snapshot_held_across_a_merge_and_two_reclaims() {
         Op::Query(6542167),
     ]);
     replay(&setup, &ops);
+}
+
+#[test]
+fn a_pushed_gt_at_a_stored_score() {
+    let setup = Setup {
+        clean: true,
+        grp_strings: true,
+        compaction: 2,
+    };
+    replay(
+        &setup,
+        &[
+            Op::Insert(39, 11833040, Shape::Clean), // {"id":39,"name":"n0","score":67}
+            Op::Insert(34, 4265669, Shape::Clean),  // {"id":34,"name":"n0","score":69}
+            Op::Flush,
+            Op::Query(11433158),
+        ],
+    );
 }

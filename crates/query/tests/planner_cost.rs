@@ -1,12 +1,8 @@
-//! Statistics-driven planning. The cost-based access-path choice and what
-//! the zone maps hide never change an answer:
+//! Statistics-driven planning: what the cost model picks and what the zone
+//! maps save. That no access-path choice or zone map changes an answer is
+//! the lifecycle differential's to check (`lifecycle.rs`, which rotates every
+//! `AccessPathChoice` over whole histories); pinned here:
 //!
-//! * a property test running generated documents and queries through every
-//!   `AccessPathChoice` with push-down (and so the zone maps) on and off,
-//!   against a push-down-disabled ForceScan oracle that reads everything —
-//!   before and after a merge reshuffles the components, whose updates
-//!   overlap older key ranges (the lifecycle differential, `lifecycle.rs`,
-//!   rotates the same choices over whole histories);
 //! * the multi-valued probe regression folded in from PR 3's one-off
 //!   `dup_probe_test.rs` (a record with two indexed values inside the probe
 //!   range must be counted once);
@@ -17,96 +13,10 @@
 
 use docmodel::{doc, Path, Value};
 use lsm::{DatasetConfig, LsmDataset};
-use proptest::prelude::*;
-use query::{AccessPathChoice, CmpOp, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
+use query::{AccessPathChoice, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
 use storage::LayoutKind;
-use testkit::exec::{every_execution_agrees, write, ROTATIONS};
-use testkit::gen::{document, inserts, query, Op, Setup, Shape};
+use testkit::exec::{every_execution_agrees, ROTATIONS};
 use testkit::{engine, leafy_config};
-
-// ForceIndex == ForceScan == Auto, hidden == read — with updates spread over
-// two flushes (overlapping components) and again after a full merge
-// reshuffles them.
-#[test]
-fn access_paths_and_pruning_never_change_answers() {
-    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("planner_cost"));
-    for _ in 0..20 {
-        let setup = Setup {
-            clean: true,
-            grp_strings: rng.below(2) == 0,
-            compaction: 0,
-        };
-        let n = rng.usize_inclusive(24, 55) as i64;
-        let half = n / 2;
-        let updates = rng.below(12) as i64;
-        // A first component; then updates to its keys — the second
-        // component's key range overlaps the first one's, which must keep
-        // the zone maps from hiding what would resurrect the old versions —
-        // and a second batch on top.
-        let mut ops = inserts(&mut rng, 0..half, Shape::Clean);
-        ops.push(Op::Flush);
-        ops.extend(inserts(
-            &mut rng,
-            (0..updates).map(|i| i % half),
-            Shape::Clean,
-        ));
-        ops.extend(inserts(&mut rng, half..n, Shape::Clean));
-        ops.push(Op::Flush);
-        let ds = LsmDataset::new(
-            leafy_config("planner-cost", LayoutKind::Amax, 8 * 1024, 64)
-                .with_secondary_index(Path::parse("score")),
-        );
-        write(&[&ds], &ops, &setup);
-
-        let mut queries: Vec<Query> = (0..6).map(|_| query(rng.next_u64())).collect();
-        // One-sided ranges at a score a document holds, so each comparison's
-        // edge is tested, not only its inside.
-        let held = ops.iter().find_map(|op| match *op {
-            Op::Insert(id, seed, shape) => document(id, seed, shape, &setup)
-                .get_field("score")
-                .cloned(),
-            _ => None,
-        });
-        let held = held.unwrap_or(Value::Int(50));
-        queries.extend(
-            [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq].map(|op| {
-                let path = Path::parse("score");
-                let edge = Expr::Cmp {
-                    op,
-                    path,
-                    value: held.clone(),
-                };
-                Query::count_star().with_filter(edge)
-            }),
-        );
-        let check = |label: &str, query: &Query| {
-            // With push-down off nothing reaches the zone maps: the scan
-            // reads everything for real.
-            let oracle = engine(ExecMode::Compiled, AccessPathChoice::ForceScan, false)
-                .execute(&ds, query)
-                .unwrap();
-            // Rotations 0-2 run every access path, with filter pushdown on
-            // and off, on both engines.
-            for rotation in 0..3 {
-                every_execution_agrees(&ds, query, Some(&oracle), rotation);
-            }
-            // Planning stays total, and a filter's estimate is rendered.
-            let text = engine(ExecMode::Compiled, AccessPathChoice::Auto, true)
-                .explain(&ds, query)
-                .unwrap();
-            assert!(text.contains("access"), "{label}: {text}");
-            assert!(
-                query.filter.is_none() || text.contains("estimate"),
-                "{label}: {text}"
-            );
-        };
-        queries.iter().for_each(|q| check("multi-component", q));
-        // A merge rewrites the components (and their statistics) — nothing
-        // may change.
-        ds.compact_fully().unwrap();
-        queries.iter().for_each(|q| check("post-merge", q));
-    }
-}
 
 /// Folded in from PR 3's `dup_probe_test.rs`: both indexed values of one
 /// record fall inside the probe range; the probe must count the record

@@ -1,13 +1,8 @@
 //! Filter pushdown (late materialization). Pushing sargable conjuncts into
 //! the columnar scan is a pure *performance* decision — it may never change
-//! an answer. Pinned here:
+//! an answer, which the lifecycle differential (`lifecycle.rs`) checks with
+//! pushdown on and off over whole histories. Pinned here:
 //!
-//! * a property test running generated documents and queries through both
-//!   engines with pushdown on and off, across every layout (VB/APAX/AMAX)
-//!   and a 4-way sharded target, against the materialised batch oracle —
-//!   over *update-heavy* datasets, because only the reconciliation winner
-//!   may be filter-evaluated (the lifecycle differential, `lifecycle.rs`,
-//!   runs the same check over whole histories);
 //! * the resurrection hazards: the pushed filter is evaluated on the
 //!   reconciliation winner only, and anti-matter passes it;
 //! * I/O-level proof of the point of it all: a 0.1%-selectivity AMAX scan
@@ -21,63 +16,14 @@
 
 use docmodel::{doc, Value};
 use lsm::LsmDataset;
-use proptest::prelude::*;
-use query::{oracle, AccessPathChoice, Aggregate, ExecMode, Expr, Query, QueryEngine, QueryRow};
+use query::{oracle, AccessPathChoice, Aggregate, ExecMode, Expr, Query, QueryEngine};
 use storage::LayoutKind;
 use testkit::engine;
-use testkit::exec::{bits, every_execution_agrees, write, ROTATIONS};
-use testkit::gen::{inserts, query, Op, Setup, Shape};
+use testkit::exec::{every_execution_agrees, ROTATIONS};
 use testkit::leafy_config;
 
 fn layout_dataset(name: &str, layout: LayoutKind) -> LsmDataset {
     LsmDataset::new(leafy_config(name, layout, 8 * 1024, 64))
-}
-
-// Pushdown on == pushdown off == batch oracle, on datasets where many
-// records exist in several versions spread across components (the update
-// pass rewrites every second id with a different body, the delete pass drops
-// a few) — the reconciliation × pushdown interaction under maximum pressure.
-#[test]
-fn pushdown_never_changes_answers() {
-    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("pushdown"));
-    for _ in 0..16 {
-        let setup = Setup {
-            clean: true,
-            grp_strings: rng.below(2) == 0,
-            compaction: 0,
-        };
-        let n = rng.usize_inclusive(24, 55) as i64;
-        let updates = rng.usize_inclusive(8, 15) as i64;
-        let mut ops = inserts(&mut rng, 0..n, Shape::Clean);
-        ops.push(Op::Flush);
-        ops.extend(inserts(&mut rng, (0..updates).map(|i| i * 2), Shape::Clean));
-        ops.push(Op::Flush);
-        ops.extend((0..rng.below(6)).map(|_| Op::Delete(rng.below(24) as i64)));
-        ops.push(Op::Flush);
-        let query = query(rng.next_u64());
-
-        let mut single_answer: Option<Vec<QueryRow>> = None;
-        for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
-            let ds = layout_dataset("pushdown-prop", layout);
-            write(&[&ds], &ops, &setup);
-            let reference = oracle::execute_batch(&ds.snapshot(), &query).unwrap();
-            every_execution_agrees(&ds, &query, Some(&reference), 0);
-            // The documents are clean, so all layouts agree with each other.
-            match &single_answer {
-                Some(previous) => assert_eq!(bits(previous), bits(&reference), "{layout:?}"),
-                None => single_answer = Some(reference),
-            }
-        }
-
-        // Sharded(4): the per-shard pushed scans merge to the same rows.
-        let shards: Vec<LsmDataset> = (0..4)
-            .map(|_| layout_dataset("pushdown-shard", LayoutKind::Amax))
-            .collect();
-        let shards: Vec<&LsmDataset> = shards.iter().collect();
-        write(&shards, &ops, &setup);
-        let expected = single_answer.expect("three layouts ran");
-        every_execution_agrees(&shards[..], &query, Some(&expected), 0);
-    }
 }
 
 /// The resurrection hazards, pinned deterministically: the pushed filter is

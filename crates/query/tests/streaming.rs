@@ -1,72 +1,17 @@
 //! The streaming pipeline: a pull-based pipeline over the snapshot's k-way
-//! merge-reconcile cursor, which may never change an answer. Pinned here:
-//!
-//! * a property test running generated documents and queries (aggregates
-//!   **and** key-ordered projections, with and without LIMIT) through both
-//!   engines, sharded and unsharded, with filter push-down (and so the zone
-//!   maps) on and off, against the materialised batch oracle
-//!   ([`query::oracle`]) — the lifecycle differential, `lifecycle.rs`, runs
-//!   the same check over whole histories;
-//! * I/O-level assertions that `ORDER BY key LIMIT k` terminates early: the
-//!   limited scan reads **strictly fewer pages** than the full scan, across
-//!   layouts and engines, and the streaming scan's peak resident batch stays
-//!   at one leaf per component while the oracle materialises everything.
+//! merge-reconcile cursor. That it answers as the materialised batch oracle
+//! ([`query::oracle`]) does is checked by the lifecycle differential
+//! (`lifecycle.rs`). Pinned here is what that check cannot see: `ORDER BY
+//! key LIMIT k` terminates early (the limited scan reads **strictly fewer
+//! pages** than the full scan, across layouts and engines), and the
+//! streaming scan's peak resident batch stays at one leaf per component
+//! while the oracle materialises everything.
 
 use docmodel::{doc, Value};
 use lsm::LsmDataset;
-use proptest::prelude::*;
-use query::{oracle, ExecMode, Expr, Query, QueryEngine, QueryRow};
+use query::{ExecMode, Expr, Query, QueryEngine, QueryRow};
 use storage::LayoutKind;
-use testkit::exec::{every_execution_agrees, write};
-use testkit::gen::{inserts, query, Op, Setup, Shape};
 use testkit::leafy_config;
-
-// Streaming execution == the materialised batch oracle, across engines ×
-// shards × pushdown × LIMIT × both select forms. Documents arrive in two
-// flushes with interleaved updates and deletes, so the merge cursor
-// reconciles shadowed versions and anti-matter across real component
-// overlap.
-#[test]
-fn streaming_matches_the_batch_oracle() {
-    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("streaming"));
-    let config = || leafy_config("streaming", LayoutKind::Amax, 8 * 1024, 64);
-    for _ in 0..20 {
-        let setup = Setup {
-            clean: true,
-            grp_strings: rng.below(2) == 0,
-            compaction: 0,
-        };
-        let n = rng.usize_inclusive(20, 59) as i64;
-        let half = n / 2;
-        let updates = rng.below(10) as i64;
-        let mut ops = inserts(&mut rng, 0..half, Shape::Clean);
-        ops.push(Op::Flush);
-        // Updates and deletes overlap the first component's key range.
-        ops.extend(inserts(
-            &mut rng,
-            (0..updates).map(|i| i % half),
-            Shape::Clean,
-        ));
-        ops.extend((0..rng.below(4)).map(|_| Op::Delete(rng.below(half as u64) as i64)));
-        ops.extend(inserts(&mut rng, half..n, Shape::Clean));
-        ops.push(Op::Flush);
-
-        let reference = LsmDataset::new(config());
-        let shards: Vec<LsmDataset> = (0..4).map(|_| LsmDataset::new(config())).collect();
-        let shards: Vec<&LsmDataset> = shards.iter().collect();
-        write(&[&reference], &ops, &setup);
-        write(&shards, &ops, &setup);
-
-        for _ in 0..4 {
-            let query = query(rng.next_u64());
-            // The oracle: the seed's materialise-then-process model.
-            let expected = oracle::execute_batch(&reference.snapshot(), &query).unwrap();
-            // Both engines, pushdown on and off, single and sharded(4).
-            every_execution_agrees(&reference, &query, Some(&expected), 0);
-            every_execution_agrees(&shards[..], &query, Some(&expected), 0);
-        }
-    }
-}
 
 /// Build a multi-leaf, multi-component AMAX dataset so `LIMIT` has a tail
 /// to skip.

@@ -1,17 +1,11 @@
 //! The compiled engine's column kernels. Folding aggregates straight off
 //! decoded column chunks is a pure *performance* decision — it may never
-//! change an answer. Pinned here, each through every execution
+//! change an answer. The lifecycle differential (`lifecycle.rs`) holds every
+//! execution to the batch oracle over generated histories that leave the
+//! clean fragment on purpose. Pinned here, each through every execution
 //! ([`every_execution_agrees`]: kernels, the forced-assembled lane and the
 //! interpreted engine, bit for bit):
 //!
-//! * a property test holding those executions to the batch oracle over
-//!   generated inputs that **leave the clean fragment on purpose** — `temp`
-//!   as an `int | double | string` union, `readings` missing, `null`, empty
-//!   or a scalar, components written before a field was ever seen, deletes
-//!   and shadowed versions over four interleaved components plus an
-//!   unflushed memtable — across VB, APAX and AMAX and a 4-way sharded
-//!   target (the lifecycle differential, `lifecycle.rs`, runs the same check
-//!   over whole histories);
 //! * answers that must not depend on where the data lies: the engines fold
 //!   in different orders and a merge moves records between leaves, so double
 //!   sums are exact and `7` / `7.0` ties go to the integer
@@ -33,84 +27,15 @@
 
 use docmodel::{doc, Path, Value};
 use lsm::LsmDataset;
-use proptest::prelude::*;
 use query::{oracle, Aggregate, ExecMode, Expr, Query, QueryEngine, QueryRow, ScanLane};
 use storage::LayoutKind;
-use testkit::exec::{bits, every_execution_agrees, write};
-use testkit::gen::{inserts, query, Op, Setup, Shape};
+use testkit::exec::{bits, every_execution_agrees};
 use testkit::leafy_config;
 
 fn small_dataset(name: &str, layout: LayoutKind) -> LsmDataset {
     // Never merge: the point is winners interleaved over many components.
     let config = leafy_config(name, layout, 8 * 1024, 16);
     LsmDataset::new(config.with_compaction(lsm::CompactionSpec::tiered(f64::INFINITY, 64)))
-}
-
-#[test]
-fn kernels_never_change_answers() {
-    let mut rng = TestRng::from_seed(proptest::test_runner::seed_for("vectorized"));
-    for _ in 0..24 {
-        // Half the cases never leave the clean fragment: every columnar
-        // batch of theirs is kernel work, shadowing and deletes included.
-        let all_clean = rng.below(2) == 0;
-        let setup = Setup {
-            clean: all_clean,
-            grp_strings: false,
-            compaction: 0,
-        };
-        // Five rounds whose ids interleave and overlap (round `r` rewrites
-        // every id it shares with the rounds before it), deletes in the
-        // third, the last left in the memtable. The first round is clean and
-        // half the time bare, so the oldest component's schema predates what
-        // later ones hold; a later round stays clean half the time, so the
-        // components before the first dirty one take the kernels.
-        let mut ops = Vec::new();
-        for (r, stride) in [1i64, 2, 3, 1, 5].into_iter().enumerate() {
-            let shape = match r {
-                0 if !all_clean && rng.below(2) == 0 => Shape::Bare,
-                0 => Shape::Clean,
-                _ if all_clean || rng.below(2) == 0 => Shape::Clean,
-                _ => Shape::Dirty,
-            };
-            let n = if r == 0 {
-                rng.usize_inclusive(8, 19)
-            } else {
-                rng.usize_inclusive(6, 15)
-            };
-            ops.extend(inserts(&mut rng, (0..n as i64).map(|i| i * stride), shape));
-            if r == 2 {
-                ops.extend((0..rng.below(5)).map(|_| Op::Delete(rng.below(16) as i64)));
-            }
-            if r < 4 {
-                ops.push(Op::Flush);
-            }
-        }
-        let queries: Vec<Query> = (0..rng.usize_inclusive(3, 5))
-            .map(|_| query(rng.next_u64()))
-            .collect();
-
-        for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
-            let ds = small_dataset("vectorized-prop", layout);
-            write(&[&ds], &ops, &setup);
-            assert_eq!(ds.component_count(), 4);
-            let snapshot = ds.snapshot();
-            for query in &queries {
-                let reference = oracle::execute_batch(&snapshot, query).unwrap();
-                every_execution_agrees(&ds, query, Some(&reference), 0);
-            }
-        }
-
-        // Sharded(4): per-shard kernels merge to what per-shard assembly
-        // and the interpreted engine merge to.
-        let shards: Vec<LsmDataset> = (0..4)
-            .map(|_| small_dataset("vectorized-shard", LayoutKind::Amax))
-            .collect();
-        let shards: Vec<&LsmDataset> = shards.iter().collect();
-        write(&shards, &ops, &setup);
-        for query in &queries {
-            every_execution_agrees(&shards[..], query, None, 0);
-        }
-    }
 }
 
 /// An answer is a function of the data, not of where the data lies: the

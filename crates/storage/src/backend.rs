@@ -273,9 +273,18 @@ impl StorageBackend for FileBackend {
             Some(id) => (id, false),
             None => (self.next_id.load(Ordering::SeqCst), true),
         };
-        self.file
-            .write_all_at(&slot, id * self.page_size as u64)
-            .map_err(|e| StorageError::new(format!("write page {id}: {e}")))?;
+        let offset = id * self.page_size as u64;
+        if let Err(e) = self.file.write_all_at(&slot, offset) {
+            // No page names the slot: a reused one goes back on the free
+            // list, a new one is cut off again, so that a partial write does
+            // not leave the file a fraction of a slot long (open refuses it).
+            if grows {
+                let _ = self.file.set_len(offset);
+            } else {
+                self.free.lock().insert(id);
+            }
+            return Err(StorageError::new(format!("write page {id}: {e}")));
+        }
         if grows {
             self.next_id.store(id + 1, Ordering::SeqCst);
         }

@@ -1573,14 +1573,19 @@ fn is_descendant_column(schema: &Schema, ancestor: schema::NodeId, column: Colum
 // ---------------------------------------------------------------------------
 
 /// Write one page payload behind a one-byte flag: `0` = stored as written,
-/// `1` = LZ-compressed whole. Returns the page id and the stored size.
+/// `1` = LZ-compressed whole. Returns the page id and the stored size, or
+/// the backend's error when the page could not be written.
 ///
 /// `compress` is the layout's rule, applied by the writer: a row page is
 /// compressed (and kept raw only when compression would not make it
 /// smaller); a columnar page is stored as written, because its chunks carry
 /// their own codecs — unless a leaf of one record does not fit the page
 /// budget raw, the one case where LZ over the page still has to make room.
-pub fn write_page(cache: &BufferCache, payload: Vec<u8>, compress: bool) -> (PageId, usize) {
+pub fn write_page(
+    cache: &BufferCache,
+    payload: Vec<u8>,
+    compress: bool,
+) -> Result<(PageId, usize)> {
     let (compressed, bytes) = if compress {
         compress::compress_if_smaller(&payload)
     } else {
@@ -1591,7 +1596,7 @@ pub fn write_page(cache: &BufferCache, payload: Vec<u8>, compress: bool) -> (Pag
     page.extend_from_slice(&bytes);
     let len = page.len();
     let _stage = Stage::PageWrite.enter();
-    (cache.append_page(page), len)
+    Ok((cache.append_page(page)?, len))
 }
 
 /// A page's payload as [`read_page_payload`] returns it: for a page stored
@@ -1623,7 +1628,7 @@ impl AsRef<[u8]> for PagePayload {
 pub fn read_page_payload(cache: &BufferCache, id: PageId) -> Result<PagePayload> {
     let page = {
         let _stage = Stage::PageRead.enter();
-        cache.try_read_page(id)?
+        cache.read_page(id)?
     };
     match page.first() {
         None => Err(DecodeError::new("empty page")),
@@ -1719,14 +1724,14 @@ mod tests {
         // the component, so the pages must remain readable.
         comp.retire();
         drop(comp);
-        assert!(!cache.store().read_page(pages[0]).is_empty());
+        assert!(!cache.store().read_page(pages[0]).unwrap().is_empty());
         let scanned: Vec<Entry> = snapshot_handle.cursor(None).map(|e| e.unwrap()).collect();
         assert_eq!(scanned.len(), 100);
 
         // The last handle drops: now the pages are released.
         drop(snapshot_handle);
         for &page in &pages {
-            assert!(cache.store().read_page(page).is_empty(), "page {page}");
+            assert!(cache.store().read_page(page).unwrap().is_empty(), "page {page}");
         }
     }
 
@@ -1739,7 +1744,7 @@ mod tests {
         let comp = Component::write(&cache, &config, schema, &entries, 1).unwrap();
         let pages = comp.pages().to_vec();
         drop(comp);
-        assert!(!cache.store().read_page(pages[0]).is_empty());
+        assert!(!cache.store().read_page(pages[0]).unwrap().is_empty());
     }
 
     #[test]
@@ -2022,10 +2027,10 @@ mod tests {
         let cache = small_cache();
         for payload in [vec![7u8; 600], (0..=255u8).collect::<Vec<u8>>()] {
             for compress in [true, false] {
-                let (page, stored) = write_page(&cache, payload.clone(), compress);
+                let (page, stored) = write_page(&cache, payload.clone(), compress).unwrap();
                 let read = read_page_payload(&cache, page).unwrap();
                 assert_eq!(*read, payload[..]);
-                let raw = cache.read_page(page);
+                let raw = cache.read_page(page).unwrap();
                 assert_eq!(raw.len(), stored);
                 if raw[0] == 0 {
                     assert!(std::ptr::eq(&raw[1..], &*read), "a raw page is not copied");
@@ -2033,11 +2038,14 @@ mod tests {
                 for flag in 2..=255u8 {
                     let mut bad = raw.to_vec();
                     bad[0] = flag;
-                    let id = cache.append_page(bad);
+                    let id = cache.append_page(bad).unwrap();
                     assert!(read_page_payload(&cache, id).is_err(), "flag {flag}");
                 }
             }
-            assert_eq!(write_page(&cache, payload.clone(), false).1, payload.len() + 1);
+            assert_eq!(
+                write_page(&cache, payload.clone(), false).unwrap().1,
+                payload.len() + 1
+            );
         }
     }
 
@@ -2072,7 +2080,7 @@ mod tests {
             amax::encode_amax_header(header.record_count, &columns, &mut forged);
             forged.extend_from_slice(&page0[header.key_chunk_offset..]);
             let mut desc = desc.clone();
-            desc.leaves[0].page = write_page(&cache, forged, false).0;
+            desc.leaves[0].page = write_page(&cache, forged, false).unwrap().0;
             let forged = Arc::new(Component::open(&cache, schema.clone(), desc));
             assert!(forged.cursor(None).any(|entry| entry.is_err()));
             assert!(forged.lookup(&Value::Int(5), None).is_err());

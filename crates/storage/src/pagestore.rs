@@ -224,14 +224,8 @@ impl PageStore {
 
     /// Append a new page with the given contents, returning its id. Contents
     /// longer than the page size are a programming error; backend I/O errors
-    /// surface as [`StorageError`](crate::StorageError) from
-    /// [`PageStore::try_append_page`].
-    pub fn append_page(&self, data: Vec<u8>) -> PageId {
-        self.try_append_page(data).expect("page append failed")
-    }
-
-    /// Append a new page, surfacing backend I/O errors.
-    pub fn try_append_page(&self, data: Vec<u8>) -> Result<PageId> {
+    /// are a [`StorageError`](crate::StorageError).
+    pub fn append_page(&self, data: Vec<u8>) -> Result<PageId> {
         assert!(
             data.len() <= self.inner.backend.max_payload(),
             "page payload {} exceeds page size {}",
@@ -245,16 +239,9 @@ impl PageStore {
         Ok(id)
     }
 
-    /// Read a page (counted as disk I/O). Panics on an unknown id — page ids
-    /// are only ever produced by `append_page`, so an unknown id is a bug,
-    /// not a data error. I/O and corruption errors surface through
-    /// [`PageStore::try_read_page`].
-    pub fn read_page(&self, id: PageId) -> Arc<Vec<u8>> {
-        self.try_read_page(id).expect("page read failed")
-    }
-
-    /// Read a page, surfacing backend I/O and corruption errors.
-    pub fn try_read_page(&self, id: PageId) -> Result<Arc<Vec<u8>>> {
+    /// Read a page (counted as disk I/O), surfacing backend I/O and
+    /// corruption errors.
+    pub fn read_page(&self, id: PageId) -> Result<Arc<Vec<u8>>> {
         let page = self.inner.backend.read_page(id)?;
         self.inner.pages_read.fetch_add(1, Ordering::Relaxed);
         self.inner
@@ -443,14 +430,8 @@ impl BufferCache {
         &self.store
     }
 
-    /// Read a page through the cache. Panics on I/O errors; see
-    /// [`BufferCache::try_read_page`].
-    pub fn read_page(&self, id: PageId) -> Arc<Vec<u8>> {
-        self.try_read_page(id).expect("page read failed")
-    }
-
     /// Read a page through the cache, surfacing I/O and corruption errors.
-    pub fn try_read_page(&self, id: PageId) -> crate::Result<Arc<Vec<u8>>> {
+    pub fn read_page(&self, id: PageId) -> Result<Arc<Vec<u8>>> {
         {
             let mut inner = self.inner.lock();
             inner.tick += 1;
@@ -463,7 +444,7 @@ impl BufferCache {
                 return Ok(data);
             }
         }
-        let data = self.store.try_read_page(id)?;
+        let data = self.store.read_page(id)?;
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -474,14 +455,14 @@ impl BufferCache {
 
     /// Write a fresh page through the cache (it is immediately cached, as
     /// flushes produce pages that are often read back by the next merge).
-    pub fn append_page(&self, data: Vec<u8>) -> PageId {
-        let id = self.store.append_page(data.clone());
+    pub fn append_page(&self, data: Vec<u8>) -> Result<PageId> {
+        let id = self.store.append_page(data.clone())?;
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(id, (Arc::new(data), tick));
         Self::evict_if_needed(&mut inner);
-        id
+        Ok(id)
     }
 
     /// Number of pages currently cached.
@@ -535,11 +516,11 @@ mod tests {
     #[test]
     fn append_and_read_accounting() {
         let store = PageStore::with_page_size(1024);
-        let a = store.append_page(vec![1u8; 100]);
-        let b = store.append_page(vec![2u8; 200]);
+        let a = store.append_page(vec![1u8; 100]).unwrap();
+        let b = store.append_page(vec![2u8; 200]).unwrap();
         assert_eq!(store.page_count(), 2);
-        assert_eq!(store.read_page(a)[0], 1);
-        assert_eq!(store.read_page(b).len(), 200);
+        assert_eq!(store.read_page(a).unwrap()[0], 1);
+        assert_eq!(store.read_page(b).unwrap().len(), 200);
         let stats = store.stats();
         assert_eq!(stats.pages_written, 2);
         assert_eq!(stats.pages_read, 2);
@@ -553,25 +534,25 @@ mod tests {
     #[should_panic(expected = "exceeds page size")]
     fn oversized_page_panics() {
         let store = PageStore::with_page_size(64);
-        store.append_page(vec![0u8; 65]);
+        store.append_page(vec![0u8; 65]).unwrap();
     }
 
     #[test]
     fn free_pages_releases_contents() {
         let store = PageStore::with_page_size(1024);
-        let a = store.append_page(vec![7u8; 500]);
+        let a = store.append_page(vec![7u8; 500]).unwrap();
         store.free_pages(&[a]);
-        assert!(store.read_page(a).is_empty());
+        assert!(store.read_page(a).unwrap().is_empty());
     }
 
     #[test]
     fn cache_hits_avoid_disk_reads() {
         let store = PageStore::with_page_size(1024);
         let cache = BufferCache::new(store.clone(), 4);
-        let id = cache.append_page(vec![9u8; 10]);
+        let id = cache.append_page(vec![9u8; 10]).unwrap();
         store.reset_stats();
         for _ in 0..5 {
-            assert_eq!(cache.read_page(id)[0], 9);
+            assert_eq!(cache.read_page(id).unwrap()[0], 9);
         }
         let stats = store.stats();
         assert_eq!(stats.pages_read, 0, "all reads should hit the cache");
@@ -582,14 +563,16 @@ mod tests {
     fn lru_eviction_respects_capacity() {
         let store = PageStore::with_page_size(256);
         let cache = BufferCache::new(store.clone(), 2);
-        let ids: Vec<_> = (0..4).map(|i| store.append_page(vec![i as u8; 16])).collect();
+        let ids: Vec<_> = (0..4)
+            .map(|i| store.append_page(vec![i as u8; 16]).unwrap())
+            .collect();
         for &id in &ids {
-            cache.read_page(id);
+            cache.read_page(id).unwrap();
         }
         assert!(cache.cached_pages() <= 2);
         // The most recently used page is still cached.
         store.reset_stats();
-        cache.read_page(ids[3]);
+        cache.read_page(ids[3]).unwrap();
         assert_eq!(store.stats().pages_read, 0);
     }
 
@@ -597,14 +580,14 @@ mod tests {
     fn cache_freeing_evicts_before_slot_reuse() {
         let store = PageStore::with_page_size(256);
         let cache = BufferCache::new(store.clone(), 4);
-        let id = cache.append_page(vec![1u8; 16]);
-        assert_eq!(cache.read_page(id)[0], 1);
+        let id = cache.append_page(vec![1u8; 16]).unwrap();
+        assert_eq!(cache.read_page(id).unwrap()[0], 1);
         cache.free_pages(&[id]);
         // The slot is recycled for new contents; the cache must not serve
         // the stale pre-free copy.
-        let reused = cache.append_page(vec![2u8; 16]);
+        let reused = cache.append_page(vec![2u8; 16]).unwrap();
         assert_eq!(reused, id, "freed slot is reused");
-        assert_eq!(cache.read_page(reused)[0], 2);
+        assert_eq!(cache.read_page(reused).unwrap()[0], 2);
         assert_eq!(store.free_page_count(), 0);
     }
 }

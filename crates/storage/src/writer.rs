@@ -399,11 +399,11 @@ impl ComponentWriter {
                 column_derived_stats(&open.plan, &columns.columns, records)?
             }
         };
-        let page = self.write_page(leaf_page);
+        let page = self.write_page(leaf_page)?;
         let data_pages = data
             .into_iter()
             .map(|payload| self.write_page(payload))
-            .collect();
+            .collect::<Result<_>>()?;
         self.leaves.push(LeafDescriptor {
             page,
             data_pages,
@@ -418,12 +418,12 @@ impl ComponentWriter {
     /// Write one page of the leaf being sealed: row pages LZ'd whole,
     /// columnar pages as written unless a one-record leaf page overflows
     /// the budget ([`write_page`]).
-    fn write_page(&mut self, payload: Vec<u8>) -> PageId {
+    fn write_page(&mut self, payload: Vec<u8>) -> Result<PageId> {
         let compress = !self.config.layout.is_columnar() || payload.len() > self.page_budget;
-        let (page, stored) = write_page(&self.pages.cache, payload, compress);
+        let (page, stored) = write_page(&self.pages.cache, payload, compress)?;
         self.pages.ids.push(page);
         self.stored_bytes += stored as u64;
-        page
+        Ok(page)
     }
 
     /// Seal the last leaf and hand the written pages over to the finished

@@ -20,7 +20,7 @@
 //! | `snapshot.*`   | counters   | `snapshot.count` |
 //! | `storage.*`    | sampled counters / gauges | the `IoStats` block folded in: `storage.pages_read`, `storage.bytes_written`, `storage.cache_hits`, …, plus `storage.allocated_bytes` |
 //! | `scan.*`       | sampled counters | which lane scans took, from the same block: `scan.batches` (batches a snapshot scan handed over), `scan.records_kernel` (winners the compiled engine folded straight off column chunks); documents built, whichever the lane, are `storage.records_assembled` |
-//! | `lsm.*`        | sampled gauges + counters | gauges `lsm.memtable_bytes`, `lsm.sealed_queue_depth`, `lsm.components`, `lsm.live_stored_bytes`; point-read counters `lsm.lookups`, `lsm.lookup_memtable_hits`, `lsm.lookup_components_probed` (probes / lookups = point-read amplification) |
+//! | `lsm.*`        | sampled gauges + counters | gauges `lsm.memtable_bytes`, `lsm.sealed_queue_depth`, `lsm.components`, `lsm.live_stored_bytes`; point-read counters `lsm.lookups`, `lsm.lookup_memtable_hits`, `lsm.lookup_components_probed` (probes / lookups = point-read amplification), `lsm.maintenance_lookups` (secondary-index maintenance reads) |
 //! | `amp.*`        | derived gauges | `amp.write`, `amp.read`, `amp.space` |
 //!
 //! Three metric kinds exist:
@@ -519,6 +519,9 @@ pub struct Telemetry {
     /// `lsm.lookup_components_probed` — components consulted, summed over
     /// the looked-up keys.
     pub lookup_components_probed: Counter,
+    /// `lsm.maintenance_lookups` — secondary-index maintenance reads: upserts
+    /// and deletes whose key the primary-key filter says may be stored.
+    pub maintenance_lookups: Counter,
     /// `flush.duration_micros` — per-flush wall time.
     pub flush_duration: Histogram,
     /// `merge.duration_micros` — per-merge wall time.
@@ -528,9 +531,8 @@ pub struct Telemetry {
     /// writer's open leaf bound it); the histogram's max is the all-time
     /// peak.
     pub merge_peak_buffered: Histogram,
-    /// `wal.append_micros` — per-append WAL latency: staging the frame
-    /// (and writing it, for `DurableStore::log`). Writes of staged frames
-    /// are timed by the stage clock's `WalWrite`.
+    /// `wal.append_micros` — per-append WAL latency: staging the frame.
+    /// Writes of staged frames are timed by the stage clock's `WalWrite`.
     pub wal_append_latency: Histogram,
     /// `wal.sync_micros` — per-fsync WAL latency, the write of the staged
     /// frames included.
@@ -573,6 +575,7 @@ impl Telemetry {
             lookups: Counter::default(),
             lookup_memtable_hits: Counter::default(),
             lookup_components_probed: Counter::default(),
+            maintenance_lookups: Counter::default(),
             flush_duration: Histogram::default(),
             merge_duration: Histogram::default(),
             merge_peak_buffered: Histogram::default(),
@@ -637,6 +640,10 @@ impl Telemetry {
             (
                 "lsm.lookup_components_probed".to_string(),
                 self.lookup_components_probed.get(),
+            ),
+            (
+                "lsm.maintenance_lookups".to_string(),
+                self.maintenance_lookups.get(),
             ),
         ];
         let histograms = vec![

@@ -9,7 +9,6 @@ use query::ExecMode::{Compiled, Interpreted};
 use query::{PlannerOptions, Query, QueryEngine, QueryRow, QueryTarget, ScanLane};
 use storage::LayoutKind;
 
-use crate::gen::{document, Op, Setup};
 use crate::{leafy_config, TempDir};
 
 /// How many compaction strategies [`compaction`] tells apart.
@@ -70,7 +69,7 @@ pub fn matrix(compaction: CompactionSpec, dir: TempDir) -> Vec<Target> {
 impl Target {
     /// The shard that owns `id`.
     pub fn route(&self, id: i64) -> &LsmDataset {
-        &self.shards[shard_of(id, self.shards.len())]
+        &self.shards[id.rem_euclid(self.shards.len() as i64) as usize]
     }
 
     /// Arm `point` (if any), run the flush or merge it interrupts, drop the
@@ -94,30 +93,6 @@ impl Target {
         drop(ds);
         self.shards
             .push(LsmDataset::open(dir, config.clone()).unwrap());
-    }
-}
-
-/// Which of `shards` datasets owns `id`.
-fn shard_of(id: i64, shards: usize) -> usize {
-    id.rem_euclid(shards as i64) as usize
-}
-
-/// Applies the inserts, deletes and flushes of `ops` to `shards`, each id to
-/// the shard that owns it as in [`Target::route`]; a flush flushes every
-/// shard. Any other op panics.
-pub fn write(shards: &[&LsmDataset], ops: &[Op], setup: &Setup) {
-    for op in ops {
-        match *op {
-            Op::Insert(id, seed, shape) => {
-                let doc = document(id, seed, shape, setup);
-                shards[shard_of(id, shards.len())].insert(doc).unwrap();
-            }
-            Op::Delete(id) => shards[shard_of(id, shards.len())]
-                .delete(Value::Int(id))
-                .unwrap(),
-            Op::Flush => shards.iter().for_each(|ds| ds.flush().unwrap()),
-            ref other => panic!("not a write: {other:?}"),
-        }
     }
 }
 

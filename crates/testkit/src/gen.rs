@@ -87,13 +87,6 @@ fn element(rng: &mut TestRng, dirty: bool) -> Value {
     element
 }
 
-/// Inserts of documents of `shape` at `ids`, each drawn from its own seed.
-pub fn inserts(rng: &mut TestRng, ids: impl IntoIterator<Item = i64>, shape: Shape) -> Vec<Op> {
-    let ids = ids.into_iter();
-    ids.map(|id| Op::Insert(id, rng.next_u64() >> 40, shape))
-        .collect()
-}
-
 /// The query drawn from `seed`: aggregates over the records and the
 /// unnested `readings` (grouped by `grp`, `name` or the element's `seq`,
 /// maybe top-k), or a key-ordered projection (maybe LIMIT), under a filter.
