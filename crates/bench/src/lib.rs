@@ -661,14 +661,14 @@ fn concurrency(scale: f64) -> Vec<Measurement> {
             .background(background)
             .max_sealed(8);
         store.open_dataset(&label, dir.join(&label), options).expect("open dataset");
+        let dataset = store.dataset(&label).expect("dataset just opened");
         let ((), ms) = time(|| {
-            store
-                .ingest_batch(&label, docs.clone(), CONCURRENCY_GROUP_COMMIT)
+            dataset
+                .ingest_batch(docs.clone(), CONCURRENCY_GROUP_COMMIT)
                 .expect("group-committed ingest");
-            store.flush(&label).expect("flush");
+            dataset.flush().expect("flush");
         });
-        let count =
-            store.query(&label, &Query::count_star(), ExecMode::Compiled).expect("fan-out count");
+        let count = dataset.query(&Query::count_star(), ExecMode::Compiled).expect("fan-out count");
         assert_eq!(count[0].agg(), &Value::Int(records as i64), "{label}");
         out.row(&label, "wall", ms, "ms");
         out.row(&label, "krec/s", records as f64 / ms, "krec/s");

@@ -6,18 +6,20 @@
 //! of the reproduction would program against; the examples in the repository
 //! root use nothing else.
 //!
-//! Every dataset is a [`ShardedDataset`]: one or more [`LsmDataset`]
-//! partitions, hash-partitioned by primary key. With `shards(1)` (the
-//! default) it behaves exactly like a single LSM dataset; with more shards,
-//! each partition has its own write lock, WAL and flush stream,
-//! [`Datastore::ingest_batch`] partitions a batch by shard and writes the
-//! partitions on the caller's thread (group-committed for durable ingest),
-//! and queries fan out over the shards with exact partial-aggregate
-//! merging. Query execution goes through
+//! The [`Datastore`] is a registry: it creates, opens and names datasets.
+//! Everything else goes through the dataset handle
+//! ([`Datastore::dataset`]), a [`ShardedDataset`]: one or more
+//! [`LsmDataset`] partitions, hash-partitioned by primary key. With
+//! `shards(1)` (the default) it behaves exactly like a single LSM dataset;
+//! with more shards, each partition has its own write lock, WAL and flush
+//! stream, [`ShardedDataset::ingest_batch`] partitions a batch by shard and
+//! writes the partitions on the caller's thread (group-committed for durable
+//! ingest), and queries fan out over the shards with exact
+//! partial-aggregate merging. Query execution goes through
 //! [`query::QueryEngine`]: the planner picks the access path — full scan,
 //! key-only scan, or a secondary-index range probe when the filter implies a
-//! range on the indexed path — and [`Datastore::explain`] shows the chosen
-//! plan.
+//! range on the indexed path — and [`ShardedDataset::explain`] shows the
+//! chosen plan.
 //!
 //! Execution **streams**: scans pull the LSM merge cursor one record at a
 //! time (memory bounded by one decoded leaf per component, not the
@@ -25,9 +27,8 @@
 //! available — aggregate rows, and raw-column projections
 //! ([`query::Query::select_paths`]: one key-ordered row per matching
 //! record) — plus a cursor API for callers that want to iterate records
-//! themselves: [`Datastore::scan_cursor`] / [`ShardedDataset::cursor`]
-//! yield `(key, record)` pairs in global key order by k-way-merging the
-//! per-shard snapshot streams.
+//! themselves: [`ShardedDataset::cursor`] yields `(key, record)` pairs in
+//! global key order by k-way-merging the per-shard snapshot streams.
 //!
 //! ```
 //! use docstore::{Datastore, DatasetOptions, Layout};
@@ -37,13 +38,14 @@
 //! store
 //!     .create_dataset("gamers", DatasetOptions::new(Layout::Amax).key("id"))
 //!     .unwrap();
-//! store
-//!     .ingest_json("gamers", r#"
+//! let gamers = store.dataset("gamers").unwrap();
+//! gamers
+//!     .ingest_json(r#"
 //!         {"id": 1, "name": {"first": "Ann"}, "score": 62, "games": [{"title": "NBA"}]}
 //!         {"id": 2, "name": {"first": "Bo"}, "score": 38}
 //!     "#)
 //!     .unwrap();
-//! store.flush("gamers").unwrap();
+//! gamers.flush().unwrap();
 //!
 //! // SELECT name.first, COUNT(*), MAX(score), AVG(score) WHERE score >= 50 ...
 //! let q = Query::select([
@@ -53,18 +55,17 @@
 //!     ])
 //!     .with_filter(Expr::ge("score", 50))
 //!     .group_by("name.first");
-//! let rows = store.query("gamers", &q, ExecMode::Compiled).unwrap();
+//! let rows = gamers.query(&q, ExecMode::Compiled).unwrap();
 //! assert_eq!(rows.len(), 1);
 //! assert_eq!(rows[0].aggs[0], docstore::Value::Int(1));
-//! assert!(store.explain("gamers", &q).unwrap().contains("full scan"));
+//! assert!(gamers.explain(&q).unwrap().contains("full scan"));
 //! ```
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use docmodel::parse_json;
-use lsm::{DatasetConfig, IngestStats, LsmDataset, Snapshot};
+use lsm::{DatasetConfig, IngestStats, LsmDataset};
 use query::{ExecMode, Query, QueryEngine, QueryRow};
 use storage::pagestore::IoStats;
 use telemetry::{Event, MetricsSnapshot};
@@ -132,7 +133,8 @@ impl From<query::Error> for Error {
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Options for creating a dataset: one [`DatasetConfig`] template every shard
-/// is built from, plus the shard count. Fields are private so the builders'
+/// is built from, plus the shard count and whether the shards flush and merge
+/// on the store's shared worker pool. Fields are private so the builders'
 /// clamps (at least one shard, at least one sealed memtable) cannot be
 /// bypassed.
 ///
@@ -146,6 +148,7 @@ pub struct DatasetOptions {
     /// budget until the shards are built, when each takes its slice.
     config: DatasetConfig,
     shards: usize,
+    background: bool,
 }
 
 impl DatasetOptions {
@@ -154,6 +157,7 @@ impl DatasetOptions {
         DatasetOptions {
             config: DatasetConfig::new("", layout),
             shards: 1,
+            background: false,
         }
     }
 
@@ -193,7 +197,7 @@ impl DatasetOptions {
     /// (flushes beat merges; FIFO within a priority) instead of spawning a
     /// thread per shard.
     pub fn background(mut self, on: bool) -> Self {
-        self.config.background = on;
+        self.background = on;
         self
     }
 
@@ -345,6 +349,19 @@ impl ShardedDataset {
         Ok(self.shard_for(&key).insert(record)?)
     }
 
+    /// Parse and insert one JSON document (or a whitespace-separated
+    /// stream), one [`insert`](ShardedDataset::insert) each. Returns how many
+    /// documents were inserted.
+    pub fn ingest_json(&self, json: &str) -> Result<usize> {
+        let docs = docmodel::parse_json_stream(json)
+            .map_err(|e| Error::api(format!("invalid JSON: {e}")))?;
+        let n = docs.len();
+        for doc in docs {
+            self.insert(doc)?;
+        }
+        Ok(n)
+    }
+
     /// Group-committed batch ingest: partition the batch by shard, ingest
     /// every non-empty partition with [`LsmDataset::ingest_batch`] and —
     /// when `sync_every > 0` — fsync the shard's WAL after every
@@ -396,11 +413,6 @@ impl ShardedDataset {
         Ok(self.shard_for(key).lookup(key, None)?)
     }
 
-    /// Consistent per-shard snapshots for fan-out query execution.
-    pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.shards.iter().map(LsmDataset::snapshot).collect()
-    }
-
     /// A streaming cursor over the whole dataset: live `(key, record)`
     /// pairs in global key order, built by k-way-merging every shard's
     /// snapshot cursor (shards partition by key, so the merge is exact).
@@ -439,24 +451,13 @@ impl ShardedDataset {
         mode: ExecMode,
         options: query::PlannerOptions,
     ) -> Result<Vec<QueryRow>> {
-        let refs: Vec<&LsmDataset> = self.shards.iter().collect();
-        Ok(QueryEngine::with_options(mode, options).execute(&refs[..], query)?)
+        Ok(QueryEngine::with_options(mode, options).execute(&self.shards[..], query)?)
     }
 
     /// Render the physical plan a query would execute with (`EXPLAIN`):
     /// access path, cost estimate, pushed-down projection.
     pub fn explain(&self, query: &Query) -> Result<String> {
-        self.explain_with_options(query, query::PlannerOptions::default())
-    }
-
-    /// Like [`ShardedDataset::explain`], with explicit planner options.
-    pub fn explain_with_options(
-        &self,
-        query: &Query,
-        options: query::PlannerOptions,
-    ) -> Result<String> {
-        let refs: Vec<&LsmDataset> = self.shards.iter().collect();
-        Ok(QueryEngine::with_options(ExecMode::Compiled, options).explain(&refs[..], query)?)
+        Ok(QueryEngine::new(ExecMode::Compiled).explain(&self.shards[..], query)?)
     }
 
     /// Plan and *execute* a query, returning the plan annotated with actual
@@ -466,19 +467,7 @@ impl ShardedDataset {
     /// [`ShardedDataset::query`]'s. Shards run sequentially so each
     /// shard's I/O delta is exact.
     pub fn explain_analyze(&self, query: &Query, mode: ExecMode) -> Result<AnalyzeReport> {
-        self.explain_analyze_with_options(query, mode, query::PlannerOptions::default())
-    }
-
-    /// Like [`ShardedDataset::explain_analyze`], with explicit planner
-    /// options.
-    pub fn explain_analyze_with_options(
-        &self,
-        query: &Query,
-        mode: ExecMode,
-        options: query::PlannerOptions,
-    ) -> Result<AnalyzeReport> {
-        let refs: Vec<&LsmDataset> = self.shards.iter().collect();
-        Ok(QueryEngine::with_options(mode, options).explain_analyze(&refs[..], query)?)
+        Ok(QueryEngine::new(mode).explain_analyze(&self.shards[..], query)?)
     }
 
     /// The dataset's base name (shard partitions append `/shard-NNN`).
@@ -725,7 +714,9 @@ impl Iterator for DocCursor {
     }
 }
 
-/// A collection of named datasets — the facade over the LSM engine.
+/// A collection of named datasets — the facade over the LSM engine. It is a
+/// registry: it creates, opens and names datasets, and every operation on a
+/// dataset goes through its handle, [`Datastore::dataset`].
 #[derive(Default)]
 pub struct Datastore {
     // Field order is load-bearing: datasets drop (and quiesce their
@@ -770,9 +761,10 @@ impl Datastore {
         let DatasetOptions {
             mut config,
             shards: count,
+            background,
         } = options;
         config.memory_budget /= count;
-        config.pool = config.background.then(|| self.shared_pool().handle());
+        config.pool = background.then(|| self.shared_pool().handle());
         config.leaf_cache = shared_leaf_cache(&config, count);
         let shards = (0..count)
             .map(|i| {
@@ -880,12 +872,6 @@ impl Datastore {
         Ok(())
     }
 
-    /// Force a dataset's acknowledged WAL records to the device (group
-    /// commit). No-op for in-memory datasets.
-    pub fn sync(&self, dataset: &str) -> Result<()> {
-        self.dataset(dataset)?.sync()
-    }
-
     /// Borrow a dataset.
     pub fn dataset(&self, name: &str) -> Result<&ShardedDataset> {
         self.datasets
@@ -900,44 +886,14 @@ impl Datastore {
         names
     }
 
-    /// Insert one document (as a [`Value`]).
+    /// Insert one document (as a [`Value`]) into the named dataset.
+    /// Kept for `benchmark/`'s `wire_kv` workload, which calls it.
     pub fn ingest(&self, dataset: &str, doc: Value) -> Result<()> {
         self.dataset(dataset)?.insert(doc)
     }
 
-    /// Parse and insert one JSON document (or a whitespace-separated stream).
-    pub fn ingest_json(&self, dataset: &str, json: &str) -> Result<usize> {
-        let docs = docmodel::parse_json_stream(json)
-            .map_err(|e| Error::api(format!("invalid JSON: {e}")))?;
-        let n = docs.len();
-        let ds = self.dataset(dataset)?;
-        for doc in docs {
-            ds.insert(doc)?;
-        }
-        Ok(n)
-    }
-
-    /// Insert many documents.
-    pub fn ingest_all(
-        &self,
-        dataset: &str,
-        docs: impl IntoIterator<Item = Value>,
-    ) -> Result<usize> {
-        let ds = self.dataset(dataset)?;
-        let mut n = 0;
-        for doc in docs {
-            ds.insert(doc)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Group-committed batch ingest: the batch is partitioned by shard and
-    /// each shard's WAL is fsynced every `sync_every` records (and once at
-    /// the end). The partitions run one after another on the caller's
-    /// thread, and each writes its WAL frames to the OS in one `write` per
-    /// commit group before the call returns; an `Err` acknowledges nothing.
-    /// See [`ShardedDataset::ingest_batch`].
+    /// [`ShardedDataset::ingest_batch`] on the named dataset.
+    /// Kept for `benchmark/`'s `wire_kv` workload, which calls it.
     pub fn ingest_batch(
         &self,
         dataset: &str,
@@ -945,51 +901,6 @@ impl Datastore {
         sync_every: usize,
     ) -> Result<usize> {
         self.dataset(dataset)?.ingest_batch(docs, sync_every)
-    }
-
-    /// Delete a record by key.
-    pub fn delete(&self, dataset: &str, key: Value) -> Result<()> {
-        self.dataset(dataset)?.delete(key)
-    }
-
-    /// Force-flush the in-memory component(s), draining background workers.
-    pub fn flush(&self, dataset: &str) -> Result<()> {
-        self.dataset(dataset)?.flush()
-    }
-
-    /// Flush and merge everything down to one component per shard.
-    pub fn compact(&self, dataset: &str) -> Result<()> {
-        self.dataset(dataset)?.compact()
-    }
-
-    /// Run a query (planner-routed access path, fan-out over shards,
-    /// partial-aggregate merge).
-    pub fn query(&self, dataset: &str, query: &Query, mode: ExecMode) -> Result<Vec<QueryRow>> {
-        self.dataset(dataset)?.query(query, mode)
-    }
-
-    /// Render the physical plan a query would execute with (`EXPLAIN`): the
-    /// chosen access path and the pushed-down projection.
-    pub fn explain(&self, dataset: &str, query: &Query) -> Result<String> {
-        self.dataset(dataset)?.explain(query)
-    }
-
-    /// Execute a query and return the plan annotated with actual execution
-    /// counters (`EXPLAIN ANALYZE`). See [`ShardedDataset::explain_analyze`].
-    pub fn explain_analyze(
-        &self,
-        dataset: &str,
-        query: &Query,
-        mode: ExecMode,
-    ) -> Result<AnalyzeReport> {
-        self.dataset(dataset)?.explain_analyze(query, mode)
-    }
-
-    /// A dataset's metrics snapshot, merged over its shards. Export as
-    /// aligned text ([`MetricsSnapshot::to_text`]) or JSON
-    /// ([`MetricsSnapshot::to_json`]).
-    pub fn metrics(&self, dataset: &str) -> Result<MetricsSnapshot> {
-        Ok(self.dataset(dataset)?.metrics())
     }
 
     /// Health of every dataset in the store: per-shard worker state, last
@@ -1005,37 +916,10 @@ impl Datastore {
             .collect()
     }
 
-    /// Point lookup by primary key.
+    /// Point lookup by primary key in the named dataset.
+    /// Kept for `benchmark/`'s `wire_kv` workload, which calls it.
     pub fn get(&self, dataset: &str, key: &Value) -> Result<Option<Value>> {
         self.dataset(dataset)?.get(key)
-    }
-
-    /// A streaming cursor over a dataset's live records in key order (see
-    /// [`ShardedDataset::cursor`]): bounded memory, early drop reads no
-    /// further pages. The cursor owns consistent snapshots, so concurrent
-    /// ingestion never disturbs an in-flight iteration.
-    pub fn scan_cursor(&self, dataset: &str, projection: Option<&[Path]>) -> Result<DocCursor> {
-        self.dataset(dataset)?.cursor(projection)
-    }
-
-    /// Parse a single JSON document into a [`Value`] (re-export convenience).
-    pub fn parse(json: &str) -> Result<Value> {
-        parse_json(json).map_err(|e| Error::api(format!("invalid JSON: {e}")))
-    }
-
-    /// I/O statistics of a dataset's simulated disk(s).
-    pub fn io_stats(&self, dataset: &str) -> Result<IoStats> {
-        Ok(self.dataset(dataset)?.io_stats())
-    }
-
-    /// On-disk footprint of a dataset (primary index plus index structures).
-    pub fn stored_bytes(&self, dataset: &str) -> Result<u64> {
-        Ok(self.dataset(dataset)?.total_stored_bytes())
-    }
-
-    /// The inferred schema of a dataset, pretty-printed.
-    pub fn describe_schema(&self, dataset: &str) -> Result<String> {
-        Ok(self.dataset(dataset)?.schema().describe())
     }
 }
 
@@ -1059,24 +943,23 @@ mod tests {
             .create_dataset("tweets", DatasetOptions::new(Layout::Vb))
             .is_err());
 
+        let tweets = store.dataset("tweets").unwrap();
         for i in 0..200i64 {
-            store
-                .ingest(
-                    "tweets",
+            tweets
+                .insert(
                     doc!({"id": i, "likes": (i % 10), "user": {"name": (format!("u{}", i % 5))}}),
                 )
                 .unwrap();
         }
-        store.flush("tweets").unwrap();
+        tweets.flush().unwrap();
 
-        let count = store
-            .query("tweets", &Query::count_star(), ExecMode::Compiled)
+        let count = tweets
+            .query(&Query::count_star(), ExecMode::Compiled)
             .unwrap();
         assert_eq!(count[0].agg(), &Value::Int(200));
 
-        let top = store
+        let top = tweets
             .query(
-                "tweets",
                 &Query::select([
                     Aggregate::Max(Path::parse("likes")),
                     Aggregate::Avg(Path::parse("likes")),
@@ -1089,10 +972,10 @@ mod tests {
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].aggs.len(), 2);
 
-        let rec = store.get("tweets", &Value::Int(42)).unwrap().unwrap();
+        let rec = tweets.get(&Value::Int(42)).unwrap().unwrap();
         assert_eq!(rec.get_field("likes"), Some(&Value::Int(2)));
-        assert!(store.stored_bytes("tweets").unwrap() > 0);
-        assert!(store.describe_schema("tweets").unwrap().contains("user"));
+        assert!(tweets.total_stored_bytes() > 0);
+        assert!(tweets.schema().describe().contains("user"));
         assert_eq!(store.dataset_names(), vec!["tweets".to_string()]);
     }
 
@@ -1112,19 +995,20 @@ mod tests {
             .unwrap();
         // Two flushes per shard with disjoint keys and scores: a filter on
         // the second band lets the first component's zone map hide it.
+        let zoned = store.dataset("zoned").unwrap();
         for band in [0..200i64, 200..400] {
             let docs: Vec<Value> = band.map(|i| doc!({"id": i, "score": i})).collect();
-            store.ingest_all("zoned", docs).unwrap();
-            store.flush("zoned").unwrap();
+            zoned.ingest_batch(docs, 0).unwrap();
+            zoned.flush().unwrap();
         }
         let q = Query::count_star().with_filter(Expr::ge("score", 300));
-        let rows = store.query("zoned", &q, ExecMode::Compiled).unwrap();
+        let rows = zoned.query(&q, ExecMode::Compiled).unwrap();
         assert_eq!(rows[0].agg(), &Value::Int(100));
         let mut summed = IoStats::default();
-        for shard in store.dataset("zoned").unwrap().shards() {
+        for shard in zoned.shards() {
             summed.merge(&shard.io_stats());
         }
-        let facade = store.io_stats("zoned").unwrap();
+        let facade = zoned.io_stats();
         assert_eq!(facade, summed);
         assert!(facade.leaves_skipped > 0, "{facade:?}");
         assert!(facade.records_filtered_pre_assembly > 0, "{facade:?}");
@@ -1155,14 +1039,20 @@ mod tests {
         let docs: Vec<Value> = (0..500i64)
             .map(|i| doc!({"id": i, "grp": (format!("g{}", i % 9)), "score": (i % 100)}))
             .collect();
-        store.ingest_batch("sharded", docs.clone(), 0).unwrap();
-        store.ingest_all("single", docs).unwrap();
-        store.flush("sharded").unwrap();
-        store.flush("single").unwrap();
+        // The batch path against the one-insert-per-record reference.
+        let (sharded, single) = (
+            store.dataset("sharded").unwrap(),
+            store.dataset("single").unwrap(),
+        );
+        sharded.ingest_batch(docs.clone(), 0).unwrap();
+        for doc in docs {
+            single.insert(doc).unwrap();
+        }
+        sharded.flush().unwrap();
+        single.flush().unwrap();
 
         // Records are spread across shards (with 500 keys and 4 shards every
         // shard must own some).
-        let sharded = store.dataset("sharded").unwrap();
         assert_eq!(sharded.shard_count(), 4);
         for shard in sharded.shards() {
             assert!(shard.count().unwrap() > 0, "every shard owns records");
@@ -1181,21 +1071,21 @@ mod tests {
             .group_by("grp")
             .top_k(4),
         ] {
-            let a = store.query("sharded", &q, ExecMode::Compiled).unwrap();
-            let b = store.query("single", &q, ExecMode::Compiled).unwrap();
+            let a = sharded.query(&q, ExecMode::Compiled).unwrap();
+            let b = single.query(&q, ExecMode::Compiled).unwrap();
             assert_eq!(a, b);
         }
         // The sharded plan advertises the fan-out.
-        let plan = store
-            .explain("sharded", &Query::count_star().group_by("grp"))
+        let plan = sharded
+            .explain(&Query::count_star().group_by("grp"))
             .unwrap();
         assert!(plan.contains("shards     : 4"), "{plan}");
 
         // Point operations route to the owning shard.
-        assert!(store.get("sharded", &Value::Int(123)).unwrap().is_some());
-        store.delete("sharded", Value::Int(123)).unwrap();
-        store.flush("sharded").unwrap();
-        assert!(store.get("sharded", &Value::Int(123)).unwrap().is_none());
+        assert!(sharded.get(&Value::Int(123)).unwrap().is_some());
+        sharded.delete(Value::Int(123)).unwrap();
+        sharded.flush().unwrap();
+        assert!(sharded.get(&Value::Int(123)).unwrap().is_none());
         assert_eq!(sharded.count().unwrap(), 499);
     }
 
@@ -1215,18 +1105,18 @@ mod tests {
                     DatasetOptions::new(Layout::Amax).page_size(8 * 1024),
                 )
                 .unwrap();
-            store
+            let events = store.dataset("events").unwrap();
+            events
                 .ingest_json(
-                    "events",
                     "{\"id\": 1, \"kind\": \"created\"}\n{\"id\": 2, \"kind\": \"deleted\"}",
                 )
                 .unwrap();
-            store.delete("events", Value::Int(2)).unwrap();
-            store.flush("events").unwrap();
-            store
-                .ingest_json("events", "{\"id\": 3, \"kind\": \"unflushed\"}")
+            events.delete(Value::Int(2)).unwrap();
+            events.flush().unwrap();
+            events
+                .ingest_json("{\"id\": 3, \"kind\": \"unflushed\"}")
                 .unwrap();
-            store.sync("events").unwrap();
+            events.sync().unwrap();
             // Dropped without a final flush: id 3 lives only in the WAL.
         }
         let mut store = Datastore::new();
@@ -1234,12 +1124,13 @@ mod tests {
         assert!(store
             .create_dataset("events", DatasetOptions::new(Layout::Vb))
             .is_err());
-        let count = store
-            .query("events", &Query::count_star(), ExecMode::Compiled)
+        let events = store.dataset("events").unwrap();
+        let count = events
+            .query(&Query::count_star(), ExecMode::Compiled)
             .unwrap();
         assert_eq!(count[0].agg(), &Value::Int(2));
-        assert!(store.get("events", &Value::Int(2)).unwrap().is_none());
-        let recovered = store.get("events", &Value::Int(3)).unwrap().unwrap();
+        assert!(events.get(&Value::Int(2)).unwrap().is_none());
+        let recovered = events.get(&Value::Int(3)).unwrap().unwrap();
         assert_eq!(recovered.get_field("kind"), Some(&Value::from("unflushed")));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1266,17 +1157,19 @@ mod tests {
                 .unwrap();
             let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": (i * 2)})).collect();
             // Group-committed batch ingest: fsync every 64 records per shard.
-            assert_eq!(store.ingest_batch("events", docs, 64).unwrap(), 300);
-            store.flush("events").unwrap();
+            let events = store.dataset("events").unwrap();
+            assert_eq!(events.ingest_batch(docs, 64).unwrap(), 300);
+            events.flush().unwrap();
         }
         let mut store = Datastore::new();
         store.reopen_dataset("events", &dir).unwrap();
-        assert_eq!(store.dataset("events").unwrap().shard_count(), 3);
-        let count = store
-            .query("events", &Query::count_star(), ExecMode::Compiled)
+        let events = store.dataset("events").unwrap();
+        assert_eq!(events.shard_count(), 3);
+        let count = events
+            .query(&Query::count_star(), ExecMode::Compiled)
             .unwrap();
         assert_eq!(count[0].agg(), &Value::Int(300));
-        let rec = store.get("events", &Value::Int(217)).unwrap().unwrap();
+        let rec = events.get(&Value::Int(217)).unwrap().unwrap();
         assert_eq!(rec.get_field("v"), Some(&Value::Int(434)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1302,10 +1195,14 @@ mod tests {
         let docs: Vec<Value> = (0..400i64)
             .map(|i| doc!({"id": i, "ts": (1000 + i), "grp": (format!("g{}", i % 5)), "score": (i % 100)}))
             .collect();
-        store.ingest_batch("sharded", docs.clone(), 0).unwrap();
-        store.ingest_all("single", docs).unwrap();
-        store.flush("sharded").unwrap();
-        store.flush("single").unwrap();
+        let (sharded, single) = (
+            store.dataset("sharded").unwrap(),
+            store.dataset("single").unwrap(),
+        );
+        sharded.ingest_batch(docs.clone(), 0).unwrap();
+        single.ingest_batch(docs, 0).unwrap();
+        sharded.flush().unwrap();
+        single.flush().unwrap();
 
         let q = Query::select([
             Aggregate::Count,
@@ -1319,21 +1216,19 @@ mod tests {
         // default (cost-based) plan shows its estimate either way.
         let force_index =
             query::PlannerOptions::with_access_path(query::AccessPathChoice::ForceIndex);
-        let plan = store
-            .dataset("sharded")
-            .unwrap()
-            .explain_with_options(&q, force_index)
+        let plan = QueryEngine::with_options(ExecMode::Compiled, force_index)
+            .explain(sharded.shards(), &q)
             .unwrap();
         assert!(
             plan.contains("secondary-index range probe on `ts`"),
             "{plan}"
         );
         assert!(plan.contains("shards     : 4"), "{plan}");
-        let plan = store.explain("sharded", &q).unwrap();
+        let plan = sharded.explain(&q).unwrap();
         assert!(plan.contains("selectivity"), "{plan}");
 
         for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            let single = store.query("single", &q, mode).unwrap();
+            let single = single.query(&q, mode).unwrap();
             // Every access-path policy agrees, sharded or not.
             for choice in [
                 query::AccessPathChoice::Auto,
@@ -1341,17 +1236,12 @@ mod tests {
                 query::AccessPathChoice::ForceScan,
             ] {
                 let options = query::PlannerOptions::with_access_path(choice);
-                let sharded = store
-                    .dataset("sharded")
-                    .unwrap()
-                    .query_with_options(&q, mode, options)
-                    .unwrap();
-                assert_eq!(sharded, single, "{mode:?} {choice:?}");
+                let rows = sharded.query_with_options(&q, mode, options).unwrap();
+                assert_eq!(rows, single, "{mode:?} {choice:?}");
             }
-            let sharded = store.query("sharded", &q, mode).unwrap();
+            let rows = sharded.query(&q, mode).unwrap();
             assert_eq!(
-                sharded
-                    .iter()
+                rows.iter()
                     .map(|r| r.aggs[0].as_int().unwrap())
                     .sum::<i64>(),
                 200
@@ -1374,8 +1264,9 @@ mod tests {
         let docs: Vec<Value> = (0..200i64)
             .map(|i| doc!({"id": i, "kind": (format!("k{}", i % 4)), "size": (i % 50)}))
             .collect();
-        store.ingest_batch("events", docs, 0).unwrap();
-        store.flush("events").unwrap();
+        let events = store.dataset("events").unwrap();
+        events.ingest_batch(docs, 0).unwrap();
+        events.flush().unwrap();
 
         // Raw-column SELECT with ORDER BY key LIMIT: rows come back in
         // global key order across the three shards.
@@ -1383,7 +1274,7 @@ mod tests {
             .with_filter(Expr::ge("size", 10))
             .order_by_key()
             .with_limit(5);
-        let rows = store.query("events", &q, ExecMode::Compiled).unwrap();
+        let rows = events.query(&q, ExecMode::Compiled).unwrap();
         assert_eq!(rows.len(), 5);
         let keys: Vec<i64> = rows
             .iter()
@@ -1391,14 +1282,14 @@ mod tests {
             .collect();
         assert_eq!(keys, vec![10, 11, 12, 13, 14]);
         assert_eq!(rows[0].aggs.len(), 2);
-        let plan = store.explain("events", &q).unwrap();
+        let plan = events.explain(&q).unwrap();
         assert!(plan.contains("SELECT kind, size"), "{plan}");
         assert!(plan.contains("key ASC LIMIT 5"), "{plan}");
         assert!(plan.contains("key-ordered row streams"), "{plan}");
 
         // The streaming cursor merges the per-shard streams in key order
         // and supports early drop.
-        let mut cursor = store.scan_cursor("events", None).unwrap();
+        let mut cursor = events.cursor(None).unwrap();
         let mut seen = Vec::new();
         for entry in cursor.by_ref().take(10) {
             let (key, doc) = entry.unwrap();
@@ -1409,8 +1300,8 @@ mod tests {
         drop(cursor);
         // Projection-aware: only the requested column is assembled.
         let projection = [Path::parse("size")];
-        let (key, doc) = store
-            .scan_cursor("events", Some(&projection))
+        let (key, doc) = events
+            .cursor(Some(&projection))
             .unwrap()
             .next()
             .unwrap()
@@ -1433,10 +1324,10 @@ mod tests {
             )
             .unwrap();
         let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": i})).collect();
-        store.ingest_batch("stream", docs, 0).unwrap();
-        store.flush("stream").unwrap();
-
         let ds = store.dataset("stream").unwrap();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
+
         let mut cursor = ds.cursor(None).unwrap();
         let first: Vec<i64> = cursor
             .by_ref()
@@ -1451,7 +1342,7 @@ mod tests {
         ds.insert(doc!({"id": (150i64), "v": (-1i64)})).unwrap();
         ds.delete(Value::Int(200)).unwrap();
         ds.insert(doc!({"id": (300i64), "v": (300i64)})).unwrap();
-        store.compact("stream").unwrap();
+        ds.compact().unwrap();
 
         // Without refresh the pinned snapshots would still show the old
         // state; after refresh the continuation reflects it, resumes
@@ -1481,16 +1372,18 @@ mod tests {
             .unwrap();
         // Plan validation error.
         let err = store
-            .query("d", &Query::new(), ExecMode::Compiled)
+            .dataset("d")
+            .unwrap()
+            .query(&Query::new(), ExecMode::Compiled)
             .unwrap_err();
         assert!(
             matches!(err, Error::Query(query::Error::InvalidPlan(_))),
             "{err:?}"
         );
         // Facade-level error.
-        let err = store
-            .query("nope", &Query::count_star(), ExecMode::Compiled)
-            .unwrap_err();
+        let Err(err) = store.dataset("nope") else {
+            panic!("an unknown dataset is an error");
+        };
         assert!(matches!(err, Error::Api(_)), "{err:?}");
         assert!(err.to_string().contains("unknown dataset"));
     }
@@ -1501,18 +1394,16 @@ mod tests {
         store
             .create_dataset("d", DatasetOptions::new(Layout::Apax).page_size(8 * 1024))
             .unwrap();
-        let n = store
-            .ingest_json("d", "{\"id\": 1, \"v\": 1}\n{\"id\": 2, \"v\": \"two\"}")
+        let d = store.dataset("d").unwrap();
+        let n = d
+            .ingest_json("{\"id\": 1, \"v\": 1}\n{\"id\": 2, \"v\": \"two\"}")
             .unwrap();
         assert_eq!(n, 2);
-        assert!(store.ingest_json("d", "not json").is_err());
-        store.delete("d", Value::Int(1)).unwrap();
-        store.compact("d").unwrap();
-        assert!(store.get("d", &Value::Int(1)).unwrap().is_none());
-        assert!(store.get("d", &Value::Int(2)).unwrap().is_some());
-        assert!(store
-            .query("nope", &Query::count_star(), ExecMode::Compiled)
-            .is_err());
+        assert!(d.ingest_json("not json").is_err());
+        d.delete(Value::Int(1)).unwrap();
+        d.compact().unwrap();
+        assert!(d.get(&Value::Int(1)).unwrap().is_none());
+        assert!(d.get(&Value::Int(2)).unwrap().is_some());
     }
 
     #[test]
@@ -1530,12 +1421,13 @@ mod tests {
         let docs: Vec<Value> = (0..300i64)
             .map(|i| doc!({"id": i, "grp": (format!("g{}", i % 5)), "score": (i % 100)}))
             .collect();
-        store.ingest_all("obs", docs).unwrap();
-        store.flush("obs").unwrap();
+        let obs = store.dataset("obs").unwrap();
+        obs.ingest_batch(docs, 0).unwrap();
+        obs.flush().unwrap();
 
         // Merged metrics: counters sum across shards; the amp gauges are
         // recomputed over the merged totals (never summed per shard).
-        let metrics = store.metrics("obs").unwrap();
+        let metrics = obs.metrics();
         assert_eq!(metrics.dataset, "obs");
         assert_eq!(metrics.shards, 3);
         assert_eq!(metrics.counter("ingest.records"), 300);
@@ -1561,7 +1453,7 @@ mod tests {
         }
 
         // Events: merged across shards, tagged with their shard index.
-        let events = store.dataset("obs").unwrap().recent_events(64);
+        let events = obs.recent_events(64);
         assert!(events.iter().any(|(_, e)| e.kind.label() == "flush_end"));
         let shard_ids: std::collections::BTreeSet<usize> = events.iter().map(|(i, _)| *i).collect();
         assert_eq!(shard_ids.len(), 3, "every shard contributed events");
@@ -1569,10 +1461,8 @@ mod tests {
         // EXPLAIN ANALYZE through the facade: same rows as query(), exact
         // early-termination point for a limited key-ordered select.
         let q = Query::select_paths(["score"]).order_by_key().with_limit(7);
-        let expected = store.query("obs", &q, ExecMode::Compiled).unwrap();
-        let report = store
-            .explain_analyze("obs", &q, ExecMode::Compiled)
-            .unwrap();
+        let expected = obs.query(&q, ExecMode::Compiled).unwrap();
+        let report = obs.explain_analyze(&q, ExecMode::Compiled).unwrap();
         assert_eq!(report.rows, expected);
         assert_eq!(report.shards.len(), 3);
         assert_eq!(report.early_termination(), Some(report.rows_pulled()));
@@ -1595,17 +1485,13 @@ mod tests {
                     .telemetry(false),
             )
             .unwrap();
-        store.ingest("dark", doc!({"id": 1, "v": 2})).unwrap();
-        store.flush("dark").unwrap();
-        let metrics = store.metrics("dark").unwrap();
-        assert_eq!(metrics.counter("ingest.records"), 0);
-        assert!(store.dataset("dark").unwrap().recent_events(16).is_empty());
+        let dark = store.dataset("dark").unwrap();
+        dark.insert(doc!({"id": 1, "v": 2})).unwrap();
+        dark.flush().unwrap();
+        assert_eq!(dark.metrics().counter("ingest.records"), 0);
+        assert!(dark.recent_events(16).is_empty());
         assert_eq!(
-            store
-                .get("dark", &Value::Int(1))
-                .unwrap()
-                .unwrap()
-                .get_field("v"),
+            dark.get(&Value::Int(1)).unwrap().unwrap().get_field("v"),
             Some(&Value::Int(2))
         );
     }
@@ -1626,10 +1512,10 @@ mod tests {
         let docs: Vec<Value> = (0..400i64)
             .map(|i| doc!({"id": i, "score": (i % 100), "grp": (format!("g{}", i % 4))}))
             .collect();
-        store.ingest_all("warm", docs).unwrap();
-        store.flush("warm").unwrap();
-
         let ds = store.dataset("warm").unwrap();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
+
         let cache = ds.leaf_cache().expect("budget configures a shared cache");
         assert_eq!(
             cache.capacity_bytes(),
@@ -1640,19 +1526,15 @@ mod tests {
         // Cold run: every leaf is a miss and pages are read.
         let q = Query::count_star().with_filter(Expr::ge("score", 0));
         cache.clear();
-        let cold_plan = store.explain("warm", &q).unwrap();
-        let cold = store
-            .explain_analyze("warm", &q, ExecMode::Compiled)
-            .unwrap();
+        let cold_plan = ds.explain(&q).unwrap();
+        let cold = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
         assert_eq!(cold.rows[0].agg(), &Value::Int(400));
         assert!(cold.cache_misses() > 0, "{cold:?}");
         assert_eq!(cold.cache_hits(), 0);
 
         // Warm re-run: cache hits == leaves touched (the cold misses),
         // zero misses, zero pages read — the acceptance criterion.
-        let warm = store
-            .explain_analyze("warm", &q, ExecMode::Compiled)
-            .unwrap();
+        let warm = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
         assert_eq!(warm.rows, cold.rows);
         assert_eq!(warm.cache_hits(), cold.cache_misses());
         assert_eq!(warm.cache_misses(), 0);
@@ -1664,7 +1546,7 @@ mod tests {
         );
 
         // Planning reads no cache: a warm cache plans as a cold one.
-        assert_eq!(store.explain("warm", &q).unwrap(), cold_plan);
+        assert_eq!(ds.explain(&q).unwrap(), cold_plan);
 
         // Telemetry: per-shard counters summed, residency gauges pushed
         // once for the one shared cache.
@@ -1697,9 +1579,9 @@ mod tests {
             )
             .unwrap();
         let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": i})).collect();
-        store.ingest_all("churn", docs).unwrap();
-        store.flush("churn").unwrap();
         let ds = store.dataset("churn").unwrap();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
         let cache = ds.leaf_cache().unwrap().clone();
 
         // Warm the cache through a full scan, then pause mid-stream with a
@@ -1719,7 +1601,7 @@ mod tests {
         // (Unpinned intermediates may already invalidate here; the *pinned*
         // components' leaves must still be resident.)
         ds.insert(doc!({"id": (300i64), "v": (300i64)})).unwrap();
-        store.compact("churn").unwrap();
+        ds.compact().unwrap();
         let before = cache.stats();
         assert!(
             before.resident_leaves > 0,
@@ -1754,9 +1636,9 @@ mod tests {
             .unwrap();
         let n = 400i64;
         let docs: Vec<Value> = (0..n).map(|i| doc!({"id": i, "v": (i * 3)})).collect();
-        store.ingest_all("fleet", docs).unwrap();
-        store.flush("fleet").unwrap();
         let ds = store.dataset("fleet").unwrap();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
         let cache = ds.leaf_cache().unwrap();
 
         // A fleet of readers: half run key-ordered range scans, half run
@@ -1852,9 +1734,10 @@ mod tests {
                     )
                     .unwrap();
                 let docs: Vec<Value> = (0..200i64).map(|i| doc!({"id": i, "v": i})).collect();
-                store.ingest_all("events", docs).unwrap();
-                store.flush("events").unwrap();
-                caching(store.dataset("events").unwrap())
+                let events = store.dataset("events").unwrap();
+                events.ingest_batch(docs, 0).unwrap();
+                events.flush().unwrap();
+                caching(events)
             };
             // Reopened from the directory alone, the persisted per-shard
             // slices decide exactly the same caching.
@@ -1914,17 +1797,20 @@ mod tests {
         {
             let mut store = Datastore::new();
             store.create_dataset("mem", four_small_shards()).unwrap();
-            store.open_dataset("disk", &dir, four_small_shards()).unwrap();
+            store
+                .open_dataset("disk", &dir, four_small_shards())
+                .unwrap();
             for name in ["mem", "disk"] {
+                let dataset = store.dataset(name).unwrap();
                 let stages = stages_on_this_thread(|| {
-                    assert_eq!(store.ingest_batch(name, batch_docs(), 16).unwrap(), 800);
+                    assert_eq!(dataset.ingest_batch(batch_docs(), 16).unwrap(), 800);
                 });
                 // The flushes ran here, durable and synced or not: no
                 // partition went to a thread of its own.
                 let encoded = stages.count(telemetry::stage::Stage::ChunkEncode);
                 let written = stages.count(telemetry::stage::Stage::PageWrite);
                 assert!(encoded > 0 && written > 0, "{name}: {stages}");
-                for shard in store.dataset(name).unwrap().shards() {
+                for shard in dataset.shards() {
                     assert!(shard.stats().flushes > 0);
                 }
             }
@@ -1944,6 +1830,7 @@ mod tests {
             let mut store = Datastore::new();
             let options = DatasetOptions::new(Layout::Amax).background(false);
             store.open_dataset("disk", &dir, options).unwrap();
+            let disk = store.dataset("disk").unwrap();
             let docs = |from: i64| -> Vec<Value> {
                 (from..from + 100)
                     .map(|i| doc!({"id": i, "v": (i * 3)}))
@@ -1951,18 +1838,18 @@ mod tests {
             };
             // No sync: the 100 frames reach the OS in one write at the end.
             let stages = stages_on_this_thread(|| {
-                store.ingest_batch("disk", docs(0), 0).unwrap();
+                disk.ingest_batch(docs(0), 0).unwrap();
             });
             assert_eq!(stages.count(Stage::WalWrite), 1, "{stages}");
             assert_eq!(stages.count(Stage::WalSync), 0, "{stages}");
             // A sync every 25 records: four groups, each one write and one
             // fsync, and nothing left for the end of the batch.
             let stages = stages_on_this_thread(|| {
-                store.ingest_batch("disk", docs(100), 25).unwrap();
+                disk.ingest_batch(docs(100), 25).unwrap();
             });
             assert_eq!(stages.count(Stage::WalWrite), 4, "{stages}");
             assert_eq!(stages.count(Stage::WalSync), 4, "{stages}");
-            let shard = &store.dataset("disk").unwrap().shards()[0];
+            let shard = &disk.shards()[0];
             assert_eq!(shard.stats().flushes, 0, "no seal may split a group");
             assert_eq!(shard.count().unwrap(), 200);
         }
@@ -1979,11 +1866,16 @@ mod tests {
         {
             let mut store = Datastore::new();
             store.create_dataset("mem", four_small_shards()).unwrap();
-            store.open_dataset("disk", &dir, four_small_shards()).unwrap();
-            store.ingest_batch("mem", batch_docs(), 16).unwrap();
-            store.ingest_batch("disk", batch_docs(), 16).unwrap();
-            let mem = store.dataset("mem").unwrap().shards();
-            let disk = store.dataset("disk").unwrap().shards();
+            store
+                .open_dataset("disk", &dir, four_small_shards())
+                .unwrap();
+            let (mem, disk) = (
+                store.dataset("mem").unwrap(),
+                store.dataset("disk").unwrap(),
+            );
+            mem.ingest_batch(batch_docs(), 16).unwrap();
+            disk.ingest_batch(batch_docs(), 16).unwrap();
+            let (mem, disk) = (mem.shards(), disk.shards());
             for (mem, disk) in mem.iter().zip(disk) {
                 let records = mem.scan(None).unwrap();
                 assert!(!records.is_empty());
@@ -2001,7 +1893,8 @@ mod tests {
         store
             .create_dataset("clamped", DatasetOptions::new(Layout::Vb).shards(0))
             .unwrap();
-        store.ingest("clamped", doc!({"id": 1})).unwrap();
-        assert_eq!(store.dataset("clamped").unwrap().shard_count(), 1);
+        let clamped = store.dataset("clamped").unwrap();
+        clamped.insert(doc!({"id": 1})).unwrap();
+        assert_eq!(clamped.shard_count(), 1);
     }
 }

@@ -23,8 +23,8 @@
 //! ## Concurrency
 //!
 //! All operations take `&self`; the dataset can be shared across threads
-//! (writers, readers, and — with [`DatasetConfig::background`] — its own
-//! flush/merge worker). The mutable state is split so readers never wait on
+//! (writers, readers, and — with a [`DatasetConfig::pool`] — the pool's
+//! flush/merge workers). The mutable state is split so readers never wait on
 //! flushes or merges:
 //!
 //! * a small **write lock** guards the active memtable and the in-memory
@@ -62,7 +62,7 @@ use crate::index::{PrimaryKeyIndex, SecondaryIndex};
 use crate::memtable::Memtable;
 use crate::merge::{merge_components, MergeLane, MergeReport};
 use crate::policy::CompactionSpec;
-use crate::pool::{PoolHandle, Priority, WorkerPool};
+use crate::pool::{PoolHandle, Priority};
 use crate::scheduler::Scheduler;
 use crate::snapshot::{EntryMergeCursor, ScanSpec, SealedMemtable, Snapshot, TreeState};
 use crate::Result;
@@ -88,18 +88,16 @@ pub struct DatasetConfig {
     pub secondary_index_on: Option<Path>,
     /// AMAX-specific knobs.
     pub amax: AmaxConfig,
-    /// Run flushes and merges on a background worker thread instead of
-    /// blocking the inserting thread (the paper's background-job LSM
-    /// lifecycle, §2.1/§6.3). Off by default: synchronous mode keeps
-    /// single-threaded experiments deterministic.
-    pub background: bool,
-    /// With `background`: how many sealed memtables may queue before
-    /// ingestion is backpressured (blocks until a flush retires one).
+    /// With a `pool`: how many sealed memtables may queue before ingestion
+    /// is backpressured (blocks until a flush retires one).
     pub max_sealed_memtables: usize,
-    /// With `background`: submit flushes and merges to this **shared**
-    /// worker pool (see [`WorkerPool`]) instead of spawning a private
-    /// single-worker pool. One pool serves any number of datasets/shards
-    /// with flush-before-merge priority. Runtime-only, not persisted.
+    /// Run flushes and merges as rounds on this worker pool (see
+    /// [`WorkerPool`](crate::WorkerPool)) instead of blocking the inserting
+    /// thread (the paper's background-job LSM lifecycle, §2.1/§6.3). One
+    /// pool serves any number of datasets/shards with flush-before-merge
+    /// priority. `None`, the default, flushes and merges inline, which keeps
+    /// single-threaded experiments deterministic. Runtime-only, not
+    /// persisted.
     pub pool: Option<PoolHandle>,
     /// Record metrics and lifecycle events in the dataset's [`Telemetry`]
     /// registry. On by default; the benchmark turns it off to measure the
@@ -131,7 +129,6 @@ impl DatasetConfig {
             compaction: CompactionSpec::default(),
             secondary_index_on: None,
             amax: AmaxConfig::default(),
-            background: false,
             max_sealed_memtables: 2,
             pool: None,
             telemetry_enabled: true,
@@ -176,20 +173,14 @@ impl DatasetConfig {
         self
     }
 
-    /// Builder-style: run flushes and merges on a background worker.
-    pub fn with_background(mut self, background: bool) -> Self {
-        self.background = background;
-        self
-    }
-
     /// Builder-style: bound the sealed-memtable queue (backpressure point).
     pub fn with_max_sealed(mut self, max: usize) -> Self {
         self.max_sealed_memtables = max.max(1);
         self
     }
 
-    /// Builder-style: share a [`WorkerPool`] with other datasets (implies
-    /// nothing unless `background` is also set).
+    /// Builder-style: run flushes and merges in the background on a
+    /// [`WorkerPool`](crate::WorkerPool), which other datasets may share.
     pub fn with_pool(mut self, pool: PoolHandle) -> Self {
         self.pool = Some(pool);
         self
@@ -231,7 +222,7 @@ impl DatasetConfig {
 
     /// Encode the durable half of this configuration for the manifest: what
     /// a directory needs to describe itself. The page size travels beside it
-    /// (`persist` owns that field); the background, pool, telemetry and
+    /// (`persist` owns that field); the pool, telemetry and
     /// leaf-cache knobs are the opener's and are not recorded, nor are the
     /// memtable and page-cache sizes a budget slice derives. The one writer;
     /// [`DatasetConfig::read_durable`] is the one reader.
@@ -454,11 +445,8 @@ struct DatasetCore {
     maint: Mutex<MaintState>,
     sched: Scheduler,
     telemetry: Arc<Telemetry>,
-    /// Where background rounds run (`None` in synchronous mode). Holds no
-    /// threads — pool tasks capture `self_ref`, so a queued task for a
-    /// dropped dataset degenerates to a no-op.
-    pool: Option<PoolHandle>,
-    /// Weak self-reference captured by submitted pool tasks.
+    /// Weak self-reference captured by submitted pool tasks, so a queued
+    /// task for a dropped dataset degenerates to a no-op.
     self_ref: Weak<DatasetCore>,
 }
 
@@ -466,17 +454,13 @@ struct DatasetCore {
 /// threads directly (scoped threads) or behind an `Arc`.
 pub struct LsmDataset {
     core: Arc<DatasetCore>,
-    /// Background mode without a shared pool spawns this private
-    /// single-worker pool; its thread joins when the dataset drops.
-    _private_pool: Option<WorkerPool>,
 }
 
 impl Drop for LsmDataset {
     fn drop(&mut self) {
         // Stop background work and wait for in-flight rounds: a pool task
         // may hold an upgraded core reference, and callers expect the
-        // dataset's directory to be quiescent once drop returns. A private
-        // pool additionally joins its worker thread when the field drops.
+        // dataset's directory to be quiescent once drop returns.
         self.core.sched.shutdown();
         self.core.sched.wait_idle();
     }
@@ -525,20 +509,6 @@ impl LsmDataset {
         if let Some(durable) = durable.as_ref() {
             durable.set_telemetry(telemetry.clone());
         }
-        // Background rounds need a pool: the shared one from the config if
-        // the caller provided it, otherwise a private single-worker pool —
-        // the old one-thread-per-dataset behaviour, now just a pool of one.
-        let (pool, private_pool) = if config.background {
-            match config.pool.clone() {
-                Some(handle) => (Some(handle), None),
-                None => {
-                    let private = WorkerPool::new(1);
-                    (Some(private.handle()), Some(private))
-                }
-            }
-        } else {
-            (None, None)
-        };
         let core = Arc::new_cyclic(|self_ref| DatasetCore {
             config,
             cache,
@@ -554,13 +524,9 @@ impl LsmDataset {
             }),
             sched: Scheduler::new(),
             telemetry,
-            pool,
             self_ref: self_ref.clone(),
         });
-        LsmDataset {
-            core,
-            _private_pool: private_pool,
-        }
+        LsmDataset { core }
     }
 
     /// Open a **durable** dataset rooted at the directory `dir`, creating it
@@ -765,7 +731,7 @@ impl LsmDataset {
     /// next write still observes it.
     pub fn health(&self) -> DatasetHealth {
         let status = self.core.sched.status();
-        let worker = if !self.core.config.background {
+        let worker = if self.core.config.pool.is_none() {
             WorkerState::Inline
         } else if status.failed.is_some() {
             WorkerState::Failed
@@ -881,7 +847,7 @@ impl LsmDataset {
     /// (power loss) is required. A batch of records is cheaper through
     /// [`LsmDataset::ingest_batch`], which writes the WAL once.
     ///
-    /// With [`DatasetConfig::background`], a full memtable is sealed and
+    /// With a [`DatasetConfig::pool`], a full memtable is sealed and
     /// handed to the worker; this call blocks only when
     /// `max_sealed_memtables` seals are already queued (backpressure), and
     /// surfaces any error a previous background flush/merge hit.
@@ -922,14 +888,12 @@ impl LsmDataset {
             let mut write = self.core.write.lock();
             self.core.seal_locked(&mut write)?;
         }
-        if self.core.config.background {
-            // Queue a round even when nothing was just sealed, so the work
-            // behind a parked failure is re-attempted; then wait for the
-            // dataset to go quiescent. If the shared pool has shut down
-            // underneath us, fall through to inline processing.
-            if self.core.enqueue_background(Priority::Flush) {
-                return self.core.sched.drain();
-            }
+        // With a pool, queue a round even when nothing was just sealed, so
+        // the work behind a parked failure is re-attempted; then wait for the
+        // dataset to go quiescent. Without one, or if the pool has shut down
+        // underneath us, fall through to inline processing.
+        if self.core.enqueue_background(Priority::Flush) {
+            return self.core.sched.drain();
         }
         self.core.process_pending()
     }
@@ -1102,7 +1066,7 @@ impl DatasetCore {
     /// insert or delete), otherwise it waits for the caller's next write,
     /// sync or seal (a batch).
     fn apply(&self, mutation: Mutation, write_now: bool) -> Result<()> {
-        if self.config.background && self.pool_is_open() {
+        if self.pool_is_open() {
             // Backpressure gate — taken *before* the write lock so stalled
             // writers never block readers or the workers.
             let stalled = self.sched.admit(self.config.max_sealed_memtables)?;
@@ -1159,7 +1123,7 @@ impl DatasetCore {
         // retries of earlier failed inline work), or a background dataset
         // whose shared pool has shut down underneath it — nothing else
         // would flush, so the writer does.
-        if self.sched.sealed_count() > 0 && (!self.config.background || !self.pool_is_open()) {
+        if self.sched.sealed_count() > 0 && !self.pool_is_open() {
             self.process_pending()?;
         }
         Ok(())
@@ -1194,7 +1158,7 @@ impl DatasetCore {
 
     /// Whether background rounds can still be queued on the pool.
     fn pool_is_open(&self) -> bool {
-        self.pool.as_ref().is_some_and(|pool| pool.is_open())
+        self.config.pool.as_ref().is_some_and(|pool| pool.is_open())
     }
 
     /// Seal the active memtable: rotate the WAL so the sealed records are
@@ -1221,16 +1185,14 @@ impl DatasetCore {
             self.sched.set_sealed(next.sealed.len());
             *tree = Arc::new(next);
         }
-        if self.config.background {
-            self.enqueue_background(Priority::Flush);
-        }
+        self.enqueue_background(Priority::Flush);
         Ok(())
     }
 
     /// Queue one background round on the worker pool. Returns `false` when
     /// there is no pool or it has shut down (callers fall back inline).
     fn enqueue_background(&self, priority: Priority) -> bool {
-        let Some(pool) = self.pool.as_ref() else {
+        let Some(pool) = self.config.pool.as_ref() else {
             return false;
         };
         let weak = self.self_ref.clone();
@@ -1438,7 +1400,7 @@ impl DatasetCore {
         if orphans.is_empty() {
             return Ok(());
         }
-        self.cache.free_pages(&orphans);
+        self.cache.free_pages(&orphans)?;
         let truncated = store.shrink_free_tail()?;
         self.telemetry.emit(EventKind::OrphanSweep {
             scanned: page_count,
@@ -1523,14 +1485,19 @@ impl DatasetCore {
                     let moved = match copy.and_then(|raw| self.cache.append_page(raw.to_vec())) {
                         Ok(moved) => moved,
                         Err(err) => {
-                            // No component names this pass's copies yet.
+                            // No component names this pass's copies yet. The
+                            // copy error is the one reported: a copy that
+                            // fails to free too is an orphan the next open's
+                            // sweep frees.
                             let made = rewrites.iter().map(|(_, _, copies)| copies);
-                            made.chain([&copies]).for_each(|c| self.cache.free_pages(c));
+                            for copies in made.chain([&copies]) {
+                                let _ = self.cache.free_pages(copies);
+                            }
                             return Err(err);
                         }
                     };
                     if moved >= *page {
-                        self.cache.free_pages(&[moved]);
+                        self.cache.free_pages(&[moved])?;
                         continue;
                     }
                     sources.push(*page);
@@ -1550,14 +1517,16 @@ impl DatasetCore {
         // (the unretired replacement frees nothing). Readers wait for the
         // manifest commit of a pass that moved something.
         let mut tree = self.tree.write();
+        let mut dropped = Vec::new();
         rewrites.retain(|(i, _, copies)| {
             let keep = !pinned(&tree, &components[*i]);
             if !keep {
                 new_components[*i] = components[*i].clone();
-                self.cache.free_pages(copies);
+                dropped.extend_from_slice(copies);
             }
             keep
         });
+        self.cache.free_pages(&dropped)?;
         if rewrites.is_empty() {
             // Already packed below the watermark: everything above it is
             // free-listed, so the tail shrink is the whole pass.
@@ -1598,7 +1567,7 @@ impl DatasetCore {
         }
         drop(components);
         drop(maint);
-        self.cache.free_pages(&sources);
+        self.cache.free_pages(&sources)?;
         let pages_reclaimed = self.cache.store().shrink_free_tail()?;
         Ok(ReclaimReport {
             components_rewritten: rewrites.len(),
@@ -1860,6 +1829,7 @@ impl DatasetCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::WorkerPool;
     use docmodel::doc;
     use std::ops::Bound;
 
@@ -2038,8 +2008,9 @@ mod tests {
     #[test]
     fn background_mode_reaches_the_same_state() {
         for layout in [LayoutKind::Vb, LayoutKind::Amax] {
+            let pool = WorkerPool::new(1);
             let sync_ds = LsmDataset::new(tiny_config(layout));
-            let bg_ds = LsmDataset::new(tiny_config(layout).with_background(true));
+            let bg_ds = LsmDataset::new(tiny_config(layout).with_pool(pool.handle()));
             for ds in [&sync_ds, &bg_ds] {
                 for i in 0..300 {
                     ds.insert(sample_record(i)).unwrap();
@@ -2070,7 +2041,6 @@ mod tests {
                     DatasetConfig::new(format!("pooled-{i}"), LayoutKind::Amax)
                         .with_memtable_budget(8 * 1024)
                         .with_page_size(4 * 1024)
-                        .with_background(true)
                         .with_pool(pool.handle()),
                 )
             })
@@ -2093,11 +2063,7 @@ mod tests {
         }
         drop(datasets);
         // The pool is still usable by later datasets.
-        let late = LsmDataset::new(
-            tiny_config(LayoutKind::Vb)
-                .with_background(true)
-                .with_pool(pool.handle()),
-        );
+        let late = LsmDataset::new(tiny_config(LayoutKind::Vb).with_pool(pool.handle()));
         for i in 0..100 {
             late.insert(sample_record(i)).unwrap();
         }
@@ -2110,11 +2076,7 @@ mod tests {
         // If the shared pool dies first (discouraged but possible), the
         // dataset falls back to inline flushing instead of hanging.
         let pool = WorkerPool::new(1);
-        let ds = LsmDataset::new(
-            tiny_config(LayoutKind::Amax)
-                .with_background(true)
-                .with_pool(pool.handle()),
-        );
+        let ds = LsmDataset::new(tiny_config(LayoutKind::Amax).with_pool(pool.handle()));
         for i in 0..100 {
             ds.insert(sample_record(i)).unwrap();
         }

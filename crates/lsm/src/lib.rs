@@ -87,19 +87,17 @@
 //!   drained into an immutable run, pushed into the tree, and (for durable
 //!   datasets) the WAL is rotated so the sealed records are confined to
 //!   closed segments. Ingestion continues into a fresh memtable immediately.
-//! * **Background workers.** With [`DatasetConfig::background`], flushes
-//!   and merges run as tasks on a [`WorkerPool`] — either a **shared** pool
-//!   handed in via [`DatasetConfig::with_pool`] (one pool for all shards of
-//!   a store, the paper's bounded-maintenance setup) or, by default, a
-//!   private single-worker pool (the original one-thread-per-dataset
-//!   behaviour). The pool runs queued flushes before queued merges — a
+//! * **Background workers.** With a [`WorkerPool`] handed in via
+//!   [`DatasetConfig::with_pool`] (one pool may serve every shard of a
+//!   store, the paper's bounded-maintenance setup), flushes and merges run
+//!   as tasks on it. The pool runs queued flushes before queued merges — a
 //!   flush releases ingest backpressure — and FIFO within a priority, the
 //!   fair FCFS scheduling of the paper's setup (§6.3). Within one dataset,
 //!   a leveled strategy's disjoint merge jobs run one after another in one
 //!   round and publish as one atomic manifest commit. Backpressure bounds
 //!   the sealed queue ([`DatasetConfig::max_sealed_memtables`]); `flush()`
 //!   drains the dataset's queued rounds; worker errors are parked and
-//!   surfaced on the next insert or flush. Without `background`, sealing is
+//!   surfaced on the next insert or flush. Without a pool, sealing is
 //!   followed by an inline flush on the inserting thread — the original
 //!   synchronous behaviour.
 //!

@@ -18,7 +18,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use docmodel::{doc, total_cmp, Value};
-use lsm::{DatasetConfig, LsmDataset};
+use lsm::{DatasetConfig, LsmDataset, WorkerPool};
 use storage::LayoutKind;
 use testkit::{bg_config, TempDir};
 
@@ -93,7 +93,8 @@ fn oracle() -> LsmDataset {
 #[test]
 fn concurrent_writers_converge_to_the_oracle_state() {
     for layout in [LayoutKind::Vb, LayoutKind::Amax] {
-        let ds = LsmDataset::new(bg_config("concurrency", layout));
+        let pool = WorkerPool::new(1);
+        let ds = LsmDataset::new(bg_config("concurrency", layout, &pool));
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
                 let ds = &ds;
@@ -118,7 +119,8 @@ fn concurrent_writers_converge_to_the_oracle_state() {
 
 #[test]
 fn acknowledged_records_are_visible_to_readers() {
-    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax));
+    let pool = WorkerPool::new(1);
+    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax, &pool));
     // Keys are pushed here *after* their insert was acknowledged.
     let acked: Mutex<Vec<i64>> = Mutex::new(Vec::new());
 
@@ -160,7 +162,8 @@ fn acknowledged_records_are_visible_to_readers() {
 
 #[test]
 fn snapshots_are_internally_consistent_and_stable_under_churn() {
-    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax));
+    let pool = WorkerPool::new(1);
+    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax, &pool));
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             let ds = &ds;
@@ -201,7 +204,8 @@ fn snapshots_are_internally_consistent_and_stable_under_churn() {
 #[test]
 fn a_snapshot_survives_full_compaction() {
     let n = RECORDS_PER_WRITER; // scale with the profile
-    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax));
+    let pool = WorkerPool::new(1);
+    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Amax, &pool));
     for i in 0..n {
         ds.insert(record(i, "before")).unwrap();
     }
@@ -239,7 +243,9 @@ fn a_snapshot_survives_full_compaction() {
 #[test]
 fn backpressure_bounds_the_sealed_queue() {
     let max_sealed = 2;
-    let ds = LsmDataset::new(bg_config("concurrency", LayoutKind::Vb).with_max_sealed(max_sealed));
+    let pool = WorkerPool::new(1);
+    let config = bg_config("concurrency", LayoutKind::Vb, &pool).with_max_sealed(max_sealed);
+    let ds = LsmDataset::new(config);
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             let ds = &ds;
@@ -279,8 +285,9 @@ fn backpressure_bounds_the_sealed_queue() {
 /// every time the count is kept wrong.
 #[test]
 fn racing_seals_leave_no_phantom_pending_maintenance() {
+    let pool = WorkerPool::new(1);
     let ds = Arc::new(LsmDataset::new(
-        bg_config("concurrency", LayoutKind::Vb).with_max_sealed(1),
+        bg_config("concurrency", LayoutKind::Vb, &pool).with_max_sealed(1),
     ));
     let (done, settled) = mpsc::channel();
     let race = Arc::clone(&ds);
@@ -315,7 +322,8 @@ fn racing_seals_leave_no_phantom_pending_maintenance() {
 fn durable_concurrent_ingest_recovers_after_restart() {
     let dir = TempDir::new("lsm-concurrency-tests", "durable-restart");
     {
-        let ds = LsmDataset::open(&dir, bg_config("concurrency", LayoutKind::Amax)).unwrap();
+        let pool = WorkerPool::new(1);
+        let ds = LsmDataset::open(&dir, bg_config("concurrency", LayoutKind::Amax, &pool)).unwrap();
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
                 let ds = &ds;

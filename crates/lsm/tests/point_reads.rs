@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use docmodel::{doc, Path, Value};
-use lsm::{CompactionSpec, DatasetConfig, LsmDataset};
+use lsm::{CompactionSpec, DatasetConfig, LsmDataset, WorkerPool};
 use storage::{LayoutKind, LeafCache};
 
 fn record(key: i64, version: i64) -> Value {
@@ -377,13 +377,14 @@ fn index_probes_racing_upserts_see_one_instant() {
     }
 
     for layout in [LayoutKind::Vb, LayoutKind::Amax] {
+        let pool = WorkerPool::new(1);
         let cache = Arc::new(LeafCache::new(32 << 20));
         let mut config = DatasetConfig::new("probe-race", layout)
             .with_memtable_budget(6 * 1024)
             .with_page_size(4 * 1024)
             .with_secondary_index(Path::parse("num"))
             .with_leaf_cache(cache)
-            .with_background(true)
+            .with_pool(pool.handle())
             .with_max_sealed(2);
         config.amax.record_limit = 32;
         let ds = LsmDataset::new(config);

@@ -13,7 +13,7 @@
 use std::sync::Mutex;
 
 use docmodel::{doc, Value};
-use lsm::{CrashPoint, DatasetConfig, LsmDataset};
+use lsm::{CrashPoint, DatasetConfig, LsmDataset, WorkerPool};
 use storage::LayoutKind;
 use testkit::{bg_config, sample_record, tiny_config, TempDir};
 
@@ -849,7 +849,8 @@ const LOAD: i64 = 2_000;
 /// through the scheduler on a later insert and stops. Returns the
 /// acknowledged keys.
 fn crash_under_load(dir: &std::path::Path, layout: LayoutKind, point: CrashPoint) -> Vec<i64> {
-    let ds = LsmDataset::open(dir, bg_config("recovery", layout)).unwrap();
+    let pool = WorkerPool::new(1);
+    let ds = LsmDataset::open(dir, bg_config("recovery", layout, &pool)).unwrap();
     ds.set_crash_point(point);
     let acked: Mutex<Vec<i64>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
@@ -941,7 +942,8 @@ fn crash_under_load_preserves_the_acknowledged_prefix() {
 #[test]
 fn background_flush_error_surfaces_on_explicit_flush() {
     let dir = temp_dir("bg-error-on-flush");
-    let ds = LsmDataset::open(&dir, bg_config("recovery", LayoutKind::Amax)).unwrap();
+    let pool = WorkerPool::new(1);
+    let ds = LsmDataset::open(&dir, bg_config("recovery", LayoutKind::Amax, &pool)).unwrap();
     for i in 0..40 {
         ds.insert(sample_record(i)).unwrap();
     }
@@ -976,7 +978,8 @@ fn crash_under_load_with_deletes_keeps_them_deleted() {
     let dir = temp_dir("under-load-deletes");
     let acked_deletes: Mutex<Vec<i64>> = Mutex::new(Vec::new());
     {
-        let ds = LsmDataset::open(&dir, bg_config("recovery", LayoutKind::Vb)).unwrap();
+        let pool = WorkerPool::new(1);
+        let ds = LsmDataset::open(&dir, bg_config("recovery", LayoutKind::Vb, &pool)).unwrap();
         for i in 0..LOAD / 2 {
             ds.insert(sample_record(i)).unwrap();
         }

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use docmodel::Value;
-use lsm::{CompactionSpec, CrashPoint, DatasetConfig, LsmDataset, WorkerState};
+use lsm::{CompactionSpec, CrashPoint, DatasetConfig, LsmDataset, WorkerPool, WorkerState};
 use storage::LayoutKind;
 use telemetry::EventKind;
 use testkit::{sample_record, tiny_config, TempDir};
@@ -145,10 +145,11 @@ fn disabled_telemetry_records_nothing_but_dataset_works() {
 /// and that stall is counted with its duration.
 #[test]
 fn backpressure_stalls_are_counted() {
+    let pool = WorkerPool::new(1);
     let config = DatasetConfig::new("stalls", LayoutKind::Vb)
         .with_memtable_budget(4 * 1024)
         .with_page_size(4 * 1024)
-        .with_background(true)
+        .with_pool(pool.handle())
         .with_max_sealed(1);
     let ds = LsmDataset::new(config);
 
@@ -184,8 +185,9 @@ fn backpressure_stalls_are_counted() {
 #[test]
 fn worker_error_shows_in_health_before_writes_observe_it() {
     let dir = temp_dir("worker-health");
+    let pool = WorkerPool::new(1);
     let config = tiny_config("health", LayoutKind::Amax)
-        .with_background(true)
+        .with_pool(pool.handle())
         .with_max_sealed(4);
     let ds = LsmDataset::open(&dir, config).unwrap();
     ds.set_crash_point(CrashPoint::AfterFlushComponentWrite);
@@ -263,8 +265,7 @@ fn durable_datasets_emit_wal_and_manifest_events() {
     ds.flush().unwrap();
 
     let metrics = ds.metrics();
-    assert!(metrics.counter("wal.appends") >= 120);
-    assert!(metrics.histogram("wal.append_micros").unwrap().count >= 120);
+    assert_eq!(metrics.counter("wal.appends"), 120);
 
     let events = ds.recent_events(256);
     assert!(

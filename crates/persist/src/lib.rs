@@ -80,7 +80,7 @@
 pub mod manifest;
 pub mod wal;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -134,7 +134,6 @@ struct WalState {
 /// [`DurableStore::rotate_wal`]. A store dropped with frames staged loses
 /// them, as a crash would, so a writer writes before it acknowledges.
 pub struct DurableStore {
-    dir: PathBuf,
     store: PageStore,
     wal: Mutex<WalState>,
     manifest: Mutex<ManifestStore>,
@@ -176,7 +175,6 @@ impl DurableStore {
         let (wal, replay) = Wal::open(dir)?;
         Ok((
             DurableStore {
-                dir: dir.to_path_buf(),
                 store,
                 wal: Mutex::new(WalState {
                     wal,
@@ -195,7 +193,7 @@ impl DurableStore {
         ))
     }
 
-    /// Attach the dataset's metrics/event registry. WAL append/fsync
+    /// Attach the dataset's metrics/event registry. WAL append counts, fsync
     /// latencies and the seal/remove/manifest lifecycle events flow into it
     /// from then on. First attachment wins; later calls are no-ops.
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
@@ -208,11 +206,6 @@ impl DurableStore {
             .get()
             .map(|t| t.as_ref())
             .filter(|t| t.enabled())
-    }
-
-    /// The dataset directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The file-backed page store components are written to.
@@ -246,12 +239,10 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Record one WAL append in the attached registry (latency + count).
-    fn note_append(&self, started: Option<Instant>) {
-        if let (Some(t), Some(started)) = (self.sink(), started) {
+    /// Count one WAL append in the attached registry.
+    fn note_append(&self) {
+        if let Some(t) = self.sink() {
             t.wal_appends.incr();
-            t.wal_append_latency
-                .record(started.elapsed().as_micros() as u64);
         }
     }
 
@@ -264,23 +255,21 @@ impl DurableStore {
     /// not written until [`DurableStore::write_wal`], `sync_wal` or
     /// `rotate_wal`; a store dropped before then loses it, as a crash would.
     pub fn stage_insert(&self, key: &docmodel::Value, record: &docmodel::Value) -> Result<()> {
-        let started = self.timer();
         let mut state = self.wal.lock();
         state.wal.append_insert(key, record)?;
         state.appends_since_sync += 1;
         drop(state);
-        self.note_append(started);
+        self.note_append();
         Ok(())
     }
 
     /// Stage a delete frame, like [`DurableStore::stage_insert`].
     pub fn stage_delete(&self, key: &docmodel::Value) -> Result<()> {
-        let started = self.timer();
         let mut state = self.wal.lock();
         state.wal.append_delete(key)?;
         state.appends_since_sync += 1;
         drop(state);
-        self.note_append(started);
+        self.note_append();
         Ok(())
     }
 
@@ -366,6 +355,7 @@ mod tests {
     use super::*;
     use docmodel::{doc, Value};
     use schema::SchemaBuilder;
+    use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir =

@@ -181,33 +181,30 @@ impl From<encoding::DecodeError> for Error {
 /// Result alias of the query layer.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// What a query executes against: one consistent snapshot, one dataset
-/// (enabling index probes), or the partitions of a sharded dataset.
+/// What a query executes against: the partitions of a dataset, as
+/// consistent snapshots or as live datasets (which also serve index
+/// probes). One snapshot or one dataset is a one-partition slice.
 ///
 /// Constructed implicitly via `From` — pass `&snapshot`, `&dataset`,
 /// `&snapshots[..]` or `&shards[..]` straight to [`QueryEngine::execute`].
 pub enum QueryTarget<'a> {
-    /// A single consistent snapshot. Index probes are unavailable (a
-    /// snapshot carries no secondary index), so plans fall back to scans.
-    Snapshot(&'a Snapshot),
-    /// A single dataset: snapshots are taken as needed and the dataset's
-    /// secondary index is available to the planner.
-    Dataset(&'a LsmDataset),
-    /// Per-shard snapshots of a hash-partitioned dataset (scan-only).
+    /// Per-partition snapshots (scan-only: a snapshot carries no secondary
+    /// index, so plans fall back to scans).
     Snapshots(&'a [Snapshot]),
-    /// The partitions of a hash-partitioned dataset; every access path,
-    /// including index probes, fans out with partial-aggregate merging.
-    Shards(&'a [&'a LsmDataset]),
+    /// The partitions of a hash-partitioned dataset; snapshots are taken as
+    /// needed, and every access path, including index probes, fans out with
+    /// partial-aggregate merging.
+    Datasets(&'a [LsmDataset]),
 }
 
 impl<'a> From<&'a Snapshot> for QueryTarget<'a> {
     fn from(s: &'a Snapshot) -> Self {
-        QueryTarget::Snapshot(s)
+        QueryTarget::Snapshots(std::slice::from_ref(s))
     }
 }
 impl<'a> From<&'a LsmDataset> for QueryTarget<'a> {
     fn from(d: &'a LsmDataset) -> Self {
-        QueryTarget::Dataset(d)
+        QueryTarget::Datasets(std::slice::from_ref(d))
     }
 }
 impl<'a> From<&'a [Snapshot]> for QueryTarget<'a> {
@@ -215,29 +212,25 @@ impl<'a> From<&'a [Snapshot]> for QueryTarget<'a> {
         QueryTarget::Snapshots(s)
     }
 }
-impl<'a> From<&'a [&'a LsmDataset]> for QueryTarget<'a> {
-    fn from(s: &'a [&'a LsmDataset]) -> Self {
-        QueryTarget::Shards(s)
+impl<'a> From<&'a [LsmDataset]> for QueryTarget<'a> {
+    fn from(d: &'a [LsmDataset]) -> Self {
+        QueryTarget::Datasets(d)
     }
 }
 
 impl<'a> QueryTarget<'a> {
     fn plan_context(&self) -> PlanContext {
         match self {
-            QueryTarget::Snapshot(s) => PlanContext::for_snapshot(s),
             QueryTarget::Snapshots(s) => PlanContext::for_snapshots(s),
-            QueryTarget::Dataset(d) => PlanContext::for_dataset(d),
-            QueryTarget::Shards(shards) => PlanContext::for_shards(shards),
+            QueryTarget::Datasets(d) => PlanContext::for_shards(d),
         }
     }
 
     /// The partitions a plan runs over, in target order.
     fn partitions(&self) -> Vec<Partition<'a>> {
         match *self {
-            QueryTarget::Snapshot(s) => vec![Partition::Snapshot(s)],
-            QueryTarget::Dataset(d) => vec![Partition::Dataset(d)],
             QueryTarget::Snapshots(s) => s.iter().map(Partition::Snapshot).collect(),
-            QueryTarget::Shards(s) => s.iter().map(|d| Partition::Dataset(d)).collect(),
+            QueryTarget::Datasets(d) => d.iter().map(Partition::Dataset).collect(),
         }
     }
 }
@@ -283,11 +276,6 @@ impl QueryEngine {
     /// projection pushdown and index routing off to measure them).
     pub fn with_options(mode: ExecMode, options: PlannerOptions) -> QueryEngine {
         QueryEngine { mode, options }
-    }
-
-    /// The configured execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Plan and execute a query against any [`QueryTarget`].
@@ -818,11 +806,10 @@ mod tests {
             .group_by("grp"),
             Query::count_star().with_filter(Expr::ge("score", 50)),
         ];
-        let refs: Vec<&LsmDataset> = shards.iter().collect();
         for (i, q) in queries.iter().enumerate() {
             for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
                 let engine = QueryEngine::new(mode);
-                let sharded = engine.execute(&refs[..], q).unwrap();
+                let sharded = engine.execute(&shards[..], q).unwrap();
                 let single = engine.execute(&reference, q).unwrap();
                 assert_eq!(sharded, single, "query {i} ({mode:?})");
                 // Snapshot-based fan-out agrees too.
@@ -836,10 +823,9 @@ mod tests {
     #[test]
     fn empty_and_single_shard_cases() {
         let engine = QueryEngine::new(ExecMode::Compiled);
-        let none: [&LsmDataset; 0] = [];
+        let none: [LsmDataset; 0] = [];
         assert!(engine.execute(&none[..], &Query::count_star()).unwrap().is_empty());
-        let ds = build_dataset(LayoutKind::Amax);
-        let one = [&ds];
+        let one = [build_dataset(LayoutKind::Amax)];
         let rows = engine.execute(&one[..], &Query::count_star()).unwrap();
         assert_eq!(rows[0].agg(), &Value::Int(400));
     }
@@ -967,7 +953,6 @@ mod tests {
         for ds in shards.iter().chain(std::iter::once(&single)) {
             ds.flush().unwrap();
         }
-        let refs: Vec<&LsmDataset> = shards.iter().collect();
         for limit in [1usize, 7, 50, 1000] {
             let q = Query::select_paths(["score"])
                 .with_filter(Expr::ge("score", 30))
@@ -979,7 +964,7 @@ mod tests {
                 assert_eq!(engine.execute(&single, &q).unwrap(), reference, "{mode:?}");
                 // The sharded fan-out merges per-shard key-ordered streams;
                 // keys partition by shard, so the merge equals the single run.
-                let sharded = engine.execute(&refs[..], &q).unwrap();
+                let sharded = engine.execute(&shards[..], &q).unwrap();
                 assert_eq!(sharded, reference, "sharded {mode:?} limit {limit}");
             }
         }

@@ -183,13 +183,13 @@ impl PlanContext {
     /// The context of one dataset: its configured secondary index, one
     /// partition, and the current components' statistics.
     pub fn for_dataset(dataset: &LsmDataset) -> PlanContext {
-        PlanContext::for_shards(&[dataset])
+        PlanContext::for_shards(std::slice::from_ref(dataset))
     }
 
     /// The context of a sharded dataset. The index is usable only when every
     /// shard maintains it on the same path; statistics aggregate over all
     /// shards.
-    pub fn for_shards(shards: &[&LsmDataset]) -> PlanContext {
+    pub fn for_shards(shards: &[LsmDataset]) -> PlanContext {
         let index = shards
             .first()
             .and_then(|s| s.config().secondary_index_on.clone())

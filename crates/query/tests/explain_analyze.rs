@@ -197,8 +197,6 @@ fn sharded_analyze_reports_exact_per_shard_deltas() {
     for shard in &shards {
         shard.flush().unwrap();
     }
-    let refs: Vec<&LsmDataset> = shards.iter().collect();
-
     for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
         let engine = QueryEngine::new(mode);
         for query in [
@@ -208,13 +206,13 @@ fn sharded_analyze_reports_exact_per_shard_deltas() {
             Query::count_star(),
             Query::select([query::Aggregate::Max(docmodel::Path::parse("score"))]).group_by("grp"),
         ] {
-            let expected = engine.execute(&refs[..], &query).unwrap();
+            let expected = engine.execute(&shards[..], &query).unwrap();
             for shard in &shards {
                 shard.cache().clear();
                 shard.cache().store().reset_stats();
             }
             let before: Vec<_> = shards.iter().map(|s| s.io_stats()).collect();
-            let report = engine.explain_analyze(&refs[..], &query).unwrap();
+            let report = engine.explain_analyze(&shards[..], &query).unwrap();
             assert_eq!(report.rows, expected, "{mode:?}: {query:?}");
             assert_eq!(report.shards.len(), 4, "{mode:?}");
             // Each shard's entry matches that shard's own store delta —

@@ -202,12 +202,9 @@ fn check(
         );
     }
     let expected = oracle.as_deref().or(exact.then_some(want));
-    let datasets: Vec<&LsmDataset> = target.shards.iter().collect();
-    match (held, &datasets[..]) {
-        (Some([one]), _) => every_execution_agrees(one, query, expected, rotation),
-        (Some(snapshots), _) => every_execution_agrees(snapshots, query, expected, rotation),
-        (None, [one]) => every_execution_agrees(*one, query, expected, rotation),
-        (None, _) => every_execution_agrees(&datasets[..], query, expected, rotation),
+    match held {
+        Some(snapshots) => every_execution_agrees(snapshots, query, expected, rotation),
+        None => every_execution_agrees(&target.shards[..], query, expected, rotation),
     };
 }
 

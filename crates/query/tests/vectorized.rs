@@ -730,9 +730,8 @@ fn int_and_double_group_keys_are_one_group() {
             ds
         })
         .collect();
-    let refs: Vec<&LsmDataset> = shards.iter().collect();
     assert_eq!(
-        bits(&every_execution_agrees(&refs[..], &query, None, 0)),
+        bits(&every_execution_agrees(&shards[..], &query, None, 0)),
         answers[0]
     );
 }

@@ -158,11 +158,6 @@ impl RespClient {
         self.command(&["METRICS", format])
     }
 
-    /// `INFO`.
-    pub fn info(&mut self) -> std::io::Result<Frame> {
-        self.command(&["INFO"])
-    }
-
     /// `HEALTH`.
     pub fn health(&mut self) -> std::io::Result<Frame> {
         self.command(&["HEALTH"])

@@ -52,7 +52,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use docmodel::{parse_json, to_json, Path, Value};
-use docstore::{DatasetOptions, Datastore, Layout};
+use docstore::{DatasetOptions, Datastore, Layout, ShardedDataset};
 use query::QueryRow;
 
 use crate::metrics::{CommandKind, ServerMetrics};
@@ -163,6 +163,13 @@ struct Shared {
     metrics: ServerMetrics,
     shutdown: AtomicBool,
     max_connections: usize,
+}
+
+impl Shared {
+    /// The handle of the served dataset, which every command addresses.
+    fn dataset(&self) -> docstore::Result<&ShardedDataset> {
+        self.store.dataset(&self.dataset)
+    }
 }
 
 /// The server factory; see the module docs for the runtime model.
@@ -282,7 +289,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     // Every reply already reached (or is in the kernel buffer of) its
     // client; make the acknowledged writes durable.
-    let _ = shared.store.sync(&shared.dataset);
+    let _ = shared.dataset().and_then(ShardedDataset::sync);
 }
 
 /// Refuse a connection over the cap: one error frame, then close.
@@ -451,7 +458,7 @@ fn cmd_set(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         Ok(d) => d,
         Err(e) => return Frame::error(e),
     };
-    match shared.store.ingest(&shared.dataset, doc) {
+    match shared.dataset().and_then(|dataset| dataset.insert(doc)) {
         Ok(()) => Frame::Simple("OK".to_string()),
         Err(e) => Frame::error(e),
     }
@@ -465,7 +472,7 @@ fn cmd_get(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         Ok(k) => k,
         Err(e) => return Frame::error(e),
     };
-    match shared.store.get(&shared.dataset, &key) {
+    match shared.dataset().and_then(|dataset| dataset.get(&key)) {
         Ok(Some(doc)) => Frame::bulk(to_json(&doc)),
         Ok(None) => Frame::Null,
         Err(e) => Frame::error(e),
@@ -476,6 +483,10 @@ fn cmd_del(shared: &Shared, args: &[Vec<u8>]) -> Frame {
     if args.len() < 2 {
         return arity_error("DEL");
     }
+    let dataset = match shared.dataset() {
+        Ok(d) => d,
+        Err(e) => return Frame::error(e),
+    };
     let mut deleted = 0i64;
     for raw in &args[1..] {
         let key = match parse_key(raw) {
@@ -483,8 +494,8 @@ fn cmd_del(shared: &Shared, args: &[Vec<u8>]) -> Frame {
             Err(e) => return Frame::error(e),
         };
         // Match redis semantics: count only keys that existed.
-        match shared.store.get(&shared.dataset, &key) {
-            Ok(Some(_)) => match shared.store.delete(&shared.dataset, key) {
+        match dataset.get(&key) {
+            Ok(Some(_)) => match dataset.delete(key) {
                 Ok(()) => deleted += 1,
                 Err(e) => return Frame::error(e),
             },
@@ -516,7 +527,10 @@ fn cmd_mset(shared: &Shared, args: &[Vec<u8>]) -> Frame {
     // the end, so the reply acknowledges a durable batch (an error
     // acknowledges none of it). The shards are written one after another
     // on this thread.
-    match shared.store.ingest_batch(&shared.dataset, docs, shared.sync_every) {
+    match shared
+        .dataset()
+        .and_then(|dataset| dataset.ingest_batch(docs, shared.sync_every))
+    {
         Ok(_) => Frame::Integer(n),
         Err(e) => Frame::error(e),
     }
@@ -561,12 +575,16 @@ fn cmd_scan(shared: &Shared, conn: &mut ConnState, args: &[Vec<u8>]) -> Frame {
             }
         }
     }
+    let dataset = match shared.dataset() {
+        Ok(d) => d,
+        Err(e) => return Frame::error(e),
+    };
     let (id, mut cursor) = if cursor_arg == 0 {
         if conn.cursors.len() >= MAX_CURSORS_PER_CONNECTION {
             return Frame::error("too many open cursors on this connection");
         }
         conn.next_cursor_id += 1;
-        let cursor = match shared.store.scan_cursor(&shared.dataset, paths.as_deref()) {
+        let cursor = match dataset.cursor(paths.as_deref()) {
             Ok(c) => c,
             Err(e) => return Frame::error(e),
         };
@@ -579,10 +597,6 @@ fn cmd_scan(shared: &Shared, conn: &mut ConnState, args: &[Vec<u8>]) -> Frame {
             Some(mut cursor) => {
                 // Bounded staleness: re-pin fresh snapshots between chunks
                 // so a slow stream doesn't hold retired components alive.
-                let dataset = match shared.store.dataset(&shared.dataset) {
-                    Ok(d) => d,
-                    Err(e) => return Frame::error(e),
-                };
                 if let Err(e) = cursor.refresh(dataset) {
                     return Frame::error(e);
                 }
@@ -633,14 +647,17 @@ fn cmd_query(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         Ok(parsed) => parsed,
         Err(e) => return Frame::error(e),
     };
-    match shared.store.query(&shared.dataset, &query, mode) {
+    match shared
+        .dataset()
+        .and_then(|dataset| dataset.query(&query, mode))
+    {
         Ok(rows) => Frame::Array(rows.iter().map(|r| Frame::bulk(row_to_json(r))).collect()),
         Err(e) => Frame::error(e),
     }
 }
 
 fn cmd_info(shared: &Shared) -> Frame {
-    let dataset = shared.store.dataset(&shared.dataset);
+    let dataset = shared.dataset();
     let mut text = String::new();
     text.push_str(&format!("dataset:{}\n", shared.dataset));
     text.push_str(&format!("key_field:{}\n", shared.key_field));
@@ -661,7 +678,7 @@ fn cmd_info(shared: &Shared) -> Frame {
 }
 
 fn cmd_metrics(shared: &Shared, args: &[Vec<u8>]) -> Frame {
-    let mut snap = match shared.store.metrics(&shared.dataset) {
+    let mut snap = match shared.dataset().map(ShardedDataset::metrics) {
         Ok(s) => s,
         Err(e) => return Frame::error(e),
     };
@@ -678,7 +695,7 @@ fn cmd_metrics(shared: &Shared, args: &[Vec<u8>]) -> Frame {
 }
 
 fn cmd_health(shared: &Shared) -> Frame {
-    let dataset = match shared.store.dataset(&shared.dataset) {
+    let dataset = match shared.dataset() {
         Ok(d) => d,
         Err(e) => return Frame::error(e),
     };

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
 use docmodel::{parse_json, to_json, Value};
-use docstore::{DatasetOptions, Datastore, Layout};
+use docstore::{DatasetOptions, Datastore, Layout, ShardedDataset};
 use query::{Aggregate, ExecMode, Expr, Query};
 use server::resp::Frame;
 use server::{CommandKind, RespClient, Server, ServerConfig};
@@ -54,22 +54,22 @@ fn test_config() -> ServerConfig {
 
 /// Apply one connection's deterministic script to the oracle: insert every
 /// key, update every third, delete every tenth — mirroring `scripted_ops`.
-fn apply_to_oracle(oracle: &Datastore, conn: usize) {
+fn apply_to_oracle(oracle: &ShardedDataset, conn: usize) {
     let base = conn as i64 * STRIDE;
     for i in 0..KEYS_PER_CONNECTION {
         let key = base + i;
         let mut doc = parse_json(&doc_json(key, 1)).unwrap();
         doc.set_field("id", Value::Int(key));
-        oracle.ingest("oracle", doc).unwrap();
+        oracle.insert(doc).unwrap();
     }
     for i in (0..KEYS_PER_CONNECTION).step_by(3) {
         let key = base + i;
         let mut doc = parse_json(&doc_json(key, 2)).unwrap();
         doc.set_field("id", Value::Int(key));
-        oracle.ingest("oracle", doc).unwrap();
+        oracle.insert(doc).unwrap();
     }
     for i in (0..KEYS_PER_CONNECTION).step_by(10) {
-        oracle.delete("oracle", Value::Int(base + i)).unwrap();
+        oracle.delete(Value::Int(base + i)).unwrap();
     }
 }
 
@@ -201,16 +201,17 @@ fn concurrent_mixed_workload_matches_oracle() {
     });
 
     // Oracle side: same scripts, single-threaded.
-    let oracle = oracle_store();
+    let store = oracle_store();
+    let oracle = store.dataset("oracle").unwrap();
     for conn in 0..CONNECTIONS {
-        apply_to_oracle(&oracle, conn);
+        apply_to_oracle(oracle, conn);
     }
 
     // Full-state differential: the wire SCAN must equal the oracle's scan.
     let mut client = RespClient::connect(addr).unwrap();
     let wire_entries = client.scan_all(64).unwrap();
     let mut oracle_entries = Vec::new();
-    for entry in oracle.scan_cursor("oracle", None).unwrap() {
+    for entry in oracle.cursor(None).unwrap() {
         let (key, doc) = entry.unwrap();
         oracle_entries.push((key, doc));
     }
@@ -239,9 +240,7 @@ fn concurrent_mixed_workload_matches_oracle() {
         .group_by("nested.tag")
         .order_desc_by(0)
         .with_limit(5);
-    let oracle_rows = oracle
-        .query("oracle", &oracle_query, ExecMode::Compiled)
-        .unwrap();
+    let oracle_rows = oracle.query(&oracle_query, ExecMode::Compiled).unwrap();
     assert_eq!(wire_rows.len(), oracle_rows.len());
     for (wire_row, oracle_row) in wire_rows.iter().zip(oracle_rows.iter()) {
         let parsed = parse_json(wire_row.as_text().expect("row is bulk JSON")).unwrap();
@@ -270,9 +269,7 @@ fn concurrent_mixed_workload_matches_oracle() {
             Expr::ge("num", Value::Int(100)),
             Expr::exists("nested.tag"),
         ]));
-    let oracle_rows = oracle
-        .query("oracle", &oracle_query, ExecMode::Interpreted)
-        .unwrap();
+    let oracle_rows = oracle.query(&oracle_query, ExecMode::Interpreted).unwrap();
     let parsed = parse_json(wire_rows[0].as_text().unwrap()).unwrap();
     assert_eq!(
         parsed.get_field("aggs"),
@@ -345,7 +342,7 @@ fn shutdown_drains_acknowledged_writes_to_durable_storage() {
         .open_dataset("default", &dir, DatasetOptions::new(Layout::Amax).shards(2))
         .unwrap();
     let mut recovered = std::collections::HashSet::new();
-    for entry in store.scan_cursor("default", None).unwrap() {
+    for entry in store.dataset("default").unwrap().cursor(None).unwrap() {
         let (key, _) = entry.unwrap();
         match key {
             Value::Int(k) => {

@@ -333,13 +333,16 @@ impl StorageBackend for FileBackend {
         // Taking the append lock keeps a freed slot from being handed back
         // out (and overwritten) while its blank header is still in flight.
         let _guard = self.append_lock.lock();
+        // A slot joins the free list only once its header is written, so a
+        // failed write leaves it (and the ids after it) allocated.
         for &id in ids {
-            if id >= self.page_count() || !self.free.lock().insert(id) {
+            if id >= self.page_count() || self.free.lock().contains(&id) {
                 continue;
             }
             self.file
                 .write_all_at(&header, id * self.page_size as u64)
                 .map_err(|e| StorageError::new(format!("free page {id}: {e}")))?;
+            self.free.lock().insert(id);
         }
         Ok(())
     }

@@ -527,11 +527,16 @@ const MAX_CACHED_PLANS: usize = 64;
 pub type LeafChunks = Arc<Vec<Arc<ColumnChunk>>>;
 
 impl Drop for Component {
+    /// A retired component frees its pages. A failed free is reported and
+    /// dropped: the manifest no longer names the component, so slots left
+    /// allocated are orphans the next open's sweep frees.
     fn drop(&mut self) {
         if *self.free_on_drop.get_mut() {
             // Free through the cache so cached copies of these ids are
             // evicted before the store recycles the slots for new pages.
-            self.cache.free_pages(&self.pages);
+            if let Err(e) = self.cache.free_pages(&self.pages) {
+                eprintln!("freeing component {}'s pages failed: {e}", self.desc.id);
+            }
             // The component id is dead for good (ids are never reused), so
             // its decoded leaves can never be read again — drop them now
             // rather than letting them squat on the leaf-cache budget.
@@ -546,11 +551,6 @@ impl Component {
     /// Monotonic component identifier (newer components have larger ids).
     pub fn id(&self) -> u64 {
         self.desc.id
-    }
-
-    /// Storage layout of the component.
-    pub fn layout(&self) -> LayoutKind {
-        self.desc.layout
     }
 
     /// Number of entries (records plus anti-matter): the sum over the leaves.

@@ -255,11 +255,11 @@ impl PageStore {
     /// may be reused by a later append. Callers holding a [`BufferCache`]
     /// over this store must free through [`BufferCache::free_pages`] instead
     /// so cached copies of the dead ids are evicted before reuse.
-    pub fn free_pages(&self, ids: &[PageId]) {
-        self.inner
-            .backend
-            .free_pages(ids)
-            .expect("freeing pages failed");
+    ///
+    /// A failed free (the file backend writes each slot's header) leaves
+    /// the failing slot and those after it allocated.
+    pub fn free_pages(&self, ids: &[PageId]) -> Result<()> {
+        self.inner.backend.free_pages(ids)
     }
 
     /// Release the contiguous run of trailing free slots back to the
@@ -475,14 +475,14 @@ impl BufferCache {
     /// order once slots are reused — freeing at the store level alone would
     /// leave stale cache entries that shadow whatever page is written into
     /// the recycled slot next.
-    pub fn free_pages(&self, ids: &[PageId]) {
+    pub fn free_pages(&self, ids: &[PageId]) -> Result<()> {
         {
             let mut inner = self.inner.lock();
             for id in ids {
                 inner.entries.remove(id);
             }
         }
-        self.store.free_pages(ids);
+        self.store.free_pages(ids)
     }
 
     /// Drop every cached page (used between experiment runs to measure cold
@@ -541,7 +541,7 @@ mod tests {
     fn free_pages_releases_contents() {
         let store = PageStore::with_page_size(1024);
         let a = store.append_page(vec![7u8; 500]).unwrap();
-        store.free_pages(&[a]);
+        store.free_pages(&[a]).unwrap();
         assert!(store.read_page(a).unwrap().is_empty());
     }
 
@@ -582,7 +582,7 @@ mod tests {
         let cache = BufferCache::new(store.clone(), 4);
         let id = cache.append_page(vec![1u8; 16]).unwrap();
         assert_eq!(cache.read_page(id).unwrap()[0], 1);
-        cache.free_pages(&[id]);
+        cache.free_pages(&[id]).unwrap();
         // The slot is recycled for new contents; the cache must not serve
         // the stale pre-free copy.
         let reused = cache.append_page(vec![2u8; 16]).unwrap();

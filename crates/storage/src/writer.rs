@@ -63,9 +63,14 @@ struct WrittenPages {
 }
 
 impl Drop for WrittenPages {
+    /// A failed free is reported and dropped: no manifest names these
+    /// pages, so slots left allocated are orphans the next open's sweep
+    /// frees.
     fn drop(&mut self) {
         if !self.ids.is_empty() {
-            self.cache.free_pages(&self.ids);
+            if let Err(e) = self.cache.free_pages(&self.ids) {
+                eprintln!("freeing an unfinished component's pages failed: {e}");
+            }
         }
     }
 }

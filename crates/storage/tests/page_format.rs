@@ -3,7 +3,8 @@
 //! byte-identical pages — checked as the CRC-32 of every page it writes
 //! (Page 0 and the data pages, in the order written) against constants
 //! recorded when the format last changed. And a page the backend cannot
-//! write fails the component write with an `Err`, never a panic.
+//! write fails the component write with an `Err`, never a panic; a page it
+//! cannot free is reported by the `Drop` that frees it, never a panic.
 //!
 //! Read-path work (decoders, checksums, caches) must leave this test alone.
 //! A deliberate format change updates the constants together with the
@@ -18,7 +19,9 @@ use encoding::crc::crc32;
 use encoding::DecodeError;
 use schema::{Schema, SchemaBuilder};
 use storage::component::{Component, ComponentConfig};
-use storage::{BufferCache, LayoutKind, MemoryBackend, PageId, PageStore, StorageBackend};
+use storage::{
+    BufferCache, ComponentWriter, LayoutKind, MemoryBackend, PageId, PageStore, StorageBackend,
+};
 
 /// A `sensors`-shaped record (the paper's IoT dataset) from a fixed
 /// xorshift stream, so the bytes depend on nothing outside this file.
@@ -86,13 +89,27 @@ fn a_seeded_sensors_amax_leaf_writes_the_same_pages() {
 /// changed only what the manifest records, so these stand.
 const GOLDEN: &[u32] = &[0xa184_32e4, 0xbe34_64f7, 0xc881_e236];
 
-/// A backend that writes `left` more pages, then fails every append.
-struct FailingAppends {
+/// A backend that writes `left` more pages, then fails every append; with
+/// `frees_fail` it fails every free as well.
+struct Failing {
     pages: MemoryBackend,
     left: AtomicUsize,
+    frees_fail: bool,
 }
 
-impl StorageBackend for FailingAppends {
+impl Failing {
+    /// A buffer cache over a failing backend of 8 KiB pages.
+    fn cache(left: usize, frees_fail: bool) -> BufferCache {
+        let backend = Failing {
+            pages: MemoryBackend::new(8 * 1024),
+            left: AtomicUsize::new(left),
+            frees_fail,
+        };
+        BufferCache::new(PageStore::with_backend(Box::new(backend)), 64)
+    }
+}
+
+impl StorageBackend for Failing {
     fn page_size(&self) -> usize {
         self.pages.page_size()
     }
@@ -118,6 +135,9 @@ impl StorageBackend for FailingAppends {
         self.pages.read_page(id)
     }
     fn free_pages(&self, ids: &[PageId]) -> storage::Result<()> {
+        if self.frees_fail {
+            return Err(DecodeError::new("injected page free failure"));
+        }
         self.pages.free_pages(ids)
     }
     fn shrink_free_tail(&self) -> storage::Result<u64> {
@@ -135,16 +155,52 @@ impl StorageBackend for FailingAppends {
 fn a_failed_page_write_is_an_error() {
     let (entries, schema) = sensors();
     for layout in LayoutKind::ALL {
-        let backend = FailingAppends {
-            pages: MemoryBackend::new(8 * 1024),
-            left: AtomicUsize::new(1),
-        };
-        let cache = BufferCache::new(PageStore::with_backend(Box::new(backend)), 64);
+        let cache = Failing::cache(1, false);
         let config = ComponentConfig::new(layout);
         let written = Component::write(&cache, &config, schema.clone(), &entries, 1);
         assert!(written.is_err(), "{layout:?}");
         let store = cache.store();
         assert_eq!(store.page_count(), 1, "{layout:?}");
         assert_eq!(store.free_page_count(), 1, "{layout:?}: the page is freed");
+    }
+}
+
+/// A retired component whose pages the backend cannot free drops without a
+/// panic, and its slots stay allocated for the next open's orphan sweep.
+#[test]
+fn a_retired_component_that_cannot_free_its_pages_drops_quietly() {
+    let (entries, schema) = sensors();
+    for layout in LayoutKind::ALL {
+        let cache = Failing::cache(usize::MAX, true);
+        let config = ComponentConfig::new(layout);
+        let component = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+        let pages = cache.store().page_count();
+        assert!(pages > 0, "{layout:?}");
+        component.retire();
+        drop(component);
+        assert_eq!(cache.store().page_count(), pages, "{layout:?}");
+        assert_eq!(cache.store().free_page_count(), 0, "{layout:?}");
+    }
+}
+
+/// A writer dropped unfinished frees the pages it wrote; when the backend
+/// cannot free them, the drop reports it and does not panic. Row and APAX
+/// leaves fill by size, so the sensors seal some before the drop (an AMAX
+/// leaf holds all 400).
+#[test]
+fn an_unfinished_writer_that_cannot_free_its_pages_drops_quietly() {
+    let (entries, schema) = sensors();
+    for layout in [LayoutKind::Open, LayoutKind::Vb, LayoutKind::Apax] {
+        let cache = Failing::cache(usize::MAX, true);
+        let mut writer =
+            ComponentWriter::new(&cache, &ComponentConfig::new(layout), schema.clone(), 1);
+        for (key, doc) in &entries {
+            writer.push_entry(key, doc.as_ref()).unwrap();
+        }
+        let pages = cache.store().page_count();
+        assert!(pages > 0, "{layout:?}: the writer sealed a leaf");
+        drop(writer);
+        assert_eq!(cache.store().page_count(), pages, "{layout:?}");
+        assert_eq!(cache.store().free_page_count(), 0, "{layout:?}");
     }
 }

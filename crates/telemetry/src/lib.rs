@@ -15,7 +15,7 @@
 //! | `ingest.*`     | counters   | `ingest.records`, `ingest.bytes`, `ingest.deletes` |
 //! | `flush.*`      | counters + histogram | `flush.count`, `flush.entries_in`, `flush.pages_out`, `flush.duration_micros` |
 //! | `merge.*`      | counters + histogram | `merge.count`, `merge.pages_in`, `merge.pages_out`, `merge.duration_micros` |
-//! | `wal.*`        | counters + histograms | `wal.appends`, `wal.syncs`, `wal.append_micros`, `wal.sync_micros` |
+//! | `wal.*`        | counters + histogram | `wal.appends`, `wal.syncs`, `wal.sync_micros` (staged-frame writes are the stage clock's `WalWrite`) |
 //! | `backpressure.*` | counters | `backpressure.stalls`, `backpressure.stall_micros` |
 //! | `snapshot.*`   | counters   | `snapshot.count` |
 //! | `storage.*`    | sampled counters / gauges | the `IoStats` block folded in: `storage.pages_read`, `storage.bytes_written`, `storage.cache_hits`, …, plus `storage.allocated_bytes` |
@@ -531,9 +531,6 @@ pub struct Telemetry {
     /// writer's open leaf bound it); the histogram's max is the all-time
     /// peak.
     pub merge_peak_buffered: Histogram,
-    /// `wal.append_micros` — per-append WAL latency: staging the frame.
-    /// Writes of staged frames are timed by the stage clock's `WalWrite`.
-    pub wal_append_latency: Histogram,
     /// `wal.sync_micros` — per-fsync WAL latency, the write of the staged
     /// frames included.
     pub wal_sync_latency: Histogram,
@@ -579,7 +576,6 @@ impl Telemetry {
             flush_duration: Histogram::default(),
             merge_duration: Histogram::default(),
             merge_peak_buffered: Histogram::default(),
-            wal_append_latency: Histogram::default(),
             wal_sync_latency: Histogram::default(),
             events: EventRing::default(),
         }
@@ -653,7 +649,6 @@ impl Telemetry {
                 "merge.peak_buffered_records".to_string(),
                 self.merge_peak_buffered.snapshot(),
             ),
-            ("wal.append_micros".to_string(), self.wal_append_latency.snapshot()),
             ("wal.sync_micros".to_string(), self.wal_sync_latency.snapshot()),
         ];
         MetricsSnapshot {

@@ -9,7 +9,7 @@ pub mod minimise;
 use std::path::{Path, PathBuf};
 
 use docmodel::{doc, Value};
-use lsm::DatasetConfig;
+use lsm::{DatasetConfig, WorkerPool};
 use proptest::prelude::*;
 use query::{AccessPathChoice, ExecMode, PlannerOptions, QueryEngine};
 use storage::LayoutKind;
@@ -162,11 +162,12 @@ pub fn tiny_config(name: &str, layout: LayoutKind) -> DatasetConfig {
         .with_page_size(4 * 1024)
 }
 
-/// [`tiny_config`] with background flush/merge workers and at most two
-/// sealed memtables, so maintenance runs while writers do.
-pub fn bg_config(name: &str, layout: LayoutKind) -> DatasetConfig {
+/// [`tiny_config`] with flushes and merges on `pool`'s workers and at most
+/// two sealed memtables, so maintenance runs while writers do. Declare the
+/// pool before the dataset, so the dataset drops first.
+pub fn bg_config(name: &str, layout: LayoutKind, pool: &WorkerPool) -> DatasetConfig {
     tiny_config(name, layout)
-        .with_background(true)
+        .with_pool(pool.handle())
         .with_max_sealed(2)
 }
 

@@ -27,17 +27,17 @@ fn main() {
         {"id": 4, "age": 25}
         {"id": 5, "age": "old"}
     "#;
-    store.ingest_json("mixed", feed).unwrap();
-    store.flush("mixed").unwrap();
+    let mixed = store.dataset("mixed").unwrap();
+    mixed.ingest_json(feed).unwrap();
+    mixed.flush().unwrap();
 
     println!("inferred schema (note the union nodes):\n");
-    println!("{}", store.describe_schema("mixed").unwrap());
+    println!("{}", mixed.schema().describe());
 
     // Accessing name.last only needs column 3 of Figure 7: records where the
     // name is a plain string simply contribute nothing.
-    let by_last = store
+    let by_last = mixed
         .query(
-            "mixed",
             &Query::count_star().group_by(Path::parse("name.last")).top_k(5),
             ExecMode::Compiled,
         )
@@ -46,14 +46,14 @@ fn main() {
 
     // Records where age is an integer vs. a string coexist.
     for id in 1..=5i64 {
-        if let Some(doc) = store.get("mixed", &Value::Int(id)).unwrap() {
+        if let Some(doc) = mixed.get(&Value::Int(id)).unwrap() {
             println!("record {id}: {doc}");
         }
     }
 
     // Full-record assembly restores the heterogeneous games array, including
     // the nested-array alternative of the union.
-    let rec = store.get("mixed", &Value::Int(1)).unwrap().unwrap();
+    let rec = mixed.get(&Value::Int(1)).unwrap().unwrap();
     let games = rec.get_field("games").unwrap();
     println!("\nrecord 1 games (mixed strings and arrays): {games}");
     assert_eq!(games.as_array().unwrap().len(), 3);

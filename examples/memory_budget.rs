@@ -33,10 +33,10 @@ fn main() {
     let docs: Vec<Value> = (0..2_000i64)
         .map(|i| doc!({"id": i, "severity": (i % 7), "service": (format!("svc-{}", i % 13))}))
         .collect();
-    store.ingest_all("events", docs).expect("ingest");
-    store.flush("events").expect("flush");
-
     let ds = store.dataset("events").expect("dataset");
+    ds.ingest_batch(docs, 0).expect("ingest");
+    ds.flush().expect("flush");
+
     let cache = ds.leaf_cache().expect("a budget configures the shared cache");
     println!("leaf-cache capacity: {} KiB\n", cache.capacity_bytes() >> 10);
 

@@ -22,28 +22,26 @@ fn main() {
         )
         .expect("create dataset");
 
+    let events = store.dataset("events").expect("dataset");
     for i in 0..500i64 {
-        store
-            .ingest(
-                "events",
-                doc!({
-                    "id": i,
-                    "kind": (format!("k{}", i % 4)),
-                    "size": (i % 100),
-                    "note": (format!("event number {i} with some payload text"))
-                }),
-            )
+        events
+            .insert(doc!({
+                "id": i,
+                "kind": (format!("k{}", i % 4)),
+                "size": (i % 100),
+                "note": (format!("event number {i} with some payload text"))
+            }))
             .expect("ingest");
     }
-    store.flush("events").expect("flush");
-    store.delete("events", Value::Int(13)).expect("delete");
-    store.compact("events").expect("compact");
+    events.flush().expect("flush");
+    events.delete(Value::Int(13)).expect("delete");
+    events.compact().expect("compact");
 
     // -- Metrics snapshot ---------------------------------------------------
     // Counters and histograms from the registry, sampled storage.* I/O
     // counters, current-state gauges (lsm.*, wal.*) and the derived
     // amplification gauges — merged across both shards.
-    let metrics = store.metrics("events").expect("metrics");
+    let metrics = events.metrics();
     println!("== metrics (text) ==\n{}", metrics.to_text());
 
     // Individual values are addressable by name; the amp gauges are always
@@ -80,8 +78,7 @@ fn main() {
     // The bounded in-memory flight recorder: flushes, merges, WAL and
     // manifest activity, recovery summaries, worker errors.
     println!("\n== recent events ==");
-    let sharded = store.dataset("events").expect("dataset");
-    for (shard, event) in sharded.recent_events(8) {
+    for (shard, event) in events.recent_events(8) {
         println!("shard{shard} #{:<3} {}", event.seq, event.kind.describe());
     }
 
@@ -93,8 +90,8 @@ fn main() {
         .with_filter(Expr::ge("size", 10))
         .order_by_key()
         .with_limit(5);
-    let report = store
-        .explain_analyze("events", &q, ExecMode::Compiled)
+    let report = events
+        .explain_analyze(&q, ExecMode::Compiled)
         .expect("explain analyze");
     println!("\n== explain analyze ==\n{}", report.describe());
     println!("result rows: {}", report.rows.len());

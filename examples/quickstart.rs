@@ -25,23 +25,23 @@ fn main() {
                    {"title": "NFL", "consoles": ["XBOX"]}]}
         {"id": 3}
     "#;
-    let ingested = store.ingest_json("gamers", feed).expect("ingest");
-    store.flush("gamers").expect("flush");
+    let gamers = store.dataset("gamers").expect("dataset");
+    let ingested = gamers.ingest_json(feed).expect("ingest");
+    gamers.flush().expect("flush");
     println!("ingested {ingested} records");
 
     // The schema was inferred during the flush (tuple compactor).
-    println!("\ninferred schema:\n{}", store.describe_schema("gamers").unwrap());
+    println!("\ninferred schema:\n{}", gamers.schema().describe());
 
     // COUNT(*) — on AMAX this reads only Page 0 of each mega leaf.
-    let count = store
-        .query("gamers", &Query::count_star(), ExecMode::Compiled)
+    let count = gamers
+        .query(&Query::count_star(), ExecMode::Compiled)
         .unwrap();
     println!("COUNT(*) = {}", count[0].agg());
 
     // The paper's Figure 11 query: titles of owned games with their counts.
-    let per_title = store
+    let per_title = gamers
         .query(
-            "gamers",
             &Query::count_star()
                 .with_unnest("games")
                 .group_by_element("title")
@@ -55,7 +55,7 @@ fn main() {
     }
 
     // Point lookup by primary key.
-    let rec = store.get("gamers", &Value::Int(2)).unwrap().unwrap();
+    let rec = gamers.get(&Value::Int(2)).unwrap().unwrap();
     println!("\nrecord 2: {rec}");
 
     // A compositional multi-aggregate query: per last name, how many
@@ -64,7 +64,7 @@ fn main() {
         .with_filter(Expr::exists("games"))
         .group_by("name.last")
         .top_k(3);
-    println!("\nplan:\n{}", store.explain("gamers", &q).unwrap());
-    let per_name = store.query("gamers", &q, ExecMode::Interpreted).unwrap();
+    println!("\nplan:\n{}", gamers.explain(&q).unwrap());
+    let per_name = gamers.query(&q, ExecMode::Interpreted).unwrap();
     println!("records / games per last name: {per_name:?}");
 }

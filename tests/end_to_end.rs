@@ -180,12 +180,12 @@ fn facade_end_to_end_with_json_feed() {
             i * 3
         ));
     }
-    assert_eq!(store.ingest_json("events", &feed).unwrap(), 500);
-    store.compact("events").unwrap();
+    let events = store.dataset("events").unwrap();
+    assert_eq!(events.ingest_json(&feed).unwrap(), 500);
+    events.compact().unwrap();
 
-    let rows = store
+    let rows = events
         .query(
-            "events",
             &Query::select([Aggregate::Max(Path::parse("payload.n"))])
                 .group_by("kind")
                 .top_k(3),
@@ -194,7 +194,7 @@ fn facade_end_to_end_with_json_feed() {
         .unwrap();
     assert_eq!(rows.len(), 3);
     assert_eq!(rows[0].agg(), &Value::Int(499 * 3));
-    assert!(store.stored_bytes("events").unwrap() > 0);
+    assert!(events.total_stored_bytes() > 0);
 }
 
 #[test]
@@ -216,11 +216,11 @@ fn sharded_end_to_end_with_reopen() {
                     .page_size(16 * 1024),
             )
             .unwrap();
-        store.ingest_all("reference", docs.clone()).unwrap();
-        store.flush("reference").unwrap();
-        store
+        let reference = store.dataset("reference").unwrap();
+        reference.ingest_batch(docs.clone(), 0).unwrap();
+        reference.flush().unwrap();
+        reference
             .query(
-                "reference",
                 &Query::select([Aggregate::Max(Path::parse("duration"))])
                     .group_by("caller")
                     .top_k(5),
@@ -245,23 +245,22 @@ fn sharded_end_to_end_with_reopen() {
             .unwrap();
         // Batch ingest, partitioned by primary key; unsynced, so every
         // partition is ingested on this thread.
-        assert_eq!(store.ingest_batch("calls", docs, 0).unwrap(), records);
-        store.flush("calls").unwrap();
-
         let sharded = store.dataset("calls").unwrap();
+        assert_eq!(sharded.ingest_batch(docs, 0).unwrap(), records);
+        sharded.flush().unwrap();
+
         assert_eq!(sharded.shard_count(), 4);
         for shard in sharded.shards() {
             assert!(shard.count().unwrap() > 0, "every shard owns records");
         }
 
         // Fan-out COUNT(*) and grouped top-k agree with the reference.
-        let count = store
-            .query("calls", &Query::count_star(), ExecMode::Compiled)
+        let count = sharded
+            .query(&Query::count_star(), ExecMode::Compiled)
             .unwrap();
         assert_eq!(count[0].agg(), &Value::Int(records as i64));
-        let groups = store
+        let groups = sharded
             .query(
-                "calls",
                 &Query::select([Aggregate::Max(Path::parse("duration"))])
                     .group_by("caller")
                     .top_k(5),
@@ -274,14 +273,14 @@ fn sharded_end_to_end_with_reopen() {
 
     let mut store = Datastore::new();
     store.reopen_dataset("calls", &dir).unwrap();
-    assert_eq!(store.dataset("calls").unwrap().shard_count(), 4);
-    let count = store
-        .query("calls", &Query::count_star(), ExecMode::Compiled)
+    let calls = store.dataset("calls").unwrap();
+    assert_eq!(calls.shard_count(), 4);
+    let count = calls
+        .query(&Query::count_star(), ExecMode::Compiled)
         .unwrap();
     assert_eq!(count[0].agg(), &Value::Int(records as i64));
-    let groups = store
+    let groups = calls
         .query(
-            "calls",
             &Query::select([Aggregate::Max(Path::parse("duration"))])
                 .group_by("caller")
                 .top_k(5),
@@ -349,9 +348,8 @@ fn compositional_query_agrees_across_all_execution_paths() {
     let compiled = QueryEngine::new(ExecMode::Compiled)
         .execute(&reference, &q)
         .unwrap();
-    let shard_refs: Vec<&LsmDataset> = shards.iter().collect();
     let sharded = QueryEngine::new(ExecMode::Compiled)
-        .execute(&shard_refs[..], &q)
+        .execute(&shards[..], &q)
         .unwrap();
     let via_index = QueryEngine::new(ExecMode::Compiled)
         .execute(&indexed, &q)
