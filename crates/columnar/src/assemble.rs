@@ -6,35 +6,35 @@
 //! given, so a query that needs two columns never decodes (or, for AMAX,
 //! never even reads) the other hundreds of columns.
 //!
-//! Array reconstruction uses the delimiter semantics of §3.2.1:
+//! Presence is read off the levels, the same way for every node: a value at
+//! level `L` is present exactly when the highest next definition level of
+//! the columns at or beneath it reaches `L` — every node has a column at or
+//! beneath it ([`schema::columns_of`]), and a present value records its
+//! level on one of them: a leaf its value (`null` included), a container
+//! seen only empty its own column, an object with fields at least the
+//! object's level on every field. So:
 //!
-//! * at the position of an array, the next definition level of any descendant
-//!   column tells whether the array is absent (`def < array level`), empty
-//!   (`def == array level`) or has elements (`def > array level`);
+//! * an object is present when some field is, or when the deepest level its
+//!   absent fields recorded reaches the object's (`{}`, or fields all
+//!   absent) — read off the entries its fields consume anyway, with no
+//!   second pass over its columns;
+//! * at the position of an array, the next definition level of the columns
+//!   beneath it tells whether the array is absent (`def < array level`),
+//!   empty (`def == array level`) or has elements (`def > array level`);
 //! * while iterating elements, an entry whose value is `<=` the array's
 //!   nesting depth is a delimiter: equal means "this array ends here",
 //!   smaller means an enclosing array ends at the same point (the subsumed
 //!   delimiter is consumed by that enclosing array's loop).
+//!
+//! Shred → assemble is therefore exact over the whole JSON domain, with all
+//! columns planned. A projection assembles what its columns say: an element
+//! whose union branch it leaves out is absent, and is left out of its array.
 //!
 //! The automaton (`RecordWalk`) is written once and is generic over what it
 //! produces at each present value, object and array (a `Sink`): the
 //! [`Assembler`] builds [`Value`]s, and [`ShapeWalker`](crate::ShapeWalker)
 //! adds up their sizes and tallies their paths. Both sinks therefore see
 //! exactly the same absent / empty / delimiter decisions.
-//!
-//! ## Caveat: empty arrays need a materialised item column
-//!
-//! The "array present but empty" definition level lives on the array's
-//! *item* column. A record whose array was only ever seen empty produces no
-//! item column at all (the schema has no item node to shred into), so
-//! reassembly cannot distinguish the empty array from an absent field: the
-//! empty array survives **only when some record in the same component
-//! materialised the column**. Downstream, `EXISTS` on an always-empty array
-//! path is therefore schema-dependent — a storage-layout property, not an
-//! engine bug. The targeted regression lives in
-//! `storage::component::tests::empty_array_reassembly_is_schema_dependent`;
-//! the query differential suites avoid generating always-empty arrays for
-//! the same reason.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -56,9 +56,9 @@ pub struct AssemblyPlan {
     schema: Schema,
     columns: Vec<ColumnId>,
     /// Per schema node: the slot (index into `columns`) of the node's own
-    /// column, for the atomic leaves that are part of the plan.
+    /// column, for the nodes whose column is part of the plan.
     slot_of: Vec<Option<usize>>,
-    /// Per schema node: the slots of the planned columns in its subtree.
+    /// Per schema node: the slots of the planned columns at or beneath it.
     leaves_under: Vec<Vec<usize>>,
 }
 
@@ -86,18 +86,18 @@ impl AssemblyPlan {
 
     fn collect_leaves(&mut self, node: NodeId) -> Vec<usize> {
         let children: Vec<NodeId> = match self.schema.node(node) {
-            SchemaNode::Atomic { .. } => {
-                let leaves: Vec<usize> = self.slot_of[node as usize].into_iter().collect();
-                self.leaves_under[node as usize] = leaves.clone();
-                return leaves;
-            }
+            SchemaNode::Atomic { .. } => Vec::new(),
             SchemaNode::Object { fields } => fields.iter().map(|(_, c)| *c).collect(),
             SchemaNode::Array { item } => item.iter().copied().collect(),
             SchemaNode::Union { branches } => branches.iter().map(|(_, c)| *c).collect(),
         };
-        let leaves: Vec<usize> = children
+        let leaves: Vec<usize> = self.slot_of[node as usize]
             .into_iter()
-            .flat_map(|child| self.collect_leaves(child))
+            .chain(
+                children
+                    .into_iter()
+                    .flat_map(|child| self.collect_leaves(child)),
+            )
             .collect();
         self.leaves_under[node as usize] = leaves.clone();
         leaves
@@ -107,7 +107,7 @@ impl AssemblyPlan {
         &self.leaves_under[node as usize]
     }
 
-    /// The slot (index into the planned columns) of an atomic node's column.
+    /// The slot (index into the planned columns) of a node's own column.
     pub(crate) fn slot(&self, node: NodeId) -> Option<usize> {
         self.slot_of[node as usize]
     }
@@ -135,22 +135,25 @@ pub(crate) trait Sink {
     /// An array's elements while they are collected.
     type Elements: Default;
 
-    /// Value `index` of an atomic node's column.
+    /// Value `index` of an atomic node's column (`null` on a `Null` column).
     fn atomic(&mut self, node: NodeId, values: &ColumnValues, index: usize) -> Self::Value;
-    /// The `null` standing in for an array element of a non-object `node`
-    /// whose projected subtree is absent. (The shredder never emits
-    /// elements that were `null`, so this only shows up under projections
-    /// or for elements whose only fields were null.)
-    fn null(&mut self, node: NodeId) -> Self::Value;
     /// Add a present field to an object being collected.
     fn field(fields: &mut Self::Fields, name: &str, value: Self::Value);
-    /// An object with at least one present field, or the record root, or
-    /// `{}` standing in for an absent array element of an object `node`.
+    /// A present object (possibly `{}`), or the record root.
     fn object(&mut self, node: NodeId, fields: Self::Fields) -> Self::Value;
     /// Add an element to an array being collected.
     fn element(elements: &mut Self::Elements, value: Self::Value);
     /// A present (possibly empty) array.
     fn array(&mut self, node: NodeId, elements: Self::Elements) -> Self::Value;
+}
+
+/// What the automaton found at one schema node.
+enum Found<V> {
+    /// A present value.
+    Value(V),
+    /// Nothing: the deepest level a column at or beneath the node recorded
+    /// here, which says how much of the path above it is present.
+    Absent(u16),
 }
 
 /// The automaton over one record: the plan, the chunks of the planned
@@ -168,34 +171,18 @@ impl<C: Borrow<ColumnChunk>, S: Sink> RecordWalk<'_, C, S> {
     /// fields is.
     pub(crate) fn record(mut self) -> Result<S::Value> {
         let root = self.plan.schema.root();
-        let fields = self.fields(root, 0, 0)?.unwrap_or_default();
-        Ok(self.sink.object(root, fields))
-    }
-
-    /// The present fields of the object at `node`; `None` when none is.
-    fn fields(&mut self, node: NodeId, level: u16, array_depth: u16) -> Result<Option<S::Fields>> {
-        let plan = self.plan;
-        let SchemaNode::Object { fields } = plan.schema.node(node) else {
-            unreachable!("only object nodes have fields")
-        };
-        let mut present: Option<S::Fields> = None;
-        for (name, child) in fields {
-            if plan.leaves_under(*child).is_empty() {
-                continue;
-            }
-            if let Some(value) = self.value(*child, level + 1, array_depth)? {
-                S::field(present.get_or_insert_with(Default::default), name, value);
-            }
-        }
-        Ok(present)
+        Ok(match self.value(root, 0, 0)? {
+            Found::Value(record) => record,
+            Found::Absent(_) => self.sink.object(root, Default::default()),
+        })
     }
 
     /// The value at `node` for the current structural position, consuming
-    /// exactly this position's entries from every planned column beneath
-    /// it; `None` when the value is absent.
-    fn value(&mut self, node: NodeId, level: u16, array_depth: u16) -> Result<Option<S::Value>> {
+    /// exactly this position's entries from every planned column at or
+    /// beneath it.
+    fn value(&mut self, node: NodeId, level: u16, array_depth: u16) -> Result<Found<S::Value>> {
         let plan = self.plan;
-        match plan.schema.node(node) {
+        Ok(match plan.schema.node(node) {
             SchemaNode::Atomic { .. } => {
                 let slot = plan.slot(node).expect("included leaf has a column");
                 let chunk = self.chunks[slot].borrow();
@@ -205,42 +192,41 @@ impl<C: Borrow<ColumnChunk>, S: Sink> RecordWalk<'_, C, S> {
                     .ok_or_else(|| ColumnarError::new("column exhausted mid-record"))?;
                 let value_at = pos.value;
                 chunk.skip_entry(pos);
-                Ok((def == chunk.spec.max_def)
-                    .then(|| self.sink.atomic(node, &chunk.values, value_at)))
+                if def == chunk.spec.max_def {
+                    Found::Value(self.sink.atomic(node, &chunk.values, value_at))
+                } else {
+                    Found::Absent(def)
+                }
             }
-            SchemaNode::Object { .. } => {
-                let fields = self.fields(node, level, array_depth)?;
-                Ok(fields.map(|fields| self.sink.object(node, fields)))
-            }
+            SchemaNode::Object { fields } => self.object(node, fields, level, array_depth)?,
             SchemaNode::Union { branches } => {
-                let mut result = None;
+                let (mut found, mut deepest) = (None, 0);
                 for (_, child) in branches {
                     if plan.leaves_under(*child).is_empty() {
                         continue;
                     }
                     // Every branch consumes its entries; at most one yields a
                     // value (§3.2.2: a single alternative is present).
-                    let value = self.value(*child, level, array_depth)?;
-                    if result.is_none() {
-                        result = value;
+                    match self.value(*child, level, array_depth)? {
+                        Found::Value(value) => {
+                            found.get_or_insert(value);
+                        }
+                        Found::Absent(def) => deepest = deepest.max(def),
                     }
                 }
-                Ok(result)
+                found.map_or(Found::Absent(deepest), Found::Value)
             }
             SchemaNode::Array { item } => {
-                let Some(item) = *item else { return Ok(None) };
-                let Some(&repr) = plan.leaves_under(item).first() else {
-                    return Ok(None);
-                };
                 // Classify the array from the *maximum* next definition level
-                // across the included leaves: a single leaf is not enough when
-                // the array's items are a union, because the absent-branch
-                // marker of one branch coincides with the empty-array level.
+                // across the included columns: a single one is not enough
+                // when the array's items are a union, because the
+                // absent-branch marker of one branch coincides with the
+                // empty-array level.
                 let next_def = self.max_peek_under(node)?;
                 if next_def < level {
                     // Array absent (or something above it absent).
                     self.skip_under(node, false);
-                    return Ok(None);
+                    return Ok(Found::Absent(next_def));
                 }
                 let mut elements = S::Elements::default();
                 if next_def == level {
@@ -251,17 +237,21 @@ impl<C: Borrow<ColumnChunk>, S: Sink> RecordWalk<'_, C, S> {
                     // delimiter 0, so consume up to and including it to keep
                     // every column aligned.
                     self.skip_under(node, array_depth == 0);
-                    return Ok(Some(self.sink.array(node, elements)));
+                    return Ok(Found::Value(self.sink.array(node, elements)));
                 }
-                // Non-empty: iterate elements.
-                let item_is_object = matches!(plan.schema.node(item), SchemaNode::Object { .. });
+                // Non-empty: iterate elements. A level above the array's is
+                // recorded by a column beneath its item.
+                let Some((item, &repr)) =
+                    item.and_then(|item| Some((item, plan.leaves_under(item).first()?)))
+                else {
+                    return Err(ColumnarError::new("levels beneath an array with no item"));
+                };
                 loop {
-                    let element = match self.value(item, level + 1, array_depth + 1)? {
-                        Some(element) => element,
-                        None if item_is_object => self.sink.object(item, Default::default()),
-                        None => self.sink.null(item),
-                    };
-                    S::element(&mut elements, element);
+                    // An element whose branch the projection leaves out is
+                    // absent, and left out.
+                    if let Found::Value(element) = self.value(item, level + 1, array_depth + 1)? {
+                        S::element(&mut elements, element);
+                    }
                     match self.chunks[repr].borrow().peek(self.pos[repr]) {
                         None => break, // stream ends with the record
                         Some(v) if v < array_depth => {
@@ -271,7 +261,7 @@ impl<C: Borrow<ColumnChunk>, S: Sink> RecordWalk<'_, C, S> {
                         }
                         Some(v) if v == array_depth => {
                             // This array's end delimiter: consume it from
-                            // every leaf beneath this array.
+                            // every column beneath this array.
                             self.skip_under(node, false);
                             break;
                         }
@@ -280,26 +270,72 @@ impl<C: Borrow<ColumnChunk>, S: Sink> RecordWalk<'_, C, S> {
                         }
                     }
                 }
-                Ok(Some(self.sink.array(node, elements)))
+                Found::Value(self.sink.array(node, elements))
             }
-        }
+        })
     }
 
-    /// Consume from every included leaf column beneath `node` exactly one
+    /// The object at `node`: present when some field is, or when the
+    /// deepest level its absent fields (or its own column, for an object
+    /// seen only as `{}`) recorded reaches the object's.
+    fn object(
+        &mut self,
+        node: NodeId,
+        fields: &[(String, NodeId)],
+        level: u16,
+        array_depth: u16,
+    ) -> Result<Found<S::Value>> {
+        let plan = self.plan;
+        let mut deepest = match plan.slot(node) {
+            Some(slot) => self.skip_entry(slot)?,
+            None => 0,
+        };
+        let (mut present, mut any) = (S::Fields::default(), false);
+        for (name, child) in fields {
+            if plan.leaves_under(*child).is_empty() {
+                continue;
+            }
+            match self.value(*child, level + 1, array_depth)? {
+                Found::Value(value) => {
+                    S::field(&mut present, name, value);
+                    any = true;
+                }
+                Found::Absent(def) => deepest = deepest.max(def),
+            }
+        }
+        Ok(if any || deepest >= level {
+            Found::Value(self.sink.object(node, present))
+        } else {
+            Found::Absent(deepest)
+        })
+    }
+
+    /// Consume one entry of the column in `slot`; its definition level.
+    fn skip_entry(&mut self, slot: usize) -> Result<u16> {
+        let chunk = self.chunks[slot].borrow();
+        let def = chunk
+            .peek(self.pos[slot])
+            .ok_or_else(|| ColumnarError::new("column exhausted mid-record"))?;
+        chunk.skip_entry(&mut self.pos[slot]);
+        Ok(def)
+    }
+
+    /// Consume from every included column at or beneath `node` exactly one
     /// entry (an absent marker, an empty-array marker or a delimiter) — or,
-    /// at the outermost array depth, the rest of the record segment.
+    /// at the outermost array depth, the rest of the record.
     fn skip_under(&mut self, node: NodeId, to_record_end: bool) {
         for &leaf in self.plan.leaves_under(node) {
             let (chunk, pos) = (self.chunks[leaf].borrow(), &mut self.pos[leaf]);
             if to_record_end {
-                chunk.skip_to_record_end(pos);
+                chunk.skip_record(pos);
             } else {
                 chunk.skip_entry(pos);
             }
         }
     }
 
-    /// Maximum next definition level across the included leaves under `node`.
+    /// Maximum next definition level across the included columns at or
+    /// beneath `node`.
     fn max_peek_under(&self, node: NodeId) -> Result<u16> {
         let mut max = None;
         for &leaf in self.plan.leaves_under(node) {
@@ -323,10 +359,6 @@ impl Sink for Documents {
 
     fn atomic(&mut self, _: NodeId, values: &ColumnValues, index: usize) -> Value {
         values.get(index)
-    }
-
-    fn null(&mut self, _: NodeId) -> Value {
-        Value::Null
     }
 
     fn field(fields: &mut Self::Fields, name: &str, value: Value) {
@@ -484,21 +516,19 @@ mod tests {
     /// Order-insensitive comparison of documents (assembly restores fields in
     /// schema order, which may differ from the input order).
     fn assert_equivalent(a: &Value, b: &Value) {
-        fn normalize(v: &Value) -> Value {
+        fn sorted(v: &Value) -> Value {
             match v {
                 Value::Object(fields) => {
-                    let mut fs: Vec<(String, Value)> = fields
-                        .iter()
-                        .map(|(k, v)| (k.clone(), normalize(v)))
-                        .collect();
+                    let mut fs: Vec<(String, Value)> =
+                        fields.iter().map(|(k, v)| (k.clone(), sorted(v))).collect();
                     fs.sort_by(|x, y| x.0.cmp(&y.0));
                     Value::Object(fs)
                 }
-                Value::Array(elems) => Value::Array(elems.iter().map(normalize).collect()),
+                Value::Array(elems) => Value::Array(elems.iter().map(sorted).collect()),
                 other => other.clone(),
             }
         }
-        assert_eq!(normalize(a), normalize(b), "\nleft:  {a}\nright: {b}");
+        assert_eq!(sorted(a), sorted(b), "\nleft:  {a}\nright: {b}");
     }
 
     #[test]
@@ -573,15 +603,39 @@ mod tests {
     }
 
     #[test]
-    fn nulls_and_missing_fields_assemble_as_absent() {
-        let records = vec![
-            doc!({"id": 1, "a": null, "b": 2}),
-            doc!({"id": 2, "b": null}),
+    fn nulls_and_empty_containers_assemble_exactly() {
+        // One batch per group; every record comes back as written.
+        let groups = [
+            vec![
+                doc!({"id": 1, "n": null}),
+                doc!({"id": 2, "tags": []}),
+                doc!({"id": 3, "o": {}}),
+                doc!({"id": 4, "a": [[]]}),
+                doc!({"id": 5, "a": [{}]}),
+                doc!({"id": 6}),
+            ],
+            vec![doc!({"id": 1, "n": 1}), doc!({"id": 2, "n": null})],
+            vec![
+                doc!({"id": 1, "a": [1, null, 2]}),
+                doc!({"id": 2, "a": [null]}),
+            ],
+            vec![doc!({"id": 1, "o": {"x": 1}}), doc!({"id": 2, "o": {}})],
+            vec![doc!({"id": 1, "d": [[[], true]]})],
+            vec![doc!({"id": 1, "d": [[[]], {"a": 1}]})],
+            vec![
+                doc!({"id": 1, "d": [[[], true], {"c": {}, "a": false}]}),
+                doc!({"id": 2, "d": [{"c": {}, "a": false}]}),
+                doc!({"id": 3, "d": [[], {}, null, [null, [[]]]]}),
+            ],
         ];
-        let (schema, batch) = build(&records, Some("id"));
-        let assembled = assemble_all(&schema, &batch);
-        assert_equivalent(&assembled[0], &doc!({"id": 1, "b": 2}));
-        assert_equivalent(&assembled[1], &doc!({"id": 2}));
+        for records in groups {
+            let (schema, batch) = build(&records, Some("id"));
+            let assembled = assemble_all(&schema, &batch);
+            assert_eq!(assembled.len(), records.len());
+            for (orig, back) in records.iter().zip(&assembled) {
+                assert_equivalent(orig, back);
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub enum ColumnValues {
     Double(Vec<f64>),
     /// String values.
     String(Vec<String>),
+    /// `null`s, counted: a `Null` column's levels say where they are, and
+    /// there is nothing else to store.
+    Null(usize),
 }
 
 impl ColumnValues {
@@ -42,6 +45,7 @@ impl ColumnValues {
             AtomicType::Int => ColumnValues::Int(Vec::new()),
             AtomicType::Double => ColumnValues::Double(Vec::new()),
             AtomicType::String => ColumnValues::String(Vec::new()),
+            AtomicType::Null => ColumnValues::Null(0),
         }
     }
 
@@ -52,6 +56,7 @@ impl ColumnValues {
             ColumnValues::Int(v) => v.len(),
             ColumnValues::Double(v) => v.len(),
             ColumnValues::String(v) => v.len(),
+            ColumnValues::Null(n) => *n,
         }
     }
 
@@ -67,6 +72,7 @@ impl ColumnValues {
             ColumnValues::Int(_) => AtomicType::Int,
             ColumnValues::Double(_) => AtomicType::Double,
             ColumnValues::String(_) => AtomicType::String,
+            ColumnValues::Null(_) => AtomicType::Null,
         }
     }
 
@@ -78,6 +84,7 @@ impl ColumnValues {
             (ColumnValues::Int(v), Value::Int(i)) => v.push(*i),
             (ColumnValues::Double(v), Value::Double(d)) => v.push(*d),
             (ColumnValues::String(v), Value::String(s)) => v.push(s.clone()),
+            (ColumnValues::Null(n), Value::Null) => *n += 1,
             (this, other) => panic!(
                 "column of type {:?} cannot store value of kind {:?}",
                 this.ty(),
@@ -93,13 +100,14 @@ impl ColumnValues {
             ColumnValues::Int(v) => Value::Int(v[index]),
             ColumnValues::Double(v) => Value::Double(v[index]),
             ColumnValues::String(v) => Value::String(v[index].clone()),
+            ColumnValues::Null(_) => Value::Null,
         }
     }
 
     /// [`Value::approx_size`] of the value at `index`, without building it.
     pub fn approx_size_at(&self, index: usize) -> usize {
         match self {
-            ColumnValues::Bool(_) => 1,
+            ColumnValues::Bool(_) | ColumnValues::Null(_) => 1,
             ColumnValues::Int(_) | ColumnValues::Double(_) => 8,
             ColumnValues::String(v) => 4 + v[index].len(),
         }
@@ -137,6 +145,7 @@ impl ColumnValues {
             (ColumnValues::Int(v), ColumnValues::Int(s)) => v.extend_from_slice(&s[range]),
             (ColumnValues::Double(v), ColumnValues::Double(s)) => v.extend_from_slice(&s[range]),
             (ColumnValues::String(v), ColumnValues::String(s)) => v.extend_from_slice(&s[range]),
+            (ColumnValues::Null(n), ColumnValues::Null(_)) => *n += range.len(),
             (this, other) => panic!(
                 "column of type {:?} cannot take values of type {:?}",
                 this.ty(),
@@ -153,6 +162,7 @@ impl ColumnValues {
             ColumnValues::Int(v) => v.len() * 8,
             ColumnValues::Double(v) => v.len() * 8,
             ColumnValues::String(v) => v.iter().map(|s| s.len() + 4).sum(),
+            ColumnValues::Null(_) => 0,
         }
     }
 
@@ -176,6 +186,7 @@ impl ColumnValues {
             ColumnValues::String(v) => {
                 mm(v, Ord::cmp).map(|(a, b)| (Value::String(a), Value::String(b)))
             }
+            ColumnValues::Null(n) => (*n > 0).then_some((Value::Null, Value::Null)),
         }
     }
 }
@@ -405,13 +416,6 @@ impl ColumnChunk {
         (pos, entries)
     }
 
-    /// Advance `pos` past the rest of a record whose outermost array is
-    /// present ([`ColumnChunk::rest_of_record`]).
-    #[inline]
-    pub(crate) fn skip_to_record_end(&self, pos: &mut ChunkPos) {
-        *pos = self.rest_of_record(*pos).0;
-    }
-
     /// Advance `pos` past `n` records (fewer when the chunk ends first). A
     /// non-repeated column holds one entry per record, so its definition
     /// position moves by `n` and its value position by the entries of that
@@ -558,6 +562,8 @@ impl ColumnChunk {
                     out.extend_from_slice(&bytes);
                 }
             }
+            // The count is the header's value count.
+            ColumnValues::Null(_) => out.push(Encoding::Plain.tag()),
         }
     }
 
@@ -626,6 +632,7 @@ impl ColumnChunk {
             (AtomicType::String, _, false) => {
                 strings(bytesenc::decode_adaptive(enc, buf, pos)?)?
             }
+            (AtomicType::Null, Encoding::Plain, false) => ColumnValues::Null(value_count),
             (AtomicType::String, _, true) => {
                 let len = encoding::read_count(buf, pos)?;
                 let packed = &buf[*pos..*pos + len];
@@ -739,6 +746,25 @@ mod tests {
             let back = ColumnChunk::decode(chunk.spec.clone(), &buf, &mut pos).unwrap();
             assert_eq!(&back, chunk);
         }
+    }
+
+    #[test]
+    fn null_chunks_store_levels_only() {
+        let mut chunk = ColumnChunk::new(spec(AtomicType::Null, 2));
+        for i in 0..100 {
+            chunk.defs.push(i % 3);
+            if i % 3 == 2 {
+                chunk.values.push(&Value::Null);
+            }
+        }
+        let mut buf = Vec::new();
+        chunk.encode(&mut buf);
+        let mut pos = 0;
+        let back = ColumnChunk::decode(chunk.spec.clone(), &buf, &mut pos).unwrap();
+        assert_eq!((back.values.len(), pos), (33, buf.len()));
+        assert_eq!(back, chunk);
+        assert_eq!(back.values.get(5), Value::Null);
+        assert_eq!(back.min_max(), Some((Value::Null, Value::Null)));
     }
 
     #[test]

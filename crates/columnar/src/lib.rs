@@ -13,6 +13,10 @@
 //!   different records (§3.2.2): each union branch is its own column, and
 //!   when one branch is present the sibling branches record an "absent"
 //!   definition level one below the union's level,
+//! * is **exact over the whole JSON domain**: `null` is a type (a column of
+//!   levels with no values), a container seen only empty is a column of its
+//!   own, and presence is read off the levels for objects as for arrays, so
+//!   `null`s, `[]` and `{}` come back as written,
 //! * encodes LSM **anti-matter** through the primary-key column's definition
 //!   level (0 = tombstone, 1 = record, §3.2.3).
 //!
@@ -48,6 +52,8 @@
 //! [`ColumnChunk::skip_records`], [`ColumnChunk::extend_from`]): the entries
 //! of a run of records move from one chunk of a column to another as two
 //! slice extends — the primitive behind §4.4's column-wise merge.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod assemble;
 pub mod chunk;

@@ -5,8 +5,7 @@
 //! (the leaf's zone map) and, for the size-bounded layouts, each record's
 //! logical size. [`ShapeWalker`] gets them from the definition-level streams
 //! alone: it runs the [`Assembler`](crate::Assembler)'s automaton itself —
-//! the same absent / empty / delimiter decisions, the same placeholders for
-//! array elements whose subtree is absent — with a sink that, where the
+//! the same absent / empty / delimiter decisions — with a sink that, where the
 //! assembler's sink builds a value, bumps a tally and adds up
 //! [`Value::approx_size`]. No value is read except the length of a string,
 //! and no document exists at any point.
@@ -211,11 +210,6 @@ impl Sink for Tallies<'_> {
     fn atomic(&mut self, node: NodeId, values: &ColumnValues, index: usize) -> usize {
         self.tally(node, false);
         values.approx_size_at(index)
-    }
-
-    fn null(&mut self, node: NodeId) -> usize {
-        self.tally(node, false);
-        1
     }
 
     fn field(fields: &mut usize, name: &str, size: usize) {

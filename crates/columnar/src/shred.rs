@@ -1,22 +1,25 @@
 //! The shredder: schema-driven decomposition of records into columns.
 //!
 //! The shredder walks a record and the inferred schema *together* and emits,
-//! for every atomic leaf (column), a stream of definition-level entries plus
-//! values. The walk implements the paper's extended Dremel semantics:
+//! for every column, a stream of definition-level entries plus values. The
+//! walk implements the paper's extended Dremel semantics:
 //!
 //! * a leaf whose path is fully present records its maximum definition level
-//!   and a value;
-//! * a leaf whose path is cut short (missing field, `null`, absent union
-//!   branch) records the definition level of the deepest present ancestor —
-//!   for an absent union branch that is the level *above* the union, because
-//!   union nodes are logical guides that do not count (§3.2.2);
+//!   and a value — a `null` too, on its `Null` column, which stores the
+//!   level alone;
+//! * a container seen only empty is a column of its own
+//!   ([`schema::columns_of`]): a present `[]` or `{}` records its level
+//!   there, so every present value reaches its own level on some column
+//!   beneath it;
+//! * a leaf whose path is cut short (missing field, absent union branch)
+//!   records the definition level of the deepest present ancestor — for an
+//!   absent union branch that is the level *above* the union, because union
+//!   nodes are logical guides that do not count (§3.2.2);
 //! * when a non-empty array instance at nesting depth `k` ends, a delimiter
 //!   entry with value `k` is appended to every column beneath it; if an
 //!   enclosing array ends at the same point the inner delimiter is replaced
 //!   by the outer one ("the delimiter 0 also encompasses the inner delimiter
 //!   1", §3.2.1);
-//! * `null` array elements are dropped (they carry no type and the flexible
-//!   data model gives them no column to live in);
 //! * anti-matter entries record the deleted key with definition level 0 on
 //!   the primary-key column and an "absent" entry on every other column
 //!   (§3.2.3), keeping all columns aligned record-by-record.
@@ -83,7 +86,7 @@ impl ShreddedBatch {
 /// What the walk passes down for each schema node while shredding a record.
 #[derive(Clone, Copy)]
 enum Slot<'v> {
-    /// The value at this position is present (and is not `null`).
+    /// The value at this position is present.
     Present(&'v Value),
     /// Nothing is present at or below this position; every leaf beneath
     /// records the given definition level.
@@ -104,8 +107,8 @@ struct ShredBuffers {
     columns: Vec<ColumnChunk>,
     /// Per schema node: the index (into `columns`) of the node's own column.
     index_of: Vec<Option<usize>>,
-    /// Per schema node: the indexes (into `columns`) of the atomic leaves in
-    /// its subtree. Used to broadcast absent entries and delimiters.
+    /// Per schema node: the indexes (into `columns`) of the columns at or
+    /// beneath it. Used to broadcast absent entries and delimiters.
     leaves_under: Vec<Vec<usize>>,
     /// Per column: whether the last entry appended for the current record was
     /// a delimiter (needed for the subsumption rule).
@@ -238,105 +241,80 @@ impl ShredBuffers {
         array_depth: u16,
         slot: Slot<'_>,
     ) {
-        match schema.node(node_id) {
-            SchemaNode::Atomic { ty } => {
-                let Some(idx) = self.index_of[node_id as usize] else {
-                    return;
-                };
-                let chunk = &mut self.columns[idx];
-                match slot {
-                    Slot::Present(v) if ty.matches(v) => {
-                        chunk.defs.push(chunk.spec.max_def);
-                        chunk.values.push(v);
+        let v = match slot {
+            Slot::Present(v) => v,
+            Slot::Absent(def) => return self.absent_under(node_id, def),
+        };
+        match (schema.node(node_id), v) {
+            (SchemaNode::Union { branches }, _) => {
+                let value_kind = BranchKind::of(v);
+                for (kind, child) in branches {
+                    if *kind == value_kind {
+                        self.walk(schema, *child, level, array_depth, slot);
+                    } else {
+                        // Absent branch: the level above the union, because
+                        // unions are logical guides (§3.2.2).
+                        self.absent_under(*child, level.saturating_sub(1));
                     }
-                    Slot::Present(_) => {
-                        // Type mismatch without a union: only possible when a
-                        // record not covered by the schema is shredded; treat
-                        // the value as absent at its parent's level.
-                        chunk.defs.push(level.saturating_sub(1));
-                        if chunk.spec.is_key {
-                            chunk.values.push(&Value::Int(0));
-                        }
-                    }
-                    Slot::Absent(def) => {
-                        chunk.defs.push(def);
-                        if chunk.spec.is_key {
-                            // The key column stores a value for every entry;
-                            // an absent key only arises for malformed input.
-                            chunk.values.push(&Value::Int(0));
-                        }
-                    }
-                }
-                self.last_was_delim[idx] = false;
-            }
-            SchemaNode::Object { fields } => match slot {
-                Slot::Present(Value::Object(record_fields)) => {
-                    for (name, child) in fields {
-                        let child_value = record_fields
-                            .iter()
-                            .find(|(k, _)| k == name)
-                            .map(|(_, v)| v)
-                            .filter(|v| !v.is_null());
-                        let child_slot = match child_value {
-                            Some(v) => Slot::Present(v),
-                            None => Slot::Absent(level),
-                        };
-                        self.walk(schema, *child, level + 1, array_depth, child_slot);
-                    }
-                }
-                // Kind mismatch without a union (see the Atomic case).
-                Slot::Present(_) => self.absent_under(node_id, level.saturating_sub(1)),
-                Slot::Absent(def) => self.absent_under(node_id, def),
-            },
-            SchemaNode::Array { item } => {
-                let Some(item) = *item else { return };
-                match slot {
-                    Slot::Present(Value::Array(elems)) => {
-                        // Null elements carry no type information and are dropped.
-                        let mut any = false;
-                        for elem in elems.iter().filter(|e| !e.is_null()) {
-                            any = true;
-                            self.walk(
-                                schema,
-                                item,
-                                level + 1,
-                                array_depth + 1,
-                                Slot::Present(elem),
-                            );
-                        }
-                        if any {
-                            self.emit_delimiter(node_id, array_depth);
-                        } else {
-                            // Present but empty: one entry at the array's own level.
-                            self.absent_under(node_id, level);
-                            // The outermost array always terminates its record
-                            // segment with delimiter 0 when it is present, so
-                            // that a single column's record boundary is
-                            // unambiguous (see ColumnChunk::skip_record).
-                            if array_depth == 0 {
-                                self.emit_delimiter(node_id, 0);
-                            }
-                        }
-                    }
-                    Slot::Present(_) => self.absent_under(node_id, level.saturating_sub(1)),
-                    Slot::Absent(def) => self.absent_under(node_id, def),
                 }
             }
-            SchemaNode::Union { branches } => match slot {
-                Slot::Present(v) => {
-                    let value_kind = BranchKind::of(v);
-                    for (kind, child) in branches {
-                        if Some(*kind) == value_kind {
-                            self.walk(schema, *child, level, array_depth, Slot::Present(v));
-                        } else {
-                            // Absent branch: the level above the union,
-                            // because unions are logical guides (§3.2.2).
-                            self.absent_under(*child, level.saturating_sub(1));
-                        }
+            (SchemaNode::Atomic { ty }, _) if ty.matches(v) => self.present(node_id, v),
+            (SchemaNode::Object { fields }, Value::Object(record_fields)) => {
+                // An object seen only as `{}` is a column of its own.
+                if fields.is_empty() {
+                    self.present(node_id, &Value::Null);
+                }
+                for (name, child) in fields {
+                    let child_slot = match record_fields.iter().find(|(k, _)| k == name) {
+                        Some((_, v)) => Slot::Present(v),
+                        None => Slot::Absent(level),
+                    };
+                    self.walk(schema, *child, level + 1, array_depth, child_slot);
+                }
+            }
+            // An array seen only as `[]`: its own column.
+            (SchemaNode::Array { item: None }, Value::Array(_)) => {
+                self.present(node_id, &Value::Null)
+            }
+            (SchemaNode::Array { item: Some(item) }, Value::Array(elems)) => {
+                for elem in elems {
+                    self.walk(
+                        schema,
+                        *item,
+                        level + 1,
+                        array_depth + 1,
+                        Slot::Present(elem),
+                    );
+                }
+                if !elems.is_empty() {
+                    self.emit_delimiter(node_id, array_depth);
+                } else {
+                    // Present but empty: one entry at the array's own level.
+                    self.absent_under(node_id, level);
+                    // The outermost array always terminates its record
+                    // segment with delimiter 0 when it is present, so that a
+                    // single column's record boundary is unambiguous (see
+                    // ColumnChunk::skip_record).
+                    if array_depth == 0 {
+                        self.emit_delimiter(node_id, 0);
                     }
                 }
-                Slot::Absent(def) => self.absent_under(node_id, def),
-            },
+            }
+            // A kind the schema has no place for: only possible when a record
+            // not covered by the schema is shredded; the value is recorded as
+            // absent at its parent's level.
+            _ => self.absent_under(node_id, level.saturating_sub(1)),
+        }
+    }
+
+    /// `node`'s own column, if it has one, records a present value: its
+    /// maximum level, and `value` (a container's column counts a `null`).
+    fn present(&mut self, node: NodeId, value: &Value) {
+        if let Some(idx) = self.index_of[node as usize] {
+            let chunk = &mut self.columns[idx];
+            chunk.defs.push(chunk.spec.max_def);
+            chunk.values.push(value);
+            self.last_was_delim[idx] = false;
         }
     }
 
@@ -391,20 +369,20 @@ fn collect_leaves(
     index_of: &[Option<usize>],
     out: &mut [Vec<usize>],
 ) -> Vec<usize> {
-    let leaves: Vec<usize> = match schema.node(node) {
-        SchemaNode::Atomic { .. } => index_of[node as usize].into_iter().collect(),
-        SchemaNode::Object { fields } => fields
-            .iter()
-            .flat_map(|(_, c)| collect_leaves(schema, *c, index_of, out))
-            .collect(),
-        SchemaNode::Array { item } => item
-            .map(|c| collect_leaves(schema, c, index_of, out))
-            .unwrap_or_default(),
-        SchemaNode::Union { branches } => branches
-            .iter()
-            .flat_map(|(_, c)| collect_leaves(schema, *c, index_of, out))
-            .collect(),
+    let children: Vec<NodeId> = match schema.node(node) {
+        SchemaNode::Atomic { .. } => Vec::new(),
+        SchemaNode::Object { fields } => fields.iter().map(|(_, c)| *c).collect(),
+        SchemaNode::Array { item } => item.iter().copied().collect(),
+        SchemaNode::Union { branches } => branches.iter().map(|(_, c)| *c).collect(),
     };
+    let leaves: Vec<usize> = index_of[node as usize]
+        .into_iter()
+        .chain(
+            children
+                .into_iter()
+                .flat_map(|child| collect_leaves(schema, child, index_of, out)),
+        )
+        .collect();
     out[node as usize] = leaves.clone();
     leaves
 }
@@ -615,16 +593,25 @@ mod tests {
     }
 
     #[test]
-    fn null_array_elements_are_dropped() {
-        let records = vec![doc!({"id": 1, "xs": [1, null, 2]}), doc!({"id": 2, "xs": [null]})];
+    fn nulls_and_empty_containers_are_recorded() {
+        let records = vec![
+            doc!({"id": 1, "xs": [1, null, 2], "o": {}}),
+            doc!({"id": 2, "xs": [null]}),
+        ];
         let mut b = SchemaBuilder::new(Some("id".to_string()));
         b.observe_all(records.iter());
         let schema = b.into_schema();
         let batch = shred_records(&schema, &records);
-        let xs = chunk_by_path(&batch, "xs[*]");
-        // Record 1: 2 values then delimiter; record 2: all elements null ->
-        // behaves like an empty array (def 1 followed by the terminator).
-        assert_eq!(xs.defs, vec![2, 2, 0, 1, 0]);
+        // The null elements are the `null` branch's; each branch records the
+        // level above the union (the array's, 1) where the other is present.
+        let ints = chunk_by_path(&batch, "xs[*]<int>");
+        assert_eq!(ints.defs, vec![2, 1, 2, 0, 1, 0]);
+        let nulls = chunk_by_path(&batch, "xs[*]<null>");
+        assert_eq!(nulls.defs, vec![1, 2, 1, 0, 2, 0]);
+        assert_eq!(nulls.values, crate::chunk::ColumnValues::Null(2));
+        // `{}` is its own column: present at its level, then absent.
+        let o = chunk_by_path(&batch, "o");
+        assert_eq!(o.defs, vec![1, 0]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property-based tests: shredding then assembling arbitrary "clean"
-//! documents is the identity (up to object field order), encoded chunks
+//! Property-based tests: shredding then assembling arbitrary documents —
+//! `null`, `[]` and `{}` at every depth, arrays of arrays and of mixed items
+//! — is the identity (up to object field order), encoded chunks
 //! round-trip byte-exactly, the assembly automaton's two sinks — the
 //! documents and the shape tallies — describe the same records, a column
 //! walk's span over a run of records is its records' inputs joined, and a
@@ -14,12 +15,12 @@ use columnar::{
 use docmodel::{PathStep, Value};
 use proptest::prelude::*;
 use schema::{AtomicType, ColumnSpec, SchemaBuilder};
-use testkit::{arb_clean_value, arb_entry, object};
+use testkit::{arb_entry, arb_value, object, sort_fields};
 
 fn arb_record() -> impl Strategy<Value = Value> {
     (
         1i64..1_000_000,
-        prop::collection::vec(("[a-e]{1,3}", arb_clean_value(3)), 0..5),
+        prop::collection::vec(("[a-e]{1,3}", arb_value(3)), 0..5),
     )
         .prop_map(|(id, fields)| {
             object(std::iter::once(("id".to_string(), Value::Int(id))).chain(fields))
@@ -126,21 +127,32 @@ fn shred_entries(entries: Vec<Option<Value>>) -> (schema::Schema, Vec<Arc<Column
 /// The projections the assembly tests run under, each the columns of some
 /// paths' whole subtrees (as a query projects), plus the key column: every
 /// column; the root fields `a` and `c`; and every field but those named `b`
-/// at any depth, which leaves array elements that only had a `b` to
-/// assemble as placeholders.
+/// at any depth, which leaves objects that only had a `b` empty. Each is
+/// widened over unions of array items, as a component widens a query's.
 const PROJECTIONS: [&str; 3] = ["all", "a and c", "no field b"];
 
-fn projected(chunks: &[Arc<ColumnChunk>], projection: &str) -> Vec<Arc<ColumnChunk>> {
-    chunks
+fn projected(
+    schema: &schema::Schema,
+    chunks: &[Arc<ColumnChunk>],
+    projection: &str,
+) -> Vec<Arc<ColumnChunk>> {
+    let mut ids: Vec<_> = chunks
         .iter()
-        .filter(|c| {
-            c.spec.is_key
+        .map(|c| &c.spec)
+        .filter(|spec| {
+            spec.is_key
                 || match projection {
-                    "a and c" => c.spec.path.to_string().starts_with(['a', 'c']),
-                    "no field b" => !c.spec.path.steps().contains(&PathStep::Field("b".into())),
+                    "a and c" => spec.path.to_string().starts_with(['a', 'c']),
+                    "no field b" => !spec.path.steps().contains(&PathStep::Field("b".into())),
                     _ => true,
                 }
         })
+        .map(|spec| spec.id)
+        .collect();
+    schema::widen_over_union_items(schema, chunks.iter().map(|c| c.spec.id), &mut ids);
+    chunks
+        .iter()
+        .filter(|c| ids.contains(&c.spec.id))
         .cloned()
         .collect()
 }
@@ -187,26 +199,11 @@ fn document_tallies(docs: &[Value]) -> BTreeMap<String, (u64, u64, bool)> {
     tallies
 }
 
-fn sort_fields(v: &Value) -> Value {
-    match v {
-        Value::Object(fields) => {
-            let mut fs: Vec<(String, Value)> = fields
-                .iter()
-                .map(|(k, v)| (k.clone(), sort_fields(v)))
-                .collect();
-            fs.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(fs)
-        }
-        Value::Array(elems) => Value::Array(elems.iter().map(sort_fields).collect()),
-        other => other.clone(),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn shred_assemble_is_identity_on_clean_documents(records in prop::collection::vec(arb_record(), 1..12)) {
+    fn shred_assemble_is_identity(records in prop::collection::vec(arb_record(), 1..12)) {
         let mut builder = SchemaBuilder::new(Some("id".to_string()));
         builder.observe_all(records.iter());
         let schema = builder.into_schema();
@@ -276,7 +273,7 @@ proptest! {
         let (schema, chunks, n) = shred_entries(entries);
 
         for projection in PROJECTIONS {
-            let chunks = projected(&chunks, projection);
+            let chunks = projected(&schema, &chunks, projection);
             let assembler = || {
                 let cursors = chunks.iter().map(|c| ColumnCursor::new(c.clone())).collect();
                 Assembler::new(&schema, cursors, n)
@@ -314,18 +311,18 @@ proptest! {
         }
     }
 
-    // The automaton's two sinks agree: over unions, nulls and anti-matter,
-    // all columns and a projection, from every start ordinal, the shape
-    // walk's size of each record is the `approx_size` of the record the
-    // assembler builds, and its per-path tallies are those of a walk of the
-    // assembled documents.
+    // The automaton's two sinks agree: over unions, nulls, empty containers
+    // and anti-matter, all columns and a projection, from every start
+    // ordinal, the shape walk's size of each record is the `approx_size` of
+    // the record the assembler builds, and its per-path tallies are those of
+    // a walk of the assembled documents.
     #[test]
     fn shape_walk_describes_the_assembled_records(
         entries in prop::collection::vec(arb_entry(), 1..64),
     ) {
         let (schema, chunks, n) = shred_entries(entries);
         for projection in PROJECTIONS {
-            let chunks = projected(&chunks, projection);
+            let chunks = projected(&schema, &chunks, projection);
             let ids: Vec<_> = chunks.iter().map(|c| c.spec.id).collect();
             let plan = ShapePlan::new(&schema, &ids);
             let cursors = chunks.iter().map(|c| ColumnCursor::new(c.clone())).collect();

@@ -35,6 +35,8 @@
 //! writers can reuse temporary buffers across pages, and every decoder reads
 //! from a byte slice without copying the payload.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod bitpack;
 pub mod bytesenc;
 pub mod compress;

@@ -77,6 +77,8 @@
 //! window deterministically — including while background workers and writer
 //! threads are active.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod manifest;
 pub mod wal;
 

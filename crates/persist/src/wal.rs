@@ -49,10 +49,14 @@
 //! ## Torn writes
 //!
 //! A crash can leave a partial frame at the tail of a segment. Replay stops
-//! at the first frame whose length or CRC does not check out, *truncates the
-//! segment back to the last good frame boundary*, and reports the records
-//! read so far — everything before a corrupt frame was acknowledged and must
-//! survive; everything from the torn frame on was never acknowledged.
+//! at the first frame whose length or CRC does not check out. When no whole
+//! frame follows it in the newest segment, it is a torn tail: replay
+//! *truncates the segment back to the last good frame boundary* and reports
+//! the records read so far — everything before it was acknowledged and
+//! must survive; everything from the torn frame on was never acknowledged.
+//! A bad frame with a whole frame after it, or a bad frame in an older
+//! segment, is damage to acknowledged history (a flipped bit, not a crash):
+//! [`Wal::open`] returns an error and leaves the segment as it found it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -159,28 +163,35 @@ pub struct Wal {
     pending: Vec<u8>,
 }
 
+/// The whole frame at byte `pos` of a segment — its body present, its CRC
+/// checked and its record decoded — and where it ends.
+fn frame_at(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
+    let header = bytes.get(pos..pos.checked_add(8)?)?;
+    let (len, crc) = header.split_at(4);
+    let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
+    let end = (pos + 8).checked_add(len)?;
+    let payload = bytes.get(pos + 8..end)?;
+    if crc32(payload) != u32::from_le_bytes(crc.try_into().ok()?) {
+        return None;
+    }
+    Some((WalRecord::decode(payload).ok()?, end))
+}
+
 /// Parse the valid frame prefix of one segment's bytes. Returns the decoded
 /// records and the byte offset of the last good frame boundary.
 fn parse_frames(bytes: &[u8], records: &mut Vec<WalRecord>) -> usize {
-    let mut pos = 0usize;
-    let mut good_end = 0usize;
-    while bytes.len() - pos >= 8 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let expected_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            break; // torn tail: frame body missing
-        };
-        if crc32(payload) != expected_crc {
-            break; // torn or corrupt frame
-        }
-        let Ok(record) = WalRecord::decode(payload) else {
-            break; // CRC passed but the payload does not parse: stop here
-        };
+    let mut pos = 0;
+    while let Some((record, end)) = frame_at(bytes, pos) {
         records.push(record);
-        pos += 8 + len;
-        good_end = pos;
+        pos = end;
     }
-    good_end
+    pos
+}
+
+/// Whether a whole frame starts anywhere after the bad frame at `bad`: then
+/// the bad frame is damage to acknowledged history, not a torn tail.
+fn frame_follows(bytes: &[u8], bad: usize) -> bool {
+    (bad + 1..bytes.len()).any(|pos| frame_at(bytes, pos).is_some())
 }
 
 impl Wal {
@@ -208,12 +219,13 @@ impl Wal {
             let bytes = std::fs::read(&path)
                 .map_err(|e| PersistError::new(format!("read WAL {}: {e}", path.display())))?;
             let good_end = parse_frames(&bytes, &mut records);
-            if good_end < bytes.len() && i + 1 < ids.len() {
+            if good_end < bytes.len() && (i + 1 < ids.len() || frame_follows(&bytes, good_end)) {
                 // A torn frame is only expected at the tail of the *newest*
-                // segment (a crash mid-append). Mid-log corruption means the
-                // acknowledged history is damaged — refuse to guess.
+                // segment (a crash mid-append), with nothing whole after it.
+                // Otherwise the acknowledged history is damaged — refuse to
+                // guess, and leave the segment as it is.
                 return Err(PersistError::new(format!(
-                    "WAL segment {} is corrupt before the newest segment",
+                    "WAL segment {} is corrupt at byte {good_end}, before acknowledged frames",
                     path.display()
                 )));
             }
@@ -528,15 +540,46 @@ mod tests {
                 log(&mut wal, r);
             }
         }
-        // Flip a byte inside the second frame's payload.
+        // Flip a byte inside the last frame's payload: nothing whole
+        // follows it, so it reads as a torn tail.
         let path = dir.join(segment_file_name(0));
         let mut bytes = std::fs::read(&path).unwrap();
-        let first_frame_len = 8 + u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        bytes[first_frame_len + 10] ^= 0xFF;
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
         let (_, replayed) = Wal::open(&dir).unwrap();
-        assert_eq!(replayed.records, records[..1].to_vec());
+        assert_eq!(replayed.records, records[..2].to_vec());
+        assert!(replayed.torn_tail_healed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One flipped bit in an acknowledged frame of the newest segment, with
+    /// acknowledged frames after it: not a torn tail. Opening refuses, and
+    /// truncates nothing.
+    #[test]
+    fn a_rotted_frame_is_not_a_torn_tail() {
+        let dir = temp_dir("rot");
+        {
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            for i in 0..10 {
+                wal.append_insert(&Value::Int(i), &doc!({"id": i, "v": "payload"}))
+                    .unwrap();
+            }
+            wal.sync().unwrap();
+        }
+        let path = dir.join(segment_file_name(0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8 + 3] ^= 0x04; // frame 0's payload
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = Wal::open(&dir).err().expect("a rotted frame is an error");
+        assert!(err.message.contains("corrupt"), "{err}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "the segment is untouched"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -313,6 +313,9 @@ impl Kernel {
             |from: NodeId, path: &Path| -> std::result::Result<(NodeId, AtomicType), String> {
                 let node = plain_node(schema, from, path)?;
                 match schema.node(node) {
+                    SchemaNode::Atomic {
+                        ty: AtomicType::Null,
+                    } => Err(format!("only nulls at `{path}`")),
                     SchemaNode::Atomic { ty } => Ok((node, *ty)),
                     SchemaNode::Union { .. } => Err(format!("union at `{path}`")),
                     _ => Err(format!("`{path}` is not a scalar column")),
@@ -505,7 +508,9 @@ impl RawKey {
             ColumnValues::Int(v) => (AtomicType::Int, v[index] as u64),
             ColumnValues::Double(v) => (AtomicType::Double, v[index].to_bits()),
             ColumnValues::Bool(v) => (AtomicType::Bool, u64::from(v[index])),
-            ColumnValues::String(_) => unreachable!("string group keys take the assembled lane"),
+            ColumnValues::String(_) | ColumnValues::Null(_) => {
+                unreachable!("string and null group keys take the assembled lane")
+            }
         };
         RawKey { ty, bits }
     }
@@ -515,7 +520,9 @@ impl RawKey {
             AtomicType::Int => Value::Int(self.bits as i64),
             AtomicType::Double => Value::Double(f64::from_bits(self.bits)),
             AtomicType::Bool => Value::Bool(self.bits != 0),
-            AtomicType::String => unreachable!("string group keys take the assembled lane"),
+            AtomicType::String | AtomicType::Null => {
+                unreachable!("string and null group keys take the assembled lane")
+            }
         }
     }
 }

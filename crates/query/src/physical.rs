@@ -1119,9 +1119,9 @@ impl AggState {
                             self.fold(Input::Str(top));
                         }
                     }
-                    ColumnValues::Bool(v) => {
-                        for &b in &v[range] {
-                            self.fold(Input::Other(&Value::Bool(b)));
+                    ColumnValues::Bool(_) | ColumnValues::Null(_) => {
+                        for i in range {
+                            self.fold(Input::Other(&values.get(i)));
                         }
                     }
                 }
@@ -1131,8 +1131,8 @@ impl AggState {
                 ColumnValues::Double(v) => {
                     v[range].iter().for_each(|&d| self.fold(Input::Double(d)))
                 }
-                // Strings and booleans are not summed.
-                ColumnValues::String(_) | ColumnValues::Bool(_) => {}
+                // Strings, booleans and nulls are not summed.
+                ColumnValues::String(_) | ColumnValues::Bool(_) | ColumnValues::Null(_) => {}
             },
             AggState::MaxLength(_) => {
                 if let ColumnValues::String(v) = values {

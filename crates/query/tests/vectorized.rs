@@ -1,14 +1,16 @@
 //! The compiled engine's column kernels. Folding aggregates straight off
 //! decoded column chunks is a pure *performance* decision — it may never
 //! change an answer. The lifecycle differential (`lifecycle.rs`) holds every
-//! execution to the batch oracle over generated histories that leave the
-//! clean fragment on purpose. Pinned here, each through every execution
-//! ([`every_execution_agrees`]: kernels, the forced-assembled lane and the
-//! interpreted engine, bit for bit):
+//! execution to the batch oracle and the model over generated histories.
+//! Pinned here, each through every execution ([`every_execution_agrees`]:
+//! kernels, the forced-assembled lane and the interpreted engine, bit for
+//! bit):
 //!
 //! * answers that must not depend on where the data lies: the engines fold
-//!   in different orders and a merge moves records between leaves, so double
-//!   sums are exact and `7` / `7.0` ties go to the integer
+//!   in different orders, a merge moves records between leaves and every
+//!   layout stores the same documents (`null`s and empty arrays included),
+//!   so double sums are exact, `7` / `7.0` ties go to the integer, and VB,
+//!   APAX and AMAX answer alike
 //!   (`answers_do_not_depend_on_the_physical_layout`);
 //! * the lane and the I/O contract: a clean `sensors`-shaped tree runs on
 //!   kernels alone and assembles **zero** records; an unnest-`MAX` over AMAX
@@ -20,10 +22,6 @@
 //!   `NaN`/`-0.0`/`0.0` in one `MAX`/`MIN` slice, a double `SUM` exact only
 //!   when summed exactly, `COUNT(*)` under `UNNEST` over elements without the
 //!   field, and `7`/`7.0` as group keys in two components.
-//!
-//! Layouts are not compared with each other: outside the clean fragment
-//! columnar storage legitimately differs from row storage (`null`s and
-//! never-materialised empty arrays are not stored).
 
 use docmodel::{doc, Path, Value};
 use lsm::LsmDataset;
@@ -43,7 +41,7 @@ fn small_dataset(name: &str, layout: LayoutKind) -> LsmDataset {
 /// records between leaves, so double sums must be exact and ties between
 /// `7` and `7.0` — as `MAX`/`MIN` and as group keys — must not go to
 /// whichever came first. Checked bit for bit over three components plus a
-/// memtable, and again after a full merge.
+/// memtable, again after a full merge, and across the layouts.
 ///
 /// The group keys also probe the kernels' raw-bits group table. The first
 /// component's `grp` column holds doubles only — `0.0`, `-0.0` and a NaN
@@ -68,8 +66,13 @@ fn answers_do_not_depend_on_the_physical_layout() {
         };
         // Magnitudes from 1e-3 to 1e9, so every running sum rounds.
         let wide = (id * 37 % 101) as f64 / 10.0 * 10f64.powi((id % 5) as i32 * 3 - 3);
+        // Empty arrays, and (after the first, all-doubles round) `null`s.
+        let temp = |j: i64| match round > 0 && (id + j) % 11 == 0 {
+            true => Value::Null,
+            false => Value::Double(((id * 7 + j * 13 + round) % 997) as f64 / 10.0),
+        };
         let readings: Vec<Value> = (0..(id % 4))
-            .map(|j| doc!({"seq": j, "temp": (((id * 7 + j * 13 + round) % 997) as f64 / 10.0)}))
+            .map(|j| doc!({"seq": j, "temp": (temp(j))}))
             .collect();
         doc!({
             "id": id,
@@ -95,6 +98,7 @@ fn answers_do_not_depend_on_the_physical_layout() {
             .group_by("grp"),
         Query::select([Aggregate::Sum(Path::parse("wide"))]).with_filter(Expr::le("grp", 2)),
     ];
+    let mut by_layout = Vec::new();
     for layout in [LayoutKind::Vb, LayoutKind::Apax, LayoutKind::Amax] {
         let ds = small_dataset("vectorized-layout-free", layout);
         for id in 0..150 {
@@ -155,7 +159,12 @@ fn answers_do_not_depend_on_the_physical_layout() {
         let merged: Vec<String> = answers(&ds).iter().map(|rows| bits(rows)).collect();
         let before: Vec<String> = spread.iter().map(|rows| bits(rows)).collect();
         assert_eq!(merged, before, "{layout:?}: a merge moved an answer");
+        by_layout.push(merged);
     }
+    assert!(
+        by_layout.windows(2).all(|w| w[0] == w[1]),
+        "the layouts answer differently: {by_layout:?}"
+    );
 }
 
 /// A boolean group key through the kernels' raw-bits table: two components
@@ -192,7 +201,7 @@ fn boolean_group_keys_take_the_kernels() {
     }
 }
 
-/// A `sensors`-shaped tree in the clean fragment: three components with
+/// A `sensors`-shaped tree, one type per path: three components with
 /// shadowed versions and a delete, nothing left in the memtable.
 fn clean_sensors(layout: LayoutKind) -> LsmDataset {
     let ds = LsmDataset::new(leafy_config("vectorized-sensors", layout, 1024, 256));

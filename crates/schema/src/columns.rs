@@ -1,11 +1,13 @@
 //! Flattening the schema tree into per-column metadata.
 //!
-//! Every atomic leaf of the schema is one column of the extended Dremel
+//! Every node that [owns a column](Schema::owns_column) — an atomic leaf,
+//! or a container seen only empty — is one column of the extended Dremel
 //! format. The shredder, the page writers (APAX minipages / AMAX megapages)
 //! and the readers need, per column:
 //!
-//! * a stable identifier ([`ColumnId`] — the leaf's `NodeId`),
-//! * the value type (which picks the encoder/decoder),
+//! * a stable identifier ([`ColumnId`] — the node's `NodeId`),
+//! * the value type (which picks the encoder/decoder; `Null` for a column
+//!   of levels only),
 //! * the column's *maximum definition level*,
 //! * the definition levels of its enclosing array nodes (which determine the
 //!   delimiter values, §3.2.1), and
@@ -16,21 +18,21 @@ use crate::node::{NodeId, Schema, SchemaNode};
 use crate::types::AtomicType;
 use docmodel::Path;
 
-/// Identifier of a column: the `NodeId` of its atomic leaf. Stable across
-/// schema evolution.
+/// Identifier of a column: the `NodeId` of the node that owns it. Stable
+/// across schema evolution.
 pub type ColumnId = NodeId;
 
 /// Metadata of one column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSpec {
-    /// Stable identifier (the leaf node id).
+    /// Stable identifier (the owning node's id).
     pub id: ColumnId,
-    /// Path from the record root to the leaf, including `[*]` and union
+    /// Path from the record root to the node, including `[*]` and union
     /// steps, e.g. `games[*].consoles[*]` or `name<string>`.
     pub path: Path,
-    /// Value type.
+    /// Value type; `Null` for a container's column, which stores no values.
     pub ty: AtomicType,
-    /// Maximum definition level: the leaf's level (number of field and
+    /// Maximum definition level: the node's level (number of field and
     /// array-item steps from the root). For the primary-key column this is 1
     /// and the level means record (1) vs anti-matter (0).
     pub max_def: u16,
@@ -68,23 +70,62 @@ fn encoding_bit_width(max: u16) -> u32 {
 }
 
 /// Extract the columns of `schema` in a deterministic order: the primary-key
-/// column first (if declared and observed), then the remaining leaves in
-/// depth-first, first-observation order.
+/// column first (if declared and observed), then the remaining columns in
+/// depth-first, first-observation order. These are the columns a component
+/// written under `schema` holds.
 pub fn columns_of(schema: &Schema) -> Vec<ColumnSpec> {
-    let mut out = Vec::with_capacity(schema.column_count());
-    let key_field = schema.key_field().map(str::to_string);
-    walk(
-        schema,
-        schema.root(),
-        &Path::root(),
-        0,
-        &mut Vec::new(),
-        key_field.as_deref(),
-        &mut out,
-    );
-    // Stable sort: key column first, everything else keeps DFS order.
-    out.sort_by_key(|c| !c.is_key as u8);
-    out
+    Walk::run(schema, false)
+}
+
+/// [`columns_of`], plus the column of every container that has gained
+/// children: a component written while the container was seen only empty
+/// holds it, and is read under the newer schema. Readers decode with these
+/// specs; writers write [`columns_of`].
+pub fn readable_columns(schema: &Schema) -> Vec<ColumnSpec> {
+    Walk::run(schema, true)
+}
+
+/// Widen a projection so that assembly tells every array's elements from
+/// its emptiness: where `columns` holds a column beneath a union that is an
+/// array's item, it gains every column of `readable` beneath that union.
+/// (Where one branch of such a union is present, the others record the
+/// array's own level; a projection that left the present branch out would
+/// read the element as the array's empty marker.)
+pub fn widen_over_union_items(
+    schema: &Schema,
+    readable: impl Iterator<Item = ColumnId> + Clone,
+    columns: &mut Vec<ColumnId>,
+) {
+    fn subtree(schema: &Schema, id: NodeId, out: &mut Vec<NodeId>) {
+        out.push(id);
+        match schema.node(id) {
+            SchemaNode::Object { fields } => {
+                fields.iter().for_each(|(_, c)| subtree(schema, *c, out));
+            }
+            SchemaNode::Array { item } => item.iter().for_each(|c| subtree(schema, *c, out)),
+            SchemaNode::Union { branches } => {
+                branches.iter().for_each(|(_, c)| subtree(schema, *c, out));
+            }
+            SchemaNode::Atomic { .. } => {}
+        }
+    }
+    for (_, node) in schema.iter() {
+        let SchemaNode::Array { item: Some(item) } = node else {
+            continue;
+        };
+        if !matches!(schema.node(*item), SchemaNode::Union { .. }) {
+            continue;
+        }
+        let mut beneath = Vec::new();
+        subtree(schema, *item, &mut beneath);
+        if columns.iter().any(|c| beneath.contains(c)) {
+            for column in readable.clone() {
+                if beneath.contains(&column) && !columns.contains(&column) {
+                    columns.push(column);
+                }
+            }
+        }
+    }
 }
 
 /// Find the primary-key column, if the schema has observed it.
@@ -92,100 +133,93 @@ pub fn key_column(schema: &Schema) -> Option<ColumnSpec> {
     columns_of(schema).into_iter().find(|c| c.is_key)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    schema: &Schema,
-    id: NodeId,
-    path: &Path,
-    level: u16,
-    array_levels: &mut Vec<u16>,
-    key_field: Option<&str>,
-    out: &mut Vec<ColumnSpec>,
-) {
-    match schema.node(id) {
-        SchemaNode::Object { fields } => {
+/// The depth-first walk behind [`columns_of`] and [`readable_columns`].
+struct Walk<'s> {
+    schema: &'s Schema,
+    /// Emit a column for containers with children too.
+    every_container: bool,
+    array_levels: Vec<u16>,
+    out: Vec<ColumnSpec>,
+}
+
+impl Walk<'_> {
+    fn run(schema: &Schema, every_container: bool) -> Vec<ColumnSpec> {
+        let mut walk = Walk {
+            schema,
+            every_container,
+            array_levels: Vec::new(),
+            out: Vec::with_capacity(schema.column_count()),
+        };
+        let root = schema.root();
+        if let SchemaNode::Object { fields } = schema.node(root) {
             for (name, child) in fields {
-                let child_path = path.child(name);
-                let is_key_field =
-                    level == 0 && key_field.is_some_and(|k| k == name.as_str());
-                walk_child(
-                    schema,
-                    *child,
-                    &child_path,
-                    level + 1,
-                    array_levels,
-                    key_field,
-                    is_key_field,
-                    out,
-                );
+                let path = Path::root().child(name);
+                // The primary key must be an atomic root field; its
+                // definition level encodes anti-matter (0) vs record (1),
+                // per §3.2.3.
+                match schema.node(*child) {
+                    SchemaNode::Atomic { ty } if schema.key_field() == Some(name.as_str()) => {
+                        walk.out.insert(
+                            0,
+                            ColumnSpec {
+                                id: *child,
+                                path,
+                                ty: *ty,
+                                max_def: 1,
+                                array_levels: Vec::new(),
+                                is_key: true,
+                            },
+                        );
+                    }
+                    _ => walk.node(*child, &path, 1),
+                }
             }
         }
-        SchemaNode::Array { item } => {
-            if let Some(item) = item {
-                array_levels.push(level);
-                let child_path = path.elements();
-                walk_child(
-                    schema,
-                    *item,
-                    &child_path,
-                    level + 1,
-                    array_levels,
-                    key_field,
-                    false,
-                    out,
-                );
-                array_levels.pop();
-            }
-        }
-        SchemaNode::Union { branches } => {
-            for (kind, child) in branches {
-                let child_path = path.union_branch(kind.name());
-                // Union steps do not change the level or the array stack.
-                walk_child(
-                    schema, *child, &child_path, level, array_levels, key_field, false, out,
-                );
-            }
-        }
-        SchemaNode::Atomic { ty } => {
-            out.push(ColumnSpec {
+        walk.out
+    }
+
+    fn node(&mut self, id: NodeId, path: &Path, level: u16) {
+        if self.schema.owns_column(id) || self.every_container && self.is_container(id) {
+            let ty = match self.schema.node(id) {
+                SchemaNode::Atomic { ty } => *ty,
+                _ => AtomicType::Null,
+            };
+            self.out.push(ColumnSpec {
                 id,
                 path: path.clone(),
-                ty: *ty,
+                ty,
                 max_def: level,
-                array_levels: array_levels.clone(),
+                array_levels: self.array_levels.clone(),
                 is_key: false,
             });
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk_child(
-    schema: &Schema,
-    id: NodeId,
-    path: &Path,
-    level: u16,
-    array_levels: &mut Vec<u16>,
-    key_field: Option<&str>,
-    is_key_field: bool,
-    out: &mut Vec<ColumnSpec>,
-) {
-    if is_key_field {
-        // The primary key must be an atomic root field; its definition level
-        // encodes anti-matter (0) vs record (1), per §3.2.3.
-        if let SchemaNode::Atomic { ty } = schema.node(id) {
-            out.push(ColumnSpec {
-                id,
-                path: path.clone(),
-                ty: *ty,
-                max_def: 1,
-                array_levels: Vec::new(),
-                is_key: true,
-            });
-            return;
+        match self.schema.node(id) {
+            SchemaNode::Object { fields } => {
+                for (name, child) in fields {
+                    self.node(*child, &path.child(name), level + 1);
+                }
+            }
+            SchemaNode::Array { item: Some(item) } => {
+                self.array_levels.push(level);
+                self.node(*item, &path.elements(), level + 1);
+                self.array_levels.pop();
+            }
+            SchemaNode::Union { branches } => {
+                for (kind, child) in branches {
+                    // Union steps do not change the level or the array stack.
+                    self.node(*child, &path.union_branch(kind.name()), level);
+                }
+            }
+            SchemaNode::Array { item: None } | SchemaNode::Atomic { .. } => {}
         }
     }
-    walk(schema, id, path, level, array_levels, key_field, out);
+
+    fn is_container(&self, id: NodeId) -> bool {
+        matches!(
+            self.schema.node(id),
+            SchemaNode::Object { .. } | SchemaNode::Array { .. }
+        )
+    }
 }
 
 #[cfg(test)]
@@ -300,6 +334,53 @@ mod tests {
         for c in &cols {
             assert!(c.def_bit_width() >= 1 && c.def_bit_width() <= 3);
         }
+    }
+
+    #[test]
+    fn containers_seen_only_empty_are_columns() {
+        let mut b = SchemaBuilder::new(Some("id".to_string()));
+        b.observe(&doc!({"id": 1, "tags": [], "o": {}, "n": null, "a": [[]]}));
+        let cols = columns_of(b.schema());
+        let by_path: std::collections::HashMap<String, &ColumnSpec> =
+            cols.iter().map(|c| (c.path.to_string(), c)).collect();
+        assert_eq!(cols.len(), 5);
+        for path in ["tags", "o", "n"] {
+            let spec = by_path[path];
+            assert_eq!((spec.ty, spec.max_def), (AtomicType::Null, 1), "{path}");
+            assert!(!spec.is_repeated());
+        }
+        let inner = by_path["a[*]"];
+        assert_eq!((inner.ty, inner.max_def), (AtomicType::Null, 2));
+        assert_eq!(inner.array_levels, vec![1]);
+
+        // Once `tags` has items, new components stop writing its column;
+        // readers still know it.
+        let tags = by_path["tags"].clone();
+        b.observe(&doc!({"id": 2, "tags": ["x"]}));
+        assert!(columns_of(b.schema()).iter().all(|c| c.id != tags.id));
+        let readable = readable_columns(b.schema());
+        assert_eq!(readable.iter().find(|c| c.id == tags.id), Some(&tags));
+        assert!(readable.iter().any(|c| c.path.to_string() == "tags[*]"));
+    }
+
+    #[test]
+    fn projections_widen_over_union_items() {
+        let mut b = SchemaBuilder::new(Some("id".to_string()));
+        b.observe(&doc!({"id": 1, "d": [{"a": 1}, 5, [true]], "o": {"u": [{"a": 1}]}}));
+        let schema = b.into_schema();
+        let cols = columns_of(&schema);
+        let id = |path: &str| cols.iter().find(|c| c.path.to_string() == path).unwrap().id;
+        let readable = cols.iter().map(|c| c.id);
+        let mut columns = vec![id("d[*]<object>.a")];
+        widen_over_union_items(&schema, readable.clone(), &mut columns);
+        columns.sort_unstable();
+        let mut whole = vec![id("d[*]<object>.a"), id("d[*]<int>"), id("d[*]<array>[*]")];
+        whole.sort_unstable();
+        assert_eq!(columns, whole);
+        // No union of items beneath: nothing to widen.
+        let mut columns = vec![id("o.u[*].a")];
+        widen_over_union_items(&schema, readable, &mut columns);
+        assert_eq!(columns, vec![id("o.u[*].a")]);
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! child — and every column below it — keeps its [`NodeId`], so columns that
 //! were already written in earlier flushes remain addressable without
 //! rewriting their definition levels (§3.2.2 of the paper).
+//!
+//! Nothing a record holds is skipped: `null` is an atomic type, so a field
+//! or an array element seen as `null` creates (or joins, through a union) a
+//! `Null` branch, and an empty array or object creates its node with no
+//! children yet. The tuple-compaction paper (arXiv 1910.08185) keeps the
+//! same facts about a field seen only empty or `null`: its node is there,
+//! and a later sighting promotes it through the union path above.
 
 use crate::node::{BranchKind, NodeId, Schema, SchemaNode};
 use docmodel::Value;
@@ -72,10 +79,6 @@ impl SchemaBuilder {
     }
 
     fn observe_field(&mut self, object: NodeId, name: &str, value: &Value) {
-        if value.is_null() {
-            // Nulls carry no type information; the field is not created.
-            return;
-        }
         match self.schema.object_field(object, name) {
             Some(child) => {
                 let resolved = self.observe_value(child, value);
@@ -102,9 +105,7 @@ impl SchemaBuilder {
     /// should now occupy this position: `id` itself, or a newly created union
     /// node when the types conflict.
     fn observe_value(&mut self, id: NodeId, value: &Value) -> NodeId {
-        let Some(value_kind) = BranchKind::of(value) else {
-            return id; // null: nothing to record
-        };
+        let value_kind = BranchKind::of(value);
         let node_kind = match self.schema.node(id) {
             SchemaNode::Union { .. } => None,
             node => Some(node.branch_kind()),
@@ -158,9 +159,6 @@ impl SchemaBuilder {
             }
             Value::Array(elems) => {
                 for elem in elems {
-                    if elem.is_null() {
-                        continue;
-                    }
                     let item = match self.schema.node(id) {
                         SchemaNode::Array { item } => *item,
                         _ => unreachable!("populate(array) on non-array node"),
@@ -190,8 +188,7 @@ impl SchemaBuilder {
     }
 
     fn create_node_for(&mut self, value: &Value) -> NodeId {
-        let kind = BranchKind::of(value).expect("create_node_for on null");
-        self.schema.push(Self::empty_node_of(kind))
+        self.schema.push(Self::empty_node_of(BranchKind::of(value)))
     }
 
     fn empty_node_of(kind: BranchKind) -> SchemaNode {
@@ -235,10 +232,41 @@ mod tests {
         let mut b = SchemaBuilder::new(None);
         b.observe(&doc!({"a": 1}));
         b.observe(&doc!({"b": "x"}));
-        b.observe(&doc!({"c": null}));
         let s = b.schema();
         assert_eq!(s.column_count(), 2);
         assert!(s.resolve_path(&Path::parse("c")).is_none());
+    }
+
+    #[test]
+    fn nulls_and_empty_containers_create_columns() {
+        let mut b = SchemaBuilder::new(None);
+        b.observe(&doc!({"c": null, "t": [], "o": {}, "xs": [null]}));
+        let s = b.schema();
+        assert_eq!(s.column_count(), 4);
+        let c = s.resolve_path(&Path::parse("c")).unwrap();
+        assert!(matches!(
+            s.node(c),
+            SchemaNode::Atomic {
+                ty: AtomicType::Null
+            }
+        ));
+        let t = s.resolve_path(&Path::parse("t")).unwrap();
+        assert!(matches!(s.node(t), SchemaNode::Array { item: None }));
+        assert!(s.owns_column(t));
+        let o = s.resolve_path(&Path::parse("o")).unwrap();
+        assert!(s.owns_column(o) && !s.owns_column(s.root()));
+        assert!(s.resolve_path(&Path::parse("xs[*]")).is_some());
+
+        // `null` then a value: a union whose `null` branch keeps its id.
+        b.observe(&doc!({"c": 5, "t": ["x"]}));
+        let s = b.schema();
+        let union = s.resolve_path(&Path::parse("c")).unwrap();
+        assert!(matches!(s.node(union), SchemaNode::Union { .. }));
+        assert_eq!(
+            s.resolve_path(&Path::parse("c").union_branch("null")),
+            Some(c)
+        );
+        assert!(!s.owns_column(t), "an array with items owns no column");
     }
 
     #[test]

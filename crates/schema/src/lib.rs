@@ -9,10 +9,12 @@
 //! * **array** nodes with a single item child,
 //! * **union** nodes whose children are keyed by their type (introduced when
 //!   the same field is observed with two or more different types), and
-//! * **atomic** leaves (`bool`, `int`, `double`, `string`).
+//! * **atomic** leaves (`bool`, `int`, `double`, `string`, `null`).
 //!
 //! Every atomic leaf corresponds to exactly one *column* in the extended
-//! Dremel format. This crate provides:
+//! Dremel format, and so does every container seen only empty (an array
+//! with no item, an object with no fields): every node has a column at or
+//! beneath it. This crate provides:
 //!
 //! * [`SchemaNode`]/[`Schema`] — the arena-backed schema tree ([`node`]),
 //! * [`SchemaBuilder`] — single-pass schema inference with union introduction
@@ -34,7 +36,9 @@ pub mod node;
 pub mod serial;
 pub mod types;
 
-pub use columns::{columns_of, key_column, ColumnId, ColumnSpec};
+pub use columns::{
+    columns_of, key_column, readable_columns, widen_over_union_items, ColumnId, ColumnSpec,
+};
 pub use infer::SchemaBuilder;
 pub use node::{NodeId, Schema, SchemaNode};
 pub use serial::{read_schema, write_schema};

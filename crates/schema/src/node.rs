@@ -25,13 +25,12 @@ pub enum BranchKind {
 }
 
 impl BranchKind {
-    /// The branch kind a value would belong to, or `None` for nulls.
-    pub fn of(value: &Value) -> Option<BranchKind> {
-        match value.kind() {
-            ValueKind::Null => None,
-            ValueKind::Object => Some(BranchKind::Object),
-            ValueKind::Array => Some(BranchKind::Array),
-            _ => AtomicType::of(value).map(BranchKind::Atomic),
+    /// The branch kind a value belongs to (`null` is an atomic type).
+    pub fn of(value: &Value) -> BranchKind {
+        match (value.kind(), AtomicType::of(value)) {
+            (_, Some(ty)) => BranchKind::Atomic(ty),
+            (ValueKind::Array, None) => BranchKind::Array,
+            (_, None) => BranchKind::Object,
         }
     }
 
@@ -53,7 +52,7 @@ pub enum SchemaNode {
         /// Field name → child node, in first-observation order.
         fields: Vec<(String, NodeId)>,
     },
-    /// An array. `item` is `None` until a non-null element has been observed.
+    /// An array. `item` is `None` while the array was only seen empty.
     Array {
         /// The element schema (possibly a union).
         item: Option<NodeId>,
@@ -135,12 +134,25 @@ impl Schema {
         self.nodes.len()
     }
 
-    /// Number of atomic leaves, i.e. of columns.
+    /// Number of columns: of nodes that [own one](Schema::owns_column).
     pub fn column_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, SchemaNode::Atomic { .. }))
+        (0..self.nodes.len() as NodeId)
+            .filter(|&id| self.owns_column(id))
             .count()
+    }
+
+    /// Whether node `id` is a column of its own: an atomic leaf, or a
+    /// container other than the root with no children — an array only ever
+    /// seen as `[]`, an object only ever seen as `{}`. Every other node has
+    /// such a node beneath it, so whatever a record holds at a node, some
+    /// column says so.
+    pub fn owns_column(&self, id: NodeId) -> bool {
+        match self.node(id) {
+            SchemaNode::Atomic { .. } => true,
+            SchemaNode::Array { item } => item.is_none(),
+            SchemaNode::Object { fields } => fields.is_empty() && id != self.root,
+            SchemaNode::Union { .. } => false,
+        }
     }
 
     /// Iterate over `(id, node)` pairs.
@@ -359,9 +371,9 @@ mod tests {
 
     #[test]
     fn branch_kind_of_values() {
-        assert_eq!(BranchKind::of(&Value::Null), None);
-        assert_eq!(BranchKind::of(&doc!(1)), Some(BranchKind::Atomic(AtomicType::Int)));
-        assert_eq!(BranchKind::of(&doc!({"a": 1})), Some(BranchKind::Object));
-        assert_eq!(BranchKind::of(&doc!([1])), Some(BranchKind::Array));
+        assert_eq!(BranchKind::of(&Value::Null), BranchKind::Atomic(AtomicType::Null));
+        assert_eq!(BranchKind::of(&doc!(1)), BranchKind::Atomic(AtomicType::Int));
+        assert_eq!(BranchKind::of(&doc!({"a": 1})), BranchKind::Object);
+        assert_eq!(BranchKind::of(&doc!([1])), BranchKind::Array);
     }
 }

@@ -4,9 +4,10 @@ use docmodel::{Value, ValueKind};
 
 /// The type of an atomic schema leaf, i.e. of one column.
 ///
-/// `Null` values carry no type information during inference, so there is no
-/// `Null` variant here — a field observed only as `null` simply never gets a
-/// column (the standard Dremel behaviour the paper inherits).
+/// `null` is a type like any other: a field seen as `null` gets a `Null`
+/// branch, whose column holds levels and no values. A container seen only
+/// empty (`[]`, `{}`) is a `Null`-typed column of its own as well
+/// ([`crate::columns_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AtomicType {
     /// Boolean values.
@@ -17,17 +18,20 @@ pub enum AtomicType {
     Double,
     /// UTF-8 strings.
     String,
+    /// `null`: the level says it is there, and there is nothing to store.
+    Null,
 }
 
 impl AtomicType {
-    /// The atomic type of a value, or `None` for nulls and nested values.
+    /// The atomic type of a value, or `None` for nested values.
     pub fn of(value: &Value) -> Option<AtomicType> {
         match value.kind() {
+            ValueKind::Null => Some(AtomicType::Null),
             ValueKind::Bool => Some(AtomicType::Bool),
             ValueKind::Int => Some(AtomicType::Int),
             ValueKind::Double => Some(AtomicType::Double),
             ValueKind::String => Some(AtomicType::String),
-            ValueKind::Null | ValueKind::Array | ValueKind::Object => None,
+            ValueKind::Array | ValueKind::Object => None,
         }
     }
 
@@ -35,6 +39,7 @@ impl AtomicType {
     /// union children by their type name).
     pub fn name(self) -> &'static str {
         match self {
+            AtomicType::Null => "null",
             AtomicType::Bool => "boolean",
             AtomicType::Int => "int",
             AtomicType::Double => "double",
@@ -49,6 +54,7 @@ impl AtomicType {
             AtomicType::Int => 1,
             AtomicType::Double => 2,
             AtomicType::String => 3,
+            AtomicType::Null => 4,
         }
     }
 
@@ -59,6 +65,7 @@ impl AtomicType {
             1 => AtomicType::Int,
             2 => AtomicType::Double,
             3 => AtomicType::String,
+            4 => AtomicType::Null,
             _ => return None,
         })
     }
@@ -86,7 +93,7 @@ mod tests {
         assert_eq!(AtomicType::of(&Value::Int(3)), Some(AtomicType::Int));
         assert_eq!(AtomicType::of(&Value::Double(3.5)), Some(AtomicType::Double));
         assert_eq!(AtomicType::of(&Value::from("s")), Some(AtomicType::String));
-        assert_eq!(AtomicType::of(&Value::Null), None);
+        assert_eq!(AtomicType::of(&Value::Null), Some(AtomicType::Null));
         assert_eq!(AtomicType::of(&doc!([1])), None);
         assert_eq!(AtomicType::of(&doc!({"a": 1})), None);
     }
@@ -94,6 +101,7 @@ mod tests {
     #[test]
     fn tags_roundtrip() {
         for t in [
+            AtomicType::Null,
             AtomicType::Bool,
             AtomicType::Int,
             AtomicType::Double,
@@ -109,11 +117,13 @@ mod tests {
         assert!(AtomicType::Int.matches(&Value::Int(1)));
         assert!(!AtomicType::Int.matches(&Value::Double(1.0)));
         assert!(!AtomicType::String.matches(&Value::Null));
+        assert!(AtomicType::Null.matches(&Value::Null));
     }
 
     #[test]
     fn names_are_distinct() {
         let names: std::collections::HashSet<_> = [
+            AtomicType::Null,
             AtomicType::Bool,
             AtomicType::Int,
             AtomicType::Double,
@@ -122,6 +132,6 @@ mod tests {
         .iter()
         .map(|t| t.name())
         .collect();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), 5);
     }
 }

@@ -34,6 +34,7 @@
 //! (`-ERR ...`); malformed or over-limit frames get one error frame and the
 //! connection closes (framing is lost at that point by definition).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -136,32 +136,33 @@ pub fn encode_amax_leaf(
         .collect();
     encoded.sort_by_key(|column| std::cmp::Reverse(column.1.len()));
 
-    // Pack megapages into data pages.
-    let mut data_pages: Vec<Vec<u8>> = vec![Vec::with_capacity(page_budget)];
+    // Pack megapages into data pages: the full ones, then the one being
+    // filled.
+    let mut data_pages: Vec<Vec<u8>> = Vec::new();
+    let mut current: Vec<u8> = Vec::with_capacity(page_budget);
+    let next_page = |data_pages: &mut Vec<Vec<u8>>, current: &mut Vec<u8>| {
+        data_pages.push(std::mem::replace(current, Vec::with_capacity(page_budget)));
+    };
     let mut locations = Vec::with_capacity(encoded.len());
     for (chunk, bytes) in &encoded {
-        {
-            let current = data_pages.last().unwrap();
-            let remaining = page_budget - current.len();
-            let fits = bytes.len() <= remaining;
-            let tolerate_empty = (remaining as f64) <= EMPTY_PAGE_TOLERANCE * page_budget as f64;
-            if !current.is_empty() && !fits && tolerate_empty {
-                // Close the page partially empty and start a fresh one.
-                data_pages.push(Vec::with_capacity(page_budget));
-            }
+        let remaining = page_budget - current.len();
+        let fits = bytes.len() <= remaining;
+        let tolerate_empty = (remaining as f64) <= EMPTY_PAGE_TOLERANCE * page_budget as f64;
+        if !current.is_empty() && !fits && tolerate_empty {
+            // Close the page partially empty and start a fresh one.
+            next_page(&mut data_pages, &mut current);
         }
-        if data_pages.last().unwrap().len() >= page_budget {
-            data_pages.push(Vec::with_capacity(page_budget));
+        if current.len() >= page_budget {
+            next_page(&mut data_pages, &mut current);
         }
-        let start_page = data_pages.len() - 1;
-        let start_offset = data_pages.last().unwrap().len();
+        let start_page = data_pages.len();
+        let start_offset = current.len();
         // Spill the megapage across as many pages as needed.
         let mut written = 0usize;
         while written < bytes.len() {
-            let current = data_pages.last_mut().unwrap();
             let space = page_budget - current.len();
             if space == 0 {
-                data_pages.push(Vec::with_capacity(page_budget));
+                next_page(&mut data_pages, &mut current);
                 continue;
             }
             let take = space.min(bytes.len() - written);
@@ -175,8 +176,8 @@ pub fn encode_amax_leaf(
             len: bytes.len(),
         });
     }
-    if data_pages.last().is_some_and(Vec::is_empty) && data_pages.len() > 1 {
-        data_pages.pop();
+    if !current.is_empty() || data_pages.is_empty() {
+        data_pages.push(current);
     }
 
     // Page 0: header, directory, encoded keys.

@@ -186,7 +186,7 @@ use columnar::{Assembler, AssemblyPlan, ColumnChunk, ColumnValues};
 use docmodel::{total_cmp, Path, Value};
 use encoding::{compress, DecodeError};
 use parking_lot::Mutex;
-use schema::{columns_of, ColumnId, ColumnSpec, Schema};
+use schema::{readable_columns, widen_over_union_items, ColumnId, ColumnSpec, Schema};
 use telemetry::stage::Stage;
 
 use crate::amax::{self, AmaxConfig};
@@ -639,8 +639,12 @@ impl Component {
             pages.extend_from_slice(&leaf.data_pages);
             stats.absorb(&leaf.stats);
         }
-        let specs: HashMap<ColumnId, ColumnSpec> =
-            columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
+        // A leaf written while a container was seen only empty holds its
+        // column after the container gained children, too.
+        let specs: HashMap<ColumnId, ColumnSpec> = readable_columns(&schema)
+            .into_iter()
+            .map(|s| (s.id, s))
+            .collect();
         let key_spec = specs.values().find(|s| s.is_key).cloned();
         Component {
             desc,
@@ -719,6 +723,7 @@ impl Component {
                 }
             }
         }
+        widen_over_union_items(&self.schema, self.specs.keys().copied(), &mut ids);
         Some(ids)
     }
 
@@ -1552,7 +1557,7 @@ impl Iterator for ComponentCursor {
 fn is_descendant_column(schema: &Schema, ancestor: schema::NodeId, column: ColumnId) -> bool {
     use schema::node::SchemaNode;
     if ancestor == column {
-        return matches!(schema.node(ancestor), SchemaNode::Atomic { .. });
+        return true;
     }
     match schema.node(ancestor) {
         SchemaNode::Atomic { .. } => false,
@@ -1921,58 +1926,28 @@ mod tests {
         }
     }
 
-    /// The reassembly caveat recorded in the ROADMAP: an **empty array**
-    /// survives columnar reassembly only when some record in the same
-    /// component materialised the array's item column. A lone `{"tags": []}`
-    /// record produces no `tags[*]` column at all (the schema has no item
-    /// node to shred into), so reassembly cannot distinguish "empty array"
-    /// from "absent field" and `EXISTS(tags)` on it is schema-dependent. See
-    /// the note next to the assembly automaton in `columnar::assemble`.
+    /// An empty array is its own column while the schema has seen it only
+    /// empty, so it comes back as written — alone, beside a record that
+    /// gave `tags` items, and read under a later schema in which `tags` has
+    /// items (a reopened dataset reads its older components so).
     #[test]
-    fn empty_array_reassembly_is_schema_dependent() {
-        let schema_of = |entries: &[Entry]| schema_for(entries);
+    fn empty_arrays_reassemble_whatever_the_schema() {
+        let scan = |comp: Component| -> Vec<Entry> {
+            Arc::new(comp).cursor(None).map(|e| e.unwrap()).collect()
+        };
+        let tagged = (Value::Int(1), Some(doc!({"id": 1, "tags": ["x"]})));
         for layout in [LayoutKind::Apax, LayoutKind::Amax] {
-            // Alone: no record ever materialised a `tags` element, the
-            // column does not exist, and the empty array is lost.
-            let lone: Vec<Entry> = vec![(
-                Value::Int(0),
-                Some(doc!({"id": 0, "tags": []})),
-            )];
+            let lone: Vec<Entry> = vec![(Value::Int(0), Some(doc!({"id": 0, "tags": []})))];
+            let pair: Vec<Entry> = vec![lone[0].clone(), tagged.clone()];
             let cache = small_cache();
-            let comp = Arc::new(Component::write(
-                &cache,
-                &ComponentConfig::new(layout),
-                schema_of(&lone),
-                &lone,
-                1,
-            )
-            .unwrap());
-            let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
-            let doc = scanned[0].1.as_ref().unwrap();
-            assert_eq!(doc.get_field("tags"), None, "{layout:?}: empty array lost");
-
-            // With a sibling record that materialises `tags[*]`, the item
-            // column exists and the empty array round-trips.
-            let pair: Vec<Entry> = vec![
-                (Value::Int(0), Some(doc!({"id": 0, "tags": []}))),
-                (Value::Int(1), Some(doc!({"id": 1, "tags": ["x"]}))),
-            ];
-            let cache = small_cache();
-            let comp = Arc::new(Component::write(
-                &cache,
-                &ComponentConfig::new(layout),
-                schema_of(&pair),
-                &pair,
-                1,
-            )
-            .unwrap());
-            let scanned: Vec<Entry> = comp.cursor(None).map(|e| e.unwrap()).collect();
-            let doc = scanned[0].1.as_ref().unwrap();
-            assert_eq!(
-                doc.get_field("tags"),
-                Some(&Value::Array(Vec::new())),
-                "{layout:?}: empty array preserved once the column exists"
-            );
+            let config = ComponentConfig::new(layout);
+            let comp = Component::write(&cache, &config, schema_for(&lone), &lone, 1).unwrap();
+            let reread = Component::open(&cache, schema_for(&pair), comp.describe());
+            for comp in [comp, reread] {
+                assert_eq!(scan(comp), lone, "{layout:?}");
+            }
+            let comp = Component::write(&cache, &config, schema_for(&pair), &pair, 2).unwrap();
+            assert_eq!(scan(comp), pair, "{layout:?}");
         }
     }
 

@@ -441,6 +441,7 @@ fn chunk_bytes(chunk: &ColumnChunk) -> usize {
         ColumnValues::Int(v) => v.len() * 8,
         ColumnValues::Double(v) => v.len() * 8,
         ColumnValues::String(v) => v.iter().map(|s| 24 + s.len()).sum(),
+        ColumnValues::Null(_) => 0,
     };
     // The record-offset index a point lookup's first seek builds is
     // charged up front (it appears after the chunk was admitted), so a

@@ -37,6 +37,8 @@
 //!   and consumed by the query planner for zone-map pruning and the
 //!   cost-based scan-vs-index-probe decision (planning reads no cache).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod amax;
 pub mod apax;
 pub mod backend;

@@ -35,12 +35,9 @@
 //! under the same total order the statistics pass and the pushed
 //! predicates use. No document is built or walked, whether the chunks were
 //! shredded at a flush or copied from other components at a merge, and no
-//! definition level is read here. The two agree whenever shredding is
-//! lossless; where it is not — explicit `null`s and empty objects, which
-//! columns do not store and a scan therefore never returns — the
-//! column-derived value is the right one. A flush of `{"v": null}` into a
-//! columnar component records no `v` path, exactly as the same record would
-//! after any merge.
+//! definition level is read here. Shredding is lossless (`null`s and empty
+//! containers included), so the two agree: a flush of `{"v": null}` records
+//! a `v` path with `null` bounds in every layout.
 //!
 //! ## What is (and is not) tracked
 //!
@@ -62,8 +59,7 @@
 //!   are legal under the total order, but summarising them cheaply is not
 //!   worth the soundness analysis.
 //! * Explicit `null`s **are** values under the total order (`x <= 5` can
-//!   match a `null`), so where they are stored (row layouts) they
-//!   participate in min/max like any other atomic.
+//!   match a `null`), so they participate in min/max like any other atomic.
 //!
 //! Anti-matter entries contribute nothing: stats describe the records a scan
 //! of this component alone could produce. Whether hiding a component or a

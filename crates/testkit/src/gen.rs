@@ -11,9 +11,6 @@ use query::{Aggregate, CmpOp, Expr, Query};
 /// What holds for every document of a history.
 #[derive(Debug, Clone, Copy)]
 pub struct Setup {
-    /// Every document stays in the fragment every layout stores exactly
-    /// (ROADMAP item 1): one type per path, no `null`, no empty array.
-    pub clean: bool,
     /// `grp` is written as the strings `"g0"`..`"g4"`, not as numbers.
     pub grp_strings: bool,
     /// Index into [`crate::exec::compaction`].
@@ -25,23 +22,26 @@ pub struct Setup {
 pub enum Shape {
     /// Clean, without `grp` and `readings`: older components predate them.
     Bare,
-    /// One type per path; arrays or nothing at `readings`.
+    /// One type per path; arrays (maybe empty) or nothing at `readings`.
     Clean,
     /// `grp` may be a double, `readings` `null` or a scalar, `temp` `null`,
-    /// an integer or a string.
+    /// an integer or a string, and `d` any JSON value.
     Dirty,
 }
 
 /// The document with key `id` drawn from `seed`: `score`, `grp`, `name` and
-/// `tags` (the planner's shape) and `readings[*].{seq,temp}` (the kernels').
-/// Doubles are tenths, so sums round differently in different orders and
-/// whole ones tie with integers.
+/// `tags` (the planner's shape), `readings[*].{seq,temp}` (the kernels')
+/// and, dirty, `d` from the whole JSON domain. Doubles are tenths, so sums
+/// round differently in different orders and whole ones tie with integers.
 pub fn document(id: i64, seed: u64, shape: Shape, setup: &Setup) -> Value {
     let rng = &mut TestRng::from_seed(seed);
     let dirty = shape == Shape::Dirty;
     let mut doc = Value::empty_object();
     doc.set_field("id", Value::Int(id));
     doc.set_field("name", Value::from(format!("n{}", rng.below(3))));
+    if dirty && rng.below(2) == 0 {
+        doc.set_field("d", any_value(rng, 3));
+    }
     if rng.below(3) > 0 && shape != Shape::Bare {
         let g = rng.below(5) as i64;
         doc.set_field(
@@ -63,7 +63,6 @@ pub fn document(id: i64, seed: u64, shape: Shape, setup: &Setup) -> Value {
     let readings = match rng.below(if dirty { 6 } else { 4 }) {
         _ if shape == Shape::Bare => return doc,
         0 => return doc,
-        1 if setup.clean => return doc,
         1 => Value::Array(Vec::new()),
         2 | 3 => Value::Array((0..1 + rng.below(4)).map(|_| element(rng, dirty)).collect()),
         4 => Value::Null,
@@ -71,6 +70,31 @@ pub fn document(id: i64, seed: u64, shape: Shape, setup: &Setup) -> Value {
     };
     doc.set_field("readings", readings);
     doc
+}
+
+/// Any JSON value at most `depth` levels deep: `null`, `[]` and `{}` at
+/// every depth, arrays of arrays and of mixed items, one-letter field names.
+fn any_value(rng: &mut TestRng, depth: u32) -> Value {
+    match rng.below(if depth > 0 { 8 } else { 5 }) {
+        0 => Value::Null,
+        1 => Value::Int(rng.below(5) as i64),
+        2 => Value::Bool(rng.below(2) == 0),
+        3 => Value::Array(Vec::new()),
+        4 => Value::empty_object(),
+        5 | 6 => Value::Array(
+            (0..1 + rng.below(3))
+                .map(|_| any_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => {
+            let mut object = Value::empty_object();
+            for _ in 0..1 + rng.below(3) {
+                let name = ["a", "b", "c"][rng.below(3) as usize];
+                object.set_field(name, any_value(rng, depth - 1));
+            }
+            object
+        }
+    }
 }
 
 fn element(rng: &mut TestRng, dirty: bool) -> Value {
@@ -148,8 +172,8 @@ fn aggregate(rng: &mut TestRng, paths: &[&str]) -> Aggregate {
 }
 
 /// Boolean combinations (up to `depth`) of comparisons on `score`, `grp`
-/// and `id`, `tags` membership and length, `EXISTS`, and `score` ranges —
-/// far-out ones hide whole components.
+/// and `id` (and of `readings` with `null`), `tags` membership and length,
+/// `EXISTS`, and `score` ranges — far-out ones hide whole components.
 fn filter(rng: &mut TestRng, depth: u32) -> Expr {
     let ops = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
     let (op, n) = (ops[rng.below(5) as usize], rng.below(100) as i64);
@@ -164,11 +188,12 @@ fn filter(rng: &mut TestRng, depth: u32) -> Expr {
         1 => score(op, n + 20 - rng.below(41) as i64),
         2 => between(rng),
         3 => Expr::between("score", far, far + 50),
+        4 if n % 5 == 4 => Expr::eq("readings", Value::Null),
         4 => Expr::eq("grp", format!("g{}", n % 5)),
         5 => Expr::and([Expr::le("grp", n % 4), Expr::ge("id", 3)]),
         6 => Expr::contains("tags[*]", format!("t{}", n % 4)),
         7 => Expr::length("tags", op, n % 4),
-        8 => Expr::exists(["score", "tags", "missing", "readings"][n as usize % 4]),
+        8 => Expr::exists(["score", "tags", "missing", "readings", "d"][n as usize % 5]),
         9 => Expr::and([between(rng), filter(rng, depth)]),
         10 => Expr::and([filter(rng, depth - 1), filter(rng, depth - 1)]),
         11 => Expr::or([filter(rng, depth - 1), filter(rng, depth - 1)]),
@@ -186,7 +211,7 @@ pub const PROJECTIONS: [&[&str]; 5] = [
     &[],
     &["score"],
     &["grp", "name"],
-    &["readings"],
+    &["readings", "d"],
     &["tags", "score"],
 ];
 
@@ -212,9 +237,9 @@ pub enum Op {
 }
 
 /// Histories: a [`Setup`] and an op list whose length is drawn from the
-/// range. A dirty history starts with clean documents, so its older
-/// components are kernel work, the first of them bare, so those components
-/// predate fields.
+/// range. Half the histories turn dirty somewhere; a dirty history starts
+/// with clean documents, so its older components are kernel work, the
+/// first of them bare, so those components predate fields.
 pub struct Histories(pub Range<usize>);
 
 impl Strategy for Histories {
@@ -224,7 +249,6 @@ impl Strategy for Histories {
         let clean = rng.below(2) == 0;
         let compaction = rng.below(crate::exec::COMPACTIONS as u64) as usize;
         let setup = Setup {
-            clean,
             grp_strings: rng.below(2) == 0,
             compaction,
         };

@@ -47,32 +47,32 @@ impl Drop for TempDir {
     }
 }
 
-/// A document as a columnar layout returns it: fields in name order, and no
-/// `null`s or empty containers (columnar layouts store neither).
-pub fn normalize(v: &Value) -> Value {
-    let empty = |v: &Value| match v {
-        Value::Null => true,
-        Value::Array(items) => items.is_empty(),
-        Value::Object(fields) => fields.is_empty(),
-        _ => false,
-    };
+/// `v` with every object's fields in name order: a columnar layout returns
+/// fields in schema order, which need not be the order they were written in.
+pub fn sort_fields(v: &Value) -> Value {
     match v {
         Value::Object(fields) => {
-            let fields = fields.iter().map(|(k, v)| (k.clone(), normalize(v)));
-            let mut fields: Vec<(String, Value)> = fields.filter(|(_, v)| !empty(v)).collect();
+            let mut fields: Vec<(String, Value)> = fields
+                .iter()
+                .map(|(k, v)| (k.clone(), sort_fields(v)))
+                .collect();
             fields.sort_by(|a, b| a.0.cmp(&b.0));
             Value::Object(fields)
         }
-        Value::Array(elems) => Value::Array(elems.iter().map(normalize).collect()),
+        Value::Array(elems) => Value::Array(elems.iter().map(sort_fields).collect()),
         other => other.clone(),
     }
 }
 
-/// The fragment shred → assemble is exact on: no nulls or empty containers
-/// below the top level, unique field names. Leaves are small (so values
-/// collide across records) or drawn from the whole domain.
-pub fn arb_clean_value(depth: u32) -> BoxedStrategy<Value> {
+/// Any JSON value: `null`, `[]` and `{}` at every depth, arrays of arrays
+/// and of mixed items, and field names short enough that records share
+/// them. Leaves are small (so values collide across records) or drawn from
+/// the whole domain.
+pub fn arb_value(depth: u32) -> BoxedStrategy<Value> {
     let leaf = prop_oneof![
+        Just(Value::Null),
+        Just(Value::Array(Vec::new())),
+        Just(Value::empty_object()),
         any::<bool>().prop_map(Value::Bool),
         (-50i64..50).prop_map(Value::Int),
         any::<i64>().prop_map(Value::Int),
@@ -82,22 +82,18 @@ pub fn arb_clean_value(depth: u32) -> BoxedStrategy<Value> {
         "[a-z0-9]{0,12}".prop_map(Value::String),
     ];
     leaf.prop_recursive(depth, 48, 6, |inner| {
-        let array = prop::collection::vec(inner.clone(), 1..4).prop_map(Value::Array);
-        let object = prop::collection::vec(("[a-e]{1,3}", inner), 1..4).prop_map(object);
+        let array = prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array);
+        let name = prop_oneof!["[a-c]", "[a-c]", "[a-e]{1,3}"];
+        let object = prop::collection::vec((name, inner), 0..4).prop_map(object);
         prop_oneof![array, object]
     })
 }
 
 /// A record over a handful of field names, so that from record to record
-/// fields go missing, are `null` (assembled as absent) and change type
-/// (union columns) — or `None`, an anti-matter entry.
+/// fields go missing, are `null` and change type (union columns) — or
+/// `None`, an anti-matter entry.
 pub fn arb_entry() -> BoxedStrategy<Option<Value>> {
-    let field = prop_oneof![
-        arb_clean_value(3),
-        arb_clean_value(3),
-        arb_clean_value(3),
-        Just(Value::Null)
-    ];
+    let field = arb_value(3);
     let record = prop::collection::vec(("[a-d]", field), 0..4).prop_map(|fields| {
         object(std::iter::once(("id".to_string(), Value::Int(0))).chain(fields))
     });
