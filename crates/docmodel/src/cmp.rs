@@ -7,7 +7,10 @@
 //! define the usual document-store convention: values order first by a type
 //! rank (null < bool < numbers < string < array < object), then within a
 //! type by their natural order. Ints and doubles compare numerically as one
-//! class, matching SQL++ comparison semantics.
+//! class, matching SQL++ comparison semantics. Objects compare by their
+//! fields sorted by name, so the order a layout returns fields in (insertion
+//! order in VB and the memtable, schema order in APAX/AMAX) never decides a
+//! comparison, a `MIN`/`MAX` or a group key.
 
 use std::cmp::Ordering;
 
@@ -49,7 +52,8 @@ pub fn total_cmp(a: &Value, b: &Value) -> Ordering {
             x.len().cmp(&y.len())
         }
         (Value::Object(x), Value::Object(y)) => {
-            for ((xk, xv), (yk, yv)) in x.iter().zip(y.iter()) {
+            let (x, y) = (by_name(x), by_name(y));
+            for ((xk, xv), (yk, yv)) in x.iter().zip(&y) {
                 let c = xk.cmp(yk);
                 if c != Ordering::Equal {
                     return c;
@@ -64,6 +68,14 @@ pub fn total_cmp(a: &Value, b: &Value) -> Ordering {
         // Unreachable: ranks matched above.
         _ => Ordering::Equal,
     }
+}
+
+/// An object's fields sorted by name: the order [`total_cmp`] compares them
+/// in. Names are unique, so the order is total.
+pub fn by_name(fields: &[(String, Value)]) -> Vec<&(String, Value)> {
+    let mut sorted: Vec<&(String, Value)> = fields.iter().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    sorted
 }
 
 /// A wrapper making [`Value`] usable as an ordered map key (e.g. memtable
@@ -150,11 +162,50 @@ mod tests {
     }
 
     #[test]
-    fn object_field_order_matters() {
+    fn objects_compare_by_fields_sorted_by_name() {
         let a = doc!({"a": 1, "b": 2});
         let b = doc!({"a": 1, "b": 3});
         assert_eq!(total_cmp(&a, &b), Ordering::Less);
         assert_eq!(total_cmp(&a, &a), Ordering::Equal);
+        // Field order is not part of the value.
+        let swapped = doc!({"b": 2, "a": 1});
+        assert_eq!(total_cmp(&a, &swapped), Ordering::Equal);
+        assert_eq!(total_cmp(&swapped, &b), Ordering::Less);
+        // `{"a":..}` sorts before `{"b":..}` whatever else either holds.
+        assert_eq!(total_cmp(&doc!({"c": 0, "a": 9}), &doc!({"b": 0})), Ordering::Less);
+    }
+
+    #[test]
+    fn object_order_is_transitive_over_a_mixed_set() {
+        let values = [
+            doc!({"a": 1, "b": 2}),
+            doc!({"b": 2, "a": 1}),
+            doc!({"b": 2.0, "a": 1}),
+            doc!({"a": 1}),
+            doc!({"b": 1}),
+            doc!({"c": [1, {"y": 1, "x": 2}], "a": 1}),
+            doc!({"a": 1, "c": [1, {"x": 2, "y": 1}]}),
+            doc!({"a": null, "b": "s"}),
+            doc!({"b": true, "a": {"z": 1, "a": 2}}),
+            doc!({"a": {"a": 2, "z": 1}, "b": true}),
+            doc!({}),
+            doc!([1, 2]),
+            Value::Int(3),
+        ];
+        for a in &values {
+            for b in &values {
+                assert_eq!(total_cmp(a, b), total_cmp(b, a).reverse(), "{a} vs {b}");
+                for c in &values {
+                    if total_cmp(a, b).is_le() && total_cmp(b, c).is_le() {
+                        assert!(total_cmp(a, c).is_le(), "{a} <= {b} <= {c}");
+                    }
+                }
+            }
+        }
+        // The spellings of one object are one map key.
+        let keys: std::collections::BTreeSet<OrderedValue> =
+            values.iter().cloned().map(OrderedValue).collect();
+        assert_eq!(keys.len(), values.len() - 4);
     }
 
     #[test]

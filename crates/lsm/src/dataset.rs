@@ -41,7 +41,7 @@
 //! * the crate-private `Scheduler` coordinates the optional background
 //!   worker and applies ingest backpressure when sealed memtables pile up.
 
-use std::ops::Range;
+use std::ops::{Bound, Range};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -418,6 +418,17 @@ struct WriteState {
 struct Indexes {
     pk: PrimaryKeyIndex,
     secondary: SecondaryIndex,
+}
+
+impl WriteState {
+    /// The primary keys with an indexed value between `lo` and `hi`, each
+    /// once, in key order: one walk of the secondary index.
+    fn secondary_keys(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Result<Vec<Value>> {
+        let indexes = self.indexes.as_ref();
+        let indexes =
+            indexes.ok_or_else(|| crate::LsmError::new("dataset has no secondary index"))?;
+        Ok(indexes.secondary.range_bounds(lo, hi))
+    }
 }
 
 /// One mutation of the ingest path.
@@ -971,9 +982,25 @@ impl LsmDataset {
         self.snapshot().batches(keys_only).record_count()
     }
 
-    /// Answer a range query on the secondary index (§4.6): probe the index
-    /// for the primary keys with an indexed value between `lo` and `hi`,
-    /// then resolve them as one sorted batch. Returns the live
+    /// The keys-only probe of the secondary index (§4.6): the primary keys
+    /// with an indexed value between `lo` and `hi`, each once, in key order,
+    /// read under the write lock. The index is exact (see [`crate::index`]),
+    /// so these are exactly the live records holding such a value; their
+    /// number answers a `COUNT(*)` the range decides without looking up a
+    /// record, reading a page or walking the memtable.
+    pub fn secondary_range_keys(
+        &self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> Result<Vec<Value>> {
+        let write = self.core.write.lock();
+        let _stage = Stage::IndexProbe.enter();
+        write.secondary_keys(lo, hi)
+    }
+
+    /// Answer a range query on the secondary index (§4.6): the keys-only
+    /// probe's keys ([`LsmDataset::secondary_range_keys`]), resolved as one
+    /// sorted batch. Returns the live
     /// `(key, record)` pairs in key order — what the query layer's
     /// key-ordered projection output consumes.
     ///
@@ -986,20 +1013,14 @@ impl LsmDataset {
     /// the top-level fields the paths start at.
     pub fn secondary_range_entries(
         &self,
-        lo: std::ops::Bound<&Value>,
-        hi: std::ops::Bound<&Value>,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
         projection: Option<&[Path]>,
     ) -> Result<Vec<(Value, Value)>> {
         let (keys, newest, tree) = {
             let write = self.core.write.lock();
             let _stage = Stage::IndexProbe.enter();
-            let secondary = write
-                .indexes
-                .as_ref()
-                .map(|ix| &ix.secondary)
-                .ok_or_else(|| crate::LsmError::new("dataset has no secondary index"))?;
-            // In primary-key order, each key once.
-            let keys = secondary.range_bounds(lo, hi);
+            let keys = write.secondary_keys(lo, hi)?;
             let newest: Vec<Option<Option<Value>>> = write
                 .memtable
                 .get_sorted(&keys)
@@ -1085,14 +1106,17 @@ impl DatasetCore {
                     // Fallible work (index-maintenance lookups can hit I/O
                     // errors) happens before the WAL append: a failed insert
                     // must not leave a logged record behind for recovery to
-                    // resurrect.
-                    self.maintain_secondary_for_upsert(&mut write, &key, Some(&record))?;
+                    // resurrect. The index changes only once the log has
+                    // taken the mutation, beside the memtable.
+                    let stale = self.stale_secondary_values(&write, &key)?;
                     if let Some(durable) = self.durable.as_ref() {
                         durable.stage_insert(&key, &record)?;
                         if write_now {
                             durable.write_wal()?;
                         }
                     }
+                    let index_path = self.config.secondary_index_on.as_ref();
+                    update_secondary(&mut write, index_path, &key, stale, Some(&record));
                     let written_before = write.memtable.written_bytes();
                     write.memtable.insert(key, record);
                     if self.telemetry.enabled() {
@@ -1102,13 +1126,15 @@ impl DatasetCore {
                     }
                 }
                 Mutation::Delete(key) => {
-                    self.maintain_secondary_for_upsert(&mut write, &key, None)?;
+                    let stale = self.stale_secondary_values(&write, &key)?;
                     if let Some(durable) = self.durable.as_ref() {
                         durable.stage_delete(&key)?;
                         if write_now {
                             durable.write_wal()?;
                         }
                     }
+                    let index_path = self.config.secondary_index_on.as_ref();
+                    update_secondary(&mut write, index_path, &key, stale, None);
                     write.memtable.delete(key);
                     if self.telemetry.enabled() {
                         self.telemetry.deletes.incr();
@@ -1735,57 +1761,39 @@ impl DatasetCore {
         Ok(lookup.docs.pop().flatten())
     }
 
-    /// Secondary-index maintenance: fetch the old record's indexed values
-    /// (if the primary-key filter says the key may exist) to remove its
-    /// stale entries, then add the new ones. The fetch is as narrow as the
-    /// index: the old version is read in place when the memtable holds it,
-    /// and a component assembles only the indexed path (for AMAX: the key
-    /// column and one mega-column). No-op without a secondary index.
-    fn maintain_secondary_for_upsert(
-        &self,
-        write: &mut WriteState,
-        key: &Value,
-        new_record: Option<&Value>,
-    ) -> Result<()> {
+    /// The first half of secondary-index maintenance: the old record's
+    /// indexed values, whose pairs an upsert or delete of `key` makes stale.
+    /// The fetch happens only if the primary-key filter says the key may
+    /// exist, and is as narrow as the index: the old version is read in
+    /// place when the memtable holds it, and a component assembles only the
+    /// indexed path (for AMAX: the key column and one mega-column). Empty
+    /// without a secondary index.
+    fn stale_secondary_values(&self, write: &WriteState, key: &Value) -> Result<Vec<Value>> {
         let Some(index_path) = self.config.secondary_index_on.as_ref() else {
-            return Ok(());
+            return Ok(Vec::new());
         };
         let indexed =
             |doc: &Value| -> Vec<Value> { index_path.evaluate(doc).into_iter().cloned().collect() };
-        let may_exist = write.indexes.as_ref().is_some_and(|ix| ix.pk.contains(key));
-        let old_values = if may_exist {
-            if self.telemetry.enabled() {
-                self.telemetry.maintenance_lookups.incr();
-            }
-            match write.memtable.get(key) {
-                Some(entry) => {
-                    self.note_lookups(1, 1, 0);
-                    entry.map(indexed).unwrap_or_default()
-                }
-                None => {
-                    let tree = self.tree.read().clone();
-                    let projection = std::slice::from_ref(index_path);
-                    self.tree_lookup(&tree, key, Some(projection))?
-                        .as_ref()
-                        .map(indexed)
-                        .unwrap_or_default()
-                }
-            }
-        } else {
-            Vec::new()
-        };
-        if let Some(ix) = write.indexes.as_mut() {
-            for v in old_values {
-                ix.secondary.remove(&v, key);
-            }
-            if let Some(record) = new_record {
-                for v in index_path.evaluate(record) {
-                    ix.secondary.insert(v, key);
-                }
-                ix.pk.insert(key);
-            }
+        if !write.indexes.as_ref().is_some_and(|ix| ix.pk.contains(key)) {
+            return Ok(Vec::new());
         }
-        Ok(())
+        if self.telemetry.enabled() {
+            self.telemetry.maintenance_lookups.incr();
+        }
+        Ok(match write.memtable.get(key) {
+            Some(entry) => {
+                self.note_lookups(1, 1, 0);
+                entry.map(indexed).unwrap_or_default()
+            }
+            None => {
+                let tree = self.tree.read().clone();
+                let projection = std::slice::from_ref(index_path);
+                self.tree_lookup(&tree, key, Some(projection))?
+                    .as_ref()
+                    .map(indexed)
+                    .unwrap_or_default()
+            }
+        })
     }
 
     /// Rebuild the secondary index and its primary-key filter from the
@@ -1823,6 +1831,30 @@ impl DatasetCore {
             }
         }
         Ok(())
+    }
+}
+
+/// The second half of secondary-index maintenance, which cannot fail: drop
+/// the `stale` pairs of `key` and add those of its new version (`None` for
+/// a delete), keeping the index exactly the pairs of the live records.
+fn update_secondary(
+    write: &mut WriteState,
+    index_path: Option<&Path>,
+    key: &Value,
+    stale: Vec<Value>,
+    new_record: Option<&Value>,
+) {
+    let (Some(ix), Some(index_path)) = (write.indexes.as_mut(), index_path) else {
+        return;
+    };
+    for v in stale {
+        ix.secondary.remove(&v, key);
+    }
+    if let Some(record) = new_record {
+        for v in index_path.evaluate(record) {
+            ix.secondary.insert(v, key);
+        }
+        ix.pk.insert(key);
     }
 }
 

@@ -420,6 +420,17 @@ impl QueryEngine {
         probe: Option<&ExecProbe>,
     ) -> Result<ExecOutput> {
         let snapshot = match (part, &plan.access) {
+            (Partition::Dataset(dataset), AccessPath::IndexRange { lo, hi, index_only, .. })
+                if *index_only =>
+            {
+                // The index decides the filter and the plan reads no path:
+                // the probe's keys are the answer, and no record is pulled.
+                if let Some(probe) = probe {
+                    probe.mark_exhausted();
+                }
+                let keys = dataset.secondary_range_keys(as_bound_ref(lo), as_bound_ref(hi))?;
+                return Ok(ExecOutput::Groups(key_count_partials(keys.len(), plan)));
+            }
             (Partition::Dataset(dataset), AccessPath::IndexRange { lo, hi, .. }) => {
                 // The probe's sorted batched lookups yield key-ordered
                 // (key, record) pairs — only the estimated matches are ever
@@ -533,7 +544,8 @@ impl QueryEngine {
             let (key, doc) = entry?;
             // Only the residual runs here: the sargable conjuncts were
             // pushed into the scan (or folded into `residual` when
-            // pushdown is disabled / the access path is not a full scan).
+            // pushdown is disabled or an index probe does not decide the
+            // filter).
             if let Some(f) = &plan.residual {
                 if !f.matches(&doc) {
                     continue;

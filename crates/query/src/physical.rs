@@ -16,7 +16,10 @@
 //!   the indexed path ([`crate::Expr::implied_bounds`]), the planner
 //!   *estimates* whether probing the index beats scanning (see the cost
 //!   model below) and picks accordingly; [`AccessPathChoice::ForceIndex`] /
-//!   [`AccessPathChoice::ForceScan`] override the estimate;
+//!   [`AccessPathChoice::ForceScan`] override the estimate. When the index
+//!   *decides* the filter (the probe range is exactly the filter), a probe
+//!   re-checks nothing, and a `COUNT(*)` through it is **index-only**: it
+//!   counts the probe's keys and looks up no record;
 //! * **filter push-down** — the filter's sargable conjuncts travel into the
 //!   scan ([`PhysicalPlan::pushed`]), which evaluates them on column loops
 //!   and lets the zone maps ([`storage::stats::ComponentStats`], collected
@@ -37,7 +40,8 @@
 //!   unaffected);
 //! * an index probe costs `estimated matching records × pages per lookup`,
 //!   where a lookup may touch one leaf in every component (`Σ ceil(pages /
-//!   leaves)`). Matching records are estimated per component by
+//!   leaves)`); an index-only probe looks nothing up and costs no page.
+//!   Matching records are estimated per component by
 //!   interpolating the probe range against the component's `[min, max]` and
 //!   row counts — uniform within bounds, exact zero when disjoint,
 //!   conservative (every row) when a column has no usable bounds. A
@@ -96,7 +100,7 @@ use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use columnar::ColumnValues;
-use docmodel::cmp::OrderedValue;
+use docmodel::cmp::{by_name, OrderedValue};
 use docmodel::{total_cmp, Path, Value};
 use lsm::{LsmDataset, Snapshot};
 use storage::component::{zone_map_hides, ColumnPredicate, Component};
@@ -288,7 +292,9 @@ pub enum AccessPath {
     /// Read primary keys only — the `COUNT(*)` fast path (Page 0 for AMAX).
     KeyOnlyScan,
     /// Probe the secondary index over `[lo, hi]` and batch-lookup the
-    /// qualifying records; the full filter still runs as a residual.
+    /// qualifying records. The range is implied by the filter, so it holds
+    /// every match; unless the index *decides* the filter (see [`plan`]),
+    /// it may hold more, and the whole filter runs as the residual.
     IndexRange {
         /// The indexed path being probed.
         path: Path,
@@ -296,6 +302,10 @@ pub enum AccessPath {
         lo: Bound<Value>,
         /// Upper bound of the probe.
         hi: Bound<Value>,
+        /// The index decides the filter and the plan reads no path (a
+        /// `COUNT(*)` with no group, unnest or select list): the answer is
+        /// the number of keys the probe returns, and no record is looked up.
+        index_only: bool,
     },
 }
 
@@ -490,14 +500,17 @@ pub fn plan(query: &Query, ctx: &PlanContext, options: &PlannerOptions) -> Resul
         .map(Expr::simplify)
         .filter(|f| !matches!(f, Expr::And(children) if children.is_empty()));
 
-    let count_only = !is_projection
-        && filter.is_none()
+    // A `COUNT(*)` with no group and no unnest reads no path but the
+    // filter's: without a filter the keys answer it, and so do a probe's
+    // keys when the index decides the filter.
+    let counts_records = !is_projection
         && query.unnest.is_none()
         && query.group_by.is_none()
         && query
             .aggregates
             .iter()
             .all(|s| matches!(s.agg, Aggregate::Count));
+    let count_only = counts_records && filter.is_none();
 
     // What a full scan would push into storage (and the zone maps would
     // hide by) and what it would leave residual.
@@ -507,11 +520,21 @@ pub fn plan(query: &Query, ctx: &PlanContext, options: &PlannerOptions) -> Resul
         (Vec::new(), filter.clone())
     };
     let probe = probe_candidate(filter.as_ref(), ctx);
+    // Whether a probe would need no residual. Filter pushdown off keeps the
+    // whole filter residual on every path: the validating probe is the
+    // reference the decided one is checked against.
+    let decided = options.filter_pushdown
+        && match (&probe, &filter) {
+            (Some((indexed, ..)), Some(filter)) => index_decides(filter, indexed),
+            _ => false,
+        };
+    let index_only = decided && counts_records;
     let projected_columns = options
         .projection_pushdown
         .then(|| query.projection_paths().len());
     let estimate = filter.as_ref().filter(|_| !count_only).map(|filter| {
-        estimate_access(filter, &scan_pushed, ctx, probe.as_ref(), options, projected_columns)
+        let probe = probe.as_ref().map(|p| (p, index_only));
+        estimate_access(filter, &scan_pushed, ctx, probe, options, projected_columns)
     });
 
     let access = if count_only {
@@ -524,23 +547,29 @@ pub fn plan(query: &Query, ctx: &PlanContext, options: &PlannerOptions) -> Resul
         };
         if take_probe {
             let (path, lo, hi) = probe.expect("probe candidate checked above");
-            AccessPath::IndexRange { path, lo, hi }
+            AccessPath::IndexRange { path, lo, hi, index_only }
         } else {
             AccessPath::FullScan
         }
     };
+    let decided = decided && matches!(access, AccessPath::IndexRange { .. });
 
-    let projection = options
-        .projection_pushdown
-        .then(|| query.projection_paths());
+    // A decided probe's lookups read only what the plan reads besides the
+    // filter.
+    let projection = options.projection_pushdown.then(|| match decided {
+        true => query.output_paths(),
+        false => query.projection_paths(),
+    });
 
     // The pushed/residual split applies only to full scans: a key-only scan
-    // has no filter, and an index probe must re-check the *whole* filter on
-    // every looked-up record (the probe range is an over-approximation).
-    let (pushed, residual) = if matches!(access, AccessPath::FullScan) {
-        (scan_pushed, scan_residual)
-    } else {
-        (Vec::new(), filter.clone())
+    // has no filter, and an index probe either re-checks the *whole* filter
+    // on every looked-up record (the range the filter implies may hold
+    // records the filter rejects) or, when the index decides the filter,
+    // nothing at all.
+    let (pushed, residual) = match access {
+        AccessPath::FullScan => (scan_pushed, scan_residual),
+        _ if decided => (Vec::new(), None),
+        _ => (Vec::new(), filter.clone()),
     };
 
     Ok(PhysicalPlan {
@@ -608,20 +637,40 @@ fn split_pushdown(filter: Option<&Expr>) -> (Vec<ColumnPredicate>, Option<Expr>)
     (pushed, residual)
 }
 
+/// The indexed path and the bounds of an index-range probe.
+type ProbeRange = (Path, Bound<Value>, Bound<Value>);
+
 /// The probe the index-range access path would execute, when the context has
 /// an index and the (simplified) filter implies a (at least one-sided) range
 /// on the indexed path. Whether it is *taken* is the access-path policy's
 /// call.
-fn probe_candidate(
-    filter: Option<&Expr>,
-    ctx: &PlanContext,
-) -> Option<(Path, Bound<Value>, Bound<Value>)> {
+fn probe_candidate(filter: Option<&Expr>, ctx: &PlanContext) -> Option<ProbeRange> {
     let indexed = ctx.secondary_index_on.as_ref()?;
     let (lo, hi) = filter?.implied_bounds(indexed)?;
     if matches!((&lo, &hi), (Bound::Unbounded, Bound::Unbounded)) {
         return None;
     }
     Some((indexed.clone(), lo, hi))
+}
+
+/// Whether probing the index on `indexed` over the range `filter` implies
+/// ([`Expr::implied_bounds`]) returns exactly the records `filter` matches,
+/// so the probe needs no residual: the filter is one comparison on the
+/// indexed path, or — on a single-valued path (no `[*]` step), where one
+/// value must satisfy every conjunct and the bounds' intersection is exact —
+/// a conjunction of them. The index holds exactly the live records' values
+/// at the path ([`lsm::index`]), and `Expr::matches` tests them by the same
+/// [`total_cmp`] the index is ordered by, as [`Path::evaluate`] collects
+/// them. On a multi-valued path a conjunction is never decided: its
+/// conjuncts may hold for different values of one record (`ts = [100,
+/// 200]` matches `ts[*] >= 120 AND ts[*] <= 180`), and the implied range
+/// is then one conjunct's, which holds records the others reject.
+fn index_decides(filter: &Expr, indexed: &Path) -> bool {
+    let on_indexed = |e: &Expr| matches!(e, Expr::Cmp { path, .. } if path == indexed);
+    match filter {
+        Expr::And(conjuncts) => indexed.repeated_depth() == 0 && conjuncts.iter().all(on_indexed),
+        other => on_indexed(other),
+    }
 }
 
 /// The cost-based decision: probe when its total estimate (pages plus the
@@ -710,11 +759,12 @@ fn numeric(v: &Value) -> Option<f64> {
 /// (`None` = every column is assembled), which scales the per-lookup cost:
 /// a point lookup decodes one leaf's *projected* columns, so for a mega
 /// leaf (AMAX) it touches roughly `leaf pages × projected / total columns`.
+/// An index-only probe (`probe.1`) looks nothing up: zero pages.
 fn estimate_access(
     filter: &Expr,
     pushed: &[ColumnPredicate],
     ctx: &PlanContext,
-    probe: Option<&(Path, Bound<Value>, Bound<Value>)>,
+    probe: Option<(&ProbeRange, bool)>,
     options: &PlannerOptions,
     projected_columns: Option<usize>,
 ) -> AccessEstimate {
@@ -763,7 +813,7 @@ fn estimate_access(
     // The range driving the record estimate: the probe's, else the filter's
     // first implied range (for display), else "everything matches".
     let est_range = match probe {
-        Some((path, lo, hi)) => Some(ColumnPredicate {
+        Some(((path, lo, hi), _)) => Some(ColumnPredicate {
             path: path.clone(),
             lo: lo.clone(),
             hi: hi.clone(),
@@ -789,7 +839,10 @@ fn estimate_access(
             (leaf_pages * column_fraction(c)).max(1.0)
         })
         .sum();
-    let probe_pages = probe.map(|_| est_matching * pages_per_lookup);
+    let probe_pages = probe.map(|(_, index_only)| match index_only {
+        true => 0.0,
+        false => est_matching * pages_per_lookup,
+    });
 
     // The memtable-aware CPU term: a scan filters every in-memory record, a
     // probe touches only the estimated matching ones. In-memory selectivity
@@ -830,12 +883,11 @@ impl AccessPath {
         match self {
             AccessPath::FullScan => "full scan".to_string(),
             AccessPath::KeyOnlyScan => "key-only scan (COUNT(*) fast path)".to_string(),
-            AccessPath::IndexRange { path, lo, hi } => {
-                format!(
-                    "secondary-index range probe on `{path}` over {}",
-                    render_range(lo, hi)
-                )
-            }
+            AccessPath::IndexRange { path, lo, hi, index_only } => format!(
+                "secondary-index range probe on `{path}` over {}{}",
+                render_range(lo, hi),
+                if *index_only { ", index-only (counts keys, looks up no record)" } else { "" }
+            ),
         }
     }
 }
@@ -889,9 +941,12 @@ impl PhysicalPlan {
                     self.pushed.iter().map(|p| p.to_string()).collect();
                 out.push_str(&format!("  pushed     : {}\n", rendered.join(" AND ")));
             }
-            match &self.residual {
-                Some(r) => out.push_str(&format!("  residual   : {r}\n")),
-                None => out.push_str("  residual   : - (fully pushed)\n"),
+            match (&self.residual, &self.access) {
+                (Some(r), _) => out.push_str(&format!("  residual   : {r}\n")),
+                (None, AccessPath::IndexRange { .. }) => {
+                    out.push_str("  residual   : - (decided by the index)\n")
+                }
+                (None, _) => out.push_str("  residual   : - (fully pushed)\n"),
             }
         }
         match &self.unnest {
@@ -1306,7 +1361,8 @@ fn spelled_first(a: &Value, b: &Value) -> Ordering {
         (Value::Double(_), Value::Int(_)) => Ordering::Greater,
         (Value::Array(a), Value::Array(b)) => first_difference(a.iter().zip(b)),
         (Value::Object(a), Value::Object(b)) => {
-            first_difference(a.iter().zip(b.iter()).map(|((_, a), (_, b))| (a, b)))
+            let (a, b) = (by_name(a), by_name(b));
+            first_difference(a.iter().zip(&b).map(|((_, a), (_, b))| (a, b)))
         }
         _ => Ordering::Equal,
     }
@@ -1642,7 +1698,9 @@ mod tests {
         // Page costs alone say "scan" (probe ~120 pages vs scan ~100); a
         // large memtable the scan would have to chew through flips the
         // decision to the probe, whose CPU term only covers the matches.
-        let q = Query::count_star().with_filter(Expr::between("score", 50, 61));
+        // (A `COUNT(*)` would be index-only, which costs no page.)
+        let q = Query::select([Aggregate::Sum(Path::parse("score"))])
+            .with_filter(Expr::between("score", 50, 61));
         let flushed = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
         let p = plan(&q, &flushed, &PlannerOptions::default()).unwrap();
         assert!(matches!(p.access, AccessPath::FullScan), "{:?}", p.access);
@@ -1753,11 +1811,12 @@ mod tests {
     fn auto_crosses_over_from_probe_to_scan_with_selectivity() {
         let ctx = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
         // ~3 of 1000 records → ~30 probe pages < 100 scan pages → probe.
-        let tight = Query::count_star().with_filter(Expr::between("score", 10, 12));
+        let sum = Query::select([Aggregate::Sum(Path::parse("score"))]);
+        let tight = sum.clone().with_filter(Expr::between("score", 10, 12));
         let p = plan(&tight, &ctx, &PlannerOptions::default()).unwrap();
         assert!(matches!(p.access, AccessPath::IndexRange { .. }), "{:?}", p.access);
         // ~500 records → ~5000 probe pages > 100 scan pages → scan.
-        let wide = Query::count_star().with_filter(Expr::ge("score", 500));
+        let wide = sum.with_filter(Expr::ge("score", 500));
         let p = plan(&wide, &ctx, &PlannerOptions::default()).unwrap();
         assert!(matches!(p.access, AccessPath::FullScan), "{:?}", p.access);
         let est = p.estimate.as_ref().unwrap();
@@ -1769,7 +1828,52 @@ mod tests {
             &PlannerOptions::with_access_path(AccessPathChoice::ForceIndex),
         )
         .unwrap();
-        assert!(matches!(p.access, AccessPath::IndexRange { .. }));
+        assert!(matches!(p.access, AccessPath::IndexRange { index_only: false, .. }));
+        // A `COUNT(*)` the range decides looks nothing up: the probe costs
+        // no page at any selectivity, and Auto takes it.
+        let count = Query::count_star().with_filter(Expr::ge("score", 500));
+        let p = plan(&count, &ctx, &PlannerOptions::default()).unwrap();
+        let index_only = matches!(p.access, AccessPath::IndexRange { index_only: true, .. });
+        assert!(index_only, "{:?}", p.access);
+        assert_eq!(p.estimate.as_ref().unwrap().probe_pages, Some(0.0));
+        assert!(p.residual.is_none());
+        assert_eq!(p.projection.as_deref(), Some(&[][..]));
+        let text = p.describe();
+        assert!(text.contains("index-only"), "{text}");
+        assert!(text.contains("decided by the index"), "{text}");
+    }
+
+    #[test]
+    fn the_index_decides_comparisons_on_its_path_only() {
+        let ctx = indexed_ctx(vec![comp(1_000, 100, 10, (0, 999), (0, 999))]);
+        let forced = PlannerOptions::with_access_path(AccessPathChoice::ForceIndex);
+        let decided = |filter: Expr, query: Query| {
+            let p = plan(&query.with_filter(filter), &ctx, &forced).unwrap();
+            assert!(matches!(p.access, AccessPath::IndexRange { .. }), "{:?}", p.access);
+            p.residual.is_none()
+        };
+        let count = Query::count_star;
+        assert!(decided(Expr::between("score", 1, 5), count()));
+        assert!(decided(Expr::eq("score", 3), count()));
+        let three = [Expr::gt("score", 1), Expr::lt("score", 9), Expr::le("score", 7)];
+        assert!(decided(Expr::and(three), count()));
+        // Another conjunct, a disjunction or a negation leaves a residual.
+        assert!(!decided(Expr::and([Expr::ge("score", 1), Expr::exists("tags")]), count()));
+        assert!(!decided(Expr::or([Expr::eq("score", 1), Expr::eq("score", 5)]), count()));
+        let negated = Expr::not(Expr::eq("score", 3));
+        assert!(!decided(Expr::and([Expr::ge("score", 1), negated]), count()));
+        // A decided probe reads only the paths the plan reads besides the
+        // filter; a grouped count is decided but not index-only.
+        let grouped = count().group_by("grp");
+        let p = plan(&grouped.with_filter(Expr::ge("score", 5)), &ctx, &forced).unwrap();
+        assert!(matches!(p.access, AccessPath::IndexRange { index_only: false, .. }));
+        assert!(p.residual.is_none());
+        assert_eq!(p.projection, Some(vec![Path::parse("grp")]));
+        // Filter pushdown off keeps the whole filter residual.
+        let off = PlannerOptions { filter_pushdown: false, ..forced };
+        let p = plan(&count().with_filter(Expr::ge("score", 5)), &ctx, &off).unwrap();
+        assert!(matches!(p.access, AccessPath::IndexRange { index_only: false, .. }));
+        assert!(p.residual.is_some());
     }
 
     #[test]

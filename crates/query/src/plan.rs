@@ -272,6 +272,21 @@ impl Query {
         if let Some(f) = &self.filter {
             f.collect_paths(&mut paths);
         }
+        self.add_output_paths(&mut paths);
+        paths
+    }
+
+    /// The paths the query reads *besides* its filter: the select list, the
+    /// unnest path and every group/aggregate input. Empty for a `COUNT(*)`
+    /// with no group and no unnest — a query the keys alone answer once
+    /// the filter is decided.
+    pub fn output_paths(&self) -> Vec<Path> {
+        let mut paths = Vec::new();
+        self.add_output_paths(&mut paths);
+        paths
+    }
+
+    fn add_output_paths(&self, paths: &mut Vec<Path>) {
         let mut add = |p: &Path| {
             if !paths.contains(p) {
                 paths.push(p.clone());
@@ -303,7 +318,6 @@ impl Query {
                 }
             }
         }
-        paths
     }
 
     /// Plan this query against `ctx` and render the resulting physical plan

@@ -296,7 +296,10 @@ fn analyze_splits_an_index_probe_from_its_point_lookups() {
         ExecMode::Compiled,
         PlannerOptions::with_access_path(AccessPathChoice::ForceIndex),
     );
-    let query = Query::count_star().with_filter(Expr::between("score", 10, 19));
+    // `COUNT(text)` reads a path, so the probe looks its records up (a
+    // `COUNT(*)` would be index-only).
+    let query = Query::select([query::Aggregate::CountNonNull(docmodel::Path::parse("text"))])
+        .with_filter(Expr::between("score", 10, 19));
     let report = engine.explain_analyze(&ds, &query).unwrap();
     // 30 records score 10..=19; ids 20 and 30 move in, id 10 stays.
     assert_eq!(report.rows[0].agg(), &Value::Int(32));
@@ -306,4 +309,56 @@ fn analyze_splits_an_index_probe_from_its_point_lookups() {
         assert!(!stages.time(stage).is_zero(), "{stage:?}: {stages}");
     }
     assert!(stages.total() <= report.wall, "{stages} in {:?}", report.wall);
+}
+
+/// An index-only `COUNT(*)` answers from the secondary index's keys alone:
+/// from a cold cache it reads no page and assembles no record, whether the
+/// records sit in a component or in the memtable, and it equals the scan's
+/// count. `Auto` takes it (a probe that looks nothing up costs no page).
+#[test]
+fn an_index_only_count_reads_no_page_and_assembles_no_record() {
+    use query::{AccessPathChoice, PlannerOptions};
+    use telemetry::stage::Stage;
+    let ds = LsmDataset::new(
+        leafy_config("analyze-index-only", LayoutKind::Amax, 4 * 1024, 64)
+            .with_secondary_index(docmodel::Path::parse("score")),
+    );
+    for i in 0..300i64 {
+        ds.insert(doc!({"id": i, "score": (i % 100), "text": "padding"})).unwrap();
+    }
+    ds.flush().unwrap();
+    // Memtable versions: two move into the range, one moves out of it, one
+    // is deleted.
+    for (i, score) in [(20i64, 15), (30, 15), (11, 50)] {
+        ds.insert(doc!({"id": i, "score": score, "text": "moved"})).unwrap();
+    }
+    ds.delete(Value::Int(12)).unwrap();
+    assert!(ds.in_memory_entries() > 0 && ds.component_count() == 1);
+    let query = Query::count_star().with_filter(Expr::between("score", 10, 19));
+    let scan = QueryEngine::with_options(
+        ExecMode::Compiled,
+        PlannerOptions::with_access_path(AccessPathChoice::ForceScan),
+    )
+    .execute(&ds, &query)
+    .unwrap();
+    // 30 records score 10..=19; 20 and 30 move in, 11 moves out, 12 goes.
+    assert_eq!(scan[0].agg(), &Value::Int(30));
+    for choice in [AccessPathChoice::ForceIndex, AccessPathChoice::Auto] {
+        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
+            let engine = QueryEngine::with_options(mode, PlannerOptions::with_access_path(choice));
+            ds.cache().clear();
+            ds.cache().store().reset_stats();
+            let report = engine.explain_analyze(&ds, &query).unwrap();
+            let label = format!("{choice:?}/{mode:?}");
+            assert!(report.plan.contains("index-only"), "{label}: {}", report.plan);
+            assert_eq!(report.rows, scan, "{label}");
+            assert_eq!(report.pages_read(), 0, "{label}");
+            assert_eq!(ds.io_stats().pages_read, 0, "{label}");
+            assert_eq!(report.records_assembled(), 0, "{label}");
+            assert_eq!(report.rows_pulled(), 0, "{label}");
+            let stages = report.stages();
+            assert_eq!(stages.count(Stage::IndexProbe), 1, "{label}: {stages}");
+            assert_eq!(stages.count(Stage::PointLookup), 0, "{label}: {stages}");
+        }
+    }
 }

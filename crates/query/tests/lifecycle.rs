@@ -69,6 +69,7 @@ fn every_target_matches_the_model_over_generated_histories() {
         "no columnar query folded records on the kernels"
     );
     assert!(seen.index_probes > 0, "no query probed the secondary index");
+    assert!(seen.index_only > 0, "no index probe counted keys alone");
     assert!(seen.leaves_skipped > 0, "no zone map hid a leaf");
     assert!(
         ran.iter().all(|&n| n > 0),

@@ -13,7 +13,7 @@
 
 use docmodel::{doc, Path, Value};
 use lsm::{DatasetConfig, LsmDataset};
-use query::{AccessPathChoice, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
+use query::{AccessPathChoice, Aggregate, ExecMode, Expr, PlannerOptions, Query, QueryEngine};
 use storage::LayoutKind;
 use testkit::exec::{every_execution_agrees, ROTATIONS};
 use testkit::{engine, leafy_config};
@@ -37,6 +37,36 @@ fn multi_valued_probe_does_not_double_count() {
         .unwrap();
     assert_eq!(via_index, via_scan, "index probe disagrees with scan");
     assert_eq!(via_index[0].agg(), &Value::Int(1), "one record, one count");
+}
+
+/// The index decides a conjunction only on a single-valued path. On
+/// `ts[*]`, record 1 matches `ts[*] >= 120 AND ts[*] <= 180` with two
+/// different values (200 and 100), and the range the conjunction implies is
+/// one conjunct's, `[120, +inf)`, which also holds record 2: a probe that
+/// took the conjunction as decided would count 2.
+#[test]
+fn the_index_does_not_decide_a_conjunction_on_a_repeated_path() {
+    let ds = LsmDataset::new(
+        DatasetConfig::new("repeated", LayoutKind::Amax).with_secondary_index(Path::parse("ts[*]")),
+    );
+    ds.insert(doc!({"id": 1, "ts": [100, 200]})).unwrap();
+    ds.insert(doc!({"id": 2, "ts": [500]})).unwrap();
+    ds.flush().unwrap();
+    let q = Query::count_star()
+        .with_filter(Expr::and([Expr::ge("ts[*]", 120), Expr::le("ts[*]", 180)]));
+    use AccessPathChoice::{Auto, ForceIndex, ForceScan};
+    for choice in [ForceIndex, Auto, ForceScan] {
+        let engine = engine(ExecMode::Compiled, choice, true);
+        let text = engine.explain(&ds, &q).unwrap();
+        assert!(!text.contains("index-only"), "{choice:?}: {text}");
+        let rows = engine.execute(&ds, &q).unwrap();
+        assert_eq!(rows[0].agg(), &Value::Int(1), "{choice:?}: {text}");
+    }
+    // One comparison on the same path is decided: some value in range.
+    let one = Query::count_star().with_filter(Expr::ge("ts[*]", 120));
+    let forced = engine(ExecMode::Compiled, AccessPathChoice::ForceIndex, true);
+    assert!(forced.explain(&ds, &one).unwrap().contains("index-only"));
+    assert_eq!(forced.execute(&ds, &one).unwrap()[0].agg(), &Value::Int(2));
 }
 
 /// A component whose statistics disprove a pushed conjunct is never read:
@@ -167,10 +197,20 @@ fn memtable_records_sharpen_the_auto_choice() {
 
     // Find a width where the page-only model scans but the probe is close,
     // then grow the (synthetic) memtable until the CPU term flips Auto to
-    // the probe — the crossover sharpening the ROADMAP asks for.
+    // the probe — the crossover sharpening the ROADMAP asks for. The query
+    // reads `grp`, so its probe looks records up: a `COUNT(*)` the range
+    // decides is index-only and costs no page at any width.
     let mut flipped = false;
     for hi in [140i64, 180, 240, 320, 440, 580] {
-        let q = Query::count_star().with_filter(Expr::between("score", 100, hi));
+        let q = Query::select([Aggregate::Max(Path::parse("grp"))])
+            .with_filter(Expr::between("score", 100, hi));
+        let count = Query::count_star().with_filter(Expr::between("score", 100, hi));
+        let p = physical::plan(&count, &flushed_ctx, &opts).unwrap();
+        assert!(
+            matches!(p.access, query::AccessPath::IndexRange { index_only: true, .. }),
+            "{}",
+            p.describe()
+        );
         let p = physical::plan(&q, &flushed_ctx, &opts).unwrap();
         if !matches!(p.access, query::AccessPath::FullScan) {
             continue; // pages already favour the probe; wider, please
@@ -225,8 +265,17 @@ fn auto_picks_probe_and_scan_at_the_selectivity_extremes() {
     assert!(text.contains("[auto]"), "{text}");
     assert_eq!(auto.execute(&ds, &tight).unwrap()[0].agg(), &Value::Int(3));
 
-    let wide = Query::count_star().with_filter(Expr::ge("score", 10));
+    let wide = Query::select([Aggregate::Max(Path::parse("grp"))])
+        .with_filter(Expr::ge("score", 10));
     let text = auto.explain(&ds, &wide).unwrap();
     assert!(text.contains("full scan"), "{text}");
-    assert_eq!(auto.execute(&ds, &wide).unwrap()[0].agg(), &Value::Int(590));
+    assert_eq!(auto.execute(&ds, &wide).unwrap()[0].agg(), &Value::from("g6"));
+
+    // A `COUNT(*)` the range decides is index-only: its probe reads no
+    // page, so Auto takes it even at the wide end.
+    let wide_count = Query::count_star().with_filter(Expr::ge("score", 10));
+    let text = auto.explain(&ds, &wide_count).unwrap();
+    assert!(text.contains("index-only"), "{text}");
+    assert!(text.contains("probe ~0 pages"), "{text}");
+    assert_eq!(auto.execute(&ds, &wide_count).unwrap()[0].agg(), &Value::Int(590));
 }

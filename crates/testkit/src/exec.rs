@@ -9,7 +9,7 @@ use query::ExecMode::{Compiled, Interpreted};
 use query::{PlannerOptions, Query, QueryEngine, QueryRow, QueryTarget, ScanLane};
 use storage::LayoutKind;
 
-use crate::{leafy_config, TempDir};
+use crate::{leafy_config, sort_fields, TempDir};
 
 /// How many compaction strategies [`compaction`] tells apart.
 pub const COMPACTIONS: usize = 4;
@@ -35,8 +35,9 @@ pub struct Target {
 }
 
 /// VB, APAX and AMAX at one and four shards, AMAX with a secondary index on
-/// `score`, and AMAX durable in `dir`. Flushes happen only when asked; 2 KiB
-/// pages and 16-record AMAX leaves make many leaves.
+/// `score`, and AMAX durable in `dir` with the same index (a crash-reopen
+/// rebuilds it). Flushes happen only when asked; 2 KiB pages and 16-record
+/// AMAX leaves make many leaves.
 pub fn matrix(compaction: CompactionSpec, dir: TempDir) -> Vec<Target> {
     let config = |layout| leafy_config("testkit", layout, 2 * 1024, 16).with_compaction(compaction);
     let target = |name: &str, layout, shards: Vec<DatasetConfig>| Target {
@@ -56,12 +57,12 @@ pub fn matrix(compaction: CompactionSpec, dir: TempDir) -> Vec<Target> {
         }
     }
     let index = config(LayoutKind::Amax).with_secondary_index(Path::parse("score"));
-    targets.push(target("AMAX+index", LayoutKind::Amax, vec![index]));
+    targets.push(target("AMAX+index", LayoutKind::Amax, vec![index.clone()]));
     let mut durable = target("AMAX durable", LayoutKind::Amax, Vec::new());
     durable
         .shards
-        .push(LsmDataset::open(&dir, config(LayoutKind::Amax)).unwrap());
-    durable.durable = Some((dir, config(LayoutKind::Amax)));
+        .push(LsmDataset::open(&dir, index.clone()).unwrap());
+    durable.durable = Some((dir, index));
     targets.push(durable);
     targets
 }
@@ -96,10 +97,19 @@ impl Target {
     }
 }
 
-/// Rows compared bit for bit: `Value`'s `==` is IEEE `==` on doubles, under
-/// which a NaN group differs from itself and `-0.0` equals `0.0`; the debug
-/// spelling tells every double apart, and `7` from `7.0`.
+/// Rows compared bit for bit, up to the order of an object's fields (the
+/// columnar layouts return them in schema order): `Value`'s `==` is IEEE
+/// `==` on doubles, under which a NaN group differs from itself and `-0.0`
+/// equals `0.0`; the debug spelling tells every double apart, and `7` from
+/// `7.0`.
 pub fn bits(rows: &[QueryRow]) -> String {
+    let rows: Vec<QueryRow> = rows
+        .iter()
+        .map(|row| QueryRow {
+            group: row.group.as_ref().map(sort_fields),
+            aggs: row.aggs.iter().map(sort_fields).collect(),
+        })
+        .collect();
     format!("{rows:?}")
 }
 
@@ -108,6 +118,8 @@ pub fn bits(rows: &[QueryRow]) -> String {
 pub struct Coverage {
     pub records_kernel: u64,
     pub index_probes: u64,
+    /// Index probes that counted keys and looked up no record.
+    pub index_only: u64,
     pub leaves_skipped: u64,
 }
 
@@ -169,6 +181,7 @@ where
                     seen.records_kernel += report.records_kernel();
                     seen.leaves_skipped += report.leaves_skipped();
                     seen.index_probes += u64::from(report.plan.contains("index range probe"));
+                    seen.index_only += u64::from(report.plan.contains("index-only"));
                     COVERAGE.set(seen);
                     report.rows
                 } else {

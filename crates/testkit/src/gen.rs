@@ -113,15 +113,20 @@ fn element(rng: &mut TestRng, dirty: bool) -> Value {
 
 /// The query drawn from `seed`: aggregates over the records and the
 /// unnested `readings` (grouped by `grp`, `name` or the element's `seq`,
-/// maybe top-k), or a key-ordered projection (maybe LIMIT), under a filter.
+/// maybe top-k), a key-ordered projection (maybe LIMIT) or a plain
+/// `COUNT(*)` (which a probe of the `score` index answers from its keys
+/// when the filter is a `score` comparison or range), under a filter.
 pub fn query(seed: u64) -> Query {
     let rng = &mut TestRng::from_seed(seed);
-    let mut query = if rng.below(4) == 0 {
+    let shape = rng.below(4);
+    let mut query = if shape == 0 {
         let query = Query::select_paths(["score", "grp", "tags"]).order_by_key();
         match rng.below(2) {
             0 => query.with_limit(1 + rng.below(5) as usize),
             _ => query,
         }
+    } else if shape == 1 {
+        Query::count_star()
     } else {
         let mut query = Query::new();
         let element_aggs = rng.below(3);
@@ -133,7 +138,9 @@ pub fn query(seed: u64) -> Query {
             query = query.aggregate_element(aggregate(rng, &["temp", "seq"]));
         }
         for _ in 0..rng.below(4) {
-            query = query.aggregate(aggregate(rng, &["score", "grp", "name", "tags", "id"]));
+            // `d` is any JSON value: `MIN`/`MAX` over objects whose fields
+            // come back in another order on every layout.
+            query = query.aggregate(aggregate(rng, &["score", "grp", "name", "tags", "id", "d"]));
         }
         if query.aggregates.is_empty() {
             query = query.aggregate(Aggregate::Count);
